@@ -37,6 +37,9 @@ var gatePkgs = []gcgate.Pkg{
 	{Dir: "internal/quantizer", Path: "scdc/internal/quantizer"},
 	{Dir: "internal/core", Path: "scdc/internal/core"},
 	{Dir: "internal/sz3", Path: "scdc/internal/sz3"},
+	{Dir: "internal/lattice", Path: "scdc/internal/lattice"},
+	{Dir: "internal/hpez", Path: "scdc/internal/hpez"},
+	{Dir: "internal/mgard", Path: "scdc/internal/mgard"},
 	{Dir: "internal/huffman", Path: "scdc/internal/huffman"},
 	{Dir: "internal/rice", Path: "scdc/internal/rice"},
 	{Dir: "internal/lossless", Path: "scdc/internal/lossless"},

@@ -62,7 +62,9 @@ func TestRealTreeManifest(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
+		"scdc/internal/core.Region.NextRow inline,noalloc",
 		"scdc/internal/core.Region.RowBase inline,noalloc",
+		"scdc/internal/core.Region.carryRow noalloc",
 		"scdc/internal/core.Region.rowBase inline,noalloc",
 		"scdc/internal/core.copyRun inline,noalloc",
 		"scdc/internal/core.fwd1DAlways noalloc",
@@ -89,6 +91,13 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/core.inv3DSkipU noalloc",
 		"scdc/internal/core.kernel1D inline,noalloc",
 		"scdc/internal/core.regionGrain inline,noalloc",
+		"scdc/internal/hpez.(*sweep).addTap noalloc",
+		"scdc/internal/hpez.(*sweep).fwdRun noalloc",
+		"scdc/internal/hpez.(*sweep).invRun noalloc",
+		"scdc/internal/hpez.(*sweep).predict noalloc",
+		"scdc/internal/hpez.(*sweep).row noalloc",
+		"scdc/internal/hpez.(*sweep).setTaps noalloc",
+		"scdc/internal/hpez.(*sweep).sweepLevel noalloc",
 		"scdc/internal/huffman.(*decoder).decodeBody noalloc,nobounds",
 		"scdc/internal/huffman.encodeDense noalloc",
 		"scdc/internal/huffman.flushTail inline",
@@ -97,6 +106,7 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/interp.Mid2 inline",
 		"scdc/internal/interp.Quad3Left inline",
 		"scdc/internal/interp.Quad3Right inline",
+		"scdc/internal/lattice.(*Class).Coord inline",
 		"scdc/internal/lossless.load32 inline",
 		"scdc/internal/lossless.load64 inline",
 		"scdc/internal/lossless.lzDecompressInto noalloc",
@@ -104,6 +114,9 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/lossless.lzHash inline",
 		"scdc/internal/lossless.lzMatchLen noalloc",
 		"scdc/internal/lossless.lzReadLen inline",
+		"scdc/internal/mgard.(*sweep).row noalloc",
+		"scdc/internal/mgard.(*sweep).run noalloc",
+		"scdc/internal/mgard.(*sweep).sweepLevel noalloc",
 		"scdc/internal/quantizer.Linear.Recover inline",
 		"scdc/internal/rice.bestK noalloc,nobounds",
 		"scdc/internal/rice.decodeBlock nobounds",

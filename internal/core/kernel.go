@@ -218,19 +218,18 @@ func copyRun(q, qp []int32, i0, step, cnt int) {
 // none of the mode's neighbors).
 func copyRegion(q, qp []int32, rg Region, workers int) {
 	rows := rg.Ext[0] * rg.Ext[1] * rg.Ext[2]
+	copyRows := func(lo, hi int) {
+		cur := rg.RowAt(lo)
+		for r := lo; r < hi; r++ {
+			copyRun(q, qp, cur.Base, rg.Strd[3], rg.Ext[3])
+			rg.NextRow(&cur)
+		}
+	}
 	if workers > 1 && rows >= 2 && rg.Points() >= minKernelParallelPoints {
-		parallel.ForEachChunked(rows, workers, 0, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				base, _, _, _ := rg.rowBase(r)
-				copyRun(q, qp, base, rg.Strd[3], rg.Ext[3])
-			}
-		})
+		parallel.ForEachChunked(rows, workers, 0, copyRows)
 		return
 	}
-	for r := 0; r < rows; r++ {
-		base, _, _, _ := rg.rowBase(r)
-		copyRun(q, qp, base, rg.Strd[3], rg.Ext[3])
-	}
+	copyRows(0, rows)
 }
 
 // regionGrain picks rows (or units) per work chunk: at least ~1024 points
@@ -272,27 +271,31 @@ func (p *Predictor) ForwardRegion(q, qp []int32, rg Region, workers int, wsp []*
 	}
 	R, U := p.Radius, p.Unpredictable
 	s3, rowLen := rg.Strd[3], rg.Ext[3]
-	fwdRow := func(r int) int {
-		base, p0, p1, p2 := rg.rowBase(r)
-		if (needAx[0] && p0 == 0) || (needAx[1] && p1 == 0) || (needAx[2] && p2 == 0) {
-			copyRun(q, qp, base, s3, rowLen)
-			return 0
+	// fwdRows sweeps rows [lo, hi) with the row odometer: one rowBase
+	// decomposition at the chunk start, increments after that.
+	fwdRows := func(lo, hi int) int {
+		comp := 0
+		cur := rg.RowAt(lo)
+		for r := lo; r < hi; r++ {
+			base := cur.Base
+			if (needAx[0] && cur.P0 == 0) || (needAx[1] && cur.P1 == 0) || (needAx[2] && cur.P2 == 0) {
+				copyRun(q, qp, base, s3, rowLen)
+			} else {
+				head := 0
+				if needAx[3] {
+					qp[base] = q[base]
+					head = 1
+				}
+				comp += ops.fwd(q, qp, base+head*s3, s3, rowLen-head, offL, offT, offB, R, U)
+			}
+			rg.NextRow(&cur)
 		}
-		head := 0
-		if needAx[3] {
-			qp[base] = q[base]
-			head = 1
-		}
-		return ops.fwd(q, qp, base+head*s3, s3, rowLen-head, offL, offT, offB, R, U)
+		return comp
 	}
 
 	rows := rg.Ext[0] * rg.Ext[1] * rg.Ext[2]
 	if workers <= 1 || rows < 2 || rg.Points() < minKernelParallelPoints {
-		comp := 0
-		for r := 0; r < rows; r++ {
-			comp += fwdRow(r)
-		}
-		p.Compensated += comp
+		p.Compensated += fwdRows(0, rows)
 		return
 	}
 	grain := regionGrain(rows, rowLen, workers)
@@ -304,12 +307,7 @@ func (p *Predictor) ForwardRegion(q, qp []int32, rg Region, workers int, wsp []*
 		}
 		t0 := sp.Begin()
 		lo := c * grain
-		hi := min(lo+grain, rows)
-		comp := 0
-		for r := lo; r < hi; r++ {
-			comp += fwdRow(r)
-		}
-		comps[c] = comp
+		comps[c] = fwdRows(lo, min(lo+grain, rows))
 		sp.AddSince(t0)
 	})
 	total := 0
@@ -405,16 +403,16 @@ func (p *Predictor) InverseRegion(enc []int32, rg Region, workers int, wsp []*ob
 
 	rows := rg.Ext[0] * rg.Ext[1] * rg.Ext[2]
 	comp := 0
+	head := 0
+	if needAx[3] {
+		head = 1
+	}
+	cur := RowCursor{Base: rg.Base}
 	for r := 0; r < rows; r++ {
-		base, p0, p1, p2 := rg.rowBase(r)
-		if (needAx[0] && p0 == 0) || (needAx[1] && p1 == 0) || (needAx[2] && p2 == 0) {
-			continue
+		if !((needAx[0] && cur.P0 == 0) || (needAx[1] && cur.P1 == 0) || (needAx[2] && cur.P2 == 0)) {
+			comp += ops.inv(enc, cur.Base+head*s3, s3, rowLen-head, offL, offT, offB, R, U)
 		}
-		head := 0
-		if needAx[3] {
-			head = 1
-		}
-		comp += ops.inv(enc, base+head*s3, s3, rowLen-head, offL, offT, offB, R, U)
+		rg.NextRow(&cur)
 	}
 	p.Compensated += comp
 }

@@ -55,6 +55,52 @@ func (rg Region) RowBase(r int) int {
 	return base
 }
 
+// RowCursor is the odometer of a row sweep: the outer-axis positions of
+// the current axis-3 row and its flat base index. Sequential sweeps (QP
+// kernels, lattice row kernels) step it with NextRow instead of paying
+// rowBase's two divides and two modulos per row; RowAt seeds it at a
+// chunk start. The positions are named fields rather than an array
+// because that is what keeps NextRow inside the inlining budget.
+type RowCursor struct {
+	P0, P1, P2 int // positions along axes 0..2
+	Base       int // flat index of the row's first point
+}
+
+// RowAt returns the cursor of row r (rows numbered as in RowBase).
+func (rg Region) RowAt(r int) RowCursor {
+	base, p0, p1, p2 := rg.rowBase(r)
+	return RowCursor{P0: p0, P1: p1, P2: p2, Base: base}
+}
+
+// NextRow advances c to the next row in row-major order. Stepping past
+// the last row leaves a cursor that must not be dereferenced.
+//
+//scdc:inline
+//scdc:noalloc
+func (rg Region) NextRow(c *RowCursor) {
+	c.P2++
+	c.Base += rg.Strd[2]
+	if c.P2 == rg.Ext[2] {
+		rg.carryRow(c)
+	}
+}
+
+// carryRow is NextRow's axis-2 wrap, kept out of line so the per-row
+// step stays within the inlining budget.
+//
+//scdc:noalloc
+//go:noinline
+func (rg Region) carryRow(c *RowCursor) {
+	c.P2 = 0
+	c.P1++
+	c.Base += rg.Strd[1] - rg.Ext[2]*rg.Strd[2]
+	if c.P1 == rg.Ext[1] {
+		c.P1 = 0
+		c.P0++
+		c.Base += rg.Strd[0] - rg.Ext[1]*rg.Strd[1]
+	}
+}
+
 // neighborhood builds the reference Neighborhood of the point at the
 // given lattice position — the bridge between Region geometry and the
 // per-point Compensate path the kernels are differentially tested

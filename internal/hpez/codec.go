@@ -5,10 +5,8 @@ import (
 
 	"scdc/internal/core"
 	"scdc/internal/grid"
-	"scdc/internal/interp"
 	"scdc/internal/lattice"
 	"scdc/internal/obs"
-	"scdc/internal/quantizer"
 )
 
 func anchorStride(levels int) int { return 1 << levels }
@@ -29,74 +27,18 @@ func forEachAnchor(dims []int, levels int, fn func(idx int)) {
 	walk(0, 0)
 }
 
-// predict computes the multi-dimensional interpolation prediction for a
-// point: the weighted average of 1D spline stencils along each non-frozen
-// odd axis, with HPEZ's tuned per-level axis weights (a frozen axis is a
-// zero weight).
-func predict(data []float64, dims, strides []int, pl *plan, pt *lattice.Point) float64 {
-	nd := len(dims)
-	kind := interp.Cubic
-	frozen := pl.frozen[pt.Level-1]
-	weights := pl.weights[pt.Level-1]
-	if pt.Level <= 2 {
-		bi := pl.blockIndex(pt.Coord, nd)
-		if !pl.blockIsCubic(bi) {
-			kind = interp.Linear
-		}
-		// Block-wise tuned weights take over at the fine levels; the
-		// global freeze mask no longer applies (a locally bad axis simply
-		// gets a near-zero local weight).
-		weights = pl.blockWeights[bi]
-		frozen = 0
-	}
-
-	sum, wsum := 0.0, 0.0
-	eval := func(d int, w float64) {
-		base := pt.Idx - pt.Coord[d]*strides[d]
-		strd := strides[d]
-		p := interp.Line(func(pos int) float64 {
-			return data[base+pos*strd]
-		}, dims[d], pt.Coord[d], pt.S, kind)
-		sum += w * p
-		wsum += w
-	}
-	for d := 0; d < nd; d++ {
-		if pt.Mask&(1<<uint(d)) == 0 || frozen&(1<<uint(d)) != 0 {
-			continue
-		}
-		w := float64(weights[d])
-		if w == 0 {
-			continue
-		}
-		eval(d, w)
-	}
-	if wsum == 0 {
-		// Every odd axis frozen or zero-weighted: fall back to an
-		// unweighted average over all odd axes.
-		for d := 0; d < nd; d++ {
-			if pt.Mask&(1<<uint(d)) != 0 {
-				eval(d, 1)
-			}
-		}
-	}
-	return sum / wsum
-}
-
 // compressCore runs the HPEZ pipeline with a resolved plan; data is
-// overwritten with decompressed values. The QP transform runs as a
-// kernelized per-class region sweep after each level's quantization walk
-// — every QP neighbor of a class point lies in the same class, earlier
-// in walk order, and the forward sweep reads only original symbols, so
-// the output is byte-identical to the point-fused order. qpSp, when
-// non-nil, accumulates the QP share of the interp wall time.
+// overwritten with decompressed values. Each level is one row-kernel
+// sweep over its classes (kernel.go) followed by the kernelized QP sweep
+// over the same class regions — every QP neighbor of a class point lies
+// in the same class, earlier in sweep order, and the forward sweep reads
+// only original symbols, so the output is byte-identical to the
+// point-fused order. qpSp, when non-nil, accumulates the QP share of the
+// interp wall time.
 func compressCore(data []float64, dims []int, pl plan, q, qp []int32,
 	pred *core.Predictor, workers int, qpSp *obs.Span) (anchors, literals []float64) {
 
 	strides := grid.Strides(dims)
-	quants := make([]quantizer.Linear, pl.levels+1)
-	for l := 1; l <= pl.levels; l++ {
-		quants[l] = quantizer.Linear{EB: pl.ebs[l-1], Radius: pl.radius}
-	}
 	qpWsp := core.WorkerSpans(qpSp, workers)
 
 	center := pl.radius
@@ -108,42 +50,31 @@ func compressCore(data []float64, dims []int, pl plan, q, qp []int32,
 		}
 	})
 
+	sw := newSweep(data, q, nil, true, &pl, len(dims))
 	for level := pl.levels; level >= 1; level-- {
-		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
-			p := predict(data, dims, strides, &pl, pt)
-			quant := quants[pt.Level]
-			sym, dec, ok := quant.Quantize(data[pt.Idx], p)
-			q[pt.Idx] = sym
-			if !ok {
-				literals = append(literals, data[pt.Idx])
-			}
-			data[pt.Idx] = dec
-		})
+		classes := lattice.Classes(dims, strides, level)
+		sw.sweepLevel(classes, level)
 		if qp != nil {
 			t0 := qpSp.Begin()
-			for _, rg := range lattice.ClassRegions(dims, strides, level) {
-				pred.ForwardRegion(q, qp, rg, workers, qpWsp)
+			for i := range classes {
+				pred.ForwardRegion(q, qp, classes[i].Region, workers, qpWsp)
 			}
 			qpSp.AddSince(t0)
 		}
 	}
-	return anchors, literals
+	return anchors, sw.lits
 }
 
 // decompressCore reverses compressCore: each level first recovers its
 // original symbols with the kernelized inverse QP sweep per class (the
 // inverse reads only same-class symbols, all already recovered by the
-// sweep's own order), then reconstructs values in walk order with the
-// literal stream consumed exactly as the compressor appended it.
+// sweep's own order), then reconstructs values with the inverse row
+// kernels, the literal stream consumed exactly as the compressor appended
+// it.
 func decompressCore(data []float64, dims []int, pl plan, enc []int32, anchors, literals []float64,
 	pred *core.Predictor, workers int, qpSp *obs.Span) error {
 
 	strides := grid.Strides(dims)
-	//scdclint:ignore alloccap -- pl.levels is bounded (<= 62) by decodePlan before decompressCore runs
-	quants := make([]quantizer.Linear, pl.levels+1)
-	for l := 1; l <= pl.levels; l++ {
-		quants[l] = quantizer.Linear{EB: pl.ebs[l-1], Radius: pl.radius}
-	}
 
 	ai := 0
 	center := pl.radius
@@ -167,39 +98,23 @@ func decompressCore(data []float64, dims []int, pl plan, enc []int32, anchors, l
 		return fmt.Errorf("%w: %d unused anchors", ErrCorrupt, len(anchors)-ai)
 	}
 
-	lit := 0
+	sw := newSweep(data, enc, literals, false, &pl, len(dims))
 	qpWsp := core.WorkerSpans(qpSp, workers)
 	for level := pl.levels; level >= 1; level-- {
+		classes := lattice.Classes(dims, strides, level)
 		if pred != nil {
 			t0 := qpSp.Begin()
-			for _, rg := range lattice.ClassRegions(dims, strides, level) {
-				pred.InverseRegion(enc, rg, workers, qpWsp)
+			for i := range classes {
+				pred.InverseRegion(enc, classes[i].Region, workers, qpWsp)
 			}
 			qpSp.AddSince(t0)
 		}
-		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
-			if decErr != nil {
-				return
-			}
-			sym := enc[pt.Idx]
-			if sym == quantizer.Unpredictable {
-				if lit >= len(literals) {
-					decErr = fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
-					return
-				}
-				data[pt.Idx] = literals[lit]
-				lit++
-				return
-			}
-			p := predict(data, dims, strides, &pl, pt)
-			data[pt.Idx] = quants[pt.Level].Recover(p, sym)
-		})
+		if !sw.sweepLevel(classes, level) {
+			return fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
+		}
 	}
-	if decErr != nil {
-		return decErr
-	}
-	if lit != len(literals) {
-		return fmt.Errorf("%w: %d unused literals", ErrCorrupt, len(literals)-lit)
+	if sw.lit != len(literals) {
+		return fmt.Errorf("%w: %d unused literals", ErrCorrupt, len(literals)-sw.lit)
 	}
 	return nil
 }

@@ -62,9 +62,10 @@ type Options struct {
 	// Tune enables block-wise kind tuning, dimension freezing and
 	// level-wise error bound tuning. Default on via DefaultOptions.
 	Tune bool
-	// Workers caps the number of goroutines used for entropy coding. The
-	// HPEZ walker reads across multiple axes per point, so interpolation
-	// itself stays sequential; shard encode/decode still fans out.
+	// Workers caps the number of goroutines used for entropy coding and
+	// the QP sweeps. The interpolation level sweeps themselves stay
+	// sequential (a point reads stencils across several axes; rows of
+	// one class are independent, but nothing splits them yet).
 	Workers int
 	// Shards splits the entropy-coded index stream into independently
 	// decodable Huffman shards. <= 1 keeps the legacy single-body stream.
@@ -131,15 +132,7 @@ type plan struct {
 	// straddling a sharp interface can locally down-weight the axis that
 	// crosses it while the rest of the field keeps using it.
 	blockWeights [][4]uint8
-	blockGrid    []int // blocks per axis
-}
-
-func (pl *plan) blockIndex(coord [4]int, nd int) int {
-	idx := 0
-	for d := 0; d < nd; d++ {
-		idx = idx*pl.blockGrid[d] + coord[d]/blockSize
-	}
-	return idx
+	blockGrid    []int // blocks per axis; block tables are row-major over it
 }
 
 func (pl *plan) blockIsCubic(blockIdx int) bool {

@@ -98,9 +98,7 @@ func tuneAxes(f *grid.Field, level int, eb float64) (uint8, [4]uint8) {
 		for line := 0; line < nlines && len(samples) < 4096; line += lstep {
 			base := lineBase(dims, strides, d, line)
 			for t := s; t < dims[d] && len(samples) < 4096; t += 2 * s {
-				p := interp.Line(func(pos int) float64 {
-					return f.Data[base+pos*strides[d]]
-				}, dims[d], t, s, interp.Cubic)
+				p := interp.LineSlice(f.Data, base, strides[d], dims[d], t, s, interp.Cubic)
 				samples = append(samples, math.Abs(f.Data[base+t*strides[d]]-p))
 			}
 		}
@@ -254,7 +252,7 @@ func blockResiduals(f *grid.Field, dims, strides []int, origin []int, ax int, eb
 			}
 			base += c * strides[d]
 		}
-		at := func(pos int) float64 { return f.Data[base+pos*strides[ax]] }
+		strd := strides[ax]
 		hi := origin[ax] + blockSize
 		if hi > n {
 			hi = n
@@ -265,9 +263,9 @@ func blockResiduals(f *grid.Field, dims, strides []int, origin []int, ax int, eb
 		// noise ~1.29x vs linear's 1.0x), matching the predictor selection
 		// model used elsewhere.
 		for t := origin[ax] + 2; t < hi; t += 4 {
-			pc := interp.Line(at, n, t, 2, interp.Cubic)
-			pl := interp.Line(at, n, t, 2, interp.Linear)
-			v := at(t)
+			pc := interp.LineSlice(f.Data, base, strd, n, t, 2, interp.Cubic)
+			pl := interp.LineSlice(f.Data, base, strd, n, t, 2, interp.Linear)
+			v := f.Data[base+t*strd]
 			cubic += math.Log2(1 + (math.Abs(v-pc)+0.645*eb)/(2*eb))
 			linear += math.Log2(1 + (math.Abs(v-pl)+0.5*eb)/(2*eb))
 			sampled++
@@ -367,14 +365,14 @@ func blockAxisResidual(f *grid.Field, dims, strides []int, origin []int, ax int)
 			}
 			base += c * strides[d]
 		}
-		at := func(pos int) float64 { return f.Data[base+pos*strides[ax]] }
+		strd := strides[ax]
 		hi := origin[ax] + blockSize
 		if hi > n {
 			hi = n
 		}
 		for t := origin[ax] + 2; t < hi; t += 4 {
-			p := interp.Line(at, n, t, 2, interp.Cubic)
-			samples = append(samples, math.Abs(at(t)-p))
+			p := interp.LineSlice(f.Data, base, strd, n, t, 2, interp.Cubic)
+			samples = append(samples, math.Abs(f.Data[base+t*strd]-p))
 		}
 	}
 	if len(samples) == 0 {

@@ -1,9 +1,13 @@
 package huffman
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"scdc/internal/entropy"
 )
 
 func roundTrip(t *testing.T, q []int32) {
@@ -157,5 +161,104 @@ func TestFastTableReuseCleared(t *testing.T) {
 	dec, err := Decode(data)
 	if err != nil || len(dec) != 1 || dec[0] != 5 {
 		t.Fatalf("valid crafted stream: dec=%v err=%v", dec, err)
+	}
+}
+
+// codeLengthsRef is the canonical table as it was computed before the
+// counting sort: depth-first leaf order, insertion-sorted by (length,
+// symbol). codeLengths must reproduce it entry for entry — the table is
+// serialized, so its order is part of every stream.
+func codeLengthsRef(d *entropy.Dist) []symLen {
+	if len(d.Syms) == 1 {
+		return []symLen{{d.Syms[0].Sym, 1}}
+	}
+	arena := buildTree(d.Syms)
+	var out []symLen
+	type frame struct{ n, depth int }
+	stack := []frame{{len(arena) - 1, 0}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := arena[f.n]
+		if nd.left < 0 {
+			out = append(out, symLen{nd.sym, f.depth})
+			continue
+		}
+		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && (out[j].len < out[j-1].len ||
+			(out[j].len == out[j-1].len && out[j].sym < out[j-1].sym)); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}
+
+// randomDist draws n distinct ascending symbols with counts from a mix
+// of flat, geometric and heavy-tailed shapes (ties and deep trees both
+// occur).
+func randomDist(rng *rand.Rand, n int) *entropy.Dist {
+	d := &entropy.Dist{Syms: make([]entropy.SymCount, n)}
+	sym := int32(rng.Intn(1000)) - 500
+	shape := rng.Intn(3)
+	for i := range d.Syms {
+		sym += 1 + int32(rng.Intn(3))
+		var c uint64
+		switch shape {
+		case 0:
+			c = 1 + uint64(rng.Intn(4))
+		case 1:
+			c = 1 + uint64(rng.ExpFloat64()*50)
+		default:
+			c = 1 + uint64(1)<<uint(rng.Intn(40))
+		}
+		d.Syms[i] = entropy.SymCount{Sym: sym, Count: c}
+		d.N += int(c)
+	}
+	d.Lo, d.Hi = d.Syms[0].Sym, d.Syms[n-1].Sym
+	return d
+}
+
+func TestCodeLengthsMatchReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		d := randomDist(rng, 1+rng.Intn(600))
+		got, want := codeLengths(d), codeLengthsRef(d)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d entries, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d entry %d: got %+v want %+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCodeLengthsWideAlphabetScales: a 50k-symbol table must build in
+// roughly linear time. The insertion sort it replaces took ~25x longer
+// for every 5x more symbols (64 ms at 10k distinct symbols, seconds
+// here); n log n heap work takes ~6x.
+func TestCodeLengthsWideAlphabetScales(t *testing.T) {
+	build := func(n int) time.Duration {
+		rng := rand.New(rand.NewSource(int64(n)))
+		d := randomDist(rng, n)
+		best := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 5; rep++ {
+			t0 := time.Now()
+			table := codeLengths(d)
+			if el := time.Since(t0); el < best {
+				best = el
+			}
+			if len(table) != n {
+				t.Fatalf("%d entries for %d symbols", len(table), n)
+			}
+		}
+		return best
+	}
+	small, wide := build(10000), build(50000)
+	if wide > 15*small {
+		t.Fatalf("50k-symbol table took %v, 10k took %v: more than 15x for 5x the symbols", wide, small)
 	}
 }

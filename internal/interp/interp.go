@@ -62,22 +62,85 @@ func ExtrapLeft2(a, b float64) float64 { return 1.5*b - 0.5*a }
 // follows SZ3: full cubic in the interior, quadratic near one boundary,
 // linear otherwise, extrapolation when the right neighbor is missing.
 func Line(at func(int) float64, n, t, s int, kind Kind) float64 {
+	switch StencilAt(n, t, s, kind) {
+	case StCubic4:
+		return Cubic4(at(t-3*s), at(t-s), at(t+s), at(t+3*s))
+	case StQuad3Left:
+		return Quad3Left(at(t-3*s), at(t-s), at(t+s))
+	case StQuad3Right:
+		return Quad3Right(at(t-s), at(t+s), at(t+3*s))
+	case StMid2:
+		return Mid2(at(t-s), at(t+s))
+	case StExtrapLeft2:
+		return ExtrapLeft2(at(t-3*s), at(t-s))
+	default:
+		return at(t - s)
+	}
+}
+
+// Stencil names one of Line's six boundary cases. A sweep whose boundary
+// structure is constant along a run (the lattice row kernels: every outer
+// axis has one case per row, the run axis one per head/interior/tail
+// segment) classifies once with StencilAt and applies the case per point
+// with At.
+type Stencil uint8
+
+const (
+	// StCubic4 is the interior four-point cubic stencil.
+	StCubic4 Stencil = iota
+	// StQuad3Left is the quadratic stencil with the right third missing.
+	StQuad3Left
+	// StQuad3Right is the quadratic stencil with the left third missing.
+	StQuad3Right
+	// StMid2 is the two-point midpoint.
+	StMid2
+	// StExtrapLeft2 extrapolates when the right neighbor is missing.
+	StExtrapLeft2
+	// StCopyLeft copies the left neighbor, the only sample in range.
+	StCopyLeft
+)
+
+// StencilAt classifies position t on a line of extent n at sampling
+// stride s — the one definition Line, LineSlice and the kernels share:
+// full cubic in the interior, quadratic near one boundary, linear
+// otherwise, extrapolation when the right neighbor is missing.
+func StencilAt(n, t, s int, kind Kind) Stencil {
 	hasR := t+s < n
 	hasL3 := t-3*s >= 0
 	hasR3 := t+3*s < n
 	switch {
 	case kind == Cubic && hasL3 && hasR3:
-		return Cubic4(at(t-3*s), at(t-s), at(t+s), at(t+3*s))
+		return StCubic4
 	case kind == Cubic && hasL3 && hasR:
-		return Quad3Left(at(t-3*s), at(t-s), at(t+s))
+		return StQuad3Left
 	case kind == Cubic && hasR3: // implies hasR; left third missing
-		return Quad3Right(at(t-s), at(t+s), at(t+3*s))
+		return StQuad3Right
 	case hasR:
-		return Mid2(at(t-s), at(t+s))
+		return StMid2
 	case hasL3:
-		return ExtrapLeft2(at(t-3*s), at(t-s))
+		return StExtrapLeft2
 	default:
-		return at(t - s)
+		return StCopyLeft
+	}
+}
+
+// At applies the stencil at flat index o of data, with ss the flat
+// offset of one sampling stride along the line. The arithmetic is Line's,
+// term for term.
+func (st Stencil) At(data []float64, o, ss int) float64 {
+	switch st {
+	case StCubic4:
+		return Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss])
+	case StQuad3Left:
+		return Quad3Left(data[o-3*ss], data[o-ss], data[o+ss])
+	case StQuad3Right:
+		return Quad3Right(data[o-ss], data[o+ss], data[o+3*ss])
+	case StMid2:
+		return Mid2(data[o-ss], data[o+ss])
+	case StExtrapLeft2:
+		return ExtrapLeft2(data[o-3*ss], data[o-ss])
+	default:
+		return data[o-ss]
 	}
 }
 
@@ -86,28 +149,10 @@ func Line(at func(int) float64, n, t, s int, kind Kind) float64 {
 // stride strd in data. It selects exactly the same kernels as Line and
 // performs the arithmetic in the same order, so predictions are
 // bit-identical to the closure form — but the call compiles to direct
-// loads with no per-point closure, which is what the batched compression
-// engine's hot loops require.
+// loads with no per-point closure, which is what the tuners' sampling
+// loops and the kernels' references require.
 func LineSlice(data []float64, base, strd, n, t, s int, kind Kind) float64 {
-	hasR := t+s < n
-	hasL3 := t-3*s >= 0
-	hasR3 := t+3*s < n
-	o := base + t*strd
-	ss := s * strd
-	switch {
-	case kind == Cubic && hasL3 && hasR3:
-		return Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss])
-	case kind == Cubic && hasL3 && hasR:
-		return Quad3Left(data[o-3*ss], data[o-ss], data[o+ss])
-	case kind == Cubic && hasR3: // implies hasR; left third missing
-		return Quad3Right(data[o-ss], data[o+ss], data[o+3*ss])
-	case hasR:
-		return Mid2(data[o-ss], data[o+ss])
-	case hasL3:
-		return ExtrapLeft2(data[o-3*ss], data[o-ss])
-	default:
-		return data[o-ss]
-	}
+	return StencilAt(n, t, s, kind).At(data, base+t*strd, s*strd)
 }
 
 // LineMulti predicts at position t by averaging the 1D Line predictions of

@@ -1,3 +1,22 @@
+// Package lattice holds the parity-class multilevel schedule shared by
+// the HPEZ and MGARD reimplementations.
+//
+// Unlike SZ3's sequential dimension sweeps, the schedule organizes one
+// level's points into parity classes (odd multiples of the level stride
+// s along exactly the axes in the class mask) processed in order of
+// increasing popcount: face points first, then edge points, then body
+// centers. Every class's interpolation neighbors (±s, ±3s along any odd
+// axis) belong to a lower-popcount class or the previous level, so both
+// sides of the stencil are always available — this is the
+// multi-dimensional interpolation that lets HPEZ exploit cross-direction
+// correlation (and why it shows the weakest index clustering, paper
+// Section IV-B). Classes with equal popcount are ordered by ascending
+// mask for determinism.
+//
+// A class is a rectangular strided sub-lattice, so it maps onto a
+// core.Region whose axis-3 rows run along the field's fastest axis. The
+// engines' row kernels and the QP kernels both sweep those rows; the
+// per-point walker (walker.go) is the reference they are pinned against.
 package lattice
 
 import (
@@ -6,39 +25,7 @@ import (
 	"scdc/internal/core"
 )
 
-// Point describes one data point visited by the parity-class multilevel
-// schedule shared by the HPEZ and MGARD reimplementations.
-type Point struct {
-	Idx   int    // flat index
-	Level int    // 1-based level, stride 2^(level-1)
-	S     int    // level stride
-	Mask  uint   // parity class: bit d set when the coord along axis d is an odd multiple of S
-	Coord [4]int // coordinates
-	NB    core.Neighborhood
-}
-
-// WalkClasses iterates one level of the HPEZ schedule. Unlike SZ3's
-// sequential dimension sweeps, HPEZ organizes the level's points into
-// parity classes (odd along exactly the axes in Mask) processed in order
-// of increasing popcount: face points first, then edge points, then body
-// centers. Every class's interpolation neighbors (±S, ±3S along any odd
-// axis) belong to a lower-popcount class or the previous level, so both
-// sides of the stencil are always available — this is the
-// multi-dimensional interpolation that lets HPEZ exploit cross-direction
-// correlation (and why it shows the weakest index clustering, paper
-// Section IV-B).
-//
-// Classes with equal popcount are ordered by ascending mask for
-// determinism.
-func WalkClasses(dims, strides []int, level int, fn func(pt *Point)) {
-	s := 1 << (level - 1)
-	var pt Point
-	for _, mask := range classOrder(dims, s) {
-		walkClass(dims, strides, level, s, mask, &pt, fn)
-	}
-}
-
-// classOrder returns the level's class masks in WalkClasses order —
+// classOrder returns the level's class masks in schedule order —
 // ascending (popcount, mask) — skipping classes whose odd axes cannot
 // host odd multiples of s.
 func classOrder(dims []int, s int) []uint {
@@ -62,43 +49,81 @@ func classOrder(dims []int, s int) []uint {
 	return order
 }
 
-// ClassRegion maps one parity class of one level onto the core.Region
-// the kernelized QP sweeps operate on. Within a class the lattice
-// spacing is 2s along every axis (start s on odd axes, 0 on even ones),
-// and region row-major order is exactly walkClass's visit order, so
-// kernel sweeps replay the reference order. All QP neighbors of a class
-// point belong to the same class.
-func ClassRegion(dims, strides []int, level int, mask uint) core.Region {
+// Class is one parity class of one level: its region plus the field
+// geometry a row kernel needs, in the region's axis numbering. Field
+// axis d is region axis d+4-nd, so axis 3 is always the field's fastest
+// axis and a region row is a run of class points along it; the leading
+// padding axes of a field with fewer than four axes have extent 1, are
+// never odd and carry no stride.
+type Class struct {
+	// Region is the class lattice: spacing 2s along every axis, origin s
+	// on odd axes and 0 on even ones. Row-major region order is the
+	// reference walker's visit order, and every QP neighbor of a class
+	// point belongs to the same class.
+	Region core.Region
+	// S is the level stride, 2^(level-1).
+	S int
+	// N and Strd are the field extent and flat stride along each region
+	// axis (1 and 0 on padding axes).
+	N, Strd [4]int
+	// Odd reports the region axes along which the class's coordinates are
+	// odd multiples of S — its parity mask.
+	Odd [4]bool
+}
+
+// Coord returns the field coordinate along region axis a of lattice
+// position p.
+//
+//scdc:inline
+func (c *Class) Coord(a, p int) int {
+	t := 2 * c.S * p
+	if c.Odd[a] {
+		t += c.S
+	}
+	return t
+}
+
+// newClass resolves the geometry of class mask at the given level.
+func newClass(dims, strides []int, level int, mask uint) Class {
 	nd := len(dims)
 	s := 1 << (level - 1)
+	pad := 4 - nd
 	leftAx, topAx, primAx := QPPlaneAxes(nd, mask)
-	rg := core.Region{Left: leftAx, Top: topAx, Back: primAx, Level: level}
-	for d := 0; d < 4; d++ {
-		if d >= nd {
-			rg.Ext[d] = 1
-			continue
+	shift := func(axis int) int {
+		if axis < 0 {
+			return -1
 		}
+		return axis + pad
+	}
+	c := Class{S: s}
+	rg := &c.Region
+	rg.Left, rg.Top, rg.Back, rg.Level = shift(leftAx), shift(topAx), shift(primAx), level
+	for a := 0; a < pad; a++ {
+		rg.Ext[a], c.N[a] = 1, 1
+	}
+	for d := 0; d < nd; d++ {
+		a := d + pad
 		start := 0
 		if mask&(1<<uint(d)) != 0 {
 			start = s
+			c.Odd[a] = true
 		}
+		c.N[a], c.Strd[a] = dims[d], strides[d]
 		rg.Base += start * strides[d]
-		rg.Ext[d] = (dims[d] - start + 2*s - 1) / (2 * s)
-		rg.Strd[d] = 2 * s * strides[d]
+		rg.Ext[a] = (dims[d] - start + 2*s - 1) / (2 * s)
+		rg.Strd[a] = 2 * s * strides[d]
 	}
-	return rg
+	return c
 }
 
-// ClassRegions enumerates one level's class regions in WalkClasses
-// order, for engines that sweep QP per class with the kernel engine.
-func ClassRegions(dims, strides []int, level int) []core.Region {
-	s := 1 << (level - 1)
-	masks := classOrder(dims, s)
-	regs := make([]core.Region, len(masks))
+// Classes enumerates one level's classes in schedule order.
+func Classes(dims, strides []int, level int) []Class {
+	masks := classOrder(dims, 1<<(level-1))
+	cls := make([]Class, len(masks))
 	for i, m := range masks {
-		regs[i] = ClassRegion(dims, strides, level, m)
+		cls[i] = newClass(dims, strides, level, m)
 	}
-	return regs
+	return cls
 }
 
 // QPPlaneAxes returns the two axes spanning the QP plane for a class: the
@@ -127,87 +152,4 @@ func QPPlaneAxes(nd int, mask uint) (left, top, primary int) {
 		}
 	}
 	return left, top, primary
-}
-
-func walkClass(dims, strides []int, level, s int, mask uint, pt *Point, fn func(pt *Point)) {
-	nd := len(dims)
-	leftAx, topAx, primAx := QPPlaneAxes(nd, mask)
-
-	var leftOff, topOff, backOff int
-	if leftAx >= 0 {
-		leftOff = 2 * s * strides[leftAx]
-	}
-	if topAx >= 0 {
-		topOff = 2 * s * strides[topAx]
-	}
-	if primAx >= 0 {
-		backOff = 2 * s * strides[primAx]
-	}
-
-	// Per-axis start and step.
-	var start, step, ext [4]int
-	for d := 0; d < nd; d++ {
-		if mask&(1<<uint(d)) != 0 {
-			start[d], step[d] = s, 2*s
-		} else {
-			start[d], step[d] = 0, 2*s
-		}
-		ext[d] = dims[d]
-	}
-	for d := nd; d < 4; d++ {
-		start[d], step[d], ext[d] = 0, 1, 1
-	}
-
-	var strd [4]int
-	for d := 0; d < nd; d++ {
-		strd[d] = strides[d]
-	}
-
-	for c0 := start[0]; c0 < ext[0]; c0 += step[0] {
-		for c1 := start[1]; c1 < ext[1]; c1 += step[1] {
-			for c2 := start[2]; c2 < ext[2]; c2 += step[2] {
-				for c3 := start[3]; c3 < ext[3]; c3 += step[3] {
-					var coord [4]int
-					coord[0], coord[1], coord[2], coord[3] = c0, c1, c2, c3
-					idx := c0*strd[0] + c1*strd[1] + c2*strd[2] + c3*strd[3]
-					nb := core.Neighborhood{
-						Level: level,
-						Left:  -1, Top: -1, TopLeft: -1,
-						Back: -1, BackLeft: -1, BackTop: -1, BackTopLeft: -1,
-					}
-					hasLeft := leftAx >= 0 && coord[leftAx] >= start[leftAx]+2*s
-					hasTop := topAx >= 0 && coord[topAx] >= start[topAx]+2*s
-					hasBack := primAx >= 0 && coord[primAx] >= start[primAx]+2*s
-					if hasLeft {
-						nb.Left = idx - leftOff
-					}
-					if hasTop {
-						nb.Top = idx - topOff
-					}
-					if hasLeft && hasTop {
-						nb.TopLeft = idx - leftOff - topOff
-					}
-					if hasBack {
-						nb.Back = idx - backOff
-						if hasLeft {
-							nb.BackLeft = nb.Back - leftOff
-						}
-						if hasTop {
-							nb.BackTop = nb.Back - topOff
-						}
-						if hasLeft && hasTop {
-							nb.BackTopLeft = nb.Back - leftOff - topOff
-						}
-					}
-					pt.Idx = idx
-					pt.Level = level
-					pt.S = s
-					pt.Mask = mask
-					pt.Coord = coord
-					pt.NB = nb
-					fn(pt)
-				}
-			}
-		}
-	}
 }

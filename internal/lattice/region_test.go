@@ -24,10 +24,11 @@ func regionPoints(rg core.Region) (idxs []int, poss [][4]int) {
 	return idxs, poss
 }
 
-// TestClassRegionsMatchWalk pins ClassRegions against WalkClasses: per
-// level the regions enumerate exactly the walker's points, in the
-// walker's order, and the region's Left/Top/Back axes reproduce the
-// walker's QP neighborhoods.
+// TestClassRegionsMatchWalk pins the Classes regions against WalkClasses:
+// per level the regions enumerate exactly the walker's points, in the
+// walker's order, the region's Left/Top/Back axes reproduce the walker's
+// QP neighborhoods, and the class geometry (Coord, Odd, N) reproduces the
+// walker's coordinates and mask.
 func TestClassRegionsMatchWalk(t *testing.T) {
 	cases := [][]int{{8, 8, 8}, {7, 9, 5}, {16, 3, 10}, {1, 6, 6}, {33}, {5, 5}, {3, 4, 5, 6}, {2, 2}}
 	for _, dims := range cases {
@@ -35,16 +36,40 @@ func TestClassRegionsMatchWalk(t *testing.T) {
 		for level := 1; level <= 3; level++ {
 			var wantIdx []int
 			var wantNB []core.Neighborhood
+			var wantPt []Point
 			WalkClasses(dims, strides, level, func(pt *Point) {
 				wantIdx = append(wantIdx, pt.Idx)
 				wantNB = append(wantNB, pt.NB)
+				wantPt = append(wantPt, *pt)
 			})
 
 			var gotIdx []int
 			var gotNB []core.Neighborhood
-			for _, rg := range ClassRegions(dims, strides, level) {
+			pad := 4 - len(dims)
+			classes := Classes(dims, strides, level)
+			for ci := range classes {
+				cl := &classes[ci]
+				rg := cl.Region
+				if rg.Ext[3] < 1 || (len(dims) < 4 && rg.Ext[0] != 1) {
+					t.Fatalf("dims=%v level=%d: region %+v is not right-aligned", dims, level, rg)
+				}
 				idxs, poss := regionPoints(rg)
 				for i, idx := range idxs {
+					want := wantPt[len(gotIdx)]
+					if want.S != cl.S {
+						t.Fatalf("dims=%v level=%d idx %d: class s %d, walker s %d", dims, level, idx, cl.S, want.S)
+					}
+					for a := 0; a < 4; a++ {
+						wantC, wantN, wantOdd := 0, 1, false
+						if a >= pad {
+							wantC, wantN = want.Coord[a-pad], dims[a-pad]
+							wantOdd = want.Mask&(1<<uint(a-pad)) != 0
+						}
+						if got := cl.Coord(a, poss[i][a]); got != wantC || cl.N[a] != wantN || cl.Odd[a] != wantOdd {
+							t.Fatalf("dims=%v level=%d idx %d axis %d: coord %d n %d odd %v, walker %d %d %v",
+								dims, level, idx, a, got, cl.N[a], cl.Odd[a], wantC, wantN, wantOdd)
+						}
+					}
 					nb := core.Neighborhood{
 						Level: rg.Level,
 						Left:  -1, Top: -1, TopLeft: -1,

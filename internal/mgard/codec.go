@@ -10,40 +10,6 @@ import (
 	"scdc/internal/quantizer"
 )
 
-// cornerAvg computes the multilinear interpolation of a class point from
-// its coarse-lattice corner neighbors: for each odd axis the two sides at
-// ±S are averaged (one-sided at the right boundary). Equal corner weights
-// are exact for midpoints on a uniform grid.
-func cornerAvg(data []float64, dims, strides []int, pt *lattice.Point) float64 {
-	// Iteratively average along each odd axis: maintain a set of partial
-	// offsets (at most 2^4).
-	var offs [16]int
-	offs[0] = 0
-	cnt := 1
-	for d := 0; d < len(dims); d++ {
-		if pt.Mask&(1<<uint(d)) == 0 {
-			continue
-		}
-		hasR := pt.Coord[d]+pt.S < dims[d]
-		if hasR {
-			for i := 0; i < cnt; i++ {
-				offs[cnt+i] = offs[i] + pt.S*strides[d]
-				offs[i] -= pt.S * strides[d]
-			}
-			cnt *= 2
-		} else {
-			for i := 0; i < cnt; i++ {
-				offs[i] -= pt.S * strides[d]
-			}
-		}
-	}
-	sum := 0.0
-	for i := 0; i < cnt; i++ {
-		sum += data[pt.Idx+offs[i]]
-	}
-	return sum / float64(cnt)
-}
-
 // forEachCoarse visits the coarsest lattice (multiples of 2^levels) in
 // row-major order.
 func forEachCoarse(dims []int, levels int, fn func(idx int)) {
@@ -74,25 +40,19 @@ func compressCore(data []float64, dims []int, opts Options, levels int,
 	quant := quantizer.Linear{EB: ebl, Radius: opts.Radius}
 	qpWsp := core.WorkerSpans(qpSp, workers)
 
+	sw := sweep{data: data, sym: q, fwd: true, quant: quant}
 	for level := 1; level <= levels; level++ {
 		// Pass 1: quantize detail coefficients against the multilinear
-		// prediction from the (uncorrected) coarse lattice.
-		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
-			p := cornerAvg(data, dims, strides, pt)
-			sym, dec, ok := quant.Quantize(data[pt.Idx], p)
-			q[pt.Idx] = sym
-			if !ok {
-				literals = append(literals, data[pt.Idx])
-			}
-			data[pt.Idx] = dec
-		})
+		// prediction from the (uncorrected) coarse lattice (kernel.go).
+		classes := lattice.Classes(dims, strides, level)
+		sw.sweepLevel(classes)
 		// Kernelized QP sweep per class: every QP neighbor of a class
 		// point is in the same class, so sweeping after the level's
-		// quantization walk is byte-identical to the point-fused order.
+		// quantization sweep is byte-identical to the point-fused order.
 		if qp != nil {
 			t0 := qpSp.Begin()
-			for _, rg := range lattice.ClassRegions(dims, strides, level) {
-				pred.ForwardRegion(q, qp, rg, workers, qpWsp)
+			for i := range classes {
+				pred.ForwardRegion(q, qp, classes[i].Region, workers, qpWsp)
 			}
 			qpSp.AddSince(t0)
 		}
@@ -108,7 +68,7 @@ func compressCore(data []float64, dims []int, opts Options, levels int,
 			qp[idx] = quant.CenterSym()
 		}
 	})
-	return coarse, literals
+	return coarse, sw.lits
 }
 
 // decompressCore reverses compressCore, coarse-to-fine. enc is overwritten
@@ -148,32 +108,16 @@ func decompressCore(data []float64, dims []int, eb float64, levels int, radius i
 		return err
 	}
 
+	sw := sweep{data: data, sym: enc, lits: literals, quant: quant}
 	for level := levels; level >= 1; level-- {
 		// Step 1 already happened inside literalOffsets: enc now holds
 		// recovered original symbols for every point.
 		// Step 2: remove the L2 correction from the coarse nodal values.
 		applyCorrection(data, dims, strides, level, quant, enc, -1)
 		// Step 3: reconstruct the level's values.
-		lit := litOffsets[level-1]
-		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
-			if decErr != nil {
-				return
-			}
-			sym := enc[pt.Idx]
-			if sym == quantizer.Unpredictable {
-				if lit >= len(literals) {
-					decErr = fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
-					return
-				}
-				data[pt.Idx] = literals[lit]
-				lit++
-				return
-			}
-			p := cornerAvg(data, dims, strides, pt)
-			data[pt.Idx] = quant.Recover(p, sym)
-		})
-		if decErr != nil {
-			return decErr
+		sw.lit = litOffsets[level-1]
+		if !sw.sweepLevel(lattice.Classes(dims, strides, level)) {
+			return fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
 		}
 	}
 	return nil
@@ -194,7 +138,9 @@ func literalOffsets(dims, strides []int, levels int, enc []int32, pred *core.Pre
 	for level := 1; level <= levels; level++ {
 		offsets[level-1] = lit
 		t0 := qpSp.Begin()
-		for _, rg := range lattice.ClassRegions(dims, strides, level) {
+		classes := lattice.Classes(dims, strides, level)
+		for i := range classes {
+			rg := classes[i].Region
 			if pred != nil {
 				pred.InverseRegion(enc, rg, workers, qpWsp)
 			}
