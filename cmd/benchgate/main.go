@@ -2,9 +2,8 @@
 // results/BENCH_*.json ledger: it compares the newest snapshot's
 // per-stage nanoseconds and compression ratio against the previous
 // snapshot and exits non-zero when a stage slowed or the ratio dropped
-// beyond tolerance. `make gate` (part of `make check`) runs it, so a PR
-// that regresses the recorded pipeline numbers fails loudly instead of
-// silently appending a worse snapshot.
+// beyond tolerance. The ledger is frozen — benchmark/run.sh replaced the
+// per-PR snapshots — so the gate is no longer part of `make check`.
 //
 //	benchgate -dir results            # discover BENCH_pr<N>.json, compare newest vs previous
 //	benchgate old.json new.json       # explicit ledger, oldest first

@@ -68,36 +68,29 @@ func run(args []string, stdout io.Writer) error {
 
 	traceOf := func(name string, qp bool) (*sz3.Trace, error) {
 		tr := &sz3.Trace{}
+		be := core.DefaultBackend()
+		be.Trace = tr
+		if qp {
+			be = be.WithQP()
+		}
 		var err error
 		switch name {
 		case "SZ3":
 			o := sz3.DefaultOptions(eb)
 			o.Choice = sz3.ChoiceInterp
-			o.Trace = tr
-			if qp {
-				o.QP = core.Default()
-			}
+			o.Backend = be
 			_, err = sz3.Compress(f, o)
 		case "QoZ":
 			o := qoz.DefaultOptions(eb)
-			o.Trace = tr
-			if qp {
-				o.QP = core.Default()
-			}
+			o.Backend = be
 			_, err = qoz.Compress(f, o)
 		case "HPEZ":
 			o := hpez.DefaultOptions(eb)
-			o.Trace = tr
-			if qp {
-				o.QP = core.Default()
-			}
+			o.Backend = be
 			_, err = hpez.Compress(f, o)
 		case "MGARD":
 			o := mgard.DefaultOptions(eb)
-			o.Trace = tr
-			if qp {
-				o.QP = core.Default()
-			}
+			o.Backend = be
 			_, err = mgard.Compress(f, o)
 		}
 		return tr, err
@@ -214,11 +207,4 @@ func parseDims(s string) ([]int, error) {
 		dims[i] = v
 	}
 	return dims, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

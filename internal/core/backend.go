@@ -1,0 +1,462 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"scdc/internal/entropy"
+	"scdc/internal/grid"
+	"scdc/internal/lossless"
+	"scdc/internal/obs"
+	"scdc/internal/quantizer"
+)
+
+// This file is the index-stream back-end shared by SZ3, QoZ, HPEZ and
+// MGARD: everything after "predict + quantize". The paper's QP stage sits
+// at the same place in every base compressor — between quantization and
+// the entropy coder — so the options that steer it, the scratch it works
+// on and the stream blocks it writes are defined once here. An engine
+// keeps its own header fields and its predict+quantize sweeps; the
+// layout table is DESIGN.md §5.
+
+// Backend holds the options every engine shares. Each engine's Options
+// embeds it next to the engine's own fields.
+type Backend struct {
+	// QP configures quantization index prediction. Zero value = off.
+	QP Config
+	// Radius is the quantization radius; 0 selects the SZ3 default 2^15.
+	Radius int32
+	// Lossless selects the final lossless back-end. Default Flate.
+	// lossless.Auto picks the cheapest codec from a sampled size
+	// estimate (per shard when LosslessSharded is set).
+	Lossless lossless.Codec
+	// LosslessSharded wraps the lossless stage in the parallel sharded
+	// container (Lossless becomes the inner codec), so the final stage
+	// compresses and decompresses under Workers goroutines. The stream
+	// is byte-identical for any worker count. Off by default: the
+	// legacy whole-buffer format is what the golden corpus pins.
+	LosslessSharded bool
+	// Workers caps the number of goroutines used inside one Compress call
+	// (QP sweeps, Huffman shard encoding, the sharded lossless stage and,
+	// for SZ3 and QoZ, the interpolation passes). <= 1 runs sequentially.
+	// The output is byte-identical for any worker count.
+	Workers int
+	// Shards splits the entropy-coded index stream into this many
+	// independently decodable Huffman shards sharing one code table, so
+	// decompression can fan out. <= 1 keeps the legacy single-body stream.
+	Shards int
+	// Entropy selects the index entropy coder. The zero value
+	// (entropy.CoderHuffman) reproduces the legacy Huffman streams;
+	// CoderRice forces the Golomb-Rice sub-format, CoderAuto picks the
+	// cheaper coder per stream. Decompression dispatches on the stream
+	// marker, so it needs no option.
+	Entropy entropy.Coder
+	// Trace, when non-nil, captures internals for characterization.
+	Trace *Trace
+	// Obs, when non-nil, receives per-stage telemetry spans (choose,
+	// interp/lorenzo, qp, quantize, huffman, lossless). Nil disables
+	// observation at zero hot-path cost; the output stream is byte-
+	// identical either way.
+	Obs *obs.Span
+}
+
+// Trace captures compressor internals for the paper's characterization
+// experiments (Figures 3–5).
+type Trace struct {
+	// Q receives the stored quantization symbols (offset by Radius,
+	// 0 = unpredictable), one per data point.
+	Q []int32
+	// QP receives the transformed symbols Q' when QP ran.
+	QP []int32
+	// Lorenzo reports that SZ3 fell back to its Lorenzo predictor.
+	Lorenzo bool
+	// Levels reports the number of interpolation levels.
+	Levels int
+	// Compensated reports how many points received a nonzero compensation.
+	Compensated int
+}
+
+// DefaultBackend returns the default shared options: QP off, radius
+// 2^15, whole-buffer flate.
+func DefaultBackend() Backend {
+	return Backend{Radius: quantizer.DefaultRadius, Lossless: lossless.Flate}
+}
+
+// WithQP returns a copy of b with the paper's best-fit QP configuration
+// enabled.
+func (b Backend) WithQP() Backend {
+	b.QP = Default()
+	return b
+}
+
+// ValidBound reports whether eb is usable as an error bound.
+func ValidBound(eb float64) bool { return eb > 0 && !math.IsInf(eb, 0) }
+
+// Normalize fills defaults and validates the shared options together
+// with the engine's error bound eb. Errors wrap bad, the calling
+// engine's ErrBadOptions.
+func (b *Backend) Normalize(eb float64, bad error) error {
+	if !ValidBound(eb) {
+		return fmt.Errorf("%w: error bound must be positive and finite", bad)
+	}
+	if b.Radius == 0 {
+		b.Radius = quantizer.DefaultRadius
+	}
+	if b.Radius < 2 {
+		return fmt.Errorf("%w: radius must be >= 2", bad)
+	}
+	if b.Lossless == 0 {
+		b.Lossless = lossless.Flate
+	}
+	if err := b.QP.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", bad, err)
+	}
+	if !b.Entropy.Valid() {
+		return fmt.Errorf("%w: unknown entropy coder %d", bad, b.Entropy)
+	}
+	return nil
+}
+
+// Work is the scratch of one Compress call. The buffers are pooled
+// (internal/quantizer) and come back with unspecified contents: the
+// engine's sweeps must write every slot of Q (and QP) — each point
+// belongs to exactly one pass or class, or to the coarse lattice.
+type Work struct {
+	// Data is the working copy of the field; the sweeps overwrite it with
+	// decompressed values (Algorithm 1 line 6).
+	Data []float64
+	// Q receives the stored symbols, QP the QP-transformed ones. QP, Pred
+	// and QPSpan are nil when QP is off.
+	Q, QP []int32
+	Pred  *Predictor
+	// QPSpan accumulates the QP sweeps' share of the wall time.
+	QPSpan *obs.Span
+}
+
+// Acquire returns the scratch for compressing src, with a predictor and
+// a second index array when useQP is set. Release it when done.
+func (b *Backend) Acquire(src []float64, useQP bool) (Work, error) {
+	var (
+		pred *Predictor
+		qp   []int32
+		qpSp *obs.Span
+	)
+	if useQP {
+		var err error
+		if pred, err = NewPredictor(b.QP, b.Radius); err != nil {
+			return Work{}, err
+		}
+		qp = quantizer.GetIndexBuf(len(src))
+		qpSp = b.Obs.ChildAccum("qp")
+	}
+	data := quantizer.GetFloatBuf(len(src))
+	copy(data, src)
+	q := quantizer.GetIndexBuf(len(src))
+	return Work{Data: data, Q: q, QP: qp, Pred: pred, QPSpan: qpSp}, nil
+}
+
+// Release returns the scratch to the pools.
+func (w Work) Release() {
+	quantizer.PutFloatBuf(w.Data)
+	quantizer.PutIndexBuf(w.Q)
+	quantizer.PutIndexBuf(w.QP)
+}
+
+// Stream is what an engine hands Encode besides its Work.
+type Stream struct {
+	// Pre and Post are the engine's own header bytes before and after the
+	// shared QP-config/radius block.
+	Pre, Post []byte
+	// Side holds the values stored losslessly on the coarse lattice. It is
+	// written as a float block, and counted on the quantize span under
+	// SideName ("anchors", "coarse"), when SideName is non-empty.
+	Side     []float64
+	SideName string
+	// Literals holds the unpredictable values in sweep order.
+	Literals []float64
+	// ForceQP keeps the QP-transformed indices even when the size
+	// estimate says they do not pay.
+	ForceQP bool
+	// Levels and Lorenzo are reported on Trace only.
+	Levels  int
+	Lorenzo bool
+}
+
+// Encode writes the stream: it publishes the quantize and qp counters,
+// fills Trace, picks and encodes the index array (ChooseEncodingCoder,
+// under the "huffman" span), assembles
+//
+//	Pre | qp config, radius | Post | [Side] | index block | Literals
+//
+// and runs the lossless stage over it.
+func (b *Backend) Encode(w Work, s Stream) ([]byte, error) {
+	// Quantization is fused into the engines' prediction sweeps, so the
+	// "quantize" span only carries its outcome counters.
+	quantSp := b.Obs.Child("quantize")
+	quantSp.Add("points", int64(len(w.Data)))
+	quantSp.Add("unpredictable", int64(len(s.Literals)))
+	if s.SideName != "" {
+		quantSp.Add(s.SideName, int64(len(s.Side)))
+	}
+	quantSp.End()
+	if w.Pred != nil {
+		w.QPSpan.Add("compensated", int64(w.Pred.Compensated))
+	}
+	if t := b.Trace; t != nil {
+		t.Lorenzo, t.Levels = s.Lorenzo, s.Levels
+		t.Q = append(t.Q[:0], w.Q...)
+		if w.Pred != nil {
+			t.QP = append(t.QP[:0], w.QP...)
+			t.Compensated = w.Pred.Compensated
+		}
+	}
+
+	q, qp := w.Q, w.QP
+	forced := s.ForceQP && qp != nil
+	if forced {
+		q, qp = qp, nil
+	}
+	encSp := b.Obs.Child("huffman")
+	idx, kept := ChooseEncodingCoder(q, qp, b.Entropy, b.Shards, b.Workers, encSp)
+	encSp.End()
+	cfg := b.QP
+	if !kept && !forced {
+		cfg = Config{}
+	}
+
+	buf := make([]byte, 0, len(s.Pre)+len(s.Post)+len(idx)+8*(len(s.Side)+len(s.Literals))+48)
+	buf = append(buf, s.Pre...)
+	buf = append(buf, byte(cfg.Mode), byte(cfg.Cond))
+	buf = binary.AppendUvarint(buf, uint64(max(cfg.MaxLevel, 0)))
+	buf = binary.AppendUvarint(buf, uint64(b.Radius))
+	buf = append(buf, s.Post...)
+	if s.SideName != "" {
+		buf = appendFloats(buf, s.Side)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(idx)))
+	buf = append(buf, idx...)
+	buf = appendFloats(buf, s.Literals)
+	return CompressLossless(b.Lossless, b.LosslessSharded, buf, b.Workers, b.Obs)
+}
+
+// appendFloats writes a float block: uvarint count, then the values as
+// 8-byte IEEE754 little-endian.
+func appendFloats(buf []byte, vals []float64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vals)))
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
+// Reader reverses Encode for a field of n points. Every error it returns
+// wraps the calling engine's ErrCorrupt. The engine reads its own header
+// fields with Bytes/Uvarint/Bound, in stream order around DecodeQP, then
+// calls DecodeBlocks and, after its sweeps, Done.
+type Reader struct {
+	// QP and Radius are set by DecodeQP.
+	QP     Config
+	Radius int32
+	// Side, Indices, Literals and, when the stream kept QP, Pred and
+	// QPSpan are set by DecodeBlocks. The engine's inverse sweeps
+	// overwrite Indices in place with the recovered original symbols.
+	Side, Literals []float64
+	Indices        []int32
+	Pred           *Predictor
+	QPSpan         *obs.Span
+
+	buf        []byte
+	n, workers int
+	sp         *obs.Span
+	corrupt    error
+}
+
+// DecodeStream peels the lossless layer off payload (bounded by
+// lossless.PayloadLimit(n), under a "lossless" child span of sp) and
+// returns a Reader over the plaintext.
+func DecodeStream(payload []byte, n, workers int, sp *obs.Span, corrupt error) (*Reader, error) {
+	buf, err := DecompressLossless(payload, lossless.PayloadLimit(n), workers, sp)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", corrupt, err)
+	}
+	return &Reader{buf: buf, n: n, workers: workers, sp: sp, corrupt: corrupt}, nil
+}
+
+// Bytes consumes the next k header bytes.
+func (r *Reader) Bytes(k int, what string) ([]byte, error) {
+	if k < 0 || k > len(r.buf) {
+		return nil, fmt.Errorf("%w: short %s", r.corrupt, what)
+	}
+	b := r.buf[:k]
+	r.buf = r.buf[k:]
+	return b, nil
+}
+
+// Uvarint consumes a uvarint header field that must lie in [lo, hi].
+func (r *Reader) Uvarint(lo, hi uint64, what string) (uint64, error) {
+	v, k := binary.Uvarint(r.buf)
+	if k <= 0 || v < lo || v > hi {
+		return 0, fmt.Errorf("%w: bad %s", r.corrupt, what)
+	}
+	r.buf = r.buf[k:]
+	return v, nil
+}
+
+// Bound consumes an 8-byte error bound, which must be positive and finite.
+func (r *Reader) Bound(what string) (float64, error) {
+	b, err := r.Bytes(8, what)
+	if err != nil {
+		return 0, err
+	}
+	eb := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	if !ValidBound(eb) {
+		return 0, fmt.Errorf("%w: bad %s", r.corrupt, what)
+	}
+	return eb, nil
+}
+
+// DecodeQP consumes the shared QP-config/radius block.
+func (r *Reader) DecodeQP() error {
+	b, err := r.Bytes(2, "qp config")
+	if err != nil {
+		return err
+	}
+	ml, err := r.Uvarint(0, math.MaxInt, "qp level")
+	if err != nil {
+		return err
+	}
+	r.QP = Config{Mode: Mode(b[0]), Cond: Cond(b[1]), MaxLevel: int(ml)}
+	if err := r.QP.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", r.corrupt, err)
+	}
+	radius, err := r.Uvarint(2, 1<<30, "radius")
+	r.Radius = int32(radius)
+	return err
+}
+
+// DecodeBlocks consumes the side block (when side names one), the index
+// block — entropy-decoded under a "huffman" child span and required to
+// hold exactly n symbols — and the literal block, then builds the
+// predictor the stream's QP config calls for.
+func (r *Reader) DecodeBlocks(side string) error {
+	var err error
+	if side != "" {
+		if r.Side, err = r.decodeFloats(side); err != nil {
+			return err
+		}
+	}
+	hl, err := r.Uvarint(0, uint64(len(r.buf)), "index length")
+	if err != nil {
+		return err
+	}
+	body, err := r.Bytes(int(hl), "index block")
+	if err != nil {
+		return err
+	}
+	huffSp := r.sp.Child("huffman")
+	r.Indices, err = DecodeIndices(body, r.workers)
+	huffSp.Add("bytes_in", int64(hl))
+	huffSp.Add("symbols", int64(len(r.Indices)))
+	huffSp.End()
+	if err != nil {
+		return fmt.Errorf("%w: %w", r.corrupt, err)
+	}
+	if len(r.Indices) != r.n {
+		return fmt.Errorf("%w: %d symbols for %d points", r.corrupt, len(r.Indices), r.n)
+	}
+	if r.Literals, err = r.decodeFloats("literal"); err != nil {
+		return err
+	}
+	if r.QP.Enabled() {
+		if r.Pred, err = NewPredictor(r.QP, r.Radius); err != nil {
+			return fmt.Errorf("%w: %w", r.corrupt, err)
+		}
+		r.QPSpan = r.sp.ChildAccum("qp")
+	}
+	return nil
+}
+
+// decodeFloats consumes a float block; the count is checked against the
+// bytes actually present before it sizes the allocation.
+func (r *Reader) decodeFloats(what string) ([]float64, error) {
+	nv, err := r.Uvarint(0, uint64(len(r.buf)/8), what+" count")
+	if err != nil {
+		return nil, err
+	}
+	raw, err := r.Bytes(int(nv)*8, what+" block")
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, len(raw)/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+	}
+	return vals, nil
+}
+
+// Done publishes the qp span's compensated counter once the engine's
+// inverse sweeps have run.
+func (r *Reader) Done() {
+	if r.Pred != nil {
+		r.QPSpan.Add("compensated", int64(r.Pred.Compensated))
+	}
+}
+
+// forEachCoarse visits the coarse lattice of dims — the points whose
+// every coordinate is a multiple of 2^levels — in row-major order.
+func forEachCoarse(dims []int, levels int, fn func(idx int)) {
+	step := 1 << levels
+	strides := grid.Strides(dims)
+	var walk func(axis, base int)
+	walk = func(axis, base int) {
+		if axis == len(dims) {
+			fn(base)
+			return
+		}
+		for c := 0; c < dims[axis]; c += step {
+			walk(axis+1, base+c*strides[axis])
+		}
+	}
+	walk(0, 0)
+}
+
+// coarseCount is the number of points forEachCoarse visits.
+func coarseCount(dims []int, levels int) int {
+	step, n := 1<<levels, 1
+	for _, d := range dims {
+		n *= (d + step - 1) / step
+	}
+	return n
+}
+
+// GatherCoarse returns the values of data on the coarse lattice, which
+// the stream stores losslessly, and stamps center — the zero-residual
+// symbol — into q (and qp when non-nil) at those points.
+func GatherCoarse(data []float64, dims []int, levels int, center int32, q, qp []int32) []float64 {
+	side := make([]float64, 0, coarseCount(dims, levels))
+	forEachCoarse(dims, levels, func(idx int) {
+		side = append(side, data[idx])
+		q[idx] = center
+		if qp != nil {
+			qp[idx] = center
+		}
+	})
+	return side
+}
+
+// ScatterCoarse reverses GatherCoarse on the decode side. side must hold
+// exactly one value per coarse lattice point, else the error wraps
+// corrupt.
+func ScatterCoarse(data []float64, dims []int, levels int, center int32, enc []int32, side []float64, corrupt error) error {
+	if want := coarseCount(dims, levels); len(side) != want {
+		return fmt.Errorf("%w: %d coarse-lattice values for %d points", corrupt, len(side), want)
+	}
+	i := 0
+	forEachCoarse(dims, levels, func(idx int) {
+		data[idx] = side[i]
+		enc[idx] = center
+		i++
+	})
+	return nil
+}

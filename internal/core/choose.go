@@ -7,41 +7,23 @@ import (
 	"scdc/internal/rice"
 )
 
-// ChooseEncoding picks between the original index array q and its
-// QP-transformed counterpart qp by estimated entropy-coded size, then
-// encodes only the winner. This is the "adaptive" guard that makes QP a
-// strict no-regression option: on data where the prediction does not pay
-// (e.g. HPEZ has already absorbed the cross-direction correlation,
-// Section VI-B), the compressor falls back to the base stream and records
-// QP as disabled. It returns the Huffman stream and whether the QP
-// variant was kept.
+// ChooseEncodingCoder is the entropy-stage front door. It picks between
+// the original index array q and its QP-transformed counterpart qp by
+// estimated entropy-coded size, then encodes only the winner. This is the
+// "adaptive" guard that makes QP a strict no-regression option: on data
+// where the prediction does not pay (e.g. HPEZ has already absorbed the
+// cross-direction correlation, Section VI-B), the compressor falls back
+// to the base stream and records QP as disabled. It returns the encoded
+// stream and whether the QP variant was kept.
 //
-// The size estimate (Shannon entropy plus table overhead) is a histogram
-// pass per candidate — far cheaper than encoding both — and is accurate
-// to within a fraction of a percent for these skewed index distributions.
-func ChooseEncoding(q, qp []int32) (huff []byte, useQP bool) {
-	return ChooseEncodingSharded(q, qp, 1, 1)
-}
-
-// ChooseEncodingSharded is ChooseEncoding with the winner encoded as
-// shards independent Huffman sub-streams under one shared code table (see
-// huffman.EncodeSharded), built on up to workers goroutines. shards <= 1
-// produces the legacy single-body stream.
-func ChooseEncodingSharded(q, qp []int32, shards, workers int) (huff []byte, useQP bool) {
-	return ChooseEncodingObs(q, qp, shards, workers, nil)
-}
-
-// ChooseEncodingObs is ChooseEncodingSharded with the entropy decision
-// and encoder output surfaced on sp. Kept as the Huffman-only entry
-// point; see ChooseEncodingCoder for the full coder family.
-func ChooseEncodingObs(q, qp []int32, shards, workers int, sp *obs.Span) (huff []byte, useQP bool) {
-	return ChooseEncodingCoder(q, qp, entropy.CoderHuffman, shards, workers, sp)
-}
-
-// ChooseEncodingCoder is the entropy-stage front door: one
-// entropy.Analyze pass per candidate array feeds the QP-vs-base decision,
-// the coder selection and the encoder's code tables, so nothing
-// histograms an index array twice. coder entropy.CoderHuffman reproduces
+// One entropy.Analyze pass per candidate array feeds the QP-vs-base
+// decision, the coder selection and the encoder's code tables, so nothing
+// histograms an index array twice; the size estimate (Shannon entropy
+// plus table overhead) is far cheaper than encoding both and accurate to
+// within a fraction of a percent for these skewed index distributions.
+// shards > 1 encodes a Huffman winner as that many independent
+// sub-streams under one shared code table (huffman.EncodeSharded), built
+// on up to workers goroutines. coder entropy.CoderHuffman reproduces
 // the legacy streams byte-for-byte; CoderRice forces the Golomb-Rice
 // sub-format; CoderAuto picks the cheaper of the two per stream from the
 // same size estimates that drive the QP decision.

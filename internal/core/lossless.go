@@ -13,7 +13,7 @@ import (
 // CompressLossless runs the lossless back-end over buf under a
 // "lossless" child span of parent. When sharded is set the buffer is
 // encoded as the parallel sharded container with c as the inner codec
-// (lossless.Auto selects flate/LZ/store per shard from the size
+// (lossless.Auto selects store/Huffman/LZ/flate per shard from the size
 // estimator); otherwise the legacy whole-buffer format is written. The
 // output depends only on (c, sharded, buf) — never on workers.
 func CompressLossless(c lossless.Codec, sharded bool, buf []byte, workers int, parent *obs.Span) ([]byte, error) {

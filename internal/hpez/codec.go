@@ -9,24 +9,6 @@ import (
 	"scdc/internal/obs"
 )
 
-func anchorStride(levels int) int { return 1 << levels }
-
-func forEachAnchor(dims []int, levels int, fn func(idx int)) {
-	a := anchorStride(levels)
-	strides := grid.Strides(dims)
-	var walk func(axis, base int)
-	walk = func(axis, base int) {
-		if axis == len(dims) {
-			fn(base)
-			return
-		}
-		for c := 0; c < dims[axis]; c += a {
-			walk(axis+1, base+c*strides[axis])
-		}
-	}
-	walk(0, 0)
-}
-
 // compressCore runs the HPEZ pipeline with a resolved plan; data is
 // overwritten with decompressed values. Each level is one row-kernel
 // sweep over its classes (kernel.go) followed by the kernelized QP sweep
@@ -41,14 +23,7 @@ func compressCore(data []float64, dims []int, pl plan, q, qp []int32,
 	strides := grid.Strides(dims)
 	qpWsp := core.WorkerSpans(qpSp, workers)
 
-	center := pl.radius
-	forEachAnchor(dims, pl.levels, func(idx int) {
-		anchors = append(anchors, data[idx])
-		q[idx] = center
-		if qp != nil {
-			qp[idx] = center
-		}
-	})
+	anchors = core.GatherCoarse(data, dims, pl.levels, pl.radius, q, qp)
 
 	sw := newSweep(data, q, nil, true, &pl, len(dims))
 	for level := pl.levels; level >= 1; level-- {
@@ -76,26 +51,8 @@ func decompressCore(data []float64, dims []int, pl plan, enc []int32, anchors, l
 
 	strides := grid.Strides(dims)
 
-	ai := 0
-	center := pl.radius
-	var decErr error
-	forEachAnchor(dims, pl.levels, func(idx int) {
-		if decErr != nil {
-			return
-		}
-		if ai >= len(anchors) {
-			decErr = fmt.Errorf("%w: anchor stream exhausted", ErrCorrupt)
-			return
-		}
-		data[idx] = anchors[ai]
-		enc[idx] = center
-		ai++
-	})
-	if decErr != nil {
-		return decErr
-	}
-	if ai != len(anchors) {
-		return fmt.Errorf("%w: %d unused anchors", ErrCorrupt, len(anchors)-ai)
+	if err := core.ScatterCoarse(data, dims, pl.levels, pl.radius, enc, anchors, ErrCorrupt); err != nil {
+		return err
 	}
 
 	sw := newSweep(data, enc, literals, false, &pl, len(dims))

@@ -88,13 +88,7 @@ func compressCoreRef(data []float64, dims []int, pl plan, q, qp []int32,
 	pred *core.Predictor) (anchors, literals []float64) {
 
 	strides := grid.Strides(dims)
-	forEachAnchor(dims, pl.levels, func(idx int) {
-		anchors = append(anchors, data[idx])
-		q[idx] = pl.radius
-		if qp != nil {
-			qp[idx] = pl.radius
-		}
-	})
+	anchors = core.GatherCoarse(data, dims, pl.levels, pl.radius, q, qp)
 	for level := pl.levels; level >= 1; level-- {
 		quant := quantizer.Linear{EB: pl.ebs[level-1], Radius: pl.radius}
 		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
@@ -121,12 +115,9 @@ func decompressCoreRef(data []float64, dims []int, pl plan, enc []int32,
 	anchors, literals []float64, pred *core.Predictor) (lit int, ok bool) {
 
 	strides := grid.Strides(dims)
-	ai := 0
-	forEachAnchor(dims, pl.levels, func(idx int) {
-		data[idx] = anchors[ai]
-		enc[idx] = pl.radius
-		ai++
-	})
+	if err := core.ScatterCoarse(data, dims, pl.levels, pl.radius, enc, anchors, ErrCorrupt); err != nil {
+		return 0, false
+	}
 	ok = true
 	for level := pl.levels; level >= 1; level-- {
 		quant := quantizer.Linear{EB: pl.ebs[level-1], Radius: pl.radius}
@@ -269,7 +260,7 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 	rng := rand.New(rand.NewSource(seed))
 	f := grid.MustNew(dims...)
 	copy(f.Data, diffField(f.Len(), fieldKind, rng))
-	opts := Options{ErrorBound: 1e-3, Radius: 64, QP: cfg}
+	opts := Options{Backend: core.Backend{Radius: 64, QP: cfg}, ErrorBound: 1e-3}
 	pl := buildPlan(f, opts)
 	mut(&pl, len(dims), rng)
 	for l := range pl.ebs {
@@ -403,7 +394,7 @@ func TestLevelSweepAllocs(t *testing.T) {
 		for i, n := range []int{32, 64} {
 			dims := []int{n, n, n}
 			f := synth(dims...)
-			pl := buildPlan(f, Options{ErrorBound: 1e-3, Radius: quantizer.DefaultRadius})
+			pl := buildPlan(f, Options{Backend: core.DefaultBackend(), ErrorBound: 1e-3})
 			classes := lattice.Classes(dims, grid.Strides(dims), level)
 			q := make([]int32, f.Len())
 			data := make([]float64, f.Len())

@@ -32,7 +32,6 @@ func buildPlan(f *grid.Field, opts Options) plan {
 		frozen:     make([]uint8, levels),
 		weights:    make([][4]uint8, levels),
 		radius:     opts.Radius,
-		qp:         opts.QP,
 		blockGrid:  g,
 		blockCubic: make([]byte, (numBlocks(g)+7)/8),
 	}

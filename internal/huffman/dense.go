@@ -3,9 +3,10 @@ package huffman
 import "scdc/internal/entropy"
 
 // Size/entropy estimators, kept as thin wrappers over entropy.Analyze so
-// existing callers keep their one-call API. Hot paths (core.ChooseEncoding)
-// analyze once and pass the Dist to EncodeDist/EncodeShardedDist instead of
-// calling these, avoiding repeated histogram passes.
+// existing callers keep their one-call API. Hot paths
+// (core.ChooseEncodingCoder) analyze once and pass the Dist to
+// EncodeDist/EncodeShardedDist instead of calling these, avoiding repeated
+// histogram passes.
 
 // EstimateBytes returns the approximate encoded size of q (Huffman body
 // via Shannon entropy, plus the table header) without building codes.

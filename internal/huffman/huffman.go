@@ -283,8 +283,8 @@ func Encode(q []int32) []byte {
 
 // EncodeDist is Encode reusing a distribution already computed by
 // entropy.Analyze(q), so callers that estimated sizes before encoding
-// (core.ChooseEncoding) never histogram the array twice. d must describe
-// exactly q.
+// (core.ChooseEncodingCoder) never histogram the array twice. d must
+// describe exactly q.
 func EncodeDist(q []int32, d *entropy.Dist) []byte {
 	table := []symLen(nil)
 	if len(q) > 0 {

@@ -1,0 +1,304 @@
+package inttest
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"scdc/internal/datagen"
+	"scdc/internal/grid"
+	"scdc/internal/hpez"
+	"scdc/internal/lossless"
+	"scdc/internal/mgard"
+	"scdc/internal/qoz"
+	"scdc/internal/sz3"
+)
+
+// backendEngine is one of the four engines on the shared index-stream
+// back-end (internal/core), with what the tests below need to know about
+// its own part of the stream header (DESIGN.md §5).
+type backendEngine struct {
+	name       string
+	compress   func(f *grid.Field, eb float64, qp bool) ([]byte, error)
+	decompress func(payload []byte, dims []int) (*grid.Field, error)
+	corrupt    error
+	// side reports whether a coarse-lattice float block precedes the
+	// index block.
+	side bool
+	// header walks the engine's own header fields around the shared QP
+	// block and returns the offsets of its length/count fields.
+	header func(w *plainWalker, dims []int) (counts []int)
+}
+
+var backendEngines = []backendEngine{
+	{
+		name: "sz3",
+		compress: func(f *grid.Field, eb float64, qp bool) ([]byte, error) {
+			o := sz3.DefaultOptions(eb)
+			if qp {
+				o = o.WithQP()
+			}
+			return sz3.Compress(f, o)
+		},
+		decompress: sz3.Decompress,
+		corrupt:    sz3.ErrCorrupt,
+		header: func(w *plainWalker, dims []int) []int {
+			w.skip(3 + len(dims)) // mode, kind, ndims, dir order
+			w.qpBlock()
+			w.skip(8) // error bound
+			return nil
+		},
+	},
+	{
+		name: "qoz",
+		compress: func(f *grid.Field, eb float64, qp bool) ([]byte, error) {
+			o := qoz.DefaultOptions(eb)
+			if qp {
+				o = o.WithQP()
+			}
+			return qoz.Compress(f, o)
+		},
+		decompress: qoz.Decompress,
+		corrupt:    qoz.ErrCorrupt,
+		side:       true,
+		header: func(w *plainWalker, dims []int) []int {
+			w.qpBlock()
+			levels, at := w.uvarint()
+			w.skip(int(levels) * (2 + len(dims) + 8)) // kind, ndims, order, eb
+			return []int{at}
+		},
+	},
+	{
+		name: "hpez",
+		compress: func(f *grid.Field, eb float64, qp bool) ([]byte, error) {
+			o := hpez.DefaultOptions(eb)
+			if qp {
+				o = o.WithQP()
+			}
+			return hpez.Compress(f, o)
+		},
+		decompress: hpez.Decompress,
+		corrupt:    hpez.ErrCorrupt,
+		side:       true,
+		header: func(w *plainWalker, dims []int) []int {
+			w.qpBlock()
+			levels, atLevels := w.uvarint()
+			w.skip(int(levels) * 13) // frozen mask, 4 weights, eb
+			blocks := 1
+			for _, d := range dims {
+				blocks *= (d + 31) / 32
+			}
+			tableBytes, atTable := w.uvarint()
+			w.skip(int(tableBytes) + 4*blocks) // cubic bits, block weights
+			return []int{atLevels, atTable}
+		},
+	},
+	{
+		name: "mgard",
+		compress: func(f *grid.Field, eb float64, qp bool) ([]byte, error) {
+			o := mgard.DefaultOptions(eb)
+			if qp {
+				o = o.WithQP()
+			}
+			return mgard.Compress(f, o)
+		},
+		decompress: mgard.Decompress,
+		corrupt:    mgard.ErrCorrupt,
+		side:       true,
+		header: func(w *plainWalker, dims []int) []int {
+			w.qpBlock()
+			_, at := w.uvarint() // levels
+			w.skip(8)            // error bound
+			return []int{at}
+		},
+	},
+}
+
+// plainWalker steps over a valid plaintext stream field by field.
+type plainWalker struct {
+	buf []byte
+	off int
+}
+
+func (w *plainWalker) skip(n int) { w.off += n }
+
+func (w *plainWalker) uvarint() (v uint64, at int) {
+	v, k := binary.Uvarint(w.buf[w.off:])
+	at = w.off
+	w.off += k
+	return v, at
+}
+
+// qpBlock steps over the shared block: qp mode, qp cond, qp max level,
+// radius.
+func (w *plainWalker) qpBlock() {
+	w.skip(2)
+	w.uvarint()
+	w.uvarint()
+}
+
+// allocatedBy returns the bytes allocated while fn runs.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// poolsDropPuts reports whether sync.Pool loses objects with no
+// collection in between, as it does at random under the race detector.
+func poolsDropPuts() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+	}
+	for i := 0; i < 64; i++ {
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSteadyStateScratch: every engine takes its O(n) scratch — the
+// working copy of the field and the two index arrays, 16 bytes a point
+// with QP on — from the pools, so a second same-shape Compress does not
+// allocate it again. A call right after the pools were drained pays for
+// the scratch; the steady-state call must be cheaper by at least that
+// much, and both must write the same stream (recycled buffers come back
+// dirty).
+func TestSteadyStateScratch(t *testing.T) {
+	// Pools are per-P and emptied by the collector: one P and no
+	// collection make what a Put leaves for the next Get deterministic.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if poolsDropPuts() {
+		t.Skip("sync.Pool drops Puts at random in this build (race detector)")
+	}
+	f := datagen.MustGenerate(datagen.Miranda, 1, []int{64, 64, 64}, 5)
+	eb := f.Range() * 1e-3
+	scratch := uint64(16 * f.Len())
+	for _, eng := range backendEngines {
+		var streams [2][]byte
+		run := func(i int) func() {
+			return func() {
+				var err error
+				if streams[i], err = eng.compress(f, eb, true); err != nil {
+					t.Fatalf("%s: %v", eng.name, err)
+				}
+			}
+		}
+		runtime.GC()
+		runtime.GC() // twice: the first only moves pooled buffers to the victim cache
+		cold := allocatedBy(run(0))
+		steady := allocatedBy(run(1))
+		if !bytes.Equal(streams[0], streams[1]) {
+			t.Errorf("%s: stream differs between fresh and recycled scratch", eng.name)
+		}
+		if cold < steady+scratch*9/10 {
+			t.Errorf("%s: steady-state Compress allocates %d bytes, fresh-pool call %d: the %d-byte scratch is not reused",
+				eng.name, steady, cold, scratch)
+		}
+	}
+}
+
+// TestHostilePlaintext drives the shared stream reader with plaintexts
+// that lie: for each engine, QP on and off, the lossless layer is peeled
+// off a valid payload, the plaintext is truncated at every offset through
+// the header and around each block's length field, and each length or
+// count field is separately inflated; the result is re-wrapped and must
+// fail with the engine's ErrCorrupt — no panic, and nothing allocated
+// beyond the decode bound.
+func TestHostilePlaintext(t *testing.T) {
+	f := datagen.MustGenerate(datagen.Miranda, 0, []int{20, 24, 28}, 3)
+	dims := f.Dims()
+	eb := f.Range() * 1e-3
+	limit := uint64(lossless.PayloadLimit(f.Len()))
+	for _, eng := range backendEngines {
+		for _, qp := range []bool{false, true} {
+			name := fmt.Sprintf("%s/qp=%v", eng.name, qp)
+			payload, err := eng.compress(f, eb, qp)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			plain, err := lossless.Decompress(payload)
+			if err != nil {
+				t.Fatalf("%s: peel: %v", name, err)
+			}
+
+			// Locate every length/count field, checking on the way that the
+			// walkers above describe the stream the engines really write.
+			w := &plainWalker{buf: plain}
+			counts := eng.header(w, dims)
+			headerEnd := w.off
+			var blocks []int // offsets of the shared blocks' count fields
+			if eng.side {
+				n, at := w.uvarint()
+				w.skip(8 * int(n))
+				blocks = append(blocks, at)
+			}
+			n, at := w.uvarint()
+			w.skip(int(n))
+			blocks = append(blocks, at)
+			n, at = w.uvarint()
+			w.skip(8 * int(n))
+			blocks = append(blocks, at)
+			if w.off != len(plain) {
+				t.Fatalf("%s: layout walk ends at %d of %d plaintext bytes", name, w.off, len(plain))
+			}
+
+			hostile := make(map[string][]byte)
+			for cut := 0; cut <= headerEnd; cut++ {
+				hostile[fmt.Sprintf("truncate@%d", cut)] = plain[:cut]
+			}
+			for _, at := range blocks {
+				hostile[fmt.Sprintf("truncate@%d", at)] = plain[:at]
+				if at+1 < len(plain) {
+					hostile[fmt.Sprintf("truncate@%d", at+1)] = plain[:at+1]
+				}
+			}
+			for _, at := range append(counts, blocks...) {
+				v, k := binary.Uvarint(plain[at:])
+				lie := binary.AppendUvarint(append([]byte(nil), plain[:at]...), v|1<<40)
+				hostile[fmt.Sprintf("inflate@%d", at)] = append(lie, plain[at+k:]...)
+			}
+
+			for what, text := range hostile {
+				wrapped, err := lossless.Compress(lossless.Flate, text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var decErr error
+				allocated := allocatedBy(func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s %s: decoder panicked: %v", name, what, r)
+						}
+					}()
+					_, decErr = eng.decompress(wrapped, dims)
+				})
+				if !errors.Is(decErr, eng.corrupt) {
+					t.Errorf("%s %s: got %v, want %v", name, what, decErr, eng.corrupt)
+				}
+				if allocated > limit {
+					t.Errorf("%s %s: allocated %d bytes, decode bound is %d", name, what, allocated, limit)
+				}
+			}
+
+			// The mutations are what fails, not the re-wrapping.
+			wrapped, err := lossless.Compress(lossless.Flate, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.decompress(wrapped, dims); err != nil {
+				t.Errorf("%s: re-wrapped valid plaintext: %v", name, err)
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ func TestDiagChoice(t *testing.T) {
 				want = "lorenzo"
 			}
 			got := "interp"
-			if tr.Mode == sz3.ModeLorenzo {
+			if tr.Lorenzo {
 				got = "lorenzo"
 			}
 			mark := "OK "

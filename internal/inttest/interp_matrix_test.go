@@ -10,9 +10,7 @@ import (
 	"scdc/internal/datagen"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
-	"scdc/internal/lossless"
 	"scdc/internal/qoz"
-	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
 
@@ -62,13 +60,8 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 			cells = append(cells, cell{
 				name: fmt.Sprintf("qoz/tune=%v/qp=%v", tune, qp),
 				compress: func(workers int) ([]byte, error) {
-					opts := qoz.Options{
-						ErrorBound: eb,
-						Radius:     quantizer.DefaultRadius,
-						Lossless:   lossless.Flate,
-						Tune:       tune,
-						Workers:    workers,
-					}
+					opts := qoz.Options{Backend: core.DefaultBackend(), ErrorBound: eb, Tune: tune}
+					opts.Workers = workers
 					if qp {
 						opts.QP = core.Default()
 					}

@@ -63,8 +63,8 @@ const (
 	// as a stream tag only; use CompressSharded with an inner codec to
 	// produce it.
 	Sharded Codec = 4
-	// Auto selects the cheapest of flate, LZ and store from a sampled
-	// size estimate (estimate.go). Selection-only: the chosen codec's
+	// Auto selects the cheapest of store, Huffman, LZ and flate from a
+	// sampled size estimate (estimate.go). Selection-only: the chosen codec's
 	// tag is what the stream records, so Auto is never written.
 	Auto Codec = 5
 	// Store is a selection-only alias for None: it compresses to the

@@ -10,24 +10,6 @@ import (
 	"scdc/internal/quantizer"
 )
 
-// forEachCoarse visits the coarsest lattice (multiples of 2^levels) in
-// row-major order.
-func forEachCoarse(dims []int, levels int, fn func(idx int)) {
-	a := 1 << levels
-	strides := grid.Strides(dims)
-	var walk func(axis, base int)
-	walk = func(axis, base int) {
-		if axis == len(dims) {
-			fn(base)
-			return
-		}
-		for c := 0; c < dims[axis]; c += a {
-			walk(axis+1, base+c*strides[axis])
-		}
-	}
-	walk(0, 0)
-}
-
 // compressCore runs the MGARD decomposition fine-to-coarse. data is
 // overwritten: fine positions hold decompressed values, coarse lattice
 // positions hold the corrected coarse approximation, which is returned as
@@ -61,14 +43,7 @@ func compressCore(data []float64, dims []int, opts Options, levels int,
 		applyCorrection(data, dims, strides, level, quant, q, +1)
 	}
 
-	forEachCoarse(dims, levels, func(idx int) {
-		coarse = append(coarse, data[idx])
-		q[idx] = quant.CenterSym()
-		if qp != nil {
-			qp[idx] = quant.CenterSym()
-		}
-	})
-	return coarse, sw.lits
+	return core.GatherCoarse(data, dims, levels, quant.CenterSym(), q, qp), sw.lits
 }
 
 // decompressCore reverses compressCore, coarse-to-fine. enc is overwritten
@@ -80,25 +55,8 @@ func decompressCore(data []float64, dims []int, eb float64, levels int, radius i
 	ebl := levelBound(eb, levels)
 	quant := quantizer.Linear{EB: ebl, Radius: radius}
 
-	ci := 0
-	var decErr error
-	forEachCoarse(dims, levels, func(idx int) {
-		if decErr != nil {
-			return
-		}
-		if ci >= len(coarse) {
-			decErr = fmt.Errorf("%w: coarse stream exhausted", ErrCorrupt)
-			return
-		}
-		data[idx] = coarse[ci]
-		enc[idx] = quant.CenterSym()
-		ci++
-	})
-	if decErr != nil {
-		return decErr
-	}
-	if ci != len(coarse) {
-		return fmt.Errorf("%w: %d unused coarse values", ErrCorrupt, len(coarse)-ci)
+	if err := core.ScatterCoarse(data, dims, levels, quant.CenterSym(), enc, coarse, ErrCorrupt); err != nil {
+		return err
 	}
 
 	// The literal stream was appended fine-to-coarse during compression;

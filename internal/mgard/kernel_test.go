@@ -76,14 +76,7 @@ func compressCoreRef(data []float64, dims []int, opts Options, levels int,
 		}
 		applyCorrection(data, dims, strides, level, quant, q, +1)
 	}
-	forEachCoarse(dims, levels, func(idx int) {
-		coarse = append(coarse, data[idx])
-		q[idx] = quant.CenterSym()
-		if qp != nil {
-			qp[idx] = quant.CenterSym()
-		}
-	})
-	return coarse, literals
+	return core.GatherCoarse(data, dims, levels, quant.CenterSym(), q, qp), literals
 }
 
 // decompressCoreRef is decompressCore over the reference walker. ok is
@@ -93,12 +86,9 @@ func decompressCoreRef(data []float64, dims []int, eb float64, levels int, radiu
 
 	strides := grid.Strides(dims)
 	quant := quantizer.Linear{EB: levelBound(eb, levels), Radius: radius}
-	ci := 0
-	forEachCoarse(dims, levels, func(idx int) {
-		data[idx] = coarse[ci]
-		enc[idx] = quant.CenterSym()
-		ci++
-	})
+	if err := core.ScatterCoarse(data, dims, levels, quant.CenterSym(), enc, coarse, ErrCorrupt); err != nil {
+		return false
+	}
 	// Symbols are recovered, and literals counted, fine-to-coarse — the
 	// order the compressor wrote them in.
 	litOffsets := make([]int, levels)
@@ -205,7 +195,7 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 		n *= d
 	}
 	orig := diffField(n, fieldKind, rng)
-	opts := Options{ErrorBound: 1e-3, Radius: 64, QP: cfg}
+	opts := Options{Backend: core.Backend{Radius: 64, QP: cfg}, ErrorBound: 1e-3}
 	levels := levelsFor(dims)
 
 	newPred := func() (*core.Predictor, []int32) {

@@ -25,15 +25,11 @@ package mgard
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 
 	"scdc/internal/core"
-	"scdc/internal/entropy"
 	"scdc/internal/grid"
-	"scdc/internal/lossless"
 	"scdc/internal/obs"
-	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
 
@@ -47,69 +43,27 @@ var ErrBadOptions = errors.New("mgard: invalid options")
 // stride 2^levels) are stored losslessly.
 const maxLevels = 6
 
-// Options configures compression.
+// Options configures compression: the shared back-end options plus
+// MGARD's own. Workers covers entropy coding and the QP sweeps; the
+// decomposition itself is sequential.
 type Options struct {
+	core.Backend
 	// ErrorBound is the absolute error bound (required, > 0). The bound is
 	// budgeted across levels: each level quantizes its details with
 	// ErrorBound/(levels+1), and the remainder absorbs the projection
 	// corrections.
 	ErrorBound float64
-	// QP configures quantization index prediction. Zero value = off.
-	QP core.Config
-	// Radius is the quantization radius; 0 selects 2^15.
-	Radius int32
-	// Lossless selects the final back-end. Default Flate.
-	Lossless lossless.Codec
-	// LosslessSharded wraps the lossless stage in the parallel sharded
-	// container (see sz3.Options); byte-identical at any worker count.
-	LosslessSharded bool
-	// Workers caps the number of goroutines used for entropy coding; the
-	// MGARD decomposition itself is sequential.
-	Workers int
-	// Shards splits the entropy-coded index stream into independently
-	// decodable Huffman shards. <= 1 keeps the legacy single-body stream.
-	Shards int
-	// Entropy selects the index entropy coder (zero value = legacy
-	// Huffman; see sz3.Options.Entropy).
-	Entropy entropy.Coder
-	// Trace optionally captures internals for characterization.
-	Trace *sz3.Trace
-	// Obs, when non-nil, receives per-stage telemetry spans. Nil disables
-	// observation; the output stream is byte-identical either way.
-	Obs *obs.Span
 }
 
 // DefaultOptions returns the default configuration.
 func DefaultOptions(eb float64) Options {
-	return Options{ErrorBound: eb, Radius: quantizer.DefaultRadius, Lossless: lossless.Flate}
+	return Options{Backend: core.DefaultBackend(), ErrorBound: eb}
 }
 
 // WithQP returns a copy of o with the paper's best-fit QP configuration.
 func (o Options) WithQP() Options {
-	o.QP = core.Default()
+	o.Backend = o.Backend.WithQP()
 	return o
-}
-
-func (o *Options) normalize() error {
-	if !(o.ErrorBound > 0) || math.IsInf(o.ErrorBound, 0) {
-		return fmt.Errorf("%w: error bound must be positive and finite", ErrBadOptions)
-	}
-	if o.Radius == 0 {
-		o.Radius = quantizer.DefaultRadius
-	}
-	if o.Radius < 2 {
-		return fmt.Errorf("%w: radius must be >= 2", ErrBadOptions)
-	}
-	if o.Lossless == 0 {
-		o.Lossless = lossless.Flate
-	}
-	if err := o.QP.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadOptions, err)
-	}
-	if !o.Entropy.Valid() {
-		return fmt.Errorf("%w: unknown entropy coder %d", ErrBadOptions, o.Entropy)
-	}
-	return nil
 }
 
 func levelsFor(dims []int) int {
@@ -130,210 +84,85 @@ func levelBound(eb float64, levels int) float64 {
 	return eb / float64(levels+1)
 }
 
-// Compress compresses field f under the given options.
+// Compress compresses field f under the given options. The stream is the
+// shared QP block, the level count and error bound, then the shared
+// coarse, index and literal blocks (DESIGN.md §5).
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
-	if err := opts.normalize(); err != nil {
+	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
 		return nil, err
 	}
 	levels := levelsFor(f.Dims())
 
-	data := append([]float64(nil), f.Data...)
-	q := make([]int32, len(data))
-	var qp []int32
-	var pred *core.Predictor
-	var err error
-	if opts.QP.Enabled() {
-		pred, err = core.NewPredictor(opts.QP, opts.Radius)
-		if err != nil {
-			return nil, err
-		}
-		qp = make([]int32, len(data))
+	w, err := opts.Acquire(f.Data, opts.QP.Enabled())
+	if err != nil {
+		return nil, err
 	}
+	defer w.Release()
 
 	// The "interp" wall-clock span covers the whole decomposition; the
-	// accumulating "qp" child carries the kernelized per-class QP sweeps'
-	// share of it (with per-worker children when parallel), and "quantize"
-	// carries the outcome counters.
+	// back-end's accumulating "qp" span carries the kernelized per-class
+	// QP sweeps' share of it (with per-worker children when parallel).
 	interpSp := opts.Obs.Child("interp")
-	var qpSp *obs.Span
-	if pred != nil {
-		qpSp = opts.Obs.ChildAccum("qp")
-	}
-	coarse, literals := compressCore(data, f.Dims(), opts, levels, q, qp, pred, opts.Workers, qpSp)
-	interpSp.Add("points", int64(len(data)))
+	coarse, literals := compressCore(w.Data, f.Dims(), opts, levels, w.Q, w.QP, w.Pred, opts.Workers, w.QPSpan)
+	interpSp.Add("points", int64(len(w.Data)))
 	interpSp.End()
-	quantSp := opts.Obs.Child("quantize")
-	quantSp.Add("points", int64(len(data)))
-	quantSp.Add("unpredictable", int64(len(literals)))
-	quantSp.Add("coarse", int64(len(coarse)))
-	quantSp.End()
-	if pred != nil {
-		qpSp.Add("compensated", int64(pred.Compensated))
-	}
 
-	if opts.Trace != nil {
-		opts.Trace.Mode = sz3.ModeInterp
-		opts.Trace.Levels = levels
-		opts.Trace.Q = append(opts.Trace.Q[:0], q...)
-		if qp != nil {
-			opts.Trace.QP = append(opts.Trace.QP[:0], qp...)
-			opts.Trace.Compensated = pred.Compensated
-		}
-	}
-
-	encSp := opts.Obs.Child("huffman")
-	huff, kept := core.ChooseEncodingCoder(q, qp, opts.Entropy, opts.Shards, opts.Workers, encSp)
-	encSp.End()
-	qpCfg := opts.QP
-	if !kept {
-		qpCfg = core.Config{}
-	}
-
-	buf := make([]byte, 0, 64+len(huff))
-	buf = append(buf, byte(qpCfg.Mode), byte(qpCfg.Cond))
-	buf = binary.AppendUvarint(buf, uint64(maxInt(qpCfg.MaxLevel, 0)))
-	buf = binary.AppendUvarint(buf, uint64(opts.Radius))
-	buf = binary.AppendUvarint(buf, uint64(levels))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(opts.ErrorBound))
-	buf = binary.AppendUvarint(buf, uint64(len(coarse)))
-	for _, v := range coarse {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(huff)))
-	buf = append(buf, huff...)
-	buf = binary.AppendUvarint(buf, uint64(len(literals)))
-	for _, v := range literals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return core.CompressLossless(opts.Lossless, opts.LosslessSharded, buf, opts.Workers, opts.Obs)
+	post := binary.AppendUvarint(make([]byte, 0, 16), uint64(levels))
+	post = binary.LittleEndian.AppendUint64(post, math.Float64bits(opts.ErrorBound))
+	return opts.Encode(w, core.Stream{
+		Post:     post,
+		Side:     coarse,
+		SideName: "coarse",
+		Literals: literals,
+		Levels:   levels,
+	})
 }
 
 // Decompress reconstructs a field with the given dims from an MGARD
 // payload.
 func Decompress(payload []byte, dims []int) (*grid.Field, error) {
-	return DecompressWorkers(payload, dims, 1)
+	return DecompressObs(payload, dims, 1, nil)
 }
 
-// DecompressWorkers is Decompress with up to workers goroutines applied to
-// entropy decoding of sharded streams. The reconstruction is byte-identical
-// for any worker count.
-func DecompressWorkers(payload []byte, dims []int, workers int) (*grid.Field, error) {
-	return DecompressObs(payload, dims, workers, nil)
-}
-
-// DecompressObs is DecompressWorkers with per-stage telemetry recorded on
-// sp (which may be nil). The reconstruction is identical either way.
+// DecompressObs is Decompress with up to workers goroutines applied to
+// entropy decoding of sharded streams and to the QP sweeps, and per-stage
+// telemetry recorded on sp (which may be nil). The reconstruction is
+// byte-identical for any worker count, observed or not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
 	n, err := grid.CheckDims(dims)
 	if err != nil {
 		return nil, err
 	}
-	buf, err := core.DecompressLossless(payload, lossless.PayloadLimit(n), workers, sp)
+	r, err := core.DecodeStream(payload, n, workers, sp, ErrCorrupt)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
-	if len(buf) < 2 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+	if err := r.DecodeQP(); err != nil {
+		return nil, err
 	}
-	qpCfg := core.Config{Mode: core.Mode(buf[0]), Cond: core.Cond(buf[1])}
-	buf = buf[2:]
-	ml, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad qp level", ErrCorrupt)
-	}
-	qpCfg.MaxLevel = int(ml)
-	buf = buf[k:]
-	if err := qpCfg.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	radius, k := binary.Uvarint(buf)
-	if k <= 0 || radius < 2 || radius > 1<<30 {
-		return nil, fmt.Errorf("%w: bad radius", ErrCorrupt)
-	}
-	buf = buf[k:]
-	levels, k := binary.Uvarint(buf)
-	if k <= 0 || levels == 0 || levels > 62 {
-		return nil, fmt.Errorf("%w: bad level count", ErrCorrupt)
-	}
-	buf = buf[k:]
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
-	eb := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
-	if !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, fmt.Errorf("%w: bad error bound", ErrCorrupt)
-	}
-
-	nc, k := binary.Uvarint(buf)
-	if k <= 0 || nc > uint64((len(buf)-k)/8) {
-		return nil, fmt.Errorf("%w: bad coarse count", ErrCorrupt)
-	}
-	buf = buf[k:]
-	coarse := make([]float64, nc)
-	for i := range coarse {
-		coarse[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	buf = buf[int(nc)*8:]
-
-	hl, k := binary.Uvarint(buf)
-	if k <= 0 || hl > uint64(len(buf)-k) {
-		return nil, fmt.Errorf("%w: bad huffman length", ErrCorrupt)
-	}
-	buf = buf[k:]
-	huffSp := sp.Child("huffman")
-	enc, err := core.DecodeIndices(buf[:hl], workers)
-	huffSp.Add("bytes_in", int64(hl))
-	huffSp.Add("symbols", int64(len(enc)))
-	huffSp.End()
+	levels, err := r.Uvarint(1, 62, "level count")
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
-	buf = buf[hl:]
-	if len(enc) != n {
-		return nil, fmt.Errorf("%w: %d symbols for %d points", ErrCorrupt, len(enc), n)
+	eb, err := r.Bound("error bound")
+	if err != nil {
+		return nil, err
 	}
-	nl, k := binary.Uvarint(buf)
-	if k <= 0 || nl > uint64((len(buf)-k)/8) {
-		return nil, fmt.Errorf("%w: bad literal count", ErrCorrupt)
-	}
-	buf = buf[k:]
-	literals := make([]float64, nl)
-	for i := range literals {
-		literals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	if err := r.DecodeBlocks("coarse"); err != nil {
+		return nil, err
 	}
 
 	out, err := grid.New(dims...)
 	if err != nil {
 		return nil, err
 	}
-	var pred *core.Predictor
-	if qpCfg.Enabled() {
-		pred, err = core.NewPredictor(qpCfg, int32(radius))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-	}
 	interpSp := sp.Child("interp")
-	var qpSp *obs.Span
-	if pred != nil {
-		qpSp = sp.ChildAccum("qp")
-	}
-	err = decompressCore(out.Data, dims, eb, int(levels), int32(radius), enc, coarse, literals, pred, workers, qpSp)
+	err = decompressCore(out.Data, dims, eb, int(levels), r.Radius, r.Indices, r.Side, r.Literals, r.Pred, workers, r.QPSpan)
 	interpSp.Add("points", int64(n))
 	interpSp.End()
 	if err != nil {
 		return nil, err
 	}
-	if pred != nil {
-		qpSp.Add("compensated", int64(pred.Compensated))
-	}
+	r.Done()
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

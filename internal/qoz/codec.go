@@ -1,35 +1,11 @@
 package qoz
 
 import (
-	"fmt"
-
 	"scdc/internal/core"
-	"scdc/internal/grid"
 	"scdc/internal/obs"
 	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
-
-// anchorStride returns the anchor lattice spacing for a plan.
-func anchorStride(levels int) int { return 1 << levels }
-
-// forEachAnchor visits the anchor lattice (multiples of 2^levels in every
-// dim) in row-major order.
-func forEachAnchor(dims []int, levels int, fn func(idx int)) {
-	a := anchorStride(levels)
-	strides := grid.Strides(dims)
-	var walk func(axis, base int)
-	walk = func(axis, base int) {
-		if axis == len(dims) {
-			fn(base)
-			return
-		}
-		for c := 0; c < dims[axis]; c += a {
-			walk(axis+1, base+c*strides[axis])
-		}
-	}
-	walk(0, 0)
-}
 
 // specFor adapts a resolved plan to the shared sz3 engine's per-level
 // schedule parameters.
@@ -44,43 +20,19 @@ func (pl *plan) specFor(level int) sz3.LevelSpec {
 // compressCore runs the interpolation pipeline with a resolved plan on up
 // to workers goroutines (the output is identical for any worker count).
 // data is overwritten with decompressed values. Returns the anchor values
-// and the literal stream.
-func compressCore(data []float64, dims []int, pl plan, q, qp []int32, pred *core.Predictor, workers int, sp *obs.Span) (anchors, literals []float64) {
-	center := pl.radius
-	forEachAnchor(dims, pl.levels, func(idx int) {
-		anchors = append(anchors, data[idx])
-		q[idx] = center
-		if qp != nil {
-			qp[idx] = center
-		}
-	})
-	literals = sz3.CompressSchedule(data, dims, pl.levels, workers, pl.specFor, q, qp, pred, nil, sp)
+// — the coarse lattice at stride 2^levels, stored losslessly — and the
+// literal stream.
+func compressCore(data []float64, dims []int, pl plan, q, qp []int32, pred *core.Predictor, workers int, sp, qpSp *obs.Span) (anchors, literals []float64) {
+	anchors = core.GatherCoarse(data, dims, pl.levels, pl.radius, q, qp)
+	literals = sz3.CompressSchedule(data, dims, pl.levels, workers, pl.specFor, q, qp, pred, nil, sp, qpSp)
 	return anchors, literals
 }
 
 // decompressCore reverses compressCore. enc is overwritten in place with
 // the recovered original symbols.
-func decompressCore(data []float64, dims []int, pl plan, enc []int32, anchors, literals []float64, pred *core.Predictor, workers int, sp *obs.Span) error {
-	ai := 0
-	center := pl.radius
-	var decErr error
-	forEachAnchor(dims, pl.levels, func(idx int) {
-		if decErr != nil {
-			return
-		}
-		if ai >= len(anchors) {
-			decErr = fmt.Errorf("%w: anchor stream exhausted", ErrCorrupt)
-			return
-		}
-		data[idx] = anchors[ai]
-		enc[idx] = center
-		ai++
-	})
-	if decErr != nil {
-		return decErr
+func decompressCore(data []float64, dims []int, pl plan, enc []int32, anchors, literals []float64, pred *core.Predictor, workers int, sp, qpSp *obs.Span) error {
+	if err := core.ScatterCoarse(data, dims, pl.levels, pl.radius, enc, anchors, ErrCorrupt); err != nil {
+		return err
 	}
-	if ai != len(anchors) {
-		return fmt.Errorf("%w: %d unused anchors", ErrCorrupt, len(anchors)-ai)
-	}
-	return sz3.DecompressSchedule(data, dims, pl.levels, workers, pl.specFor, enc, literals, 0, pred, ErrCorrupt, sp)
+	return sz3.DecompressSchedule(data, dims, pl.levels, workers, pl.specFor, enc, literals, 0, pred, ErrCorrupt, sp, qpSp)
 }

@@ -25,12 +25,9 @@ import (
 	"math"
 
 	"scdc/internal/core"
-	"scdc/internal/entropy"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
-	"scdc/internal/lossless"
 	"scdc/internal/obs"
-	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
 
@@ -44,69 +41,26 @@ var ErrBadOptions = errors.New("qoz: invalid options")
 // stride 2^levels (QoZ's default anchor stride is 64).
 const maxAnchorLevels = 6
 
-// Options configures compression.
+// Options configures compression: the shared back-end options plus QoZ's
+// own.
 type Options struct {
+	core.Backend
 	// ErrorBound is the absolute error bound (required, > 0).
 	ErrorBound float64
-	// QP configures quantization index prediction. Zero value = off.
-	QP core.Config
-	// Radius is the quantization radius; 0 selects 2^15.
-	Radius int32
-	// Lossless selects the final back-end. Default Flate.
-	Lossless lossless.Codec
-	// LosslessSharded wraps the lossless stage in the parallel sharded
-	// container (see sz3.Options); byte-identical at any worker count.
-	LosslessSharded bool
 	// Tune enables the auto-tuner. When false, QoZ behaves like SZ3 with
 	// an anchor grid (cubic, default order, alpha=1).
 	Tune bool
-	// Workers caps the number of goroutines used inside one Compress call.
-	// <= 1 runs sequentially; the output is byte-identical either way.
-	Workers int
-	// Shards splits the entropy-coded index stream into independently
-	// decodable Huffman shards. <= 1 keeps the legacy single-body stream.
-	Shards int
-	// Entropy selects the index entropy coder (zero value = legacy
-	// Huffman; see sz3.Options.Entropy).
-	Entropy entropy.Coder
-	// Trace optionally captures internals for characterization.
-	Trace *sz3.Trace
-	// Obs, when non-nil, receives per-stage telemetry spans. Nil disables
-	// observation; the output stream is byte-identical either way.
-	Obs *obs.Span
 }
 
 // DefaultOptions returns the default tuned configuration.
 func DefaultOptions(eb float64) Options {
-	return Options{ErrorBound: eb, Radius: quantizer.DefaultRadius, Lossless: lossless.Flate, Tune: true}
+	return Options{Backend: core.DefaultBackend(), ErrorBound: eb, Tune: true}
 }
 
 // WithQP returns a copy of o with the paper's best-fit QP configuration.
 func (o Options) WithQP() Options {
-	o.QP = core.Default()
+	o.Backend = o.Backend.WithQP()
 	return o
-}
-
-func (o *Options) normalize() error {
-	if !(o.ErrorBound > 0) || math.IsInf(o.ErrorBound, 0) {
-		return fmt.Errorf("%w: error bound must be positive and finite", ErrBadOptions)
-	}
-	if o.Radius == 0 {
-		o.Radius = quantizer.DefaultRadius
-	}
-	if o.Radius < 2 {
-		return fmt.Errorf("%w: radius must be >= 2", ErrBadOptions)
-	}
-	if o.Lossless == 0 {
-		o.Lossless = lossless.Flate
-	}
-	if err := o.QP.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadOptions, err)
-	}
-	if !o.Entropy.Valid() {
-		return fmt.Errorf("%w: unknown entropy coder %d", ErrBadOptions, o.Entropy)
-	}
-	return nil
 }
 
 // plan is the fully resolved compression plan, serialized in the stream
@@ -118,12 +72,13 @@ type plan struct {
 	orders [][]int
 	ebs    []float64
 	radius int32
-	qp     core.Config
 }
 
-// Compress compresses field f under the given options.
+// Compress compresses field f under the given options. The stream is the
+// shared QP block, the plan, then the shared anchor, index and literal
+// blocks (DESIGN.md §5).
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
-	if err := opts.normalize(); err != nil {
+	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
 		return nil, err
 	}
 	tuneSp := opts.Obs.Child("choose")
@@ -131,69 +86,24 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	tuneSp.Add("levels", int64(pl.levels))
 	tuneSp.End()
 
-	// Pooled scratch (see internal/quantizer): every slot is written before
-	// it is read, so recycled contents are fine.
-	data := quantizer.GetFloatBuf(len(f.Data))
-	defer quantizer.PutFloatBuf(data)
-	copy(data, f.Data)
-	q := quantizer.GetIndexBuf(len(data))
-	defer quantizer.PutIndexBuf(q)
-	var qp []int32
-	var pred *core.Predictor
-	var err error
-	if opts.QP.Enabled() {
-		pred, err = core.NewPredictor(opts.QP, opts.Radius)
-		if err != nil {
-			return nil, err
-		}
-		qp = quantizer.GetIndexBuf(len(data))
-		defer quantizer.PutIndexBuf(qp)
+	w, err := opts.Acquire(f.Data, opts.QP.Enabled())
+	if err != nil {
+		return nil, err
 	}
+	defer w.Release()
 
-	anchors, literals := compressCore(data, f.Dims(), pl, q, qp, pred, opts.Workers, opts.Obs)
-	quantSp := opts.Obs.Child("quantize")
-	quantSp.Add("points", int64(len(data)))
-	quantSp.Add("unpredictable", int64(len(literals)))
-	quantSp.Add("anchors", int64(len(anchors)))
-	quantSp.End()
-
-	if opts.Trace != nil {
-		opts.Trace.Mode = sz3.ModeInterp
-		opts.Trace.Levels = pl.levels
-		opts.Trace.Q = append(opts.Trace.Q[:0], q...)
-		if qp != nil {
-			opts.Trace.QP = append(opts.Trace.QP[:0], qp...)
-			opts.Trace.Compensated = pred.Compensated
-		}
-	}
-
-	encSp := opts.Obs.Child("huffman")
-	huff, kept := core.ChooseEncodingCoder(q, qp, opts.Entropy, opts.Shards, opts.Workers, encSp)
-	encSp.End()
-	if !kept {
-		pl.qp = core.Config{}
-	}
-
-	buf := encodePlan(pl, f.NDims())
-	buf = binary.AppendUvarint(buf, uint64(len(anchors)))
-	for _, v := range anchors {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(huff)))
-	buf = append(buf, huff...)
-	buf = binary.AppendUvarint(buf, uint64(len(literals)))
-	for _, v := range literals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return core.CompressLossless(opts.Lossless, opts.LosslessSharded, buf, opts.Workers, opts.Obs)
+	anchors, literals := compressCore(w.Data, f.Dims(), pl, w.Q, w.QP, w.Pred, opts.Workers, opts.Obs, w.QPSpan)
+	return opts.Encode(w, core.Stream{
+		Post:     encodePlan(pl),
+		Side:     anchors,
+		SideName: "anchors",
+		Literals: literals,
+		Levels:   pl.levels,
+	})
 }
 
-func encodePlan(pl plan, nd int) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, byte(pl.qp.Mode), byte(pl.qp.Cond))
-	buf = binary.AppendUvarint(buf, uint64(maxInt(pl.qp.MaxLevel, 0)))
-	buf = binary.AppendUvarint(buf, uint64(pl.radius))
-	buf = binary.AppendUvarint(buf, uint64(pl.levels))
+func encodePlan(pl plan) []byte {
+	buf := binary.AppendUvarint(make([]byte, 0, 64), uint64(pl.levels))
 	for l := 0; l < pl.levels; l++ {
 		buf = append(buf, byte(pl.kinds[l]), byte(len(pl.orders[l])))
 		for _, d := range pl.orders[l] {
@@ -204,64 +114,33 @@ func encodePlan(pl plan, nd int) []byte {
 	return buf
 }
 
-func decodePlan(buf []byte, nd int) (plan, []byte, error) {
-	var pl plan
-	if len(buf) < 2 {
-		return pl, nil, fmt.Errorf("%w: short plan", ErrCorrupt)
-	}
-	pl.qp = core.Config{Mode: core.Mode(buf[0]), Cond: core.Cond(buf[1])}
-	buf = buf[2:]
-	ml, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return pl, nil, fmt.Errorf("%w: bad qp level", ErrCorrupt)
-	}
-	pl.qp.MaxLevel = int(ml)
-	buf = buf[k:]
-	if err := pl.qp.Validate(); err != nil {
-		return pl, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	radius, k := binary.Uvarint(buf)
-	if k <= 0 || radius < 2 || radius > 1<<30 {
-		return pl, nil, fmt.Errorf("%w: bad radius", ErrCorrupt)
-	}
-	pl.radius = int32(radius)
-	buf = buf[k:]
-	levels, k := binary.Uvarint(buf)
-	if k <= 0 || levels > 62 {
-		return pl, nil, fmt.Errorf("%w: bad level count", ErrCorrupt)
+// decodePlan reads the plan of an nd-dimensional field; the radius comes
+// from the shared QP block.
+func decodePlan(r *core.Reader, nd int) (plan, error) {
+	pl := plan{radius: r.Radius}
+	levels, err := r.Uvarint(0, 62, "level count")
+	if err != nil {
+		return pl, err
 	}
 	pl.levels = int(levels)
-	buf = buf[k:]
 	for l := 0; l < pl.levels; l++ {
-		if len(buf) < 2 {
-			return pl, nil, fmt.Errorf("%w: short plan level", ErrCorrupt)
+		hdr, err := r.Bytes(2+nd, "plan level")
+		if err != nil {
+			return pl, err
 		}
-		kind := interp.Kind(buf[0])
-		on := int(buf[1])
-		buf = buf[2:]
-		if on != nd || len(buf) < on+8 {
-			return pl, nil, fmt.Errorf("%w: bad plan order", ErrCorrupt)
+		order, ok := sz3.ParseOrder(hdr[2:])
+		if int(hdr[1]) != nd || !ok {
+			return pl, fmt.Errorf("%w: bad plan order", ErrCorrupt)
 		}
-		order := make([]int, on)
-		seen := make([]bool, on)
-		for i := range order {
-			order[i] = int(buf[i])
-			if order[i] >= nd || seen[order[i]] {
-				return pl, nil, fmt.Errorf("%w: bad plan order", ErrCorrupt)
-			}
-			seen[order[i]] = true
+		eb, err := r.Bound("plan eb")
+		if err != nil {
+			return pl, err
 		}
-		buf = buf[on:]
-		eb := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-		if !(eb > 0) || math.IsInf(eb, 0) {
-			return pl, nil, fmt.Errorf("%w: bad plan eb", ErrCorrupt)
-		}
-		pl.kinds = append(pl.kinds, kind)
+		pl.kinds = append(pl.kinds, interp.Kind(hdr[0]))
 		pl.orders = append(pl.orders, order)
 		pl.ebs = append(pl.ebs, eb)
 	}
-	return pl, buf, nil
+	return pl, nil
 }
 
 // Decompress reconstructs a field with the given dims from a QoZ payload.
@@ -283,73 +162,27 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
-	buf, err := core.DecompressLossless(payload, lossless.PayloadLimit(n), workers, sp)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	pl, buf, err := decodePlan(buf, len(dims))
+	r, err := core.DecodeStream(payload, n, workers, sp, ErrCorrupt)
 	if err != nil {
 		return nil, err
 	}
-
-	na, k := binary.Uvarint(buf)
-	if k <= 0 || na > uint64((len(buf)-k)/8) {
-		return nil, fmt.Errorf("%w: bad anchor count", ErrCorrupt)
+	if err := r.DecodeQP(); err != nil {
+		return nil, err
 	}
-	buf = buf[k:]
-	anchors := make([]float64, na)
-	for i := range anchors {
-		anchors[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	buf = buf[int(na)*8:]
-
-	hl, k := binary.Uvarint(buf)
-	if k <= 0 || hl > uint64(len(buf)-k) {
-		return nil, fmt.Errorf("%w: bad huffman length", ErrCorrupt)
-	}
-	buf = buf[k:]
-	huffSp := sp.Child("huffman")
-	enc, err := core.DecodeIndices(buf[:hl], workers)
-	huffSp.Add("bytes_in", int64(hl))
-	huffSp.Add("symbols", int64(len(enc)))
-	huffSp.End()
+	pl, err := decodePlan(r, len(dims))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
-	buf = buf[hl:]
-	if len(enc) != n {
-		return nil, fmt.Errorf("%w: %d symbols for %d points", ErrCorrupt, len(enc), n)
+	if err := r.DecodeBlocks("anchors"); err != nil {
+		return nil, err
 	}
-	nl, k := binary.Uvarint(buf)
-	if k <= 0 || nl > uint64((len(buf)-k)/8) {
-		return nil, fmt.Errorf("%w: bad literal count", ErrCorrupt)
-	}
-	buf = buf[k:]
-	literals := make([]float64, nl)
-	for i := range literals {
-		literals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-
 	out, err := grid.New(dims...)
 	if err != nil {
 		return nil, err
 	}
-	var pred *core.Predictor
-	if pl.qp.Enabled() {
-		pred, err = core.NewPredictor(pl.qp, pl.radius)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-	}
-	if err := decompressCore(out.Data, dims, pl, enc, anchors, literals, pred, workers, sp); err != nil {
+	if err := decompressCore(out.Data, dims, pl, r.Indices, r.Side, r.Literals, r.Pred, workers, sp, r.QPSpan); err != nil {
 		return nil, err
 	}
+	r.Done()
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,12 +1,13 @@
 package qoz
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"scdc/internal/core"
-
 	"scdc/internal/grid"
+	"scdc/internal/lossless"
 	"scdc/internal/metrics"
 	"scdc/internal/sz3"
 )
@@ -102,7 +103,7 @@ func TestAnchorsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := anchorStride(minInt(sz3.Levels(f.Dims()), maxAnchorLevels))
+	a := 1 << minInt(sz3.Levels(f.Dims()), maxAnchorLevels)
 	for x := 0; x < 66; x += a {
 		for y := 0; y < 66; y += a {
 			for z := 0; z < 66; z += a {
@@ -168,15 +169,16 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 		opts.Tune = tune
 		opts.QP = core.Default()
 		pl := buildPlan(f, opts)
-		buf := encodePlan(pl, f.NDims())
-		got, rest, err := decodePlan(buf, f.NDims())
+		r := planReader(t, encodePlan(pl))
+		r.Radius = pl.radius
+		got, err := decodePlan(r, f.NDims())
 		if err != nil {
 			t.Fatalf("tune=%v: %v", tune, err)
 		}
-		if len(rest) != 0 {
-			t.Fatalf("tune=%v: %d trailing bytes", tune, len(rest))
+		if _, err := r.Bytes(1, "trailing byte"); err == nil {
+			t.Fatalf("tune=%v: trailing bytes", tune)
 		}
-		if got.levels != pl.levels || got.radius != pl.radius || got.qp != pl.qp {
+		if got.levels != pl.levels || got.radius != pl.radius {
 			t.Fatalf("tune=%v: header mismatch: %+v vs %+v", tune, got, pl)
 		}
 		for l := 0; l < pl.levels; l++ {
@@ -194,10 +196,24 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 
 // TestPlanCodecRejectsGarbage: decodePlan must reject malformed headers.
 func TestPlanCodecRejectsGarbage(t *testing.T) {
-	if _, _, err := decodePlan(nil, 3); err == nil {
-		t.Error("nil accepted")
+	if _, err := decodePlan(planReader(t, nil), 3); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("empty plan: %v, want ErrCorrupt", err)
 	}
-	if _, _, err := decodePlan([]byte{9, 9, 9, 9}, 3); err == nil {
-		t.Error("garbage accepted")
+	if _, err := decodePlan(planReader(t, []byte{9, 9, 9, 9}), 3); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("garbage plan: %v, want ErrCorrupt", err)
 	}
+}
+
+// planReader returns the shared back-end reader positioned on a bare plan.
+func planReader(t *testing.T, plan []byte) *core.Reader {
+	t.Helper()
+	payload, err := lossless.Compress(lossless.Flate, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.DecodeStream(payload, len(plan), 1, nil, ErrCorrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -49,7 +49,6 @@ func buildPlan(f *grid.Field, opts Options) plan {
 		orders: make([][]int, levels),
 		ebs:    make([]float64, levels),
 		radius: opts.Radius,
-		qp:     opts.QP,
 	}
 	def := sz3.DefaultDirOrder(len(dims))
 	for l := 0; l < levels; l++ {
@@ -180,7 +179,6 @@ func tuneEB(f *grid.Field, pl plan, opts Options) (alpha, beta float64) {
 	best := ebCandidates[0]
 	for _, cand := range ebCandidates {
 		trial := pl
-		trial.qp = opts.QP
 		trial.ebs = make([]float64, pl.levels)
 		trial.orders = pl.orders
 		trial.kinds = pl.kinds
@@ -205,7 +203,7 @@ func tuneEB(f *grid.Field, pl plan, opts Options) (alpha, beta float64) {
 		}
 		data := append([]float64(nil), crop.Data...)
 		q := make([]int32, len(data))
-		_, literals := compressCore(data, crop.Dims(), trial, q, nil, nil, 1, nil)
+		_, literals := compressCore(data, crop.Dims(), trial, q, nil, nil, 1, nil, nil)
 		bits := len(huffman.Encode(q)) + 8*len(literals)
 		if bits < bestBits {
 			bestBits = bits

@@ -51,21 +51,16 @@ type LevelSpec struct {
 // non-nil the QP-transformed symbols go to qp via pred. New unpredictable
 // values are appended to literals, which is returned.
 //
-// sp, when non-nil, gains accumulating "interp" and "qp" stage spans
-// (summed over passes), with per-pass and per-chunk child spans under
-// "interp" for passes large enough to run parallel — the worker-skew
-// view. A nil sp costs one pointer check per pass.
+// sp, when non-nil, gains an accumulating "interp" stage span (summed
+// over passes), with per-pass and per-chunk child spans under it for
+// passes large enough to run parallel — the worker-skew view; qpSp, the
+// back-end's accumulating "qp" span, takes the QP sweeps' share. Nil
+// spans cost one pointer check per pass.
 func CompressSchedule(data []float64, dims []int, levels, workers int,
 	specFor func(level int) LevelSpec,
-	q, qp []int32, pred *core.Predictor, literals []float64, sp *obs.Span) []float64 {
+	q, qp []int32, pred *core.Predictor, literals []float64, sp, qpSp *obs.Span) []float64 {
 
-	var interpSp, qpSp *obs.Span
-	if sp != nil {
-		interpSp = sp.ChildAccum("interp")
-		if qp != nil {
-			qpSp = sp.ChildAccum("qp")
-		}
-	}
+	interpSp := sp.ChildAccum("interp")
 	qpWsp := core.WorkerSpans(qpSp, workers)
 	strides := grid.Strides(dims)
 	for level := levels; level >= 1; level-- {
@@ -89,19 +84,13 @@ func CompressSchedule(data []float64, dims []int, levels, workers int,
 // recovered original symbols. lit0 is the number of literals already
 // consumed (the origin/anchor stage precedes the schedule). corrupt is the
 // caller's sentinel error for malformed streams.
-// sp, when non-nil, mirrors CompressSchedule's "qp" and "interp" stage
-// spans on the decode side.
+// sp and qpSp mirror CompressSchedule's "interp" and "qp" stage spans on
+// the decode side.
 func DecompressSchedule(data []float64, dims []int, levels, workers int,
 	specFor func(level int) LevelSpec,
-	enc []int32, literals []float64, lit0 int, pred *core.Predictor, corrupt error, sp *obs.Span) error {
+	enc []int32, literals []float64, lit0 int, pred *core.Predictor, corrupt error, sp, qpSp *obs.Span) error {
 
-	var interpSp, qpSp *obs.Span
-	if sp != nil {
-		interpSp = sp.ChildAccum("interp")
-		if pred != nil {
-			qpSp = sp.ChildAccum("qp")
-		}
-	}
+	interpSp := sp.ChildAccum("interp")
 	qpWsp := core.WorkerSpans(qpSp, workers)
 	strides := grid.Strides(dims)
 	lit := lit0

@@ -12,9 +12,9 @@ import (
 // BenchmarkInterpKernels isolates the interpolation stage on the Miranda
 // benchmark field: the retained reference walker (closure dispatch +
 // unfused quantizer calls) against the fused line kernels, forward and
-// inverse, linear and cubic, sequential and chunk-parallel. `make
-// bench-pr7` snapshots these rows plus the end-to-end interp stage
-// timing into results/BENCH_pr7.json.
+// inverse, linear and cubic, sequential and chunk-parallel.
+// results/BENCH_pr7.json is a snapshot of these rows plus the end-to-end
+// interp stage timing.
 func BenchmarkInterpKernels(b *testing.B) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{64, 96, 96}, 9)
 	dims := f.Dims()
@@ -55,7 +55,7 @@ func BenchmarkInterpKernels(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(work, f.Data)
 					lits := seedOrigin(work, q)
-					CompressSchedule(work, dims, levels, w, specFor, q, nil, nil, lits, nil)
+					CompressSchedule(work, dims, levels, w, specFor, q, nil, nil, lits, nil, nil)
 				}
 			})
 		}
@@ -65,7 +65,7 @@ func BenchmarkInterpKernels(b *testing.B) {
 		copy(work, f.Data)
 		stored := make([]int32, n)
 		lits := seedOrigin(work, stored)
-		lits = CompressSchedule(work, dims, levels, 1, specFor, stored, nil, nil, lits, nil)
+		lits = CompressSchedule(work, dims, levels, 1, specFor, stored, nil, nil, lits, nil, nil)
 		lit0 := 0
 		if stored[0] == quantizer.Unpredictable {
 			lit0 = 1
@@ -98,7 +98,7 @@ func BenchmarkInterpKernels(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(enc, stored)
 					seedDecode()
-					if err := DecompressSchedule(dec, dims, levels, w, specFor, enc, lits, lit0, nil, ErrCorrupt, nil); err != nil {
+					if err := DecompressSchedule(dec, dims, levels, w, specFor, enc, lits, lit0, nil, ErrCorrupt, nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -7,60 +7,52 @@ import (
 	"scdc/internal/quantizer"
 )
 
-// compressInterp runs the interpolation pipeline over data (which it
+// compressInterp runs the interpolation pipeline over w.Data (which it
 // overwrites with decompressed values, as Algorithm 1 line 6 requires for
-// future predictions). It fills q with stored symbols, optionally fills qp
-// with QP-transformed symbols, and returns the literal stream of
-// unpredictable values. workers > 1 splits each interpolation pass across
+// future predictions). It fills w.Q with stored symbols, fills w.QP with
+// QP-transformed symbols when QP is on, and returns the literal stream of
+// unpredictable values. Workers > 1 splits each interpolation pass across
 // goroutines; the output is identical to the sequential sweep.
-func compressInterp(data []float64, dims []int, opts Options, quant quantizer.Linear,
-	q, qp []int32, pred *core.Predictor, levels int) []float64 {
-
+func compressInterp(w core.Work, dims []int, opts Options, quant quantizer.Linear, levels int) []float64 {
 	var literals []float64
 
 	// Origin point: predicted as 0 (first point of the top level).
-	sym, dec, ok := quant.Quantize(data[0], 0)
-	q[0] = sym
+	sym, dec, ok := quant.Quantize(w.Data[0], 0)
+	w.Q[0] = sym
 	if !ok {
-		literals = append(literals, data[0])
+		literals = append(literals, w.Data[0])
 	}
-	data[0] = dec
-	if qp != nil {
-		qp[0] = q[0]
+	w.Data[0] = dec
+	if w.QP != nil {
+		w.QP[0] = sym
 	}
 
 	spec := LevelSpec{Order: opts.DirOrder, Kind: opts.Interp, Quant: quant}
-	return CompressSchedule(data, dims, levels, opts.Workers,
-		func(int) LevelSpec { return spec }, q, qp, pred, literals, opts.Obs)
+	return CompressSchedule(w.Data, dims, levels, opts.Workers,
+		func(int) LevelSpec { return spec }, w.Q, w.QP, w.Pred, literals, opts.Obs, w.QPSpan)
 }
 
 // decompressInterp reconstructs data from the (possibly QP-transformed)
-// symbol stream enc, consuming literals for unpredictable points. enc is
-// overwritten in place with the recovered original symbols so that QP can
-// read previously recovered neighbors.
+// symbol stream r.Indices, consuming r.Literals for unpredictable points.
+// The symbols are overwritten in place with the recovered original ones so
+// that QP can read previously recovered neighbors.
 func decompressInterp(data []float64, dims []int, kind interp.Kind, dirOrder []int,
-	quant quantizer.Linear, enc []int32, literals []float64, pred *core.Predictor,
-	workers int, sp *obs.Span) error {
+	quant quantizer.Linear, r *core.Reader, workers int, sp *obs.Span) error {
 
-	levels := Levels(dims)
-	lit := 0
+	enc, lit := r.Indices, 0
 
 	// Origin point: enc[0] is its own symbol (no compensation applies).
 	if enc[0] == quantizer.Unpredictable {
-		if len(literals) == 0 {
-			return errLiteralExhausted()
+		if len(r.Literals) == 0 {
+			return errCorruptf("literal stream exhausted")
 		}
-		data[0] = literals[0]
+		data[0] = r.Literals[0]
 		lit = 1
 	} else {
 		data[0] = quant.Recover(0, enc[0])
 	}
 
 	spec := LevelSpec{Order: dirOrder, Kind: kind, Quant: quant}
-	return DecompressSchedule(data, dims, levels, workers,
-		func(int) LevelSpec { return spec }, enc, literals, lit, pred, ErrCorrupt, sp)
-}
-
-func errLiteralExhausted() error {
-	return errCorruptf("literal stream exhausted")
+	return DecompressSchedule(data, dims, Levels(dims), workers,
+		func(int) LevelSpec { return spec }, enc, r.Literals, lit, r.Pred, ErrCorrupt, sp, r.QPSpan)
 }

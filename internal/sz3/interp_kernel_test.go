@@ -149,7 +149,7 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 	dataK := append([]float64(nil), orig...)
 	qK := make([]int32, n)
 	litsK := seedOrigin(dataK, qK, qpK)
-	litsK = CompressSchedule(dataK, dims, levels, workers, specFor, qK, qpK, predK, litsK, nil)
+	litsK = CompressSchedule(dataK, dims, levels, workers, specFor, qK, qpK, predK, litsK, nil, nil)
 
 	dataR := append([]float64(nil), orig...)
 	qR := make([]int32, n)
@@ -200,7 +200,7 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 	encK := append([]int32(nil), stored...)
 	decK := make([]float64, n)
 	lit0 := seedDecodeOrigin(decK, encK)
-	if err := DecompressSchedule(decK, dims, levels, workers, specFor, encK, litsK, lit0, predK, fmt.Errorf("corrupt"), nil); err != nil {
+	if err := DecompressSchedule(decK, dims, levels, workers, specFor, encK, litsK, lit0, predK, fmt.Errorf("corrupt"), nil, nil); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
 

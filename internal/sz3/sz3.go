@@ -20,10 +20,8 @@ import (
 	"math"
 
 	"scdc/internal/core"
-	"scdc/internal/entropy"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
-	"scdc/internal/lossless"
 	"scdc/internal/obs"
 	"scdc/internal/quantizer"
 )
@@ -57,26 +55,14 @@ var ErrCorrupt = errors.New("sz3: corrupt stream")
 // ErrBadOptions reports invalid compression options.
 var ErrBadOptions = errors.New("sz3: invalid options")
 
-// Options configures compression.
+// Options configures compression: the shared back-end options plus SZ3's
+// own.
 type Options struct {
+	core.Backend
 	// ErrorBound is the absolute error bound (required, > 0).
 	ErrorBound float64
 	// Interp selects linear or cubic interpolation. Default cubic.
 	Interp interp.Kind
-	// QP configures quantization index prediction. Zero value = off.
-	QP core.Config
-	// Radius is the quantization radius; 0 selects the SZ3 default 2^15.
-	Radius int32
-	// Lossless selects the final lossless back-end. Default Flate.
-	// lossless.Auto picks the cheapest codec from a sampled size
-	// estimate (per shard when LosslessSharded is set).
-	Lossless lossless.Codec
-	// LosslessSharded wraps the lossless stage in the parallel sharded
-	// container (Lossless becomes the inner codec), so the final stage
-	// compresses and decompresses under Workers goroutines. The stream
-	// is byte-identical for any worker count. Off by default: the
-	// legacy whole-buffer format is what the golden corpus pins.
-	LosslessSharded bool
 	// Choice controls interpolation/Lorenzo selection. Default auto.
 	Choice Choice
 	// DirOrder overrides the interpolation direction order (axis indexes).
@@ -92,119 +78,60 @@ type Options struct {
 	// Off by default (the paper's QP only covers interpolation mode); the
 	// adaptive fallback still guards against regressions when enabled.
 	QPLorenzo bool
-	// Workers caps the number of goroutines used inside one Compress call
-	// (interpolation passes and Huffman shard encoding). <= 1 runs
-	// sequentially. The output is byte-identical for any worker count.
-	Workers int
-	// Shards splits the entropy-coded index stream into this many
-	// independently decodable Huffman shards sharing one code table, so
-	// decompression can fan out. <= 1 keeps the legacy single-body stream.
-	Shards int
-	// Entropy selects the index entropy coder. The zero value
-	// (entropy.CoderHuffman) reproduces the legacy Huffman streams;
-	// CoderRice forces the Golomb-Rice sub-format, CoderAuto picks the
-	// cheaper coder per stream. Decompression dispatches on the stream
-	// marker, so it needs no option.
-	Entropy entropy.Coder
-	// Trace, when non-nil, captures internals for characterization.
-	Trace *Trace
-	// Obs, when non-nil, receives per-stage telemetry spans (choose,
-	// interp/lorenzo, qp, quantize, huffman, lossless). Nil disables
-	// observation at zero hot-path cost; the output stream is byte-
-	// identical either way.
-	Obs *obs.Span
 }
 
 // Trace captures compressor internals for the paper's characterization
-// experiments (Figures 3–5).
-type Trace struct {
-	// Q receives the stored quantization symbols (offset by Radius,
-	// 0 = unpredictable), one per data point.
-	Q []int32
-	// QP receives the transformed symbols Q' when QP is enabled.
-	QP []int32
-	// Mode reports the predictor used.
-	Mode Mode
-	// Levels reports the number of interpolation levels.
-	Levels int
-	// Compensated reports how many points received a nonzero compensation.
-	Compensated int
-}
+// experiments; all four engines fill the same type.
+type Trace = core.Trace
 
 // DefaultOptions returns the default configuration at the given error
 // bound, with QP disabled (enable with WithQP).
 func DefaultOptions(eb float64) Options {
-	return Options{
-		ErrorBound: eb,
-		Interp:     interp.Cubic,
-		Radius:     quantizer.DefaultRadius,
-		Lossless:   lossless.Flate,
-	}
+	return Options{Backend: core.DefaultBackend(), ErrorBound: eb, Interp: interp.Cubic}
 }
 
 // WithQP returns a copy of o with the paper's best-fit QP configuration
 // enabled.
 func (o Options) WithQP() Options {
-	o.QP = core.Default()
+	o.Backend = o.Backend.WithQP()
 	return o
 }
 
-func (o *Options) normalize(nd int) error {
-	if !(o.ErrorBound > 0) || math.IsInf(o.ErrorBound, 0) {
-		return fmt.Errorf("%w: error bound must be positive and finite", ErrBadOptions)
+// ParseOrder reads a direction order stored one axis per byte and reports
+// whether it is a permutation of the len(b) axes.
+func ParseOrder(b []byte) ([]int, bool) {
+	order := make([]int, len(b))
+	for i, d := range b {
+		order[i] = int(d)
 	}
-	if o.Radius == 0 {
-		o.Radius = quantizer.DefaultRadius
-	}
-	if o.Radius < 2 {
-		return fmt.Errorf("%w: radius must be >= 2", ErrBadOptions)
-	}
-	if o.Lossless == 0 {
-		o.Lossless = lossless.Flate
-	}
-	if err := o.QP.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadOptions, err)
-	}
-	if !o.Entropy.Valid() {
-		return fmt.Errorf("%w: unknown entropy coder %d", ErrBadOptions, o.Entropy)
-	}
-	if o.DirOrder == nil {
-		o.DirOrder = DefaultDirOrder(nd)
-	} else {
-		if len(o.DirOrder) != nd {
-			return fmt.Errorf("%w: DirOrder length %d != ndims %d", ErrBadOptions, len(o.DirOrder), nd)
-		}
-		seen := make([]bool, nd)
-		for _, d := range o.DirOrder {
-			if d < 0 || d >= nd || seen[d] {
-				return fmt.Errorf("%w: DirOrder %v is not a permutation", ErrBadOptions, o.DirOrder)
-			}
-			seen[d] = true
-		}
-	}
-	return nil
+	return order, validOrder(order)
 }
 
-// payload header layout (inside the lossless wrapper):
-//
-//	byte   mode
-//	byte   interp kind
-//	byte   ndims, then ndims bytes of dir order
-//	byte   qp mode, byte qp cond, uvarint qp max level
-//	uvarint radius
-//	8 bytes error bound (IEEE754 LE)
-//	uvarint len(huffman stream), huffman bytes
-//	uvarint literal count, literals as 8-byte IEEE754 LE
+func validOrder(order []int) bool {
+	seen := make([]bool, len(order))
+	for _, d := range order {
+		if d < 0 || d >= len(order) || seen[d] {
+			return false
+		}
+		seen[d] = true
+	}
+	return true
+}
 
-// Compress compresses field f under the given options.
+// Compress compresses field f under the given options. The stream is
+// mode, interp kind, ndims and the direction order, the shared QP block,
+// the error bound, then the shared index and literal blocks (DESIGN.md
+// §5).
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
-	if err := opts.normalize(f.NDims()); err != nil {
+	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
 		return nil, err
 	}
-	quant, err := quantizer.NewLinear(opts.ErrorBound, opts.Radius)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadOptions, err)
+	if opts.DirOrder == nil {
+		opts.DirOrder = DefaultDirOrder(f.NDims())
+	} else if len(opts.DirOrder) != f.NDims() || !validOrder(opts.DirOrder) {
+		return nil, fmt.Errorf("%w: DirOrder %v is not a permutation of %d axes", ErrBadOptions, opts.DirOrder, f.NDims())
 	}
+	quant := quantizer.Linear{EB: opts.ErrorBound, Radius: opts.Radius}
 
 	mode := ModeInterp
 	switch opts.Choice {
@@ -219,92 +146,35 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 		chSp.End()
 	}
 
-	// Pooled scratch: the working copy and index arrays are recycled across
-	// calls, so steady-state compression of same-shaped fields allocates
-	// O(1) here. Every slot is written before it is read (the schedules
-	// visit each point exactly once), so unspecified contents are fine.
-	data := quantizer.GetFloatBuf(len(f.Data))
-	defer quantizer.PutFloatBuf(data)
-	copy(data, f.Data)
-	q := quantizer.GetIndexBuf(len(data))
-	defer quantizer.PutIndexBuf(q)
-	var literals []float64
-
-	var qp []int32
-	var pred *core.Predictor
-	useQP := opts.QP.Enabled() && (mode == ModeInterp || opts.QPLorenzo)
-	if useQP {
-		pred, err = core.NewPredictor(opts.QP, opts.Radius)
-		if err != nil {
-			return nil, err
-		}
-		qp = quantizer.GetIndexBuf(len(data))
-		defer quantizer.PutIndexBuf(qp)
+	w, err := opts.Acquire(f.Data, opts.QP.Enabled() && (mode == ModeInterp || opts.QPLorenzo))
+	if err != nil {
+		return nil, err
 	}
+	defer w.Release()
 
 	levels := Levels(f.Dims())
+	var literals []float64
 	if mode == ModeInterp {
-		literals = compressInterp(data, f.Dims(), opts, quant, q, qp, pred, levels)
+		literals = compressInterp(w, f.Dims(), opts, quant, levels)
 	} else {
 		loSp := opts.Obs.Child("lorenzo")
-		var qpSp *obs.Span
-		if qp != nil {
-			qpSp = opts.Obs.ChildAccum("qp")
-		}
-		literals = compressLorenzo(data, f.Dims(), quant, q, qp, pred, opts.Workers, qpSp)
-		loSp.Add("points", int64(len(data)))
+		literals = compressLorenzo(w.Data, f.Dims(), quant, w.Q, w.QP, w.Pred, opts.Workers, w.QPSpan)
+		loSp.Add("points", int64(len(w.Data)))
 		loSp.End()
 	}
-	// Quantization is fused into the prediction sweeps above, so the
-	// "quantize" span only carries its outcome counters.
-	quantSp := opts.Obs.Child("quantize")
-	quantSp.Add("points", int64(len(data)))
-	quantSp.Add("unpredictable", int64(len(literals)))
-	quantSp.End()
 
-	if opts.Trace != nil {
-		opts.Trace.Mode = mode
-		opts.Trace.Levels = levels
-		opts.Trace.Q = append(opts.Trace.Q[:0], q...)
-		if useQP {
-			opts.Trace.QP = append(opts.Trace.QP[:0], qp...)
-			opts.Trace.Compensated = pred.Compensated
-		}
-	}
-
-	encSp := opts.Obs.Child("huffman")
-	var huff []byte
-	if useQP && opts.ForceQP {
-		huff, _ = core.ChooseEncodingCoder(qp, nil, opts.Entropy, opts.Shards, opts.Workers, encSp)
-	} else {
-		huff, useQP = core.ChooseEncodingCoder(q, qp, opts.Entropy, opts.Shards, opts.Workers, encSp)
-	}
-	encSp.End()
-
-	hdr := make([]byte, 0, 64)
-	hdr = append(hdr, byte(mode), byte(opts.Interp), byte(len(opts.DirOrder)))
+	pre := append(make([]byte, 0, 3+len(opts.DirOrder)), byte(mode), byte(opts.Interp), byte(len(opts.DirOrder)))
 	for _, d := range opts.DirOrder {
-		hdr = append(hdr, byte(d))
+		pre = append(pre, byte(d))
 	}
-	qpCfg := opts.QP
-	if !useQP {
-		qpCfg = core.Config{}
-	}
-	hdr = append(hdr, byte(qpCfg.Mode), byte(qpCfg.Cond))
-	hdr = binary.AppendUvarint(hdr, uint64(max(qpCfg.MaxLevel, 0)))
-	hdr = binary.AppendUvarint(hdr, uint64(opts.Radius))
-	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(opts.ErrorBound))
-
-	buf := make([]byte, 0, len(hdr)+len(huff)+len(literals)*8+16)
-	buf = append(buf, hdr...)
-	buf = binary.AppendUvarint(buf, uint64(len(huff)))
-	buf = append(buf, huff...)
-	buf = binary.AppendUvarint(buf, uint64(len(literals)))
-	for _, v := range literals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-
-	return core.CompressLossless(opts.Lossless, opts.LosslessSharded, buf, opts.Workers, opts.Obs)
+	return opts.Encode(w, core.Stream{
+		Pre:      pre,
+		Post:     binary.LittleEndian.AppendUint64(nil, math.Float64bits(opts.ErrorBound)),
+		Literals: literals,
+		ForceQP:  opts.ForceQP,
+		Levels:   levels,
+		Lorenzo:  mode == ModeLorenzo,
+	})
 }
 
 // Decompress reconstructs a field with the given dims from an SZ3 payload.
@@ -326,137 +196,58 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
-	buf, err := core.DecompressLossless(payload, lossless.PayloadLimit(n), workers, sp)
+	r, err := core.DecodeStream(payload, n, workers, sp, ErrCorrupt)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
-	if len(buf) < 3 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
-	mode := Mode(buf[0])
-	kind := interp.Kind(buf[1])
-	nd := int(buf[2])
-	buf = buf[3:]
-	if nd != len(dims) {
-		return nil, fmt.Errorf("%w: stream ndims %d != caller dims %d", ErrCorrupt, nd, len(dims))
-	}
-	if len(buf) < nd+2 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
-	dirOrder := make([]int, nd)
-	seen := make([]bool, nd)
-	for i := 0; i < nd; i++ {
-		dirOrder[i] = int(buf[i])
-		if dirOrder[i] >= nd || seen[dirOrder[i]] {
-			return nil, fmt.Errorf("%w: bad dir order", ErrCorrupt)
-		}
-		seen[dirOrder[i]] = true
-	}
-	buf = buf[nd:]
-	qpCfg := core.Config{Mode: core.Mode(buf[0]), Cond: core.Cond(buf[1])}
-	buf = buf[2:]
-	ml, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad qp level", ErrCorrupt)
-	}
-	qpCfg.MaxLevel = int(ml)
-	buf = buf[k:]
-	if err := qpCfg.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	radius64, k := binary.Uvarint(buf)
-	if k <= 0 || radius64 < 2 || radius64 > 1<<30 {
-		return nil, fmt.Errorf("%w: bad radius", ErrCorrupt)
-	}
-	buf = buf[k:]
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
-	eb := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
-	if !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, fmt.Errorf("%w: bad error bound", ErrCorrupt)
-	}
-
-	hl, k := binary.Uvarint(buf)
-	if k <= 0 || hl > uint64(len(buf)-k) {
-		return nil, fmt.Errorf("%w: bad huffman length", ErrCorrupt)
-	}
-	buf = buf[k:]
-	huffSp := sp.Child("huffman")
-	enc, err := core.DecodeIndices(buf[:hl], workers)
-	huffSp.Add("bytes_in", int64(hl))
-	huffSp.Add("symbols", int64(len(enc)))
-	huffSp.End()
+	hdr, err := r.Bytes(3, "header")
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
-	buf = buf[hl:]
-	if len(enc) != n {
-		return nil, fmt.Errorf("%w: %d symbols for %d points", ErrCorrupt, len(enc), n)
+	mode, kind := Mode(hdr[0]), interp.Kind(hdr[1])
+	if int(hdr[2]) != len(dims) {
+		return nil, errCorruptf("stream ndims %d != caller dims %d", hdr[2], len(dims))
 	}
-	nl, k := binary.Uvarint(buf)
-	if k <= 0 || nl > uint64((len(buf)-k)/8) {
-		return nil, fmt.Errorf("%w: bad literal count", ErrCorrupt)
-	}
-	buf = buf[k:]
-	literals := make([]float64, nl)
-	for i := range literals {
-		literals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-
-	quant, err := quantizer.NewLinear(eb, int32(radius64))
+	ord, err := r.Bytes(len(dims), "dir order")
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
+	dirOrder, ok := ParseOrder(ord)
+	if !ok {
+		return nil, errCorruptf("bad dir order")
+	}
+	if err := r.DecodeQP(); err != nil {
+		return nil, err
+	}
+	eb, err := r.Bound("error bound")
+	if err != nil {
+		return nil, err
+	}
+	if err := r.DecodeBlocks(""); err != nil {
+		return nil, err
+	}
+	quant := quantizer.Linear{EB: eb, Radius: r.Radius}
 
 	out, err := grid.New(dims...)
 	if err != nil {
 		return nil, err
 	}
-
 	switch mode {
 	case ModeInterp:
-		var pred *core.Predictor
-		if qpCfg.Enabled() {
-			pred, err = core.NewPredictor(qpCfg, int32(radius64))
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-			}
-		}
-		if err := decompressInterp(out.Data, dims, kind, dirOrder, quant, enc, literals, pred, workers, sp); err != nil {
-			return nil, err
-		}
+		err = decompressInterp(out.Data, dims, kind, dirOrder, quant, r, workers, sp)
 	case ModeLorenzo:
-		var pred *core.Predictor
-		if qpCfg.Enabled() {
-			pred, err = core.NewPredictor(qpCfg, int32(radius64))
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-			}
-		}
 		loSp := sp.Child("lorenzo")
-		var qpSp *obs.Span
-		if pred != nil {
-			qpSp = sp.ChildAccum("qp")
-		}
-		err = decompressLorenzo(out.Data, dims, quant, enc, literals, pred, workers, qpSp)
+		err = decompressLorenzo(out.Data, dims, quant, r.Indices, r.Literals, r.Pred, workers, r.QPSpan)
 		loSp.Add("points", int64(n))
 		loSp.End()
-		if err != nil {
-			return nil, err
-		}
 	default:
-		return nil, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, mode)
+		err = errCorruptf("unknown mode %d", mode)
 	}
+	if err != nil {
+		return nil, err
+	}
+	r.Done()
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // errCorruptf wraps ErrCorrupt with a formatted detail message.

@@ -204,8 +204,8 @@ func TestTraceCapture(t *testing.T) {
 	if len(tr.Q) != f.Len() || len(tr.QP) != f.Len() {
 		t.Fatalf("trace lengths Q=%d QP=%d want %d", len(tr.Q), len(tr.QP), f.Len())
 	}
-	if tr.Mode != ModeInterp {
-		t.Fatalf("trace mode = %v", tr.Mode)
+	if tr.Lorenzo {
+		t.Fatalf("trace reports the Lorenzo fallback under ChoiceInterp")
 	}
 	if tr.Levels != Levels(f.Dims()) {
 		t.Fatalf("trace levels = %d", tr.Levels)

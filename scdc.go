@@ -228,7 +228,7 @@ func (c LosslessCodec) String() string {
 }
 
 // ParseLosslessCodec resolves a lower-case codec name ("default",
-// "flate", "lz", "store", "auto").
+// "flate", "lz", "store", "auto", "huffman").
 func ParseLosslessCodec(name string) (LosslessCodec, error) {
 	switch name {
 	case "default", "":
@@ -452,39 +452,32 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 		return nil, fmt.Errorf("%w: %v has no configurable lossless back-end (codec %v)", ErrBadOptions, opts.Algorithm, opts.Lossless)
 	}
 
+	// The four interpolation-based engines share one back-end; its options
+	// are set once here.
+	be := core.DefaultBackend()
+	be.QP = opts.QP.toCore()
+	be.Workers, be.Shards = opts.Workers, opts.Shards
+	be.Entropy = entropy.Coder(opts.Entropy)
+	be.Lossless, be.LosslessSharded = opts.Lossless.toEngine()
+	be.Obs = sp
+
 	var payload []byte
 	switch opts.Algorithm {
 	case SZ3:
 		o := sz3.DefaultOptions(eb)
-		o.QP = opts.QP.toCore()
-		o.Workers, o.Shards = opts.Workers, opts.Shards
-		o.Entropy = entropy.Coder(opts.Entropy)
-		o.Lossless, o.LosslessSharded = opts.Lossless.toEngine()
-		o.Obs = sp
+		o.Backend = be
 		payload, err = sz3.Compress(f, o)
 	case QoZ:
 		o := qoz.DefaultOptions(eb)
-		o.QP = opts.QP.toCore()
-		o.Workers, o.Shards = opts.Workers, opts.Shards
-		o.Entropy = entropy.Coder(opts.Entropy)
-		o.Lossless, o.LosslessSharded = opts.Lossless.toEngine()
-		o.Obs = sp
+		o.Backend = be
 		payload, err = qoz.Compress(f, o)
 	case HPEZ:
 		o := hpez.DefaultOptions(eb)
-		o.QP = opts.QP.toCore()
-		o.Workers, o.Shards = opts.Workers, opts.Shards
-		o.Entropy = entropy.Coder(opts.Entropy)
-		o.Lossless, o.LosslessSharded = opts.Lossless.toEngine()
-		o.Obs = sp
+		o.Backend = be
 		payload, err = hpez.Compress(f, o)
 	case MGARD:
 		o := mgard.DefaultOptions(eb)
-		o.QP = opts.QP.toCore()
-		o.Workers, o.Shards = opts.Workers, opts.Shards
-		o.Entropy = entropy.Coder(opts.Entropy)
-		o.Lossless, o.LosslessSharded = opts.Lossless.toEngine()
-		o.Obs = sp
+		o.Backend = be
 		payload, err = mgard.Compress(f, o)
 	case ZFP:
 		esp := sp.Child("transform")

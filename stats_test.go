@@ -120,6 +120,72 @@ func TestCompressWithStatsStages(t *testing.T) {
 	}
 }
 
+// TestBackendStageSet: the four engines share one index-stream back-end,
+// so an observed compression reports the same stages with the same
+// counters for each of them — only the name of the coarse-lattice counter
+// on "quantize" is the engine's own — and an observed decompression
+// mirrors the stages and the qp counter.
+func TestBackendStageSet(t *testing.T) {
+	data, dims := statsTestField(16, 20, 24)
+	for _, tc := range []struct {
+		alg  Algorithm
+		side string // quantize counter for the losslessly stored lattice
+	}{{SZ3, ""}, {QoZ, "anchors"}, {HPEZ, "anchors"}, {MGARD, "coarse"}} {
+		// 1e-2 keeps SZ3 in interpolation mode (see TestCompressWithStatsStages).
+		stream, stats, err := CompressWithStats(data, dims, Options{Algorithm: tc.alg, ErrorBound: 1e-2, QP: DefaultQP()})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.alg, err)
+		}
+		res, err := DecompressObserved(stream, 1)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.alg, err)
+		}
+		want := map[string][]string{
+			"interp":   nil,
+			"qp":       {"compensated"},
+			"quantize": {"points", "unpredictable"},
+			"huffman":  {"est_bits_out", "act_bits_out", "bytes_out", "symbols"},
+			"lossless": {"bytes_in", "bytes_out"},
+		}
+		if tc.side != "" {
+			want["quantize"] = append(want["quantize"], tc.side)
+		}
+		for stage, counters := range want {
+			n := stats.Report.Find(stage)
+			if n == nil {
+				t.Errorf("%v: stage %q missing from compress report", tc.alg, stage)
+				continue
+			}
+			for _, c := range counters {
+				if _, ok := n.Counters[c]; !ok {
+					t.Errorf("%v: compress %s span has no %q counter (has %v)", tc.alg, stage, c, n.Counters)
+				}
+			}
+			// Decompression has no quantize stage, and a qp stage only
+			// for a stream that kept QP (checked below).
+			if stage != "quantize" && stage != "qp" && res.Stats.Report.Find(stage) == nil {
+				t.Errorf("%v: stage %q missing from decompress report", tc.alg, stage)
+			}
+		}
+		if got := stats.Report.Counter("quantize", "points"); got != int64(len(data)) {
+			t.Errorf("%v: quantize points = %d, want %d", tc.alg, got, len(data))
+		}
+		comp := stats.Report.Counter("qp", "compensated")
+		if comp <= 0 {
+			t.Errorf("%v: qp compensated = %d, want > 0", tc.alg, comp)
+		}
+		// The inverse sweeps compensate exactly the points the forward
+		// sweeps did whenever the stream kept QP.
+		if stats.Report.Counter("huffman", "qp_kept") == 1 {
+			if got := res.Stats.Report.Counter("qp", "compensated"); got != comp {
+				t.Errorf("%v: decompress qp compensated = %d, compress %d", tc.alg, got, comp)
+			}
+		} else if res.Stats.Report.Find("qp") != nil {
+			t.Errorf("%v: decompress ran QP on a stream that dropped it", tc.alg)
+		}
+	}
+}
+
 // TestIntraFieldChunkSpans checks that a plain (non-chunked) parallel
 // compression exposes per-pass and per-chunk spans from the engine.
 func TestIntraFieldChunkSpans(t *testing.T) {
