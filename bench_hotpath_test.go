@@ -13,6 +13,7 @@ import (
 	"scdc/internal/core"
 	"scdc/internal/datagen"
 	"scdc/internal/huffman"
+	"scdc/internal/qoz"
 	"scdc/internal/quantizer"
 	"scdc/internal/rice"
 	"scdc/internal/sz3"
@@ -85,6 +86,24 @@ func BenchmarkHotPathInterpPass(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkHotPathQoZPlan isolates the QoZ auto-tuner (per-level sampled
+// kind/order scoring plus the four level-bound trial compressions) from
+// the pipeline it configures, on the field of the repository benchmark's
+// qoz_tuned workload. Its cost is set by the samples it scores, not by
+// the field, and its scratch is reused across candidates.
+func BenchmarkHotPathQoZPlan(b *testing.B) {
+	f := datagen.MustGenerate(datagen.SegSalt, 1, []int{96, 96, 80}, 1)
+	opts := qoz.DefaultOptions(1e-3 * f.Range())
+	b.SetBytes(int64(f.Len() * 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := qoz.Plan(f, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

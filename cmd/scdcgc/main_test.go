@@ -127,6 +127,7 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/sz3.(*lineKern).fwdLinear noalloc",
 		"scdc/internal/sz3.(*lineKern).invCubic noalloc",
 		"scdc/internal/sz3.(*lineKern).invLinear noalloc",
+		"scdc/internal/sz3.(*pass).point noalloc",
 		"scdc/internal/sz3.fwdLines noalloc",
 		"scdc/internal/sz3.fwdQuant noalloc",
 		"scdc/internal/sz3.invLines noalloc",

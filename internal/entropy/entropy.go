@@ -6,6 +6,7 @@ package entropy
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,6 +27,25 @@ func Shannon(q []int32) float64 {
 		return 0
 	}
 	return FromHistogram(Histogram(q), len(q))
+}
+
+// ShannonSort returns Shannon(q) bit for bit without allocating: it sorts q
+// in place and sums the runs of equal symbols, which is the ascending
+// symbol order FromHistogram accumulates in.
+func ShannonSort(q []int32) float64 {
+	slices.Sort(q)
+	inv := 1.0 / float64(len(q))
+	e := 0.0
+	for i := 0; i < len(q); {
+		j := i + 1
+		for j < len(q) && q[j] == q[i] {
+			j++
+		}
+		p := float64(j-i) * inv
+		e -= p * math.Log2(p)
+		i = j
+	}
+	return e
 }
 
 // FromHistogram computes entropy from precomputed counts with total n.

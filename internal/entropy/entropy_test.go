@@ -2,6 +2,7 @@ package entropy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -96,5 +97,27 @@ func TestQuickPermutationInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShannonSortMatchesShannon: the in-place form returns the histogram
+// form's value bit for bit (codec decisions compare these scores), on
+// narrow, tie-heavy and full-range alphabets, and does not allocate.
+func TestShannonSortMatchesShannon(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		q := make([]int32, rng.Intn(5000))
+		spread := []int32{1, 3, 40, 1 << 20, math.MaxInt32}[trial%5]
+		for i := range q {
+			q[i] = rng.Int31n(spread) - spread/2
+		}
+		want := Shannon(q)
+		if got := ShannonSort(q); got != want {
+			t.Fatalf("trial %d (n=%d spread=%d): ShannonSort = %v, Shannon = %v", trial, len(q), spread, got, want)
+		}
+	}
+	q := make([]int32, 4096)
+	if a := testing.AllocsPerRun(10, func() { ShannonSort(q) }); a != 0 {
+		t.Errorf("ShannonSort allocates %v times", a)
 	}
 }

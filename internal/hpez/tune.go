@@ -5,43 +5,25 @@ import (
 	"sort"
 
 	"scdc/internal/grid"
-	"scdc/internal/huffman"
 	"scdc/internal/interp"
 	"scdc/internal/sz3"
 )
-
-// ebCandidates are the (alpha, beta) pairs tried for level-wise error
-// bound scaling, as in QoZ.
-var ebCandidates = [][2]float64{{1, 1}, {1.25, 2}, {1.5, 2}, {2, 3}}
 
 // buildPlan resolves the compression plan: dimension freezing per level,
 // block-wise spline kinds, and level-wise error bounds.
 func buildPlan(f *grid.Field, opts Options) plan {
 	dims := f.Dims()
-	levels := sz3.Levels(dims)
-	if levels > maxAnchorLevels {
-		levels = maxAnchorLevels
-	}
-	if levels < 1 {
-		levels = 1
-	}
+	levels := min(max(sz3.Levels(dims), 1), maxAnchorLevels)
 	g := blockGridDims(dims)
 	pl := plan{
-		levels:     levels,
-		ebs:        make([]float64, levels),
-		frozen:     make([]uint8, levels),
-		weights:    make([][4]uint8, levels),
-		radius:     opts.Radius,
-		blockGrid:  g,
-		blockCubic: make([]byte, (numBlocks(g)+7)/8),
+		levels:    levels,
+		ebs:       make([]float64, levels),
+		frozen:    make([]uint8, levels),
+		weights:   make([][4]uint8, levels),
+		radius:    opts.Radius,
+		blockGrid: g,
 	}
-	for i := range pl.blockCubic {
-		pl.blockCubic[i] = 0xff // default cubic everywhere
-	}
-	pl.blockWeights = make([][4]uint8, numBlocks(g))
-	for i := range pl.blockWeights {
-		pl.blockWeights[i] = [4]uint8{255, 255, 255, 255}
-	}
+	pl.blockCubic, pl.blockWeights = defaultBlockTables(g)
 	for l := 0; l < levels; l++ {
 		pl.ebs[l] = opts.ErrorBound
 		pl.weights[l] = [4]uint8{255, 255, 255, 255}
@@ -56,15 +38,34 @@ func buildPlan(f *grid.Field, opts Options) plan {
 	tuneBlocks(f, &pl, bestAxis(pl.weights[0], len(dims)), opts.ErrorBound)
 	tuneBlockWeights(f, &pl, opts.ErrorBound)
 
-	alpha, beta := tuneEB(f, pl, opts)
-	for l := 1; l <= levels; l++ {
-		eb := opts.ErrorBound / math.Pow(alpha, float64(l-1))
-		if floor := opts.ErrorBound / beta; eb < floor {
-			eb = floor
-		}
-		pl.ebs[l-1] = eb
-	}
+	// Level-wise error bounds by trial compression of a crop, as in QoZ.
+	// The crop has its own block grid, so its trials run with the default
+	// block tables.
+	sz3.TuneLevelBounds(f, pl.ebs, opts.ErrorBound,
+		func(data []float64, dims []int, ebs []float64, q []int32) []float64 {
+			trial := pl
+			trial.levels = len(ebs)
+			trial.ebs = ebs
+			trial.blockGrid = blockGridDims(dims)
+			trial.blockCubic, trial.blockWeights = defaultBlockTables(trial.blockGrid)
+			_, literals := compressCore(data, dims, trial, q, nil, nil, 1, nil)
+			return literals
+		})
 	return pl
+}
+
+// defaultBlockTables returns the untuned block tables for a block grid:
+// cubic everywhere, uniform weights.
+func defaultBlockTables(g []int) (cubic []byte, weights [][4]uint8) {
+	cubic = make([]byte, (numBlocks(g)+7)/8)
+	for i := range cubic {
+		cubic[i] = 0xff
+	}
+	weights = make([][4]uint8, numBlocks(g))
+	for i := range weights {
+		weights[i] = [4]uint8{255, 255, 255, 255}
+	}
+	return cubic, weights
 }
 
 // tuneAxes measures, per axis, the 1D interpolation residual at the
@@ -378,82 +379,4 @@ func blockAxisResidual(f *grid.Field, dims, strides []int, origin []int, ax int)
 		return math.Inf(1)
 	}
 	return trimmedMean(samples, 0.10)
-}
-
-// tuneEB trial-compresses a centered crop under each (alpha, beta)
-// candidate and keeps the cheapest, as in QoZ.
-func tuneEB(f *grid.Field, pl plan, opts Options) (alpha, beta float64) {
-	crop := centerCrop(f, 32)
-	cropLevels := sz3.Levels(crop.Dims())
-	if cropLevels < 1 {
-		cropLevels = 1
-	}
-	if cropLevels > pl.levels {
-		cropLevels = pl.levels
-	}
-	bestBits := int(math.MaxInt32)
-	best := ebCandidates[0]
-	for _, cand := range ebCandidates {
-		trial := pl
-		trial.levels = cropLevels
-		trial.ebs = make([]float64, cropLevels)
-		trial.frozen = pl.frozen[:cropLevels]
-		trial.weights = pl.weights[:cropLevels]
-		g := blockGridDims(crop.Dims())
-		trial.blockGrid = g
-		trial.blockCubic = make([]byte, (numBlocks(g)+7)/8)
-		for i := range trial.blockCubic {
-			trial.blockCubic[i] = 0xff
-		}
-		trial.blockWeights = make([][4]uint8, numBlocks(g))
-		for i := range trial.blockWeights {
-			trial.blockWeights[i] = [4]uint8{255, 255, 255, 255}
-		}
-		for l := 1; l <= cropLevels; l++ {
-			eb := opts.ErrorBound / math.Pow(cand[0], float64(l-1))
-			if floor := opts.ErrorBound / cand[1]; eb < floor {
-				eb = floor
-			}
-			trial.ebs[l-1] = eb
-		}
-		data := append([]float64(nil), crop.Data...)
-		q := make([]int32, len(data))
-		_, literals := compressCore(data, crop.Dims(), trial, q, nil, nil, 1, nil)
-		bits := len(huffman.Encode(q)) + 8*len(literals)
-		if bits < bestBits {
-			bestBits = bits
-			best = cand
-		}
-	}
-	return best[0], best[1]
-}
-
-// centerCrop extracts a centered sub-field with extents capped at m.
-func centerCrop(f *grid.Field, m int) *grid.Field {
-	dims := f.Dims()
-	nd := len(dims)
-	ext := make([]int, nd)
-	off := make([]int, nd)
-	for d, n := range dims {
-		ext[d] = n
-		if ext[d] > m {
-			ext[d] = m
-		}
-		off[d] = (n - ext[d]) / 2
-	}
-	out := grid.MustNew(ext...)
-	strides := grid.Strides(dims)
-	ostr := grid.Strides(ext)
-	var walk func(axis, src, dst int)
-	walk = func(axis, src, dst int) {
-		if axis == nd {
-			out.Data[dst] = f.Data[src]
-			return
-		}
-		for c := 0; c < ext[axis]; c++ {
-			walk(axis+1, src+(off[axis]+c)*strides[axis], dst+c*ostr[axis])
-		}
-	}
-	walk(0, 0, 0)
-	return out
 }

@@ -13,7 +13,6 @@
 package huffman
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,28 +36,63 @@ type node struct {
 	left, right int // indexes into the node arena; -1 for leaves
 }
 
+// nodeHeap is a binary min-heap of arena indexes ordered by (count, sym).
+// Live nodes cover disjoint symbol sets and carry their smallest symbol,
+// so the order is total and the pop sequence — hence the tree — does not
+// depend on the heap's internal layout. The heap is typed rather than a
+// container/heap.Interface because that API boxes every pushed and popped
+// index: two allocations per distinct symbol.
 type nodeHeap struct {
 	arena []node
 	idx   []int
 }
 
-func (h nodeHeap) Len() int { return len(h.idx) }
-func (h nodeHeap) Less(i, j int) bool {
-	a, b := h.arena[h.idx[i]], h.arena[h.idx[j]]
+func (h *nodeHeap) less(i, j int) bool {
+	a, b := &h.arena[h.idx[i]], &h.arena[h.idx[j]]
 	if a.count != b.count {
 		return a.count < b.count
 	}
 	// Tie-break on symbol for determinism.
 	return a.sym < b.sym
 }
-func (h nodeHeap) Swap(i, j int)       { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *nodeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	v := old[n-1]
-	h.idx = old[:n-1]
+
+func (h *nodeHeap) push(v int) {
+	h.idx = append(h.idx, v)
+	for j := len(h.idx) - 1; j > 0; {
+		parent := (j - 1) / 2
+		if !h.less(j, parent) {
+			break
+		}
+		h.idx[j], h.idx[parent] = h.idx[parent], h.idx[j]
+		j = parent
+	}
+}
+
+func (h *nodeHeap) pop() int {
+	n := len(h.idx) - 1
+	h.idx[0], h.idx[n] = h.idx[n], h.idx[0]
+	h.down(0, n)
+	v := h.idx[n]
+	h.idx = h.idx[:n]
 	return v
+}
+
+// down sifts element i into place within the first n elements.
+func (h *nodeHeap) down(i, n int) {
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.idx[i], h.idx[c] = h.idx[c], h.idx[i]
+		i = c
+	}
 }
 
 type symLen struct {
@@ -70,22 +104,23 @@ type symLen struct {
 // the leaves first, in syms order, then every merge above both of its
 // children, so the root is the last node.
 func buildTree(syms []entropy.SymCount) []node {
-	arena := make([]node, 0, 2*len(syms))
-	h := &nodeHeap{arena: arena}
-	for _, s := range syms {
+	h := nodeHeap{arena: make([]node, 0, 2*len(syms)), idx: make([]int, len(syms))}
+	for i, s := range syms {
 		h.arena = append(h.arena, node{count: s.Count, sym: s.Sym, left: -1, right: -1})
-		h.idx = append(h.idx, len(h.arena)-1)
+		h.idx[i] = i
 	}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
+	for i := len(syms)/2 - 1; i >= 0; i-- {
+		h.down(i, len(syms))
+	}
+	for len(h.idx) > 1 {
+		a := h.pop()
+		b := h.pop()
 		h.arena = append(h.arena, node{
 			count: h.arena[a].count + h.arena[b].count,
 			sym:   minI32(h.arena[a].sym, h.arena[b].sym),
 			left:  a, right: b,
 		})
-		heap.Push(h, len(h.arena)-1)
+		h.push(len(h.arena) - 1)
 	}
 	return h.arena
 }

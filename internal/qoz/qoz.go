@@ -81,10 +81,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
 		return nil, err
 	}
-	tuneSp := opts.Obs.Child("choose")
 	pl := buildPlan(f, opts)
-	tuneSp.Add("levels", int64(pl.levels))
-	tuneSp.End()
 
 	w, err := opts.Acquire(f.Data, opts.QP.Enabled())
 	if err != nil {
@@ -100,6 +97,16 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 		Literals: literals,
 		Levels:   pl.levels,
 	})
+}
+
+// Plan runs the planning stage alone — the auto-tuner, when opts asks for
+// it — and returns the plan block Compress would write for f. It is how
+// the tuner is priced apart from the pipeline it configures.
+func Plan(f *grid.Field, opts Options) ([]byte, error) {
+	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
+		return nil, err
+	}
+	return encodePlan(buildPlan(f, opts)), nil
 }
 
 func encodePlan(pl plan) []byte {

@@ -103,7 +103,7 @@ func TestAnchorsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := 1 << minInt(sz3.Levels(f.Dims()), maxAnchorLevels)
+	a := 1 << min(sz3.Levels(f.Dims()), maxAnchorLevels)
 	for x := 0; x < 66; x += a {
 		for y := 0; y < 66; y += a {
 			for z := 0; z < 66; z += a {
@@ -150,7 +150,7 @@ func TestBadOptions(t *testing.T) {
 
 func TestCenterCrop(t *testing.T) {
 	f := synth(100, 20, 100)
-	c := centerCrop(f, 32)
+	c := sz3.CenterCrop(f, 32)
 	d := c.Dims()
 	if d[0] != 32 || d[1] != 20 || d[2] != 32 {
 		t.Fatalf("crop dims %v", d)

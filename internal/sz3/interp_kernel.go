@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the kernelized interpolation engine (DESIGN.md §13). The
-// reference path (compressPassRef/decompressPassRef in walker.go) pays,
-// per point, a Point struct build, a closure-based interp.Line dispatch
-// re-deriving the boundary case from scratch, and a quantizer.Quantize
-// call. The kernels below hoist all of that out of the loop.
+// reference path (compressPassRef/decompressPassRef, the test-only oracle
+// in walker_oracle_test.go) pays, per point, a Point struct build, a
+// closure-based interp.Line dispatch re-deriving the boundary case from
+// scratch, and a quantizer.Quantize call. The kernels below hoist all of that out of the loop.
 //
 // The key observation is that the boundary structure of a pass is
 // pass-constant: every line shares (s, n, dstr), so which interpolation

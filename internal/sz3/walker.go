@@ -4,25 +4,7 @@ import (
 	"math/bits"
 
 	"scdc/internal/core"
-	"scdc/internal/interp"
-	"scdc/internal/quantizer"
 )
-
-// Point describes one data point visited by the multilevel interpolation
-// schedule. The same walker drives compression and decompression, which
-// guarantees both sides visit points in an identical order with identical
-// prediction geometry.
-type Point struct {
-	Idx      int // flat index of the point
-	Dir      int // interpolation axis of the current pass
-	T        int // position along Dir (element units), an odd multiple of S
-	S        int // level stride 2^(level-1)
-	N        int // extent along Dir
-	LineBase int // flat index of the line's origin (position 0 along Dir)
-	LineStrd int // flat stride along Dir
-	Level    int // 1-based level; level 1 is the final stride-1 level
-	NB       core.Neighborhood
-}
 
 // Levels returns the number of interpolation levels for the given dims:
 // the smallest L with 2^(L-1) <= max(extent-1), or 0 when every extent is
@@ -48,43 +30,6 @@ func DefaultDirOrder(nd int) []int {
 	return order
 }
 
-// forEachPoint walks the multilevel interpolation schedule with a single
-// direction order for every level.
-func forEachPoint(dims, strides, dirOrder []int, levels int, fn func(pt *Point)) {
-	WalkSchedule(dims, strides, levels, func(int) []int { return dirOrder }, fn)
-}
-
-// WalkSchedule walks the multilevel interpolation schedule over a field
-// with the given dims and strides, invoking fn for every predicted point.
-// orderFor supplies the direction order for each level, which lets QoZ
-// tune the order per level. It supports 1..4 dimensions.
-//
-// Schedule (paper Section IV-A): for level = L..1 with stride s=2^(level-1),
-// the known lattice holds multiples of 2s in every dim. Passes run in
-// the level's direction order; the pass along dir predicts points whose
-// Dir-coordinate is an odd multiple of s, whose already-processed axes sit
-// at multiples of s, and whose not-yet-processed axes sit at multiples of
-// 2s. This reproduces the stride pattern of Figure 2 (2x2, 1x2, 1x1
-// in-plane strides).
-func WalkSchedule(dims, strides []int, levels int, orderFor func(level int) []int, fn func(pt *Point)) {
-	for level := levels; level >= 1; level-- {
-		WalkScheduleLevel(dims, strides, level, orderFor(level), fn)
-	}
-}
-
-// WalkScheduleLevel walks the passes of a single level with the given
-// direction order. Used by the QoZ per-level tuner to sample one level's
-// residuals in isolation.
-func WalkScheduleLevel(dims, strides []int, level int, order []int, fn func(pt *Point)) {
-	forEachPass(dims, strides, level, order, func(pa *pass) {
-		var pt Point
-		for li := 0; li < pa.numLines; li++ {
-			base, hasLeft, hasTop := pa.line(li)
-			walkLinePoints(pa, base, hasLeft, hasTop, &pt, fn)
-		}
-	})
-}
-
 // pass describes one interpolation pass of one level: the points whose
 // Dir-coordinate is an odd multiple of s, on the lattice spanned by step
 // over the orthogonal axes. Every point of a pass depends only on lattice
@@ -101,19 +46,24 @@ type pass struct {
 	cnt           [3]int // lattice extent per orthogonal axis
 	stride        [3]int // flat stride per orthogonal lattice step
 	leftK, topK   int    // QP plane axes within orth (-1 when absent)
-	leftOff       int    // flat offset to the Left neighbor
-	topOff        int    // flat offset to the Top neighbor
-	backOff       int    // flat offset to the Back neighbor (2s along dir)
 	numLines      int
 	pointsPerLine int // number of predicted points per line
 }
 
-// forEachPass enumerates the passes of one level in direction order,
-// skipping degenerate directions exactly as the walk schedule requires.
+// forEachPass enumerates the passes of one level in direction order.
+//
+// Schedule (paper Section IV-A): at level l with stride s=2^(l-1) the
+// known lattice holds multiples of 2s in every dim. The pass along dir
+// predicts the points whose dir-coordinate is an odd multiple of s, whose
+// already-processed axes sit at multiples of s and whose pending axes sit
+// at multiples of 2s — the stride pattern of Figure 2 (2x2, 1x2, 1x1
+// in-plane strides). Axes too short to hold an odd multiple of s have no
+// pass and count as processed.
 func forEachPass(dims, strides []int, level int, order []int, fn func(pa *pass)) {
 	nd := len(dims)
 	s := 1 << (level - 1)
-	done := make([]bool, nd)
+	var done [4]bool
+	var pa pass // handed to fn by address: one escape per level, not per pass
 	for _, dir := range order {
 		if dims[dir] <= 1 || s >= dims[dir] {
 			done[dir] = true
@@ -130,7 +80,7 @@ func forEachPass(dims, strides []int, level int, order []int, fn func(pa *pass))
 				step[e] = 2 * s
 			}
 		}
-		pa := makePass(dims, strides, dir, s, level, step)
+		pa = makePass(dims, strides, dir, s, level, step)
 		fn(&pa)
 		done[dir] = true
 	}
@@ -162,15 +112,12 @@ func makePass(dims, strides []int, dir, s, level int, step [4]int) pass {
 	pa.leftK, pa.topK = -1, -1
 	if pa.no >= 1 {
 		pa.leftK = pa.no - 1
-		pa.leftOff = pa.stride[pa.leftK]
 	}
 	if pa.no >= 2 {
 		pa.topK = pa.no - 2
-		pa.topOff = pa.stride[pa.topK]
 	}
 	pa.dstr = strides[dir]
 	pa.n = dims[dir]
-	pa.backOff = 2 * s * pa.dstr
 	pa.pointsPerLine = (pa.n - pa.s + 2*pa.s - 1) / (2 * pa.s) // count of odd multiples of s below n
 	return pa
 }
@@ -180,8 +127,8 @@ func makePass(dims, strides []int, dir, s, level int, step [4]int) pass {
 // axis (odd multiples of s along dir, i.e. origin s*dstr, stride
 // 2s*dstr). Left/Top live on the orthogonal axes makePass picked; Back
 // is always the point axis. Region row-major order is exactly the
-// line-then-point order of walkLinePoints, so kernel sweeps replay the
-// reference visit order.
+// line-then-point order of the reference walker, so kernel sweeps replay
+// its visit order.
 func (pa *pass) qpRegion() core.Region {
 	return core.Region{
 		Base: pa.s * pa.dstr,
@@ -210,101 +157,36 @@ func (pa *pass) line(li int) (base int, hasLeft, hasTop bool) {
 	return base, hasLeft, hasTop
 }
 
-// compressPassRef is the golden reference forward pass: the seed-era
-// per-point walk with closure-based interp.Line dispatch and the
-// unfused quantizer.Quantize call. The kernelized compressPass is pinned
-// against it by TestInterpKernelsMatchWalker and
-// FuzzInterpKernelDifferential; it is not used on hot paths.
-func compressPassRef(data []float64, q []int32, pa *pass,
-	kind interp.Kind, quant quantizer.Linear, lits []float64) []float64 {
-
-	var pt Point
-	for li := 0; li < pa.numLines; li++ {
-		base, hasLeft, hasTop := pa.line(li)
-		walkLinePoints(pa, base, hasLeft, hasTop, &pt, func(pt *Point) {
-			at := func(t int) float64 { return data[pt.LineBase+t*pt.LineStrd] }
-			p := interp.Line(at, pt.N, pt.T, pt.S, kind)
-			sym, dec, ok := quant.Quantize(data[pt.Idx], p)
-			q[pt.Idx] = sym
-			if !ok {
-				lits = append(lits, data[pt.Idx])
-			}
-			data[pt.Idx] = dec
-		})
-	}
-	return lits
+// point resolves the pass's k-th point in walk order. A pass holds
+// numLines x pointsPerLine points, line after line, so the ordinal splits
+// into a line and an in-line position without visiting the points before
+// it: lineBase is the flat index of the line's origin and t the point's
+// position along dir.
+//
+//scdc:noalloc
+func (pa *pass) point(k int) (lineBase, t int) {
+	li := k / pa.pointsPerLine
+	lineBase, _, _ = pa.line(li)
+	return lineBase, pa.s * (1 + 2*(k-li*pa.pointsPerLine))
 }
 
-// decompressPassRef is the golden reference inverse pass mirroring
-// compressPassRef. ok is false when the literal stream is exhausted.
-func decompressPassRef(data []float64, enc []int32, pa *pass,
-	kind interp.Kind, quant quantizer.Linear, literals []float64, lit int) (int, bool) {
+// SampleLevel calls fn for every step-th point of one level, counting
+// through the level's passes in walk order (the points numbered step,
+// 2*step, ... from 1), and touches no point in between: the cost is
+// proportional to the samples, not to the level. fn receives the point's
+// flat index idx, the geometry of its interpolation line (origin
+// lineBase, flat stride lineStrd, extent n) and its position t along the
+// line at level stride s — the arguments of interp.LineSlice.
+func SampleLevel(dims, strides []int, level int, order []int, step int,
+	fn func(idx, lineBase, lineStrd, n, t, s int)) {
 
-	ok := true
-	var pt Point
-	for li := 0; li < pa.numLines && ok; li++ {
-		base, hasLeft, hasTop := pa.line(li)
-		walkLinePoints(pa, base, hasLeft, hasTop, &pt, func(pt *Point) {
-			if !ok {
-				return
-			}
-			if sym := enc[pt.Idx]; sym != quantizer.Unpredictable {
-				at := func(t int) float64 { return data[pt.LineBase+t*pt.LineStrd] }
-				data[pt.Idx] = quant.Recover(interp.Line(at, pt.N, pt.T, pt.S, kind), sym)
-				return
-			}
-			if lit >= len(literals) {
-				ok = false
-				return
-			}
-			data[pt.Idx] = literals[lit]
-			lit++
-		})
-	}
-	return lit, ok
-}
-
-// walkLinePoints invokes fn for every predicted point of one line, filling
-// the full Point including the QP neighborhood.
-func walkLinePoints(pa *pass, base int, hasLeft, hasTop bool, pt *Point, fn func(pt *Point)) {
-	s, n, dstr := pa.s, pa.n, pa.dstr
-	for t := s; t < n; t += 2 * s {
-		idx := base + t*dstr
-		nb := core.Neighborhood{
-			Level: pa.level,
-			Left:  -1, Top: -1, TopLeft: -1,
-			Back: -1, BackLeft: -1, BackTop: -1, BackTopLeft: -1,
+	k := step - 1 // ordinal of the next sample within the current pass
+	forEachPass(dims, strides, level, order, func(pa *pass) {
+		points := pa.numLines * pa.pointsPerLine
+		for ; k < points; k += step {
+			base, t := pa.point(k)
+			fn(base+t*pa.dstr, base, pa.dstr, pa.n, t, pa.s)
 		}
-		if hasLeft {
-			nb.Left = idx - pa.leftOff
-		}
-		if hasTop {
-			nb.Top = idx - pa.topOff
-		}
-		if hasLeft && hasTop {
-			nb.TopLeft = idx - pa.leftOff - pa.topOff
-		}
-		if t >= 3*s {
-			nb.Back = idx - pa.backOff
-			if hasLeft {
-				nb.BackLeft = nb.Back - pa.leftOff
-			}
-			if hasTop {
-				nb.BackTop = nb.Back - pa.topOff
-			}
-			if hasLeft && hasTop {
-				nb.BackTopLeft = nb.Back - pa.leftOff - pa.topOff
-			}
-		}
-		pt.Idx = idx
-		pt.Dir = pa.dir
-		pt.T = t
-		pt.S = s
-		pt.N = n
-		pt.LineBase = base
-		pt.LineStrd = dstr
-		pt.Level = pa.level
-		pt.NB = nb
-		fn(pt)
-	}
+		k -= points
+	})
 }

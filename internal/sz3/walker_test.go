@@ -343,3 +343,61 @@ func TestLevelsProperties(t *testing.T) {
 		}
 	}
 }
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int{}, p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestSampleLevelMatchesWalker pins the ordinal sampler to the walk it
+// replaced in the QoZ tuner: for every level, direction order and step,
+// SampleLevel visits exactly the points the reference walker keeps under
+// a decim%step == 0 filter — same order, same index, same line geometry —
+// on 1D–4D fields with extent-1, extent-2 and odd axes.
+func TestSampleLevelMatchesWalker(t *testing.T) {
+	type visit struct{ idx, base, strd, n, t, s int }
+	cases := append([][]int{
+		{33}, {64}, {5, 5}, {2, 17}, {31, 1}, {7, 9, 5}, {16, 3, 10}, {1, 6, 6},
+		{2, 2, 2}, {33, 20, 17}, {3, 4, 5, 6}, {9, 1, 2, 13},
+	}, degenerateDims...)
+	for _, dims := range cases {
+		strides := grid.Strides(dims)
+		for level := 1; level <= Levels(dims)+1; level++ {
+			for _, order := range permutations(len(dims)) {
+				for _, step := range []int{1, 3, 23, 181} {
+					var want, got []visit
+					decim := 0
+					WalkScheduleLevel(dims, strides, level, order, func(pt *Point) {
+						decim++
+						if decim%step == 0 {
+							want = append(want, visit{pt.Idx, pt.LineBase, pt.LineStrd, pt.N, pt.T, pt.S})
+						}
+					})
+					SampleLevel(dims, strides, level, order, step, func(idx, base, strd, n, t, s int) {
+						got = append(got, visit{idx, base, strd, n, t, s})
+					})
+					if len(got) != len(want) {
+						t.Fatalf("dims=%v level=%d order=%v step=%d: %d samples, walker keeps %d",
+							dims, level, order, step, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("dims=%v level=%d order=%v step=%d: sample %d is %+v, walker says %+v",
+								dims, level, order, step, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -186,6 +186,40 @@ func TestBackendStageSet(t *testing.T) {
 	}
 }
 
+// TestQoZChooseSpan: the tuner accounts for its work on the "choose" span.
+// This field is small enough that every level is sampled at step 1, so
+// each of the six direction orders visits every non-origin point once
+// and scores both spline kinds from the visit.
+func TestQoZChooseSpan(t *testing.T) {
+	data, dims := statsTestField(16, 20, 24)
+	_, stats, err := CompressWithStats(data, dims, Options{Algorithm: QoZ, ErrorBound: 1e-2, QP: DefaultQP()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	choose := stats.Report.Find("choose")
+	if choose == nil {
+		t.Fatal("no choose span")
+	}
+	const levels, orders = 5, 6 // 2^4 <= 23 < 2^5; 3! orders
+	want := map[string]int64{
+		"levels":     levels,
+		"samples":    orders * int64(len(data)-1),
+		"candidates": levels * orders * 2,
+	}
+	for name, w := range want {
+		if got := choose.Counters[name]; got != w {
+			t.Errorf("choose %s = %d, want %d", name, got, w)
+		}
+	}
+	// The chosen level-bound scaling is one of the tuner's four pairs.
+	alpha, beta := choose.Gauges["alpha"], choose.Gauges["beta"]
+	switch [2]float64{alpha, beta} {
+	case [2]float64{1, 1}, [2]float64{1.25, 2}, [2]float64{1.5, 2}, [2]float64{2, 3}:
+	default:
+		t.Errorf("choose gauges alpha=%v beta=%v are not a candidate pair", alpha, beta)
+	}
+}
+
 // TestIntraFieldChunkSpans checks that a plain (non-chunked) parallel
 // compression exposes per-pass and per-chunk spans from the engine.
 func TestIntraFieldChunkSpans(t *testing.T) {
