@@ -2,16 +2,15 @@
 #
 # `make check` is the tier-1 gate: full build + tests, go vet, the
 # project static-analysis suite (scdclint + gofmt), a -race pass over
-# every package, and a short fuzz pass over every decoder-facing fuzz
-# target.
+# every package, a short fuzz pass over every decoder-facing fuzz
+# target, and a vet + test pass over the benchmark module.
 # `make bench` runs the repository benchmark (benchmark/run.sh, declared
-# in BENCHMARK.json); results/BENCH_pr*.json are the frozen history of
-# the per-PR snapshots that preceded it.
+# in BENCHMARK.json); benchmark/ holds its baselines.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures lint-gc race check bench fuzz-smoke cover
+.PHONY: all build test vet lint lint-fixtures lint-gc race check bench bench-build fuzz-smoke cover
 
 all: check
 
@@ -24,7 +23,7 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Project-specific invariants (DESIGN.md §10): scdclint's seven analyzers
+# Project-specific invariants (DESIGN.md §8): scdclint's seven analyzers
 # over the codec packages, plus a gofmt cleanliness check.
 lint:
 	$(GO) run ./cmd/scdclint
@@ -39,7 +38,7 @@ lint:
 lint-fixtures:
 	$(GO) run ./cmd/scdclint -fixtures
 
-# Compiler-diagnostic gate (DESIGN.md §15): every //scdc:inline,
+# Compiler-diagnostic gate (DESIGN.md §6.9): every //scdc:inline,
 # //scdc:noalloc and //scdc:nobounds directive in the hot packages is
 # checked against the compiler's real -m=2 / check_bce output. The gate
 # pins the diagnostic grammar to go1.22–go1.24; on any other toolchain
@@ -74,7 +73,13 @@ fuzz-smoke:
 cover:
 	$(GO) test -cover ./...
 
-check: build test vet lint lint-fixtures lint-gc race fuzz-smoke
+# benchmark/ is a module of its own that `go build ./...` does not reach:
+# compile and test it against this checkout, so a signature change that
+# breaks its imports fails here rather than when the benchmark next runs.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+check: build test vet lint lint-fixtures lint-gc race fuzz-smoke bench-build
 
 # One harness: end-to-end throughput, ratio and the per-layer trace for
 # the four workloads of BENCHMARK.json (see benchmark/README.md).

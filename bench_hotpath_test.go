@@ -1,7 +1,7 @@
 // Hot-path benchmarks for the intra-field parallel engine: steady-state
 // allocation counts (b.ReportAllocs) and worker scaling for compression,
-// decompression and the sharded entropy coder. results/BENCH_pr1.json is
-// a snapshot of these.
+// decompression and the sharded entropy coder. They are for measuring
+// while working; the repository benchmark (benchmark/) is the ledger.
 package scdc_test
 
 import (
@@ -146,8 +146,7 @@ func BenchmarkHotPathShardedHuffman(b *testing.B) {
 // BenchmarkEntropyCoders prices the coder family on the real Miranda
 // quantization indices: legacy single-body Huffman and Golomb-Rice
 // encode/decode throughput side by side (the sharded Huffman variants
-// live in BenchmarkHotPathShardedHuffman). results/BENCH_pr6.json is a
-// snapshot of these with the end-to-end huffman stage timing.
+// live in BenchmarkHotPathShardedHuffman).
 func BenchmarkEntropyCoders(b *testing.B) {
 	f := field(datagen.Miranda, 1)
 	var tr sz3.Trace
@@ -203,8 +202,7 @@ func BenchmarkEntropyCoders(b *testing.B) {
 // BenchmarkQPKernels isolates the QP stage on a Miranda-sized symbol
 // array (paper default Mode2D/Case III): the per-point Compensate
 // reference against the specialized region kernels, forward and inverse,
-// sequential and parallel. results/BENCH_pr5.json is a snapshot of these
-// with the end-to-end qp stage timing.
+// sequential and parallel.
 func BenchmarkQPKernels(b *testing.B) {
 	f := field(datagen.Miranda, 1)
 	var tr sz3.Trace

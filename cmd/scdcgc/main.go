@@ -4,7 +4,7 @@
 // directives through internal/analysis/gcgate. A kernel helper that
 // stops inlining, a quantize body that starts allocating, or a fast path
 // that regains a bounds check fails the build with the compiler's own
-// reasoning attached. See DESIGN.md §15.
+// reasoning attached. See DESIGN.md §6.9.
 //
 // Usage:
 //

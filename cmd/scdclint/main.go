@@ -2,7 +2,7 @@
 // analyzers that machine-check invariants the test suite can only probe
 // (stream determinism, typed error sentinels, bounded decode-path
 // allocation, nil-guarded observation, pooled-scratch hygiene, parallel
-// closure purity, hot-path construct bans). See DESIGN.md §10 and §15
+// closure purity, hot-path construct bans). See DESIGN.md §8 and §6.9
 // for the invariant catalog.
 //
 // Usage:

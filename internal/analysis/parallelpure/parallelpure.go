@@ -1,7 +1,7 @@
 // Package parallelpure defines an Analyzer that checks the purity of
 // closures handed to the internal/parallel pool helpers.
 //
-// The engines' parallelism contract (DESIGN.md §7) is that a worker
+// The engines' parallelism contract (DESIGN.md §6) is that a worker
 // closure communicates results only through disjoint per-item slots:
 // `out[i] = ...` under ForEach/Map, `slots[worker] = ...` under
 // ForEachWorker, `chunks[lo/grain] = ...` under ForEachChunked. Any other

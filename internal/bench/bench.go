@@ -137,11 +137,11 @@ func SearchPSNR(cache *FieldCache, ds datagen.Dataset, field int, dims []int, se
 			return best, err
 		}
 		diff := pt.PSNR - targetPSNR
-		if abs(diff) < bestDiff {
-			bestDiff = abs(diff)
+		if math.Abs(diff) < bestDiff {
+			bestDiff = math.Abs(diff)
 			best = pt
 		}
-		if abs(diff) <= tol {
+		if math.Abs(diff) <= tol {
 			return pt, nil
 		}
 		if diff > 0 { // too accurate: loosen the bound
@@ -161,5 +161,3 @@ func sqrtGeo(a, b float64) float64 {
 	}
 	return math.Sqrt(m)
 }
-
-func abs(x float64) float64 { return math.Abs(x) }

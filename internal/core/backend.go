@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"scdc/internal/entropy"
-	"scdc/internal/grid"
 	"scdc/internal/lossless"
 	"scdc/internal/obs"
 	"scdc/internal/quantizer"
@@ -126,12 +125,12 @@ type Work struct {
 	// Data is the working copy of the field; the sweeps overwrite it with
 	// decompressed values (Algorithm 1 line 6).
 	Data []float64
-	// Q receives the stored symbols, QP the QP-transformed ones. QP, Pred
-	// and QPSpan are nil when QP is off.
+	// Q receives the stored symbols, QP the QP-transformed ones. QP and
+	// Pred are nil when QP is off.
 	Q, QP []int32
 	Pred  *Predictor
-	// QPSpan accumulates the QP sweeps' share of the wall time.
-	QPSpan *obs.Span
+	// qpSp accumulates the QP sweeps' share of the wall time.
+	qpSp *obs.Span
 }
 
 // Acquire returns the scratch for compressing src, with a predictor and
@@ -153,7 +152,7 @@ func (b *Backend) Acquire(src []float64, useQP bool) (Work, error) {
 	data := quantizer.GetFloatBuf(len(src))
 	copy(data, src)
 	q := quantizer.GetIndexBuf(len(src))
-	return Work{Data: data, Q: q, QP: qp, Pred: pred, QPSpan: qpSp}, nil
+	return Work{Data: data, Q: q, QP: qp, Pred: pred, qpSp: qpSp}, nil
 }
 
 // Release returns the scratch to the pools.
@@ -163,7 +162,7 @@ func (w Work) Release() {
 	quantizer.PutIndexBuf(w.QP)
 }
 
-// Stream is what an engine hands Encode besides its Work.
+// Stream is what an engine hands Encode besides its Sweep.
 type Stream struct {
 	// Pre and Post are the engine's own header bytes before and after the
 	// shared QP-config/radius block.
@@ -173,8 +172,6 @@ type Stream struct {
 	// SideName ("anchors", "coarse"), when SideName is non-empty.
 	Side     []float64
 	SideName string
-	// Literals holds the unpredictable values in sweep order.
-	Literals []float64
 	// ForceQP keeps the QP-transformed indices even when the size
 	// estimate says they do not pay.
 	ForceQP bool
@@ -187,32 +184,33 @@ type Stream struct {
 // fills Trace, picks and encodes the index array (ChooseEncodingCoder,
 // under the "huffman" span), assembles
 //
-//	Pre | qp config, radius | Post | [Side] | index block | Literals
+//	Pre | qp config, radius | Post | [Side] | index block | literals
 //
-// and runs the lossless stage over it.
-func (b *Backend) Encode(w Work, s Stream) ([]byte, error) {
+// from the symbols and literals the sweeps left on sw, and runs the
+// lossless stage over it.
+func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 	// Quantization is fused into the engines' prediction sweeps, so the
 	// "quantize" span only carries its outcome counters.
 	quantSp := b.Obs.Child("quantize")
-	quantSp.Add("points", int64(len(w.Data)))
-	quantSp.Add("unpredictable", int64(len(s.Literals)))
+	quantSp.Add("points", int64(len(sw.Data)))
+	quantSp.Add("unpredictable", int64(len(sw.Lits)))
 	if s.SideName != "" {
 		quantSp.Add(s.SideName, int64(len(s.Side)))
 	}
 	quantSp.End()
-	if w.Pred != nil {
-		w.QPSpan.Add("compensated", int64(w.Pred.Compensated))
+	if sw.pred != nil {
+		sw.qpSp.Add("compensated", int64(sw.pred.Compensated))
 	}
 	if t := b.Trace; t != nil {
 		t.Lorenzo, t.Levels = s.Lorenzo, s.Levels
-		t.Q = append(t.Q[:0], w.Q...)
-		if w.Pred != nil {
-			t.QP = append(t.QP[:0], w.QP...)
-			t.Compensated = w.Pred.Compensated
+		t.Q = append(t.Q[:0], sw.Sym...)
+		if sw.pred != nil {
+			t.QP = append(t.QP[:0], sw.qp...)
+			t.Compensated = sw.pred.Compensated
 		}
 	}
 
-	q, qp := w.Q, w.QP
+	q, qp := sw.Sym, sw.qp
 	forced := s.ForceQP && qp != nil
 	if forced {
 		q, qp = qp, nil
@@ -225,7 +223,7 @@ func (b *Backend) Encode(w Work, s Stream) ([]byte, error) {
 		cfg = Config{}
 	}
 
-	buf := make([]byte, 0, len(s.Pre)+len(s.Post)+len(idx)+8*(len(s.Side)+len(s.Literals))+48)
+	buf := make([]byte, 0, len(s.Pre)+len(s.Post)+len(idx)+8*(len(s.Side)+len(sw.Lits))+48)
 	buf = append(buf, s.Pre...)
 	buf = append(buf, byte(cfg.Mode), byte(cfg.Cond))
 	buf = binary.AppendUvarint(buf, uint64(max(cfg.MaxLevel, 0)))
@@ -236,7 +234,7 @@ func (b *Backend) Encode(w Work, s Stream) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(idx)))
 	buf = append(buf, idx...)
-	buf = appendFloats(buf, s.Literals)
+	buf = appendFloats(buf, sw.Lits)
 	return CompressLossless(b.Lossless, b.LosslessSharded, buf, b.Workers, b.Obs)
 }
 
@@ -253,19 +251,20 @@ func appendFloats(buf []byte, vals []float64) []byte {
 // Reader reverses Encode for a field of n points. Every error it returns
 // wraps the calling engine's ErrCorrupt. The engine reads its own header
 // fields with Bytes/Uvarint/Bound, in stream order around DecodeQP, then
-// calls DecodeBlocks and, after its sweeps, Done.
+// calls DecodeBlocks, runs its sweeps on Sweep and calls Done.
 type Reader struct {
 	// QP and Radius are set by DecodeQP.
 	QP     Config
 	Radius int32
-	// Side, Indices, Literals and, when the stream kept QP, Pred and
-	// QPSpan are set by DecodeBlocks. The engine's inverse sweeps
-	// overwrite Indices in place with the recovered original symbols.
+	// Side, Indices and Literals are set by DecodeBlocks. The engine's
+	// inverse sweeps overwrite Indices in place with the recovered
+	// original symbols.
 	Side, Literals []float64
 	Indices        []int32
-	Pred           *Predictor
-	QPSpan         *obs.Span
 
+	// pred and qpSp are set by DecodeBlocks when the stream kept QP.
+	pred       *Predictor
+	qpSp       *obs.Span
 	buf        []byte
 	n, workers int
 	sp         *obs.Span
@@ -369,10 +368,10 @@ func (r *Reader) DecodeBlocks(side string) error {
 		return err
 	}
 	if r.QP.Enabled() {
-		if r.Pred, err = NewPredictor(r.QP, r.Radius); err != nil {
+		if r.pred, err = NewPredictor(r.QP, r.Radius); err != nil {
 			return fmt.Errorf("%w: %w", r.corrupt, err)
 		}
-		r.QPSpan = r.sp.ChildAccum("qp")
+		r.qpSp = r.sp.ChildAccum("qp")
 	}
 	return nil
 }
@@ -398,65 +397,7 @@ func (r *Reader) decodeFloats(what string) ([]float64, error) {
 // Done publishes the qp span's compensated counter once the engine's
 // inverse sweeps have run.
 func (r *Reader) Done() {
-	if r.Pred != nil {
-		r.QPSpan.Add("compensated", int64(r.Pred.Compensated))
+	if r.pred != nil {
+		r.qpSp.Add("compensated", int64(r.pred.Compensated))
 	}
-}
-
-// forEachCoarse visits the coarse lattice of dims — the points whose
-// every coordinate is a multiple of 2^levels — in row-major order.
-func forEachCoarse(dims []int, levels int, fn func(idx int)) {
-	step := 1 << levels
-	strides := grid.Strides(dims)
-	var walk func(axis, base int)
-	walk = func(axis, base int) {
-		if axis == len(dims) {
-			fn(base)
-			return
-		}
-		for c := 0; c < dims[axis]; c += step {
-			walk(axis+1, base+c*strides[axis])
-		}
-	}
-	walk(0, 0)
-}
-
-// coarseCount is the number of points forEachCoarse visits.
-func coarseCount(dims []int, levels int) int {
-	step, n := 1<<levels, 1
-	for _, d := range dims {
-		n *= (d + step - 1) / step
-	}
-	return n
-}
-
-// GatherCoarse returns the values of data on the coarse lattice, which
-// the stream stores losslessly, and stamps center — the zero-residual
-// symbol — into q (and qp when non-nil) at those points.
-func GatherCoarse(data []float64, dims []int, levels int, center int32, q, qp []int32) []float64 {
-	side := make([]float64, 0, coarseCount(dims, levels))
-	forEachCoarse(dims, levels, func(idx int) {
-		side = append(side, data[idx])
-		q[idx] = center
-		if qp != nil {
-			qp[idx] = center
-		}
-	})
-	return side
-}
-
-// ScatterCoarse reverses GatherCoarse on the decode side. side must hold
-// exactly one value per coarse lattice point, else the error wraps
-// corrupt.
-func ScatterCoarse(data []float64, dims []int, levels int, center int32, enc []int32, side []float64, corrupt error) error {
-	if want := coarseCount(dims, levels); len(side) != want {
-		return fmt.Errorf("%w: %d coarse-lattice values for %d points", corrupt, len(side), want)
-	}
-	i := 0
-	forEachCoarse(dims, levels, func(idx int) {
-		data[idx] = side[i]
-		enc[idx] = center
-		i++
-	})
-	return nil
 }

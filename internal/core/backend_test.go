@@ -18,7 +18,7 @@ func TestCoarseLatticeGatherScatter(t *testing.T) {
 	}
 	q, qp := make([]int32, n), make([]int32, n)
 
-	side := GatherCoarse(data, dims, 1, center, q, qp)
+	side := Work{Data: data, Q: q, QP: qp}.Sweep(1).GatherCoarse(dims, 1, center)
 	var want []float64
 	for x := 0; x < 5; x += 2 {
 		for y := 0; y < 4; y += 2 {
@@ -50,7 +50,9 @@ func TestCoarseLatticeGatherScatter(t *testing.T) {
 
 	corrupt := errors.New("engine: corrupt")
 	out, enc := make([]float64, n), make([]int32, n)
-	if err := ScatterCoarse(out, dims, 1, center, enc, side, corrupt); err != nil {
+	dec := NewSweep(out, enc)
+	dec.Corrupt = corrupt
+	if err := dec.ScatterCoarse(dims, 1, center, side); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range want {
@@ -59,12 +61,12 @@ func TestCoarseLatticeGatherScatter(t *testing.T) {
 		}
 	}
 	for _, bad := range [][]float64{side[:len(side)-1], append(side[:len(side):len(side)], 0), nil} {
-		if err := ScatterCoarse(out, dims, 1, center, enc, bad, corrupt); !errors.Is(err, corrupt) {
+		if err := dec.ScatterCoarse(dims, 1, center, bad); !errors.Is(err, corrupt) {
 			t.Errorf("%d values for %d lattice points: got %v, want the engine's sentinel", len(bad), len(want), err)
 		}
 	}
 	// Past the field's extent the lattice is the origin alone.
-	if got := GatherCoarse(data, dims, 6, center, q, nil); len(got) != 1 || got[0] != 0 {
+	if got := NewSweep(data, q).GatherCoarse(dims, 6, center); len(got) != 1 || got[0] != 0 {
 		t.Errorf("levels=6: gathered %v, want the origin", got)
 	}
 }

@@ -24,7 +24,7 @@ import (
 // row's first element is special only when the run axis itself carries a
 // neighbor.
 //
-// Parallelism (see DESIGN.md §11): the forward sweep reads only the
+// Parallelism (see DESIGN.md §6.1): the forward sweep reads only the
 // original symbols q and writes only its own qp slot, so rows split
 // freely across workers. The inverse sweep mutates in place with
 // neighbor dependencies, but those dependencies only connect lattice
@@ -138,12 +138,12 @@ func kernel1D(cond Cond) (
 	}
 }
 
-// WorkerSpans creates the per-worker accumulating "worker[w]" child spans
+// workerSpans creates the per-worker accumulating "worker[w]" child spans
 // the parallel region sweeps report into (the PR 3 worker-attribution
 // pattern). Returns nil — observation off — for a nil parent or a
 // sequential run; every kernel entry point accepts nil at the cost of one
 // length check per chunk.
-func WorkerSpans(sp *obs.Span, workers int) []*obs.Span {
+func workerSpans(sp *obs.Span, workers int) []*obs.Span {
 	if sp == nil || workers <= 1 {
 		return nil
 	}
@@ -254,7 +254,7 @@ func regionGrain(n, unitPts, workers int) int {
 // each point writes only its own qp slot, so any worker count produces
 // the byte-identical output of the sequential reference sweep
 // (ForwardRegionRef); Compensated totals are summed per chunk and added
-// once. wsp, from WorkerSpans, attributes parallel chunk time to
+// once. wsp, from workerSpans, attributes parallel chunk time to
 // "worker[w]" spans; nil disables observation.
 //
 //scdc:hot
@@ -301,7 +301,7 @@ func (p *Predictor) ForwardRegion(q, qp []int32, rg Region, workers int, wsp []*
 	grain := regionGrain(rows, rowLen, workers)
 	comps := make([]int, parallel.Chunks(rows, grain))
 	parallel.ForEachWorker(len(comps), workers, func(w, c int) {
-		var sp *obs.Span // accumulator from WorkerSpans; nil when observation is off
+		var sp *obs.Span // accumulator from workerSpans; nil when observation is off
 		if w < len(wsp) {
 			sp = wsp[w]
 		}
@@ -378,7 +378,7 @@ func (p *Predictor) InverseRegion(enc []int32, rg Region, workers int, wsp []*ob
 			grain := regionGrain(units, rg.Points()/units, workers)
 			comps := make([]int, parallel.Chunks(units, grain))
 			parallel.ForEachWorker(len(comps), workers, func(w, c int) {
-				var sp *obs.Span // accumulator from WorkerSpans; nil when observation is off
+				var sp *obs.Span // accumulator from workerSpans; nil when observation is off
 				if w < len(wsp) {
 					sp = wsp[w]
 				}

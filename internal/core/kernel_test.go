@@ -195,9 +195,9 @@ func TestKernelWorkerSpans(t *testing.T) {
 
 	rec := obs.New()
 	sp := rec.Span("qp")
-	wsp := WorkerSpans(sp, 4)
+	wsp := workerSpans(sp, 4)
 	if len(wsp) != 4 {
-		t.Fatalf("WorkerSpans: got %d spans, want 4", len(wsp))
+		t.Fatalf("workerSpans: got %d spans, want 4", len(wsp))
 	}
 	pred := &Predictor{Cfg: cfg, Radius: radius}
 	qp := make([]int32, len(q))
@@ -217,11 +217,11 @@ func TestKernelWorkerSpans(t *testing.T) {
 	}
 	sp.End()
 
-	if ws := WorkerSpans(nil, 4); ws != nil {
-		t.Fatalf("WorkerSpans(nil) = %v, want nil", ws)
+	if ws := workerSpans(nil, 4); ws != nil {
+		t.Fatalf("workerSpans(nil) = %v, want nil", ws)
 	}
-	if ws := WorkerSpans(sp, 1); ws != nil {
-		t.Fatalf("WorkerSpans(workers=1) = %v, want nil", ws)
+	if ws := workerSpans(sp, 1); ws != nil {
+		t.Fatalf("workerSpans(workers=1) = %v, want nil", ws)
 	}
 }
 

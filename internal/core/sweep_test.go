@@ -1,0 +1,158 @@
+package core
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"scdc/internal/obs"
+)
+
+// TestSweepQPOffIsNoop: a sweep without QP state — bare, from a Work
+// acquired with QP off, from a Reader whose stream kept none — leaves the
+// symbols alone in both directions and opens no span, while the same
+// calls on a QP-on sweep are the region kernels.
+func TestSweepQPOffIsNoop(t *testing.T) {
+	const radius = int32(8)
+	rg := kernelRegionCases()[0]
+	q := make([]int32, rg.arr)
+	fillSymbols(rand.New(rand.NewSource(3)), q, radius)
+	data := make([]float64, rg.arr)
+
+	rec := obs.New()
+	root := rec.Span("compress")
+	b := Backend{Radius: radius, Obs: root}
+	w, err := b.Acquire(data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Release()
+	copy(w.Q, q)
+	for name, sw := range map[string]*Sweep{
+		"bare":   NewSweep(data, slices.Clone(q)),
+		"work":   w.Sweep(4),
+		"reader": (&Reader{Indices: slices.Clone(q), workers: 4, sp: root}).Sweep(data),
+	} {
+		sw.ForwardQP(rg.rg)
+		sw.InverseQP(rg.rg)
+		sw.Stamp(0, q[0])
+		if !slices.Equal(sw.Sym, q) {
+			t.Errorf("%s: QP-off sweep changed the symbols", name)
+		}
+	}
+	root.End()
+	if rep := rec.Report(); rep.Find("qp") != nil {
+		t.Error("QP-off sweeps opened a qp span")
+	}
+
+	// QP on: the sweep's calls are the predictor's region kernels, timed
+	// on the work's qp span with a child per worker.
+	rec = obs.New()
+	root = rec.Span("compress")
+	b = Backend{Radius: radius, QP: Default(), Obs: root}
+	if w, err = b.Acquire(data, true); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Release()
+	copy(w.Q, q)
+	sw := w.Sweep(4)
+	sw.ForwardQP(rg.rg)
+	want := make([]int32, rg.arr)
+	(&Predictor{Cfg: Default(), Radius: radius}).ForwardRegion(q, want, rg.rg, 1, nil)
+	rg.rg.forEachPoint(func(idx int, _ Neighborhood) {
+		if w.QP[idx] != want[idx] {
+			t.Fatalf("ForwardQP: qp[%d] = %d, kernel wrote %d", idx, w.QP[idx], want[idx])
+		}
+	})
+	dec := Work{Q: slices.Clone(want), Pred: w.Pred}.Sweep(1)
+	dec.InverseQP(rg.rg)
+	rg.rg.forEachPoint(func(idx int, _ Neighborhood) {
+		if dec.Sym[idx] != q[idx] {
+			t.Fatalf("InverseQP: symbol %d recovered as %d, want %d", idx, dec.Sym[idx], q[idx])
+		}
+	})
+	root.End()
+	qpRep := rec.Report().Find("qp")
+	if qpRep == nil || len(qpRep.Children) != 4 || qpRep.Children[3].Name != "worker[3]" {
+		t.Errorf("qp span of a 4-worker sweep: %+v, want four worker children", qpRep)
+	}
+}
+
+// TestSweepLiteralAccounting: Literal hands the stream out in order and
+// reports its end; running out and leaving literals over are each one
+// error, and each wraps the sentinel the sweep was handed.
+func TestSweepLiteralAccounting(t *testing.T) {
+	sentinel := errors.New("engine: corrupt")
+	r := &Reader{Literals: []float64{1.5, -2, 3}, corrupt: sentinel, workers: 1}
+	sw := r.Sweep(nil)
+	if err := sw.Drained(); !errors.Is(err, sentinel) || err.Error() != "engine: corrupt: 3 unused literals" {
+		t.Errorf("untouched stream: Drained() = %v", err)
+	}
+	for i, want := range r.Literals {
+		if v, ok := sw.Literal(); !ok || v != want {
+			t.Fatalf("literal %d: got %v, %v; want %v", i, v, ok, want)
+		}
+	}
+	if err := sw.Drained(); err != nil {
+		t.Errorf("consumed stream: Drained() = %v", err)
+	}
+	if v, ok := sw.Literal(); ok || sw.Lit != 3 {
+		t.Errorf("past the end: Literal() = %v, %v with cursor %d", v, ok, sw.Lit)
+	}
+	if err := sw.Exhausted(); !errors.Is(err, sentinel) || err.Error() != "engine: corrupt: literal stream exhausted" {
+		t.Errorf("Exhausted() = %v", err)
+	}
+	// A cursor advanced by counting (MGARD's per-level offsets, SZ3's
+	// chunked passes) past the stream is a shortfall, not a surplus.
+	sw.Lit = 5
+	if err := sw.Drained(); !errors.Is(err, sentinel) || err.Error() != sw.Exhausted().Error() {
+		t.Errorf("cursor past the stream: Drained() = %v", err)
+	}
+
+	bad := NewSweep(make([]float64, 4), make([]int32, 4))
+	bad.Corrupt = sentinel
+	if err := bad.ScatterCoarse([]int{4}, 1, 0, []float64{1}); !errors.Is(err, sentinel) {
+		t.Errorf("short side block: %v, want the sentinel", err)
+	}
+}
+
+// TestSweepAllocs: once built, a sweep allocates nothing per inverse QP
+// call or per literal, observed or not, and nothing per forward QP call
+// beyond ForwardRegion's own row closure — the timing, the worker spans
+// and the cursor are all set up at construction.
+func TestSweepAllocs(t *testing.T) {
+	const radius = int32(8)
+	rg := kernelRegionCases()[2].rg
+	data := make([]float64, kernelRegionCases()[2].arr)
+	for _, sp := range []*obs.Span{nil, obs.New().Span("compress")} {
+		b := Backend{Radius: radius, QP: Default(), Obs: sp}
+		w, err := b.Acquire(data, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillSymbols(rand.New(rand.NewSource(7)), w.Q, radius)
+		sw := w.Sweep(1)
+		sw.Lits = make([]float64, 64)
+		kernel := testing.AllocsPerRun(20, func() { w.Pred.ForwardRegion(w.Q, w.QP, rg, 1, nil) })
+		if a := testing.AllocsPerRun(20, func() { sw.ForwardQP(rg) }); a != kernel {
+			t.Errorf("observed=%v: %v allocations per ForwardQP call, ForwardRegion alone makes %v", sp != nil, a, kernel)
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			sw.InverseQP(rg)
+			sw.Stamp(0, radius)
+			for sw.Lit = 0; ; {
+				if _, ok := sw.Literal(); !ok {
+					break
+				}
+			}
+		}); a != 0 {
+			t.Errorf("observed=%v: %v allocations per InverseQP call and 64 literals", sp != nil, a)
+		}
+		w.Release()
+	}
+	bare := NewSweep(data, make([]int32, len(data)))
+	if a := testing.AllocsPerRun(20, func() { bare.ForwardQP(rg); bare.InverseQP(rg) }); a != 0 {
+		t.Errorf("QP off: %v allocations per call", a)
+	}
+}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	mbits "math/bits"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -129,7 +129,7 @@ func Range(q []int32) (lo, hi int32, dense bool) {
 // Analyze histograms q in one pass and returns its distribution. The
 // Shannon accumulation visits symbols in ascending order so the float
 // result never depends on map iteration order (the estimate feeds codec
-// decisions; see DESIGN.md §10 streamdeterminism).
+// decisions; see DESIGN.md §8 streamdeterminism).
 func Analyze(q []int32) *Dist {
 	d := &Dist{N: len(q)}
 	if len(q) == 0 {
@@ -164,7 +164,7 @@ func Analyze(q []int32) *Dist {
 	for s := range m {
 		syms = append(syms, s)
 	}
-	sortInt32(syms)
+	slices.Sort(syms)
 	d.Syms = make([]SymCount, 0, len(m))
 	n := float64(len(q))
 	for _, s := range syms {
@@ -337,8 +337,4 @@ func (d *Dist) EstimateBytes(c Coder) int {
 	default:
 		return d.HuffmanBytes()
 	}
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

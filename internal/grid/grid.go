@@ -102,6 +102,21 @@ func Strides(dims []int) []int {
 	return s
 }
 
+// LineBase returns the flat index of the start of the line-th line
+// running along axis (lines enumerated over the remaining axes in
+// row-major order). strides is Strides(dims).
+func LineBase(dims, strides []int, axis, line int) int {
+	base := 0
+	for a := len(dims) - 1; a >= 0; a-- {
+		if a == axis {
+			continue
+		}
+		base += (line % dims[a]) * strides[a]
+		line /= dims[a]
+	}
+	return base
+}
+
 // Dims returns the dimension extents. The returned slice must not be
 // modified.
 func (f *Field) Dims() []int { return f.dims }

@@ -1,77 +1,50 @@
 package hpez
 
 import (
-	"fmt"
-
 	"scdc/internal/core"
 	"scdc/internal/grid"
 	"scdc/internal/lattice"
-	"scdc/internal/obs"
 )
 
-// compressCore runs the HPEZ pipeline with a resolved plan; data is
-// overwritten with decompressed values. Each level is one row-kernel
-// sweep over its classes (kernel.go) followed by the kernelized QP sweep
-// over the same class regions — every QP neighbor of a class point lies
-// in the same class, earlier in sweep order, and the forward sweep reads
-// only original symbols, so the output is byte-identical to the
-// point-fused order. qpSp, when non-nil, accumulates the QP share of the
-// interp wall time.
-func compressCore(data []float64, dims []int, pl plan, q, qp []int32,
-	pred *core.Predictor, workers int, qpSp *obs.Span) (anchors, literals []float64) {
-
+// compressCore runs the HPEZ pipeline with a resolved plan on sw and
+// returns the anchors. Each level is one row-kernel sweep over its
+// classes (kernel.go) followed by the QP sweep over the same class
+// regions — every QP neighbor of a class point lies in the same class,
+// earlier in sweep order, and the forward sweep reads only original
+// symbols, so the output is byte-identical to the point-fused order.
+func compressCore(cs *core.Sweep, dims []int, pl plan) (anchors []float64) {
 	strides := grid.Strides(dims)
-	qpWsp := core.WorkerSpans(qpSp, workers)
-
-	anchors = core.GatherCoarse(data, dims, pl.levels, pl.radius, q, qp)
-
-	sw := newSweep(data, q, nil, true, &pl, len(dims))
+	anchors = cs.GatherCoarse(dims, pl.levels, pl.radius)
+	sw := newSweep(cs, true, &pl, len(dims))
 	for level := pl.levels; level >= 1; level-- {
 		classes := lattice.Classes(dims, strides, level)
 		sw.sweepLevel(classes, level)
-		if qp != nil {
-			t0 := qpSp.Begin()
-			for i := range classes {
-				pred.ForwardRegion(q, qp, classes[i].Region, workers, qpWsp)
-			}
-			qpSp.AddSince(t0)
+		for i := range classes {
+			cs.ForwardQP(classes[i].Region)
 		}
 	}
-	return anchors, sw.lits
+	return anchors
 }
 
 // decompressCore reverses compressCore: each level first recovers its
-// original symbols with the kernelized inverse QP sweep per class (the
-// inverse reads only same-class symbols, all already recovered by the
-// sweep's own order), then reconstructs values with the inverse row
-// kernels, the literal stream consumed exactly as the compressor appended
-// it.
-func decompressCore(data []float64, dims []int, pl plan, enc []int32, anchors, literals []float64,
-	pred *core.Predictor, workers int, qpSp *obs.Span) error {
-
+// original symbols with the inverse QP sweep per class (the inverse reads
+// only same-class symbols, all already recovered by the sweep's own
+// order), then reconstructs values with the inverse row kernels, the
+// literal stream consumed exactly as the compressor appended it.
+func decompressCore(cs *core.Sweep, dims []int, pl plan, anchors []float64) error {
 	strides := grid.Strides(dims)
-
-	if err := core.ScatterCoarse(data, dims, pl.levels, pl.radius, enc, anchors, ErrCorrupt); err != nil {
+	if err := cs.ScatterCoarse(dims, pl.levels, pl.radius, anchors); err != nil {
 		return err
 	}
-
-	sw := newSweep(data, enc, literals, false, &pl, len(dims))
-	qpWsp := core.WorkerSpans(qpSp, workers)
+	sw := newSweep(cs, false, &pl, len(dims))
 	for level := pl.levels; level >= 1; level-- {
 		classes := lattice.Classes(dims, strides, level)
-		if pred != nil {
-			t0 := qpSp.Begin()
-			for i := range classes {
-				pred.InverseRegion(enc, classes[i].Region, workers, qpWsp)
-			}
-			qpSp.AddSince(t0)
+		for i := range classes {
+			cs.InverseQP(classes[i].Region)
 		}
 		if !sw.sweepLevel(classes, level) {
-			return fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
+			return cs.Exhausted()
 		}
 	}
-	if sw.lit != len(literals) {
-		return fmt.Errorf("%w: %d unused literals", ErrCorrupt, len(literals)-sw.lit)
-	}
-	return nil
+	return cs.Drained()
 }

@@ -129,7 +129,8 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	// back-end's accumulating "qp" span carries the kernelized per-class
 	// QP sweeps' share of it (with per-worker children when parallel).
 	interpSp := opts.Obs.Child("interp")
-	anchors, literals := compressCore(w.Data, f.Dims(), pl, w.Q, w.QP, w.Pred, opts.Workers, w.QPSpan)
+	sw := w.Sweep(opts.Workers)
+	anchors := compressCore(sw, f.Dims(), pl)
 	interpSp.Add("points", int64(len(w.Data)))
 	interpSp.End()
 
@@ -144,11 +145,10 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	for _, bw := range pl.blockWeights {
 		post = append(post, bw[:]...)
 	}
-	return opts.Encode(w, core.Stream{
+	return opts.Encode(sw, core.Stream{
 		Post:     post,
 		Side:     anchors,
 		SideName: "anchors",
-		Literals: literals,
 		Levels:   pl.levels,
 	})
 }
@@ -219,7 +219,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 		return nil, err
 	}
 	interpSp := sp.Child("interp")
-	err = decompressCore(out.Data, dims, pl, r.Indices, r.Side, r.Literals, r.Pred, workers, r.QPSpan)
+	err = decompressCore(r.Sweep(out.Data), dims, pl, r.Side)
 	interpSp.Add("points", int64(n))
 	interpSp.End()
 	if err != nil {

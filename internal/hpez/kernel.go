@@ -7,7 +7,7 @@ import (
 	"scdc/internal/quantizer"
 )
 
-// This file holds the HPEZ row kernels (DESIGN.md §13). A level is swept
+// This file holds the HPEZ row kernels (DESIGN.md §6.5). A level is swept
 // class by class over the axis-3 rows of lattice.Classes, and everything
 // the per-point reference (predict in the tests, over lattice.WalkClasses)
 // re-derives at each point is resolved once at the scope where it is
@@ -37,15 +37,15 @@ type tap struct {
 	st interp.Stencil // boundary case, constant over the segment
 }
 
-// sweep is the state of one direction's level sweeps. It lives on
-// compressCore's or decompressCore's stack and is only ever reached
-// through direct method calls, so a sweep allocates nothing per row or
-// run (TestLevelSweepAllocs).
+// sweep is the state of one direction's level sweeps over a core.Sweep's
+// field, symbols and literals. It lives on compressCore's or
+// decompressCore's stack and is only ever reached through direct method
+// calls, so a sweep allocates nothing per row or run
+// (TestLevelSweepAllocs).
 type sweep struct {
-	data []float64
-	sym  []int32   // q, written forward; recovered symbols, read inverse
-	lits []float64 // literal stream: appended forward, consumed inverse
-	lit  int       // inverse: next literal
+	cs   *core.Sweep // owns the literal stream
+	data []float64   // cs.Data and cs.Sym, one load from sw in the hot loops
+	sym  []int32
 	fwd  bool
 	pl   *plan
 	pad  int    // leading padding axes of the class regions: 4 - nd
@@ -70,8 +70,8 @@ type sweep struct {
 }
 
 // newSweep resolves the level-independent state.
-func newSweep(data []float64, sym []int32, lits []float64, fwd bool, pl *plan, nd int) sweep {
-	sw := sweep{data: data, sym: sym, lits: lits, fwd: fwd, pl: pl, pad: 4 - nd}
+func newSweep(cs *core.Sweep, fwd bool, pl *plan, nd int) sweep {
+	sw := sweep{cs: cs, data: cs.Data, sym: cs.Sym, fwd: fwd, pl: pl, pad: 4 - nd}
 	// blockIndex is row-major over the block grid: the row axis has
 	// multiplier 1, each outer axis the product of the grids inside it.
 	mul := pl.blockGrid[nd-1]
@@ -225,7 +225,7 @@ func (sw *sweep) fwdRun(o, step, cnt int) {
 		sym, dec, ok := sw.quant.Quantize(d, sw.predict(o))
 		sw.sym[o] = sym
 		if !ok {
-			sw.lits = append(sw.lits, d)
+			sw.cs.Lits = append(sw.cs.Lits, d)
 		}
 		sw.data[o] = dec
 		o += step
@@ -240,12 +240,10 @@ func (sw *sweep) invRun(o, step, cnt int) bool {
 	for ; cnt > 0; cnt-- {
 		if sym := sw.sym[o]; sym != quantizer.Unpredictable {
 			sw.data[o] = sw.quant.Recover(sw.predict(o), sym)
+		} else if v, ok := sw.cs.Literal(); ok {
+			sw.data[o] = v
 		} else {
-			if sw.lit >= len(sw.lits) {
-				return false
-			}
-			sw.data[o] = sw.lits[sw.lit]
-			sw.lit++
+			return false
 		}
 		o += step
 	}

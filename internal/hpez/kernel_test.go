@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scdc/internal/core"
@@ -83,12 +84,24 @@ func (pl *plan) blockIndex(coord [4]int, nd int) int {
 	return idx
 }
 
+// encSweep and decSweep build the sweeps the drivers run on from the bare
+// arrays the differential tests compare.
+func encSweep(data []float64, q, qp []int32, pred *core.Predictor, workers int) *core.Sweep {
+	return core.Work{Data: data, Q: q, QP: qp, Pred: pred}.Sweep(workers)
+}
+
+func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int) *core.Sweep {
+	sw := core.Work{Data: data, Q: enc, Pred: pred}.Sweep(workers)
+	sw.Lits, sw.Corrupt = lits, ErrCorrupt
+	return sw
+}
+
 // compressCoreRef is compressCore over the reference walker.
 func compressCoreRef(data []float64, dims []int, pl plan, q, qp []int32,
 	pred *core.Predictor) (anchors, literals []float64) {
 
 	strides := grid.Strides(dims)
-	anchors = core.GatherCoarse(data, dims, pl.levels, pl.radius, q, qp)
+	anchors = encSweep(data, q, qp, nil, 1).GatherCoarse(dims, pl.levels, pl.radius)
 	for level := pl.levels; level >= 1; level-- {
 		quant := quantizer.Linear{EB: pl.ebs[level-1], Radius: pl.radius}
 		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
@@ -115,7 +128,7 @@ func decompressCoreRef(data []float64, dims []int, pl plan, enc []int32,
 	anchors, literals []float64, pred *core.Predictor) (lit int, ok bool) {
 
 	strides := grid.Strides(dims)
-	if err := core.ScatterCoarse(data, dims, pl.levels, pl.radius, enc, anchors, ErrCorrupt); err != nil {
+	if err := decSweep(data, enc, nil, nil, 1).ScatterCoarse(dims, pl.levels, pl.radius, anchors); err != nil {
 		return 0, false
 	}
 	ok = true
@@ -281,7 +294,9 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 
 	predK, qpK := newPred()
 	dataK, qK := append([]float64(nil), f.Data...), make([]int32, n)
-	anchK, litsK := compressCore(dataK, dims, pl, qK, qpK, predK, workers, nil)
+	swK := encSweep(dataK, qK, qpK, predK, workers)
+	anchK := compressCore(swK, dims, pl)
+	litsK := swK.Lits
 
 	predR, qpR := newPred()
 	dataR, qR := append([]float64(nil), f.Data...), make([]int32, n)
@@ -311,13 +326,22 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 		t.Fatalf("literal-heavy field produced only %d literals of %d points", len(litsK), n)
 	}
 
+	// The bare sweep of the level-bound trials is this sweep with QP off.
+	if qpK == nil {
+		bare := core.NewSweep(append([]float64(nil), f.Data...), make([]int32, n))
+		anchB := compressCore(bare, dims, pl)
+		if !slices.Equal(bare.Sym, qK) || bitsEqual(bare.Lits, litsK) >= 0 || bitsEqual(anchB, anchK) >= 0 {
+			t.Fatalf("bare trial sweep diverges from the Work sweep (%d vs %d literals)", len(bare.Lits), len(litsK))
+		}
+	}
+
 	stored := qK
 	if qpK != nil {
 		stored = qpK
 	}
 	predK, _ = newPred()
 	encK, decK := append([]int32(nil), stored...), make([]float64, n)
-	if err := decompressCore(decK, dims, pl, encK, anchK, litsK, predK, workers, nil); err != nil {
+	if err := decompressCore(decSweep(decK, encK, litsK, predK, workers), dims, pl, anchK); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
 	predR, _ = newPred()
@@ -340,8 +364,8 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 	// A short literal stream must surface as ErrCorrupt, never a panic.
 	if len(litsK) > 0 {
 		predK, _ = newPred()
-		err := decompressCore(make([]float64, n), dims, pl, append([]int32(nil), stored...),
-			anchK, litsK[:len(litsK)-1], predK, workers, nil)
+		err := decompressCore(decSweep(make([]float64, n), append([]int32(nil), stored...), litsK[:len(litsK)-1], predK, workers),
+			dims, pl, anchK)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncated literals: got %v, want ErrCorrupt", err)
 		}
@@ -398,16 +422,17 @@ func TestLevelSweepAllocs(t *testing.T) {
 			classes := lattice.Classes(dims, grid.Strides(dims), level)
 			q := make([]int32, f.Len())
 			data := make([]float64, f.Len())
+			cs := core.NewSweep(data, q)
 			counts[i][0] = testing.AllocsPerRun(3, func() {
 				copy(data, f.Data)
-				sw := newSweep(data, q, nil, true, &pl, 3)
+				sw := newSweep(cs, true, &pl, 3)
 				sw.sweepLevel(classes, level)
-				if len(sw.lits) != 0 {
-					t.Fatalf("smooth field produced %d literals", len(sw.lits))
+				if len(cs.Lits) != 0 {
+					t.Fatalf("smooth field produced %d literals", len(cs.Lits))
 				}
 			})
 			counts[i][1] = testing.AllocsPerRun(3, func() {
-				sw := newSweep(data, q, nil, false, &pl, 3)
+				sw := newSweep(cs, false, &pl, 3)
 				if !sw.sweepLevel(classes, level) {
 					t.Fatal("inverse sweep ran out of literals")
 				}

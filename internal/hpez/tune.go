@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"scdc/internal/core"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
 	"scdc/internal/sz3"
@@ -42,14 +43,13 @@ func buildPlan(f *grid.Field, opts Options) plan {
 	// The crop has its own block grid, so its trials run with the default
 	// block tables.
 	sz3.TuneLevelBounds(f, pl.ebs, opts.ErrorBound,
-		func(data []float64, dims []int, ebs []float64, q []int32) []float64 {
+		func(sw *core.Sweep, dims []int, ebs []float64) {
 			trial := pl
 			trial.levels = len(ebs)
 			trial.ebs = ebs
 			trial.blockGrid = blockGridDims(dims)
 			trial.blockCubic, trial.blockWeights = defaultBlockTables(trial.blockGrid)
-			_, literals := compressCore(data, dims, trial, q, nil, nil, 1, nil)
-			return literals
+			compressCore(sw, dims, trial)
 		})
 	return pl
 }
@@ -96,7 +96,7 @@ func tuneAxes(f *grid.Field, level int, eb float64) (uint8, [4]uint8) {
 		nlines := f.Len() / dims[d]
 		lstep := (nlines/32 + 1) | 1
 		for line := 0; line < nlines && len(samples) < 4096; line += lstep {
-			base := lineBase(dims, strides, d, line)
+			base := grid.LineBase(dims, strides, d, line)
 			for t := s; t < dims[d] && len(samples) < 4096; t += 2 * s {
 				p := interp.LineSlice(f.Data, base, strides[d], dims[d], t, s, interp.Cubic)
 				samples = append(samples, math.Abs(f.Data[base+t*strides[d]]-p))
@@ -147,33 +147,12 @@ func trimmedMean(samples []float64, trim float64) float64 {
 		keep = 1
 	}
 	// Partial selection: simple sort is fine at <=4096 samples.
-	sortFloats(samples)
+	sort.Float64s(samples)
 	sum := 0.0
 	for _, v := range samples[:keep] {
 		sum += v
 	}
 	return sum / float64(keep)
-}
-
-func sortFloats(s []float64) {
-	// Insertion sort beats sort.Float64s allocation profile at these
-	// sizes only for tiny slices; use the stdlib for clarity.
-	sort.Float64s(s)
-}
-
-// lineBase returns the flat index of the start of the line-th line running
-// along axis d (lines enumerated over the remaining axes in row-major
-// order).
-func lineBase(dims, strides []int, d, line int) int {
-	base := 0
-	for a := len(dims) - 1; a >= 0; a-- {
-		if a == d {
-			continue
-		}
-		base += (line % dims[a]) * strides[a]
-		line /= dims[a]
-	}
-	return base
 }
 
 // bestAxis returns the axis with the largest tuned weight — the one whose

@@ -117,7 +117,7 @@ func buildTree(syms []entropy.SymCount) []node {
 		b := h.pop()
 		h.arena = append(h.arena, node{
 			count: h.arena[a].count + h.arena[b].count,
-			sym:   minI32(h.arena[a].sym, h.arena[b].sym),
+			sym:   min(h.arena[a].sym, h.arena[b].sym),
 			left:  a, right: b,
 		})
 		h.push(len(h.arena) - 1)
@@ -161,13 +161,6 @@ func codeLengths(d *entropy.Dist) []symLen {
 		start[lf.count]++
 	}
 	return out
-}
-
-func minI32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- encoding ---

@@ -37,7 +37,7 @@ func buildTreeBoxed(syms []entropy.SymCount) []node {
 		b := heap.Pop(h).(int)
 		h.arena = append(h.arena, node{
 			count: h.arena[a].count + h.arena[b].count,
-			sym:   minI32(h.arena[a].sym, h.arena[b].sym),
+			sym:   min(h.arena[a].sym, h.arena[b].sym),
 			left:  a, right: b,
 		})
 		heap.Push(h, len(h.arena)-1)

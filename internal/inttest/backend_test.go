@@ -7,15 +7,20 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"scdc/internal/core"
 	"scdc/internal/datagen"
 	"scdc/internal/grid"
 	"scdc/internal/hpez"
+	"scdc/internal/interp"
 	"scdc/internal/lossless"
 	"scdc/internal/mgard"
 	"scdc/internal/qoz"
+	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
 
@@ -300,5 +305,113 @@ func TestHostilePlaintext(t *testing.T) {
 				t.Errorf("%s: re-wrapped valid plaintext: %v", name, err)
 			}
 		}
+	}
+}
+
+// TestLiteralBlockAccounting: every engine's decode sweeps must consume
+// the literal block exactly. For each engine, QP on and off, a field with
+// unpredictable points is compressed, the literal block at the end of the
+// plaintext is rewritten one value short and one value long, and both
+// must fail with the engine's ErrCorrupt carrying the one message
+// core.Sweep has for each case.
+func TestLiteralBlockAccounting(t *testing.T) {
+	f := datagen.MustGenerate(datagen.Miranda, 0, []int{20, 24, 28}, 3)
+	dims := f.Dims()
+	eb := f.Range() * 1e-3
+	for i := 5; i < f.Len(); i += 997 {
+		f.Data[i] += eb * 1e9 // far outside the quantizer's range at any level bound
+	}
+	for _, eng := range backendEngines {
+		for _, qp := range []bool{false, true} {
+			name := fmt.Sprintf("%s/qp=%v", eng.name, qp)
+			payload, err := eng.compress(f, eb, qp)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			plain, err := lossless.Decompress(payload)
+			if err != nil {
+				t.Fatalf("%s: peel: %v", name, err)
+			}
+			w := &plainWalker{buf: plain}
+			eng.header(w, dims)
+			if eng.side {
+				n, _ := w.uvarint()
+				w.skip(8 * int(n))
+			}
+			n, _ := w.uvarint()
+			w.skip(int(n))
+			nlit, at := w.uvarint()
+			lits := plain[w.off:]
+			if nlit == 0 || len(lits) != 8*int(nlit) {
+				t.Fatalf("%s: literal block of %d values in %d bytes; the field should force some", name, nlit, len(lits))
+			}
+			for _, tc := range []struct {
+				what  string
+				count uint64
+				block []byte
+				want  string
+			}{
+				{"truncated", nlit - 1, lits[:len(lits)-8], "literal stream exhausted"},
+				{"padded", nlit + 1, append(lits[:len(lits):len(lits)], make([]byte, 8)...), "unused literals"},
+			} {
+				text := binary.AppendUvarint(append([]byte(nil), plain[:at]...), tc.count)
+				wrapped, err := lossless.Compress(lossless.Flate, append(text, tc.block...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = eng.decompress(wrapped, dims)
+				if !errors.Is(err, eng.corrupt) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: %s literal block: got %v, want %v: … %s", name, tc.what, err, eng.corrupt, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestBareSweepMatchesWorkSweep: the bare sweep the level-bound tuners run
+// their trials on is the compression sweep with QP off — same symbols,
+// literals, anchors and decompressed field as a sweep over a Work acquired
+// from the back-end, on the schedule SZ3 and QoZ share, with and without
+// an anchor lattice. (HPEZ's trial goes through its own compressCore and
+// is pinned next to it, in TestLatticeKernelsMatchWalker.)
+func TestBareSweepMatchesWorkSweep(t *testing.T) {
+	f := datagen.MustGenerate(datagen.Miranda, 0, []int{20, 24, 28}, 3)
+	dims := f.Dims()
+	quant := quantizer.Linear{EB: f.Range() * 1e-3, Radius: 64} // a narrow radius forces literals
+	spec := sz3.LevelSpec{Order: sz3.DefaultDirOrder(len(dims)), Kind: interp.Cubic, Quant: quant}
+	for _, anchored := range []bool{false, true} {
+		levels := sz3.Levels(dims)
+		if anchored {
+			levels = 3
+		}
+		run := func(sw *core.Sweep) (anchors []float64) {
+			if anchored {
+				anchors = sw.GatherCoarse(dims, levels, quant.Radius)
+			}
+			sz3.CompressSchedule(sw, dims, levels, func(int) sz3.LevelSpec { return spec }, nil)
+			return anchors
+		}
+		b := core.DefaultBackend()
+		w, err := b.Acquire(f.Data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := w.Sweep(1)
+		bare := core.NewSweep(slices.Clone(f.Data), make([]int32, f.Len()))
+		fullAnchors, bareAnchors := run(full), run(bare)
+		// Without anchors the origin belongs to a stage outside the
+		// schedule and neither sweep writes its symbol.
+		from := 1
+		if anchored {
+			from = 0
+		}
+		if !slices.Equal(bare.Sym[from:], full.Sym[from:]) || !slices.Equal(bare.Lits, full.Lits) ||
+			!slices.Equal(bare.Data, full.Data) || !slices.Equal(bareAnchors, fullAnchors) {
+			t.Errorf("anchored=%v: bare sweep diverges from the Work sweep (%d vs %d literals)", anchored, len(bare.Lits), len(full.Lits))
+		}
+		if len(full.Lits) == 0 {
+			t.Errorf("anchored=%v: no literals; the radius should force some", anchored)
+		}
+		w.Release()
 	}
 }

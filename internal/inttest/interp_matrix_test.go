@@ -49,7 +49,7 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 					return sz3.Compress(field, opts)
 				},
 				decompress: func(payload []byte, workers int) (*grid.Field, error) {
-					return sz3.DecompressWorkers(payload, field.Dims(), workers)
+					return sz3.DecompressObs(payload, field.Dims(), workers, nil)
 				},
 			})
 		}
@@ -68,7 +68,7 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 					return qoz.Compress(field, opts)
 				},
 				decompress: func(payload []byte, workers int) (*grid.Field, error) {
-					return qoz.DecompressWorkers(payload, field.Dims(), workers)
+					return qoz.DecompressObs(payload, field.Dims(), workers, nil)
 				},
 			})
 		}

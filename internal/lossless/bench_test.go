@@ -27,9 +27,8 @@ func benchPayload(n int) []byte {
 	return out
 }
 
-// BenchmarkLosslessCodecs is the per-codec ledger benchmark behind the
-// lossless_bench rows in results/BENCH_pr10.json: one compress and one
-// decompress series per back-end, sharded variants at 4 workers.
+// BenchmarkLosslessCodecs prices the codecs side by side: one compress and
+// one decompress series per back-end, sharded variants at 4 workers.
 func BenchmarkLosslessCodecs(b *testing.B) {
 	src := benchPayload(1 << 20)
 	const workers = 4

@@ -9,7 +9,7 @@ import "math"
 // running it. The Auto codec resolves to the cheapest estimate, per
 // shard in the sharded container. The probe iterates in buffer order
 // only (no maps), so the estimate — and therefore the codec choice the
-// stream records — is deterministic (DESIGN.md §10 streamdeterminism).
+// stream records — is deterministic (DESIGN.md §8 streamdeterminism).
 
 const (
 	// estWindow is one sampled window; up to three (head, middle, tail)

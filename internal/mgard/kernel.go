@@ -6,7 +6,7 @@ import (
 	"scdc/internal/quantizer"
 )
 
-// This file holds the MGARD row kernels (DESIGN.md §13). A level's detail
+// This file holds the MGARD row kernels (DESIGN.md §6.5). A level's detail
 // coefficients are swept class by class over the axis-3 rows of
 // lattice.Classes. The multilinear prediction of a class point is the
 // mean of its coarse-lattice corners — both sides at ±S along every odd
@@ -19,15 +19,14 @@ import (
 // the reference's (TestLatticeKernelsMatchWalker,
 // FuzzLatticeKernelDifferential).
 
-// sweep is the state of one direction's level sweeps. It lives on
-// compressCore's or decompressCore's stack and is only reached through
-// direct method calls, so a sweep allocates nothing per row
-// (TestLevelSweepAllocs).
+// sweep is the state of one direction's level sweeps over a core.Sweep's
+// field, symbols and literals. It lives on compressCore's or
+// decompressCore's stack and is only reached through direct method calls,
+// so a sweep allocates nothing per row (TestLevelSweepAllocs).
 type sweep struct {
-	data  []float64
-	sym   []int32   // q, written forward; recovered symbols, read inverse
-	lits  []float64 // literal stream: appended forward, consumed inverse
-	lit   int       // inverse: next literal
+	cs    *core.Sweep // owns the literal stream
+	data  []float64   // cs.Data and cs.Sym, one load from sw in the hot loops
+	sym   []int32
 	fwd   bool
 	quant quantizer.Linear
 
@@ -119,17 +118,17 @@ func (sw *sweep) run(o, step, n int) bool {
 			sym, dec, ok := sw.quant.Quantize(d, p)
 			sw.sym[o] = sym
 			if !ok {
-				sw.lits = append(sw.lits, d)
+				sw.cs.Lits = append(sw.cs.Lits, d)
 			}
 			sw.data[o] = dec
 		case sw.sym[o] != quantizer.Unpredictable:
 			sw.data[o] = sw.quant.Recover(p, sw.sym[o])
 		default:
-			if sw.lit >= len(sw.lits) {
+			v, ok := sw.cs.Literal()
+			if !ok {
 				return false
 			}
-			sw.data[o] = sw.lits[sw.lit]
-			sw.lit++
+			sw.data[o] = v
 		}
 		o += step
 	}

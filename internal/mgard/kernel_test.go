@@ -53,6 +53,18 @@ func cornerAvg(data []float64, dims, strides []int, pt *lattice.Point) float64 {
 	return sum / float64(cnt)
 }
 
+// encSweep and decSweep build the sweeps the drivers run on from the bare
+// arrays the differential tests compare.
+func encSweep(data []float64, q, qp []int32, pred *core.Predictor, workers int) *core.Sweep {
+	return core.Work{Data: data, Q: q, QP: qp, Pred: pred}.Sweep(workers)
+}
+
+func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int) *core.Sweep {
+	sw := core.Work{Data: data, Q: enc, Pred: pred}.Sweep(workers)
+	sw.Lits, sw.Corrupt = lits, ErrCorrupt
+	return sw
+}
+
 // compressCoreRef is compressCore over the reference walker.
 func compressCoreRef(data []float64, dims []int, opts Options, levels int,
 	q, qp []int32, pred *core.Predictor) (coarse, literals []float64) {
@@ -76,7 +88,7 @@ func compressCoreRef(data []float64, dims []int, opts Options, levels int,
 		}
 		applyCorrection(data, dims, strides, level, quant, q, +1)
 	}
-	return core.GatherCoarse(data, dims, levels, quant.CenterSym(), q, qp), literals
+	return encSweep(data, q, qp, nil, 1).GatherCoarse(dims, levels, quant.CenterSym()), literals
 }
 
 // decompressCoreRef is decompressCore over the reference walker. ok is
@@ -86,7 +98,7 @@ func decompressCoreRef(data []float64, dims []int, eb float64, levels int, radiu
 
 	strides := grid.Strides(dims)
 	quant := quantizer.Linear{EB: levelBound(eb, levels), Radius: radius}
-	if err := core.ScatterCoarse(data, dims, levels, quant.CenterSym(), enc, coarse, ErrCorrupt); err != nil {
+	if err := decSweep(data, enc, nil, nil, 1).ScatterCoarse(dims, levels, quant.CenterSym(), coarse); err != nil {
 		return false
 	}
 	// Symbols are recovered, and literals counted, fine-to-coarse — the
@@ -211,7 +223,10 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 
 	predK, qpK := newPred()
 	dataK, qK := append([]float64(nil), orig...), make([]int32, n)
-	coarseK, litsK := compressCore(dataK, dims, opts, levels, qK, qpK, predK, workers, nil)
+	quant := quantizer.Linear{EB: levelBound(opts.ErrorBound, levels), Radius: opts.Radius}
+	swK := encSweep(dataK, qK, qpK, predK, workers)
+	coarseK := compressCore(swK, dims, quant, levels)
+	litsK := swK.Lits
 
 	predR, qpR := newPred()
 	dataR, qR := append([]float64(nil), orig...), make([]int32, n)
@@ -247,7 +262,7 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 	}
 	predK, _ = newPred()
 	encK, decK := append([]int32(nil), stored...), make([]float64, n)
-	if err := decompressCore(decK, dims, opts.ErrorBound, levels, opts.Radius, encK, coarseK, litsK, predK, workers, nil); err != nil {
+	if err := decompressCore(decSweep(decK, encK, litsK, predK, workers), dims, quant, levels, coarseK); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
 	predR, _ = newPred()
@@ -267,8 +282,8 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 	// A short literal stream must surface as ErrCorrupt, never a panic.
 	if len(litsK) > 0 {
 		predK, _ = newPred()
-		err := decompressCore(make([]float64, n), dims, opts.ErrorBound, levels, opts.Radius,
-			append([]int32(nil), stored...), coarseK, litsK[:len(litsK)-1], predK, workers, nil)
+		err := decompressCore(decSweep(make([]float64, n), append([]int32(nil), stored...), litsK[:len(litsK)-1], predK, workers),
+			dims, quant, levels, coarseK)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncated literals: got %v, want ErrCorrupt", err)
 		}
@@ -319,16 +334,17 @@ func TestLevelSweepAllocs(t *testing.T) {
 		classes := lattice.Classes(dims, grid.Strides(dims), 1)
 		q := make([]int32, f.Len())
 		data := make([]float64, f.Len())
+		cs := core.NewSweep(data, q)
 		counts[i][0] = testing.AllocsPerRun(3, func() {
 			copy(data, f.Data)
-			sw := sweep{data: data, sym: q, fwd: true, quant: quant}
+			sw := sweep{cs: cs, data: data, sym: q, fwd: true, quant: quant}
 			sw.sweepLevel(classes)
-			if len(sw.lits) != 0 {
-				t.Fatalf("smooth field produced %d literals", len(sw.lits))
+			if len(cs.Lits) != 0 {
+				t.Fatalf("smooth field produced %d literals", len(cs.Lits))
 			}
 		})
 		counts[i][1] = testing.AllocsPerRun(3, func() {
-			sw := sweep{data: data, sym: q, quant: quant}
+			sw := sweep{cs: cs, data: data, sym: q, quant: quant}
 			if !sw.sweepLevel(classes) {
 				t.Fatal("inverse sweep ran out of literals")
 			}

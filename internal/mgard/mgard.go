@@ -30,6 +30,7 @@ import (
 	"scdc/internal/core"
 	"scdc/internal/grid"
 	"scdc/internal/obs"
+	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
 
@@ -103,17 +104,18 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	// back-end's accumulating "qp" span carries the kernelized per-class
 	// QP sweeps' share of it (with per-worker children when parallel).
 	interpSp := opts.Obs.Child("interp")
-	coarse, literals := compressCore(w.Data, f.Dims(), opts, levels, w.Q, w.QP, w.Pred, opts.Workers, w.QPSpan)
+	sw := w.Sweep(opts.Workers)
+	quant := quantizer.Linear{EB: levelBound(opts.ErrorBound, levels), Radius: opts.Radius}
+	coarse := compressCore(sw, f.Dims(), quant, levels)
 	interpSp.Add("points", int64(len(w.Data)))
 	interpSp.End()
 
 	post := binary.AppendUvarint(make([]byte, 0, 16), uint64(levels))
 	post = binary.LittleEndian.AppendUint64(post, math.Float64bits(opts.ErrorBound))
-	return opts.Encode(w, core.Stream{
+	return opts.Encode(sw, core.Stream{
 		Post:     post,
 		Side:     coarse,
 		SideName: "coarse",
-		Literals: literals,
 		Levels:   levels,
 	})
 }
@@ -156,8 +158,9 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
+	quant := quantizer.Linear{EB: levelBound(eb, int(levels)), Radius: r.Radius}
 	interpSp := sp.Child("interp")
-	err = decompressCore(out.Data, dims, eb, int(levels), r.Radius, r.Indices, r.Side, r.Literals, r.Pred, workers, r.QPSpan)
+	err = decompressCore(r.Sweep(out.Data), dims, quant, int(levels), r.Side)
 	interpSp.Add("points", int64(n))
 	interpSp.End()
 	if err != nil {

@@ -263,7 +263,7 @@ func (r *Registry) Len() int {
 }
 
 // Meta is the stream-level summary published alongside a span tree: the
-// non-timing half of scdc-stats/1 (DESIGN.md §9).
+// non-timing half of scdc-stats/1 (DESIGN.md §7).
 type Meta struct {
 	// Op is "compress", "compress_chunked", "decompress" or
 	// "decompress_chunked".
@@ -283,7 +283,7 @@ type Meta struct {
 // Metric names published by Registry.Publish. The label sets are fixed:
 // per-(algorithm, op) for operation-level series, plus a stage label for
 // the per-stage histograms and a coder label for the entropy decisions
-// (DESIGN.md §14 documents the exposition contract).
+// (DESIGN.md §7 documents the exposition contract).
 const (
 	// MetricOps counts published operations.
 	MetricOps = "scdc_ops_total"

@@ -8,11 +8,11 @@ import (
 )
 
 // Report is the serializable snapshot of one span subtree. Field names
-// form the stable "scdc-stats/1" wire schema documented in DESIGN.md §9:
+// form the stable "scdc-stats/1" wire schema documented in DESIGN.md §7:
 // name, ns, counters, gauges, children. New keys may be added to counters
 // and gauges; the structural keys never change meaning.
 type Report struct {
-	// Name is the span name (stage taxonomy in DESIGN.md §9).
+	// Name is the span name (stage taxonomy in DESIGN.md §7).
 	Name string `json:"name"`
 	// NS is the span duration in nanoseconds (monotonic).
 	NS int64 `json:"ns"`

@@ -17,22 +17,19 @@ func (pl *plan) specFor(level int) sz3.LevelSpec {
 	}
 }
 
-// compressCore runs the interpolation pipeline with a resolved plan on up
-// to workers goroutines (the output is identical for any worker count).
-// data is overwritten with decompressed values. Returns the anchor values
-// — the coarse lattice at stride 2^levels, stored losslessly — and the
-// literal stream.
-func compressCore(data []float64, dims []int, pl plan, q, qp []int32, pred *core.Predictor, workers int, sp, qpSp *obs.Span) (anchors, literals []float64) {
-	anchors = core.GatherCoarse(data, dims, pl.levels, pl.radius, q, qp)
-	literals = sz3.CompressSchedule(data, dims, pl.levels, workers, pl.specFor, q, qp, pred, nil, sp, qpSp)
-	return anchors, literals
+// compressCore runs the interpolation pipeline with a resolved plan on
+// sw. It returns the anchor values — the coarse lattice at stride
+// 2^levels, stored losslessly.
+func compressCore(sw *core.Sweep, dims []int, pl plan, sp *obs.Span) (anchors []float64) {
+	anchors = sw.GatherCoarse(dims, pl.levels, pl.radius)
+	sz3.CompressSchedule(sw, dims, pl.levels, pl.specFor, sp)
+	return anchors
 }
 
-// decompressCore reverses compressCore. enc is overwritten in place with
-// the recovered original symbols.
-func decompressCore(data []float64, dims []int, pl plan, enc []int32, anchors, literals []float64, pred *core.Predictor, workers int, sp, qpSp *obs.Span) error {
-	if err := core.ScatterCoarse(data, dims, pl.levels, pl.radius, enc, anchors, ErrCorrupt); err != nil {
+// decompressCore reverses compressCore.
+func decompressCore(sw *core.Sweep, dims []int, pl plan, anchors []float64, sp *obs.Span) error {
+	if err := sw.ScatterCoarse(dims, pl.levels, pl.radius, anchors); err != nil {
 		return err
 	}
-	return sz3.DecompressSchedule(data, dims, pl.levels, workers, pl.specFor, enc, literals, 0, pred, ErrCorrupt, sp, qpSp)
+	return sz3.DecompressSchedule(sw, dims, pl.levels, pl.specFor, sp)
 }

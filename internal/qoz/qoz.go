@@ -89,12 +89,12 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	}
 	defer w.Release()
 
-	anchors, literals := compressCore(w.Data, f.Dims(), pl, w.Q, w.QP, w.Pred, opts.Workers, opts.Obs, w.QPSpan)
-	return opts.Encode(w, core.Stream{
+	sw := w.Sweep(opts.Workers)
+	anchors := compressCore(sw, f.Dims(), pl, opts.Obs)
+	return opts.Encode(sw, core.Stream{
 		Post:     encodePlan(pl),
 		Side:     anchors,
 		SideName: "anchors",
-		Literals: literals,
 		Levels:   pl.levels,
 	})
 }
@@ -152,18 +152,14 @@ func decodePlan(r *core.Reader, nd int) (plan, error) {
 
 // Decompress reconstructs a field with the given dims from a QoZ payload.
 func Decompress(payload []byte, dims []int) (*grid.Field, error) {
-	return DecompressWorkers(payload, dims, 1)
+	return DecompressObs(payload, dims, 1, nil)
 }
 
-// DecompressWorkers is Decompress with up to workers goroutines applied to
-// entropy decoding (for sharded streams) and interpolation passes. The
-// reconstruction is byte-identical for any worker count.
-func DecompressWorkers(payload []byte, dims []int, workers int) (*grid.Field, error) {
-	return DecompressObs(payload, dims, workers, nil)
-}
-
-// DecompressObs is DecompressWorkers with per-stage telemetry recorded on
-// sp (which may be nil). The reconstruction is identical either way.
+// DecompressObs is Decompress with up to workers goroutines applied to
+// entropy decoding (for sharded streams), the QP sweeps and the
+// interpolation passes, and per-stage telemetry recorded on sp (which may
+// be nil). The reconstruction is byte-identical for any worker count,
+// observed or not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
 	n, err := grid.CheckDims(dims)
 	if err != nil {
@@ -187,7 +183,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
-	if err := decompressCore(out.Data, dims, pl, r.Indices, r.Side, r.Literals, r.Pred, workers, sp, r.QPSpan); err != nil {
+	if err := decompressCore(r.Sweep(out.Data), dims, pl, r.Side, sp); err != nil {
 		return nil, err
 	}
 	r.Done()

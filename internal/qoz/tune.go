@@ -3,6 +3,7 @@ package qoz
 import (
 	"math"
 
+	"scdc/internal/core"
 	"scdc/internal/entropy"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
@@ -66,12 +67,11 @@ func buildPlan(f *grid.Field, opts Options) plan {
 	// Stage 2: level-wise error bound scaling by trial compression of a
 	// sampled block.
 	alpha, beta := sz3.TuneLevelBounds(f, pl.ebs, opts.ErrorBound,
-		func(data []float64, dims []int, ebs []float64, q []int32) []float64 {
+		func(sw *core.Sweep, dims []int, ebs []float64) {
 			trial := pl
 			trial.levels = len(ebs)
 			trial.ebs = ebs
-			_, literals := compressCore(data, dims, trial, q, nil, nil, 1, nil, nil)
-			return literals
+			compressCore(sw, dims, trial, nil)
 		})
 	sp.Set("alpha", alpha)
 	sp.Set("beta", beta)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"scdc/internal/core"
 	"scdc/internal/datagen"
 	"scdc/internal/entropy"
 	"scdc/internal/grid"
@@ -123,8 +124,9 @@ func buildPlanRef(f *grid.Field, opts Options) plan {
 		}
 		data := append([]float64(nil), crop.Data...)
 		q := make([]int32, len(data))
-		_, literals := compressCore(data, crop.Dims(), trial, q, nil, nil, 1, nil, nil)
-		if n := len(huffman.Encode(q)) + 8*len(literals); n < bestBytes {
+		sw := core.NewSweep(data, q)
+		compressCore(sw, crop.Dims(), trial, nil)
+		if n := len(huffman.Encode(q)) + 8*len(sw.Lits); n < bestBytes {
 			best, bestBytes = cand, n
 		}
 	}

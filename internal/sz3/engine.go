@@ -24,10 +24,9 @@ import (
 // The QP index transform has intra-pass coupling (the Left/Top neighbors
 // of a point belong to other lines of the same pass), so it runs as a
 // separate sweep over the index array after each pass (compression) or
-// before it (decompression). The sweep itself is the kernelized region
-// engine of internal/core (DESIGN.md §11): each pass maps onto a
-// core.Region via (*pass).qpRegion, the forward direction splits across
-// workers freely (it reads only original symbols), and the inverse
+// before it (decompression): core.Sweep's ForwardQP/InverseQP on the
+// pass's core.Region, (*pass).qpRegion. The forward direction splits
+// across workers freely (it reads only original symbols), and the inverse
 // direction plane-parallelizes for modes without a Back dependency —
 // all bit-identical to the sequential per-point Compensate order.
 
@@ -45,79 +44,53 @@ type LevelSpec struct {
 }
 
 // CompressSchedule runs interpolation + quantization over the full
-// multilevel schedule, splitting each pass's lines across up to workers
-// goroutines (workers <= 1 is the sequential path; both produce identical
-// q, qp, data and literal streams). Stored symbols go to q; when qp is
-// non-nil the QP-transformed symbols go to qp via pred. New unpredictable
-// values are appended to literals, which is returned.
+// multilevel schedule on sw, splitting each pass's lines across up to
+// sw.Workers() goroutines (one worker is the sequential path; both
+// produce identical symbols, data and literal streams), with the QP
+// transform after every pass.
 //
 // sp, when non-nil, gains an accumulating "interp" stage span (summed
 // over passes), with per-pass and per-chunk child spans under it for
-// passes large enough to run parallel — the worker-skew view; qpSp, the
-// back-end's accumulating "qp" span, takes the QP sweeps' share. Nil
-// spans cost one pointer check per pass.
-func CompressSchedule(data []float64, dims []int, levels, workers int,
-	specFor func(level int) LevelSpec,
-	q, qp []int32, pred *core.Predictor, literals []float64, sp, qpSp *obs.Span) []float64 {
-
+// passes large enough to run parallel — the worker-skew view. A nil span
+// costs one pointer check per pass.
+func CompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(level int) LevelSpec, sp *obs.Span) {
 	interpSp := sp.ChildAccum("interp")
-	qpWsp := core.WorkerSpans(qpSp, workers)
 	strides := grid.Strides(dims)
 	for level := levels; level >= 1; level-- {
 		lsp := specFor(level)
 		forEachPass(dims, strides, level, lsp.Order, func(pa *pass) {
 			t0 := interpSp.Begin()
-			literals = compressPass(data, q, pa, lsp.Kind, lsp.Quant, workers, literals, interpSp)
+			compressPass(sw, pa, lsp.Kind, lsp.Quant, interpSp)
 			interpSp.AddSince(t0)
-			if qp != nil {
-				t1 := qpSp.Begin()
-				pred.ForwardRegion(q, qp, pa.qpRegion(), workers, qpWsp)
-				qpSp.AddSince(t1)
-			}
+			sw.ForwardQP(pa.qpRegion())
 		})
 	}
-	return literals
 }
 
-// DecompressSchedule reverses CompressSchedule. enc holds the stored
-// (possibly QP-transformed) symbols and is overwritten in place with the
-// recovered original symbols. lit0 is the number of literals already
-// consumed (the origin/anchor stage precedes the schedule). corrupt is the
-// caller's sentinel error for malformed streams.
-// sp and qpSp mirror CompressSchedule's "interp" and "qp" stage spans on
-// the decode side.
-func DecompressSchedule(data []float64, dims []int, levels, workers int,
-	specFor func(level int) LevelSpec,
-	enc []int32, literals []float64, lit0 int, pred *core.Predictor, corrupt error, sp, qpSp *obs.Span) error {
-
+// DecompressSchedule reverses CompressSchedule: before each pass the
+// inverse QP sweep recovers the pass's original symbols in place. The
+// literals an origin or anchor stage consumed before the schedule are
+// behind sw.Lit already. sp mirrors CompressSchedule's "interp" span.
+func DecompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(level int) LevelSpec, sp *obs.Span) error {
 	interpSp := sp.ChildAccum("interp")
-	qpWsp := core.WorkerSpans(qpSp, workers)
 	strides := grid.Strides(dims)
-	lit := lit0
 	var decErr error
-	for level := levels; level >= 1; level-- {
+	for level := levels; level >= 1 && decErr == nil; level-- {
 		lsp := specFor(level)
 		forEachPass(dims, strides, level, lsp.Order, func(pa *pass) {
 			if decErr != nil {
 				return
 			}
-			if pred != nil {
-				t0 := qpSp.Begin()
-				pred.InverseRegion(enc, pa.qpRegion(), workers, qpWsp)
-				qpSp.AddSince(t0)
-			}
-			t1 := interpSp.Begin()
-			lit, decErr = decompressPass(data, enc, pa, lsp.Kind, lsp.Quant, workers, literals, lit, corrupt, interpSp)
-			interpSp.AddSince(t1)
+			sw.InverseQP(pa.qpRegion())
+			t0 := interpSp.Begin()
+			decErr = decompressPass(sw, pa, lsp.Kind, lsp.Quant, interpSp)
+			interpSp.AddSince(t0)
 		})
-		if decErr != nil {
-			return decErr
-		}
 	}
-	if lit != len(literals) {
-		return fmt.Errorf("%w: %d unused literals", corrupt, len(literals)-lit)
+	if decErr != nil {
+		return decErr
 	}
-	return nil
+	return sw.Drained()
 }
 
 // passGrain picks the number of lines per work chunk so each handoff
@@ -161,14 +134,13 @@ func chunkSpan(passSp *obs.Span, chunk int) *obs.Span {
 // (interp_kernel.go), in parallel when it is large enough. Literals are
 // gathered per chunk and concatenated in line order, so the stream
 // matches the sequential visit order exactly.
-func compressPass(data []float64, q []int32, pa *pass,
-	kind interp.Kind, quant quantizer.Linear, workers int, literals []float64,
-	obsParent *obs.Span) []float64 {
-
+func compressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear, obsParent *obs.Span) {
 	lk := makeLineKern(pa, quant)
 	rg := pa.qpRegion()
+	data, q, workers := sw.Data, sw.Sym, sw.Workers()
 	if workers <= 1 || pa.numLines < 2 || pa.numLines*pa.pointsPerLine < minParallelPoints {
-		return fwdLines(data, q, rg, &lk, kind, 0, pa.numLines, literals)
+		sw.Lits = fwdLines(data, q, rg, &lk, kind, 0, pa.numLines, sw.Lits)
+		return
 	}
 	passSp := passSpan(obsParent, pa, kind)
 	grain := passGrain(pa, workers)
@@ -180,29 +152,25 @@ func compressPass(data []float64, q []int32, pa *pass,
 		csp.End()
 	})
 	for _, b := range lits {
-		literals = append(literals, b...)
+		sw.Lits = append(sw.Lits, b...)
 	}
 	passSp.End()
-	return literals
 }
 
 // decompressPass reconstructs one pass through the fused inverse kernels.
 // The parallel path first counts unpredictable symbols per chunk (symbols
 // are fully recovered by now), so every chunk knows its literal cursor up
 // front and lines decode independently.
-func decompressPass(data []float64, enc []int32, pa *pass,
-	kind interp.Kind, quant quantizer.Linear, workers int,
-	literals []float64, lit int, corrupt error, obsParent *obs.Span) (int, error) {
-
+func decompressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear, obsParent *obs.Span) error {
 	lk := makeLineKern(pa, quant)
 	rg := pa.qpRegion()
+	data, enc, workers := sw.Data, sw.Sym, sw.Workers()
 	if workers <= 1 || pa.numLines < 2 || pa.numLines*pa.pointsPerLine < minParallelPoints {
 		var ok bool
-		lit, ok = invLines(data, enc, rg, &lk, kind, 0, pa.numLines, literals, lit)
-		if !ok {
-			return lit, fmt.Errorf("%w: literal stream exhausted", corrupt)
+		if sw.Lit, ok = invLines(data, enc, rg, &lk, kind, 0, pa.numLines, sw.Lits, sw.Lit); !ok {
+			return sw.Exhausted()
 		}
-		return lit, nil
+		return nil
 	}
 
 	passSp := passSpan(obsParent, pa, kind)
@@ -223,19 +191,20 @@ func decompressPass(data []float64, enc []int32, pa *pass,
 		counts[lo/grain] = c
 	})
 	offs := make([]int, len(counts))
-	cur := lit
+	cur := sw.Lit
 	for c, cnt := range counts {
 		offs[c] = cur
 		cur += cnt
 	}
-	if cur > len(literals) {
-		return lit, fmt.Errorf("%w: literal stream exhausted", corrupt)
+	if cur > len(sw.Lits) {
+		return sw.Exhausted()
 	}
 	parallel.ForEachChunked(pa.numLines, workers, grain, func(lo, hi int) {
 		csp := chunkSpan(passSp, lo/grain)
-		invLines(data, enc, rg, &lk, kind, lo, hi, literals, offs[lo/grain])
+		invLines(data, enc, rg, &lk, kind, lo, hi, sw.Lits, offs[lo/grain])
 		csp.Add("lines", int64(hi-lo))
 		csp.End()
 	})
-	return cur, nil
+	sw.Lit = cur
+	return nil
 }

@@ -72,7 +72,7 @@ func TestParallelDecompressBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dims=%v qp=%v shards=%d: %v", dims, qp, shards, err)
 				}
-				par, err := DecompressWorkers(payload, dims, 4)
+				par, err := DecompressObs(payload, dims, 4, nil)
 				if err != nil {
 					t.Fatalf("dims=%v qp=%v shards=%d workers=4: %v", dims, qp, shards, err)
 				}

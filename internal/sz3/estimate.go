@@ -128,6 +128,7 @@ func sampledInterpCost(f *grid.Field, eb float64, kind interp.Kind) float64 {
 	}
 
 	order := DefaultDirOrder(nd)
+	strides := grid.Strides(dims)
 	// Pass weights: the k-th pass of a level predicts 2^k of the 2^nd - 1
 	// new points per cell.
 	passW := make([]float64, nd)
@@ -147,12 +148,12 @@ func sampledInterpCost(f *grid.Field, eb float64, kind interp.Kind) float64 {
 			if s >= n {
 				continue
 			}
-			strd := f.Stride(axis)
+			strd := strides[axis]
 			nlines := f.Len() / n
 			lineStep := (nlines/32 + 1) | 1
 			sum, cnt := 0.0, 0
 			for line := 0; line < nlines && cnt < 2048; line += lineStep {
-				base := axisLineBase(dims, axis, line)
+				base := grid.LineBase(dims, strides, axis, line)
 				at := func(pos int) float64 { return d[base+pos*strd] }
 				for t := s; t < n && cnt < 2048; t += 2 * s {
 					p := interp.Line(at, n, t, s, kind)
@@ -178,27 +179,4 @@ func sampledInterpCost(f *grid.Field, eb float64, kind interp.Kind) float64 {
 		return math.Inf(1)
 	}
 	return total / weight
-}
-
-// axisLineBase returns the flat index of the start of the line-th line
-// running along the given axis (lines enumerated over the remaining axes
-// in row-major order).
-func axisLineBase(dims []int, axis, line int) int {
-	strides := grid.Strides(dims)
-	base := 0
-	for a := len(dims) - 1; a >= 0; a-- {
-		if a == axis {
-			continue
-		}
-		base += (line % dims[a]) * strides[a]
-		line /= dims[a]
-	}
-	return base
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

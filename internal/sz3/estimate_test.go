@@ -57,18 +57,19 @@ func TestChooseLorenzoSmallFields(t *testing.T) {
 
 func TestAxisLineBase(t *testing.T) {
 	dims := []int{3, 4, 5}
+	strides := grid.Strides(dims)
 	// Lines along axis 2: line ordinal enumerates (x, y) row-major.
-	if got := axisLineBase(dims, 2, 0); got != 0 {
+	if got := grid.LineBase(dims, strides, 2, 0); got != 0 {
 		t.Fatalf("base(0) = %d", got)
 	}
-	if got := axisLineBase(dims, 2, 1); got != 5 { // (0,1,*)
+	if got := grid.LineBase(dims, strides, 2, 1); got != 5 { // (0,1,*)
 		t.Fatalf("base(1) = %d", got)
 	}
-	if got := axisLineBase(dims, 2, 4); got != 20 { // (1,0,*)
+	if got := grid.LineBase(dims, strides, 2, 4); got != 20 { // (1,0,*)
 		t.Fatalf("base(4) = %d", got)
 	}
 	// Lines along axis 0: ordinal enumerates (y, z).
-	if got := axisLineBase(dims, 0, 7); got != 7 { // y=1,z=2 -> 1*5+2
+	if got := grid.LineBase(dims, strides, 0, 7); got != 7 { // y=1,z=2 -> 1*5+2
 		t.Fatalf("axis0 base(7) = %d", got)
 	}
 }

@@ -104,8 +104,10 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 
 		dataK := append([]float64(nil), orig...)
 		qK := make([]int32, n)
-		litsK := seedOrigin(dataK, qK, qpK)
-		litsK = CompressSchedule(dataK, dims, levels, workers, specFor, qK, qpK, predK, litsK, nil, nil)
+		swK := encSweep(dataK, qK, qpK, predK, workers)
+		swK.Lits = seedOrigin(dataK, qK, qpK)
+		CompressSchedule(swK, dims, levels, specFor, nil)
+		litsK := swK.Lits
 
 		dataR := append([]float64(nil), orig...)
 		qR := make([]int32, n)
@@ -153,15 +155,15 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 
 		encK := append([]int32(nil), stored...)
 		decK := make([]float64, n)
-		lit0 := seedDecodeOrigin(decK, encK)
-		if err := DecompressSchedule(decK, dims, levels, workers, specFor, encK, litsK, lit0, predK, ErrCorrupt, nil, nil); err != nil {
+		swD := decSweep(decK, encK, litsK, predK, workers, ErrCorrupt)
+		swD.Lit = seedDecodeOrigin(decK, encK)
+		if err := DecompressSchedule(swD, dims, levels, specFor, nil); err != nil {
 			t.Fatalf("kernel decompress: %v", err)
 		}
 
 		encR := append([]int32(nil), stored...)
 		decR := make([]float64, n)
-		lit0 = seedDecodeOrigin(decR, encR)
-		litEnd, ok := decompressScheduleRef(decR, dims, levels, specFor, encR, litsK, lit0, predR)
+		litEnd, ok := decompressScheduleRef(decR, dims, levels, specFor, encR, litsK, seedDecodeOrigin(decR, encR), predR)
 		if !ok || litEnd != len(litsK) {
 			t.Fatalf("ref decompress: ok=%v consumed %d of %d literals", ok, litEnd, len(litsK))
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"scdc/internal/core"
 	"scdc/internal/datagen"
 	"scdc/internal/interp"
 	"scdc/internal/quantizer"
@@ -13,8 +14,6 @@ import (
 // benchmark field: the retained reference walker (closure dispatch +
 // unfused quantizer calls) against the fused line kernels, forward and
 // inverse, linear and cubic, sequential and chunk-parallel.
-// results/BENCH_pr7.json is a snapshot of these rows plus the end-to-end
-// interp stage timing.
 func BenchmarkInterpKernels(b *testing.B) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{64, 96, 96}, 9)
 	dims := f.Dims()
@@ -54,8 +53,9 @@ func BenchmarkInterpKernels(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					copy(work, f.Data)
-					lits := seedOrigin(work, q)
-					CompressSchedule(work, dims, levels, w, specFor, q, nil, nil, lits, nil, nil)
+					sw := core.Work{Data: work, Q: q}.Sweep(w)
+					sw.Lits = seedOrigin(work, q)
+					CompressSchedule(sw, dims, levels, specFor, nil)
 				}
 			})
 		}
@@ -64,8 +64,10 @@ func BenchmarkInterpKernels(b *testing.B) {
 		// just produced.
 		copy(work, f.Data)
 		stored := make([]int32, n)
-		lits := seedOrigin(work, stored)
-		lits = CompressSchedule(work, dims, levels, 1, specFor, stored, nil, nil, lits, nil, nil)
+		sw := core.NewSweep(work, stored)
+		sw.Lits = seedOrigin(work, stored)
+		CompressSchedule(sw, dims, levels, specFor, nil)
+		lits := sw.Lits
 		lit0 := 0
 		if stored[0] == quantizer.Unpredictable {
 			lit0 = 1
@@ -98,7 +100,9 @@ func BenchmarkInterpKernels(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(enc, stored)
 					seedDecode()
-					if err := DecompressSchedule(dec, dims, levels, w, specFor, enc, lits, lit0, nil, ErrCorrupt, nil, nil); err != nil {
+					sw := core.Work{Data: dec, Q: enc}.Sweep(w)
+					sw.Lits, sw.Lit, sw.Corrupt = lits, lit0, ErrCorrupt
+					if err := DecompressSchedule(sw, dims, levels, specFor, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

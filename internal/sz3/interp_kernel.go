@@ -8,7 +8,7 @@ import (
 	"scdc/internal/quantizer"
 )
 
-// This file is the kernelized interpolation engine (DESIGN.md §13). The
+// This file is the kernelized interpolation engine (DESIGN.md §6.4). The
 // reference path (compressPassRef/decompressPassRef, the test-only oracle
 // in walker_oracle_test.go) pays, per point, a Point struct build, a
 // closure-based interp.Line dispatch re-deriving the boundary case from

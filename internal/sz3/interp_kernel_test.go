@@ -103,6 +103,18 @@ var diffDims = [][]int{
 	{2, 2, 2, 2}, {5, 1, 3, 7}, {3, 4, 5, 6},
 }
 
+// encSweep and decSweep build the sweeps the drivers run on from the bare
+// arrays the differential tests compare.
+func encSweep(data []float64, q, qp []int32, pred *core.Predictor, workers int) *core.Sweep {
+	return core.Work{Data: data, Q: q, QP: qp, Pred: pred}.Sweep(workers)
+}
+
+func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int, corrupt error) *core.Sweep {
+	sw := core.Work{Data: data, Q: enc, Pred: pred}.Sweep(workers)
+	sw.Lits, sw.Corrupt = lits, corrupt
+	return sw
+}
+
 // runKernelDiff drives one (dims, kind, qp, workers) cell through both
 // the kernelized schedule and the reference walker schedule and reports
 // any divergence in symbols, QP output, literals or reconstructed
@@ -148,8 +160,10 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 
 	dataK := append([]float64(nil), orig...)
 	qK := make([]int32, n)
-	litsK := seedOrigin(dataK, qK, qpK)
-	litsK = CompressSchedule(dataK, dims, levels, workers, specFor, qK, qpK, predK, litsK, nil, nil)
+	swK := encSweep(dataK, qK, qpK, predK, workers)
+	swK.Lits = seedOrigin(dataK, qK, qpK)
+	CompressSchedule(swK, dims, levels, specFor, nil)
+	litsK := swK.Lits
 
 	dataR := append([]float64(nil), orig...)
 	qR := make([]int32, n)
@@ -199,15 +213,15 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 
 	encK := append([]int32(nil), stored...)
 	decK := make([]float64, n)
-	lit0 := seedDecodeOrigin(decK, encK)
-	if err := DecompressSchedule(decK, dims, levels, workers, specFor, encK, litsK, lit0, predK, fmt.Errorf("corrupt"), nil, nil); err != nil {
+	swD := decSweep(decK, encK, litsK, predK, workers, fmt.Errorf("corrupt"))
+	swD.Lit = seedDecodeOrigin(decK, encK)
+	if err := DecompressSchedule(swD, dims, levels, specFor, nil); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
 
 	encR := append([]int32(nil), stored...)
 	decR := make([]float64, n)
-	lit0 = seedDecodeOrigin(decR, encR)
-	litEnd, ok := decompressScheduleRef(decR, dims, levels, specFor, encR, litsK, lit0, predR)
+	litEnd, ok := decompressScheduleRef(decR, dims, levels, specFor, encR, litsK, seedDecodeOrigin(decR, encR), predR)
 	if !ok || litEnd != len(litsK) {
 		t.Fatalf("walker decompress: ok=%v consumed %d of %d literals", ok, litEnd, len(litsK))
 	}

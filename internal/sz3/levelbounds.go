@@ -3,6 +3,7 @@ package sz3
 import (
 	"math"
 
+	"scdc/internal/core"
 	"scdc/internal/grid"
 	"scdc/internal/huffman"
 )
@@ -28,12 +29,11 @@ func levelBounds(ebs []float64, eb, alpha, beta float64) {
 // (alpha, beta) candidate, keeps the pair with the smallest encoded index
 // stream — the trial measures the net effect of the scaling directly —
 // and fills ebs, one entry per level of the caller's plan, with the
-// winner's bounds. trial runs the caller's pipeline over data (the crop,
-// of the given dims, overwritten) under the per-level bounds it is handed
-// (the crop may support fewer levels than the plan), writes the symbols
-// to q and returns the literals.
+// winner's bounds. trial runs the caller's pipeline on a bare sweep over
+// the crop, of the given dims, under the per-level bounds it is handed
+// (the crop may support fewer levels than the plan).
 func TuneLevelBounds(f *grid.Field, ebs []float64, eb float64,
-	trial func(data []float64, dims []int, ebs []float64, q []int32) (literals []float64)) (alpha, beta float64) {
+	trial func(sw *core.Sweep, dims []int, ebs []float64)) (alpha, beta float64) {
 
 	crop := CenterCrop(f, 32)
 	dims := crop.Dims()
@@ -46,8 +46,9 @@ func TuneLevelBounds(f *grid.Field, ebs []float64, eb float64,
 	for _, cand := range ebCandidates {
 		levelBounds(trialEBs, eb, cand[0], cand[1])
 		copy(data, crop.Data)
-		literals := trial(data, dims, trialEBs, q)
-		if bytes := len(huffman.Encode(q)) + 8*len(literals); bytes < bestBytes {
+		sw := core.NewSweep(data, q)
+		trial(sw, dims, trialEBs)
+		if bytes := len(huffman.Encode(q)) + 8*len(sw.Lits); bytes < bestBytes {
 			best, bestBytes = cand, bytes
 		}
 	}

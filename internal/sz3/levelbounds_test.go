@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"scdc/internal/core"
 	"scdc/internal/grid"
 )
 
@@ -21,7 +22,8 @@ func TestTuneLevelBounds(t *testing.T) {
 	for cheapest, want := range ebCandidates {
 		ebs := make([]float64, 6)
 		call := 0
-		alpha, beta := TuneLevelBounds(f, ebs, eb, func(data []float64, dims []int, trialEBs []float64, q []int32) []float64 {
+		alpha, beta := TuneLevelBounds(f, ebs, eb, func(sw *core.Sweep, dims []int, trialEBs []float64) {
+			data, q := sw.Data, sw.Sym
 			if len(dims) != 3 || dims[0] != 32 || dims[1] != 32 || dims[2] != 9 {
 				t.Fatalf("crop dims %v", dims)
 			}
@@ -42,12 +44,10 @@ func TestTuneLevelBounds(t *testing.T) {
 				q[i] = 0
 			}
 			// One literal is 8 bytes; the constant q costs the same each time.
-			literals := make([]float64, 10)
-			if call == cheapest {
-				literals = nil
+			if call != cheapest {
+				sw.Lits = make([]float64, 10)
 			}
 			call++
-			return literals
 		})
 		if call != len(ebCandidates) {
 			t.Fatalf("%d trials, want %d", call, len(ebCandidates))

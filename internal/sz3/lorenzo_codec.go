@@ -1,11 +1,7 @@
 package sz3
 
 import (
-	"fmt"
-
 	"scdc/internal/core"
-	"scdc/internal/obs"
-
 	"scdc/internal/predictor"
 	"scdc/internal/quantizer"
 )
@@ -27,19 +23,16 @@ func view3(dims []int) (blocks, nx, ny, nz int) {
 	}
 }
 
-// compressLorenzo runs the 3D Lorenzo fallback pipeline: scan in natural
-// order, predict from the seven processed neighbors (decompressed values),
-// quantize. The paper's QP is not applied in this mode (Lorenzo residual
-// indices do not show the clustering effect, Section VI-B); the optional
-// qp/pred arguments implement the paper's future-work extension of QP to
+// compressLorenzo runs the 3D Lorenzo fallback pipeline on sw: scan in
+// natural order, predict from the seven processed neighbors (decompressed
+// values), quantize. The paper's QP is not applied in this mode (Lorenzo
+// residual indices do not show the clustering effect, Section VI-B); a
+// sweep with QP on implements the paper's future-work extension of QP to
 // non-interpolation pipelines, protected by the adaptive fallback.
-func compressLorenzo(data []float64, dims []int, quant quantizer.Linear, q, qp []int32,
-	pred *core.Predictor, workers int, qpSp *obs.Span) []float64 {
-
-	var literals []float64
+func compressLorenzo(sw *core.Sweep, dims []int, quant quantizer.Linear) {
+	data, q := sw.Data, sw.Sym
 	blocks, nx, ny, nz := view3(dims)
 	bsz := nx * ny * nz
-	qpWsp := core.WorkerSpans(qpSp, workers)
 	for b := 0; b < blocks; b++ {
 		f := predictor.Field3{Data: data[b*bsz : (b+1)*bsz], Nx: nx, Ny: ny, Nz: nz}
 		idx := b * bsz
@@ -50,20 +43,15 @@ func compressLorenzo(data []float64, dims []int, quant quantizer.Linear, q, qp [
 					sym, dec, ok := quant.Quantize(data[idx], p)
 					q[idx] = sym
 					if !ok {
-						literals = append(literals, data[idx])
+						sw.Lits = append(sw.Lits, data[idx])
 					}
 					data[idx] = dec
 					idx++
 				}
 			}
 		}
-		if qp != nil {
-			t0 := qpSp.Begin()
-			pred.ForwardRegion(q, qp, lorenzoRegion(b*bsz, nx, ny, nz), workers, qpWsp)
-			qpSp.AddSince(t0)
-		}
+		sw.ForwardQP(lorenzoRegion(b*bsz, nx, ny, nz))
 	}
-	return literals
 }
 
 // lorenzoRegion maps one scan-order block onto the kernel engine's
@@ -83,46 +71,32 @@ func lorenzoRegion(base, nx, ny, nz int) core.Region {
 	}
 }
 
-// decompressLorenzo reverses compressLorenzo. enc is overwritten in place
-// with recovered original symbols when QP is active: each block's symbols
-// are recovered by a kernelized inverse sweep (region row-major order is
+// decompressLorenzo reverses compressLorenzo: each block's symbols are
+// recovered in place by the inverse QP sweep (region row-major order is
 // exactly the scan order) before the block's reconstruction scan.
-func decompressLorenzo(data []float64, dims []int, quant quantizer.Linear, enc []int32, literals []float64,
-	pred *core.Predictor, workers int, qpSp *obs.Span) error {
-
+func decompressLorenzo(sw *core.Sweep, dims []int, quant quantizer.Linear) error {
+	data, enc := sw.Data, sw.Sym
 	blocks, nx, ny, nz := view3(dims)
 	bsz := nx * ny * nz
-	qpWsp := core.WorkerSpans(qpSp, workers)
-	lit := 0
 	for b := 0; b < blocks; b++ {
-		if pred != nil {
-			t0 := qpSp.Begin()
-			pred.InverseRegion(enc, lorenzoRegion(b*bsz, nx, ny, nz), workers, qpWsp)
-			qpSp.AddSince(t0)
-		}
+		sw.InverseQP(lorenzoRegion(b*bsz, nx, ny, nz))
 		f := predictor.Field3{Data: data[b*bsz : (b+1)*bsz], Nx: nx, Ny: ny, Nz: nz}
 		idx := b * bsz
 		for i := 0; i < nx; i++ {
 			for j := 0; j < ny; j++ {
 				for k := 0; k < nz; k++ {
 					p := f.Predict(i, j, k)
-					sym := enc[idx]
-					if sym == quantizer.Unpredictable {
-						if lit >= len(literals) {
-							return fmt.Errorf("%w: literal stream exhausted", ErrCorrupt)
-						}
-						data[idx] = literals[lit]
-						lit++
-					} else {
+					if sym := enc[idx]; sym != quantizer.Unpredictable {
 						data[idx] = quant.Recover(p, sym)
+					} else if v, ok := sw.Literal(); ok {
+						data[idx] = v
+					} else {
+						return sw.Exhausted()
 					}
 					idx++
 				}
 			}
 		}
 	}
-	if lit != len(literals) {
-		return fmt.Errorf("%w: %d unused literals", ErrCorrupt, len(literals)-lit)
-	}
-	return nil
+	return sw.Drained()
 }

@@ -153,12 +153,12 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	defer w.Release()
 
 	levels := Levels(f.Dims())
-	var literals []float64
+	sw := w.Sweep(opts.Workers)
 	if mode == ModeInterp {
-		literals = compressInterp(w, f.Dims(), opts, quant, levels)
+		compressInterp(sw, f.Dims(), levels, LevelSpec{Order: opts.DirOrder, Kind: opts.Interp, Quant: quant}, opts.Obs)
 	} else {
 		loSp := opts.Obs.Child("lorenzo")
-		literals = compressLorenzo(w.Data, f.Dims(), quant, w.Q, w.QP, w.Pred, opts.Workers, w.QPSpan)
+		compressLorenzo(sw, f.Dims(), quant)
 		loSp.Add("points", int64(len(w.Data)))
 		loSp.End()
 	}
@@ -167,30 +167,25 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	for _, d := range opts.DirOrder {
 		pre = append(pre, byte(d))
 	}
-	return opts.Encode(w, core.Stream{
-		Pre:      pre,
-		Post:     binary.LittleEndian.AppendUint64(nil, math.Float64bits(opts.ErrorBound)),
-		Literals: literals,
-		ForceQP:  opts.ForceQP,
-		Levels:   levels,
-		Lorenzo:  mode == ModeLorenzo,
+	return opts.Encode(sw, core.Stream{
+		Pre:     pre,
+		Post:    binary.LittleEndian.AppendUint64(nil, math.Float64bits(opts.ErrorBound)),
+		ForceQP: opts.ForceQP,
+		Levels:  levels,
+		Lorenzo: mode == ModeLorenzo,
 	})
 }
 
 // Decompress reconstructs a field with the given dims from an SZ3 payload.
 func Decompress(payload []byte, dims []int) (*grid.Field, error) {
-	return DecompressWorkers(payload, dims, 1)
+	return DecompressObs(payload, dims, 1, nil)
 }
 
-// DecompressWorkers is Decompress with up to workers goroutines applied to
-// entropy decoding (for sharded streams) and interpolation passes. The
-// reconstruction is byte-identical for any worker count.
-func DecompressWorkers(payload []byte, dims []int, workers int) (*grid.Field, error) {
-	return DecompressObs(payload, dims, workers, nil)
-}
-
-// DecompressObs is DecompressWorkers with per-stage telemetry recorded on
-// sp (which may be nil). The reconstruction is identical either way.
+// DecompressObs is Decompress with up to workers goroutines applied to
+// entropy decoding (for sharded streams), the QP sweeps and the
+// interpolation passes, and per-stage telemetry recorded on sp (which may
+// be nil). The reconstruction is byte-identical for any worker count,
+// observed or not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
 	n, err := grid.CheckDims(dims)
 	if err != nil {
@@ -232,12 +227,13 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
+	sw := r.Sweep(out.Data)
 	switch mode {
 	case ModeInterp:
-		err = decompressInterp(out.Data, dims, kind, dirOrder, quant, r, workers, sp)
+		err = decompressInterp(sw, dims, LevelSpec{Order: dirOrder, Kind: kind, Quant: quant}, sp)
 	case ModeLorenzo:
 		loSp := sp.Child("lorenzo")
-		err = decompressLorenzo(out.Data, dims, quant, r.Indices, r.Literals, r.Pred, workers, r.QPSpan)
+		err = decompressLorenzo(sw, dims, quant)
 		loSp.Add("points", int64(n))
 		loSp.End()
 	default:

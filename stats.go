@@ -9,7 +9,7 @@ import (
 // structural keys (schema, op, algorithm, dims, points, raw_bytes,
 // stream_bytes, ratio, bits_per_value, report) and the report node keys
 // (name, ns, counters, gauges, children) are stable; new counters and
-// gauges may appear over time without a schema bump (DESIGN.md §9).
+// gauges may appear over time without a schema bump (DESIGN.md §7).
 const StatsSchema = "scdc-stats/1"
 
 // CompressStats summarizes one observed compression or decompression:
