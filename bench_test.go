@@ -324,7 +324,7 @@ func BenchmarkFig18Transfer(b *testing.B) {
 func BenchmarkAblationLosslessBackend(b *testing.B) {
 	f := field(datagen.Miranda, 1)
 	eb := f.Range() * 1e-4
-	for _, codec := range []lossless.Codec{lossless.None, lossless.Flate, lossless.LZ, lossless.Range} {
+	for _, codec := range []lossless.Codec{lossless.None, lossless.Flate, lossless.LZ} {
 		b.Run("codec="+codec.String(), func(b *testing.B) {
 			opts := sz3.DefaultOptions(eb).WithQP()
 			opts.Lossless = codec

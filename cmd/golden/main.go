@@ -229,7 +229,7 @@ func build() ([]Entry, map[string][]byte, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("chunked: %w", err)
 		}
-		res, err := scdc.DecompressChunked(stream, 2)
+		res, err := scdc.DecompressParallel(stream, 2)
 		if err != nil {
 			return nil, nil, fmt.Errorf("chunked decode: %w", err)
 		}

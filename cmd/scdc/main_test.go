@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"io"
@@ -97,6 +98,61 @@ func TestDoDecompressRoundTrip(t *testing.T) {
 	}
 	if err := doDecompress("", out, "f64", 1, false, "", io.Discard); err == nil {
 		t.Error("missing input accepted")
+	}
+}
+
+// TestRunDecompressChunked: -x reads a CompressChunked stream with no flag
+// of its own — Decompress opens every stream the library writes — and
+// -stats reports it under op decompress_chunked with the per-chunk spans.
+func TestRunDecompressChunked(t *testing.T) {
+	dims := []int{12, 5, 6}
+	data := make([]float64, 12*5*6)
+	for i := range data {
+		data[i] = math.Sin(float64(i) / 9)
+	}
+	stream, err := scdc.CompressChunked(data, dims, scdc.Options{Algorithm: scdc.SZ3, ErrorBound: 1e-4, QP: scdc.DefaultQP()}, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	in := filepath.Join(dir, "c.scdc")
+	out := filepath.Join(dir, "c.f64")
+	statsPath := filepath.Join(dir, "c.stats.json")
+	if err := os.WriteFile(in, stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := run([]string{"-x", "-in", in, "-out", out, "-dtype", "f64", "-workers", "2",
+		"-stats", "-statsout", statsPath}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil || len(raw) != 8*len(data) {
+		t.Fatalf("restored file: %v (%d bytes)", err, len(raw))
+	}
+	for i := range data {
+		got := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		if math.Abs(got-data[i]) > 1e-4 {
+			t.Fatalf("value %d: %g vs %g", i, got, data[i])
+		}
+	}
+	blob, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st scdc.CompressStats
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatalf("stats JSON invalid: %v", err)
+	}
+	if st.Op != "decompress_chunked" || st.Report.Find("chunk[2]") == nil {
+		t.Errorf("stats op %q, report:\n%s", st.Op, buf.String())
+	}
+	// Without -stats the same stream takes the unobserved door.
+	if err := doDecompress(in, out, "f64", 3, false, "", io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(out); err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("unobserved decode differs from the observed one (%v)", err)
 	}
 }
 

@@ -1,10 +1,20 @@
 package scdc
 
 import (
-	"encoding/binary"
 	"errors"
 	"testing"
 )
+
+// parseChunked reads a chunked container's dims, extent and chunk streams
+// through the package's header and chunk-table readers.
+func parseChunked(stream []byte) (dims []int, extent int, chunks [][]byte, err error) {
+	h, err := parseHeader(stream, true)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	extent, chunks, err = parseChunkTable(h)
+	return h.dims, extent, chunks, err
+}
 
 func chunkTestStream(t *testing.T) ([]float64, []int, []byte) {
 	t.Helper()
@@ -70,8 +80,8 @@ func TestDecompressChunkCorruptBody(t *testing.T) {
 		t.Errorf("chunk 0 of mutated container: %v", err)
 	}
 	// The whole-field path reports the same damage.
-	if _, err := DecompressChunked(mut, 2); !errors.Is(err, ErrIntegrity) {
-		t.Errorf("DecompressChunked: got %v, want ErrIntegrity", err)
+	if _, err := DecompressParallel(mut, 2); !errors.Is(err, ErrIntegrity) {
+		t.Errorf("DecompressParallel: got %v, want ErrIntegrity", err)
 	}
 }
 
@@ -83,19 +93,14 @@ func buildV1Chunked(t *testing.T, stream []byte, conv func([]byte) []byte) []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := append([]byte(nil), magic[:]...)
-	v1 = append(v1, formatV1, 0xFF, byte(len(cdims)))
-	for _, d := range cdims {
-		v1 = binary.AppendUvarint(v1, uint64(d))
+	udims := make([]uint64, len(cdims))
+	for i, d := range cdims {
+		udims[i] = uint64(d)
 	}
-	v1 = binary.AppendUvarint(v1, uint64(extent))
-	v1 = binary.AppendUvarint(v1, uint64(len(chunks)))
-	for _, c := range chunks {
-		c = conv(c)
-		v1 = binary.AppendUvarint(v1, uint64(len(c)))
-		v1 = append(v1, c...)
+	for i, c := range chunks {
+		chunks[i] = conv(c)
 	}
-	return v1
+	return hostile{formatV1, kindChunked, udims}.build(chunkTable(uint64(extent), uint64(len(chunks)), chunks))
 }
 
 // TestDecompressChunkV1Containers: partial decompression must read both a

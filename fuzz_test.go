@@ -94,7 +94,7 @@ func FuzzDecompressChunked(f *testing.F) {
 	}
 	f.Add([]byte("SCDC\x02\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := DecompressChunked(data, 2)
+		res, err := DecompressParallel(data, 2)
 		if err == nil {
 			n := 1
 			for _, d := range res.Dims {

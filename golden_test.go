@@ -58,12 +58,7 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Fatalf("stream hash drifted: compressed output changed for %s", e.Name)
 			}
 
-			var res *Result
-			if e.Chunked {
-				res, err = DecompressChunked(stream, 2)
-			} else {
-				res, err = Decompress(stream)
-			}
+			res, err := DecompressParallel(stream, 2)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -186,12 +181,7 @@ func TestGoldenIntegrityTamper(t *testing.T) {
 		}
 		bad := append([]byte(nil), stream...)
 		bad[len(bad)/2] ^= 0x40
-		if e.Chunked {
-			_, err = DecompressChunked(bad, 2)
-		} else {
-			_, err = Decompress(bad)
-		}
-		if err == nil {
+		if _, err = Decompress(bad); err == nil {
 			t.Fatalf("%s: tampered stream decoded", e.Name)
 		}
 	}

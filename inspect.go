@@ -1,9 +1,6 @@
 package scdc
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // StreamInfo describes a compressed stream's container metadata without
 // decompressing the payload.
@@ -34,97 +31,41 @@ type StreamInfo struct {
 }
 
 // Inspect parses a stream's container header. It reads only metadata —
-// no decompression happens, so it is safe and fast on large streams.
+// no decompression happens, so it is safe and fast on large streams — and
+// rejects every header Decompress rejects, with the same sentinel.
 func Inspect(stream []byte) (*StreamInfo, error) {
-	if len(stream) < 7 || stream[0] != magic[0] || stream[1] != magic[1] ||
-		stream[2] != magic[2] || stream[3] != magic[3] {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	info := &StreamInfo{Version: int(stream[4]), Chunks: 1}
-	// checkFooter also rejects unsupported versions; for v2 it verifies
-	// the CRC32C, so Inspect fails loudly (ErrIntegrity) on damaged bytes.
-	body, err := checkFooter(stream)
+	h, err := parseHeader(stream, true)
 	if err != nil {
 		return nil, err
 	}
-	info.Integrity = info.Version >= formatVersion
-	if len(body) < 7 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+	info := &StreamInfo{
+		Version:      int(h.version),
+		Integrity:    h.version >= formatVersion,
+		Algorithm:    Algorithm(h.kind),
+		Dims:         h.dims,
+		Points:       h.points,
+		PayloadBytes: len(h.payload),
+		Chunks:       1,
 	}
-
-	if body[5] == 0xFF {
-		dims, extent, chunks, err := parseChunked(stream)
-		if err != nil {
-			return nil, err
-		}
-		info.Chunked = true
-		info.Dims = dims
-		info.ChunkExtent = extent
-		info.Chunks = len(chunks)
-		for _, c := range chunks {
-			info.ChunkBytes = append(info.ChunkBytes, len(c))
-			info.PayloadBytes += len(c)
-		}
-		if len(chunks) > 0 {
-			info.Algorithm, err = chunkAlgorithm(chunks[0])
-			if err != nil {
-				return nil, fmt.Errorf("chunk 0: %w", err)
-			}
-		}
-	} else {
-		alg := Algorithm(body[5])
-		if alg >= numAlgorithms {
-			return nil, fmt.Errorf("%w: unknown algorithm %d", ErrCorrupt, alg)
-		}
-		nd := int(body[6])
-		if nd < 1 || nd > 4 {
-			return nil, fmt.Errorf("%w: bad dimensionality %d", ErrCorrupt, nd)
-		}
-		buf := body[7:]
-		dims := make([]int, nd)
-		for i := range dims {
-			v, k := binary.Uvarint(buf)
-			if k <= 0 || v == 0 || v > 1<<40 {
-				return nil, fmt.Errorf("%w: bad dims", ErrCorrupt)
-			}
-			dims[i] = int(v)
-			buf = buf[k:]
-		}
-		info.Algorithm = alg
-		info.Dims = dims
-		info.PayloadBytes = len(buf)
+	if h.kind != kindChunked {
+		return info, nil
 	}
-
-	info.Points = 1
-	for _, d := range info.Dims {
-		info.Points *= d
+	var chunks [][]byte
+	if info.ChunkExtent, chunks, err = parseChunkTable(h); err != nil {
+		return nil, err
 	}
+	info.Chunked, info.Chunks, info.PayloadBytes = true, len(chunks), 0
+	for _, c := range chunks {
+		info.ChunkBytes = append(info.ChunkBytes, len(c))
+		info.PayloadBytes += len(c)
+	}
+	// The container's footer pass already covered every chunk byte, so
+	// chunk 0's own CRC32C is not verified again: inspecting a 1000-chunk
+	// stream costs one CRC pass (see BenchmarkInspectChunked).
+	c0, err := parseChunk(chunks[0], false)
+	if err != nil {
+		return nil, fmt.Errorf("chunk 0: %w", err)
+	}
+	info.Algorithm = Algorithm(c0.kind)
 	return info, nil
-}
-
-// chunkAlgorithm reads the algorithm byte from an embedded chunk's fixed
-// header prefix (magic, version, algorithm). The chunk's own CRC32C
-// footer is deliberately NOT re-verified: the enclosing container's
-// footer pass already covered every chunk byte, so inspecting a
-// 1000-chunk stream costs one CRC pass over the container, not a second
-// pass over chunk 0 plus a recursive header walk (see
-// BenchmarkInspectChunked).
-func chunkAlgorithm(chunk []byte) (Algorithm, error) {
-	if len(chunk) < 7 || chunk[0] != magic[0] || chunk[1] != magic[1] ||
-		chunk[2] != magic[2] || chunk[3] != magic[3] {
-		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	switch chunk[4] {
-	case formatV1, formatVersion:
-	default:
-		return 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, chunk[4])
-	}
-	if chunk[5] == 0xFF {
-		return 0, fmt.Errorf("%w: nested chunked stream", ErrCorrupt)
-	}
-	alg := Algorithm(chunk[5])
-	if alg >= numAlgorithms {
-		return 0, fmt.Errorf("%w: unknown algorithm %d", ErrCorrupt, alg)
-	}
-	return alg, nil
 }

@@ -1,6 +1,7 @@
 package scdc
 
 import (
+	"errors"
 	"testing"
 
 	"scdc/datasets"
@@ -61,8 +62,28 @@ func TestInspectErrors(t *testing.T) {
 	if _, err := Inspect([]byte("NOTASTREAMATALL")); err == nil {
 		t.Error("garbage accepted")
 	}
+	// Inspect rejects every prologue Decompress rejects, plain and chunked:
+	// a dims product that overflows int (it used to come back as Points 0),
+	// points implausible for the payload, nd outside 1..grid.MaxDims.
+	const big = 1 << 40
+	for name, p := range map[string]hostile{
+		"overflow":         {formatV1, byte(SZ3), []uint64{big, big, big, big}},
+		"overflow-chunked": {formatV1, kindChunked, []uint64{big, big, big, big}},
+		"huge-vs-payload":  {formatVersion, byte(SZ3), []uint64{1 << 20, 1 << 20, 1 << 5}},
+		"huge-chunked":     {formatV1, kindChunked, []uint64{1 << 20, 1 << 20, 1 << 5}},
+		"nd-5":             {formatVersion, byte(SZ3), []uint64{2, 2, 2, 2, 2}},
+		"nd-0":             {formatV1, byte(SZ3), nil},
+	} {
+		if info, err := Inspect(p.build([]byte("tiny"))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %+v, %v; want ErrCorrupt", name, info, err)
+		}
+	}
 }
 
+// TestChunkAlgorithm: the chunk-0 peek Inspect makes is the header reader
+// on its footer-skipping path — it reads the algorithm of a chunk whose own
+// CRC32C the container's footer already covered, and still rejects every
+// malformed prologue and a chunk that is itself a container.
 func TestChunkAlgorithm(t *testing.T) {
 	data, dims, err := datasets.Generate("Miranda", 0, []int{8, 10, 12}, 1)
 	if err != nil {
@@ -72,9 +93,17 @@ func TestChunkAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg, err := chunkAlgorithm(stream)
-	if err != nil || alg != MGARD {
-		t.Fatalf("chunkAlgorithm = %v, %v", alg, err)
+	stream[len(stream)-1] ^= 0xFF // the peek must not look at the chunk's footer
+	h, err := parseChunk(stream, false)
+	if err != nil || Algorithm(h.kind) != MGARD {
+		t.Fatalf("parseChunk = %v, %v", Algorithm(h.kind), err)
+	}
+	if _, err := parseChunk(stream, true); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("verifying read of a damaged footer: got %v, want ErrIntegrity", err)
+	}
+	nested, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-3}, 1, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, bad := range [][]byte{
 		nil,
@@ -83,16 +112,18 @@ func TestChunkAlgorithm(t *testing.T) {
 		{'S', 'C', 'D', 'C', 0x07, 0x00, 0x03}, // unsupported version
 		{'S', 'C', 'D', 'C', 0x02, 0xFF, 0x03}, // nested chunked marker
 		{'S', 'C', 'D', 'C', 0x02, 0x63, 0x03}, // unknown algorithm
+		nested,
+		hostile{formatV1, 0x63, []uint64{4, 4}}.build([]byte("tiny")),
 	} {
-		if _, err := chunkAlgorithm(bad); err == nil {
-			t.Errorf("chunkAlgorithm(%q) accepted", bad)
+		if _, err := parseChunk(bad, false); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("parseChunk(%q): got %v, want ErrCorrupt", bad, err)
 		}
 	}
 }
 
 // BenchmarkInspectChunked pins the cost of inspecting a many-chunk
 // container: one CRC pass over the container, no recursive per-chunk
-// verification. Before the chunkAlgorithm fast path this re-verified
+// verification. Before the footer-skipping chunk-0 peek this re-verified
 // chunk 0's own footer and built a throwaway StreamInfo.
 func BenchmarkInspectChunked(b *testing.B) {
 	// 1000 chunks of 2x6x6 points along dims[0].

@@ -2,7 +2,6 @@ package scdc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -106,33 +105,18 @@ func TestIntegrityChunked(t *testing.T) {
 	for pos := 8; pos < len(stream); pos += 13 {
 		mut := append([]byte(nil), stream...)
 		mut[pos] ^= 0x08
-		if _, err := DecompressChunked(mut, 2); !errors.Is(err, ErrIntegrity) {
+		if _, err := DecompressParallel(mut, 2); !errors.Is(err, ErrIntegrity) {
 			t.Fatalf("chunked flip at %d: got %v, want ErrIntegrity", pos, err)
 		}
 	}
 
 	// Rebuild the container exactly as the v1 writer laid it out.
-	cdims, extent, chunks, err := parseChunked(stream)
+	v1 := buildV1Chunked(t, stream, func(c []byte) []byte { return toV1(t, c) })
+	want, err := DecompressParallel(stream, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := append([]byte(nil), magic[:]...)
-	v1 = append(v1, formatV1, 0xFF, byte(len(cdims)))
-	for _, d := range cdims {
-		v1 = binary.AppendUvarint(v1, uint64(d))
-	}
-	v1 = binary.AppendUvarint(v1, uint64(extent))
-	v1 = binary.AppendUvarint(v1, uint64(len(chunks)))
-	for _, c := range chunks {
-		cv1 := toV1(t, c)
-		v1 = binary.AppendUvarint(v1, uint64(len(cv1)))
-		v1 = append(v1, cv1...)
-	}
-	want, err := DecompressChunked(stream, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecompressChunked(v1, 2)
+	got, err := DecompressParallel(v1, 2)
 	if err != nil {
 		t.Fatalf("v1 chunked container rejected: %v", err)
 	}
@@ -145,32 +129,28 @@ func TestIntegrityChunked(t *testing.T) {
 
 // TestGiantDimsHeaderRejected: a header whose declared dims product
 // overflows int, or is absurd relative to the payload, must fail fast with
-// ErrCorrupt — no allocation proportional to the claim.
+// ErrCorrupt — no allocation proportional to the claim — from every reader.
 func TestGiantDimsHeaderRejected(t *testing.T) {
-	build := func(dims []uint64, payload []byte) []byte {
-		s := append([]byte(nil), magic[:]...)
-		s = append(s, formatVersion, byte(SZ3), byte(len(dims)))
-		for _, d := range dims {
-			s = binary.AppendUvarint(s, d)
-		}
-		return appendFooter(append(s, payload...))
-	}
-	cases := []struct {
-		name string
-		dims []uint64
+	const big = 1 << 40
+	for name, c := range map[string]struct {
+		hdr     hostile
+		payload string
 	}{
-		{"overflow", []uint64{1 << 40, 1 << 40, 1 << 40}},
-		{"huge-vs-payload", []uint64{1 << 20, 1 << 20, 1 << 5}},
-		{"zero-payload", []uint64{4, 4}},
-	}
-	for _, c := range cases {
-		payload := []byte("tiny")
-		if c.name == "zero-payload" {
-			payload = nil
-		}
-		stream := build(c.dims, payload)
+		"overflow":        {hostile{formatVersion, byte(SZ3), []uint64{big, big, big}}, "tiny"},
+		"overflow-v1-4d":  {hostile{formatV1, byte(SZ3), []uint64{big, big, big, big}}, "tiny"},
+		"overflow-chunks": {hostile{formatV1, kindChunked, []uint64{big, big, big, big}}, "tiny"},
+		"huge-vs-payload": {hostile{formatVersion, byte(SZ3), []uint64{1 << 20, 1 << 20, 1 << 5}}, "tiny"},
+		"zero-payload":    {hostile{formatVersion, byte(SZ3), []uint64{4, 4}}, ""},
+	} {
+		stream := c.hdr.build([]byte(c.payload))
 		if _, err := Decompress(stream); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got %v, want ErrCorrupt", c.name, err)
+			t.Errorf("%s: Decompress: got %v, want ErrCorrupt", name, err)
+		}
+		if info, err := Inspect(stream); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Inspect: got %+v, %v; want ErrCorrupt", name, info, err)
+		}
+		if _, err := DecompressChunk(stream, 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecompressChunk: got %v, want ErrCorrupt", name, err)
 		}
 	}
 }

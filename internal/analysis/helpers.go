@@ -10,7 +10,7 @@ import (
 
 // DecodeFuncRx marks decoder-facing functions by name: the exported
 // Decompress/Decode entry points and their helper spellings (decodeBody,
-// parseTableHeader, checkFooter, newDecoder, Inspect). The errsentinel
+// parseTableHeader, parseHeader, newDecoder, Inspect). The errsentinel
 // and alloccap analyzers both scope to these functions, so the two
 // invariants always cover the same surface.
 var DecodeFuncRx = regexp.MustCompile(`(?i)(decompress|decod|parse|unmarshal|inspect|footer)`)

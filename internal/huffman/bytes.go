@@ -26,10 +26,7 @@ import (
 //	uvarint(nsamp)            total byte count; 0 ends the stream here
 //	192 bytes                 code length per symbol, 6 bits each in
 //	                          symbol order, 0 = absent
-//	uvarint(K)                shard count, K >= 1
-//	K x { uvarint(nsamp_i), uvarint(bodyLen_i) }
-//	K concatenated bodies     independently padded bit streams sharing
-//	                          the one code table
+//	shard directory + bodies  appendShards / parseShards (sharded.go)
 //
 // Shards share the table, so splitting costs K-1 tail paddings plus the
 // directory and the shard count depends only on the caller's argument —
@@ -62,13 +59,9 @@ func getByteSyms(n int) *[]int32 {
 	return sp
 }
 
-// EncodeBytes compresses src as a byte-alphabet Huffman stream with the
-// given shard count, encoding shard bodies on up to workers goroutines.
-func EncodeBytes(src []byte, shards, workers int) []byte {
-	return EncodeBytesTo(nil, src, shards, workers)
-}
-
-// EncodeBytesTo is EncodeBytes appending to dst.
+// EncodeBytesTo appends src as a byte-alphabet Huffman stream of the
+// given shard count to dst, encoding shard bodies on up to workers
+// goroutines.
 func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
 	dst = append(dst, byteMarker, byteVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
@@ -103,36 +96,8 @@ func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
 		dst = append(dst, byte(v>>16), byte(v>>8), byte(v))
 	}
 
-	n := len(src)
-	if shards < 1 {
-		shards = 1
-	}
-	if maxSh := n / minShardSamples; shards > maxSh {
-		shards = maxSh
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	k := shards
-	dst = binary.AppendUvarint(dst, uint64(k))
-
-	bodies := make([]*[]byte, k)
-	parallel.ForEach(k, workers, func(i int) {
-		lo, hi := i*n/k, (i+1)*n/k
-		bp := bodyPool.Get().(*[]byte)
-		*bp = encodeBody((*bp)[:0], syms[lo:hi], &cs)
-		bodies[i] = bp
-	})
-	for i, bp := range bodies {
-		lo, hi := i*n/k, (i+1)*n/k
-		dst = binary.AppendUvarint(dst, uint64(hi-lo))
-		dst = binary.AppendUvarint(dst, uint64(len(*bp)))
-	}
-	for _, bp := range bodies {
-		dst = append(dst, *bp...)
-		bodyPool.Put(bp)
-	}
-
+	shards = max(1, min(shards, len(src)/minShardSamples))
+	dst = appendShards(dst, syms, &cs, shards, workers)
 	byteSymsPool.Put(sp)
 	return dst
 }
@@ -191,33 +156,6 @@ func parseByteTable(packed []byte) (syms []int32, lengths []int, err error) {
 	return syms, lengths, nil
 }
 
-// byteShard is one parsed shard directory entry.
-type byteShard struct {
-	off, n           int
-	bodyOff, bodyLen int
-}
-
-// DecodeBytes decodes a byte-alphabet Huffman stream, allocating the
-// output after validating the declared size against the stream (at most
-// 8 symbols per body byte).
-func DecodeBytes(data []byte, workers int) ([]byte, error) {
-	if len(data) < 3 {
-		return nil, fmt.Errorf("%w: truncated byte-stream header", ErrCorrupt)
-	}
-	nsamp, c := binary.Uvarint(data[2:])
-	if c <= 0 {
-		return nil, fmt.Errorf("%w: bad sample count", ErrCorrupt)
-	}
-	if nsamp > 8*uint64(len(data)) {
-		return nil, fmt.Errorf("%w: declared count %d impossible for %d input bytes", ErrCorrupt, nsamp, len(data))
-	}
-	out := make([]byte, nsamp)
-	if err := DecodeBytesInto(out, data, workers); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DecodeBytesInto decodes a byte-alphabet Huffman stream into exactly
 // dst, fanning shard bodies across up to workers goroutines. The
 // stream's declared sample count must equal len(dst), and every
@@ -251,64 +189,15 @@ func DecodeBytesInto(dst, data []byte, workers int) error {
 	}
 	data = data[byteTablePacked:]
 
-	k64, c := binary.Uvarint(data)
-	if c <= 0 || k64 == 0 {
-		return fmt.Errorf("%w: bad shard count", ErrCorrupt)
-	}
-	data = data[c:]
-	// Each directory entry costs at least two bytes, bounding the count
-	// by the stream before the directory is allocated.
-	if 2*k64 > uint64(len(data)) {
-		return fmt.Errorf("%w: shard count %d exceeds stream", ErrCorrupt, k64)
-	}
-	k := int(k64)
-	// Every shard must carry at least one sample (empty shards are
-	// rejected below), so more shards than samples is always corrupt.
-	if k > len(dst) {
-		return fmt.Errorf("%w: shard count %d exceeds sample count %d", ErrCorrupt, k, len(dst))
-	}
-	dir := make([]byteShard, k)
-	off, pos := 0, 0
-	for i := range dir {
-		ns, c := binary.Uvarint(data[pos:])
-		if c <= 0 {
-			return fmt.Errorf("%w: bad shard sample count", ErrCorrupt)
-		}
-		pos += c
-		bl, c := binary.Uvarint(data[pos:])
-		if c <= 0 {
-			return fmt.Errorf("%w: bad shard body length", ErrCorrupt)
-		}
-		pos += c
-		if ns == 0 {
-			return fmt.Errorf("%w: empty shard", ErrCorrupt)
-		}
-		if ns > uint64(len(dst)-off) {
-			return fmt.Errorf("%w: shard counts exceed declared total %d", ErrCorrupt, len(dst))
-		}
-		dir[i] = byteShard{off: off, n: int(ns), bodyLen: int(bl)}
-		off += int(ns)
-	}
-	if off != len(dst) {
-		return fmt.Errorf("%w: shard counts sum to %d, want %d", ErrCorrupt, off, len(dst))
-	}
-	bodies := data[pos:]
-	bodyOff := 0
-	for i := range dir {
-		if dir[i].bodyLen > len(bodies)-bodyOff {
-			return fmt.Errorf("%w: shard bodies exceed stream", ErrCorrupt)
-		}
-		dir[i].bodyOff = bodyOff
-		bodyOff += dir[i].bodyLen
-	}
-	if bodyOff != len(bodies) {
-		return fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(bodies)-bodyOff)
+	dir, bodies, err := parseShards(data, len(dst))
+	if err != nil {
+		return err
 	}
 
 	d := newDecoder(syms, lengths)
 	defer d.release()
-	errs := make([]error, k)
-	parallel.ForEach(k, workers, func(i int) {
+	errs := make([]error, len(dir))
+	parallel.ForEach(len(dir), workers, func(i int) {
 		sh := dir[i]
 		sp := getByteSyms(sh.n)
 		err := d.decodeBody(bodies[sh.bodyOff:sh.bodyOff+sh.bodyLen], *sp)

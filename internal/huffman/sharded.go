@@ -23,9 +23,9 @@ import (
 //	uvarint(hdrLen) hdr       shared canonical table header, identical to
 //	                          the legacy header (total sample count, table
 //	                          size, zigzag delta symbol/length pairs)
-//	uvarint(K)                shard count
-//	K x { uvarint(nsamp_i), uvarint(bodyLen_i) }
-//	K concatenated bodies     each an independently padded bit stream
+//	shard directory + bodies  appendShards / parseShards, below
+//
+// The byte sub-format (bytes.go) ends in the same directory.
 
 const (
 	shardedMarker  = 0x00
@@ -67,30 +67,100 @@ func EncodeShardedDist(q []int32, d *entropy.Dist, shards, workers int) []byte {
 	hdr := make([]byte, 0, 16+len(table)*3)
 	hdr = appendTableHeader(hdr, len(q), table)
 
-	bodies := make([][]byte, shards)
-	parallel.ForEach(shards, workers, func(i int) {
-		lo := i * len(q) / shards
-		hi := (i + 1) * len(q) / shards
-		buf := *bodyPool.Get().(*[]byte)
-		bodies[i] = encodeBody(buf[:0], q[lo:hi], &cs)
-	})
-
 	out := make([]byte, 0, 4+len(hdr)+len(q)/2+8*shards)
 	out = append(out, shardedMarker, shardedVersion)
 	out = binary.AppendUvarint(out, uint64(len(hdr)))
 	out = append(out, hdr...)
-	out = binary.AppendUvarint(out, uint64(shards))
-	for i := range bodies {
-		lo := i * len(q) / shards
-		hi := (i + 1) * len(q) / shards
-		out = binary.AppendUvarint(out, uint64(hi-lo))
-		out = binary.AppendUvarint(out, uint64(len(bodies[i])))
+	return appendShards(out, q, &cs, shards, workers)
+}
+
+// appendShards encodes syms as k contiguous shards under one code set, on
+// up to workers goroutines, and appends the shard directory and bodies
+// that close both sharded sub-formats:
+//
+//	uvarint(K)                shard count, K >= 1
+//	K x { uvarint(nsamp_i), uvarint(bodyLen_i) }
+//	K concatenated bodies     each an independently padded bit stream
+//
+// Shard i covers samples [i*n/K, (i+1)*n/K): the split depends only on
+// (n, K), never on the worker count.
+func appendShards(dst []byte, syms []int32, cs *codeSet, k, workers int) []byte {
+	n := len(syms)
+	bodies := make([]*[]byte, k)
+	parallel.ForEach(k, workers, func(i int) {
+		bp := bodyPool.Get().(*[]byte)
+		*bp = encodeBody((*bp)[:0], syms[i*n/k:(i+1)*n/k], cs)
+		bodies[i] = bp
+	})
+	dst = binary.AppendUvarint(dst, uint64(k))
+	for i, bp := range bodies {
+		dst = binary.AppendUvarint(dst, uint64((i+1)*n/k-i*n/k))
+		dst = binary.AppendUvarint(dst, uint64(len(*bp)))
 	}
-	for _, b := range bodies {
-		out = append(out, b...)
-		bodyPool.Put(&b)
+	for _, bp := range bodies {
+		dst = append(dst, *bp...)
+		bodyPool.Put(bp)
 	}
-	return out
+	return dst
+}
+
+// shard is one checked entry of a shard directory.
+type shard struct {
+	off, n           int // first sample and sample count
+	bodyOff, bodyLen int // the shard's bit stream within the bodies
+}
+
+// parseShards parses the directory appendShards wrote, for a stream that
+// declares total samples, and returns its entries and the concatenated
+// bodies. Every claim is checked against the bytes present before
+// anything proportional to it is allocated: the count is at least one
+// and bounded by the stream (two bytes per entry) and by total (no shard
+// is empty), the sample counts sum to total, and the bodies end exactly
+// at the end of the stream.
+func parseShards(data []byte, total int) ([]shard, []byte, error) {
+	k, c := binary.Uvarint(data)
+	if c <= 0 || k == 0 {
+		return nil, nil, fmt.Errorf("%w: bad shard count", ErrCorrupt)
+	}
+	data = data[c:]
+	if k > uint64(len(data))/2 || k > uint64(total) {
+		return nil, nil, fmt.Errorf("%w: shard count %d exceeds stream", ErrCorrupt, k)
+	}
+	dir := make([]shard, k)
+	off, pos := 0, 0
+	for i := range dir {
+		ns, c := binary.Uvarint(data[pos:])
+		if c <= 0 {
+			return nil, nil, fmt.Errorf("%w: bad shard sample count", ErrCorrupt)
+		}
+		pos += c
+		bl, c := binary.Uvarint(data[pos:])
+		if c <= 0 || bl > uint64(len(data)) {
+			return nil, nil, fmt.Errorf("%w: bad shard body length", ErrCorrupt)
+		}
+		pos += c
+		if ns == 0 || ns > uint64(total-off) {
+			return nil, nil, fmt.Errorf("%w: shard of %d samples at %d of %d", ErrCorrupt, ns, off, total)
+		}
+		dir[i] = shard{off: off, n: int(ns), bodyLen: int(bl)}
+		off += int(ns)
+	}
+	if off != total {
+		return nil, nil, fmt.Errorf("%w: shard sample counts sum to %d, want %d", ErrCorrupt, off, total)
+	}
+	bodies := data[pos:]
+	bodyOff := 0
+	for i := range dir {
+		if dir[i].bodyLen > len(bodies)-bodyOff {
+			return nil, nil, fmt.Errorf("%w: shard bodies exceed stream", ErrCorrupt)
+		}
+		dir[i].bodyOff = bodyOff
+		bodyOff += dir[i].bodyLen
+	}
+	if bodyOff != len(bodies) {
+		return nil, nil, fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(bodies)-bodyOff)
+	}
+	return dir, bodies, nil
 }
 
 // decodeSharded decodes the sharded container, decoding shard bodies on up
@@ -123,68 +193,23 @@ func decodeSharded(data []byte, workers int) ([]int32, error) {
 		return nil, fmt.Errorf("%w: empty table with %d samples", ErrCorrupt, nsamp)
 	}
 
-	nShards, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad shard count", ErrCorrupt)
+	// Codes are >= 1 bit, so the bytes present bound the sample count
+	// before the directory or the output is allocated.
+	if nsamp > 8*uint64(len(data)) {
+		return nil, fmt.Errorf("%w: %d samples for %d stream bytes", ErrCorrupt, nsamp, len(data))
 	}
-	data = data[k:]
-	// Each directory entry costs at least 2 bytes.
-	if 2*nShards > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: shard count %d exceeds stream", ErrCorrupt, nShards)
-	}
-
-	type shard struct {
-		off     int // symbol offset into out
-		count   int
-		bodyOff int
-		bodyLen int
-	}
-	dir := make([]shard, nShards)
-	symOff, bodyOff := 0, 0
-	for i := range dir {
-		cnt, k := binary.Uvarint(data)
-		if k <= 0 {
-			return nil, fmt.Errorf("%w: bad shard sample count", ErrCorrupt)
-		}
-		data = data[k:]
-		bl, k := binary.Uvarint(data)
-		if k <= 0 {
-			return nil, fmt.Errorf("%w: bad shard body length", ErrCorrupt)
-		}
-		data = data[k:]
-		if cnt > nsamp-uint64(symOff) {
-			return nil, fmt.Errorf("%w: shard sample counts exceed total", ErrCorrupt)
-		}
-		dir[i] = shard{off: symOff, count: int(cnt), bodyOff: bodyOff, bodyLen: int(bl)}
-		symOff += int(cnt)
-		if bl > uint64(len(data)) || uint64(bodyOff) > uint64(len(data))-bl {
-			return nil, fmt.Errorf("%w: shard bodies exceed stream", ErrCorrupt)
-		}
-		bodyOff += int(bl)
-	}
-	if uint64(symOff) != nsamp {
-		return nil, fmt.Errorf("%w: shard sample counts sum to %d, want %d", ErrCorrupt, symOff, nsamp)
-	}
-	if bodyOff > len(data) {
-		return nil, fmt.Errorf("%w: shard bodies exceed stream", ErrCorrupt)
-	}
-	// As in the legacy path: codes are >= 1 bit, so the concatenated
-	// bodies bound the total sample count before the output is allocated.
-	if nsamp > 8*uint64(bodyOff) {
-		return nil, fmt.Errorf("%w: %d samples for %d body bytes", ErrCorrupt, nsamp, bodyOff)
+	dir, bodies, err := parseShards(data, int(nsamp))
+	if err != nil {
+		return nil, err
 	}
 
 	out := make([]int32, nsamp)
-	if nsamp == 0 {
-		return out, nil
-	}
 	d := newDecoder(syms, lengths)
 	defer d.release()
-	errs := make([]error, nShards)
-	parallel.ForEach(int(nShards), workers, func(i int) {
+	errs := make([]error, len(dir))
+	parallel.ForEach(len(dir), workers, func(i int) {
 		sh := dir[i]
-		body := data[sh.bodyOff : sh.bodyOff+sh.bodyLen]
-		errs[i] = d.decodeBody(body, out[sh.off:sh.off+sh.count])
+		errs[i] = d.decodeBody(bodies[sh.bodyOff:sh.bodyOff+sh.bodyLen], out[sh.off:sh.off+sh.n])
 	})
 	for _, e := range errs {
 		if e != nil {

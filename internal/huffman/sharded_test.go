@@ -2,6 +2,8 @@ package huffman
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -168,6 +170,76 @@ func TestDecodeParallelLegacy(t *testing.T) {
 	for i := range q {
 		if dec[i] != q[i] {
 			t.Fatalf("symbol %d differs", i)
+		}
+	}
+}
+
+// TestShardDirectoryStrict: the index sub-format (0x00 0x01) and the byte
+// sub-format (0xB7) end in one shard directory with one checked reader, so
+// both reject the same lies — an empty shard, counts that do not sum to the
+// total, bodies that stop short of or run past the stream end, a zero or
+// absurd shard count — and both still read what the encoders write.
+func TestShardDirectoryStrict(t *testing.T) {
+	q := skewed(20_000, 11)
+	raw := make([]byte, len(q))
+	for i, v := range q {
+		raw[i] = byte(v)
+	}
+	index := EncodeSharded(q, 3, 2)
+	hdrLen, k := binary.Uvarint(index[2:])
+	bytesEnc := EncodeBytesTo(nil, raw, 3, 2)
+	_, kb := binary.Uvarint(bytesEnc[2:])
+
+	for _, f := range []struct {
+		name   string
+		enc    []byte
+		dirOff int
+		decode func([]byte) error
+	}{
+		{"index", index, 2 + k + int(hdrLen), func(s []byte) error { _, err := DecodeParallel(s, 2); return err }},
+		{"bytes", bytesEnc, 2 + kb + byteTablePacked, func(s []byte) error { return DecodeBytesInto(make([]byte, len(raw)), s, 2) }},
+	} {
+		// Take the directory apart.
+		dir := f.enc[f.dirOff:]
+		n, c := binary.Uvarint(dir)
+		if n != 3 {
+			t.Fatalf("%s: %d shards at offset %d, want 3", f.name, n, f.dirOff)
+		}
+		dir = dir[c:]
+		entries := make([][2]uint64, n)
+		for i := range entries {
+			for j := range entries[i] {
+				entries[i][j], c = binary.Uvarint(dir)
+				dir = dir[c:]
+			}
+		}
+		join := func(count uint64, entries [][2]uint64, bodies []byte) []byte {
+			s := append([]byte(nil), f.enc[:f.dirOff]...)
+			s = binary.AppendUvarint(s, count)
+			for _, e := range entries {
+				s = binary.AppendUvarint(binary.AppendUvarint(s, e[0]), e[1])
+			}
+			return append(s, bodies...)
+		}
+		short := append([][2]uint64(nil), entries...)
+		short[0][0]--
+		for name, c := range map[string]struct {
+			stream []byte
+			ok     bool
+		}{
+			"as written":     {join(3, entries, dir), true},
+			"trailing byte":  {join(3, entries, append(append([]byte(nil), dir...), 0)), false},
+			"body cut short": {join(3, entries, dir[:len(dir)-1]), false},
+			"empty shard":    {join(4, append([][2]uint64{{0, 0}}, entries...), dir), false},
+			"sum short":      {join(3, short, dir), false},
+			"zero shards":    {join(0, nil, dir), false},
+			"absurd count":   {join(1<<40, entries, dir), false},
+		} {
+			if err := f.decode(c.stream); (err == nil) != c.ok {
+				t.Errorf("%s, %s: err = %v, want ok = %v", f.name, name, err, c.ok)
+			} else if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, %s: untyped error %v", f.name, name, err)
+			}
 		}
 	}
 }

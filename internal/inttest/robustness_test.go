@@ -74,7 +74,7 @@ func TestChunkedCorruptionNeverPanics(t *testing.T) {
 					t.Fatalf("trial %d: chunked decoder panicked: %v", trial, r)
 				}
 			}()
-			_, _ = scdc.DecompressChunked(mutated, 2)
+			_, _ = scdc.DecompressParallel(mutated, 2)
 			_, _ = scdc.Inspect(mutated)
 		}()
 	}

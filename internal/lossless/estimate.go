@@ -103,9 +103,8 @@ func sampleProbe(src []byte) probe {
 // codec actually spends bytes: flate pays the order-0 entropy for
 // unmatched bytes and a small per-match residue, LZ stores unmatched
 // bytes raw and roughly one 3-byte sequence per ~16 covered bytes,
-// Huffman pays the order-0 entropy everywhere plus its code table, the
-// range coder tracks the order-0 rate with its adaptive byte model,
-// and store pays the input verbatim.
+// Huffman pays the order-0 entropy everywhere plus its code table, and
+// store pays the input verbatim.
 func (p probe) estimate(c Codec, n int) int {
 	fn := float64(n)
 	switch c {
@@ -132,8 +131,6 @@ func (p probe) estimate(c Codec, n int) int {
 		// Flat 256-byte code-length table plus the sub-format header and
 		// shard directory (huffman/bytes.go).
 		return int(fn*p.entropyBits/8) + 232
-	case Range:
-		return int(fn*p.entropyBits/8) + 24
 	default: // None, Store
 		return n + 6
 	}

@@ -5,42 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzRangeCoderDecode: the adaptive range decoder reads zero-padding past
-// the end of its input, so it must be the CRC and the expansion cap — not
-// luck — that keep arbitrary bytes from decoding silently. Valid streams
-// must round-trip; arbitrary streams must error or produce exactly n
-// bytes, never panic or allocate past the cap.
-func FuzzRangeCoderDecode(f *testing.F) {
-	f.Add(rangeCompress([]byte("hello range coder")), 17)
-	f.Add(rangeCompress(nil), 0)
-	f.Add(rangeCompress(bytes.Repeat([]byte{0}, 3000)), 3000)
-	f.Add([]byte{1, 2, 3}, 10)
-	f.Fuzz(func(t *testing.T, data []byte, n int) {
-		if n < 0 || n > 1<<20 {
-			return
-		}
-		out, err := rangeDecompress(data, n)
-		if err != nil {
-			return
-		}
-		if len(out) != n {
-			t.Fatalf("decoded %d bytes, want %d", len(out), n)
-		}
-		// A stream that passes its CRC must re-encode to the same bytes:
-		// the coder is deterministic in both directions.
-		re := rangeCompress(out)
-		dec2, err := rangeDecompress(re, n)
-		if err != nil || !bytes.Equal(dec2, out) {
-			t.Fatalf("re-encode round trip broke: %v", err)
-		}
-	})
-}
-
-// FuzzLosslessDecompress covers the codec-tagged wrapper over all four
-// back-ends, including hostile declared lengths against DecompressLimit.
+// FuzzLosslessDecompress covers the codec-tagged wrapper over the
+// single-body back-ends, including hostile declared lengths against
+// DecompressLimit.
 func FuzzLosslessDecompress(f *testing.F) {
 	payload := []byte("the quick brown fox jumps over the lazy dog")
-	for _, c := range []Codec{None, Flate, LZ, Range} {
+	for _, c := range []Codec{None, Flate, LZ, Huffman} {
 		enc, err := Compress(c, payload)
 		if err != nil {
 			f.Fatal(err)
@@ -57,7 +27,7 @@ func FuzzLosslessDecompress(f *testing.F) {
 			t.Fatalf("limit breached: %d bytes", len(out))
 		}
 		// Decoded output must re-compress and round-trip under every codec.
-		for _, c := range []Codec{None, Flate, LZ, Range} {
+		for _, c := range []Codec{None, Flate, LZ, Huffman} {
 			enc, err := Compress(c, out)
 			if err != nil {
 				t.Fatalf("%v: %v", c, err)

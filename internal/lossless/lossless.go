@@ -6,7 +6,6 @@
 //   - LZ: a from-scratch byte-oriented LZ77 codec ("lz/2", see lz.go) with
 //     a hash-chain matcher and 64-bit match kernels — the dependency-free
 //     fast path and an ablation point (BenchmarkAblationLosslessBackend).
-//   - Range: an adaptive binary range coder, the high-ratio ablation point.
 //   - Sharded: a container (sharded.go) that splits the plaintext into
 //     size-derived shards compressed and decompressed in parallel.
 //   - Auto: per-buffer (or per-shard) codec selection from EstimateBytes.
@@ -57,11 +56,10 @@ const (
 	Flate Codec = 1
 	// LZ is the built-in LZ77 codec.
 	LZ Codec = 2
-	// Range is the built-in adaptive binary range coder.
-	Range Codec = 3
 	// Sharded is the parallel container format (sharded.go). It appears
 	// as a stream tag only; use CompressSharded with an inner codec to
-	// produce it.
+	// produce it. (Tag 3 is reserved: it was a range coder no public
+	// option ever selected, and decodes as an unknown codec.)
 	Sharded Codec = 4
 	// Auto selects the cheapest of store, Huffman, LZ and flate from a
 	// sampled size estimate (estimate.go). Selection-only: the chosen codec's
@@ -87,8 +85,6 @@ func (c Codec) String() string {
 		return "flate"
 	case LZ:
 		return "lz"
-	case Range:
-		return "range"
 	case Sharded:
 		return "sharded"
 	case Auto:
@@ -143,8 +139,6 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 		return buf.Bytes(), nil
 	case LZ:
 		return lzCompress(hdr, src), nil
-	case Range:
-		return rangeCompressTo(hdr, src), nil
 	case Huffman:
 		return huffCompressBody(hdr, src, 1), nil
 	case Sharded:
@@ -176,8 +170,8 @@ func Decompress(data []byte) ([]byte, error) {
 // DecompressLimit is Decompress with an upper bound on the header-declared
 // output size. A decoder that knows its decoded geometry should pass
 // PayloadLimit(points) so a hostile or damaged length header fails fast
-// instead of driving a giant allocation (the LZ and range codecs otherwise
-// decode exactly as many bytes as the header claims). maxOut < 0 disables
+// instead of driving a giant allocation (the LZ codec otherwise decodes
+// exactly as many bytes as the header claims). maxOut < 0 disables
 // the check.
 func DecompressLimit(data []byte, maxOut int) ([]byte, error) {
 	return DecompressLimitWorkers(data, maxOut, 1)
@@ -220,8 +214,6 @@ func DecompressLimitWorkers(data []byte, maxOut, workers int) ([]byte, error) {
 		return out, nil
 	case LZ:
 		return lzDecompress(body, int(n))
-	case Range:
-		return rangeDecompress(body, int(n))
 	case Huffman:
 		return huffDecompress(body, int(n), workers)
 	case Sharded:

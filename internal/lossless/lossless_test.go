@@ -2,12 +2,13 @@ package lossless
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-var codecs = []Codec{None, Flate, LZ, Range, Huffman}
+var codecs = []Codec{None, Flate, LZ, Huffman}
 
 func roundTrip(t *testing.T, c Codec, src []byte) {
 	t.Helper()
@@ -43,16 +44,12 @@ func TestRepetitive(t *testing.T) {
 	for _, c := range codecs {
 		roundTrip(t, c, src)
 	}
-	// The LZ-family codecs must exploit the repetition; the order-0 range
-	// coder only sees the symbol distribution, so it gets a looser check.
+	// The LZ-family codecs must exploit the repetition.
 	for _, c := range []Codec{Flate, LZ} {
 		enc, _ := Compress(c, src)
 		if len(enc) >= len(src)/4 {
 			t.Errorf("%v: poor compression of repetitive data: %d of %d", c, len(enc), len(src))
 		}
-	}
-	if enc, _ := Compress(Range, src); len(enc) >= len(src)/2 {
-		t.Errorf("range: poor compression of repetitive data: %d of %d", len(enc), len(src))
 	}
 }
 
@@ -101,8 +98,15 @@ func TestCorrupt(t *testing.T) {
 	if _, err := Decompress(nil); err == nil {
 		t.Error("empty stream accepted")
 	}
-	if _, err := Decompress([]byte{99, 4, 1, 2, 3, 4}); err == nil {
-		t.Error("unknown codec accepted")
+	// Tag 3 is reserved (the retired range coder) and reads as unknown;
+	// neither it nor any undefined tag can be written.
+	for _, tag := range []byte{3, 99} {
+		if _, err := Decompress([]byte{tag, 4, 1, 2, 3, 4}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("codec tag %d: got %v, want ErrCorrupt", tag, err)
+		}
+		if _, err := Compress(Codec(tag), src); err == nil {
+			t.Errorf("codec tag %d accepted by Compress", tag)
+		}
 	}
 	// Stored-length mismatch for None.
 	enc, _ := Compress(None, src)
@@ -112,7 +116,7 @@ func TestCorrupt(t *testing.T) {
 }
 
 func TestCodecString(t *testing.T) {
-	if None.String() != "none" || Flate.String() != "flate" || LZ.String() != "lz" || Range.String() != "range" {
+	if None.String() != "none" || Flate.String() != "flate" || LZ.String() != "lz" {
 		t.Error("codec names wrong")
 	}
 	if Sharded.String() != "sharded" || Auto.String() != "auto" || Store.String() != "store" || Huffman.String() != "huffman" {
@@ -136,43 +140,5 @@ func TestQuickLZ(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestQuickRange property: the from-scratch range coder round-trips
-// arbitrary byte strings.
-func TestQuickRange(t *testing.T) {
-	f := func(src []byte) bool {
-		enc, err := Compress(Range, src)
-		if err != nil {
-			return false
-		}
-		dec, err := Decompress(enc)
-		return err == nil && bytes.Equal(dec, src)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRangeBeatsNoneOnSkewed: the adaptive model must compress a skewed
-// byte distribution well below raw size.
-func TestRangeBeatsNoneOnSkewed(t *testing.T) {
-	src := make([]byte, 1<<15)
-	for i := range src {
-		if i%7 == 0 {
-			src[i] = byte(i % 3)
-		}
-	}
-	enc, err := Compress(Range, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) > len(src)/3 {
-		t.Fatalf("range coder too weak: %d of %d", len(enc), len(src))
-	}
-	dec, err := Decompress(enc)
-	if err != nil || !bytes.Equal(dec, src) {
-		t.Fatal("round trip failed")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// randomPayload mixes skewed runs (range-coder friendly) with uniform
+// randomPayload mixes skewed runs (entropy-coder friendly) with uniform
 // noise (worst case) at an arbitrary, often odd, length.
 func randomPayload(rng *rand.Rand, n int) []byte {
 	out := make([]byte, n)
@@ -27,33 +27,11 @@ func randomPayload(rng *rand.Rand, n int) []byte {
 	return out
 }
 
-// TestPropertyRangeRoundTrip: the adaptive range coder must round-trip
-// arbitrary payloads at every awkward length — zero, one, odd tails, and
-// just past its internal block boundaries.
-func TestPropertyRangeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	lengths := []int{0, 1, 2, 3, 5, 7, 63, 64, 65, 255, 256, 257, 1021, 4093}
-	for i := 0; i < 40; i++ {
-		lengths = append(lengths, rng.Intn(8192))
-	}
-	for _, n := range lengths {
-		payload := randomPayload(rng, n)
-		enc := rangeCompress(payload)
-		dec, err := rangeDecompress(enc, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !bytes.Equal(dec, payload) {
-			t.Fatalf("n=%d: round trip mismatch", n)
-		}
-	}
-}
-
 // TestPropertyCodecRoundTrip runs the same length sweep through the
 // tagged Compress/Decompress wrapper for every codec.
 func TestPropertyCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, c := range []Codec{None, Flate, LZ, Range, Huffman, Store, Auto} {
+	for _, c := range []Codec{None, Flate, LZ, Huffman, Store, Auto} {
 		for _, n := range []int{0, 1, 3, 64, 65, 1000, 4097} {
 			payload := randomPayload(rng, n)
 			enc, err := Compress(c, payload)
@@ -75,7 +53,7 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 // rejected as corrupt before any allocation; at or under it must decode.
 func TestDecompressLimit(t *testing.T) {
 	payload := bytes.Repeat([]byte("scdc"), 300)
-	for _, c := range []Codec{None, Flate, LZ, Range, Huffman} {
+	for _, c := range []Codec{None, Flate, LZ, Huffman} {
 		enc, err := Compress(c, payload)
 		if err != nil {
 			t.Fatal(err)

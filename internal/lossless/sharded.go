@@ -77,14 +77,13 @@ var shardBufPool = sync.Pool{New: func() any { return new(shardBuf) }}
 // goroutines; smaller inputs fall back to the plain single-body format
 // (both decode through Decompress). c selects the inner codec; Auto
 // picks flate, LZ, Huffman or store per shard from EstimateBytes. The
-// range coder is whole-buffer only and keeps the plain format. The
 // output is byte-identical for every worker count.
 func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
 	if c == Sharded {
 		return nil, fmt.Errorf("lossless: sharded container needs an inner codec")
 	}
 	k := ShardCount(len(src))
-	if k <= 1 || c == Range || c == None || c == Store {
+	if k <= 1 || c == None || c == Store {
 		return Compress(c, src)
 	}
 	if c == Auto && pickCodec(src) == Huffman {

@@ -69,7 +69,7 @@ func TestShardedWorkerIdentity(t *testing.T) {
 func TestShardedRoundTrip(t *testing.T) {
 	sizes := []int{0, 1, 1000, 2*shardMinBytes - 1, 2 * shardMinBytes,
 		2*shardMinBytes + 7, shardTargetBytes + 1, 3*shardTargetBytes + 13}
-	for _, c := range []Codec{None, Flate, LZ, Huffman, Range, Auto, Store} {
+	for _, c := range []Codec{None, Flate, LZ, Huffman, Auto, Store} {
 		for _, n := range sizes {
 			src := shardedPayload(int64(n)+7, n)
 			enc, err := CompressSharded(c, src, 3)
@@ -117,7 +117,7 @@ func TestShardedHostileHeaders(t *testing.T) {
 		"sum over declared":  shardedStream(7, [][3]uint64{stored(4), stored(4)}, []byte{1, 2, 3, 4, 5, 6, 7, 8}),
 		"body overrun":       shardedStream(8, [][3]uint64{stored(4), {uint64(None), 4, 400}}, []byte{1, 2, 3, 4, 5, 6, 7, 8}),
 		"trailing body":      shardedStream(4, [][3]uint64{stored(4)}, []byte{1, 2, 3, 4, 5}),
-		"bad inner codec":    shardedStream(4, [][3]uint64{{uint64(Range), 4, 4}}, []byte{1, 2, 3, 4}),
+		"bad inner codec":    shardedStream(4, [][3]uint64{{3, 4, 4}}, []byte{1, 2, 3, 4}),
 		"nested container":   shardedStream(4, [][3]uint64{{uint64(Sharded), 4, 4}}, []byte{1, 2, 3, 4}),
 		"stored length lie":  shardedStream(8, [][3]uint64{{uint64(None), 8, 4}}, []byte{1, 2, 3, 4}),
 		"truncated dir":      shardedStream(8, [][3]uint64{stored(4)}, nil)[:5],

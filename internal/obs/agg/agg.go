@@ -266,7 +266,8 @@ func (r *Registry) Len() int {
 // non-timing half of scdc-stats/1 (DESIGN.md §7).
 type Meta struct {
 	// Op is "compress", "compress_chunked", "decompress" or
-	// "decompress_chunked".
+	// "decompress_chunked" — the last is what scdc.DecompressObserved
+	// reports for a chunked container.
 	Op string
 	// Algorithm is the compressor name.
 	Algorithm string

@@ -11,9 +11,6 @@
 // of previously processed neighbors.
 package predictor
 
-// Lorenzo1D predicts v[i] from its predecessor: p = a.
-func Lorenzo1D(a float64) float64 { return a }
-
 // Lorenzo2D predicts from the left (a), top (b) and top-left (ab)
 // neighbors: p = a + b - ab.
 func Lorenzo2D(a, b, ab float64) float64 { return a + b - ab }

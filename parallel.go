@@ -3,6 +3,7 @@ package scdc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"scdc/internal/grid"
 	"scdc/internal/obs"
@@ -11,7 +12,7 @@ import (
 
 // CompressChunked partitions the field into chunks along the slowest
 // dimension and compresses them independently on up to workers goroutines
-// (workers <= 0 selects GOMAXPROCS). This is the embarrassingly parallel
+// (workers <= 0 compresses sequentially). This is the embarrassingly parallel
 // mode the paper uses for the RTM transfer experiment (Section VI-E) and
 // the natural way to exploit multi-core nodes: QP, like the base
 // compressors, is sequential within a chunk but trivially parallel across
@@ -22,21 +23,50 @@ import (
 // is a fully independent stream, so a chunked container also supports
 // partial decompression by chunk.
 func CompressChunked(data []float64, dims []int, opts Options, workers, chunkExtent int) ([]byte, error) {
-	if opts.Metrics != nil && opts.Observer == nil {
-		opts.Observer = obs.New()
-	}
-	sp := opts.Observer.Span("compress_chunked")
-	out, err := compressChunkedSpan(data, dims, opts, workers, chunkExtent, sp)
-	sp.End()
-	if err == nil && opts.Metrics != nil {
-		newStats("compress_chunked", opts.Algorithm, dims, len(data), len(out), sp.Report()).Publish(opts.Metrics)
-	}
+	out, _, err := observe("compress_chunked", data, dims, opts, false, func(sp *obs.Span) ([]byte, error) {
+		return compressChunkedSpan(data, dims, opts, workers, chunkExtent, sp)
+	})
 	return out, err
 }
 
+// forEachChunk runs fn for each of n chunks on up to workers goroutines
+// (at least one) and returns the first failure in chunk order. With telemetry on (sp
+// non-nil) fn records under a wall-clock "chunk[i]" span nested in the
+// accumulating "worker[w]" span of the pool worker that ran it; worker
+// spans are keyed on the pool's stable worker index (each index is owned
+// by one goroutine, so lazy creation is race-free).
+func forEachChunk(sp *obs.Span, n, workers int, fn func(i int, csp *obs.Span) error) error {
+	workers = max(workers, 1)
+	var workerSpans []*obs.Span
+	if sp != nil {
+		workerSpans = make([]*obs.Span, workers)
+	}
+	errs := make([]error, n)
+	parallel.ForEachWorker(n, workers, func(w, i int) {
+		var csp *obs.Span
+		if sp != nil {
+			if workerSpans[w] == nil {
+				workerSpans[w] = sp.ChildAccum(fmt.Sprintf("worker[%d]", w))
+			}
+			csp = workerSpans[w].Child(fmt.Sprintf("chunk[%d]", i))
+		}
+		t0 := csp.Begin()
+		errs[i] = fn(i, csp)
+		if csp != nil {
+			csp.End()
+			workerSpans[w].AddSince(t0)
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("chunk %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // compressChunkedSpan is the CompressChunked body with telemetry attached
-// to sp (which may be nil): one accumulating span per pool worker, one
-// wall-clock span per chunk nested under the worker that compressed it.
+// to sp (which may be nil).
 func compressChunkedSpan(data []float64, dims []int, opts Options, workers, chunkExtent int, sp *obs.Span) ([]byte, error) {
 	f, err := grid.FromSlice(data, dims...)
 	if err != nil {
@@ -55,8 +85,6 @@ func compressChunkedSpan(data []float64, dims []int, opts Options, workers, chun
 	chunkOpts := opts
 	chunkOpts.ErrorBound = eb
 	chunkOpts.RelativeBound = 0
-	chunkOpts.Observer = nil // chunks record under sp, not a fresh top span
-	chunkOpts.Metrics = nil  // the whole chunked op publishes once, not per chunk
 
 	if workers <= 0 {
 		workers = 1
@@ -71,221 +99,146 @@ func compressChunkedSpan(data []float64, dims []int, opts Options, workers, chun
 	nChunks := (n0 + chunkExtent - 1) / chunkExtent
 	sliceLen := f.Len() / n0
 
-	// Per-worker accumulating spans are keyed on the pool's stable worker
-	// index (each index is owned by one goroutine, so lazy creation is
-	// race-free); every chunk additionally gets its own wall-clock span
-	// under the worker that compressed it.
-	var workerSpans []*obs.Span
-	if sp != nil {
-		workerSpans = make([]*obs.Span, workers)
-	}
-	type result struct {
-		stream []byte
-		err    error
-	}
-	results := make([]result, nChunks)
-	parallel.ForEachWorker(nChunks, workers, func(w, i int) {
-		lo := i * chunkExtent
-		hi := lo + chunkExtent
-		if hi > n0 {
-			hi = n0
-		}
+	streams := make([][]byte, nChunks)
+	err = forEachChunk(sp, nChunks, workers, func(i int, csp *obs.Span) (err error) {
+		lo, hi := i*chunkExtent, min((i+1)*chunkExtent, n0)
 		chunkDims := append([]int{hi - lo}, dims[1:]...)
-		var csp *obs.Span
-		if sp != nil {
-			if workerSpans[w] == nil {
-				workerSpans[w] = sp.ChildAccum(fmt.Sprintf("worker[%d]", w))
-			}
-			csp = workerSpans[w].Child(fmt.Sprintf("chunk[%d]", i))
-		}
-		t0 := csp.Begin()
-		stream, err := compressSpan(data[lo*sliceLen:hi*sliceLen], chunkDims, chunkOpts, csp)
-		if csp != nil {
-			csp.Add("bytes_out", int64(len(stream)))
-			csp.End()
-			workerSpans[w].AddSince(t0)
-		}
-		results[i] = result{stream, err}
+		streams[i], err = compressSpan(data[lo*sliceLen:hi*sliceLen], chunkDims, chunkOpts, csp)
+		csp.Add("bytes_out", int64(len(streams[i])))
+		return err
 	})
-
-	// Container: magic, version, marker 0xFF (chunked), ndims, dims,
-	// chunk extent, chunk count, length-prefixed chunk streams, then the
-	// v2 CRC32C footer over the whole container (each chunk additionally
-	// carries its own footer, so partial reads stay verifiable).
-	out := make([]byte, 0, 64)
-	out = append(out, magic[:]...)
-	out = append(out, formatVersion, 0xFF, byte(len(dims)))
-	for _, d := range dims {
-		out = binary.AppendUvarint(out, uint64(d))
+	if err != nil {
+		return nil, err
 	}
+
+	// Container: the prologue with kind 0xFF, chunk extent, chunk count,
+	// length-prefixed chunk streams, then the v2 CRC32C footer over the
+	// whole container (each chunk additionally carries its own footer, so
+	// partial reads stay verifiable).
+	out := appendHeader(make([]byte, 0, 64), kindChunked, dims)
 	out = binary.AppendUvarint(out, uint64(chunkExtent))
 	out = binary.AppendUvarint(out, uint64(nChunks))
-	for i, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, r.err)
-		}
-		out = binary.AppendUvarint(out, uint64(len(r.stream)))
-		out = append(out, r.stream...)
+	for _, c := range streams {
+		out = binary.AppendUvarint(out, uint64(len(c)))
+		out = append(out, c...)
 	}
 	return appendFooter(out), nil
 }
 
-// DecompressChunked reconstructs a field compressed with CompressChunked,
-// decompressing chunks on up to workers goroutines.
-func DecompressChunked(stream []byte, workers int) (*Result, error) {
-	return decompressChunkedSpan(stream, workers, nil)
-}
-
-// decompressChunkedSpan is the DecompressChunked body with telemetry
-// attached to sp (which may be nil), mirroring compressChunkedSpan's
-// per-worker and per-chunk span layout.
-func decompressChunkedSpan(stream []byte, workers int, sp *obs.Span) (*Result, error) {
-	dims, chunkExtent, chunks, err := parseChunked(stream)
-	if err != nil {
-		return nil, err
+// parseChunkTable reads what follows the prologue of a chunked container —
+// chunk extent, chunk count, length-prefixed chunk streams — and slices
+// the chunks out (no copying). The count must be the one the extent
+// implies and is bounded by the bytes present before the table is
+// allocated; the chunks must end exactly at the payload's end.
+func parseChunkTable(h header) (extent int, chunks [][]byte, err error) {
+	if h.kind != kindChunked || len(h.dims) < 2 {
+		return 0, nil, fmt.Errorf("%w: not a chunked stream", ErrCorrupt)
 	}
-	// Overflow- and plausibility-check the declared geometry before the
-	// output field is allocated.
-	n, err := grid.CheckDims(dims)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	payload := 0
-	for _, c := range chunks {
-		payload += len(c)
-	}
-	if payload == 0 || n > payload*maxPointsPerByte {
-		return nil, fmt.Errorf("%w: %d points declared for %d payload bytes", ErrCorrupt, n, payload)
-	}
-	sliceLen := n / dims[0]
-	out := make([]float64, n)
-	// Per-chunk algorithm slots: every chunk of a well-formed container
-	// carries the same algorithm, and writing a shared scalar from the
-	// worker closure would race (parallelpure flags it).
-	algs := make([]Algorithm, len(chunks))
-
-	if workers <= 0 {
-		workers = 1
-	}
-	var workerSpans []*obs.Span
-	if sp != nil {
-		workerSpans = make([]*obs.Span, workers)
-	}
-	errs := make([]error, len(chunks))
-	parallel.ForEachWorker(len(chunks), workers, func(w, i int) {
-		errs[i] = func() error {
-			var csp *obs.Span
-			if sp != nil {
-				if workerSpans[w] == nil {
-					workerSpans[w] = sp.ChildAccum(fmt.Sprintf("worker[%d]", w))
-				}
-				csp = workerSpans[w].Child(fmt.Sprintf("chunk[%d]", i))
-			}
-			t0 := csp.Begin()
-			res, err := decompressSpan(chunks[i], 1, csp)
-			if csp != nil {
-				csp.Add("bytes_in", int64(len(chunks[i])))
-				csp.End()
-				workerSpans[w].AddSince(t0)
-			}
-			if err != nil {
-				return fmt.Errorf("chunk %d: %w", i, err)
-			}
-			lo := i * chunkExtent
-			hi := lo + chunkExtent
-			if hi > dims[0] {
-				hi = dims[0]
-			}
-			// A corrupt (or hostile) chunk may decode to a different size than
-			// its slot; reject it before copy so it cannot bleed into — or leave
-			// stale zeros in — neighboring chunks' regions.
-			if len(res.Data) != (hi-lo)*sliceLen {
-				return fmt.Errorf("%w: chunk %d decodes to %d values, want %d",
-					ErrCorrupt, i, len(res.Data), (hi-lo)*sliceLen)
-			}
-			copy(out[lo*sliceLen:], res.Data)
-			algs[i] = res.Algorithm
-			return nil
-		}()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	sp.Add("chunks", int64(len(chunks)))
-	sp.Add("raw_bytes", int64(n*8))
-	sp.Add("stream_bytes", int64(len(stream)))
-	return &Result{Data: out, Dims: dims, Algorithm: algs[0]}, nil
-}
-
-// DecompressChunk extracts a single chunk (by index) from a chunked
-// stream without touching the others — partial decompression.
-func DecompressChunk(stream []byte, chunk int) (*Result, error) {
-	_, _, chunks, err := parseChunked(stream)
-	if err != nil {
-		return nil, err
-	}
-	if chunk < 0 || chunk >= len(chunks) {
-		return nil, fmt.Errorf("%w: chunk %d of %d", ErrBadOptions, chunk, len(chunks))
-	}
-	return Decompress(chunks[chunk])
-}
-
-// parseChunked validates the chunked container and slices out the chunk
-// streams (no copying).
-func parseChunked(stream []byte) (dims []int, chunkExtent int, chunks [][]byte, err error) {
-	if len(stream) < 8 || stream[0] != magic[0] || stream[1] != magic[1] ||
-		stream[2] != magic[2] || stream[3] != magic[3] {
-		return nil, 0, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	// Verify the container CRC32C before interpreting any layout field.
-	stream, err = checkFooter(stream)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if len(stream) < 8 || stream[5] != 0xFF {
-		return nil, 0, nil, fmt.Errorf("%w: not a chunked stream", ErrCorrupt)
-	}
-	nd := int(stream[6])
-	if nd < 2 || nd > grid.MaxDims {
-		return nil, 0, nil, fmt.Errorf("%w: bad dimensionality %d", ErrCorrupt, nd)
-	}
-	buf := stream[7:]
-	dims = make([]int, nd)
-	for i := range dims {
-		v, k := binary.Uvarint(buf)
-		if k <= 0 || v == 0 || v > 1<<40 {
-			return nil, 0, nil, fmt.Errorf("%w: bad dims", ErrCorrupt)
-		}
-		dims[i] = int(v)
-		buf = buf[k:]
-	}
+	buf := h.payload
 	ce, k := binary.Uvarint(buf)
-	if k <= 0 || ce == 0 {
-		return nil, 0, nil, fmt.Errorf("%w: bad chunk extent", ErrCorrupt)
+	if k <= 0 || ce == 0 || ce > maxDim {
+		return 0, nil, fmt.Errorf("%w: bad chunk extent", ErrCorrupt)
 	}
 	buf = buf[k:]
 	nc, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return nil, 0, nil, fmt.Errorf("%w: bad chunk count", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: bad chunk count", ErrCorrupt)
 	}
 	buf = buf[k:]
-	want := (dims[0] + int(ce) - 1) / int(ce)
-	if int(nc) != want {
-		return nil, 0, nil, fmt.Errorf("%w: %d chunks for extent %d over %d", ErrCorrupt, nc, ce, dims[0])
+	if nc != (uint64(h.dims[0])+ce-1)/ce || nc > uint64(len(buf)) {
+		return 0, nil, fmt.Errorf("%w: %d chunks for extent %d over %d in %d bytes", ErrCorrupt, nc, ce, h.dims[0], len(buf))
 	}
 	chunks = make([][]byte, nc)
 	for i := range chunks {
 		l, k := binary.Uvarint(buf)
 		if k <= 0 || l > uint64(len(buf)-k) {
-			return nil, 0, nil, fmt.Errorf("%w: truncated chunk %d", ErrCorrupt, i)
+			return 0, nil, fmt.Errorf("%w: truncated chunk %d", ErrCorrupt, i)
 		}
 		chunks[i] = buf[k : k+int(l)]
 		buf = buf[k+int(l):]
 	}
 	if len(buf) != 0 {
-		return nil, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
 	}
-	return dims, int(ce), chunks, nil
+	return int(ce), chunks, nil
+}
+
+// parseChunk reads the header of one embedded chunk. A chunk is always a
+// plain stream: one that is itself a container is corrupt, so decoding
+// never recurses.
+func parseChunk(chunk []byte, verify bool) (header, error) {
+	h, err := parseHeader(chunk, verify)
+	if err == nil && h.kind == kindChunked {
+		err = fmt.Errorf("%w: nested chunked stream", ErrCorrupt)
+	}
+	return h, err
+}
+
+// decodeChunks decodes a chunked container on up to workers goroutines,
+// each chunk by the plain path at one intra-field worker, with telemetry
+// attached to sp (which may be nil) in compressChunkedSpan's layout.
+func decodeChunks(h header, workers int, sp *obs.Span) (*Result, error) {
+	extent, chunks, err := parseChunkTable(h)
+	if err != nil {
+		return nil, err
+	}
+	sliceLen := h.points / h.dims[0]
+	// Each chunk decodes into a field sized by its own header, which was
+	// capped against its own payload; nothing is allocated from the
+	// container's declared dims. Results land in per-chunk slots: a shared
+	// scalar written from the worker closure would race (parallelpure
+	// flags it).
+	parts := make([][]float64, len(chunks))
+	algs := make([]Algorithm, len(chunks))
+	err = forEachChunk(sp, len(chunks), workers, func(i int, csp *obs.Span) error {
+		csp.Add("bytes_in", int64(len(chunks[i])))
+		ch, err := parseChunk(chunks[i], true)
+		if err != nil {
+			return err
+		}
+		res, err := decodeField(ch, 1, csp)
+		if err != nil {
+			return err
+		}
+		// A corrupt (or hostile) chunk may decode to a different size than
+		// its slot; reject it so it cannot shift its neighbors' regions.
+		lo, hi := i*extent, min((i+1)*extent, h.dims[0])
+		if len(res.Data) != (hi-lo)*sliceLen {
+			return fmt.Errorf("%w: decodes to %d values, want %d", ErrCorrupt, len(res.Data), (hi-lo)*sliceLen)
+		}
+		parts[i], algs[i] = res.Data, res.Algorithm
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sp.Add("chunks", int64(len(chunks)))
+	sp.Add("raw_bytes", int64(h.points*8))
+	sp.Add("stream_bytes", int64(h.size))
+	return &Result{Data: slices.Concat(parts...), Dims: h.dims, Algorithm: algs[0]}, nil
+}
+
+// DecompressChunk extracts a single chunk (by index) from a chunked
+// stream without touching the others — partial decompression. A plain
+// stream is its own only chunk.
+func DecompressChunk(stream []byte, chunk int) (*Result, error) {
+	h, err := parseHeader(stream, true)
+	if err != nil {
+		return nil, err
+	}
+	chunks := [][]byte{stream} // a plain stream is its own only chunk
+	if h.kind == kindChunked {
+		if _, chunks, err = parseChunkTable(h); err != nil {
+			return nil, err
+		}
+	}
+	if chunk < 0 || chunk >= len(chunks) {
+		return nil, fmt.Errorf("%w: chunk %d of %d", ErrBadOptions, chunk, len(chunks))
+	}
+	if h.kind == kindChunked {
+		if h, err = parseChunk(chunks[chunk], true); err != nil {
+			return nil, err
+		}
+	}
+	return decodeField(h, 1, nil)
 }

@@ -1,6 +1,7 @@
 package scdc
 
 import (
+	"errors"
 	"testing"
 
 	"scdc/datasets"
@@ -23,7 +24,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d extent=%d: %v", workers, extent, err)
 			}
-			res, err := DecompressChunked(stream, workers)
+			res, err := DecompressParallel(stream, workers)
 			if err != nil {
 				t.Fatalf("workers=%d extent=%d: %v", workers, extent, err)
 			}
@@ -116,19 +117,22 @@ func TestChunkedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressChunked(stream[:20], 2); err == nil {
+	if _, err := DecompressParallel(stream[:20], 2); err == nil {
 		t.Error("truncated chunked stream accepted")
 	}
-	// A plain stream is not a chunked stream.
+	// One door: Decompress reads the chunked stream, and DecompressChunk
+	// reads a plain stream as its own only chunk.
+	if _, err := Decompress(stream); err != nil {
+		t.Errorf("chunked stream through Decompress: %v", err)
+	}
 	plain, err := Compress(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressChunked(plain, 2); err == nil {
-		t.Error("plain stream accepted by chunked decoder")
+	if _, err := DecompressChunk(plain, 0); err != nil {
+		t.Errorf("plain stream as chunk 0: %v", err)
 	}
-	// And a chunked stream is not a plain stream.
-	if _, err := Decompress(stream); err == nil {
-		t.Error("chunked stream accepted by plain decoder")
+	if _, err := DecompressChunk(plain, 1); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("chunk 1 of a plain stream: got %v, want ErrBadOptions", err)
 	}
 }

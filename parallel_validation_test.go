@@ -16,7 +16,7 @@ func TestChunkedNonDividingExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DecompressChunked(stream, 3)
+	res, err := DecompressParallel(stream, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestChunkedRejectsMismatchedChunk(t *testing.T) {
 	// Re-seal the rebuilt container so the integrity footer passes and the
 	// structural chunk-size check is what rejects it.
 	out = appendFooter(out)
-	if _, err := DecompressChunked(out, 2); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecompressParallel(out, 2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mismatched chunk not rejected: %v", err)
 	}
 }
@@ -90,12 +90,12 @@ func TestChunkedCorruptFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := 0; l < len(stream); l += 41 {
-		_, _ = DecompressChunked(stream[:l], 2)
+		_, _ = DecompressParallel(stream[:l], 2)
 	}
 	for i := 0; i < len(stream); i += 23 {
 		mut := append([]byte(nil), stream...)
 		mut[i] ^= 0x5A
-		_, _ = DecompressChunked(mut, 2)
+		_, _ = DecompressParallel(mut, 2)
 		_, _ = DecompressChunk(mut, 0)
 	}
 }

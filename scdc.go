@@ -330,7 +330,7 @@ type Result struct {
 	// Algorithm is the compressor that produced the stream.
 	Algorithm Algorithm
 	// Stats carries per-stage telemetry when the stream was decompressed
-	// through DecompressObserved/DecompressChunkedObserved; nil otherwise.
+	// through DecompressObserved; nil otherwise.
 	Stats *CompressStats
 }
 
@@ -366,58 +366,119 @@ const (
 
 	// footerSize is the v2 trailer: uint32 LE CRC32C.
 	footerSize = 4
+
+	// kindChunked in the kind byte marks a CompressChunked container; every
+	// other value is the Algorithm of a plain stream.
+	kindChunked = 0xFF
+
+	// maxDim bounds every header-declared extent.
+	maxDim = 1 << 40
+
+	// maxPointsPerByte caps the header-declared point count against the
+	// available payload before anything is allocated. The tightest possible
+	// encoding is ~1 Huffman bit per point followed by the lossless back-end
+	// (at most ~2^13x on constant input), so 2^17 points per payload byte is
+	// beyond any stream the writers can produce; headers claiming more are
+	// hostile or damaged.
+	maxPointsPerByte = 1 << 17
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendHeader appends the container prologue: magic, version, kind byte
+// (an Algorithm or kindChunked), ndims, uvarint dims.
+func appendHeader(dst []byte, kind byte, dims []int) []byte {
+	dst = append(dst, magic[:]...)
+	dst = append(dst, formatVersion, kind, byte(len(dims)))
+	for _, d := range dims {
+		dst = binary.AppendUvarint(dst, uint64(d))
+	}
+	return dst
+}
 
 // appendFooter appends the v2 CRC32C footer covering stream.
 func appendFooter(stream []byte) []byte {
 	return binary.LittleEndian.AppendUint32(stream, crc32.Checksum(stream, castagnoli))
 }
 
-// checkFooter validates the container version byte (stream[4]) and, for v2
-// streams, verifies and strips the CRC32C footer. It returns the stream
-// body without the footer. The caller must have checked the magic and that
-// len(stream) >= 5.
-func checkFooter(stream []byte) ([]byte, error) {
-	switch stream[4] {
-	case formatV1:
-		return stream, nil
-	case formatVersion:
-		if len(stream) < 5+footerSize {
-			return nil, fmt.Errorf("%w: missing footer", ErrCorrupt)
-		}
-		body := stream[:len(stream)-footerSize]
-		want := binary.LittleEndian.Uint32(stream[len(stream)-footerSize:])
-		if got := crc32.Checksum(body, castagnoli); got != want {
-			return nil, fmt.Errorf("%w: CRC32C %08x, footer says %08x", ErrIntegrity, got, want)
-		}
-		return body, nil
-	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, stream[4])
-	}
+// header is a container prologue as parseHeader returns it.
+type header struct {
+	size    int // of the whole stream, footer included
+	version byte
+	kind    byte // an Algorithm, or kindChunked
+	dims    []int
+	points  int    // product of dims
+	payload []byte // what follows the dims, footer stripped
 }
 
-// maxPointsPerByte caps the header-declared point count against the
-// available payload before anything is allocated. The tightest possible
-// encoding is ~1 Huffman bit per point followed by the lossless back-end
-// (at most ~2^13x on constant input), so 2^17 points per payload byte is
-// beyond any stream the writers can produce; headers claiming more are
-// hostile or damaged.
-const maxPointsPerByte = 1 << 17
+// parseHeader is the one reader of the container prologue; every decode
+// entry point and Inspect go through it, for whole streams and for the
+// chunks of a chunked container alike. It checks the magic, the version
+// and (v2) the CRC32C footer — integrity first, so a damaged stream is
+// ErrIntegrity before any field is interpreted — then the kind byte, 1 to
+// grid.MaxDims extents of 1..maxDim each, that their product fits an int
+// and that it is plausible for the payload present (maxPointsPerByte), all
+// before anything proportional to a declared size is allocated. verify is
+// false only for a chunk whose bytes the enclosing container's footer has
+// already covered.
+func parseHeader(stream []byte, verify bool) (h header, err error) {
+	if len(stream) < 7 || [4]byte(stream[:4]) != magic {
+		return h, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	h.size = len(stream)
+	switch h.version = stream[4]; h.version {
+	case formatV1:
+	case formatVersion:
+		if len(stream) < 5+footerSize {
+			return h, fmt.Errorf("%w: missing footer", ErrCorrupt)
+		}
+		body := stream[:len(stream)-footerSize]
+		if verify {
+			want := binary.LittleEndian.Uint32(stream[len(body):])
+			if got := crc32.Checksum(body, castagnoli); got != want {
+				return h, fmt.Errorf("%w: CRC32C %08x, footer says %08x", ErrIntegrity, got, want)
+			}
+		}
+		stream = body
+	default:
+		return h, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, h.version)
+	}
+	if len(stream) < 7 {
+		return h, fmt.Errorf("%w: short header", ErrCorrupt)
+	}
+	h.kind = stream[5]
+	if h.kind != kindChunked && Algorithm(h.kind) >= numAlgorithms {
+		return h, fmt.Errorf("%w: unknown algorithm %d", ErrCorrupt, h.kind)
+	}
+	nd := int(stream[6])
+	if nd < 1 || nd > grid.MaxDims {
+		return h, fmt.Errorf("%w: bad dimensionality %d", ErrCorrupt, nd)
+	}
+	h.payload = stream[7:]
+	h.dims = make([]int, nd)
+	for i := range h.dims {
+		v, k := binary.Uvarint(h.payload)
+		if k <= 0 || v == 0 || v > maxDim {
+			return h, fmt.Errorf("%w: bad dims", ErrCorrupt)
+		}
+		h.dims[i] = int(v)
+		h.payload = h.payload[k:]
+	}
+	if h.points, err = grid.CheckDims(h.dims); err != nil {
+		return h, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	if len(h.payload) == 0 || h.points > len(h.payload)*maxPointsPerByte {
+		return h, fmt.Errorf("%w: %d points declared for %d payload bytes", ErrCorrupt, h.points, len(h.payload))
+	}
+	return h, nil
+}
 
 // Compress compresses a row-major field with the given dims (1 to 4
 // dimensions, first dim slowest).
 func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
-	if opts.Metrics != nil && opts.Observer == nil {
-		opts.Observer = obs.New()
-	}
-	sp := opts.Observer.Span("compress")
-	out, err := compressSpan(data, dims, opts, sp)
-	sp.End()
-	if err == nil && opts.Metrics != nil {
-		newStats("compress", opts.Algorithm, dims, len(data), len(out), sp.Report()).Publish(opts.Metrics)
-	}
+	out, _, err := observe("compress", data, dims, opts, false, func(sp *obs.Span) ([]byte, error) {
+		return compressSpan(data, dims, opts, sp)
+	})
 	return out, err
 }
 
@@ -496,12 +557,7 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 		return nil, err
 	}
 
-	hdr := make([]byte, 0, 32)
-	hdr = append(hdr, magic[:]...)
-	hdr = append(hdr, formatVersion, byte(opts.Algorithm), byte(len(dims)))
-	for _, d := range dims {
-		hdr = binary.AppendUvarint(hdr, uint64(d))
-	}
+	hdr := appendHeader(make([]byte, 0, 32), byte(opts.Algorithm), dims)
 	out := appendFooter(append(hdr, payload...))
 	sp.Add("raw_bytes", int64(len(data)*8))
 	sp.Add("stream_bytes", int64(len(out)))
@@ -517,93 +573,81 @@ func CompressFloat32(data []float32, dims []int, opts Options) ([]byte, error) {
 	return Compress(f.Data, dims, opts)
 }
 
-// Decompress reconstructs a field from a stream produced by Compress.
+// Decompress reconstructs a field from any stream this package writes:
+// a plain stream (Compress, CompressFloat32) or a chunked container
+// (CompressChunked).
 func Decompress(stream []byte) (*Result, error) {
-	return DecompressParallel(stream, 1)
+	return decompress(stream, 1, nil)
 }
 
-// DecompressParallel is Decompress with up to workers goroutines applied
-// to entropy decoding (sharded streams) and interpolation passes of the
-// interpolation-based algorithms. The reconstruction is byte-identical for
-// any worker count; workers <= 1 decompresses sequentially.
+// DecompressParallel is Decompress on up to workers goroutines. A plain
+// stream spreads them over entropy decoding (sharded streams) and the
+// interpolation passes of the interpolation-based algorithms; a chunked
+// container decodes its chunks on them, each chunk sequentially. The
+// reconstruction is byte-identical for any worker count; workers <= 1
+// decompresses sequentially.
 func DecompressParallel(stream []byte, workers int) (*Result, error) {
-	return decompressSpan(stream, workers, nil)
+	return decompress(stream, workers, nil)
 }
 
-// decompressSpan is the DecompressParallel body with telemetry attached to
-// sp (which may be nil).
-func decompressSpan(stream []byte, workers int, sp *obs.Span) (*Result, error) {
-	if len(stream) < 7 || stream[0] != magic[0] || stream[1] != magic[1] ||
-		stream[2] != magic[2] || stream[3] != magic[3] {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	// Integrity first: a v2 stream whose CRC32C footer mismatches is
-	// rejected before any payload byte is interpreted.
-	stream, err := checkFooter(stream)
+// decompress is the one door out: it reads the header, dispatches on the
+// kind byte and, when rec is non-nil, records the decode under a top-level
+// span named for the operation and attaches the stats to the Result.
+func decompress(stream []byte, workers int, rec *obs.Recorder) (*Result, error) {
+	h, err := parseHeader(stream, true)
 	if err != nil {
 		return nil, err
 	}
-	if len(stream) < 7 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+	op, decode := "decompress", decodeField
+	if h.kind == kindChunked {
+		op, decode = "decompress_chunked", decodeChunks
 	}
-	alg := Algorithm(stream[5])
-	nd := int(stream[6])
-	if alg >= numAlgorithms {
-		return nil, fmt.Errorf("%w: unknown algorithm %d", ErrCorrupt, alg)
-	}
-	if nd < 1 || nd > grid.MaxDims {
-		return nil, fmt.Errorf("%w: bad dimensionality %d", ErrCorrupt, nd)
-	}
-	buf := stream[7:]
-	dims := make([]int, nd)
-	for i := range dims {
-		v, k := binary.Uvarint(buf)
-		if k <= 0 || v == 0 || v > 1<<40 {
-			return nil, fmt.Errorf("%w: bad dims", ErrCorrupt)
-		}
-		dims[i] = int(v)
-		buf = buf[k:]
-	}
-	// Reject impossible headers before any decoder allocates: the dims
-	// product must fit in an int (CheckDims) and be plausible against the
-	// payload actually present.
-	n, err := grid.CheckDims(dims)
+	sp := rec.Span(op)
+	res, err := decode(h, workers, sp)
+	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
-	if len(buf) == 0 || n > len(buf)*maxPointsPerByte {
-		return nil, fmt.Errorf("%w: %d points declared for %d payload bytes", ErrCorrupt, n, len(buf))
+	if rec != nil {
+		res.Stats = newStats(op, res.Algorithm, res.Dims, len(res.Data), len(stream), rec.Report())
 	}
+	return res, nil
+}
 
+// decodeField decodes a plain stream's payload with its engine, telemetry
+// attached to sp (which may be nil).
+func decodeField(h header, workers int, sp *obs.Span) (*Result, error) {
 	var f *grid.Field
+	var err error
+	alg := Algorithm(h.kind)
 	switch alg {
 	case SZ3:
-		f, err = sz3.DecompressObs(buf, dims, workers, sp)
+		f, err = sz3.DecompressObs(h.payload, h.dims, workers, sp)
 	case QoZ:
-		f, err = qoz.DecompressObs(buf, dims, workers, sp)
+		f, err = qoz.DecompressObs(h.payload, h.dims, workers, sp)
 	case HPEZ:
-		f, err = hpez.DecompressObs(buf, dims, workers, sp)
+		f, err = hpez.DecompressObs(h.payload, h.dims, workers, sp)
 	case MGARD:
-		f, err = mgard.DecompressObs(buf, dims, workers, sp)
+		f, err = mgard.DecompressObs(h.payload, h.dims, workers, sp)
 	case ZFP:
 		dsp := sp.Child("transform")
-		f, err = zfp.Decompress(buf, dims)
+		f, err = zfp.Decompress(h.payload, h.dims)
 		dsp.End()
 	case TTHRESH:
 		dsp := sp.Child("transform")
-		f, err = tthresh.Decompress(buf, dims)
+		f, err = tthresh.Decompress(h.payload, h.dims)
 		dsp.End()
 	case SPERR:
 		dsp := sp.Child("transform")
-		f, err = sperr.Decompress(buf, dims)
+		f, err = sperr.Decompress(h.payload, h.dims)
 		dsp.End()
 	}
 	if err != nil {
 		return nil, err
 	}
-	sp.Add("stream_bytes", int64(len(stream)))
+	sp.Add("stream_bytes", int64(h.size))
 	sp.Add("raw_bytes", int64(len(f.Data)*8))
-	return &Result{Data: f.Data, Dims: dims, Algorithm: alg}, nil
+	return &Result{Data: f.Data, Dims: h.dims, Algorithm: alg}, nil
 }
 
 func resolveBound(f *grid.Field, opts Options) (float64, error) {

@@ -18,8 +18,8 @@ const StatsSchema = "scdc-stats/1"
 type CompressStats struct {
 	// Schema is always StatsSchema.
 	Schema string `json:"schema"`
-	// Op is "compress", "compress_chunked", "decompress" or
-	// "decompress_chunked".
+	// Op is "compress", "compress_chunked", "decompress" or — for a chunked
+	// container — "decompress_chunked".
 	Op string `json:"op"`
 	// Algorithm is the compressor name (Algorithm.String()).
 	Algorithm string `json:"algorithm"`
@@ -81,61 +81,54 @@ func (s *CompressStats) Publish(reg *agg.Registry) {
 	}, s.Report)
 }
 
+// observe is the telemetry frame of the four compress entry points: it
+// runs body under a top-level span named op on opts.Observer — a private
+// recorder when stats or opts.Metrics need the spans and the caller gave
+// none — publishes the call to opts.Metrics and, when stats is set,
+// returns the summary.
+func observe(op string, data []float64, dims []int, opts Options, stats bool, body func(*obs.Span) ([]byte, error)) ([]byte, *CompressStats, error) {
+	if (stats || opts.Metrics != nil) && opts.Observer == nil {
+		opts.Observer = obs.New()
+	}
+	sp := opts.Observer.Span(op)
+	out, err := body(sp)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.Metrics != nil {
+		newStats(op, opts.Algorithm, dims, len(data), len(out), sp.Report()).Publish(opts.Metrics)
+	}
+	if !stats {
+		return out, nil, nil
+	}
+	return out, newStats(op, opts.Algorithm, dims, len(data), len(out), opts.Observer.Report()), nil
+}
+
 // CompressWithStats is Compress plus a telemetry summary of the call: the
 // per-stage span tree, compression ratio and bit rate. The stream is
 // byte-identical to an unobserved Compress. When opts.Observer is nil a
 // private recorder is used; a caller-supplied recorder also accumulates
 // the spans.
 func CompressWithStats(data []float64, dims []int, opts Options) ([]byte, *CompressStats, error) {
-	if opts.Observer == nil {
-		opts.Observer = obs.New()
-	}
-	stream, err := Compress(data, dims, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return stream, newStats("compress", opts.Algorithm, dims, len(data), len(stream), opts.Observer.Report()), nil
+	return observe("compress", data, dims, opts, true, func(sp *obs.Span) ([]byte, error) {
+		return compressSpan(data, dims, opts, sp)
+	})
 }
 
 // CompressChunkedWithStats is CompressChunked plus a telemetry summary,
 // including one span per pool worker and one per chunk.
 func CompressChunkedWithStats(data []float64, dims []int, opts Options, workers, chunkExtent int) ([]byte, *CompressStats, error) {
-	if opts.Observer == nil {
-		opts.Observer = obs.New()
-	}
-	stream, err := CompressChunked(data, dims, opts, workers, chunkExtent)
-	if err != nil {
-		return nil, nil, err
-	}
-	return stream, newStats("compress_chunked", opts.Algorithm, dims, len(data), len(stream), opts.Observer.Report()), nil
+	return observe("compress_chunked", data, dims, opts, true, func(sp *obs.Span) ([]byte, error) {
+		return compressChunkedSpan(data, dims, opts, workers, chunkExtent, sp)
+	})
 }
 
 // DecompressObserved is DecompressParallel with telemetry: the returned
-// Result carries per-stage stats in Result.Stats. The reconstruction is
-// identical to an unobserved decompress.
+// Result carries per-stage stats in Result.Stats — op "decompress", or
+// "decompress_chunked" with one span per pool worker and one per chunk
+// for a chunked container. The reconstruction is identical to an
+// unobserved decompress.
 func DecompressObserved(stream []byte, workers int) (*Result, error) {
-	rec := obs.New()
-	sp := rec.Span("decompress")
-	res, err := decompressSpan(stream, workers, sp)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = newStats("decompress", res.Algorithm, res.Dims, len(res.Data), len(stream), rec.Report())
-	return res, nil
-}
-
-// DecompressChunkedObserved is DecompressChunked with telemetry: the
-// returned Result carries per-stage stats, including one span per pool
-// worker and one per chunk, in Result.Stats.
-func DecompressChunkedObserved(stream []byte, workers int) (*Result, error) {
-	rec := obs.New()
-	sp := rec.Span("decompress_chunked")
-	res, err := decompressChunkedSpan(stream, workers, sp)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = newStats("decompress_chunked", res.Algorithm, res.Dims, len(res.Data), len(stream), rec.Report())
-	return res, nil
+	return decompress(stream, workers, obs.New())
 }

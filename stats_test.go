@@ -286,7 +286,7 @@ func TestChunkedWorkerSpans(t *testing.T) {
 		t.Errorf("compress: %d worker spans (want 1..3), %d chunk spans (want %d)", w, c, nChunks)
 	}
 
-	res, err := DecompressChunkedObserved(stream, 3)
+	res, err := DecompressObserved(stream, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestChunkedWorkerSpans(t *testing.T) {
 	}
 
 	// Observed and plain decompression must agree exactly.
-	plain, err := DecompressChunked(stream, 3)
+	plain, err := DecompressParallel(stream, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
