@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -153,6 +155,50 @@ func TestRunDecompressChunked(t *testing.T) {
 	}
 	if again, err := os.ReadFile(out); err != nil || !bytes.Equal(again, raw) {
 		t.Fatalf("unobserved decode differs from the observed one (%v)", err)
+	}
+}
+
+// TestRunDecompressDamaged: -x tells the two decode verdicts apart. A
+// stream cut short below the container, with a footer that matches what
+// is left, is "corrupt stream" — the engine's lossless stage says so, two
+// layers down; a stream whose footer does not match its bytes is
+// "integrity check failed". Either way run returns the error (exit 1)
+// and nothing panics or is written.
+func TestRunDecompressDamaged(t *testing.T) {
+	data := make([]float64, 8*9*10)
+	for i := range data {
+		data[i] = math.Sin(float64(i) / 9)
+	}
+	stream, err := scdc.Compress(data, []int{8, 9, 10}, scdc.Options{Algorithm: scdc.QoZ, ErrorBound: 1e-4, QP: scdc.DefaultQP()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := stream[:len(stream)-4-5] // drop the footer and five payload bytes
+	resealed := binary.LittleEndian.AppendUint32(bytes.Clone(cut), crc32.Checksum(cut, crc32.MakeTable(crc32.Castagnoli)))
+	flipped := bytes.Clone(stream)
+	flipped[len(flipped)-1] ^= 1
+	dir := t.TempDir()
+	for name, tc := range map[string]struct {
+		stream []byte
+		want   error
+		text   string
+	}{
+		"resealed-truncation": {resealed, scdc.ErrCorrupt, "corrupt stream"},
+		"flipped-footer":      {flipped, scdc.ErrIntegrity, "integrity check failed"},
+	} {
+		in, out := filepath.Join(dir, name+".scdc"), filepath.Join(dir, name+".f64")
+		if err := os.WriteFile(in, tc.stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, extra := range [][]string{nil, {"-stats", "-workers", "2"}} {
+			err := run(append([]string{"-x", "-in", in, "-out", out, "-dtype", "f64"}, extra...), io.Discard)
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.text) {
+				t.Errorf("%s %v: got %v, want %q", name, extra, err, tc.text)
+			}
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%s: output written for a rejected stream", name)
+		}
 	}
 }
 

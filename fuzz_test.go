@@ -1,7 +1,9 @@
 package scdc
 
 import (
+	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"scdc/internal/datagen"
@@ -46,18 +48,47 @@ func fuzzSeedStreams(f *testing.F) [][]byte {
 	return seeds
 }
 
+// addWithDamage seeds the corpus with a stream and with its re-sealed
+// damaged copies (damagedStreams: payload cut and byte-flipped, footers
+// matching), so the mutator starts below the container — on bytes the
+// engines, the entropy coders and the lossless stage get to reject —
+// instead of stopping at the footer check.
+func addWithDamage(f *testing.F, stream []byte) {
+	f.Helper()
+	f.Add(stream)
+	damaged := damagedStreams(f, stream)
+	names := make([]string, 0, len(damaged))
+	for what := range damaged {
+		names = append(names, what)
+	}
+	sort.Strings(names) // seed numbering must not depend on map order
+	for _, what := range names {
+		f.Add(damaged[what])
+	}
+}
+
+// typedDecodeError fails the test on a decode error outside the contract:
+// every one is ErrCorrupt or ErrIntegrity.
+func typedDecodeError(t *testing.T, reader string, err error) {
+	t.Helper()
+	if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("%s: error %v is neither ErrCorrupt nor ErrIntegrity", reader, err)
+	}
+}
+
 // FuzzDecompress: arbitrary bytes through the plain container must return
-// an error or a well-formed result — never panic, never allocate
-// proportionally to a lying header.
+// a well-formed result or ErrCorrupt/ErrIntegrity — never panic, never
+// another error, never allocate proportionally to a lying header.
 func FuzzDecompress(f *testing.F) {
 	for _, s := range fuzzSeedStreams(f) {
-		f.Add(s)
+		addWithDamage(f, s)
 	}
 	f.Add([]byte("SCDC"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Decompress(data)
 		if err != nil {
+			typedDecodeError(t, "Decompress", err)
 			return
 		}
 		n := 1
@@ -90,11 +121,12 @@ func FuzzDecompressChunked(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(s)
+		addWithDamage(f, s)
 	}
 	f.Add([]byte("SCDC\x02\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecompressParallel(data, 2)
+		typedDecodeError(t, "DecompressParallel", err)
 		if err == nil {
 			n := 1
 			for _, d := range res.Dims {
@@ -104,8 +136,11 @@ func FuzzDecompressChunked(f *testing.F) {
 				t.Fatalf("dims %v disagree with %d values", res.Dims, len(res.Data))
 			}
 		}
-		_, _ = DecompressChunk(data, 0)
-		if info, err := Inspect(data); err == nil && info.Points < 0 {
+		_, err = DecompressChunk(data, 0)
+		typedDecodeError(t, "DecompressChunk", err)
+		info, err := Inspect(data)
+		typedDecodeError(t, "Inspect", err)
+		if err == nil && info.Points < 0 {
 			t.Fatalf("negative point count %d", info.Points)
 		}
 	})
@@ -113,8 +148,10 @@ func FuzzDecompressChunked(f *testing.F) {
 
 // FuzzRoundTrip is the differential target: any synthesized field must
 // compress, decompress within the bound, and decode byte-identically with
-// QP on and off — the paper's core guarantee — for every interpolation
-// base.
+// QP off, with the paper's configuration and with a configuration drawn
+// from the input — the paper's core guarantee — for every interpolation
+// base. A drawn configuration outside the defined modes and conditions
+// must be rejected, and a compress call rejects with ErrBadOptions only.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(3))
 	f.Add([]byte{0xff, 0x00, 0x80, 0x10}, uint8(1), uint8(6))
@@ -145,30 +182,34 @@ func FuzzRoundTrip(f *testing.F) {
 			data[i] = float64(int64(acc>>12)%4096)/512 + math.Sin(float64(i)/7)
 		}
 
-		base, err := Compress(data, dims, Options{Algorithm: alg, ErrorBound: eb})
-		if err != nil {
-			t.Fatalf("%v eb=%g dims=%v: compress: %v", alg, eb, dims, err)
+		drawn := QPConfig{Mode: QPMode(get(nd+1) % 8), Condition: QPCondition(get(nd+2) % 6), MaxLevel: get(nd+3) % 4}
+		var fields [3]*Result
+		for i, qp := range []QPConfig{{}, DefaultQP(), drawn} {
+			stream, err := Compress(data, dims, Options{Algorithm: alg, ErrorBound: eb, QP: qp})
+			if err != nil && !errors.Is(err, ErrBadOptions) {
+				t.Fatalf("%v eb=%g dims=%v qp=%+v: compress error %v is not ErrBadOptions", alg, eb, dims, qp, err)
+			}
+			if valid := qp.Mode <= QP3D && qp.Condition <= QPCaseIV; (err == nil) != valid {
+				t.Fatalf("%v eb=%g dims=%v qp=%+v: compress: %v", alg, eb, dims, qp, err)
+			}
+			if err != nil {
+				continue
+			}
+			if fields[i], err = Decompress(stream); err != nil {
+				t.Fatalf("%v qp=%+v: decompress: %v", alg, qp, err)
+			}
 		}
-		qp, err := Compress(data, dims, Options{Algorithm: alg, ErrorBound: eb, QP: DefaultQP()})
-		if err != nil {
-			t.Fatalf("%v eb=%g dims=%v: QP compress: %v", alg, eb, dims, err)
-		}
-		rb, err := Decompress(base)
-		if err != nil {
-			t.Fatalf("%v: decompress: %v", alg, err)
-		}
-		rq, err := Decompress(qp)
-		if err != nil {
-			t.Fatalf("%v: QP decompress: %v", alg, err)
-		}
+		rb := fields[0]
 		for i := range data {
 			if math.Abs(rb.Data[i]-data[i]) > eb*(1+1e-12) {
 				t.Fatalf("%v eb=%g dims=%v: bound violated at %d: %g vs %g",
 					alg, eb, dims, i, rb.Data[i], data[i])
 			}
-			if rb.Data[i] != rq.Data[i] {
-				t.Fatalf("%v eb=%g dims=%v: QP output differs at %d (%g vs %g)",
-					alg, eb, dims, i, rq.Data[i], rb.Data[i])
+			for _, rq := range fields[1:] {
+				if rq != nil && rb.Data[i] != rq.Data[i] {
+					t.Fatalf("%v eb=%g dims=%v: QP output differs at %d (%g vs %g)",
+						alg, eb, dims, i, rq.Data[i], rb.Data[i])
+				}
 			}
 		}
 	})

@@ -32,7 +32,8 @@ type StreamInfo struct {
 
 // Inspect parses a stream's container header. It reads only metadata —
 // no decompression happens, so it is safe and fast on large streams — and
-// rejects every header Decompress rejects, with the same sentinel.
+// rejects every header Decompress rejects, with the same sentinel:
+// ErrIntegrity or ErrCorrupt, nothing else.
 func Inspect(stream []byte) (*StreamInfo, error) {
 	h, err := parseHeader(stream, true)
 	if err != nil {

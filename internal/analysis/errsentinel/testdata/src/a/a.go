@@ -1,18 +1,25 @@
-// Package a is the errsentinel fixture: decode-path error construction
-// in every flagged spelling, plus the approved sentinel-wrapping forms.
+// Package a is the errsentinel fixture: a codec layer (it imports the
+// verdict package) with decode-path error construction in every flagged
+// spelling, a home-grown error root, and the approved wrapping forms.
 package a
 
 import (
 	"errors"
 	"fmt"
+
+	"verdict"
 )
 
-// ErrCorrupt mirrors the real sentinel; package-level roots are legal.
-var ErrCorrupt = errors.New("a: corrupt stream")
+// ErrTruncated is a twenty-second sentinel: nothing outside this package
+// could classify it.
+var ErrTruncated = errors.New("a: truncated stream") // want "package-level error root"
+
+// errShort is the approved form of a pre-built error: it wraps a verdict.
+var errShort = fmt.Errorf("%w: a: unexpected end of stream", verdict.ErrCorrupt)
 
 func checkBody(data []byte) error {
 	if len(data) == 0 {
-		return ErrCorrupt
+		return errShort
 	}
 	return nil
 }
@@ -26,15 +33,19 @@ func decodeHeader(data []byte) error {
 		return errors.New("bad version") // want "naked errors.New"
 	}
 	if err := checkBody(data); err != nil {
-		return fmt.Errorf("%w: body: %v", ErrCorrupt, err) // want "formatted with %v"
+		return fmt.Errorf("%w: a: body: %v", verdict.ErrCorrupt, err) // want "formatted with %v"
 	}
 	return nil
 }
 
-// parseFooter is the approved form: the cause stays visible to errors.Is.
+// parseFooter is the approved form: context is added to the error the
+// lower layer returned, whose verdict stays visible to errors.Is.
 func parseFooter(data []byte) error {
+	if len(data) < 4 {
+		return fmt.Errorf("%w: a: short footer", verdict.ErrCorrupt)
+	}
 	if err := checkBody(data); err != nil {
-		return fmt.Errorf("%w: footer: %w", ErrCorrupt, err)
+		return fmt.Errorf("footer: %w", err)
 	}
 	return nil
 }

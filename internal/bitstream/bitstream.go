@@ -4,11 +4,15 @@
 package bitstream
 
 import (
-	"errors"
+	"fmt"
+
+	"scdc/internal/verdict"
 )
 
-// ErrShortStream is returned when a reader runs out of bits.
-var ErrShortStream = errors.New("bitstream: unexpected end of stream")
+// errShort is what a reader returns when it runs out of bits: the stream
+// ends before its own structure says it should. Made once, so the read
+// paths allocate nothing.
+var errShort = fmt.Errorf("%w: bitstream: unexpected end of stream", verdict.ErrCorrupt)
 
 // Writer accumulates bits MSB-first into a byte buffer.
 // The zero value is ready to use.
@@ -108,7 +112,7 @@ func NewReader(buf []byte) *Reader {
 // ReadBit reads a single bit.
 func (r *Reader) ReadBit() (uint, error) {
 	if r.pos >= len(r.buf) {
-		return 0, ErrShortStream
+		return 0, errShort
 	}
 	b := uint(r.buf[r.pos]>>(7-r.bit)) & 1
 	r.bit++
@@ -124,7 +128,7 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	var v uint64
 	for n > 0 {
 		if r.pos >= len(r.buf) {
-			return 0, ErrShortStream
+			return 0, errShort
 		}
 		avail := 8 - r.bit
 		take := n
@@ -171,11 +175,11 @@ func (r *Reader) PeekBits(n uint) uint64 {
 	return v
 }
 
-// Skip consumes n bits. Skipping past the end returns ErrShortStream.
+// Skip consumes n bits. Skipping past the end is verdict.ErrCorrupt.
 func (r *Reader) Skip(n uint) error {
 	total := r.pos*8 + int(r.bit) + int(n)
 	if total > len(r.buf)*8 {
-		return ErrShortStream
+		return errShort
 	}
 	r.pos = total / 8
 	r.bit = uint(total % 8)

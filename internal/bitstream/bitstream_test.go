@@ -1,9 +1,12 @@
 package bitstream
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"scdc/internal/verdict"
 )
 
 func TestSingleBits(t *testing.T) {
@@ -70,11 +73,11 @@ func TestShortStream(t *testing.T) {
 	if _, err := r.ReadBits(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadBit(); err != ErrShortStream {
+	if _, err := r.ReadBit(); !errors.Is(err, verdict.ErrCorrupt) {
 		t.Fatalf("err = %v", err)
 	}
 	r2 := NewReader([]byte{0xff})
-	if _, err := r2.ReadBits(9); err != ErrShortStream {
+	if _, err := r2.ReadBits(9); !errors.Is(err, verdict.ErrCorrupt) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -160,7 +163,7 @@ func TestPeekAndSkip(t *testing.T) {
 	if got := r.PeekBits(8); got != 0 {
 		t.Fatalf("past-end peek = %b", got)
 	}
-	if err := r.Skip(1); err != ErrShortStream {
+	if err := r.Skip(1); !errors.Is(err, verdict.ErrCorrupt) {
 		t.Fatalf("past-end skip err = %v", err)
 	}
 }

@@ -1,14 +1,17 @@
 package bitstream
 
 import (
+	"errors"
 	"testing"
+
+	"scdc/internal/verdict"
 )
 
 // FuzzBitReader drives a Reader over arbitrary bytes with an arbitrary
 // op script (read/peek/skip of arbitrary widths) and checks the
 // bookkeeping invariants: BitsRead+Remaining is conserved, reads past the
-// end error instead of panicking, and PeekBits agrees with the ReadBits
-// that follows it.
+// end fail with verdict.ErrCorrupt instead of panicking, and PeekBits
+// agrees with the ReadBits that follows it.
 func FuzzBitReader(f *testing.F) {
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, []byte{1, 8, 3, 64, 0})
 	f.Add([]byte{}, []byte{1, 1, 1})
@@ -16,6 +19,11 @@ func FuzzBitReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte, script []byte) {
 		r := NewReader(buf)
 		total := len(buf) * 8
+		short := func(i int, err error) {
+			if err != nil && !errors.Is(err, verdict.ErrCorrupt) {
+				t.Fatalf("op %d: error %v is not verdict.ErrCorrupt", i, err)
+			}
+		}
 		for i, op := range script {
 			if r.BitsRead()+r.Remaining() != total {
 				t.Fatalf("op %d: BitsRead %d + Remaining %d != %d",
@@ -26,6 +34,7 @@ func FuzzBitReader(f *testing.F) {
 			switch op % 4 {
 			case 0: // ReadBit
 				_, err := r.ReadBit()
+				short(i, err)
 				if (err != nil) != (r.Remaining() == 0 && before == r.BitsRead()) {
 					// ReadBit errors iff no bits remain; on error the cursor
 					// must not move.
@@ -38,6 +47,7 @@ func FuzzBitReader(f *testing.F) {
 				}
 			case 1: // ReadBits
 				_, err := r.ReadBits(n)
+				short(i, err)
 				if err == nil && r.BitsRead() != before+int(n) {
 					t.Fatalf("op %d: ReadBits(%d) consumed %d bits", i, n, r.BitsRead()-before)
 				}
@@ -64,6 +74,7 @@ func FuzzBitReader(f *testing.F) {
 				}
 			case 3: // Skip
 				err := r.Skip(n)
+				short(i, err)
 				if err == nil && r.BitsRead() != before+int(n) {
 					t.Fatalf("op %d: Skip(%d) consumed %d bits", i, n, r.BitsRead()-before)
 				}

@@ -9,6 +9,7 @@ import (
 	"scdc/internal/lossless"
 	"scdc/internal/obs"
 	"scdc/internal/quantizer"
+	"scdc/internal/verdict"
 )
 
 // This file is the index-stream back-end shared by SZ3, QoZ, HPEZ and
@@ -93,28 +94,24 @@ func (b Backend) WithQP() Backend {
 func ValidBound(eb float64) bool { return eb > 0 && !math.IsInf(eb, 0) }
 
 // Normalize fills defaults and validates the shared options together
-// with the engine's error bound eb. Errors wrap bad, the calling
-// engine's ErrBadOptions.
-func (b *Backend) Normalize(eb float64, bad error) error {
+// with the engine's error bound eb.
+func (b *Backend) Normalize(eb float64) error {
 	if !ValidBound(eb) {
-		return fmt.Errorf("%w: error bound must be positive and finite", bad)
+		return fmt.Errorf("%w: core: error bound %g must be positive and finite", verdict.ErrBadOptions, eb)
 	}
 	if b.Radius == 0 {
 		b.Radius = quantizer.DefaultRadius
 	}
 	if b.Radius < 2 {
-		return fmt.Errorf("%w: radius must be >= 2", bad)
+		return fmt.Errorf("%w: core: radius must be >= 2", verdict.ErrBadOptions)
 	}
 	if b.Lossless == 0 {
 		b.Lossless = lossless.Flate
 	}
-	if err := b.QP.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", bad, err)
-	}
 	if !b.Entropy.Valid() {
-		return fmt.Errorf("%w: unknown entropy coder %d", bad, b.Entropy)
+		return fmt.Errorf("%w: core: unknown entropy coder %d", verdict.ErrBadOptions, b.Entropy)
 	}
-	return nil
+	return b.QP.Validate()
 }
 
 // Work is the scratch of one Compress call. The buffers are pooled
@@ -249,9 +246,9 @@ func appendFloats(buf []byte, vals []float64) []byte {
 }
 
 // Reader reverses Encode for a field of n points. Every error it returns
-// wraps the calling engine's ErrCorrupt. The engine reads its own header
-// fields with Bytes/Uvarint/Bound, in stream order around DecodeQP, then
-// calls DecodeBlocks, runs its sweeps on Sweep and calls Done.
+// is verdict.ErrCorrupt. The engine reads its own header fields with
+// Bytes/Uvarint/Bound, in stream order around DecodeQP, then calls
+// DecodeBlocks, runs its sweeps on Sweep and calls Done.
 type Reader struct {
 	// QP and Radius are set by DecodeQP.
 	QP     Config
@@ -268,24 +265,23 @@ type Reader struct {
 	buf        []byte
 	n, workers int
 	sp         *obs.Span
-	corrupt    error
 }
 
 // DecodeStream peels the lossless layer off payload (bounded by
 // lossless.PayloadLimit(n), under a "lossless" child span of sp) and
 // returns a Reader over the plaintext.
-func DecodeStream(payload []byte, n, workers int, sp *obs.Span, corrupt error) (*Reader, error) {
+func DecodeStream(payload []byte, n, workers int, sp *obs.Span) (*Reader, error) {
 	buf, err := DecompressLossless(payload, lossless.PayloadLimit(n), workers, sp)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", corrupt, err)
+		return nil, err
 	}
-	return &Reader{buf: buf, n: n, workers: workers, sp: sp, corrupt: corrupt}, nil
+	return &Reader{buf: buf, n: n, workers: workers, sp: sp}, nil
 }
 
 // Bytes consumes the next k header bytes.
 func (r *Reader) Bytes(k int, what string) ([]byte, error) {
 	if k < 0 || k > len(r.buf) {
-		return nil, fmt.Errorf("%w: short %s", r.corrupt, what)
+		return nil, fmt.Errorf("%w: core: short %s", verdict.ErrCorrupt, what)
 	}
 	b := r.buf[:k]
 	r.buf = r.buf[k:]
@@ -296,7 +292,7 @@ func (r *Reader) Bytes(k int, what string) ([]byte, error) {
 func (r *Reader) Uvarint(lo, hi uint64, what string) (uint64, error) {
 	v, k := binary.Uvarint(r.buf)
 	if k <= 0 || v < lo || v > hi {
-		return 0, fmt.Errorf("%w: bad %s", r.corrupt, what)
+		return 0, fmt.Errorf("%w: core: bad %s", verdict.ErrCorrupt, what)
 	}
 	r.buf = r.buf[k:]
 	return v, nil
@@ -310,7 +306,7 @@ func (r *Reader) Bound(what string) (float64, error) {
 	}
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(b))
 	if !ValidBound(eb) {
-		return 0, fmt.Errorf("%w: bad %s", r.corrupt, what)
+		return 0, fmt.Errorf("%w: core: bad %s", verdict.ErrCorrupt, what)
 	}
 	return eb, nil
 }
@@ -326,8 +322,8 @@ func (r *Reader) DecodeQP() error {
 		return err
 	}
 	r.QP = Config{Mode: Mode(b[0]), Cond: Cond(b[1]), MaxLevel: int(ml)}
-	if err := r.QP.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", r.corrupt, err)
+	if !r.QP.valid() {
+		return fmt.Errorf("%w: core: bad qp config (mode %d, condition %d)", verdict.ErrCorrupt, b[0], b[1])
 	}
 	radius, err := r.Uvarint(2, 1<<30, "radius")
 	r.Radius = int32(radius)
@@ -359,18 +355,17 @@ func (r *Reader) DecodeBlocks(side string) error {
 	huffSp.Add("symbols", int64(len(r.Indices)))
 	huffSp.End()
 	if err != nil {
-		return fmt.Errorf("%w: %w", r.corrupt, err)
+		return err
 	}
 	if len(r.Indices) != r.n {
-		return fmt.Errorf("%w: %d symbols for %d points", r.corrupt, len(r.Indices), r.n)
+		return fmt.Errorf("%w: core: %d symbols for %d points", verdict.ErrCorrupt, len(r.Indices), r.n)
 	}
 	if r.Literals, err = r.decodeFloats("literal"); err != nil {
 		return err
 	}
 	if r.QP.Enabled() {
-		if r.pred, err = NewPredictor(r.QP, r.Radius); err != nil {
-			return fmt.Errorf("%w: %w", r.corrupt, err)
-		}
+		// DecodeQP has checked the config, NewPredictor's only failure.
+		r.pred, _ = NewPredictor(r.QP, r.Radius)
 		r.qpSp = r.sp.ChildAccum("qp")
 	}
 	return nil

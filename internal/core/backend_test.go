@@ -2,7 +2,13 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
+
+	"scdc/internal/entropy"
+	"scdc/internal/lossless"
+	"scdc/internal/quantizer"
+	"scdc/internal/verdict"
 )
 
 // TestCoarseLatticeGatherScatter: the walk visits exactly the points whose
@@ -48,10 +54,8 @@ func TestCoarseLatticeGatherScatter(t *testing.T) {
 		}
 	}
 
-	corrupt := errors.New("engine: corrupt")
 	out, enc := make([]float64, n), make([]int32, n)
 	dec := NewSweep(out, enc)
-	dec.Corrupt = corrupt
 	if err := dec.ScatterCoarse(dims, 1, center, side); err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +65,44 @@ func TestCoarseLatticeGatherScatter(t *testing.T) {
 		}
 	}
 	for _, bad := range [][]float64{side[:len(side)-1], append(side[:len(side):len(side)], 0), nil} {
-		if err := dec.ScatterCoarse(dims, 1, center, bad); !errors.Is(err, corrupt) {
-			t.Errorf("%d values for %d lattice points: got %v, want the engine's sentinel", len(bad), len(want), err)
+		if err := dec.ScatterCoarse(dims, 1, center, bad); !errors.Is(err, verdict.ErrCorrupt) {
+			t.Errorf("%d values for %d lattice points: got %v, want ErrCorrupt", len(bad), len(want), err)
 		}
 	}
 	// Past the field's extent the lattice is the origin alone.
 	if got := NewSweep(data, q).GatherCoarse(dims, 6, center); len(got) != 1 || got[0] != 0 {
 		t.Errorf("levels=6: gathered %v, want the origin", got)
+	}
+}
+
+// TestNormalize: the shared options are validated in one place, for all
+// four engines. Defaults are filled in, and an unusable bound, a radius
+// below 2, an undefined QP mode or condition and an unknown entropy coder
+// are each verdict.ErrBadOptions.
+func TestNormalize(t *testing.T) {
+	var b Backend
+	if err := b.Normalize(1e-3); err != nil {
+		t.Fatalf("zero Backend: %v", err)
+	}
+	if b.Radius != quantizer.DefaultRadius || b.Lossless != lossless.Flate {
+		t.Errorf("defaults not filled: radius %d, lossless %v", b.Radius, b.Lossless)
+	}
+	for name, tc := range map[string]struct {
+		eb float64
+		b  Backend
+	}{
+		"zero bound":      {0, Backend{}},
+		"negative bound":  {-1, Backend{}},
+		"infinite bound":  {math.Inf(1), Backend{}},
+		"NaN bound":       {math.NaN(), Backend{}},
+		"radius 1":        {1e-3, Backend{Radius: 1}},
+		"negative radius": {1e-3, Backend{Radius: -4}},
+		"QP mode":         {1e-3, Backend{QP: Config{Mode: Mode3D + 1}}},
+		"QP condition":    {1e-3, Backend{QP: Config{Mode: Mode2D, Cond: CondSameSign3 + 1}}},
+		"entropy coder":   {1e-3, Backend{Entropy: entropy.Coder(9)}},
+	} {
+		if err := tc.b.Normalize(tc.eb); !errors.Is(err, verdict.ErrBadOptions) {
+			t.Errorf("%s: got %v, want ErrBadOptions", name, err)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func CompressLossless(c lossless.Codec, sharded bool, buf []byte, workers int, p
 // span of parent, fanning sharded-container streams across up to
 // workers goroutines. maxOut bounds the header-declared plaintext size
 // (pass lossless.PayloadLimit of the decoded point count); a stream
-// that claims more fails with lossless.ErrCorrupt before allocating.
+// that claims more fails with verdict.ErrCorrupt before allocating.
 func DecompressLossless(payload []byte, maxOut, workers int, parent *obs.Span) ([]byte, error) {
 	sp := parent.Child("lossless")
 	buf, err := lossless.DecompressLimitWorkers(payload, maxOut, workers)

@@ -21,8 +21,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+
+	"scdc/internal/verdict"
 )
 
 // Mode selects the prediction dimension (paper Figure 7).
@@ -122,18 +123,16 @@ func Default() Config {
 // Enabled reports whether the configuration performs any prediction.
 func (c Config) Enabled() bool { return c.Mode != ModeOff }
 
-// Validate checks the configuration.
+// valid reports whether the mode and the condition are defined values.
+func (c Config) valid() bool { return c.Mode <= Mode3D && c.Cond <= CondSameSign3 }
+
+// Validate checks a configuration a caller supplied.
 func (c Config) Validate() error {
-	if c.Mode > Mode3D {
-		return fmt.Errorf("core: unknown mode %d: %w", c.Mode, errBadConfig)
-	}
-	if c.Cond > CondSameSign3 {
-		return fmt.Errorf("core: unknown condition %d: %w", c.Cond, errBadConfig)
+	if !c.valid() {
+		return fmt.Errorf("%w: core: unknown QP mode %d or condition %d", verdict.ErrBadOptions, c.Mode, c.Cond)
 	}
 	return nil
 }
-
-var errBadConfig = errors.New("core: invalid QP configuration")
 
 // Neighborhood carries the flat indexes of the already-processed neighbors
 // of the current point within the quantization index array, with -1

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"scdc/internal/entropy"
+	"scdc/internal/verdict"
 )
 
 const radius = 1 << 15
@@ -33,11 +35,11 @@ func TestDefaultIsBestFit(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := (Config{Mode: 99}).Validate(); err == nil {
-		t.Error("bad mode accepted")
+	if err := (Config{Mode: 99}).Validate(); !errors.Is(err, verdict.ErrBadOptions) {
+		t.Errorf("bad mode: %v, want ErrBadOptions", err)
 	}
-	if err := (Config{Cond: 99}).Validate(); err == nil {
-		t.Error("bad cond accepted")
+	if err := (Config{Cond: 99}).Validate(); !errors.Is(err, verdict.ErrBadOptions) {
+		t.Errorf("bad cond: %v, want ErrBadOptions", err)
 	}
 	if err := Default().Validate(); err != nil {
 		t.Errorf("default rejected: %v", err)

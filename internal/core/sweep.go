@@ -5,6 +5,7 @@ import (
 
 	"scdc/internal/grid"
 	"scdc/internal/obs"
+	"scdc/internal/verdict"
 )
 
 // Sweep is what an engine's level sweeps run on, in either direction:
@@ -27,9 +28,6 @@ type Sweep struct {
 	// appended by compression, consumed from Lit by decompression.
 	Lits []float64
 	Lit  int
-	// Corrupt is the engine's sentinel, wrapped by every error a
-	// decompression sweep reports.
-	Corrupt error
 
 	qp      []int32    // compression: the QP-transformed copy of Sym
 	pred    *Predictor // nil when QP is off
@@ -53,7 +51,7 @@ func (w Work) Sweep(workers int) *Sweep {
 // Sweep returns the decompression sweep that reconstructs into data from
 // the blocks DecodeBlocks read.
 func (r *Reader) Sweep(data []float64) *Sweep {
-	return &Sweep{Data: data, Sym: r.Indices, Lits: r.Literals, Corrupt: r.corrupt,
+	return &Sweep{Data: data, Sym: r.Indices, Lits: r.Literals,
 		pred: r.pred, workers: r.workers, qpSp: r.qpSp, wsp: workerSpans(r.qpSp, r.workers)}
 }
 
@@ -107,7 +105,7 @@ func (s *Sweep) Literal() (v float64, ok bool) {
 // Exhausted is the error of a sweep whose symbols call for more literals
 // than the stream holds.
 func (s *Sweep) Exhausted() error {
-	return fmt.Errorf("%w: literal stream exhausted", s.Corrupt)
+	return fmt.Errorf("%w: core: literal stream exhausted", verdict.ErrCorrupt)
 }
 
 // Drained checks, once the sweeps are done, that they consumed the
@@ -117,7 +115,7 @@ func (s *Sweep) Drained() error {
 		return s.Exhausted()
 	}
 	if s.Lit < len(s.Lits) {
-		return fmt.Errorf("%w: %d unused literals", s.Corrupt, len(s.Lits)-s.Lit)
+		return fmt.Errorf("%w: core: %d unused literals", verdict.ErrCorrupt, len(s.Lits)-s.Lit)
 	}
 	return nil
 }
@@ -165,7 +163,7 @@ func (s *Sweep) GatherCoarse(dims []int, levels int, center int32) []float64 {
 // exactly one value per coarse lattice point.
 func (s *Sweep) ScatterCoarse(dims []int, levels int, center int32, side []float64) error {
 	if want := coarseCount(dims, levels); len(side) != want {
-		return fmt.Errorf("%w: %d coarse-lattice values for %d points", s.Corrupt, len(side), want)
+		return fmt.Errorf("%w: core: %d coarse-lattice values for %d points", verdict.ErrCorrupt, len(side), want)
 	}
 	i := 0
 	forEachCoarse(dims, levels, func(idx int) {

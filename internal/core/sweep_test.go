@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scdc/internal/obs"
+	"scdc/internal/verdict"
 )
 
 // TestSweepQPOffIsNoop: a sweep without QP state — bare, from a Work
@@ -81,12 +82,12 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 
 // TestSweepLiteralAccounting: Literal hands the stream out in order and
 // reports its end; running out and leaving literals over are each one
-// error, and each wraps the sentinel the sweep was handed.
+// error, and each is verdict.ErrCorrupt.
 func TestSweepLiteralAccounting(t *testing.T) {
-	sentinel := errors.New("engine: corrupt")
-	r := &Reader{Literals: []float64{1.5, -2, 3}, corrupt: sentinel, workers: 1}
+	sentinel := verdict.ErrCorrupt
+	r := &Reader{Literals: []float64{1.5, -2, 3}, workers: 1}
 	sw := r.Sweep(nil)
-	if err := sw.Drained(); !errors.Is(err, sentinel) || err.Error() != "engine: corrupt: 3 unused literals" {
+	if err := sw.Drained(); !errors.Is(err, sentinel) || err.Error() != "scdc: corrupt stream: core: 3 unused literals" {
 		t.Errorf("untouched stream: Drained() = %v", err)
 	}
 	for i, want := range r.Literals {
@@ -100,7 +101,7 @@ func TestSweepLiteralAccounting(t *testing.T) {
 	if v, ok := sw.Literal(); ok || sw.Lit != 3 {
 		t.Errorf("past the end: Literal() = %v, %v with cursor %d", v, ok, sw.Lit)
 	}
-	if err := sw.Exhausted(); !errors.Is(err, sentinel) || err.Error() != "engine: corrupt: literal stream exhausted" {
+	if err := sw.Exhausted(); !errors.Is(err, sentinel) || err.Error() != "scdc: corrupt stream: core: literal stream exhausted" {
 		t.Errorf("Exhausted() = %v", err)
 	}
 	// A cursor advanced by counting (MGARD's per-level offsets, SZ3's
@@ -111,7 +112,6 @@ func TestSweepLiteralAccounting(t *testing.T) {
 	}
 
 	bad := NewSweep(make([]float64, 4), make([]int32, 4))
-	bad.Corrupt = sentinel
 	if err := bad.ScatterCoarse([]int{4}, 1, 0, []float64{1}); !errors.Is(err, sentinel) {
 		t.Errorf("short side block: %v, want the sentinel", err)
 	}

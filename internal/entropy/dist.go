@@ -1,12 +1,13 @@
 package entropy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	mbits "math/bits"
 	"slices"
 	"sync"
+
+	"scdc/internal/verdict"
 )
 
 // neglog2 returns -log2(p) for p in (0, 1].
@@ -37,9 +38,6 @@ const (
 
 var coderNames = [...]string{"huffman", "auto", "rice"}
 
-// ErrBadCoder reports an unknown entropy coder name or value.
-var ErrBadCoder = errors.New("entropy: unknown coder")
-
 // String implements fmt.Stringer.
 func (c Coder) String() string {
 	if int(c) < len(coderNames) {
@@ -58,7 +56,7 @@ func ParseCoder(name string) (Coder, error) {
 			return Coder(i), nil
 		}
 	}
-	return 0, fmt.Errorf("%w: %q", ErrBadCoder, name)
+	return 0, fmt.Errorf("%w: entropy: unknown coder %q", verdict.ErrBadOptions, name)
 }
 
 // SymCount is one distinct symbol with its occurrence count.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"scdc/internal/verdict"
 )
 
 func TestAnalyzeMatchesShannon(t *testing.T) {
@@ -147,8 +149,8 @@ func TestParseCoder(t *testing.T) {
 			t.Fatalf("%v: String=%q Valid=%v", c, c.String(), c.Valid())
 		}
 	}
-	if _, err := ParseCoder("arith"); !errors.Is(err, ErrBadCoder) {
-		t.Fatalf("ParseCoder(arith) err = %v, want ErrBadCoder", err)
+	if _, err := ParseCoder("arith"); !errors.Is(err, verdict.ErrBadOptions) {
+		t.Fatalf("ParseCoder(arith) err = %v, want ErrBadOptions", err)
 	}
 	if Coder(200).Valid() {
 		t.Fatal("Coder(200) reported valid")

@@ -73,52 +73,3 @@ func FromHistogram(h map[int32]int, n int) float64 {
 	}
 	return e
 }
-
-// Regional computes the entropy of a rectangular sub-region of a 2D index
-// array with row length w. The region spans rows [r0, r1) and columns
-// [c0, c1), clipped to the array bounds. This mirrors the "regional
-// entropy" annotations of the paper's Figure 5.
-func Regional(q []int32, w int, r0, r1, c0, c1 int) float64 {
-	hgt := len(q) / w
-	r0, r1 = clamp(r0, 0, hgt), clamp(r1, 0, hgt)
-	c0, c1 = clamp(c0, 0, w), clamp(c1, 0, w)
-	if r1 <= r0 || c1 <= c0 {
-		return 0
-	}
-	h := make(map[int32]int)
-	n := 0
-	for r := r0; r < r1; r++ {
-		row := q[r*w : r*w+w]
-		for c := c0; c < c1; c++ {
-			h[row[c]]++
-			n++
-		}
-	}
-	return FromHistogram(h, n)
-}
-
-// Strided computes the entropy of the sub-lattice q[i*s] for i in
-// [0, len(q)/s). This matches the paper's Figure 4, which uses stride 2 to
-// focus on indices from the last interpolation level.
-func Strided(q []int32, s int) float64 {
-	if s <= 0 {
-		return 0
-	}
-	h := make(map[int32]int)
-	n := 0
-	for i := 0; i < len(q); i += s {
-		h[q[i]]++
-		n++
-	}
-	return FromHistogram(h, n)
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

@@ -31,43 +31,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestRegional(t *testing.T) {
-	// 4x4 array: top half zeros, bottom half ramp.
-	q := []int32{
-		0, 0, 0, 0,
-		0, 0, 0, 0,
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-	}
-	if e := Regional(q, 4, 0, 2, 0, 4); e != 0 {
-		t.Fatalf("uniform region entropy = %g", e)
-	}
-	if e := Regional(q, 4, 2, 4, 0, 4); !almost(e, 3) {
-		t.Fatalf("distinct region entropy = %g", e)
-	}
-	// Clipping.
-	if e := Regional(q, 4, -5, 100, -5, 100); e <= 0 {
-		t.Fatalf("clipped region entropy = %g", e)
-	}
-	// Degenerate.
-	if e := Regional(q, 4, 3, 3, 0, 4); e != 0 {
-		t.Fatalf("empty region entropy = %g", e)
-	}
-}
-
-func TestStrided(t *testing.T) {
-	q := []int32{7, 1, 7, 2, 7, 3, 7, 4}
-	if e := Strided(q, 2); e != 0 {
-		t.Fatalf("strided constant entropy = %g", e)
-	}
-	if e := Strided(q, 0); e != 0 {
-		t.Fatalf("zero stride entropy = %g", e)
-	}
-	if e := Strided(q, 1); e <= 0 {
-		t.Fatalf("full entropy = %g", e)
-	}
-}
-
 // TestQuickBounds property: 0 <= H(Q) <= log2(#distinct).
 func TestQuickBounds(t *testing.T) {
 	f := func(q []int32) bool {

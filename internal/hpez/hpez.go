@@ -20,19 +20,12 @@ package hpez
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 
 	"scdc/internal/core"
 	"scdc/internal/grid"
 	"scdc/internal/obs"
 )
-
-// ErrCorrupt reports a malformed HPEZ payload.
-var ErrCorrupt = errors.New("hpez: corrupt stream")
-
-// ErrBadOptions reports invalid compression options.
-var ErrBadOptions = errors.New("hpez: invalid options")
 
 const (
 	maxAnchorLevels = 6
@@ -111,7 +104,7 @@ func numBlocks(g []int) int {
 // shared QP block, the plan (per-level and per-block tables), then the
 // shared anchor, index and literal blocks (DESIGN.md §5).
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
-	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
+	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err
 	}
 	tuneSp := opts.Obs.Child("choose")
@@ -168,7 +161,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.DecodeStream(payload, n, workers, sp, ErrCorrupt)
+	r, err := core.DecodeStream(payload, n, workers, sp)
 	if err != nil {
 		return nil, err
 	}

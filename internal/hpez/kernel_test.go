@@ -13,6 +13,7 @@ import (
 	"scdc/internal/interp"
 	"scdc/internal/lattice"
 	"scdc/internal/quantizer"
+	"scdc/internal/verdict"
 )
 
 // This file is the differential harness pinning the HPEZ row kernels
@@ -92,7 +93,7 @@ func encSweep(data []float64, q, qp []int32, pred *core.Predictor, workers int) 
 
 func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int) *core.Sweep {
 	sw := core.Work{Data: data, Q: enc, Pred: pred}.Sweep(workers)
-	sw.Lits, sw.Corrupt = lits, ErrCorrupt
+	sw.Lits = lits
 	return sw
 }
 
@@ -366,7 +367,7 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 		predK, _ = newPred()
 		err := decompressCore(decSweep(make([]float64, n), append([]int32(nil), stored...), litsK[:len(litsK)-1], predK, workers),
 			dims, pl, anchK)
-		if !errors.Is(err, ErrCorrupt) {
+		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Fatalf("truncated literals: got %v, want ErrCorrupt", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"scdc/internal/entropy"
 	"scdc/internal/parallel"
+	"scdc/internal/verdict"
 )
 
 // Byte-stream sub-format: canonical Huffman over the byte alphabet for
@@ -126,7 +127,7 @@ func parseByteTable(packed []byte) (syms []int32, lengths []int, err error) {
 		}
 	}
 	if ntab == 0 {
-		return nil, nil, fmt.Errorf("%w: empty code table", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: huffman: empty code table", verdict.ErrCorrupt)
 	}
 	syms = make([]int32, 0, ntab)
 	lengths = make([]int, 0, ntab)
@@ -149,7 +150,7 @@ func parseByteTable(packed []byte) (syms []int32, lengths []int, err error) {
 			code = (code + 1) << uint(l-prevLen)
 		}
 		if l < 64 && code>>uint(l) != 0 {
-			return nil, nil, fmt.Errorf("%w: over-subscribed code table", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: huffman: over-subscribed code table", verdict.ErrCorrupt)
 		}
 		prevLen = l
 	}
@@ -163,25 +164,25 @@ func parseByteTable(packed []byte) (syms []int32, lengths []int, err error) {
 // (and before any allocation proportional to a claim).
 func DecodeBytesInto(dst, data []byte, workers int) error {
 	if len(data) < 2 || data[0] != byteMarker || data[1] != byteVersion {
-		return fmt.Errorf("%w: bad byte-stream header", ErrCorrupt)
+		return fmt.Errorf("%w: huffman: bad byte-stream header", verdict.ErrCorrupt)
 	}
 	data = data[2:]
 	nsamp, c := binary.Uvarint(data)
 	if c <= 0 {
-		return fmt.Errorf("%w: bad sample count", ErrCorrupt)
+		return fmt.Errorf("%w: huffman: bad sample count", verdict.ErrCorrupt)
 	}
 	data = data[c:]
 	if nsamp != uint64(len(dst)) {
-		return fmt.Errorf("%w: declared count %d, want %d", ErrCorrupt, nsamp, len(dst))
+		return fmt.Errorf("%w: huffman: declared count %d, want %d", verdict.ErrCorrupt, nsamp, len(dst))
 	}
 	if nsamp == 0 {
 		if len(data) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data))
+			return fmt.Errorf("%w: huffman: %d trailing bytes", verdict.ErrCorrupt, len(data))
 		}
 		return nil
 	}
 	if len(data) < byteTablePacked {
-		return fmt.Errorf("%w: truncated code table", ErrCorrupt)
+		return fmt.Errorf("%w: huffman: truncated code table", verdict.ErrCorrupt)
 	}
 	syms, lengths, err := parseByteTable(data[:byteTablePacked])
 	if err != nil {

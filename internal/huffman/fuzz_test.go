@@ -2,7 +2,10 @@ package huffman
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"scdc/internal/verdict"
 )
 
 // FuzzHuffmanDecode: arbitrary bytes through both container layouts (the
@@ -34,6 +37,9 @@ func FuzzHuffmanDecode(f *testing.F) {
 			t.Fatalf("sequential err=%v, parallel err=%v", err, perr)
 		}
 		if err != nil {
+			if !errors.Is(err, verdict.ErrCorrupt) || !errors.Is(perr, verdict.ErrCorrupt) {
+				t.Fatalf("decode errors are not verdict.ErrCorrupt: %v / %v", err, perr)
+			}
 			return
 		}
 		if len(seq) != len(par) {

@@ -14,16 +14,13 @@ package huffman
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 
 	"scdc/internal/bitstream"
 	"scdc/internal/entropy"
+	"scdc/internal/verdict"
 )
-
-// ErrCorrupt reports a malformed Huffman stream.
-var ErrCorrupt = errors.New("huffman: corrupt stream")
 
 // maxCodeLen bounds canonical code lengths. Huffman depth d requires symbol
 // counts on the order of Fibonacci(d); 64 cannot be exceeded for any input
@@ -371,13 +368,13 @@ var fastPool = sync.Pool{New: func() any {
 func parseTableHeader(hdr []byte) (syms []int32, lengths []int, err error) {
 	ntab, k := binary.Uvarint(hdr)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("%w: bad table size", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: huffman: bad table size", verdict.ErrCorrupt)
 	}
 	hdr = hdr[k:]
 	// Each table entry costs at least 2 bytes (>=1-byte symbol delta plus a
 	// 1-byte length), so reject hostile sizes before allocating.
 	if 2*ntab > uint64(len(hdr))+1 {
-		return nil, nil, fmt.Errorf("%w: table size %d exceeds header", ErrCorrupt, ntab)
+		return nil, nil, fmt.Errorf("%w: huffman: table size %d exceeds header", verdict.ErrCorrupt, ntab)
 	}
 
 	syms = make([]int32, ntab)
@@ -387,20 +384,20 @@ func parseTableHeader(hdr []byte) (syms []int32, lengths []int, err error) {
 	for i := range syms {
 		ds, k := binary.Varint(hdr)
 		if k <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad symbol delta", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: huffman: bad symbol delta", verdict.ErrCorrupt)
 		}
 		hdr = hdr[k:]
 		l, k := binary.Uvarint(hdr)
 		if k <= 0 || l == 0 || l > maxCodeLen {
-			return nil, nil, fmt.Errorf("%w: bad code length", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: huffman: bad code length", verdict.ErrCorrupt)
 		}
 		hdr = hdr[k:]
 		if int(l) < prevLen {
-			return nil, nil, fmt.Errorf("%w: non-monotonic code lengths", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: huffman: non-monotonic code lengths", verdict.ErrCorrupt)
 		}
 		prevSym += ds
 		if prevSym < -1<<31 || prevSym > 1<<31-1 {
-			return nil, nil, fmt.Errorf("%w: symbol out of int32 range", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: huffman: symbol out of int32 range", verdict.ErrCorrupt)
 		}
 		syms[i] = int32(prevSym)
 		lengths[i] = int(l)
@@ -502,7 +499,7 @@ func (d *decoder) decodeBody(body []byte, out []int32) error {
 			if l > bitCnt {
 				// The lookup matched only thanks to the zero padding past
 				// the end of the body: the stream is truncated.
-				return fmt.Errorf("%w: truncated body", ErrCorrupt)
+				return fmt.Errorf("%w: huffman: truncated body", verdict.ErrCorrupt)
 			}
 			bitBuf <<= l
 			bitCnt -= l
@@ -527,7 +524,7 @@ func (d *decoder) decodeBody(body []byte, out []int32) error {
 func (d *decoder) resyncSlow(body []byte, pos int, bitCnt uint) (sym int32, rest []byte, bitBuf uint64, nbits uint, err error) {
 	r := bitstream.NewReader(body)
 	if err := r.Skip(uint(pos*8) - bitCnt); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("%w: truncated body", ErrCorrupt)
+		return 0, nil, 0, 0, fmt.Errorf("%w: huffman: truncated body", verdict.ErrCorrupt)
 	}
 	sym, err = d.decodeSlow(r)
 	if err != nil {
@@ -563,14 +560,14 @@ func (d *decoder) decodeSlow(r *bitstream.Reader) (int32, error) {
 		v := vp >> uint(decodeSlowPeek-l)
 		if v >= t.firstCode && v < t.firstCode+uint64(t.count) {
 			if err := r.Skip(uint(l)); err != nil {
-				return 0, fmt.Errorf("%w: truncated body", ErrCorrupt)
+				return 0, fmt.Errorf("%w: huffman: truncated body", verdict.ErrCorrupt)
 			}
 			return d.syms[t.firstIdx+int(v-t.firstCode)], nil
 		}
 	}
 	// PeekBits zero-pads past the end of the stream, so any match above
 	// that used padding was rejected by Skip exactly where the per-bit
-	// scan would have hit ErrShortStream. Lengths within the window that
+	// scan would have run out of bits. Lengths within the window that
 	// found no match here cannot match below either (same bits, same
 	// ranges), so the scan only tests lengths beyond the window.
 	var v uint64
@@ -578,12 +575,12 @@ func (d *decoder) decodeSlow(r *bitstream.Reader) (int32, error) {
 	for {
 		b, err := r.ReadBit()
 		if err != nil {
-			return 0, fmt.Errorf("%w: truncated body", ErrCorrupt)
+			return 0, fmt.Errorf("%w: huffman: truncated body", verdict.ErrCorrupt)
 		}
 		v = v<<1 | uint64(b)
 		l++
 		if l > maxCodeLen {
-			return 0, fmt.Errorf("%w: code overflow", ErrCorrupt)
+			return 0, fmt.Errorf("%w: huffman: code overflow", verdict.ErrCorrupt)
 		}
 		if l <= decodeSlowPeek {
 			continue
@@ -609,14 +606,14 @@ func DecodeParallel(data []byte, workers int) ([]int32, error) {
 	}
 	hdrLen, n := binary.Uvarint(data)
 	if n <= 0 || hdrLen > uint64(len(data)-n) {
-		return nil, fmt.Errorf("%w: bad header length", ErrCorrupt)
+		return nil, fmt.Errorf("%w: huffman: bad header length", verdict.ErrCorrupt)
 	}
 	hdr := data[n : n+int(hdrLen)]
 	body := data[n+int(hdrLen):]
 
 	nsamp, k := binary.Uvarint(hdr)
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad sample count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: huffman: bad sample count", verdict.ErrCorrupt)
 	}
 	hdr = hdr[k:]
 	syms, lengths, err := parseTableHeader(hdr)
@@ -624,7 +621,7 @@ func DecodeParallel(data []byte, workers int) ([]int32, error) {
 		return nil, err
 	}
 	if nsamp > 0 && len(syms) == 0 {
-		return nil, fmt.Errorf("%w: empty table with %d samples", ErrCorrupt, nsamp)
+		return nil, fmt.Errorf("%w: huffman: empty table with %d samples", verdict.ErrCorrupt, nsamp)
 	}
 	if nsamp == 0 {
 		return []int32{}, nil
@@ -632,7 +629,7 @@ func DecodeParallel(data []byte, workers int) ([]int32, error) {
 	// Every code is >= 1 bit, so a body of B bytes can hold at most 8B
 	// symbols; reject hostile sample counts before allocating the output.
 	if nsamp > 8*uint64(len(body)) {
-		return nil, fmt.Errorf("%w: %d samples for %d-byte body", ErrCorrupt, nsamp, len(body))
+		return nil, fmt.Errorf("%w: huffman: %d samples for %d-byte body", verdict.ErrCorrupt, nsamp, len(body))
 	}
 
 	d := newDecoder(syms, lengths)

@@ -7,6 +7,7 @@ import (
 
 	"scdc/internal/entropy"
 	"scdc/internal/parallel"
+	"scdc/internal/verdict"
 )
 
 // Sharded Huffman container: the symbol stream is split into K contiguous
@@ -120,45 +121,45 @@ type shard struct {
 func parseShards(data []byte, total int) ([]shard, []byte, error) {
 	k, c := binary.Uvarint(data)
 	if c <= 0 || k == 0 {
-		return nil, nil, fmt.Errorf("%w: bad shard count", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: huffman: bad shard count", verdict.ErrCorrupt)
 	}
 	data = data[c:]
 	if k > uint64(len(data))/2 || k > uint64(total) {
-		return nil, nil, fmt.Errorf("%w: shard count %d exceeds stream", ErrCorrupt, k)
+		return nil, nil, fmt.Errorf("%w: huffman: shard count %d exceeds stream", verdict.ErrCorrupt, k)
 	}
 	dir := make([]shard, k)
 	off, pos := 0, 0
 	for i := range dir {
 		ns, c := binary.Uvarint(data[pos:])
 		if c <= 0 {
-			return nil, nil, fmt.Errorf("%w: bad shard sample count", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: huffman: bad shard sample count", verdict.ErrCorrupt)
 		}
 		pos += c
 		bl, c := binary.Uvarint(data[pos:])
 		if c <= 0 || bl > uint64(len(data)) {
-			return nil, nil, fmt.Errorf("%w: bad shard body length", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: huffman: bad shard body length", verdict.ErrCorrupt)
 		}
 		pos += c
 		if ns == 0 || ns > uint64(total-off) {
-			return nil, nil, fmt.Errorf("%w: shard of %d samples at %d of %d", ErrCorrupt, ns, off, total)
+			return nil, nil, fmt.Errorf("%w: huffman: shard of %d samples at %d of %d", verdict.ErrCorrupt, ns, off, total)
 		}
 		dir[i] = shard{off: off, n: int(ns), bodyLen: int(bl)}
 		off += int(ns)
 	}
 	if off != total {
-		return nil, nil, fmt.Errorf("%w: shard sample counts sum to %d, want %d", ErrCorrupt, off, total)
+		return nil, nil, fmt.Errorf("%w: huffman: shard sample counts sum to %d, want %d", verdict.ErrCorrupt, off, total)
 	}
 	bodies := data[pos:]
 	bodyOff := 0
 	for i := range dir {
 		if dir[i].bodyLen > len(bodies)-bodyOff {
-			return nil, nil, fmt.Errorf("%w: shard bodies exceed stream", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: huffman: shard bodies exceed stream", verdict.ErrCorrupt)
 		}
 		dir[i].bodyOff = bodyOff
 		bodyOff += dir[i].bodyLen
 	}
 	if bodyOff != len(bodies) {
-		return nil, nil, fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(bodies)-bodyOff)
+		return nil, nil, fmt.Errorf("%w: huffman: %d trailing body bytes", verdict.ErrCorrupt, len(bodies)-bodyOff)
 	}
 	return dir, bodies, nil
 }
@@ -167,36 +168,36 @@ func parseShards(data []byte, total int) ([]shard, []byte, error) {
 // to workers goroutines.
 func decodeSharded(data []byte, workers int) ([]int32, error) {
 	if len(data) < 2 || data[0] != shardedMarker {
-		return nil, fmt.Errorf("%w: bad sharded marker", ErrCorrupt)
+		return nil, fmt.Errorf("%w: huffman: bad sharded marker", verdict.ErrCorrupt)
 	}
 	if data[1] != shardedVersion {
-		return nil, fmt.Errorf("%w: unsupported sharded version %d", ErrCorrupt, data[1])
+		return nil, fmt.Errorf("%w: huffman: unsupported sharded version %d", verdict.ErrCorrupt, data[1])
 	}
 	data = data[2:]
 
 	hdrLen, n := binary.Uvarint(data)
 	if n <= 0 || hdrLen > uint64(len(data)-n) {
-		return nil, fmt.Errorf("%w: bad header length", ErrCorrupt)
+		return nil, fmt.Errorf("%w: huffman: bad header length", verdict.ErrCorrupt)
 	}
 	hdr := data[n : n+int(hdrLen)]
 	data = data[n+int(hdrLen):]
 
 	nsamp, k := binary.Uvarint(hdr)
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad sample count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: huffman: bad sample count", verdict.ErrCorrupt)
 	}
 	syms, lengths, err := parseTableHeader(hdr[k:])
 	if err != nil {
 		return nil, err
 	}
 	if nsamp > 0 && len(syms) == 0 {
-		return nil, fmt.Errorf("%w: empty table with %d samples", ErrCorrupt, nsamp)
+		return nil, fmt.Errorf("%w: huffman: empty table with %d samples", verdict.ErrCorrupt, nsamp)
 	}
 
 	// Codes are >= 1 bit, so the bytes present bound the sample count
 	// before the directory or the output is allocated.
 	if nsamp > 8*uint64(len(data)) {
-		return nil, fmt.Errorf("%w: %d samples for %d stream bytes", ErrCorrupt, nsamp, len(data))
+		return nil, fmt.Errorf("%w: huffman: %d samples for %d stream bytes", verdict.ErrCorrupt, nsamp, len(data))
 	}
 	dir, bodies, err := parseShards(data, int(nsamp))
 	if err != nil {

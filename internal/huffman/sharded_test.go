@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"scdc/internal/verdict"
 )
 
 func skewed(n int, seed int64) []int32 {
@@ -237,7 +239,7 @@ func TestShardDirectoryStrict(t *testing.T) {
 		} {
 			if err := f.decode(c.stream); (err == nil) != c.ok {
 				t.Errorf("%s, %s: err = %v, want ok = %v", f.name, name, err, c.ok)
-			} else if err != nil && !errors.Is(err, ErrCorrupt) {
+			} else if err != nil && !errors.Is(err, verdict.ErrCorrupt) {
 				t.Errorf("%s, %s: untyped error %v", f.name, name, err)
 			}
 		}

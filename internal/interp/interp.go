@@ -154,26 +154,3 @@ func (st Stencil) At(data []float64, o, ss int) float64 {
 func LineSlice(data []float64, base, strd, n, t, s int, kind Kind) float64 {
 	return StencilAt(n, t, s, kind).At(data, base+t*strd, s*strd)
 }
-
-// LineMulti predicts at position t by averaging the 1D Line predictions of
-// every direction listed in dirs, each with its own extent/position/stride.
-// This is the multi-dimensional interpolation mode of HPEZ: it pools
-// correlation from the plane orthogonal to the primary direction, which is
-// exactly the correlation the paper's QP method otherwise exploits
-// (Section IV-B explains why HPEZ shows the weakest clustering).
-//
-// Each entry of dirs supplies the accessor plus (n, t, s) for that axis.
-// dirs must be non-empty.
-type LineDir struct {
-	At      func(int) float64
-	N, T, S int
-}
-
-// LineMulti averages per-direction predictions.
-func LineMulti(dirs []LineDir, kind Kind) float64 {
-	sum := 0.0
-	for _, d := range dirs {
-		sum += Line(d.At, d.N, d.T, d.S, kind)
-	}
-	return sum / float64(len(dirs))
-}

@@ -92,22 +92,6 @@ func TestBoundaryFallbacks(t *testing.T) {
 	}
 }
 
-func TestLineMulti(t *testing.T) {
-	atX := lineOf(16, func(x float64) float64 { return 2 * x })
-	atY := lineOf(16, func(x float64) float64 { return 4 * x })
-	dirs := []LineDir{
-		{At: atX, N: 16, T: 5, S: 1},
-		{At: atY, N: 16, T: 5, S: 1},
-	}
-	// Average of 10 and 20.
-	if got := LineMulti(dirs, Linear); got != 15 {
-		t.Fatalf("LineMulti = %g", got)
-	}
-	if got := LineMulti(dirs[:1], Linear); got != 10 {
-		t.Fatalf("LineMulti single = %g", got)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Linear.String() != "linear" || Cubic.String() != "cubic" {
 		t.Error("kind names")

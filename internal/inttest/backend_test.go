@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"scdc"
 	"scdc/internal/core"
 	"scdc/internal/datagen"
 	"scdc/internal/grid"
@@ -22,6 +23,7 @@ import (
 	"scdc/internal/qoz"
 	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
+	"scdc/internal/verdict"
 )
 
 // backendEngine is one of the four engines on the shared index-stream
@@ -31,7 +33,8 @@ type backendEngine struct {
 	name       string
 	compress   func(f *grid.Field, eb float64, qp bool) ([]byte, error)
 	decompress func(payload []byte, dims []int) (*grid.Field, error)
-	corrupt    error
+	// alg is the engine's kind byte in the scdc container.
+	alg scdc.Algorithm
 	// side reports whether a coarse-lattice float block precedes the
 	// index block.
 	side bool
@@ -51,7 +54,7 @@ var backendEngines = []backendEngine{
 			return sz3.Compress(f, o)
 		},
 		decompress: sz3.Decompress,
-		corrupt:    sz3.ErrCorrupt,
+		alg:        scdc.SZ3,
 		header: func(w *plainWalker, dims []int) []int {
 			w.skip(3 + len(dims)) // mode, kind, ndims, dir order
 			w.qpBlock()
@@ -69,7 +72,7 @@ var backendEngines = []backendEngine{
 			return qoz.Compress(f, o)
 		},
 		decompress: qoz.Decompress,
-		corrupt:    qoz.ErrCorrupt,
+		alg:        scdc.QoZ,
 		side:       true,
 		header: func(w *plainWalker, dims []int) []int {
 			w.qpBlock()
@@ -88,7 +91,7 @@ var backendEngines = []backendEngine{
 			return hpez.Compress(f, o)
 		},
 		decompress: hpez.Decompress,
-		corrupt:    hpez.ErrCorrupt,
+		alg:        scdc.HPEZ,
 		side:       true,
 		header: func(w *plainWalker, dims []int) []int {
 			w.qpBlock()
@@ -113,7 +116,7 @@ var backendEngines = []backendEngine{
 			return mgard.Compress(f, o)
 		},
 		decompress: mgard.Decompress,
-		corrupt:    mgard.ErrCorrupt,
+		alg:        scdc.MGARD,
 		side:       true,
 		header: func(w *plainWalker, dims []int) []int {
 			w.qpBlock()
@@ -145,6 +148,17 @@ func (w *plainWalker) qpBlock() {
 	w.skip(2)
 	w.uvarint()
 	w.uvarint()
+}
+
+// container lays payload out as the footer-less v1 scdc container of a
+// field with the given dims, so the front door hands it to the engine
+// as it is.
+func container(alg scdc.Algorithm, dims []int, payload []byte) []byte {
+	s := append([]byte("SCDC"), 1, byte(alg), byte(len(dims)))
+	for _, d := range dims {
+		s = binary.AppendUvarint(s, uint64(d))
+	}
+	return append(s, payload...)
 }
 
 // allocatedBy returns the bytes allocated while fn runs.
@@ -218,7 +232,8 @@ func TestSteadyStateScratch(t *testing.T) {
 // off a valid payload, the plaintext is truncated at every offset through
 // the header and around each block's length field, and each length or
 // count field is separately inflated; the result is re-wrapped and must
-// fail with the engine's ErrCorrupt — no panic, and nothing allocated
+// fail with the shared verdict.ErrCorrupt — from the engine, and, put in
+// a container, from scdc.Decompress — with no panic and nothing allocated
 // beyond the decode bound.
 func TestHostilePlaintext(t *testing.T) {
 	f := datagen.MustGenerate(datagen.Miranda, 0, []int{20, 24, 28}, 3)
@@ -288,11 +303,14 @@ func TestHostilePlaintext(t *testing.T) {
 					}()
 					_, decErr = eng.decompress(wrapped, dims)
 				})
-				if !errors.Is(decErr, eng.corrupt) {
-					t.Errorf("%s %s: got %v, want %v", name, what, decErr, eng.corrupt)
+				if !errors.Is(decErr, verdict.ErrCorrupt) {
+					t.Errorf("%s %s: got %v, want ErrCorrupt", name, what, decErr)
 				}
 				if allocated > limit {
 					t.Errorf("%s %s: allocated %d bytes, decode bound is %d", name, what, allocated, limit)
+				}
+				if _, err := scdc.Decompress(container(eng.alg, dims, wrapped)); !errors.Is(err, scdc.ErrCorrupt) {
+					t.Errorf("%s %s: scdc.Decompress: got %v, want ErrCorrupt", name, what, err)
 				}
 			}
 
@@ -304,6 +322,9 @@ func TestHostilePlaintext(t *testing.T) {
 			if _, err := eng.decompress(wrapped, dims); err != nil {
 				t.Errorf("%s: re-wrapped valid plaintext: %v", name, err)
 			}
+			if _, err := scdc.Decompress(container(eng.alg, dims, wrapped)); err != nil {
+				t.Errorf("%s: re-wrapped valid plaintext in a container: %v", name, err)
+			}
 		}
 	}
 }
@@ -312,8 +333,8 @@ func TestHostilePlaintext(t *testing.T) {
 // the literal block exactly. For each engine, QP on and off, a field with
 // unpredictable points is compressed, the literal block at the end of the
 // plaintext is rewritten one value short and one value long, and both
-// must fail with the engine's ErrCorrupt carrying the one message
-// core.Sweep has for each case.
+// must fail with verdict.ErrCorrupt carrying the one message core.Sweep
+// has for each case.
 func TestLiteralBlockAccounting(t *testing.T) {
 	f := datagen.MustGenerate(datagen.Miranda, 0, []int{20, 24, 28}, 3)
 	dims := f.Dims()
@@ -360,8 +381,8 @@ func TestLiteralBlockAccounting(t *testing.T) {
 					t.Fatal(err)
 				}
 				_, err = eng.decompress(wrapped, dims)
-				if !errors.Is(err, eng.corrupt) || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("%s: %s literal block: got %v, want %v: … %s", name, tc.what, err, eng.corrupt, tc.want)
+				if !errors.Is(err, verdict.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: %s literal block: got %v, want ErrCorrupt: … %s", name, tc.what, err, tc.want)
 				}
 			}
 		}

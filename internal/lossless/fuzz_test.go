@@ -2,7 +2,10 @@ package lossless
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"scdc/internal/verdict"
 )
 
 // FuzzLosslessDecompress covers the codec-tagged wrapper over the
@@ -21,6 +24,9 @@ func FuzzLosslessDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecompressLimit(data, 1<<22)
 		if err != nil {
+			if !errors.Is(err, verdict.ErrCorrupt) {
+				t.Fatalf("decode error %v is not verdict.ErrCorrupt", err)
+			}
 			return
 		}
 		if len(out) > 1<<22 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scdc/internal/huffman"
+	"scdc/internal/verdict"
 )
 
 // The Huffman byte codec (tag 7) runs the kernelized canonical Huffman
@@ -29,26 +30,18 @@ func huffCompressBody(dst, src []byte, workers int) []byte {
 	return huffman.EncodeBytesTo(dst, src, ShardCount(len(src)), workers)
 }
 
-// huffDecompressInto decodes a Huffman byte stream into exactly dst.
-func huffDecompressInto(dst, body []byte, workers int) error {
-	if err := huffman.DecodeBytesInto(dst, body, workers); err != nil {
-		return fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return nil
-}
-
 // huffDecompress decodes a Huffman byte stream into exactly n bytes.
 func huffDecompress(body []byte, n, workers int) ([]byte, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("%w: negative length", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lossless: negative length", verdict.ErrCorrupt)
 	}
 	// Every Huffman code spends at least one bit per symbol, so a lying
 	// length header fails before the allocation it was hoping to force.
 	if uint64(n) > 8*uint64(len(body)) {
-		return nil, fmt.Errorf("%w: declared size %d impossible for %d input bytes", ErrCorrupt, n, len(body))
+		return nil, fmt.Errorf("%w: lossless: declared size %d impossible for %d input bytes", verdict.ErrCorrupt, n, len(body))
 	}
 	out := make([]byte, n)
-	if err := huffDecompressInto(out, body, workers); err != nil {
+	if err := huffman.DecodeBytesInto(out, body, workers); err != nil {
 		return nil, err
 	}
 	return out, nil

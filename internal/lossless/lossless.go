@@ -19,14 +19,12 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
-)
 
-// ErrCorrupt reports a malformed lossless stream.
-var ErrCorrupt = errors.New("lossless: corrupt stream")
+	"scdc/internal/verdict"
+)
 
 var flateWriterPool = sync.Pool{New: func() any {
 	w, _ := flate.NewWriter(io.Discard, flate.DefaultCompression)
@@ -142,9 +140,9 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 	case Huffman:
 		return huffCompressBody(hdr, src, 1), nil
 	case Sharded:
-		return nil, fmt.Errorf("lossless: use CompressSharded for the sharded container")
+		return nil, fmt.Errorf("%w: lossless: use CompressSharded for the sharded container", verdict.ErrBadOptions)
 	default:
-		return nil, fmt.Errorf("lossless: unknown codec %d", c)
+		return nil, fmt.Errorf("%w: lossless: unknown codec %d", verdict.ErrBadOptions, c)
 	}
 }
 
@@ -183,21 +181,21 @@ func DecompressLimit(data []byte, maxOut int) ([]byte, error) {
 // for every worker count.
 func DecompressLimitWorkers(data []byte, maxOut, workers int) ([]byte, error) {
 	if len(data) < 1 {
-		return nil, fmt.Errorf("%w: empty stream", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lossless: empty stream", verdict.ErrCorrupt)
 	}
 	c := Codec(data[0])
 	n, k := binary.Uvarint(data[1:])
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad length header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lossless: bad length header", verdict.ErrCorrupt)
 	}
 	if maxOut >= 0 && n > uint64(maxOut) {
-		return nil, fmt.Errorf("%w: declared size %d exceeds limit %d", ErrCorrupt, n, maxOut)
+		return nil, fmt.Errorf("%w: lossless: declared size %d exceeds limit %d", verdict.ErrCorrupt, n, maxOut)
 	}
 	body := data[1+k:]
 	switch c {
 	case None:
 		if uint64(len(body)) != n {
-			return nil, fmt.Errorf("%w: stored length mismatch", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lossless: stored length mismatch", verdict.ErrCorrupt)
 		}
 		return append([]byte(nil), body...), nil
 	case Flate:
@@ -205,7 +203,7 @@ func DecompressLimitWorkers(data []byte, maxOut, workers int) ([]byte, error) {
 		// it sits under both the caller's limit and the expansion bound;
 		// the output is then allocated exactly once and filled in place.
 		if n > 1032*uint64(len(body))+64 {
-			return nil, fmt.Errorf("%w: declared size %d impossible for %d input bytes", ErrCorrupt, n, len(body))
+			return nil, fmt.Errorf("%w: lossless: declared size %d impossible for %d input bytes", verdict.ErrCorrupt, n, len(body))
 		}
 		out := make([]byte, n)
 		if err := flateDecompressInto(out, body); err != nil {
@@ -219,7 +217,7 @@ func DecompressLimitWorkers(data []byte, maxOut, workers int) ([]byte, error) {
 	case Sharded:
 		return decodeSharded(body, int(n), workers)
 	default:
-		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, c)
+		return nil, fmt.Errorf("%w: lossless: unknown codec %d", verdict.ErrCorrupt, c)
 	}
 }
 
@@ -230,16 +228,16 @@ func flateDecompressInto(dst, body []byte) error {
 	defer flateReaderPool.Put(st)
 	st.br.Reset(body)
 	if err := st.r.(flate.Resetter).Reset(&st.br, nil); err != nil {
-		return fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return fmt.Errorf("%w: lossless: flate: %w", verdict.ErrCorrupt, err)
 	}
 	if _, err := io.ReadFull(st.r, dst); err != nil {
-		return fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return fmt.Errorf("%w: lossless: flate: %w", verdict.ErrCorrupt, err)
 	}
 	// One byte past the declared length distinguishes "exactly n" from
 	// "stream kept going": both a short and a long body are corruption.
 	var probe [1]byte
 	if _, err := st.r.Read(probe[:]); err != io.EOF {
-		return fmt.Errorf("%w: flate length mismatch", ErrCorrupt)
+		return fmt.Errorf("%w: lossless: flate length mismatch", verdict.ErrCorrupt)
 	}
 	return nil
 }

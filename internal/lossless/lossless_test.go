@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"scdc/internal/verdict"
 )
 
 var codecs = []Codec{None, Flate, LZ, Huffman}
@@ -101,7 +103,7 @@ func TestCorrupt(t *testing.T) {
 	// Tag 3 is reserved (the retired range coder) and reads as unknown;
 	// neither it nor any undefined tag can be written.
 	for _, tag := range []byte{3, 99} {
-		if _, err := Decompress([]byte{tag, 4, 1, 2, 3, 4}); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decompress([]byte{tag, 4, 1, 2, 3, 4}); !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("codec tag %d: got %v, want ErrCorrupt", tag, err)
 		}
 		if _, err := Compress(Codec(tag), src); err == nil {

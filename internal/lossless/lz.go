@@ -5,6 +5,8 @@ import (
 	"fmt"
 	mbits "math/bits"
 	"sync"
+
+	"scdc/internal/verdict"
 )
 
 // The LZ codec is a byte-oriented LZ77 in the LZ4 mold ("lz/2"),
@@ -234,17 +236,17 @@ func lzReadLen(src []byte, i, max int) (int, int, bool) {
 }
 
 // lzDecompress decodes an lz/2 sequence stream into exactly n bytes.
-// Every structural failure wraps ErrCorrupt; the output is allocated
-// only after the expansion cap admits n.
+// Every structural failure wraps verdict.ErrCorrupt; the output is
+// allocated only after the expansion cap admits n.
 func lzDecompress(src []byte, n int) ([]byte, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("%w: negative length", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lossless: negative length", verdict.ErrCorrupt)
 	}
 	// A sequence byte can contribute at most lzMaxExpand output bytes
 	// (a 255-run extension byte), so a lying header fails before the
 	// allocation it was hoping to force.
 	if int64(n) > lzMaxExpand*int64(len(src))+lzNibbleExt {
-		return nil, fmt.Errorf("%w: declared size %d impossible for %d input bytes", ErrCorrupt, n, len(src))
+		return nil, fmt.Errorf("%w: lossless: declared size %d impossible for %d input bytes", verdict.ErrCorrupt, n, len(src))
 	}
 	out := make([]byte, n)
 	if err := lzDecompressInto(out, src); err != nil {
@@ -265,7 +267,7 @@ func lzDecompressInto(dst, src []byte) error {
 	i, o := 0, 0
 	for {
 		if i >= len(src) {
-			return fmt.Errorf("%w: truncated token", ErrCorrupt)
+			return fmt.Errorf("%w: lossless: truncated token", verdict.ErrCorrupt)
 		}
 		tok := src[i]
 		i++
@@ -274,43 +276,43 @@ func lzDecompressInto(dst, src []byte) error {
 			var ok bool
 			lit, i, ok = lzReadLen(src, i, n)
 			if !ok {
-				return fmt.Errorf("%w: bad literal extension", ErrCorrupt)
+				return fmt.Errorf("%w: lossless: bad literal extension", verdict.ErrCorrupt)
 			}
 			lit += lzNibbleExt
 		}
 		if lit > len(src)-i || lit > n-o {
-			return fmt.Errorf("%w: literal run exceeds bounds", ErrCorrupt)
+			return fmt.Errorf("%w: lossless: literal run exceeds bounds", verdict.ErrCorrupt)
 		}
 		copy(dst[o:o+lit], src[i:i+lit])
 		i += lit
 		o += lit
 		if o == n {
 			if i != len(src) {
-				return fmt.Errorf("%w: trailing bytes after output filled", ErrCorrupt)
+				return fmt.Errorf("%w: lossless: trailing bytes after output filled", verdict.ErrCorrupt)
 			}
 			return nil
 		}
 
 		if len(src)-i < 2 {
-			return fmt.Errorf("%w: truncated offset", ErrCorrupt)
+			return fmt.Errorf("%w: lossless: truncated offset", verdict.ErrCorrupt)
 		}
 		off := int(binary.LittleEndian.Uint16(src[i:]))
 		i += 2
 		if off == 0 || off > o {
-			return fmt.Errorf("%w: match offset out of range", ErrCorrupt)
+			return fmt.Errorf("%w: lossless: match offset out of range", verdict.ErrCorrupt)
 		}
 		mlen := int(tok & lzNibbleExt)
 		if mlen == lzNibbleExt {
 			ext, ni, ok := lzReadLen(src, i, n)
 			if !ok {
-				return fmt.Errorf("%w: bad match extension", ErrCorrupt)
+				return fmt.Errorf("%w: lossless: bad match extension", verdict.ErrCorrupt)
 			}
 			mlen += ext
 			i = ni
 		}
 		mlen += lzMinMatch
 		if mlen > n-o {
-			return fmt.Errorf("%w: match exceeds output length", ErrCorrupt)
+			return fmt.Errorf("%w: lossless: match exceeds output length", verdict.ErrCorrupt)
 		}
 		if mlen <= off {
 			copy(dst[o:o+mlen], dst[o-off:])

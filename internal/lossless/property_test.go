@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"scdc/internal/verdict"
 )
 
 // randomPayload mixes skewed runs (entropy-coder friendly) with uniform
@@ -62,7 +64,7 @@ func TestDecompressLimit(t *testing.T) {
 			t.Errorf("%v: limit == size rejected: %v", c, err)
 		}
 		_, err = DecompressLimit(enc, len(payload)-1)
-		if !errors.Is(err, ErrCorrupt) {
+		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%v: limit-1 gave %v, want ErrCorrupt", c, err)
 		}
 	}

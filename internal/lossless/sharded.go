@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sync"
 
+	"scdc/internal/huffman"
 	"scdc/internal/parallel"
+	"scdc/internal/verdict"
 )
 
 // Sharded lossless container (codec tag 4): the plaintext is split into
@@ -29,7 +31,7 @@ import (
 // not beat the plaintext are stored (codec none), bounding expansion.
 // Every directory field is validated against the stream before the
 // output is allocated: a lying shard count, length sum or body extent
-// fails with ErrCorrupt first.
+// fails with verdict.ErrCorrupt first.
 
 const (
 	// shardTargetBytes is the plaintext size one shard aims for: big
@@ -80,7 +82,7 @@ var shardBufPool = sync.Pool{New: func() any { return new(shardBuf) }}
 // output is byte-identical for every worker count.
 func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
 	if c == Sharded {
-		return nil, fmt.Errorf("lossless: sharded container needs an inner codec")
+		return nil, fmt.Errorf("%w: lossless: sharded container needs an inner codec", verdict.ErrBadOptions)
 	}
 	k := ShardCount(len(src))
 	if k <= 1 || c == None || c == Store {
@@ -182,72 +184,72 @@ type shardDir struct {
 func decodeSharded(data []byte, n int, workers int) ([]byte, error) {
 	k64, c := binary.Uvarint(data)
 	if c <= 0 {
-		return nil, fmt.Errorf("%w: bad shard count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lossless: bad shard count", verdict.ErrCorrupt)
 	}
 	if k64 == 0 {
-		return nil, fmt.Errorf("%w: zero-shard container", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lossless: zero-shard container", verdict.ErrCorrupt)
 	}
 	data = data[c:]
 	// Each directory entry costs at least 3 bytes (codec byte plus two
 	// one-byte uvarints), so the count is bounded by the stream before
 	// the directory is allocated.
 	if 3*k64 > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: shard count %d exceeds stream", ErrCorrupt, k64)
+		return nil, fmt.Errorf("%w: lossless: shard count %d exceeds stream", verdict.ErrCorrupt, k64)
 	}
 	k := int(k64)
 	// The encoder never splits past maxShardCount; a larger directory can
 	// only come from a hostile header.
 	if k > maxShardCount {
-		return nil, fmt.Errorf("%w: shard count %d exceeds limit %d", ErrCorrupt, k, maxShardCount)
+		return nil, fmt.Errorf("%w: lossless: shard count %d exceeds limit %d", verdict.ErrCorrupt, k, maxShardCount)
 	}
 
 	dir := make([]shardDir, k)
 	rawOff, pos := 0, 0
 	for s := range dir {
 		if pos >= len(data) {
-			return nil, fmt.Errorf("%w: truncated shard directory", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lossless: truncated shard directory", verdict.ErrCorrupt)
 		}
 		cd := Codec(data[pos])
 		pos++
 		switch cd {
 		case None, Flate, LZ, Huffman:
 		default:
-			return nil, fmt.Errorf("%w: invalid shard codec %d", ErrCorrupt, byte(cd))
+			return nil, fmt.Errorf("%w: lossless: invalid shard codec %d", verdict.ErrCorrupt, byte(cd))
 		}
 		rl, c := binary.Uvarint(data[pos:])
 		if c <= 0 {
-			return nil, fmt.Errorf("%w: bad shard length", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lossless: bad shard length", verdict.ErrCorrupt)
 		}
 		pos += c
 		bl, c := binary.Uvarint(data[pos:])
 		if c <= 0 {
-			return nil, fmt.Errorf("%w: bad shard body length", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lossless: bad shard body length", verdict.ErrCorrupt)
 		}
 		pos += c
 		if rl == 0 {
-			return nil, fmt.Errorf("%w: empty shard", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lossless: empty shard", verdict.ErrCorrupt)
 		}
 		if rl > uint64(n-rawOff) {
-			return nil, fmt.Errorf("%w: shard lengths exceed declared size %d", ErrCorrupt, n)
+			return nil, fmt.Errorf("%w: lossless: shard lengths exceed declared size %d", verdict.ErrCorrupt, n)
 		}
 		dir[s] = shardDir{codec: cd, rawOff: rawOff, rawLen: int(rl), bodyLen: int(bl)}
 		rawOff += int(rl)
 	}
 	if rawOff != n {
-		return nil, fmt.Errorf("%w: shard lengths sum to %d, want %d", ErrCorrupt, rawOff, n)
+		return nil, fmt.Errorf("%w: lossless: shard lengths sum to %d, want %d", verdict.ErrCorrupt, rawOff, n)
 	}
 	bodies := data[pos:]
 	bodyOff := 0
 	for s := range dir {
 		bl := dir[s].bodyLen
 		if bl > len(bodies)-bodyOff {
-			return nil, fmt.Errorf("%w: shard bodies exceed stream", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lossless: shard bodies exceed stream", verdict.ErrCorrupt)
 		}
 		dir[s].bodyOff = bodyOff
 		bodyOff += bl
 	}
 	if bodyOff != len(bodies) {
-		return nil, fmt.Errorf("%w: %d trailing body bytes", ErrCorrupt, len(bodies)-bodyOff)
+		return nil, fmt.Errorf("%w: lossless: %d trailing body bytes", verdict.ErrCorrupt, len(bodies)-bodyOff)
 	}
 
 	out := make([]byte, n)
@@ -271,7 +273,7 @@ func decodeShardBody(c Codec, body, dst []byte) error {
 	switch c {
 	case None:
 		if len(body) != len(dst) {
-			return fmt.Errorf("%w: stored shard length mismatch", ErrCorrupt)
+			return fmt.Errorf("%w: lossless: stored shard length mismatch", verdict.ErrCorrupt)
 		}
 		copy(dst, body)
 		return nil
@@ -280,8 +282,8 @@ func decodeShardBody(c Codec, body, dst []byte) error {
 	case LZ:
 		return lzDecompressInto(dst, body)
 	case Huffman:
-		return huffDecompressInto(dst, body, 1)
+		return huffman.DecodeBytesInto(dst, body, 1)
 	default:
-		return fmt.Errorf("%w: invalid shard codec %d", ErrCorrupt, byte(c))
+		return fmt.Errorf("%w: lossless: invalid shard codec %d", verdict.ErrCorrupt, byte(c))
 	}
 }

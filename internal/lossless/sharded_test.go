@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"scdc/internal/verdict"
 )
 
 // shardedPayload is big enough to split (several shards) and mixes the
@@ -127,7 +129,7 @@ func TestShardedHostileHeaders(t *testing.T) {
 		"huge shard count": append(binary.AppendUvarint(binary.AppendUvarint([]byte{byte(Sharded)}, 16), 1<<40), 0, 1, 2),
 	}
 	for name, stream := range cases {
-		if _, err := DecompressLimitWorkers(stream, 1<<20, 2); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecompressLimitWorkers(stream, 1<<20, 2); !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -183,7 +185,7 @@ func TestHuffmanHostileHeaders(t *testing.T) {
 		}),
 	}
 	for name, stream := range cases {
-		if _, err := Decompress(stream); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decompress(stream); !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -192,7 +194,7 @@ func TestHuffmanHostileHeaders(t *testing.T) {
 	huge := []byte{byte(Huffman)}
 	huge = binary.AppendUvarint(huge, 1<<50)
 	huge = append(huge, body...)
-	if _, err := Decompress(huge); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decompress(huge); !errors.Is(err, verdict.ErrCorrupt) {
 		t.Errorf("huge count: got %v, want ErrCorrupt", err)
 	}
 }
@@ -226,8 +228,8 @@ func TestFlateDecompressAllocs(t *testing.T) {
 }
 
 // FuzzLosslessSharded: arbitrary bytes against the sharded container and
-// Huffman byte-stream decoders — must error or decode within the limit,
-// never panic; valid decodes must re-encode and round-trip.
+// Huffman byte-stream decoders — must decode within the limit or fail
+// with verdict.ErrCorrupt, never panic; valid decodes must re-encode and round-trip.
 func FuzzLosslessSharded(f *testing.F) {
 	small := shardedPayload(3, 1000)
 	big := shardedPayload(4, 2*shardMinBytes+17)
@@ -245,6 +247,9 @@ func FuzzLosslessSharded(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecompressLimitWorkers(data, 1<<22, 3)
 		if err != nil {
+			if !errors.Is(err, verdict.ErrCorrupt) {
+				t.Fatalf("decode error %v is not verdict.ErrCorrupt", err)
+			}
 			return
 		}
 		if len(out) > 1<<22 {

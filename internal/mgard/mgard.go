@@ -24,7 +24,6 @@ package mgard
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 
 	"scdc/internal/core"
@@ -33,12 +32,6 @@ import (
 	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
-
-// ErrCorrupt reports a malformed MGARD payload.
-var ErrCorrupt = errors.New("mgard: corrupt stream")
-
-// ErrBadOptions reports invalid compression options.
-var ErrBadOptions = errors.New("mgard: invalid options")
 
 // maxLevels caps the hierarchy depth; the coarsest nodal values (lattice
 // stride 2^levels) are stored losslessly.
@@ -89,7 +82,7 @@ func levelBound(eb float64, levels int) float64 {
 // shared QP block, the level count and error bound, then the shared
 // coarse, index and literal blocks (DESIGN.md §5).
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
-	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
+	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err
 	}
 	levels := levelsFor(f.Dims())
@@ -135,7 +128,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.DecodeStream(payload, n, workers, sp, ErrCorrupt)
+	r, err := core.DecodeStream(payload, n, workers, sp)
 	if err != nil {
 		return nil, err
 	}

@@ -21,14 +21,6 @@ func Lorenzo3D(a, b, c, ab, ac, bc, abc float64) float64 {
 	return a + b + c - ab - ac - bc + abc
 }
 
-// Lorenzo2DInt is the integer 2D Lorenzo used on quantization indices.
-func Lorenzo2DInt(a, b, ab int32) int32 { return a + b - ab }
-
-// Lorenzo3DInt is the integer 3D Lorenzo used on quantization indices.
-func Lorenzo3DInt(a, b, c, ab, ac, bc, abc int32) int32 {
-	return a + b + c - ab - ac - bc + abc
-}
-
 // Field3 provides 3D Lorenzo prediction over a row-major field laid out
 // with strides (sy*sz, sz, 1) — i.e. dims [nx][ny][nz] with z fastest.
 // Out-of-range neighbors (first plane/row/column) read as zero, the

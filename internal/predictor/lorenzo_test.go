@@ -50,15 +50,6 @@ func TestLorenzo3DExactOnPairwise(t *testing.T) {
 	}
 }
 
-func TestIntVariants(t *testing.T) {
-	if Lorenzo2DInt(5, 7, 3) != 9 {
-		t.Error("Lorenzo2DInt")
-	}
-	if Lorenzo3DInt(1, 2, 3, 4, 5, 6, 7) != 1+2+3-4-5-6+7 {
-		t.Error("Lorenzo3DInt")
-	}
-}
-
 func TestField3Predict(t *testing.T) {
 	// A pairwise-coupled field over a 4x4x4 cube: interior predictions are
 	// exact (no xyz term).

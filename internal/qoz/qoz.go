@@ -20,7 +20,6 @@ package qoz
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -29,13 +28,8 @@ import (
 	"scdc/internal/interp"
 	"scdc/internal/obs"
 	"scdc/internal/sz3"
+	"scdc/internal/verdict"
 )
-
-// ErrCorrupt reports a malformed QoZ payload.
-var ErrCorrupt = errors.New("qoz: corrupt stream")
-
-// ErrBadOptions reports invalid compression options.
-var ErrBadOptions = errors.New("qoz: invalid options")
 
 // maxAnchorLevels caps the interpolation depth; the anchor lattice sits at
 // stride 2^levels (QoZ's default anchor stride is 64).
@@ -78,7 +72,7 @@ type plan struct {
 // shared QP block, the plan, then the shared anchor, index and literal
 // blocks (DESIGN.md §5).
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
-	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
+	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err
 	}
 	pl := buildPlan(f, opts)
@@ -103,7 +97,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 // it — and returns the plan block Compress would write for f. It is how
 // the tuner is priced apart from the pipeline it configures.
 func Plan(f *grid.Field, opts Options) ([]byte, error) {
-	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
+	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err
 	}
 	return encodePlan(buildPlan(f, opts)), nil
@@ -137,7 +131,7 @@ func decodePlan(r *core.Reader, nd int) (plan, error) {
 		}
 		order, ok := sz3.ParseOrder(hdr[2:])
 		if int(hdr[1]) != nd || !ok {
-			return pl, fmt.Errorf("%w: bad plan order", ErrCorrupt)
+			return pl, fmt.Errorf("%w: qoz: bad plan order", verdict.ErrCorrupt)
 		}
 		eb, err := r.Bound("plan eb")
 		if err != nil {
@@ -165,7 +159,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.DecodeStream(payload, n, workers, sp, ErrCorrupt)
+	r, err := core.DecodeStream(payload, n, workers, sp)
 	if err != nil {
 		return nil, err
 	}

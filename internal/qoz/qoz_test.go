@@ -10,6 +10,7 @@ import (
 	"scdc/internal/lossless"
 	"scdc/internal/metrics"
 	"scdc/internal/sz3"
+	"scdc/internal/verdict"
 )
 
 func synth(dims ...int) *grid.Field {
@@ -196,10 +197,10 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 
 // TestPlanCodecRejectsGarbage: decodePlan must reject malformed headers.
 func TestPlanCodecRejectsGarbage(t *testing.T) {
-	if _, err := decodePlan(planReader(t, nil), 3); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodePlan(planReader(t, nil), 3); !errors.Is(err, verdict.ErrCorrupt) {
 		t.Errorf("empty plan: %v, want ErrCorrupt", err)
 	}
-	if _, err := decodePlan(planReader(t, []byte{9, 9, 9, 9}), 3); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodePlan(planReader(t, []byte{9, 9, 9, 9}), 3); !errors.Is(err, verdict.ErrCorrupt) {
 		t.Errorf("garbage plan: %v, want ErrCorrupt", err)
 	}
 }
@@ -211,7 +212,7 @@ func planReader(t *testing.T, plan []byte) *core.Reader {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.DecodeStream(payload, len(plan), 1, nil, ErrCorrupt)
+	r, err := core.DecodeStream(payload, len(plan), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

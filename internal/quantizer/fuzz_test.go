@@ -18,10 +18,10 @@ func FuzzQuantizerRecover(f *testing.F) {
 	f.Add(math.NaN(), 1.0, 1e-3, int32(16))
 	f.Add(1e300, -1e300, 1e-12, int32(1<<15))
 	f.Fuzz(func(t *testing.T, d, p, eb float64, radius int32) {
-		z, err := NewLinear(eb, radius)
-		if err != nil {
-			return // invalid config is allowed to be rejected
+		if !(eb > 0) || math.IsInf(eb, 0) || radius < 2 {
+			return // what core.Backend.Normalize rejects
 		}
+		z := Linear{EB: eb, Radius: radius}
 		sym, dec, ok := z.Quantize(d, p)
 		if !ok {
 			if sym != Unpredictable {

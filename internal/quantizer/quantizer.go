@@ -11,7 +11,6 @@
 package quantizer
 
 import (
-	"errors"
 	"math"
 )
 
@@ -21,26 +20,13 @@ const Unpredictable int32 = 0
 // DefaultRadius is the default quantization radius (SZ3 uses 2^15).
 const DefaultRadius int32 = 1 << 15
 
-// ErrBadConfig reports an invalid quantizer configuration.
-var ErrBadConfig = errors.New("quantizer: invalid configuration")
-
 // Linear is a linear-scaling quantizer with error bound EB and radius R.
 // Stored symbols lie in [0, 2R): 0 = unpredictable, otherwise symbol =
-// q + R with q in (-R, R).
+// q + R with q in (-R, R). EB must be positive and finite and Radius at
+// least 2; the engines check both through core.Backend.Normalize.
 type Linear struct {
 	EB     float64
 	Radius int32
-}
-
-// NewLinear validates and constructs a quantizer.
-func NewLinear(eb float64, radius int32) (Linear, error) {
-	if !(eb > 0) || math.IsInf(eb, 0) {
-		return Linear{}, errors.Join(ErrBadConfig, errors.New("error bound must be positive and finite"))
-	}
-	if radius < 2 {
-		return Linear{}, errors.Join(ErrBadConfig, errors.New("radius must be >= 2"))
-	}
-	return Linear{EB: eb, Radius: radius}, nil
 }
 
 // Quantize quantizes data value d against prediction p. It returns the

@@ -7,10 +7,7 @@ import (
 )
 
 func TestBasicRoundTrip(t *testing.T) {
-	z, err := NewLinear(1e-3, DefaultRadius)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := Linear{EB: 1e-3, Radius: DefaultRadius}
 	cases := []struct{ d, p float64 }{
 		{1.0, 1.0}, {1.0, 0.999}, {0, 0.002}, {-5, -5.0005}, {3.14159, 3.14},
 	}
@@ -29,7 +26,7 @@ func TestBasicRoundTrip(t *testing.T) {
 }
 
 func TestUnpredictable(t *testing.T) {
-	z, _ := NewLinear(1e-6, 1<<8)
+	z := Linear{EB: 1e-6, Radius: 1 << 8}
 	sym, dec, ok := z.Quantize(100, 0)
 	if ok || sym != Unpredictable {
 		t.Fatalf("expected unpredictable, got sym=%d ok=%v", sym, ok)
@@ -40,7 +37,7 @@ func TestUnpredictable(t *testing.T) {
 }
 
 func TestNaNResidual(t *testing.T) {
-	z, _ := NewLinear(1e-3, 1<<8)
+	z := Linear{EB: 1e-3, Radius: 1 << 8}
 	if _, _, ok := z.Quantize(math.NaN(), 0); ok {
 		t.Fatal("NaN data must be unpredictable")
 	}
@@ -50,7 +47,7 @@ func TestNaNResidual(t *testing.T) {
 }
 
 func TestCenterAndCentered(t *testing.T) {
-	z, _ := NewLinear(1e-3, 1<<10)
+	z := Linear{EB: 1e-3, Radius: 1 << 10}
 	if z.CenterSym() != 1<<10 {
 		t.Fatalf("center = %d", z.CenterSym())
 	}
@@ -64,14 +61,24 @@ func TestCenterAndCentered(t *testing.T) {
 	}
 }
 
+// TestBadConfig: Linear is a plain value, validated where the options are
+// (core.Backend.Normalize rejects these). Built with an unusable bound or
+// radius anyway, it never claims a reconstruction it cannot stand behind:
+// the point comes back as a literal, or within the bound it was given.
+// (An infinite bound is the one case only that validation stops: 0·Inf
+// reconstructs NaN.)
 func TestBadConfig(t *testing.T) {
-	for _, eb := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, err := NewLinear(eb, 8); err == nil {
-			t.Errorf("eb=%v accepted", eb)
+	bad := []Linear{{EB: 0, Radius: 8}, {EB: -1, Radius: 8}, {EB: math.NaN(), Radius: 8}, {EB: 1e-3, Radius: 1}}
+	for _, z := range bad {
+		for _, c := range []struct{ d, p float64 }{{1, 1}, {1, 0.999}, {-5, 7}, {0, 1e-9}} {
+			sym, dec, ok := z.Quantize(c.d, c.p)
+			if !ok && (sym != Unpredictable || dec != c.d) {
+				t.Errorf("%+v: literal for d=%g came back as symbol %d, value %g", z, c.d, sym, dec)
+			}
+			if ok && (sym == Unpredictable || !(math.Abs(dec-c.d) <= z.EB)) {
+				t.Errorf("%+v: d=%g p=%g quantized to symbol %d, value %g outside the bound", z, c.d, c.p, sym, dec)
+			}
 		}
-	}
-	if _, err := NewLinear(1e-3, 1); err == nil {
-		t.Error("radius=1 accepted")
 	}
 }
 
@@ -79,7 +86,7 @@ func TestBadConfig(t *testing.T) {
 // reports unpredictable or reconstructs within the bound, and Recover is
 // the exact inverse.
 func TestQuickErrorBound(t *testing.T) {
-	z, _ := NewLinear(1e-4, DefaultRadius)
+	z := Linear{EB: 1e-4, Radius: DefaultRadius}
 	f := func(d, p float64) bool {
 		if math.IsNaN(d) || math.IsInf(d, 0) || math.IsNaN(p) || math.IsInf(p, 0) {
 			return true
@@ -101,7 +108,7 @@ func TestQuickErrorBound(t *testing.T) {
 // TestQuickSymmetric property: quantizing the reconstruction against the
 // same prediction is idempotent (residual already on the lattice).
 func TestQuickSymmetric(t *testing.T) {
-	z, _ := NewLinear(1e-3, DefaultRadius)
+	z := Linear{EB: 1e-3, Radius: DefaultRadius}
 	f := func(d, p float64) bool {
 		if math.IsNaN(d) || math.IsInf(d, 0) || math.IsNaN(p) || math.IsInf(p, 0) {
 			return true

@@ -34,16 +34,13 @@ package rice
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	mbits "math/bits"
 
 	"scdc/internal/bitstream"
 	"scdc/internal/entropy"
+	"scdc/internal/verdict"
 )
-
-// ErrCorrupt reports a malformed rice stream.
-var ErrCorrupt = errors.New("rice: corrupt stream")
 
 const (
 	// Marker opens every rice stream (shared with the sharded-Huffman
@@ -263,28 +260,28 @@ func bestK(vals []uint64) (uint, int) {
 
 func unZigZag(m uint64) int64 { return int64(m>>1) ^ -int64(m&1) }
 
-// Decode reverses Encode. All structural failures wrap ErrCorrupt, and
+// Decode reverses Encode. All structural failures wrap verdict.ErrCorrupt, and
 // hostile sample counts are rejected before the output is allocated.
 func Decode(data []byte) ([]int32, error) {
 	if !IsRice(data) {
-		return nil, fmt.Errorf("%w: bad marker", ErrCorrupt)
+		return nil, fmt.Errorf("%w: rice: bad marker", verdict.ErrCorrupt)
 	}
 	data = data[2:]
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad sample count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: rice: bad sample count", verdict.ErrCorrupt)
 	}
 	data = data[k:]
 	center64, k := binary.Varint(data)
 	if k <= 0 || center64 < -1<<31 || center64 > 1<<31-1 {
-		return nil, fmt.Errorf("%w: bad center symbol", ErrCorrupt)
+		return nil, fmt.Errorf("%w: rice: bad center symbol", verdict.ErrCorrupt)
 	}
 	body := data[k:]
 	// Every 256-symbol block costs at least its 2 mode bits, so a body of
 	// B bytes can describe at most 1024*B symbols; reject hostile sample
 	// counts before allocating the output.
 	if n > 1024*uint64(len(body)) {
-		return nil, fmt.Errorf("%w: %d samples for %d-byte body", ErrCorrupt, n, len(body))
+		return nil, fmt.Errorf("%w: rice: %d samples for %d-byte body", verdict.ErrCorrupt, n, len(body))
 	}
 	center := int32(center64)
 	out := make([]int32, n)
@@ -308,7 +305,7 @@ func Decode(data []byte) ([]int32, error) {
 func decodeBlock(r *bitstream.Reader, out []int32, center int32) error {
 	mode, err := r.ReadBits(2)
 	if err != nil {
-		return fmt.Errorf("%w: truncated block mode", ErrCorrupt)
+		return fmt.Errorf("%w: rice: truncated block mode", verdict.ErrCorrupt)
 	}
 	switch mode {
 	case 0:
@@ -346,7 +343,7 @@ func decodeBlock(r *bitstream.Reader, out []int32, center int32) error {
 			}
 			n := uint(run)
 			if n > uint(len(tail)) {
-				return fmt.Errorf("%w: run of %d overflows block", ErrCorrupt, run)
+				return fmt.Errorf("%w: rice: run of %d overflows block", verdict.ErrCorrupt, run)
 			}
 			fill := tail[:n]
 			for j := range fill {
@@ -365,7 +362,7 @@ func decodeBlock(r *bitstream.Reader, out []int32, center int32) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("%w: invalid block mode %d", ErrCorrupt, mode)
+		return fmt.Errorf("%w: rice: invalid block mode %d", verdict.ErrCorrupt, mode)
 	}
 }
 
@@ -373,10 +370,10 @@ func decodeBlock(r *bitstream.Reader, out []int32, center int32) error {
 func readK(r *bitstream.Reader) (uint, error) {
 	k, err := r.ReadBits(6)
 	if err != nil {
-		return 0, fmt.Errorf("%w: truncated rice parameter", ErrCorrupt)
+		return 0, fmt.Errorf("%w: rice: truncated rice parameter", verdict.ErrCorrupt)
 	}
 	if k > maxK {
-		return 0, fmt.Errorf("%w: oversized rice parameter %d", ErrCorrupt, k)
+		return 0, fmt.Errorf("%w: rice: oversized rice parameter %d", verdict.ErrCorrupt, k)
 	}
 	return uint(k), nil
 }
@@ -391,20 +388,20 @@ func readRice(r *bitstream.Reader, center int32, k uint, bias uint64) (int32, er
 	q := uint(mbits.LeadingZeros32(^uint32(r.PeekBits(32))))
 	if q >= escapeQuot {
 		if err := r.Skip(escapeQuot); err != nil {
-			return 0, fmt.Errorf("%w: truncated escape", ErrCorrupt)
+			return 0, fmt.Errorf("%w: rice: truncated escape", verdict.ErrCorrupt)
 		}
 		raw, err := r.ReadBits(32)
 		if err != nil {
-			return 0, fmt.Errorf("%w: truncated escape literal", ErrCorrupt)
+			return 0, fmt.Errorf("%w: rice: truncated escape literal", verdict.ErrCorrupt)
 		}
 		return int32(uint32(raw)), nil
 	}
 	if err := r.Skip(q + 1); err != nil {
-		return 0, fmt.Errorf("%w: truncated quotient", ErrCorrupt)
+		return 0, fmt.Errorf("%w: rice: truncated quotient", verdict.ErrCorrupt)
 	}
 	low, err := r.ReadBits(k)
 	if err != nil {
-		return 0, fmt.Errorf("%w: truncated remainder", ErrCorrupt)
+		return 0, fmt.Errorf("%w: rice: truncated remainder", verdict.ErrCorrupt)
 	}
 	m := (uint64(q)<<k | low) + bias
 	return int32(int64(center) + unZigZag(m)), nil
@@ -416,14 +413,14 @@ func readRice(r *bitstream.Reader, center int32, k uint, bias uint64) (int32, er
 func readGamma(r *bitstream.Reader) (int, error) {
 	z := uint(mbits.LeadingZeros32(uint32(r.PeekBits(32))))
 	if z > maxGammaZeros {
-		return 0, fmt.Errorf("%w: oversized run code", ErrCorrupt)
+		return 0, fmt.Errorf("%w: rice: oversized run code", verdict.ErrCorrupt)
 	}
 	if err := r.Skip(z + 1); err != nil {
-		return 0, fmt.Errorf("%w: truncated run code", ErrCorrupt)
+		return 0, fmt.Errorf("%w: rice: truncated run code", verdict.ErrCorrupt)
 	}
 	rest, err := r.ReadBits(z)
 	if err != nil {
-		return 0, fmt.Errorf("%w: truncated run code", ErrCorrupt)
+		return 0, fmt.Errorf("%w: rice: truncated run code", verdict.ErrCorrupt)
 	}
 	return int((uint64(1)<<z | rest) - 1), nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"scdc/internal/bitstream"
 	"scdc/internal/entropy"
+	"scdc/internal/verdict"
 )
 
 func roundTrip(t *testing.T, name string, q []int32) []byte {
@@ -194,7 +195,7 @@ func TestHostileStreams(t *testing.T) {
 		}),
 	}
 	for name, data := range cases {
-		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decode(data); !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -207,7 +208,7 @@ func TestHostileCountRejectedBeforeAlloc(t *testing.T) {
 	data := binary.AppendUvarint([]byte{Marker, Version}, 1<<50)
 	data = binary.AppendVarint(data, 0)
 	data = append(data, 0xAA, 0xBB) // 2-byte body, cap allows 2048 symbols
-	if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decode(data); !errors.Is(err, verdict.ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
 }
@@ -224,11 +225,14 @@ func FuzzRice(f *testing.F) {
 	f.Add(Encode(nil), []byte{})
 	f.Add([]byte{Marker, Version, 0x04}, []byte{0xFF, 0x00, 0xFF})
 	f.Fuzz(func(t *testing.T, stream, raw []byte) {
-		// Arbitrary bytes through Decode must error or decode, never panic.
+		// Arbitrary bytes through Decode must decode or fail with
+		// verdict.ErrCorrupt, never panic.
 		if syms, err := Decode(stream); err == nil {
 			if _, err := Decode(Encode(syms)); err != nil {
 				t.Fatalf("re-encode of decoded stream failed: %v", err)
 			}
+		} else if !errors.Is(err, verdict.ErrCorrupt) {
+			t.Fatalf("decode error %v is not verdict.ErrCorrupt", err)
 		}
 		// Arbitrary symbol streams must round-trip exactly.
 		q := make([]int32, len(raw))

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"scdc/internal/bitstream"
+	"scdc/internal/verdict"
 )
 
 // SPECK-style set-partitioning coder over the quantized wavelet
@@ -110,14 +111,6 @@ func speckEncode(q []int32, px, py, pz int) []byte {
 
 // speckDecode reverses speckEncode.
 func speckDecode(data []byte, px, py, pz int) ([]int32, error) {
-	return speckDecodePlanes(data, px, py, pz, 0)
-}
-
-// speckDecodePlanes decodes, stopping after the coarsest (planes - skip)
-// bit planes: the embedded property of the SPECK stream means a prefix
-// yields a valid low-precision approximation of every coefficient. skip=0
-// decodes losslessly.
-func speckDecodePlanes(data []byte, px, py, pz, skip int) ([]int32, error) {
 	n := px * py * pz
 	// px, py, pz come from the block partition of dims already validated
 	// by the container parser, not from the SPECK payload itself.
@@ -125,21 +118,14 @@ func speckDecodePlanes(data []byte, px, py, pz, skip int) ([]int32, error) {
 	r := bitstream.NewReader(data)
 	planes64, err := r.ReadBits(6)
 	if err != nil {
-		return nil, fmt.Errorf("%w: speck header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sperr: speck header", verdict.ErrCorrupt)
 	}
 	planes := int(planes64)
 	if planes == 0 {
 		return q, nil
 	}
 	if planes > 32 {
-		return nil, fmt.Errorf("%w: speck planes %d", ErrCorrupt, planes)
-	}
-	floor := 0
-	if skip > 0 {
-		floor = skip
-		if floor >= planes {
-			floor = planes - 1
-		}
+		return nil, fmt.Errorf("%w: sperr: speck planes %d", verdict.ErrCorrupt, planes)
 	}
 
 	mag := make([]uint32, n) //scdclint:ignore alloccap -- block dims validated by the caller
@@ -148,13 +134,13 @@ func speckDecodePlanes(data []byte, px, py, pz, skip int) ([]int32, error) {
 	var lsp []int
 	var lspAt []int
 
-	for k := planes - 1; k >= floor; k-- {
+	for k := planes - 1; k >= 0; k-- {
 		next := lis[:0:0]
 		for i := 0; i < len(lis); i++ {
 			b := lis[i]
 			bit, err := r.ReadBit()
 			if err != nil {
-				return nil, fmt.Errorf("%w: speck sorting pass", ErrCorrupt)
+				return nil, fmt.Errorf("%w: sperr: speck sorting pass", verdict.ErrCorrupt)
 			}
 			if bit == 0 {
 				next = append(next, b)
@@ -164,7 +150,7 @@ func speckDecodePlanes(data []byte, px, py, pz, skip int) ([]int32, error) {
 				idx := (b.x*py+b.y)*pz + b.z
 				sign, err := r.ReadBit()
 				if err != nil {
-					return nil, fmt.Errorf("%w: speck sign", ErrCorrupt)
+					return nil, fmt.Errorf("%w: sperr: speck sign", verdict.ErrCorrupt)
 				}
 				neg[idx] = sign == 1
 				mag[idx] = 1 << uint(k)
@@ -182,7 +168,7 @@ func speckDecodePlanes(data []byte, px, py, pz, skip int) ([]int32, error) {
 			}
 			bit, err := r.ReadBit()
 			if err != nil {
-				return nil, fmt.Errorf("%w: speck refinement", ErrCorrupt)
+				return nil, fmt.Errorf("%w: sperr: speck refinement", verdict.ErrCorrupt)
 			}
 			mag[idx] |= uint32(bit) << uint(k)
 		}

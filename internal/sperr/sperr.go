@@ -19,7 +19,6 @@ package sperr
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -27,13 +26,8 @@ import (
 	"scdc/internal/huffman"
 	"scdc/internal/lossless"
 	"scdc/internal/transform"
+	"scdc/internal/verdict"
 )
-
-// ErrCorrupt reports a malformed SPERR payload.
-var ErrCorrupt = errors.New("sperr: corrupt stream")
-
-// ErrBadOptions reports invalid options.
-var ErrBadOptions = errors.New("sperr: invalid options")
 
 const maxWaveLevels = 4
 
@@ -102,7 +96,7 @@ func padExt(n, levels int) int {
 // Compress compresses field f under the given options.
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if !(opts.ErrorBound > 0) || math.IsInf(opts.ErrorBound, 0) {
-		return nil, fmt.Errorf("%w: error bound must be positive and finite", ErrBadOptions)
+		return nil, fmt.Errorf("%w: sperr: error bound must be positive and finite", verdict.ErrBadOptions)
 	}
 	if opts.Lossless == 0 {
 		opts.Lossless = lossless.Flate
@@ -121,7 +115,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	// outlier pass below enforces the bound exactly regardless.
 	quanta := bandQuanta(opts.ErrorBound, pl.levels)
 	q := make([]int32, len(padded))
-	quantizeBands(padded, q, pl, quanta, false)
+	quantizeBands(padded, q, pl, quanta)
 
 	// Reconstruct to find outliers.
 	rec := make([]float64, len(padded))
@@ -216,7 +210,7 @@ func half2(n, b int) int {
 }
 
 // quantizeBands rounds each coefficient by its band quantum.
-func quantizeBands(c []float64, q []int32, pl plan3, quanta []float64, _ bool) {
+func quantizeBands(c []float64, q []int32, pl plan3, quanta []float64) {
 	for x := 0; x < pl.px; x++ {
 		for y := 0; y < pl.py; y++ {
 			row := (x*pl.py + y) * pl.pz
@@ -252,29 +246,29 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	}
 	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
 	if len(buf) < 8 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sperr: short header", verdict.ErrCorrupt)
 	}
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(buf))
 	buf = buf[8:]
 	if !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, fmt.Errorf("%w: bad error bound", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sperr: bad error bound", verdict.ErrCorrupt)
 	}
 	levels, k := binary.Uvarint(buf)
 	if k <= 0 || levels > maxWaveLevels {
-		return nil, fmt.Errorf("%w: bad levels", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sperr: bad levels", verdict.ErrCorrupt)
 	}
 	buf = buf[k:]
 	if len(buf) < 1 {
-		return nil, fmt.Errorf("%w: missing coder flag", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sperr: missing coder flag", verdict.ErrCorrupt)
 	}
 	coder := buf[0]
 	buf = buf[1:]
 	hl, k := binary.Uvarint(buf)
 	if k <= 0 || hl > uint64(len(buf)-k) {
-		return nil, fmt.Errorf("%w: bad body length", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sperr: bad body length", verdict.ErrCorrupt)
 	}
 	buf = buf[k:]
 	body := buf[:hl]
@@ -282,7 +276,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 
 	pl := makePlan(dims)
 	if pl.levels != int(levels) {
-		return nil, fmt.Errorf("%w: level mismatch (%d vs %d)", ErrCorrupt, pl.levels, levels)
+		return nil, fmt.Errorf("%w: sperr: level mismatch (%d vs %d)", verdict.ErrCorrupt, pl.levels, levels)
 	}
 	var q []int32
 	switch coder {
@@ -291,13 +285,13 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	case 1:
 		q, err = speckDecode(body, pl.px, pl.py, pl.pz)
 	default:
-		return nil, fmt.Errorf("%w: unknown coder %d", ErrCorrupt, coder)
+		return nil, fmt.Errorf("%w: sperr: unknown coder %d", verdict.ErrCorrupt, coder)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
 	if len(q) != pl.px*pl.py*pl.pz {
-		return nil, fmt.Errorf("%w: %d coefficients for padded size %d", ErrCorrupt, len(q), pl.px*pl.py*pl.pz)
+		return nil, fmt.Errorf("%w: sperr: %d coefficients for padded size %d", verdict.ErrCorrupt, len(q), pl.px*pl.py*pl.pz)
 	}
 
 	rec := make([]float64, len(q))
@@ -314,7 +308,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 
 	no, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad outlier count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sperr: bad outlier count", verdict.ErrCorrupt)
 	}
 	buf = buf[k:]
 	corrQ := eb / 2
@@ -322,93 +316,21 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	for i := uint64(0); i < no; i++ {
 		d, k := binary.Uvarint(buf)
 		if k <= 0 {
-			return nil, fmt.Errorf("%w: truncated outlier", ErrCorrupt)
+			return nil, fmt.Errorf("%w: sperr: truncated outlier", verdict.ErrCorrupt)
 		}
 		buf = buf[k:]
 		c, k := binary.Varint(buf)
 		if k <= 0 {
-			return nil, fmt.Errorf("%w: truncated outlier correction", ErrCorrupt)
+			return nil, fmt.Errorf("%w: sperr: truncated outlier correction", verdict.ErrCorrupt)
 		}
 		buf = buf[k:]
 		idx := prev + int(d)
 		prev = idx
 		if idx >= n {
-			return nil, fmt.Errorf("%w: outlier index %d out of range", ErrCorrupt, idx)
+			return nil, fmt.Errorf("%w: sperr: outlier index %d out of range", verdict.ErrCorrupt, idx)
 		}
 		out.Data[idx] += float64(c) * corrQ
 	}
-	return out, nil
-}
-
-// DecompressPreview reconstructs a reduced-precision approximation by
-// decoding only the coarsest bit planes of the SPECK stream (skipPlanes
-// finest planes are dropped, roughly doubling the error per plane
-// skipped). Streams whose entropy stage fell back to Huffman decode fully;
-// outlier corrections are skipped, so the preview is NOT error-bounded —
-// it exists for fast triage of large archives.
-func DecompressPreview(payload []byte, dims []int, skipPlanes int) (*grid.Field, error) {
-	if skipPlanes <= 0 {
-		full, err := Decompress(payload, dims)
-		return full, err
-	}
-	n, err := grid.CheckDims(dims)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
-	eb := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
-	if !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, fmt.Errorf("%w: bad error bound", ErrCorrupt)
-	}
-	levels, k := binary.Uvarint(buf)
-	if k <= 0 || levels > maxWaveLevels {
-		return nil, fmt.Errorf("%w: bad levels", ErrCorrupt)
-	}
-	buf = buf[k:]
-	if len(buf) < 1 {
-		return nil, fmt.Errorf("%w: missing coder flag", ErrCorrupt)
-	}
-	coder := buf[0]
-	buf = buf[1:]
-	hl, k := binary.Uvarint(buf)
-	if k <= 0 || hl > uint64(len(buf)-k) {
-		return nil, fmt.Errorf("%w: bad body length", ErrCorrupt)
-	}
-	body := buf[k : k+int(hl)]
-
-	pl := makePlan(dims)
-	var q []int32
-	switch coder {
-	case 0:
-		q, err = huffman.Decode(body)
-	case 1:
-		q, err = speckDecodePlanes(body, pl.px, pl.py, pl.pz, skipPlanes)
-	default:
-		return nil, fmt.Errorf("%w: unknown coder %d", ErrCorrupt, coder)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	if len(q) != pl.px*pl.py*pl.pz {
-		return nil, fmt.Errorf("%w: %d coefficients for padded size %d", ErrCorrupt, len(q), pl.px*pl.py*pl.pz)
-	}
-	rec := make([]float64, len(q))
-	dequantizeBands(q, rec, pl, bandQuanta(eb, pl.levels))
-	inverse(rec, pl)
-	out, err := grid.New(dims...)
-	if err != nil {
-		return nil, err
-	}
-	visitValid(pl, func(src, dst int) {
-		out.Data[src] = rec[dst]
-	})
 	return out, nil
 }
 

@@ -122,40 +122,3 @@ func TestBadOptions(t *testing.T) {
 		t.Error("inf bound accepted")
 	}
 }
-
-// TestDecompressPreview: decoding a prefix of the SPECK planes yields a
-// coarser but structurally faithful approximation, with error growing as
-// planes are dropped.
-func TestDecompressPreview(t *testing.T) {
-	f := synth(64, 64, 64)
-	eb := f.Range() * 1e-4
-	payload, err := Compress(f, DefaultOptions(eb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := DecompressPreview(payload, f.Dims(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e0, _ := metrics.MSE(f.Data, full.Data)
-	prev := e0
-	for _, skip := range []int{2, 4, 6} {
-		p, err := DecompressPreview(payload, f.Dims(), skip)
-		if err != nil {
-			t.Fatalf("skip=%d: %v", skip, err)
-		}
-		e, _ := metrics.MSE(f.Data, p.Data)
-		if e < prev {
-			t.Fatalf("skip=%d: error shrank (%g < %g)", skip, e, prev)
-		}
-		prev = e
-	}
-	// Even a heavy preview keeps the gross structure: MSE far below the
-	// field's variance.
-	p, _ := DecompressPreview(payload, f.Dims(), 5)
-	e, _ := metrics.MSE(f.Data, p.Data)
-	varApprox := f.Range() * f.Range() / 12
-	if e > varApprox/10 {
-		t.Fatalf("preview lost all structure: MSE %g vs variance %g", e, varApprox)
-	}
-}

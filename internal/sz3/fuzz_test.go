@@ -155,7 +155,7 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 
 		encK := append([]int32(nil), stored...)
 		decK := make([]float64, n)
-		swD := decSweep(decK, encK, litsK, predK, workers, ErrCorrupt)
+		swD := decSweep(decK, encK, litsK, predK, workers)
 		swD.Lit = seedDecodeOrigin(decK, encK)
 		if err := DecompressSchedule(swD, dims, levels, specFor, nil); err != nil {
 			t.Fatalf("kernel decompress: %v", err)

@@ -109,9 +109,9 @@ func encSweep(data []float64, q, qp []int32, pred *core.Predictor, workers int) 
 	return core.Work{Data: data, Q: q, QP: qp, Pred: pred}.Sweep(workers)
 }
 
-func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int, corrupt error) *core.Sweep {
+func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int) *core.Sweep {
 	sw := core.Work{Data: data, Q: enc, Pred: pred}.Sweep(workers)
-	sw.Lits, sw.Corrupt = lits, corrupt
+	sw.Lits = lits
 	return sw
 }
 
@@ -213,7 +213,7 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 
 	encK := append([]int32(nil), stored...)
 	decK := make([]float64, n)
-	swD := decSweep(decK, encK, litsK, predK, workers, fmt.Errorf("corrupt"))
+	swD := decSweep(decK, encK, litsK, predK, workers)
 	swD.Lit = seedDecodeOrigin(decK, encK)
 	if err := DecompressSchedule(swD, dims, levels, specFor, nil); err != nil {
 		t.Fatalf("kernel decompress: %v", err)

@@ -15,7 +15,6 @@ package sz3
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -24,6 +23,7 @@ import (
 	"scdc/internal/interp"
 	"scdc/internal/obs"
 	"scdc/internal/quantizer"
+	"scdc/internal/verdict"
 )
 
 // Mode identifies the predictor actually used in a compressed stream.
@@ -48,12 +48,6 @@ const (
 	// ChoiceLorenzo forces Lorenzo.
 	ChoiceLorenzo Choice = 2
 )
-
-// ErrCorrupt reports a malformed SZ3 payload.
-var ErrCorrupt = errors.New("sz3: corrupt stream")
-
-// ErrBadOptions reports invalid compression options.
-var ErrBadOptions = errors.New("sz3: invalid options")
 
 // Options configures compression: the shared back-end options plus SZ3's
 // own.
@@ -123,13 +117,13 @@ func validOrder(order []int) bool {
 // the error bound, then the shared index and literal blocks (DESIGN.md
 // §5).
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
-	if err := opts.Normalize(opts.ErrorBound, ErrBadOptions); err != nil {
+	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err
 	}
 	if opts.DirOrder == nil {
 		opts.DirOrder = DefaultDirOrder(f.NDims())
 	} else if len(opts.DirOrder) != f.NDims() || !validOrder(opts.DirOrder) {
-		return nil, fmt.Errorf("%w: DirOrder %v is not a permutation of %d axes", ErrBadOptions, opts.DirOrder, f.NDims())
+		return nil, fmt.Errorf("%w: sz3: DirOrder %v is not a permutation of %d axes", verdict.ErrBadOptions, opts.DirOrder, f.NDims())
 	}
 	quant := quantizer.Linear{EB: opts.ErrorBound, Radius: opts.Radius}
 
@@ -191,17 +185,17 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.DecodeStream(payload, n, workers, sp, ErrCorrupt)
+	r, err := core.DecodeStream(payload, n, workers, sp)
 	if err != nil {
 		return nil, err
 	}
-	hdr, err := r.Bytes(3, "header")
+	hdr, err := r.Bytes(3, "sz3 header")
 	if err != nil {
 		return nil, err
 	}
 	mode, kind := Mode(hdr[0]), interp.Kind(hdr[1])
 	if int(hdr[2]) != len(dims) {
-		return nil, errCorruptf("stream ndims %d != caller dims %d", hdr[2], len(dims))
+		return nil, fmt.Errorf("%w: sz3: stream ndims %d != caller dims %d", verdict.ErrCorrupt, hdr[2], len(dims))
 	}
 	ord, err := r.Bytes(len(dims), "dir order")
 	if err != nil {
@@ -209,7 +203,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	}
 	dirOrder, ok := ParseOrder(ord)
 	if !ok {
-		return nil, errCorruptf("bad dir order")
+		return nil, fmt.Errorf("%w: sz3: bad dir order", verdict.ErrCorrupt)
 	}
 	if err := r.DecodeQP(); err != nil {
 		return nil, err
@@ -237,16 +231,11 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 		loSp.Add("points", int64(n))
 		loSp.End()
 	default:
-		err = errCorruptf("unknown mode %d", mode)
+		err = fmt.Errorf("%w: sz3: unknown mode %d", verdict.ErrCorrupt, mode)
 	}
 	if err != nil {
 		return nil, err
 	}
 	r.Done()
 	return out, nil
-}
-
-// errCorruptf wraps ErrCorrupt with a formatted detail message.
-func errCorruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }

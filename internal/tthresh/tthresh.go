@@ -17,7 +17,6 @@ package tthresh
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -25,13 +24,8 @@ import (
 	"scdc/internal/huffman"
 	"scdc/internal/lossless"
 	"scdc/internal/transform"
+	"scdc/internal/verdict"
 )
-
-// ErrCorrupt reports a malformed TTHRESH payload.
-var ErrCorrupt = errors.New("tthresh: corrupt stream")
-
-// ErrBadOptions reports invalid options.
-var ErrBadOptions = errors.New("tthresh: invalid options")
 
 // Options configures compression.
 type Options struct {
@@ -82,7 +76,7 @@ func nextPow2(n int) int {
 // Compress compresses field f under the given options.
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if !(opts.ErrorBound > 0) || math.IsInf(opts.ErrorBound, 0) {
-		return nil, fmt.Errorf("%w: error bound must be positive and finite", ErrBadOptions)
+		return nil, fmt.Errorf("%w: tthresh: error bound must be positive and finite", verdict.ErrBadOptions)
 	}
 	if opts.Lossless == 0 {
 		opts.Lossless = lossless.Flate
@@ -100,7 +94,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	for i, v := range c {
 		r := math.Round(v / q0)
 		if r > 1<<30 || r < -(1<<30) || math.IsNaN(r) {
-			return nil, fmt.Errorf("%w: coefficient overflow; bound too small for this data", ErrBadOptions)
+			return nil, fmt.Errorf("%w: tthresh: coefficient overflow; bound too small for this data", verdict.ErrBadOptions)
 		}
 		q[i] = int32(r)
 	}
@@ -121,28 +115,28 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	}
 	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
 	if len(buf) < 8 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: tthresh: short header", verdict.ErrCorrupt)
 	}
 	eb := math.Float64frombits(binary.LittleEndian.Uint64(buf))
 	buf = buf[8:]
 	if !(eb > 0) || math.IsInf(eb, 0) {
-		return nil, fmt.Errorf("%w: bad error bound", ErrCorrupt)
+		return nil, fmt.Errorf("%w: tthresh: bad error bound", verdict.ErrCorrupt)
 	}
 	hl, k := binary.Uvarint(buf)
 	if k <= 0 || hl > uint64(len(buf)-k) {
-		return nil, fmt.Errorf("%w: bad huffman length", ErrCorrupt)
+		return nil, fmt.Errorf("%w: tthresh: bad huffman length", verdict.ErrCorrupt)
 	}
 	q, err := huffman.Decode(buf[k : k+int(hl)])
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return nil, err
 	}
 
 	pl := makePlan(dims)
 	if len(q) != pl.px*pl.py*pl.pz {
-		return nil, fmt.Errorf("%w: %d coefficients for padded size %d", ErrCorrupt, len(q), pl.px*pl.py*pl.pz)
+		return nil, fmt.Errorf("%w: tthresh: %d coefficients for padded size %d", verdict.ErrCorrupt, len(q), pl.px*pl.py*pl.pz)
 	}
 	q0 := (eb / 2) * math.Sqrt(12)
 	c := make([]float64, len(q))

@@ -1,7 +1,6 @@
 package zfp
 
 import (
-	"fmt"
 	"math"
 
 	"scdc/internal/bitstream"
@@ -198,7 +197,7 @@ func encodeBlock(w *bitstream.Writer, blk *[blockLen]float64, minexp int) {
 func decodeBlock(r *bitstream.Reader, blk *[blockLen]float64, minexp int) error {
 	flag, err := r.ReadBit()
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return err
 	}
 	if flag == 0 {
 		for i := range blk {
@@ -208,7 +207,7 @@ func decodeBlock(r *bitstream.Reader, blk *[blockLen]float64, minexp int) error 
 	}
 	e, err := r.ReadBits(ebBits)
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrCorrupt, err)
+		return err
 	}
 	emax := int(e) - ebBias
 	maxprec := precision(emax, minexp)
@@ -222,7 +221,7 @@ func decodeBlock(r *bitstream.Reader, blk *[blockLen]float64, minexp int) error 
 	for k := 63; k >= kmin; k-- {
 		x, err := r.ReadBits(uint(n))
 		if err != nil {
-			return fmt.Errorf("%w: %w", ErrCorrupt, err)
+			return err
 		}
 		// x holds the prefix bits MSB-first as written; reverse into
 		// per-coefficient positions.
@@ -233,7 +232,7 @@ func decodeBlock(r *bitstream.Reader, blk *[blockLen]float64, minexp int) error 
 		for i := n; i < blockLen; {
 			b, err := r.ReadBit()
 			if err != nil {
-				return fmt.Errorf("%w: %w", ErrCorrupt, err)
+				return err
 			}
 			if b == 0 {
 				break
@@ -241,7 +240,7 @@ func decodeBlock(r *bitstream.Reader, blk *[blockLen]float64, minexp int) error 
 			for {
 				bit, err := r.ReadBit()
 				if err != nil {
-					return fmt.Errorf("%w: %w", ErrCorrupt, err)
+					return err
 				}
 				u[i] |= uint64(bit) << uint(k)
 				i++

@@ -14,19 +14,13 @@ package zfp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
 	"scdc/internal/bitstream"
 	"scdc/internal/grid"
+	"scdc/internal/verdict"
 )
-
-// ErrCorrupt reports a malformed ZFP payload.
-var ErrCorrupt = errors.New("zfp: corrupt stream")
-
-// ErrBadOptions reports invalid options.
-var ErrBadOptions = errors.New("zfp: invalid options")
 
 const (
 	blockEdge = 4
@@ -46,7 +40,7 @@ type Options struct {
 // Compress compresses field f in fixed-accuracy mode.
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if !(opts.Tolerance > 0) || math.IsInf(opts.Tolerance, 0) {
-		return nil, fmt.Errorf("%w: tolerance must be positive and finite", ErrBadOptions)
+		return nil, fmt.Errorf("%w: zfp: tolerance must be positive and finite", verdict.ErrBadOptions)
 	}
 	nx, ny, nz := dims3(f.Dims())
 
@@ -75,11 +69,11 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 		return nil, err
 	}
 	if len(payload) < 8 {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: zfp: short header", verdict.ErrCorrupt)
 	}
 	tol := math.Float64frombits(binary.LittleEndian.Uint64(payload))
 	if !(tol > 0) || math.IsInf(tol, 0) {
-		return nil, fmt.Errorf("%w: bad tolerance", ErrCorrupt)
+		return nil, fmt.Errorf("%w: zfp: bad tolerance", verdict.ErrCorrupt)
 	}
 	r := bitstream.NewReader(payload[8:])
 	minexp := int(math.Floor(math.Log2(tol)))

@@ -220,7 +220,8 @@ func decodeChunks(h header, workers int, sp *obs.Span) (*Result, error) {
 
 // DecompressChunk extracts a single chunk (by index) from a chunked
 // stream without touching the others — partial decompression. A plain
-// stream is its own only chunk.
+// stream is its own only chunk. Errors are Decompress's — ErrIntegrity or
+// ErrCorrupt — plus ErrBadOptions for an index the stream has no chunk for.
 func DecompressChunk(stream []byte, chunk int) (*Result, error) {
 	h, err := parseHeader(stream, true)
 	if err != nil {

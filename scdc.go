@@ -27,10 +27,8 @@ package scdc
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"scdc/internal/core"
 	"scdc/internal/entropy"
@@ -44,6 +42,7 @@ import (
 	"scdc/internal/sperr"
 	"scdc/internal/sz3"
 	"scdc/internal/tthresh"
+	"scdc/internal/verdict"
 	"scdc/internal/zfp"
 )
 
@@ -171,10 +170,7 @@ func (c EntropyCoder) String() string { return entropy.Coder(c).String() }
 // "rice").
 func ParseEntropyCoder(name string) (EntropyCoder, error) {
 	c, err := entropy.ParseCoder(name)
-	if err != nil {
-		return 0, fmt.Errorf("%w: unknown entropy coder %q", ErrBadOptions, name)
-	}
-	return EntropyCoder(c), nil
+	return EntropyCoder(c), err
 }
 
 // LosslessCodec selects the final lossless back-end for the
@@ -343,17 +339,32 @@ func (r *Result) Float32() []float32 {
 	return out
 }
 
-// ErrCorrupt reports a malformed container.
-var ErrCorrupt = errors.New("scdc: corrupt stream")
+// The three verdicts. Every error this package returns wraps exactly one
+// of them, whichever layer of the codec stack raised it (they are the
+// values of internal/verdict, which every layer wraps): a decode error —
+// Decompress, DecompressParallel, DecompressObserved, DecompressChunk,
+// Inspect — is ErrCorrupt or ErrIntegrity, a compress error is
+// ErrBadOptions. Test with errors.Is.
+var (
+	// ErrCorrupt reports a stream that is structurally wrong at any depth:
+	// a malformed container, or a payload its lossless, entropy or
+	// prediction stage cannot decode — truncated, hostile, or not written
+	// by this package. Re-fetching will not help.
+	ErrCorrupt = verdict.ErrCorrupt
 
-// ErrIntegrity reports a well-formed container whose CRC32C footer does
-// not match the stream contents — the bytes were damaged in storage or
-// transit. It is distinct from ErrCorrupt (structural damage) so callers
-// can tell "re-fetch the stream" from "the writer produced garbage".
-var ErrIntegrity = errors.New("scdc: integrity check failed")
+	// ErrIntegrity reports a well-formed container whose CRC32C footer does
+	// not match the stream contents — the bytes were damaged in storage or
+	// transit. It is distinct from ErrCorrupt (structural damage) so callers
+	// can tell "re-fetch the stream" from "the writer produced garbage". A
+	// footer is checked before any field it covers is interpreted, so a
+	// stream whose footers (the container's and its chunks') all match
+	// never fails with it.
+	ErrIntegrity = verdict.ErrIntegrity
 
-// ErrBadOptions reports invalid options or input.
-var ErrBadOptions = errors.New("scdc: invalid options")
+	// ErrBadOptions reports options or input a compress call rejected (and
+	// an out-of-range chunk index given to DecompressChunk).
+	ErrBadOptions = verdict.ErrBadOptions
+)
 
 var magic = [4]byte{'S', 'C', 'D', 'C'}
 
@@ -474,7 +485,10 @@ func parseHeader(stream []byte, verify bool) (h header, err error) {
 }
 
 // Compress compresses a row-major field with the given dims (1 to 4
-// dimensions, first dim slowest).
+// dimensions, first dim slowest). Every error it — and CompressFloat32,
+// CompressChunked and the WithStats forms — returns is ErrBadOptions: the
+// options, the dims, or a bound that does not resolve to a positive finite
+// number on this data.
 func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
 	out, _, err := observe("compress", data, dims, opts, false, func(sp *obs.Span) ([]byte, error) {
 		return compressSpan(data, dims, opts, sp)
@@ -575,7 +589,10 @@ func CompressFloat32(data []float32, dims []int, opts Options) ([]byte, error) {
 
 // Decompress reconstructs a field from any stream this package writes:
 // a plain stream (Compress, CompressFloat32) or a chunked container
-// (CompressChunked).
+// (CompressChunked). Every error it — and DecompressParallel and
+// DecompressObserved — returns is ErrIntegrity (a footer does not match
+// its bytes; checked first) or ErrCorrupt (anything else, at any depth of
+// the stream).
 func Decompress(stream []byte) (*Result, error) {
 	return decompress(stream, 1, nil)
 }
@@ -650,26 +667,27 @@ func decodeField(h header, workers int, sp *obs.Span) (*Result, error) {
 	return &Result{Data: f.Data, Dims: h.dims, Algorithm: alg}, nil
 }
 
+// resolveBound turns the options into the absolute bound every engine
+// runs at, and is the one place that bound is validated: whatever it
+// returns is positive and finite.
 func resolveBound(f *grid.Field, opts Options) (float64, error) {
 	abs, rel := opts.ErrorBound, opts.RelativeBound
+	eb, rng := abs, 0.0
 	switch {
 	case abs > 0 && rel > 0:
 		return 0, fmt.Errorf("%w: set only one of ErrorBound and RelativeBound", ErrBadOptions)
 	case abs > 0:
-		if math.IsInf(abs, 0) {
-			return 0, fmt.Errorf("%w: infinite error bound", ErrBadOptions)
-		}
-		return abs, nil
 	case rel > 0:
-		if math.IsInf(rel, 0) {
-			return 0, fmt.Errorf("%w: infinite relative bound", ErrBadOptions)
-		}
-		rng := f.Range()
-		if rng == 0 {
+		if rng = f.Range(); rng == 0 {
 			rng = 1 // constant field: any positive bound works
 		}
-		return rel * rng, nil
+		eb = rel * rng
 	default:
 		return 0, fmt.Errorf("%w: an error bound is required", ErrBadOptions)
 	}
+	if !core.ValidBound(eb) {
+		return 0, fmt.Errorf("%w: error bound %g (ErrorBound %g; RelativeBound %g over value range %g) is not positive and finite",
+			ErrBadOptions, eb, abs, rel, rng)
+	}
+	return eb, nil
 }

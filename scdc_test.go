@@ -1,7 +1,10 @@
 package scdc
 
 import (
+	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"scdc/datasets"
@@ -86,28 +89,70 @@ func TestQPAcrossBases(t *testing.T) {
 func TestQPRejectedForTransformCodecs(t *testing.T) {
 	data, dims := testField(t)
 	for _, alg := range []Algorithm{ZFP, TTHRESH, SPERR} {
-		if _, err := Compress(data, dims, Options{Algorithm: alg, ErrorBound: 1e-3, QP: DefaultQP()}); err == nil {
-			t.Errorf("%v accepted QP", alg)
+		if _, err := Compress(data, dims, Options{Algorithm: alg, ErrorBound: 1e-3, QP: DefaultQP()}); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%v with QP: got %v, want ErrBadOptions", alg, err)
+		}
+	}
+}
+
+// rejected runs one set of options through every compress entry point and
+// requires each to fail with ErrBadOptions — the only verdict a compress
+// call has.
+func rejected(t *testing.T, what string, data []float64, dims []int, opts Options) {
+	t.Helper()
+	f32 := make([]float32, len(data))
+	for i, v := range data {
+		f32[i] = float32(v)
+	}
+	_, err := Compress(data, dims, opts)
+	_, _, errStats := CompressWithStats(data, dims, opts)
+	_, err32 := CompressFloat32(f32, dims, opts)
+	_, errChunked := CompressChunked(data, dims, opts, 2, 0)
+	_, _, errChunkedStats := CompressChunkedWithStats(data, dims, opts, 2, 0)
+	for entry, err := range map[string]error{"Compress": err, "CompressWithStats": errStats, "CompressFloat32": err32,
+		"CompressChunked": errChunked, "CompressChunkedWithStats": errChunkedStats} {
+		if !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%s: %s: got %v, want ErrBadOptions", what, entry, err)
 		}
 	}
 }
 
 func TestBoundResolution(t *testing.T) {
 	data, dims := testField(t)
-	if _, err := Compress(data, dims, Options{}); err == nil {
-		t.Error("missing bound accepted")
+	rejected(t, "missing bound", data, dims, Options{})
+	rejected(t, "double bound", data, dims, Options{ErrorBound: 1e-3, RelativeBound: 1e-3})
+	rejected(t, "infinite bound", data, dims, Options{ErrorBound: math.Inf(1)})
+	rejected(t, "negative bound", data, dims, Options{ErrorBound: -1})
+	rejected(t, "NaN bound", data, dims, Options{ErrorBound: math.NaN()})
+	rejected(t, "bad algorithm", data, dims, Options{Algorithm: 99, ErrorBound: 1e-3})
+	rejected(t, "bad dims", data[:5], dims, Options{ErrorBound: 1e-3})
+	rejected(t, "bad entropy coder", data, dims, Options{ErrorBound: 1e-3, Entropy: 9})
+	rejected(t, "bad lossless codec", data, dims, Options{ErrorBound: 1e-3, Lossless: 99})
+
+	// A relative bound is resolved against the data, so the data can make
+	// it unusable: a non-finite value range, or a product that underflows
+	// to zero. That is the front door's to reject, with the range in the
+	// message, before any engine runs — for every algorithm alike.
+	withInf := slices.Clone(data)
+	withInf[len(withInf)/2] = math.Inf(1)
+	tiny := make([]float64, len(data))
+	for i, v := range data {
+		tiny[i] = v * 1e-30 // still distinct values in float32
 	}
-	if _, err := Compress(data, dims, Options{ErrorBound: 1e-3, RelativeBound: 1e-3}); err == nil {
-		t.Error("double bound accepted")
+	for alg := SZ3; alg < numAlgorithms; alg++ {
+		rejected(t, alg.String()+" relative bound over +Inf", withInf, dims, Options{Algorithm: alg, RelativeBound: 1e-3})
+		rejected(t, alg.String()+" relative bound underflow", tiny, dims, Options{Algorithm: alg, RelativeBound: 1e-300})
 	}
-	if _, err := Compress(data, dims, Options{ErrorBound: math.Inf(1)}); err == nil {
-		t.Error("infinite bound accepted")
+	_, err := Compress(withInf, dims, Options{RelativeBound: 1e-3})
+	if err == nil || !strings.Contains(err.Error(), "value range +Inf") {
+		t.Errorf("relative bound over +Inf: %v does not name the range", err)
 	}
-	if _, err := Compress(data, dims, Options{Algorithm: 99, ErrorBound: 1e-3}); err == nil {
-		t.Error("bad algorithm accepted")
-	}
-	if _, err := Compress(data[:5], dims, Options{ErrorBound: 1e-3}); err == nil {
-		t.Error("bad dims accepted")
+
+	// An undefined QP mode or condition reaches the engines' shared
+	// option check; its verdict is the same one.
+	for alg := SZ3; alg <= MGARD; alg++ {
+		rejected(t, alg.String()+" QP mode 9", data, dims, Options{Algorithm: alg, ErrorBound: 1e-3, QP: QPConfig{Mode: 9}})
+		rejected(t, alg.String()+" QP condition 9", data, dims, Options{Algorithm: alg, ErrorBound: 1e-3, QP: QPConfig{Mode: QP2D, Condition: 9}})
 	}
 }
 

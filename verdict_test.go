@@ -3,11 +3,14 @@ package scdc
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"scdc/internal/grid"
 )
 
 // hostile is a hand-built container prologue: version, kind byte and raw
@@ -210,6 +213,187 @@ func TestSameVerdict(t *testing.T) {
 			}
 			if got := sameVerdict(t, s[:l]); got != want {
 				t.Fatalf("%s truncated to %d bytes: verdict %v, want %v", name, l, got, want)
+			}
+		}
+	}
+}
+
+// form rebuilds a stream in container version v: the prologue as parsed,
+// the given payload, and for v2 a footer that matches — so whatever is
+// wrong with the result is wrong with the payload, not with the seal.
+func (h header) form(v byte, payload []byte) []byte {
+	udims := make([]uint64, len(h.dims))
+	for i, d := range h.dims {
+		udims[i] = uint64(d)
+	}
+	return hostile{v, h.kind, udims}.build(payload)
+}
+
+// spread is a handful of offsets across n bytes: both ends, the five-byte
+// cut of the issue's reproduction, and points in between.
+func spread(n int) []int {
+	var at []int
+	for _, o := range []int{0, 1, n / 7, n / 3, n / 2, 2 * n / 3, n - 5, n - 1} {
+		if o >= 0 && o < n && !slices.Contains(at, o) {
+			at = append(at, o)
+		}
+	}
+	return at
+}
+
+// damagedPayloads cuts p at each offset of the spread and flips one byte
+// at each.
+func damagedPayloads(p []byte) map[string][]byte {
+	out := map[string][]byte{}
+	for i, o := range spread(len(p)) {
+		out[fmt.Sprintf("cut@%d", o)] = p[:o]
+		m := slices.Clone(p)
+		m[o] ^= [...]byte{0x01, 0x80, 0xFF, 0x10}[i%4]
+		out[fmt.Sprintf("flip@%d", o)] = m
+	}
+	return out
+}
+
+// damagedStreams returns copies of a stream with its payload damaged and
+// every footer over the damage re-sealed, in v2 and in footer-less v1
+// form. A plain stream's payload is the engine's; a chunked container's
+// is its first and last chunk streams, damaged the same way and put back
+// among their intact siblings.
+func damagedStreams(t testing.TB, stream []byte) map[string][]byte {
+	t.Helper()
+	h, err := parseHeader(stream, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	if h.kind != kindChunked {
+		for what, p := range damagedPayloads(h.payload) {
+			out["v1/"+what] = h.form(formatV1, p)
+			out["v2/"+what] = h.form(formatVersion, p)
+		}
+		return out
+	}
+	extent, chunks, err := parseChunkTable(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{0, len(chunks) - 1} {
+		for what, c := range damagedStreams(t, chunks[j]) {
+			table := chunkTable(uint64(extent), uint64(len(chunks)), slices.Concat(chunks[:j:j], [][]byte{c}, chunks[j+1:]))
+			out[fmt.Sprintf("v1/chunk%d/%s", j, what)] = h.form(formatV1, table)
+			out[fmt.Sprintf("v2/chunk%d/%s", j, what)] = h.form(formatVersion, table)
+		}
+	}
+	return out
+}
+
+// decodeErrors runs every reader over one stream and returns what each
+// said. A panic, or a result that does not hold the field its own dims
+// announce, fails the test.
+func decodeErrors(t *testing.T, name string, stream []byte) map[string]error {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: reader panicked: %v", name, r)
+		}
+	}()
+	errs := map[string]error{}
+	field := func(reader string, res *Result, err error) {
+		errs[reader] = err
+		if err != nil {
+			return
+		}
+		if n, derr := grid.CheckDims(res.Dims); derr != nil || n != len(res.Data) {
+			t.Errorf("%s: %s returned %d values for dims %v", name, reader, len(res.Data), res.Dims)
+		}
+	}
+	res, err := Decompress(stream)
+	field("Decompress", res, err)
+	res, err = DecompressParallel(stream, 2)
+	field("DecompressParallel", res, err)
+	res, err = DecompressObserved(stream, 2)
+	field("DecompressObserved", res, err)
+	res, err = DecompressChunk(stream, 0)
+	field("DecompressChunk", res, err)
+	_, errs["Inspect"] = Inspect(stream)
+	return errs
+}
+
+// TestPayloadDamageVerdict: damage below the container is a verdict too.
+// Every golden stream and a fresh stream of every algorithm (QP on and
+// off where it applies, sharded, chunked) has its payload cut and
+// byte-flipped at a spread of offsets. With the footers re-sealed over
+// the damage — or in v1 form, which has none — each reader returns a
+// well-formed field or ErrCorrupt, whichever layer met the damage first:
+// never a panic, never an unclassified error, never ErrIntegrity, which
+// is the footer's verdict alone. With the footer left as it was, every
+// reader says ErrIntegrity and nothing below the container runs.
+func TestPayloadDamageVerdict(t *testing.T) {
+	streams := map[string][]byte{}
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.scdc"))
+	if err != nil || len(files) < 40 {
+		t.Fatalf("golden corpus: %d files, %v", len(files), err)
+	}
+	for _, f := range files {
+		if streams[filepath.Base(f)], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, dims := integrityField(t)
+	for alg := SZ3; alg < numAlgorithms; alg++ {
+		opts := Options{Algorithm: alg, RelativeBound: 1e-3}
+		if streams["fresh-"+alg.String()], err = Compress(data, dims, opts); err != nil {
+			t.Fatal(err)
+		}
+		if !alg.SupportsQP() {
+			continue
+		}
+		opts.QP = DefaultQP()
+		if streams["fresh-"+alg.String()+"-qp"], err = Compress(data, dims, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if streams["fresh-sharded"], err = Compress(data, dims, Options{Algorithm: QoZ, RelativeBound: 1e-3, QP: DefaultQP(), Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if streams["fresh-chunked"], err = CompressChunked(data, dims, Options{Algorithm: HPEZ, RelativeBound: 1e-3, QP: DefaultQP()}, 2, 5); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, stream := range streams {
+		resealed, rejected := 0, 0
+		for what, damaged := range damagedStreams(t, stream) {
+			resealed++
+			for reader, err := range decodeErrors(t, name+" "+what, damaged) {
+				if err == nil {
+					continue
+				}
+				rejected++
+				if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrIntegrity) {
+					t.Errorf("%s %s: %s: got %v, want ErrCorrupt", name, what, reader, err)
+				}
+			}
+		}
+		// Cutting five bytes off any payload must not go unnoticed.
+		if resealed == 0 || rejected == 0 {
+			t.Errorf("%s: %d damaged streams, %d rejections", name, resealed, rejected)
+		}
+
+		// The same damage under the original footer is the footer's to
+		// report (a v1 stream has none, and a v1 golden file is skipped).
+		if stream[4] != formatVersion {
+			continue
+		}
+		body := stream[:len(stream)-footerSize]
+		for _, o := range spread(len(body) - 5) {
+			flipped := slices.Clone(stream)
+			flipped[5+o] ^= 0x04
+			for what, s := range map[string][]byte{"flip": flipped, "cut": stream[:5+footerSize+o]} {
+				for reader, err := range decodeErrors(t, name, s) {
+					if !errors.Is(err, ErrIntegrity) || errors.Is(err, ErrCorrupt) {
+						t.Errorf("%s unsealed %s@%d: %s: got %v, want ErrIntegrity", name, what, 5+o, reader, err)
+					}
+				}
 			}
 		}
 	}
