@@ -67,30 +67,19 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/core.Region.carryRow noalloc",
 		"scdc/internal/core.Region.rowBase inline,noalloc",
 		"scdc/internal/core.copyRun inline,noalloc",
-		"scdc/internal/core.fwd1DAlways noalloc",
-		"scdc/internal/core.fwd1DSign noalloc",
-		"scdc/internal/core.fwd1DSkipU noalloc",
-		"scdc/internal/core.fwd2DAlways noalloc",
-		"scdc/internal/core.fwd2DSign2 noalloc",
-		"scdc/internal/core.fwd2DSign3 noalloc",
-		"scdc/internal/core.fwd2DSkipU noalloc",
-		"scdc/internal/core.fwd3DAlways noalloc",
-		"scdc/internal/core.fwd3DSign2 noalloc",
-		"scdc/internal/core.fwd3DSign3 noalloc",
-		"scdc/internal/core.fwd3DSkipU noalloc",
-		"scdc/internal/core.inv1DAlways noalloc",
-		"scdc/internal/core.inv1DSign noalloc",
-		"scdc/internal/core.inv1DSkipU noalloc",
-		"scdc/internal/core.inv2DAlways noalloc",
-		"scdc/internal/core.inv2DSign2 noalloc",
-		"scdc/internal/core.inv2DSign3 noalloc",
-		"scdc/internal/core.inv2DSkipU noalloc",
-		"scdc/internal/core.inv3DAlways noalloc",
-		"scdc/internal/core.inv3DSign2 noalloc",
-		"scdc/internal/core.inv3DSign3 noalloc",
-		"scdc/internal/core.inv3DSkipU noalloc",
 		"scdc/internal/core.kernel1D inline,noalloc",
 		"scdc/internal/core.regionGrain inline,noalloc",
+		"scdc/internal/core.run1DAlways noalloc",
+		"scdc/internal/core.run1DSign noalloc",
+		"scdc/internal/core.run1DSkipU noalloc",
+		"scdc/internal/core.run2DAlways noalloc",
+		"scdc/internal/core.run2DSign2 noalloc",
+		"scdc/internal/core.run2DSign3 noalloc",
+		"scdc/internal/core.run2DSkipU noalloc",
+		"scdc/internal/core.run3DAlways noalloc",
+		"scdc/internal/core.run3DSign2 noalloc",
+		"scdc/internal/core.run3DSign3 noalloc",
+		"scdc/internal/core.run3DSkipU noalloc",
 		"scdc/internal/hpez.(*sweep).addTap noalloc",
 		"scdc/internal/hpez.(*sweep).fwdRun noalloc",
 		"scdc/internal/hpez.(*sweep).invRun noalloc",

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scdc/internal/obs"
@@ -11,8 +12,8 @@ import (
 // The kernel differential suite pins ForwardRegion/InverseRegion against
 // the reference Compensate path (ForwardRegionRef/InverseRegionRef) for
 // every Mode x Cond pair, several region geometries (contiguous scan,
-// strided pass, 2D plane, degenerate axes, MaxLevel cutoff) and worker
-// counts 1/2/4/8 — byte-identical outputs, identical Compensated totals,
+// strided pass, 2D plane, degenerate axes, MaxLevel cutoff, two regions
+// large enough to fan out) and worker counts 1/2/4/8 — byte-identical outputs, identical Compensated totals,
 // identical write footprint.
 
 type regionCase struct {
@@ -75,6 +76,24 @@ func kernelRegionCases() []regionCase {
 			arr:  9,
 			rg: Region{Base: 0, Ext: [4]int{1, 1, 1, 9}, Strd: [4]int{0, 0, 0, 1},
 				Left: -1, Top: -1, Back: 3, Level: 1},
+		},
+		{
+			// The run axis itself carries a neighbor (Top) at stride 2, so
+			// every compensated row has a head point; Left on the slowest
+			// axis leaves the two middle axes free, which the parallel
+			// inverse must move outermost. Large enough to fan out.
+			name: "run-axis-needed-strided",
+			arr:  6700,
+			rg: Region{Base: 5, Ext: [4]int{3, 8, 10, 12}, Strd: [4]int{2200, 270, 26, 2},
+				Left: 0, Top: 3, Back: 2, Level: 1},
+		},
+		{
+			// Back on the slowest axis with extent 2: half the rows have
+			// no Back neighbor at all. Large enough to fan out.
+			name: "back-axis0-extent2",
+			arr:  2340,
+			rg: Region{Base: 0, Ext: [4]int{2, 9, 10, 13}, Strd: [4]int{1170, 130, 13, 1},
+				Left: 3, Top: 2, Back: 0, Level: 2},
 		},
 	}
 }
@@ -173,6 +192,81 @@ func TestKernelsMatchCompensate(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestKernelTableComplete: every enabled configuration has a kernel and
+// names at least one neighbor axis; ModeOff has neither.
+func TestKernelTableComplete(t *testing.T) {
+	for _, mode := range allModes() {
+		for _, cond := range allConds() {
+			ops := kernelFor(mode, cond)
+			needs := ops.needL || ops.needT || ops.needB
+			if mode == ModeOff {
+				if ops.run != nil || needs {
+					t.Errorf("%v/%v: ModeOff must yield zero ops, got %+v", mode, cond, ops)
+				}
+				continue
+			}
+			if ops.run == nil || !needs {
+				t.Errorf("%v/%v: no kernel or no neighbor axis: run nil=%v needs=%v", mode, cond, ops.run == nil, needs)
+			}
+		}
+	}
+}
+
+// TestKernelNeedsMatchReads calls each table kernel directly, with the
+// offsets of the axes the table says it does not need set to a value
+// that indexes out of range: a kernel that read one would panic. The
+// result must be the reference compensation in both directions.
+func TestKernelNeedsMatchReads(t *testing.T) {
+	const radius = int32(8)
+	const poison = 1 << 20
+	rg := Region{Ext: [4]int{1, 4, 4, 4}, Strd: [4]int{0, 16, 4, 1}, Left: 3, Top: 2, Back: 1, Level: 1}
+	pos := [4]int{0, 2, 3, 1} // an interior run: every neighbor exists
+	const cnt = 3
+	rng := rand.New(rand.NewSource(11))
+	for _, mode := range allModes()[1:] {
+		for _, cond := range allConds() {
+			ops := kernelFor(mode, cond)
+			q := make([]int32, rg.Points())
+			fillSymbols(rng, q, radius)
+			ref := &Predictor{Cfg: Config{Mode: mode, Cond: cond}, Radius: radius}
+			want := append([]int32(nil), q...)
+			wantComp := 0
+			i0, _ := rg.neighborhood(pos)
+			for k := 0; k < cnt; k++ {
+				idx, nb := rg.neighborhood([4]int{pos[0], pos[1], pos[2], pos[3] + k})
+				c := ref.Compensate(q, nb)
+				if c != 0 {
+					wantComp++
+				}
+				want[idx] = q[idx] - c
+			}
+			offL, offT, offB := poison, poison, poison
+			if ops.needL {
+				offL = rg.Strd[rg.Left]
+			}
+			if ops.needT {
+				offT = rg.Strd[rg.Top]
+			}
+			if ops.needB {
+				offB = rg.Strd[rg.Back]
+			}
+			qp := append([]int32(nil), q...)
+			if comp := ops.run(q, qp, i0, 1, cnt, offL, offT, offB, radius, 0, -1); comp != wantComp {
+				t.Errorf("%v/%v forward: compensated %d, reference %d", mode, cond, comp, wantComp)
+			}
+			if !slices.Equal(qp, want) {
+				t.Errorf("%v/%v forward: got %v, reference %v", mode, cond, qp, want)
+			}
+			if comp := ops.run(qp, qp, i0, 1, cnt, offL, offT, offB, radius, 0, +1); comp != wantComp {
+				t.Errorf("%v/%v inverse: compensated %d, reference %d", mode, cond, comp, wantComp)
+			}
+			if !slices.Equal(qp, q) {
+				t.Errorf("%v/%v inverse: got %v, want the original %v", mode, cond, qp, q)
 			}
 		}
 	}

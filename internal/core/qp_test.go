@@ -84,18 +84,30 @@ func clusterPlane(w, h int, seed int64) []int32 {
 	return q
 }
 
+// planeRegion is the 2D sub-lattice QP operates on inside one
+// interpolation pass (paper Figures 3 and 5) as a kernel region: rows on
+// axis 2 (top neighbor), columns on axis 3 (left neighbor), no back axis.
+func planeRegion(rows, cols, rowStride, colStride, level int) Region {
+	return Region{
+		Ext:  [4]int{1, 1, rows, cols},
+		Strd: [4]int{0, 0, rowStride, colStride},
+		Left: 3, Top: 2, Back: -1,
+		Level: level,
+	}
+}
+
 func TestTransformInvertRoundTrip(t *testing.T) {
 	w, h := 37, 29
 	q := clusterPlane(w, h, 1)
-	pl := Plane{Origin: 0, RowStride: w, ColStride: 1, Rows: h, Cols: w, Level: 1}
+	rg := planeRegion(h, w, w, 1, 1)
 	for mode := Mode1DBack; mode <= Mode3D; mode++ {
 		for cond := CondAlways; cond <= CondSameSign3; cond++ {
 			p := mustPredictor(t, Config{Mode: mode, Cond: cond, MaxLevel: 2})
 			dst := make([]int32, len(q))
-			p.Transform(dst, q, pl)
+			p.ForwardRegion(q, dst, rg, 1, nil)
 			p2 := mustPredictor(t, Config{Mode: mode, Cond: cond, MaxLevel: 2})
 			rec := append([]int32(nil), dst...)
-			p2.Invert(rec, pl)
+			p2.InverseRegion(rec, rg, 1, nil)
 			for i := range q {
 				if rec[i] != q[i] {
 					t.Fatalf("mode=%v cond=%v: mismatch at %d: %d != %d", mode, cond, i, rec[i], q[i])
@@ -110,7 +122,7 @@ func TestTransformLowersEntropyOnClusters(t *testing.T) {
 	q := clusterPlane(w, h, 2)
 	p := mustPredictor(t, Default())
 	dst := make([]int32, len(q))
-	p.Transform(dst, q, Plane{RowStride: w, ColStride: 1, Rows: h, Cols: w, Level: 1})
+	p.ForwardRegion(q, dst, planeRegion(h, w, w, 1, 1), 1, nil)
 	h0 := entropy.Shannon(q)
 	h1 := entropy.Shannon(dst)
 	if h1 >= h0 {
@@ -215,7 +227,7 @@ func TestModeOff(t *testing.T) {
 }
 
 // TestQuickReversibility property: for arbitrary symbol planes and any
-// configuration, Invert(Transform(q)) == q. This is the paper's
+// configuration, InverseRegion(ForwardRegion(q)) == q. This is the paper's
 // correctness requirement f^{-1}(f(Q)) = Q (Section V-A).
 func TestQuickReversibility(t *testing.T) {
 	f := func(raw []int32, modeRaw, condRaw uint8, wRaw uint8) bool {
@@ -234,12 +246,12 @@ func TestQuickReversibility(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pl := Plane{RowStride: w, ColStride: 1, Rows: h, Cols: w, Level: 1}
+		rg := planeRegion(h, w, w, 1, 1)
 		dst := make([]int32, len(q))
-		p.Transform(dst, q, pl)
+		p.ForwardRegion(q, dst, rg, 1, nil)
 		p2, _ := NewPredictor(cfg, radius)
 		rec := append([]int32(nil), dst...)
-		p2.Invert(rec, pl)
+		p2.InverseRegion(rec, rg, 1, nil)
 		for i := range q {
 			if rec[i] != q[i] {
 				return false

@@ -4,10 +4,9 @@ package core
 // strided sub-lattice of the flat quantization index array, visited in
 // row-major order (axis 0 slowest, axis 3 fastest). Every walker in the
 // repository — the SZ3/QoZ interpolation pass, the HPEZ/MGARD parity
-// class, the Lorenzo scan and the characterization Plane — reduces to
-// this shape, which is what lets a single set of specialized kernels
-// (kernel.go) replace the per-point Neighborhood construction of the
-// reference Compensate path.
+// class and the Lorenzo scan — reduces to this shape, which is what lets
+// a single set of specialized kernels (kernel.go) replace the per-point
+// Neighborhood construction of the reference Compensate path.
 //
 // The QP neighbor geometry is uniform: the Left/Top/Back neighbor of a
 // point is the previous lattice position along the designated axis (one

@@ -117,6 +117,41 @@ func LineBase(dims, strides []int, axis, line int) int {
 	return base
 }
 
+// Collapse3 views 1..4D dims as a 3D shape for the transform comparators
+// (ZFP, TTHRESH, SPERR): missing leading axes have extent 1 and the two
+// slowest axes of a 4D field merge into one.
+func Collapse3(dims []int) (nx, ny, nz int) {
+	switch len(dims) {
+	case 1:
+		return 1, 1, dims[0]
+	case 2:
+		return 1, dims[0], dims[1]
+	case 3:
+		return dims[0], dims[1], dims[2]
+	default:
+		return dims[0] * dims[1], dims[2], dims[3]
+	}
+}
+
+// PadEdge embeds a row-major volume of extents n into one of extents
+// p >= n, replicating the last sample of each axis into the padding
+// (replication keeps boundary discontinuities, and thus spectral
+// leakage, small).
+func PadEdge(data []float64, n, p [3]int) []float64 {
+	out := make([]float64, p[0]*p[1]*p[2])
+	for x := 0; x < p[0]; x++ {
+		sx := min(x, n[0]-1)
+		for y := 0; y < p[1]; y++ {
+			row := (sx*n[1] + min(y, n[1]-1)) * n[2]
+			drow := (x*p[1] + y) * p[2]
+			for z := 0; z < p[2]; z++ {
+				out[drow+z] = data[row+min(z, n[2]-1)]
+			}
+		}
+	}
+	return out
+}
+
 // Dims returns the dimension extents. The returned slice must not be
 // modified.
 func (f *Field) Dims() []int { return f.dims }

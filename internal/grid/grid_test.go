@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -165,5 +166,29 @@ func TestCopyFrom(t *testing.T) {
 	c := MustNew(5)
 	if err := a.CopyFrom(c); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+func TestCollapse3PadEdge(t *testing.T) {
+	for _, tc := range []struct {
+		dims []int
+		want [3]int
+	}{
+		{[]int{7}, [3]int{1, 1, 7}},
+		{[]int{5, 7}, [3]int{1, 5, 7}},
+		{[]int{3, 5, 7}, [3]int{3, 5, 7}},
+		{[]int{2, 3, 5, 7}, [3]int{6, 5, 7}},
+	} {
+		nx, ny, nz := Collapse3(tc.dims)
+		if got := [3]int{nx, ny, nz}; got != tc.want {
+			t.Errorf("Collapse3(%v) = %v, want %v", tc.dims, got, tc.want)
+		}
+	}
+
+	// 1x2x3 into 1x3x4: every padded sample is the nearest valid one.
+	got := PadEdge([]float64{1, 2, 3, 4, 5, 6}, [3]int{1, 2, 3}, [3]int{1, 3, 4})
+	want := []float64{1, 2, 3, 3, 4, 5, 6, 6, 4, 5, 6, 6}
+	if !slices.Equal(got, want) {
+		t.Errorf("PadEdge = %v, want %v", got, want)
 	}
 }

@@ -84,13 +84,11 @@ func tuneAxes(f *grid.Field, level int, eb float64) (uint8, [4]uint8) {
 	weights := [4]uint8{255, 255, 255, 255}
 
 	resid := make([]float64, nd)
-	usable := 0
 	for d := 0; d < nd; d++ {
 		if dims[d] <= 2*s {
 			resid[d] = math.Inf(1)
 			continue
 		}
-		usable++
 		samples := make([]float64, 0, 4096)
 		// Sample lines along axis d from a decimated set of bases.
 		nlines := f.Len() / dims[d]
@@ -108,35 +106,53 @@ func tuneAxes(f *grid.Field, level int, eb float64) (uint8, [4]uint8) {
 		}
 		resid[d] = trimmedMean(samples, 0.10)
 	}
-	if usable <= 1 {
+	rel, best, ok := relWeights(resid, eb)
+	if !ok {
 		return 0, weights
 	}
-	best := math.Inf(1)
-	for d := 0; d < nd; d++ {
-		if resid[d] < best {
-			best = resid[d]
-		}
-	}
-	if math.IsInf(best, 1) {
-		return 0, weights
-	}
-	// Weight ~ 1/(resid^2 + noise floor); the floor (half a quantum) stops
-	// sub-bound accuracy differences from skewing the weights.
-	floor := eb * eb / 4
-	wbest := 1.0 / (best*best + floor)
 	var mask uint8
 	for d := 0; d < nd; d++ {
 		if math.IsInf(resid[d], 1) {
 			weights[d] = 0
 			continue
 		}
-		w := (1.0 / (resid[d]*resid[d] + floor)) / wbest // in (0, 1]
-		weights[d] = uint8(math.Max(1, math.Round(255*w)))
+		weights[d] = uint8(math.Max(1, math.Round(255*rel[d])))
 		if resid[d] > freezeFactor*best && resid[d] > eb {
 			mask |= 1 << uint(d)
 		}
 	}
 	return mask, weights
+}
+
+// relWeights turns per-axis residuals (+Inf marks an axis with nothing
+// to measure) into weights relative to the best axis: weight ~
+// 1/(resid^2 + noise floor), in (0, 1], and 0 on an unusable axis. The
+// floor (half a quantum) stops sub-bound accuracy differences from
+// skewing the weights. ok is false when fewer than two axes are usable —
+// there is nothing to weigh against. Rounding to the stored byte is the
+// caller's.
+func relWeights(resid []float64, eb float64) (rel [4]float64, best float64, ok bool) {
+	best = math.Inf(1)
+	usable := 0
+	for _, r := range resid {
+		if !math.IsInf(r, 1) {
+			usable++
+		}
+		if r < best {
+			best = r
+		}
+	}
+	if usable <= 1 || math.IsInf(best, 1) {
+		return rel, best, false
+	}
+	floor := eb * eb / 4
+	wbest := 1.0 / (best*best + floor)
+	for d, r := range resid {
+		if !math.IsInf(r, 1) {
+			rel[d] = (1.0 / (r*r + floor)) / wbest
+		}
+	}
+	return rel, best, true
 }
 
 // trimmedMean returns the mean of samples after discarding the top trim
@@ -174,28 +190,51 @@ func bestAxis(w [4]uint8, nd int) int {
 func tuneBlocks(f *grid.Field, pl *plan, ax int, eb float64) {
 	dims := f.Dims()
 	strides := grid.Strides(dims)
-	nd := len(dims)
 	if dims[ax] < 8 {
 		return // too thin to measure; keep cubic
 	}
-	g := pl.blockGrid
+	forEachBlock(pl.blockGrid, func(bidx int, origin []int) {
+		cub, lin, _ := blockResiduals(f, dims, strides, origin, ax, eb)
+		if lin < cub {
+			pl.blockCubic[bidx/8] &^= 1 << uint(bidx%8)
+		}
+	})
+}
 
-	var walkBlocks func(axis, bidx int, origin []int)
-	origin := make([]int, nd)
-	walkBlocks = func(axis, bidx int, origin []int) {
-		if axis == nd {
-			cub, lin, _ := blockResiduals(f, dims, strides, origin, ax, eb)
-			if lin < cub {
-				pl.blockCubic[bidx/8] &^= 1 << uint(bidx%8)
-			}
-			return
+// forEachBlock visits the blocks of grid g in the row-major order of the
+// block tables, with each block's table index and the field coordinates
+// of its origin (reused between calls).
+func forEachBlock(g []int, fn func(bidx int, origin []int)) {
+	origin := make([]int, len(g))
+	for bidx, n := 0, numBlocks(g); bidx < n; bidx++ {
+		rem := bidx
+		for d := len(g) - 1; d >= 0; d-- {
+			origin[d] = rem % g[d] * blockSize
+			rem /= g[d]
 		}
-		for b := 0; b < g[axis]; b++ {
-			origin[axis] = b * blockSize
-			walkBlocks(axis+1, bidx*g[axis]+b, origin)
-		}
+		fn(bidx, origin)
 	}
-	walkBlocks(0, 0, origin)
+}
+
+// blockLineBase returns the flat index of position 0 along ax of a line
+// through the block at origin, moved off points from the origin along
+// every axis in the shift mask and clamped to the field.
+func blockLineBase(dims, strides, origin []int, ax int, shift uint, off int) int {
+	base := 0
+	for d := range dims {
+		if d == ax {
+			continue
+		}
+		c := origin[d]
+		if shift&(1<<uint(d)) != 0 {
+			c += off
+		}
+		if c >= dims[d] {
+			c = dims[d] - 1
+		}
+		base += c * strides[d]
+	}
+	return base
 }
 
 // blockResiduals samples cubic and linear stride-2 residuals along axis
@@ -211,26 +250,12 @@ func blockResiduals(f *grid.Field, dims, strides []int, origin []int, ax int, eb
 		}
 	}
 
-	nlines := 1
+	nlines, shift := 1, uint(0)
 	if vary >= 0 {
-		nlines = 4
+		nlines, shift = 4, 1<<uint(vary)
 	}
 	for li := 0; li < nlines; li++ {
-		// Flat index of the line's position 0 along ax.
-		base := 0
-		for d := 0; d < nd; d++ {
-			if d == ax {
-				continue
-			}
-			c := origin[d]
-			if d == vary {
-				c += li * (blockSize / 4)
-			}
-			if c >= dims[d] {
-				c = dims[d] - 1
-			}
-			base += c * strides[d]
-		}
+		base := blockLineBase(dims, strides, origin, ax, shift, li*(blockSize/4))
 		strd := strides[ax]
 		hi := origin[ax] + blockSize
 		if hi > n {
@@ -264,62 +289,31 @@ func tuneBlockWeights(f *grid.Field, pl *plan, eb float64) {
 	dims := f.Dims()
 	strides := grid.Strides(dims)
 	nd := len(dims)
-	g := pl.blockGrid
-
-	floor := eb * eb / 4
-	origin := make([]int, nd)
-	var walkBlocks func(axis, bidx int)
-	walkBlocks = func(axis, bidx int) {
-		if axis == nd {
-			var resid [4]float64
-			usable := 0
-			for d := 0; d < nd; d++ {
-				resid[d] = blockAxisResidual(f, dims, strides, origin, d)
-				if !math.IsInf(resid[d], 1) {
-					usable++
-				}
-			}
-			if usable <= 1 {
-				return // keep uniform weights
-			}
-			best := math.Inf(1)
-			for d := 0; d < nd; d++ {
-				if resid[d] < best {
-					best = resid[d]
-				}
-			}
-			if math.IsInf(best, 1) {
-				return
-			}
-			wbest := 1.0 / (best*best + floor)
-			var w [4]uint8
-			for d := 0; d < 4; d++ {
-				if d >= nd || math.IsInf(resid[d], 1) {
-					w[d] = 0
-					continue
-				}
-				r := (1.0 / (resid[d]*resid[d] + floor)) / wbest
-				w[d] = uint8(math.Round(255 * r))
-				// Snap marginal contributors to zero: on an axis whose
-				// residual dwarfs the best axis (a sharp feature crossing
-				// the block), even a sub-percent weight injects
-				// many-quanta errors into otherwise clean predictions.
-				if w[d] < 16 {
-					w[d] = 0
-				}
-			}
-			if w[0] == 0 && w[1] == 0 && w[2] == 0 && w[3] == 0 {
-				return // degenerate: keep the uniform default
-			}
-			pl.blockWeights[bidx] = w
-			return
+	forEachBlock(pl.blockGrid, func(bidx int, origin []int) {
+		var resid [4]float64
+		for d := 0; d < nd; d++ {
+			resid[d] = blockAxisResidual(f, dims, strides, origin, d)
 		}
-		for b := 0; b < g[axis]; b++ {
-			origin[axis] = b * blockSize
-			walkBlocks(axis+1, bidx*g[axis]+b)
+		rel, _, ok := relWeights(resid[:nd], eb)
+		if !ok {
+			return // keep uniform weights
 		}
-	}
-	walkBlocks(0, 0)
+		var w [4]uint8
+		for d := 0; d < nd; d++ {
+			w[d] = uint8(math.Round(255 * rel[d]))
+			// Snap marginal contributors to zero: on an axis whose
+			// residual dwarfs the best axis (a sharp feature crossing
+			// the block), even a sub-percent weight injects
+			// many-quanta errors into otherwise clean predictions.
+			if w[d] < 16 {
+				w[d] = 0
+			}
+		}
+		if w == [4]uint8{} {
+			return // degenerate: keep the uniform default
+		}
+		pl.blockWeights[bidx] = w
+	})
 }
 
 // blockAxisResidual samples |cubic stride-2 residual| along one axis on a
@@ -330,20 +324,9 @@ func blockAxisResidual(f *grid.Field, dims, strides []int, origin []int, ax int)
 	if origin[ax]+4 >= n {
 		return math.Inf(1)
 	}
-	nd := len(dims)
 	samples := make([]float64, 0, 64)
 	for li := 0; li < 4; li++ {
-		base := 0
-		for d := 0; d < nd; d++ {
-			if d == ax {
-				continue
-			}
-			c := origin[d] + li*(blockSize/4)
-			if c >= dims[d] {
-				c = dims[d] - 1
-			}
-			base += c * strides[d]
-		}
+		base := blockLineBase(dims, strides, origin, ax, ^uint(0), li*(blockSize/4))
 		strd := strides[ax]
 		hi := origin[ax] + blockSize
 		if hi > n {

@@ -53,16 +53,7 @@ type plan3 struct {
 
 func makePlan(dims []int) plan3 {
 	var p plan3
-	switch len(dims) {
-	case 1:
-		p.nx, p.ny, p.nz = 1, 1, dims[0]
-	case 2:
-		p.nx, p.ny, p.nz = 1, dims[0], dims[1]
-	case 3:
-		p.nx, p.ny, p.nz = dims[0], dims[1], dims[2]
-	default:
-		p.nx, p.ny, p.nz = dims[0]*dims[1], dims[2], dims[3]
-	}
+	p.nx, p.ny, p.nz = grid.Collapse3(dims)
 	// Levels: the deepest dyadic decomposition every non-trivial axis can
 	// support after padding to a multiple of 2^levels (band >= 8).
 	p.levels = maxWaveLevels
@@ -102,7 +93,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 		opts.Lossless = lossless.Flate
 	}
 	pl := makePlan(f.Dims())
-	padded := padField(f.Data, pl)
+	padded := grid.PadEdge(f.Data, [3]int{pl.nx, pl.ny, pl.nz}, [3]int{pl.px, pl.py, pl.pz})
 
 	forward(padded, pl)
 
@@ -334,23 +325,6 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	return out, nil
 }
 
-// padField copies data into the padded volume with edge replication.
-func padField(data []float64, pl plan3) []float64 {
-	out := make([]float64, pl.px*pl.py*pl.pz)
-	for x := 0; x < pl.px; x++ {
-		sx := clampIdx(x, pl.nx)
-		for y := 0; y < pl.py; y++ {
-			sy := clampIdx(y, pl.ny)
-			row := (sx*pl.ny + sy) * pl.nz
-			drow := (x*pl.py + y) * pl.pz
-			for z := 0; z < pl.pz; z++ {
-				out[drow+z] = data[row+clampIdx(z, pl.nz)]
-			}
-		}
-	}
-	return out
-}
-
 // visitValid maps original flat indexes (src) to padded flat indexes
 // (dst).
 func visitValid(pl plan3, fn func(src, dst int)) {
@@ -363,13 +337,6 @@ func visitValid(pl plan3, fn func(src, dst int)) {
 			}
 		}
 	}
-}
-
-func clampIdx(i, n int) int {
-	if i >= n {
-		return n - 1
-	}
-	return i
 }
 
 // forward applies the multi-level separable CDF 9/7 transform in place on

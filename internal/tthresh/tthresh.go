@@ -48,16 +48,7 @@ type plan3 struct {
 
 func makePlan(dims []int) plan3 {
 	var p plan3
-	switch len(dims) {
-	case 1:
-		p.nx, p.ny, p.nz = 1, 1, dims[0]
-	case 2:
-		p.nx, p.ny, p.nz = 1, dims[0], dims[1]
-	case 3:
-		p.nx, p.ny, p.nz = dims[0], dims[1], dims[2]
-	default:
-		p.nx, p.ny, p.nz = dims[0]*dims[1], dims[2], dims[3]
-	}
+	p.nx, p.ny, p.nz = grid.Collapse3(dims)
 	p.px, p.py, p.pz = nextPow2(p.nx), nextPow2(p.ny), nextPow2(p.nz)
 	return p
 }
@@ -82,7 +73,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 		opts.Lossless = lossless.Flate
 	}
 	pl := makePlan(f.Dims())
-	c := padField(f.Data, pl)
+	c := grid.PadEdge(f.Data, [3]int{pl.nx, pl.ny, pl.nz}, [3]int{pl.px, pl.py, pl.pz})
 
 	dctAxes(c, pl, transform.DCT2)
 
@@ -157,32 +148,6 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 		}
 	}
 	return out, nil
-}
-
-// padField embeds data into the padded volume with edge replication
-// (replication keeps boundary discontinuities — and thus spectral
-// leakage — small).
-func padField(data []float64, pl plan3) []float64 {
-	out := make([]float64, pl.px*pl.py*pl.pz)
-	for x := 0; x < pl.px; x++ {
-		sx := clampIdx(x, pl.nx)
-		for y := 0; y < pl.py; y++ {
-			sy := clampIdx(y, pl.ny)
-			row := (sx*pl.ny + sy) * pl.nz
-			drow := (x*pl.py + y) * pl.pz
-			for z := 0; z < pl.pz; z++ {
-				out[drow+z] = data[row+clampIdx(z, pl.nz)]
-			}
-		}
-	}
-	return out
-}
-
-func clampIdx(i, n int) int {
-	if i >= n {
-		return n - 1
-	}
-	return i
 }
 
 // dctAxes applies fn (DCT2 or DCT3) along every non-trivial axis.

@@ -42,7 +42,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if !(opts.Tolerance > 0) || math.IsInf(opts.Tolerance, 0) {
 		return nil, fmt.Errorf("%w: zfp: tolerance must be positive and finite", verdict.ErrBadOptions)
 	}
-	nx, ny, nz := dims3(f.Dims())
+	nx, ny, nz := grid.Collapse3(f.Dims())
 
 	w := bitstream.NewWriter(f.Len())
 	minexp := int(math.Floor(math.Log2(opts.Tolerance)))
@@ -82,7 +82,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	nx, ny, nz := dims3(dims)
+	nx, ny, nz := grid.Collapse3(dims)
 
 	var block [blockLen]float64
 	for x0 := 0; x0 < nx; x0 += blockEdge {
@@ -98,30 +98,16 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	return out, nil
 }
 
-// dims3 normalizes 1..4D dims to a 3D shape (leading dims collapse).
-func dims3(dims []int) (nx, ny, nz int) {
-	switch len(dims) {
-	case 1:
-		return 1, 1, dims[0]
-	case 2:
-		return 1, dims[0], dims[1]
-	case 3:
-		return dims[0], dims[1], dims[2]
-	default:
-		return dims[0] * dims[1], dims[2], dims[3]
-	}
-}
-
 // gatherBlock extracts a 4^3 block, padding out-of-range positions by
 // clamping to the nearest valid sample (ZFP's pad-by-replication).
 func gatherBlock(data []float64, nx, ny, nz, x0, y0, z0 int, blk *[blockLen]float64) {
 	k := 0
 	for dx := 0; dx < blockEdge; dx++ {
-		x := clampIdx(x0+dx, nx)
+		x := min(x0+dx, nx-1)
 		for dy := 0; dy < blockEdge; dy++ {
-			y := clampIdx(y0+dy, ny)
+			y := min(y0+dy, ny-1)
 			for dz := 0; dz < blockEdge; dz++ {
-				z := clampIdx(z0+dz, nz)
+				z := min(z0+dz, nz-1)
 				blk[k] = data[(x*ny+y)*nz+z]
 				k++
 			}
@@ -142,11 +128,4 @@ func scatterBlock(data []float64, nx, ny, nz, x0, y0, z0 int, blk *[blockLen]flo
 			}
 		}
 	}
-}
-
-func clampIdx(i, n int) int {
-	if i >= n {
-		return n - 1
-	}
-	return i
 }
