@@ -10,7 +10,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures lint-gc race check bench bench-build fuzz-smoke cover
+.PHONY: all build test vet lint lint-fixtures lint-gc race check bench bench-build fuzz-smoke cover loc
 
 all: check
 
@@ -84,3 +84,11 @@ check: build test vet lint lint-fixtures lint-gc race fuzz-smoke bench-build
 # the four workloads of BENCHMARK.json (see benchmark/README.md).
 bench:
 	bash benchmark/run.sh
+
+# Size counter of the CHANGES.md entries: non-test .go lines outside
+# benchmark/ and testdata/, blank and comment-only lines stripped, per
+# top-level package and in total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs awk \
+	'!/^[[:space:]]*($$|\/\/)/ { split(FILENAME, p, "/"); n[p[3] == "" ? "." : p[4] == "" ? p[2] : p[2] "/" p[3]]++; t++ } \
+	END { for (k in n) printf "%6d %s\n", n[k], k | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'

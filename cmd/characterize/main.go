@@ -15,12 +15,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"scdc/internal/charz"
 	"scdc/internal/core"
 	"scdc/internal/datagen"
+	"scdc/internal/grid"
 	"scdc/internal/hpez"
 	"scdc/internal/mgard"
 	"scdc/internal/qoz"
@@ -53,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 	if !*fig3 && !*fig4 && !*fig5 {
 		*fig4 = true
 	}
-	fieldDims, err := parseDims(*dimsArg)
+	fieldDims, err := grid.ParseDims(*dimsArg)
 	if err != nil {
 		return err
 	}
@@ -189,22 +188,4 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// parseDims parses an AxBxC geometry flag; empty selects the dataset's
-// default reduced dims.
-func parseDims(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, "x")
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad dims %q", s)
-		}
-		dims[i] = v
-	}
-	return dims, nil
 }

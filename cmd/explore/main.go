@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"scdc/internal/core"
 	"scdc/internal/datagen"
@@ -43,7 +41,7 @@ func run(args []string, stdout io.Writer) error {
 	if !*fig7 && !*fig8 && !*fig9 {
 		*fig7, *fig8, *fig9 = true, true, true
 	}
-	fieldDims, err := parseDims(*dimsArg)
+	fieldDims, err := grid.ParseDims(*dimsArg)
 	if err != nil {
 		return err
 	}
@@ -156,22 +154,4 @@ func sweep(w io.Writer, name string, f *grid.Field, configs []struct {
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-// parseDims parses an AxBxC geometry flag; empty selects each dataset's
-// default reduced dims.
-func parseDims(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, "x")
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad dims %q", s)
-		}
-		dims[i] = v
-	}
-	return dims, nil
 }

@@ -64,8 +64,6 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"runtime/trace"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -464,16 +462,7 @@ func parseDims(s string) ([]int, error) {
 	if s == "" {
 		return nil, fmt.Errorf("-dims is required with -in")
 	}
-	parts := strings.Split(s, "x")
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad dims %q", s)
-		}
-		dims[i] = v
-	}
-	return dims, nil
+	return grid.ParseDims(s)
 }
 
 func readRaw(path, dtype string, dims []int) ([]float64, error) {

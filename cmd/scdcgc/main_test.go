@@ -66,9 +66,9 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/core.Region.RowBase inline,noalloc",
 		"scdc/internal/core.Region.carryRow noalloc",
 		"scdc/internal/core.Region.rowBase inline,noalloc",
+		"scdc/internal/core.RegionGrain inline,noalloc",
 		"scdc/internal/core.copyRun inline,noalloc",
 		"scdc/internal/core.kernel1D inline,noalloc",
-		"scdc/internal/core.regionGrain inline,noalloc",
 		"scdc/internal/core.run1DAlways noalloc",
 		"scdc/internal/core.run1DSign noalloc",
 		"scdc/internal/core.run1DSkipU noalloc",

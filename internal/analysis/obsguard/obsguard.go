@@ -5,7 +5,7 @@
 //     aggregation layer's agg.Registry/Histogram/Counter/Gauge, which
 //     follow the same nil-means-off contract — whose arguments do real
 //     work (any non-builtin, non-conversion function call — think
-//     huffman.EntropyBits(q) or fmt.Sprintf) must be dominated by a nil
+//     entropy.Dist.EntropyBits or fmt.Sprintf) must be dominated by a nil
 //     check on an obs value. The disabled path is contractually
 //     zero-cost (TestNilFastPathZeroAllocs and
 //     TestNilRegistryZeroAllocs pin it); an unguarded expensive argument

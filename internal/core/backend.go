@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"scdc/internal/entropy"
+	"scdc/internal/grid"
 	"scdc/internal/lossless"
 	"scdc/internal/obs"
 	"scdc/internal/quantizer"
@@ -114,51 +115,6 @@ func (b *Backend) Normalize(eb float64) error {
 	return b.QP.Validate()
 }
 
-// Work is the scratch of one Compress call. The buffers are pooled
-// (internal/quantizer) and come back with unspecified contents: the
-// engine's sweeps must write every slot of Q (and QP) — each point
-// belongs to exactly one pass or class, or to the coarse lattice.
-type Work struct {
-	// Data is the working copy of the field; the sweeps overwrite it with
-	// decompressed values (Algorithm 1 line 6).
-	Data []float64
-	// Q receives the stored symbols, QP the QP-transformed ones. QP and
-	// Pred are nil when QP is off.
-	Q, QP []int32
-	Pred  *Predictor
-	// qpSp accumulates the QP sweeps' share of the wall time.
-	qpSp *obs.Span
-}
-
-// Acquire returns the scratch for compressing src, with a predictor and
-// a second index array when useQP is set. Release it when done.
-func (b *Backend) Acquire(src []float64, useQP bool) (Work, error) {
-	var (
-		pred *Predictor
-		qp   []int32
-		qpSp *obs.Span
-	)
-	if useQP {
-		var err error
-		if pred, err = NewPredictor(b.QP, b.Radius); err != nil {
-			return Work{}, err
-		}
-		qp = quantizer.GetIndexBuf(len(src))
-		qpSp = b.Obs.ChildAccum("qp")
-	}
-	data := quantizer.GetFloatBuf(len(src))
-	copy(data, src)
-	q := quantizer.GetIndexBuf(len(src))
-	return Work{Data: data, Q: q, QP: qp, Pred: pred, qpSp: qpSp}, nil
-}
-
-// Release returns the scratch to the pools.
-func (w Work) Release() {
-	quantizer.PutFloatBuf(w.Data)
-	quantizer.PutIndexBuf(w.Q)
-	quantizer.PutIndexBuf(w.QP)
-}
-
 // Stream is what an engine hands Encode besides its Sweep.
 type Stream struct {
 	// Pre and Post are the engine's own header bytes before and after the
@@ -177,15 +133,16 @@ type Stream struct {
 	Lorenzo bool
 }
 
-// Encode writes the stream: it publishes the quantize and qp counters,
-// fills Trace, picks and encodes the index array (ChooseEncodingCoder,
-// under the "huffman" span), assembles
+// Encode ends the sweeps and writes the stream: it publishes the stage,
+// quantize and qp counters, fills Trace, picks and encodes the index
+// array (ChooseEncodingCoder, under the "huffman" span), assembles
 //
 //	Pre | qp config, radius | Post | [Side] | index block | literals
 //
 // from the symbols and literals the sweeps left on sw, and runs the
 // lossless stage over it.
 func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
+	sw.finish()
 	// Quantization is fused into the engines' prediction sweeps, so the
 	// "quantize" span only carries its outcome counters.
 	quantSp := b.Obs.Child("quantize")
@@ -195,19 +152,16 @@ func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 		quantSp.Add(s.SideName, int64(len(s.Side)))
 	}
 	quantSp.End()
-	if sw.pred != nil {
-		sw.qpSp.Add("compensated", int64(sw.pred.Compensated))
-	}
 	if t := b.Trace; t != nil {
 		t.Lorenzo, t.Levels = s.Lorenzo, s.Levels
 		t.Q = append(t.Q[:0], sw.Sym...)
-		if sw.pred != nil {
-			t.QP = append(t.QP[:0], sw.qp...)
-			t.Compensated = sw.pred.Compensated
+		if sw.Pred != nil {
+			t.QP = append(t.QP[:0], sw.QP...)
+			t.Compensated = sw.Pred.Compensated
 		}
 	}
 
-	q, qp := sw.Sym, sw.qp
+	q, qp := sw.Sym, sw.QP
 	forced := s.ForceQP && qp != nil
 	if forced {
 		q, qp = qp, nil
@@ -248,7 +202,7 @@ func appendFloats(buf []byte, vals []float64) []byte {
 // Reader reverses Encode for a field of n points. Every error it returns
 // is verdict.ErrCorrupt. The engine reads its own header fields with
 // Bytes/Uvarint/Bound, in stream order around DecodeQP, then calls
-// DecodeBlocks, runs its sweeps on Sweep and calls Done.
+// DecodeBlocks, runs its sweeps on Sweep and returns the sweep's Finish.
 type Reader struct {
 	// QP and Radius are set by DecodeQP.
 	QP     Config
@@ -259,23 +213,27 @@ type Reader struct {
 	Side, Literals []float64
 	Indices        []int32
 
-	// pred and qpSp are set by DecodeBlocks when the stream kept QP.
+	// pred is set by DecodeBlocks when the stream kept QP.
 	pred       *Predictor
-	qpSp       *obs.Span
 	buf        []byte
+	dims       []int
 	n, workers int
 	sp         *obs.Span
 }
 
-// DecodeStream peels the lossless layer off payload (bounded by
-// lossless.PayloadLimit(n), under a "lossless" child span of sp) and
-// returns a Reader over the plaintext.
-func DecodeStream(payload []byte, n, workers int, sp *obs.Span) (*Reader, error) {
+// DecodeStream checks dims, peels the lossless layer off payload
+// (bounded by lossless.PayloadLimit of the point count, under a
+// "lossless" child span of sp) and returns a Reader over the plaintext.
+func DecodeStream(payload []byte, dims []int, workers int, sp *obs.Span) (*Reader, error) {
+	n, err := grid.CheckDims(dims)
+	if err != nil {
+		return nil, err
+	}
 	buf, err := DecompressLossless(payload, lossless.PayloadLimit(n), workers, sp)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{buf: buf, n: n, workers: workers, sp: sp}, nil
+	return &Reader{buf: buf, dims: dims, n: n, workers: workers, sp: sp}, nil
 }
 
 // Bytes consumes the next k header bytes.
@@ -366,7 +324,6 @@ func (r *Reader) DecodeBlocks(side string) error {
 	if r.QP.Enabled() {
 		// DecodeQP has checked the config, NewPredictor's only failure.
 		r.pred, _ = NewPredictor(r.QP, r.Radius)
-		r.qpSp = r.sp.ChildAccum("qp")
 	}
 	return nil
 }
@@ -387,12 +344,4 @@ func (r *Reader) decodeFloats(what string) ([]float64, error) {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 	}
 	return vals, nil
-}
-
-// Done publishes the qp span's compensated counter once the engine's
-// inverse sweeps have run.
-func (r *Reader) Done() {
-	if r.pred != nil {
-		r.qpSp.Add("compensated", int64(r.pred.Compensated))
-	}
 }

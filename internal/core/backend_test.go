@@ -24,7 +24,7 @@ func TestCoarseLatticeGatherScatter(t *testing.T) {
 	}
 	q, qp := make([]int32, n), make([]int32, n)
 
-	side := Work{Data: data, Q: q, QP: qp}.Sweep(1).GatherCoarse(dims, 1, center)
+	side := (&Sweep{Data: data, Sym: q, QP: qp}).GatherCoarse(dims, 1, center)
 	var want []float64
 	for x := 0; x < 5; x += 2 {
 		for y := 0; y < 4; y += 2 {

@@ -175,12 +175,12 @@ func copyRun(src, dst []int32, i0, step, cnt int) {
 	}
 }
 
-// regionGrain picks rows (or units) per work chunk: at least ~1024 points
+// RegionGrain picks rows, lines or units per work chunk: at least ~1024 points
 // per handoff, several chunks per worker for load balance.
 //
 //scdc:inline
 //scdc:noalloc
-func regionGrain(n, unitPts, workers int) int {
+func RegionGrain(n, unitPts, workers int) int {
 	grain := n / (4 * workers)
 	if minN := (1024 + unitPts - 1) / unitPts; grain < minN {
 		grain = minN
@@ -290,7 +290,7 @@ func (s *regionSweep) depInnermost() (units, rowsPer int) {
 // that the goroutines' capture does not move the caller's sweep to the
 // heap on the sequential path.
 func (s regionSweep) fanOut(units, rowsPer, workers int, wsp []*obs.Span) int {
-	grain := regionGrain(units, s.rg.Points()/units, workers)
+	grain := RegionGrain(units, s.rg.Points()/units, workers)
 	comps := make([]int, parallel.Chunks(units, grain))
 	parallel.ForEachWorker(len(comps), workers, func(w, c int) {
 		var sp *obs.Span // accumulator from workerSpans; nil when observation is off

@@ -2,92 +2,207 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"scdc/internal/grid"
 	"scdc/internal/obs"
+	"scdc/internal/quantizer"
 	"scdc/internal/verdict"
 )
 
-// Sweep is what an engine's level sweeps run on, in either direction:
-// the field, its symbol array and the literal stream, plus the QP stage
-// the paper places inside the level loop (Algorithms 1-2). An engine
-// gets one from Work.Sweep to compress and from Reader.Sweep to
-// decompress, walks its passes or classes over Data/Sym with its own
-// kernels, and calls ForwardQP after (InverseQP before) each region. Who
-// runs QP, on how many workers, under which span, and how a literal
-// shortfall is reported is decided here, once, for all four engines.
+// Sweep is the per-call state of an engine's level sweeps, in either
+// direction: the field, its symbol array and the literal stream, the QP
+// stage the paper places inside the level loop (Algorithms 1-2), the
+// pooled scratch behind them and the clock that says which stage the
+// call is in. An engine gets one from Backend.Sweep to compress and from
+// Reader.Sweep to decompress, walks its passes or classes over Data/Sym
+// with its own kernels, calls ForwardQP after (InverseQP before) each
+// region and ends with Backend.Encode or Finish. Who runs QP, on how many
+// workers, which span the time goes to, and how a literal shortfall is
+// reported is decided here, once, for all four engines.
 type Sweep struct {
-	// Data is the field: compression overwrites it with the decompressed
-	// values later predictions read, decompression reconstructs into it.
+	// Data is the field: compression overwrites a working copy with the
+	// decompressed values later predictions read (Algorithm 1 line 6),
+	// decompression reconstructs into it.
 	Data []float64
 	// Sym holds one stored symbol per point (quantizer.Unpredictable marks
 	// a literal). Compression writes it; on decompression it arrives
 	// possibly QP-transformed and InverseQP recovers it in place.
 	Sym []int32
+	// QP receives the QP-transformed copy of Sym on compression. It is nil
+	// on decompression, and Pred too when QP is off.
+	QP   []int32
+	Pred *Predictor
 	// Lits is the literal stream, the unpredictable values in sweep order:
 	// appended by compression, consumed from Lit by decompression.
 	Lits []float64
 	Lit  int
 
-	qp      []int32    // compression: the QP-transformed copy of Sym
-	pred    *Predictor // nil when QP is off
-	workers int
-	qpSp    *obs.Span   // accumulates the QP calls' share of the wall time
-	wsp     []*obs.Span // its per-worker children
+	// Workers is the goroutine budget of one pass or class sweep and of
+	// one QP call; <= 1 is sequential.
+	Workers int
+
+	field *grid.Field // decompression: the field Data belongs to
+	clk   *clock      // nil when unobserved
+}
+
+// Stage names the span a sweep charges its own time to.
+type Stage string
+
+const (
+	StageInterp  Stage = "interp"
+	StageLorenzo Stage = "lorenzo" // SZ3's fallback predictor
+)
+
+// clock is the two-state stopwatch of an observed sweep: from the sweep's
+// construction to its finish every instant belongs to the stage span,
+// except inside ForwardQP/InverseQP, where it belongs to qp, so the two
+// are disjoint sub-intervals of the call.
+type clock struct {
+	span    [2]*obs.Span // the stage's, then qp's; both accumulating
+	workers []*obs.Span  // qp's per-worker children
+	onQP    int          // the span the running window belongs to
+	mark    time.Time    // when it started
+}
+
+// flip charges the running window to its span and starts one on the
+// other. It returns qp's worker spans, for the QP call that a flip onto
+// qp precedes. A nil clock does nothing and never reads the time.
+func (c *clock) flip() []*obs.Span {
+	if c == nil {
+		return nil
+	}
+	c.span[c.onQP].AddSince(c.mark)
+	c.onQP ^= 1
+	c.mark = c.span[c.onQP].Begin()
+	return c.workers
 }
 
 // NewSweep returns a bare sweep over data and sym: QP off, one worker,
 // unobserved. The tuners' trial compressions run on it.
 func NewSweep(data []float64, sym []int32) *Sweep {
-	return &Sweep{Data: data, Sym: sym, workers: 1}
+	return &Sweep{Data: data, Sym: sym, Workers: 1}
 }
 
-// Sweep returns the compression sweep over w's scratch.
-func (w Work) Sweep(workers int) *Sweep {
-	return &Sweep{Data: w.Data, Sym: w.Q, qp: w.QP, pred: w.Pred,
-		workers: workers, qpSp: w.qpSp, wsp: workerSpans(w.qpSp, workers)}
+// Sweep returns the compression sweep for src, with a predictor and a
+// second index array when useQP is set, and starts its clock. The
+// buffers are pooled (internal/quantizer) and come back with unspecified
+// contents: the engine's sweeps must write every slot of Sym (and QP) —
+// each point belongs to exactly one pass or class, or to the coarse
+// lattice. Release it when done.
+func (b *Backend) Sweep(src []float64, useQP bool, stage Stage) (*Sweep, error) {
+	// Each pooled buffer passes through a local on its way into s: that is
+	// the hand-off shape scdclint's poolreturn recognizes.
+	s := &Sweep{Workers: b.Workers}
+	if useQP {
+		var err error
+		if s.Pred, err = NewPredictor(b.QP, b.Radius); err != nil {
+			return nil, err
+		}
+		qp := quantizer.GetIndexBuf(len(src))
+		s.QP = qp
+	}
+	data := quantizer.GetFloatBuf(len(src))
+	copy(data, src)
+	sym := quantizer.GetIndexBuf(len(src))
+	s.Data, s.Sym = data, sym
+	s.start(b.Obs, stage)
+	return s, nil
 }
 
-// Sweep returns the decompression sweep that reconstructs into data from
-// the blocks DecodeBlocks read.
-func (r *Reader) Sweep(data []float64) *Sweep {
-	return &Sweep{Data: data, Sym: r.Indices, Lits: r.Literals,
-		pred: r.pred, workers: r.workers, qpSp: r.qpSp, wsp: workerSpans(r.qpSp, r.workers)}
+// Release returns a compression sweep's scratch to the pools.
+func (s *Sweep) Release() {
+	quantizer.PutFloatBuf(s.Data)
+	quantizer.PutIndexBuf(s.Sym)
+	quantizer.PutIndexBuf(s.QP)
 }
 
-// Workers is the goroutine budget of one pass or class sweep.
-func (s *Sweep) Workers() int { return s.workers }
+// Sweep allocates the output field, returns the decompression sweep that
+// reconstructs into it from the blocks DecodeBlocks read, and starts its
+// clock.
+func (r *Reader) Sweep(stage Stage) *Sweep {
+	// DecodeStream has checked the dims, New's only failure.
+	field, _ := grid.New(r.dims...)
+	s := &Sweep{Data: field.Data, Sym: r.Indices, Lits: r.Literals, Pred: r.pred,
+		Workers: r.workers, field: field}
+	s.start(r.sp, stage)
+	return s
+}
+
+// start opens the stage span, and the qp span of a sweep that runs QP,
+// under sp and starts the clock on the stage.
+func (s *Sweep) start(sp *obs.Span, stage Stage) {
+	if sp == nil {
+		return
+	}
+	s.clk = &clock{}
+	s.clk.span[0] = sp.ChildAccum(string(stage))
+	if s.Pred != nil {
+		s.clk.span[1] = sp.ChildAccum("qp")
+		s.clk.workers = workerSpans(s.clk.span[1], s.Workers)
+	}
+	s.clk.mark = s.clk.span[0].Begin()
+}
+
+// finish stops the clock and publishes the sweeps' counters.
+func (s *Sweep) finish() {
+	c := s.clk
+	if c == nil {
+		return
+	}
+	c.flip() // the stage's last window
+	c.span[0].Add("points", int64(len(s.Data)))
+	if s.Pred != nil {
+		c.span[1].Add("compensated", int64(s.Pred.Compensated))
+	}
+}
+
+// Finish ends a decompression whose sweeps succeeded and returns the
+// reconstructed field.
+func (s *Sweep) Finish() *grid.Field {
+	s.finish()
+	return s.field
+}
+
+// Span is the stage span, for an engine that hangs per-pass detail under
+// it; nil when unobserved.
+func (s *Sweep) Span() *obs.Span {
+	if s.clk == nil {
+		return nil
+	}
+	return s.clk.span[0]
+}
 
 // ForwardQP transforms the symbols of rg once the engine has written
 // them: the QP copy receives Sym minus the compensation predicted from
 // the region's already-written neighbors. A no-op when QP is off.
 func (s *Sweep) ForwardQP(rg Region) {
-	if s.qp == nil {
+	if s.QP == nil {
 		return
 	}
-	t0 := s.qpSp.Begin()
-	s.pred.ForwardRegion(s.Sym, s.qp, rg, s.workers, s.wsp)
-	s.qpSp.AddSince(t0)
+	wsp := s.clk.flip()
+	s.Pred.ForwardRegion(s.Sym, s.QP, rg, s.Workers, wsp)
+	s.clk.flip()
 }
 
 // InverseQP recovers the original symbols of rg in place, before the
 // engine reconstructs the region's values. A no-op when the stream kept
 // no QP.
 func (s *Sweep) InverseQP(rg Region) {
-	if s.pred == nil {
+	if s.Pred == nil {
 		return
 	}
-	t0 := s.qpSp.Begin()
-	s.pred.InverseRegion(s.Sym, rg, s.workers, s.wsp)
-	s.qpSp.AddSince(t0)
+	wsp := s.clk.flip()
+	s.Pred.InverseRegion(s.Sym, rg, s.Workers, wsp)
+	s.clk.flip()
 }
 
 // Stamp stores the symbol of a point no QP region covers (an origin, the
 // coarse lattice): it is its own QP transform.
 func (s *Sweep) Stamp(idx int, sym int32) {
 	s.Sym[idx] = sym
-	if s.qp != nil {
-		s.qp[idx] = sym
+	if s.QP != nil {
+		s.QP[idx] = sym
 	}
 }
 

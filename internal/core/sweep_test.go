@@ -10,10 +10,10 @@ import (
 	"scdc/internal/verdict"
 )
 
-// TestSweepQPOffIsNoop: a sweep without QP state — bare, from a Work
-// acquired with QP off, from a Reader whose stream kept none — leaves the
-// symbols alone in both directions and opens no span, while the same
-// calls on a QP-on sweep are the region kernels.
+// TestSweepQPOffIsNoop: a sweep without QP state — bare, from a Backend
+// with QP off, from a Reader whose stream kept none — leaves the symbols
+// alone in both directions and opens no qp span, while the same calls on
+// a QP-on sweep are the region kernels.
 func TestSweepQPOffIsNoop(t *testing.T) {
 	const radius = int32(8)
 	rg := kernelRegionCases()[0]
@@ -23,17 +23,17 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 
 	rec := obs.New()
 	root := rec.Span("compress")
-	b := Backend{Radius: radius, Obs: root}
-	w, err := b.Acquire(data, false)
+	b := Backend{Radius: radius, Workers: 4, Obs: root}
+	off, err := b.Sweep(data, false, StageInterp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Release()
-	copy(w.Q, q)
+	defer off.Release()
+	copy(off.Sym, q)
 	for name, sw := range map[string]*Sweep{
-		"bare":   NewSweep(data, slices.Clone(q)),
-		"work":   w.Sweep(4),
-		"reader": (&Reader{Indices: slices.Clone(q), workers: 4, sp: root}).Sweep(data),
+		"bare":    NewSweep(data, slices.Clone(q)),
+		"backend": off,
+		"reader":  (&Reader{Indices: slices.Clone(q), dims: []int{len(q)}, workers: 4, sp: root}).Sweep(StageInterp),
 	} {
 		sw.ForwardQP(rg.rg)
 		sw.InverseQP(rg.rg)
@@ -48,25 +48,25 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 	}
 
 	// QP on: the sweep's calls are the predictor's region kernels, timed
-	// on the work's qp span with a child per worker.
+	// on the sweep's qp span with a child per worker.
 	rec = obs.New()
 	root = rec.Span("compress")
-	b = Backend{Radius: radius, QP: Default(), Obs: root}
-	if w, err = b.Acquire(data, true); err != nil {
+	b = Backend{Radius: radius, QP: Default(), Workers: 4, Obs: root}
+	sw, err := b.Sweep(data, true, StageInterp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Release()
-	copy(w.Q, q)
-	sw := w.Sweep(4)
+	defer sw.Release()
+	copy(sw.Sym, q)
 	sw.ForwardQP(rg.rg)
 	want := make([]int32, rg.arr)
 	(&Predictor{Cfg: Default(), Radius: radius}).ForwardRegion(q, want, rg.rg, 1, nil)
 	rg.rg.forEachPoint(func(idx int, _ Neighborhood) {
-		if w.QP[idx] != want[idx] {
-			t.Fatalf("ForwardQP: qp[%d] = %d, kernel wrote %d", idx, w.QP[idx], want[idx])
+		if sw.QP[idx] != want[idx] {
+			t.Fatalf("ForwardQP: qp[%d] = %d, kernel wrote %d", idx, sw.QP[idx], want[idx])
 		}
 	})
-	dec := Work{Q: slices.Clone(want), Pred: w.Pred}.Sweep(1)
+	dec := &Sweep{Sym: slices.Clone(want), Pred: sw.Pred}
 	dec.InverseQP(rg.rg)
 	rg.rg.forEachPoint(func(idx int, _ Neighborhood) {
 		if dec.Sym[idx] != q[idx] {
@@ -85,8 +85,8 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 // error, and each is verdict.ErrCorrupt.
 func TestSweepLiteralAccounting(t *testing.T) {
 	sentinel := verdict.ErrCorrupt
-	r := &Reader{Literals: []float64{1.5, -2, 3}, workers: 1}
-	sw := r.Sweep(nil)
+	r := &Reader{Literals: []float64{1.5, -2, 3}, dims: []int{1}, workers: 1}
+	sw := r.Sweep(StageInterp)
 	if err := sw.Drained(); !errors.Is(err, sentinel) || err.Error() != "scdc: corrupt stream: core: 3 unused literals" {
 		t.Errorf("untouched stream: Drained() = %v", err)
 	}
@@ -119,20 +119,21 @@ func TestSweepLiteralAccounting(t *testing.T) {
 
 // TestSweepAllocs: once built, a one-worker sweep allocates nothing per
 // QP call in either direction or per literal, observed or not — the
-// timing, the worker spans and the cursor are all set up at construction,
-// and the region sweep's sequential path builds no closure.
+// clock, the worker spans and the cursor are all set up at construction,
+// and the region sweep's sequential path builds no closure. Unobserved,
+// the clock is nil checks all the way: no allocation at the finish
+// either, and the time is never read.
 func TestSweepAllocs(t *testing.T) {
 	const radius = int32(8)
 	rg := kernelRegionCases()[2].rg
 	data := make([]float64, kernelRegionCases()[2].arr)
 	for _, sp := range []*obs.Span{nil, obs.New().Span("compress")} {
-		b := Backend{Radius: radius, QP: Default(), Obs: sp}
-		w, err := b.Acquire(data, true)
+		b := Backend{Radius: radius, QP: Default(), Workers: 1, Obs: sp}
+		sw, err := b.Sweep(data, true, StageInterp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fillSymbols(rand.New(rand.NewSource(7)), w.Q, radius)
-		sw := w.Sweep(1)
+		fillSymbols(rand.New(rand.NewSource(7)), sw.Sym, radius)
 		sw.Lits = make([]float64, 64)
 		if a := testing.AllocsPerRun(20, func() { sw.ForwardQP(rg) }); a != 0 {
 			t.Errorf("observed=%v: %v allocations per ForwardQP call", sp != nil, a)
@@ -148,10 +149,18 @@ func TestSweepAllocs(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("observed=%v: %v allocations per InverseQP call and 64 literals", sp != nil, a)
 		}
-		w.Release()
+		if sp == nil {
+			if a := testing.AllocsPerRun(20, func() { sw.finish(); sw.Finish() }); a != 0 {
+				t.Errorf("unobserved: %v allocations per finish", a)
+			}
+			if sw.clk != nil {
+				t.Error("unobserved sweep has a clock")
+			}
+		}
+		sw.Release()
 	}
 	bare := NewSweep(data, make([]int32, len(data)))
-	if a := testing.AllocsPerRun(20, func() { bare.ForwardQP(rg); bare.InverseQP(rg) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { bare.ForwardQP(rg); bare.InverseQP(rg); bare.finish() }); a != 0 {
 		t.Errorf("QP off: %v allocations per call", a)
 	}
 }

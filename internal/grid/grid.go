@@ -10,6 +10,8 @@ package grid
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // MaxDims is the largest dimensionality supported by the compressors.
@@ -84,6 +86,25 @@ func CheckDims(dims []int) (int, error) {
 		n *= d
 	}
 	return n, nil
+}
+
+// ParseDims reads an AxBxC geometry, as the command-line tools take it:
+// positive extents separated by "x". The empty string is no geometry
+// (nil, nil), for flags whose default is the dataset's own.
+func ParseDims(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, "x")
+	dims := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("bad dims %q: %w", s, ErrBadDims)
+		}
+		dims[i] = v
+	}
+	return dims, nil
 }
 
 func (f *Field) setDims(dims []int) {

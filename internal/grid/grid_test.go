@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"slices"
 	"testing"
 )
@@ -41,6 +42,23 @@ func TestBadDims(t *testing.T) {
 	for _, dims := range cases {
 		if _, err := New(dims...); err == nil {
 			t.Errorf("dims %v accepted", dims)
+		}
+	}
+}
+
+func TestParseDims(t *testing.T) {
+	for in, want := range map[string][]int{
+		"":      nil,
+		"4":     {4},
+		"2x3x4": {2, 3, 4},
+	} {
+		if got, err := ParseDims(in); err != nil || !slices.Equal(got, want) {
+			t.Errorf("ParseDims(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"0x3", "ax3", "2x", "-1x2"} {
+		if got, err := ParseDims(bad); !errors.Is(err, ErrBadDims) || got != nil {
+			t.Errorf("ParseDims(%q) = %v, %v; want ErrBadDims", bad, got, err)
 		}
 	}
 }

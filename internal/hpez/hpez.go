@@ -112,20 +112,13 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	tuneSp.Add("levels", int64(pl.levels))
 	tuneSp.End()
 
-	w, err := opts.Acquire(f.Data, opts.QP.Enabled())
+	sw, err := opts.Sweep(f.Data, opts.QP.Enabled(), core.StageInterp)
 	if err != nil {
 		return nil, err
 	}
-	defer w.Release()
+	defer sw.Release()
 
-	// The "interp" wall-clock span covers the whole multi-axis sweep; the
-	// back-end's accumulating "qp" span carries the kernelized per-class
-	// QP sweeps' share of it (with per-worker children when parallel).
-	interpSp := opts.Obs.Child("interp")
-	sw := w.Sweep(opts.Workers)
 	anchors := compressCore(sw, f.Dims(), pl)
-	interpSp.Add("points", int64(len(w.Data)))
-	interpSp.End()
 
 	post := binary.AppendUvarint(make([]byte, 0, 16+13*pl.levels+len(pl.blockCubic)+4*len(pl.blockWeights)), uint64(pl.levels))
 	for l := 0; l < pl.levels; l++ {
@@ -157,11 +150,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 // telemetry recorded on sp (which may be nil). The reconstruction is
 // byte-identical for any worker count, observed or not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
-	n, err := grid.CheckDims(dims)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.DecodeStream(payload, n, workers, sp)
+	r, err := core.DecodeStream(payload, dims, workers, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -207,17 +196,9 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 		return nil, err
 	}
 
-	out, err := grid.New(dims...)
-	if err != nil {
+	sw := r.Sweep(core.StageInterp)
+	if err := decompressCore(sw, dims, pl, r.Side); err != nil {
 		return nil, err
 	}
-	interpSp := sp.Child("interp")
-	err = decompressCore(r.Sweep(out.Data), dims, pl, r.Side)
-	interpSp.Add("points", int64(n))
-	interpSp.End()
-	if err != nil {
-		return nil, err
-	}
-	r.Done()
-	return out, nil
+	return sw.Finish(), nil
 }

@@ -85,14 +85,21 @@ func (pl *plan) blockIndex(coord [4]int, nd int) int {
 	return idx
 }
 
-// encSweep and decSweep build the sweeps the drivers run on from the bare
-// arrays the differential tests compare.
-func encSweep(data []float64, q, qp []int32, pred *core.Predictor, workers int) *core.Sweep {
-	return core.Work{Data: data, Q: q, QP: qp, Pred: pred}.Sweep(workers)
+// encSweep and decSweep build the sweeps the drivers run on, as the
+// engine does; the differential tests compare what they leave in Data,
+// Sym, QP, Lits and Pred against the reference's bare arrays.
+func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
+	b := core.Backend{QP: cfg, Radius: radius, Workers: workers}
+	sw, err := b.Sweep(src, cfg.Enabled(), core.StageInterp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw
 }
 
-func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int) *core.Sweep {
-	sw := core.Work{Data: data, Q: enc, Pred: pred}.Sweep(workers)
+func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
+	sw := encSweep(t, make([]float64, len(stored)), cfg, radius, workers)
+	copy(sw.Sym, stored)
 	sw.Lits = lits
 	return sw
 }
@@ -102,7 +109,7 @@ func compressCoreRef(data []float64, dims []int, pl plan, q, qp []int32,
 	pred *core.Predictor) (anchors, literals []float64) {
 
 	strides := grid.Strides(dims)
-	anchors = encSweep(data, q, qp, nil, 1).GatherCoarse(dims, pl.levels, pl.radius)
+	anchors = (&core.Sweep{Data: data, Sym: q, QP: qp}).GatherCoarse(dims, pl.levels, pl.radius)
 	for level := pl.levels; level >= 1; level-- {
 		quant := quantizer.Linear{EB: pl.ebs[level-1], Radius: pl.radius}
 		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
@@ -129,7 +136,7 @@ func decompressCoreRef(data []float64, dims []int, pl plan, enc []int32,
 	anchors, literals []float64, pred *core.Predictor) (lit int, ok bool) {
 
 	strides := grid.Strides(dims)
-	if err := decSweep(data, enc, nil, nil, 1).ScatterCoarse(dims, pl.levels, pl.radius, anchors); err != nil {
+	if err := core.NewSweep(data, enc).ScatterCoarse(dims, pl.levels, pl.radius, anchors); err != nil {
 		return 0, false
 	}
 	ok = true
@@ -293,11 +300,9 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 		return p, make([]int32, n)
 	}
 
-	predK, qpK := newPred()
-	dataK, qK := append([]float64(nil), f.Data...), make([]int32, n)
-	swK := encSweep(dataK, qK, qpK, predK, workers)
+	swK := encSweep(t, f.Data, cfg, pl.radius, workers)
 	anchK := compressCore(swK, dims, pl)
-	litsK := swK.Lits
+	dataK, qK, qpK, predK, litsK := swK.Data, swK.Sym, swK.QP, swK.Pred, swK.Lits
 
 	predR, qpR := newPred()
 	dataR, qR := append([]float64(nil), f.Data...), make([]int32, n)
@@ -332,7 +337,7 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 		bare := core.NewSweep(append([]float64(nil), f.Data...), make([]int32, n))
 		anchB := compressCore(bare, dims, pl)
 		if !slices.Equal(bare.Sym, qK) || bitsEqual(bare.Lits, litsK) >= 0 || bitsEqual(anchB, anchK) >= 0 {
-			t.Fatalf("bare trial sweep diverges from the Work sweep (%d vs %d literals)", len(bare.Lits), len(litsK))
+			t.Fatalf("bare trial sweep diverges from the back-end's sweep (%d vs %d literals)", len(bare.Lits), len(litsK))
 		}
 	}
 
@@ -340,11 +345,11 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 	if qpK != nil {
 		stored = qpK
 	}
-	predK, _ = newPred()
-	encK, decK := append([]int32(nil), stored...), make([]float64, n)
-	if err := decompressCore(decSweep(decK, encK, litsK, predK, workers), dims, pl, anchK); err != nil {
+	swD := decSweep(t, stored, litsK, cfg, pl.radius, workers)
+	if err := decompressCore(swD, dims, pl, anchK); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
+	encK, decK := swD.Sym, swD.Data
 	predR, _ = newPred()
 	encR, decR := append([]int32(nil), stored...), make([]float64, n)
 	if lit, ok := decompressCoreRef(decR, dims, pl, encR, anchK, litsK, predR); !ok || lit != len(litsK) {
@@ -364,9 +369,7 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 
 	// A short literal stream must surface as ErrCorrupt, never a panic.
 	if len(litsK) > 0 {
-		predK, _ = newPred()
-		err := decompressCore(decSweep(make([]float64, n), append([]int32(nil), stored...), litsK[:len(litsK)-1], predK, workers),
-			dims, pl, anchK)
+		err := decompressCore(decSweep(t, stored, litsK[:len(litsK)-1], cfg, pl.radius, workers), dims, pl, anchK)
 		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Fatalf("truncated literals: got %v, want ErrCorrupt", err)
 		}

@@ -391,8 +391,8 @@ func TestLiteralBlockAccounting(t *testing.T) {
 
 // TestBareSweepMatchesWorkSweep: the bare sweep the level-bound tuners run
 // their trials on is the compression sweep with QP off — same symbols,
-// literals, anchors and decompressed field as a sweep over a Work acquired
-// from the back-end, on the schedule SZ3 and QoZ share, with and without
+// literals, anchors and decompressed field as the back-end's sweep over
+// its pooled scratch, on the schedule SZ3 and QoZ share, with and without
 // an anchor lattice. (HPEZ's trial goes through its own compressCore and
 // is pinned next to it, in TestLatticeKernelsMatchWalker.)
 func TestBareSweepMatchesWorkSweep(t *testing.T) {
@@ -409,15 +409,14 @@ func TestBareSweepMatchesWorkSweep(t *testing.T) {
 			if anchored {
 				anchors = sw.GatherCoarse(dims, levels, quant.Radius)
 			}
-			sz3.CompressSchedule(sw, dims, levels, func(int) sz3.LevelSpec { return spec }, nil)
+			sz3.CompressSchedule(sw, dims, levels, func(int) sz3.LevelSpec { return spec })
 			return anchors
 		}
 		b := core.DefaultBackend()
-		w, err := b.Acquire(f.Data, false)
+		full, err := b.Sweep(f.Data, false, core.StageInterp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := w.Sweep(1)
 		bare := core.NewSweep(slices.Clone(f.Data), make([]int32, f.Len()))
 		fullAnchors, bareAnchors := run(full), run(bare)
 		// Without anchors the origin belongs to a stage outside the
@@ -428,11 +427,11 @@ func TestBareSweepMatchesWorkSweep(t *testing.T) {
 		}
 		if !slices.Equal(bare.Sym[from:], full.Sym[from:]) || !slices.Equal(bare.Lits, full.Lits) ||
 			!slices.Equal(bare.Data, full.Data) || !slices.Equal(bareAnchors, fullAnchors) {
-			t.Errorf("anchored=%v: bare sweep diverges from the Work sweep (%d vs %d literals)", anchored, len(bare.Lits), len(full.Lits))
+			t.Errorf("anchored=%v: bare sweep diverges from the back-end's sweep (%d vs %d literals)", anchored, len(bare.Lits), len(full.Lits))
 		}
 		if len(full.Lits) == 0 {
 			t.Errorf("anchored=%v: no literals; the radius should force some", anchored)
 		}
-		w.Release()
+		full.Release()
 	}
 }

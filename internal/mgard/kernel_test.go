@@ -54,14 +54,21 @@ func cornerAvg(data []float64, dims, strides []int, pt *lattice.Point) float64 {
 	return sum / float64(cnt)
 }
 
-// encSweep and decSweep build the sweeps the drivers run on from the bare
-// arrays the differential tests compare.
-func encSweep(data []float64, q, qp []int32, pred *core.Predictor, workers int) *core.Sweep {
-	return core.Work{Data: data, Q: q, QP: qp, Pred: pred}.Sweep(workers)
+// encSweep and decSweep build the sweeps the drivers run on, as the
+// engine does; the differential tests compare what they leave in Data,
+// Sym, QP, Lits and Pred against the reference's bare arrays.
+func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
+	b := core.Backend{QP: cfg, Radius: radius, Workers: workers}
+	sw, err := b.Sweep(src, cfg.Enabled(), core.StageInterp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw
 }
 
-func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int) *core.Sweep {
-	sw := core.Work{Data: data, Q: enc, Pred: pred}.Sweep(workers)
+func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
+	sw := encSweep(t, make([]float64, len(stored)), cfg, radius, workers)
+	copy(sw.Sym, stored)
 	sw.Lits = lits
 	return sw
 }
@@ -89,7 +96,7 @@ func compressCoreRef(data []float64, dims []int, opts Options, levels int,
 		}
 		applyCorrection(data, dims, strides, level, quant, q, +1)
 	}
-	return encSweep(data, q, qp, nil, 1).GatherCoarse(dims, levels, quant.CenterSym()), literals
+	return (&core.Sweep{Data: data, Sym: q, QP: qp}).GatherCoarse(dims, levels, quant.CenterSym()), literals
 }
 
 // decompressCoreRef is decompressCore over the reference walker. ok is
@@ -99,7 +106,7 @@ func decompressCoreRef(data []float64, dims []int, eb float64, levels int, radiu
 
 	strides := grid.Strides(dims)
 	quant := quantizer.Linear{EB: levelBound(eb, levels), Radius: radius}
-	if err := decSweep(data, enc, nil, nil, 1).ScatterCoarse(dims, levels, quant.CenterSym(), coarse); err != nil {
+	if err := core.NewSweep(data, enc).ScatterCoarse(dims, levels, quant.CenterSym(), coarse); err != nil {
 		return false
 	}
 	// Symbols are recovered, and literals counted, fine-to-coarse — the
@@ -222,12 +229,10 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 		return p, make([]int32, n)
 	}
 
-	predK, qpK := newPred()
-	dataK, qK := append([]float64(nil), orig...), make([]int32, n)
 	quant := quantizer.Linear{EB: levelBound(opts.ErrorBound, levels), Radius: opts.Radius}
-	swK := encSweep(dataK, qK, qpK, predK, workers)
+	swK := encSweep(t, orig, cfg, opts.Radius, workers)
 	coarseK := compressCore(swK, dims, quant, levels)
-	litsK := swK.Lits
+	dataK, qK, qpK, predK, litsK := swK.Data, swK.Sym, swK.QP, swK.Pred, swK.Lits
 
 	predR, qpR := newPred()
 	dataR, qR := append([]float64(nil), orig...), make([]int32, n)
@@ -261,11 +266,11 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 	if qpK != nil {
 		stored = qpK
 	}
-	predK, _ = newPred()
-	encK, decK := append([]int32(nil), stored...), make([]float64, n)
-	if err := decompressCore(decSweep(decK, encK, litsK, predK, workers), dims, quant, levels, coarseK); err != nil {
+	swD := decSweep(t, stored, litsK, cfg, opts.Radius, workers)
+	if err := decompressCore(swD, dims, quant, levels, coarseK); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
+	encK, decK := swD.Sym, swD.Data
 	predR, _ = newPred()
 	encR, decR := append([]int32(nil), stored...), make([]float64, n)
 	if !decompressCoreRef(decR, dims, opts.ErrorBound, levels, opts.Radius, encR, coarseK, litsK, predR) {
@@ -282,9 +287,7 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 
 	// A short literal stream must surface as ErrCorrupt, never a panic.
 	if len(litsK) > 0 {
-		predK, _ = newPred()
-		err := decompressCore(decSweep(make([]float64, n), append([]int32(nil), stored...), litsK[:len(litsK)-1], predK, workers),
-			dims, quant, levels, coarseK)
+		err := decompressCore(decSweep(t, stored, litsK[:len(litsK)-1], cfg, opts.Radius, workers), dims, quant, levels, coarseK)
 		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Fatalf("truncated literals: got %v, want ErrCorrupt", err)
 		}

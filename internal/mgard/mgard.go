@@ -87,21 +87,14 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	}
 	levels := levelsFor(f.Dims())
 
-	w, err := opts.Acquire(f.Data, opts.QP.Enabled())
+	sw, err := opts.Sweep(f.Data, opts.QP.Enabled(), core.StageInterp)
 	if err != nil {
 		return nil, err
 	}
-	defer w.Release()
+	defer sw.Release()
 
-	// The "interp" wall-clock span covers the whole decomposition; the
-	// back-end's accumulating "qp" span carries the kernelized per-class
-	// QP sweeps' share of it (with per-worker children when parallel).
-	interpSp := opts.Obs.Child("interp")
-	sw := w.Sweep(opts.Workers)
 	quant := quantizer.Linear{EB: levelBound(opts.ErrorBound, levels), Radius: opts.Radius}
 	coarse := compressCore(sw, f.Dims(), quant, levels)
-	interpSp.Add("points", int64(len(w.Data)))
-	interpSp.End()
 
 	post := binary.AppendUvarint(make([]byte, 0, 16), uint64(levels))
 	post = binary.LittleEndian.AppendUint64(post, math.Float64bits(opts.ErrorBound))
@@ -124,11 +117,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 // telemetry recorded on sp (which may be nil). The reconstruction is
 // byte-identical for any worker count, observed or not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
-	n, err := grid.CheckDims(dims)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.DecodeStream(payload, n, workers, sp)
+	r, err := core.DecodeStream(payload, dims, workers, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -147,18 +136,10 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 		return nil, err
 	}
 
-	out, err := grid.New(dims...)
-	if err != nil {
-		return nil, err
-	}
 	quant := quantizer.Linear{EB: levelBound(eb, int(levels)), Radius: r.Radius}
-	interpSp := sp.Child("interp")
-	err = decompressCore(r.Sweep(out.Data), dims, quant, int(levels), r.Side)
-	interpSp.Add("points", int64(n))
-	interpSp.End()
-	if err != nil {
+	sw := r.Sweep(core.StageInterp)
+	if err := decompressCore(sw, dims, quant, int(levels), r.Side); err != nil {
 		return nil, err
 	}
-	r.Done()
-	return out, nil
+	return sw.Finish(), nil
 }

@@ -1,8 +1,8 @@
 // Package agg is the process-level aggregation layer on top of
 // internal/obs: where obs explains one operation with a span tree, agg
-// folds thousands of span trees into named series — sharded lock-cheap
-// counters, log-bucketed latency/size histograms with quantile
-// estimation, and last-value gauges — keyed by (metric name, labels).
+// folds thousands of span trees into named series — atomic counters,
+// log-bucketed latency/size histograms with quantile estimation, and
+// last-value gauges — keyed by (metric name, labels).
 //
 // The entry point is Registry.Publish, which ingests one obs.Report plus
 // its stream-level summary (Meta) and updates the per-(algorithm, op,
@@ -24,27 +24,14 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"scdc/internal/entropy"
 	"scdc/internal/obs"
 )
 
-// counterShards stripes a Counter across cache lines to keep concurrent
-// Add calls from serializing on one location. Must be a power of two.
-const counterShards = 8
-
-// Counter is a sharded monotonic counter. Add picks a shard from the
-// caller's goroutine stack page, so goroutines spread across shards
-// without any registration; Value folds the shards. Nil receivers no-op.
+// Counter is a monotonic counter. Nil receivers no-op.
 type Counter struct {
-	shards [counterShards]counterShard
-}
-
-// counterShard pads each slot to its own cache line.
-type counterShard struct {
 	n atomic.Int64
-	_ [56]byte
 }
 
 // Add increments the counter by delta.
@@ -52,24 +39,15 @@ func (c *Counter) Add(delta int64) {
 	if c == nil {
 		return
 	}
-	// A local's address sits on the calling goroutine's stack; shifting
-	// past the page offset yields a stable per-goroutine shard hint
-	// without runtime hooks or registration.
-	var probe byte
-	i := (uintptr(unsafe.Pointer(&probe)) >> 10) & (counterShards - 1)
-	c.shards[i].n.Add(delta)
+	c.n.Add(delta)
 }
 
-// Value returns the summed shards.
+// Value returns the count.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var total int64
-	for i := range c.shards {
-		total += c.shards[i].n.Load()
-	}
-	return total
+	return c.n.Load()
 }
 
 // Gauge is a last-write-wins float64. Nil receivers no-op.

@@ -11,44 +11,17 @@ import (
 
 // ForEach runs fn(i) for i in [0, n) on up to workers goroutines
 // (workers <= 0 selects GOMAXPROCS). It blocks until all calls return.
-// Work is handed out with an atomic counter, so per-index overhead is a
-// single uncontended atomic add.
 func ForEach(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
+	ForEachWorker(n, workers, func(_, i int) { fn(i) })
 }
 
 // ForEachWorker is ForEach, additionally passing the stable worker index
 // (0 <= worker < min(workers, n)) claiming each item. Each worker index is
 // owned by exactly one goroutine, so callers can key per-worker state
 // (scratch buffers, telemetry spans) on it without synchronization. The
-// sequential path uses worker 0 for every item.
+// sequential path uses worker 0 for every item. Work is handed out with
+// an atomic counter, so per-index overhead is a single uncontended atomic
+// add.
 func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

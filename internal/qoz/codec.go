@@ -2,7 +2,6 @@ package qoz
 
 import (
 	"scdc/internal/core"
-	"scdc/internal/obs"
 	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
@@ -20,16 +19,16 @@ func (pl *plan) specFor(level int) sz3.LevelSpec {
 // compressCore runs the interpolation pipeline with a resolved plan on
 // sw. It returns the anchor values — the coarse lattice at stride
 // 2^levels, stored losslessly.
-func compressCore(sw *core.Sweep, dims []int, pl plan, sp *obs.Span) (anchors []float64) {
+func compressCore(sw *core.Sweep, dims []int, pl plan) (anchors []float64) {
 	anchors = sw.GatherCoarse(dims, pl.levels, pl.radius)
-	sz3.CompressSchedule(sw, dims, pl.levels, pl.specFor, sp)
+	sz3.CompressSchedule(sw, dims, pl.levels, pl.specFor)
 	return anchors
 }
 
 // decompressCore reverses compressCore.
-func decompressCore(sw *core.Sweep, dims []int, pl plan, anchors []float64, sp *obs.Span) error {
+func decompressCore(sw *core.Sweep, dims []int, pl plan, anchors []float64) error {
 	if err := sw.ScatterCoarse(dims, pl.levels, pl.radius, anchors); err != nil {
 		return err
 	}
-	return sz3.DecompressSchedule(sw, dims, pl.levels, pl.specFor, sp)
+	return sz3.DecompressSchedule(sw, dims, pl.levels, pl.specFor)
 }

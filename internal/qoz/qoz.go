@@ -77,14 +77,13 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	}
 	pl := buildPlan(f, opts)
 
-	w, err := opts.Acquire(f.Data, opts.QP.Enabled())
+	sw, err := opts.Sweep(f.Data, opts.QP.Enabled(), core.StageInterp)
 	if err != nil {
 		return nil, err
 	}
-	defer w.Release()
+	defer sw.Release()
 
-	sw := w.Sweep(opts.Workers)
-	anchors := compressCore(sw, f.Dims(), pl, opts.Obs)
+	anchors := compressCore(sw, f.Dims(), pl)
 	return opts.Encode(sw, core.Stream{
 		Post:     encodePlan(pl),
 		Side:     anchors,
@@ -155,11 +154,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 // be nil). The reconstruction is byte-identical for any worker count,
 // observed or not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
-	n, err := grid.CheckDims(dims)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.DecodeStream(payload, n, workers, sp)
+	r, err := core.DecodeStream(payload, dims, workers, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -173,13 +168,9 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	if err := r.DecodeBlocks("anchors"); err != nil {
 		return nil, err
 	}
-	out, err := grid.New(dims...)
-	if err != nil {
+	sw := r.Sweep(core.StageInterp)
+	if err := decompressCore(sw, dims, pl, r.Side); err != nil {
 		return nil, err
 	}
-	if err := decompressCore(r.Sweep(out.Data), dims, pl, r.Side, sp); err != nil {
-		return nil, err
-	}
-	r.Done()
-	return out, nil
+	return sw.Finish(), nil
 }

@@ -71,7 +71,7 @@ func buildPlan(f *grid.Field, opts Options) plan {
 			trial := pl
 			trial.levels = len(ebs)
 			trial.ebs = ebs
-			compressCore(sw, dims, trial, nil)
+			compressCore(sw, dims, trial)
 		})
 	sp.Set("alpha", alpha)
 	sp.Set("beta", beta)

@@ -125,7 +125,7 @@ func buildPlanRef(f *grid.Field, opts Options) plan {
 		data := append([]float64(nil), crop.Data...)
 		q := make([]int32, len(data))
 		sw := core.NewSweep(data, q)
-		compressCore(sw, crop.Dims(), trial, nil)
+		compressCore(sw, crop.Dims(), trial)
 		if n := len(huffman.Encode(q)) + 8*len(sw.Lits); n < bestBytes {
 			best, bestBytes = cand, n
 		}

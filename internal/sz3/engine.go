@@ -45,23 +45,18 @@ type LevelSpec struct {
 
 // CompressSchedule runs interpolation + quantization over the full
 // multilevel schedule on sw, splitting each pass's lines across up to
-// sw.Workers() goroutines (one worker is the sequential path; both
+// sw.Workers goroutines (one worker is the sequential path; both
 // produce identical symbols, data and literal streams), with the QP
 // transform after every pass.
 //
-// sp, when non-nil, gains an accumulating "interp" stage span (summed
-// over passes), with per-pass and per-chunk child spans under it for
-// passes large enough to run parallel — the worker-skew view. A nil span
-// costs one pointer check per pass.
-func CompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(level int) LevelSpec, sp *obs.Span) {
-	interpSp := sp.ChildAccum("interp")
+// An observed sweep's stage span gains per-pass and per-chunk child spans
+// for passes large enough to run parallel — the worker-skew view.
+func CompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(level int) LevelSpec) {
 	strides := grid.Strides(dims)
 	for level := levels; level >= 1; level-- {
 		lsp := specFor(level)
 		forEachPass(dims, strides, level, lsp.Order, func(pa *pass) {
-			t0 := interpSp.Begin()
-			compressPass(sw, pa, lsp.Kind, lsp.Quant, interpSp)
-			interpSp.AddSince(t0)
+			compressPass(sw, pa, lsp.Kind, lsp.Quant)
 			sw.ForwardQP(pa.qpRegion())
 		})
 	}
@@ -70,9 +65,8 @@ func CompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(level
 // DecompressSchedule reverses CompressSchedule: before each pass the
 // inverse QP sweep recovers the pass's original symbols in place. The
 // literals an origin or anchor stage consumed before the schedule are
-// behind sw.Lit already. sp mirrors CompressSchedule's "interp" span.
-func DecompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(level int) LevelSpec, sp *obs.Span) error {
-	interpSp := sp.ChildAccum("interp")
+// behind sw.Lit already.
+func DecompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(level int) LevelSpec) error {
 	strides := grid.Strides(dims)
 	var decErr error
 	for level := levels; level >= 1 && decErr == nil; level-- {
@@ -82,9 +76,7 @@ func DecompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(lev
 				return
 			}
 			sw.InverseQP(pa.qpRegion())
-			t0 := interpSp.Begin()
-			decErr = decompressPass(sw, pa, lsp.Kind, lsp.Quant, interpSp)
-			interpSp.AddSince(t0)
+			decErr = decompressPass(sw, pa, lsp.Kind, lsp.Quant)
 		})
 	}
 	if decErr != nil {
@@ -93,22 +85,8 @@ func DecompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(lev
 	return sw.Drained()
 }
 
-// passGrain picks the number of lines per work chunk so each handoff
-// covers at least ~1024 points while still yielding several chunks per
-// worker for load balance.
-func passGrain(pa *pass, workers int) int {
-	grain := pa.numLines / (4 * workers)
-	if minPts := (1024 + pa.pointsPerLine - 1) / pa.pointsPerLine; grain < minPts {
-		grain = minPts
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	return grain
-}
-
 // passSpan opens a wall-clock span for one parallel pass under the
-// accumulating interp span, or nil when observation is off.
+// sweep's stage span, or nil when observation is off.
 func passSpan(parent *obs.Span, pa *pass, kind interp.Kind) *obs.Span {
 	if parent == nil {
 		return nil
@@ -134,16 +112,16 @@ func chunkSpan(passSp *obs.Span, chunk int) *obs.Span {
 // (interp_kernel.go), in parallel when it is large enough. Literals are
 // gathered per chunk and concatenated in line order, so the stream
 // matches the sequential visit order exactly.
-func compressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear, obsParent *obs.Span) {
+func compressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear) {
 	lk := makeLineKern(pa, quant)
 	rg := pa.qpRegion()
-	data, q, workers := sw.Data, sw.Sym, sw.Workers()
+	data, q, workers := sw.Data, sw.Sym, sw.Workers
 	if workers <= 1 || pa.numLines < 2 || pa.numLines*pa.pointsPerLine < minParallelPoints {
 		sw.Lits = fwdLines(data, q, rg, &lk, kind, 0, pa.numLines, sw.Lits)
 		return
 	}
-	passSp := passSpan(obsParent, pa, kind)
-	grain := passGrain(pa, workers)
+	passSp := passSpan(sw.Span(), pa, kind)
+	grain := core.RegionGrain(pa.numLines, pa.pointsPerLine, workers)
 	lits := make([][]float64, parallel.Chunks(pa.numLines, grain))
 	parallel.ForEachChunked(pa.numLines, workers, grain, func(lo, hi int) {
 		csp := chunkSpan(passSp, lo/grain)
@@ -161,10 +139,10 @@ func compressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Li
 // The parallel path first counts unpredictable symbols per chunk (symbols
 // are fully recovered by now), so every chunk knows its literal cursor up
 // front and lines decode independently.
-func decompressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear, obsParent *obs.Span) error {
+func decompressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear) error {
 	lk := makeLineKern(pa, quant)
 	rg := pa.qpRegion()
-	data, enc, workers := sw.Data, sw.Sym, sw.Workers()
+	data, enc, workers := sw.Data, sw.Sym, sw.Workers
 	if workers <= 1 || pa.numLines < 2 || pa.numLines*pa.pointsPerLine < minParallelPoints {
 		var ok bool
 		if sw.Lit, ok = invLines(data, enc, rg, &lk, kind, 0, pa.numLines, sw.Lits, sw.Lit); !ok {
@@ -173,9 +151,9 @@ func decompressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.
 		return nil
 	}
 
-	passSp := passSpan(obsParent, pa, kind)
+	passSp := passSpan(sw.Span(), pa, kind)
 	defer passSp.End()
-	grain := passGrain(pa, workers)
+	grain := core.RegionGrain(pa.numLines, pa.pointsPerLine, workers)
 	counts := make([]int, parallel.Chunks(pa.numLines, grain))
 	parallel.ForEachChunked(pa.numLines, workers, grain, func(lo, hi int) {
 		c := 0

@@ -51,10 +51,6 @@ const (
 	interpNoise  = 0.5 // cubic stencil gain sqrt(164)/16/sqrt(3)
 )
 
-func bitCost(resid, eb float64) float64 {
-	return math.Log2(1 + math.Abs(resid)/(2*eb))
-}
-
 func bitCostNoisy(resid, eb, noise float64) float64 {
 	return math.Log2(1 + (math.Abs(resid)+noise*eb)/(2*eb))
 }

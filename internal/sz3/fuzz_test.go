@@ -76,17 +76,14 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 		spec := LevelSpec{Order: DefaultDirOrder(len(dims)), Kind: kind, Quant: quant}
 		specFor := func(int) LevelSpec { return spec }
 
-		var predK, predR *core.Predictor
-		var qpK, qpR []int32
+		var predR *core.Predictor
+		var qpR []int32
 		if cfg.Enabled() {
 			var err error
-			if predK, err = core.NewPredictor(cfg, quant.Radius); err != nil {
-				t.Fatal(err)
-			}
 			if predR, err = core.NewPredictor(cfg, quant.Radius); err != nil {
 				t.Fatal(err)
 			}
-			qpK, qpR = make([]int32, n), make([]int32, n)
+			qpR = make([]int32, n)
 		}
 		seedOrigin := func(data []float64, q, qp []int32) []float64 {
 			var lits []float64
@@ -102,11 +99,10 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 			return lits
 		}
 
-		dataK := append([]float64(nil), orig...)
-		qK := make([]int32, n)
-		swK := encSweep(dataK, qK, qpK, predK, workers)
+		swK := encSweep(t, orig, cfg, quant.Radius, workers)
+		dataK, qK, qpK := swK.Data, swK.Sym, swK.QP
 		swK.Lits = seedOrigin(dataK, qK, qpK)
-		CompressSchedule(swK, dims, levels, specFor, nil)
+		CompressSchedule(swK, dims, levels, specFor)
 		litsK := swK.Lits
 
 		dataR := append([]float64(nil), orig...)
@@ -153,11 +149,10 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 			return 0
 		}
 
-		encK := append([]int32(nil), stored...)
-		decK := make([]float64, n)
-		swD := decSweep(decK, encK, litsK, predK, workers)
+		swD := decSweep(t, stored, litsK, cfg, quant.Radius, workers)
+		encK, decK := swD.Sym, swD.Data
 		swD.Lit = seedDecodeOrigin(decK, encK)
-		if err := DecompressSchedule(swD, dims, levels, specFor, nil); err != nil {
+		if err := DecompressSchedule(swD, dims, levels, specFor); err != nil {
 			t.Fatalf("kernel decompress: %v", err)
 		}
 

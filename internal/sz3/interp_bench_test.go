@@ -49,13 +49,14 @@ func BenchmarkInterpKernels(b *testing.B) {
 		})
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("forward/kernel/%v/workers=%d", kind, w), func(b *testing.B) {
+				be := core.Backend{Workers: w}
 				b.SetBytes(int64(n * 8))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					copy(work, f.Data)
-					sw := core.Work{Data: work, Q: q}.Sweep(w)
-					sw.Lits = seedOrigin(work, q)
-					CompressSchedule(sw, dims, levels, specFor, nil)
+					sw, _ := be.Sweep(f.Data, false, core.StageInterp)
+					sw.Lits = seedOrigin(sw.Data, sw.Sym)
+					CompressSchedule(sw, dims, levels, specFor)
+					sw.Release()
 				}
 			})
 		}
@@ -66,7 +67,7 @@ func BenchmarkInterpKernels(b *testing.B) {
 		stored := make([]int32, n)
 		sw := core.NewSweep(work, stored)
 		sw.Lits = seedOrigin(work, stored)
-		CompressSchedule(sw, dims, levels, specFor, nil)
+		CompressSchedule(sw, dims, levels, specFor)
 		lits := sw.Lits
 		lit0 := 0
 		if stored[0] == quantizer.Unpredictable {
@@ -74,7 +75,8 @@ func BenchmarkInterpKernels(b *testing.B) {
 		}
 		dec := make([]float64, n)
 		enc := make([]int32, n)
-		seedDecode := func() {
+		seedDecode := func(dec []float64, enc []int32) {
+			copy(enc, stored)
 			if lit0 == 1 {
 				dec[0] = lits[0]
 			} else {
@@ -86,8 +88,7 @@ func BenchmarkInterpKernels(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(enc, stored)
-				seedDecode()
+				seedDecode(dec, enc)
 				if _, ok := decompressScheduleRef(dec, dims, levels, specFor, enc, lits, lit0, nil); !ok {
 					b.Fatal("literal stream exhausted")
 				}
@@ -95,14 +96,14 @@ func BenchmarkInterpKernels(b *testing.B) {
 		})
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("inverse/kernel/%v/workers=%d", kind, w), func(b *testing.B) {
+				be := core.Backend{Workers: w}
+				sw, _ := be.Sweep(dec, false, core.StageInterp)
 				b.SetBytes(int64(n * 8))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					copy(enc, stored)
-					seedDecode()
-					sw := core.Work{Data: dec, Q: enc}.Sweep(w)
+					seedDecode(sw.Data, sw.Sym)
 					sw.Lits, sw.Lit = lits, lit0
-					if err := DecompressSchedule(sw, dims, levels, specFor, nil); err != nil {
+					if err := DecompressSchedule(sw, dims, levels, specFor); err != nil {
 						b.Fatal(err)
 					}
 				}

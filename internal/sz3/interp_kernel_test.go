@@ -103,14 +103,21 @@ var diffDims = [][]int{
 	{2, 2, 2, 2}, {5, 1, 3, 7}, {3, 4, 5, 6},
 }
 
-// encSweep and decSweep build the sweeps the drivers run on from the bare
-// arrays the differential tests compare.
-func encSweep(data []float64, q, qp []int32, pred *core.Predictor, workers int) *core.Sweep {
-	return core.Work{Data: data, Q: q, QP: qp, Pred: pred}.Sweep(workers)
+// encSweep and decSweep build the sweeps the drivers run on, as the
+// engine does; the differential tests compare what they leave in Data,
+// Sym, QP and Lits against the reference's bare arrays.
+func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
+	b := core.Backend{QP: cfg, Radius: radius, Workers: workers}
+	sw, err := b.Sweep(src, cfg.Enabled(), core.StageInterp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw
 }
 
-func decSweep(data []float64, enc []int32, lits []float64, pred *core.Predictor, workers int) *core.Sweep {
-	sw := core.Work{Data: data, Q: enc, Pred: pred}.Sweep(workers)
+func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
+	sw := encSweep(t, make([]float64, len(stored)), cfg, radius, workers)
+	copy(sw.Sym, stored)
 	sw.Lits = lits
 	return sw
 }
@@ -129,17 +136,14 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 	orig := diffField(dims, poison)
 	n := len(orig)
 
-	var predK, predR *core.Predictor
-	var qpK, qpR []int32
+	var predR *core.Predictor
+	var qpR []int32
 	if cfg.Enabled() {
 		var err error
-		if predK, err = core.NewPredictor(cfg, quant.Radius); err != nil {
-			t.Fatal(err)
-		}
 		if predR, err = core.NewPredictor(cfg, quant.Radius); err != nil {
 			t.Fatal(err)
 		}
-		qpK, qpR = make([]int32, n), make([]int32, n)
+		qpR = make([]int32, n)
 	}
 
 	// Origin point (outside the schedule): identical seed step on both
@@ -158,11 +162,10 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 		return lits
 	}
 
-	dataK := append([]float64(nil), orig...)
-	qK := make([]int32, n)
-	swK := encSweep(dataK, qK, qpK, predK, workers)
+	swK := encSweep(t, orig, cfg, quant.Radius, workers)
+	dataK, qK, qpK := swK.Data, swK.Sym, swK.QP
 	swK.Lits = seedOrigin(dataK, qK, qpK)
-	CompressSchedule(swK, dims, levels, specFor, nil)
+	CompressSchedule(swK, dims, levels, specFor)
 	litsK := swK.Lits
 
 	dataR := append([]float64(nil), orig...)
@@ -211,11 +214,10 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 		return 0
 	}
 
-	encK := append([]int32(nil), stored...)
-	decK := make([]float64, n)
-	swD := decSweep(decK, encK, litsK, predK, workers)
+	swD := decSweep(t, stored, litsK, cfg, quant.Radius, workers)
+	encK, decK := swD.Sym, swD.Data
 	swD.Lit = seedDecodeOrigin(decK, encK)
-	if err := DecompressSchedule(swD, dims, levels, specFor, nil); err != nil {
+	if err := DecompressSchedule(swD, dims, levels, specFor); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
 

@@ -36,6 +36,9 @@ const (
 	ModeLorenzo Mode = 1
 )
 
+// stages maps a Mode to the span its sweeps are timed on.
+var stages = [...]core.Stage{ModeInterp: core.StageInterp, ModeLorenzo: core.StageLorenzo}
+
 // Choice controls predictor selection at compression time.
 type Choice byte
 
@@ -140,21 +143,17 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 		chSp.End()
 	}
 
-	w, err := opts.Acquire(f.Data, opts.QP.Enabled() && (mode == ModeInterp || opts.QPLorenzo))
+	sw, err := opts.Sweep(f.Data, opts.QP.Enabled() && (mode == ModeInterp || opts.QPLorenzo), stages[mode])
 	if err != nil {
 		return nil, err
 	}
-	defer w.Release()
+	defer sw.Release()
 
 	levels := Levels(f.Dims())
-	sw := w.Sweep(opts.Workers)
 	if mode == ModeInterp {
-		compressInterp(sw, f.Dims(), levels, LevelSpec{Order: opts.DirOrder, Kind: opts.Interp, Quant: quant}, opts.Obs)
+		compressInterp(sw, f.Dims(), levels, LevelSpec{Order: opts.DirOrder, Kind: opts.Interp, Quant: quant})
 	} else {
-		loSp := opts.Obs.Child("lorenzo")
 		compressLorenzo(sw, f.Dims(), quant)
-		loSp.Add("points", int64(len(w.Data)))
-		loSp.End()
 	}
 
 	pre := append(make([]byte, 0, 3+len(opts.DirOrder)), byte(mode), byte(opts.Interp), byte(len(opts.DirOrder)))
@@ -181,11 +180,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 // be nil). The reconstruction is byte-identical for any worker count,
 // observed or not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
-	n, err := grid.CheckDims(dims)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.DecodeStream(payload, n, workers, sp)
+	r, err := core.DecodeStream(payload, dims, workers, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -194,6 +189,9 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 		return nil, err
 	}
 	mode, kind := Mode(hdr[0]), interp.Kind(hdr[1])
+	if mode > ModeLorenzo {
+		return nil, fmt.Errorf("%w: sz3: unknown mode %d", verdict.ErrCorrupt, mode)
+	}
 	if int(hdr[2]) != len(dims) {
 		return nil, fmt.Errorf("%w: sz3: stream ndims %d != caller dims %d", verdict.ErrCorrupt, hdr[2], len(dims))
 	}
@@ -217,25 +215,14 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	}
 	quant := quantizer.Linear{EB: eb, Radius: r.Radius}
 
-	out, err := grid.New(dims...)
-	if err != nil {
-		return nil, err
-	}
-	sw := r.Sweep(out.Data)
-	switch mode {
-	case ModeInterp:
-		err = decompressInterp(sw, dims, LevelSpec{Order: dirOrder, Kind: kind, Quant: quant}, sp)
-	case ModeLorenzo:
-		loSp := sp.Child("lorenzo")
+	sw := r.Sweep(stages[mode])
+	if mode == ModeInterp {
+		err = decompressInterp(sw, dims, LevelSpec{Order: dirOrder, Kind: kind, Quant: quant})
+	} else {
 		err = decompressLorenzo(sw, dims, quant)
-		loSp.Add("points", int64(n))
-		loSp.End()
-	default:
-		err = fmt.Errorf("%w: sz3: unknown mode %d", verdict.ErrCorrupt, mode)
 	}
 	if err != nil {
 		return nil, err
 	}
-	r.Done()
-	return out, nil
+	return sw.Finish(), nil
 }

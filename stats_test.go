@@ -3,11 +3,14 @@ package scdc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
+	"scdc/internal/grid"
 	"scdc/internal/obs"
 	"scdc/internal/obs/agg"
+	"scdc/internal/sz3"
 )
 
 func statsTestField(n0, n1, n2 int) ([]float64, []int) {
@@ -184,6 +187,81 @@ func TestBackendStageSet(t *testing.T) {
 			t.Errorf("%v: decompress ran QP on a stream that dropped it", tc.alg)
 		}
 	}
+}
+
+// TestStagesDisjoint: the sweep's clock charges every instant between the
+// start of an engine's sweeps and their end to the stage or to qp, never
+// to both, so the stages of one call are disjoint sub-intervals of it:
+// the direct children of an observed root span sum to no more than the
+// root, on every engine, QP on and off, in both directions, and in SZ3's
+// Lorenzo mode with QP extended to it. The stage span counts every point
+// of the field.
+func TestStagesDisjoint(t *testing.T) {
+	data, dims := statsTestField(64, 64, 64)
+	check := func(name string, rep *obs.Report, wantQP bool) {
+		t.Helper()
+		var sum int64
+		stage := ""
+		for _, c := range rep.Children {
+			sum += c.NS
+			if c.Name == "interp" || c.Name == "lorenzo" {
+				stage = c.Name
+			}
+		}
+		if sum > rep.NS {
+			t.Errorf("%s: stages sum to %d ns of a %d ns call:\n%s", name, sum, rep.NS, obs.Flamegraph(rep))
+		}
+		if got := rep.Counter(stage, "points"); stage == "" || got != int64(len(data)) {
+			t.Errorf("%s: stage %q counts %d points, want %d", name, stage, got, len(data))
+		}
+		if wantQP && rep.Find("qp").NS <= 0 {
+			t.Errorf("%s: no time on the qp span", name)
+		}
+	}
+	for _, alg := range []Algorithm{SZ3, QoZ, HPEZ, MGARD} {
+		for _, qp := range []QPConfig{{}, DefaultQP()} {
+			qpOn := qp != QPConfig{}
+			name := fmt.Sprintf("%v/qp=%v", alg, qpOn)
+			// 1e-2 keeps SZ3 in interpolation mode (see TestCompressWithStatsStages).
+			stream, stats, err := CompressWithStats(data, dims, Options{Algorithm: alg, ErrorBound: 1e-2, QP: qp})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check(name+"/compress", stats.Report, qpOn)
+			res, err := DecompressObserved(stream, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check(name+"/decompress", res.Stats.Report, qpOn && stats.Report.Counter("huffman", "qp_kept") == 1)
+		}
+	}
+
+	// SZ3's Lorenzo mode, QP extended to it, through the engine itself.
+	f, err := grid.FromSlice(data, dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	opts := sz3.DefaultOptions(1e-2).WithQP()
+	opts.Choice, opts.QPLorenzo, opts.ForceQP = sz3.ChoiceLorenzo, true, true
+	opts.Obs = rec.Span("compress")
+	payload, err := sz3.Compress(f, opts)
+	opts.Obs.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("SZ3/lorenzo/compress", rec.Report(), true)
+	if rec.Report().Find("lorenzo") == nil {
+		t.Error("forced Lorenzo mode has no lorenzo stage")
+	}
+	rec = obs.New()
+	sp := rec.Span("decompress")
+	_, err = sz3.DecompressObs(payload, dims, 1, sp)
+	sp.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("SZ3/lorenzo/decompress", rec.Report(), true)
 }
 
 // TestQoZChooseSpan: the tuner accounts for its work on the "choose" span.
