@@ -134,7 +134,7 @@ func BenchmarkHotPathShardedHuffman(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := huffman.DecodeParallel(enc, workers); err != nil {
+					if _, err := huffman.DecodeParallel(enc, -1, workers); err != nil {
 						b.Fatal(err)
 					}
 				}

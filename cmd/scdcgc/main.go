@@ -40,6 +40,7 @@ var gatePkgs = []gcgate.Pkg{
 	{Dir: "internal/lattice", Path: "scdc/internal/lattice"},
 	{Dir: "internal/hpez", Path: "scdc/internal/hpez"},
 	{Dir: "internal/mgard", Path: "scdc/internal/mgard"},
+	{Dir: "internal/shard", Path: "scdc/internal/shard"},
 	{Dir: "internal/huffman", Path: "scdc/internal/huffman"},
 	{Dir: "internal/rice", Path: "scdc/internal/rice"},
 	{Dir: "internal/lossless", Path: "scdc/internal/lossless"},

@@ -83,6 +83,10 @@ func FuzzDecompress(f *testing.F) {
 	for _, s := range fuzzSeedStreams(f) {
 		addWithDamage(f, s)
 	}
+	hostileCounts := hostileIndexCounts(f)
+	for _, name := range []string{"rice", "huffman", "sharded"} {
+		f.Add(hostileCounts[name])
+	}
 	f.Add([]byte("SCDC"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,8 +3,8 @@
 //
 // The engines' parallelism contract (DESIGN.md §6) is that a worker
 // closure communicates results only through disjoint per-item slots:
-// `out[i] = ...` under ForEach/Map, `slots[worker] = ...` under
-// ForEachWorker, `chunks[lo/grain] = ...` under ForEachChunked. Any other
+// `out[i] = ...` or `slots[worker] = ...` under ForEach, `out[i] = ...`
+// under Map, `chunks[lo/grain] = ...` under ForEachChunked. Any other
 // write to state captured from the enclosing function — a scalar
 // accumulator, a captured map, a write through a captured pointer, a
 // field update, `s = append(s, ...)` on a captured slice — is a data race
@@ -33,7 +33,7 @@ import (
 // Analyzer flags impure worker closures passed to internal/parallel.
 var Analyzer = &analysis.Analyzer{
 	Name: "parallelpure",
-	Doc:  "worker closures passed to parallel.ForEach* / Map must write only per-index slots, never captured state",
+	Doc:  "worker closures passed to parallel.ForEach / ForEachChunked / Map must write only per-index slots, never captured state",
 	Run:  run,
 }
 
@@ -41,7 +41,6 @@ var Analyzer = &analysis.Analyzer{
 // is a worker closure run concurrently.
 var poolFuncs = map[string]bool{
 	"ForEach":        true,
-	"ForEachWorker":  true,
 	"ForEachChunked": true,
 	"Map":            true,
 }

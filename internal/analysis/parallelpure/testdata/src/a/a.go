@@ -13,41 +13,49 @@ type stats struct {
 // enclosing function without a per-index slot.
 func bad(n int, data []float64) float64 {
 	sum := 0.0
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		sum += data[i] // want "writes captured variable \"sum\""
+		return nil
 	})
 
 	var last float64
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		last = data[i] // want "writes captured variable \"last\""
+		return nil
 	})
 
 	seen := make(map[int]bool)
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		seen[i] = true // want "writes captured map \"seen\""
+		return nil
 	})
 
 	var st stats
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		st.total++ // want "writes a field of captured \"st\""
+		return nil
 	})
 
 	p := &st
-	parallel.ForEachWorker(n, 4, func(worker, i int) {
+	_ = parallel.ForEach(n, 4, func(worker, i int) error {
 		*p = stats{total: i} // want "writes through captured pointer \"p\""
+		return nil
 	})
-	parallel.ForEachWorker(n, 4, func(worker, i int) {
+	_ = parallel.ForEach(n, 4, func(worker, i int) error {
 		p.total = i // want "writes a field of captured \"p\""
+		return nil
 	})
 
 	var out []float64
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		out = append(out, data[i]) // want "writes captured variable \"out\""
+		return nil
 	})
 
 	first := make([]float64, 1)
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		first[0] = data[i] // want "writes captured slice \"first\" at an index independent"
+		return nil
 	})
 
 	counters := make([]int, 8)
@@ -59,10 +67,11 @@ func bad(n int, data []float64) float64 {
 
 	// Writes inside a nested literal still run on the worker goroutine.
 	var nested int
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		func() {
 			nested = i // want "writes captured variable \"nested\""
 		}()
+		return nil
 	})
 
 	return sum + last + float64(nested)
@@ -72,13 +81,15 @@ func bad(n int, data []float64) float64 {
 // state, and declarations inside the closure.
 func good(n int, data []float64) []float64 {
 	out := make([]float64, n)
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		out[i] = 2 * data[i]
+		return nil
 	})
 
 	perWorker := make([]float64, 4)
-	parallel.ForEachWorker(n, 4, func(worker, i int) {
+	_ = parallel.ForEach(n, 4, func(worker, i int) error {
 		perWorker[worker] += data[i]
+		return nil
 	})
 
 	grain := 16
@@ -100,10 +111,11 @@ func good(n int, data []float64) []float64 {
 
 	// A nested per-index write through the outer closure's parameter is
 	// still a disjoint slot.
-	parallel.ForEach(n, 4, func(i int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		func() {
 			out[i] = data[i]
 		}()
+		return nil
 	})
 	return out
 }

@@ -3,16 +3,13 @@
 // not the implementations — are what matters here.
 package parallel
 
-func ForEach(n, workers int, fn func(i int)) {
+func ForEach(n, workers int, fn func(worker, i int) error) error {
 	for i := 0; i < n; i++ {
-		fn(i)
+		if err := fn(0, i); err != nil {
+			return err
+		}
 	}
-}
-
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
-	for i := 0; i < n; i++ {
-		fn(0, i)
-	}
+	return nil
 }
 
 func ForEachChunked(n, workers, grain int, fn func(lo, hi int)) {
@@ -30,8 +27,9 @@ func ForEachChunked(n, workers, grain int, fn func(lo, hi int)) {
 
 func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ForEach(n, workers, func(i int) {
+	_ = ForEach(n, workers, func(_, i int) error {
 		out[i] = fn(i)
+		return nil
 	})
 	return out
 }

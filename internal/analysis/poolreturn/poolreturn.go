@@ -12,8 +12,10 @@
 //   - same-package wrapper functions or methods whose bodies call
 //     Get/Put on a package-level pool (getWriter/putCountBuf,
 //     decoder.release), matched through the pool variable they touch;
-//   - the cross-package scratch API of internal/quantizer, matched by
-//     the GetXxx/PutXxx naming convention.
+//   - the cross-package scratch APIs of internal/quantizer and
+//     internal/shard, matched by the GetXxx/PutXxx naming convention
+//     (shard's buffers go back in bulk through shard.Release, so a
+//     shard.GetBuf is always a handoff into the directory).
 //
 // A Get with no Put in the same function is accepted only when the
 // result escapes (returned to the caller or stored through a field or
@@ -39,9 +41,9 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// pooledPkgName names the package whose exported Get*/Put* functions are
+// pooledPkgs names the packages whose exported Get*/Put* functions are
 // treated as pool accessors across package boundaries.
-const pooledPkgName = "quantizer"
+var pooledPkgs = map[string]bool{"quantizer": true, "shard": true}
 
 func run(pass *analysis.Pass) error {
 	wrappers := collectWrappers(pass)
@@ -160,7 +162,7 @@ func poolCall(pass *analysis.Pass, call *ast.CallExpr, w wrapperInfo) (method, k
 			return "Put", k, true
 		}
 		// Cross-package convention: quantizer.GetIndexBuf / PutIndexBuf.
-		if callee.Pkg() != nil && callee.Pkg() != pass.Pkg && callee.Pkg().Name() == pooledPkgName {
+		if callee.Pkg() != nil && callee.Pkg() != pass.Pkg && pooledPkgs[callee.Pkg().Name()] {
 			if suffix, isGet := strings.CutPrefix(callee.Name(), "Get"); isGet && suffix != "" {
 				return "Get", callee.Pkg().Path() + "." + suffix, true
 			}

@@ -49,6 +49,7 @@ var Packages = []string{
 	"scdc/internal/qoz",
 	"scdc/internal/quantizer",
 	"scdc/internal/rice",
+	"scdc/internal/shard",
 	"scdc/internal/sperr",
 	"scdc/internal/sz3",
 	"scdc/internal/transform",

@@ -290,8 +290,8 @@ func (r *Reader) DecodeQP() error {
 
 // DecodeBlocks consumes the side block (when side names one), the index
 // block — entropy-decoded under a "huffman" child span and required to
-// hold exactly n symbols — and the literal block, then builds the
-// predictor the stream's QP config calls for.
+// declare exactly n symbols before any is allocated — and the literal
+// block, then builds the predictor the stream's QP config calls for.
 func (r *Reader) DecodeBlocks(side string) error {
 	var err error
 	if side != "" {
@@ -308,15 +308,12 @@ func (r *Reader) DecodeBlocks(side string) error {
 		return err
 	}
 	huffSp := r.sp.Child("huffman")
-	r.Indices, err = DecodeIndices(body, r.workers)
+	r.Indices, err = DecodeIndices(body, r.n, r.workers)
 	huffSp.Add("bytes_in", int64(hl))
 	huffSp.Add("symbols", int64(len(r.Indices)))
 	huffSp.End()
 	if err != nil {
 		return err
-	}
-	if len(r.Indices) != r.n {
-		return fmt.Errorf("%w: core: %d symbols for %d points", verdict.ErrCorrupt, len(r.Indices), r.n)
 	}
 	if r.Literals, err = r.decodeFloats("literal"); err != nil {
 		return err

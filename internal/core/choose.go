@@ -79,13 +79,15 @@ func ChooseEncodingCoder(q, qp []int32, coder entropy.Coder, shards, workers int
 	return enc, useQP
 }
 
-// DecodeIndices decodes an entropy-coded index stream produced by
-// ChooseEncodingCoder, dispatching on the sub-format marker: rice streams
-// (0x00 0x02) to rice.Decode, everything else — legacy single-body and
-// 0x00 0x01 sharded Huffman — to huffman.DecodeParallel.
-func DecodeIndices(data []byte, workers int) ([]int32, error) {
+// DecodeIndices decodes the entropy-coded index stream of an n-point
+// field produced by ChooseEncodingCoder, dispatching on the sub-format
+// marker: rice streams (0x00 0x02) to rice.DecodeN, everything else —
+// legacy single-body and 0x00 0x01 sharded Huffman — to
+// huffman.DecodeParallel. A stream that declares any count but n is
+// corrupt before its n symbols are allocated.
+func DecodeIndices(data []byte, n, workers int) ([]int32, error) {
 	if rice.IsRice(data) {
-		return rice.Decode(data)
+		return rice.DecodeN(data, n)
 	}
-	return huffman.DecodeParallel(data, workers)
+	return huffman.DecodeParallel(data, n, workers)
 }

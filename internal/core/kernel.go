@@ -292,7 +292,8 @@ func (s *regionSweep) depInnermost() (units, rowsPer int) {
 func (s regionSweep) fanOut(units, rowsPer, workers int, wsp []*obs.Span) int {
 	grain := RegionGrain(units, s.rg.Points()/units, workers)
 	comps := make([]int, parallel.Chunks(units, grain))
-	parallel.ForEachWorker(len(comps), workers, func(w, c int) {
+	// A row sweep cannot fail, so neither can the loop.
+	_ = parallel.ForEach(len(comps), workers, func(w, c int) error {
 		var sp *obs.Span // accumulator from workerSpans; nil when observation is off
 		if w < len(wsp) {
 			sp = wsp[w]
@@ -301,6 +302,7 @@ func (s regionSweep) fanOut(units, rowsPer, workers int, wsp []*obs.Span) int {
 		lo := c * grain
 		comps[c] = s.rows(lo*rowsPer, min(lo+grain, units)*rowsPer)
 		sp.AddSince(t0)
+		return nil
 	})
 	total := 0
 	for _, c := range comps {

@@ -38,7 +38,7 @@ func CompressLossless(c lossless.Codec, sharded bool, buf []byte, workers int, p
 // that claims more fails with verdict.ErrCorrupt before allocating.
 func DecompressLossless(payload []byte, maxOut, workers int, parent *obs.Span) ([]byte, error) {
 	sp := parent.Child("lossless")
-	buf, err := lossless.DecompressLimitWorkers(payload, maxOut, workers)
+	buf, err := lossless.DecompressLimit(payload, maxOut, workers)
 	sp.Add("bytes_in", int64(len(payload)))
 	sp.Add("bytes_out", int64(len(buf)))
 	sp.End()

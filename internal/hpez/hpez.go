@@ -28,8 +28,7 @@ import (
 )
 
 const (
-	maxAnchorLevels = 6
-	blockSize       = 32
+	blockSize = 32
 	// freezeFactor is the residual ratio beyond which an axis is frozen.
 	freezeFactor = 3.0
 )

@@ -14,7 +14,7 @@ import (
 // block-wise spline kinds, and level-wise error bounds.
 func buildPlan(f *grid.Field, opts Options) plan {
 	dims := f.Dims()
-	levels := min(max(sz3.Levels(dims), 1), maxAnchorLevels)
+	levels := sz3.AnchorLevels(dims)
 	g := blockGridDims(dims)
 	pl := plan{
 		levels:    levels,

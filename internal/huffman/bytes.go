@@ -7,6 +7,7 @@ import (
 
 	"scdc/internal/entropy"
 	"scdc/internal/parallel"
+	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
 
@@ -27,7 +28,7 @@ import (
 //	uvarint(nsamp)            total byte count; 0 ends the stream here
 //	192 bytes                 code length per symbol, 6 bits each in
 //	                          symbol order, 0 = absent
-//	shard directory + bodies  appendShards / parseShards (sharded.go)
+//	shard directory + bodies  internal/shard
 //
 // Shards share the table, so splitting costs K-1 tail paddings plus the
 // directory and the shard count depends only on the caller's argument —
@@ -98,7 +99,7 @@ func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
 	}
 
 	shards = max(1, min(shards, len(src)/minShardSamples))
-	dst = appendShards(dst, syms, &cs, shards, workers)
+	dst = encodeShards(dst, syms, &cs, shards, workers)
 	byteSymsPool.Put(sp)
 	return dst
 }
@@ -190,33 +191,26 @@ func DecodeBytesInto(dst, data []byte, workers int) error {
 	}
 	data = data[byteTablePacked:]
 
-	dir, bodies, err := parseShards(data, len(dst))
+	dir, err := shard.ParseDir(data, len(dst), false, len(dst))
 	if err != nil {
 		return err
 	}
 
 	d := newDecoder(syms, lengths)
 	defer d.release()
-	errs := make([]error, len(dir))
-	parallel.ForEach(len(dir), workers, func(i int) {
+	return parallel.ForEach(len(dir), workers, func(_, i int) error {
 		sh := dir[i]
-		sp := getByteSyms(sh.n)
-		err := d.decodeBody(bodies[sh.bodyOff:sh.bodyOff+sh.bodyLen], *sp)
-		if err == nil {
-			// Symbols come from the byte-indexed table, so the narrowing
-			// cast cannot truncate.
-			o := dst[sh.off : sh.off+sh.n]
-			for j, s := range *sp {
-				o[j] = byte(s)
-			}
-		}
-		errs[i] = err
-		byteSymsPool.Put(sp)
-	})
-	for _, err := range errs {
-		if err != nil {
+		sp := getByteSyms(sh.N)
+		defer byteSymsPool.Put(sp)
+		if err := d.decodeBody(sh.Body, *sp); err != nil {
 			return err
 		}
-	}
-	return nil
+		// Symbols come from the byte-indexed table, so the narrowing
+		// cast cannot truncate.
+		o := dst[sh.Off : sh.Off+sh.N]
+		for j, s := range *sp {
+			o[j] = byte(s)
+		}
+		return nil
+	})
 }

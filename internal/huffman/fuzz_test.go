@@ -32,7 +32,7 @@ func FuzzHuffmanDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0x02, 0x00}) // bad sharded version
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, err := Decode(data)
-		par, perr := DecodeParallel(data, 4)
+		par, perr := DecodeParallel(data, -1, 4)
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("sequential err=%v, parallel err=%v", err, perr)
 		}
@@ -44,6 +44,10 @@ func FuzzHuffmanDecode(f *testing.F) {
 		}
 		if len(seq) != len(par) {
 			t.Fatalf("decode lengths differ: %d vs %d", len(seq), len(par))
+		}
+		// A caller expecting another count is refused.
+		if _, err := DecodeParallel(data, len(seq)+1, 4); !errors.Is(err, verdict.ErrCorrupt) {
+			t.Fatalf("%d symbols accepted as %d: %v", len(seq), len(seq)+1, err)
 		}
 		for i := range seq {
 			if seq[i] != par[i] {
@@ -81,7 +85,7 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 		shards := int(shardByte % 8)
 		enc := EncodeSharded(syms, shards, 2)
 		for _, workers := range []int{1, 4} {
-			dec, err := DecodeParallel(enc, workers)
+			dec, err := DecodeParallel(enc, len(syms), workers)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}

@@ -19,6 +19,7 @@ import (
 
 	"scdc/internal/bitstream"
 	"scdc/internal/entropy"
+	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
 
@@ -592,50 +593,74 @@ func (d *decoder) decodeSlow(r *bitstream.Reader) (int32, error) {
 	}
 }
 
-// Decode reverses Encode (and decodes sharded streams sequentially).
+// Decode reverses Encode (and decodes sharded streams sequentially). It
+// trusts the declared sample count up to what the body could hold at one
+// bit per symbol; a caller that knows the count passes it to
+// DecodeParallel.
 func Decode(data []byte) ([]int32, error) {
-	return DecodeParallel(data, 1)
+	return DecodeParallel(data, -1, 1)
 }
 
 // DecodeParallel decodes a Huffman stream on up to workers goroutines.
 // Legacy single-body streams decode sequentially regardless of workers;
-// sharded streams (EncodeSharded) decode their shards concurrently.
-func DecodeParallel(data []byte, workers int) ([]int32, error) {
-	if len(data) > 0 && data[0] == shardedMarker {
-		return decodeSharded(data, workers)
+// sharded streams (EncodeSharded, sharded.go) decode their shards
+// concurrently. n >= 0 is the number of symbols the stream must hold: one
+// that declares any other count is corrupt before its output is
+// allocated. n < 0 accepts whatever the body could hold.
+func DecodeParallel(data []byte, n, workers int) ([]int32, error) {
+	sharded := len(data) > 0 && data[0] == shardedMarker
+	if sharded {
+		if len(data) < 2 || data[1] != shardedVersion {
+			return nil, fmt.Errorf("%w: huffman: unsupported sharded version", verdict.ErrCorrupt)
+		}
+		data = data[2:]
 	}
-	hdrLen, n := binary.Uvarint(data)
-	if n <= 0 || hdrLen > uint64(len(data)-n) {
+	hdrLen, c := binary.Uvarint(data)
+	if c <= 0 || hdrLen > uint64(len(data)-c) {
 		return nil, fmt.Errorf("%w: huffman: bad header length", verdict.ErrCorrupt)
 	}
-	hdr := data[n : n+int(hdrLen)]
-	body := data[n+int(hdrLen):]
+	hdr := data[c : c+int(hdrLen)]
+	body := data[c+int(hdrLen):]
 
 	nsamp, k := binary.Uvarint(hdr)
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: huffman: bad sample count", verdict.ErrCorrupt)
 	}
-	hdr = hdr[k:]
-	syms, lengths, err := parseTableHeader(hdr)
+	if n >= 0 && nsamp != uint64(n) {
+		return nil, fmt.Errorf("%w: huffman: %d samples declared, want %d", verdict.ErrCorrupt, nsamp, n)
+	}
+	syms, lengths, err := parseTableHeader(hdr[k:])
 	if err != nil {
 		return nil, err
 	}
 	if nsamp > 0 && len(syms) == 0 {
 		return nil, fmt.Errorf("%w: huffman: empty table with %d samples", verdict.ErrCorrupt, nsamp)
 	}
-	if nsamp == 0 {
+	if nsamp == 0 && !sharded {
 		return []int32{}, nil
 	}
 	// Every code is >= 1 bit, so a body of B bytes can hold at most 8B
-	// symbols; reject hostile sample counts before allocating the output.
+	// symbols; reject hostile sample counts before allocating the shard
+	// directory or the output.
 	if nsamp > 8*uint64(len(body)) {
 		return nil, fmt.Errorf("%w: huffman: %d samples for %d-byte body", verdict.ErrCorrupt, nsamp, len(body))
+	}
+	var dir []shard.Shard
+	if sharded {
+		if dir, err = shard.ParseDir(body, int(nsamp), false, int(nsamp)); err != nil {
+			return nil, err
+		}
 	}
 
 	d := newDecoder(syms, lengths)
 	defer d.release()
 	out := make([]int32, nsamp)
-	if err := d.decodeBody(body, out); err != nil {
+	if !sharded {
+		err = d.decodeBody(body, out)
+	} else {
+		err = d.decodeShards(dir, out, workers)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

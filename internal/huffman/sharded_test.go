@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"scdc/internal/shardtest"
 	"scdc/internal/verdict"
 )
 
@@ -23,7 +25,7 @@ func shardedRoundTrip(t *testing.T, q []int32, shards, workers int) []byte {
 	t.Helper()
 	enc := EncodeSharded(q, shards, workers)
 	for _, w := range []int{1, 4} {
-		dec, err := DecodeParallel(enc, w)
+		dec, err := DecodeParallel(enc, len(q), w)
 		if err != nil {
 			t.Fatalf("shards=%d workers=%d: %v", shards, w, err)
 		}
@@ -110,7 +112,7 @@ func TestShardedCorrupt(t *testing.T) {
 
 	// Truncations at every prefix length must error, never panic.
 	for l := 0; l < len(enc); l += 97 {
-		if _, err := DecodeParallel(enc[:l], 2); err == nil && l < len(enc)-1 {
+		if _, err := DecodeParallel(enc[:l], -1, 2); err == nil && l < len(enc)-1 {
 			t.Fatalf("truncation to %d bytes accepted", l)
 		}
 	}
@@ -119,29 +121,62 @@ func TestShardedCorrupt(t *testing.T) {
 	for i := 1; i < 64 && i < len(enc); i++ {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0xA5
-		_, _ = DecodeParallel(mut, 2)
+		_, _ = DecodeParallel(mut, -1, 2)
 	}
 	// Bad version.
 	bad := append([]byte(nil), enc...)
 	bad[1] = 0x7F
-	if _, err := DecodeParallel(bad, 2); err == nil {
+	if _, err := DecodeParallel(bad, -1, 2); err == nil {
 		t.Error("unknown sharded version accepted")
 	}
 }
 
+// dirReader is one of this package's two readers of a shard directory:
+// the index sub-format (0x00 0x01) and the byte sub-format (0xB7), which
+// end in the same directory (internal/shard).
+type dirReader struct {
+	name   string
+	enc    []byte // a stream of three shards, as the encoder wrote it
+	dirOff int    // where its directory starts
+	total  int    // samples it declares
+	decode func([]byte) error
+}
+
+func dirReaders(n int) []dirReader {
+	q := skewed(n, 11)
+	raw := make([]byte, len(q))
+	for i, v := range q {
+		raw[i] = byte(v)
+	}
+	index := EncodeSharded(q, 3, 2)
+	hdrLen, k := binary.Uvarint(index[2:])
+	bytesEnc := EncodeBytesTo(nil, raw, 3, 2)
+	_, kb := binary.Uvarint(bytesEnc[2:])
+	dst := make([]byte, n)
+	return []dirReader{
+		{"index", index, 2 + k + int(hdrLen), n, func(s []byte) error { _, err := DecodeParallel(s, n, 2); return err }},
+		{"bytes", bytesEnc, 2 + kb + byteTablePacked, n, func(s []byte) error { return DecodeBytesInto(dst, s, 2) }},
+	}
+}
+
+// TestShardedHostileDirectory: both readers turn every lie of the shared
+// table away before anything the size of the output is allocated.
 func TestShardedHostileDirectory(t *testing.T) {
-	// Hand-built container with a shard directory whose sample counts
-	// overflow the declared total.
-	q := skewed(20_000, 8)
-	enc := EncodeSharded(q, 2, 1)
-	// Corrupt the shard count region: claim an enormous K.
-	mut := append([]byte(nil), enc...)
-	// Find a plausible offset: marker(1) version(1) uvarint hdrLen... too
-	// format-dependent to patch precisely, so instead synthesize: a stream
-	// claiming K = 2^40 shards must be rejected by the 2-bytes-per-entry
-	// bound before any allocation.
-	if _, err := DecodeParallel(mut[:12], 1); err == nil {
-		t.Error("truncated directory accepted")
+	const n = 1 << 20 // 4 MB of decoded symbols
+	for _, r := range dirReaders(n) {
+		for name, lie := range shardtest.Lies(r.enc[r.dirOff:], r.total, false) {
+			stream := append(r.enc[:r.dirOff:r.dirOff], lie...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := r.decode(stream)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, verdict.ErrCorrupt) {
+				t.Errorf("%s, %s: got %v, want ErrCorrupt", r.name, name, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > n {
+				t.Errorf("%s, %s: %d bytes allocated before the rejection", r.name, name, grew)
+			}
+		}
 	}
 }
 
@@ -165,7 +200,7 @@ func TestTableCapTightened(t *testing.T) {
 func TestDecodeParallelLegacy(t *testing.T) {
 	q := skewed(10_000, 9)
 	enc := Encode(q)
-	dec, err := DecodeParallel(enc, 8)
+	dec, err := DecodeParallel(enc, len(q), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,69 +213,20 @@ func TestDecodeParallelLegacy(t *testing.T) {
 
 // TestShardDirectoryStrict: the index sub-format (0x00 0x01) and the byte
 // sub-format (0xB7) end in one shard directory with one checked reader, so
-// both reject the same lies — an empty shard, counts that do not sum to the
-// total, bodies that stop short of or run past the stream end, a zero or
-// absurd shard count — and both still read what the encoders write.
+// both reject the same lies — the shared table of internal/shardtest — and
+// both still read what the encoders write.
 func TestShardDirectoryStrict(t *testing.T) {
-	q := skewed(20_000, 11)
-	raw := make([]byte, len(q))
-	for i, v := range q {
-		raw[i] = byte(v)
-	}
-	index := EncodeSharded(q, 3, 2)
-	hdrLen, k := binary.Uvarint(index[2:])
-	bytesEnc := EncodeBytesTo(nil, raw, 3, 2)
-	_, kb := binary.Uvarint(bytesEnc[2:])
-
-	for _, f := range []struct {
-		name   string
-		enc    []byte
-		dirOff int
-		decode func([]byte) error
-	}{
-		{"index", index, 2 + k + int(hdrLen), func(s []byte) error { _, err := DecodeParallel(s, 2); return err }},
-		{"bytes", bytesEnc, 2 + kb + byteTablePacked, func(s []byte) error { return DecodeBytesInto(make([]byte, len(raw)), s, 2) }},
-	} {
-		// Take the directory apart.
-		dir := f.enc[f.dirOff:]
-		n, c := binary.Uvarint(dir)
-		if n != 3 {
-			t.Fatalf("%s: %d shards at offset %d, want 3", f.name, n, f.dirOff)
+	for _, r := range dirReaders(20_000) {
+		if err := r.decode(r.enc); err != nil {
+			t.Errorf("%s: stream as written: %v", r.name, err)
 		}
-		dir = dir[c:]
-		entries := make([][2]uint64, n)
-		for i := range entries {
-			for j := range entries[i] {
-				entries[i][j], c = binary.Uvarint(dir)
-				dir = dir[c:]
-			}
+		lies := shardtest.Lies(r.enc[r.dirOff:], r.total, false)
+		if len(lies) < 9 {
+			t.Fatalf("%s: table has %d lies", r.name, len(lies))
 		}
-		join := func(count uint64, entries [][2]uint64, bodies []byte) []byte {
-			s := append([]byte(nil), f.enc[:f.dirOff]...)
-			s = binary.AppendUvarint(s, count)
-			for _, e := range entries {
-				s = binary.AppendUvarint(binary.AppendUvarint(s, e[0]), e[1])
-			}
-			return append(s, bodies...)
-		}
-		short := append([][2]uint64(nil), entries...)
-		short[0][0]--
-		for name, c := range map[string]struct {
-			stream []byte
-			ok     bool
-		}{
-			"as written":     {join(3, entries, dir), true},
-			"trailing byte":  {join(3, entries, append(append([]byte(nil), dir...), 0)), false},
-			"body cut short": {join(3, entries, dir[:len(dir)-1]), false},
-			"empty shard":    {join(4, append([][2]uint64{{0, 0}}, entries...), dir), false},
-			"sum short":      {join(3, short, dir), false},
-			"zero shards":    {join(0, nil, dir), false},
-			"absurd count":   {join(1<<40, entries, dir), false},
-		} {
-			if err := f.decode(c.stream); (err == nil) != c.ok {
-				t.Errorf("%s, %s: err = %v, want ok = %v", f.name, name, err, c.ok)
-			} else if err != nil && !errors.Is(err, verdict.ErrCorrupt) {
-				t.Errorf("%s, %s: untyped error %v", f.name, name, err)
+		for name, lie := range lies {
+			if err := r.decode(append(r.enc[:r.dirOff:r.dirOff], lie...)); !errors.Is(err, verdict.ErrCorrupt) {
+				t.Errorf("%s, %s: got %v, want ErrCorrupt", r.name, name, err)
 			}
 		}
 	}

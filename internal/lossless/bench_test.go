@@ -65,7 +65,7 @@ func BenchmarkLosslessCodecs(b *testing.B) {
 		b.Run(fmt.Sprintf("decompress/codec=%s", v.name), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
-				out, err := DecompressLimitWorkers(enc, len(src), v.workers)
+				out, err := DecompressLimit(enc, len(src), v.workers)
 				if err != nil {
 					b.Fatal(err)
 				}

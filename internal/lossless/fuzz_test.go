@@ -22,7 +22,7 @@ func FuzzLosslessDecompress(f *testing.F) {
 	}
 	f.Add([]byte{byte(LZ), 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := DecompressLimit(data, 1<<22)
+		out, err := DecompressLimit(data, 1<<22, 1)
 		if err != nil {
 			if !errors.Is(err, verdict.ErrCorrupt) {
 				t.Fatalf("decode error %v is not verdict.ErrCorrupt", err)

@@ -44,6 +44,10 @@ var flateReaderPool = sync.Pool{New: func() any {
 	return st
 }}
 
+// flateMaxExpand is DEFLATE's decode expansion per spec (~1032x), the
+// largest of any codec here.
+const flateMaxExpand = 1032
+
 // Codec identifies a lossless back-end.
 type Codec byte
 
@@ -108,6 +112,12 @@ func flateCompressBody(w io.Writer, src []byte) error {
 	return fw.Close()
 }
 
+// header opens a stream — the codec tag and the uvarint plaintext length —
+// with room for body more bytes.
+func header(c Codec, n, body int) []byte {
+	return binary.AppendUvarint(append(make([]byte, 0, 11+body), byte(c)), uint64(n))
+}
+
 // Compress encodes src with the chosen codec, prefixing the codec tag and
 // the uncompressed length. Auto resolves to the cheapest estimated codec
 // first; the Sharded container has its own entry point (CompressSharded)
@@ -119,9 +129,7 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 	if c == Store {
 		c = None
 	}
-	hdr := make([]byte, 1, 11)
-	hdr[0] = byte(c)
-	hdr = binary.AppendUvarint(hdr, uint64(len(src)))
+	hdr := header(c, len(src), 0)
 	switch c {
 	case None:
 		return append(hdr, src...), nil
@@ -162,24 +170,19 @@ func PayloadLimit(points int) int {
 
 // Decompress reverses Compress with no bound on the declared output size.
 func Decompress(data []byte) ([]byte, error) {
-	return DecompressLimitWorkers(data, -1, 1)
+	return DecompressLimit(data, -1, 1)
 }
 
 // DecompressLimit is Decompress with an upper bound on the header-declared
-// output size. A decoder that knows its decoded geometry should pass
-// PayloadLimit(points) so a hostile or damaged length header fails fast
-// instead of driving a giant allocation (the LZ codec otherwise decodes
-// exactly as many bytes as the header claims). maxOut < 0 disables
-// the check.
-func DecompressLimit(data []byte, maxOut int) ([]byte, error) {
-	return DecompressLimitWorkers(data, maxOut, 1)
-}
-
-// DecompressLimitWorkers is DecompressLimit with a worker count for the
-// sharded container, whose shards decode in parallel. The other codecs
-// are single-body and ignore workers. The decoded bytes are identical
-// for every worker count.
-func DecompressLimitWorkers(data []byte, maxOut, workers int) ([]byte, error) {
+// output size and a worker count. A decoder that knows its decoded
+// geometry should pass PayloadLimit(points) so a hostile or damaged length
+// header fails fast instead of driving a giant allocation (the LZ codec
+// otherwise decodes exactly as many bytes as the header claims); maxOut <
+// 0 disables the check. The shards of the sharded container and of the
+// Huffman byte codec decode on up to workers goroutines; the other codecs
+// are single-body and ignore workers. The decoded bytes are identical for
+// every worker count.
+func DecompressLimit(data []byte, maxOut, workers int) ([]byte, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("%w: lossless: empty stream", verdict.ErrCorrupt)
 	}
@@ -199,10 +202,10 @@ func DecompressLimitWorkers(data []byte, maxOut, workers int) ([]byte, error) {
 		}
 		return append([]byte(nil), body...), nil
 	case Flate:
-		// DEFLATE expands at most ~1032x per spec, so n is admissible once
-		// it sits under both the caller's limit and the expansion bound;
-		// the output is then allocated exactly once and filled in place.
-		if n > 1032*uint64(len(body))+64 {
+		// n is admissible once it sits under both the caller's limit and
+		// the expansion bound; the output is then allocated exactly once
+		// and filled in place.
+		if n > flateMaxExpand*uint64(len(body))+64 {
 			return nil, fmt.Errorf("%w: lossless: declared size %d impossible for %d input bytes", verdict.ErrCorrupt, n, len(body))
 		}
 		out := make([]byte, n)

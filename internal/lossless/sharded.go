@@ -1,12 +1,11 @@
 package lossless
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"scdc/internal/huffman"
 	"scdc/internal/parallel"
+	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
 
@@ -16,14 +15,10 @@ import (
 // sharded Huffman sub-format parallelized entropy coding.
 //
 // Layout (after the shared one-byte codec tag and uvarint plaintext
-// length every lossless stream carries):
-//
-//	uvarint(K)                            shard count, K >= 1
-//	K x { byte codec,                     none/flate/lz/huffman
-//	      uvarint(rawLen_i),              plaintext bytes of shard i
-//	      uvarint(bodyLen_i) }            compressed bytes of shard i
-//	K concatenated bodies                 raw codec bodies, no per-shard
-//	                                      tag/length prefix
+// length every lossless stream carries): the tagged shard directory of
+// internal/shard — per shard the inner codec (none/flate/lz/huffman), its
+// plaintext bytes and its compressed bytes — then the K raw codec bodies,
+// with no per-shard tag/length prefix.
 //
 // The shard split depends only on len(src) — never on the worker count
 // — and each shard is compressed independently, so the container is
@@ -63,17 +58,6 @@ func ShardCount(n int) int {
 	return k
 }
 
-// shardBuf is a pooled per-shard output buffer that doubles as the
-// io.Writer the pooled flate writers compress into.
-type shardBuf struct{ b []byte }
-
-func (w *shardBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-var shardBufPool = sync.Pool{New: func() any { return new(shardBuf) }}
-
 // CompressSharded encodes src as a sharded lossless container when it
 // is big enough to split, compressing shards on up to workers
 // goroutines; smaller inputs fall back to the plain single-body format
@@ -98,170 +82,77 @@ func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
 		// code-length table per shard for nothing. Auto resolves on the
 		// whole buffer above for the same reason: per-shard picks would
 		// price per-shard tables into an otherwise clear Huffman win.
-		out := make([]byte, 1, len(src)/2+320)
-		out[0] = byte(Huffman)
-		out = binary.AppendUvarint(out, uint64(len(src)))
-		return huffCompressBody(out, src, workers), nil
+		return huffCompressBody(header(Huffman, len(src), len(src)/2+320), src, workers), nil
 	}
 
 	n := len(src)
-	bufs := make([]*shardBuf, k)
-	codecs := make([]Codec, k)
-	errs := make([]error, k)
-	parallel.ForEach(k, workers, func(i int) {
-		lo, hi := i*n/k, (i+1)*n/k
-		shard := src[lo:hi]
+	dir := make([]shard.Shard, k)
+	defer shard.Release(dir)
+	err := parallel.ForEach(k, workers, func(_, i int) error {
+		part := src[i*n/k : (i+1)*n/k]
 		ci := c
 		if ci == Auto {
-			ci = pickCodec(shard)
+			ci = pickCodec(part)
 		}
-		sb := shardBufPool.Get().(*shardBuf)
-		sb.b = sb.b[:0]
+		b := shard.GetBuf()
+		var err error
 		switch ci {
 		case Flate:
-			errs[i] = flateCompressBody(sb, shard)
+			err = flateCompressBody(b, part)
 		case LZ:
-			sb.b = lzCompress(sb.b, shard)
+			b.B = lzCompress(b.B, part)
 		case Huffman:
-			sb.b = huffCompressBody(sb.b, shard, 1)
+			b.B = huffCompressBody(b.B, part, 1)
 		}
 		// Store-fallback: a body that cannot beat the plaintext is
-		// stored verbatim, so a shard never expands past rawLen.
-		if ci != None && len(sb.b) >= len(shard) {
-			ci = None
-			sb.b = sb.b[:0]
+		// stored verbatim, so a shard never expands past its plaintext.
+		body := b.B
+		if ci == None || len(body) >= len(part) {
+			ci, body = None, part
 		}
-		codecs[i] = ci
-		bufs[i] = sb
-	})
-	for i, err := range errs {
+		dir[i] = shard.Shard{Tag: byte(ci), N: len(part), Body: body, Buf: b}
 		if err != nil {
-			for _, sb := range bufs {
-				shardBufPool.Put(sb)
-			}
-			return nil, fmt.Errorf("lossless: shard %d: %w", i, err)
+			return fmt.Errorf("lossless: shard %d: %w", i, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	out := make([]byte, 0, n/2+16+8*k)
-	out = append(out, byte(Sharded))
-	out = binary.AppendUvarint(out, uint64(n))
-	out = binary.AppendUvarint(out, uint64(k))
-	for i, sb := range bufs {
-		lo, hi := i*n/k, (i+1)*n/k
-		bodyLen := len(sb.b)
-		if codecs[i] == None {
-			bodyLen = hi - lo
-		}
-		out = append(out, byte(codecs[i]))
-		out = binary.AppendUvarint(out, uint64(hi-lo))
-		out = binary.AppendUvarint(out, uint64(bodyLen))
-	}
-	for i, sb := range bufs {
-		if codecs[i] == None {
-			lo, hi := i*n/k, (i+1)*n/k
-			out = append(out, src[lo:hi]...)
-		} else {
-			out = append(out, sb.b...)
-		}
-		shardBufPool.Put(sb)
-	}
-	return out, nil
-}
-
-// shardDir is one parsed directory entry.
-type shardDir struct {
-	codec            Codec
-	rawOff, rawLen   int
-	bodyOff, bodyLen int
+	return shard.AppendDir(header(Sharded, n, n/2+8*k), dir, true), nil
 }
 
 // decodeSharded decodes the sharded container body (everything after
 // the codec tag and the uvarint plaintext length, which the caller has
 // already bounded against maxOut), fanning shard decodes across up to
-// workers goroutines. Every directory claim is checked against the
-// stream before the n-byte output is allocated.
+// workers goroutines. Every directory claim (shard.ParseDir) and every
+// inner codec tag is checked before the n-byte output is allocated.
 func decodeSharded(data []byte, n int, workers int) ([]byte, error) {
-	k64, c := binary.Uvarint(data)
-	if c <= 0 {
-		return nil, fmt.Errorf("%w: lossless: bad shard count", verdict.ErrCorrupt)
+	// No inner codec expands further than DEFLATE, so the bytes present
+	// bound the plaintext whatever the directory says.
+	if uint64(n) > flateMaxExpand*uint64(len(data))+64 {
+		return nil, fmt.Errorf("%w: lossless: declared size %d impossible for %d input bytes", verdict.ErrCorrupt, n, len(data))
 	}
-	if k64 == 0 {
-		return nil, fmt.Errorf("%w: lossless: zero-shard container", verdict.ErrCorrupt)
-	}
-	data = data[c:]
-	// Each directory entry costs at least 3 bytes (codec byte plus two
-	// one-byte uvarints), so the count is bounded by the stream before
-	// the directory is allocated.
-	if 3*k64 > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: lossless: shard count %d exceeds stream", verdict.ErrCorrupt, k64)
-	}
-	k := int(k64)
 	// The encoder never splits past maxShardCount; a larger directory can
 	// only come from a hostile header.
-	if k > maxShardCount {
-		return nil, fmt.Errorf("%w: lossless: shard count %d exceeds limit %d", verdict.ErrCorrupt, k, maxShardCount)
+	dir, err := shard.ParseDir(data, n, true, maxShardCount)
+	if err != nil {
+		return nil, err
 	}
-
-	dir := make([]shardDir, k)
-	rawOff, pos := 0, 0
-	for s := range dir {
-		if pos >= len(data) {
-			return nil, fmt.Errorf("%w: lossless: truncated shard directory", verdict.ErrCorrupt)
-		}
-		cd := Codec(data[pos])
-		pos++
-		switch cd {
+	for _, sh := range dir {
+		switch Codec(sh.Tag) {
 		case None, Flate, LZ, Huffman:
 		default:
-			return nil, fmt.Errorf("%w: lossless: invalid shard codec %d", verdict.ErrCorrupt, byte(cd))
+			return nil, fmt.Errorf("%w: lossless: invalid shard codec %d", verdict.ErrCorrupt, sh.Tag)
 		}
-		rl, c := binary.Uvarint(data[pos:])
-		if c <= 0 {
-			return nil, fmt.Errorf("%w: lossless: bad shard length", verdict.ErrCorrupt)
-		}
-		pos += c
-		bl, c := binary.Uvarint(data[pos:])
-		if c <= 0 {
-			return nil, fmt.Errorf("%w: lossless: bad shard body length", verdict.ErrCorrupt)
-		}
-		pos += c
-		if rl == 0 {
-			return nil, fmt.Errorf("%w: lossless: empty shard", verdict.ErrCorrupt)
-		}
-		if rl > uint64(n-rawOff) {
-			return nil, fmt.Errorf("%w: lossless: shard lengths exceed declared size %d", verdict.ErrCorrupt, n)
-		}
-		dir[s] = shardDir{codec: cd, rawOff: rawOff, rawLen: int(rl), bodyLen: int(bl)}
-		rawOff += int(rl)
 	}
-	if rawOff != n {
-		return nil, fmt.Errorf("%w: lossless: shard lengths sum to %d, want %d", verdict.ErrCorrupt, rawOff, n)
-	}
-	bodies := data[pos:]
-	bodyOff := 0
-	for s := range dir {
-		bl := dir[s].bodyLen
-		if bl > len(bodies)-bodyOff {
-			return nil, fmt.Errorf("%w: lossless: shard bodies exceed stream", verdict.ErrCorrupt)
-		}
-		dir[s].bodyOff = bodyOff
-		bodyOff += bl
-	}
-	if bodyOff != len(bodies) {
-		return nil, fmt.Errorf("%w: lossless: %d trailing body bytes", verdict.ErrCorrupt, len(bodies)-bodyOff)
-	}
-
 	out := make([]byte, n)
-	errs := make([]error, k)
-	parallel.ForEach(k, workers, func(s int) {
-		d := dir[s]
-		errs[s] = decodeShardBody(d.codec, bodies[d.bodyOff:d.bodyOff+d.bodyLen], out[d.rawOff:d.rawOff+d.rawLen])
+	err = parallel.ForEach(len(dir), workers, func(_, i int) error {
+		sh := dir[i]
+		return decodeShardBody(Codec(sh.Tag), sh.Body, out[sh.Off:sh.Off+sh.N])
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

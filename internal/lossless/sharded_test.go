@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"scdc/internal/shardtest"
 	"scdc/internal/verdict"
 )
 
@@ -55,7 +57,7 @@ func TestShardedWorkerIdentity(t *testing.T) {
 			}
 		}
 		for _, w := range []int{1, 2, 4, 8} {
-			dec, err := DecompressLimitWorkers(ref, len(src), w)
+			dec, err := DecompressLimit(ref, len(src), w)
 			if err != nil {
 				t.Fatalf("%v decompress workers=%d: %v", c, w, err)
 			}
@@ -78,7 +80,7 @@ func TestShardedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v n=%d: %v", c, n, err)
 			}
-			dec, err := DecompressLimitWorkers(enc, n, 3)
+			dec, err := DecompressLimit(enc, n, 3)
 			if err != nil {
 				t.Fatalf("%v n=%d: %v", c, n, err)
 			}
@@ -129,15 +131,38 @@ func TestShardedHostileHeaders(t *testing.T) {
 		"huge shard count": append(binary.AppendUvarint(binary.AppendUvarint([]byte{byte(Sharded)}, 16), 1<<40), 0, 1, 2),
 	}
 	for name, stream := range cases {
-		if _, err := DecompressLimitWorkers(stream, 1<<20, 2); !errors.Is(err, verdict.ErrCorrupt) {
+		if _, err := DecompressLimit(stream, 1<<20, 2); !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
 	// Sanity: a well-formed hand-rolled stream decodes.
 	good := shardedStream(8, [][3]uint64{stored(4), stored(4)}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	dec, err := DecompressLimitWorkers(good, 1<<20, 2)
+	dec, err := DecompressLimit(good, 1<<20, 2)
 	if err != nil || !bytes.Equal(dec, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("well-formed stream rejected: %v", err)
+	}
+
+	// The table of directory lies the Huffman shard readers are held to
+	// (internal/shardtest), told about a container the encoder wrote:
+	// each is turned away before the plaintext is allocated.
+	src := shardedPayload(3, 8*shardTargetBytes)
+	enc, err := CompressSharded(Flate, src, 2)
+	if err != nil || Codec(enc[0]) != Sharded {
+		t.Fatalf("tag %d, %v", enc[0], err)
+	}
+	_, c := binary.Uvarint(enc[1:])
+	for name, lie := range shardtest.Lies(enc[1+c:], len(src), true) {
+		stream := append(enc[:1+c:1+c], lie...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecompressLimit(stream, len(src), 2)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, verdict.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(src)/2) {
+			t.Errorf("%s: %d bytes allocated before the rejection", name, grew)
+		}
 	}
 }
 
@@ -210,11 +235,11 @@ func TestFlateDecompressAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the pools.
-	if _, err := DecompressLimit(enc, len(src)); err != nil {
+	if _, err := DecompressLimit(enc, len(src), 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := DecompressLimit(enc, len(src)); err != nil {
+		if _, err := DecompressLimit(enc, len(src), 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -245,7 +270,7 @@ func FuzzLosslessSharded(f *testing.F) {
 	}
 	f.Add(shardedStream(8, [][3]uint64{{uint64(None), 4, 4}, {uint64(LZ), 4, 4}}, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := DecompressLimitWorkers(data, 1<<22, 3)
+		out, err := DecompressLimit(data, 1<<22, 3)
 		if err != nil {
 			if !errors.Is(err, verdict.ErrCorrupt) {
 				t.Fatalf("decode error %v is not verdict.ErrCorrupt", err)
@@ -259,7 +284,7 @@ func FuzzLosslessSharded(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecompressLimitWorkers(re, len(out), 2)
+		dec, err := DecompressLimit(re, len(out), 2)
 		if err != nil || !bytes.Equal(dec, out) {
 			t.Fatalf("re-encode round trip broke: %v", err)
 		}

@@ -11,6 +11,7 @@ import (
 	"scdc/internal/grid"
 	"scdc/internal/lattice"
 	"scdc/internal/quantizer"
+	"scdc/internal/sz3"
 	"scdc/internal/verdict"
 )
 
@@ -216,7 +217,7 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 	}
 	orig := diffField(n, fieldKind, rng)
 	opts := Options{Backend: core.Backend{Radius: 64, QP: cfg}, ErrorBound: 1e-3}
-	levels := levelsFor(dims)
+	levels := sz3.AnchorLevels(dims)
 
 	newPred := func() (*core.Predictor, []int32) {
 		if !cfg.Enabled() {

@@ -33,10 +33,6 @@ import (
 	"scdc/internal/sz3"
 )
 
-// maxLevels caps the hierarchy depth; the coarsest nodal values (lattice
-// stride 2^levels) are stored losslessly.
-const maxLevels = 6
-
 // Options configures compression: the shared back-end options plus
 // MGARD's own. Workers covers entropy coding and the QP sweeps; the
 // decomposition itself is sequential.
@@ -60,17 +56,6 @@ func (o Options) WithQP() Options {
 	return o
 }
 
-func levelsFor(dims []int) int {
-	l := sz3.Levels(dims)
-	if l > maxLevels {
-		l = maxLevels
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // levelBound returns the per-level quantization bound: the user's bound is
 // split evenly over the levels plus one budget slot that absorbs the L2
 // correction contributions.
@@ -85,7 +70,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err
 	}
-	levels := levelsFor(f.Dims())
+	levels := sz3.AnchorLevels(f.Dims())
 
 	sw, err := opts.Sweep(f.Data, opts.QP.Enabled(), core.StageInterp)
 	if err != nil {

@@ -9,20 +9,24 @@ import (
 	"sync/atomic"
 )
 
-// ForEach runs fn(i) for i in [0, n) on up to workers goroutines
-// (workers <= 0 selects GOMAXPROCS). It blocks until all calls return.
-func ForEach(n, workers int, fn func(i int)) {
-	ForEachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach, additionally passing the stable worker index
-// (0 <= worker < min(workers, n)) claiming each item. Each worker index is
-// owned by exactly one goroutine, so callers can key per-worker state
-// (scratch buffers, telemetry spans) on it without synchronization. The
-// sequential path uses worker 0 for every item. Work is handed out with
-// an atomic counter, so per-index overhead is a single uncontended atomic
+// ForEach runs fn(worker, i) for i in [0, n) on up to workers goroutines
+// (workers <= 0 selects GOMAXPROCS), blocks until every started call has
+// returned, and returns the error of the lowest failing index. It is the
+// one pool loop: everything else here, and every fan-out of the engines,
+// is built on it.
+//
+// worker is the stable index (0 <= worker < min(workers, n)) of the
+// goroutine that claimed the item. Each worker index is owned by exactly
+// one goroutine, so callers can key per-worker state (scratch buffers,
+// telemetry spans) on it without synchronization; the sequential path
+// uses worker 0 for every item. Work is handed out in index order with an
+// atomic counter, so per-index overhead is a single uncontended atomic
 // add.
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
+//
+// After a failure no new index is claimed. Every index below a claimed
+// one was claimed before it, so the lowest failing index always runs and
+// the returned error does not depend on scheduling.
+func ForEach(n, workers int, fn func(worker, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -31,26 +35,47 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			if err := fn(0, i); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
+	// A worker claims ascending indexes and stops at its first failure,
+	// so one slot per worker holds that worker's lowest.
+	type failure struct {
+		i   int
+		err error
+	}
+	fails := make([]failure, workers)
 	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				fn(w, int(i))
+				if err := fn(w, i); err != nil {
+					fails[w] = failure{i, err}
+					failed.Store(true)
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	first := failure{i: n}
+	for _, f := range fails {
+		if f.err != nil && f.i < first.i {
+			first = f
+		}
+	}
+	return first.err
 }
 
 // ForEachChunked runs fn(lo, hi) over consecutive index ranges
@@ -75,13 +100,11 @@ func ForEachChunked(n, workers, grain int, fn func(lo, hi int)) {
 		}
 	}
 	nChunks := (n + grain - 1) / grain
-	ForEach(nChunks, workers, func(c int) {
+	// fn cannot fail, so neither can the loop.
+	_ = ForEach(nChunks, workers, func(_, c int) error {
 		lo := c * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
+		fn(lo, min(lo+grain, n))
+		return nil
 	})
 }
 
@@ -97,8 +120,10 @@ func Chunks(n, grain int) int {
 // Map runs fn over [0, n) in parallel and collects the results in order.
 func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ForEach(n, workers, func(i int) {
+	// fn cannot fail, so neither can the loop.
+	_ = ForEach(n, workers, func(_, i int) error {
 		out[i] = fn(i)
+		return nil
 	})
 	return out
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,9 +11,12 @@ func TestForEachCoversAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8, 100} {
 		n := 1000
 		var hits [1000]int32
-		ForEach(n, workers, func(i int) {
+		if err := ForEach(n, workers, func(_, i int) error {
 			atomic.AddInt32(&hits[i], 1)
-		})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
@@ -23,9 +27,39 @@ func TestForEachCoversAll(t *testing.T) {
 
 func TestForEachZero(t *testing.T) {
 	called := false
-	ForEach(0, 4, func(int) { called = true })
+	_ = ForEach(0, 4, func(int, int) error { called = true; return nil })
 	if called {
 		t.Fatal("fn called for n=0")
+	}
+}
+
+// TestForEachFirstError: when several indexes fail, the error returned is
+// the lowest failing index's at every worker count, every index below it
+// has run, and the sequential path stops there.
+func TestForEachFirstError(t *testing.T) {
+	const n, lowest = 200, 37
+	for _, workers := range []int{1, 2, 8} {
+		for round := 0; round < 50; round++ {
+			var ran [n]atomic.Bool
+			err := ForEach(n, workers, func(_, i int) error {
+				ran[i].Store(true)
+				if i == lowest || i == lowest+1 || i%50 == 49 {
+					return fmt.Errorf("index %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != fmt.Sprintf("index %d", lowest) {
+				t.Fatalf("workers=%d: got %v, want index %d's error", workers, err, lowest)
+			}
+			for i := 0; i <= lowest; i++ {
+				if !ran[i].Load() {
+					t.Fatalf("workers=%d: index %d below the failure never ran", workers, i)
+				}
+			}
+			if workers == 1 && ran[lowest+1].Load() {
+				t.Fatal("sequential path ran past its first error")
+			}
+		}
 	}
 }
 

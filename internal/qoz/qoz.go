@@ -31,10 +31,6 @@ import (
 	"scdc/internal/verdict"
 )
 
-// maxAnchorLevels caps the interpolation depth; the anchor lattice sits at
-// stride 2^levels (QoZ's default anchor stride is 64).
-const maxAnchorLevels = 6
-
 // Options configures compression: the shared back-end options plus QoZ's
 // own.
 type Options struct {

@@ -104,7 +104,7 @@ func TestAnchorsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := 1 << min(sz3.Levels(f.Dims()), maxAnchorLevels)
+	a := 1 << sz3.AnchorLevels(f.Dims())
 	for x := 0; x < 66; x += a {
 		for y := 0; y < 66; y += a {
 			for z := 0; z < 66; z += a {

@@ -35,7 +35,7 @@ func buildPlan(f *grid.Field, opts Options) plan {
 	sp := opts.Obs.Child("choose")
 	defer sp.End()
 	dims := f.Dims()
-	levels := min(max(sz3.Levels(dims), 1), maxAnchorLevels)
+	levels := sz3.AnchorLevels(dims)
 	sp.Add("levels", int64(levels))
 	pl := plan{
 		levels: levels,

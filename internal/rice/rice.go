@@ -260,9 +260,17 @@ func bestK(vals []uint64) (uint, int) {
 
 func unZigZag(m uint64) int64 { return int64(m>>1) ^ -int64(m&1) }
 
-// Decode reverses Encode. All structural failures wrap verdict.ErrCorrupt, and
-// hostile sample counts are rejected before the output is allocated.
+// Decode reverses Encode. All structural failures wrap verdict.ErrCorrupt. It
+// trusts the declared sample count up to what the body could hold at two
+// mode bits per block; a caller that knows the count passes it to DecodeN.
 func Decode(data []byte) ([]int32, error) {
+	return DecodeN(data, -1)
+}
+
+// DecodeN is Decode for a stream that must hold exactly want symbols: one
+// that declares any other count is corrupt before its output is allocated.
+// want < 0 accepts whatever the body could hold.
+func DecodeN(data []byte, want int) ([]int32, error) {
 	if !IsRice(data) {
 		return nil, fmt.Errorf("%w: rice: bad marker", verdict.ErrCorrupt)
 	}
@@ -270,6 +278,9 @@ func Decode(data []byte) ([]int32, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: rice: bad sample count", verdict.ErrCorrupt)
+	}
+	if want >= 0 && n != uint64(want) {
+		return nil, fmt.Errorf("%w: rice: %d samples declared, want %d", verdict.ErrCorrupt, n, want)
 	}
 	data = data[k:]
 	center64, k := binary.Varint(data)

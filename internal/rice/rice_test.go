@@ -243,9 +243,13 @@ func FuzzRice(f *testing.F) {
 			}
 		}
 		enc := Encode(q)
-		dec, err := Decode(enc)
+		dec, err := DecodeN(enc, len(q))
 		if err != nil {
 			t.Fatalf("round trip decode: %v", err)
+		}
+		// A caller expecting another count is refused.
+		if _, err := DecodeN(enc, len(q)+1); !errors.Is(err, verdict.ErrCorrupt) {
+			t.Fatalf("%d symbols accepted as %d: %v", len(q), len(q)+1, err)
 		}
 		if len(dec) != len(q) {
 			t.Fatalf("round trip length %d, want %d", len(dec), len(q))

@@ -118,10 +118,7 @@ func sampledInterpCost(f *grid.Field, eb float64, kind interp.Kind) float64 {
 	nd := len(dims)
 	d := f.Data
 
-	levels := Levels(dims)
-	if levels > 6 {
-		levels = 6 // coarser levels hold a negligible point fraction
-	}
+	levels := AnchorLevels(dims)
 
 	order := DefaultDirOrder(nd)
 	strides := grid.Strides(dims)

@@ -19,6 +19,18 @@ func Levels(dims []int) int {
 	return bits.Len(uint(m))
 }
 
+// MaxAnchorLevels caps the interpolation depth of the engines that store
+// a coarse lattice losslessly (QoZ's and HPEZ's anchors, MGARD's nodal
+// values) at stride 2^levels — QoZ's default anchor stride is 64 — and the
+// depth SZ3's mode estimate samples: coarser levels hold a negligible
+// point fraction.
+const MaxAnchorLevels = 6
+
+// AnchorLevels is Levels clamped to [1, MaxAnchorLevels].
+func AnchorLevels(dims []int) int {
+	return min(max(Levels(dims), 1), MaxAnchorLevels)
+}
+
 // DefaultDirOrder returns the default interpolation direction order:
 // fastest axis first (for SegSalt-style [x, y, z] layouts this is the
 // z -> y -> x order the paper describes for SZ3).

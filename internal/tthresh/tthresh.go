@@ -104,7 +104,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n))
+	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n), 1)
 	if err != nil {
 		return nil, err
 	}

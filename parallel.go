@@ -41,8 +41,7 @@ func forEachChunk(sp *obs.Span, n, workers int, fn func(i int, csp *obs.Span) er
 	if sp != nil {
 		workerSpans = make([]*obs.Span, workers)
 	}
-	errs := make([]error, n)
-	parallel.ForEachWorker(n, workers, func(w, i int) {
+	return parallel.ForEach(n, workers, func(w, i int) error {
 		var csp *obs.Span
 		if sp != nil {
 			if workerSpans[w] == nil {
@@ -51,18 +50,16 @@ func forEachChunk(sp *obs.Span, n, workers int, fn func(i int, csp *obs.Span) er
 			csp = workerSpans[w].Child(fmt.Sprintf("chunk[%d]", i))
 		}
 		t0 := csp.Begin()
-		errs[i] = fn(i, csp)
+		err := fn(i, csp)
 		if csp != nil {
 			csp.End()
 			workerSpans[w].AddSince(t0)
 		}
-	})
-	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // compressChunkedSpan is the CompressChunked body with telemetry attached

@@ -203,67 +203,41 @@ const (
 	LosslessHuffman
 )
 
+// losslessCodecs maps each LosslessCodec to its name and to the
+// engine-level (codec, sharded) pair.
+var losslessCodecs = [...]struct {
+	name    string
+	codec   lossless.Codec
+	sharded bool
+}{
+	LosslessDefault: {"default", lossless.Flate, false},
+	LosslessFlate:   {"flate", lossless.Flate, true},
+	LosslessLZ:      {"lz", lossless.LZ, true},
+	LosslessStore:   {"store", lossless.Store, false},
+	LosslessAuto:    {"auto", lossless.Auto, true},
+	LosslessHuffman: {"huffman", lossless.Huffman, true},
+}
+
 // String implements fmt.Stringer.
 func (c LosslessCodec) String() string {
-	switch c {
-	case LosslessDefault:
-		return "default"
-	case LosslessFlate:
-		return "flate"
-	case LosslessLZ:
-		return "lz"
-	case LosslessStore:
-		return "store"
-	case LosslessAuto:
-		return "auto"
-	case LosslessHuffman:
-		return "huffman"
-	default:
-		return fmt.Sprintf("lossless(%d)", byte(c))
+	if int(c) < len(losslessCodecs) {
+		return losslessCodecs[c].name
 	}
+	return fmt.Sprintf("lossless(%d)", byte(c))
 }
 
 // ParseLosslessCodec resolves a lower-case codec name ("default",
-// "flate", "lz", "store", "auto", "huffman").
+// "flate", "lz", "store", "auto", "huffman"; "" is "default").
 func ParseLosslessCodec(name string) (LosslessCodec, error) {
-	switch name {
-	case "default", "":
+	if name == "" {
 		return LosslessDefault, nil
-	case "flate":
-		return LosslessFlate, nil
-	case "lz":
-		return LosslessLZ, nil
-	case "store":
-		return LosslessStore, nil
-	case "auto":
-		return LosslessAuto, nil
-	case "huffman":
-		return LosslessHuffman, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown lossless codec %q", ErrBadOptions, name)
 	}
-}
-
-// valid reports whether c is a defined LosslessCodec value.
-func (c LosslessCodec) valid() bool { return c <= LosslessHuffman }
-
-// toEngine maps the front-door codec to the engine-level (codec,
-// sharded) pair.
-func (c LosslessCodec) toEngine() (lossless.Codec, bool) {
-	switch c {
-	case LosslessFlate:
-		return lossless.Flate, true
-	case LosslessLZ:
-		return lossless.LZ, true
-	case LosslessStore:
-		return lossless.Store, false
-	case LosslessAuto:
-		return lossless.Auto, true
-	case LosslessHuffman:
-		return lossless.Huffman, true
-	default:
-		return lossless.Flate, false
+	for i, e := range losslessCodecs {
+		if e.name == name {
+			return LosslessCodec(i), nil
+		}
 	}
+	return 0, fmt.Errorf("%w: unknown lossless codec %q", ErrBadOptions, name)
 }
 
 // Options configures Compress.
@@ -520,7 +494,7 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 	if opts.Entropy != EntropyHuffman && !opts.Algorithm.SupportsQP() {
 		return nil, fmt.Errorf("%w: %v has no quantization index stream for entropy coder %v", ErrBadOptions, opts.Algorithm, opts.Entropy)
 	}
-	if !opts.Lossless.valid() {
+	if int(opts.Lossless) >= len(losslessCodecs) {
 		return nil, fmt.Errorf("%w: unknown lossless codec %d", ErrBadOptions, opts.Lossless)
 	}
 	if opts.Lossless != LosslessDefault && !opts.Algorithm.SupportsQP() {
@@ -533,7 +507,8 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 	be.QP = opts.QP.toCore()
 	be.Workers, be.Shards = opts.Workers, opts.Shards
 	be.Entropy = entropy.Coder(opts.Entropy)
-	be.Lossless, be.LosslessSharded = opts.Lossless.toEngine()
+	ll := losslessCodecs[opts.Lossless]
+	be.Lossless, be.LosslessSharded = ll.codec, ll.sharded
 	be.Obs = sp
 
 	var payload []byte

@@ -7,10 +7,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
 	"scdc/internal/grid"
+	"scdc/internal/huffman"
+	"scdc/internal/lossless"
 )
 
 // hostile is a hand-built container prologue: version, kind byte and raw
@@ -394,6 +397,77 @@ func TestPayloadDamageVerdict(t *testing.T) {
 						t.Errorf("%s unsealed %s@%d: %s: got %v, want ErrIntegrity", name, what, 5+o, reader, err)
 					}
 				}
+			}
+		}
+	}
+}
+
+// hostileIndexCounts returns three sealed SZ3 streams over a 1700-point
+// field, a few hundred bytes each, whose index block declares far more
+// symbols than the field has points and carries enough zero bytes to make
+// the count plausible to the entropy decoder on its own: a rice block
+// (0x00 0x02) of 2·10⁸ all-center symbols at 1024 per body byte, and a
+// legacy and a one-shard sharded (0x00 0x01) Huffman block of a one-bit
+// code at 8 per body byte. Everything else in them is well-formed.
+func hostileIndexCounts(t testing.TB) map[string][]byte {
+	t.Helper()
+	const points = 1700
+	const riceCount, huffBody = 200_000_000, 400_000
+	rice := binary.AppendUvarint([]byte{0x00, 0x02}, riceCount)
+	rice = append(rice, 0) // center
+	rice = append(rice, make([]byte, riceCount/1024+1)...)
+
+	// A two-symbol table gives the first symbol the code "0".
+	enc := huffman.Encode([]int32{7, 7, 7, 9})
+	hdrLen, c := binary.Uvarint(enc)
+	hdr := enc[c : c+int(hdrLen)]
+	_, k := binary.Uvarint(hdr)
+	hdr = append(binary.AppendUvarint(nil, 8*huffBody), hdr[k:]...)
+	huff := append(binary.AppendUvarint(nil, uint64(len(hdr))), hdr...)
+	sharded := append([]byte{0x00, 0x01}, huff...)
+	sharded = binary.AppendUvarint(append(sharded, 1), 8*huffBody)
+	sharded = append(binary.AppendUvarint(sharded, huffBody), make([]byte, huffBody)...)
+	huff = append(huff, make([]byte, huffBody)...)
+
+	out := map[string][]byte{}
+	for name, index := range map[string][]byte{"rice": rice, "huffman": huff, "sharded": sharded} {
+		// interp mode, cubic, 1 dim, order {0}; QP off; radius; bound.
+		p := binary.AppendUvarint([]byte{0, 1, 1, 0, 0, 0, 0}, 32768)
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1e-3))
+		p = binary.AppendUvarint(p, uint64(len(index)))
+		p = append(append(p, index...), 0) // no literals
+		payload, err := lossless.Compress(lossless.Flate, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = hostile{formatVersion, byte(SZ3), []uint64{points}}.build(payload)
+	}
+	return out
+}
+
+// TestHostileIndexCount: the index decoders are told how many symbols the
+// field has, so a block that declares another count is ErrCorrupt before
+// its output is allocated — through every reader, for the price of the
+// plaintext and nothing proportional to the lie.
+func TestHostileIndexCount(t *testing.T) {
+	for name, stream := range hostileIndexCounts(t) {
+		if len(stream) > 1024 {
+			t.Errorf("%s: stream is %d bytes, want a few hundred", name, len(stream))
+		}
+		for reader, decode := range map[string]func() (*Result, error){
+			"Decompress":         func() (*Result, error) { return Decompress(stream) },
+			"DecompressParallel": func() (*Result, error) { return DecompressParallel(stream, 2) },
+			"DecompressChunk":    func() (*Result, error) { return DecompressChunk(stream, 0) },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decode()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %s: got %v, want ErrCorrupt", name, reader, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+				t.Errorf("%s: %s allocated %.1f MB on the way to %v", name, reader, float64(grew)/(1<<20), err)
 			}
 		}
 	}
