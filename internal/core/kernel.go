@@ -312,14 +312,14 @@ func (s regionSweep) fanOut(units, rowsPer, workers int, wsp []*obs.Span) int {
 }
 
 // sweep runs the transform dst[i] = src[i] + sgn*c over one region on up
-// to workers goroutines. Two schedules share fanOut. Forward (sgn < 0,
-// dst a second array) has no dependencies between points, so the unit is
-// a row. In place (sgn > 0, dst == src) the unit is one position on the
-// axes that carry no neighbor; a mode with a Back dependency (Mode1DBack,
-// Mode3D), whose axis is the outermost in every walker's mapping, decodes
+// to workers goroutines, visiting its axes in stride order (byStride).
+// Two schedules share fanOut. Forward (sgn < 0, dst a second array) has
+// no dependencies between points, so the unit is a row. In place
+// (sgn > 0, dst == src) the unit is one position on the axes that carry
+// no neighbor; a mode with a Back dependency (Mode1DBack, Mode3D) decodes
 // sequentially.
 func (p *Predictor) sweep(src, dst []int32, rg Region, sgn int32, workers int, wsp []*obs.Span) {
-	s := regionSweep{src: src, dst: dst, rg: rg, R: p.Radius, U: p.Unpredictable, sgn: sgn}
+	s := regionSweep{src: src, dst: dst, rg: rg.byStride(), R: p.Radius, U: p.Unpredictable, sgn: sgn}
 	ops := kernelFor(p.Cfg.Mode, p.Cfg.Cond)
 	if ops.run != nil && (p.Cfg.MaxLevel <= 0 || rg.Level <= p.Cfg.MaxLevel) {
 		s.bind(ops)
@@ -329,7 +329,7 @@ func (p *Predictor) sweep(src, dst []int32, rg Region, sgn int32, workers int, w
 		return // compensation is identically zero: dst already holds Q
 	}
 	fan := workers > 1 && rg.Points() >= minKernelParallelPoints && !(inPlace && ops.needB)
-	units, rowsPer := rg.Rows(), 1
+	units, rowsPer := s.rg.Rows(), 1
 	if fan && inPlace {
 		units, rowsPer = s.depInnermost()
 	}

@@ -95,6 +95,65 @@ func kernelRegionCases() []regionCase {
 			rg: Region{Base: 0, Ext: [4]int{2, 9, 10, 13}, Strd: [4]int{1170, 130, 13, 1},
 				Left: 3, Top: 2, Back: 0, Level: 2},
 		},
+		// The regions below have their smallest stride off axis 3, so the
+		// sweep reorders them before it runs.
+		{
+			// An SZ3 level-1 pass along the slowest axis of an 11×20×24
+			// field: the point axis (Back) has the largest stride and the
+			// run goes along Left, field axis 2. Large enough to fan out.
+			name: "sz3-dir0-pass",
+			arr:  5280,
+			rg: Region{Base: 480, Ext: [4]int{20, 24, 1, 5}, Strd: [4]int{24, 1, 0, 960},
+				Left: 1, Top: 0, Back: 3, Level: 1},
+		},
+		{
+			// Smallest stride on axis 0 and the largest (Back) on axis 1,
+			// Top in between. Large enough to fan out.
+			name: "run-axis0-back-axis1",
+			arr:  5913,
+			rg: Region{Base: 3, Ext: [4]int{4, 20, 5, 6}, Strd: [4]int{2, 300, 42, 7},
+				Left: 0, Top: 2, Back: 1, Level: 1},
+		},
+		{
+			// Two extent-1 axes with tied strides in the middle and the
+			// smallest stride on axis 0; Back is one of the extent-1 axes.
+			name: "extent1-ties-run-axis0",
+			arr:  30,
+			rg: Region{Base: 0, Ext: [4]int{5, 1, 1, 6}, Strd: [4]int{1, 9, 9, 5},
+				Left: 0, Top: 3, Back: 1, Level: 2},
+		},
+	}
+}
+
+// TestRegionByStride pins the axis order the QP sweeps visit a region in:
+// extent-1 axes outermost, then descending stride, ties in their given
+// order, with Left/Top/Back following their axes. Regions already in that
+// order (lattice classes, Lorenzo blocks) come back unchanged.
+func TestRegionByStride(t *testing.T) {
+	cases := []struct {
+		name    string
+		in, out Region
+	}{
+		{"sz3-dir0-pass",
+			Region{Base: 48, Ext: [4]int{6, 8, 1, 4}, Strd: [4]int{8, 1, 0, 96}, Left: 1, Top: 0, Back: 3, Level: 1},
+			Region{Base: 48, Ext: [4]int{1, 4, 6, 8}, Strd: [4]int{0, 96, 8, 1}, Left: 3, Top: 2, Back: 1, Level: 1}},
+		{"lorenzo-already-ordered",
+			Region{Ext: [4]int{1, 5, 6, 7}, Strd: [4]int{0, 42, 7, 1}, Left: 3, Top: 2, Back: 1, Level: 3},
+			Region{Ext: [4]int{1, 5, 6, 7}, Strd: [4]int{0, 42, 7, 1}, Left: 3, Top: 2, Back: 1, Level: 3}},
+		{"extent1-ties",
+			Region{Ext: [4]int{5, 1, 1, 6}, Strd: [4]int{1, 9, 9, 5}, Left: 0, Top: 3, Back: 1},
+			Region{Ext: [4]int{1, 1, 6, 5}, Strd: [4]int{9, 9, 5, 1}, Left: 3, Top: 2, Back: 0}},
+		{"stride-tie-keeps-order",
+			Region{Ext: [4]int{2, 3, 1, 4}, Strd: [4]int{4, 4, 7, 1}, Left: 1, Top: 0, Back: -1},
+			Region{Ext: [4]int{1, 2, 3, 4}, Strd: [4]int{7, 4, 4, 1}, Left: 2, Top: 1, Back: -1}},
+		{"no-neighbors",
+			Region{Ext: [4]int{3, 2, 1, 1}, Strd: [4]int{1, 3, 0, 0}, Left: -1, Top: -1, Back: -1},
+			Region{Ext: [4]int{1, 1, 2, 3}, Strd: [4]int{0, 0, 3, 1}, Left: -1, Top: -1, Back: -1}},
+	}
+	for _, tc := range cases {
+		if got := tc.in.byStride(); got != tc.out {
+			t.Errorf("%s: byStride\n got %+v\nwant %+v", tc.name, got, tc.out)
+		}
 	}
 }
 

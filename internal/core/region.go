@@ -1,9 +1,10 @@
 package core
 
 // Region describes the geometry one QP sweep operates on: a rectangular
-// strided sub-lattice of the flat quantization index array, visited in
-// row-major order (axis 0 slowest, axis 3 fastest). Every walker in the
-// repository — the SZ3/QoZ interpolation pass, the HPEZ/MGARD parity
+// strided sub-lattice of the flat quantization index array. Its rows are
+// the axis-3 runs in row-major order (axis 0 slowest); the QP sweeps
+// visit it with its axes in stride order instead (byStride). Every walker
+// in the repository — the SZ3/QoZ interpolation pass, the HPEZ/MGARD parity
 // class and the Lorenzo scan — reduces to this shape, which is what lets
 // a single set of specialized kernels (kernel.go) replace the per-point
 // Neighborhood construction of the reference Compensate path.
@@ -36,9 +37,9 @@ func (rg Region) Points() int {
 	return rg.Ext[0] * rg.Ext[1] * rg.Ext[2] * rg.Ext[3]
 }
 
-// Rows returns the number of axis-3 runs of the region — the lattice
-// planes the row-major sweeps (QP kernels, interpolation line kernels)
-// enumerate as their unit of work.
+// Rows returns the number of axis-3 runs of the region — the unit of
+// work of the QP sweeps and the lattice row kernels, and the lines of an
+// SZ3 pass.
 func (rg Region) Rows() int {
 	return rg.Ext[0] * rg.Ext[1] * rg.Ext[2]
 }
@@ -98,6 +99,45 @@ func (rg Region) carryRow(c *RowCursor) {
 		c.P0++
 		c.Base += rg.Strd[0] - rg.Ext[1]*rg.Strd[1]
 	}
+}
+
+// byStride returns rg with its axes reordered for a sweep: extent-1 axes
+// outermost, the rest by descending stride, ties in their given order —
+// so the run axis (3) is the one with the smallest stride. Left, Top and
+// Back follow their axes. The point set and every neighbor are unchanged,
+// and so is the transform: a Left/Top/Back or corner neighbor is one step
+// back along a subset of the axes, so it precedes its point in every
+// lexicographic order over them, and any axis order is a valid recovery
+// order.
+//
+//scdc:noalloc
+func (rg Region) byStride() Region {
+	ax := [4]int{0, 1, 2, 3}
+	before := func(a, b int) bool { // a sorts before b
+		if (rg.Ext[a] > 1) != (rg.Ext[b] > 1) {
+			return rg.Ext[a] <= 1
+		}
+		return rg.Strd[a] > rg.Strd[b]
+	}
+	for i := 1; i < 4; i++ { // insertion sort: stable
+		for j := i; j > 0 && before(ax[j], ax[j-1]); j-- {
+			ax[j], ax[j-1] = ax[j-1], ax[j]
+		}
+	}
+	out := rg
+	out.Left, out.Top, out.Back = -1, -1, -1
+	for i, a := range ax {
+		out.Ext[i], out.Strd[i] = rg.Ext[a], rg.Strd[a]
+		switch a {
+		case rg.Left:
+			out.Left = i
+		case rg.Top:
+			out.Top = i
+		case rg.Back:
+			out.Back = i
+		}
+	}
+	return out
 }
 
 // neighborhood builds the reference Neighborhood of the point at the

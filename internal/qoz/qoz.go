@@ -128,6 +128,9 @@ func decodePlan(r *core.Reader, nd int) (plan, error) {
 		if int(hdr[1]) != nd || !ok {
 			return pl, fmt.Errorf("%w: qoz: bad plan order", verdict.ErrCorrupt)
 		}
+		if kind := interp.Kind(hdr[0]); kind > interp.Cubic {
+			return pl, fmt.Errorf("%w: qoz: unknown interpolation kind %d", verdict.ErrCorrupt, kind)
+		}
 		eb, err := r.Bound("plan eb")
 		if err != nil {
 			return pl, err

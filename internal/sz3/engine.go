@@ -108,81 +108,54 @@ func chunkSpan(passSp *obs.Span, chunk int) *obs.Span {
 	return passSp.Child(fmt.Sprintf("chunk[%d]", chunk))
 }
 
-// compressPass runs one pass through the fused forward kernels
-// (interp_kernel.go), in parallel when it is large enough. Literals are
-// gathered per chunk and concatenated in line order, so the stream
-// matches the sequential visit order exactly.
+// compressPass runs one pass through the forward kernels
+// (interp_kernel.go) and appends its literals in line order.
 func compressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear) {
-	lk := makeLineKern(pa, quant)
 	rg := pa.qpRegion()
-	data, q, workers := sw.Data, sw.Sym, sw.Workers
-	if workers <= 1 || pa.numLines < 2 || pa.numLines*pa.pointsPerLine < minParallelPoints {
-		sw.Lits = fwdLines(data, q, rg, &lk, kind, 0, pa.numLines, sw.Lits)
-		return
+	if sweepPass(sw, pa, rg, kind, quant, &fwdKernels) > 0 {
+		sw.Lits = gatherLits(sw.Data, sw.Sym, rg, sw.Lits)
 	}
-	passSp := passSpan(sw.Span(), pa, kind)
-	grain := core.RegionGrain(pa.numLines, pa.pointsPerLine, workers)
-	lits := make([][]float64, parallel.Chunks(pa.numLines, grain))
-	parallel.ForEachChunked(pa.numLines, workers, grain, func(lo, hi int) {
-		csp := chunkSpan(passSp, lo/grain)
-		lits[lo/grain] = fwdLines(data, q, rg, &lk, kind, lo, hi, nil)
-		csp.Add("lines", int64(hi-lo))
-		csp.End()
-	})
-	for _, b := range lits {
-		sw.Lits = append(sw.Lits, b...)
-	}
-	passSp.End()
 }
 
-// decompressPass reconstructs one pass through the fused inverse kernels.
-// The parallel path first counts unpredictable symbols per chunk (symbols
-// are fully recovered by now), so every chunk knows its literal cursor up
-// front and lines decode independently.
+// decompressPass reconstructs one pass through the inverse kernels, then
+// places its literals in line order.
 func decompressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear) error {
-	lk := makeLineKern(pa, quant)
 	rg := pa.qpRegion()
-	data, enc, workers := sw.Data, sw.Sym, sw.Workers
-	if workers <= 1 || pa.numLines < 2 || pa.numLines*pa.pointsPerLine < minParallelPoints {
-		var ok bool
-		if sw.Lit, ok = invLines(data, enc, rg, &lk, kind, 0, pa.numLines, sw.Lits, sw.Lit); !ok {
-			return sw.Exhausted()
-		}
+	nu := sweepPass(sw, pa, rg, kind, quant, &invKernels)
+	if nu == 0 {
 		return nil
 	}
-
-	passSp := passSpan(sw.Span(), pa, kind)
-	defer passSp.End()
-	grain := core.RegionGrain(pa.numLines, pa.pointsPerLine, workers)
-	counts := make([]int, parallel.Chunks(pa.numLines, grain))
-	parallel.ForEachChunked(pa.numLines, workers, grain, func(lo, hi int) {
-		c := 0
-		for li := lo; li < hi; li++ {
-			o := rg.RowBase(li)
-			for k := 0; k < lk.p; k++ {
-				if enc[o] == quantizer.Unpredictable {
-					c++
-				}
-				o += lk.ss2
-			}
-		}
-		counts[lo/grain] = c
-	})
-	offs := make([]int, len(counts))
-	cur := sw.Lit
-	for c, cnt := range counts {
-		offs[c] = cur
-		cur += cnt
-	}
-	if cur > len(sw.Lits) {
+	if nu > len(sw.Lits)-sw.Lit {
 		return sw.Exhausted()
 	}
+	scatterLits(sw.Data, sw.Sym, rg, sw.Lits[sw.Lit:])
+	sw.Lit += nu
+	return nil
+}
+
+// sweepPass runs one direction's kernels over a pass, its lines split
+// across sw.Workers goroutines in contiguous chunks when the pass is
+// large enough, and returns the number of unpredictable points.
+func sweepPass(sw *core.Sweep, pa *pass, rg core.Region, kind interp.Kind, quant quantizer.Linear, kern *kernelTable) int {
+	pk := makePassKern(pa, kind, quant)
+	data, sym, workers := sw.Data, sw.Sym, sw.Workers
+	if workers <= 1 || pa.numLines < 2 || pa.numLines*pa.pointsPerLine < minParallelPoints {
+		return pk.sweep(kern, data, sym, rg, 0, pa.numLines)
+	}
+	passSp := passSpan(sw.Span(), pa, kind)
+	grain := core.RegionGrain(pa.numLines, pa.pointsPerLine, workers)
+	counts := make([]int, parallel.Chunks(pa.numLines, grain))
+	pkc := pk // only the parallel path's closure moves its copy to the heap
 	parallel.ForEachChunked(pa.numLines, workers, grain, func(lo, hi int) {
 		csp := chunkSpan(passSp, lo/grain)
-		invLines(data, enc, rg, &lk, kind, lo, hi, sw.Lits, offs[lo/grain])
+		counts[lo/grain] = pkc.sweep(kern, data, sym, rg, lo, hi)
 		csp.Add("lines", int64(hi-lo))
 		csp.End()
 	})
-	sw.Lit = cur
-	return nil
+	passSp.End()
+	nu := 0
+	for _, c := range counts {
+		nu += c
+	}
+	return nu
 }

@@ -6,13 +6,58 @@ import (
 
 	"scdc/internal/core"
 	"scdc/internal/datagen"
+	"scdc/internal/grid"
 	"scdc/internal/interp"
 	"scdc/internal/quantizer"
 )
 
+// BenchmarkInterpPass times the level-1 passes of the 112×160×160 Miranda
+// field one at a time, forward and inverse, linear and cubic, and reports
+// ns/point: the pass along axis 2 runs along its lines, the passes along
+// axes 1 and 0 across blocks of lines (DESIGN.md §6.4), so the stride
+// effect shows per direction. Each pass starts from the field a full
+// compression left, which holds every lattice sample the pass reads.
+func BenchmarkInterpPass(b *testing.B) {
+	f := datagen.MustGenerate(datagen.Miranda, 1, []int{112, 160, 160}, 1)
+	dims := f.Dims()
+	strides := grid.Strides(dims)
+	quant := quantizer.Linear{EB: 1e-4 * f.Range(), Radius: quantizer.DefaultRadius}
+	for _, kind := range []interp.Kind{interp.Linear, interp.Cubic} {
+		spec := LevelSpec{Order: DefaultDirOrder(len(dims)), Kind: kind, Quant: quant}
+		sw := core.NewSweep(append([]float64(nil), f.Data...), make([]int32, len(f.Data)))
+		CompressSchedule(sw, dims, Levels(dims), func(int) LevelSpec { return spec })
+		forEachPass(dims, strides, 1, spec.Order, func(p *pass) {
+			pa := *p
+			points := float64(pa.numLines * pa.pointsPerLine)
+			perPoint := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/points, "ns/point")
+			}
+			b.Run(fmt.Sprintf("compress/%v/dir=%d", kind, pa.dir), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sw.Lits = sw.Lits[:0]
+					compressPass(sw, &pa, kind, quant)
+				}
+				perPoint(b)
+			})
+			sw.Lits = sw.Lits[:0]
+			compressPass(sw, &pa, kind, quant)
+			lits := append([]float64(nil), sw.Lits...)
+			b.Run(fmt.Sprintf("decompress/%v/dir=%d", kind, pa.dir), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sw.Lits, sw.Lit = lits, 0
+					if err := decompressPass(sw, &pa, kind, quant); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perPoint(b)
+			})
+		})
+	}
+}
+
 // BenchmarkInterpKernels isolates the interpolation stage on the Miranda
 // benchmark field: the retained reference walker (closure dispatch +
-// unfused quantizer calls) against the fused line kernels, forward and
+// unfused quantizer calls) against the fused run kernels, forward and
 // inverse, linear and cubic, sequential and chunk-parallel.
 func BenchmarkInterpKernels(b *testing.B) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{64, 96, 96}, 9)

@@ -12,35 +12,32 @@ import (
 // reference path (compressPassRef/decompressPassRef, the test-only oracle
 // in walker_oracle_test.go) pays, per point, a Point struct build, a
 // closure-based interp.Line dispatch re-deriving the boundary case from
-// scratch, and a quantizer.Quantize call. The kernels below hoist all of that out of the loop.
+// scratch, and a quantizer.Quantize call. The kernels below hoist all of
+// that out of the loop.
 //
-// The key observation is that the boundary structure of a pass is
-// pass-constant: every line shares (s, n, dstr), so which interpolation
-// stencil applies at in-line point k is the same for every line. With
-// kR = the last point owning a right neighbor (t+s < n), the layout is
+// The boundary structure of a pass is pass-constant: every line shares
+// (s, n, dstr), so which interpolation stencil applies at in-line point k
+// is the same for every line (DESIGN.md §6.3), and a line cuts into at
+// most four segments of one stencil each (makePassKern). A run kernel
+// applies one stencil to a strided run of points, with the
+// quantize→reconstruct step of quantizer.Linear fused into the same loop.
 //
-//	k = 0            head: no left-third sample (t = s < 3s)
-//	k in [1, kR-1]   interior: full four-point stencil available
-//	k = kR  (>= 1)   right neighbor but no right-third sample
-//	k = p-1 (> kR)   at most one trailing point with no right neighbor
+// The walk (passKern.sweep) runs those kernels along the pass's smallest
+// stride. Lines come in blocks — the lines that differ only along the
+// innermost orthogonal axis holding more than one line. When that axis
+// steps by less than the in-line distance 2s·dstr (every pass but the one
+// along the fastest axis), each in-line position k of a block is one run
+// across the block's lines, so a pass along a slow axis streams through
+// whole rows of memory instead of hopping planes; otherwise a block is one
+// line and each segment is one run along it. Predicted points read only
+// lattice samples of earlier passes and write only their own slots, so
+// any visit order gives the same symbols and values.
 //
-// because the right-third threshold always sits exactly one point below
-// kR (the t+s < n <= t+3s window spans one 2s step) and the no-right
-// window spans at most the final point. A pass sweep therefore runs, per
-// (interp kind), one specialized segment per boundary case with the hot
-// interior loop free of any boundary test — and the quantize→reconstruct
-// step of quantizer.Linear fused into the same loop, so predict,
-// quantize and writeback are one traversal of the line instead of
-// dispatch-per-point.
-//
-// Line enumeration is the row enumeration of the pass's core.Region
-// (pa.qpRegion): region rows are exactly the pass's lines in reference
-// order, and Region.RowBase(li) is the line's first predicted point.
-// The forward sweep reads only lattice samples established by previous
-// passes and writes only its own line's q/data slots, so lines split
-// freely across workers (compressPass) with byte-identical output at
-// any worker count; the reference visit order is replayed within each
-// line by construction.
+// The literal stream is in line order, whatever order the kernels visit.
+// The kernels only count unpredictable points; a pass that met any moves
+// its literals in one line-order pass over its region afterwards
+// (gatherLits, scatterLits) — safe because no point of a pass reads
+// another point of the same pass.
 //
 // Bit-identity with the reference walker is pinned by
 // TestInterpKernelsMatchWalker and FuzzInterpKernelDifferential.
@@ -54,39 +51,158 @@ type quantParams struct {
 	r   int32   // radius
 }
 
-// lineKern is the resolved sweep geometry of one pass: flat strides
-// along the pass direction plus the boundary layout shared by every
-// line of the pass.
-type lineKern struct {
-	ss  int // flat offset of one stride s along the pass direction
-	ss2 int // flat offset of 2s: the in-line distance between points
-	p   int // predicted points per line
-	kR  int // last point index with a right neighbor (t+s < n); -1 if none
-	prm quantParams
-	qu  quantizer.Linear
+// segment is a stretch of consecutive in-line positions sharing one
+// stencil.
+type segment struct {
+	st interp.Stencil
+	n  int // points
 }
 
-// makeLineKern resolves the kernel geometry of one pass. The kR formula
-// counts the odd multiples t of s with t+s < n: t = s(2k+1), so
-// k <= (n-1)/(2s) - 1; it never exceeds p-1 and p >= 2 forces kR >= 0
-// (a second predicted point t = 3s implies t' = s has 2s < n).
+// passKern is the resolved sweep geometry of one pass: the stencil
+// segments every line shares and the blocks the walk runs across.
+type passKern struct {
+	ss   int // flat offset of one stride s along the pass direction
+	ss2  int // flat offset of 2s: the in-line distance between points
+	segs [4]segment
+	nseg int
+	// blk is the number of consecutive lines in a block and rstep the flat
+	// step between them. blk == 1 when the pass direction has the smallest
+	// stride: runs then go along the line.
+	blk, rstep int
+	prm        quantParams
+}
+
+// makePassKern resolves the kernel geometry of one pass. The stencil can
+// change only at k = 1, kR and kR+1, with kR = (n-1)/(2s) - 1 the last
+// point owning a right neighbour (DESIGN.md §6.3), so interp.StencilAt is
+// asked at those cuts and equal neighbours merge (TestLineKernLayout).
 //
-//scdc:inline
 //scdc:noalloc
-func makeLineKern(pa *pass, quant quantizer.Linear) lineKern {
+func makePassKern(pa *pass, kind interp.Kind, quant quantizer.Linear) passKern {
 	ss := pa.s * pa.dstr
-	return lineKern{
+	pk := passKern{
 		ss:  ss,
 		ss2: 2 * ss,
-		p:   pa.pointsPerLine,
-		kR:  (pa.n-1)/(2*pa.s) - 1,
+		blk: 1,
 		prm: quantParams{
 			eb:  quant.EB,
 			eb2: 2 * quant.EB,
 			rf:  float64(quant.Radius),
 			r:   quant.Radius,
 		},
-		qu: quant,
+	}
+	for k := pa.no - 1; k >= 0; k-- {
+		if pa.cnt[k] > 1 {
+			if pa.stride[k] < pk.ss2 {
+				pk.blk, pk.rstep = pa.cnt[k], pa.stride[k]
+			}
+			break
+		}
+	}
+	kR := (pa.n-1)/(2*pa.s) - 1
+	k := 0
+	for _, end := range [...]int{1, kR, kR + 1, pa.pointsPerLine} {
+		if end <= k {
+			continue
+		}
+		st := interp.StencilAt(pa.n, pa.s*(2*k+1), pa.s, kind)
+		if pk.nseg > 0 && pk.segs[pk.nseg-1].st == st {
+			pk.segs[pk.nseg-1].n += end - k
+		} else {
+			pk.segs[pk.nseg] = segment{st: st, n: end - k}
+			pk.nseg++
+		}
+		k = end
+	}
+	return pk
+}
+
+// runKernel sweeps cnt points o, o+step, ... that share one stencil; ss
+// is the flat offset of one sampling stride along their lines. A forward
+// kernel predicts and quantizes, writing sym and the reconstruction into
+// data; an inverse kernel reconstructs data from sym. Both leave
+// unpredictable points to the literal pass and return how many they met.
+type runKernel func(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int
+
+// kernelTable holds one direction's run kernels, indexed by stencil.
+type kernelTable [interp.StCopyLeft + 1]runKernel
+
+var (
+	fwdKernels = kernelTable{
+		interp.StCubic4:      fwdCubic4,
+		interp.StQuad3Left:   fwdQuad3Left,
+		interp.StQuad3Right:  fwdQuad3Right,
+		interp.StMid2:        fwdMid2,
+		interp.StExtrapLeft2: fwdExtrapLeft2,
+		interp.StCopyLeft:    fwdCopyLeft,
+	}
+	invKernels = kernelTable{
+		interp.StCubic4:      invCubic4,
+		interp.StQuad3Left:   invQuad3Left,
+		interp.StQuad3Right:  invQuad3Right,
+		interp.StMid2:        invMid2,
+		interp.StExtrapLeft2: invExtrapLeft2,
+		interp.StCopyLeft:    invCopyLeft,
+	}
+)
+
+// sweep runs one direction's kernels over lines [lo, hi) of the pass
+// whose region is rg (pa.qpRegion: its rows are the pass's lines and
+// RowBase a line's first predicted point) and returns the number of
+// unpredictable points. A block cut short by lo or hi is swept the same
+// way; a one-line block runs along its line.
+//
+//scdc:hot
+//scdc:noalloc
+func (pk *passKern) sweep(kern *kernelTable, data []float64, sym []int32, rg core.Region, lo, hi int) int {
+	nu := 0
+	for li, lines := lo, 0; li < hi; li += lines {
+		lines = min(hi, (li/pk.blk+1)*pk.blk) - li
+		o := rg.RowBase(li)
+		for _, sg := range pk.segs[:pk.nseg] {
+			run := kern[sg.st]
+			if lines == 1 {
+				nu += run(data, sym, o, pk.ss2, sg.n, pk.ss, pk.prm)
+				o += sg.n * pk.ss2
+				continue
+			}
+			for end := o + sg.n*pk.ss2; o < end; o += pk.ss2 {
+				nu += run(data, sym, o, pk.rstep, lines, pk.ss, pk.prm)
+			}
+		}
+	}
+	return nu
+}
+
+// gatherLits appends the original value of every unpredictable point of
+// the pass region rg to lits, in line order. The forward kernels leave
+// those values in data.
+func gatherLits(data []float64, q []int32, rg core.Region, lits []float64) []float64 {
+	cur := rg.RowAt(0)
+	for r := rg.Rows(); r > 0; r-- {
+		for k, o := 0, cur.Base; k < rg.Ext[3]; k, o = k+1, o+rg.Strd[3] {
+			if q[o] == quantizer.Unpredictable {
+				lits = append(lits, data[o])
+			}
+		}
+		rg.NextRow(&cur)
+	}
+	return lits
+}
+
+// scatterLits reverses gatherLits: it writes lits[0], lits[1], ... into
+// the unpredictable points of rg in line order. lits holds at least one
+// value per such point.
+func scatterLits(data []float64, sym []int32, rg core.Region, lits []float64) {
+	cur, i := rg.RowAt(0), 0
+	for r := rg.Rows(); r > 0; r-- {
+		for k, o := 0, cur.Base; k < rg.Ext[3]; k, o = k+1, o+rg.Strd[3] {
+			if sym[o] == quantizer.Unpredictable {
+				data[o] = lits[i]
+				i++
+			}
+		}
+		rg.NextRow(&cur)
 	}
 }
 
@@ -95,11 +211,10 @@ func makeLineKern(pa *pass, quant quantizer.Linear) lineKern {
 // quantizer.Linear.Quantize — the same operations in the same order, so
 // results are bit-identical (TestFusedQuantMatchesQuantizer pins this).
 // math.Round alone costs 57 of the 80-point inlining budget, so neither
-// Quantize nor this helper can ever inline; the forward kernels therefore
-// expand this exact body at each predict site and fwdQuant stands as the
-// readable specification the expansion is diffed against. Returns false
-// for an unpredictable point: q[o] holds the marker, data[o] is left as
-// the original value and the caller appends it to the literal stream.
+// Quantize nor this helper can ever inline; the interior kernels
+// (fwdMid2, fwdCubic4) therefore expand this exact body at their predict
+// site, and the edge kernels call it. Returns false for an unpredictable
+// point: q[o] holds the marker and data[o] is left as the original value.
 //
 //scdc:noalloc
 func fwdQuant(data []float64, q []int32, o int, pred float64, pm quantParams) bool {
@@ -120,261 +235,174 @@ func fwdQuant(data []float64, q []int32, o int, pred float64, pm quantParams) bo
 	return false
 }
 
-// fwdLinear sweeps one line with the fused linear kernel: two-point
-// midpoints for every point owning a right neighbor, then at most one
-// trailing extrapolated (or copied, for a single-point line) point.
-// Each predict site expands the fwdQuant body inline — one call-free
-// traversal per line.
-//
+// --- forward kernels ---
+
 //scdc:noalloc
-func (lk *lineKern) fwdLinear(data []float64, q []int32, p0 int, lits []float64) []float64 {
-	ss, ss2, pm := lk.ss, lk.ss2, lk.prm
-	o := p0
-	if lk.kR >= 0 {
-		// The stencil inputs sit at even multiples of s — lattice points
-		// this pass never writes — and consecutive predicted points share
-		// one of them, so it rides in a register instead of being reloaded
-		// (a strided, often cache-missing load on slow-axis passes).
-		am1 := data[o-ss]
-		for k := 0; k <= lk.kR; k++ {
-			ap1 := data[o+ss]
-			pred := interp.Mid2(am1, ap1)
-			am1 = ap1
-			d := data[o]
-			qf := (d - pred) / pm.eb2
-			if qf < pm.rf && qf > -pm.rf {
-				if qq := int32(math.Round(qf)); qq < pm.r && qq > -pm.r {
-					dec := pred + 2*float64(qq)*pm.eb
-					if math.Abs(dec-d) <= pm.eb {
-						q[o] = qq + pm.r
-						data[o] = dec
-						o += ss2
-						continue
-					}
+func fwdMid2(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
+	nu := 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		pred := interp.Mid2(data[o-ss], data[o+ss])
+		d := data[o]
+		qf := (d - pred) / pm.eb2
+		if qf < pm.rf && qf > -pm.rf {
+			if qq := int32(math.Round(qf)); qq < pm.r && qq > -pm.r {
+				dec := pred + 2*float64(qq)*pm.eb
+				if math.Abs(dec-d) <= pm.eb {
+					q[o] = qq + pm.r
+					data[o] = dec
+					continue
 				}
 			}
-			q[o] = quantizer.Unpredictable
-			lits = append(lits, d)
-			o += ss2
 		}
+		q[o] = quantizer.Unpredictable
+		nu++
 	}
-	if lk.p-1 > lk.kR {
-		var pred float64
-		if lk.p >= 2 {
-			pred = interp.ExtrapLeft2(data[o-3*ss], data[o-ss])
-		} else {
-			pred = data[o-ss]
-		}
-		if !fwdQuant(data, q, o, pred, pm) {
-			lits = append(lits, data[o])
-		}
-	}
-	return lits
+	return nu
 }
 
-// fwdCubic sweeps one line with the fused cubic kernel: quadratic head,
-// four-point interior (the hot loop, with the fwdQuant body expanded
-// inline), quadratic right-edge point and at most one trailing
-// extrapolated point.
-//
 //scdc:noalloc
-func (lk *lineKern) fwdCubic(data []float64, q []int32, p0 int, lits []float64) []float64 {
-	ss, ss2, pm := lk.ss, lk.ss2, lk.prm
-	o := p0
-	var pred float64
-	switch {
-	case lk.kR >= 1: // right-third sample exists at k=0
-		pred = interp.Quad3Right(data[o-ss], data[o+ss], data[o+3*ss])
-	case lk.kR == 0:
-		pred = interp.Mid2(data[o-ss], data[o+ss])
-	default:
-		pred = data[o-ss]
-	}
-	if !fwdQuant(data, q, o, pred, pm) {
-		lits = append(lits, data[o])
-	}
-	o += ss2
-	if lk.kR > 1 {
-		// Consecutive interior points share three of the four stencil
-		// samples (all even-multiple lattice values this pass never
-		// writes), so they rotate through registers instead of being
-		// reloaded via strided, often cache-missing accesses.
-		am3, am1, ap1 := data[o-3*ss], data[o-ss], data[o+ss]
-		for k := 1; k < lk.kR; k++ {
-			ap3 := data[o+3*ss]
-			pred := interp.Cubic4(am3, am1, ap1, ap3)
-			am3, am1, ap1 = am1, ap1, ap3
-			d := data[o]
-			qf := (d - pred) / pm.eb2
-			if qf < pm.rf && qf > -pm.rf {
-				if qq := int32(math.Round(qf)); qq < pm.r && qq > -pm.r {
-					dec := pred + 2*float64(qq)*pm.eb
-					if math.Abs(dec-d) <= pm.eb {
-						q[o] = qq + pm.r
-						data[o] = dec
-						o += ss2
-						continue
-					}
+func fwdCubic4(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
+	nu := 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		pred := interp.Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss])
+		d := data[o]
+		qf := (d - pred) / pm.eb2
+		if qf < pm.rf && qf > -pm.rf {
+			if qq := int32(math.Round(qf)); qq < pm.r && qq > -pm.r {
+				dec := pred + 2*float64(qq)*pm.eb
+				if math.Abs(dec-d) <= pm.eb {
+					q[o] = qq + pm.r
+					data[o] = dec
+					continue
 				}
 			}
-			q[o] = quantizer.Unpredictable
-			lits = append(lits, d)
-			o += ss2
 		}
+		q[o] = quantizer.Unpredictable
+		nu++
 	}
-	if lk.kR >= 1 {
+	return nu
+}
+
+//scdc:noalloc
+func fwdQuad3Left(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
+	nu := 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
 		if !fwdQuant(data, q, o, interp.Quad3Left(data[o-3*ss], data[o-ss], data[o+ss]), pm) {
-			lits = append(lits, data[o])
+			nu++
 		}
-		o += ss2
 	}
-	if lk.p-1 > lk.kR && lk.p >= 2 {
+	return nu
+}
+
+//scdc:noalloc
+func fwdQuad3Right(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
+	nu := 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		if !fwdQuant(data, q, o, interp.Quad3Right(data[o-ss], data[o+ss], data[o+3*ss]), pm) {
+			nu++
+		}
+	}
+	return nu
+}
+
+//scdc:noalloc
+func fwdExtrapLeft2(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
+	nu := 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
 		if !fwdQuant(data, q, o, interp.ExtrapLeft2(data[o-3*ss], data[o-ss]), pm) {
-			lits = append(lits, data[o])
+			nu++
 		}
 	}
-	return lits
+	return nu
 }
 
-// fwdLines runs the fused forward kernels over lines [lo, hi) of a pass
-// in reference line order. rg must be the pass's region (pa.qpRegion);
-// the interp-kind dispatch happens once per call, never per point.
-//
-//scdc:hot
 //scdc:noalloc
-func fwdLines(data []float64, q []int32, rg core.Region, lk *lineKern, kind interp.Kind, lo, hi int, lits []float64) []float64 {
-	if kind == interp.Cubic {
-		for li := lo; li < hi; li++ {
-			lits = lk.fwdCubic(data, q, rg.RowBase(li), lits)
+func fwdCopyLeft(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
+	nu := 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		if !fwdQuant(data, q, o, data[o-ss], pm) {
+			nu++
 		}
-		return lits
 	}
-	for li := lo; li < hi; li++ {
-		lits = lk.fwdLinear(data, q, rg.RowBase(li), lits)
-	}
-	return lits
+	return nu
 }
 
-// invLinear reconstructs one line from recovered symbols with the fused
-// linear kernel, consuming literals from index lit for unpredictable
-// points. ok is false when the literal stream is exhausted.
-//
+// --- inverse kernels ---
+
 //scdc:noalloc
-func (lk *lineKern) invLinear(data []float64, enc []int32, p0 int, literals []float64, lit int) (int, bool) {
-	ss, ss2, qu := lk.ss, lk.ss2, lk.qu
-	o := p0
-	for k := 0; k <= lk.kR; k++ {
-		if sym := enc[o]; sym != quantizer.Unpredictable {
-			data[o] = qu.Recover(interp.Mid2(data[o-ss], data[o+ss]), sym)
+func invMid2(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
+	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		if s := sym[o]; s != quantizer.Unpredictable {
+			data[o] = qu.Recover(interp.Mid2(data[o-ss], data[o+ss]), s)
 		} else {
-			if lit >= len(literals) {
-				return lit, false
-			}
-			data[o] = literals[lit]
-			lit++
-		}
-		o += ss2
-	}
-	if lk.p-1 > lk.kR {
-		if sym := enc[o]; sym != quantizer.Unpredictable {
-			var pred float64
-			if lk.p >= 2 {
-				pred = interp.ExtrapLeft2(data[o-3*ss], data[o-ss])
-			} else {
-				pred = data[o-ss]
-			}
-			data[o] = qu.Recover(pred, sym)
-		} else {
-			if lit >= len(literals) {
-				return lit, false
-			}
-			data[o] = literals[lit]
-			lit++
+			nu++
 		}
 	}
-	return lit, true
+	return nu
 }
 
-// invCubic is the cubic counterpart of invLinear, with the same segment
-// layout as fwdCubic.
-//
 //scdc:noalloc
-func (lk *lineKern) invCubic(data []float64, enc []int32, p0 int, literals []float64, lit int) (int, bool) {
-	ss, ss2, qu := lk.ss, lk.ss2, lk.qu
-	o := p0
-	if sym := enc[o]; sym != quantizer.Unpredictable {
-		var pred float64
-		switch {
-		case lk.kR >= 1:
-			pred = interp.Quad3Right(data[o-ss], data[o+ss], data[o+3*ss])
-		case lk.kR == 0:
-			pred = interp.Mid2(data[o-ss], data[o+ss])
-		default:
-			pred = data[o-ss]
-		}
-		data[o] = qu.Recover(pred, sym)
-	} else {
-		if lit >= len(literals) {
-			return lit, false
-		}
-		data[o] = literals[lit]
-		lit++
-	}
-	o += ss2
-	for k := 1; k < lk.kR; k++ {
-		if sym := enc[o]; sym != quantizer.Unpredictable {
-			data[o] = qu.Recover(interp.Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss]), sym)
+func invCubic4(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
+	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		if s := sym[o]; s != quantizer.Unpredictable {
+			data[o] = qu.Recover(interp.Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss]), s)
 		} else {
-			if lit >= len(literals) {
-				return lit, false
-			}
-			data[o] = literals[lit]
-			lit++
-		}
-		o += ss2
-	}
-	if lk.kR >= 1 {
-		if sym := enc[o]; sym != quantizer.Unpredictable {
-			data[o] = qu.Recover(interp.Quad3Left(data[o-3*ss], data[o-ss], data[o+ss]), sym)
-		} else {
-			if lit >= len(literals) {
-				return lit, false
-			}
-			data[o] = literals[lit]
-			lit++
-		}
-		o += ss2
-	}
-	if lk.p-1 > lk.kR && lk.p >= 2 {
-		if sym := enc[o]; sym != quantizer.Unpredictable {
-			data[o] = qu.Recover(interp.ExtrapLeft2(data[o-3*ss], data[o-ss]), sym)
-		} else {
-			if lit >= len(literals) {
-				return lit, false
-			}
-			data[o] = literals[lit]
-			lit++
+			nu++
 		}
 	}
-	return lit, true
+	return nu
 }
 
-// invLines runs the fused inverse kernels over lines [lo, hi) of a pass
-// in reference line order, consuming literals from index lit. ok is
-// false when the literal stream is exhausted.
-//
-//scdc:hot
 //scdc:noalloc
-func invLines(data []float64, enc []int32, rg core.Region, lk *lineKern, kind interp.Kind, lo, hi int, literals []float64, lit int) (int, bool) {
-	ok := true
-	if kind == interp.Cubic {
-		for li := lo; li < hi && ok; li++ {
-			lit, ok = lk.invCubic(data, enc, rg.RowBase(li), literals, lit)
+func invQuad3Left(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
+	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		if s := sym[o]; s != quantizer.Unpredictable {
+			data[o] = qu.Recover(interp.Quad3Left(data[o-3*ss], data[o-ss], data[o+ss]), s)
+		} else {
+			nu++
 		}
-		return lit, ok
 	}
-	for li := lo; li < hi && ok; li++ {
-		lit, ok = lk.invLinear(data, enc, rg.RowBase(li), literals, lit)
+	return nu
+}
+
+//scdc:noalloc
+func invQuad3Right(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
+	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		if s := sym[o]; s != quantizer.Unpredictable {
+			data[o] = qu.Recover(interp.Quad3Right(data[o-ss], data[o+ss], data[o+3*ss]), s)
+		} else {
+			nu++
+		}
 	}
-	return lit, ok
+	return nu
+}
+
+//scdc:noalloc
+func invExtrapLeft2(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
+	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		if s := sym[o]; s != quantizer.Unpredictable {
+			data[o] = qu.Recover(interp.ExtrapLeft2(data[o-3*ss], data[o-ss]), s)
+		} else {
+			nu++
+		}
+	}
+	return nu
+}
+
+//scdc:noalloc
+func invCopyLeft(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
+	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+	for ; cnt > 0; cnt, o = cnt-1, o+step {
+		if s := sym[o]; s != quantizer.Unpredictable {
+			data[o] = qu.Recover(data[o-ss], s)
+		} else {
+			nu++
+		}
+	}
+	return nu
 }

@@ -3,6 +3,7 @@ package sz3
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"scdc/internal/core"
@@ -59,24 +60,33 @@ func decompressScheduleRef(data []float64, dims []int, levels int,
 	return lit, ok
 }
 
-// diffField fills a deterministic field with smooth structure, sharp
-// spikes (unpredictable points), and — when poison is set — NaN/Inf
-// values, so every quantizer branch is exercised on both sides of the
-// differential.
-func diffField(dims []int, poison bool) []float64 {
+// fieldKinds are the field contents every differential cell runs on:
+// clean (smooth structure with sharp spikes), poisoned with NaN/Inf, and
+// literal-heavy (range far beyond radius*eb, so most points of every pass
+// — slow-axis passes included — take the unpredictable path and the
+// literal stream's line order is exercised everywhere).
+var fieldKinds = []string{"clean", "poison", "literals"}
+
+// diffField fills a deterministic field of the given kind, so every
+// quantizer branch is exercised on both sides of the differential.
+func diffField(dims []int, kind string) []float64 {
 	n := 1
 	for _, d := range dims {
 		n *= d
 	}
+	rng := rand.New(rand.NewSource(int64(n)))
 	data := make([]float64, n)
 	for i := range data {
 		x := float64(i)
 		data[i] = math.Sin(x*0.7) + 0.25*math.Cos(x*0.13) + 0.001*x
-		if i%17 == 0 {
+		switch {
+		case kind == "literals":
+			data[i] += 1e3 * rng.NormFloat64()
+		case i%17 == 0:
 			data[i] += 50 // spike: forces the unpredictable path
 		}
 	}
-	if poison && n > 4 {
+	if kind == "poison" && n > 4 {
 		data[n/3] = math.NaN()
 		data[n/2] = math.Inf(1)
 		data[2*n/3] = math.Inf(-1)
@@ -96,11 +106,18 @@ var qpModes = []struct {
 	{"qp3dI", core.Config{Mode: core.Mode3D, Cond: core.CondAlways}},
 }
 
+// diffDims covers 1D–4D. Besides the small shapes, the slow-axis passes
+// run across blocks of lines: blocks of one or two lines (extent-1/2
+// orthogonal axes), a pass whose fastest orthogonal axis holds one point
+// ({9, 7, 1}: the dir-0 pass runs along axis 1; {6, 1, 9}, {3, 1, 5, 4}),
+// and one field whose passes are large enough to split across workers,
+// with chunks that cut blocks short ({20, 24, 36}).
 var diffDims = [][]int{
 	{1}, {2}, {3}, {4}, {5}, {17}, {33},
-	{1, 1}, {2, 2}, {1, 7}, {5, 4}, {16, 9},
-	{2, 3, 4}, {1, 6, 6}, {4, 1, 5}, {7, 9, 5},
-	{2, 2, 2, 2}, {5, 1, 3, 7}, {3, 4, 5, 6},
+	{1, 1}, {2, 2}, {1, 7}, {5, 4}, {16, 9}, {9, 2}, {2, 9},
+	{2, 3, 4}, {1, 6, 6}, {4, 1, 5}, {7, 9, 5}, {9, 2, 7}, {9, 7, 1}, {6, 1, 9}, {9, 7, 2},
+	{2, 2, 2, 2}, {5, 1, 3, 7}, {3, 4, 5, 6}, {3, 1, 5, 4}, {4, 5, 2, 3},
+	{20, 24, 36},
 }
 
 // encSweep and decSweep build the sweeps the drivers run on, as the
@@ -127,13 +144,13 @@ func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, rad
 // any divergence in symbols, QP output, literals or reconstructed
 // fields. Comparison is on exact bits (math.Float64bits), so NaN
 // payloads and signed zeros count too.
-func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, workers int, poison bool) {
+func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, workers int, fieldKind string) {
 	t.Helper()
 	levels := Levels(dims)
 	quant := quantizer.Linear{EB: 1e-3, Radius: quantizer.DefaultRadius}
 	spec := LevelSpec{Order: DefaultDirOrder(len(dims)), Kind: kind, Quant: quant}
 	specFor := func(int) LevelSpec { return spec }
-	orig := diffField(dims, poison)
+	orig := diffField(dims, fieldKind)
 	n := len(orig)
 
 	var predR *core.Predictor
@@ -246,10 +263,10 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 }
 
 // TestInterpKernelsMatchWalker drives every (dims 1–4 × interp kind ×
-// boundary case × QP mode) cell through both the fused kernels and the
-// retained reference walker, asserting byte-identical symbol streams,
-// literals and reconstructed fields. Workers 1 and 4 both run, so the
-// chunk-parallel path is pinned to the same reference.
+// boundary case × QP mode × field kind) cell through both the fused
+// kernels and the retained reference walker, asserting byte-identical
+// symbol streams, literals and reconstructed fields. Workers 1 and 4 both
+// run, so the chunk-parallel path is pinned to the same reference.
 func TestInterpKernelsMatchWalker(t *testing.T) {
 	for _, dims := range diffDims {
 		for _, kind := range []interp.Kind{interp.Linear, interp.Cubic} {
@@ -257,8 +274,9 @@ func TestInterpKernelsMatchWalker(t *testing.T) {
 				name := fmt.Sprintf("%v/%s/%s", dims, kind, qm.name)
 				t.Run(name, func(t *testing.T) {
 					for _, workers := range []int{1, 4} {
-						runKernelDiff(t, dims, kind, qm.cfg, workers, false)
-						runKernelDiff(t, dims, kind, qm.cfg, workers, true)
+						for _, fk := range fieldKinds {
+							runKernelDiff(t, dims, kind, qm.cfg, workers, fk)
+						}
 					}
 				})
 			}
@@ -303,10 +321,10 @@ func TestFusedQuantMatchesQuantizer(t *testing.T) {
 	}
 }
 
-// TestLineKernLayout pins the boundary layout makeLineKern derives
-// against the per-point classification of interp.Line: for every (n, s)
-// the kernels' segment boundaries (kR, the single trailing point) must
-// reproduce exactly the stencil choice Line makes at each point.
+// TestLineKernLayout pins the stencil segments makePassKern derives
+// against the per-point classification of interp.StencilAt: for every
+// (n, s, kind) the segments, expanded point by point, must reproduce
+// exactly the stencil Line uses at each point and cover the line.
 func TestLineKernLayout(t *testing.T) {
 	quant := quantizer.Linear{EB: 1e-3, Radius: quantizer.DefaultRadius}
 	for n := 2; n <= 40; n++ {
@@ -315,33 +333,65 @@ func TestLineKernLayout(t *testing.T) {
 			if s >= n {
 				continue
 			}
-			pa := makePass([]int{n}, []int{1}, 0, s, level, [4]int{})
-			lk := makeLineKern(&pa, quant)
-			if lk.kR > lk.p-1 {
-				t.Fatalf("n=%d s=%d: kR %d beyond last point %d", n, s, lk.kR, lk.p-1)
-			}
-			if lk.p >= 2 && lk.kR < 0 {
-				t.Fatalf("n=%d s=%d: %d points but no right neighbors", n, s, lk.p)
-			}
-			if lk.p-1-lk.kR > 1 {
-				t.Fatalf("n=%d s=%d: %d trailing points lack a right neighbor, kernels assume <= 1",
-					n, s, lk.p-1-lk.kR)
-			}
-			k := 0
-			for tt := s; tt < n; tt += 2 * s {
-				hasR := tt+s < n
-				if hasR != (k <= lk.kR) {
-					t.Fatalf("n=%d s=%d k=%d: hasR=%v but kR=%d", n, s, k, hasR, lk.kR)
+			for _, kind := range []interp.Kind{interp.Linear, interp.Cubic} {
+				pa := makePass([]int{n}, []int{1}, 0, s, level, [4]int{})
+				pk := makePassKern(&pa, kind, quant)
+				var got []interp.Stencil
+				for i, sg := range pk.segs[:pk.nseg] {
+					if sg.n < 1 || (i > 0 && sg.st == pk.segs[i-1].st) {
+						t.Fatalf("n=%d s=%d %v: segment %d %+v is empty or unmerged", n, s, kind, i, sg)
+					}
+					for k := 0; k < sg.n; k++ {
+						got = append(got, sg.st)
+					}
 				}
-				hasR3 := tt+3*s < n
-				if hasR3 != (k <= lk.kR-1) {
-					t.Fatalf("n=%d s=%d k=%d: hasR3=%v but kR-1=%d", n, s, k, hasR3, lk.kR-1)
+				if len(got) != pa.pointsPerLine {
+					t.Fatalf("n=%d s=%d %v: segments cover %d points, pointsPerLine=%d", n, s, kind, len(got), pa.pointsPerLine)
 				}
-				k++
+				for k, st := range got {
+					if want := interp.StencilAt(n, s*(2*k+1), s, kind); st != want {
+						t.Fatalf("n=%d s=%d %v k=%d: segment stencil %d, StencilAt %d", n, s, kind, k, st, want)
+					}
+				}
+				if pk.blk != 1 {
+					t.Fatalf("n=%d s=%d: a 1D pass runs along its line, got blocks of %d", n, s, pk.blk)
+				}
 			}
-			if k != lk.p {
-				t.Fatalf("n=%d s=%d: %d points walked, pointsPerLine=%d", n, s, k, lk.p)
+		}
+	}
+}
+
+// TestPassRunAxis pins the walk rule on the level-1 passes of a 3D field:
+// the pass along the fastest axis runs along its lines, every other pass
+// across blocks of lines along the fastest orthogonal axis, and an
+// orthogonal axis of extent 1 hands the runs to the next one out.
+func TestPassRunAxis(t *testing.T) {
+	quant := quantizer.Linear{EB: 1e-3, Radius: quantizer.DefaultRadius}
+	cases := []struct {
+		dims []int
+		blk  map[int][2]int // pass direction -> (lines per block, flat step between them)
+	}{
+		{[]int{6, 7, 9}, map[int][2]int{2: {1, 0}, 1: {9, 1}, 0: {9, 1}}},
+		{[]int{6, 7, 1}, map[int][2]int{1: {1, 0}, 0: {7, 1}}},
+		{[]int{6, 1, 9}, map[int][2]int{2: {1, 0}, 0: {9, 1}}},
+		{[]int{5, 3, 2}, map[int][2]int{2: {1, 0}, 1: {2, 1}, 0: {2, 1}}},
+	}
+	for _, tc := range cases {
+		seen := 0
+		forEachPass(tc.dims, grid.Strides(tc.dims), 1, DefaultDirOrder(len(tc.dims)), func(pa *pass) {
+			pk := makePassKern(pa, interp.Cubic, quant)
+			want, ok := tc.blk[pa.dir]
+			if !ok {
+				t.Fatalf("dims=%v: unexpected pass along %d", tc.dims, pa.dir)
 			}
+			if pk.blk != want[0] || (pk.blk > 1 && pk.rstep != want[1]) {
+				t.Errorf("dims=%v dir=%d: blocks of %d lines at step %d, want %d at %d",
+					tc.dims, pa.dir, pk.blk, pk.rstep, want[0], want[1])
+			}
+			seen++
+		})
+		if seen != len(tc.blk) {
+			t.Errorf("dims=%v: %d passes, want %d", tc.dims, seen, len(tc.blk))
 		}
 	}
 }

@@ -123,6 +123,9 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err
 	}
+	if opts.Interp > interp.Cubic {
+		return nil, fmt.Errorf("%w: sz3: unknown interpolation kind %d", verdict.ErrBadOptions, opts.Interp)
+	}
 	if opts.DirOrder == nil {
 		opts.DirOrder = DefaultDirOrder(f.NDims())
 	} else if len(opts.DirOrder) != f.NDims() || !validOrder(opts.DirOrder) {
@@ -191,6 +194,9 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	mode, kind := Mode(hdr[0]), interp.Kind(hdr[1])
 	if mode > ModeLorenzo {
 		return nil, fmt.Errorf("%w: sz3: unknown mode %d", verdict.ErrCorrupt, mode)
+	}
+	if kind > interp.Cubic {
+		return nil, fmt.Errorf("%w: sz3: unknown interpolation kind %d", verdict.ErrCorrupt, kind)
 	}
 	if int(hdr[2]) != len(dims) {
 		return nil, fmt.Errorf("%w: sz3: stream ndims %d != caller dims %d", verdict.ErrCorrupt, hdr[2], len(dims))

@@ -138,9 +138,10 @@ func makePass(dims, strides []int, dir, s, level int, step [4]int) pass {
 // operate on: the three orthogonal lattice axes plus the in-line point
 // axis (odd multiples of s along dir, i.e. origin s*dstr, stride
 // 2s*dstr). Left/Top live on the orthogonal axes makePass picked; Back
-// is always the point axis. Region row-major order is exactly the
-// line-then-point order of the reference walker, so kernel sweeps replay
-// its visit order.
+// is always the point axis. Region rows are exactly the lines of the
+// reference walker in its order — the interpolation walk addresses lines
+// through RowBase and the literal stream follows them — while the QP
+// sweeps visit the region in stride order (core.Region.byStride).
 func (pa *pass) qpRegion() core.Region {
 	return core.Region{
 		Base: pa.s * pa.dstr,
