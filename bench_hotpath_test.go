@@ -1,7 +1,8 @@
-// Hot-path benchmarks for the intra-field parallel engine: steady-state
-// allocation counts (b.ReportAllocs) and worker scaling for compression,
-// decompression and the sharded entropy coder. They are for measuring
-// while working; the repository benchmark (benchmark/) is the ledger.
+// Hot-path benchmarks: steady-state allocation counts (b.ReportAllocs)
+// for compression, decompression, the interpolation engine and the QP
+// kernels, and worker scaling of the sharded entropy coder. They are for
+// measuring while working; the repository benchmark (benchmark/) is the
+// ledger.
 package scdc_test
 
 import (
@@ -24,15 +25,16 @@ func hotPathField() ([]float64, []int) {
 	return f.Data, f.Dims()
 }
 
-// BenchmarkHotPathCompress measures end-to-end Compress at several worker
-// counts. Allocations should be O(1) in field size at steady state: the
-// working copy, index arrays, Huffman tables and flate state are pooled.
+// BenchmarkHotPathCompress measures end-to-end Compress of a sharded
+// stream at several worker counts. Allocations should be O(1) in field
+// size at steady state: the working copy, index arrays, Huffman tables and
+// flate state are pooled.
 func BenchmarkHotPathCompress(b *testing.B) {
 	data, dims := hotPathField()
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts := scdc.Options{Algorithm: scdc.SZ3, RelativeBound: 1e-4,
-				QP: scdc.DefaultQP(), Workers: workers}
+				QP: scdc.DefaultQP(), Workers: workers, Shards: 4}
 			b.SetBytes(int64(len(data) * 8))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -72,20 +74,15 @@ func BenchmarkHotPathDecompress(b *testing.B) {
 // engine (no entropy coding, no lossless wrapper) at the sz3 layer.
 func BenchmarkHotPathInterpPass(b *testing.B) {
 	f := field(datagen.Miranda, 1)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := sz3.DefaultOptions(1e-3)
-			opts.Choice = sz3.ChoiceInterp
-			opts.Workers = workers
-			b.SetBytes(int64(f.Len() * 8))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sz3.Compress(f, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := sz3.DefaultOptions(1e-3)
+	opts.Choice = sz3.ChoiceInterp
+	b.SetBytes(int64(f.Len() * 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sz3.Compress(f, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -201,8 +198,7 @@ func BenchmarkEntropyCoders(b *testing.B) {
 
 // BenchmarkQPKernels isolates the QP stage on a Miranda-sized symbol
 // array (paper default Mode2D/Case III): the per-point Compensate
-// reference against the specialized region kernels, forward and inverse,
-// sequential and parallel.
+// reference against the specialized region kernels, forward and inverse.
 func BenchmarkQPKernels(b *testing.B) {
 	f := field(datagen.Miranda, 1)
 	var tr sz3.Trace
@@ -237,21 +233,19 @@ func BenchmarkQPKernels(b *testing.B) {
 			p.ForwardRegionRef(q, qp, rg)
 		}
 	})
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("forward/kernel/workers=%d", w), func(b *testing.B) {
-			p := newPred(b)
-			qp := make([]int32, len(q))
-			b.SetBytes(int64(len(q) * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.ForwardRegion(q, qp, rg, w, nil)
-			}
-		})
-	}
+	b.Run("forward/kernel", func(b *testing.B) {
+		p := newPred(b)
+		qp := make([]int32, len(q))
+		b.SetBytes(int64(len(q) * 4))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.ForwardRegion(q, qp, rg)
+		}
+	})
 
 	p := newPred(b)
 	qp := make([]int32, len(q))
-	p.ForwardRegion(q, qp, rg, 1, nil)
+	p.ForwardRegion(q, qp, rg)
 	b.Run("inverse/ref", func(b *testing.B) {
 		p := newPred(b)
 		enc := make([]int32, len(q))
@@ -262,16 +256,14 @@ func BenchmarkQPKernels(b *testing.B) {
 			p.InverseRegionRef(enc, rg)
 		}
 	})
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("inverse/kernel/workers=%d", w), func(b *testing.B) {
-			p := newPred(b)
-			enc := make([]int32, len(q))
-			b.SetBytes(int64(len(q) * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(enc, qp)
-				p.InverseRegion(enc, rg, w, nil)
-			}
-		})
-	}
+	b.Run("inverse/kernel", func(b *testing.B) {
+		p := newPred(b)
+		enc := make([]int32, len(q))
+		b.SetBytes(int64(len(q) * 4))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(enc, qp)
+			p.InverseRegion(enc, rg)
+		}
+	})
 }

@@ -254,6 +254,24 @@ func build() ([]Entry, map[string][]byte, error) {
 		add("v1_sz3_3d_qpoff", dims, v1, res.Data, scdc.SZ3, eb, false, false, true, "", "")
 	}
 
+	// SZ3's Lorenzo mode: the smallest synth cube that reaches the mode
+	// estimate's 4096-point floor, where it picks Lorenzo over
+	// interpolation. QP is asked for but not run: the paper's QP covers
+	// interpolation mode only.
+	{
+		dims := []int{16, 16, 16}
+		data := synth(dims)
+		stream, err := scdc.Compress(data, dims, scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: scdc.DefaultQP()})
+		if err != nil {
+			return nil, nil, fmt.Errorf("lorenzo: %w", err)
+		}
+		res, err := scdc.Decompress(stream)
+		if err != nil {
+			return nil, nil, fmt.Errorf("lorenzo decode: %w", err)
+		}
+		add("sz3_3d_qpon_lorenzo", dims, stream, res.Data, scdc.SZ3, eb, true, false, false, "", "")
+	}
+
 	return entries, streams, nil
 }
 

@@ -14,14 +14,16 @@
 //
 //	scdc -z -dataset Miranda -out miranda.scdc -alg QoZ -qp -rel 1e-4
 //
-// -workers N fans interpolation, quantization and entropy coding out
-// across N goroutines (both directions); the stream is bit-identical for
-// every N. -shards K writes the entropy stream as K independently
-// decodable Huffman shards sharing one code table, so decompression can
-// use -workers even on streams compressed with -workers 1:
+// -shards K writes the entropy stream as K independently decodable
+// Huffman shards sharing one code table, and -lossless flate (lz, huffman,
+// auto) the final stage as a sharded container. -workers N spreads those
+// shards, and the chunks of a chunked container, across N goroutines in
+// both directions; prediction, quantization and QP run on one. The output
+// is bit-identical for every N, and a sharded stream can be decoded with
+// -workers whatever -workers compressed it:
 //
 //	scdc -z -in data.f32 -out data.scdc -dims 512x512x512 -eb 1e-3 \
-//	     -qp -workers 8 -shards 8
+//	     -qp -shards 8 -lossless flate
 //	scdc -x -in data.scdc -out restored.f32 -workers 8
 //
 // -stats prints a per-stage span tree (interpolation, quantization, QP,
@@ -107,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 		field      = fs.Int("field", 0, "dataset field index (with -dataset)")
 		seed       = fs.Int64("seed", 1, "dataset synthesis seed (with -dataset)")
 		verify     = fs.Bool("verify", false, "after -z, decompress and report quality metrics, compression ratio and bit rate")
-		workers    = fs.Int("workers", 1, "goroutines for intra-field parallelism (compress and decompress); output is identical for any value")
+		workers    = fs.Int("workers", 1, "goroutines for the sharded entropy and lossless stages and for chunks (compress and decompress); output is identical for any value")
 		shards     = fs.Int("shards", 0, "split the entropy stream into this many Huffman shards for parallel decode (0 = single stream)")
 		entropyArg = fs.String("entropy", "huffman", "entropy coder for the quantization index stream: huffman, auto or rice")
 		llArg      = fs.String("lossless", "default", "lossless back-end: default (legacy whole-buffer flate), flate, lz, huffman or auto (sharded parallel container), store")

@@ -9,6 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"scdc/internal/core"
+	"scdc/internal/sz3"
 )
 
 // goldenEntry mirrors the manifest schema written by cmd/golden.
@@ -99,7 +102,8 @@ func TestGoldenCorpus(t *testing.T) {
 
 // TestGoldenCoverage asserts the corpus actually spans the matrix the
 // format promises to keep stable: every algorithm in 1D–4D, QP on for
-// every algorithm that supports it, plus chunked and v1 containers.
+// every algorithm that supports it, chunked and v1 containers, each
+// non-default entropy coder and lossless back-end, and SZ3's Lorenzo mode.
 func TestGoldenCoverage(t *testing.T) {
 	entries := loadGoldenManifest(t)
 	type key struct {
@@ -112,7 +116,7 @@ func TestGoldenCoverage(t *testing.T) {
 	rice := make(map[string]bool)
 	var auto bool
 	lossless := make(map[string]bool)
-	var shardedLossless bool
+	var shardedLossless, lorenzo bool
 	for _, e := range entries {
 		seen[key{e.Algorithm, len(e.Dims), e.QP}] = true
 		chunked = chunked || e.Chunked
@@ -132,6 +136,9 @@ func TestGoldenCoverage(t *testing.T) {
 				n *= d
 			}
 			shardedLossless = shardedLossless || n >= 64<<10
+		}
+		if e.Algorithm == SZ3.String() && !e.Chunked {
+			lorenzo = lorenzo || sz3Mode(t, e.File) == sz3.ModeLorenzo
 		}
 	}
 	for _, alg := range []Algorithm{SZ3, QoZ, HPEZ, MGARD, ZFP, TTHRESH, SPERR} {
@@ -166,6 +173,32 @@ func TestGoldenCoverage(t *testing.T) {
 	if !shardedLossless {
 		t.Error("no golden stream large enough to pin the sharded lossless container")
 	}
+	if !lorenzo {
+		t.Error("no SZ3 golden stream in Lorenzo mode")
+	}
+}
+
+// sz3Mode reads the predictor mode byte that opens the payload of a plain
+// SZ3 golden stream.
+func sz3Mode(t *testing.T, file string) sz3.Mode {
+	t.Helper()
+	stream, err := os.ReadFile(filepath.Join("testdata", "golden", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseHeader(stream, true)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	r, err := core.DecodeStream(h.payload, h.dims, 1, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	mode, err := r.Bytes(1, "sz3 mode")
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return sz3.Mode(mode[0])
 }
 
 // TestGoldenIntegrityTamper flips one payload byte in each v2 golden

@@ -343,8 +343,8 @@ func checkSpanEnds(pass *analysis.Pass, sc analysis.Scope) {
 
 // createsWallClockSpan reports whether the call starts a span this scope
 // must End: a Child/Span method on an obs value, or any call returning
-// *obs.Span (helpers like passSpan). ChildAccum is exempt — its End is a
-// documented no-op.
+// *obs.Span (a helper that opens one). ChildAccum is exempt — its End is
+// a documented no-op.
 func createsWallClockSpan(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if fn, recv, ok := analysis.Method(pass.Info, call); ok && isObsType(pass.TypeOf(recv)) {
 		switch fn.Name() {

@@ -4,7 +4,7 @@
 // The engines' parallelism contract (DESIGN.md §6) is that a worker
 // closure communicates results only through disjoint per-item slots:
 // `out[i] = ...` or `slots[worker] = ...` under ForEach, `out[i] = ...`
-// under Map, `chunks[lo/grain] = ...` under ForEachChunked. Any other
+// under Map. Any other
 // write to state captured from the enclosing function — a scalar
 // accumulator, a captured map, a write through a captured pointer, a
 // field update, `s = append(s, ...)` on a captured slice — is a data race
@@ -33,16 +33,15 @@ import (
 // Analyzer flags impure worker closures passed to internal/parallel.
 var Analyzer = &analysis.Analyzer{
 	Name: "parallelpure",
-	Doc:  "worker closures passed to parallel.ForEach / ForEachChunked / Map must write only per-index slots, never captured state",
+	Doc:  "worker closures passed to parallel.ForEach / Map must write only per-index slots, never captured state",
 	Run:  run,
 }
 
 // poolFuncs are the internal/parallel entry points whose final argument
 // is a worker closure run concurrently.
 var poolFuncs = map[string]bool{
-	"ForEach":        true,
-	"ForEachChunked": true,
-	"Map":            true,
+	"ForEach": true,
+	"Map":     true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -168,7 +167,7 @@ func checkWrite(pass *analysis.Pass, poolFunc string, lit *ast.FuncLit, target a
 
 // mentionsLocal reports whether the expression references at least one
 // variable local to the closure — the signature of a per-item disjoint
-// index like i, worker, or lo/grain.
+// index like i, worker, or lo/grain with lo derived from i.
 func mentionsLocal(pass *analysis.Pass, e ast.Expr, isLocal func(types.Object) bool) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {

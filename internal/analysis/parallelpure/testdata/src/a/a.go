@@ -59,10 +59,11 @@ func bad(n int, data []float64) float64 {
 	})
 
 	counters := make([]int, 8)
-	parallel.ForEachChunked(n, 4, 16, func(lo, hi int) {
+	_ = parallel.ForEach(n, 4, func(_, i int) error {
 		k := 3
 		_ = k
 		counters[n%8]++ // want "writes captured slice \"counters\" at an index independent"
+		return nil
 	})
 
 	// Writes inside a nested literal still run on the worker goroutine.
@@ -94,12 +95,14 @@ func good(n int, data []float64) []float64 {
 
 	grain := 16
 	sums := make([]float64, (n+grain-1)/grain)
-	parallel.ForEachChunked(n, 4, grain, func(lo, hi int) {
+	_ = parallel.ForEach(len(sums), 4, func(_, c int) error {
+		lo := c * grain
 		s := 0.0
-		for j := lo; j < hi; j++ {
+		for j := lo; j < min(lo+grain, n); j++ {
 			s += data[j]
 		}
 		sums[lo/grain] = s
+		return nil
 	})
 
 	scaled := parallel.Map(n, 4, func(i int) float64 {

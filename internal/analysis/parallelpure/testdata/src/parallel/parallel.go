@@ -12,19 +12,6 @@ func ForEach(n, workers int, fn func(worker, i int) error) error {
 	return nil
 }
 
-func ForEachChunked(n, workers, grain int, fn func(lo, hi int)) {
-	if grain < 1 {
-		grain = 1
-	}
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	}
-}
-
 func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
 	_ = ForEach(n, workers, func(_, i int) error {

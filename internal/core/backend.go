@@ -39,9 +39,10 @@ type Backend struct {
 	// legacy whole-buffer format is what the golden corpus pins.
 	LosslessSharded bool
 	// Workers caps the number of goroutines used inside one Compress call
-	// (QP sweeps, Huffman shard encoding, the sharded lossless stage and,
-	// for SZ3 and QoZ, the interpolation passes). <= 1 runs sequentially.
-	// The output is byte-identical for any worker count.
+	// by the back end: Huffman shard encoding (Shards > 1) and the sharded
+	// lossless stage (LosslessSharded). The prediction and QP sweeps always
+	// run on the calling goroutine. <= 1 runs sequentially. The output is
+	// byte-identical for any worker count.
 	Workers int
 	// Shards splits the entropy-coded index stream into this many
 	// independently decodable Huffman shards sharing one code table, so
@@ -109,6 +110,8 @@ func (b *Backend) Normalize(eb float64) error {
 	if b.Lossless == 0 {
 		b.Lossless = lossless.Flate
 	}
+	// The pool reads a count <= 0 as GOMAXPROCS; here it means sequential.
+	b.Workers = max(b.Workers, 1)
 	if !b.Entropy.Valid() {
 		return fmt.Errorf("%w: core: unknown entropy coder %d", verdict.ErrBadOptions, b.Entropy)
 	}
@@ -224,11 +227,14 @@ type Reader struct {
 // DecodeStream checks dims, peels the lossless layer off payload
 // (bounded by lossless.PayloadLimit of the point count, under a
 // "lossless" child span of sp) and returns a Reader over the plaintext.
+// Sharded index and lossless bodies decode on up to workers goroutines;
+// workers <= 1 decodes sequentially.
 func DecodeStream(payload []byte, dims []int, workers int, sp *obs.Span) (*Reader, error) {
 	n, err := grid.CheckDims(dims)
 	if err != nil {
 		return nil, err
 	}
+	workers = max(workers, 1) // as in Normalize
 	buf, err := DecompressLossless(payload, lossless.PayloadLimit(n), workers, sp)
 	if err != nil {
 		return nil, err

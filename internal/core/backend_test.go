@@ -106,3 +106,26 @@ func TestNormalize(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkersFloor: a worker count <= 1 is sequential on both doors into
+// the back end. The pool reads 0 as GOMAXPROCS, so Normalize and
+// DecodeStream hand it at least 1, for engines called directly too.
+func TestWorkersFloor(t *testing.T) {
+	payload, err := CompressLossless(lossless.Flate, false, []byte{7}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{0, -3, 1} {
+		b := Backend{Workers: w}
+		if err := b.Normalize(1e-3); err != nil || b.Workers != 1 {
+			t.Errorf("Normalize: Workers %d became %d (%v), want 1", w, b.Workers, err)
+		}
+		r, err := DecodeStream(payload, []int{1}, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.workers != 1 {
+			t.Errorf("DecodeStream: workers %d became %d, want 1", w, r.workers)
+		}
+	}
+}

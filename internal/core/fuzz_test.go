@@ -5,19 +5,18 @@ import (
 )
 
 // FuzzQPKernelDifferential drives the kernelized sweeps and the reference
-// Compensate path with fuzzer-chosen geometry, configuration, worker
-// count and symbol content, requiring byte-identical outputs and
-// identical Compensated totals in both directions.
+// Compensate path with fuzzer-chosen geometry, configuration and symbol
+// content, requiring byte-identical outputs and identical Compensated
+// totals in both directions.
 func FuzzQPKernelDifferential(f *testing.F) {
-	f.Add(uint8(4), uint8(2), uint8(2), uint8(4), uint8(5), uint8(6), uint8(4), []byte{1, 9, 0, 8, 7, 7, 16, 3})
-	f.Add(uint8(5), uint8(0), uint8(0), uint8(3), uint8(3), uint8(3), uint8(1), []byte{0, 0, 0})
-	f.Add(uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(9), uint8(8), []byte{8, 8, 8, 8})
-	f.Fuzz(func(t *testing.T, modeB, condB, maxLevel, nx, ny, nz, workersB uint8, syms []byte) {
+	f.Add(uint8(4), uint8(2), uint8(2), uint8(4), uint8(5), uint8(6), []byte{1, 9, 0, 8, 7, 7, 16, 3})
+	f.Add(uint8(5), uint8(0), uint8(0), uint8(3), uint8(3), uint8(3), []byte{0, 0, 0})
+	f.Add(uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(9), []byte{8, 8, 8, 8})
+	f.Fuzz(func(t *testing.T, modeB, condB, maxLevel, nx, ny, nz uint8, syms []byte) {
 		mode := Mode(modeB % 6)
 		cond := Cond(condB % 4)
 		cfg := Config{Mode: mode, Cond: cond, MaxLevel: int(maxLevel % 4)}
 		dx, dy, dz := int(nx%6)+1, int(ny%6)+1, int(nz%6)+1
-		workers := int(workersB%8) + 1
 		const radius = int32(8)
 
 		n := dx * dy * dz
@@ -46,7 +45,7 @@ func FuzzQPKernelDifferential(f *testing.F) {
 
 		pred := &Predictor{Cfg: cfg, Radius: radius}
 		qp := make([]int32, n)
-		pred.ForwardRegion(q, qp, rg, workers, nil)
+		pred.ForwardRegion(q, qp, rg)
 		for i := range qp {
 			if qp[i] != qpRef[i] {
 				t.Fatalf("forward mismatch at %d: kernel %d ref %d", i, qp[i], qpRef[i])
@@ -64,7 +63,7 @@ func FuzzQPKernelDifferential(f *testing.F) {
 		inv := make([]int32, n)
 		copy(inv, qpRef)
 		invPred := &Predictor{Cfg: cfg, Radius: radius}
-		invPred.InverseRegion(inv, rg, workers, nil)
+		invPred.InverseRegion(inv, rg)
 		for i := range inv {
 			if inv[i] != invRef[i] {
 				t.Fatalf("inverse mismatch at %d: kernel %d ref %d", i, inv[i], invRef[i])

@@ -1,12 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"scdc/internal/obs"
-	"scdc/internal/parallel"
-)
-
 // This file is the kernelized QP engine. QP is one reversible transform
 // (paper §V-A, Algorithm 2): both sides compute the same compensation c
 // from the same already-known neighbors, compression stores Q - c and
@@ -32,21 +25,8 @@ import (
 // of three centered() calls). Boundary handling moves out of the loop
 // too: a kernel run only ever covers points whose needed neighbors all
 // exist, and regionSweep.rows is the one place that decides which points
-// those are.
-//
-// Parallelism (see DESIGN.md §6.1): the forward sweep reads only q and
-// writes only its own qp slot, so rows split freely across workers. The
-// inverse sweep has neighbor dependencies, but they only connect lattice
-// positions that differ along the axes the mode actually uses — so for
-// modes without a Back dependency the orthogonal "free" axes enumerate
-// fully independent units that run concurrently. Mode1DBack and Mode3D
-// decode sequentially. Per-chunk Compensated counts are integer sums, so
-// totals are deterministic at any worker count; the symbol arrays are
-// bit-identical by construction.
-
-// minKernelParallelPoints is the smallest region (in points) worth
-// fanning out; below it the goroutine handoff costs more than the sweep.
-const minKernelParallelPoints = 2048
+// those are. Both directions visit a region in one sequential order, the
+// same on both sides (DESIGN.md §6.1).
 
 // runKernel is one run of cnt points starting at flat index i0 with
 // stride step: dst[i] = src[i] + sgn*c, with c computed from src at the
@@ -131,22 +111,6 @@ func kernel1D(cond Cond) runKernel {
 	}
 }
 
-// workerSpans creates the per-worker accumulating "worker[w]" child spans
-// the parallel region sweeps report into (the PR 3 worker-attribution
-// pattern). Returns nil — observation off — for a nil parent or a
-// sequential run; every kernel entry point accepts nil at the cost of one
-// length check per chunk.
-func workerSpans(sp *obs.Span, workers int) []*obs.Span {
-	if sp == nil || workers <= 1 {
-		return nil
-	}
-	ws := make([]*obs.Span, workers)
-	for w := range ws {
-		ws[w] = sp.ChildAccum(fmt.Sprintf("worker[%d]", w))
-	}
-	return ws
-}
-
 // rowBase decomposes row index r over the three outer axes and returns
 // the row's flat base index plus the outer positions.
 //
@@ -173,22 +137,6 @@ func copyRun(src, dst []int32, i0, step, cnt int) {
 	for k, i := 0, i0; k < cnt; k, i = k+1, i+step {
 		dst[i] = src[i]
 	}
-}
-
-// RegionGrain picks rows, lines or units per work chunk: at least ~1024 points
-// per handoff, several chunks per worker for load balance.
-//
-//scdc:inline
-//scdc:noalloc
-func RegionGrain(n, unitPts, workers int) int {
-	grain := n / (4 * workers)
-	if minN := (1024 + unitPts - 1) / unitPts; grain < minN {
-		grain = minN
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	return grain
 }
 
 // regionSweep is the QP transform over one region in one direction:
@@ -228,21 +176,21 @@ func (s *regionSweep) bind(ops kernelOps) {
 	}
 }
 
-// rows sweeps rows [lo, hi) in row-major order and returns how many
+// rows sweeps the region's rows in row-major order and returns how many
 // points got a nonzero compensation. It is the one place that decides a
 // point has no neighbor to predict from: every point of a row at position
 // zero along a needed outer axis, and the head point of any row when the
 // run axis itself is needed. Such points are their own transform — copied
 // when dst is a second array, left alone when the sweep is in place.
-func (s *regionSweep) rows(lo, hi int) int {
+func (s *regionSweep) rows() int {
 	step, n := s.rg.Strd[3], s.rg.Ext[3]
 	head := 0
 	if s.needAx[3] {
 		head = 1
 	}
 	comp := 0
-	cur := s.rg.RowAt(lo) // one rowBase decomposition, increments after that
-	for r := lo; r < hi; r++ {
+	cur := s.rg.RowAt(0)
+	for r := s.rg.Rows(); r > 0; r-- {
 		skip := head
 		if s.run == nil || (s.needAx[0] && cur.P0 == 0) || (s.needAx[1] && cur.P1 == 0) || (s.needAx[2] && cur.P2 == 0) {
 			skip = n
@@ -258,112 +206,41 @@ func (s *regionSweep) rows(lo, hi int) int {
 	return comp
 }
 
-// depInnermost reorders the region's axes so the ones carrying neighbors
-// come last, each group keeping its order, and returns the number of
-// positions on the other ("free") axes and the rows each one spans.
-// Dependencies only connect points that differ along a needed axis, so
-// every free position is a dependency-closed unit of consecutive rows,
-// swept in a valid recovery order. Left/Top/Back are stale afterwards;
-// rows reads only needAx and the offsets.
-func (s *regionSweep) depInnermost() (units, rowsPer int) {
-	rg, need := s.rg, s.needAx
-	units, k := 1, 0
-	for _, dep := range [2]bool{false, true} {
-		for a := 0; a < 4; a++ {
-			if need[a] != dep {
-				continue
-			}
-			s.rg.Ext[k], s.rg.Strd[k], s.needAx[k] = rg.Ext[a], rg.Strd[a], dep
-			if !dep {
-				units *= rg.Ext[a]
-			}
-			k++
-		}
-	}
-	return units, s.rg.Rows() / units
-}
-
-// fanOut sweeps units of rowsPer consecutive rows each on up to workers
-// goroutines, several units per chunk, and sums the per-chunk
-// compensation counts. wsp, from workerSpans, attributes chunk time to
-// "worker[w]" spans; nil disables observation. The receiver is a copy so
-// that the goroutines' capture does not move the caller's sweep to the
-// heap on the sequential path.
-func (s regionSweep) fanOut(units, rowsPer, workers int, wsp []*obs.Span) int {
-	grain := RegionGrain(units, s.rg.Points()/units, workers)
-	comps := make([]int, parallel.Chunks(units, grain))
-	// A row sweep cannot fail, so neither can the loop.
-	_ = parallel.ForEach(len(comps), workers, func(w, c int) error {
-		var sp *obs.Span // accumulator from workerSpans; nil when observation is off
-		if w < len(wsp) {
-			sp = wsp[w]
-		}
-		t0 := sp.Begin()
-		lo := c * grain
-		comps[c] = s.rows(lo*rowsPer, min(lo+grain, units)*rowsPer)
-		sp.AddSince(t0)
-		return nil
-	})
-	total := 0
-	for _, c := range comps {
-		total += c
-	}
-	return total
-}
-
-// sweep runs the transform dst[i] = src[i] + sgn*c over one region on up
-// to workers goroutines, visiting its axes in stride order (byStride).
-// Two schedules share fanOut. Forward (sgn < 0, dst a second array) has
-// no dependencies between points, so the unit is a row. In place
-// (sgn > 0, dst == src) the unit is one position on the axes that carry
-// no neighbor; a mode with a Back dependency (Mode1DBack, Mode3D) decodes
-// sequentially.
-func (p *Predictor) sweep(src, dst []int32, rg Region, sgn int32, workers int, wsp []*obs.Span) {
+// sweep runs the transform dst[i] = src[i] + sgn*c over one region,
+// visiting its axes in stride order (byStride). Forward (sgn < 0) writes
+// a second array; in place (sgn > 0, dst == src) every neighbor read sees
+// a symbol this sweep has already recovered.
+func (p *Predictor) sweep(src, dst []int32, rg Region, sgn int32) {
 	s := regionSweep{src: src, dst: dst, rg: rg.byStride(), R: p.Radius, U: p.Unpredictable, sgn: sgn}
 	ops := kernelFor(p.Cfg.Mode, p.Cfg.Cond)
 	if ops.run != nil && (p.Cfg.MaxLevel <= 0 || rg.Level <= p.Cfg.MaxLevel) {
 		s.bind(ops)
 	}
-	inPlace := sgn > 0
-	if inPlace && s.run == nil {
+	if sgn > 0 && s.run == nil {
 		return // compensation is identically zero: dst already holds Q
 	}
-	fan := workers > 1 && rg.Points() >= minKernelParallelPoints && !(inPlace && ops.needB)
-	units, rowsPer := s.rg.Rows(), 1
-	if fan && inPlace {
-		units, rowsPer = s.depInnermost()
-	}
-	if !fan || units < 2 {
-		p.Compensated += s.rows(0, units*rowsPer)
-		return
-	}
-	p.Compensated += s.fanOut(units, rowsPer, workers, wsp)
+	p.Compensated += s.rows()
 }
 
 // ForwardRegion applies the compression-side QP transform over one
-// region: qp[i] = q[i] - c in row-major order, kernelized and split
-// across up to workers goroutines. It reads only original symbols q and
-// each point writes only its own qp slot, so any worker count produces
-// the byte-identical output of the sequential reference sweep
-// (ForwardRegionRef). q and qp must be distinct arrays of the same
-// length. wsp, from workerSpans, attributes parallel chunk time to
-// "worker[w]" spans; nil disables observation.
+// region: qp[i] = q[i] - c, kernelized. It reads only original symbols q
+// and each point writes only its own qp slot, so the output is the
+// reference sweep's (ForwardRegionRef). q and qp must be distinct arrays
+// of the same length.
 //
 //scdc:hot
-func (p *Predictor) ForwardRegion(q, qp []int32, rg Region, workers int, wsp []*obs.Span) {
-	p.sweep(q, qp, rg, -1, workers, wsp)
+func (p *Predictor) ForwardRegion(q, qp []int32, rg Region) {
+	p.sweep(q, qp, rg, -1)
 }
 
 // InverseRegion recovers original symbols in place over one region:
-// enc[i] += c with neighbors read from already-recovered points. The
-// sequential path replays the exact row-major reference order
-// (InverseRegionRef); the parallel one visits every dependency-closed
-// unit in a valid recovery order, so the recovered array is bit-identical
-// at any worker count.
+// enc[i] += c with neighbors read from already-recovered points. Every
+// neighbor precedes its point in the stride-ordered visit, so the
+// recovered array is the reference's (InverseRegionRef).
 //
 //scdc:hot
-func (p *Predictor) InverseRegion(enc []int32, rg Region, workers int, wsp []*obs.Span) {
-	p.sweep(enc, enc, rg, +1, workers, wsp)
+func (p *Predictor) InverseRegion(enc []int32, rg Region) {
+	p.sweep(enc, enc, rg, +1)
 }
 
 // --- 1D kernels (single neighbor at flat offset off) ---

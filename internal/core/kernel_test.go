@@ -5,15 +5,13 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"scdc/internal/obs"
 )
 
 // The kernel differential suite pins ForwardRegion/InverseRegion against
 // the reference Compensate path (ForwardRegionRef/InverseRegionRef) for
-// every Mode x Cond pair, several region geometries (contiguous scan,
-// strided pass, 2D plane, degenerate axes, MaxLevel cutoff, two regions
-// large enough to fan out) and worker counts 1/2/4/8 — byte-identical outputs, identical Compensated totals,
+// every Mode x Cond pair and several region geometries (contiguous scan,
+// strided pass, 2D plane, degenerate axes, MaxLevel cutoff, axes out of
+// stride order) — byte-identical outputs, identical Compensated totals,
 // identical write footprint.
 
 type regionCase struct {
@@ -71,7 +69,7 @@ func kernelRegionCases() []regionCase {
 				Left: 3, Top: 2, Back: 1, Level: 3},
 		},
 		{
-			// Single row: no parallelism to extract, boundary-only work.
+			// Single row: boundary-only work.
 			name: "single-row",
 			arr:  9,
 			rg: Region{Base: 0, Ext: [4]int{1, 1, 1, 9}, Strd: [4]int{0, 0, 0, 1},
@@ -80,8 +78,7 @@ func kernelRegionCases() []regionCase {
 		{
 			// The run axis itself carries a neighbor (Top) at stride 2, so
 			// every compensated row has a head point; Left on the slowest
-			// axis leaves the two middle axes free, which the parallel
-			// inverse must move outermost. Large enough to fan out.
+			// axis leaves the two middle axes free.
 			name: "run-axis-needed-strided",
 			arr:  6700,
 			rg: Region{Base: 5, Ext: [4]int{3, 8, 10, 12}, Strd: [4]int{2200, 270, 26, 2},
@@ -89,7 +86,7 @@ func kernelRegionCases() []regionCase {
 		},
 		{
 			// Back on the slowest axis with extent 2: half the rows have
-			// no Back neighbor at all. Large enough to fan out.
+			// no Back neighbor at all.
 			name: "back-axis0-extent2",
 			arr:  2340,
 			rg: Region{Base: 0, Ext: [4]int{2, 9, 10, 13}, Strd: [4]int{1170, 130, 13, 1},
@@ -100,7 +97,7 @@ func kernelRegionCases() []regionCase {
 		{
 			// An SZ3 level-1 pass along the slowest axis of an 11×20×24
 			// field: the point axis (Back) has the largest stride and the
-			// run goes along Left, field axis 2. Large enough to fan out.
+			// run goes along Left, field axis 2.
 			name: "sz3-dir0-pass",
 			arr:  5280,
 			rg: Region{Base: 480, Ext: [4]int{20, 24, 1, 5}, Strd: [4]int{24, 1, 0, 960},
@@ -108,7 +105,7 @@ func kernelRegionCases() []regionCase {
 		},
 		{
 			// Smallest stride on axis 0 and the largest (Back) on axis 1,
-			// Top in between. Large enough to fan out.
+			// Top in between.
 			name: "run-axis0-back-axis1",
 			arr:  5913,
 			rg: Region{Base: 3, Ext: [4]int{4, 20, 5, 6}, Strd: [4]int{2, 300, 42, 7},
@@ -212,43 +209,41 @@ func TestKernelsMatchCompensate(t *testing.T) {
 					refInvPred := &Predictor{Cfg: cfg, Radius: radius}
 					refInvPred.InverseRegionRef(invRef, tc.rg)
 
-					for _, workers := range []int{1, 2, 4, 8} {
-						name := fmt.Sprintf("%s/%v/%v/ml%d/w%d", tc.name, mode, cond, maxLevel, workers)
-						pred := &Predictor{Cfg: cfg, Radius: radius}
-						qp := make([]int32, tc.arr)
-						for i := range qp {
-							qp[i] = sentinel
+					name := fmt.Sprintf("%s/%v/%v/ml%d", tc.name, mode, cond, maxLevel)
+					pred := &Predictor{Cfg: cfg, Radius: radius}
+					qp := make([]int32, tc.arr)
+					for i := range qp {
+						qp[i] = sentinel
+					}
+					pred.ForwardRegion(q, qp, tc.rg)
+					for i := range qp {
+						if qp[i] != qpRef[i] {
+							t.Fatalf("%s: forward mismatch at %d: kernel %d ref %d", name, i, qp[i], qpRef[i])
 						}
-						pred.ForwardRegion(q, qp, tc.rg, workers, nil)
-						for i := range qp {
-							if qp[i] != qpRef[i] {
-								t.Fatalf("%s: forward mismatch at %d: kernel %d ref %d", name, i, qp[i], qpRef[i])
-							}
-						}
-						if pred.Compensated != refPred.Compensated {
-							t.Fatalf("%s: forward Compensated kernel %d ref %d", name, pred.Compensated, refPred.Compensated)
-						}
+					}
+					if pred.Compensated != refPred.Compensated {
+						t.Fatalf("%s: forward Compensated kernel %d ref %d", name, pred.Compensated, refPred.Compensated)
+					}
 
-						inv := make([]int32, tc.arr)
-						copy(inv, qpRef)
-						for i := range inv {
-							if inv[i] == sentinel {
-								inv[i] = q[i]
-							}
+					inv := make([]int32, tc.arr)
+					copy(inv, qpRef)
+					for i := range inv {
+						if inv[i] == sentinel {
+							inv[i] = q[i]
 						}
-						invPred := &Predictor{Cfg: cfg, Radius: radius}
-						invPred.InverseRegion(inv, tc.rg, workers, nil)
-						for i := range inv {
-							if inv[i] != invRef[i] {
-								t.Fatalf("%s: inverse mismatch at %d: kernel %d ref %d", name, i, inv[i], invRef[i])
-							}
-							if inv[i] != q[i] {
-								t.Fatalf("%s: inverse did not recover q at %d: got %d want %d", name, i, inv[i], q[i])
-							}
+					}
+					invPred := &Predictor{Cfg: cfg, Radius: radius}
+					invPred.InverseRegion(inv, tc.rg)
+					for i := range inv {
+						if inv[i] != invRef[i] {
+							t.Fatalf("%s: inverse mismatch at %d: kernel %d ref %d", name, i, inv[i], invRef[i])
 						}
-						if invPred.Compensated != refInvPred.Compensated {
-							t.Fatalf("%s: inverse Compensated kernel %d ref %d", name, invPred.Compensated, refInvPred.Compensated)
+						if inv[i] != q[i] {
+							t.Fatalf("%s: inverse did not recover q at %d: got %d want %d", name, i, inv[i], q[i])
 						}
+					}
+					if invPred.Compensated != refInvPred.Compensated {
+						t.Fatalf("%s: inverse Compensated kernel %d ref %d", name, invPred.Compensated, refInvPred.Compensated)
 					}
 				}
 			}
@@ -290,7 +285,7 @@ func TestKernelNeedsMatchReads(t *testing.T) {
 	for _, mode := range allModes()[1:] {
 		for _, cond := range allConds() {
 			ops := kernelFor(mode, cond)
-			q := make([]int32, rg.Points())
+			q := make([]int32, 64)
 			fillSymbols(rng, q, radius)
 			ref := &Predictor{Cfg: Config{Mode: mode, Cond: cond}, Radius: radius}
 			want := append([]int32(nil), q...)
@@ -328,53 +323,6 @@ func TestKernelNeedsMatchReads(t *testing.T) {
 				t.Errorf("%v/%v inverse: got %v, want the original %v", mode, cond, qp, q)
 			}
 		}
-	}
-}
-
-// TestKernelWorkerSpans checks that parallel sweeps attribute time to the
-// per-worker accumulating spans without perturbing results.
-func TestKernelWorkerSpans(t *testing.T) {
-	const radius = int32(8)
-	rng := rand.New(rand.NewSource(7))
-	rg := Region{Base: 0, Ext: [4]int{1, 16, 16, 16}, Strd: [4]int{0, 256, 16, 1},
-		Left: 3, Top: 2, Back: 1, Level: 1}
-	q := make([]int32, 4096)
-	fillSymbols(rng, q, radius)
-	cfg := Config{Mode: Mode2D, Cond: CondSameSign2}
-
-	ref := &Predictor{Cfg: cfg, Radius: radius}
-	qpRef := make([]int32, len(q))
-	ref.ForwardRegionRef(q, qpRef, rg)
-
-	rec := obs.New()
-	sp := rec.Span("qp")
-	wsp := workerSpans(sp, 4)
-	if len(wsp) != 4 {
-		t.Fatalf("workerSpans: got %d spans, want 4", len(wsp))
-	}
-	pred := &Predictor{Cfg: cfg, Radius: radius}
-	qp := make([]int32, len(q))
-	pred.ForwardRegion(q, qp, rg, 4, wsp)
-	for i := range qp {
-		if qp[i] != qpRef[i] {
-			t.Fatalf("observed forward mismatch at %d", i)
-		}
-	}
-	inv := make([]int32, len(q))
-	copy(inv, qp)
-	pred.InverseRegion(inv, rg, 4, wsp)
-	for i := range inv {
-		if inv[i] != q[i] {
-			t.Fatalf("observed inverse mismatch at %d", i)
-		}
-	}
-	sp.End()
-
-	if ws := workerSpans(nil, 4); ws != nil {
-		t.Fatalf("workerSpans(nil) = %v, want nil", ws)
-	}
-	if ws := workerSpans(sp, 1); ws != nil {
-		t.Fatalf("workerSpans(workers=1) = %v, want nil", ws)
 	}
 }
 

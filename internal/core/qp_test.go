@@ -104,10 +104,10 @@ func TestTransformInvertRoundTrip(t *testing.T) {
 		for cond := CondAlways; cond <= CondSameSign3; cond++ {
 			p := mustPredictor(t, Config{Mode: mode, Cond: cond, MaxLevel: 2})
 			dst := make([]int32, len(q))
-			p.ForwardRegion(q, dst, rg, 1, nil)
+			p.ForwardRegion(q, dst, rg)
 			p2 := mustPredictor(t, Config{Mode: mode, Cond: cond, MaxLevel: 2})
 			rec := append([]int32(nil), dst...)
-			p2.InverseRegion(rec, rg, 1, nil)
+			p2.InverseRegion(rec, rg)
 			for i := range q {
 				if rec[i] != q[i] {
 					t.Fatalf("mode=%v cond=%v: mismatch at %d: %d != %d", mode, cond, i, rec[i], q[i])
@@ -122,7 +122,7 @@ func TestTransformLowersEntropyOnClusters(t *testing.T) {
 	q := clusterPlane(w, h, 2)
 	p := mustPredictor(t, Default())
 	dst := make([]int32, len(q))
-	p.ForwardRegion(q, dst, planeRegion(h, w, w, 1, 1), 1, nil)
+	p.ForwardRegion(q, dst, planeRegion(h, w, w, 1, 1))
 	h0 := entropy.Shannon(q)
 	h1 := entropy.Shannon(dst)
 	if h1 >= h0 {
@@ -248,10 +248,10 @@ func TestQuickReversibility(t *testing.T) {
 		}
 		rg := planeRegion(h, w, w, 1, 1)
 		dst := make([]int32, len(q))
-		p.ForwardRegion(q, dst, rg, 1, nil)
+		p.ForwardRegion(q, dst, rg)
 		p2, _ := NewPredictor(cfg, radius)
 		rec := append([]int32(nil), dst...)
-		p2.InverseRegion(rec, rg, 1, nil)
+		p2.InverseRegion(rec, rg)
 		for i := range q {
 			if rec[i] != q[i] {
 				return false

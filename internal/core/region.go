@@ -32,11 +32,6 @@ type Region struct {
 	Level int
 }
 
-// Points returns the number of lattice points in the region.
-func (rg Region) Points() int {
-	return rg.Ext[0] * rg.Ext[1] * rg.Ext[2] * rg.Ext[3]
-}
-
 // Rows returns the number of axis-3 runs of the region — the unit of
 // work of the QP sweeps and the lattice row kernels, and the lines of an
 // SZ3 pass.
@@ -56,11 +51,11 @@ func (rg Region) RowBase(r int) int {
 }
 
 // RowCursor is the odometer of a row sweep: the outer-axis positions of
-// the current axis-3 row and its flat base index. Sequential sweeps (QP
-// kernels, lattice row kernels) step it with NextRow instead of paying
-// rowBase's two divides and two modulos per row; RowAt seeds it at a
-// chunk start. The positions are named fields rather than an array
-// because that is what keeps NextRow inside the inlining budget.
+// the current axis-3 row and its flat base index. Row sweeps (QP kernels,
+// lattice row kernels, SZ3's literal passes) step it with NextRow instead
+// of paying rowBase's two divides and two modulos per row; RowAt seeds
+// it. The positions are named fields rather than an array because that
+// is what keeps NextRow inside the inlining budget.
 type RowCursor struct {
 	P0, P1, P2 int // positions along axes 0..2
 	Base       int // flat index of the row's first point

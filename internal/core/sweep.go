@@ -17,9 +17,10 @@ import (
 // call is in. An engine gets one from Backend.Sweep to compress and from
 // Reader.Sweep to decompress, walks its passes or classes over Data/Sym
 // with its own kernels, calls ForwardQP after (InverseQP before) each
-// region and ends with Backend.Encode or Finish. Who runs QP, on how many
-// workers, which span the time goes to, and how a literal shortfall is
-// reported is decided here, once, for all four engines.
+// region and ends with Backend.Encode or Finish. Who runs QP, which span
+// the time goes to, and how a literal shortfall is reported is decided
+// here, once, for all four engines. The sweeps run on the calling
+// goroutine.
 type Sweep struct {
 	// Data is the field: compression overwrites a working copy with the
 	// decompressed values later predictions read (Algorithm 1 line 6),
@@ -38,10 +39,6 @@ type Sweep struct {
 	Lits []float64
 	Lit  int
 
-	// Workers is the goroutine budget of one pass or class sweep and of
-	// one QP call; <= 1 is sequential.
-	Workers int
-
 	field *grid.Field // decompression: the field Data belongs to
 	clk   *clock      // nil when unobserved
 }
@@ -59,29 +56,26 @@ const (
 // except inside ForwardQP/InverseQP, where it belongs to qp, so the two
 // are disjoint sub-intervals of the call.
 type clock struct {
-	span    [2]*obs.Span // the stage's, then qp's; both accumulating
-	workers []*obs.Span  // qp's per-worker children
-	onQP    int          // the span the running window belongs to
-	mark    time.Time    // when it started
+	span [2]*obs.Span // the stage's, then qp's; both accumulating
+	onQP int          // the span the running window belongs to
+	mark time.Time    // when it started
 }
 
 // flip charges the running window to its span and starts one on the
-// other. It returns qp's worker spans, for the QP call that a flip onto
-// qp precedes. A nil clock does nothing and never reads the time.
-func (c *clock) flip() []*obs.Span {
+// other. A nil clock does nothing and never reads the time.
+func (c *clock) flip() {
 	if c == nil {
-		return nil
+		return
 	}
 	c.span[c.onQP].AddSince(c.mark)
 	c.onQP ^= 1
 	c.mark = c.span[c.onQP].Begin()
-	return c.workers
 }
 
-// NewSweep returns a bare sweep over data and sym: QP off, one worker,
-// unobserved. The tuners' trial compressions run on it.
+// NewSweep returns a bare sweep over data and sym: QP off, unobserved.
+// The tuners' trial compressions run on it.
 func NewSweep(data []float64, sym []int32) *Sweep {
-	return &Sweep{Data: data, Sym: sym, Workers: 1}
+	return &Sweep{Data: data, Sym: sym}
 }
 
 // Sweep returns the compression sweep for src, with a predictor and a
@@ -93,7 +87,7 @@ func NewSweep(data []float64, sym []int32) *Sweep {
 func (b *Backend) Sweep(src []float64, useQP bool, stage Stage) (*Sweep, error) {
 	// Each pooled buffer passes through a local on its way into s: that is
 	// the hand-off shape scdclint's poolreturn recognizes.
-	s := &Sweep{Workers: b.Workers}
+	s := &Sweep{}
 	if useQP {
 		var err error
 		if s.Pred, err = NewPredictor(b.QP, b.Radius); err != nil {
@@ -123,8 +117,7 @@ func (s *Sweep) Release() {
 func (r *Reader) Sweep(stage Stage) *Sweep {
 	// DecodeStream has checked the dims, New's only failure.
 	field, _ := grid.New(r.dims...)
-	s := &Sweep{Data: field.Data, Sym: r.Indices, Lits: r.Literals, Pred: r.pred,
-		Workers: r.workers, field: field}
+	s := &Sweep{Data: field.Data, Sym: r.Indices, Lits: r.Literals, Pred: r.pred, field: field}
 	s.start(r.sp, stage)
 	return s
 }
@@ -139,7 +132,6 @@ func (s *Sweep) start(sp *obs.Span, stage Stage) {
 	s.clk.span[0] = sp.ChildAccum(string(stage))
 	if s.Pred != nil {
 		s.clk.span[1] = sp.ChildAccum("qp")
-		s.clk.workers = workerSpans(s.clk.span[1], s.Workers)
 	}
 	s.clk.mark = s.clk.span[0].Begin()
 }
@@ -164,15 +156,6 @@ func (s *Sweep) Finish() *grid.Field {
 	return s.field
 }
 
-// Span is the stage span, for an engine that hangs per-pass detail under
-// it; nil when unobserved.
-func (s *Sweep) Span() *obs.Span {
-	if s.clk == nil {
-		return nil
-	}
-	return s.clk.span[0]
-}
-
 // ForwardQP transforms the symbols of rg once the engine has written
 // them: the QP copy receives Sym minus the compensation predicted from
 // the region's already-written neighbors. A no-op when QP is off.
@@ -180,8 +163,8 @@ func (s *Sweep) ForwardQP(rg Region) {
 	if s.QP == nil {
 		return
 	}
-	wsp := s.clk.flip()
-	s.Pred.ForwardRegion(s.Sym, s.QP, rg, s.Workers, wsp)
+	s.clk.flip()
+	s.Pred.ForwardRegion(s.Sym, s.QP, rg)
 	s.clk.flip()
 }
 
@@ -192,8 +175,8 @@ func (s *Sweep) InverseQP(rg Region) {
 	if s.Pred == nil {
 		return
 	}
-	wsp := s.clk.flip()
-	s.Pred.InverseRegion(s.Sym, rg, s.Workers, wsp)
+	s.clk.flip()
+	s.Pred.InverseRegion(s.Sym, rg)
 	s.clk.flip()
 }
 

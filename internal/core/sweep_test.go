@@ -23,7 +23,7 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 
 	rec := obs.New()
 	root := rec.Span("compress")
-	b := Backend{Radius: radius, Workers: 4, Obs: root}
+	b := Backend{Radius: radius, Obs: root}
 	off, err := b.Sweep(data, false, StageInterp)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 	for name, sw := range map[string]*Sweep{
 		"bare":    NewSweep(data, slices.Clone(q)),
 		"backend": off,
-		"reader":  (&Reader{Indices: slices.Clone(q), dims: []int{len(q)}, workers: 4, sp: root}).Sweep(StageInterp),
+		"reader":  (&Reader{Indices: slices.Clone(q), dims: []int{len(q)}, sp: root}).Sweep(StageInterp),
 	} {
 		sw.ForwardQP(rg.rg)
 		sw.InverseQP(rg.rg)
@@ -48,10 +48,10 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 	}
 
 	// QP on: the sweep's calls are the predictor's region kernels, timed
-	// on the sweep's qp span with a child per worker.
+	// on the sweep's qp span.
 	rec = obs.New()
 	root = rec.Span("compress")
-	b = Backend{Radius: radius, QP: Default(), Workers: 4, Obs: root}
+	b = Backend{Radius: radius, QP: Default(), Obs: root}
 	sw, err := b.Sweep(data, true, StageInterp)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 	copy(sw.Sym, q)
 	sw.ForwardQP(rg.rg)
 	want := make([]int32, rg.arr)
-	(&Predictor{Cfg: Default(), Radius: radius}).ForwardRegion(q, want, rg.rg, 1, nil)
+	(&Predictor{Cfg: Default(), Radius: radius}).ForwardRegion(q, want, rg.rg)
 	rg.rg.forEachPoint(func(idx int, _ Neighborhood) {
 		if sw.QP[idx] != want[idx] {
 			t.Fatalf("ForwardQP: qp[%d] = %d, kernel wrote %d", idx, sw.QP[idx], want[idx])
@@ -74,9 +74,8 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 		}
 	})
 	root.End()
-	qpRep := rec.Report().Find("qp")
-	if qpRep == nil || len(qpRep.Children) != 4 || qpRep.Children[3].Name != "worker[3]" {
-		t.Errorf("qp span of a 4-worker sweep: %+v, want four worker children", qpRep)
+	if rec.Report().Find("qp") == nil {
+		t.Error("QP-on sweep opened no qp span")
 	}
 }
 
@@ -105,7 +104,7 @@ func TestSweepLiteralAccounting(t *testing.T) {
 		t.Errorf("Exhausted() = %v", err)
 	}
 	// A cursor advanced by counting (MGARD's per-level offsets, SZ3's
-	// chunked passes) past the stream is a shortfall, not a surplus.
+	// passes) past the stream is a shortfall, not a surplus.
 	sw.Lit = 5
 	if err := sw.Drained(); !errors.Is(err, sentinel) || err.Error() != sw.Exhausted().Error() {
 		t.Errorf("cursor past the stream: Drained() = %v", err)
@@ -117,18 +116,17 @@ func TestSweepLiteralAccounting(t *testing.T) {
 	}
 }
 
-// TestSweepAllocs: once built, a one-worker sweep allocates nothing per
-// QP call in either direction or per literal, observed or not — the
-// clock, the worker spans and the cursor are all set up at construction,
-// and the region sweep's sequential path builds no closure. Unobserved,
-// the clock is nil checks all the way: no allocation at the finish
-// either, and the time is never read.
+// TestSweepAllocs: once built, a sweep allocates nothing per QP call in
+// either direction or per literal, observed or not — the clock and the
+// cursor are set up at construction, and the region sweep builds no
+// closure. Unobserved, the clock is nil checks all the way: no allocation
+// at the finish either, and the time is never read.
 func TestSweepAllocs(t *testing.T) {
 	const radius = int32(8)
 	rg := kernelRegionCases()[2].rg
 	data := make([]float64, kernelRegionCases()[2].arr)
 	for _, sp := range []*obs.Span{nil, obs.New().Span("compress")} {
-		b := Backend{Radius: radius, QP: Default(), Workers: 1, Obs: sp}
+		b := Backend{Radius: radius, QP: Default(), Obs: sp}
 		sw, err := b.Sweep(data, true, StageInterp)
 		if err != nil {
 			t.Fatal(err)

@@ -34,10 +34,8 @@ const (
 )
 
 // Options configures compression: the shared back-end options plus
-// HPEZ's own. Workers covers entropy coding and the QP sweeps; the
-// interpolation level sweeps themselves stay sequential (a point reads
-// stencils across several axes; rows of one class are independent, but
-// nothing splits them yet).
+// HPEZ's own. Workers covers the sharded back end only; the level and QP
+// sweeps run on the calling goroutine.
 type Options struct {
 	core.Backend
 	// ErrorBound is the absolute error bound (required, > 0).
@@ -145,9 +143,10 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 }
 
 // DecompressObs is Decompress with up to workers goroutines applied to
-// entropy decoding of sharded streams and to the QP sweeps, and per-stage
-// telemetry recorded on sp (which may be nil). The reconstruction is
-// byte-identical for any worker count, observed or not.
+// the sharded stages of a stream (Huffman shards, the sharded lossless
+// container), and per-stage telemetry recorded on sp (which may be nil).
+// The reconstruction is byte-identical for any worker count, observed or
+// not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
 	r, err := core.DecodeStream(payload, dims, workers, sp)
 	if err != nil {

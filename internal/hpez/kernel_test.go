@@ -88,8 +88,8 @@ func (pl *plan) blockIndex(coord [4]int, nd int) int {
 // encSweep and decSweep build the sweeps the drivers run on, as the
 // engine does; the differential tests compare what they leave in Data,
 // Sym, QP, Lits and Pred against the reference's bare arrays.
-func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
-	b := core.Backend{QP: cfg, Radius: radius, Workers: workers}
+func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32) *core.Sweep {
+	b := core.Backend{QP: cfg, Radius: radius}
 	sw, err := b.Sweep(src, cfg.Enabled(), core.StageInterp)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +97,8 @@ func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, worker
 	return sw
 }
 
-func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
-	sw := encSweep(t, make([]float64, len(stored)), cfg, radius, workers)
+func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32) *core.Sweep {
+	sw := encSweep(t, make([]float64, len(stored)), cfg, radius)
 	copy(sw.Sym, stored)
 	sw.Lits = lits
 	return sw
@@ -276,7 +276,7 @@ func bitsEqual(a, b []float64) int {
 // reference walker and fails on any divergence in symbols, QP output,
 // anchors, literals or fields, in either direction. Comparison is on
 // exact bits, so NaN payloads and signed zeros count.
-func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), cfg core.Config, fieldKind string, workers int, seed int64) {
+func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), cfg core.Config, fieldKind string, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	f := grid.MustNew(dims...)
@@ -300,7 +300,7 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 		return p, make([]int32, n)
 	}
 
-	swK := encSweep(t, f.Data, cfg, pl.radius, workers)
+	swK := encSweep(t, f.Data, cfg, pl.radius)
 	anchK := compressCore(swK, dims, pl)
 	dataK, qK, qpK, predK, litsK := swK.Data, swK.Sym, swK.QP, swK.Pred, swK.Lits
 
@@ -345,7 +345,7 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 	if qpK != nil {
 		stored = qpK
 	}
-	swD := decSweep(t, stored, litsK, cfg, pl.radius, workers)
+	swD := decSweep(t, stored, litsK, cfg, pl.radius)
 	if err := decompressCore(swD, dims, pl, anchK); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
@@ -369,7 +369,7 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 
 	// A short literal stream must surface as ErrCorrupt, never a panic.
 	if len(litsK) > 0 {
-		err := decompressCore(decSweep(t, stored, litsK[:len(litsK)-1], cfg, pl.radius, workers), dims, pl, anchK)
+		err := decompressCore(decSweep(t, stored, litsK[:len(litsK)-1], cfg, pl.radius), dims, pl, anchK)
 		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Fatalf("truncated literals: got %v, want ErrCorrupt", err)
 		}
@@ -380,10 +380,10 @@ func TestLatticeKernelsMatchWalker(t *testing.T) {
 	for _, dims := range diffDims {
 		for _, pv := range planVariants {
 			for _, qm := range qpModes {
-				for fi, fk := range fieldKinds {
+				for _, fk := range fieldKinds {
 					name := fmt.Sprintf("%v/%s/%s/%s", dims, pv.name, qm.name, fk)
 					t.Run(name, func(t *testing.T) {
-						runKernelDiff(t, dims, pv.mut, qm.cfg, fk, 1+3*(fi%2), int64(len(name)))
+						runKernelDiff(t, dims, pv.mut, qm.cfg, fk, int64(len(name)))
 					})
 				}
 			}
@@ -409,7 +409,7 @@ func FuzzLatticeKernelDifferential(f *testing.F) {
 		}
 		pv := planVariants[int(variantB)%len(planVariants)]
 		runKernelDiff(t, dims, pv.mut, qpModes[int(qpB)%len(qpModes)].cfg,
-			fieldKinds[int(fieldB)%len(fieldKinds)], 1+int(seed&1)*3, seed)
+			fieldKinds[int(fieldB)%len(fieldKinds)], seed)
 	})
 }
 

@@ -10,23 +10,32 @@ import (
 	"scdc/internal/datagen"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
+	"scdc/internal/lossless"
 	"scdc/internal/qoz"
 	"scdc/internal/sz3"
 )
 
-// TestInterpWorkersBitIdentical extends the PR 5 worker-matrix pattern
-// to the kernelized interpolation stage: for sz3 × {linear, cubic} and
-// qoz × {tuned, untuned}, with QP on and off, compressed streams must be
-// byte-identical and decompressed fields bit-identical across worker
-// counts {1, 2, 4, 8}. Dims are chosen large enough that the passes
-// clear minParallelPoints and actually exercise the chunk-parallel
-// forward/inverse kernel paths.
+// TestInterpWorkersBitIdentical runs the worker-matrix pattern at the
+// engine layer: for sz3 × {linear, cubic} and qoz × {tuned, untuned},
+// with QP on and off, compressed streams must be byte-identical and
+// decompressed fields bit-identical across worker counts {1, 2, 4}. The
+// streams carry four Huffman shards and the sharded lossless container,
+// the stages Workers fans out; the bound is tight enough that the
+// container engages (its 64KB plaintext floor), which the test checks.
 func TestInterpWorkersBitIdentical(t *testing.T) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{40, 48, 56}, 9)
 	field := grid.MustNew(f.Dims()...)
 	copy(field.Data, f.Data)
-	workerCounts := []int{1, 2, 4, 8}
-	eb := 1e-3 * f.Range()
+	workerCounts := []int{1, 2, 4}
+	eb := 1e-5 * f.Range()
+	backend := func(workers int, qp bool) core.Backend {
+		b := core.DefaultBackend()
+		b.Workers, b.Shards, b.LosslessSharded = workers, 4, true
+		if qp {
+			b.QP = core.Default()
+		}
+		return b
+	}
 
 	type cell struct {
 		name       string
@@ -41,11 +50,8 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 				name: fmt.Sprintf("sz3/%v/qp=%v", kind, qp),
 				compress: func(workers int) ([]byte, error) {
 					opts := sz3.DefaultOptions(eb)
-					opts.Interp = kind
-					opts.Workers = workers
-					if qp {
-						opts.QP = core.Default()
-					}
+					opts.Backend = backend(workers, qp)
+					opts.Interp, opts.Choice = kind, sz3.ChoiceInterp
 					return sz3.Compress(field, opts)
 				},
 				decompress: func(payload []byte, workers int) (*grid.Field, error) {
@@ -60,12 +66,7 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 			cells = append(cells, cell{
 				name: fmt.Sprintf("qoz/tune=%v/qp=%v", tune, qp),
 				compress: func(workers int) ([]byte, error) {
-					opts := qoz.Options{Backend: core.DefaultBackend(), ErrorBound: eb, Tune: tune}
-					opts.Workers = workers
-					if qp {
-						opts.QP = core.Default()
-					}
-					return qoz.Compress(field, opts)
+					return qoz.Compress(field, qoz.Options{Backend: backend(workers, qp), ErrorBound: eb, Tune: tune})
 				},
 				decompress: func(payload []byte, workers int) (*grid.Field, error) {
 					return qoz.DecompressObs(payload, field.Dims(), workers, nil)
@@ -88,6 +89,9 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 					t.Fatalf("workers=%d: decompress: %v", w, err)
 				}
 				if w == workerCounts[0] {
+					if stream[0] != byte(lossless.Sharded) {
+						t.Fatalf("the sharded lossless container did not engage (tag %d)", stream[0])
+					}
 					refStream, refField = stream, out.Data
 					continue
 				}

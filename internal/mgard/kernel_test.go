@@ -58,8 +58,8 @@ func cornerAvg(data []float64, dims, strides []int, pt *lattice.Point) float64 {
 // encSweep and decSweep build the sweeps the drivers run on, as the
 // engine does; the differential tests compare what they leave in Data,
 // Sym, QP, Lits and Pred against the reference's bare arrays.
-func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
-	b := core.Backend{QP: cfg, Radius: radius, Workers: workers}
+func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32) *core.Sweep {
+	b := core.Backend{QP: cfg, Radius: radius}
 	sw, err := b.Sweep(src, cfg.Enabled(), core.StageInterp)
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +67,8 @@ func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, worker
 	return sw
 }
 
-func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
-	sw := encSweep(t, make([]float64, len(stored)), cfg, radius, workers)
+func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32) *core.Sweep {
+	sw := encSweep(t, make([]float64, len(stored)), cfg, radius)
 	copy(sw.Sym, stored)
 	sw.Lits = lits
 	return sw
@@ -208,7 +208,7 @@ func bitsEqual(a, b []float64) int {
 // reference walker and fails on any divergence in symbols, QP output,
 // coarse values, literals or fields, in either direction. Comparison is
 // on exact bits, so NaN payloads and signed zeros count.
-func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, workers int, seed int64) {
+func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 1
@@ -231,7 +231,7 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 	}
 
 	quant := quantizer.Linear{EB: levelBound(opts.ErrorBound, levels), Radius: opts.Radius}
-	swK := encSweep(t, orig, cfg, opts.Radius, workers)
+	swK := encSweep(t, orig, cfg, opts.Radius)
 	coarseK := compressCore(swK, dims, quant, levels)
 	dataK, qK, qpK, predK, litsK := swK.Data, swK.Sym, swK.QP, swK.Pred, swK.Lits
 
@@ -267,7 +267,7 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 	if qpK != nil {
 		stored = qpK
 	}
-	swD := decSweep(t, stored, litsK, cfg, opts.Radius, workers)
+	swD := decSweep(t, stored, litsK, cfg, opts.Radius)
 	if err := decompressCore(swD, dims, quant, levels, coarseK); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
 	}
@@ -288,7 +288,7 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 
 	// A short literal stream must surface as ErrCorrupt, never a panic.
 	if len(litsK) > 0 {
-		err := decompressCore(decSweep(t, stored, litsK[:len(litsK)-1], cfg, opts.Radius, workers), dims, quant, levels, coarseK)
+		err := decompressCore(decSweep(t, stored, litsK[:len(litsK)-1], cfg, opts.Radius), dims, quant, levels, coarseK)
 		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Fatalf("truncated literals: got %v, want ErrCorrupt", err)
 		}
@@ -298,10 +298,10 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 func TestLatticeKernelsMatchWalker(t *testing.T) {
 	for _, dims := range diffDims {
 		for _, qm := range qpModes {
-			for fi, fk := range fieldKinds {
+			for _, fk := range fieldKinds {
 				name := fmt.Sprintf("%v/%s/%s", dims, qm.name, fk)
 				t.Run(name, func(t *testing.T) {
-					runKernelDiff(t, dims, qm.cfg, fk, 1+3*(fi%2), int64(len(name)))
+					runKernelDiff(t, dims, qm.cfg, fk, int64(len(name)))
 				})
 			}
 		}
@@ -323,7 +323,7 @@ func FuzzLatticeKernelDifferential(f *testing.F) {
 			dims[d] = int(b)%caps[d] + 1
 		}
 		runKernelDiff(t, dims, qpModes[int(qpB)%len(qpModes)].cfg,
-			fieldKinds[int(fieldB)%len(fieldKinds)], 1+int(seed&1)*3, seed)
+			fieldKinds[int(fieldB)%len(fieldKinds)], seed)
 	})
 }
 

@@ -34,8 +34,8 @@ import (
 )
 
 // Options configures compression: the shared back-end options plus
-// MGARD's own. Workers covers entropy coding and the QP sweeps; the
-// decomposition itself is sequential.
+// MGARD's own. Workers covers the sharded back end only; the
+// decomposition and the QP sweeps run on the calling goroutine.
 type Options struct {
 	core.Backend
 	// ErrorBound is the absolute error bound (required, > 0). The bound is
@@ -98,9 +98,10 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 }
 
 // DecompressObs is Decompress with up to workers goroutines applied to
-// entropy decoding of sharded streams and to the QP sweeps, and per-stage
-// telemetry recorded on sp (which may be nil). The reconstruction is
-// byte-identical for any worker count, observed or not.
+// the sharded stages of a stream (Huffman shards, the sharded lossless
+// container), and per-stage telemetry recorded on sp (which may be nil).
+// The reconstruction is byte-identical for any worker count, observed or
+// not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
 	r, err := core.DecodeStream(payload, dims, workers, sp)
 	if err != nil {

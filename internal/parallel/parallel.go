@@ -1,6 +1,6 @@
 // Package parallel provides the small worker-pool helpers used by the
-// compression engines, the end-to-end transfer experiment and the CLI
-// tools.
+// sharded back end, the chunked containers and the end-to-end transfer
+// experiment.
 package parallel
 
 import (
@@ -12,8 +12,7 @@ import (
 // ForEach runs fn(worker, i) for i in [0, n) on up to workers goroutines
 // (workers <= 0 selects GOMAXPROCS), blocks until every started call has
 // returned, and returns the error of the lowest failing index. It is the
-// one pool loop: everything else here, and every fan-out of the engines,
-// is built on it.
+// one pool loop: Map, and every fan-out of the codec, is built on it.
 //
 // worker is the stable index (0 <= worker < min(workers, n)) of the
 // goroutine that claimed the item. Each worker index is owned by exactly
@@ -76,45 +75,6 @@ func ForEach(n, workers int, fn func(worker, i int) error) error {
 		}
 	}
 	return first.err
-}
-
-// ForEachChunked runs fn(lo, hi) over consecutive index ranges
-// [k*grain, min((k+1)*grain, n)) covering [0, n), on up to workers
-// goroutines. Fine-grained loops should prefer it over ForEach: each
-// handoff covers grain indexes, so the per-index scheduling cost vanishes.
-// grain <= 0 selects a grain that yields ~4 chunks per worker. Chunk
-// boundaries depend only on (n, grain), never on scheduling, so callers
-// can key deterministic per-chunk state (e.g. ordered result buffers) on
-// lo/grain.
-func ForEachChunked(n, workers, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if grain <= 0 {
-		grain = n / (4 * workers)
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	nChunks := (n + grain - 1) / grain
-	// fn cannot fail, so neither can the loop.
-	_ = ForEach(nChunks, workers, func(_, c int) error {
-		lo := c * grain
-		fn(lo, min(lo+grain, n))
-		return nil
-	})
-}
-
-// Chunks returns the number of chunks ForEachChunked(n, _, grain, ...)
-// dispatches, so callers can pre-size per-chunk result buffers.
-func Chunks(n, grain int) int {
-	if n <= 0 || grain <= 0 {
-		return 0
-	}
-	return (n + grain - 1) / grain
 }
 
 // Map runs fn over [0, n) in parallel and collects the results in order.

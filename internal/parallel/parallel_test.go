@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -76,65 +75,5 @@ func TestMapSerial(t *testing.T) {
 	out := Map(5, 1, func(i int) string { return string(rune('a' + i)) })
 	if out[4] != "e" {
 		t.Fatalf("out = %v", out)
-	}
-}
-
-func TestForEachChunkedCoversAllOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		for _, grain := range []int{0, 1, 7, 100, 5000} {
-			n := 1000
-			var hits [1000]int32
-			ForEachChunked(n, workers, grain, func(lo, hi int) {
-				if lo >= hi || hi > n {
-					t.Errorf("bad chunk [%d, %d)", lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d grain=%d: index %d hit %d times", workers, grain, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestForEachChunkedBoundaries pins the chunking contract callers rely on
-// to key per-chunk state: chunk k covers [k*grain, min((k+1)*grain, n)).
-func TestForEachChunkedBoundaries(t *testing.T) {
-	n, grain := 25, 7
-	want := Chunks(n, grain)
-	seen := make(map[int]int) // lo -> hi
-	var mu sync.Mutex
-	ForEachChunked(n, 4, grain, func(lo, hi int) {
-		mu.Lock()
-		seen[lo] = hi
-		mu.Unlock()
-	})
-	if len(seen) != want {
-		t.Fatalf("%d chunks, want %d", len(seen), want)
-	}
-	for k := 0; k < want; k++ {
-		lo := k * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		if seen[lo] != hi {
-			t.Fatalf("chunk %d: [%d, %d), want [%d, %d)", k, lo, seen[lo], lo, hi)
-		}
-	}
-}
-
-func TestForEachChunkedZero(t *testing.T) {
-	called := false
-	ForEachChunked(0, 4, 10, func(int, int) { called = true })
-	if called {
-		t.Fatal("fn called for n=0")
-	}
-	if Chunks(0, 10) != 0 {
-		t.Fatal("Chunks(0) != 0")
 	}
 }

@@ -9,8 +9,7 @@ import (
 	"scdc/internal/interp"
 )
 
-// engineDims covers 1D through 4D, sized so the finest passes exceed the
-// minParallelPoints fan-out threshold.
+// engineDims covers 1D through 4D.
 var engineDims = [][]int{
 	{20000},
 	{160, 160},
@@ -18,9 +17,10 @@ var engineDims = [][]int{
 	{8, 12, 20, 24},
 }
 
-// TestParallelCompressBitIdentical verifies the pass-level parallelism
-// invariant end to end: for every QP mode and condition, on 1D-4D fields,
-// the compressed stream is byte-identical for any worker count.
+// TestParallelCompressBitIdentical verifies end to end that the stages
+// Workers fans out — the sharded Huffman body and the sharded lossless
+// container — leave no trace in the stream: for every QP mode and
+// condition, on 1D-4D fields, it is byte-identical for any worker count.
 func TestParallelCompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
@@ -32,6 +32,7 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 				opts := DefaultOptions(1e-3)
 				opts.Choice = ChoiceInterp
 				opts.QP = core.Config{Mode: mode, Cond: cond, MaxLevel: 2}
+				opts.Shards, opts.LosslessSharded = 4, true
 				seq, err := Compress(f, opts)
 				if err != nil {
 					t.Fatalf("dims=%v mode=%v cond=%v: %v", dims, mode, cond, err)
@@ -51,7 +52,7 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 
 // TestParallelDecompressBitIdentical verifies that parallel decompression
 // reconstructs exactly the sequential output, for plain and QP streams,
-// with and without sharded entropy coding.
+// with and without the sharded Huffman body and lossless container.
 func TestParallelDecompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
@@ -60,7 +61,7 @@ func TestParallelDecompressBitIdentical(t *testing.T) {
 				opts := DefaultOptions(1e-3)
 				opts.Choice = ChoiceInterp
 				opts.Workers = 4
-				opts.Shards = shards
+				opts.Shards, opts.LosslessSharded = shards, shards > 1
 				if qp {
 					opts = opts.WithQP()
 				}
@@ -122,8 +123,8 @@ func TestEnginePooledScratchReuse(t *testing.T) {
 	}
 }
 
-// TestEngineDegenerateDims exercises the pass walker's skip logic under
-// parallel settings on extents of 1 and other degenerate shapes.
+// TestEngineDegenerateDims exercises the pass walker's skip logic, with a
+// sharded back end, on extents of 1 and other degenerate shapes.
 func TestEngineDegenerateDims(t *testing.T) {
 	for _, dims := range [][]int{{1}, {1, 1}, {1, 64}, {64, 1}, {1, 1, 4096}, {2, 1, 2}} {
 		f := synth(dims...)

@@ -12,16 +12,16 @@ import (
 
 // FuzzInterpKernelDifferential drives the fused interpolation kernels and
 // the reference walker with fuzzer-chosen geometry (including extent-1
-// and extent-2 axes, the cubic-fallback edges), interp kind, QP mode,
-// worker count and field content, requiring bit-identical symbol
+// and extent-2 axes, the cubic-fallback edges), interp kind, QP mode and
+// field content, requiring bit-identical symbol
 // streams, literals and reconstructed fields in both directions. Runs in
 // make fuzz-smoke.
 func FuzzInterpKernelDifferential(f *testing.F) {
-	f.Add(uint8(1), uint8(4), uint8(5), uint8(6), uint8(1), uint8(0), uint8(2), []byte{1, 9, 0, 8, 200, 7, 16, 3})
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(7), uint8(0), uint8(4), uint8(1), []byte{0, 0, 0})
-	f.Add(uint8(1), uint8(2), uint8(2), uint8(2), uint8(3), uint8(5), uint8(8), []byte{255, 255, 0, 1})
-	f.Add(uint8(1), uint8(33), uint8(1), uint8(1), uint8(2), uint8(1), uint8(4), []byte{42})
-	f.Fuzz(func(t *testing.T, kindB, nx, ny, nz, nw, qpB, workersB uint8, raw []byte) {
+	f.Add(uint8(1), uint8(4), uint8(5), uint8(6), uint8(1), uint8(0), []byte{1, 9, 0, 8, 200, 7, 16, 3})
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(7), uint8(0), uint8(4), []byte{0, 0, 0})
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(2), uint8(3), uint8(5), []byte{255, 255, 0, 1})
+	f.Add(uint8(1), uint8(33), uint8(1), uint8(1), uint8(2), uint8(1), []byte{42})
+	f.Fuzz(func(t *testing.T, kindB, nx, ny, nz, nw, qpB uint8, raw []byte) {
 		kind := interp.Kind(kindB % 2)
 		dims := []int{int(nx%34) + 1, int(ny%9) + 1, int(nz%9) + 1, int(nw%5) + 1}
 		// Drop trailing singleton axes sometimes so 1D–3D shapes appear too.
@@ -36,7 +36,6 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 		case 3:
 			cfg = core.Config{Mode: core.Mode1DBack, Cond: core.CondSkipUnpredictable, MaxLevel: 1}
 		}
-		workers := int(workersB%8) + 1
 
 		n := 1
 		for _, d := range dims {
@@ -99,7 +98,7 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 			return lits
 		}
 
-		swK := encSweep(t, orig, cfg, quant.Radius, workers)
+		swK := encSweep(t, orig, cfg, quant.Radius)
 		dataK, qK, qpK := swK.Data, swK.Sym, swK.QP
 		swK.Lits = seedOrigin(dataK, qK, qpK)
 		CompressSchedule(swK, dims, levels, specFor)
@@ -149,7 +148,7 @@ func FuzzInterpKernelDifferential(f *testing.F) {
 			return 0
 		}
 
-		swD := decSweep(t, stored, litsK, cfg, quant.Radius, workers)
+		swD := decSweep(t, stored, litsK, cfg, quant.Radius)
 		encK, decK := swD.Sym, swD.Data
 		swD.Lit = seedDecodeOrigin(decK, encK)
 		if err := DecompressSchedule(swD, dims, levels, specFor); err != nil {

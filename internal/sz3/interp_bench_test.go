@@ -58,7 +58,7 @@ func BenchmarkInterpPass(b *testing.B) {
 // BenchmarkInterpKernels isolates the interpolation stage on the Miranda
 // benchmark field: the retained reference walker (closure dispatch +
 // unfused quantizer calls) against the fused run kernels, forward and
-// inverse, linear and cubic, sequential and chunk-parallel.
+// inverse, linear and cubic.
 func BenchmarkInterpKernels(b *testing.B) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{64, 96, 96}, 9)
 	dims := f.Dims()
@@ -92,19 +92,17 @@ func BenchmarkInterpKernels(b *testing.B) {
 				compressScheduleRef(work, dims, levels, specFor, q, nil, nil, lits)
 			}
 		})
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("forward/kernel/%v/workers=%d", kind, w), func(b *testing.B) {
-				be := core.Backend{Workers: w}
-				b.SetBytes(int64(n * 8))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sw, _ := be.Sweep(f.Data, false, core.StageInterp)
-					sw.Lits = seedOrigin(sw.Data, sw.Sym)
-					CompressSchedule(sw, dims, levels, specFor)
-					sw.Release()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("forward/kernel/%v", kind), func(b *testing.B) {
+			var be core.Backend
+			b.SetBytes(int64(n * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sw, _ := be.Sweep(f.Data, false, core.StageInterp)
+				sw.Lits = seedOrigin(sw.Data, sw.Sym)
+				CompressSchedule(sw, dims, levels, specFor)
+				sw.Release()
+			}
+		})
 
 		// Inverse benches reconstruct from the streams the forward pass
 		// just produced.
@@ -139,20 +137,17 @@ func BenchmarkInterpKernels(b *testing.B) {
 				}
 			}
 		})
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("inverse/kernel/%v/workers=%d", kind, w), func(b *testing.B) {
-				be := core.Backend{Workers: w}
-				sw, _ := be.Sweep(dec, false, core.StageInterp)
-				b.SetBytes(int64(n * 8))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					seedDecode(sw.Data, sw.Sym)
-					sw.Lits, sw.Lit = lits, lit0
-					if err := DecompressSchedule(sw, dims, levels, specFor); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("inverse/kernel/%v", kind), func(b *testing.B) {
+			sw := core.NewSweep(dec, enc)
+			b.SetBytes(int64(n * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seedDecode(sw.Data, sw.Sym)
+				sw.Lits, sw.Lit = lits, lit0
+				if err := DecompressSchedule(sw, dims, levels, specFor); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

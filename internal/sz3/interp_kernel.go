@@ -146,28 +146,26 @@ var (
 	}
 )
 
-// sweep runs one direction's kernels over lines [lo, hi) of the pass
-// whose region is rg (pa.qpRegion: its rows are the pass's lines and
-// RowBase a line's first predicted point) and returns the number of
-// unpredictable points. A block cut short by lo or hi is swept the same
-// way; a one-line block runs along its line.
+// sweep runs one direction's kernels over the pass whose region is rg
+// (pa.qpRegion: its rows are the pass's lines and RowBase a line's first
+// predicted point), block by block, and returns the number of
+// unpredictable points. A one-line block runs along its line.
 //
 //scdc:hot
 //scdc:noalloc
-func (pk *passKern) sweep(kern *kernelTable, data []float64, sym []int32, rg core.Region, lo, hi int) int {
+func (pk *passKern) sweep(kern *kernelTable, data []float64, sym []int32, rg core.Region) int {
 	nu := 0
-	for li, lines := lo, 0; li < hi; li += lines {
-		lines = min(hi, (li/pk.blk+1)*pk.blk) - li
+	for li, rows := 0, rg.Rows(); li < rows; li += pk.blk {
 		o := rg.RowBase(li)
 		for _, sg := range pk.segs[:pk.nseg] {
 			run := kern[sg.st]
-			if lines == 1 {
+			if pk.blk == 1 {
 				nu += run(data, sym, o, pk.ss2, sg.n, pk.ss, pk.prm)
 				o += sg.n * pk.ss2
 				continue
 			}
 			for end := o + sg.n*pk.ss2; o < end; o += pk.ss2 {
-				nu += run(data, sym, o, pk.rstep, lines, pk.ss, pk.prm)
+				nu += run(data, sym, o, pk.rstep, pk.blk, pk.ss, pk.prm)
 			}
 		}
 	}

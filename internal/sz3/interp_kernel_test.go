@@ -110,8 +110,7 @@ var qpModes = []struct {
 // run across blocks of lines: blocks of one or two lines (extent-1/2
 // orthogonal axes), a pass whose fastest orthogonal axis holds one point
 // ({9, 7, 1}: the dir-0 pass runs along axis 1; {6, 1, 9}, {3, 1, 5, 4}),
-// and one field whose passes are large enough to split across workers,
-// with chunks that cut blocks short ({20, 24, 36}).
+// and one field with blocks of many lines ({20, 24, 36}).
 var diffDims = [][]int{
 	{1}, {2}, {3}, {4}, {5}, {17}, {33},
 	{1, 1}, {2, 2}, {1, 7}, {5, 4}, {16, 9}, {9, 2}, {2, 9},
@@ -123,8 +122,8 @@ var diffDims = [][]int{
 // encSweep and decSweep build the sweeps the drivers run on, as the
 // engine does; the differential tests compare what they leave in Data,
 // Sym, QP and Lits against the reference's bare arrays.
-func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
-	b := core.Backend{QP: cfg, Radius: radius, Workers: workers}
+func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32) *core.Sweep {
+	b := core.Backend{QP: cfg, Radius: radius}
 	sw, err := b.Sweep(src, cfg.Enabled(), core.StageInterp)
 	if err != nil {
 		t.Fatal(err)
@@ -132,19 +131,19 @@ func encSweep(t testing.TB, src []float64, cfg core.Config, radius int32, worker
 	return sw
 }
 
-func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32, workers int) *core.Sweep {
-	sw := encSweep(t, make([]float64, len(stored)), cfg, radius, workers)
+func decSweep(t testing.TB, stored []int32, lits []float64, cfg core.Config, radius int32) *core.Sweep {
+	sw := encSweep(t, make([]float64, len(stored)), cfg, radius)
 	copy(sw.Sym, stored)
 	sw.Lits = lits
 	return sw
 }
 
-// runKernelDiff drives one (dims, kind, qp, workers) cell through both
+// runKernelDiff drives one (dims, kind, qp, field) cell through both
 // the kernelized schedule and the reference walker schedule and reports
 // any divergence in symbols, QP output, literals or reconstructed
 // fields. Comparison is on exact bits (math.Float64bits), so NaN
 // payloads and signed zeros count too.
-func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, workers int, fieldKind string) {
+func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, fieldKind string) {
 	t.Helper()
 	levels := Levels(dims)
 	quant := quantizer.Linear{EB: 1e-3, Radius: quantizer.DefaultRadius}
@@ -179,7 +178,7 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 		return lits
 	}
 
-	swK := encSweep(t, orig, cfg, quant.Radius, workers)
+	swK := encSweep(t, orig, cfg, quant.Radius)
 	dataK, qK, qpK := swK.Data, swK.Sym, swK.QP
 	swK.Lits = seedOrigin(dataK, qK, qpK)
 	CompressSchedule(swK, dims, levels, specFor)
@@ -231,7 +230,7 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 		return 0
 	}
 
-	swD := decSweep(t, stored, litsK, cfg, quant.Radius, workers)
+	swD := decSweep(t, stored, litsK, cfg, quant.Radius)
 	encK, decK := swD.Sym, swD.Data
 	swD.Lit = seedDecodeOrigin(decK, encK)
 	if err := DecompressSchedule(swD, dims, levels, specFor); err != nil {
@@ -265,18 +264,15 @@ func runKernelDiff(t *testing.T, dims []int, kind interp.Kind, cfg core.Config, 
 // TestInterpKernelsMatchWalker drives every (dims 1–4 × interp kind ×
 // boundary case × QP mode × field kind) cell through both the fused
 // kernels and the retained reference walker, asserting byte-identical
-// symbol streams, literals and reconstructed fields. Workers 1 and 4 both
-// run, so the chunk-parallel path is pinned to the same reference.
+// symbol streams, literals and reconstructed fields.
 func TestInterpKernelsMatchWalker(t *testing.T) {
 	for _, dims := range diffDims {
 		for _, kind := range []interp.Kind{interp.Linear, interp.Cubic} {
 			for _, qm := range qpModes {
 				name := fmt.Sprintf("%v/%s/%s", dims, kind, qm.name)
 				t.Run(name, func(t *testing.T) {
-					for _, workers := range []int{1, 4} {
-						for _, fk := range fieldKinds {
-							runKernelDiff(t, dims, kind, qm.cfg, workers, fk)
-						}
+					for _, fk := range fieldKinds {
+						runKernelDiff(t, dims, kind, qm.cfg, fk)
 					}
 				})
 			}

@@ -178,10 +178,10 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 }
 
 // DecompressObs is Decompress with up to workers goroutines applied to
-// entropy decoding (for sharded streams), the QP sweeps and the
-// interpolation passes, and per-stage telemetry recorded on sp (which may
-// be nil). The reconstruction is byte-identical for any worker count,
-// observed or not.
+// the sharded stages of a stream (Huffman shards, the sharded lossless
+// container), and per-stage telemetry recorded on sp (which may be nil).
+// The reconstruction is byte-identical for any worker count, observed or
+// not.
 func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
 	r, err := core.DecodeStream(payload, dims, workers, sp)
 	if err != nil {

@@ -47,7 +47,8 @@ func DefaultDirOrder(nd int) []int {
 // over the orthogonal axes. Every point of a pass depends only on lattice
 // points established by previous passes (interpolation reads positions at
 // even multiples of s along its own line only), so the pass's lines are
-// mutually independent — the invariant the parallel engine exploits.
+// mutually independent — the invariant that lets the kernels visit them
+// in stride order.
 type pass struct {
 	dir, s, level int
 	n             int    // extent along dir

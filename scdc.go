@@ -254,9 +254,12 @@ type Options struct {
 	// interpolation-based algorithms; the zero value disables it.
 	QP QPConfig
 	// Workers caps the number of goroutines used inside one Compress call
-	// (interpolation passes and Huffman shard encoding) for the
-	// interpolation-based algorithms. <= 1 runs sequentially. The produced
-	// stream is byte-identical for any worker count.
+	// of an interpolation-based algorithm by its sharded stages: Huffman
+	// shard encoding (Shards > 1) and the sharded lossless container
+	// (LosslessFlate, LosslessLZ, LosslessAuto, LosslessHuffman).
+	// Prediction, quantization and QP run on the calling goroutine. <= 1
+	// runs sequentially. The produced stream is byte-identical for any
+	// worker count.
 	Workers int
 	// Shards splits the entropy-coded index stream of the
 	// interpolation-based algorithms into this many independently decodable
@@ -573,8 +576,8 @@ func Decompress(stream []byte) (*Result, error) {
 }
 
 // DecompressParallel is Decompress on up to workers goroutines. A plain
-// stream spreads them over entropy decoding (sharded streams) and the
-// interpolation passes of the interpolation-based algorithms; a chunked
+// stream spreads them over its sharded stages — the Huffman shards and the
+// sharded lossless container — and reconstructs on one; a chunked
 // container decodes its chunks on them, each chunk sequentially. The
 // reconstruction is byte-identical for any worker count; workers <= 1
 // decompresses sequentially.

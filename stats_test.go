@@ -298,39 +298,6 @@ func TestQoZChooseSpan(t *testing.T) {
 	}
 }
 
-// TestIntraFieldChunkSpans checks that a plain (non-chunked) parallel
-// compression exposes per-pass and per-chunk spans from the engine.
-func TestIntraFieldChunkSpans(t *testing.T) {
-	data, dims := statsTestField(32, 32, 32)
-	_, stats, err := CompressWithStats(data, dims, Options{
-		Algorithm: SZ3, ErrorBound: 1e-3, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	interp := stats.Report.Find("interp")
-	if interp == nil {
-		t.Fatal("no interp span")
-	}
-	var pass, chunk bool
-	var walk func(r *obs.Report)
-	walk = func(r *obs.Report) {
-		if len(r.Name) >= 5 && r.Name[:5] == "pass[" {
-			pass = true
-		}
-		if len(r.Name) >= 6 && r.Name[:6] == "chunk[" {
-			chunk = true
-		}
-		for _, c := range r.Children {
-			walk(c)
-		}
-	}
-	walk(stats.Report)
-	if !pass || !chunk {
-		t.Errorf("want pass[...] and chunk[...] spans under workers>1, got pass=%v chunk=%v", pass, chunk)
-	}
-}
-
 // TestChunkedWorkerSpans checks the chunked container's per-worker and
 // per-chunk span layout on both directions.
 func TestChunkedWorkerSpans(t *testing.T) {
