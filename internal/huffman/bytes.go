@@ -105,10 +105,9 @@ func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
 }
 
 // parseByteTable rebuilds the canonical (symbol, length) lists from the
-// packed 192-byte length vector and proves the code space is not
-// over-subscribed — newDecoder trusts its input and writes
-// 1<<(fastBits-len) fast-table entries per short code, so an
-// inconsistent table must be rejected here, before the decoder exists.
+// packed 192-byte length vector and, like parseTableHeader, proves the
+// code space is not over-subscribed (checkCanonical) before the decoder
+// that trusts it exists.
 func parseByteTable(packed []byte) (syms []int32, lengths []int, err error) {
 	var table [byteTableLen]byte
 	for g := 0; g < byteTableLen/4; g++ {
@@ -140,20 +139,8 @@ func parseByteTable(packed []byte) (syms []int32, lengths []int, err error) {
 			}
 		}
 	}
-	// Canonical feasibility: walking the code assignment the way
-	// buildCodes/newDecoder do, every code must fit in its length. A
-	// 256-symbol alphabet never reaches 64-bit codes, so the shifted
-	// values below cannot wrap.
-	var code uint64
-	prevLen := 0
-	for _, l := range lengths {
-		if prevLen != 0 {
-			code = (code + 1) << uint(l-prevLen)
-		}
-		if l < 64 && code>>uint(l) != 0 {
-			return nil, nil, fmt.Errorf("%w: huffman: over-subscribed code table", verdict.ErrCorrupt)
-		}
-		prevLen = l
+	if err := checkCanonical(lengths); err != nil {
+		return nil, nil, err
 	}
 	return syms, lengths, nil
 }
@@ -196,7 +183,7 @@ func DecodeBytesInto(dst, data []byte, workers int) error {
 		return err
 	}
 
-	d := newDecoder(syms, lengths)
+	d := newDecoder(syms, lengths, multiPays(len(dst), len(data)))
 	defer d.release()
 	return parallel.ForEach(len(dir), workers, func(_, i int) error {
 		sh := dir[i]

@@ -30,6 +30,9 @@ func FuzzHuffmanDecode(f *testing.F) {
 	f.Add(EncodeSharded(skewed, 2, 1))
 	f.Add([]byte{0x00, 0x01})       // truncated sharded header
 	f.Add([]byte{0x00, 0x02, 0x00}) // bad sharded version
+	f.Add(overSubscribedStream())   // three 1-bit codes
+	// A long short-code stream, so the multi-symbol kernel runs.
+	f.Add(Encode(geometricStream(minMultiSymbols, 0.25, 1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, err := Decode(data)
 		par, perr := DecodeParallel(data, -1, 4)

@@ -6,10 +6,12 @@
 // The encoded form is self-describing: a varint-coded canonical code table
 // followed by the bit stream. Both directions run through table-driven
 // kernels: encode batches symbols into a 64-bit accumulator flushed in
-// word-sized writes, decode peeks a 12-bit window into a one-lookup table
-// refilled from a local bit buffer. A sharded variant (see sharded.go)
-// splits the body into K independent sub-streams under one shared code
-// table so encode and decode scale with cores.
+// word-sized writes; decode peeks a window of a local bit buffer into a
+// table — on long streams of short codes an 11-bit window whose entry
+// yields up to seven symbols, otherwise a 12-bit window that yields one.
+// A sharded variant (see sharded.go) splits the body into K independent
+// sub-streams under one shared code table so encode and decode scale with
+// cores.
 package huffman
 
 import (
@@ -340,29 +342,87 @@ type decTable struct {
 // symbols in a skewed index distribution decode in one lookup.
 const fastBits = 12
 
+// multiBits sizes the multi-symbol window and multiSyms caps the codes one
+// of its entries holds: 16-byte entries, 32 KB in all.
+const (
+	multiBits = 11
+	multiSyms = 7
+)
+
 type fastEnt struct {
 	sym int32
 	len uint8
 }
 
-// fastTab is a pooled one-lookup decode table. Canonical codes fill the
-// table as one contiguous prefix starting at slot 0 (each code's span
-// begins where the previous span ends), so touched records the prefix
-// high-water mark and reuse clears only that prefix instead of all
-// 1<<fastBits entries.
-// The entry store is a fixed-size array rather than a slice so the hot
-// decode lookup indexes through a *[1<<fastBits]fastEnt: the table length
-// is then a compile-time constant and the prove pass drops the bounds
-// check on the fastBits-wide peek (the index is a 12-bit value by
-// construction).
-type fastTab struct {
-	ents    [1 << fastBits]fastEnt
-	touched int // entries [0,touched) were written since the last clear
+// multiEnt decodes every code that lies wholly inside one multiBits-wide
+// window: for each of its first n (at most multiSyms) codes a fast-table
+// slot holding it, whose entry gives the symbol, and their total length.
+// n == 0 when the window opens with a code longer than multiBits.
+type multiEnt struct {
+	slot [multiSyms]uint16
+	n    uint8
+	bits uint8
 }
 
-var fastPool = sync.Pool{New: func() any {
-	return new(fastTab)
+// decTabs is the pooled table store of one decoder. Canonical codes fill
+// the fast table as one contiguous prefix starting at slot 0 (each code's
+// span begins where the previous span ends), so touched records the prefix
+// high-water mark and reuse clears only that prefix instead of all
+// 1<<fastBits entries. The multi table is allocated by the first
+// multi-symbol decoder to hold the store, so decoders that never use it do
+// not pay for it, and rewritten whole by every one after.
+// The tables are fixed-size arrays rather than slices so the hot decode
+// lookups index through a pointer to an array: the table length is then a
+// compile-time constant and the prove pass drops the bounds check on the
+// peek (a fastBits- or multiBits-wide value by construction) and on the
+// masked slot.
+type decTabs struct {
+	fast    [1 << fastBits]fastEnt
+	touched int // fast entries [0,touched) were written since the last clear
+	multi   *[1 << multiBits]multiEnt
+}
+
+var tabPool = sync.Pool{New: func() any {
+	return new(decTabs)
 }}
+
+// Multi-symbol decoding pays on long streams of short codes: one lookup
+// then yields ~multiBits/(bits per symbol) symbols. On wide alphabets
+// (~10 bits/symbol, MGARD at tight bounds) most entries hold one code and
+// the wider entry only costs, and below minMultiSymbols the table build
+// (2048 slots decoded greedily) is not won back.
+const (
+	minMultiSymbols    = 1 << 16
+	maxMultiBitsPerSym = 5
+)
+
+// multiPays reports whether a stream of n symbols in bodyLen body bytes
+// decodes through the multi-symbol table: it must be long and average at
+// most maxMultiBitsPerSym bits per symbol. Entries name fast-table slots,
+// so the code table's size needs no bound of its own.
+func multiPays(n, bodyLen int) bool {
+	return n >= minMultiSymbols && 8*bodyLen <= maxMultiBitsPerSym*n
+}
+
+// checkCanonical walks the canonical code assignment of ascending lengths
+// the way buildCodes and newDecoder do and rejects a table whose codes do
+// not fit their lengths: an over-subscribed code space. The decoder trusts
+// this: newDecoder writes 1<<(fastBits-len) fast-table entries per short
+// code from the code's value on. A code after the first
+// is never 0 unless the walk wrapped past 2^64, which only 64-bit codes
+// can do.
+func checkCanonical(lengths []int) error {
+	var code uint64
+	for i, l := range lengths {
+		if i > 0 {
+			code = (code + 1) << uint(l-lengths[i-1])
+		}
+		if (i > 0 && code == 0) || (l < 64 && code>>uint(l) != 0) {
+			return fmt.Errorf("%w: huffman: over-subscribed code table", verdict.ErrCorrupt)
+		}
+	}
+	return nil
+}
 
 // parseTableHeader parses the canonical table header (after the sample
 // count), returning the symbols and code lengths.
@@ -404,6 +464,9 @@ func parseTableHeader(hdr []byte) (syms []int32, lengths []int, err error) {
 		lengths[i] = int(l)
 		prevLen = int(l)
 	}
+	if err := checkCanonical(lengths); err != nil {
+		return nil, nil, err
+	}
 	return syms, lengths, nil
 }
 
@@ -412,17 +475,19 @@ func parseTableHeader(hdr []byte) (syms []int32, lengths []int, err error) {
 type decoder struct {
 	syms   []int32
 	tables [maxCodeLen + 1]decTable
-	fast   *fastTab // pooled; release() returns it
+	tabs   *decTabs // pooled; release() returns it
+	multi  bool     // tabs.multi is built; decodeBody uses it
 }
 
 // newDecoder builds per-length canonical tables plus the table-driven fast
-// path for codes up to fastBits long.
-func newDecoder(syms []int32, lengths []int) *decoder {
-	d := &decoder{syms: syms}
-	ft := fastPool.Get().(*fastTab)
-	clear(ft.ents[:ft.touched])
-	ft.touched = 0
-	d.fast = ft
+// path for codes up to fastBits long, and with multi the multi-symbol
+// table on top of it. The table must have passed checkCanonical.
+func newDecoder(syms []int32, lengths []int, multi bool) *decoder {
+	d := &decoder{syms: syms, multi: multi}
+	t := tabPool.Get().(*decTabs)
+	clear(t.fast[:t.touched])
+	t.touched = 0
+	d.tabs = t
 	var code uint64
 	prevLen := 0
 	for i := range syms {
@@ -439,48 +504,147 @@ func newDecoder(syms []int32, lengths []int) *decoder {
 			base := code << uint(fastBits-l)
 			span := uint64(1) << uint(fastBits-l)
 			for j := base; j < base+span; j++ {
-				ft.ents[j] = fastEnt{syms[i], uint8(l)}
+				t.fast[j] = fastEnt{syms[i], uint8(l)}
 			}
-			ft.touched = int(base + span)
+			t.touched = int(base + span)
 		}
 		prevLen = l
+	}
+	if multi {
+		t.buildMulti()
 	}
 	return d
 }
 
-// release returns the pooled fast table. The decoder must not be used
-// afterwards.
-func (d *decoder) release() {
-	fast := d.fast
-	d.fast = nil
-	fastPool.Put(fast)
+// buildMulti fills every multi-table slot by decoding its window greedily
+// through the fast table while the next code fits in the bits the window
+// has left. The window is zero past those bits, so a code that fits was
+// matched on real bits only.
+func (t *decTabs) buildMulti() {
+	if t.multi == nil {
+		t.multi = new([1 << multiBits]multiEnt)
+	}
+	for s := range t.multi {
+		var e multiEnt
+		w := uint64(s) << (64 - multiBits)
+		for e.n < multiSyms {
+			slot := w >> (64 - fastBits)
+			f := t.fast[slot]
+			if f.len == 0 || e.bits+f.len > multiBits {
+				break
+			}
+			e.slot[e.n] = uint16(slot)
+			e.n++
+			e.bits += f.len
+			w <<= f.len
+		}
+		t.multi[s] = e
+	}
 }
 
-// decodeBody decodes exactly len(out) symbols from body into out. It is
-// safe to call concurrently on one decoder with distinct bodies/outputs.
-//
-// The hot loop mirrors the encode kernel: a local 64-bit buffer holds the
-// next bits left-aligned (the invariant "bits past bitCnt are zero" makes
-// the top-12-bit peek zero-padded for free, matching Reader.PeekBits), and
-// is refilled in 32-bit loads. Codes longer than fastBits — which need
-// ~Fibonacci(13) skewed counts to exist — re-sync through the canonical
-// slow path on a bitstream.Reader (resyncSlow, kept out of this body so
-// its unprovable index never costs the hot loop a check).
+// release returns the pooled tables. The decoder must not be used
+// afterwards.
+func (d *decoder) release() {
+	t := d.tabs
+	d.tabs = nil
+	tabPool.Put(t)
+}
+
+// decodeBody decodes exactly len(out) symbols from body into out, through
+// the multi-symbol kernel if the decoder was built with it. It is safe to
+// call concurrently on one decoder with distinct bodies/outputs.
+func (d *decoder) decodeBody(body []byte, out []int32) error {
+	if d.multi {
+		return d.decodeMulti(body, out)
+	}
+	return d.decodeSingle(body, body, 0, 0, out)
+}
+
+// decodeMulti is the multi-symbol kernel: while at least 8 body bytes and
+// multiSyms output slots remain, one lookup of the next multiBits bits
+// writes all multiSyms slots of its entry and advances by the entry's
+// count (the excess slots are rewritten by the next step). The register is
+// refilled branch-free to 56–63 bits before every lookup with one 64-bit
+// load, so a peek never reaches past the bytes present. The load also
+// leaves up to 8 bits of rest[0] past bitCnt; they are the stream's own,
+// and every later refill, this kernel's or decodeSingle's, ORs the same
+// values over them. An entry with count 0 (a code longer than multiBits)
+// falls back to the fast table and then to resyncSlow, exactly as
+// decodeSingle would. The tail — where a code may meet the end of the
+// body — is decodeSingle's, so truncation is caught in one place, with the
+// same error, whichever kernel runs.
 //
 //scdc:hot
 //scdc:noalloc
 //scdc:nobounds
-func (d *decoder) decodeBody(body []byte, out []int32) error {
-	ents := &d.fast.ents
-	var bitBuf uint64 // upcoming bits, MSB-aligned; zero below bitCnt
-	var bitCnt uint   // number of valid bits in bitBuf
+func (d *decoder) decodeMulti(body []byte, out []int32) error {
+	multi, fast := d.tabs.multi, &d.tabs.fast
+	var bitBuf uint64
+	var bitCnt uint
+	rest := body
+	for len(out) >= multiSyms && len(rest) >= 8 {
+		bitBuf |= binary.BigEndian.Uint64(rest) >> bitCnt
+		rest = rest[(63-bitCnt)>>3&7:]
+		bitCnt |= 56
+		e := &multi[bitBuf>>(64-multiBits)]
+		if e.n != 0 {
+			const m = 1<<fastBits - 1
+			out[0] = fast[e.slot[0]&m].sym
+			out[1] = fast[e.slot[1]&m].sym
+			out[2] = fast[e.slot[2]&m].sym
+			out[3] = fast[e.slot[3]&m].sym
+			out[4] = fast[e.slot[4]&m].sym
+			out[5] = fast[e.slot[5]&m].sym
+			out[6] = fast[e.slot[6]&m].sym
+			bitBuf <<= e.bits
+			bitCnt -= uint(e.bits)
+			out = out[e.n&7:] // n <= 7 already; the mask shows the prove pass
+			continue
+		}
+		if f := fast[bitBuf>>(64-fastBits)]; f.len != 0 {
+			out[0] = f.sym
+			bitBuf <<= f.len
+			bitCnt -= uint(f.len)
+			out = out[1:]
+			continue
+		}
+		sym, nrest, nbuf, ncnt, err := d.resyncSlow(body, len(body)-len(rest), bitCnt)
+		if err != nil {
+			return err
+		}
+		out[0] = sym
+		out = out[1:]
+		rest, bitBuf, bitCnt = nrest, nbuf, ncnt
+	}
+	return d.decodeSingle(body, rest, bitBuf, bitCnt, out)
+}
+
+// decodeSingle is the single-symbol kernel: it decodes exactly len(out)
+// symbols, one lookup each, from the cursor (rest, bitBuf, bitCnt) inside
+// body — all of body from zero state, or the tail decodeMulti leaves.
+//
+// The hot loop mirrors the encode kernel: a local 64-bit buffer holds the
+// next bits left-aligned and is refilled in 32-bit loads. Past bitCnt it
+// holds zeros — or, handed over by decodeMulti, look-ahead bits of
+// rest[0], which the first refill ORs over with the same values before a
+// peek can reach them — so the top-12-bit peek is zero-padded for free
+// where it runs past the body, matching Reader.PeekBits. Codes longer than
+// fastBits — which need ~Fibonacci(13) skewed counts to exist — re-sync
+// through the canonical slow path on a bitstream.Reader (resyncSlow, kept
+// out of this body so its unprovable index never costs the hot loop a
+// check).
+//
+//scdc:hot
+//scdc:noalloc
+//scdc:nobounds
+func (d *decoder) decodeSingle(body, rest []byte, bitBuf uint64, bitCnt uint, out []int32) error {
+	ents := &d.tabs.fast
 	// The read cursor is the unread suffix of body rather than a byte
 	// index: every load is then guarded by a len(rest) comparison the
 	// prove pass can see, which keeps this loop bounds-check free (the
 	// nobounds contract below). An integer cursor reassigned by the
 	// resync path is not provably non-negative and would re-introduce
 	// checks on both refill loads.
-	rest := body
 	for i := 0; i < len(out); i++ {
 		if bitCnt < 32 {
 			if len(rest) >= 4 {
@@ -517,11 +681,11 @@ func (d *decoder) decodeBody(body []byte, out []int32) error {
 	return nil
 }
 
-// resyncSlow handles decodeBody's rare long-code path: it positions a
+// resyncSlow handles both kernels' rare long-code path: it positions a
 // Reader at the current bit offset, decodes one code longer than
 // fastBits, and returns the symbol plus the refreshed cursor state —
 // the unread suffix of body and the reloaded partial byte. pos/bitCnt
-// locate decodeBody's cursor at the unmatched peek.
+// locate the kernel's cursor at the unmatched peek.
 func (d *decoder) resyncSlow(body []byte, pos int, bitCnt uint) (sym int32, rest []byte, bitBuf uint64, nbits uint, err error) {
 	r := bitstream.NewReader(body)
 	if err := r.Skip(uint(pos*8) - bitCnt); err != nil {
@@ -652,7 +816,7 @@ func DecodeParallel(data []byte, n, workers int) ([]int32, error) {
 		}
 	}
 
-	d := newDecoder(syms, lengths)
+	d := newDecoder(syms, lengths, multiPays(int(nsamp), len(body)))
 	defer d.release()
 	out := make([]int32, nsamp)
 	if !sharded {
