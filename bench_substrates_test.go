@@ -54,7 +54,7 @@ func BenchmarkSubstrateHuffmanDecode(b *testing.B) {
 func BenchmarkSubstrateLossless(b *testing.B) {
 	q := indexLike(1<<19, 2)
 	src := huffman.Encode(q)
-	for _, c := range []lossless.Codec{lossless.Flate, lossless.LZ} {
+	for _, c := range []lossless.Codec{lossless.Flate, lossless.Huffman} {
 		b.Run("codec="+c.String(), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			var enc []byte

@@ -5,6 +5,11 @@
 // stream bytes and the decoded samples, so any unintentional format or
 // codec change fails golden_test.go loudly.
 //
+// Some pins were written by encoders that no longer exist (decodeOnly).
+// Their committed files and manifest entries are carried through verify
+// and -update unchanged, after a check that they still decode to the
+// pinned samples.
+//
 // Usage:
 //
 //	go run ./cmd/golden           # verify corpus matches the generators
@@ -22,6 +27,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"scdc"
@@ -42,9 +48,9 @@ type Entry struct {
 	// for the legacy Huffman streams so their manifest lines are
 	// unchanged.
 	Entropy string `json:"entropy,omitempty"`
-	// Lossless names a non-default lossless back-end ("flate", "lz",
-	// "huffman", "auto"); empty for the legacy whole-buffer DEFLATE
-	// streams so their manifest lines are unchanged.
+	// Lossless names a non-default lossless back-end ("auto"; "flate",
+	// "lz" and "huffman" on decode-only pins); empty for the legacy
+	// whole-buffer DEFLATE streams so their manifest lines are unchanged.
 	Lossless string `json:"lossless,omitempty"`
 	// StreamSHA256 pins the exact compressed bytes; DecodedSHA256 pins
 	// the float64 little-endian bytes Decompress must reproduce.
@@ -109,52 +115,107 @@ func shaHex(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
+// decodeOnly names the pins whose encoders are gone: the forced flate,
+// LZ and Huffman lossless options and the forced sharded-flate container.
+var decodeOnly = []string{
+	"sz3_3d_qpon_lossless_flate",
+	"sz3_3d_qpon_lossless_lz",
+	"sz3_3d_qpon_lossless_huffman",
+	"sz3_3d_qpon_lossless_sharded",
+}
+
+// committed returns the decode-only entries of the corpus manifest in dir
+// and their streams, both by name, after checking that each stream still
+// decodes to the samples its entry pins.
+func committed(dir string) (map[string]Entry, map[string][]byte, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		return nil, nil, err
+	}
+	var all []Entry
+	if err := json.Unmarshal(raw, &all); err != nil {
+		return nil, nil, fmt.Errorf("manifest.json: %w", err)
+	}
+	kept, streams := make(map[string]Entry), make(map[string][]byte)
+	for _, e := range all {
+		if slices.Contains(decodeOnly, e.Name) {
+			kept[e.Name] = e
+		}
+	}
+	for _, name := range decodeOnly {
+		e := kept[name]
+		stream, err := os.ReadFile(filepath.Join(dir, e.File))
+		if err != nil {
+			return nil, nil, fmt.Errorf("decode-only pin %s: %w", name, err)
+		}
+		res, err := scdc.Decompress(stream)
+		if err != nil || shaHex(stream) != e.StreamSHA256 || shaHex(decodedBytes(res.Data)) != e.DecodedSHA256 {
+			return nil, nil, fmt.Errorf("decode-only pin %s no longer matches its manifest entry (%v)", name, err)
+		}
+		streams[name] = stream
+	}
+	return kept, streams, nil
+}
+
 // build compresses every corpus entry and returns entries with hashes
-// filled in, paired with the stream bytes keyed by file name.
-func build() ([]Entry, map[string][]byte, error) {
+// filled in, paired with the stream bytes keyed by file name. The
+// decode-only pins are carried from the committed corpus in dir.
+func build(dir string) ([]Entry, map[string][]byte, error) {
+	kept, keptStreams, err := committed(dir)
+	if err != nil {
+		return nil, nil, err
+	}
 	var entries []Entry
 	streams := make(map[string][]byte)
-
-	add := func(name string, dims []int, stream []byte, decoded []float64, alg scdc.Algorithm, eb float64, qp, chunked, v1 bool, entropy, lossless string) {
-		file := name + ".scdc"
-		streams[file] = stream
-		entries = append(entries, Entry{
-			Name: name, File: file,
-			Algorithm: alg.String(), Dims: dims, ErrorBound: eb,
-			QP: qp, Chunked: chunked, V1: v1, Entropy: entropy, Lossless: lossless,
+	keep := func(name string) {
+		entries = append(entries, kept[name])
+		streams[kept[name].File] = keptStreams[name]
+	}
+	// add decodes a stream written with opts and records it under name;
+	// the first failure sticks in err and turns later calls into no-ops.
+	add := func(name string, dims []int, opts scdc.Options, stream []byte, chunked, v1 bool) {
+		if err != nil {
+			return
+		}
+		res, derr := scdc.Decompress(stream)
+		if derr != nil {
+			err = fmt.Errorf("%s: decode: %w", name, derr)
+			return
+		}
+		e := Entry{
+			Name: name, File: name + ".scdc",
+			Algorithm: opts.Algorithm.String(), Dims: dims, ErrorBound: opts.ErrorBound,
+			QP: opts.QP.Mode != scdc.QPOff, Chunked: chunked, V1: v1,
 			StreamSHA256:  shaHex(stream),
-			DecodedSHA256: shaHex(decodedBytes(decoded)),
-		})
+			DecodedSHA256: shaHex(decodedBytes(res.Data)),
+		}
+		if opts.Entropy != scdc.EntropyHuffman {
+			e.Entropy = opts.Entropy.String()
+		}
+		if opts.Lossless != scdc.LosslessDefault {
+			e.Lossless = opts.Lossless.String()
+		}
+		entries = append(entries, e)
+		streams[e.File] = stream
+	}
+	// pin compresses data with opts and adds the stream.
+	pin := func(name string, dims []int, data []float64, opts scdc.Options) {
+		stream, cerr := scdc.Compress(data, dims, opts)
+		if cerr != nil && err == nil {
+			err = fmt.Errorf("%s: %w", name, cerr)
+		}
+		add(name, dims, opts, stream, false, false)
 	}
 
 	const eb = 1e-3
+	qp := scdc.DefaultQP()
 	algs := []scdc.Algorithm{scdc.SZ3, scdc.QoZ, scdc.HPEZ, scdc.MGARD, scdc.ZFP, scdc.TTHRESH, scdc.SPERR}
 	for _, alg := range algs {
 		for _, dims := range dimSets {
-			data := synth(dims)
-			modes := []bool{false}
+			name := fmt.Sprintf("%s_%dd_", strings.ToLower(alg.String()), len(dims))
+			pin(name+"qpoff", dims, synth(dims), scdc.Options{Algorithm: alg, ErrorBound: eb})
 			if alg.SupportsQP() {
-				modes = append(modes, true)
-			}
-			for _, qp := range modes {
-				opts := scdc.Options{Algorithm: alg, ErrorBound: eb}
-				if qp {
-					opts.QP = scdc.DefaultQP()
-				}
-				stream, err := scdc.Compress(data, dims, opts)
-				if err != nil {
-					return nil, nil, fmt.Errorf("%v %dd qp=%v: %w", alg, len(dims), qp, err)
-				}
-				res, err := scdc.Decompress(stream)
-				if err != nil {
-					return nil, nil, fmt.Errorf("%v %dd qp=%v: decode: %w", alg, len(dims), qp, err)
-				}
-				mode := "qpoff"
-				if qp {
-					mode = "qpon"
-				}
-				name := fmt.Sprintf("%s_%dd_%s", strings.ToLower(alg.String()), len(dims), mode)
-				add(name, dims, stream, res.Data, alg, eb, qp, false, false, "", "")
+				pin(name+"qpon", dims, synth(dims), scdc.Options{Algorithm: alg, ErrorBound: eb, QP: qp})
 			}
 		}
 	}
@@ -162,121 +223,65 @@ func build() ([]Entry, map[string][]byte, error) {
 	// Rice / auto entropy-coder streams (sub-format 0x00 0x02): one rice
 	// stream per QP-capable algorithm in 3D, plus an auto-selected SZ3
 	// stream, pinning the Golomb-Rice byte format and the coder decision.
+	cube := []int{8, 8, 8}
 	for _, ec := range []scdc.EntropyCoder{scdc.EntropyRice, scdc.EntropyAuto} {
-		algs := []scdc.Algorithm{scdc.SZ3, scdc.QoZ, scdc.HPEZ, scdc.MGARD}
-		if ec == scdc.EntropyAuto {
-			algs = algs[:1]
-		}
-		for _, alg := range algs {
-			dims := []int{8, 8, 8}
-			data := synth(dims)
-			opts := scdc.Options{Algorithm: alg, ErrorBound: eb, QP: scdc.DefaultQP(), Entropy: ec}
-			stream, err := scdc.Compress(data, dims, opts)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%v entropy=%v: %w", alg, ec, err)
+		for _, alg := range algs[:4] {
+			if ec == scdc.EntropyRice || alg == scdc.SZ3 {
+				name := fmt.Sprintf("%s_3d_qpon_%v", strings.ToLower(alg.String()), ec)
+				pin(name, cube, synth(cube), scdc.Options{Algorithm: alg, ErrorBound: eb, QP: qp, Entropy: ec})
 			}
-			res, err := scdc.Decompress(stream)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%v entropy=%v: decode: %w", alg, ec, err)
-			}
-			name := fmt.Sprintf("%s_3d_qpon_%v", strings.ToLower(alg.String()), ec)
-			add(name, dims, stream, res.Data, alg, eb, true, false, false, ec.String(), "")
 		}
 	}
 
-	// Lossless back-end streams: one per selectable codec on the standard
-	// 3D field (small entropy payloads take the plain single-body format,
-	// pinning each codec's tag and body bytes), plus one noisy field
-	// whose entropy payload crosses the 64KB threshold so the sharded
-	// container itself — tag 4, shard directory, per-shard bodies — is
-	// pinned byte for byte.
-	for _, lc := range []scdc.LosslessCodec{scdc.LosslessFlate, scdc.LosslessLZ, scdc.LosslessHuffman, scdc.LosslessAuto} {
-		dims := []int{8, 8, 8}
-		data := synth(dims)
-		opts := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: scdc.DefaultQP(), Lossless: lc}
-		stream, err := scdc.Compress(data, dims, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lossless=%v: %w", lc, err)
-		}
-		res, err := scdc.Decompress(stream)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lossless=%v: decode: %w", lc, err)
-		}
-		name := "sz3_3d_qpon_lossless_" + lc.String()
-		add(name, dims, stream, res.Data, scdc.SZ3, eb, true, false, false, "", lc.String())
-	}
-	{
-		dims := []int{40, 40, 48}
-		data := synthNoisy(dims)
-		opts := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: scdc.DefaultQP(), Lossless: scdc.LosslessFlate}
-		stream, err := scdc.Compress(data, dims, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sharded lossless: %w", err)
-		}
-		res, err := scdc.Decompress(stream)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sharded lossless: decode: %w", err)
-		}
-		add("sz3_3d_qpon_lossless_sharded", dims, stream, res.Data, scdc.SZ3, eb, true, false, false, "", "flate")
-	}
+	// Lossless back-end streams on the standard 3D field, where small
+	// entropy payloads take the plain single-body format: the decode-only
+	// flate (tag 1), LZ (tag 2) and Huffman (tag 7) pins, and Auto's pick.
+	// Then the decode-only forced sharded-flate container on a noisy field
+	// whose entropy payload crosses the 64KB threshold, pinning tag 4's
+	// shard directory and per-shard bodies byte for byte.
+	keep("sz3_3d_qpon_lossless_flate")
+	keep("sz3_3d_qpon_lossless_lz")
+	keep("sz3_3d_qpon_lossless_huffman")
+	auto := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: qp, Lossless: scdc.LosslessAuto}
+	pin("sz3_3d_qpon_lossless_auto", cube, synth(cube), auto)
+	keep("sz3_3d_qpon_lossless_sharded")
 
 	// Chunked container: SZ3+QP over a 3D field split into 4-plane chunks.
-	{
-		dims := []int{8, 8, 8}
-		data := synth(dims)
-		opts := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: scdc.DefaultQP()}
-		stream, err := scdc.CompressChunked(data, dims, opts, 2, 4)
-		if err != nil {
-			return nil, nil, fmt.Errorf("chunked: %w", err)
-		}
-		res, err := scdc.DecompressParallel(stream, 2)
-		if err != nil {
-			return nil, nil, fmt.Errorf("chunked decode: %w", err)
-		}
-		add("chunked_sz3_3d_qpon", dims, stream, res.Data, scdc.SZ3, eb, true, true, false, "", "")
+	opts := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: qp}
+	stream, cerr := scdc.CompressChunked(synth(cube), cube, opts, 2, 4)
+	if cerr != nil {
+		return nil, nil, fmt.Errorf("chunked: %w", cerr)
 	}
+	add("chunked_sz3_3d_qpon", cube, opts, stream, true, false)
 
 	// Legacy v1 stream: the v2 golden with its footer stripped and the
 	// version byte rewound, which Decompress must keep accepting.
-	{
-		dims := []int{8, 8, 8}
-		data := synth(dims)
-		stream, err := scdc.Compress(data, dims, scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb})
-		if err != nil {
-			return nil, nil, fmt.Errorf("v1: %w", err)
-		}
-		v1 := append([]byte(nil), stream[:len(stream)-4]...)
-		v1[4] = 1
-		res, err := scdc.Decompress(v1)
-		if err != nil {
-			return nil, nil, fmt.Errorf("v1 decode: %w", err)
-		}
-		add("v1_sz3_3d_qpoff", dims, v1, res.Data, scdc.SZ3, eb, false, false, true, "", "")
+	opts = scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb}
+	stream, cerr = scdc.Compress(synth(cube), cube, opts)
+	if cerr != nil {
+		return nil, nil, fmt.Errorf("v1: %w", cerr)
 	}
+	v1 := append([]byte(nil), stream[:len(stream)-4]...)
+	v1[4] = 1
+	add("v1_sz3_3d_qpoff", cube, opts, v1, false, true)
 
 	// SZ3's Lorenzo mode: the smallest synth cube that reaches the mode
 	// estimate's 4096-point floor, where it picks Lorenzo over
 	// interpolation. QP is asked for but not run: the paper's QP covers
 	// interpolation mode only.
-	{
-		dims := []int{16, 16, 16}
-		data := synth(dims)
-		stream, err := scdc.Compress(data, dims, scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: scdc.DefaultQP()})
-		if err != nil {
-			return nil, nil, fmt.Errorf("lorenzo: %w", err)
-		}
-		res, err := scdc.Decompress(stream)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lorenzo decode: %w", err)
-		}
-		add("sz3_3d_qpon_lorenzo", dims, stream, res.Data, scdc.SZ3, eb, true, false, false, "", "")
-	}
+	lorenzo := []int{16, 16, 16}
+	pin("sz3_3d_qpon_lorenzo", lorenzo, synth(lorenzo), scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: qp})
 
-	return entries, streams, nil
+	// The sharded container as its one remaining encoder writes it: Auto
+	// on the noisy field of the sharded-flate pin.
+	noisy := []int{40, 40, 48}
+	pin("sz3_3d_qpon_lossless_auto_sharded", noisy, synthNoisy(noisy), auto)
+
+	return entries, streams, err
 }
 
 func run(dir string, update bool) error {
-	entries, streams, err := build()
+	entries, streams, err := build(dir)
 	if err != nil {
 		return err
 	}

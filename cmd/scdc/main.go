@@ -15,15 +15,15 @@
 //	scdc -z -dataset Miranda -out miranda.scdc -alg QoZ -qp -rel 1e-4
 //
 // -shards K writes the entropy stream as K independently decodable
-// Huffman shards sharing one code table, and -lossless flate (lz, huffman,
-// auto) the final stage as a sharded container. -workers N spreads those
-// shards, and the chunks of a chunked container, across N goroutines in
-// both directions; prediction, quantization and QP run on one. The output
-// is bit-identical for every N, and a sharded stream can be decoded with
-// -workers whatever -workers compressed it:
+// Huffman shards sharing one code table, and -lossless auto picks store,
+// Huffman or flate by measurement, as a sharded container past 64 KB.
+// -workers N spreads those shards, and the chunks of a chunked container,
+// across N goroutines in both directions; prediction, quantization and QP
+// run on one. The output is bit-identical for every N, and a sharded
+// stream can be decoded with -workers whatever -workers compressed it:
 //
 //	scdc -z -in data.f32 -out data.scdc -dims 512x512x512 -eb 1e-3 \
-//	     -qp -shards 8 -lossless flate
+//	     -qp -shards 8 -lossless auto
 //	scdc -x -in data.scdc -out restored.f32 -workers 8
 //
 // -stats prints a per-stage span tree (interpolation, quantization, QP,
@@ -112,7 +112,7 @@ func run(args []string, stdout io.Writer) error {
 		workers    = fs.Int("workers", 1, "goroutines for the sharded entropy and lossless stages and for chunks (compress and decompress); output is identical for any value")
 		shards     = fs.Int("shards", 0, "split the entropy stream into this many Huffman shards for parallel decode (0 = single stream)")
 		entropyArg = fs.String("entropy", "huffman", "entropy coder for the quantization index stream: huffman, auto or rice")
-		llArg      = fs.String("lossless", "default", "lossless back-end: default (legacy whole-buffer flate), flate, lz, huffman or auto (sharded parallel container), store")
+		llArg      = fs.String("lossless", "default", "lossless back-end: default (legacy whole-buffer flate), auto (store, huffman or flate by measurement; sharded parallel container past 64 KB) or store")
 		serveAddr  = fs.String("serve", "", "serve /metrics, /metrics.json and /debug/pprof on this address; stays up after the batch until interrupted")
 		stats      = fs.Bool("stats", false, "print a per-stage span tree and write the scdc-stats/1 JSON report")
 		statsOut   = fs.String("statsout", "", "stats JSON path (default <out>.stats.json; with -stats)")

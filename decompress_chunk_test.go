@@ -2,6 +2,7 @@ package scdc
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -135,6 +136,77 @@ func TestDecompressChunkV1Containers(t *testing.T) {
 		}
 		if _, err := DecompressChunk(s, len(chunks)); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("%s out-of-range: got %v, want ErrBadOptions", name, err)
+		}
+	}
+}
+
+// TestCompressChunkedHugeExtent: an extent past dims[0] is one chunk,
+// stored as dims[0], so the container reads back through every door.
+// Extents above maxDim used to be written as given, and the readers
+// rejected the container they had just been handed.
+func TestCompressChunkedHugeExtent(t *testing.T) {
+	dims := []int{8, 8, 8}
+	data := make([]float64, 512)
+	for i := range data {
+		data[i] = math.Sin(float64(i) / 7)
+	}
+	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3}
+	for _, extent := range []int{9, 1 << 41, math.MaxInt} {
+		stream, err := CompressChunked(data, dims, opts, 2, extent)
+		if err != nil {
+			t.Fatalf("extent %d: %v", extent, err)
+		}
+		info, err := Inspect(stream)
+		if err != nil {
+			t.Fatalf("extent %d: Inspect: %v", extent, err)
+		}
+		if info.Chunks != 1 || info.ChunkExtent != dims[0] {
+			t.Errorf("extent %d: %d chunks of extent %d, want 1 of %d", extent, info.Chunks, info.ChunkExtent, dims[0])
+		}
+		if err := sameVerdict(t, stream); err != nil {
+			t.Errorf("extent %d: %v", extent, err)
+		}
+	}
+}
+
+// TestChunkShapeChecked: a chunk whose own header is valid but whose dims
+// are not its slot's — {hi−lo, dims[1:]…} — is ErrCorrupt through every
+// door, whether or not it holds the slot's point count. It used to be
+// decoded as found: reshaped into the whole field, or handed out alone by
+// DecompressChunk.
+func TestChunkShapeChecked(t *testing.T) {
+	dims := []int{8, 8, 8}
+	data := make([]float64, 512)
+	for i := range data {
+		data[i] = math.Cos(float64(i) / 5)
+	}
+	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3}
+	stream, err := CompressChunked(data, dims, opts, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, extent, chunks, err := parseChunked(stream)
+	if err != nil || extent != 4 || len(chunks) != 2 {
+		t.Fatalf("extent %d, %d chunks, %v", extent, len(chunks), err)
+	}
+	for _, wrong := range [][]int{{4, 4, 16}, {2, 8, 8}, {4, 64}, {4, 8, 8, 1}} {
+		n := 1
+		for _, d := range wrong {
+			n *= d
+		}
+		c0, err := Compress(data[:n], wrong, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := hostile{formatVersion, kindChunked, []uint64{8, 8, 8}}.build(chunkTable(4, 2, [][]byte{c0, chunks[1]}))
+		if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("chunk 0 of dims %v: Decompress: got %v, want ErrCorrupt", wrong, err)
+		}
+		if _, err := DecompressChunk(bad, 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("chunk 0 of dims %v: DecompressChunk: got %v, want ErrCorrupt", wrong, err)
+		}
+		if _, err := Inspect(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("chunk 0 of dims %v: Inspect: got %v, want ErrCorrupt", wrong, err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"scdc/internal/core"
+	"scdc/internal/lossless"
 	"scdc/internal/sz3"
 )
 
@@ -103,7 +104,10 @@ func TestGoldenCorpus(t *testing.T) {
 // TestGoldenCoverage asserts the corpus actually spans the matrix the
 // format promises to keep stable: every algorithm in 1D–4D, QP on for
 // every algorithm that supports it, chunked and v1 containers, each
-// non-default entropy coder and lossless back-end, and SZ3's Lorenzo mode.
+// non-default entropy coder, every lossless tag a writer has ever
+// produced (flate, the decode-only LZ, the sharded container and
+// Huffman), a sharded container as Auto writes it, and SZ3's Lorenzo
+// mode.
 func TestGoldenCoverage(t *testing.T) {
 	entries := loadGoldenManifest(t)
 	type key struct {
@@ -115,8 +119,9 @@ func TestGoldenCoverage(t *testing.T) {
 	var chunked, v1 bool
 	rice := make(map[string]bool)
 	var auto bool
-	lossless := make(map[string]bool)
-	var shardedLossless, lorenzo bool
+	backends := make(map[string]bool)
+	tags := make(map[lossless.Codec]bool)
+	var autoSharded, lorenzo bool
 	for _, e := range entries {
 		seen[key{e.Algorithm, len(e.Dims), e.QP}] = true
 		chunked = chunked || e.Chunked
@@ -126,16 +131,13 @@ func TestGoldenCoverage(t *testing.T) {
 		}
 		auto = auto || e.Entropy == "auto"
 		if e.Lossless != "" {
-			lossless[e.Lossless] = true
+			backends[e.Lossless] = true
+			tag := losslessTag(t, e.File)
+			tags[tag] = true
 			// The sharded container only engages past its 64KB input
-			// threshold; the corpus must carry at least one field big and
-			// noisy enough to cross it so the tag-4 directory format stays
-			// pinned (cmd/golden's sz3_3d_qpon_lossless_sharded entry).
-			n := 1
-			for _, d := range e.Dims {
-				n *= d
-			}
-			shardedLossless = shardedLossless || n >= 64<<10
+			// threshold, so this takes a field big and noisy enough to
+			// cross it (cmd/golden's sz3_3d_qpon_lossless_auto_sharded).
+			autoSharded = autoSharded || (e.Lossless == "auto" && tag == lossless.Sharded)
 		}
 		if e.Algorithm == SZ3.String() && !e.Chunked {
 			lorenzo = lorenzo || sz3Mode(t, e.File) == sz3.ModeLorenzo
@@ -166,16 +168,36 @@ func TestGoldenCoverage(t *testing.T) {
 		t.Error("no auto-entropy golden stream")
 	}
 	for _, lc := range []string{"flate", "lz", "huffman", "auto"} {
-		if !lossless[lc] {
+		if !backends[lc] {
 			t.Errorf("no golden stream for lossless back-end %q", lc)
 		}
 	}
-	if !shardedLossless {
-		t.Error("no golden stream large enough to pin the sharded lossless container")
+	for _, tag := range []lossless.Codec{lossless.Flate, lossless.LZ, lossless.Sharded, lossless.Huffman} {
+		if !tags[tag] {
+			t.Errorf("no golden stream with lossless tag %d (%v)", tag, tag)
+		}
+	}
+	if !autoSharded {
+		t.Error("no golden stream pins the sharded lossless container as LosslessAuto writes it")
 	}
 	if !lorenzo {
 		t.Error("no SZ3 golden stream in Lorenzo mode")
 	}
+}
+
+// losslessTag reads the lossless codec tag that opens the payload of a
+// plain golden stream.
+func losslessTag(t *testing.T, file string) lossless.Codec {
+	t.Helper()
+	stream, err := os.ReadFile(filepath.Join("testdata", "golden", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseHeader(stream, true)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return lossless.Codec(h.payload[0])
 }
 
 // sz3Mode reads the predictor mode byte that opens the payload of a plain

@@ -63,7 +63,7 @@ func Inspect(stream []byte) (*StreamInfo, error) {
 	// The container's footer pass already covered every chunk byte, so
 	// chunk 0's own CRC32C is not verified again: inspecting a 1000-chunk
 	// stream costs one CRC pass (see BenchmarkInspectChunked).
-	c0, err := parseChunk(chunks[0], false)
+	c0, err := parseChunk(h, info.ChunkExtent, chunks, 0, false)
 	if err != nil {
 		return nil, fmt.Errorf("chunk 0: %w", err)
 	}

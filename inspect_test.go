@@ -89,6 +89,10 @@ func TestChunkAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The chunk is the one chunk of a container of its own dims.
+	parseChunk := func(c []byte, verify bool) (header, error) {
+		return parseChunk(header{dims: dims}, dims[0], [][]byte{c}, 0, verify)
+	}
 	stream, err := Compress(data, dims, Options{Algorithm: MGARD, RelativeBound: 1e-3})
 	if err != nil {
 		t.Fatal(err)

@@ -28,21 +28,17 @@ type Backend struct {
 	QP Config
 	// Radius is the quantization radius; 0 selects the SZ3 default 2^15.
 	Radius int32
-	// Lossless selects the final lossless back-end. Default Flate.
-	// lossless.Auto picks the cheapest codec from a sampled size
-	// estimate (per shard when LosslessSharded is set).
+	// Lossless selects the final lossless back-end. Default Flate, the
+	// legacy whole-buffer format the golden corpus pins. lossless.Auto
+	// picks the cheapest of store, Huffman and flate from a sampled size
+	// estimate, per shard of the parallel sharded container once the
+	// buffer is big enough to split (CompressLossless).
 	Lossless lossless.Codec
-	// LosslessSharded wraps the lossless stage in the parallel sharded
-	// container (Lossless becomes the inner codec), so the final stage
-	// compresses and decompresses under Workers goroutines. The stream
-	// is byte-identical for any worker count. Off by default: the
-	// legacy whole-buffer format is what the golden corpus pins.
-	LosslessSharded bool
 	// Workers caps the number of goroutines used inside one Compress call
-	// by the back end: Huffman shard encoding (Shards > 1) and the sharded
-	// lossless stage (LosslessSharded). The prediction and QP sweeps always
-	// run on the calling goroutine. <= 1 runs sequentially. The output is
-	// byte-identical for any worker count.
+	// by the back end: Huffman shard encoding (Shards > 1) and the shards
+	// of the lossless container Auto writes. The prediction and QP sweeps
+	// always run on the calling goroutine. <= 1 runs sequentially. The
+	// output is byte-identical for any worker count.
 	Workers int
 	// Shards splits the entropy-coded index stream into this many
 	// independently decodable Huffman shards sharing one code table, so
@@ -189,7 +185,7 @@ func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(idx)))
 	buf = append(buf, idx...)
 	buf = appendFloats(buf, sw.Lits)
-	return CompressLossless(b.Lossless, b.LosslessSharded, buf, b.Workers, b.Obs)
+	return CompressLossless(b.Lossless, buf, b.Workers, b.Obs)
 }
 
 // appendFloats writes a float block: uvarint count, then the values as

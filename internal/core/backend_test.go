@@ -111,7 +111,7 @@ func TestNormalize(t *testing.T) {
 // the back end. The pool reads 0 as GOMAXPROCS, so Normalize and
 // DecodeStream hand it at least 1, for engines called directly too.
 func TestWorkersFloor(t *testing.T) {
-	payload, err := CompressLossless(lossless.Flate, false, []byte{7}, 1, nil)
+	payload, err := CompressLossless(lossless.Flate, []byte{7}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

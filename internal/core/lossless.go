@@ -11,16 +11,16 @@ import (
 // one place (mirroring ChooseEncodingCoder for the entropy stage).
 
 // CompressLossless runs the lossless back-end over buf under a
-// "lossless" child span of parent. When sharded is set the buffer is
-// encoded as the parallel sharded container with c as the inner codec
-// (lossless.Auto selects store/Huffman/LZ/flate per shard from the size
-// estimator); otherwise the legacy whole-buffer format is written. The
-// output depends only on (c, sharded, buf) — never on workers.
-func CompressLossless(c lossless.Codec, sharded bool, buf []byte, workers int, parent *obs.Span) ([]byte, error) {
+// "lossless" child span of parent. lossless.Auto picks store, Huffman or
+// flate from the size estimator and, past the container's size floor,
+// writes the parallel sharded container with a pick per shard; every
+// other codec writes the whole-buffer format. The output depends only on
+// (c, buf) — never on workers.
+func CompressLossless(c lossless.Codec, buf []byte, workers int, parent *obs.Span) ([]byte, error) {
 	sp := parent.Child("lossless")
 	var out []byte
 	var err error
-	if sharded {
+	if c == lossless.Auto {
 		out, err = lossless.CompressSharded(c, buf, workers)
 	} else {
 		out, err = lossless.Compress(c, buf)

@@ -19,9 +19,10 @@ import (
 // engine layer: for sz3 × {linear, cubic} and qoz × {tuned, untuned},
 // with QP on and off, compressed streams must be byte-identical and
 // decompressed fields bit-identical across worker counts {1, 2, 4}. The
-// streams carry four Huffman shards and the sharded lossless container,
-// the stages Workers fans out; the bound is tight enough that the
-// container engages (its 64KB plaintext floor), which the test checks.
+// streams carry four Huffman shards and lossless.Auto's sharded stage,
+// the stages Workers fans out; the bound is tight enough that Auto
+// writes a sharded form past its 64KB plaintext floor — the tag-4
+// container or the Huffman byte codec's tag 7 — which the test checks.
 func TestInterpWorkersBitIdentical(t *testing.T) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{40, 48, 56}, 9)
 	field := grid.MustNew(f.Dims()...)
@@ -30,7 +31,7 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 	eb := 1e-5 * f.Range()
 	backend := func(workers int, qp bool) core.Backend {
 		b := core.DefaultBackend()
-		b.Workers, b.Shards, b.LosslessSharded = workers, 4, true
+		b.Workers, b.Shards, b.Lossless = workers, 4, lossless.Auto
 		if qp {
 			b.QP = core.Default()
 		}
@@ -89,8 +90,8 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 					t.Fatalf("workers=%d: decompress: %v", w, err)
 				}
 				if w == workerCounts[0] {
-					if stream[0] != byte(lossless.Sharded) {
-						t.Fatalf("the sharded lossless container did not engage (tag %d)", stream[0])
+					if tag := lossless.Codec(stream[0]); tag != lossless.Sharded && tag != lossless.Huffman {
+						t.Fatalf("the sharded lossless stage did not engage (tag %d)", tag)
 					}
 					refStream, refField = stream, out.Data
 					continue

@@ -28,7 +28,8 @@ func benchPayload(n int) []byte {
 }
 
 // BenchmarkLosslessCodecs prices the codecs side by side: one compress and
-// one decompress series per back-end, sharded variants at 4 workers.
+// one decompress series per back-end, the sharded Auto container at 4
+// workers.
 func BenchmarkLosslessCodecs(b *testing.B) {
 	src := benchPayload(1 << 20)
 	const workers = 4
@@ -40,11 +41,7 @@ func BenchmarkLosslessCodecs(b *testing.B) {
 	}
 	variants := []variant{
 		{"flate", func() ([]byte, error) { return Compress(Flate, src) }, 1},
-		{"lz", func() ([]byte, error) { return Compress(LZ, src) }, 1},
 		{"huffman", func() ([]byte, error) { return Compress(Huffman, src) }, 1},
-		{"sharded-flate", func() ([]byte, error) { return CompressSharded(Flate, src, workers) }, workers},
-		{"sharded-lz", func() ([]byte, error) { return CompressSharded(LZ, src, workers) }, workers},
-		{"sharded-huffman", func() ([]byte, error) { return CompressSharded(Huffman, src, workers) }, workers},
 		{"sharded-auto", func() ([]byte, error) { return CompressSharded(Auto, src, workers) }, workers},
 	}
 

@@ -20,13 +20,13 @@ const (
 	estProbeBits = 12
 )
 
-// probe holds the sampled statistics EstimateBytes prices codecs from.
+// probe holds the sampled statistics the codecs are priced from.
 type probe struct {
 	// entropyBits is the order-0 entropy of the sampled bytes, in bits
 	// per byte (0..8).
 	entropyBits float64
 	// matchCover is the fraction of sampled bytes covered by greedily
-	// extended matches — a stand-in for LZ match coverage.
+	// extended matches — a stand-in for flate's match coverage.
 	matchCover float64
 	// matchPerByte is matches per sampled byte; with matchCover it fixes
 	// the average match length, which is what separates "long repeats a
@@ -101,10 +101,9 @@ func sampleProbe(src []byte) probe {
 
 // estimate prices one codec from the probe statistics, the way the
 // codec actually spends bytes: flate pays the order-0 entropy for
-// unmatched bytes and a small per-match residue, LZ stores unmatched
-// bytes raw and roughly one 3-byte sequence per ~16 covered bytes,
-// Huffman pays the order-0 entropy everywhere plus its code table, and
-// store pays the input verbatim.
+// unmatched bytes and a small per-match residue, Huffman pays the
+// order-0 entropy everywhere plus its code table, and store pays the
+// input verbatim.
 func (p probe) estimate(c Codec, n int) int {
 	fn := float64(n)
 	switch c {
@@ -124,9 +123,6 @@ func (p probe) estimate(c Codec, n int) int {
 		const flateMatchBits = 30
 		bitsPerByte := (1-p.matchCover)*p.entropyBits + p.matchPerByte*flateMatchBits
 		return int(fn*bitsPerByte/8) + 64
-	case LZ:
-		// Unmatched bytes stored raw, ~3 bytes of token/offset per match.
-		return int(fn*((1-p.matchCover)+p.matchPerByte*3)) + 16
 	case Huffman:
 		// Flat 256-byte code-length table plus the sub-format header and
 		// shard directory (huffman/bytes.go).
@@ -136,22 +132,8 @@ func (p probe) estimate(c Codec, n int) int {
 	}
 }
 
-// EstimateBytes predicts the Compress(c, src) output size without
-// running the codec, from one sampled probe. Auto resolves to the
-// cheapest of store, Huffman, LZ and flate first.
-func EstimateBytes(c Codec, src []byte) int {
-	if c == None || c == Store {
-		return len(src) + 6
-	}
-	p := sampleProbe(src)
-	if c == Auto {
-		c = p.pick(len(src))
-	}
-	return p.estimate(c, len(src))
-}
-
 // pick resolves the Auto codec for an n-byte buffer: the cheapest of
-// store, Huffman, LZ and flate by estimate. The estimates only rank
+// store, Huffman and flate by estimate. The estimates only rank
 // reliably outside a few percent, so within estSlack of the minimum the
 // cheaper-to-run codec wins — candidates are ordered by decreasing
 // codec speed, which is how a match-free entropy-stage buffer routes to
@@ -159,7 +141,7 @@ func EstimateBytes(c Codec, src []byte) int {
 // nothing but sampling noise.
 func (p probe) pick(n int) Codec {
 	const estSlack = 1.02
-	cands := [...]Codec{None, Huffman, LZ, Flate}
+	cands := [...]Codec{None, Huffman, Flate}
 	var ests [len(cands)]int
 	best := -1
 	for i, c := range cands {

@@ -3,12 +3,14 @@
 // implementations). Interchangeable codecs are provided:
 //
 //   - Flate: the stdlib DEFLATE implementation, the default back-end.
-//   - LZ: a from-scratch byte-oriented LZ77 codec ("lz/2", see lz.go) with
-//     a hash-chain matcher and 64-bit match kernels — the dependency-free
-//     fast path and an ablation point (BenchmarkAblationLosslessBackend).
+//   - Huffman: order-0 canonical Huffman coding of the bytes (huff.go).
 //   - Sharded: a container (sharded.go) that splits the plaintext into
 //     size-derived shards compressed and decompressed in parallel.
-//   - Auto: per-buffer (or per-shard) codec selection from EstimateBytes.
+//   - Auto: per-buffer (or per-shard) selection of store, Huffman or
+//     flate from a sampled size estimate (estimate.go).
+//
+// LZ (tag 2, lz.go) is decode-only: earlier releases wrote it, and
+// flate's output was smaller on every buffer Auto gave it.
 //
 // All streams open with a one-byte codec tag and the uvarint plaintext
 // length, so they are self-describing and the decoder can bound every
@@ -56,14 +58,15 @@ const (
 	None Codec = 0
 	// Flate is stdlib DEFLATE at default compression.
 	Flate Codec = 1
-	// LZ is the built-in LZ77 codec.
+	// LZ is the retired built-in LZ77 codec: it decodes, but Compress
+	// and CompressSharded reject it.
 	LZ Codec = 2
 	// Sharded is the parallel container format (sharded.go). It appears
 	// as a stream tag only; use CompressSharded with an inner codec to
 	// produce it. (Tag 3 is reserved: it was a range coder no public
 	// option ever selected, and decodes as an unknown codec.)
 	Sharded Codec = 4
-	// Auto selects the cheapest of store, Huffman, LZ and flate from a
+	// Auto selects the cheapest of store, Huffman and flate from a
 	// sampled size estimate (estimate.go). Selection-only: the chosen codec's
 	// tag is what the stream records, so Auto is never written.
 	Auto Codec = 5
@@ -143,10 +146,10 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 			return nil, err
 		}
 		return buf.Bytes(), nil
-	case LZ:
-		return lzCompress(hdr, src), nil
 	case Huffman:
 		return huffCompressBody(hdr, src, 1), nil
+	case LZ:
+		return nil, fmt.Errorf("%w: lossless: lz is decode-only", verdict.ErrBadOptions)
 	case Sharded:
 		return nil, fmt.Errorf("%w: lossless: use CompressSharded for the sharded container", verdict.ErrBadOptions)
 	default:

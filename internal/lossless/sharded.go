@@ -16,9 +16,10 @@ import (
 //
 // Layout (after the shared one-byte codec tag and uvarint plaintext
 // length every lossless stream carries): the tagged shard directory of
-// internal/shard — per shard the inner codec (none/flate/lz/huffman), its
-// plaintext bytes and its compressed bytes — then the K raw codec bodies,
-// with no per-shard tag/length prefix.
+// internal/shard — per shard the inner codec (none/flate/huffman; lz in
+// streams earlier releases wrote), its plaintext bytes and its compressed
+// bytes — then the K raw codec bodies, with no per-shard tag/length
+// prefix.
 //
 // The shard split depends only on len(src) — never on the worker count
 // — and each shard is compressed independently, so the container is
@@ -62,14 +63,15 @@ func ShardCount(n int) int {
 // is big enough to split, compressing shards on up to workers
 // goroutines; smaller inputs fall back to the plain single-body format
 // (both decode through Decompress). c selects the inner codec; Auto
-// picks flate, LZ, Huffman or store per shard from EstimateBytes. The
-// output is byte-identical for every worker count.
+// picks flate, Huffman or store per shard from a sampled size estimate.
+// The output is byte-identical for every worker count.
 func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
 	if c == Sharded {
 		return nil, fmt.Errorf("%w: lossless: sharded container needs an inner codec", verdict.ErrBadOptions)
 	}
 	k := ShardCount(len(src))
-	if k <= 1 || c == None || c == Store {
+	if k <= 1 || (c != Flate && c != Huffman && c != Auto) {
+		// Compress stores None/Store and rejects LZ and unknown codecs.
 		return Compress(c, src)
 	}
 	if c == Auto && pickCodec(src) == Huffman {
@@ -99,8 +101,6 @@ func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
 		switch ci {
 		case Flate:
 			err = flateCompressBody(b, part)
-		case LZ:
-			b.B = lzCompress(b.B, part)
 		case Huffman:
 			b.B = huffCompressBody(b.B, part, 1)
 		}

@@ -42,7 +42,7 @@ func TestShardCount(t *testing.T) {
 // decision depend only on the bytes.
 func TestShardedWorkerIdentity(t *testing.T) {
 	src := shardedPayload(21, 5*shardTargetBytes+123)
-	for _, c := range []Codec{Flate, LZ, Huffman, Auto} {
+	for _, c := range []Codec{Flate, Huffman, Auto} {
 		ref, err := CompressSharded(c, src, 1)
 		if err != nil {
 			t.Fatalf("%v workers=1: %v", c, err)
@@ -73,7 +73,7 @@ func TestShardedWorkerIdentity(t *testing.T) {
 func TestShardedRoundTrip(t *testing.T) {
 	sizes := []int{0, 1, 1000, 2*shardMinBytes - 1, 2 * shardMinBytes,
 		2*shardMinBytes + 7, shardTargetBytes + 1, 3*shardTargetBytes + 13}
-	for _, c := range []Codec{None, Flate, LZ, Huffman, Auto, Store} {
+	for _, c := range []Codec{None, Flate, Huffman, Auto, Store} {
 		for _, n := range sizes {
 			src := shardedPayload(int64(n)+7, n)
 			enc, err := CompressSharded(c, src, 3)
@@ -258,7 +258,7 @@ func TestFlateDecompressAllocs(t *testing.T) {
 func FuzzLosslessSharded(f *testing.F) {
 	small := shardedPayload(3, 1000)
 	big := shardedPayload(4, 2*shardMinBytes+17)
-	for _, c := range []Codec{Flate, LZ, Huffman, Auto} {
+	for _, c := range []Codec{Flate, Huffman, Auto} {
 		enc, err := CompressSharded(c, big, 2)
 		if err != nil {
 			f.Fatal(err)
@@ -269,6 +269,15 @@ func FuzzLosslessSharded(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add(shardedStream(8, [][3]uint64{{uint64(None), 4, 4}, {uint64(LZ), 4, 4}}, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
+	// The decode-only LZ codec's hand-built sequences, each as a shard
+	// behind a stored one, and the tag-2 golden payload.
+	for _, v := range lzVectors() {
+		if len(v.want) > 0 {
+			n := 4 + len(v.want)
+			f.Add(shardedStream(n, [][3]uint64{{uint64(None), 4, 4}, {uint64(LZ), uint64(len(v.want)), uint64(len(v.body))}}, append([]byte{1, 2, 3, 4}, v.body...)))
+		}
+	}
+	f.Add(goldenPayload(f, "sz3_3d_qpon_lossless_lz.scdc"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecompressLimit(data, 1<<22, 3)
 		if err != nil {

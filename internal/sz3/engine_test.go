@@ -7,6 +7,7 @@ import (
 	"scdc/internal/core"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
+	"scdc/internal/lossless"
 )
 
 // engineDims covers 1D through 4D.
@@ -18,8 +19,8 @@ var engineDims = [][]int{
 }
 
 // TestParallelCompressBitIdentical verifies end to end that the stages
-// Workers fans out — the sharded Huffman body and the sharded lossless
-// container — leave no trace in the stream: for every QP mode and
+// Workers fans out — the sharded Huffman body and lossless.Auto's
+// sharded stage — leave no trace in the stream: for every QP mode and
 // condition, on 1D-4D fields, it is byte-identical for any worker count.
 func TestParallelCompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
@@ -32,7 +33,7 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 				opts := DefaultOptions(1e-3)
 				opts.Choice = ChoiceInterp
 				opts.QP = core.Config{Mode: mode, Cond: cond, MaxLevel: 2}
-				opts.Shards, opts.LosslessSharded = 4, true
+				opts.Shards, opts.Lossless = 4, lossless.Auto
 				seq, err := Compress(f, opts)
 				if err != nil {
 					t.Fatalf("dims=%v mode=%v cond=%v: %v", dims, mode, cond, err)
@@ -52,7 +53,8 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 
 // TestParallelDecompressBitIdentical verifies that parallel decompression
 // reconstructs exactly the sequential output, for plain and QP streams,
-// with and without the sharded Huffman body and lossless container.
+// with and without the sharded Huffman body and lossless.Auto's sharded
+// stage.
 func TestParallelDecompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
@@ -61,7 +63,10 @@ func TestParallelDecompressBitIdentical(t *testing.T) {
 				opts := DefaultOptions(1e-3)
 				opts.Choice = ChoiceInterp
 				opts.Workers = 4
-				opts.Shards, opts.LosslessSharded = shards, shards > 1
+				opts.Shards = shards
+				if shards > 1 {
+					opts.Lossless = lossless.Auto
+				}
 				if qp {
 					opts = opts.WithQP()
 				}

@@ -132,10 +132,10 @@ func TestRoundTripLinearInterp(t *testing.T) {
 	roundTrip(t, f, opts)
 }
 
-func TestRoundTripLZBackend(t *testing.T) {
+func TestRoundTripAutoBackend(t *testing.T) {
 	f := synth(30, 31, 32)
 	opts := DefaultOptions(1e-3).WithQP()
-	opts.Lossless = lossless.LZ
+	opts.Lossless = lossless.Auto
 	roundTrip(t, f, opts)
 }
 

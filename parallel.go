@@ -90,9 +90,10 @@ func compressChunkedSpan(data []float64, dims []int, opts Options, workers, chun
 	if chunkExtent <= 0 {
 		chunkExtent = (n0 + workers - 1) / workers
 	}
-	if chunkExtent < 1 {
-		chunkExtent = 1
-	}
+	// An extent past dims[0] is one chunk either way. Storing dims[0]
+	// keeps the extent inside what the readers accept (maxDim) and the
+	// count below from overflowing.
+	chunkExtent = min(chunkExtent, n0)
 	nChunks := (n0 + chunkExtent - 1) / chunkExtent
 	sliceLen := f.Len() / n0
 
@@ -160,15 +161,26 @@ func parseChunkTable(h header) (extent int, chunks [][]byte, err error) {
 	return int(ce), chunks, nil
 }
 
-// parseChunk reads the header of one embedded chunk. A chunk is always a
-// plain stream: one that is itself a container is corrupt, so decoding
-// never recurses.
-func parseChunk(chunk []byte, verify bool) (header, error) {
-	h, err := parseHeader(chunk, verify)
-	if err == nil && h.kind == kindChunked {
-		err = fmt.Errorf("%w: nested chunked stream", ErrCorrupt)
+// parseChunk reads the header of chunk i of the chunked container h,
+// whose table parseChunkTable returned. A chunk is always a plain stream
+// of its slot's shape, {hi−lo, dims[1:]…}, and both are checked before
+// anything is decoded: one that is itself a container is corrupt, so
+// decoding never recurses, and one of another shape can neither shift its
+// neighbours' regions nor be handed out by DecompressChunk as a field the
+// container does not hold.
+func parseChunk(h header, extent int, chunks [][]byte, i int, verify bool) (header, error) {
+	c, err := parseHeader(chunks[i], verify)
+	if err != nil {
+		return c, err
 	}
-	return h, err
+	if c.kind == kindChunked {
+		return c, fmt.Errorf("%w: nested chunked stream", ErrCorrupt)
+	}
+	slot := append([]int{min((i+1)*extent, h.dims[0]) - i*extent}, h.dims[1:]...)
+	if !slices.Equal(c.dims, slot) {
+		return c, fmt.Errorf("%w: chunk of dims %v in a %v slot", ErrCorrupt, c.dims, slot)
+	}
+	return c, nil
 }
 
 // decodeChunks decodes a chunked container on up to workers goroutines,
@@ -179,29 +191,22 @@ func decodeChunks(h header, workers int, sp *obs.Span) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sliceLen := h.points / h.dims[0]
 	// Each chunk decodes into a field sized by its own header, which was
-	// capped against its own payload; nothing is allocated from the
-	// container's declared dims. Results land in per-chunk slots: a shared
-	// scalar written from the worker closure would race (parallelpure
-	// flags it).
+	// capped against its own payload and matched to its slot; nothing is
+	// allocated from the container's declared dims. Results land in
+	// per-chunk slots: a shared scalar written from the worker closure
+	// would race (parallelpure flags it).
 	parts := make([][]float64, len(chunks))
 	algs := make([]Algorithm, len(chunks))
 	err = forEachChunk(sp, len(chunks), workers, func(i int, csp *obs.Span) error {
 		csp.Add("bytes_in", int64(len(chunks[i])))
-		ch, err := parseChunk(chunks[i], true)
+		ch, err := parseChunk(h, extent, chunks, i, true)
 		if err != nil {
 			return err
 		}
 		res, err := decodeField(ch, 1, csp)
 		if err != nil {
 			return err
-		}
-		// A corrupt (or hostile) chunk may decode to a different size than
-		// its slot; reject it so it cannot shift its neighbors' regions.
-		lo, hi := i*extent, min((i+1)*extent, h.dims[0])
-		if len(res.Data) != (hi-lo)*sliceLen {
-			return fmt.Errorf("%w: decodes to %d values, want %d", ErrCorrupt, len(res.Data), (hi-lo)*sliceLen)
 		}
 		parts[i], algs[i] = res.Data, res.Algorithm
 		return nil
@@ -224,9 +229,9 @@ func DecompressChunk(stream []byte, chunk int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks := [][]byte{stream} // a plain stream is its own only chunk
+	extent, chunks := 0, [][]byte{stream} // a plain stream is its own only chunk
 	if h.kind == kindChunked {
-		if _, chunks, err = parseChunkTable(h); err != nil {
+		if extent, chunks, err = parseChunkTable(h); err != nil {
 			return nil, err
 		}
 	}
@@ -234,7 +239,7 @@ func DecompressChunk(stream []byte, chunk int) (*Result, error) {
 		return nil, fmt.Errorf("%w: chunk %d of %d", ErrBadOptions, chunk, len(chunks))
 	}
 	if h.kind == kindChunked {
-		if h, err = parseChunk(chunks[chunk], true); err != nil {
+		if h, err = parseChunk(h, extent, chunks, chunk, true); err != nil {
 			return nil, err
 		}
 	}

@@ -13,10 +13,12 @@ import (
 // — every mode, every condition, every interpolation-based algorithm —
 // and proves that the worker count is invisible in the output: compressed
 // streams are byte-identical and decompressed fields bit-identical to the
-// workers=1 reference. The streams carry sharded Huffman bodies and the
-// sharded lossless container, the two stages Workers fans out; the bound
-// and the fields are tight and large enough that the container engages
-// (its 64KB plaintext floor), which the test checks.
+// workers=1 reference. The streams carry sharded Huffman bodies and
+// LosslessAuto's sharded lossless stage, the two stages Workers fans out;
+// the bound and the fields are tight and large enough that Auto writes a
+// sharded form (past its 64KB plaintext floor): the tag-4 container or
+// the Huffman byte codec's tag 7, whose shards share one table. The test
+// checks that it did.
 func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 	cases := []struct {
 		alg  Algorithm
@@ -54,7 +56,7 @@ func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 							QP:            QPConfig{Mode: mode, Condition: cond, MaxLevel: 2},
 							Workers:       w,
 							Shards:        4,
-							Lossless:      LosslessFlate,
+							Lossless:      LosslessAuto,
 						}
 						stream, err := Compress(data, dims, opts)
 						if err != nil {
@@ -66,8 +68,11 @@ func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 						}
 						if w == workerCounts[0] {
 							h, err := parseHeader(stream, true)
-							if err != nil || h.payload[0] != byte(lossless.Sharded) {
-								t.Fatalf("the sharded lossless container did not engage (%v)", err)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if tag := lossless.Codec(h.payload[0]); tag != lossless.Sharded && tag != lossless.Huffman {
+								t.Fatalf("the sharded lossless stage did not engage (tag %d)", tag)
 							}
 							refStream, refField = stream, res.Data
 							continue

@@ -176,46 +176,33 @@ func ParseEntropyCoder(name string) (EntropyCoder, error) {
 // LosslessCodec selects the final lossless back-end for the
 // interpolation-based algorithms. Decompression dispatches on the
 // stream's codec tag, so reading needs no option and every earlier
-// stream keeps decoding.
+// stream — including the forced flate, LZ and Huffman forms earlier
+// releases could write — keeps decoding.
 type LosslessCodec byte
 
 const (
 	// LosslessDefault (the zero value) is the legacy whole-buffer DEFLATE
 	// back-end; streams are byte-identical to earlier releases.
 	LosslessDefault LosslessCodec = iota
-	// LosslessFlate is DEFLATE inside the sharded parallel container:
-	// the final stage splits into size-derived shards that compress and
-	// decompress concurrently under Options.Workers.
-	LosslessFlate
-	// LosslessLZ is the built-in kernelized LZ77 codec inside the sharded
-	// container — much faster than DEFLATE at a lower ratio.
-	LosslessLZ
 	// LosslessStore skips lossless compression (ablation point).
 	LosslessStore
-	// LosslessAuto picks flate, LZ, Huffman or store per shard of the
-	// sharded container from a sampled size estimate
-	// (lossless.EstimateBytes), preferring the faster codec when the
-	// estimates are within a couple of percent.
+	// LosslessAuto picks store, Huffman or flate from a sampled size
+	// estimate, preferring the faster codec when the estimates are within
+	// a couple of percent. Past 64 KB the stage is sharded — the parallel
+	// container with a pick per shard, or Huffman's own shards under one
+	// table — and runs under Options.Workers in both directions.
 	LosslessAuto
-	// LosslessHuffman is order-0 canonical Huffman coding of the stream
-	// bytes inside the sharded container — DEFLATE-grade ratio on the
-	// match-free entropy-stage output at a fraction of the cost.
-	LosslessHuffman
 )
 
-// losslessCodecs maps each LosslessCodec to its name and to the
-// engine-level (codec, sharded) pair.
+// losslessCodecs maps each LosslessCodec to its name and engine-level
+// codec.
 var losslessCodecs = [...]struct {
-	name    string
-	codec   lossless.Codec
-	sharded bool
+	name  string
+	codec lossless.Codec
 }{
-	LosslessDefault: {"default", lossless.Flate, false},
-	LosslessFlate:   {"flate", lossless.Flate, true},
-	LosslessLZ:      {"lz", lossless.LZ, true},
-	LosslessStore:   {"store", lossless.Store, false},
-	LosslessAuto:    {"auto", lossless.Auto, true},
-	LosslessHuffman: {"huffman", lossless.Huffman, true},
+	LosslessDefault: {"default", lossless.Flate},
+	LosslessStore:   {"store", lossless.Store},
+	LosslessAuto:    {"auto", lossless.Auto},
 }
 
 // String implements fmt.Stringer.
@@ -227,7 +214,7 @@ func (c LosslessCodec) String() string {
 }
 
 // ParseLosslessCodec resolves a lower-case codec name ("default",
-// "flate", "lz", "store", "auto", "huffman"; "" is "default").
+// "store", "auto"; "" is "default").
 func ParseLosslessCodec(name string) (LosslessCodec, error) {
 	if name == "" {
 		return LosslessDefault, nil
@@ -256,10 +243,9 @@ type Options struct {
 	// Workers caps the number of goroutines used inside one Compress call
 	// of an interpolation-based algorithm by its sharded stages: Huffman
 	// shard encoding (Shards > 1) and the sharded lossless container
-	// (LosslessFlate, LosslessLZ, LosslessAuto, LosslessHuffman).
-	// Prediction, quantization and QP run on the calling goroutine. <= 1
-	// runs sequentially. The produced stream is byte-identical for any
-	// worker count.
+	// LosslessAuto writes. Prediction, quantization and QP run on the
+	// calling goroutine. <= 1 runs sequentially. The produced stream is
+	// byte-identical for any worker count.
 	Workers int
 	// Shards splits the entropy-coded index stream of the
 	// interpolation-based algorithms into this many independently decodable
@@ -275,8 +261,8 @@ type Options struct {
 	// Lossless selects the final lossless back-end for the
 	// interpolation-based algorithms. The zero value (LosslessDefault)
 	// reproduces the legacy whole-buffer DEFLATE streams byte-for-byte;
-	// LosslessFlate/LosslessLZ/LosslessAuto opt into the sharded parallel
-	// container, whose bytes are identical for any worker count.
+	// LosslessAuto picks the codec by measurement and shards the stage
+	// past 64 KB, with bytes identical for any worker count.
 	Lossless LosslessCodec
 	// Observer, when non-nil, collects per-stage telemetry spans for every
 	// Compress/CompressChunked call made with these options (see
@@ -510,8 +496,7 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 	be.QP = opts.QP.toCore()
 	be.Workers, be.Shards = opts.Workers, opts.Shards
 	be.Entropy = entropy.Coder(opts.Entropy)
-	ll := losslessCodecs[opts.Lossless]
-	be.Lossless, be.LosslessSharded = ll.codec, ll.sharded
+	be.Lossless = losslessCodecs[opts.Lossless].codec
 	be.Obs = sp
 
 	var payload []byte

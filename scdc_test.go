@@ -215,6 +215,26 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
+// TestParseLosslessCodec: the menu is default, store and auto; the names
+// of the forced forms it lost are options errors, as is an out-of-range
+// value handed to Compress.
+func TestParseLosslessCodec(t *testing.T) {
+	for _, c := range []LosslessCodec{LosslessDefault, LosslessStore, LosslessAuto} {
+		if got, err := ParseLosslessCodec(c.String()); err != nil || got != c {
+			t.Errorf("ParseLosslessCodec(%q) = %v, %v", c.String(), got, err)
+		}
+	}
+	for _, name := range []string{"flate", "lz", "huffman", "sharded"} {
+		if _, err := ParseLosslessCodec(name); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("ParseLosslessCodec(%q): got %v, want ErrBadOptions", name, err)
+		}
+	}
+	data := make([]float64, 64)
+	if _, err := Compress(data, []int{64}, Options{ErrorBound: 1e-3, Lossless: LosslessAuto + 1}); !errors.Is(err, ErrBadOptions) {
+		t.Errorf("lossless codec %d: got %v, want ErrBadOptions", LosslessAuto+1, err)
+	}
+}
+
 func TestConstantField(t *testing.T) {
 	data := make([]float64, 1000)
 	for i := range data {
