@@ -449,15 +449,16 @@ func BenchmarkAblationQPLorenzo(b *testing.B) {
 
 // BenchmarkChunkedThroughput measures the embarrassingly parallel chunked
 // mode at several worker counts (the multi-core scaling path of the
-// paper's transfer experiment).
+// paper's transfer experiment), over four chunks: the default extent would
+// keep this ~300k-point field in one.
 func BenchmarkChunkedThroughput(b *testing.B) {
 	f := field(datagen.Scale, 1)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: f.Range() * 1e-4, QP: scdc.DefaultQP()}
+			opts := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: f.Range() * 1e-4, QP: scdc.DefaultQP(), Workers: workers}
 			b.SetBytes(int64(f.Len() * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := scdc.CompressChunked(f.Data, f.Dims(), opts, workers, 0); err != nil {
+				if _, err := scdc.CompressChunked(f.Data, f.Dims(), opts, (f.Dims()[0]+3)/4); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -248,7 +248,7 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 
 	// Chunked container: SZ3+QP over a 3D field split into 4-plane chunks.
 	opts := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: qp}
-	stream, cerr := scdc.CompressChunked(synth(cube), cube, opts, 2, 4)
+	stream, cerr := scdc.CompressChunked(synth(cube), cube, opts, 4)
 	if cerr != nil {
 		return nil, nil, fmt.Errorf("chunked: %w", cerr)
 	}

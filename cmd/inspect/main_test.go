@@ -29,7 +29,7 @@ func TestRunInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := scdc.CompressChunked(f.Data, f.Dims(), scdc.Options{Algorithm: scdc.SZ3, ErrorBound: 1e-3}, 2, 4)
+	chunked, err := scdc.CompressChunked(f.Data, f.Dims(), scdc.Options{Algorithm: scdc.SZ3, ErrorBound: 1e-3, Workers: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,6 @@ func run(args []string, stdout io.Writer) error {
 	if *serveAddr != "" || (len(inputs) > 0 && *stats) {
 		reg = agg.New()
 	}
-	opts.Metrics = reg
 
 	srv, err := startServe(*serveAddr, reg, stdout)
 	if err != nil {
@@ -246,13 +245,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	t0 := time.Now()
-	var stream []byte
-	var st *scdc.CompressStats
-	if *stats {
-		stream, st, err = scdc.CompressWithStats(data, dims, opts)
-	} else {
-		stream, err = scdc.Compress(data, dims, opts)
-	}
+	stream, st, err := compressOne(data, dims, opts, *stats, reg)
 	if err != nil {
 		return err
 	}
@@ -266,7 +259,7 @@ func run(args []string, stdout io.Writer) error {
 		scdc.CompressionRatio(raw, len(stream)),
 		float64(raw)/1e6/dt.Seconds())
 
-	if st != nil {
+	if *stats {
 		if err := emitStats(stdout, st, statsPath); err != nil {
 			return err
 		}
@@ -279,13 +272,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 		psnr, _ := scdc.PSNR(data, res.Data)
 		maxErr, _ := scdc.MaxAbsError(data, res.Data)
-		ratio := scdc.CompressionRatio(raw, len(stream))
-		bpv := 8 * float64(len(stream)) / float64(len(data))
-		if st != nil {
-			ratio, bpv = st.Ratio, st.BitsPerValue
-		}
 		fmt.Fprintf(stdout, "verify: PSNR=%.2f dB  max|err|=%.3g  CR=%.2f  bits/value=%.3f\n",
-			psnr, maxErr, ratio, bpv)
+			psnr, maxErr, scdc.CompressionRatio(raw, len(stream)), 8*float64(len(stream))/float64(len(data)))
 		// Quantity-of-interest check: regional average and derivative
 		// errors against their closed-form bounds (see internal/qoi).
 		fo, err1 := grid.FromSlice(data, dims...)
@@ -359,7 +347,7 @@ func runBatch(inputs []string, outDir, dtype, dimsArg string, opts scdc.Options,
 			return err
 		}
 		t0 := time.Now()
-		stream, err := scdc.Compress(data, dims, opts)
+		stream, _, err := compressOne(data, dims, opts, false, reg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
@@ -392,6 +380,19 @@ func runBatch(inputs []string, outDir, dtype, dimsArg string, opts scdc.Options,
 		}
 	}
 	return nil
+}
+
+// compressOne runs one compression, through the stats door when the run
+// reports it (stats) or aggregates it (reg non-nil), and publishes it into
+// reg.
+func compressOne(data []float64, dims []int, opts scdc.Options, stats bool, reg *agg.Registry) ([]byte, *scdc.CompressStats, error) {
+	if !stats && reg == nil {
+		stream, err := scdc.Compress(data, dims, opts)
+		return stream, nil, err
+	}
+	stream, st, err := scdc.CompressWithStats(data, dims, opts)
+	st.Publish(reg)
+	return stream, st, err
 }
 
 // emitStats prints the human-readable span tree and writes the JSON report.

@@ -112,7 +112,7 @@ func TestRunDecompressChunked(t *testing.T) {
 	for i := range data {
 		data[i] = math.Sin(float64(i) / 9)
 	}
-	stream, err := scdc.CompressChunked(data, dims, scdc.Options{Algorithm: scdc.SZ3, ErrorBound: 1e-4, QP: scdc.DefaultQP()}, 2, 5)
+	stream, err := scdc.CompressChunked(data, dims, scdc.Options{Algorithm: scdc.SZ3, ErrorBound: 1e-4, QP: scdc.DefaultQP(), Workers: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func parseChunked(stream []byte) (dims []int, extent int, chunks [][]byte, err e
 func chunkTestStream(t *testing.T) ([]float64, []int, []byte) {
 	t.Helper()
 	data, dims := integrityField(t)
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-4, QP: DefaultQP()}, 2, 5)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-4, QP: DefaultQP(), Workers: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +150,9 @@ func TestCompressChunkedHugeExtent(t *testing.T) {
 	for i := range data {
 		data[i] = math.Sin(float64(i) / 7)
 	}
-	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3}
+	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3, Workers: 2}
 	for _, extent := range []int{9, 1 << 41, math.MaxInt} {
-		stream, err := CompressChunked(data, dims, opts, 2, extent)
+		stream, err := CompressChunked(data, dims, opts, extent)
 		if err != nil {
 			t.Fatalf("extent %d: %v", extent, err)
 		}
@@ -181,7 +181,7 @@ func TestChunkShapeChecked(t *testing.T) {
 		data[i] = math.Cos(float64(i) / 5)
 	}
 	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3}
-	stream, err := CompressChunked(data, dims, opts, 1, 4)
+	stream, err := CompressChunked(data, dims, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

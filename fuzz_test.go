@@ -121,7 +121,7 @@ func FuzzDecompress(f *testing.F) {
 func FuzzDecompressChunked(f *testing.F) {
 	fld := datagen.MustGenerate(datagen.Miranda, 0, []int{12, 10, 8}, 3)
 	for _, workers := range []int{1, 3} {
-		s, err := CompressChunked(fld.Data, fld.Dims(), Options{Algorithm: SZ3, ErrorBound: 1e-3}, workers, 5)
+		s, err := CompressChunked(fld.Data, fld.Dims(), Options{Algorithm: SZ3, ErrorBound: 1e-3, Workers: workers}, 5)
 		if err != nil {
 			f.Fatal(err)
 		}

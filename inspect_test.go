@@ -36,7 +36,7 @@ func TestInspectChunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-3}, 2, 4)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-3, Workers: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestChunkAlgorithm(t *testing.T) {
 	if _, err := parseChunk(stream, true); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("verifying read of a damaged footer: got %v, want ErrIntegrity", err)
 	}
-	nested, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-3}, 1, 4)
+	nested, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func BenchmarkInspectChunked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-3}, 8, 2)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-3, Workers: 8}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

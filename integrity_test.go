@@ -98,7 +98,7 @@ func TestIntegrityV1BackCompat(t *testing.T) {
 // footer, and a fully legacy (v1 outer + v1 chunks) container still reads.
 func TestIntegrityChunked(t *testing.T) {
 	data, dims := integrityField(t)
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-4}, 2, 5)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-4, Workers: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,31 +7,17 @@ package entropy
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
-// Histogram counts symbol occurrences in q. The map form tolerates the
-// full int32 range without allocating dense tables.
-func Histogram(q []int32) map[int32]int {
-	h := make(map[int32]int)
-	for _, v := range q {
-		h[v]++
-	}
-	return h
-}
-
 // Shannon returns the Shannon entropy H(Q) = -sum p_i log2 p_i in bits per
-// symbol. An empty array has zero entropy.
+// symbol, leaving q as it is. An empty array has zero entropy.
 func Shannon(q []int32) float64 {
-	if len(q) == 0 {
-		return 0
-	}
-	return FromHistogram(Histogram(q), len(q))
+	return ShannonSort(slices.Clone(q))
 }
 
-// ShannonSort returns Shannon(q) bit for bit without allocating: it sorts q
-// in place and sums the runs of equal symbols, which is the ascending
-// symbol order FromHistogram accumulates in.
+// ShannonSort is Shannon without allocating: it sorts q in place and sums
+// the runs of equal symbols. Accumulating in ascending symbol order makes
+// the result independent of the order of q, bit for bit.
 func ShannonSort(q []int32) float64 {
 	slices.Sort(q)
 	inv := 1.0 / float64(len(q))
@@ -44,32 +30,6 @@ func ShannonSort(q []int32) float64 {
 		p := float64(j-i) * inv
 		e -= p * math.Log2(p)
 		i = j
-	}
-	return e
-}
-
-// FromHistogram computes entropy from precomputed counts with total n.
-func FromHistogram(h map[int32]int, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	// Accumulate in sorted symbol order: float addition is not
-	// associative, and map iteration order would otherwise make the
-	// low-order bits of the result vary from run to run.
-	syms := make([]int32, 0, len(h))
-	for s := range h {
-		syms = append(syms, s)
-	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-	inv := 1.0 / float64(n)
-	e := 0.0
-	for _, s := range syms {
-		c := h[s]
-		if c == 0 {
-			continue
-		}
-		p := float64(c) * inv
-		e -= p * math.Log2(p)
 	}
 	return e
 }

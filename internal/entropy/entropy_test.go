@@ -3,11 +3,45 @@ package entropy
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
+
+// Histogram counts symbol occurrences in q. The map form tolerates the
+// full int32 range without allocating dense tables.
+func Histogram(q []int32) map[int32]int {
+	h := make(map[int32]int)
+	for _, v := range q {
+		h[v]++
+	}
+	return h
+}
+
+// FromHistogram computes entropy from precomputed counts with total n: the
+// map-based reference Shannon is checked against.
+func FromHistogram(h map[int32]int, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	// Accumulate in sorted symbol order: float addition is not
+	// associative, and map iteration order would otherwise make the
+	// low-order bits of the result vary from run to run.
+	syms := make([]int32, 0, len(h))
+	for s := range h {
+		syms = append(syms, s)
+	}
+	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
+	inv := 1.0 / float64(n)
+	e := 0.0
+	for _, s := range syms {
+		p := float64(h[s]) * inv
+		e -= p * math.Log2(p)
+	}
+	return e
+}
 
 func TestShannonKnownValues(t *testing.T) {
 	if e := Shannon(nil); e != 0 {
@@ -63,9 +97,11 @@ func TestQuickPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestShannonSortMatchesShannon: the in-place form returns the histogram
-// form's value bit for bit (codec decisions compare these scores), on
-// narrow, tie-heavy and full-range alphabets, and does not allocate.
+// TestShannonSortMatchesShannon: the sorting form returns the map
+// histogram's value bit for bit (codec decisions compare these scores, and
+// the charz tables print them), on narrow, tie-heavy and full-range
+// alphabets; Shannon leaves its input in its order; ShannonSort does not
+// allocate.
 func TestShannonSortMatchesShannon(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -74,9 +110,18 @@ func TestShannonSortMatchesShannon(t *testing.T) {
 		for i := range q {
 			q[i] = rng.Int31n(spread) - spread/2
 		}
-		want := Shannon(q)
+		want := FromHistogram(Histogram(q), len(q))
+		orig := append([]int32(nil), q...)
+		if got := Shannon(q); got != want {
+			t.Fatalf("trial %d (n=%d spread=%d): Shannon = %v, histogram %v", trial, len(q), spread, got, want)
+		}
+		for i := range q {
+			if q[i] != orig[i] {
+				t.Fatalf("trial %d: Shannon reordered its input at %d", trial, i)
+			}
+		}
 		if got := ShannonSort(q); got != want {
-			t.Fatalf("trial %d (n=%d spread=%d): ShannonSort = %v, Shannon = %v", trial, len(q), spread, got, want)
+			t.Fatalf("trial %d (n=%d spread=%d): ShannonSort = %v, histogram %v", trial, len(q), spread, got, want)
 		}
 	}
 	q := make([]int32, 4096)

@@ -33,21 +33,20 @@ const (
 	freezeFactor = 3.0
 )
 
-// Options configures compression: the shared back-end options plus
-// HPEZ's own. Workers covers the sharded back end only; the level and QP
-// sweeps run on the calling goroutine.
+// Options configures compression: the shared back-end options plus the
+// error bound. The tuner (block-wise kinds, dimension freezing, level-wise
+// bounds) always runs. Workers covers the sharded back end only; the level
+// and QP sweeps run on the calling goroutine.
 type Options struct {
 	core.Backend
 	// ErrorBound is the absolute error bound (required, > 0).
 	ErrorBound float64
-	// Tune enables block-wise kind tuning, dimension freezing and
-	// level-wise error bound tuning. Default on via DefaultOptions.
-	Tune bool
 }
 
-// DefaultOptions returns the default tuned configuration.
+// DefaultOptions returns the default configuration at the given error
+// bound, with QP disabled (enable with WithQP).
 func DefaultOptions(eb float64) Options {
-	return Options{Backend: core.DefaultBackend(), ErrorBound: eb, Tune: true}
+	return Options{Backend: core.DefaultBackend(), ErrorBound: eb}
 }
 
 // WithQP returns a copy of o with the paper's best-fit QP configuration.

@@ -78,13 +78,6 @@ func TestQPBitIdentical(t *testing.T) {
 	}
 }
 
-func TestUntuned(t *testing.T) {
-	f := synth(30, 30, 30)
-	opts := DefaultOptions(1e-3)
-	opts.Tune = false
-	roundTrip(t, f, opts)
-}
-
 func TestLowDims(t *testing.T) {
 	for _, dims := range [][]int{{500}, {60, 70}, {5, 6, 7}, {1, 40, 40}, {3, 4, 5, 6}, {1, 1, 1}, {2, 2, 2}} {
 		roundTrip(t, synth(dims...), DefaultOptions(1e-3).WithQP())

@@ -282,7 +282,7 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 	f := grid.MustNew(dims...)
 	copy(f.Data, diffField(f.Len(), fieldKind, rng))
 	opts := Options{Backend: core.Backend{Radius: 64, QP: cfg}, ErrorBound: 1e-3}
-	pl := buildPlan(f, opts)
+	pl := defaultPlan(dims, opts)
 	mut(&pl, len(dims), rng)
 	for l := range pl.ebs {
 		pl.ebs[l] = opts.ErrorBound / float64(l+1) // level-wise bounds differ
@@ -422,7 +422,7 @@ func TestLevelSweepAllocs(t *testing.T) {
 		for i, n := range []int{32, 64} {
 			dims := []int{n, n, n}
 			f := synth(dims...)
-			pl := buildPlan(f, Options{Backend: core.DefaultBackend(), ErrorBound: 1e-3})
+			pl := defaultPlan(dims, Options{Backend: core.DefaultBackend(), ErrorBound: 1e-3})
 			classes := lattice.Classes(dims, grid.Strides(dims), level)
 			q := make([]int32, f.Len())
 			data := make([]float64, f.Len())

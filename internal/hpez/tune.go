@@ -10,30 +10,34 @@ import (
 	"scdc/internal/sz3"
 )
 
-// buildPlan resolves the compression plan: dimension freezing per level,
-// block-wise spline kinds, and level-wise error bounds.
-func buildPlan(f *grid.Field, opts Options) plan {
-	dims := f.Dims()
+// defaultPlan is the untuned plan the tuner starts from: no axis frozen,
+// uniform weights and cubic splines everywhere, every anchor level at the
+// global bound.
+func defaultPlan(dims []int, opts Options) plan {
 	levels := sz3.AnchorLevels(dims)
-	g := blockGridDims(dims)
 	pl := plan{
 		levels:    levels,
 		ebs:       make([]float64, levels),
 		frozen:    make([]uint8, levels),
 		weights:   make([][4]uint8, levels),
 		radius:    opts.Radius,
-		blockGrid: g,
+		blockGrid: blockGridDims(dims),
 	}
-	pl.blockCubic, pl.blockWeights = defaultBlockTables(g)
+	pl.blockCubic, pl.blockWeights = defaultBlockTables(pl.blockGrid)
 	for l := 0; l < levels; l++ {
 		pl.ebs[l] = opts.ErrorBound
 		pl.weights[l] = [4]uint8{255, 255, 255, 255}
 	}
-	if !opts.Tune {
-		return pl
-	}
+	return pl
+}
 
-	for l := 1; l <= levels; l++ {
+// buildPlan resolves the compression plan by tuning the default plan:
+// dimension freezing per level, block-wise spline kinds, and level-wise
+// error bounds.
+func buildPlan(f *grid.Field, opts Options) plan {
+	dims := f.Dims()
+	pl := defaultPlan(dims, opts)
+	for l := 1; l <= pl.levels; l++ {
 		pl.frozen[l-1], pl.weights[l-1] = tuneAxes(f, l, opts.ErrorBound)
 	}
 	tuneBlocks(f, &pl, bestAxis(pl.weights[0], len(dims)), opts.ErrorBound)

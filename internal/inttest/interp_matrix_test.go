@@ -16,9 +16,10 @@ import (
 )
 
 // TestInterpWorkersBitIdentical runs the worker-matrix pattern at the
-// engine layer: for sz3 × {linear, cubic} and qoz × {tuned, untuned},
-// with QP on and off, compressed streams must be byte-identical and
-// decompressed fields bit-identical across worker counts {1, 2, 4}. The
+// engine layer: for sz3 × {linear, cubic} and qoz, whose tuner always
+// runs (tune=true in the cell names), with QP on and off, compressed
+// streams must be byte-identical and decompressed fields bit-identical
+// across worker counts {1, 2, 4}. The
 // streams carry four Huffman shards and lossless.Auto's sharded stage,
 // the stages Workers fans out; the bound is tight enough that Auto
 // writes a sharded form past its 64KB plaintext floor — the tag-4
@@ -61,19 +62,17 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 			})
 		}
 	}
-	for _, tune := range []bool{false, true} {
-		for _, qp := range []bool{false, true} {
-			tune, qp := tune, qp
-			cells = append(cells, cell{
-				name: fmt.Sprintf("qoz/tune=%v/qp=%v", tune, qp),
-				compress: func(workers int) ([]byte, error) {
-					return qoz.Compress(field, qoz.Options{Backend: backend(workers, qp), ErrorBound: eb, Tune: tune})
-				},
-				decompress: func(payload []byte, workers int) (*grid.Field, error) {
-					return qoz.DecompressObs(payload, field.Dims(), workers, nil)
-				},
-			})
-		}
+	for _, qp := range []bool{false, true} {
+		qp := qp
+		cells = append(cells, cell{
+			name: fmt.Sprintf("qoz/tune=true/qp=%v", qp),
+			compress: func(workers int) ([]byte, error) {
+				return qoz.Compress(field, qoz.Options{Backend: backend(workers, qp), ErrorBound: eb})
+			},
+			decompress: func(payload []byte, workers int) (*grid.Field, error) {
+				return qoz.DecompressObs(payload, field.Dims(), workers, nil)
+			},
+		})
 	}
 
 	for _, c := range cells {

@@ -56,7 +56,7 @@ func TestCorruptionNeverPanics(t *testing.T) {
 // way.
 func TestChunkedCorruptionNeverPanics(t *testing.T) {
 	f := datagen.MustGenerate(datagen.Miranda, 0, []int{20, 24, 28}, 3)
-	stream, err := scdc.CompressChunked(f.Data, f.Dims(), scdc.Options{Algorithm: scdc.SZ3, RelativeBound: 1e-3}, 2, 5)
+	stream, err := scdc.CompressChunked(f.Data, f.Dims(), scdc.Options{Algorithm: scdc.SZ3, RelativeBound: 1e-3, Workers: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

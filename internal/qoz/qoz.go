@@ -31,20 +31,18 @@ import (
 	"scdc/internal/verdict"
 )
 
-// Options configures compression: the shared back-end options plus QoZ's
-// own.
+// Options configures compression: the shared back-end options plus the
+// error bound. The auto-tuner always runs.
 type Options struct {
 	core.Backend
 	// ErrorBound is the absolute error bound (required, > 0).
 	ErrorBound float64
-	// Tune enables the auto-tuner. When false, QoZ behaves like SZ3 with
-	// an anchor grid (cubic, default order, alpha=1).
-	Tune bool
 }
 
-// DefaultOptions returns the default tuned configuration.
+// DefaultOptions returns the default configuration at the given error
+// bound, with QP disabled (enable with WithQP).
 func DefaultOptions(eb float64) Options {
-	return Options{Backend: core.DefaultBackend(), ErrorBound: eb, Tune: true}
+	return Options{Backend: core.DefaultBackend(), ErrorBound: eb}
 }
 
 // WithQP returns a copy of o with the paper's best-fit QP configuration.
@@ -88,9 +86,9 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	})
 }
 
-// Plan runs the planning stage alone — the auto-tuner, when opts asks for
-// it — and returns the plan block Compress would write for f. It is how
-// the tuner is priced apart from the pipeline it configures.
+// Plan runs the planning stage alone — the auto-tuner — and returns the
+// plan block Compress would write for f. It is how the tuner is priced
+// apart from the pipeline it configures.
 func Plan(f *grid.Field, opts Options) ([]byte, error) {
 	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err

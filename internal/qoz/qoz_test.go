@@ -81,13 +81,6 @@ func TestQPBitIdentical(t *testing.T) {
 	}
 }
 
-func TestUntuned(t *testing.T) {
-	f := synth(30, 30, 30)
-	opts := DefaultOptions(1e-3)
-	opts.Tune = false
-	roundTrip(t, f, opts)
-}
-
 func TestLowDims(t *testing.T) {
 	for _, dims := range [][]int{{500}, {60, 70}, {5, 6, 7}, {1, 40, 40}, {3, 4, 5, 6}, {1, 1, 1}} {
 		roundTrip(t, synth(dims...), DefaultOptions(1e-3).WithQP())
@@ -162,33 +155,31 @@ func TestCenterCrop(t *testing.T) {
 }
 
 // TestPlanCodecRoundTrip: the serialized compression plan decodes to the
-// exact plan that was encoded, for tuned and untuned configurations.
+// exact plan that was encoded, for the default plan and the tuned one.
 func TestPlanCodecRoundTrip(t *testing.T) {
 	f := synth(40, 36, 44)
-	for _, tune := range []bool{false, true} {
-		opts := DefaultOptions(1e-4)
-		opts.Tune = tune
-		opts.QP = core.Default()
-		pl := buildPlan(f, opts)
+	opts := DefaultOptions(1e-4)
+	opts.QP = core.Default()
+	for name, pl := range map[string]plan{"default": defaultPlan(f.Dims(), opts), "tuned": buildPlan(f, opts)} {
 		r := planReader(t, encodePlan(pl))
 		r.Radius = pl.radius
 		got, err := decodePlan(r, f.NDims())
 		if err != nil {
-			t.Fatalf("tune=%v: %v", tune, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if _, err := r.Bytes(1, "trailing byte"); err == nil {
-			t.Fatalf("tune=%v: trailing bytes", tune)
+			t.Fatalf("%s: trailing bytes", name)
 		}
 		if got.levels != pl.levels || got.radius != pl.radius {
-			t.Fatalf("tune=%v: header mismatch: %+v vs %+v", tune, got, pl)
+			t.Fatalf("%s: header mismatch: %+v vs %+v", name, got, pl)
 		}
 		for l := 0; l < pl.levels; l++ {
 			if got.kinds[l] != pl.kinds[l] || got.ebs[l] != pl.ebs[l] {
-				t.Fatalf("tune=%v level %d: kind/eb mismatch", tune, l)
+				t.Fatalf("%s level %d: kind/eb mismatch", name, l)
 			}
 			for d := range pl.orders[l] {
 				if got.orders[l][d] != pl.orders[l][d] {
-					t.Fatalf("tune=%v level %d: order mismatch", tune, l)
+					t.Fatalf("%s level %d: order mismatch", name, l)
 				}
 			}
 		}

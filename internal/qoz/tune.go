@@ -28,15 +28,10 @@ func orderCandidates(nd int) [][]int {
 	}
 }
 
-// buildPlan resolves the full compression plan, running the auto-tuner
-// when requested. The tuner's work is published on the "choose" span of
-// opts.Obs (nil means off).
-func buildPlan(f *grid.Field, opts Options) plan {
-	sp := opts.Obs.Child("choose")
-	defer sp.End()
-	dims := f.Dims()
+// defaultPlan is the untuned plan the tuner starts from: every anchor
+// level cubic, in the default direction order, at the global bound.
+func defaultPlan(dims []int, opts Options) plan {
 	levels := sz3.AnchorLevels(dims)
-	sp.Add("levels", int64(levels))
 	pl := plan{
 		levels: levels,
 		kinds:  make([]interp.Kind, levels),
@@ -50,19 +45,28 @@ func buildPlan(f *grid.Field, opts Options) plan {
 		pl.orders[l] = def
 		pl.ebs[l] = opts.ErrorBound
 	}
-	if !opts.Tune {
-		return pl
-	}
+	return pl
+}
+
+// buildPlan resolves the full compression plan by running the auto-tuner
+// from the default plan. The tuner's work is published on the "choose"
+// span of opts.Obs (nil means off).
+func buildPlan(f *grid.Field, opts Options) plan {
+	sp := opts.Obs.Child("choose")
+	defer sp.End()
+	dims := f.Dims()
+	pl := defaultPlan(dims, opts)
+	sp.Add("levels", int64(pl.levels))
 
 	// Stage 1: per-level spline kind and direction order from sampled
 	// residuals (original data as prediction basis).
 	tu := levelTuner{data: f.Data, dims: dims, strides: grid.Strides(dims), eb: opts.ErrorBound,
 		orders: orderCandidates(len(dims))}
-	for l := 1; l <= levels; l++ {
+	for l := 1; l <= pl.levels; l++ {
 		pl.kinds[l-1], pl.orders[l-1] = tu.tuneLevel(l)
 	}
 	sp.Add("samples", int64(tu.samples))
-	sp.Add("candidates", int64(2*len(tu.orders)*levels)) // each order scores both kinds
+	sp.Add("candidates", int64(2*len(tu.orders)*pl.levels)) // each order scores both kinds
 
 	// Stage 2: level-wise error bound scaling by trial compression of a
 	// sampled block.

@@ -54,23 +54,21 @@ func walkLevelRef(dims, strides []int, level int, order []int, fn func(idx, line
 }
 
 // buildPlanRef is the tuner this package shipped before the ordinal
-// sampler: every (order, kind) candidate walks the whole level and keeps
-// each step-th point, residuals go through the closure-based interp.Line
-// into a map histogram, and each (alpha, beta) trial compresses a fresh
-// copy of the crop.
+// sampler: starting from defaultPlan, every (order, kind) candidate walks
+// the whole level and keeps each step-th point, residuals go through the
+// closure-based interp.Line into a fresh symbol slice, and each (alpha,
+// beta) trial compresses a fresh copy of the crop.
 func buildPlanRef(f *grid.Field, opts Options) plan {
-	untuned := opts
-	untuned.Tune = false
-	pl := buildPlan(f, untuned)
 	dims := f.Dims()
+	pl := defaultPlan(dims, opts)
 	strides := grid.Strides(dims)
 	data, eb := f.Data, opts.ErrorBound
 
 	for level := 1; level <= pl.levels; level++ {
 		step := samplingStep(dims, level)
 		score := func(kind interp.Kind, order []int) float64 {
-			hist := make(map[int32]int)
-			cnt, decim := 0, 0
+			var symbols []int32
+			decim := 0
 			walkLevelRef(dims, strides, level, order, func(idx, base, strd, n, t, s int) {
 				decim++
 				if decim%step != 0 {
@@ -81,13 +79,12 @@ func buildPlanRef(f *grid.Field, opts Options) plan {
 				if math.Abs(r) > 1e6 {
 					r = math.Copysign(1e6, r)
 				}
-				hist[int32(math.Round(r))]++
-				cnt++
+				symbols = append(symbols, int32(math.Round(r)))
 			})
-			if cnt == 0 {
+			if len(symbols) == 0 {
 				return math.Inf(1)
 			}
-			return entropy.FromHistogram(hist, cnt)
+			return entropy.ShannonSort(symbols)
 		}
 		defOrder := sz3.DefaultDirOrder(len(dims))
 		bestKind, bestOrder := interp.Cubic, defOrder

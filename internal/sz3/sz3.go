@@ -62,9 +62,6 @@ type Options struct {
 	Interp interp.Kind
 	// Choice controls interpolation/Lorenzo selection. Default auto.
 	Choice Choice
-	// DirOrder overrides the interpolation direction order (axis indexes).
-	// Nil selects fastest-axis-first.
-	DirOrder []int
 	// ForceQP disables the adaptive fallback that keeps the base index
 	// stream when QP does not pay. Exploration experiments (Figures 7-9)
 	// set it to expose raw per-configuration behavior, including the
@@ -98,27 +95,21 @@ func (o Options) WithQP() Options {
 // whether it is a permutation of the len(b) axes.
 func ParseOrder(b []byte) ([]int, bool) {
 	order := make([]int, len(b))
+	seen := make([]bool, len(b))
 	for i, d := range b {
-		order[i] = int(d)
-	}
-	return order, validOrder(order)
-}
-
-func validOrder(order []int) bool {
-	seen := make([]bool, len(order))
-	for _, d := range order {
-		if d < 0 || d >= len(order) || seen[d] {
-			return false
+		if int(d) >= len(b) || seen[d] {
+			return nil, false
 		}
 		seen[d] = true
+		order[i] = int(d)
 	}
-	return true
+	return order, true
 }
 
 // Compress compresses field f under the given options. The stream is
-// mode, interp kind, ndims and the direction order, the shared QP block,
-// the error bound, then the shared index and literal blocks (DESIGN.md
-// §5).
+// mode, interp kind, ndims and the direction order (DefaultDirOrder; the
+// decoder reads any permutation), the shared QP block, the error bound,
+// then the shared index and literal blocks (DESIGN.md §5).
 func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if err := opts.Normalize(opts.ErrorBound); err != nil {
 		return nil, err
@@ -126,11 +117,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if opts.Interp > interp.Cubic {
 		return nil, fmt.Errorf("%w: sz3: unknown interpolation kind %d", verdict.ErrBadOptions, opts.Interp)
 	}
-	if opts.DirOrder == nil {
-		opts.DirOrder = DefaultDirOrder(f.NDims())
-	} else if len(opts.DirOrder) != f.NDims() || !validOrder(opts.DirOrder) {
-		return nil, fmt.Errorf("%w: sz3: DirOrder %v is not a permutation of %d axes", verdict.ErrBadOptions, opts.DirOrder, f.NDims())
-	}
+	order := DefaultDirOrder(f.NDims())
 	quant := quantizer.Linear{EB: opts.ErrorBound, Radius: opts.Radius}
 
 	mode := ModeInterp
@@ -154,13 +141,13 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 
 	levels := Levels(f.Dims())
 	if mode == ModeInterp {
-		compressInterp(sw, f.Dims(), levels, LevelSpec{Order: opts.DirOrder, Kind: opts.Interp, Quant: quant})
+		compressInterp(sw, f.Dims(), levels, LevelSpec{Order: order, Kind: opts.Interp, Quant: quant})
 	} else {
 		compressLorenzo(sw, f.Dims(), quant)
 	}
 
-	pre := append(make([]byte, 0, 3+len(opts.DirOrder)), byte(mode), byte(opts.Interp), byte(len(opts.DirOrder)))
-	for _, d := range opts.DirOrder {
+	pre := append(make([]byte, 0, 3+len(order)), byte(mode), byte(opts.Interp), byte(len(order)))
+	for _, d := range order {
 		pre = append(pre, byte(d))
 	}
 	return opts.Encode(sw, core.Stream{

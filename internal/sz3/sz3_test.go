@@ -185,11 +185,6 @@ func TestBadOptions(t *testing.T) {
 	if _, err := Compress(f, Options{ErrorBound: math.Inf(1)}); err == nil {
 		t.Error("infinite error bound accepted")
 	}
-	bad := DefaultOptions(1e-3)
-	bad.DirOrder = []int{0, 0, 1}
-	if _, err := Compress(f, bad); err == nil {
-		t.Error("non-permutation dir order accepted")
-	}
 }
 
 func TestTraceCapture(t *testing.T) {

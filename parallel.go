@@ -10,23 +10,26 @@ import (
 	"scdc/internal/parallel"
 )
 
+// chunkPoints is the smallest number of points a chunk of the default
+// extent holds (unless the whole field is smaller).
+const chunkPoints = 1 << 20
+
 // CompressChunked partitions the field into chunks along the slowest
-// dimension and compresses them independently on up to workers goroutines
-// (workers <= 0 compresses sequentially). This is the embarrassingly parallel
-// mode the paper uses for the RTM transfer experiment (Section VI-E) and
-// the natural way to exploit multi-core nodes: QP, like the base
-// compressors, is sequential within a chunk but trivially parallel across
-// chunks.
+// dimension and compresses them independently on up to opts.Workers
+// goroutines, each chunk on one. This is the embarrassingly parallel mode
+// the paper uses for the RTM transfer experiment (Section VI-E) and the
+// natural way to exploit multi-core nodes: QP, like the base compressors,
+// is sequential within a chunk but trivially parallel across chunks.
 //
-// chunkExtent is the target extent of each chunk along dims[0]
-// (chunkExtent <= 0 selects ceil(dims[0]/workers), at least 1). Each chunk
-// is a fully independent stream, so a chunked container also supports
-// partial decompression by chunk.
-func CompressChunked(data []float64, dims []int, opts Options, workers, chunkExtent int) ([]byte, error) {
-	out, _, err := observe("compress_chunked", data, dims, opts, false, func(sp *obs.Span) ([]byte, error) {
-		return compressChunkedSpan(data, dims, opts, workers, chunkExtent, sp)
-	})
-	return out, err
+// chunkExtent is the extent of each chunk along dims[0] (the last chunk
+// takes the remainder). chunkExtent <= 0 selects the smallest extent whose
+// chunks hold at least 2^20 points, min(dims[0], ceil(2^20 / slice)) where
+// slice is the product of dims[1:]. The stream depends on the field, the
+// options other than Workers, and the extent alone: it is byte-identical
+// for any worker count. Each chunk is a fully independent stream, so a
+// chunked container also supports partial decompression by chunk.
+func CompressChunked(data []float64, dims []int, opts Options, chunkExtent int) ([]byte, error) {
+	return compressChunkedSpan(data, dims, opts, chunkExtent, nil)
 }
 
 // forEachChunk runs fn for each of n chunks on up to workers goroutines
@@ -64,7 +67,7 @@ func forEachChunk(sp *obs.Span, n, workers int, fn func(i int, csp *obs.Span) er
 
 // compressChunkedSpan is the CompressChunked body with telemetry attached
 // to sp (which may be nil).
-func compressChunkedSpan(data []float64, dims []int, opts Options, workers, chunkExtent int, sp *obs.Span) ([]byte, error) {
+func compressChunkedSpan(data []float64, dims []int, opts Options, chunkExtent int, sp *obs.Span) ([]byte, error) {
 	f, err := grid.FromSlice(data, dims...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadOptions, err)
@@ -79,26 +82,26 @@ func compressChunkedSpan(data []float64, dims []int, opts Options, workers, chun
 	if err != nil {
 		return nil, err
 	}
+	// The workers fan out the chunks; within a chunk they would change
+	// nothing but the schedule, as in decodeChunks.
 	chunkOpts := opts
 	chunkOpts.ErrorBound = eb
 	chunkOpts.RelativeBound = 0
+	chunkOpts.Workers = 1
 
-	if workers <= 0 {
-		workers = 1
-	}
 	n0 := dims[0]
+	sliceLen := f.Len() / n0
 	if chunkExtent <= 0 {
-		chunkExtent = (n0 + workers - 1) / workers
+		chunkExtent = (chunkPoints + sliceLen - 1) / sliceLen
 	}
 	// An extent past dims[0] is one chunk either way. Storing dims[0]
 	// keeps the extent inside what the readers accept (maxDim) and the
 	// count below from overflowing.
 	chunkExtent = min(chunkExtent, n0)
 	nChunks := (n0 + chunkExtent - 1) / chunkExtent
-	sliceLen := f.Len() / n0
 
 	streams := make([][]byte, nChunks)
-	err = forEachChunk(sp, nChunks, workers, func(i int, csp *obs.Span) (err error) {
+	err = forEachChunk(sp, nChunks, opts.Workers, func(i int, csp *obs.Span) (err error) {
 		lo, hi := i*chunkExtent, min((i+1)*chunkExtent, n0)
 		chunkDims := append([]int{hi - lo}, dims[1:]...)
 		streams[i], err = compressSpan(data[lo*sliceLen:hi*sliceLen], chunkDims, chunkOpts, csp)

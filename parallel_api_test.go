@@ -1,6 +1,7 @@
 package scdc
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 	data, dims := chunkedField(t)
 	for _, workers := range []int{1, 3} {
 		for _, extent := range []int{0, 1, 5, 24, 100} {
-			stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4, QP: DefaultQP()}, workers, extent)
+			stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4, QP: DefaultQP(), Workers: workers}, extent)
 			if err != nil {
 				t.Fatalf("workers=%d extent=%d: %v", workers, extent, err)
 			}
@@ -50,11 +51,11 @@ func TestChunkedRoundTrip(t *testing.T) {
 
 func TestChunkedDeterministicAcrossWorkers(t *testing.T) {
 	data, dims := chunkedField(t)
-	a, err := CompressChunked(data, dims, Options{Algorithm: QoZ, RelativeBound: 1e-4}, 1, 6)
+	a, err := CompressChunked(data, dims, Options{Algorithm: QoZ, RelativeBound: 1e-4, Workers: 1}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompressChunked(data, dims, Options{Algorithm: QoZ, RelativeBound: 1e-4}, 4, 6)
+	b, err := CompressChunked(data, dims, Options{Algorithm: QoZ, RelativeBound: 1e-4, Workers: 4}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +69,43 @@ func TestChunkedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestChunkedDefaultExtent: chunkExtent 0 takes the extent from the field
+// alone — the smallest whose chunks hold 2^20 points, at most dims[0] — so
+// Workers 1, 2 and 4 write the same bytes, and Inspect reports that extent.
+func TestChunkedDefaultExtent(t *testing.T) {
+	for _, tc := range []struct {
+		n0, n1, n2     int
+		extent, chunks int
+	}{
+		{16, 12, 10, 16, 1}, // ceil(2^20/120) = 8739, capped at dims[0]
+		{5, 512, 512, 4, 2}, // 2^20/2^18
+	} {
+		data, dims := statsTestField(tc.n0, tc.n1, tc.n2)
+		var ref []byte
+		for _, workers := range []int{1, 2, 4} {
+			stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-3, Workers: workers}, 0)
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", dims, workers, err)
+			}
+			if ref == nil {
+				info, err := Inspect(stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.ChunkExtent != tc.extent || info.Chunks != tc.chunks {
+					t.Errorf("%v: extent %d in %d chunks, want %d in %d", dims, info.ChunkExtent, info.Chunks, tc.extent, tc.chunks)
+				}
+				ref = stream
+			} else if !bytes.Equal(stream, ref) {
+				t.Errorf("%v: workers=%d wrote %d bytes, workers=1 %d bytes", dims, workers, len(stream), len(ref))
+			}
+		}
+	}
+}
+
 func TestPartialDecompression(t *testing.T) {
 	data, dims := chunkedField(t)
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4}, 2, 6)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4, Workers: 2}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +139,16 @@ func TestPartialDecompression(t *testing.T) {
 
 func TestChunkedErrors(t *testing.T) {
 	data, dims := chunkedField(t)
-	if _, err := CompressChunked(data, []int{len(data)}, Options{Algorithm: SZ3, ErrorBound: 1e-3}, 2, 0); err == nil {
+	if _, err := CompressChunked(data, []int{len(data)}, Options{Algorithm: SZ3, ErrorBound: 1e-3}, 0); err == nil {
 		t.Error("1D chunking accepted")
 	}
-	if _, err := CompressChunked(data[:7], dims, Options{Algorithm: SZ3, ErrorBound: 1e-3}, 2, 0); err == nil {
+	if _, err := CompressChunked(data[:7], dims, Options{Algorithm: SZ3, ErrorBound: 1e-3}, 0); err == nil {
 		t.Error("bad dims accepted")
 	}
-	if _, err := CompressChunked(data, dims, Options{Algorithm: SZ3}, 2, 0); err == nil {
+	if _, err := CompressChunked(data, dims, Options{Algorithm: SZ3}, 0); err == nil {
 		t.Error("missing bound accepted")
 	}
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-3}, 2, 0)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-3, Workers: 2}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func TestChunkedNonDividingExtent(t *testing.T) {
 	data, dims := chunkedField(t) // dims[0] = 24
 	extent := 7                   // chunks of 7, 7, 7, 3
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4}, 2, extent)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4, Workers: 2}, extent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestChunkedNonDividingExtent(t *testing.T) {
 // must reject it instead of copying over neighboring regions.
 func TestChunkedRejectsMismatchedChunk(t *testing.T) {
 	data, dims := chunkedField(t)
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4}, 2, 6)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4, Workers: 2}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestChunkedRejectsMismatchedChunk(t *testing.T) {
 // panic.
 func TestChunkedCorruptFuzz(t *testing.T) {
 	data, dims := chunkedField(t)
-	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4}, 2, 5)
+	stream, err := CompressChunked(data, dims, Options{Algorithm: SZ3, RelativeBound: 1e-4, Workers: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ import (
 	"scdc/internal/lossless"
 	"scdc/internal/mgard"
 	"scdc/internal/obs"
-	"scdc/internal/obs/agg"
 	"scdc/internal/qoz"
 	"scdc/internal/sperr"
 	"scdc/internal/sz3"
@@ -240,12 +239,13 @@ type Options struct {
 	// QP configures quantization index prediction for the
 	// interpolation-based algorithms; the zero value disables it.
 	QP QPConfig
-	// Workers caps the number of goroutines used inside one Compress call
-	// of an interpolation-based algorithm by its sharded stages: Huffman
-	// shard encoding (Shards > 1) and the sharded lossless container
-	// LosslessAuto writes. Prediction, quantization and QP run on the
-	// calling goroutine. <= 1 runs sequentially. The produced stream is
-	// byte-identical for any worker count.
+	// Workers caps the number of goroutines one compress call uses. In a
+	// plain stream of an interpolation-based algorithm they run the sharded
+	// stages: Huffman shard encoding (Shards > 1) and the sharded lossless
+	// container LosslessAuto writes; prediction, quantization and QP run on
+	// the calling goroutine. CompressChunked spreads its chunks over them
+	// instead, each chunk compressed on one. <= 1 runs sequentially. The
+	// produced stream is byte-identical for any worker count.
 	Workers int
 	// Shards splits the entropy-coded index stream of the
 	// interpolation-based algorithms into this many independently decodable
@@ -264,20 +264,6 @@ type Options struct {
 	// LosslessAuto picks the codec by measurement and shards the stage
 	// past 64 KB, with bytes identical for any worker count.
 	Lossless LosslessCodec
-	// Observer, when non-nil, collects per-stage telemetry spans for every
-	// Compress/CompressChunked call made with these options (see
-	// CompressWithStats for the one-shot form). Nil disables observation at
-	// zero hot-path cost. The produced stream is byte-identical with
-	// observation on or off.
-	Observer *obs.Recorder
-	// Metrics, when non-nil, aggregates every Compress/CompressChunked call
-	// made with these options into process-level series: per-stage latency
-	// histograms, byte counters and compression-ratio/bit-rate gauges keyed
-	// by (algorithm, op, stage). When Observer is nil a private recorder is
-	// created per call to source the stage timings. Nil disables
-	// aggregation at zero hot-path cost, and the produced stream is
-	// byte-identical with aggregation on or off.
-	Metrics *agg.Registry
 }
 
 // Result is a decompressed field.
@@ -453,15 +439,12 @@ func parseHeader(stream []byte, verify bool) (h header, err error) {
 // options, the dims, or a bound that does not resolve to a positive finite
 // number on this data.
 func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
-	out, _, err := observe("compress", data, dims, opts, false, func(sp *obs.Span) ([]byte, error) {
-		return compressSpan(data, dims, opts, sp)
-	})
-	return out, err
+	return compressSpan(data, dims, opts, nil)
 }
 
-// compressSpan is the Compress body with telemetry attached to sp (which
-// may be nil). CompressChunked reuses it so each chunk records under its
-// own span instead of opening a top-level one per chunk.
+// compressSpan is the Compress body with telemetry attached to sp (nil for
+// Compress itself). CompressChunked reuses it so each chunk records under
+// its own span instead of opening a top-level one per chunk.
 func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byte, error) {
 	f, err := grid.FromSlice(data, dims...)
 	if err != nil {

@@ -3,6 +3,7 @@ package scdc
 import (
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -95,6 +96,37 @@ func TestQPRejectedForTransformCodecs(t *testing.T) {
 	}
 }
 
+// TestOptionsSettable: a library user can set every Options field, so no
+// type reachable from one — through pointers, slices, arrays, maps and
+// struct fields — lives under scdc/internal/, which no program outside
+// this module may import.
+func TestOptionsSettable(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		if strings.HasPrefix(typ.PkgPath(), "scdc/internal/") {
+			t.Errorf("%s is of internal type %v (package %s)", path, typ, typ.PkgPath())
+			return
+		}
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(path, typ.Elem())
+		case reflect.Map:
+			walk(path, typ.Key())
+			walk(path, typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("Options", reflect.TypeOf(Options{}))
+}
+
 // rejected runs one set of options through every compress entry point and
 // requires each to fail with ErrBadOptions — the only verdict a compress
 // call has.
@@ -107,8 +139,8 @@ func rejected(t *testing.T, what string, data []float64, dims []int, opts Option
 	_, err := Compress(data, dims, opts)
 	_, _, errStats := CompressWithStats(data, dims, opts)
 	_, err32 := CompressFloat32(f32, dims, opts)
-	_, errChunked := CompressChunked(data, dims, opts, 2, 0)
-	_, _, errChunkedStats := CompressChunkedWithStats(data, dims, opts, 2, 0)
+	_, errChunked := CompressChunked(data, dims, opts, 0)
+	_, _, errChunkedStats := CompressChunkedWithStats(data, dims, opts, 0)
 	for entry, err := range map[string]error{"Compress": err, "CompressWithStats": errStats, "CompressFloat32": err32,
 		"CompressChunked": errChunked, "CompressChunkedWithStats": errChunkedStats} {
 		if !errors.Is(err, ErrBadOptions) {

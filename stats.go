@@ -81,46 +81,37 @@ func (s *CompressStats) Publish(reg *agg.Registry) {
 	}, s.Report)
 }
 
-// observe is the telemetry frame of the four compress entry points: it
-// runs body under a top-level span named op on opts.Observer — a private
-// recorder when stats or opts.Metrics need the spans and the caller gave
-// none — publishes the call to opts.Metrics and, when stats is set,
-// returns the summary.
-func observe(op string, data []float64, dims []int, opts Options, stats bool, body func(*obs.Span) ([]byte, error)) ([]byte, *CompressStats, error) {
-	if (stats || opts.Metrics != nil) && opts.Observer == nil {
-		opts.Observer = obs.New()
-	}
-	sp := opts.Observer.Span(op)
+// observe is the telemetry frame of the two compress stats doors: it runs
+// body under a top-level span named op on a private recorder and returns
+// the summary with the stream. Compress and CompressChunked run their
+// bodies on a nil span instead, so an unobserved call records nothing.
+func observe(op string, alg Algorithm, data []float64, dims []int, body func(*obs.Span) ([]byte, error)) ([]byte, *CompressStats, error) {
+	rec := obs.New()
+	sp := rec.Span(op)
 	out, err := body(sp)
 	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Metrics != nil {
-		newStats(op, opts.Algorithm, dims, len(data), len(out), sp.Report()).Publish(opts.Metrics)
-	}
-	if !stats {
-		return out, nil, nil
-	}
-	return out, newStats(op, opts.Algorithm, dims, len(data), len(out), opts.Observer.Report()), nil
+	return out, newStats(op, alg, dims, len(data), len(out), rec.Report()), nil
 }
 
 // CompressWithStats is Compress plus a telemetry summary of the call: the
 // per-stage span tree, compression ratio and bit rate. The stream is
-// byte-identical to an unobserved Compress. When opts.Observer is nil a
-// private recorder is used; a caller-supplied recorder also accumulates
-// the spans.
+// byte-identical to Compress's. Publish folds the summary into an
+// aggregation registry.
 func CompressWithStats(data []float64, dims []int, opts Options) ([]byte, *CompressStats, error) {
-	return observe("compress", data, dims, opts, true, func(sp *obs.Span) ([]byte, error) {
+	return observe("compress", opts.Algorithm, data, dims, func(sp *obs.Span) ([]byte, error) {
 		return compressSpan(data, dims, opts, sp)
 	})
 }
 
 // CompressChunkedWithStats is CompressChunked plus a telemetry summary,
-// including one span per pool worker and one per chunk.
-func CompressChunkedWithStats(data []float64, dims []int, opts Options, workers, chunkExtent int) ([]byte, *CompressStats, error) {
-	return observe("compress_chunked", data, dims, opts, true, func(sp *obs.Span) ([]byte, error) {
-		return compressChunkedSpan(data, dims, opts, workers, chunkExtent, sp)
+// including one span per pool worker and one per chunk. The chunks are
+// one call to Publish, not one each.
+func CompressChunkedWithStats(data []float64, dims []int, opts Options, chunkExtent int) ([]byte, *CompressStats, error) {
+	return observe("compress_chunked", opts.Algorithm, data, dims, func(sp *obs.Span) ([]byte, error) {
+		return compressChunkedSpan(data, dims, opts, chunkExtent, sp)
 	})
 }
 

@@ -26,8 +26,8 @@ func statsTestField(n0, n1, n2 int) ([]float64, []int) {
 }
 
 // TestObserverByteIdentity pins the core contract: observation never
-// changes the produced stream, for every algorithm and for the chunked
-// container.
+// changes the produced stream — CompressWithStats writes Compress's bytes
+// for every algorithm, and CompressChunkedWithStats CompressChunked's.
 func TestObserverByteIdentity(t *testing.T) {
 	data, dims := statsTestField(16, 20, 24)
 	for alg := SZ3; alg < numAlgorithms; alg++ {
@@ -39,8 +39,7 @@ func TestObserverByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		opts.Observer = obs.New()
-		observed, err := Compress(data, dims, opts)
+		observed, _, err := CompressWithStats(data, dims, opts)
 		if err != nil {
 			t.Fatalf("%v observed: %v", alg, err)
 		}
@@ -49,13 +48,12 @@ func TestObserverByteIdentity(t *testing.T) {
 		}
 	}
 
-	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP()}
-	plain, err := CompressChunked(data, dims, opts, 3, 4)
+	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP(), Workers: 3}
+	plain, err := CompressChunked(data, dims, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Observer = obs.New()
-	observed, err := CompressChunked(data, dims, opts, 3, 4)
+	observed, _, err := CompressChunkedWithStats(data, dims, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +300,8 @@ func TestQoZChooseSpan(t *testing.T) {
 // per-chunk span layout on both directions.
 func TestChunkedWorkerSpans(t *testing.T) {
 	data, dims := statsTestField(16, 20, 24)
-	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP()}
-	stream, stats, err := CompressChunkedWithStats(data, dims, opts, 3, 4)
+	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP(), Workers: 3}
+	stream, stats, err := CompressChunkedWithStats(data, dims, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +390,8 @@ func TestDecompressObservedStages(t *testing.T) {
 
 // TestRegistryByteIdentity pins that aggregation never changes the
 // produced stream, for every algorithm and for the chunked container —
-// the same contract TestObserverByteIdentity pins for span observation.
+// the same contract TestObserverByteIdentity pins for span observation:
+// a stats door's stream, published into a registry, is the plain door's.
 func TestRegistryByteIdentity(t *testing.T) {
 	data, dims := statsTestField(16, 20, 24)
 	reg := agg.New()
@@ -405,11 +404,11 @@ func TestRegistryByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		opts.Metrics = reg
-		metered, err := Compress(data, dims, opts)
+		metered, st, err := CompressWithStats(data, dims, opts)
 		if err != nil {
 			t.Fatalf("%v metered: %v", alg, err)
 		}
+		st.Publish(reg)
 		if !bytes.Equal(plain, metered) {
 			t.Errorf("%v: metered stream differs from plain stream", alg)
 		}
@@ -420,16 +419,16 @@ func TestRegistryByteIdentity(t *testing.T) {
 		}
 	}
 
-	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP()}
-	plain, err := CompressChunked(data, dims, opts, 3, 4)
+	opts := Options{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP(), Workers: 3}
+	plain, err := CompressChunked(data, dims, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Metrics = reg
-	metered, err := CompressChunked(data, dims, opts, 3, 4)
+	metered, st, err := CompressChunkedWithStats(data, dims, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.Publish(reg)
 	if !bytes.Equal(plain, metered) {
 		t.Error("chunked: metered stream differs from plain stream")
 	}
@@ -445,18 +444,16 @@ func TestRegistryByteIdentity(t *testing.T) {
 	}
 }
 
-// TestNilMetricsCompressZeroAllocs pins that a nil registry adds zero
-// allocations to Compress, alongside the nil-Span pin in internal/obs:
-// the Options.Metrics branch must be a plain nil check on the hot path.
+// TestNilMetricsCompressZeroAllocs pins that publishing into a nil
+// registry, or publishing nil stats, costs nothing, alongside the nil-Span
+// pin in internal/obs: a caller such as cmd/scdc can publish every run
+// unconditionally.
 func TestNilMetricsCompressZeroAllocs(t *testing.T) {
 	data, dims := statsTestField(8, 8, 8)
 	_, st, err := CompressWithStats(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Everything Compress adds for aggregation beyond its two pointer
-	// tests is this publish call; with a nil registry (and nil stats) it
-	// must cost nothing.
 	var reg *agg.Registry
 	var nilStats *CompressStats
 	if a := testing.AllocsPerRun(1000, func() {
@@ -467,55 +464,53 @@ func TestNilMetricsCompressZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMetricsOverhead measures the cost of publishing every
-// compression into an aggregation registry versus running bare, the
-// registry-level analogue of BenchmarkObserverOverhead.
+// BenchmarkMetricsOverhead measures the cost of compressing through
+// CompressWithStats and publishing every call into an aggregation registry
+// versus a bare Compress, the registry-level analogue of
+// BenchmarkObserverOverhead.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	data, dims := statsTestField(32, 32, 32)
-	for _, metered := range []bool{false, true} {
-		name := "registry=off"
-		if metered {
-			name = "registry=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := Options{Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP()}
-			if metered {
-				opts.Metrics = agg.New()
-			}
-			b.SetBytes(int64(8 * len(data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Compress(data, dims, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	opts := Options{Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP()}
+	reg := agg.New()
+	benchStatsDoor(b, "registry", func() error {
+		_, st, err := CompressWithStats(data, dims, opts)
+		st.Publish(reg)
+		return err
+	}, func() error {
+		_, err := Compress(data, dims, opts)
+		return err
+	}, len(data))
 }
 
-// BenchmarkObserverOverhead measures the cost of running the same
-// compression with and without an attached Recorder. The nil path's
-// zero-allocation property is pinned separately by
+// BenchmarkObserverOverhead measures the cost of compressing through
+// CompressWithStats, which records every span, versus a bare Compress. The
+// nil path's zero-allocation property is pinned separately by
 // internal/obs.TestNilFastPathZeroAllocs; this benchmark bounds the
 // wall-clock delta when observation is actually on.
 func BenchmarkObserverOverhead(b *testing.B) {
 	data, dims := statsTestField(32, 32, 32)
-	for _, observed := range []bool{false, true} {
-		name := "observer=off"
-		if observed {
-			name = "observer=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := Options{Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP()}
-			if observed {
-				opts.Observer = obs.New()
-			}
-			b.SetBytes(int64(8 * len(data)))
+	opts := Options{Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP()}
+	benchStatsDoor(b, "observer", func() error {
+		_, _, err := CompressWithStats(data, dims, opts)
+		return err
+	}, func() error {
+		_, err := Compress(data, dims, opts)
+		return err
+	}, len(data))
+}
+
+// benchStatsDoor runs the sub-benchmarks name=off (plain) and name=on
+// (on), each compressing points values per iteration.
+func benchStatsDoor(b *testing.B, name string, on, plain func() error, points int) {
+	for _, c := range []struct {
+		state string
+		run   func() error
+	}{{"off", plain}, {"on", on}} {
+		b.Run(name+"="+c.state, func(b *testing.B) {
+			b.SetBytes(int64(8 * points))
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Compress(data, dims, opts); err != nil {
+				if err := c.run(); err != nil {
 					b.Fatal(err)
 				}
 			}

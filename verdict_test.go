@@ -359,7 +359,7 @@ func TestPayloadDamageVerdict(t *testing.T) {
 	if streams["fresh-sharded"], err = Compress(data, dims, Options{Algorithm: QoZ, RelativeBound: 1e-3, QP: DefaultQP(), Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if streams["fresh-chunked"], err = CompressChunked(data, dims, Options{Algorithm: HPEZ, RelativeBound: 1e-3, QP: DefaultQP()}, 2, 5); err != nil {
+	if streams["fresh-chunked"], err = CompressChunked(data, dims, Options{Algorithm: HPEZ, RelativeBound: 1e-3, QP: DefaultQP(), Workers: 2}, 5); err != nil {
 		t.Fatal(err)
 	}
 
