@@ -13,6 +13,7 @@ import (
 
 	"scdc/internal/core"
 	"scdc/internal/datagen"
+	"scdc/internal/entropy"
 	"scdc/internal/huffman"
 	"scdc/internal/qoz"
 	"scdc/internal/quantizer"
@@ -140,10 +141,11 @@ func BenchmarkHotPathShardedHuffman(b *testing.B) {
 	}
 }
 
-// BenchmarkEntropyCoders prices the coder family on the real Miranda
-// quantization indices: legacy single-body Huffman and Golomb-Rice
-// encode/decode throughput side by side (the sharded Huffman variants
-// live in BenchmarkHotPathShardedHuffman).
+// BenchmarkEntropyCoders prices the index coders on the real Miranda
+// quantization indices: single-body Huffman, the one encoder, against the
+// Golomb-Rice baseline, encode/decode throughput side by side (rice
+// encode is timed without its histogram pass; the sharded Huffman
+// variants live in BenchmarkHotPathShardedHuffman).
 func BenchmarkEntropyCoders(b *testing.B) {
 	f := field(datagen.Miranda, 1)
 	var tr sz3.Trace
@@ -175,15 +177,16 @@ func BenchmarkEntropyCoders(b *testing.B) {
 			}
 		}
 	})
+	d := entropy.Analyze(q)
 	b.Run("rice/encode", func(b *testing.B) {
 		b.SetBytes(size)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rice.Encode(q)
+			rice.EncodeDist(q, d)
 		}
 	})
-	riceEnc := rice.Encode(q)
+	riceEnc := rice.EncodeDist(q, d)
 	b.Run("rice/decode", func(b *testing.B) {
 		b.SetBytes(size)
 		b.ReportAllocs()

@@ -44,9 +44,9 @@ type Entry struct {
 	QP         bool    `json:"qp"`
 	Chunked    bool    `json:"chunked,omitempty"`
 	V1         bool    `json:"v1,omitempty"`
-	// Entropy names a non-default entropy coder ("rice", "auto"); empty
-	// for the legacy Huffman streams so their manifest lines are
-	// unchanged.
+	// Entropy names the non-default entropy coder of a decode-only pin
+	// ("rice", "auto"); empty for the Huffman streams so their manifest
+	// lines are unchanged.
 	Entropy string `json:"entropy,omitempty"`
 	// Lossless names a non-default lossless back-end ("auto"; "flate",
 	// "lz" and "huffman" on decode-only pins); empty for the legacy
@@ -115,9 +115,16 @@ func shaHex(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// decodeOnly names the pins whose encoders are gone: the forced flate,
-// LZ and Huffman lossless options and the forced sharded-flate container.
+// decodeOnly names the pins whose encoders are gone: the forced rice and
+// auto-picked entropy coders (index sub-format 0x00 0x02), the forced
+// flate, LZ and Huffman lossless options and the forced sharded-flate
+// container.
 var decodeOnly = []string{
+	"sz3_3d_qpon_rice",
+	"qoz_3d_qpon_rice",
+	"hpez_3d_qpon_rice",
+	"mgard_3d_qpon_rice",
+	"sz3_3d_qpon_auto",
 	"sz3_3d_qpon_lossless_flate",
 	"sz3_3d_qpon_lossless_lz",
 	"sz3_3d_qpon_lossless_huffman",
@@ -189,9 +196,6 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 			StreamSHA256:  shaHex(stream),
 			DecodedSHA256: shaHex(decodedBytes(res.Data)),
 		}
-		if opts.Entropy != scdc.EntropyHuffman {
-			e.Entropy = opts.Entropy.String()
-		}
 		if opts.Lossless != scdc.LosslessDefault {
 			e.Lossless = opts.Lossless.String()
 		}
@@ -220,18 +224,13 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 		}
 	}
 
-	// Rice / auto entropy-coder streams (sub-format 0x00 0x02): one rice
-	// stream per QP-capable algorithm in 3D, plus an auto-selected SZ3
-	// stream, pinning the Golomb-Rice byte format and the coder decision.
-	cube := []int{8, 8, 8}
-	for _, ec := range []scdc.EntropyCoder{scdc.EntropyRice, scdc.EntropyAuto} {
-		for _, alg := range algs[:4] {
-			if ec == scdc.EntropyRice || alg == scdc.SZ3 {
-				name := fmt.Sprintf("%s_3d_qpon_%v", strings.ToLower(alg.String()), ec)
-				pin(name, cube, synth(cube), scdc.Options{Algorithm: alg, ErrorBound: eb, QP: qp, Entropy: ec})
-			}
-		}
+	// The decode-only entropy-coder streams (sub-format 0x00 0x02): one
+	// forced-rice stream per QP-capable algorithm in 3D, plus the SZ3
+	// stream the auto coder pick wrote.
+	for _, alg := range algs[:4] {
+		keep(strings.ToLower(alg.String()) + "_3d_qpon_rice")
 	}
+	keep("sz3_3d_qpon_auto")
 
 	// Lossless back-end streams on the standard 3D field, where small
 	// entropy payloads take the plain single-body format: the decode-only
@@ -239,6 +238,7 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 	// Then the decode-only forced sharded-flate container on a noisy field
 	// whose entropy payload crosses the 64KB threshold, pinning tag 4's
 	// shard directory and per-shard bodies byte for byte.
+	cube := []int{8, 8, 8}
 	keep("sz3_3d_qpon_lossless_flate")
 	keep("sz3_3d_qpon_lossless_lz")
 	keep("sz3_3d_qpon_lossless_huffman")

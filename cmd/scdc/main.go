@@ -10,9 +10,14 @@
 //
 //	scdc -x -in data.scdc -out restored.f32 -dtype f32
 //
-// Generate a synthetic benchmark field instead of reading a file:
+// Generate a synthetic benchmark field instead of reading a file; -dims
+// overrides the dataset's default geometry:
 //
 //	scdc -z -dataset Miranda -out miranda.scdc -alg QoZ -qp -rel 1e-4
+//	scdc -z -dataset Miranda -dims 112x160x160 -out m.scdc -rel 1e-4
+//
+// The quantization indices are always Huffman-coded; -x still reads the
+// Golomb-Rice index streams earlier releases could write.
 //
 // -shards K writes the entropy stream as K independently decodable
 // Huffman shards sharing one code table, and -lossless auto picks store,
@@ -99,7 +104,7 @@ func run(args []string, stdout io.Writer) error {
 		decompress = fs.Bool("x", false, "decompress")
 		in         = fs.String("in", "", "input file (raw floats for -z, scdc stream for -x)")
 		out        = fs.String("out", "", "output file")
-		dimsArg    = fs.String("dims", "", "input dimensions, e.g. 256x384x384 (first dim slowest)")
+		dimsArg    = fs.String("dims", "", "input dimensions, e.g. 256x384x384 (first dim slowest); with -dataset, overrides its default geometry")
 		dtype      = fs.String("dtype", "f32", "raw element type: f32 or f64 (little endian)")
 		algArg     = fs.String("alg", "SZ3", "algorithm: SZ3, QoZ, HPEZ, MGARD, ZFP, TTHRESH, SPERR")
 		qp         = fs.Bool("qp", false, "enable quantization index prediction (interpolation-based algorithms)")
@@ -111,7 +116,6 @@ func run(args []string, stdout io.Writer) error {
 		verify     = fs.Bool("verify", false, "after -z, decompress and report quality metrics, compression ratio and bit rate")
 		workers    = fs.Int("workers", 1, "goroutines for the sharded entropy and lossless stages and for chunks (compress and decompress); output is identical for any value")
 		shards     = fs.Int("shards", 0, "split the entropy stream into this many Huffman shards for parallel decode (0 = single stream)")
-		entropyArg = fs.String("entropy", "huffman", "entropy coder for the quantization index stream: huffman, auto or rice")
 		llArg      = fs.String("lossless", "default", "lossless back-end: default (legacy whole-buffer flate), auto (store, huffman or flate by measurement; sharded parallel container past 64 KB) or store")
 		serveAddr  = fs.String("serve", "", "serve /metrics, /metrics.json and /debug/pprof on this address; stays up after the batch until interrupted")
 		stats      = fs.Bool("stats", false, "print a per-stage span tree and write the scdc-stats/1 JSON report")
@@ -187,16 +191,12 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	coder, err := scdc.ParseEntropyCoder(*entropyArg)
-	if err != nil {
-		return err
-	}
 	llc, err := scdc.ParseLosslessCodec(*llArg)
 	if err != nil {
 		return err
 	}
 	opts := scdc.Options{Algorithm: alg, ErrorBound: *eb, RelativeBound: *rel,
-		Workers: *workers, Shards: *shards, Entropy: coder, Lossless: llc}
+		Workers: *workers, Shards: *shards, Lossless: llc}
 	if *qp {
 		opts.QP = scdc.DefaultQP()
 	}
@@ -227,7 +227,13 @@ func run(args []string, stdout io.Writer) error {
 	var dims []int
 	switch {
 	case *dataset != "":
-		data, dims, err = datasets.Generate(*dataset, *field, nil, *seed)
+		// -dims overrides the dataset's default geometry.
+		if *dimsArg != "" {
+			if dims, err = parseDims(*dimsArg); err != nil {
+				return err
+			}
+		}
+		data, dims, err = datasets.Generate(*dataset, *field, dims, *seed)
 		if err != nil {
 			return err
 		}

@@ -300,6 +300,22 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRunDatasetDims: -dims with -dataset sets the synthesized geometry
+// instead of being ignored in favour of the dataset's default.
+func TestRunDatasetDims(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "m.scdc")
+	var buf strings.Builder
+	if err := run([]string{"-z", "-dataset", "Miranda", "-dims", "8x12x16", "-out", out, "-rel", "1e-3"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "dims=[8 12 16]") {
+		t.Errorf("-dims not applied to -dataset:\n%s", buf.String())
+	}
+	if err := run([]string{"-z", "-dataset", "Miranda", "-dims", "8x0", "-out", out, "-rel", "1e-3"}, io.Discard); err == nil {
+		t.Error("bad -dims with -dataset accepted")
+	}
+}
+
 // smoothBatchFiles writes n small raw f32 volumes of the same smooth
 // field family and returns their paths plus the dims string.
 func smoothBatchFiles(t *testing.T, n int) ([]string, string) {

@@ -3,6 +3,8 @@ package scdc
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -89,6 +91,18 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Add([]byte("SCDC"))
 	f.Add([]byte{})
+	// No encoder writes the rice index sub-format (0x00 0x02) any more, so
+	// its full-stack coverage comes from the committed golden streams.
+	for _, e := range loadGoldenManifest(f) {
+		if e.Entropy == "" {
+			continue
+		}
+		s, err := os.ReadFile(filepath.Join("testdata", "golden", e.File))
+		if err != nil {
+			f.Fatal(err)
+		}
+		addWithDamage(f, s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Decompress(data)
 		if err != nil {

@@ -31,7 +31,7 @@ type goldenEntry struct {
 	DecodedSHA256 string  `json:"decoded_sha256"`
 }
 
-func loadGoldenManifest(t *testing.T) []goldenEntry {
+func loadGoldenManifest(t testing.TB) []goldenEntry {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "manifest.json"))
 	if err != nil {
@@ -103,11 +103,11 @@ func TestGoldenCorpus(t *testing.T) {
 
 // TestGoldenCoverage asserts the corpus actually spans the matrix the
 // format promises to keep stable: every algorithm in 1D–4D, QP on for
-// every algorithm that supports it, chunked and v1 containers, each
-// non-default entropy coder, every lossless tag a writer has ever
-// produced (flate, the decode-only LZ, the sharded container and
-// Huffman), a sharded container as Auto writes it, and SZ3's Lorenzo
-// mode.
+// every algorithm that supports it, chunked and v1 containers, the
+// decode-only rice and auto-picked index streams, every lossless tag a
+// writer has ever produced (flate, the decode-only LZ, the sharded
+// container and Huffman), a sharded container as Auto writes it, and
+// SZ3's Lorenzo mode.
 func TestGoldenCoverage(t *testing.T) {
 	entries := loadGoldenManifest(t)
 	type key struct {

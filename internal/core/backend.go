@@ -44,12 +44,6 @@ type Backend struct {
 	// independently decodable Huffman shards sharing one code table, so
 	// decompression can fan out. <= 1 keeps the legacy single-body stream.
 	Shards int
-	// Entropy selects the index entropy coder. The zero value
-	// (entropy.CoderHuffman) reproduces the legacy Huffman streams;
-	// CoderRice forces the Golomb-Rice sub-format, CoderAuto picks the
-	// cheaper coder per stream. Decompression dispatches on the stream
-	// marker, so it needs no option.
-	Entropy entropy.Coder
 	// Trace, when non-nil, captures internals for characterization.
 	Trace *Trace
 	// Obs, when non-nil, receives per-stage telemetry spans (choose,
@@ -88,6 +82,10 @@ func (b Backend) WithQP() Backend {
 	return b
 }
 
+// maxRadius is the largest quantization radius a stream may carry: Normalize
+// rejects a larger one on the way in and DecodeQP on the way out.
+const maxRadius = 1 << 30
+
 // ValidBound reports whether eb is usable as an error bound.
 func ValidBound(eb float64) bool { return eb > 0 && !math.IsInf(eb, 0) }
 
@@ -100,17 +98,14 @@ func (b *Backend) Normalize(eb float64) error {
 	if b.Radius == 0 {
 		b.Radius = quantizer.DefaultRadius
 	}
-	if b.Radius < 2 {
-		return fmt.Errorf("%w: core: radius must be >= 2", verdict.ErrBadOptions)
+	if b.Radius < 2 || b.Radius > maxRadius {
+		return fmt.Errorf("%w: core: radius %d outside [2, %d]", verdict.ErrBadOptions, b.Radius, maxRadius)
 	}
 	if b.Lossless == 0 {
 		b.Lossless = lossless.Flate
 	}
 	// The pool reads a count <= 0 as GOMAXPROCS; here it means sequential.
 	b.Workers = max(b.Workers, 1)
-	if !b.Entropy.Valid() {
-		return fmt.Errorf("%w: core: unknown entropy coder %d", verdict.ErrBadOptions, b.Entropy)
-	}
 	return b.QP.Validate()
 }
 
@@ -166,7 +161,7 @@ func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 		q, qp = qp, nil
 	}
 	encSp := b.Obs.Child("huffman")
-	idx, kept := ChooseEncodingCoder(q, qp, b.Entropy, b.Shards, b.Workers, encSp)
+	idx, kept := ChooseEncodingCoder(q, qp, entropy.CoderHuffman, b.Shards, b.Workers, encSp)
 	encSp.End()
 	cfg := b.QP
 	if !kept && !forced {
@@ -285,7 +280,7 @@ func (r *Reader) DecodeQP() error {
 	if !r.QP.valid() {
 		return fmt.Errorf("%w: core: bad qp config (mode %d, condition %d)", verdict.ErrCorrupt, b[0], b[1])
 	}
-	radius, err := r.Uvarint(2, 1<<30, "radius")
+	radius, err := r.Uvarint(2, maxRadius, "radius")
 	r.Radius = int32(radius)
 	return err
 }

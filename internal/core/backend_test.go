@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"scdc/internal/entropy"
 	"scdc/internal/lossless"
 	"scdc/internal/quantizer"
 	"scdc/internal/verdict"
@@ -77,8 +76,8 @@ func TestCoarseLatticeGatherScatter(t *testing.T) {
 
 // TestNormalize: the shared options are validated in one place, for all
 // four engines. Defaults are filled in, and an unusable bound, a radius
-// below 2, an undefined QP mode or condition and an unknown entropy coder
-// are each verdict.ErrBadOptions.
+// outside [2, 2^30] (the range DecodeQP reads back) and an undefined QP
+// mode or condition are each verdict.ErrBadOptions.
 func TestNormalize(t *testing.T) {
 	var b Backend
 	if err := b.Normalize(1e-3); err != nil {
@@ -99,7 +98,7 @@ func TestNormalize(t *testing.T) {
 		"negative radius": {1e-3, Backend{Radius: -4}},
 		"QP mode":         {1e-3, Backend{QP: Config{Mode: Mode3D + 1}}},
 		"QP condition":    {1e-3, Backend{QP: Config{Mode: Mode2D, Cond: CondSameSign3 + 1}}},
-		"entropy coder":   {1e-3, Backend{Entropy: entropy.Coder(9)}},
+		"radius 2^30+1":   {1e-3, Backend{Radius: 1<<30 + 1}},
 	} {
 		if err := tc.b.Normalize(tc.eb); !errors.Is(err, verdict.ErrBadOptions) {
 			t.Errorf("%s: got %v, want ErrBadOptions", name, err)

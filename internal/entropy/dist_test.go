@@ -1,11 +1,8 @@
 package entropy
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
-
-	"scdc/internal/verdict"
 )
 
 func TestAnalyzeMatchesShannon(t *testing.T) {
@@ -63,9 +60,6 @@ func TestAnalyzeEmpty(t *testing.T) {
 	if d.HuffmanBytes() != 2 {
 		t.Fatalf("empty HuffmanBytes %d, want 2", d.HuffmanBytes())
 	}
-	if d.RiceBytes() != 8 {
-		t.Fatalf("empty RiceBytes %d, want 8", d.RiceBytes())
-	}
 }
 
 func TestCenter(t *testing.T) {
@@ -80,79 +74,11 @@ func TestCenter(t *testing.T) {
 	}
 }
 
-func TestRiceBeatsHuffmanOnNearConstant(t *testing.T) {
-	// A nearly-constant stream is where the run/escape sub-mode shines;
-	// the estimate's run-mode pricing must undercut Huffman here, or
-	// CoderAuto could never pick rice on the streams rice wins hardest.
-	q := make([]int32, 100_000)
-	for i := range q {
-		q[i] = 1000
-		if i%997 == 0 {
-			q[i] = 1001
-		}
-	}
-	d := Analyze(q)
-	// A 2-symbol Huffman code cannot beat 1 bit/symbol, so the real
-	// Huffman body is N/8 bytes; the rice estimate must come in far under.
-	if r, floor := d.RiceBytes(), len(q)/8; r >= floor {
-		t.Fatalf("RiceBytes %d >= %d (huffman 1-bit/symbol floor)", r, floor)
-	}
-	if d.AutoCoder() != CoderRice {
-		t.Fatal("auto did not pick rice on a near-constant stream")
-	}
-	if d.EstimateBytes(CoderAuto) != d.RiceBytes() {
-		t.Fatal("auto estimate did not follow the rice choice")
-	}
-}
-
-func TestHuffmanBeatsRiceOnWide(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	q := make([]int32, 50_000)
-	for i := range q {
-		q[i] = int32(rng.Intn(64)) // flat-ish: unary quotients are costly
-	}
-	d := Analyze(q)
-	if d.EstimateBytes(CoderAuto) != minInt(d.RiceBytes(), d.HuffmanBytes()) {
-		t.Fatal("auto estimate is not the min of the two coders")
-	}
-	if d.EstimateBytes(CoderHuffman) != d.HuffmanBytes() {
-		t.Fatal("huffman estimate mismatch")
-	}
-	if d.EstimateBytes(CoderRice) != d.RiceBytes() {
-		t.Fatal("rice estimate mismatch")
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestZigZag(t *testing.T) {
 	cases := map[int64]uint64{0: 0, -1: 1, 1: 2, -2: 3, 2: 4, 1 << 32: 1 << 33}
 	for d, want := range cases {
 		if got := ZigZag(d); got != want {
 			t.Fatalf("ZigZag(%d) = %d, want %d", d, got, want)
 		}
-	}
-}
-
-func TestParseCoder(t *testing.T) {
-	for name, want := range map[string]Coder{"huffman": CoderHuffman, "auto": CoderAuto, "rice": CoderRice} {
-		c, err := ParseCoder(name)
-		if err != nil || c != want {
-			t.Fatalf("ParseCoder(%q) = %v, %v", name, c, err)
-		}
-		if c.String() != name || !c.Valid() {
-			t.Fatalf("%v: String=%q Valid=%v", c, c.String(), c.Valid())
-		}
-	}
-	if _, err := ParseCoder("arith"); !errors.Is(err, verdict.ErrBadOptions) {
-		t.Fatalf("ParseCoder(arith) err = %v, want ErrBadOptions", err)
-	}
-	if Coder(200).Valid() {
-		t.Fatal("Coder(200) reported valid")
 	}
 }

@@ -279,8 +279,9 @@ const (
 	// quality figures.
 	MetricRatio        = "scdc_compression_ratio"
 	MetricBitsPerValue = "scdc_bits_per_value"
-	// MetricCoder counts entropy-coder decisions (huffman/rice), from the
-	// coder counter the choose stage leaves on its span.
+	// MetricCoder counts index-stream encodes by entropy coder (huffman,
+	// the one index encoder), from the coder counter the choose stage
+	// leaves on its span.
 	MetricCoder = "scdc_entropy_coder_total"
 )
 
@@ -302,8 +303,8 @@ func normalizeStage(name string) string {
 // the report tree lands in the per-(algorithm, op, stage) latency
 // histograms. Spans named "name[i]" aggregate under "name". The root
 // span is recorded as the whole-operation latency (MetricOpNS), not as a
-// stage. A coder counter on any span (the entropy decision of
-// core.ChooseEncodingCoder) increments the per-coder decision counter.
+// stage. A coder counter on any span (core.ChooseEncodingCoder leaves one
+// on the huffman span) increments the per-coder counter.
 //
 // Publish is safe for concurrent use and never mutates the report. On a
 // nil registry it is a zero-cost no-op.

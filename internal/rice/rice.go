@@ -1,9 +1,13 @@
 // Package rice implements an adaptive Golomb-Rice coder with a
-// low-entropy run/escape sub-mode for quantization index streams — the
-// second member of the entropy-coder family next to internal/huffman,
+// low-entropy run/escape sub-mode for quantization index streams,
 // modeled on the CCSDS-123.0-B-2 hybrid entropy coder (Golomb-power-of-2
 // codes for high-entropy blocks, specialized run codes for the near-
 // constant blocks QP-tuned index arrays are full of).
+//
+// No compressor writes this sub-format any more: internal/huffman is the
+// one index encoder. The decoder stays so every pinned rice stream keeps
+// decoding (core.DecodeIndices), and EncodeDist stays as the baseline the
+// repository benchmark times Huffman against.
 //
 // Stream layout (rice/1):
 //
@@ -49,9 +53,13 @@ const (
 	// Version is the rice sub-format version byte.
 	Version = 0x02
 
-	blockLen   = entropy.RiceBlock
-	maxK       = entropy.RiceMaxK
-	escapeQuot = entropy.RiceEscapeQuot
+	// blockLen is the adaptive block length in symbols.
+	blockLen = 256
+	// maxK bounds the Golomb-Rice parameter.
+	maxK = 31
+	// escapeQuot is the unary quotient length that escapes to a raw 32-bit
+	// literal symbol.
+	escapeQuot = 24
 
 	// maxGammaZeros bounds run-length gamma codes: runs fit a block, so
 	// run+1 <= 257 < 1<<9 needs at most 8 leading zeros.
@@ -65,14 +73,9 @@ func IsRice(data []byte) bool {
 
 // --- encoding ---
 
-// Encode compresses q into a self-describing rice stream.
-func Encode(q []int32) []byte {
-	return EncodeDist(q, entropy.Analyze(q))
-}
-
-// EncodeDist is Encode reusing a distribution already computed by
-// entropy.Analyze(q), so the coder decision's histogram pass also supplies
-// the center symbol. d must describe exactly q.
+// EncodeDist compresses q into a self-describing rice stream, taking the
+// center symbol from d, the distribution entropy.Analyze(q) computed. d
+// must describe exactly q.
 func EncodeDist(q []int32, d *entropy.Dist) []byte {
 	center := d.Center()
 	out := make([]byte, 0, len(q)/4+24)
@@ -215,6 +218,15 @@ func gammaBits(v uint) int {
 	return 2*(mbits.Len(uint(v))-1) + 1
 }
 
+// codeBits prices one Golomb-Rice code of mapped value m at parameter k,
+// including the escape to a 32-bit literal: exactly what emitRice writes.
+func codeBits(m uint64, k uint) int {
+	if q := m >> k; q < escapeQuot {
+		return int(q) + 1 + int(k)
+	}
+	return escapeQuot + 32
+}
+
 // bestK picks the Rice parameter for vals: a mean-derived starting point,
 // then exact pricing of the nearby candidates (ties to the smaller k, so
 // the choice is deterministic). The pricing loops only range, so the
@@ -246,7 +258,7 @@ func bestK(vals []uint64) (uint, int) {
 	for k := lo; k <= hi; k++ {
 		bits := 0
 		for _, m := range vals {
-			bits += entropy.RiceCodeBits(m, uint(k))
+			bits += codeBits(m, uint(k))
 		}
 		if bits < bestBits {
 			bestBits = bits

@@ -13,9 +13,12 @@ import (
 	"scdc/internal/verdict"
 )
 
+// encode is EncodeDist over a fresh histogram of q.
+func encode(q []int32) []byte { return EncodeDist(q, entropy.Analyze(q)) }
+
 func roundTrip(t *testing.T, name string, q []int32) []byte {
 	t.Helper()
-	enc := Encode(q)
+	enc := encode(q)
 	dec, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("%s: decode: %v", name, err)
@@ -85,13 +88,8 @@ func TestEncodeDeterministic(t *testing.T) {
 	for i := range q {
 		q[i] = int32(rng.Intn(9)) - 4
 	}
-	a := Encode(q)
-	b := EncodeDist(q, entropy.Analyze(q))
-	if string(a) != string(b) {
-		t.Fatal("Encode and EncodeDist disagree")
-	}
-	if string(a) != string(Encode(q)) {
-		t.Fatal("Encode is not deterministic")
+	if string(encode(q)) != string(encode(q)) {
+		t.Fatal("EncodeDist is not deterministic")
 	}
 }
 
@@ -110,7 +108,7 @@ func TestGoldenStream(t *testing.T) {
 			q[i] = 17
 		}
 	}
-	enc := Encode(q)
+	enc := encode(q)
 	const want = "88f631c4727b21fab866861d82ddc03dce1c4345a97dcba863af28a56744b397"
 	got := hex.EncodeToString(func() []byte { s := sha256.Sum256(enc); return s[:] }())
 	if got != want {
@@ -120,7 +118,7 @@ func TestGoldenStream(t *testing.T) {
 }
 
 func TestIsRice(t *testing.T) {
-	if !IsRice(Encode([]int32{1, 2, 3})) {
+	if !IsRice(encode([]int32{1, 2, 3})) {
 		t.Fatal("encoded stream not recognized")
 	}
 	for _, bad := range [][]byte{nil, {0x00}, {0x00, 0x01}, {0x01, 0x02}, {0x05}} {
@@ -221,14 +219,14 @@ func FuzzRice(f *testing.F) {
 			near[i] = int32(i % 7)
 		}
 	}
-	f.Add(Encode(near), []byte{1, 2, 3})
-	f.Add(Encode(nil), []byte{})
+	f.Add(encode(near), []byte{1, 2, 3})
+	f.Add(encode(nil), []byte{})
 	f.Add([]byte{Marker, Version, 0x04}, []byte{0xFF, 0x00, 0xFF})
 	f.Fuzz(func(t *testing.T, stream, raw []byte) {
 		// Arbitrary bytes through Decode must decode or fail with
 		// verdict.ErrCorrupt, never panic.
 		if syms, err := Decode(stream); err == nil {
-			if _, err := Decode(Encode(syms)); err != nil {
+			if _, err := Decode(encode(syms)); err != nil {
 				t.Fatalf("re-encode of decoded stream failed: %v", err)
 			}
 		} else if !errors.Is(err, verdict.ErrCorrupt) {
@@ -242,7 +240,7 @@ func FuzzRice(f *testing.F) {
 				q[i] = int32(b)*131071 - 1<<24
 			}
 		}
-		enc := Encode(q)
+		enc := encode(q)
 		dec, err := DecodeN(enc, len(q))
 		if err != nil {
 			t.Fatalf("round trip decode: %v", err)

@@ -147,10 +147,9 @@ func sampledInterpCost(f *grid.Field, eb float64, kind interp.Kind) float64 {
 			sum, cnt := 0.0, 0
 			for line := 0; line < nlines && cnt < 2048; line += lineStep {
 				base := grid.LineBase(dims, strides, axis, line)
-				at := func(pos int) float64 { return d[base+pos*strd] }
 				for t := s; t < n && cnt < 2048; t += 2 * s {
-					p := interp.Line(at, n, t, s, kind)
-					sum += bitCostNoisy(at(t)-p, eb, interpNoise)
+					p := interp.LineSlice(d, base, strd, n, t, s, kind)
+					sum += bitCostNoisy(d[base+t*strd]-p, eb, interpNoise)
 					cnt++
 				}
 			}

@@ -1,6 +1,7 @@
 package sz3
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"scdc/internal/interp"
 	"scdc/internal/lossless"
 	"scdc/internal/metrics"
+	"scdc/internal/verdict"
 )
 
 // synth fills a field with a smooth multi-frequency signal plus a sharp
@@ -55,6 +57,25 @@ func roundTrip(t *testing.T, f *grid.Field, opts Options) *grid.Field {
 		t.Fatalf("error bound violated: %g > %g", maxErr, opts.ErrorBound)
 	}
 	return out
+}
+
+// TestRadiusBound: the largest radius a stream can carry, 2^30, round-trips
+// with QP on and off; one past it is refused at compress time rather than
+// written into a stream Decompress rejects.
+func TestRadiusBound(t *testing.T) {
+	f := synth(9, 10, 11)
+	for _, qp := range []bool{false, true} {
+		opts := DefaultOptions(1e-3)
+		if qp {
+			opts = opts.WithQP()
+		}
+		opts.Radius = 1 << 30
+		roundTrip(t, f, opts)
+		opts.Radius++
+		if _, err := Compress(f, opts); !errors.Is(err, verdict.ErrBadOptions) {
+			t.Errorf("qp=%v radius 2^30+1: got %v, want ErrBadOptions", qp, err)
+		}
+	}
 }
 
 func TestRoundTrip3D(t *testing.T) {

@@ -31,7 +31,6 @@ import (
 	"hash/crc32"
 
 	"scdc/internal/core"
-	"scdc/internal/entropy"
 	"scdc/internal/grid"
 	"scdc/internal/hpez"
 	"scdc/internal/lossless"
@@ -144,34 +143,6 @@ func (q QPConfig) toCore() core.Config {
 	return core.Config{Mode: core.Mode(q.Mode), Cond: core.Cond(q.Condition), MaxLevel: q.MaxLevel}
 }
 
-// EntropyCoder selects the entropy coder for the quantization index
-// streams of the interpolation-based algorithms. Decompression dispatches
-// on the stream's sub-format marker, so reading needs no option and every
-// earlier stream keeps decoding.
-type EntropyCoder byte
-
-const (
-	// EntropyHuffman (the zero value) is the canonical Huffman coder —
-	// the legacy default; streams are byte-identical to earlier releases.
-	EntropyHuffman EntropyCoder = EntropyCoder(entropy.CoderHuffman)
-	// EntropyAuto picks the cheaper of Huffman and Golomb-Rice per stream
-	// from the same size estimates that drive the QP fallback decision.
-	EntropyAuto EntropyCoder = EntropyCoder(entropy.CoderAuto)
-	// EntropyRice forces the adaptive Golomb-Rice coder with its
-	// low-entropy run/escape sub-mode.
-	EntropyRice EntropyCoder = EntropyCoder(entropy.CoderRice)
-)
-
-// String implements fmt.Stringer.
-func (c EntropyCoder) String() string { return entropy.Coder(c).String() }
-
-// ParseEntropyCoder resolves a lower-case coder name ("huffman", "auto",
-// "rice").
-func ParseEntropyCoder(name string) (EntropyCoder, error) {
-	c, err := entropy.ParseCoder(name)
-	return EntropyCoder(c), err
-}
-
 // LosslessCodec selects the final lossless back-end for the
 // interpolation-based algorithms. Decompression dispatches on the
 // stream's codec tag, so reading needs no option and every earlier
@@ -253,11 +224,6 @@ type Options struct {
 	// out entropy decoding. <= 1 keeps the legacy single-body stream, which
 	// any earlier reader also understands.
 	Shards int
-	// Entropy selects the entropy coder for the quantization index
-	// streams of the interpolation-based algorithms. The zero value
-	// (EntropyHuffman) reproduces the legacy streams byte-for-byte;
-	// EntropyAuto and EntropyRice opt into the Golomb-Rice sub-format.
-	Entropy EntropyCoder
 	// Lossless selects the final lossless back-end for the
 	// interpolation-based algorithms. The zero value (LosslessDefault)
 	// reproduces the legacy whole-buffer DEFLATE streams byte-for-byte;
@@ -460,12 +426,6 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 	if opts.QP.Mode != QPOff && !opts.Algorithm.SupportsQP() {
 		return nil, fmt.Errorf("%w: %v does not support QP", ErrBadOptions, opts.Algorithm)
 	}
-	if !entropy.Coder(opts.Entropy).Valid() {
-		return nil, fmt.Errorf("%w: unknown entropy coder %d", ErrBadOptions, opts.Entropy)
-	}
-	if opts.Entropy != EntropyHuffman && !opts.Algorithm.SupportsQP() {
-		return nil, fmt.Errorf("%w: %v has no quantization index stream for entropy coder %v", ErrBadOptions, opts.Algorithm, opts.Entropy)
-	}
 	if int(opts.Lossless) >= len(losslessCodecs) {
 		return nil, fmt.Errorf("%w: unknown lossless codec %d", ErrBadOptions, opts.Lossless)
 	}
@@ -478,7 +438,6 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 	be := core.DefaultBackend()
 	be.QP = opts.QP.toCore()
 	be.Workers, be.Shards = opts.Workers, opts.Shards
-	be.Entropy = entropy.Coder(opts.Entropy)
 	be.Lossless = losslessCodecs[opts.Lossless].codec
 	be.Obs = sp
 

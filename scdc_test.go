@@ -158,7 +158,6 @@ func TestBoundResolution(t *testing.T) {
 	rejected(t, "NaN bound", data, dims, Options{ErrorBound: math.NaN()})
 	rejected(t, "bad algorithm", data, dims, Options{Algorithm: 99, ErrorBound: 1e-3})
 	rejected(t, "bad dims", data[:5], dims, Options{ErrorBound: 1e-3})
-	rejected(t, "bad entropy coder", data, dims, Options{ErrorBound: 1e-3, Entropy: 9})
 	rejected(t, "bad lossless codec", data, dims, Options{ErrorBound: 1e-3, Lossless: 99})
 
 	// A relative bound is resolved against the data, so the data can make
