@@ -1,6 +1,7 @@
 // Hot-path benchmarks: steady-state allocation counts (b.ReportAllocs)
-// for compression, decompression, the interpolation engine and the QP
-// kernels, and worker scaling of the sharded entropy coder. They are for
+// for compression, decompression and the interpolation engine, and worker
+// scaling of the sharded entropy coder. The QP kernels are timed over real
+// pass regions by internal/sz3's BenchmarkQPSweeps. These are for
 // measuring while working; the repository benchmark (benchmark/) is the
 // ledger.
 package scdc_test
@@ -11,12 +12,10 @@ import (
 
 	"scdc"
 
-	"scdc/internal/core"
 	"scdc/internal/datagen"
 	"scdc/internal/entropy"
 	"scdc/internal/huffman"
 	"scdc/internal/qoz"
-	"scdc/internal/quantizer"
 	"scdc/internal/rice"
 	"scdc/internal/sz3"
 )
@@ -195,78 +194,6 @@ func BenchmarkEntropyCoders(b *testing.B) {
 			if _, err := rice.Decode(riceEnc); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkQPKernels isolates the QP stage on a Miranda-sized symbol
-// array (paper default Mode2D/Case III): the per-point Compensate
-// reference against the specialized region kernels, forward and inverse.
-func BenchmarkQPKernels(b *testing.B) {
-	f := field(datagen.Miranda, 1)
-	var tr sz3.Trace
-	opts := sz3.DefaultOptions(1e-3)
-	opts.Choice = sz3.ChoiceInterp
-	opts.Trace = &tr
-	if _, err := sz3.Compress(f, opts); err != nil {
-		b.Fatal(err)
-	}
-	q := tr.Q
-	dims := f.Dims()
-	rg := core.Region{
-		Ext:  [4]int{1, dims[0], dims[1], dims[2]},
-		Strd: [4]int{0, dims[1] * dims[2], dims[2], 1},
-		Left: 3, Top: 2, Back: 1,
-		Level: 1,
-	}
-	newPred := func(b *testing.B) *core.Predictor {
-		p, err := core.NewPredictor(core.Default(), quantizer.DefaultRadius)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return p
-	}
-
-	b.Run("forward/ref", func(b *testing.B) {
-		p := newPred(b)
-		qp := make([]int32, len(q))
-		b.SetBytes(int64(len(q) * 4))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.ForwardRegionRef(q, qp, rg)
-		}
-	})
-	b.Run("forward/kernel", func(b *testing.B) {
-		p := newPred(b)
-		qp := make([]int32, len(q))
-		b.SetBytes(int64(len(q) * 4))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.ForwardRegion(q, qp, rg)
-		}
-	})
-
-	p := newPred(b)
-	qp := make([]int32, len(q))
-	p.ForwardRegion(q, qp, rg)
-	b.Run("inverse/ref", func(b *testing.B) {
-		p := newPred(b)
-		enc := make([]int32, len(q))
-		b.SetBytes(int64(len(q) * 4))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(enc, qp)
-			p.InverseRegionRef(enc, rg)
-		}
-	})
-	b.Run("inverse/kernel", func(b *testing.B) {
-		p := newPred(b)
-		enc := make([]int32, len(q))
-		b.SetBytes(int64(len(q) * 4))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(enc, qp)
-			p.InverseRegion(enc, rg)
 		}
 	})
 }

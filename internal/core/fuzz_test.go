@@ -12,12 +12,17 @@ func FuzzQPKernelDifferential(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(2), uint8(4), uint8(5), uint8(6), []byte{1, 9, 0, 8, 7, 7, 16, 3})
 	f.Add(uint8(5), uint8(0), uint8(0), uint8(3), uint8(3), uint8(3), []byte{0, 0, 0})
 	f.Add(uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(9), []byte{8, 8, 8, 8})
+	// Hostile symbols (bytes 17-20) next to the marker and the center.
+	f.Add(uint8(4), uint8(2), uint8(1), uint8(3), uint8(4), uint8(5), []byte{17, 9, 18, 0, 19, 20, 8, 7, 12})
+	f.Add(uint8(5), uint8(3), uint8(0), uint8(4), uint8(4), uint8(4), []byte{18, 18, 17, 9, 20, 19, 3})
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(1), uint8(1), uint8(6), []byte{17, 0, 8, 20, 18})
 	f.Fuzz(func(t *testing.T, modeB, condB, maxLevel, nx, ny, nz uint8, syms []byte) {
 		mode := Mode(modeB % 6)
 		cond := Cond(condB % 4)
 		cfg := Config{Mode: mode, Cond: cond, MaxLevel: int(maxLevel % 4)}
 		dx, dy, dz := int(nx%6)+1, int(ny%6)+1, int(nz%6)+1
 		const radius = int32(8)
+		hostile := hostileSymbols(radius)
 
 		n := dx * dy * dz
 		q := make([]int32, n)
@@ -26,7 +31,12 @@ func FuzzQPKernelDifferential(f *testing.F) {
 			if len(syms) > 0 {
 				b = syms[i%len(syms)]
 			}
-			q[i] = int32(b % 17) // spans 0 (marker) .. 16, centered on 8
+			// 0 (marker) .. 16 centered on 8, then the hostile extremes.
+			if v := b % 21; v < 17 {
+				q[i] = int32(v)
+			} else {
+				q[i] = hostile[v-17]
+			}
 		}
 		// Axis roles rotate with the geometry so Left/Top/Back land on
 		// every axis across the corpus.

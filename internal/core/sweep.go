@@ -56,9 +56,10 @@ const (
 // except inside ForwardQP/InverseQP, where it belongs to qp, so the two
 // are disjoint sub-intervals of the call.
 type clock struct {
-	span [2]*obs.Span // the stage's, then qp's; both accumulating
-	onQP int          // the span the running window belongs to
-	mark time.Time    // when it started
+	span  [2]*obs.Span // the stage's, then qp's; both accumulating
+	onQP  int          // the span the running window belongs to
+	mark  time.Time    // when it started
+	swept int          // points the QP kernels visited
 }
 
 // flip charges the running window to its span and starts one on the
@@ -70,6 +71,14 @@ func (c *clock) flip() {
 	c.span[c.onQP].AddSince(c.mark)
 	c.onQP ^= 1
 	c.mark = c.span[c.onQP].Begin()
+}
+
+// count adds the points a QP sweep visited. A nil clock does nothing: the
+// count exists only to be published.
+func (c *clock) count(swept int) {
+	if c != nil {
+		c.swept += swept
+	}
 }
 
 // NewSweep returns a bare sweep over data and sym: QP off, unobserved.
@@ -136,7 +145,9 @@ func (s *Sweep) start(sp *obs.Span, stage Stage) {
 	s.clk.mark = s.clk.span[0].Begin()
 }
 
-// finish stops the clock and publishes the sweeps' counters.
+// finish stops the clock and publishes the sweeps' counters: the points
+// of the field on the stage span, and on qp the points a QP kernel swept
+// and how many of them it compensated.
 func (s *Sweep) finish() {
 	c := s.clk
 	if c == nil {
@@ -146,6 +157,7 @@ func (s *Sweep) finish() {
 	c.span[0].Add("points", int64(len(s.Data)))
 	if s.Pred != nil {
 		c.span[1].Add("compensated", int64(s.Pred.Compensated))
+		c.span[1].Add("points", int64(c.swept))
 	}
 }
 
@@ -164,8 +176,9 @@ func (s *Sweep) ForwardQP(rg Region) {
 		return
 	}
 	s.clk.flip()
-	s.Pred.ForwardRegion(s.Sym, s.QP, rg)
+	swept := s.Pred.ForwardRegion(s.Sym, s.QP, rg)
 	s.clk.flip()
+	s.clk.count(swept)
 }
 
 // InverseQP recovers the original symbols of rg in place, before the
@@ -176,8 +189,9 @@ func (s *Sweep) InverseQP(rg Region) {
 		return
 	}
 	s.clk.flip()
-	s.Pred.InverseRegion(s.Sym, rg)
+	swept := s.Pred.InverseRegion(s.Sym, rg)
 	s.clk.flip()
+	s.clk.count(swept)
 }
 
 // Stamp stores the symbol of a point no QP region covers (an origin, the

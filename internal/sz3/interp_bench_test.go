@@ -55,6 +55,66 @@ func BenchmarkInterpPass(b *testing.B) {
 	}
 }
 
+// BenchmarkQPSweeps replays the QP sweeps of a 112×160×160 Miranda
+// compression at rel 1e-4 (the sz3_smooth shape; the paper's default 2D /
+// Case III / levels 1–2) over the real pass regions, level by level and in
+// both directions, and reports ns/point over every point of the level's
+// regions. Level 3 is the first above MaxLevel, where the forward sweep
+// is a copy and the inverse returns at once. Each inverse iteration
+// restores the stored symbols off the clock.
+func BenchmarkQPSweeps(b *testing.B) {
+	f := datagen.MustGenerate(datagen.Miranda, 1, []int{112, 160, 160}, 1)
+	dims := f.Dims()
+	levels := Levels(dims)
+	quant := quantizer.Linear{EB: 1e-4 * f.Range(), Radius: quantizer.DefaultRadius}
+	spec := LevelSpec{Order: DefaultDirOrder(len(dims)), Kind: interp.Cubic, Quant: quant}
+	q := make([]int32, len(f.Data))
+	CompressSchedule(core.NewSweep(append([]float64(nil), f.Data...), q), dims, levels, func(int) LevelSpec { return spec })
+
+	pred, err := core.NewPredictor(core.Default(), quant.Radius)
+	if err != nil {
+		b.Fatal(err)
+	}
+	regions := make([][]core.Region, levels+1)
+	qp := append([]int32(nil), q...)
+	for level := levels; level >= 1; level-- {
+		forEachPass(dims, grid.Strides(dims), level, spec.Order, func(pa *pass) {
+			rg := pa.qpRegion()
+			regions[level] = append(regions[level], rg)
+			pred.ForwardRegion(q, qp, rg)
+		})
+	}
+	enc := make([]int32, len(q))
+	for level := 1; level <= min(levels, pred.Cfg.MaxLevel+1); level++ {
+		points := 0
+		for _, rg := range regions[level] {
+			points += rg.Rows() * rg.Ext[3]
+		}
+		perPoint := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(points), "ns/point")
+		}
+		b.Run(fmt.Sprintf("forward/level=%d", level), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, rg := range regions[level] {
+					pred.ForwardRegion(q, enc, rg)
+				}
+			}
+			perPoint(b)
+		})
+		b.Run(fmt.Sprintf("inverse/level=%d", level), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(enc, qp)
+				b.StartTimer()
+				for _, rg := range regions[level] {
+					pred.InverseRegion(enc, rg)
+				}
+			}
+			perPoint(b)
+		})
+	}
+}
+
 // BenchmarkInterpKernels isolates the interpolation stage on the Miranda
 // benchmark field: the retained reference walker (closure dispatch +
 // unfused quantizer calls) against the fused run kernels, forward and

@@ -125,7 +125,7 @@ func TestCompressWithStatsStages(t *testing.T) {
 // so an observed compression reports the same stages with the same
 // counters for each of them — only the name of the coarse-lattice counter
 // on "quantize" is the engine's own — and an observed decompression
-// mirrors the stages and the qp counter.
+// mirrors the stages and the qp counters.
 func TestBackendStageSet(t *testing.T) {
 	data, dims := statsTestField(16, 20, 24)
 	for _, tc := range []struct {
@@ -143,7 +143,7 @@ func TestBackendStageSet(t *testing.T) {
 		}
 		want := map[string][]string{
 			"interp":   nil,
-			"qp":       {"compensated"},
+			"qp":       {"compensated", "points"},
 			"quantize": {"points", "unpredictable"},
 			"huffman":  {"est_bits_out", "act_bits_out", "bytes_out", "symbols"},
 			"lossless": {"bytes_in", "bytes_out"},
@@ -175,11 +175,18 @@ func TestBackendStageSet(t *testing.T) {
 		if comp <= 0 {
 			t.Errorf("%v: qp compensated = %d, want > 0", tc.alg, comp)
 		}
+		swept := stats.Report.Counter("qp", "points")
+		if swept < comp || swept > int64(len(data)) {
+			t.Errorf("%v: qp points = %d, want between compensated (%d) and the field (%d)", tc.alg, swept, comp, len(data))
+		}
 		// The inverse sweeps compensate exactly the points the forward
-		// sweeps did whenever the stream kept QP.
+		// sweeps did, and visit as many, whenever the stream kept QP.
 		if stats.Report.Counter("huffman", "qp_kept") == 1 {
 			if got := res.Stats.Report.Counter("qp", "compensated"); got != comp {
 				t.Errorf("%v: decompress qp compensated = %d, compress %d", tc.alg, got, comp)
+			}
+			if got := res.Stats.Report.Counter("qp", "points"); got != swept {
+				t.Errorf("%v: decompress qp points = %d, compress %d", tc.alg, got, swept)
 			}
 		} else if res.Stats.Report.Find("qp") != nil {
 			t.Errorf("%v: decompress ran QP on a stream that dropped it", tc.alg)
