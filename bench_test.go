@@ -421,30 +421,49 @@ func BenchmarkAblationIndexEntropy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQPLorenzo measures the Section VII future-work
-// extension: QP applied to the Lorenzo pipeline. The expected result is
-// ~0% gain (Lorenzo residual indices lack the clustering QP exploits),
-// with the adaptive fallback guaranteeing no regression.
+// BenchmarkAblationQPLorenzo measures QP in SZ3's Lorenzo mode, the
+// Section VII future-work extension: compress and decompress with QP off
+// and on, on Miranda at rel 1e-5, the regime where SZ3 picks Lorenzo. The
+// stream keeps QP only where the entropy estimate says it pays, so the
+// QP-on stream is never the larger one.
 func BenchmarkAblationQPLorenzo(b *testing.B) {
 	f := field(datagen.Miranda, 1)
-	eb := f.Range() * 1e-5 // the regime where SZ3 picks Lorenzo
-	base := sz3.DefaultOptions(eb)
+	base := sz3.DefaultOptions(f.Range() * 1e-5)
 	base.Choice = sz3.ChoiceLorenzo
-	pb, err := sz3.Compress(f, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ext := base.WithQP()
-	ext.QPLorenzo = true
-	var pq []byte
-	b.SetBytes(int64(f.Len() * 8))
-	for i := 0; i < b.N; i++ {
-		pq, err = sz3.Compress(f, ext)
+	var off []byte
+	for _, qp := range []bool{false, true} {
+		opts := base
+		if qp {
+			opts = base.WithQP()
+		}
+		payload, err := sz3.Compress(f, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		if qp && len(payload) > len(off) {
+			b.Fatalf("QP-on stream is %d bytes, QP-off %d", len(payload), len(off))
+		}
+		off = payload
+		cr := float64(f.Len()*8) / float64(len(payload))
+		b.Run(fmt.Sprintf("qp=%v/compress", qp), func(b *testing.B) {
+			b.SetBytes(int64(f.Len() * 8))
+			for i := 0; i < b.N; i++ {
+				if _, err := sz3.Compress(f, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(cr, "cr")
+		})
+		b.Run(fmt.Sprintf("qp=%v/decompress", qp), func(b *testing.B) {
+			b.SetBytes(int64(f.Len() * 8))
+			for i := 0; i < b.N; i++ {
+				if _, err := sz3.Decompress(payload, f.Dims()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(cr, "cr")
+		})
 	}
-	b.ReportMetric(100*(float64(len(pb))/float64(len(pq))-1), "cr_gain_%")
 }
 
 // BenchmarkChunkedThroughput measures the embarrassingly parallel chunked

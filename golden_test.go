@@ -107,7 +107,7 @@ func TestGoldenCorpus(t *testing.T) {
 // decode-only rice and auto-picked index streams, every lossless tag a
 // writer has ever produced (flate, the decode-only LZ, the sharded
 // container and Huffman), a sharded container as Auto writes it, and
-// SZ3's Lorenzo mode.
+// SZ3's Lorenzo mode: in 3D and 4D, and with a QP block that is on.
 func TestGoldenCoverage(t *testing.T) {
 	entries := loadGoldenManifest(t)
 	type key struct {
@@ -121,7 +121,8 @@ func TestGoldenCoverage(t *testing.T) {
 	var auto bool
 	backends := make(map[string]bool)
 	tags := make(map[lossless.Codec]bool)
-	var autoSharded, lorenzo bool
+	var autoSharded, lorenzoQP bool
+	lorenzo := make(map[int]bool) // by ndims
 	for _, e := range entries {
 		seen[key{e.Algorithm, len(e.Dims), e.QP}] = true
 		chunked = chunked || e.Chunked
@@ -140,7 +141,10 @@ func TestGoldenCoverage(t *testing.T) {
 			autoSharded = autoSharded || (e.Lossless == "auto" && tag == lossless.Sharded)
 		}
 		if e.Algorithm == SZ3.String() && !e.Chunked {
-			lorenzo = lorenzo || sz3Mode(t, e.File) == sz3.ModeLorenzo
+			if mode, qp := sz3Mode(t, e.File); mode == sz3.ModeLorenzo {
+				lorenzo[len(e.Dims)] = true
+				lorenzoQP = lorenzoQP || qp
+			}
 		}
 	}
 	for _, alg := range []Algorithm{SZ3, QoZ, HPEZ, MGARD, ZFP, TTHRESH, SPERR} {
@@ -180,8 +184,13 @@ func TestGoldenCoverage(t *testing.T) {
 	if !autoSharded {
 		t.Error("no golden stream pins the sharded lossless container as LosslessAuto writes it")
 	}
-	if !lorenzo {
-		t.Error("no SZ3 golden stream in Lorenzo mode")
+	for _, nd := range []int{3, 4} {
+		if !lorenzo[nd] {
+			t.Errorf("no %dD SZ3 golden stream in Lorenzo mode", nd)
+		}
+	}
+	if !lorenzoQP {
+		t.Error("no SZ3 golden stream in Lorenzo mode keeps its QP block")
 	}
 }
 
@@ -201,8 +210,8 @@ func losslessTag(t *testing.T, file string) lossless.Codec {
 }
 
 // sz3Mode reads the predictor mode byte that opens the payload of a plain
-// SZ3 golden stream.
-func sz3Mode(t *testing.T, file string) sz3.Mode {
+// SZ3 golden stream, and whether the stream's QP block is on.
+func sz3Mode(t *testing.T, file string) (sz3.Mode, bool) {
 	t.Helper()
 	stream, err := os.ReadFile(filepath.Join("testdata", "golden", file))
 	if err != nil {
@@ -216,11 +225,16 @@ func sz3Mode(t *testing.T, file string) sz3.Mode {
 	if err != nil {
 		t.Fatalf("%s: %v", file, err)
 	}
-	mode, err := r.Bytes(1, "sz3 mode")
+	// Mode, interpolation kind, ndims and the direction order precede the
+	// QP block.
+	hdr, err := r.Bytes(3+len(h.dims), "sz3 header")
 	if err != nil {
 		t.Fatalf("%s: %v", file, err)
 	}
-	return sz3.Mode(mode[0])
+	if err := r.DecodeQP(); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return sz3.Mode(hdr[0]), r.QP.Enabled()
 }
 
 // TestGoldenIntegrityTamper flips one payload byte in each v2 golden

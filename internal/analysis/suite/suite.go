@@ -45,7 +45,6 @@ var Packages = []string{
 	"scdc/internal/lattice",
 	"scdc/internal/lossless",
 	"scdc/internal/mgard",
-	"scdc/internal/predictor",
 	"scdc/internal/qoz",
 	"scdc/internal/quantizer",
 	"scdc/internal/rice",

@@ -59,7 +59,8 @@ type Trace struct {
 	// Q receives the stored quantization symbols (offset by Radius,
 	// 0 = unpredictable), one per data point.
 	Q []int32
-	// QP receives the transformed symbols Q' when QP ran.
+	// QP receives the transformed symbols Q' when QP ran, and is emptied
+	// when it did not.
 	QP []int32
 	// Lorenzo reports that SZ3 fell back to its Lorenzo predictor.
 	Lorenzo bool
@@ -149,8 +150,9 @@ func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 	if t := b.Trace; t != nil {
 		t.Lorenzo, t.Levels = s.Lorenzo, s.Levels
 		t.Q = append(t.Q[:0], sw.Sym...)
+		t.QP, t.Compensated = t.QP[:0], 0
 		if sw.Pred != nil {
-			t.QP = append(t.QP[:0], sw.QP...)
+			t.QP = append(t.QP, sw.QP...)
 			t.Compensated = sw.Pred.Compensated
 		}
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "scdc/internal/quantizer"
+
 // This file is the kernelized QP engine. QP is one reversible transform
 // (paper §V-A, Algorithm 2): both sides compute the same compensation c
 // from the same already-known neighbors, compression stores Q - c and
@@ -219,7 +221,7 @@ func (s *regionSweep) rows(q, qp []int32) (comp, swept int) {
 // place on q, where every neighbor read sees a symbol this sweep has
 // already recovered. It returns the number of points a kernel visited.
 func (p *Predictor) sweep(q, qp []int32, rg Region) int {
-	s := regionSweep{rg: rg.byStride(), R: p.Radius, U: p.Unpredictable}
+	s := regionSweep{rg: rg.byStride(), R: p.Radius, U: quantizer.Unpredictable}
 	if p.Cfg.MaxLevel <= 0 || rg.Level <= p.Cfg.MaxLevel {
 		s.bind(kernelFor(p.Cfg.Mode, p.Cfg.Cond))
 	}

@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 
+	"scdc/internal/quantizer"
 	"scdc/internal/verdict"
 )
 
@@ -149,11 +150,10 @@ type Neighborhood struct {
 
 // Predictor applies QP with a fixed configuration to a quantization index
 // array whose stored symbols are offset by Radius, with symbol
-// Unpredictable reserved for out-of-range points (see internal/quantizer).
+// quantizer.Unpredictable reserved for out-of-range points.
 type Predictor struct {
-	Cfg           Config
-	Radius        int32
-	Unpredictable int32
+	Cfg    Config
+	Radius int32
 	// Compensated counts the points where a nonzero prediction was applied;
 	// useful for the overhead analysis of Figures 16–17.
 	Compensated int
@@ -164,7 +164,7 @@ func NewPredictor(cfg Config, radius int32) (*Predictor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Predictor{Cfg: cfg, Radius: radius, Unpredictable: 0}, nil
+	return &Predictor{Cfg: cfg, Radius: radius}, nil
 }
 
 // centered converts a stored symbol to the signed quantization index.
@@ -252,9 +252,9 @@ func (p *Predictor) allow1(s int32) bool {
 	case CondAlways:
 		return true
 	case CondSkipUnpredictable:
-		return s != p.Unpredictable
+		return s != quantizer.Unpredictable
 	default: // CondSameSign2, CondSameSign3
-		return s != p.Unpredictable && p.centered(s) != 0
+		return s != quantizer.Unpredictable && p.centered(s) != 0
 	}
 }
 
@@ -265,15 +265,15 @@ func (p *Predictor) allow2(a, b, ab int32) bool {
 	case CondAlways:
 		return true
 	case CondSkipUnpredictable:
-		return a != p.Unpredictable && b != p.Unpredictable && ab != p.Unpredictable
+		return nonUnpred(a, b, ab)
 	case CondSameSign2:
-		if a == p.Unpredictable || b == p.Unpredictable || ab == p.Unpredictable {
+		if !nonUnpred(a, b, ab) {
 			return false
 		}
 		ca, cb := p.centered(a), p.centered(b)
 		return (ca > 0 && cb > 0) || (ca < 0 && cb < 0)
 	default: // CondSameSign3
-		if a == p.Unpredictable || b == p.Unpredictable || ab == p.Unpredictable {
+		if !nonUnpred(a, b, ab) {
 			return false
 		}
 		ca, cb, cab := p.centered(a), p.centered(b), p.centered(ab)
@@ -289,15 +289,15 @@ func (p *Predictor) allow3(a, b, d, ab, ad, bd, abd int32) bool {
 	case CondAlways:
 		return true
 	case CondSkipUnpredictable:
-		return p.nonUnpred(a, b, d, ab, ad, bd, abd)
+		return nonUnpred(a, b, d, ab, ad, bd, abd)
 	case CondSameSign2:
-		if !p.nonUnpred(a, b, d, ab, ad, bd, abd) {
+		if !nonUnpred(a, b, d, ab, ad, bd, abd) {
 			return false
 		}
 		ca, cb := p.centered(a), p.centered(b)
 		return (ca > 0 && cb > 0) || (ca < 0 && cb < 0)
 	default: // CondSameSign3
-		if !p.nonUnpred(a, b, d, ab, ad, bd, abd) {
+		if !nonUnpred(a, b, d, ab, ad, bd, abd) {
 			return false
 		}
 		ca, cb, cd := p.centered(a), p.centered(b), p.centered(d)
@@ -305,9 +305,10 @@ func (p *Predictor) allow3(a, b, d, ab, ad, bd, abd int32) bool {
 	}
 }
 
-func (p *Predictor) nonUnpred(syms ...int32) bool {
+// nonUnpred reports whether none of syms is the unpredictable marker.
+func nonUnpred(syms ...int32) bool {
 	for _, s := range syms {
-		if s == p.Unpredictable {
+		if s == quantizer.Unpredictable {
 			return false
 		}
 	}

@@ -58,13 +58,15 @@ func bitCostNoisy(resid, eb, noise float64) float64 {
 // sampledLorenzoCost estimates the mean per-point cost of 3D Lorenzo on a
 // strided sample, using original values as the prediction basis (a valid
 // proxy at small error bounds, which is exactly when Lorenzo matters).
+// The stencil spans the three fastest axes; a 2D field has no plane terms.
+// chooseLorenzo has ruled out 1D fields.
 func sampledLorenzoCost(f *grid.Field, eb float64) float64 {
 	dims := f.Dims()
 	nd := len(dims)
 	d := f.Data
-	st := make([]int, nd)
-	for i := range st {
-		st[i] = f.Stride(i)
+	run, row, plane := f.Stride(nd-1), f.Stride(nd-2), 0
+	if nd >= 3 {
+		plane = f.Stride(nd - 3)
 	}
 	// Sample on a coarse lattice, skipping borders.
 	step := make([]int, nd)
@@ -72,35 +74,23 @@ func sampledLorenzoCost(f *grid.Field, eb float64) float64 {
 		step[i] = dims[i]/17 + 1
 	}
 	sum, cnt := 0.0, 0
-	var walk func(axis, base int, coord []int)
-	walk = func(axis, base int, coord []int) {
+	var walk func(axis, base int)
+	walk = func(axis, base int) {
 		if axis == nd {
-			// 3D Lorenzo over the three fastest axes (or fewer).
-			a := nd - 3
-			if a < 0 {
-				a = 0
+			var a, ab, ac, abc float64
+			if plane != 0 {
+				a, ab, ac, abc = d[base-plane], d[base-plane-row], d[base-plane-run], d[base-plane-row-run]
 			}
-			p := 0.0
-			switch nd - a {
-			case 1:
-				p = d[base-st[nd-1]]
-			case 2:
-				p = d[base-st[nd-1]] + d[base-st[nd-2]] - d[base-st[nd-1]-st[nd-2]]
-			default:
-				s1, s2, s3 := st[nd-1], st[nd-2], st[nd-3]
-				p = d[base-s1] + d[base-s2] + d[base-s3] -
-					d[base-s1-s2] - d[base-s1-s3] - d[base-s2-s3] +
-					d[base-s1-s2-s3]
-			}
+			p := lorenzo(a, d[base-row], d[base-run], ab, ac, d[base-row-run], abc)
 			sum += bitCostNoisy(d[base]-p, eb, lorenzoNoise)
 			cnt++
 			return
 		}
 		for c := 1; c < dims[axis]; c += step[axis] {
-			walk(axis+1, base+c*st[axis], coord)
+			walk(axis+1, base+c*f.Stride(axis))
 		}
 	}
-	walk(0, 0, make([]int, nd))
+	walk(0, 0)
 	if cnt == 0 {
 		return math.Inf(1)
 	}

@@ -55,6 +55,96 @@ func TestChooseLorenzoSmallFields(t *testing.T) {
 	}
 }
 
+// refSampledLorenzoCost is sampledLorenzoCost as it was before the
+// estimator called lorenzo: the same lattice, with the stencil written
+// inline and its 3D terms added fastest axis first.
+func refSampledLorenzoCost(f *grid.Field, eb float64) float64 {
+	dims := f.Dims()
+	nd := len(dims)
+	d := f.Data
+	st := grid.Strides(dims)
+	sum, cnt := 0.0, 0
+	var walk func(axis, base int)
+	walk = func(axis, base int) {
+		if axis == nd {
+			var p float64
+			s1, s2 := st[nd-1], st[nd-2]
+			if nd == 2 {
+				p = d[base-s1] + d[base-s2] - d[base-s1-s2]
+			} else {
+				s3 := st[nd-3]
+				p = d[base-s1] + d[base-s2] + d[base-s3] -
+					d[base-s1-s2] - d[base-s1-s3] - d[base-s2-s3] +
+					d[base-s1-s2-s3]
+			}
+			sum += bitCostNoisy(d[base]-p, eb, lorenzoNoise)
+			cnt++
+			return
+		}
+		for c := 1; c < dims[axis]; c += dims[axis]/17 + 1 {
+			walk(axis+1, base+c*st[axis])
+		}
+	}
+	walk(0, 0)
+	return sum / float64(cnt)
+}
+
+// goldenSynth and its variants rebuild the fields of the golden corpus's
+// SZ3 Lorenzo-mode pins (cmd/golden).
+func goldenSynth(dims ...int) *grid.Field {
+	f := grid.MustNew(dims...)
+	for i := range f.Data {
+		x := float64(i)
+		f.Data[i] = math.Sin(x/9.7) + 0.25*math.Cos(x/2.3) + x/(512+x)
+	}
+	return f
+}
+
+func goldenSpiky(dims ...int) *grid.Field {
+	f := goldenSynth(dims...)
+	for i := 249; i < len(f.Data); i += 499 {
+		f.Data[i] += 100
+	}
+	return f
+}
+
+// TestLorenzoCostMatchesReference: routing the mode estimate's Lorenzo
+// stencil through lorenzo moves its cost by rounding only and flips no
+// decision, on the TestChooseLorenzo* fields, the fields of the Lorenzo
+// pins and the sz3_smooth benchmark field.
+func TestLorenzoCostMatchesReference(t *testing.T) {
+	type tc struct {
+		name string
+		f    *grid.Field
+		eb   float64
+	}
+	miranda := datagen.MustGenerate(datagen.Miranda, 0, []int{48, 64, 64}, 1)
+	cases := []tc{
+		{"smooth", smoothField(), smoothField().Range() * 1e-3},
+		{"miranda/1e-3", miranda, miranda.Range() * 1e-3},
+		{"miranda/1e-5", miranda, miranda.Range() * 1e-5},
+		{"golden/3d", goldenSynth(16, 16, 16), 1e-3},
+		{"golden/4d", goldenSynth(2, 12, 16, 16), 1e-3},
+		{"golden/spiky", goldenSpiky(16, 16, 16), 1e-3},
+		{"golden/4d/1e-4", goldenSynth(2, 12, 16, 16), 1e-4},
+		{"synth/2d", synth(96, 80), 1e-5},
+	}
+	if !testing.Short() {
+		smooth := datagen.MustGenerate(datagen.Miranda, 0, []int{112, 160, 160}, 1)
+		cases = append(cases, tc{"sz3_smooth", smooth, smooth.Range() * 1e-4})
+	}
+	for _, c := range cases {
+		got, want := sampledLorenzoCost(c.f, c.eb), refSampledLorenzoCost(c.f, c.eb)
+		if rel := math.Abs(got-want) / want; rel > 1e-12 {
+			t.Errorf("%s: cost %.17g, reference %.17g (relative difference %.3g)", c.name, got, want, rel)
+		}
+		ic := sampledInterpCost(c.f, c.eb, interp.Cubic)
+		if chooseLorenzo(c.f, c.eb, interp.Cubic) != (want < ic*0.95) {
+			t.Errorf("%s: mode decision differs from the reference's", c.name)
+		}
+	}
+}
+
 func TestAxisLineBase(t *testing.T) {
 	dims := []int{3, 4, 5}
 	strides := grid.Strides(dims)

@@ -10,7 +10,10 @@
 //
 // Like the original, the compressor switches to a 3D Lorenzo predictor at
 // small error bounds when a sampled estimate says Lorenzo will outperform
-// interpolation; QP is not invoked in Lorenzo mode (paper Section VI-C).
+// interpolation (paper Section VI-C). QP runs in that mode too, over the
+// scan-order neighborhood — the paper's Section VII future-work item —
+// and the stream keeps it only when the entropy estimate says it pays, as
+// in interpolation mode.
 package sz3
 
 import (
@@ -67,11 +70,6 @@ type Options struct {
 	// set it to expose raw per-configuration behavior, including the
 	// degradation of Case I at small bounds.
 	ForceQP bool
-	// QPLorenzo extends QP to the Lorenzo fallback pipeline with a
-	// scan-order neighborhood — the paper's Section VII future-work item.
-	// Off by default (the paper's QP only covers interpolation mode); the
-	// adaptive fallback still guards against regressions when enabled.
-	QPLorenzo bool
 }
 
 // Trace captures compressor internals for the paper's characterization
@@ -117,6 +115,9 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if opts.Interp > interp.Cubic {
 		return nil, fmt.Errorf("%w: sz3: unknown interpolation kind %d", verdict.ErrBadOptions, opts.Interp)
 	}
+	if opts.Choice > ChoiceLorenzo {
+		return nil, fmt.Errorf("%w: sz3: unknown predictor choice %d", verdict.ErrBadOptions, opts.Choice)
+	}
 	order := DefaultDirOrder(f.NDims())
 	quant := quantizer.Linear{EB: opts.ErrorBound, Radius: opts.Radius}
 
@@ -133,7 +134,7 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 		chSp.End()
 	}
 
-	sw, err := opts.Sweep(f.Data, opts.QP.Enabled() && (mode == ModeInterp || opts.QPLorenzo), stages[mode])
+	sw, err := opts.Sweep(f.Data, opts.QP.Enabled(), stages[mode])
 	if err != nil {
 		return nil, err
 	}

@@ -206,6 +206,37 @@ func TestBadOptions(t *testing.T) {
 	if _, err := Compress(f, Options{ErrorBound: math.Inf(1)}); err == nil {
 		t.Error("infinite error bound accepted")
 	}
+	opts := DefaultOptions(1e-3)
+	opts.Choice = ChoiceLorenzo + 1
+	if _, err := Compress(f, opts); !errors.Is(err, verdict.ErrBadOptions) {
+		t.Errorf("unknown predictor choice: got %v, want ErrBadOptions", err)
+	}
+}
+
+// TestTraceReuse: a Trace reused across calls reports the last call only,
+// so a QP-off compress after a QP-on one leaves no QP array or count.
+func TestTraceReuse(t *testing.T) {
+	f := synth(20, 20, 20)
+	tr := &Trace{}
+	opts := DefaultOptions(1e-3).WithQP()
+	opts.Choice = ChoiceInterp
+	opts.Trace = tr
+	if _, err := Compress(f, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.QP) != f.Len() || tr.Compensated == 0 {
+		t.Fatalf("QP-on trace: %d QP symbols, %d compensated", len(tr.QP), tr.Compensated)
+	}
+	opts.QP = core.Config{}
+	if _, err := Compress(f, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.QP) != 0 || tr.Compensated != 0 {
+		t.Errorf("QP-off trace kept %d QP symbols and %d compensated from the previous call", len(tr.QP), tr.Compensated)
+	}
+	if len(tr.Q) != f.Len() {
+		t.Errorf("QP-off trace has %d symbols, want %d", len(tr.Q), f.Len())
+	}
 }
 
 func TestTraceCapture(t *testing.T) {
@@ -238,32 +269,37 @@ func TestTraceCapture(t *testing.T) {
 }
 
 // TestQPLorenzoExtension exercises the Section VII future-work extension:
-// QP applied to the Lorenzo pipeline must round-trip bit-identically with
-// the plain Lorenzo output and never enlarge the stream.
+// in Lorenzo mode, QP on — chosen by the entropy estimate or forced —
+// must round-trip bit-identically with QP off, in 2D, 3D and 4D, and the
+// chosen stream must never be the larger one.
 func TestQPLorenzoExtension(t *testing.T) {
-	f := synth(36, 40, 44)
-	base := DefaultOptions(1e-4)
-	base.Choice = ChoiceLorenzo
-	want := roundTrip(t, f, base)
+	for _, dims := range [][]int{{60, 70}, {36, 40, 44}, {3, 12, 16, 20}} {
+		f := synth(dims...)
+		base := DefaultOptions(1e-4)
+		base.Choice = ChoiceLorenzo
+		want := roundTrip(t, f, base)
 
-	ext := base.WithQP()
-	ext.QPLorenzo = true
-	got := roundTrip(t, f, ext)
-	if !want.Equal(got) {
-		t.Fatal("Lorenzo QP changed decompressed data")
-	}
+		ext := base.WithQP()
+		forced := ext
+		forced.ForceQP = true
+		for _, opts := range []Options{ext, forced} {
+			if got := roundTrip(t, f, opts); !want.Equal(got) {
+				t.Fatalf("%v, forced=%v: Lorenzo QP changed decompressed data", dims, opts.ForceQP)
+			}
+		}
 
-	pb, err := Compress(f, base)
-	if err != nil {
-		t.Fatal(err)
+		pb, err := Compress(f, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := Compress(f, ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pq) > len(pb) {
+			t.Fatalf("%v: Lorenzo QP enlarged stream: %d > %d", dims, len(pq), len(pb))
+		}
+		t.Logf("%v: lorenzo base=%d qp=%d (%.2f%%)", dims, len(pb), len(pq),
+			100*(float64(len(pb))/float64(len(pq))-1))
 	}
-	pq, err := Compress(f, ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pq) > len(pb) {
-		t.Fatalf("Lorenzo QP enlarged stream: %d > %d", len(pq), len(pb))
-	}
-	t.Logf("lorenzo base=%d qp=%d (%.2f%%)", len(pb), len(pq),
-		100*(float64(len(pb))/float64(len(pq))-1))
 }

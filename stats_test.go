@@ -241,32 +241,38 @@ func TestStagesDisjoint(t *testing.T) {
 		}
 	}
 
-	// SZ3's Lorenzo mode, QP extended to it, through the engine itself.
+	// SZ3's Lorenzo mode, QP off and on, through the engine itself.
 	f, err := grid.FromSlice(data, dims...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.New()
-	opts := sz3.DefaultOptions(1e-2).WithQP()
-	opts.Choice, opts.QPLorenzo, opts.ForceQP = sz3.ChoiceLorenzo, true, true
-	opts.Obs = rec.Span("compress")
-	payload, err := sz3.Compress(f, opts)
-	opts.Obs.End()
-	if err != nil {
-		t.Fatal(err)
+	for _, qpOn := range []bool{false, true} {
+		name := fmt.Sprintf("SZ3/lorenzo/qp=%v", qpOn)
+		rec := obs.New()
+		opts := sz3.DefaultOptions(1e-2)
+		if qpOn {
+			opts = opts.WithQP()
+		}
+		opts.Choice, opts.ForceQP = sz3.ChoiceLorenzo, true
+		opts.Obs = rec.Span("compress")
+		payload, err := sz3.Compress(f, opts)
+		opts.Obs.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+"/compress", rec.Report(), qpOn)
+		if rec.Report().Find("lorenzo") == nil {
+			t.Errorf("%s: forced Lorenzo mode has no lorenzo stage", name)
+		}
+		rec = obs.New()
+		sp := rec.Span("decompress")
+		_, err = sz3.DecompressObs(payload, dims, 1, sp)
+		sp.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+"/decompress", rec.Report(), qpOn)
 	}
-	check("SZ3/lorenzo/compress", rec.Report(), true)
-	if rec.Report().Find("lorenzo") == nil {
-		t.Error("forced Lorenzo mode has no lorenzo stage")
-	}
-	rec = obs.New()
-	sp := rec.Span("decompress")
-	_, err = sz3.DecompressObs(payload, dims, 1, sp)
-	sp.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("SZ3/lorenzo/decompress", rec.Report(), true)
 }
 
 // TestQoZChooseSpan: the tuner accounts for its work on the "choose" span.
