@@ -12,11 +12,11 @@ import (
 
 	"scdc"
 
+	"scdc/internal/bench"
 	"scdc/internal/datagen"
 	"scdc/internal/entropy"
 	"scdc/internal/huffman"
 	"scdc/internal/qoz"
-	"scdc/internal/rice"
 	"scdc/internal/sz3"
 )
 
@@ -140,60 +140,43 @@ func BenchmarkHotPathShardedHuffman(b *testing.B) {
 	}
 }
 
-// BenchmarkEntropyCoders prices the index coders on the real Miranda
-// quantization indices: single-body Huffman, the one encoder, against the
-// Golomb-Rice baseline, encode/decode throughput side by side (rice
-// encode is timed without its histogram pass; the sharded Huffman
-// variants live in BenchmarkHotPathShardedHuffman).
-func BenchmarkEntropyCoders(b *testing.B) {
-	f := field(datagen.Miranda, 1)
-	var tr sz3.Trace
-	opts := sz3.DefaultOptions(1e-3)
-	opts.Choice = sz3.ChoiceInterp
-	opts.Trace = &tr
-	if _, err := sz3.Compress(f, opts); err != nil {
-		b.Fatal(err)
-	}
-	q := tr.Q
-	size := int64(len(q) * 4)
+// stageSink keeps BenchmarkEntropyStage's results alive.
+var stageSink any
 
-	b.Run("huffman/encode", func(b *testing.B) {
-		b.SetBytes(size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			huffman.Encode(q)
+// BenchmarkEntropyStage prices the Huffman stage per symbol on the QP
+// index arrays of the bench.IndexCells (SZ3 Miranda ~1 bit/value, MGARD
+// S3D ~10 bits/value): the histogram (entropy.Analyze), the encode from
+// that Dist (code lengths, code tables, body) and the decode. The code
+// lengths alone are timed by internal/huffman's BenchmarkCodeLengths on
+// the same arrays.
+func BenchmarkEntropyStage(b *testing.B) {
+	for _, c := range bench.IndexCells {
+		_, qp, err := c.Arrays()
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	huffEnc := huffman.Encode(q)
-	b.Run("huffman/decode", func(b *testing.B) {
-		b.SetBytes(size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := huffman.Decode(huffEnc); err != nil {
-				b.Fatal(err)
-			}
+		d := entropy.Analyze(qp)
+		enc := huffman.EncodeDist(qp, d)
+		stages := []struct {
+			name string
+			fn   func() (any, error)
+		}{
+			{"analyze", func() (any, error) { return entropy.Analyze(qp), nil }},
+			{"encode", func() (any, error) { return huffman.EncodeDist(qp, d), nil }},
+			{"decode", func() (any, error) { return huffman.Decode(enc) }},
 		}
-	})
-	d := entropy.Analyze(q)
-	b.Run("rice/encode", func(b *testing.B) {
-		b.SetBytes(size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rice.EncodeDist(q, d)
+		for _, st := range stages {
+			b.Run(c.Name+"/"+st.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := st.fn()
+					if err != nil {
+						b.Fatal(err)
+					}
+					stageSink = out
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(qp)), "ns/symbol")
+			})
 		}
-	})
-	riceEnc := rice.EncodeDist(q, d)
-	b.Run("rice/decode", func(b *testing.B) {
-		b.SetBytes(size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rice.Decode(riceEnc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -41,6 +41,7 @@ var gatePkgs = []gcgate.Pkg{
 	{Dir: "internal/hpez", Path: "scdc/internal/hpez"},
 	{Dir: "internal/mgard", Path: "scdc/internal/mgard"},
 	{Dir: "internal/shard", Path: "scdc/internal/shard"},
+	{Dir: "internal/entropy", Path: "scdc/internal/entropy"},
 	{Dir: "internal/huffman", Path: "scdc/internal/huffman"},
 	{Dir: "internal/rice", Path: "scdc/internal/rice"},
 	{Dir: "internal/lossless", Path: "scdc/internal/lossless"},

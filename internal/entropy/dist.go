@@ -61,89 +61,202 @@ type Dist struct {
 // MaxDenseRange bounds dense histogram/code tables (16 MiB of counts).
 const MaxDenseRange = 1 << 21
 
-var countPool = sync.Pool{New: func() any { return new([]uint64) }}
+// lanes is the number of interleaved sub-histograms Analyze counts
+// into. Consecutive symbols increment different counters, so a run of
+// one symbol — nearly every symbol of a ~1-bit/value index array — waits
+// on its own previous increment to leave the store buffer half as often
+// (the store-forwarding stall zstd's HIST_count_parallel avoids the
+// same way, with four). Two lanes of uint32 take the 8 bytes per symbol
+// a single uint64 count did: four, at 16 bytes, counted the ~1-bit/value
+// SZ3 array ~10 % faster but the ~10-bit/value MGARD one ~25 % slower
+// (bench.IndexCells).
+const lanes = 2
 
-// getCountBuf returns a zeroed pooled histogram buffer of length n.
-func getCountBuf(n int) []uint64 {
-	p := countPool.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
-		return *p
+// maxLaneSymbols bounds the arrays the lane histogram counts: every
+// count, and every sum of a symbol's lanes, then fits a uint32.
+const maxLaneSymbols = 1<<32 - 1
+
+// minWindow is the least slack of the first histogram window, and
+// seedSamples how many evenly spaced symbols size it.
+const (
+	minWindow   = 256
+	seedSamples = 1024
+)
+
+var lanePool = sync.Pool{New: func() any { return new([][lanes]uint32) }}
+
+// countLanes adds the symbols of q to the lane histogram h, whose entry
+// i counts symbol base+i, and returns how many it counted: all of q, or
+// the prefix before the first symbol outside the window. Symbol k of
+// every group of four goes to lane k%2.
+//
+//scdc:hot
+//scdc:noalloc
+//scdc:nobounds
+func countLanes(h [][lanes]uint32, q []int32, base int32) int {
+	w, b := uint(len(h)), uint32(base)
+	n := 0
+	for len(q) >= 4 {
+		i0, i1 := uint(uint32(q[0])-b), uint(uint32(q[1])-b)
+		i2, i3 := uint(uint32(q[2])-b), uint(uint32(q[3])-b)
+		if i0 >= w || i1 >= w || i2 >= w || i3 >= w {
+			break
+		}
+		h[i0][0]++
+		h[i1][1]++
+		h[i2][0]++
+		h[i3][1]++
+		q = q[4:]
+		n += 4
 	}
-	s := (*p)[:n]
-	clear(s)
-	return s
-}
-
-func putCountBuf(buf []uint64) {
-	buf = buf[:cap(buf)]
-	countPool.Put(&buf)
-}
-
-// Range scans q once and reports (min, max, dense) where dense means the
-// flat-array paths apply.
-func Range(q []int32) (lo, hi int32, dense bool) {
-	if len(q) == 0 {
-		return 0, 0, false
-	}
-	lo, hi = q[0], q[0]
 	for _, v := range q {
-		if v < lo {
-			lo = v
+		i := uint(uint32(v) - b)
+		if i >= w {
+			break
 		}
-		if v > hi {
-			hi = v
-		}
+		h[i][0]++
+		n++
 	}
-	return lo, hi, int64(hi)-int64(lo) < MaxDenseRange
+	return n
+}
+
+// window returns the first symbol of a width-symbol window that holds
+// lo..hi with the slack split around them, kept inside the int32 range.
+func window(lo, hi, width int64) int32 {
+	return int32(max(math.MinInt32, min(lo-(width-(hi-lo+1))/2, math.MaxInt32-width+1)))
+}
+
+// seedWindow sizes the pooled lane histogram *hp, zeroed, to the range of
+// an evenly spaced sample of q plus a quarter and minWindow of slack, and
+// returns its first symbol: most arrays then count in one pass. ok is
+// false when the sample alone spans MaxDenseRange or more.
+func seedWindow(hp *[][lanes]uint32, q []int32) (base int32, ok bool) {
+	step := max(1, len(q)/seedSamples)
+	lo, hi := int64(q[0]), int64(q[0])
+	for i := 0; i < len(q); i += step {
+		lo, hi = min(lo, int64(q[i])), max(hi, int64(q[i]))
+	}
+	need := hi - lo + 1
+	if need > MaxDenseRange {
+		return 0, false
+	}
+	width := min(need+need/4+minWindow, MaxDenseRange)
+	if cap(*hp) < int(width) {
+		*hp = make([][lanes]uint32, width)
+	} else {
+		*hp = (*hp)[:width]
+		clear(*hp)
+	}
+	return window(lo, hi, width), true
+}
+
+// widen regrows the lane histogram *hp, whose entry i counts symbol
+// base+i, to hold v as well — at least twice as wide, up to MaxDenseRange
+// — moves the counts to their new entries and returns the new first
+// symbol. ok is false when no dense window holds them both.
+func widen(hp *[][lanes]uint32, base, v int32) (newBase int32, ok bool) {
+	h := *hp
+	lo := min(int64(base), int64(v))
+	hi := max(int64(base)+int64(len(h))-1, int64(v))
+	need := hi - lo + 1
+	if need > MaxDenseRange {
+		return base, false
+	}
+	width := max(need, min(int64(2*len(h)), MaxDenseRange))
+	newBase = window(lo, hi, width)
+	off := int(base - newBase)
+	var g [][lanes]uint32
+	if cap(h) >= int(width) {
+		g = h[:width]
+	} else {
+		g = make([][lanes]uint32, width)
+	}
+	copy(g[off:], h)
+	clear(g[:off])
+	clear(g[off+len(h):])
+	*hp = g
+	return newBase, true
 }
 
 // Analyze histograms q in one pass and returns its distribution. The
-// Shannon accumulation visits symbols in ascending order so the float
-// result never depends on map iteration order (the estimate feeds codec
-// decisions; see DESIGN.md §8 streamdeterminism).
+// symbols are counted into a dense window of lane counters sized from a
+// sample and widened when a symbol falls outside it, so no range scan
+// precedes the count; a symbol range of MaxDenseRange or more moves the
+// count to a map. The Shannon accumulation visits symbols in ascending
+// order so the float result never depends on map iteration order (the
+// estimate feeds codec decisions; see DESIGN.md §8 streamdeterminism).
 func Analyze(q []int32) *Dist {
 	d := &Dist{N: len(q)}
 	if len(q) == 0 {
 		return d
 	}
-	d.Lo, d.Hi, d.Dense = Range(q)
-	if d.Dense {
-		counts := getCountBuf(int(d.Hi-d.Lo) + 1)
-		for _, v := range q {
-			counts[v-d.Lo]++
-		}
-		d.Syms = make([]SymCount, 0, 64)
-		n := float64(len(q))
-		for i, c := range counts {
-			if c == 0 {
-				continue
-			}
-			d.Syms = append(d.Syms, SymCount{d.Lo + int32(i), c})
-			p := float64(c) / n
-			d.Bits += float64(c) * neglog2(p)
-		}
-		putCountBuf(counts)
-		return d
+	if uint64(len(q)) > maxLaneSymbols {
+		return analyzeSparse(d, q)
 	}
+	hp := lanePool.Get().(*[][lanes]uint32)
+	defer lanePool.Put(hp)
+	base, ok := seedWindow(hp, q)
+	if !ok {
+		return analyzeSparse(d, q)
+	}
+	for rest := q; ; {
+		rest = rest[countLanes(*hp, rest, base):]
+		if len(rest) == 0 {
+			break
+		}
+		if base, ok = widen(hp, base, rest[0]); !ok {
+			return analyzeSparse(d, q)
+		}
+	}
+	// Fold the lanes into lane 0 and find the symbol range, then size
+	// Syms exactly.
+	h := *hp
+	first, last, distinct := -1, 0, 0
+	for i := range h {
+		c := h[i][0] + h[i][1]
+		h[i][0] = c
+		if c != 0 {
+			if first < 0 {
+				first = i
+			}
+			last = i
+			distinct++
+		}
+	}
+	d.Lo, d.Hi, d.Dense = base+int32(first), base+int32(last), true
+	d.Syms = make([]SymCount, 0, distinct)
+	n := float64(len(q))
+	for i := first; i <= last; i++ {
+		if c := uint64(h[i][0]); c != 0 {
+			d.Syms = append(d.Syms, SymCount{base + int32(i), c})
+			d.Bits += float64(c) * neglog2(float64(c)/n)
+		}
+	}
+	return d
+}
+
+// analyzeSparse counts q, whose symbol range is too wide for a dense
+// table, into a map and collects the counts in ascending symbol order
+// (sorted key prelude), so both the symbol table and the float
+// accumulation are deterministic.
+func analyzeSparse(d *Dist, q []int32) *Dist {
 	m := make(map[int32]uint64)
 	for _, v := range q {
 		m[v]++
 	}
-	// Collect in ascending symbol order (sorted key prelude) so both the
-	// symbol table and the float accumulation are deterministic.
 	syms := make([]int32, 0, len(m))
 	for s := range m {
 		syms = append(syms, s)
 	}
 	slices.Sort(syms)
+	d.Lo, d.Hi = syms[0], syms[len(syms)-1]
+	d.Dense = int64(d.Hi)-int64(d.Lo) < MaxDenseRange
 	d.Syms = make([]SymCount, 0, len(m))
 	n := float64(len(q))
 	for _, s := range syms {
 		c := m[s]
 		d.Syms = append(d.Syms, SymCount{s, c})
-		p := float64(c) / n
-		d.Bits += float64(c) * neglog2(p)
+		d.Bits += float64(c) * neglog2(float64(c)/n)
 	}
 	return d
 }

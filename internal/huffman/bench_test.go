@@ -29,7 +29,7 @@ func geometricStream(n int, r float64, seed int64) []int32 {
 
 // splitStream parses a single-body stream into its code table, declared
 // symbol count and body.
-func splitStream(tb testing.TB, enc []byte) (syms []int32, lengths []int, n int, body []byte) {
+func splitStream(tb testing.TB, enc []byte) (syms []int32, lengths []uint8, n int, body []byte) {
 	tb.Helper()
 	hdrLen, c := binary.Uvarint(enc)
 	hdr, body := enc[c:c+int(hdrLen)], enc[c+int(hdrLen):]
@@ -42,8 +42,9 @@ func splitStream(tb testing.TB, enc []byte) (syms []int32, lengths []int, n int,
 }
 
 // decodeProfiles are the synthetic streams BenchmarkDecodeBody decodes:
-// ~1 and ~1.5 bits/symbol (SZ3/QoZ index streams with QP), ~3 (HPEZ) and
-// ~10 (MGARD at a tight bound).
+// ~1 and ~1.5 bits/symbol (SZ3/QoZ index streams with QP), ~3 (HPEZ), and
+// ~10 and ~11 (MGARD at a tight bound), whose codes of 13–19 bits carry
+// 7 % and 12 % of the symbols (a real MGARD S3D QP stream: 12 %).
 var decodeProfiles = []struct {
 	name string
 	r    float64
@@ -52,17 +53,30 @@ var decodeProfiles = []struct {
 	{"1.5bit", 0.25},
 	{"3bit", 0.6},
 	{"10bit", 0.995},
+	{"11bit", 0.997},
 }
 
 // BenchmarkDecodeBody times both decode kernels on each profile,
 // including the table build a decode pays for; ns/symbol is the figure to
-// compare across profiles, bits/symbol what the profile codes to, and
-// auto=1 marks the kernel multiPays picks for it.
+// compare across profiles, bits/symbol what the profile codes to, long
+// the share of its symbols coded in more than fastBits bits, and auto=1
+// marks the kernel multiPays picks for it.
 func BenchmarkDecodeBody(b *testing.B) {
 	const n = 1 << 18
 	for pi, p := range decodeProfiles {
-		syms, lengths, _, body := splitStream(b, Encode(geometricStream(n, p.r, int64(pi+1))))
+		q := geometricStream(n, p.r, int64(pi+1))
+		syms, lengths, _, body := splitStream(b, Encode(q))
 		bits := float64(8*len(body)) / n
+		lenOf := make(map[int32]uint8, len(syms))
+		for i, s := range syms {
+			lenOf[s] = lengths[i]
+		}
+		long := 0
+		for _, v := range q {
+			if lenOf[v] > fastBits {
+				long++
+			}
+		}
 		for _, multi := range []bool{false, true} {
 			kernel := "single"
 			if multi {
@@ -80,6 +94,7 @@ func BenchmarkDecodeBody(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/symbol")
 				b.ReportMetric(bits, "bits/symbol")
+				b.ReportMetric(float64(long)/n, "long")
 				auto := 0.0
 				if multiPays(n, len(body)) == multi {
 					auto = 1

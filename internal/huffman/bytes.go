@@ -77,7 +77,7 @@ func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
 		syms[i] = int32(b)
 	}
 	d := entropy.Analyze(syms)
-	table := codeLengths(d)
+	table, _ := codeLengths(d)
 	// codeLengths is canonical-sorted, so the last entry is the deepest.
 	// Halving counts flattens the tree geometrically, so this loop is a
 	// few iterations even in theory and zero in practice (see byteMaxLen).
@@ -85,7 +85,7 @@ func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
 		for i := range d.Syms {
 			d.Syms[i].Count = (d.Syms[i].Count + 1) >> 1
 		}
-		table = codeLengths(d)
+		table, _ = codeLengths(d)
 	}
 	cs := buildCodes(table, d.Lo, d.Hi, d.Dense)
 
@@ -108,7 +108,7 @@ func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
 // packed 192-byte length vector and, like parseTableHeader, proves the
 // code space is not over-subscribed (checkCanonical) before the decoder
 // that trusts it exists.
-func parseByteTable(packed []byte) (syms []int32, lengths []int, err error) {
+func parseByteTable(packed []byte) (syms []int32, lengths []uint8, err error) {
 	var table [byteTableLen]byte
 	for g := 0; g < byteTableLen/4; g++ {
 		v := uint32(packed[3*g])<<16 | uint32(packed[3*g+1])<<8 | uint32(packed[3*g+2])
@@ -130,12 +130,12 @@ func parseByteTable(packed []byte) (syms []int32, lengths []int, err error) {
 		return nil, nil, fmt.Errorf("%w: huffman: empty code table", verdict.ErrCorrupt)
 	}
 	syms = make([]int32, 0, ntab)
-	lengths = make([]int, 0, ntab)
+	lengths = make([]uint8, 0, ntab)
 	for l := 1; l <= maxLen; l++ {
 		for s := 0; s < byteTableLen; s++ {
 			if int(table[s]) == l {
 				syms = append(syms, int32(s))
-				lengths = append(lengths, l)
+				lengths = append(lengths, uint8(l))
 			}
 		}
 	}

@@ -33,6 +33,17 @@ func FuzzHuffmanDecode(f *testing.F) {
 	f.Add(overSubscribedStream())   // three 1-bit codes
 	// A long short-code stream, so the multi-symbol kernel runs.
 	f.Add(Encode(geometricStream(minMultiSymbols, 0.25, 1)))
+	// Codes of 1 to 20 bits, the long ones decoded through the
+	// second-level tables: symbol i occurs Fibonacci(i) times.
+	var fib []int32
+	for i, a, b := int32(0), 1, 1; i <= 20; i, a, b = i+1, b, a+b {
+		for k := 0; k < a; k++ {
+			fib = append(fib, i)
+		}
+	}
+	f.Add(Encode(fib))
+	// Codes of up to 24 bits, past the second-level tables' reach.
+	f.Add(codedStream(append(ascending(24), 24), []int32{0, 24, 3, 23, 20, 1, 24, 22, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, err := Decode(data)
 		par, perr := DecodeParallel(data, -1, 4)

@@ -8,7 +8,8 @@
 // kernels: encode batches symbols into a 64-bit accumulator flushed in
 // word-sized writes; decode peeks a window of a local bit buffer into a
 // table — on long streams of short codes an 11-bit window whose entry
-// yields up to seven symbols, otherwise a 12-bit window that yields one.
+// yields up to seven symbols, otherwise a 12-bit window that yields one,
+// with a second-level table behind each 12-bit prefix of 13–20-bit codes.
 // A sharded variant (see sharded.go) splits the body into K independent
 // sub-streams under one shared code table so encode and decode scale with
 // cores.
@@ -17,6 +18,7 @@ package huffman
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"scdc/internal/bitstream"
@@ -30,69 +32,12 @@ import (
 // shorter than ~10^13 symbols, far beyond these workloads.
 const maxCodeLen = 64
 
+// node is one node of a Huffman tree: a leaf (left = right = -1) or the
+// merge of two nodes, carrying their summed count and smallest symbol.
 type node struct {
 	count       uint64
 	sym         int32
-	left, right int // indexes into the node arena; -1 for leaves
-}
-
-// nodeHeap is a binary min-heap of arena indexes ordered by (count, sym).
-// Live nodes cover disjoint symbol sets and carry their smallest symbol,
-// so the order is total and the pop sequence — hence the tree — does not
-// depend on the heap's internal layout. The heap is typed rather than a
-// container/heap.Interface because that API boxes every pushed and popped
-// index: two allocations per distinct symbol.
-type nodeHeap struct {
-	arena []node
-	idx   []int
-}
-
-func (h *nodeHeap) less(i, j int) bool {
-	a, b := &h.arena[h.idx[i]], &h.arena[h.idx[j]]
-	if a.count != b.count {
-		return a.count < b.count
-	}
-	// Tie-break on symbol for determinism.
-	return a.sym < b.sym
-}
-
-func (h *nodeHeap) push(v int) {
-	h.idx = append(h.idx, v)
-	for j := len(h.idx) - 1; j > 0; {
-		parent := (j - 1) / 2
-		if !h.less(j, parent) {
-			break
-		}
-		h.idx[j], h.idx[parent] = h.idx[parent], h.idx[j]
-		j = parent
-	}
-}
-
-func (h *nodeHeap) pop() int {
-	n := len(h.idx) - 1
-	h.idx[0], h.idx[n] = h.idx[n], h.idx[0]
-	h.down(0, n)
-	v := h.idx[n]
-	h.idx = h.idx[:n]
-	return v
-}
-
-// down sifts element i into place within the first n elements.
-func (h *nodeHeap) down(i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && h.less(c+1, c) {
-			c++
-		}
-		if !h.less(c, i) {
-			return
-		}
-		h.idx[i], h.idx[c] = h.idx[c], h.idx[i]
-		i = c
-	}
+	left, right int32 // indexes into the node arena; -1 for leaves
 }
 
 type symLen struct {
@@ -100,40 +45,113 @@ type symLen struct {
 	len int
 }
 
+// less orders nodes by (count, sym). Nodes cover disjoint symbol sets, so
+// the order is total.
+func (a *node) less(b *node) bool {
+	return a.count < b.count || (a.count == b.count && a.sym < b.sym)
+}
+
+// leafOrder returns the indexes of syms sorted by (count, sym): a stable
+// least-significant-digit radix sort on the count, a byte per pass and
+// only as many passes as the largest count has bytes, of the indexes in
+// syms order, which is ascending by symbol.
+func (t *treeScratch) leafOrder(syms []entropy.SymCount) []int32 {
+	n := len(syms)
+	t.order = grow(t.order, 2*n)
+	src, dst := t.order[:n], t.order[n:]
+	var most uint64
+	for i, s := range syms {
+		src[i] = int32(i)
+		most = max(most, s.Count)
+	}
+	for shift := 0; shift < bits.Len64(most); shift += 8 {
+		var start [257]int
+		for _, i := range src {
+			start[int(byte(syms[i].Count>>shift))+1]++
+		}
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		for _, i := range src {
+			b := byte(syms[i].Count >> shift)
+			dst[start[b]] = i
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
 // buildTree builds the Huffman tree over syms and returns its node arena:
 // the leaves first, in syms order, then every merge above both of its
-// children, so the root is the last node.
-func buildTree(syms []entropy.SymCount) []node {
-	h := nodeHeap{arena: make([]node, 0, 2*len(syms)), idx: make([]int, len(syms))}
+// children, so the root is the last node. It is the two-queue method:
+// the leaves are sorted once by (count, sym), and merges come out in
+// (count, sym) order too — a merge outweighs both its children, and two
+// merges of one count merged four nodes of half that count, the first
+// two holding the smaller symbol — so the smaller of the two queue heads
+// is always the node a (count, sym) min-heap would pop. The tree is the
+// one the heap builds, merge for merge.
+func (t *treeScratch) buildTree(syms []entropy.SymCount) []node {
+	n := len(syms)
+	arena := grow(t.arena, 2*n-1)[:n]
 	for i, s := range syms {
-		h.arena = append(h.arena, node{count: s.Count, sym: s.Sym, left: -1, right: -1})
-		h.idx[i] = i
+		arena[i] = node{count: s.Count, sym: s.Sym, left: -1, right: -1}
 	}
-	for i := len(syms)/2 - 1; i >= 0; i-- {
-		h.down(i, len(syms))
+	order := t.leafOrder(syms)
+	leaf, merged := 0, n // heads of the two queues
+	next := func() int32 {
+		if leaf < n && (merged == len(arena) || arena[order[leaf]].less(&arena[merged])) {
+			leaf++
+			return order[leaf-1]
+		}
+		merged++
+		return int32(merged - 1)
 	}
-	for len(h.idx) > 1 {
-		a := h.pop()
-		b := h.pop()
-		h.arena = append(h.arena, node{
-			count: h.arena[a].count + h.arena[b].count,
-			sym:   min(h.arena[a].sym, h.arena[b].sym),
+	for len(arena) < 2*n-1 {
+		a, b := next(), next()
+		arena = append(arena, node{
+			count: arena[a].count + arena[b].count,
+			sym:   min(arena[a].sym, arena[b].sym),
 			left:  a, right: b,
 		})
-		h.push(len(h.arena) - 1)
 	}
-	return h.arena
+	t.arena = arena
+	return arena
+}
+
+// treeScratch is the pooled working memory of one code-length build: the
+// node arena and the radix sort's two index buffers.
+type treeScratch struct {
+	arena []node
+	order []int32
+}
+
+var treePool = sync.Pool{New: func() any { return new(treeScratch) }}
+
+// grow returns s resliced to n elements, reallocated if its capacity is
+// short; the contents are not preserved.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // codeLengths computes Huffman code lengths for the distinct symbols of
-// d, in canonical order: by length, then symbol.
-func codeLengths(d *entropy.Dist) []symLen {
-	syms := d.Syms
-	if len(syms) == 1 {
-		return []symLen{{syms[0].Sym, 1}}
+// d, in canonical order: by length, then symbol, and the length of the
+// body they code d's symbols to, in bits.
+func codeLengths(d *entropy.Dist) (table []symLen, bodyBits uint64) {
+	if len(d.Syms) == 1 {
+		return []symLen{{d.Syms[0].Sym, 1}}, d.Syms[0].Count
 	}
-	arena := buildTree(syms)
+	t := treePool.Get().(*treeScratch)
+	defer treePool.Put(t)
+	return canonical(t.buildTree(d.Syms), d.Syms)
+}
 
+// canonical reads the code lengths of syms off their Huffman tree (whose
+// arena begins with their leaves, in order) and sorts them canonically.
+func canonical(arena []node, syms []entropy.SymCount) (table []symLen, bodyBits uint64) {
 	// Parents sit above their children, so one reverse pass assigns all
 	// depths. The counts are dead once the tree is built; the field
 	// carries the depth from here on.
@@ -143,46 +161,51 @@ func codeLengths(d *entropy.Dist) []symLen {
 		arena[nd.left].count, arena[nd.right].count = nd.count+1, nd.count+1
 	}
 
-	// The leaves are in d.Syms order — ascending by symbol — so a stable
+	// The leaves are in syms order — ascending by symbol — so a stable
 	// counting sort on length yields the canonical order in O(n);
 	// insertion-sorting the depth-first leaf order was quadratic on wide
 	// alphabets (10^4 distinct symbols at tight error bounds).
 	leaves := arena[:len(syms)]
 	var start [maxCodeLen + 2]int // depths are bounded by maxCodeLen
-	for _, lf := range leaves {
+	for i, lf := range leaves {
 		start[lf.count+1]++
+		bodyBits += syms[i].Count * lf.count
 	}
 	for l := 1; l < len(start); l++ {
 		start[l] += start[l-1]
 	}
-	out := make([]symLen, len(syms))
+	table = make([]symLen, len(syms))
 	for _, lf := range leaves {
-		out[start[lf.count]] = symLen{lf.sym, int(lf.count)}
+		table[start[lf.count]] = symLen{lf.sym, int(lf.count)}
 		start[lf.count]++
 	}
-	return out
+	return table, bodyBits
 }
 
 // --- encoding ---
 
-// codeSet holds the canonical code assignment for one table, with a dense
-// array fast path when the symbol range is moderate.
+// codeSet holds the canonical code assignment for one table: one word
+// per symbol of a moderate range, code<<8 | length, or maps.
 type codeSet struct {
-	lo       int32
-	codesArr []uint64
-	lensArr  []uint8
-	codes    map[int32]uint64
-	lens     map[int32]uint
+	lo     int32
+	packed []uint64
+	codes  map[int32]uint64
+	lens   map[int32]uint
 }
 
+// packedMaxLen is the longest code a packed word holds above its 8-bit
+// length. A longer one needs ~Fibonacci(58) symbols; its table takes the
+// maps.
+const packedMaxLen = 56
+
 // buildCodes assigns canonical codes (ordered by length, then symbol) to
-// the table entries. dense selects the flat-array lookup path over [lo,hi].
+// the table entries. dense selects the packed lookup over [lo,hi], unless
+// a code is longer than packedMaxLen.
 func buildCodes(table []symLen, lo, hi int32, dense bool) codeSet {
 	var cs codeSet
 	cs.lo = lo
-	if dense && len(table) > 0 {
-		cs.codesArr = make([]uint64, int(hi-lo)+1)
-		cs.lensArr = make([]uint8, int(hi-lo)+1)
+	if dense && len(table) > 0 && table[len(table)-1].len <= packedMaxLen {
+		cs.packed = make([]uint64, int(hi-lo)+1)
 	} else {
 		cs.codes = make(map[int32]uint64, len(table))
 		cs.lens = make(map[int32]uint, len(table))
@@ -193,9 +216,8 @@ func buildCodes(table []symLen, lo, hi int32, dense bool) codeSet {
 		if prevLen != 0 {
 			code = (code + 1) << uint(sl.len-prevLen)
 		}
-		if cs.codesArr != nil {
-			cs.codesArr[sl.sym-lo] = code
-			cs.lensArr[sl.sym-lo] = uint8(sl.len)
+		if cs.packed != nil {
+			cs.packed[sl.sym-lo] = code<<8 | uint64(sl.len)
 		} else {
 			cs.codes[sl.sym] = code
 			cs.lens[sl.sym] = uint(sl.len)
@@ -211,25 +233,26 @@ func buildCodes(table []symLen, lo, hi int32, dense bool) codeSet {
 // bitstream.Writer one code at a time (MSB-first, zero-padded tail byte),
 // without the per-symbol call and branch overhead.
 func encodeBody(dst []byte, q []int32, cs *codeSet) []byte {
-	if cs.codesArr != nil {
-		return encodeDense(dst, q, cs.codesArr, cs.lensArr, cs.lo)
+	if cs.packed != nil {
+		return encodeDense(dst, q, cs.packed, cs.lo)
 	}
 	return encodeSparse(dst, q, cs)
 }
 
 // encodeDense is the array-indexed encode kernel for dense symbol ranges
-// — the path every quantizer stream takes. Splitting it from the map
-// fallback keeps the hot loop free of map headers and lets the compiler
-// gate hold it to the no-allocation contract.
+// — the path every quantizer stream takes. One load per symbol yields its
+// code and length. Splitting it from the map fallback keeps the hot loop
+// free of map headers and lets the compiler gate hold it to the
+// no-allocation contract.
 //
 //scdc:hot
 //scdc:noalloc
-func encodeDense(dst []byte, q []int32, codes []uint64, lens []uint8, lo int32) []byte {
+func encodeDense(dst []byte, q []int32, packed []uint64, lo int32) []byte {
 	var acc uint64
 	var nbit uint
 	for _, v := range q {
-		i := v - lo
-		c, l := codes[i], uint(lens[i])
+		e := packed[v-lo]
+		c, l := e>>8, uint(e&255)
 		if nbit+l <= 64 {
 			acc = acc<<l | c
 			nbit += l
@@ -314,20 +337,26 @@ func Encode(q []int32) []byte {
 // (core.ChooseEncodingCoder) never histogram the array twice. d must
 // describe exactly q.
 func EncodeDist(q []int32, d *entropy.Dist) []byte {
-	table := []symLen(nil)
+	var table []symLen
+	var bodyBits uint64
 	if len(q) > 0 {
-		table = codeLengths(d)
+		table, bodyBits = codeLengths(d)
 	}
 	cs := buildCodes(table, d.Lo, d.Hi, d.Dense && len(q) > 0)
+	hdr := appendTableHeader(make([]byte, 0, headerCap(table)), len(q), table)
 
-	hdr := make([]byte, 0, 16+len(table)*3)
-	hdr = appendTableHeader(hdr, len(q), table)
-
-	out := make([]byte, 0, len(hdr)+len(q)/2+24)
+	// The code lengths fix the body's size, so one allocation holds the
+	// whole stream.
+	out := make([]byte, 0, binary.MaxVarintLen64+len(hdr)+int((bodyBits+7)/8))
 	out = binary.AppendUvarint(out, uint64(len(hdr)))
 	out = append(out, hdr...)
 	return encodeBody(out, q, &cs)
 }
+
+// headerCap bounds the table header of table: two uvarints, then at most
+// a 5-byte symbol delta (two int32s differ by less than 2^32) and a
+// 1-byte length per entry.
+func headerCap(table []symLen) int { return 2*binary.MaxVarintLen64 + 6*len(table) }
 
 // --- decoding ---
 
@@ -349,10 +378,49 @@ const (
 	multiSyms = 7
 )
 
+// fastEnt is one slot of a one-lookup table. In the 12-bit table, an
+// entry with len == 0 and sub != 0 is the prefix of codes of fastBits+1
+// to fastBits+subBits bits: their second-level table is the 1<<sub
+// entries of decTabs.sub from index sym, looked up by the sub bits after
+// the prefix. len == 0 anywhere else is a miss: a longer code, or a hole
+// in an incomplete code.
 type fastEnt struct {
 	sym int32
 	len uint8
+	sub uint8
 }
+
+// A second-level entry is the index of its symbol in decoder.syms,
+// shifted up by subLenBits, above the whole code's length; 0 is a miss.
+// Codes of at most 20 bits come first in canonical order and number at
+// most 2^20, so the index fits.
+const subLenBits = 5
+
+// second resolves the 12-bit-table prefix entry e through its
+// second-level table by the bits after the prefix in bitBuf; a miss
+// returns an entry of length 0. The tables are loaded here, on the rare
+// path, so the kernels' loops keep no registers for them.
+//
+//scdc:inline
+func (d *decoder) second(e fastEnt, bitBuf uint64) fastEnt {
+	sub, syms := d.tabs.sub, d.syms
+	if i := uint(e.sym) + uint(bitBuf<<fastBits>>(64-e.sub)); i < uint(len(sub)) {
+		if j := uint(sub[i] >> subLenBits); j < uint(len(syms)) {
+			return fastEnt{sym: syms[j], len: uint8(sub[i] & (1<<subLenBits - 1))}
+		}
+	}
+	return fastEnt{}
+}
+
+// subBits is how many bits past fastBits the second-level tables
+// resolve: codes of 13 to 20 bits decode in two lookups, longer ones
+// through resyncSlow. subCap bounds one decoder's second-level entries
+// (64 KB; a real MGARD stream at ~10 bits/symbol needs 10 000–12 500);
+// the codes of prefixes past it decode through resyncSlow too.
+const (
+	subBits = 8
+	subCap  = 1 << 14
+)
 
 // multiEnt decodes every code that lies wholly inside one multiBits-wide
 // window: for each of its first n (at most multiSyms) codes a fast-table
@@ -380,6 +448,7 @@ type decTabs struct {
 	fast    [1 << fastBits]fastEnt
 	touched int // fast entries [0,touched) were written since the last clear
 	multi   *[1 << multiBits]multiEnt
+	sub     []uint32 // second-level tables, grown to what a decoder needs
 }
 
 var tabPool = sync.Pool{New: func() any {
@@ -411,11 +480,11 @@ func multiPays(n, bodyLen int) bool {
 // code from the code's value on. A code after the first
 // is never 0 unless the walk wrapped past 2^64, which only 64-bit codes
 // can do.
-func checkCanonical(lengths []int) error {
+func checkCanonical(lengths []uint8) error {
 	var code uint64
 	for i, l := range lengths {
 		if i > 0 {
-			code = (code + 1) << uint(l-lengths[i-1])
+			code = (code + 1) << (l - lengths[i-1])
 		}
 		if (i > 0 && code == 0) || (l < 64 && code>>uint(l) != 0) {
 			return fmt.Errorf("%w: huffman: over-subscribed code table", verdict.ErrCorrupt)
@@ -426,7 +495,7 @@ func checkCanonical(lengths []int) error {
 
 // parseTableHeader parses the canonical table header (after the sample
 // count), returning the symbols and code lengths.
-func parseTableHeader(hdr []byte) (syms []int32, lengths []int, err error) {
+func parseTableHeader(hdr []byte) (syms []int32, lengths []uint8, err error) {
 	ntab, k := binary.Uvarint(hdr)
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("%w: huffman: bad table size", verdict.ErrCorrupt)
@@ -439,7 +508,7 @@ func parseTableHeader(hdr []byte) (syms []int32, lengths []int, err error) {
 	}
 
 	syms = make([]int32, ntab)
-	lengths = make([]int, ntab)
+	lengths = make([]uint8, ntab)
 	prevSym := int64(0)
 	prevLen := 0
 	for i := range syms {
@@ -461,7 +530,7 @@ func parseTableHeader(hdr []byte) (syms []int32, lengths []int, err error) {
 			return nil, nil, fmt.Errorf("%w: huffman: symbol out of int32 range", verdict.ErrCorrupt)
 		}
 		syms[i] = int32(prevSym)
-		lengths[i] = int(l)
+		lengths[i] = uint8(l)
 		prevLen = int(l)
 	}
 	if err := checkCanonical(lengths); err != nil {
@@ -482,7 +551,7 @@ type decoder struct {
 // newDecoder builds per-length canonical tables plus the table-driven fast
 // path for codes up to fastBits long, and with multi the multi-symbol
 // table on top of it. The table must have passed checkCanonical.
-func newDecoder(syms []int32, lengths []int, multi bool) *decoder {
+func newDecoder(syms []int32, lengths []uint8, multi bool) *decoder {
 	d := &decoder{syms: syms, multi: multi}
 	t := tabPool.Get().(*decTabs)
 	clear(t.fast[:t.touched])
@@ -491,7 +560,7 @@ func newDecoder(syms []int32, lengths []int, multi bool) *decoder {
 	var code uint64
 	prevLen := 0
 	for i := range syms {
-		l := lengths[i]
+		l := int(lengths[i])
 		if prevLen != 0 {
 			code = (code + 1) << uint(l-prevLen)
 		}
@@ -504,16 +573,76 @@ func newDecoder(syms []int32, lengths []int, multi bool) *decoder {
 			base := code << uint(fastBits-l)
 			span := uint64(1) << uint(fastBits-l)
 			for j := base; j < base+span; j++ {
-				t.fast[j] = fastEnt{syms[i], uint8(l)}
+				t.fast[j] = fastEnt{sym: syms[i], len: uint8(l)}
 			}
 			t.touched = int(base + span)
 		}
 		prevLen = l
 	}
+	d.buildSub()
 	if multi {
 		t.buildMulti()
 	}
 	return d
+}
+
+// buildSub gives every 12-bit prefix of 13–20-bit codes its second-level
+// table, sized by the longest of those codes, while they fit in subCap
+// entries. The codes of one length are consecutive, so their prefixes are
+// one range, and lengths ascend, so the last length to claim a prefix is
+// its longest.
+func (d *decoder) buildSub() {
+	t := d.tabs
+	lastPrefix := -1
+	for l := fastBits + 1; l <= fastBits+subBits; l++ {
+		if tb := d.tables[l]; tb.count > 0 {
+			shift := uint(l - fastBits)
+			lastPrefix = int((tb.firstCode + uint64(tb.count) - 1) >> shift)
+			for p := tb.firstCode >> shift; p <= uint64(lastPrefix); p++ {
+				t.fast[p].sub = uint8(shift)
+			}
+		}
+	}
+	if lastPrefix < 0 {
+		return
+	}
+	t.touched = max(t.touched, lastPrefix+1)
+	used := int32(0)
+	for p := range t.fast[:lastPrefix+1] {
+		e := &t.fast[p]
+		if e.sub == 0 {
+			continue
+		}
+		if size := int32(1) << e.sub; used+size <= subCap {
+			e.sym = used
+			used += size
+		} else {
+			e.sub = 0
+		}
+	}
+	if cap(t.sub) < int(used) {
+		t.sub = make([]uint32, used)
+	}
+	t.sub = t.sub[:used]
+	clear(t.sub)
+	for l := fastBits + 1; l <= fastBits+subBits; l++ {
+		tb := d.tables[l]
+		shift := uint(l - fastBits)
+		for j := 0; j < tb.count; j++ {
+			code := tb.firstCode + uint64(j)
+			e := t.fast[code>>shift]
+			if e.sub == 0 {
+				continue
+			}
+			// The code fills the entries whose first shift bits are its
+			// last shift bits.
+			span := uint64(1) << (uint(e.sub) - shift)
+			first := uint64(e.sym) + code&(1<<shift-1)*span
+			for k := first; k < first+span; k++ {
+				t.sub[k] = uint32(tb.firstIdx+j)<<subLenBits | uint32(l)
+			}
+		}
+	}
 }
 
 // buildMulti fills every multi-table slot by decoding its window greedily
@@ -569,8 +698,9 @@ func (d *decoder) decodeBody(body []byte, out []int32) error {
 // leaves up to 8 bits of rest[0] past bitCnt; they are the stream's own,
 // and every later refill, this kernel's or decodeSingle's, ORs the same
 // values over them. An entry with count 0 (a code longer than multiBits)
-// falls back to the fast table and then to resyncSlow, exactly as
-// decodeSingle would. The tail — where a code may meet the end of the
+// falls back to the fast table, its second level (the register holds the
+// whole of a 20-bit code) and then resyncSlow, exactly as decodeSingle
+// would. The tail — where a code may meet the end of the
 // body — is decodeSingle's, so truncation is caught in one place, with the
 // same error, whichever kernel runs.
 //
@@ -601,7 +731,11 @@ func (d *decoder) decodeMulti(body []byte, out []int32) error {
 			out = out[e.n&7:] // n <= 7 already; the mask shows the prove pass
 			continue
 		}
-		if f := fast[bitBuf>>(64-fastBits)]; f.len != 0 {
+		f := fast[bitBuf>>(64-fastBits)]
+		if f.len == 0 && f.sub != 0 {
+			f = d.second(f, bitBuf)
+		}
+		if f.len != 0 {
 			out[0] = f.sym
 			bitBuf <<= f.len
 			bitCnt -= uint(f.len)
@@ -628,11 +762,12 @@ func (d *decoder) decodeMulti(body []byte, out []int32) error {
 // holds zeros — or, handed over by decodeMulti, look-ahead bits of
 // rest[0], which the first refill ORs over with the same values before a
 // peek can reach them — so the top-12-bit peek is zero-padded for free
-// where it runs past the body, matching Reader.PeekBits. Codes longer than
-// fastBits — which need ~Fibonacci(13) skewed counts to exist — re-sync
-// through the canonical slow path on a bitstream.Reader (resyncSlow, kept
-// out of this body so its unprovable index never costs the hot loop a
-// check).
+// where it runs past the body, matching Reader.PeekBits. A code of 13–20
+// bits takes a second lookup, into its prefix's second-level table, and
+// is checked against the bits present the same way. Longer codes, and the
+// prefixes that did not fit subCap, re-sync through the canonical slow
+// path on a bitstream.Reader (resyncSlow, kept out of this body so its
+// unprovable index never costs the hot loop a check).
 //
 //scdc:hot
 //scdc:noalloc
@@ -660,6 +795,9 @@ func (d *decoder) decodeSingle(body, rest []byte, bitBuf uint64, bitCnt uint, ou
 			}
 		}
 		e := ents[bitBuf>>(64-fastBits)]
+		if e.len == 0 && e.sub != 0 {
+			e = d.second(e, bitBuf)
+		}
 		if l := uint(e.len); l != 0 {
 			if l > bitCnt {
 				// The lookup matched only thanks to the zero padding past
@@ -682,9 +820,10 @@ func (d *decoder) decodeSingle(body, rest []byte, bitBuf uint64, bitCnt uint, ou
 }
 
 // resyncSlow handles both kernels' rare long-code path: it positions a
-// Reader at the current bit offset, decodes one code longer than
-// fastBits, and returns the symbol plus the refreshed cursor state —
-// the unread suffix of body and the reloaded partial byte. pos/bitCnt
+// Reader at the current bit offset, decodes one code the tables miss
+// (longer than fastBits+subBits, or a hole), and returns the symbol plus
+// the refreshed cursor state — the unread suffix of body and the
+// reloaded partial byte. pos/bitCnt
 // locate the kernel's cursor at the unmatched peek.
 func (d *decoder) resyncSlow(body []byte, pos int, bitCnt uint) (sym int32, rest []byte, bitBuf uint64, nbits uint, err error) {
 	r := bitstream.NewReader(body)

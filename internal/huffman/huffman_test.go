@@ -3,6 +3,7 @@ package huffman
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -133,6 +134,27 @@ func TestSlowPathLongCodes(t *testing.T) {
 	roundTrip(t, q)
 }
 
+// TestCodesPastPackedWord: a code of packedMaxLen bits still packs into
+// one word with its length; a longer one moves the whole table to the
+// maps, and either way the stream decodes back.
+func TestCodesPastPackedWord(t *testing.T) {
+	for _, maxLen := range []int{packedMaxLen, packedMaxLen + 1, 63} {
+		lengths := append(ascending(maxLen), maxLen)
+		table := make([]symLen, len(lengths))
+		for i, l := range lengths {
+			table[i] = symLen{int32(i), l}
+		}
+		if cs := buildCodes(table, 0, int32(maxLen), true); (cs.packed != nil) != (maxLen <= packedMaxLen) {
+			t.Fatalf("longest code %d bits: packed = %v", maxLen, cs.packed != nil)
+		}
+		q := []int32{0, int32(maxLen), 3, int32(maxLen - 1), 1, int32(maxLen), 0}
+		dec, err := Decode(codedStream(lengths, q))
+		if err != nil || !slices.Equal(dec, q) {
+			t.Fatalf("longest code %d bits: decoded %v, %v; want %v", maxLen, dec, err, q)
+		}
+	}
+}
+
 // TestFastTableReuseCleared: the pooled fast table is cleared only over
 // its touched prefix on reuse. Decode a stream whose table fills most of
 // the fast table, then a crafted stream whose 1-bit code leaves the upper
@@ -172,7 +194,7 @@ func codeLengthsRef(d *entropy.Dist) []symLen {
 	if len(d.Syms) == 1 {
 		return []symLen{{d.Syms[0].Sym, 1}}
 	}
-	arena := buildTree(d.Syms)
+	arena := new(treeScratch).buildTree(d.Syms)
 	var out []symLen
 	type frame struct{ n, depth int }
 	stack := []frame{{len(arena) - 1, 0}}
@@ -184,7 +206,7 @@ func codeLengthsRef(d *entropy.Dist) []symLen {
 			out = append(out, symLen{nd.sym, f.depth})
 			continue
 		}
-		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+		stack = append(stack, frame{int(nd.left), f.depth + 1}, frame{int(nd.right), f.depth + 1})
 	}
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && (out[j].len < out[j-1].len ||
@@ -224,7 +246,8 @@ func TestCodeLengthsMatchReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
 		d := randomDist(rng, 1+rng.Intn(600))
-		got, want := codeLengths(d), codeLengthsRef(d)
+		got, _ := codeLengths(d)
+		want := codeLengthsRef(d)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d entries, want %d", trial, len(got), len(want))
 		}
@@ -247,7 +270,7 @@ func TestCodeLengthsWideAlphabetScales(t *testing.T) {
 		best := time.Duration(math.MaxInt64)
 		for rep := 0; rep < 5; rep++ {
 			t0 := time.Now()
-			table := codeLengths(d)
+			table, _ := codeLengths(d)
 			if el := time.Since(t0); el < best {
 				best = el
 			}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -30,12 +31,62 @@ func TestOverSubscribedTableRejected(t *testing.T) {
 			}
 		}
 	}
-	if err := checkCanonical([]int{1, 2, 3, 3}); err != nil {
+	// Over-subscribed tables of 13–20-bit codes fail in the header
+	// check, before a decoder, and so a second-level table, exists: with
+	// the pool emptied, a failed decode allocates the parsed header, not
+	// the 32 KB of a decoder's first-level table.
+	for name, stream := range map[string][]byte{
+		"over-subscribed 13-20 bits":   tableStream(1, []int{1, 1, 13, 13, 14, 20}, []byte{0x00}),
+		"complete to 20 bits, then 64": tableStream(1, append(ascending(20), 20, 64), []byte{0x00}),
+	} {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeParallel(stream, -1, 1)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, verdict.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16<<10 {
+			t.Errorf("%s: a rejected table allocated %d bytes", name, n)
+		}
+	}
+	if err := checkCanonical([]uint8{1, 2, 3, 3}); err != nil {
 		t.Errorf("complete code rejected: %v", err)
 	}
-	if err := checkCanonical([]int{1, 2, 64, 64}); err != nil {
+	if err := checkCanonical([]uint8{1, 2, 64, 64}); err != nil {
 		t.Errorf("code reaching 64 bits rejected: %v", err)
 	}
+}
+
+// ascending returns the lengths 1, 2, …, n.
+func ascending(n int) []int {
+	ls := make([]int, n)
+	for i := range ls {
+		ls[i] = i + 1
+	}
+	return ls
+}
+
+// repeat returns n copies of length l.
+func repeat(l, n int) []int {
+	ls := make([]int, n)
+	for i := range ls {
+		ls[i] = l
+	}
+	return ls
+}
+
+// codedStream codes q under the canonical code of the given lengths over
+// symbols 0, 1, 2, … as a single-body stream.
+func codedStream(lengths []int, q []int32) []byte {
+	table := make([]symLen, len(lengths))
+	for i, l := range lengths {
+		table[i] = symLen{int32(i), l}
+	}
+	cs := buildCodes(table, 0, int32(len(table)-1), true)
+	return tableStream(len(q), lengths, encodeBody(nil, q, &cs))
 }
 
 // overSubscribedStream is one sample under three 1-bit codes.
@@ -107,6 +158,26 @@ func diffTables(rng *rand.Rand) []diffTable {
 			return 1 + rng.Intn(3)
 		})},
 		{"11-bit window edge", []int{1, 3, 5, 7, 9, 11, 11, 12, 13, 13}},
+		{"1-3 and 13-20 bits", kraftLengths(rng, 400, func() int {
+			if rng.Intn(2) == 0 {
+				return 13 + rng.Intn(8)
+			}
+			return 1 + rng.Intn(3)
+		})},
+		// 20-bit codes share their 12-bit prefixes with 21–30-bit ones,
+		// which the second-level tables leave to resyncSlow.
+		{"20 bits and over the cap", kraftLengths(rng, 400, func() int {
+			switch rng.Intn(4) {
+			case 0:
+				return 20
+			case 1:
+				return 21 + rng.Intn(10)
+			}
+			return 1 + rng.Intn(3)
+		})},
+		// 16400 20-bit codes fill 65 prefixes of 256 entries each: the
+		// last no longer fits subCap and decodes through resyncSlow.
+		{"second level full", append([]int{1, 2, 3}, repeat(20, 16400)...)},
 	}
 	var out []diffTable
 	for _, sh := range shapes {
@@ -134,12 +205,39 @@ func diffTables(rng *rand.Rand) []diffTable {
 }
 
 // decodeKernels decodes body with each kernel on its own decoder.
-func decodeKernels(syms []int32, lengths []int, body []byte, n int) (single, multi []int32, serr, merr error) {
+func decodeKernels(syms []int32, lengths []uint8, body []byte, n int) (single, multi []int32, serr, merr error) {
 	single, multi = make([]int32, n), make([]int32, n)
 	ds, dm := newDecoder(syms, lengths, false), newDecoder(syms, lengths, true)
 	defer ds.release()
 	defer dm.release()
 	return single, multi, ds.decodeBody(body, single), dm.decodeBody(body, multi)
+}
+
+// decodeResync decodes body with the single-symbol kernel on a decoder
+// stripped of its second-level tables, so every code over 12 bits goes
+// through resyncSlow: the decode before the second-level tables.
+func decodeResync(syms []int32, lengths []uint8, body []byte, n int) ([]int32, error) {
+	d := newDecoder(syms, lengths, false)
+	defer d.release()
+	for i := range d.tabs.fast {
+		d.tabs.fast[i].sub = 0
+	}
+	out := make([]int32, n)
+	return out, d.decodeBody(body, out)
+}
+
+// sameAsResync reports a disagreement between both kernels and
+// decodeResync on body.
+func sameAsResync(syms []int32, lengths []uint8, body []byte, n int) error {
+	single, multi, serr, merr := decodeKernels(syms, lengths, body, n)
+	if err := sameResult(single, multi, serr, merr); err != nil {
+		return fmt.Errorf("single vs multi: %w", err)
+	}
+	ref, rerr := decodeResync(syms, lengths, body, n)
+	if err := sameResult(single, ref, serr, rerr); err != nil {
+		return fmt.Errorf("second-level tables vs resyncSlow: %w", err)
+	}
+	return nil
 }
 
 // sameResult reports a disagreement between two decodes: an error that
@@ -159,15 +257,16 @@ func sameResult(a, b []int32, aerr, berr error) error {
 }
 
 // TestMultiMatchesSingle pits the multi-symbol kernel against the
-// single-symbol one on every table of diffTables: the body as written
-// must decode to the stream, and every truncation of it and a set of byte
-// corruptions must give both kernels the same error or the same output.
+// single-symbol one, and both against the resyncSlow-only decode, on
+// every table of diffTables: the body as written must decode to the
+// stream, and every truncation of it and a set of byte corruptions must
+// give all three the same error or the same output.
 func TestMultiMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for _, tc := range diffTables(rng) {
-		syms, lengths := make([]int32, len(tc.table)), make([]int, len(tc.table))
+		syms, lengths := make([]int32, len(tc.table)), make([]uint8, len(tc.table))
 		for i, sl := range tc.table {
-			syms[i], lengths[i] = sl.sym, sl.len
+			syms[i], lengths[i] = sl.sym, uint8(sl.len)
 		}
 		if err := checkCanonical(lengths); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -186,14 +285,14 @@ func TestMultiMatchesSingle(t *testing.T) {
 			}
 		}
 		for cut := 0; cut < len(body); cut++ {
-			if err := sameResult(decodeKernels(syms, lengths, body[:cut], len(tc.q))); err != nil {
+			if err := sameAsResync(syms, lengths, body[:cut], len(tc.q)); err != nil {
 				t.Fatalf("%s, body cut to %d of %d bytes: %v", tc.name, cut, len(body), err)
 			}
 		}
 		for k := 0; k < 200; k++ {
 			mut := append([]byte(nil), body...)
 			mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
-			if err := sameResult(decodeKernels(syms, lengths, mut, len(tc.q))); err != nil {
+			if err := sameAsResync(syms, lengths, mut, len(tc.q)); err != nil {
 				t.Fatalf("%s, corruption %d: %v", tc.name, k, err)
 			}
 		}

@@ -55,13 +55,13 @@ func EncodeShardedDist(q []int32, d *entropy.Dist, shards, workers int) []byte {
 		return EncodeDist(q, d)
 	}
 
-	table := codeLengths(d)
+	table, bodyBits := codeLengths(d)
 	cs := buildCodes(table, d.Lo, d.Hi, d.Dense)
+	hdr := appendTableHeader(make([]byte, 0, headerCap(table)), len(q), table)
 
-	hdr := make([]byte, 0, 16+len(table)*3)
-	hdr = appendTableHeader(hdr, len(q), table)
-
-	out := make([]byte, 0, 4+len(hdr)+len(q)/2+8*shards)
+	// Each shard pads its body to a byte and adds two uvarints to the
+	// directory.
+	out := make([]byte, 0, 2+2*binary.MaxVarintLen64+len(hdr)+int((bodyBits+7)/8)+shards*(1+2*binary.MaxVarintLen64))
 	out = append(out, shardedMarker, shardedVersion)
 	out = binary.AppendUvarint(out, uint64(len(hdr)))
 	out = append(out, hdr...)
