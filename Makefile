@@ -3,14 +3,15 @@
 # `make check` is the tier-1 gate: full build + tests, go vet, the
 # project static-analysis suite (scdclint + gofmt), a -race pass over
 # every package, a short fuzz pass over every decoder-facing fuzz
-# target, and a vet + test pass over the benchmark module.
+# target, one iteration of every benchmark, and a vet + test pass over
+# the benchmark module.
 # `make bench` runs the repository benchmark (benchmark/run.sh, declared
 # in BENCHMARK.json); benchmark/ holds its baselines.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures lint-gc race check bench bench-build fuzz-smoke cover loc
+.PHONY: all build test vet lint lint-fixtures lint-gc race check bench bench-build bench-smoke fuzz-smoke cover loc
 
 all: check
 
@@ -69,6 +70,12 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzLatticeKernelDifferential$$' -fuzztime $(FUZZTIME) ./internal/hpez/
 	$(GO) test -run xxx -fuzz '^FuzzLatticeKernelDifferential$$' -fuzztime $(FUZZTIME) ./internal/mgard/
 
+# One iteration of every Benchmark* in the module, so a benchmark broken
+# by a signature change or a runaway loop fails the gate rather than the
+# next measurement.
+bench-smoke:
+	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
 cover:
 	$(GO) test -cover ./...
 
@@ -78,7 +85,7 @@ cover:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build test vet lint lint-fixtures lint-gc race fuzz-smoke bench-build
+check: build test vet lint lint-fixtures lint-gc race fuzz-smoke bench-smoke bench-build
 
 # One harness: end-to-end throughput, ratio and the per-layer trace for
 # the four workloads of BENCHMARK.json (see benchmark/README.md).

@@ -51,7 +51,7 @@ func TestListManifest(t *testing.T) {
 // carries. Dropping a directive (or a refactor silently renaming a
 // carrier out of the manifest) fails here even when the surviving
 // directives still hold, so coverage can only shrink deliberately. The
-// tree has 75 carriers.
+// tree has 66 carriers.
 func TestRealTreeManifest(t *testing.T) {
 	set, err := gcgate.Collect("../..", gatePkgs)
 	if err != nil {
@@ -69,25 +69,16 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/core.Region.carryRow noalloc",
 		"scdc/internal/core.Region.rowBase inline,noalloc",
 		"scdc/internal/core.copyRun inline,noalloc",
-		"scdc/internal/core.fwd1D noalloc",
-		"scdc/internal/core.fwd2DAlways noalloc",
-		"scdc/internal/core.fwd2DSign2 noalloc",
-		"scdc/internal/core.fwd2DSign3 noalloc",
-		"scdc/internal/core.fwd2DSkipU noalloc",
-		"scdc/internal/core.fwd3DAlways noalloc",
-		"scdc/internal/core.fwd3DSign2 noalloc",
-		"scdc/internal/core.fwd3DSign3 noalloc",
-		"scdc/internal/core.fwd3DSkipU noalloc",
-		"scdc/internal/core.inv1D noalloc",
-		"scdc/internal/core.inv2DAlways noalloc",
-		"scdc/internal/core.inv2DSign2 noalloc",
 		"scdc/internal/core.inv2DSign2Carry noalloc",
-		"scdc/internal/core.inv2DSign3 noalloc",
-		"scdc/internal/core.inv2DSkipU noalloc",
-		"scdc/internal/core.inv3DAlways noalloc",
-		"scdc/internal/core.inv3DSign2 noalloc",
-		"scdc/internal/core.inv3DSign3 noalloc",
-		"scdc/internal/core.inv3DSkipU noalloc",
+		"scdc/internal/core.qp1D noalloc",
+		"scdc/internal/core.qp2DAlways noalloc",
+		"scdc/internal/core.qp2DSign2 noalloc",
+		"scdc/internal/core.qp2DSign3 noalloc",
+		"scdc/internal/core.qp2DSkipU noalloc",
+		"scdc/internal/core.qp3DAlways noalloc",
+		"scdc/internal/core.qp3DSign2 noalloc",
+		"scdc/internal/core.qp3DSign3 noalloc",
+		"scdc/internal/core.qp3DSkipU noalloc",
 		"scdc/internal/entropy.countLanes noalloc,nobounds",
 		"scdc/internal/hpez.(*sweep).addTap noalloc",
 		"scdc/internal/hpez.(*sweep).fwdRun noalloc",

@@ -49,12 +49,16 @@ func FuzzQPKernelDifferential(f *testing.F) {
 			rg.Back = -1
 		}
 
+		// Both outputs start dirty, as pooled QP buffers do: the forward
+		// must write every point of the region.
+		qpRef, qp := make([]int32, n), make([]int32, n)
+		for i := range qp {
+			qpRef[i], qp[i] = -999, -999
+		}
 		refPred := &Predictor{Cfg: cfg, Radius: radius}
-		qpRef := make([]int32, n)
 		refPred.ForwardRegionRef(q, qpRef, rg)
 
 		pred := &Predictor{Cfg: cfg, Radius: radius}
-		qp := make([]int32, n)
 		pred.ForwardRegion(q, qp, rg)
 		for i := range qp {
 			if qp[i] != qpRef[i] {

@@ -78,6 +78,14 @@ func kernelRegionCases() []regionCase {
 				Left: -1, Top: -1, Back: 3, Level: 1},
 		},
 		{
+			// A single point, every axis extent 1 at stride 0: the run
+			// axis has step 0.
+			name: "single-point-stride0",
+			arr:  4,
+			rg: Region{Base: 2, Ext: [4]int{1, 1, 1, 1}, Strd: [4]int{0, 0, 0, 0},
+				Left: 3, Top: 2, Back: 1, Level: 1},
+		},
+		{
 			// The run axis itself carries a neighbor (Top) at stride 2, so
 			// every compensated row has a head point; Left on the slowest
 			// axis leaves the two middle axes free.
@@ -245,7 +253,11 @@ func TestKernelsMatchCompensate(t *testing.T) {
 					for i := range qp {
 						qp[i] = sentinel
 					}
+					qIn := slices.Clone(q)
 					pred.ForwardRegion(q, qp, tc.rg)
+					if !slices.Equal(q, qIn) {
+						t.Fatalf("%s: forward wrote to its input q", name)
+					}
 					for i := range qp {
 						if qp[i] != qpRef[i] {
 							t.Fatalf("%s: forward mismatch at %d: kernel %d ref %d", name, i, qp[i], qpRef[i])
@@ -281,36 +293,38 @@ func TestKernelsMatchCompensate(t *testing.T) {
 	}
 }
 
-// TestKernelTableComplete: every enabled configuration has a forward and
-// an inverse kernel and names its in-run neighbor in slot 0, and only the
-// default one has a carrying inverse; ModeOff has neither kernels nor
-// neighbors.
+// TestKernelTableComplete: every enabled configuration has exactly one
+// kernel, which runs both directions, and names its in-run neighbor in
+// slot 0; only the default one has a carrying inverse besides; ModeOff has
+// neither kernels nor neighbors.
 func TestKernelTableComplete(t *testing.T) {
 	for _, mode := range allModes() {
 		for _, cond := range allConds() {
 			ops := kernelFor(mode, cond)
 			if mode == ModeOff {
-				if ops.fwd != nil || ops.inv != nil || ops.invCarry != nil || ops.nb != [3]int{} {
+				if ops.k != nil || ops.carry != nil || ops.nb != [3]int{} {
 					t.Errorf("%v/%v: ModeOff must yield zero ops, got %+v", mode, cond, ops)
 				}
 				continue
 			}
-			if ops.fwd == nil || ops.inv == nil || ops.nb[0] == nbNone {
+			if ops.k == nil || ops.nb[0] == nbNone {
 				t.Errorf("%v/%v: missing kernel or in-run neighbor: %+v", mode, cond, ops)
 			}
 			def := Default()
-			if isDefault := mode == def.Mode && cond == def.Cond; (ops.invCarry != nil) != isDefault {
-				t.Errorf("%v/%v: carrying inverse present=%v, want %v", mode, cond, ops.invCarry != nil, isDefault)
+			if isDefault := mode == def.Mode && cond == def.Cond; (ops.carry != nil) != isDefault {
+				t.Errorf("%v/%v: carrying inverse present=%v, want %v", mode, cond, ops.carry != nil, isDefault)
 			}
 		}
 	}
 }
 
-// TestBindCarriesRunNeighbor pins which inverse a sweep binds for the
-// default configuration: the carrying one exactly when Left lies on the
-// run axis of the stride-ordered region (SZ3's passes put it there), the
-// loading one otherwise. Both are correct everywhere the other is; this is
-// the choice the default decode speed rests on.
+// TestBindCarriesRunNeighbor pins which kernel a sweep binds for the
+// default configuration: the inverse takes the carrying one exactly when
+// Left lies on the run axis of the stride-ordered region (SZ3's passes put
+// it there), the loading one otherwise — both are correct wherever the
+// other is, and this is the choice the default decode speed rests on. The
+// forward takes the loading one everywhere: the symbols the carrying one
+// keeps would be transformed ones.
 func TestBindCarriesRunNeighbor(t *testing.T) {
 	cases := []struct {
 		region string
@@ -321,29 +335,35 @@ func TestBindCarriesRunNeighbor(t *testing.T) {
 		{"sz3-level1-back-run", false},
 		{"run-axis-needed-strided", false},
 	}
-	fn := func(k invKernel) uintptr { return reflect.ValueOf(k).Pointer() }
+	fn := func(k kernel) uintptr { return reflect.ValueOf(k).Pointer() }
 	def := Default()
 	ops := kernelFor(def.Mode, def.Cond)
 	for _, tc := range cases {
 		i := slices.IndexFunc(kernelRegionCases(), func(rc regionCase) bool { return rc.name == tc.region })
-		s := regionSweep{rg: kernelRegionCases()[i].rg.byStride()}
-		s.bind(ops)
-		want := ops.inv
+		inv := regionSweep{rg: kernelRegionCases()[i].rg.byStride()}
+		inv.bind(ops)
+		want := ops.k
 		if tc.carry {
-			want = ops.invCarry
+			want = ops.carry
 		}
-		if s.inv == nil || fn(s.inv) != fn(want) {
+		if inv.k == nil || fn(inv.k) != fn(want) {
 			t.Errorf("%s: bound the wrong inverse, want carrying=%v", tc.region, tc.carry)
+		}
+		fwd := regionSweep{rg: inv.rg, neg: -1}
+		fwd.bind(ops)
+		if fwd.k == nil || fn(fwd.k) != fn(ops.k) {
+			t.Errorf("%s: the forward must bind the loading kernel", tc.region)
 		}
 	}
 }
 
-// TestKernelNeedsMatchReads calls each table kernel directly — forward,
-// inverse and, where there is one, carrying inverse — with the offset
-// slots the table leaves unused set to a value that indexes out of range:
-// a kernel that read one would panic. The slot-0 neighbor lies on the run
-// axis, where a carrying inverse is the one a sweep binds. Every inverse
-// must recover the original from the reference's forward output.
+// TestKernelNeedsMatchReads calls each table kernel directly — forward
+// (over a copy of q, neg = -1), inverse in place and, where there is one,
+// carrying inverse — with the offset slots the table leaves unused set to
+// a value that indexes out of range: a kernel that read one would panic.
+// The slot-0 neighbor lies on the run axis, where a carrying inverse is
+// the one a sweep binds. Every inverse must recover the original from the
+// reference's forward output.
 func TestKernelNeedsMatchReads(t *testing.T) {
 	const radius = int32(8)
 	const poison = 1 << 20
@@ -386,18 +406,18 @@ func TestKernelNeedsMatchReads(t *testing.T) {
 				want[idx] = q[idx] - c
 			}
 			qp := slices.Clone(q)
-			if comp := ops.fwd(q, qp, i0, cnt, 1, off[0], off[1], off[2], radius, u); comp != wantComp {
+			if comp := ops.k(qp, q, i0, cnt, 1, off[0], off[1], off[2], radius, u, -1); comp != wantComp {
 				t.Errorf("%v/%v forward: compensated %d, reference %d", mode, cond, comp, wantComp)
 			}
 			if !slices.Equal(qp, want) {
 				t.Errorf("%v/%v forward: got %v, reference %v", mode, cond, qp, want)
 			}
-			for name, inv := range map[string]invKernel{"inverse": ops.inv, "carrying inverse": ops.invCarry} {
+			for name, inv := range map[string]kernel{"inverse": ops.k, "carrying inverse": ops.carry} {
 				if inv == nil {
 					continue
 				}
 				x := slices.Clone(want)
-				if comp := inv(x, i0, cnt, 1, off[0], off[1], off[2], radius, u); comp != wantComp {
+				if comp := inv(x, x, i0, cnt, 1, off[0], off[1], off[2], radius, u, 0); comp != wantComp {
 					t.Errorf("%v/%v %s: compensated %d, reference %d", mode, cond, name, comp, wantComp)
 				}
 				if !slices.Equal(x, q) {

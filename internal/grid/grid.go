@@ -219,15 +219,6 @@ func (f *Field) Clone() *Field {
 	return g
 }
 
-// CopyFrom copies sample values from src, which must have identical length.
-func (f *Field) CopyFrom(src *Field) error {
-	if len(src.Data) != len(f.Data) {
-		return fmt.Errorf("grid: copy length mismatch %d vs %d: %w", len(src.Data), len(f.Data), ErrBadDims)
-	}
-	copy(f.Data, src.Data)
-	return nil
-}
-
 // MinMax returns the minimum and maximum sample values. For an empty field
 // it returns (0, 0).
 func (f *Field) MinMax() (lo, hi float64) {
@@ -300,15 +291,6 @@ func (f *Field) Equal(g *Field) bool {
 		}
 	}
 	return true
-}
-
-// ToFloat32 converts the samples to float32.
-func (f *Field) ToFloat32() []float32 {
-	out := make([]float32, len(f.Data))
-	for i, v := range f.Data {
-		out[i] = float32(v)
-	}
-	return out
 }
 
 // FromFloat32 wraps 32-bit data as a float64 field (copying/widening).

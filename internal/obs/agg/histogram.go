@@ -51,18 +51,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Mean returns the arithmetic mean, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // HistSnapshot is a point-in-time copy of a histogram's state. Buckets
 // are read individually (not under one lock), so a snapshot taken during
 // concurrent observation may be off by in-flight increments — fine for

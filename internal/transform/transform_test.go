@@ -184,15 +184,6 @@ func TestWaveletOddAndTiny(t *testing.T) {
 	}
 }
 
-func TestWaveletLevels(t *testing.T) {
-	cases := map[int]int{8: 0, 16: 1, 32: 2, 64: 3, 100: 2, 96: 3, 1: 0}
-	for n, want := range cases {
-		if got := WaveletLevels(n); got != want {
-			t.Errorf("WaveletLevels(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 // TestQuickWavelet property: FWT97/IWT97 round-trips any even-length
 // signal.
 func TestQuickWavelet(t *testing.T) {

@@ -80,14 +80,3 @@ func IWT97(x []float64) {
 	lift(cdfBeta, false)
 	lift(cdfAlpha, true)
 }
-
-// WaveletLevels returns the number of dyadic decomposition levels usable
-// for extent n with a minimum band size of 8.
-func WaveletLevels(n int) int {
-	l := 0
-	for n >= 16 && n%2 == 0 {
-		n /= 2
-		l++
-	}
-	return l
-}
