@@ -51,7 +51,7 @@ func TestListManifest(t *testing.T) {
 // carries. Dropping a directive (or a refactor silently renaming a
 // carrier out of the manifest) fails here even when the surviving
 // directives still hold, so coverage can only shrink deliberately. The
-// tree has 66 carriers.
+// tree has 69 carriers.
 func TestRealTreeManifest(t *testing.T) {
 	set, err := gcgate.Collect("../..", gatePkgs)
 	if err != nil {
@@ -81,12 +81,13 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/core.qp3DSkipU noalloc",
 		"scdc/internal/entropy.countLanes noalloc,nobounds",
 		"scdc/internal/hpez.(*sweep).addTap noalloc",
-		"scdc/internal/hpez.(*sweep).fwdRun noalloc",
-		"scdc/internal/hpez.(*sweep).invRun noalloc",
-		"scdc/internal/hpez.(*sweep).predict noalloc",
+		"scdc/internal/hpez.(*sweep).fwdChunk noalloc",
+		"scdc/internal/hpez.(*sweep).invChunk noalloc",
 		"scdc/internal/hpez.(*sweep).row noalloc",
+		"scdc/internal/hpez.(*sweep).segment noalloc",
 		"scdc/internal/hpez.(*sweep).setTaps noalloc",
 		"scdc/internal/hpez.(*sweep).sweepLevel noalloc",
+		"scdc/internal/hpez.accumulate noalloc",
 		"scdc/internal/huffman.(*decoder).decodeMulti noalloc,nobounds",
 		"scdc/internal/huffman.(*decoder).decodeSingle noalloc,nobounds",
 		"scdc/internal/huffman.(*decoder).second inline",
@@ -102,6 +103,8 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/lossless.lzDecompressInto noalloc",
 		"scdc/internal/lossless.lzHash inline",
 		"scdc/internal/lossless.lzReadLen inline",
+		"scdc/internal/mgard.(*projection).factor noalloc",
+		"scdc/internal/mgard.(*projection).solve noalloc",
 		"scdc/internal/mgard.(*sweep).row noalloc",
 		"scdc/internal/mgard.(*sweep).run noalloc",
 		"scdc/internal/mgard.(*sweep).sweepLevel noalloc",

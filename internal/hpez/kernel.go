@@ -24,11 +24,17 @@ import (
 //	segment  the boundary case of the row axis itself when it is odd:
 //	         head (no left third), interior, right edge, trailing point.
 //
-// The inner loop then evaluates the taps' stencils on direct slice loads
-// and accumulates sum += w*p in tap order, dividing by the run-constant
-// weight sum — the reference's arithmetic, term for term, so symbols,
-// literals and reconstructions are bit-identical
-// (TestLatticeKernelsMatchWalker, FuzzLatticeKernelDifferential).
+// A segment is then swept tap-major, in chunks of up to len(sweep.acc)
+// points: the chunk's accumulators start at +0.0, each tap adds w*p over
+// the whole chunk in one loop specialised to its stencil (accumulate),
+// and one finishing loop divides by the run-constant weight sum and
+// quantizes or recovers each point. Per point that is the reference's
+// arithmetic, term for term and in tap order, so symbols, literals and
+// reconstructions are bit-identical (TestLatticeKernelsMatchWalker,
+// FuzzLatticeKernelDifferential). Evaluating every tap before any point
+// of the chunk is written is valid because a tap reads at ±s or ±3s along
+// an odd axis, which flips that axis's parity: no tap reads a point of
+// its own class (lattice's TestTapsLeaveClass).
 
 // tap is one axis's share of a run's prediction.
 type tap struct {
@@ -67,6 +73,9 @@ type sweep struct {
 	na    int
 	wsum  float64
 	inner int // index in taps of the row axis, whose case is per segment; -1 if absent
+
+	// acc holds one chunk's weighted tap sums.
+	acc [64]float64
 }
 
 // newSweep resolves the level-independent state.
@@ -154,10 +163,7 @@ func (sw *sweep) row(cur *core.RowCursor) bool {
 				}
 				segEnd = min(segEnd, runEnd)
 			}
-			o := cur.Base + k*step
-			if sw.fwd {
-				sw.fwdRun(o, step, segEnd-k)
-			} else if !sw.invRun(o, step, segEnd-k) {
+			if !sw.segment(cur.Base+k*step, step, segEnd-k) {
 				return false
 			}
 			k = segEnd
@@ -203,45 +209,98 @@ func (sw *sweep) addTap(a int, w float64, kind interp.Kind) {
 	sw.na++
 }
 
-// predict is the weighted average of the run's tap stencils at flat
-// index o.
+// segment predicts and quantizes (forward) or reconstructs (inverse) cnt
+// points from flat index o, chunk by chunk and tap-major. It returns false
+// when the inverse direction runs out of literals.
 //
+//scdc:hot
 //scdc:noalloc
-func (sw *sweep) predict(o int) float64 {
-	sum := 0.0
-	for i := 0; i < sw.na; i++ {
-		t := &sw.taps[i]
-		sum += t.w * t.st.At(sw.data, o, t.ss)
+func (sw *sweep) segment(o, step, cnt int) bool {
+	for cnt > 0 {
+		acc := sw.acc[:min(cnt, len(sw.acc))]
+		clear(acc)
+		for i := range sw.taps[:sw.na] {
+			accumulate(acc, sw.data, o, step, &sw.taps[i])
+		}
+		if sw.fwd {
+			sw.fwdChunk(acc, o, step)
+		} else if !sw.invChunk(acc, o, step) {
+			return false
+		}
+		o += len(acc) * step
+		cnt -= len(acc)
 	}
-	return sum / sw.wsum
+	return true
 }
 
-// fwdRun predicts and quantizes cnt points from flat index o.
+// accumulate adds the tap's weighted stencil at the points o, o+step, …
+// to acc, one loop per stencil. The arithmetic is interp.Stencil.At's.
 //
 //scdc:noalloc
-func (sw *sweep) fwdRun(o, step, cnt int) {
-	for ; cnt > 0; cnt-- {
-		d := sw.data[o]
-		sym, dec, ok := sw.quant.Quantize(d, sw.predict(o))
+func accumulate(acc, data []float64, o, step int, t *tap) {
+	w, ss := t.w, t.ss
+	switch t.st {
+	case interp.StCubic4:
+		for i := range acc {
+			acc[i] += w * interp.Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss])
+			o += step
+		}
+	case interp.StQuad3Left:
+		for i := range acc {
+			acc[i] += w * interp.Quad3Left(data[o-3*ss], data[o-ss], data[o+ss])
+			o += step
+		}
+	case interp.StQuad3Right:
+		for i := range acc {
+			acc[i] += w * interp.Quad3Right(data[o-ss], data[o+ss], data[o+3*ss])
+			o += step
+		}
+	case interp.StMid2:
+		for i := range acc {
+			acc[i] += w * interp.Mid2(data[o-ss], data[o+ss])
+			o += step
+		}
+	case interp.StExtrapLeft2:
+		for i := range acc {
+			acc[i] += w * interp.ExtrapLeft2(data[o-3*ss], data[o-ss])
+			o += step
+		}
+	default:
+		for i := range acc {
+			acc[i] += w * data[o-ss]
+			o += step
+		}
+	}
+}
+
+// fwdChunk quantizes the chunk's points against their tap sums.
+//
+//scdc:noalloc
+func (sw *sweep) fwdChunk(acc []float64, o, step int) {
+	data, wsum := sw.data, sw.wsum
+	for _, a := range acc {
+		d := data[o]
+		sym, dec, ok := sw.quant.Quantize(d, a/wsum)
 		sw.sym[o] = sym
 		if !ok {
 			sw.cs.Lits = append(sw.cs.Lits, d)
 		}
-		sw.data[o] = dec
+		data[o] = dec
 		o += step
 	}
 }
 
-// invRun reconstructs cnt points from flat index o: a literal for an
-// unpredictable symbol, the recovered prediction otherwise.
+// invChunk reconstructs the chunk's points from their tap sums: a literal
+// for an unpredictable symbol, the recovered prediction otherwise.
 //
 //scdc:noalloc
-func (sw *sweep) invRun(o, step, cnt int) bool {
-	for ; cnt > 0; cnt-- {
-		if sym := sw.sym[o]; sym != quantizer.Unpredictable {
-			sw.data[o] = sw.quant.Recover(sw.predict(o), sym)
+func (sw *sweep) invChunk(acc []float64, o, step int) bool {
+	data, sym, wsum := sw.data, sw.sym, sw.wsum
+	for _, a := range acc {
+		if q := sym[o]; q != quantizer.Unpredictable {
+			data[o] = sw.quant.Recover(a/wsum, q)
 		} else if v, ok := sw.cs.Literal(); ok {
-			sw.data[o] = v
+			data[o] = v
 		} else {
 			return false
 		}

@@ -81,8 +81,8 @@ func Line(at func(int) float64, n, t, s int, kind Kind) float64 {
 // Stencil names one of Line's six boundary cases. A sweep whose boundary
 // structure is constant along a run (the lattice row kernels: every outer
 // axis has one case per row, the run axis one per head/interior/tail
-// segment) classifies once with StencilAt and applies the case per point
-// with At.
+// segment) classifies once with StencilAt and applies the case to the
+// whole run in a loop specialised to it; At applies it at one point.
 type Stencil uint8
 
 const (

@@ -149,3 +149,58 @@ func TestQPPlaneAxesLowDims(t *testing.T) {
 		t.Fatalf("4D: left=%d top=%d prim=%d", left, top, prim)
 	}
 }
+
+// TestTapsLeaveClass: an interpolation tap of a class point — the point
+// at ±s or ±3s along any odd axis of its class — flips that axis's
+// parity, so it never lies in the point's own class, and it lies in an
+// earlier class of the level or on a coarser level. The HPEZ kernel
+// evaluates a whole chunk's taps before writing any of its points, which
+// is valid only because of the first half; the sweep order rests on the
+// second.
+func TestTapsLeaveClass(t *testing.T) {
+	shapes := [][]int{
+		{1}, {2}, {9}, {33},
+		{1, 7}, {5, 5}, {16, 9}, {2, 33},
+		{2, 3, 4}, {7, 9, 5}, {8, 8, 8}, {1, 6, 6},
+		{2, 2, 2, 2}, {3, 4, 5, 6}, {5, 1, 3, 7},
+	}
+	for _, dims := range shapes {
+		strides := grid.Strides(dims)
+		n, maxDim := 1, 0
+		for _, d := range dims {
+			n *= d
+			maxDim = max(maxDim, d)
+		}
+		for level := 1; 1<<(level-1) < maxDim; level++ {
+			s := 1 << (level - 1)
+			classes := Classes(dims, strides, level)
+			owner := make([]int, n) // 1 + class index at this level, 0 off the level
+			for ci, cl := range classes {
+				idxs, _ := regionPoints(cl.Region)
+				for _, i := range idxs {
+					owner[i] = ci + 1
+				}
+			}
+			for ci, cl := range classes {
+				idxs, poss := regionPoints(cl.Region)
+				for j, idx := range idxs {
+					for a := 0; a < 4; a++ {
+						if !cl.Odd[a] {
+							continue
+						}
+						c := cl.Coord(a, poss[j][a])
+						for _, off := range []int{-3 * s, -s, s, 3 * s} {
+							if c+off < 0 || c+off >= cl.N[a] {
+								continue
+							}
+							if o := owner[idx+off*cl.Strd[a]]; o >= ci+1 {
+								t.Fatalf("dims=%v level=%d class %d: tap %+d along axis %d of point %d lies in class %d",
+									dims, level, ci, off, a, idx, o-1)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

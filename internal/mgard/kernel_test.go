@@ -16,9 +16,10 @@ import (
 )
 
 // This file is the differential harness pinning the MGARD row kernels
-// (kernel.go) to the retained per-point reference: lattice.WalkClasses
-// visiting every point with cornerAvg below, and the per-point QP
-// reference sweeps.
+// (kernel.go) and the factored projection (projection.go) to the retained
+// references: lattice.WalkClasses visiting every point with cornerAvg
+// below, the per-point QP reference sweeps, and the per-line projection
+// solve (applyCorrectionRef).
 
 // cornerAvg computes the multilinear interpolation of a class point from
 // its coarse-lattice corner neighbors: for each odd axis the two sides at
@@ -95,7 +96,7 @@ func compressCoreRef(data []float64, dims []int, opts Options, levels int,
 				pred.ForwardRegionRef(q, qp, cl.Region)
 			}
 		}
-		applyCorrection(data, dims, strides, level, quant, q, +1)
+		applyCorrectionRef(data, dims, strides, level, quant, q, +1)
 	}
 	return (&core.Sweep{Data: data, Sym: q, QP: qp}).GatherCoarse(dims, levels, quant.CenterSym()), literals
 }
@@ -129,7 +130,7 @@ func decompressCoreRef(data []float64, dims []int, eb float64, levels int, radiu
 	}
 	ok := lit == len(literals)
 	for level := levels; level >= 1 && ok; level-- {
-		applyCorrection(data, dims, strides, level, quant, enc, -1)
+		applyCorrectionRef(data, dims, strides, level, quant, enc, -1)
 		lit := litOffsets[level-1]
 		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
 			if !ok {
@@ -329,14 +330,16 @@ func FuzzLatticeKernelDifferential(f *testing.F) {
 
 // TestLevelSweepAllocs: a level sweep allocates nothing that scales with
 // rows — the same count (zero: the class list is the caller's) on 32^3
-// and 64^3, in both directions.
+// and 64^3, in both directions — and the level-1 projection correction
+// allocates the same count on both, O(1) per level rather than per line.
 func TestLevelSweepAllocs(t *testing.T) {
-	var counts [2][2]float64
+	var counts [2][3]float64
 	for i, n := range []int{32, 64} {
 		dims := []int{n, n, n}
+		strides := grid.Strides(dims)
 		f := synth(dims...)
 		quant := quantizer.Linear{EB: 1e-3, Radius: quantizer.DefaultRadius}
-		classes := lattice.Classes(dims, grid.Strides(dims), 1)
+		classes := lattice.Classes(dims, strides, 1)
 		q := make([]int32, f.Len())
 		data := make([]float64, f.Len())
 		cs := core.NewSweep(data, q)
@@ -354,8 +357,12 @@ func TestLevelSweepAllocs(t *testing.T) {
 				t.Fatal("inverse sweep ran out of literals")
 			}
 		})
+		counts[i][2] = testing.AllocsPerRun(3, func() {
+			applyCorrection(data, dims, strides, 1, quant, q, +1)
+		})
 	}
-	if counts[0] != counts[1] || counts[0] != [2]float64{} {
-		t.Fatalf("allocs per sweep (fwd, inv) %v on 32^3, %v on 64^3; want 0 on both", counts[0], counts[1])
+	if counts[0] != counts[1] || counts[0][0] != 0 || counts[0][1] != 0 {
+		t.Fatalf("allocs per call (fwd, inv, correction) %v on 32^3, %v on 64^3; "+
+			"want 0 per sweep and the same correction count on both", counts[0], counts[1])
 	}
 }

@@ -1,6 +1,7 @@
 package mgard
 
 import (
+	"scdc/internal/core"
 	"scdc/internal/quantizer"
 )
 
@@ -18,76 +19,91 @@ import (
 // Details are derived from the stored symbols (detail = 2*(sym-R)*eb,
 // zero for unpredictable points) so compression and decompression compute
 // bit-identical corrections.
+//
+// M depends only on the line's extent and the level, so its Thomas
+// factorization is computed once per axis (factor) and every line of the
+// axis runs only the load vector, the forward substitution and the back
+// substitution (solve) — the per-line solve's float operations in its
+// order, so the correction is bit-identical to it
+// (TestCorrectionMatchesPerLineSolve). One scratch buffer serves every
+// axis of the level.
 func applyCorrection(data []float64, dims, strides []int, level int,
 	quant quantizer.Linear, sym []int32, sign float64) {
 
 	s := 1 << (level - 1)
 	nd := len(dims)
+	maxNodes := 0
+	for _, n := range dims {
+		if n > s {
+			maxNodes = max(maxNodes, (n-1)/(2*s)+1)
+		}
+	}
+	pj := projection{
+		data: data, sym: sym, sign: sign, quant: quant, hs: float64(s) / 2,
+		scratch: make([]float64, 3*maxNodes),
+	}
+	// The coarse lattice in region axes (field axis e is region axis
+	// e+pad). Collapsing axis d leaves the bases of the lines along d;
+	// lines of one axis touch disjoint nodes and read only symbols, so
+	// their order is free.
+	var coarse core.Region
+	pad := 4 - nd
+	for a := 0; a < pad; a++ {
+		coarse.Ext[a] = 1
+	}
+	for e := 0; e < nd; e++ {
+		coarse.Ext[e+pad], coarse.Strd[e+pad] = (dims[e]-1)/(2*s)+1, 2*s*strides[e]
+	}
 	for d := 0; d < nd; d++ {
 		if dims[d] <= s {
 			continue // no details along this axis at this level
 		}
-		forEachCoarseLine(dims, strides, d, 2*s, func(base int) {
-			correctLine(data, sym, quant, base, strides[d], dims[d], s, sign)
-		})
+		pj.factor(dims[d], s, strides[d])
+		lines := coarse
+		lines.Ext[d+pad] = 1
+		cur := core.RowCursor{}
+		for r, rows := 0, lines.Rows(); r < rows; r++ {
+			for k, base := 0, cur.Base; k < lines.Ext[3]; k, base = k+1, base+lines.Strd[3] {
+				pj.solve(base)
+			}
+			lines.NextRow(&cur)
+		}
 	}
 }
 
-// forEachCoarseLine visits the flat base index of every line running along
-// axis d whose other coordinates are multiples of step.
-func forEachCoarseLine(dims, strides []int, d, step int, fn func(base int)) {
-	nd := len(dims)
-	var walk func(axis, base int)
-	walk = func(axis, base int) {
-		if axis == nd {
-			fn(base)
-			return
-		}
-		if axis == d {
-			walk(axis+1, base)
-			return
-		}
-		for c := 0; c < dims[axis]; c += step {
-			walk(axis+1, base+c*strides[axis])
-		}
-	}
-	walk(0, 0)
+// projection is one level's correction state: the level-constant
+// scalars, and the current axis's factorization and line scratch.
+type projection struct {
+	data  []float64
+	sym   []int32
+	sign  float64
+	quant quantizer.Linear
+	hs    float64 // s/2, the load vector's scale
+
+	scratch []float64 // 3 × the level's largest node count
+
+	// The current axis: elimination multipliers m (m[0] unused), the
+	// eliminated diagonal, the load vector, the off-diagonal h/6, the
+	// flat offset of one level stride s along the axis, and how many odd
+	// positions (details) the line holds.
+	m, diag, b []float64
+	off        float64
+	ss         int
+	odd        int
 }
 
-// correctLine solves the 1D projection system on one line and applies the
-// correction to the coarse nodes (positions 0, 2s, 4s, ... < n).
-func correctLine(data []float64, sym []int32, quant quantizer.Linear,
-	base, stride, n, s int, sign float64) {
-
-	h := float64(2 * s)
+// factor runs the forward elimination of the mass matrix for lines of
+// extent n at level stride s — the per-line solve's diag/m recurrence,
+// which depends on neither the line nor the data.
+//
+//scdc:noalloc
+func (pj *projection) factor(n, s, stride int) {
 	nodes := (n-1)/(2*s) + 1
-	if nodes < 1 {
-		return
-	}
-
-	detail := func(pos int) float64 {
-		if pos < 0 || pos >= n {
-			return 0
-		}
-		q := sym[base+pos*stride]
-		if q == quantizer.Unpredictable {
-			// Out-of-range points contribute nothing: their stored literal
-			// is the full value, not a detail, and the decompressor must
-			// be able to compute w before recovering any values.
-			return 0
-		}
-		return 2 * float64(quant.Centered(q)) * quant.EB
-	}
-
-	// Load vector.
-	b := make([]float64, nodes)
-	for k := 0; k < nodes; k++ {
-		p := 2 * k * s
-		b[k] = (float64(s) / 2) * (detail(p-s) + detail(p+s))
-	}
-
-	// Thomas solve for tridiagonal M.
-	diag := make([]float64, nodes)
+	pj.m, pj.diag, pj.b = pj.scratch[:nodes], pj.scratch[nodes:2*nodes], pj.scratch[2*nodes:3*nodes]
+	pj.ss, pj.odd = s*stride, (n+s-1)/(2*s)
+	h := float64(2 * s)
+	pj.off = h / 6
+	diag := pj.diag
 	for k := range diag {
 		if k == 0 || k == nodes-1 {
 			diag[k] = h / 3
@@ -95,22 +111,44 @@ func correctLine(data []float64, sym []int32, quant quantizer.Linear,
 			diag[k] = 2 * h / 3
 		}
 	}
-	if nodes == 1 {
-		data[base] += sign * b[0] / diag[0]
-		return
-	}
-	off := h / 6
-	// Forward elimination.
 	for k := 1; k < nodes; k++ {
-		m := off / diag[k-1]
-		diag[k] -= m * off
-		b[k] -= m * b[k-1]
+		pj.m[k] = pj.off / diag[k-1]
+		diag[k] -= pj.m[k] * pj.off
 	}
-	// Back substitution.
-	w := b[nodes-1] / diag[nodes-1]
-	data[base+2*(nodes-1)*s*stride] += sign * w
-	for k := nodes - 2; k >= 0; k-- {
-		w = (b[k] - off*w) / diag[k]
-		data[base+2*k*s*stride] += sign * w
+}
+
+// solve applies the correction of the line whose first node is at flat
+// index base: the load vector with its forward substitution, then the
+// back substitution into the nodes.
+//
+//scdc:noalloc
+func (pj *projection) solve(base int) {
+	data, sym, m, diag, b := pj.data, pj.sym, pj.m, pj.diag, pj.b
+	ss2 := 2 * pj.ss
+	prev := 0.0 // the detail left of node k; none left of node 0
+	for k := range b {
+		next := 0.0
+		if k < pj.odd {
+			if q := sym[base+pj.ss+k*ss2]; q != quantizer.Unpredictable {
+				// Out-of-range points contribute nothing: their stored
+				// literal is the full value, not a detail, and the
+				// decompressor must be able to compute w before recovering
+				// any values.
+				next = 2 * float64(pj.quant.Centered(q)) * pj.quant.EB
+			}
+		}
+		bk := pj.hs * (prev + next)
+		if k > 0 {
+			bk -= m[k] * b[k-1]
+		}
+		b[k] = bk
+		prev = next
+	}
+	last := len(b) - 1
+	w := b[last] / diag[last]
+	data[base+last*ss2] += pj.sign * w
+	for k := last - 1; k >= 0; k-- {
+		w = (b[k] - pj.off*w) / diag[k]
+		data[base+k*ss2] += pj.sign * w
 	}
 }
