@@ -40,6 +40,7 @@ var gatePkgs = []gcgate.Pkg{
 	{Dir: "internal/lattice", Path: "scdc/internal/lattice"},
 	{Dir: "internal/hpez", Path: "scdc/internal/hpez"},
 	{Dir: "internal/mgard", Path: "scdc/internal/mgard"},
+	{Dir: "internal/qoz", Path: "scdc/internal/qoz"},
 	{Dir: "internal/shard", Path: "scdc/internal/shard"},
 	{Dir: "internal/entropy", Path: "scdc/internal/entropy"},
 	{Dir: "internal/huffman", Path: "scdc/internal/huffman"},

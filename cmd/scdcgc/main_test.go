@@ -95,6 +95,7 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/huffman.flushTail inline",
 		"scdc/internal/interp.Cubic4 inline",
 		"scdc/internal/interp.ExtrapLeft2 inline",
+		"scdc/internal/interp.LinearCubic noalloc",
 		"scdc/internal/interp.Mid2 inline",
 		"scdc/internal/interp.Quad3Left inline",
 		"scdc/internal/interp.Quad3Right inline",
@@ -108,13 +109,14 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/mgard.(*sweep).row noalloc",
 		"scdc/internal/mgard.(*sweep).run noalloc",
 		"scdc/internal/mgard.(*sweep).sweepLevel noalloc",
+		"scdc/internal/qoz.(*levelTuner).score noalloc",
 		"scdc/internal/quantizer.Linear.Recover inline",
 		"scdc/internal/rice.bestK noalloc,nobounds",
 		"scdc/internal/rice.decodeBlock nobounds",
 		"scdc/internal/rice.emitGamma inline",
 		"scdc/internal/rice.encodeBlock noalloc,nobounds",
 		"scdc/internal/rice.gammaBits inline",
-		"scdc/internal/sz3.(*pass).point noalloc",
+		"scdc/internal/sz3.(*pass).carry noalloc",
 		"scdc/internal/sz3.(*passKern).sweep noalloc",
 		"scdc/internal/sz3.fwdCopyLeft noalloc",
 		"scdc/internal/sz3.fwdCubic4 noalloc",

@@ -178,6 +178,28 @@ func widen(hp *[][lanes]uint32, base, v int32) (newBase int32, ok bool) {
 	return newBase, true
 }
 
+// countDense counts the non-empty q into the pooled lane histogram *hp
+// and returns the symbol its entry 0 counts. ok is false when q is too
+// long for uint32 lanes or its symbols span MaxDenseRange or more: the
+// caller then counts sparsely.
+func countDense(hp *[][lanes]uint32, q []int32) (base int32, ok bool) {
+	if uint64(len(q)) > maxLaneSymbols {
+		return 0, false
+	}
+	if base, ok = seedWindow(hp, q); !ok {
+		return 0, false
+	}
+	for rest := q; ; {
+		rest = rest[countLanes(*hp, rest, base):]
+		if len(rest) == 0 {
+			return base, true
+		}
+		if base, ok = widen(hp, base, rest[0]); !ok {
+			return 0, false
+		}
+	}
+}
+
 // Analyze histograms q in one pass and returns its distribution. The
 // symbols are counted into a dense window of lane counters sized from a
 // sample and widened when a symbol falls outside it, so no range scan
@@ -190,23 +212,11 @@ func Analyze(q []int32) *Dist {
 	if len(q) == 0 {
 		return d
 	}
-	if uint64(len(q)) > maxLaneSymbols {
-		return analyzeSparse(d, q)
-	}
 	hp := lanePool.Get().(*[][lanes]uint32)
 	defer lanePool.Put(hp)
-	base, ok := seedWindow(hp, q)
+	base, ok := countDense(hp, q)
 	if !ok {
 		return analyzeSparse(d, q)
-	}
-	for rest := q; ; {
-		rest = rest[countLanes(*hp, rest, base):]
-		if len(rest) == 0 {
-			break
-		}
-		if base, ok = widen(hp, base, rest[0]); !ok {
-			return analyzeSparse(d, q)
-		}
 	}
 	// Fold the lanes into lane 0 and find the symbol range, then size
 	// Syms exactly.

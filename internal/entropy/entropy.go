@@ -4,32 +4,34 @@
 // minimize H(f(Q)) subject to f being reversible.
 package entropy
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Shannon returns the Shannon entropy H(Q) = -sum p_i log2 p_i in bits per
-// symbol, leaving q as it is. An empty array has zero entropy.
+// symbol, leaving q as it is. An empty array has zero entropy. The symbols
+// are counted into Analyze's pooled lane histogram (a map when their range
+// is too wide) and the terms summed in ascending symbol order, so the
+// result is independent of the order of q, bit for bit, and a dense count
+// allocates nothing.
 func Shannon(q []int32) float64 {
-	return ShannonSort(slices.Clone(q))
-}
-
-// ShannonSort is Shannon without allocating: it sorts q in place and sums
-// the runs of equal symbols. Accumulating in ascending symbol order makes
-// the result independent of the order of q, bit for bit.
-func ShannonSort(q []int32) float64 {
-	slices.Sort(q)
+	if len(q) == 0 {
+		return 0
+	}
 	inv := 1.0 / float64(len(q))
 	e := 0.0
-	for i := 0; i < len(q); {
-		j := i + 1
-		for j < len(q) && q[j] == q[i] {
-			j++
+	hp := lanePool.Get().(*[][lanes]uint32)
+	defer lanePool.Put(hp)
+	if _, ok := countDense(hp, q); !ok {
+		for _, sc := range analyzeSparse(&Dist{N: len(q)}, q).Syms {
+			p := float64(sc.Count) * inv
+			e -= p * math.Log2(p)
 		}
-		p := float64(j-i) * inv
-		e -= p * math.Log2(p)
-		i = j
+		return e
+	}
+	for _, c := range *hp {
+		if n := c[0] + c[1]; n != 0 {
+			p := float64(n) * inv
+			e -= p * math.Log2(p)
+		}
 	}
 	return e
 }

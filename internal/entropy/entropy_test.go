@@ -1,8 +1,10 @@
 package entropy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -97,11 +99,46 @@ func TestQuickPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestShannonSortMatchesShannon: the sorting form returns the map
-// histogram's value bit for bit (codec decisions compare these scores, and
-// the charz tables print them), on narrow, tie-heavy and full-range
-// alphabets; Shannon leaves its input in its order; ShannonSort does not
-// allocate.
+// shannonSort is the sorting entropy Shannon replaced and is checked
+// against: it sorts q in place and sums the runs of equal symbols in
+// ascending symbol order.
+func shannonSort(q []int32) float64 {
+	slices.Sort(q)
+	inv := 1.0 / float64(len(q))
+	e := 0.0
+	for i := 0; i < len(q); {
+		j := i + 1
+		for j < len(q) && q[j] == q[i] {
+			j++
+		}
+		p := float64(j-i) * inv
+		e -= p * math.Log2(p)
+		i = j
+	}
+	return e
+}
+
+// checkShannon fails unless Shannon(q) equals both references bit for
+// bit and leaves q as it was.
+func checkShannon(t *testing.T, name string, q []int32) {
+	t.Helper()
+	orig := slices.Clone(q)
+	got := Shannon(q)
+	if !slices.Equal(q, orig) {
+		t.Fatalf("%s: Shannon changed its input", name)
+	}
+	if want := FromHistogram(Histogram(q), len(q)); got != want {
+		t.Fatalf("%s (n=%d): Shannon = %v, map histogram %v", name, len(q), got, want)
+	}
+	if want := shannonSort(orig); got != want {
+		t.Fatalf("%s (n=%d): Shannon = %v, sorting reference %v", name, len(q), got, want)
+	}
+}
+
+// TestShannonSortMatchesShannon: the histogram entropy returns the
+// sorting reference's value bit for bit (the QoZ tuner compares these
+// scores, and the charz tables print them) on narrow, tie-heavy and
+// full-range alphabets, and leaves its input in its order.
 func TestShannonSortMatchesShannon(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -110,22 +147,47 @@ func TestShannonSortMatchesShannon(t *testing.T) {
 		for i := range q {
 			q[i] = rng.Int31n(spread) - spread/2
 		}
-		want := FromHistogram(Histogram(q), len(q))
-		orig := append([]int32(nil), q...)
-		if got := Shannon(q); got != want {
-			t.Fatalf("trial %d (n=%d spread=%d): Shannon = %v, histogram %v", trial, len(q), spread, got, want)
-		}
-		for i := range q {
-			if q[i] != orig[i] {
-				t.Fatalf("trial %d: Shannon reordered its input at %d", trial, i)
-			}
-		}
-		if got := ShannonSort(q); got != want {
-			t.Fatalf("trial %d (n=%d spread=%d): ShannonSort = %v, histogram %v", trial, len(q), spread, got, want)
-		}
-	}
-	q := make([]int32, 4096)
-	if a := testing.AllocsPerRun(10, func() { ShannonSort(q) }); a != 0 {
-		t.Errorf("ShannonSort allocates %v times", a)
+		checkShannon(t, fmt.Sprintf("trial %d spread %d", trial, spread), q)
 	}
 }
+
+// TestShannonTunerShapes covers the arrays the QoZ tuner scores and every
+// counting path: quantized residuals with ±1e6 clamps (a dense window of
+// 2e6 symbols), a late outlier the seed sample misses (widen), a spread of
+// MaxDenseRange or more and the NaN symbol MinInt32 (the sparse count),
+// and the empty and one-symbol arrays. A dense count allocates nothing.
+func TestShannonTunerShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	tuner := func(n int) []int32 {
+		q := make([]int32, n)
+		for i := range q {
+			q[i] = int32(math.Round(rng.NormFloat64() * 3))
+		}
+		return q
+	}
+	clamped := tuner(4096)
+	clamped[17], clamped[2000] = 1e6, -1e6
+	late := tuner(4096)
+	late[len(late)-1] = 5000
+	wide := tuner(4096)
+	wide[1], wide[4093] = -MaxDenseRange/2, MaxDenseRange/2
+	nan := tuner(4096)
+	nan[100], nan[3001] = math.MinInt32, math.MinInt32
+	extremes := []int32{math.MinInt32, math.MaxInt32, 0, math.MinInt32}
+	for name, q := range map[string][]int32{
+		"clamped": clamped, "late outlier": late, "wide": wide, "nan": nan,
+		"extremes": extremes, "empty": {}, "one symbol": {7}, "constant": {-3, -3, -3},
+	} {
+		checkShannon(t, name, q)
+	}
+	if got := Shannon([]int32{7}); got != 0 {
+		t.Errorf("one-symbol entropy = %v, want 0", got)
+	}
+	q := tuner(4096)
+	if a := testing.AllocsPerRun(10, func() { Shannon(q) }); a != 0 && !raceEnabled {
+		t.Errorf("Shannon allocates %v times on a dense array", a)
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool

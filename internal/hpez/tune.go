@@ -271,8 +271,7 @@ func blockResiduals(f *grid.Field, dims, strides []int, origin []int, ax int, eb
 		// noise ~1.29x vs linear's 1.0x), matching the predictor selection
 		// model used elsewhere.
 		for t := origin[ax] + 2; t < hi; t += 4 {
-			pc := interp.LineSlice(f.Data, base, strd, n, t, 2, interp.Cubic)
-			pl := interp.LineSlice(f.Data, base, strd, n, t, 2, interp.Linear)
+			pl, pc := interp.LinearCubic(f.Data, base, strd, n, t, 2)
 			v := f.Data[base+t*strd]
 			cubic += math.Log2(1 + (math.Abs(v-pc)+0.645*eb)/(2*eb))
 			linear += math.Log2(1 + (math.Abs(v-pl)+0.5*eb)/(2*eb))

@@ -353,6 +353,32 @@ func EncodeDist(q []int32, d *entropy.Dist) []byte {
 	return encodeBody(out, q, &cs)
 }
 
+// EncodedLen returns len(Encode(q)) without writing the stream: the code
+// lengths fix both the table header, whose varints it sizes, and the
+// body's bit count.
+func EncodedLen(q []int32) int { return encodedLen(entropy.Analyze(q)) }
+
+// encodedLen is EncodedLen of the array d describes.
+func encodedLen(d *entropy.Dist) int {
+	var table []symLen
+	var bodyBits uint64
+	if d.N > 0 {
+		table, bodyBits = codeLengths(d)
+	}
+	hdr := uvarintLen(uint64(d.N)) + uvarintLen(uint64(len(table)))
+	prevSym := int64(0)
+	for _, sl := range table {
+		delta := int64(sl.sym) - prevSym
+		hdr += uvarintLen(uint64(delta<<1)^uint64(delta>>63)) + uvarintLen(uint64(sl.len))
+		prevSym = int64(sl.sym)
+	}
+	return uvarintLen(uint64(hdr)) + hdr + int((bodyBits+7)/8)
+}
+
+// uvarintLen is the length of x's uvarint encoding; a varint is the
+// uvarint of its zigzag.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // headerCap bounds the table header of table: two uvarints, then at most
 // a 5-byte symbol delta (two int32s differ by less than 2^32) and a
 // 1-byte length per entry.

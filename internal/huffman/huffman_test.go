@@ -1,6 +1,8 @@
 package huffman
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -283,5 +285,57 @@ func TestCodeLengthsWideAlphabetScales(t *testing.T) {
 	small, wide := build(10000), build(50000)
 	if wide > 15*small {
 		t.Fatalf("50k-symbol table took %v, 10k took %v: more than 15x for 5x the symbols", wide, small)
+	}
+}
+
+// TestEncodedLen: the size a trial is priced at is the stream Encode
+// writes, byte for byte, on empty, one- and two-symbol arrays, dense and
+// sparse alphabets (the packed and the map code set) and random draws.
+// Codes past packedMaxLen need ~Fibonacci(58) symbols, more than an array
+// holds, so for Fibonacci counts the sizing is checked against the header
+// appendTableHeader writes and the body the lengths code.
+func TestEncodedLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sparse := make([]int32, 3000)
+	for i := range sparse {
+		sparse[i] = int32(rng.Intn(40)) * (entropy.MaxDenseRange / 8)
+	}
+	cases := map[string][]int32{
+		"empty": {}, "one symbol": {-9, -9, -9}, "one sample": {math.MaxInt32},
+		"two symbols": {4, 5, 5, 5, 4, 5}, "sparse": sparse,
+		"extremes": {math.MinInt32, math.MaxInt32, 0, 0, 0},
+		"skewed":   geometricStream(50_000, 0.3, 1),
+		"wide":     geometricStream(50_000, 0.995, 2),
+	}
+	for trial := 0; trial < 200; trial++ {
+		q := make([]int32, rng.Intn(3000))
+		spread := 1 + rng.Intn(1<<uint(rng.Intn(24)))
+		for i := range q {
+			q[i] = int32(rng.Intn(spread) - spread/2)
+		}
+		cases[fmt.Sprint("random ", trial)] = q
+	}
+	for name, q := range cases {
+		if got, want := EncodedLen(q), len(Encode(q)); got != want {
+			t.Errorf("%s (n=%d): EncodedLen = %d, Encode writes %d", name, len(q), got, want)
+		}
+	}
+	if d := entropy.Analyze(sparse); d.Dense {
+		t.Fatal("the sparse case has a dense alphabet")
+	}
+
+	d := &entropy.Dist{}
+	for i, a, b := 0, uint64(1), uint64(1); i < 64; i, a, b = i+1, b, a+b {
+		d.Syms = append(d.Syms, entropy.SymCount{Sym: int32(5*i - 100), Count: a})
+		d.N += int(a)
+	}
+	table, bodyBits := codeLengths(d)
+	if longest := table[len(table)-1].len; longest <= packedMaxLen {
+		t.Fatalf("fibonacci counts: longest code %d bits, want more than %d", longest, packedMaxLen)
+	}
+	hdr := appendTableHeader(nil, d.N, table)
+	want := len(binary.AppendUvarint(nil, uint64(len(hdr)))) + len(hdr) + int((bodyBits+7)/8)
+	if got := encodedLen(d); got != want {
+		t.Errorf("fibonacci counts: encodedLen = %d, header and body take %d", got, want)
 	}
 }

@@ -154,3 +154,34 @@ func (st Stencil) At(data []float64, o, ss int) float64 {
 func LineSlice(data []float64, base, strd, n, t, s int, kind Kind) float64 {
 	return StencilAt(n, t, s, kind).At(data, base+t*strd, s*strd)
 }
+
+// LinearCubic is LineSlice for both kinds at once: it classifies t's
+// boundary case once and loads each neighbour once. Without a right
+// neighbour the kinds coincide; with one, Linear is the midpoint and
+// Cubic the stencil its thirds allow. Each prediction is LineSlice's, bit
+// for bit.
+//
+//scdc:noalloc
+func LinearCubic(data []float64, base, strd, n, t, s int) (lin, cub float64) {
+	o, ss := base+t*strd, s*strd
+	b := data[o-ss]
+	switch {
+	case t+s < n:
+		c := data[o+ss]
+		lin = Mid2(b, c)
+		cub = lin
+		if l3, r3 := t-3*s >= 0, t+3*s < n; l3 && r3 {
+			cub = Cubic4(data[o-3*ss], b, c, data[o+3*ss])
+		} else if l3 {
+			cub = Quad3Left(data[o-3*ss], b, c)
+		} else if r3 {
+			cub = Quad3Right(b, c, data[o+3*ss])
+		}
+		return lin, cub
+	case t-3*s >= 0:
+		lin = ExtrapLeft2(data[o-3*ss], b)
+		return lin, lin
+	default:
+		return b, b
+	}
+}

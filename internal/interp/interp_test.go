@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -120,5 +121,33 @@ func TestQuickLineWithinHull(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinearCubicMatchesLineSlice: the two-kind visit returns LineSlice's
+// predictions bit for bit at every position of every boundary case, on
+// strided lines of random and non-finite data.
+func TestLinearCubicMatchesLineSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	data := make([]float64, 4096)
+	for i := range data {
+		data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
+	}
+	data[77], data[78], data[300] = math.NaN(), math.Inf(1), math.Inf(-1)
+	for n := 2; n <= 40; n++ {
+		for _, strd := range []int{1, 3} {
+			for s := 1; s < n; s *= 2 {
+				for base := 0; base < 90; base += 13 {
+					for tt := s; tt < n; tt += 2 * s {
+						lin, cub := LinearCubic(data, base, strd, n, tt, s)
+						wl := LineSlice(data, base, strd, n, tt, s, Linear)
+						wc := LineSlice(data, base, strd, n, tt, s, Cubic)
+						if math.Float64bits(lin) != math.Float64bits(wl) || math.Float64bits(cub) != math.Float64bits(wc) {
+							t.Fatalf("n=%d strd=%d s=%d base=%d t=%d: (%v, %v), LineSlice (%v, %v)", n, strd, s, base, tt, lin, cub, wl, wc)
+						}
+					}
+				}
+			}
+		}
 	}
 }

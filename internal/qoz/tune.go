@@ -126,16 +126,25 @@ func (tu *levelTuner) tuneLevel(level int) (interp.Kind, []int) {
 
 // score quantizes the residuals of both spline kinds at one sampled
 // point.
+//
+//scdc:noalloc
 func (tu *levelTuner) score(idx, lineBase, lineStrd, n, t, s int) {
 	v := tu.data[idx]
-	tu.lin = append(tu.lin, tu.symbol(v-interp.LineSlice(tu.data, lineBase, lineStrd, n, t, s, interp.Linear)))
-	tu.cub = append(tu.cub, tu.symbol(v-interp.LineSlice(tu.data, lineBase, lineStrd, n, t, s, interp.Cubic)))
+	lin, cub := interp.LinearCubic(tu.data, lineBase, lineStrd, n, t, s)
+	tu.lin = append(tu.lin, tu.symbol(v-lin))
+	tu.cub = append(tu.cub, tu.symbol(v-cub))
 }
 
-// symbol is the quantization index a residual would be stored as.
+// symbol is the quantization index a residual would be stored as. A NaN
+// residual (a NaN sample, or Inf-Inf) maps to math.MinInt32 explicitly:
+// the Go spec leaves the conversion of NaN implementation-defined, and
+// the plan, and so the stream, must not depend on the platform.
 func (tu *levelTuner) symbol(resid float64) int32 {
 	r := resid / (2 * tu.eb)
-	if math.Abs(r) > 1e6 {
+	if !(math.Abs(r) <= 1e6) {
+		if math.IsNaN(r) {
+			return math.MinInt32
+		}
 		r = math.Copysign(1e6, r)
 	}
 	return int32(math.Round(r))
@@ -149,7 +158,7 @@ func cost(symbols []int32) float64 {
 	if len(symbols) == 0 {
 		return math.Inf(1)
 	}
-	return entropy.ShannonSort(symbols)
+	return entropy.Shannon(symbols)
 }
 
 // samplingStep keeps per-level tuning to a few thousand samples. The step

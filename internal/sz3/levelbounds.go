@@ -27,7 +27,8 @@ func levelBounds(ebs []float64, eb, alpha, beta float64) {
 
 // TuneLevelBounds trial-compresses a centered crop of f under each
 // (alpha, beta) candidate, keeps the pair with the smallest encoded index
-// stream — the trial measures the net effect of the scaling directly —
+// stream — the trial measures the net effect of the scaling directly, and
+// prices the stream by its exact Huffman length without encoding it —
 // and fills ebs, one entry per level of the caller's plan, with the
 // winner's bounds. trial runs the caller's pipeline on a bare sweep over
 // the crop, of the given dims, under the per-level bounds it is handed
@@ -48,7 +49,7 @@ func TuneLevelBounds(f *grid.Field, ebs []float64, eb float64,
 		copy(data, crop.Data)
 		sw := core.NewSweep(data, q)
 		trial(sw, dims, trialEBs)
-		if bytes := len(huffman.Encode(q)) + 8*len(sw.Lits); bytes < bestBytes {
+		if bytes := huffman.EncodedLen(q) + 8*len(sw.Lits); bytes < bestBytes {
 			best, bestBytes = cand, bytes
 		}
 	}

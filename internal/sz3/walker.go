@@ -153,53 +153,54 @@ func (pa *pass) qpRegion() core.Region {
 	}
 }
 
-// line returns the geometry of line li (row-major over the orthogonal
-// lattice): the flat index of the line's origin and whether the Left/Top
-// QP neighbors exist for its points.
-func (pa *pass) line(li int) (base int, hasLeft, hasTop bool) {
-	var oc [3]int
-	rem := li
-	oc[2] = rem % pa.cnt[2]
-	rem /= pa.cnt[2]
-	oc[1] = rem % pa.cnt[1]
-	oc[0] = rem / pa.cnt[1]
-	for k := 0; k < pa.no; k++ {
-		base += oc[k] * pa.stride[k]
-	}
-	hasLeft = pa.leftK >= 0 && oc[pa.leftK] > 0
-	hasTop = pa.topK >= 0 && oc[pa.topK] > 0
-	return base, hasLeft, hasTop
-}
-
-// point resolves the pass's k-th point in walk order. A pass holds
-// numLines x pointsPerLine points, line after line, so the ordinal splits
-// into a line and an in-line position without visiting the points before
-// it: lineBase is the flat index of the line's origin and t the point's
-// position along dir.
+// carry moves a point whose in-line position pos may have run past its
+// line onto the line it lands on: the whole lines it passed carry into
+// the orthogonal coordinates oc through the mixed radix cnt[2], cnt[1],
+// cnt[0], the last of which is left unbounded, so oc[0] >= cnt[0] is a
+// point past the pass. It divides only when pos leaves its line, and
+// returns the new in-line position.
 //
 //scdc:noalloc
-func (pa *pass) point(k int) (lineBase, t int) {
-	li := k / pa.pointsPerLine
-	lineBase, _, _ = pa.line(li)
-	return lineBase, pa.s * (1 + 2*(k-li*pa.pointsPerLine))
+func (pa *pass) carry(oc *[3]int, pos int) int {
+	if pos < pa.pointsPerLine {
+		return pos
+	}
+	d := pos / pa.pointsPerLine
+	pos -= d * pa.pointsPerLine
+	if oc[2] += d; oc[2] >= pa.cnt[2] {
+		d = oc[2] / pa.cnt[2]
+		oc[2] -= d * pa.cnt[2]
+		if oc[1] += d; oc[1] >= pa.cnt[1] {
+			d = oc[1] / pa.cnt[1]
+			oc[1] -= d * pa.cnt[1]
+			oc[0] += d
+		}
+	}
+	return pos
 }
 
 // SampleLevel calls fn for every step-th point of one level, counting
 // through the level's passes in walk order (the points numbered step,
 // 2*step, ... from 1), and touches no point in between: the cost is
-// proportional to the samples, not to the level. fn receives the point's
-// flat index idx, the geometry of its interpolation line (origin
-// lineBase, flat stride lineStrd, extent n) and its position t along the
-// line at level stride s — the arguments of interp.LineSlice.
+// proportional to the samples, not to the level. A pass holds numLines x
+// pointsPerLine points, line after line, so each sample's line
+// coordinates and in-line position are carried over from the previous
+// sample's, not rebuilt from its ordinal. fn receives the point's flat
+// index idx, the geometry of its interpolation line (origin lineBase,
+// flat stride lineStrd, extent n) and its position t along the line at
+// level stride s — the arguments of interp.LineSlice.
 func SampleLevel(dims, strides []int, level int, order []int, step int,
 	fn func(idx, lineBase, lineStrd, n, t, s int)) {
 
 	k := step - 1 // ordinal of the next sample within the current pass
 	forEachPass(dims, strides, level, order, func(pa *pass) {
 		points := pa.numLines * pa.pointsPerLine
-		for ; k < points; k += step {
-			base, t := pa.point(k)
+		var oc [3]int
+		for pos := pa.carry(&oc, k); k < points; pos = pa.carry(&oc, pos+step) {
+			base := oc[0]*pa.stride[0] + oc[1]*pa.stride[1] + oc[2]*pa.stride[2]
+			t := pa.s * (1 + 2*pos)
 			fn(base+t*pa.dstr, base, pa.dstr, pa.n, t, pa.s)
+			k += step
 		}
 		k -= points
 	})

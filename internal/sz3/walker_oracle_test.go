@@ -11,6 +11,24 @@ import (
 // (SampleLevel) replaced. It ships in no binary; the differential tests
 // and fuzz targets of this package use it as their oracle.
 
+// line returns the geometry of line li (row-major over the orthogonal
+// lattice): the flat index of the line's origin and whether the Left/Top
+// QP neighbors exist for its points.
+func (pa *pass) line(li int) (base int, hasLeft, hasTop bool) {
+	var oc [3]int
+	rem := li
+	oc[2] = rem % pa.cnt[2]
+	rem /= pa.cnt[2]
+	oc[1] = rem % pa.cnt[1]
+	oc[0] = rem / pa.cnt[1]
+	for k := 0; k < pa.no; k++ {
+		base += oc[k] * pa.stride[k]
+	}
+	hasLeft = pa.leftK >= 0 && oc[pa.leftK] > 0
+	hasTop = pa.topK >= 0 && oc[pa.topK] > 0
+	return base, hasLeft, hasTop
+}
+
 // Point describes one data point visited by the multilevel interpolation
 // schedule. The same walker drives compression and decompression, which
 // guarantees both sides visit points in an identical order with identical
