@@ -109,22 +109,19 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/mgard.(*sweep).row noalloc",
 		"scdc/internal/mgard.(*sweep).run noalloc",
 		"scdc/internal/mgard.(*sweep).sweepLevel noalloc",
+		"scdc/internal/mgard.cornerMean inline",
 		"scdc/internal/qoz.(*levelTuner).score noalloc",
+		"scdc/internal/quantizer.Linear.QuantizeRun noalloc",
 		"scdc/internal/quantizer.Linear.Recover inline",
+		"scdc/internal/quantizer.RoundIndex inline",
 		"scdc/internal/rice.bestK noalloc,nobounds",
 		"scdc/internal/rice.decodeBlock nobounds",
 		"scdc/internal/rice.emitGamma inline",
 		"scdc/internal/rice.encodeBlock noalloc,nobounds",
 		"scdc/internal/rice.gammaBits inline",
 		"scdc/internal/sz3.(*pass).carry noalloc",
+		"scdc/internal/sz3.(*passKern).fwdRun noalloc",
 		"scdc/internal/sz3.(*passKern).sweep noalloc",
-		"scdc/internal/sz3.fwdCopyLeft noalloc",
-		"scdc/internal/sz3.fwdCubic4 noalloc",
-		"scdc/internal/sz3.fwdExtrapLeft2 noalloc",
-		"scdc/internal/sz3.fwdMid2 noalloc",
-		"scdc/internal/sz3.fwdQuad3Left noalloc",
-		"scdc/internal/sz3.fwdQuad3Right noalloc",
-		"scdc/internal/sz3.fwdQuant noalloc",
 		"scdc/internal/sz3.invCopyLeft noalloc",
 		"scdc/internal/sz3.invCubic4 noalloc",
 		"scdc/internal/sz3.invExtrapLeft2 noalloc",
@@ -134,6 +131,7 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/sz3.lorenzo inline",
 		"scdc/internal/sz3.lorenzoScan.row noalloc",
 		"scdc/internal/sz3.makePassKern noalloc",
+		"scdc/internal/sz3.predict noalloc",
 	}
 	if len(got) != len(want) {
 		t.Errorf("manifest has %d carriers, want %d", len(got), len(want))

@@ -27,8 +27,9 @@ import (
 // A segment is then swept tap-major, in chunks of up to len(sweep.acc)
 // points: the chunk's accumulators start at +0.0, each tap adds w*p over
 // the whole chunk in one loop specialised to its stencil (accumulate),
-// and one finishing loop divides by the run-constant weight sum and
-// quantizes or recovers each point. Per point that is the reference's
+// and the finishing step divides by the run-constant weight sum and
+// quantizes the chunk in one quantizer.Linear.QuantizeRun call, or
+// recovers each point. Per point that is the reference's
 // arithmetic, term for term and in tap order, so symbols, literals and
 // reconstructions are bit-identical (TestLatticeKernelsMatchWalker,
 // FuzzLatticeKernelDifferential). Evaluating every tap before any point
@@ -273,21 +274,15 @@ func accumulate(acc, data []float64, o, step int, t *tap) {
 	}
 }
 
-// fwdChunk quantizes the chunk's points against their tap sums.
+// fwdChunk turns the chunk's tap sums into predictions and quantizes the
+// chunk in one run.
 //
 //scdc:noalloc
 func (sw *sweep) fwdChunk(acc []float64, o, step int) {
-	data, wsum := sw.data, sw.wsum
-	for _, a := range acc {
-		d := data[o]
-		sym, dec, ok := sw.quant.Quantize(d, a/wsum)
-		sw.sym[o] = sym
-		if !ok {
-			sw.cs.Lits = append(sw.cs.Lits, d)
-		}
-		data[o] = dec
-		o += step
+	for i := range acc {
+		acc[i] /= sw.wsum
 	}
+	sw.cs.Lits = sw.quant.QuantizeRun(acc, sw.data, sw.sym, o, step, sw.cs.Lits)
 }
 
 // invChunk reconstructs the chunk's points from their tap sums: a literal

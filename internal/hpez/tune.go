@@ -120,7 +120,7 @@ func tuneAxes(f *grid.Field, level int, eb float64) (uint8, [4]uint8) {
 			weights[d] = 0
 			continue
 		}
-		weights[d] = uint8(math.Max(1, math.Round(255*rel[d])))
+		weights[d] = weightByte(rel[d], 1)
 		if resid[d] > freezeFactor*best && resid[d] > eb {
 			mask |= 1 << uint(d)
 		}
@@ -157,6 +157,18 @@ func relWeights(resid []float64, eb float64) (rel [4]float64, best float64, ok b
 		}
 	}
 	return rel, best, true
+}
+
+// weightByte rounds a relative weight to its stored byte, at least lo. A
+// NaN weight — an axis whose residual sample held a NaN — is 0 explicitly:
+// the Go spec leaves converting NaN to an integer implementation-defined
+// (amd64 and arm64 give 0, riscv64 255), and the plan, and so the stream,
+// must not depend on the platform.
+func weightByte(rel, lo float64) uint8 {
+	if math.IsNaN(rel) {
+		return 0
+	}
+	return uint8(math.Max(lo, math.Round(255*rel)))
 }
 
 // trimmedMean returns the mean of samples after discarding the top trim
@@ -303,7 +315,7 @@ func tuneBlockWeights(f *grid.Field, pl *plan, eb float64) {
 		}
 		var w [4]uint8
 		for d := 0; d < nd; d++ {
-			w[d] = uint8(math.Round(255 * rel[d]))
+			w[d] = weightByte(rel[d], 0)
 			// Snap marginal contributors to zero: on an axis whose
 			// residual dwarfs the best axis (a sharp feature crossing
 			// the block), even a sub-percent weight injects

@@ -67,3 +67,35 @@ func TestBuildPlanPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNPlanPinned pins the plan of a field holding a NaN, an Inf and a
+// −Inf (the field of the integration suite's TestNaNData). A residual
+// sample that holds the NaN makes an axis's trimmed mean, and so its
+// relative weight, NaN; weightByte maps that to 0 explicitly rather than
+// through the platform's float-to-integer conversion. The plan must reach
+// that mapping — a finite-residual axis with weight 0 exists only through
+// it — and hash the same as on amd64 before the mapping was explicit.
+func TestNaNPlanPinned(t *testing.T) {
+	f := datagen.MustGenerate(datagen.SegSalt, 0, []int{16, 18, 20}, 4)
+	f.Data[100] = math.NaN()
+	f.Data[2000] = math.Inf(1)
+	f.Data[3000] = math.Inf(-1)
+	pl := buildPlan(f, DefaultOptions(1e-3))
+	reached := false
+	for l := 1; l <= pl.levels; l++ {
+		for d, n := range f.Dims() {
+			if n > 2<<(l-1) && pl.weights[l-1][d] == 0 {
+				reached = true
+			}
+		}
+	}
+	if !reached {
+		t.Error("no level weighs an axis at 0 through a NaN residual")
+	}
+	if w := weightByte(math.NaN(), 1); w != 0 {
+		t.Errorf("weightByte(NaN, 1) = %d, want 0", w)
+	}
+	if got, want := planHash(pl), uint32(0x405b55f6); got != want {
+		t.Errorf("plan hash %#08x, pinned %#08x", got, want)
+	}
+}

@@ -35,6 +35,9 @@ type sweep struct {
 	// exactly the first half of the list.
 	offs [16]int
 	cnt  int
+
+	// pred holds one forward chunk's predictions.
+	pred [64]float64
 }
 
 // sweepLevel runs one level's classes in schedule order. It returns false
@@ -100,37 +103,50 @@ func (sw *sweep) row(cl *lattice.Class, cur *core.RowCursor) bool {
 }
 
 // run predicts and quantizes (forward) or reconstructs (inverse) n points
-// from flat index o against the current corner list.
+// from flat index o against the current corner list. The forward direction
+// runs in chunks of up to len(sw.pred) points: the chunk's corner means
+// first, then one quantizer.Linear.QuantizeRun call. Predicting before any
+// point of the chunk is written is valid because the corners lie at ±S
+// along odd axes, on coarser classes, never on the row itself.
 //
 //scdc:noalloc
 func (sw *sweep) run(o, step, n int) bool {
 	offs := sw.offs[:sw.cnt]
 	div := float64(sw.cnt)
-	for ; n > 0; n-- {
-		sum := 0.0
-		for _, off := range offs {
-			sum += sw.data[o+off]
+	if sw.fwd {
+		for n > 0 {
+			pred := sw.pred[:min(n, len(sw.pred))]
+			for i, oi := 0, o; i < len(pred); i, oi = i+1, oi+step {
+				pred[i] = cornerMean(sw.data, oi, offs, div)
+			}
+			sw.cs.Lits = sw.quant.QuantizeRun(pred, sw.data, sw.sym, o, step, sw.cs.Lits)
+			o += len(pred) * step
+			n -= len(pred)
 		}
-		p := sum / div
-		switch {
-		case sw.fwd:
-			d := sw.data[o]
-			sym, dec, ok := sw.quant.Quantize(d, p)
-			sw.sym[o] = sym
-			if !ok {
-				sw.cs.Lits = append(sw.cs.Lits, d)
-			}
-			sw.data[o] = dec
-		case sw.sym[o] != quantizer.Unpredictable:
-			sw.data[o] = sw.quant.Recover(p, sw.sym[o])
-		default:
-			v, ok := sw.cs.Literal()
-			if !ok {
-				return false
-			}
+		return true
+	}
+	for ; n > 0; n-- {
+		p := cornerMean(sw.data, o, offs, div)
+		if q := sw.sym[o]; q != quantizer.Unpredictable {
+			sw.data[o] = sw.quant.Recover(p, q)
+		} else if v, ok := sw.cs.Literal(); ok {
 			sw.data[o] = v
+		} else {
+			return false
 		}
 		o += step
 	}
 	return true
+}
+
+// cornerMean is the multilinear prediction of the point at o: the sum of
+// its corners in list order, divided by their count.
+//
+//scdc:inline
+func cornerMean(data []float64, o int, offs []int, div float64) float64 {
+	sum := 0.0
+	for _, off := range offs {
+		sum += data[o+off]
+	}
+	return sum / div
 }

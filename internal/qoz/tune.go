@@ -7,6 +7,7 @@ import (
 	"scdc/internal/entropy"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
+	"scdc/internal/quantizer"
 	"scdc/internal/sz3"
 )
 
@@ -135,10 +136,11 @@ func (tu *levelTuner) score(idx, lineBase, lineStrd, n, t, s int) {
 	tu.cub = append(tu.cub, tu.symbol(v-cub))
 }
 
-// symbol is the quantization index a residual would be stored as. A NaN
-// residual (a NaN sample, or Inf-Inf) maps to math.MinInt32 explicitly:
-// the Go spec leaves the conversion of NaN implementation-defined, and
-// the plan, and so the stream, must not depend on the platform.
+// symbol is the quantization index a residual would be stored as,
+// clamped to ±1e6 and rounded by quantizer.RoundIndex. A NaN residual (a
+// NaN sample, or Inf-Inf) maps to math.MinInt32 explicitly: the Go spec
+// leaves the conversion of NaN implementation-defined, and the plan, and
+// so the stream, must not depend on the platform.
 func (tu *levelTuner) symbol(resid float64) int32 {
 	r := resid / (2 * tu.eb)
 	if !(math.Abs(r) <= 1e6) {
@@ -147,7 +149,7 @@ func (tu *levelTuner) symbol(resid float64) int32 {
 		}
 		r = math.Copysign(1e6, r)
 	}
-	return int32(math.Round(r))
+	return quantizer.RoundIndex(r)
 }
 
 // cost estimates a candidate's price as the empirical entropy of its

@@ -69,7 +69,7 @@ func DecompressSchedule(sw *core.Sweep, dims []int, levels int, specFor func(lev
 // (interp_kernel.go) and appends its literals in line order.
 func compressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear) {
 	rg, pk := pa.qpRegion(), makePassKern(pa, kind, quant)
-	if pk.sweep(&fwdKernels, sw.Data, sw.Sym, rg) > 0 {
+	if pk.sweep(true, sw.Data, sw.Sym, rg) > 0 {
 		sw.Lits = gatherLits(sw.Data, sw.Sym, rg, sw.Lits)
 	}
 }
@@ -78,7 +78,7 @@ func compressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Li
 // places its literals in line order.
 func decompressPass(sw *core.Sweep, pa *pass, kind interp.Kind, quant quantizer.Linear) error {
 	rg, pk := pa.qpRegion(), makePassKern(pa, kind, quant)
-	nu := pk.sweep(&invKernels, sw.Data, sw.Sym, rg)
+	nu := pk.sweep(false, sw.Data, sw.Sym, rg)
 	if nu == 0 {
 		return nil
 	}

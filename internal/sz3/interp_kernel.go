@@ -1,8 +1,6 @@
 package sz3
 
 import (
-	"math"
-
 	"scdc/internal/core"
 	"scdc/internal/interp"
 	"scdc/internal/quantizer"
@@ -18,11 +16,12 @@ import (
 // The boundary structure of a pass is pass-constant: every line shares
 // (s, n, dstr), so which interpolation stencil applies at in-line point k
 // is the same for every line (DESIGN.md §6.3), and a line cuts into at
-// most four segments of one stencil each (makePassKern). A run kernel
-// applies one stencil to a strided run of points, with the
-// quantize→reconstruct step of quantizer.Linear fused into the same loop.
+// most four segments of one stencil each (makePassKern). A run applies one
+// stencil to a strided run of points. Forward, predict fills a chunk of
+// the run's predictions and quantizer.Linear.QuantizeRun quantizes the
+// chunk; inverse, a run kernel recovers each point as it predicts it.
 //
-// The walk (passKern.sweep) runs those kernels along the pass's smallest
+// The walk (passKern.sweep) lays the runs along the pass's smallest
 // stride. Lines come in blocks — the lines that differ only along the
 // innermost orthogonal axis holding more than one line. When that axis
 // steps by less than the in-line distance 2s·dstr (every pass but the one
@@ -33,23 +32,15 @@ import (
 // lattice samples of earlier passes and write only their own slots, so
 // any visit order gives the same symbols and values.
 //
-// The literal stream is in line order, whatever order the kernels visit.
-// The kernels only count unpredictable points; a pass that met any moves
-// its literals in one line-order pass over its region afterwards
-// (gatherLits, scatterLits) — safe because no point of a pass reads
-// another point of the same pass.
+// The literal stream is in line order, whatever order the runs visit.
+// The runs only count unpredictable points; a pass that met any moves its
+// literals in one line-order pass over its region afterwards (gatherLits,
+// scatterLits) — safe because no point of a pass reads another point of
+// the same pass, which is also what lets a forward run predict a whole
+// chunk before it quantizes any point of it.
 //
 // Bit-identity with the reference walker is pinned by
 // TestInterpKernelsMatchWalker and FuzzInterpKernelDifferential.
-
-// quantParams holds the pass-constant scalars of the fused quantize
-// step, hoisted out of the per-point loops.
-type quantParams struct {
-	eb  float64 // error bound
-	eb2 float64 // 2*eb, the quantization bin width
-	rf  float64 // float64(radius), the pre-round range gate
-	r   int32   // radius
-}
 
 // segment is a stretch of consecutive in-line positions sharing one
 // stencil.
@@ -69,7 +60,11 @@ type passKern struct {
 	// step between them. blk == 1 when the pass direction has the smallest
 	// stride: runs then go along the line.
 	blk, rstep int
-	prm        quantParams
+	quant      quantizer.Linear
+
+	// pred holds one forward chunk's predictions, and sink takes the
+	// chunk's literals, which only count here (gatherLits orders them).
+	pred, sink [64]float64
 }
 
 // makePassKern resolves the kernel geometry of one pass. The stencil can
@@ -81,15 +76,10 @@ type passKern struct {
 func makePassKern(pa *pass, kind interp.Kind, quant quantizer.Linear) passKern {
 	ss := pa.s * pa.dstr
 	pk := passKern{
-		ss:  ss,
-		ss2: 2 * ss,
-		blk: 1,
-		prm: quantParams{
-			eb:  quant.EB,
-			eb2: 2 * quant.EB,
-			rf:  float64(quant.Radius),
-			r:   quant.Radius,
-		},
+		ss:    ss,
+		ss2:   2 * ss,
+		blk:   1,
+		quant: quant,
 	}
 	for k := pa.no - 1; k >= 0; k-- {
 		if pa.cnt[k] > 1 {
@@ -117,59 +107,105 @@ func makePassKern(pa *pass, kind interp.Kind, quant quantizer.Linear) passKern {
 	return pk
 }
 
-// runKernel sweeps cnt points o, o+step, ... that share one stencil; ss
-// is the flat offset of one sampling stride along their lines. A forward
-// kernel predicts and quantizes, writing sym and the reconstruction into
-// data; an inverse kernel reconstructs data from sym. Both leave
-// unpredictable points to the literal pass and return how many they met.
-type runKernel func(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int
+// runKernel reconstructs cnt points o, o+step, ... that share one stencil
+// from their symbols; ss is the flat offset of one sampling stride along
+// their lines. It leaves unpredictable points to the literal pass and
+// returns how many it met.
+type runKernel func(data []float64, sym []int32, o, step, cnt, ss int, quant quantizer.Linear) int
 
-// kernelTable holds one direction's run kernels, indexed by stencil.
-type kernelTable [interp.StCopyLeft + 1]runKernel
+// invKernels holds the inverse run kernels, indexed by stencil.
+var invKernels = [interp.StCopyLeft + 1]runKernel{
+	interp.StCubic4:      invCubic4,
+	interp.StQuad3Left:   invQuad3Left,
+	interp.StQuad3Right:  invQuad3Right,
+	interp.StMid2:        invMid2,
+	interp.StExtrapLeft2: invExtrapLeft2,
+	interp.StCopyLeft:    invCopyLeft,
+}
 
-var (
-	fwdKernels = kernelTable{
-		interp.StCubic4:      fwdCubic4,
-		interp.StQuad3Left:   fwdQuad3Left,
-		interp.StQuad3Right:  fwdQuad3Right,
-		interp.StMid2:        fwdMid2,
-		interp.StExtrapLeft2: fwdExtrapLeft2,
-		interp.StCopyLeft:    fwdCopyLeft,
-	}
-	invKernels = kernelTable{
-		interp.StCubic4:      invCubic4,
-		interp.StQuad3Left:   invQuad3Left,
-		interp.StQuad3Right:  invQuad3Right,
-		interp.StMid2:        invMid2,
-		interp.StExtrapLeft2: invExtrapLeft2,
-		interp.StCopyLeft:    invCopyLeft,
-	}
-)
-
-// sweep runs one direction's kernels over the pass whose region is rg
-// (pa.qpRegion: its rows are the pass's lines and RowBase a line's first
-// predicted point), block by block, and returns the number of
-// unpredictable points. A one-line block runs along its line.
+// sweep runs one direction over the pass whose region is rg (pa.qpRegion:
+// its rows are the pass's lines and RowBase a line's first predicted
+// point), block by block, and returns the number of unpredictable points.
+// A one-line block is one run along each segment; a wider block is one run
+// across its lines at each in-line position.
 //
 //scdc:hot
 //scdc:noalloc
-func (pk *passKern) sweep(kern *kernelTable, data []float64, sym []int32, rg core.Region) int {
+func (pk *passKern) sweep(fwd bool, data []float64, sym []int32, rg core.Region) int {
 	nu := 0
 	for li, rows := 0, rg.Rows(); li < rows; li += pk.blk {
 		o := rg.RowBase(li)
 		for _, sg := range pk.segs[:pk.nseg] {
-			run := kern[sg.st]
-			if pk.blk == 1 {
-				nu += run(data, sym, o, pk.ss2, sg.n, pk.ss, pk.prm)
-				o += sg.n * pk.ss2
-				continue
+			step, cnt, next := pk.ss2, sg.n, sg.n*pk.ss2
+			if pk.blk > 1 {
+				step, cnt, next = pk.rstep, pk.blk, pk.ss2
 			}
-			for end := o + sg.n*pk.ss2; o < end; o += pk.ss2 {
-				nu += run(data, sym, o, pk.rstep, pk.blk, pk.ss, pk.prm)
+			for end := o + sg.n*pk.ss2; o < end; o += next {
+				if fwd {
+					nu += pk.fwdRun(sg.st, data, sym, o, step, cnt)
+				} else {
+					nu += invKernels[sg.st](data, sym, o, step, cnt, pk.ss, pk.quant)
+				}
 			}
 		}
 	}
 	return nu
+}
+
+// fwdRun predicts and quantizes the cnt points o, o+step, ... that share
+// stencil st, a chunk of up to len(pk.pred) points at a time, and returns
+// the number of unpredictable points.
+//
+//scdc:noalloc
+func (pk *passKern) fwdRun(st interp.Stencil, data []float64, sym []int32, o, step, cnt int) int {
+	nu := 0
+	for cnt > 0 {
+		pred := pk.pred[:min(cnt, len(pk.pred))]
+		predict(st, pred, data, o, step, pk.ss)
+		nu += len(pk.quant.QuantizeRun(pred, data, sym, o, step, pk.sink[:0]))
+		o += len(pred) * step
+		cnt -= len(pred)
+	}
+	return nu
+}
+
+// predict writes the stencil's prediction of the points o, o+step, ... to
+// pred, one loop per stencil.
+//
+//scdc:noalloc
+func predict(st interp.Stencil, pred, data []float64, o, step, ss int) {
+	switch st {
+	case interp.StCubic4:
+		for i := range pred {
+			pred[i] = interp.Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss])
+			o += step
+		}
+	case interp.StQuad3Left:
+		for i := range pred {
+			pred[i] = interp.Quad3Left(data[o-3*ss], data[o-ss], data[o+ss])
+			o += step
+		}
+	case interp.StQuad3Right:
+		for i := range pred {
+			pred[i] = interp.Quad3Right(data[o-ss], data[o+ss], data[o+3*ss])
+			o += step
+		}
+	case interp.StMid2:
+		for i := range pred {
+			pred[i] = interp.Mid2(data[o-ss], data[o+ss])
+			o += step
+		}
+	case interp.StExtrapLeft2:
+		for i := range pred {
+			pred[i] = interp.ExtrapLeft2(data[o-3*ss], data[o-ss])
+			o += step
+		}
+	default:
+		for i := range pred {
+			pred[i] = data[o-ss]
+			o += step
+		}
+	}
 }
 
 // gatherLits appends the original value of every unpredictable point of
@@ -204,132 +240,9 @@ func scatterLits(data []float64, sym []int32, rg core.Region, lits []float64) {
 	}
 }
 
-// fwdQuant quantizes data[o] against pred, storing the symbol in q[o]
-// and the reconstruction in data[o]. It hand-mirrors
-// quantizer.Linear.Quantize — the same operations in the same order, so
-// results are bit-identical (TestFusedQuantMatchesQuantizer pins this).
-// math.Round alone costs 57 of the 80-point inlining budget, so neither
-// Quantize nor this helper can ever inline; the interior kernels
-// (fwdMid2, fwdCubic4) therefore expand this exact body at their predict
-// site, and the edge kernels call it. Returns false for an unpredictable
-// point: q[o] holds the marker and data[o] is left as the original value.
-//
 //scdc:noalloc
-func fwdQuant(data []float64, q []int32, o int, pred float64, pm quantParams) bool {
-	d := data[o]
-	qf := (d - pred) / pm.eb2
-	if qf < pm.rf && qf > -pm.rf { // NaN fails both, like the IsNaN gate
-		qq := int32(math.Round(qf))
-		if qq < pm.r && qq > -pm.r {
-			dec := pred + 2*float64(qq)*pm.eb
-			if math.Abs(dec-d) <= pm.eb { // rounding guard of Quantize
-				q[o] = qq + pm.r
-				data[o] = dec
-				return true
-			}
-		}
-	}
-	q[o] = quantizer.Unpredictable
-	return false
-}
-
-// --- forward kernels ---
-
-//scdc:noalloc
-func fwdMid2(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
+func invMid2(data []float64, sym []int32, o, step, cnt, ss int, qu quantizer.Linear) int {
 	nu := 0
-	for ; cnt > 0; cnt, o = cnt-1, o+step {
-		pred := interp.Mid2(data[o-ss], data[o+ss])
-		d := data[o]
-		qf := (d - pred) / pm.eb2
-		if qf < pm.rf && qf > -pm.rf {
-			if qq := int32(math.Round(qf)); qq < pm.r && qq > -pm.r {
-				dec := pred + 2*float64(qq)*pm.eb
-				if math.Abs(dec-d) <= pm.eb {
-					q[o] = qq + pm.r
-					data[o] = dec
-					continue
-				}
-			}
-		}
-		q[o] = quantizer.Unpredictable
-		nu++
-	}
-	return nu
-}
-
-//scdc:noalloc
-func fwdCubic4(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
-	nu := 0
-	for ; cnt > 0; cnt, o = cnt-1, o+step {
-		pred := interp.Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss])
-		d := data[o]
-		qf := (d - pred) / pm.eb2
-		if qf < pm.rf && qf > -pm.rf {
-			if qq := int32(math.Round(qf)); qq < pm.r && qq > -pm.r {
-				dec := pred + 2*float64(qq)*pm.eb
-				if math.Abs(dec-d) <= pm.eb {
-					q[o] = qq + pm.r
-					data[o] = dec
-					continue
-				}
-			}
-		}
-		q[o] = quantizer.Unpredictable
-		nu++
-	}
-	return nu
-}
-
-//scdc:noalloc
-func fwdQuad3Left(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
-	nu := 0
-	for ; cnt > 0; cnt, o = cnt-1, o+step {
-		if !fwdQuant(data, q, o, interp.Quad3Left(data[o-3*ss], data[o-ss], data[o+ss]), pm) {
-			nu++
-		}
-	}
-	return nu
-}
-
-//scdc:noalloc
-func fwdQuad3Right(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
-	nu := 0
-	for ; cnt > 0; cnt, o = cnt-1, o+step {
-		if !fwdQuant(data, q, o, interp.Quad3Right(data[o-ss], data[o+ss], data[o+3*ss]), pm) {
-			nu++
-		}
-	}
-	return nu
-}
-
-//scdc:noalloc
-func fwdExtrapLeft2(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
-	nu := 0
-	for ; cnt > 0; cnt, o = cnt-1, o+step {
-		if !fwdQuant(data, q, o, interp.ExtrapLeft2(data[o-3*ss], data[o-ss]), pm) {
-			nu++
-		}
-	}
-	return nu
-}
-
-//scdc:noalloc
-func fwdCopyLeft(data []float64, q []int32, o, step, cnt, ss int, pm quantParams) int {
-	nu := 0
-	for ; cnt > 0; cnt, o = cnt-1, o+step {
-		if !fwdQuant(data, q, o, data[o-ss], pm) {
-			nu++
-		}
-	}
-	return nu
-}
-
-// --- inverse kernels ---
-
-//scdc:noalloc
-func invMid2(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
-	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
 	for ; cnt > 0; cnt, o = cnt-1, o+step {
 		if s := sym[o]; s != quantizer.Unpredictable {
 			data[o] = qu.Recover(interp.Mid2(data[o-ss], data[o+ss]), s)
@@ -341,8 +254,8 @@ func invMid2(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) 
 }
 
 //scdc:noalloc
-func invCubic4(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
-	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+func invCubic4(data []float64, sym []int32, o, step, cnt, ss int, qu quantizer.Linear) int {
+	nu := 0
 	for ; cnt > 0; cnt, o = cnt-1, o+step {
 		if s := sym[o]; s != quantizer.Unpredictable {
 			data[o] = qu.Recover(interp.Cubic4(data[o-3*ss], data[o-ss], data[o+ss], data[o+3*ss]), s)
@@ -354,8 +267,8 @@ func invCubic4(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams
 }
 
 //scdc:noalloc
-func invQuad3Left(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
-	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+func invQuad3Left(data []float64, sym []int32, o, step, cnt, ss int, qu quantizer.Linear) int {
+	nu := 0
 	for ; cnt > 0; cnt, o = cnt-1, o+step {
 		if s := sym[o]; s != quantizer.Unpredictable {
 			data[o] = qu.Recover(interp.Quad3Left(data[o-3*ss], data[o-ss], data[o+ss]), s)
@@ -367,8 +280,8 @@ func invQuad3Left(data []float64, sym []int32, o, step, cnt, ss int, pm quantPar
 }
 
 //scdc:noalloc
-func invQuad3Right(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
-	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+func invQuad3Right(data []float64, sym []int32, o, step, cnt, ss int, qu quantizer.Linear) int {
+	nu := 0
 	for ; cnt > 0; cnt, o = cnt-1, o+step {
 		if s := sym[o]; s != quantizer.Unpredictable {
 			data[o] = qu.Recover(interp.Quad3Right(data[o-ss], data[o+ss], data[o+3*ss]), s)
@@ -380,8 +293,8 @@ func invQuad3Right(data []float64, sym []int32, o, step, cnt, ss int, pm quantPa
 }
 
 //scdc:noalloc
-func invExtrapLeft2(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
-	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+func invExtrapLeft2(data []float64, sym []int32, o, step, cnt, ss int, qu quantizer.Linear) int {
+	nu := 0
 	for ; cnt > 0; cnt, o = cnt-1, o+step {
 		if s := sym[o]; s != quantizer.Unpredictable {
 			data[o] = qu.Recover(interp.ExtrapLeft2(data[o-3*ss], data[o-ss]), s)
@@ -393,8 +306,8 @@ func invExtrapLeft2(data []float64, sym []int32, o, step, cnt, ss int, pm quantP
 }
 
 //scdc:noalloc
-func invCopyLeft(data []float64, sym []int32, o, step, cnt, ss int, pm quantParams) int {
-	qu, nu := quantizer.Linear{EB: pm.eb, Radius: pm.r}, 0
+func invCopyLeft(data []float64, sym []int32, o, step, cnt, ss int, qu quantizer.Linear) int {
+	nu := 0
 	for ; cnt > 0; cnt, o = cnt-1, o+step {
 		if s := sym[o]; s != quantizer.Unpredictable {
 			data[o] = qu.Recover(data[o-ss], s)

@@ -280,39 +280,89 @@ func TestInterpKernelsMatchWalker(t *testing.T) {
 	}
 }
 
-// TestFusedQuantMatchesQuantizer pins the hand-expanded quantize step of
-// the forward kernels (fwdQuant, whose body the hot loops replicate) to
-// quantizer.Linear.Quantize bit for bit, including the branches Quantize
-// takes for NaN, infinities, saturated indices and the rounding guard.
-func TestFusedQuantMatchesQuantizer(t *testing.T) {
-	quant := quantizer.Linear{EB: 1e-3, Radius: quantizer.DefaultRadius}
-	pm := quantParams{eb: quant.EB, eb2: 2 * quant.EB, rf: float64(quant.Radius), r: quant.Radius}
-	cases := []struct{ d, pred float64 }{
-		{0, 0}, {1.0000049, 1}, {1.0021, 1}, {-3.5, -3.4999},
-		{float64(quant.Radius) * 2e-3, 0},      // exactly at the range gate
-		{float64(quant.Radius)*2e-3 - 1e-3, 0}, // just inside
-		{-float64(quant.Radius) * 2e-3, 0},     // negative gate
-		{math.NaN(), 0}, {0, math.NaN()},       // NaN data / NaN prediction
-		{math.Inf(1), 0}, {math.Inf(-1), 1e300}, // infinities
-		{1e308, -1e308},       // overflow in the residual
-		{5e-4, 0}, {-5e-4, 0}, // rounding-guard half-bin edges
-		{1.5e-3, 1e-3}, {2.5e-3, 0},
+// refQuantize is quantizer.Linear.Quantize as it was written before the
+// branch-free round: two range gates around math.Round. It is the
+// reference the fused forward path is held to.
+func refQuantize(z quantizer.Linear, d, p float64) (int32, float64, bool) {
+	qf := (d - p) / (2 * z.EB)
+	if qf >= float64(z.Radius) || qf <= -float64(z.Radius) || math.IsNaN(qf) {
+		return quantizer.Unpredictable, d, false
 	}
-	for _, tc := range cases {
-		data := []float64{tc.d}
-		q := []int32{0}
-		okK := fwdQuant(data, q, 0, tc.pred, pm)
-		symR, decR, okR := quant.Quantize(tc.d, tc.pred)
-		if okK != okR || q[0] != symR {
-			t.Fatalf("d=%v pred=%v: fused (sym=%d ok=%v) != quantizer (sym=%d ok=%v)",
-				tc.d, tc.pred, q[0], okK, symR, okR)
+	q := int32(math.Round(qf))
+	if q >= z.Radius || q <= -z.Radius {
+		return quantizer.Unpredictable, d, false
+	}
+	dec := p + 2*float64(q)*z.EB
+	if math.Abs(dec-d) > z.EB {
+		return quantizer.Unpredictable, d, false
+	}
+	return q + z.Radius, dec, true
+}
+
+// TestFusedQuantMatchesQuantizer pins the forward run — predict a chunk,
+// then quantizer.Linear.QuantizeRun — and the per-point
+// quantizer.Linear.Quantize to the math.Round reference bit for bit,
+// including the branches for NaN, infinities, the range gate, saturated
+// indices and the rounding guard, at radii from 2 to MaxInt32. The points
+// run as one strided CopyLeft run longer than a chunk, so a chunk
+// boundary falls inside the cases.
+func TestFusedQuantMatchesQuantizer(t *testing.T) {
+	type pt struct{ d, pred float64 }
+	for _, quant := range []quantizer.Linear{
+		{EB: 1e-3, Radius: quantizer.DefaultRadius},
+		{EB: 1e-3, Radius: 2},
+		{EB: 0.5, Radius: 1 << 30},
+		{EB: 1e-3, Radius: math.MaxInt32},
+		{EB: 1.3, Radius: quantizer.DefaultRadius}, // the guard case below
+	} {
+		bin, r := 2*quant.EB, float64(quant.Radius)
+		cases := []pt{
+			{0, 0}, {1.0000049, 1}, {1.0021, 1}, {-3.5, -3.4999},
+			{r * bin, 0}, {-r * bin, 0}, // at the range gate
+			{(r - 0.5) * bin, 0}, {-(r - 0.5) * bin, 0}, // rounds to ±Radius: saturated
+			{math.Nextafter((r-0.5)*bin, 0), 0}, {math.Nextafter(-(r-0.5)*bin, 0), 0},
+			{(r - 1) * bin, 0}, {-(r - 1) * bin, 0},
+			{math.NaN(), 0}, {0, math.NaN()}, // NaN data / NaN prediction
+			{math.Inf(1), 0}, {math.Inf(-1), 1e300}, {0, math.Inf(1)}, // infinities
+			{1e308, -1e308}, // overflow in the residual
+			// Half bins.
+			{quant.EB, 0}, {-quant.EB, 0}, {3 * quant.EB, 0}, {-3 * quant.EB, 0},
+			{1.5e-3, 1e-3}, {2.5e-3, 0},
+			{1<<54 - 4, 1 << 54}, // rounding guard at EB 1.3: dec lands 2 from d
 		}
-		want := decR
-		if !okR {
-			want = tc.d // fused path leaves the original value in place
+		for k := 0; len(cases) < 150; k++ { // fill past a chunk with half bins
+			cases = append(cases, pt{(float64(k%9) - 4 + 0.5) * bin, float64(k) * 0.25})
 		}
-		if math.Float64bits(data[0]) != math.Float64bits(want) {
-			t.Fatalf("d=%v pred=%v: fused reconstruction %v != quantizer %v", tc.d, tc.pred, data[0], want)
+
+		// One CopyLeft run at step 3: the prediction sits at o-1.
+		const step = 3
+		data := make([]float64, step*len(cases))
+		sym := make([]int32, len(data))
+		for i, c := range cases {
+			data[step*i], data[step*i+1] = c.pred, c.d
+		}
+		pk := passKern{ss: 1, quant: quant}
+		nu := pk.fwdRun(interp.StCopyLeft, data, sym, 1, step, len(cases))
+
+		wantNU := 0
+		for i, c := range cases {
+			symR, decR, okR := refQuantize(quant, c.d, c.pred)
+			if !okR {
+				wantNU++
+			}
+			o := step*i + 1
+			if sym[o] != symR || math.Float64bits(data[o]) != math.Float64bits(decR) {
+				t.Fatalf("%+v d=%v pred=%v: run (sym=%d, %v) != reference (sym=%d, %v)",
+					quant, c.d, c.pred, sym[o], data[o], symR, decR)
+			}
+			symP, decP, okP := quant.Quantize(c.d, c.pred)
+			if symP != symR || okP != okR || math.Float64bits(decP) != math.Float64bits(decR) {
+				t.Fatalf("%+v d=%v pred=%v: Quantize (sym=%d, %v, %v) != reference (sym=%d, %v, %v)",
+					quant, c.d, c.pred, symP, decP, okP, symR, decR, okR)
+			}
+		}
+		if nu != wantNU {
+			t.Fatalf("%+v: run counted %d unpredictable points, reference %d", quant, nu, wantNU)
 		}
 	}
 }
