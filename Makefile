@@ -1,17 +1,20 @@
 # Build, test and benchmark entry points.
 #
 # `make check` is the tier-1 gate: full build + tests, go vet, the
-# project static-analysis suite (scdclint + gofmt), a -race pass over
-# every package, a short fuzz pass over every decoder-facing fuzz
-# target, one iteration of every benchmark, and a vet + test pass over
-# the benchmark module.
+# static gate (scdclint: seven analyzers and the compiler-diagnostic
+# gate, plus gofmt), a -race pass over every package, a short fuzz pass
+# over every decoder-facing fuzz target, one iteration of every
+# benchmark, and a vet + test pass over the benchmark module. `make
+# test` alone already enforces scdclint's whole gate
+# (cmd/scdclint's TestLintModuleClean) and re-encodes every golden pin
+# (cmd/golden's test).
 # `make bench` runs the repository benchmark (benchmark/run.sh, declared
 # in BENCHMARK.json); benchmark/ holds its baselines.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures lint-gc race check bench bench-build bench-smoke fuzz-smoke cover loc
+.PHONY: all build test vet lint race check bench bench-build bench-smoke fuzz-smoke cover loc
 
 all: check
 
@@ -24,29 +27,18 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Project-specific invariants (DESIGN.md §8): scdclint's seven analyzers
-# over the codec packages, plus a gofmt cleanliness check.
+# The static gate (DESIGN.md §6.9 and §8): scdclint's seven analyzers
+# and its compiler-diagnostic step over the packages of
+# internal/analysis/suite, plus a gofmt cleanliness check. The compiler
+# step pins its diagnostic grammar to go1.22–go1.24; on any other
+# toolchain it prints a skip notice rather than guessing at unverified
+# wording.
 lint:
 	$(GO) run ./cmd/scdclint
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 	    echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
-
-# Self-test guard: every analyzer must report at least one diagnostic on
-# its own positive fixtures, so a silently broken analyzer fails the
-# build instead of quietly passing everything.
-lint-fixtures:
-	$(GO) run ./cmd/scdclint -fixtures
-
-# Compiler-diagnostic gate (DESIGN.md §6.9): every //scdc:inline,
-# //scdc:noalloc and //scdc:nobounds directive in the hot packages is
-# checked against the compiler's real -m=2 / check_bce output. The gate
-# pins the diagnostic grammar to go1.22–go1.24; on any other toolchain
-# scdcgc prints a skip notice and exits 0 rather than guessing at
-# unverified wording.
-lint-gc:
-	$(GO) run ./cmd/scdcgc
 
 race:
 	$(GO) test -race ./...
@@ -86,7 +78,7 @@ cover:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build test vet lint lint-fixtures lint-gc race fuzz-smoke bench-smoke bench-build
+check: build test vet lint race fuzz-smoke bench-smoke bench-build
 
 # One harness: end-to-end throughput, ratio and the per-layer trace for
 # the four workloads of BENCHMARK.json (see benchmark/README.md).

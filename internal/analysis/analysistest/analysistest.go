@@ -13,10 +13,17 @@
 // Several expectations on one line are written as several quoted regexps.
 // Every diagnostic must be wanted and every want must be matched; either
 // mismatch fails the test.
+//
+// RunMutant is the other half of an analyzer's test: it seeds one fault
+// into a copy of a real package of the module and requires the analyzer
+// to flag it, so an analyzer proves it guards the tree it ships with, not
+// only its fixtures.
 package analysistest
 
 import (
+	"go/build"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -48,6 +55,76 @@ func Run(t *testing.T, root string, a *analysis.Analyzer, pkgs ...string) []anal
 		checkWants(t, pkg, a.Name, diags)
 	}
 	return all
+}
+
+// RunMutant copies the non-test Go files of the module package pkgPath
+// into a temporary directory, replaces the one occurrence of old in file
+// with mutant, loads the copy under the real import path and runs the
+// analyzer over it. The test fails unless some diagnostic in file matches
+// the regexp want, and also if the unmutated package already has such a
+// diagnostic or old does not occur exactly once — a mutation that no
+// longer applies to the real code must be rewritten, not silently pass.
+func RunMutant(t *testing.T, a *analysis.Analyzer, pkgPath, file, old, mutant, want string) {
+	t.Helper()
+	rx := regexp.MustCompile(want)
+	bp, err := build.Import(pkgPath, ".", build.FindOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, tmp := bp.Dir, t.TempDir()
+	names, err := filepath.Glob(filepath.Join(src, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		base := filepath.Base(name)
+		if strings.HasSuffix(base, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == file {
+			text := string(data)
+			if n := strings.Count(text, old); n != 1 {
+				t.Fatalf("%s/%s: mutation site occurs %d times, want 1:\n%s", pkgPath, file, n, old)
+			}
+			data = []byte(strings.Replace(text, old, mutant, 1))
+		}
+		if err := os.WriteFile(filepath.Join(tmp, base), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader := load.NewLoader()
+	var others []string
+	matches := func(dir string) int {
+		pkg, err := loader.LoadDir(dir, pkgPath)
+		if err != nil {
+			t.Fatalf("loading %s from %s: %v", pkgPath, dir, err)
+		}
+		diags, err := analysis.Run(pkg, a)
+		if err != nil {
+			t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
+		}
+		n := 0
+		for _, d := range diags {
+			switch {
+			case filepath.Base(d.Pos.Filename) == file && rx.MatchString(d.Message):
+				n++
+			case dir == tmp:
+				others = append(others, d.String())
+			}
+		}
+		return n
+	}
+	if n := matches(src); n != 0 {
+		t.Fatalf("%s already reports %d diagnostic(s) matching %q in the unmutated %s", a.Name, n, want, pkgPath)
+	}
+	if matches(tmp) == 0 {
+		t.Errorf("%s is blind to the seeded fault in %s/%s: no diagnostic matches %q; it reported %q",
+			a.Name, pkgPath, file, want, others)
+	}
 }
 
 type want struct {

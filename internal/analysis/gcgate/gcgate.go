@@ -34,8 +34,8 @@
 //
 // Diagnostic grammar drifts across toolchains; SupportedGoVersion gates
 // the whole check to the releases this parser was validated against, and
-// cmd/scdcgc skips (exit 0, with a message) on anything else rather than
-// failing falsely.
+// cmd/scdclint skips the gate (with a message) on anything else rather
+// than failing falsely.
 package gcgate
 
 import (
@@ -61,14 +61,6 @@ const (
 	KindNoAlloc  Kind = "noalloc"
 	KindNoBounds Kind = "nobounds"
 )
-
-// Pkg names one gated package: its directory relative to the module
-// root (the spelling handed to go build) and its import path (the
-// spelling handed to the type checker).
-type Pkg struct {
-	Dir  string
-	Path string
-}
 
 // Target is one function carrying gate directives.
 type Target struct {
@@ -139,18 +131,12 @@ func SupportedGoVersion(v string) bool {
 	return false
 }
 
-// Collect loads the gated packages and gathers every directive-carrying
-// function plus every direct call site of an inline target.
-func Collect(root string, pkgs []Pkg) (*Set, error) {
-	loader := load.NewLoader()
+// Collect gathers, from the gated packages loaded beneath the module
+// root, every directive-carrying function plus every direct call site of
+// an inline target.
+func Collect(root string, pkgs []*load.Package) (*Set, error) {
 	set := &Set{Calls: make(map[string][]CallSite)}
-	loaded := make([]*load.Package, 0, len(pkgs))
-	for _, p := range pkgs {
-		lp, err := loader.LoadDir(filepath.Join(root, filepath.FromSlash(p.Dir)), p.Path)
-		if err != nil {
-			return nil, err
-		}
-		loaded = append(loaded, lp)
+	for _, lp := range pkgs {
 		ts, err := collectTargets(root, lp)
 		if err != nil {
 			return nil, err
@@ -163,7 +149,7 @@ func Collect(root string, pkgs []Pkg) (*Set, error) {
 			inline[t.FullName] = t
 		}
 	}
-	for _, lp := range loaded {
+	for _, lp := range pkgs {
 		if err := collectCalls(root, lp, inline, set.Calls); err != nil {
 			return nil, err
 		}
@@ -321,14 +307,18 @@ func collectCalls(root string, lp *load.Package, inline map[string]*Target, call
 // diagLine matches one compiler diagnostic: file:line:col: message.
 var diagLine = regexp.MustCompile(`^([^\s:][^:]*\.go):(\d+):(\d+): (.*)$`)
 
-// CompilerDiags recompiles the gated package directories (relative to
-// root) with the inline/escape/BCE diagnostics enabled and parses the
-// output. The go build cache replays diagnostics for cached packages, so
-// repeat runs stay cheap and complete.
-func CompilerDiags(root string, dirs []string) ([]Diag, error) {
+// CompilerDiags recompiles the gated packages (loaded beneath root) with
+// the inline/escape/BCE diagnostics enabled and parses the output. The go
+// build cache replays diagnostics for cached packages, so repeat runs
+// stay cheap and complete.
+func CompilerDiags(root string, pkgs []*load.Package) ([]Diag, error) {
 	args := []string{"build", "-gcflags=-m=2 -d=ssa/check_bce"}
-	for _, d := range dirs {
-		args = append(args, "./"+filepath.ToSlash(filepath.Clean(d)))
+	for _, p := range pkgs {
+		dir, err := filepath.Rel(root, p.Dir)
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, "./"+filepath.ToSlash(dir))
 	}
 	cmd := exec.Command("go", args...)
 	cmd.Dir = root

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scdc/internal/analysis/gcgate"
+	"scdc/internal/analysis/load"
 )
 
 func TestSupportedGoVersion(t *testing.T) {
@@ -56,11 +57,20 @@ not a diagnostic line
 	}
 }
 
-// fixtureSet collects the directive universe of the self-contained
-// testdata module.
+// fixture loads the self-contained testdata module's one package.
+func fixture(t *testing.T) []*load.Package {
+	t.Helper()
+	pkg, err := load.NewLoader().LoadDir("testdata/mod", "gcfix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*load.Package{pkg}
+}
+
+// fixtureSet collects the directive universe of the fixture module.
 func fixtureSet(t *testing.T) *gcgate.Set {
 	t.Helper()
-	set, err := gcgate.Collect("testdata/mod", []gcgate.Pkg{{Dir: ".", Path: "gcfix"}})
+	set, err := gcgate.Collect("testdata/mod", fixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +85,12 @@ func fixtureSet(t *testing.T) *gcgate.Set {
 // gate ever goes blind to one of these, this test fails before make
 // check can silently pass.
 func TestFixtureViolations(t *testing.T) {
-	set := fixtureSet(t)
-	diags, err := gcgate.CompilerDiags("testdata/mod", []string{"."})
+	pkgs := fixture(t)
+	set, err := gcgate.Collect("testdata/mod", pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := gcgate.CompilerDiags("testdata/mod", pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // gcgate test compiles this module for real and asserts the exact
 // violation set, which proves the gate still fails when an inline tag
 // stops holding or a nobounds region regains a check — the acceptance
-// demonstration for `make lint-gc`.
+// demonstration for the gate step of `make lint`.
 package gcfix
 
 // Small honors scdc:inline: trivially under the inline budget.

@@ -25,3 +25,13 @@ func TestStandInClean(t *testing.T) {
 		t.Errorf("stand-in parallel package: got %d diagnostics, want 0", len(diags))
 	}
 }
+
+// TestSeededMutation makes huffman.encodeShards append each shard to the
+// captured directory instead of writing its own slot, so workers race on
+// the slice header and shards land in completion order.
+func TestSeededMutation(t *testing.T) {
+	analysistest.RunMutant(t, parallelpure.Analyzer, "scdc/internal/huffman", "sharded.go",
+		`dir[i] = shard.Shard{N: len(part), Body: b.B, Buf: b}`,
+		`dir = append(dir, shard.Shard{N: len(part), Body: b.B, Buf: b})`,
+		`writes captured variable "dir"`)
+}

@@ -13,3 +13,13 @@ func TestPoolReturn(t *testing.T) {
 		t.Errorf("got %d diagnostics, want 4", len(diags))
 	}
 }
+
+// TestSeededMutation drops the deferred Put of lossless.flateDecompressInto's
+// pooled reader.
+func TestSeededMutation(t *testing.T) {
+	analysistest.RunMutant(t, poolreturn.Analyzer, "scdc/internal/lossless", "lossless.go",
+		`defer flateReaderPool.Put(st)
+`,
+		``,
+		`pool Get \(lossless\.flateReaderPool\) has no matching Put in flateDecompressInto`)
+}

@@ -13,3 +13,14 @@ func TestStreamDeterminism(t *testing.T) {
 		t.Errorf("got %d diagnostics, want 3", len(diags))
 	}
 }
+
+// TestSeededMutation makes entropy.analyzeSparse collect its counts in
+// map order instead of over the sorted symbols, so the symbol table and
+// the float accumulation follow the randomized iteration.
+func TestSeededMutation(t *testing.T) {
+	analysistest.RunMutant(t, streamdeterminism.Analyzer, "scdc/internal/entropy", "dist.go",
+		`for _, s := range syms {
+		c := m[s]`,
+		`for s, c := range m {`,
+		`iteration over map m`)
+}

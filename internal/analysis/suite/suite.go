@@ -1,8 +1,9 @@
-// Package suite is the single registry of the scdclint analyzers and the
-// packages they lint. cmd/scdclint, the -fixtures blindness guard and the
-// scdclint:ignore audit all consume this list, so adding an analyzer here
-// automatically enrolls it in linting, in the fixture self-test and in
-// the audit — there is no second list to forget.
+// Package suite is the single registry of the static gate: the scdclint
+// analyzers and the packages that both they and the compiler-diagnostic
+// gate (internal/analysis/gcgate) check. cmd/scdclint, the scdclint:ignore
+// audit and the fixture guard all consume these lists, so adding an
+// analyzer or a package here enrolls it everywhere — there is no second
+// list to forget.
 package suite
 
 import (
@@ -30,10 +31,13 @@ var Analyzers = []*analysis.Analyzer{
 	hotpath.Analyzer,
 }
 
-// Packages is the set of import paths each analyzer runs over: the
-// public package plus every internal package that produces or consumes
-// compressed streams. cmd/* binaries and the analysis suite itself are
-// out of scope; test files are never loaded.
+// Packages is the set of import paths the gate checks: the public
+// package plus every internal package that produces or consumes
+// compressed streams. The analyzers run over each; the compiler gate
+// compiles them together, so cross-package call sites of an inline
+// target (sz3 calling interp.Mid2) are checked too. cmd/* binaries and
+// the analysis suite itself are out of scope; test files are never
+// loaded.
 var Packages = []string{
 	"scdc",
 	"scdc/internal/bitstream",
@@ -56,7 +60,7 @@ var Packages = []string{
 	"scdc/internal/zfp",
 }
 
-// Dir maps a lint package path to its directory under the module root.
+// Dir maps a package path to its directory under the module root.
 func Dir(root, pkgPath string) string {
 	if pkgPath == "scdc" {
 		return root

@@ -253,6 +253,14 @@ func blockLineBase(dims, strides, origin []int, ax int, shift uint, off int) int
 	return base
 }
 
+// Quantization noise floors of the block tuner's two stencils, in eb
+// units: the cubic stencil amplifies decompressed-neighbour noise ~1.29x
+// against linear's 1.0x.
+const (
+	cubicNoise  = 0.645
+	linearNoise = 0.5
+)
+
 // blockResiduals samples cubic and linear stride-2 residuals along axis
 // ax on a few lines through the block at origin.
 func blockResiduals(f *grid.Field, dims, strides []int, origin []int, ax int, eb float64) (cubic, linear float64, sampled int) {
@@ -278,15 +286,13 @@ func blockResiduals(f *grid.Field, dims, strides []int, origin []int, ax int, eb
 			hi = n
 		}
 		// Odd multiples of s=2 (t = 2, 6, 10, ... within the block). The
-		// score is the entropy-cost model with each kernel's quantization
-		// noise floor (the cubic stencil amplifies decompressed-neighbor
-		// noise ~1.29x vs linear's 1.0x), matching the predictor selection
-		// model used elsewhere.
+		// score is SZ3's entropy-cost model with each kernel's own
+		// quantization noise floor.
 		for t := origin[ax] + 2; t < hi; t += 4 {
 			pl, pc := interp.LinearCubic(f.Data, base, strd, n, t, 2)
 			v := f.Data[base+t*strd]
-			cubic += math.Log2(1 + (math.Abs(v-pc)+0.645*eb)/(2*eb))
-			linear += math.Log2(1 + (math.Abs(v-pl)+0.5*eb)/(2*eb))
+			cubic += sz3.BitCostNoisy(v-pc, eb, cubicNoise)
+			linear += sz3.BitCostNoisy(v-pl, eb, linearNoise)
 			sampled++
 		}
 	}

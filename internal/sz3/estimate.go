@@ -51,7 +51,12 @@ const (
 	interpNoise  = 0.5 // cubic stencil gain sqrt(164)/16/sqrt(3)
 )
 
-func bitCostNoisy(resid, eb, noise float64) float64 {
+// BitCostNoisy is the per-point entropy cost model of the predictor
+// choices, log2(1 + (|resid| + noise·eb)/(2·eb)) bits: the residual of a
+// prediction plus its predictor's quantization noise floor (noise, in eb
+// units), in quantization bins. HPEZ's block tuner prices its stencils
+// with it too.
+func BitCostNoisy(resid, eb, noise float64) float64 {
 	return math.Log2(1 + (math.Abs(resid)+noise*eb)/(2*eb))
 }
 
@@ -82,7 +87,7 @@ func sampledLorenzoCost(f *grid.Field, eb float64) float64 {
 				a, ab, ac, abc = d[base-plane], d[base-plane-row], d[base-plane-run], d[base-plane-row-run]
 			}
 			p := lorenzo(a, d[base-row], d[base-run], ab, ac, d[base-row-run], abc)
-			sum += bitCostNoisy(d[base]-p, eb, lorenzoNoise)
+			sum += BitCostNoisy(d[base]-p, eb, lorenzoNoise)
 			cnt++
 			return
 		}
@@ -139,7 +144,7 @@ func sampledInterpCost(f *grid.Field, eb float64, kind interp.Kind) float64 {
 				base := grid.LineBase(dims, strides, axis, line)
 				for t := s; t < n && cnt < 2048; t += 2 * s {
 					p := interp.LineSlice(d, base, strd, n, t, s, kind)
-					sum += bitCostNoisy(d[base+t*strd]-p, eb, interpNoise)
+					sum += BitCostNoisy(d[base+t*strd]-p, eb, interpNoise)
 					cnt++
 				}
 			}

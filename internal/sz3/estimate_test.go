@@ -77,7 +77,7 @@ func refSampledLorenzoCost(f *grid.Field, eb float64) float64 {
 					d[base-s1-s2] - d[base-s1-s3] - d[base-s2-s3] +
 					d[base-s1-s2-s3]
 			}
-			sum += bitCostNoisy(d[base]-p, eb, lorenzoNoise)
+			sum += BitCostNoisy(d[base]-p, eb, lorenzoNoise)
 			cnt++
 			return
 		}
