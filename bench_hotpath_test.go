@@ -7,6 +7,7 @@
 package scdc_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -146,9 +147,12 @@ var stageSink any
 // BenchmarkEntropyStage prices the Huffman stage per symbol on the QP
 // index arrays of the bench.IndexCells (SZ3 Miranda ~1 bit/value, MGARD
 // S3D ~10 bits/value): the histogram (entropy.Analyze), the encode from
-// that Dist (code lengths, code tables, body) and the decode. The code
-// lengths alone are timed by internal/huffman's BenchmarkCodeLengths on
-// the same arrays.
+// that Dist (code lengths, code tables, body) and the decode. encode and
+// decode write and read the layout EncodeDist picks — run-coded on the
+// SZ3 array, plain on the MGARD one — and, where that is not the plain
+// layout, encode_plain and decode_plain time the plain one next to it.
+// The code lengths alone are timed by internal/huffman's
+// BenchmarkCodeLengths on the same arrays.
 func BenchmarkEntropyStage(b *testing.B) {
 	for _, c := range bench.IndexCells {
 		_, qp, err := c.Arrays()
@@ -156,14 +160,20 @@ func BenchmarkEntropyStage(b *testing.B) {
 			b.Fatal(err)
 		}
 		d := entropy.Analyze(qp)
-		enc := huffman.EncodeDist(qp, d)
-		stages := []struct {
+		enc, plain := huffman.EncodeDist(qp, d), huffman.EncodePlain(qp, d)
+		type stage struct {
 			name string
 			fn   func() (any, error)
-		}{
+		}
+		stages := []stage{
 			{"analyze", func() (any, error) { return entropy.Analyze(qp), nil }},
 			{"encode", func() (any, error) { return huffman.EncodeDist(qp, d), nil }},
 			{"decode", func() (any, error) { return huffman.Decode(enc) }},
+		}
+		if !bytes.Equal(enc, plain) {
+			stages = append(stages,
+				stage{"encode_plain", func() (any, error) { return huffman.EncodePlain(qp, d), nil }},
+				stage{"decode_plain", func() (any, error) { return huffman.Decode(plain) }})
 		}
 		for _, st := range stages {
 			b.Run(c.Name+"/"+st.name, func(b *testing.B) {

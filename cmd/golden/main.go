@@ -102,6 +102,17 @@ func synthNoisy(dims []int) []float64 {
 	return data
 }
 
+// synthSmooth is synth without its ripple: at a loose bound nearly
+// every quantization index is the same symbol.
+func synthSmooth(dims []int) []float64 {
+	data := synth(dims) // for its size
+	for i := range data {
+		x := float64(i)
+		data[i] = math.Sin(x/97) + x/(512+x)
+	}
+	return data
+}
+
 // synthSpiky adds +100 to every 499th point of the smooth synth field.
 // At the corpus error bound that is far outside the quantizer's reach,
 // so each spike, and the points predicted from it, become literals.
@@ -301,6 +312,15 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 	// synth field at a bound of 1e-4, so the QP sweep also spans the
 	// independent 3D blocks.
 	pin("sz3_4d_qpon_lorenzo", lorenzo4, synth(lorenzo4), scdc.Options{Algorithm: scdc.SZ3, ErrorBound: 1e-4, QP: qp})
+
+	// The run-coded index sub-format (0x00 0x03): on a smooth line at a
+	// bound of about 1e-2 of its range, SZ3's indices and those of the
+	// lattice engine HPEZ pile onto one symbol.
+	line := []int{512}
+	runs := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: 2e-2, QP: qp}
+	pin("sz3_1d_qpon_runs", line, synthSmooth(line), runs)
+	runs.Algorithm = scdc.HPEZ
+	pin("hpez_1d_qpon_runs", line, synthSmooth(line), runs)
 
 	return entries, streams, err
 }

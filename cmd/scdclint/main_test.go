@@ -168,7 +168,7 @@ func TestGateHolds(t *testing.T) {
 // carries. Dropping a directive (or a refactor silently renaming a
 // carrier out of the manifest) fails here even when the surviving
 // directives still hold, so coverage can only shrink deliberately. The
-// tree has 69 carriers.
+// tree has 75 carriers.
 func TestRealTreeManifest(t *testing.T) {
 	t.Parallel()
 	set, err := gcgate.Collect(root, modulePackages(t))
@@ -208,9 +208,15 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/hpez.accumulate noalloc",
 		"scdc/internal/huffman.(*decoder).decodeMulti noalloc,nobounds",
 		"scdc/internal/huffman.(*decoder).decodeSingle noalloc,nobounds",
+		"scdc/internal/huffman.(*decoder).expandFast noalloc,nobounds",
 		"scdc/internal/huffman.(*decoder).second inline",
+		"scdc/internal/huffman.differs inline",
 		"scdc/internal/huffman.encodeDense noalloc",
+		"scdc/internal/huffman.encodeRuns noalloc",
+		"scdc/internal/huffman.expandRuns noalloc,nobounds",
 		"scdc/internal/huffman.flushTail inline",
+		"scdc/internal/huffman.runDigits inline",
+		"scdc/internal/huffman.scanRuns noalloc",
 		"scdc/internal/interp.Cubic4 inline",
 		"scdc/internal/interp.ExtrapLeft2 inline",
 		"scdc/internal/interp.LinearCubic noalloc",

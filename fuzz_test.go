@@ -44,6 +44,17 @@ func fuzzSeedStreams(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, s)
+	// A smoother line at a looser bound piles its indices onto one
+	// symbol, so its index block is run-coded (0x00 0x03).
+	smooth := make([]float64, 512)
+	for i := range smooth {
+		smooth[i] = math.Sin(float64(i) / 97)
+	}
+	runs, err := Compress(smooth, []int{512}, Options{Algorithm: SZ3, ErrorBound: 1e-2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, runs)
 	v1 := append([]byte(nil), s[:len(s)-footerSize]...)
 	v1[4] = formatV1
 	seeds = append(seeds, v1)
@@ -88,6 +99,15 @@ func FuzzDecompress(f *testing.F) {
 	hostileCounts := hostileIndexCounts(f)
 	for _, name := range []string{"rice", "huffman", "sharded"} {
 		f.Add(hostileCounts[name])
+	}
+	runLies := hostileRunBlocks(f)
+	lies := make([]string, 0, len(runLies))
+	for name := range runLies {
+		lies = append(lies, name)
+	}
+	sort.Strings(lies) // seed numbering must not depend on map order
+	for _, name := range lies {
+		f.Add(runLies[name])
 	}
 	f.Add([]byte("SCDC"))
 	f.Add([]byte{})

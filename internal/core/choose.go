@@ -27,12 +27,18 @@ import (
 // shared code table (huffman.EncodeSharded), built on up to workers
 // goroutines.
 //
+// The keep/drop estimate prices the plain Huffman layout. The encoder may
+// then write the winner run-coded (huffman.EncodeDist), which is smaller
+// than that layout whenever it is chosen, so on a low-entropy stream the
+// written size falls below the estimate.
+//
 // When sp is non-nil it gains (observation never changes the stream):
 //
 //	gauges   entropy_q_bits, entropy_qp_bits (bits/index, before/after QP)
 //	counters est_bytes_q, est_bytes_qp, qp_kept (0/1),
 //	         coder (entropy.CoderHuffman),
-//	         est_bits_out, act_bits_out (estimated vs actual output bits),
+//	         est_bits_out (the plain-layout estimate the QP decision
+//	         used), act_bits_out (the bits written, in whichever layout),
 //	         bytes_out, table_bytes, symbols
 func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, workers int, sp *obs.Span) (enc []byte, useQP bool) {
 	d := entropy.Analyze(q)
@@ -75,8 +81,8 @@ func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, workers int, sp
 // DecodeIndices decodes the entropy-coded index stream of an n-point
 // field, dispatching on the sub-format marker: rice streams (0x00 0x02,
 // which earlier releases could write and nothing writes now) to
-// rice.DecodeN, everything else — legacy single-body and 0x00 0x01
-// sharded Huffman — to huffman.DecodeParallel. A stream that declares
+// rice.DecodeN, everything else — legacy single-body, 0x00 0x01 sharded
+// and 0x00 0x03 run-coded Huffman — to huffman.DecodeParallel. A stream that declares
 // any count but n is corrupt before its n symbols are allocated.
 func DecodeIndices(data []byte, n, workers int) ([]int32, error) {
 	if rice.IsRice(data) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"scdc/internal/entropy"
 )
 
 // geometricStream draws n quantization-index-like symbols: a centre value
@@ -26,6 +28,10 @@ func geometricStream(n int, r float64, seed int64) []int32 {
 	}
 	return q
 }
+
+// plainStream is q in the plain single-body layout, which splitStream
+// parses, whichever layout Encode picks for it.
+func plainStream(q []int32) []byte { return EncodePlain(q, entropy.Analyze(q)) }
 
 // splitStream parses a single-body stream into its code table, declared
 // symbol count and body.
@@ -65,7 +71,7 @@ func BenchmarkDecodeBody(b *testing.B) {
 	const n = 1 << 18
 	for pi, p := range decodeProfiles {
 		q := geometricStream(n, p.r, int64(pi+1))
-		syms, lengths, _, body := splitStream(b, Encode(q))
+		syms, lengths, _, body := splitStream(b, plainStream(q))
 		bits := float64(8*len(body)) / n
 		lenOf := make(map[int32]uint8, len(syms))
 		for i, s := range syms {

@@ -8,9 +8,9 @@ import (
 	"scdc/internal/verdict"
 )
 
-// FuzzHuffmanDecode: arbitrary bytes through both container layouts (the
-// legacy single-body stream and the 0x00-marker sharded sub-format) must
-// error or decode — never panic — and sequential and parallel decoding of
+// FuzzHuffmanDecode: arbitrary bytes through every container layout (the
+// legacy single-body stream and the 0x00-marker sharded and run-coded
+// sub-formats) must error or decode — never panic — and sequential and parallel decoding of
 // the same bytes must agree exactly.
 func FuzzHuffmanDecode(f *testing.F) {
 	skewed := make([]int32, 20000)
@@ -44,6 +44,10 @@ func FuzzHuffmanDecode(f *testing.F) {
 	f.Add(Encode(fib))
 	// Codes of up to 24 bits, past the second-level tables' reach.
 	f.Add(codedStream(append(ascending(24), 24), []int32{0, 24, 3, 23, 20, 1, 24, 22, 0}))
+	// Run-coded streams (0x00 0x03): a short one, expanded in place, and
+	// one long enough for the run table's kernel.
+	f.Add(Encode(modalStream(5000, 0.9, 1)))
+	f.Add(Encode(modalStream(1<<18, 0.8, 2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, err := Decode(data)
 		par, perr := DecodeParallel(data, -1, 4)
@@ -85,6 +89,8 @@ func FuzzHuffmanDecode(f *testing.F) {
 func FuzzHuffmanRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 250}, uint8(1))
 	f.Add(bytes.Repeat([]byte{7}, 100), uint8(3))
+	// Mostly one symbol: the run-coded layout.
+	f.Add(append(bytes.Repeat([]byte{7}, 400), 8, 7, 7, 7, 200, 7, 8), uint8(1))
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, shardByte uint8) {
 		syms := make([]int32, len(raw))

@@ -10,9 +10,11 @@
 // table — on long streams of short codes an 11-bit window whose entry
 // yields up to seven symbols, otherwise a 12-bit window that yields one,
 // with a second-level table behind each 12-bit prefix of 13–20-bit codes.
-// A sharded variant (see sharded.go) splits the body into K independent
-// sub-streams under one shared code table so encode and decode scale with
-// cores.
+// An array piled onto one symbol is written run-coded instead (see
+// runs.go): runs of that symbol become two more symbols of the table, so
+// it no longer costs a bit per point. A sharded variant (see sharded.go)
+// splits the body into K independent sub-streams under one shared code
+// table so encode and decode scale with cores.
 package huffman
 
 import (
@@ -314,9 +316,14 @@ func flushTail(dst []byte, acc uint64, nbit uint) []byte {
 }
 
 // appendTableHeader appends the canonical table header: count of samples,
-// table size, then (zigzag delta symbol, length) pairs.
+// then the table (appendTable).
 func appendTableHeader(hdr []byte, nsamp int, table []symLen) []byte {
-	hdr = binary.AppendUvarint(hdr, uint64(nsamp))
+	return appendTable(binary.AppendUvarint(hdr, uint64(nsamp)), table)
+}
+
+// appendTable appends the table size, then (zigzag delta symbol, length)
+// pairs.
+func appendTable(hdr []byte, table []symLen) []byte {
 	hdr = binary.AppendUvarint(hdr, uint64(len(table)))
 	prevSym := int64(0)
 	for _, sl := range table {
@@ -327,6 +334,17 @@ func appendTableHeader(hdr []byte, nsamp int, table []symLen) []byte {
 	return hdr
 }
 
+// tableLen is the length appendTable writes for table.
+func tableLen(table []symLen) int {
+	n := uvarintLen(uint64(len(table)))
+	prevSym := int64(0)
+	for _, sl := range table {
+		n += varintLen(int64(sl.sym)-prevSym) + uvarintLen(uint64(sl.len))
+		prevSym = int64(sl.sym)
+	}
+	return n
+}
+
 // Encode compresses q into a self-describing byte stream.
 func Encode(q []int32) []byte {
 	return EncodeDist(q, entropy.Analyze(q))
@@ -335,8 +353,25 @@ func Encode(q []int32) []byte {
 // EncodeDist is Encode reusing a distribution already computed by
 // entropy.Analyze(q), so callers that estimated sizes before encoding
 // (core.ChooseEncodingCoder) never histogram the array twice. d must
-// describe exactly q.
+// describe exactly q. The stream is run-coded (runs.go) when that is
+// smaller, and the plain single-body layout otherwise.
 func EncodeDist(q []int32, d *entropy.Dist) []byte {
+	if modal, ok := runCandidate(d); ok {
+		s := runPool.Get().(*runScratch)
+		defer runPool.Put(s)
+		s.mask = grow(s.mask, (len(q)+63)/64)
+		a, b := scanRuns(q, modal, s.mask)
+		if p, ok := planRuns(d, modal, a, b); ok {
+			return p.encode(q, d, s)
+		}
+	}
+	return EncodePlain(q, d)
+}
+
+// EncodePlain is EncodeDist restricted to the plain single-body layout,
+// whichever layout EncodeDist would pick: the baseline that the run-coded
+// layout is measured against.
+func EncodePlain(q []int32, d *entropy.Dist) []byte {
 	var table []symLen
 	var bodyBits uint64
 	if len(q) > 0 {
@@ -355,23 +390,27 @@ func EncodeDist(q []int32, d *entropy.Dist) []byte {
 
 // EncodedLen returns len(Encode(q)) without writing the stream: the code
 // lengths fix both the table header, whose varints it sizes, and the
-// body's bit count.
-func EncodedLen(q []int32) int { return encodedLen(entropy.Analyze(q)) }
+// body's bit count. An array Encode may run-code is scanned for its runs
+// and priced both ways.
+func EncodedLen(q []int32) int {
+	d := entropy.Analyze(q)
+	if modal, ok := runCandidate(d); ok {
+		a, b := scanRuns(q, modal, nil)
+		if p, ok := planRuns(d, modal, a, b); ok {
+			return p.size
+		}
+	}
+	return encodedLen(d)
+}
 
-// encodedLen is EncodedLen of the array d describes.
+// encodedLen is the size of the plain layout of the array d describes.
 func encodedLen(d *entropy.Dist) int {
 	var table []symLen
 	var bodyBits uint64
 	if d.N > 0 {
 		table, bodyBits = codeLengths(d)
 	}
-	hdr := uvarintLen(uint64(d.N)) + uvarintLen(uint64(len(table)))
-	prevSym := int64(0)
-	for _, sl := range table {
-		delta := int64(sl.sym) - prevSym
-		hdr += uvarintLen(uint64(delta<<1)^uint64(delta>>63)) + uvarintLen(uint64(sl.len))
-		prevSym = int64(sl.sym)
-	}
+	hdr := uvarintLen(uint64(d.N)) + tableLen(table)
 	return uvarintLen(uint64(hdr)) + hdr + int((bodyBits+7)/8)
 }
 
@@ -474,7 +513,8 @@ type decTabs struct {
 	fast    [1 << fastBits]fastEnt
 	touched int // fast entries [0,touched) were written since the last clear
 	multi   *[1 << multiBits]multiEnt
-	sub     []uint32 // second-level tables, grown to what a decoder needs
+	runs    *[1 << runBits]runEnt // the run-coded decoder's (runs.go)
+	sub     []uint32              // second-level tables, grown to what a decoder needs
 }
 
 var tabPool = sync.Pool{New: func() any {
@@ -924,21 +964,24 @@ func (d *decoder) decodeSlow(r *bitstream.Reader) (int32, error) {
 
 // Decode reverses Encode (and decodes sharded streams sequentially). It
 // trusts the declared sample count up to what the body could hold at one
-// bit per symbol; a caller that knows the count passes it to
-// DecodeParallel.
+// bit per symbol, or for a run-coded stream up to 2^24 symbols past that;
+// a caller that knows the count passes it to DecodeParallel.
 func Decode(data []byte) ([]int32, error) {
 	return DecodeParallel(data, -1, 1)
 }
 
 // DecodeParallel decodes a Huffman stream on up to workers goroutines.
-// Legacy single-body streams decode sequentially regardless of workers;
-// sharded streams (EncodeSharded, sharded.go) decode their shards
-// concurrently. n >= 0 is the number of symbols the stream must hold: one
-// that declares any other count is corrupt before its output is
-// allocated. n < 0 accepts whatever the body could hold.
+// Single-body streams, plain or run-coded (runs.go), decode sequentially
+// regardless of workers; sharded streams (EncodeSharded, sharded.go)
+// decode their shards concurrently. n >= 0 is the number of symbols the
+// stream must hold: one that declares any other count is corrupt before
+// its output is allocated. n < 0 accepts whatever the body could hold.
 func DecodeParallel(data []byte, n, workers int) ([]int32, error) {
 	sharded := len(data) > 0 && data[0] == shardedMarker
 	if sharded {
+		if len(data) >= 2 && data[1] == runVersion {
+			return decodeRuns(data[2:], n)
+		}
 		if len(data) < 2 || data[1] != shardedVersion {
 			return nil, fmt.Errorf("%w: huffman: unsupported sharded version", verdict.ErrCorrupt)
 		}

@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -290,7 +291,9 @@ func TestCodeLengthsWideAlphabetScales(t *testing.T) {
 
 // TestEncodedLen: the size a trial is priced at is the stream Encode
 // writes, byte for byte, on empty, one- and two-symbol arrays, dense and
-// sparse alphabets (the packed and the map code set) and random draws.
+// sparse alphabets (the packed and the map code set) and random draws;
+// and on runCases, which Encode writes in the layout each names and
+// Decode reads back.
 // Codes past packedMaxLen need ~Fibonacci(58) symbols, more than an array
 // holds, so for Fibonacci counts the sizing is checked against the header
 // appendTableHeader writes and the body the lengths code.
@@ -323,6 +326,19 @@ func TestEncodedLen(t *testing.T) {
 	if d := entropy.Analyze(sparse); d.Dense {
 		t.Fatal("the sparse case has a dense alphabet")
 	}
+	for name, rc := range runCases() {
+		enc := Encode(rc.q)
+		if got := EncodedLen(rc.q); got != len(enc) {
+			t.Errorf("%s (n=%d): EncodedLen = %d, Encode writes %d", name, len(rc.q), got, len(enc))
+		}
+		if runs := len(enc) > 1 && enc[0] == shardedMarker && enc[1] == runVersion; runs != rc.runs {
+			t.Errorf("%s: run-coded = %v, want %v", name, runs, rc.runs)
+		}
+		if !rc.runs && !bytes.Equal(enc, EncodePlain(rc.q, entropy.Analyze(rc.q))) {
+			t.Errorf("%s: stream is not the plain layout", name)
+		}
+		t.Run(name, func(t *testing.T) { roundTrip(t, rc.q) })
+	}
 
 	d := &entropy.Dist{}
 	for i, a, b := 0, uint64(1), uint64(1); i < 64; i, a, b = i+1, b, a+b {
@@ -337,5 +353,131 @@ func TestEncodedLen(t *testing.T) {
 	want := len(binary.AppendUvarint(nil, uint64(len(hdr)))) + len(hdr) + int((bodyBits+7)/8)
 	if got := encodedLen(d); got != want {
 		t.Errorf("fibonacci counts: encodedLen = %d, header and body take %d", got, want)
+	}
+}
+
+// modalStream draws n symbols that are one modal symbol with probability
+// p and otherwise a two-sided geometric step off it, so p sets how much
+// of the array the modal symbol's runs cover.
+func modalStream(n int, p float64, seed int64) []int32 {
+	rng := rand.New(rand.NewSource(seed))
+	q := make([]int32, n)
+	for i := range q {
+		q[i] = 1 << 15
+		if rng.Float64() >= p {
+			v := int32(1)
+			for rng.Float64() < 0.4 {
+				v++
+			}
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			q[i] += v
+		}
+	}
+	return q
+}
+
+// runCase is an array and whether Encode run-codes it.
+type runCase struct {
+	q    []int32
+	runs bool
+}
+
+// runCases are the arrays around the run-coded layout: modal
+// probabilities below, at and above ½ (the 0.55 array loses to the plain
+// layout on size); two long enough for the run table's kernel, one of
+// them with runs of hundreds of points; an
+// all-modal array and a lone other symbol at either end; runs of exactly
+// 2^k−1 and 2^k points, and runs of 256 and more; one and two symbols;
+// and arrays whose smallest symbol leaves no room for the digits below
+// it (MinInt32) and just enough (MinInt32+2).
+func runCases() map[string]runCase {
+	cases := map[string]runCase{
+		"modal 0.3":   {modalStream(60_000, 0.3, 1), false},
+		"modal 0.5":   {modalStream(60_000, 0.5, 2), false},
+		"modal 0.55":  {modalStream(60_000, 0.55, 3), false},
+		"modal 0.75":  {modalStream(60_000, 0.75, 4), true},
+		"modal 0.9":   {modalStream(60_000, 0.9, 5), true},
+		"modal 0.999": {modalStream(60_000, 0.999, 6), true},
+		"long":        {modalStream(400_000, 0.75, 7), true},
+		"long runs":   {modalStream(1<<21, 0.995, 8), true},
+		"one sample":  {[]int32{3}, false},
+		"two samples": {[]int32{3, 3}, false},
+	}
+	allModal := make([]int32, 100_000)
+	for i := range allModal {
+		allModal[i] = 5
+	}
+	first, last := slices.Clone(allModal[:5000]), slices.Clone(allModal[:5000])
+	first[0], last[len(last)-1] = 6, 4
+	cases["all modal"] = runCase{allModal, true}
+	cases["other first"] = runCase{first, true}
+	cases["other last"] = runCase{last, true}
+	// addRun appends r copies of 9, then other.
+	addRun := func(q []int32, r int, other int32) []int32 {
+		for ; r > 0; r-- {
+			q = append(q, 9)
+		}
+		return append(q, other)
+	}
+	var pow2, long []int32
+	for k := 1; k <= 13; k++ {
+		pow2 = addRun(addRun(pow2, 1<<k-1, 10), 1<<k, 10)
+	}
+	for _, r := range []int{255, 256, 257, 511, 512, 513, 4095, 4096, 70_000} {
+		long = addRun(long, r, 8)
+	}
+	cases["runs of 2^k-1 and 2^k"] = runCase{pow2, true}
+	cases["runs of 256 and more"] = runCase{long, true}
+	for name, lo := range map[string]int32{"min int32": math.MinInt32, "min int32+2": math.MinInt32 + 2} {
+		q := make([]int32, 20_000)
+		for i := range q {
+			q[i] = lo
+			if i%97 == 0 {
+				q[i] = lo + 1
+			}
+		}
+		cases[name] = runCase{q, lo != math.MinInt32}
+	}
+	return cases
+}
+
+// TestTableBytes: the size of the code-table header is read off the
+// plain, sharded and run-coded layouts — the header and the body whose
+// size the code lengths fix make up the rest of the stream — and is 0 for
+// any other marker.
+func TestTableBytes(t *testing.T) {
+	q := modalStream(50_000, 0.9, 8)
+	d := entropy.Analyze(q)
+	_, plainBits := codeLengths(d)
+	modal, _ := runCandidate(d)
+	a, b := scanRuns(q, modal, nil)
+	p, _ := planRuns(d, modal, a, b)
+	run := EncodeDist(q, d)
+	if run[0] != shardedMarker || run[1] != runVersion {
+		t.Fatalf("stream opens % x, not the run-coded marker", run[:2])
+	}
+	for _, c := range []struct {
+		name         string
+		enc          []byte
+		marker, body int
+	}{
+		{"plain", EncodePlain(q, d), 0, int((plainBits + 7) / 8)},
+		{"run-coded", run, 2, int((p.bodyBits + 7) / 8)},
+	} {
+		tb := TableBytes(c.enc)
+		if got := c.marker + uvarintLen(uint64(tb)) + tb + c.body; tb == 0 || got != len(c.enc) {
+			t.Errorf("%s: TableBytes = %d, which with the body makes %d of %d bytes", c.name, tb, got, len(c.enc))
+		}
+	}
+	sharded := EncodeSharded(q, 4, 1)
+	if tb, want := TableBytes(sharded), TableBytes(EncodePlain(q, d)); tb != want {
+		t.Errorf("sharded: TableBytes = %d, the shared table takes %d", tb, want)
+	}
+	for _, bad := range [][]byte{nil, {0x00}, {0x00, 0x02, 0x05}, {0x00, 0x04, 0x01, 0x00}, {0x00, 0x03, 0x7f}} {
+		if tb := TableBytes(bad); tb != 0 {
+			t.Errorf("% x: TableBytes = %d, want 0", bad, tb)
+		}
 	}
 }

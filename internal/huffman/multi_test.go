@@ -346,10 +346,24 @@ func bytesWith(t *testing.T, enc []byte, multi bool) ([]int32, error) {
 	return out, nil
 }
 
-// TestMultiKernelLayouts: the sharded index sub-format at workers {1, 4}
-// and the byte sub-format pick the multi-symbol kernel for a long stream
-// of short codes and decode it, as written and corrupted, exactly as the
-// single-symbol kernel does.
+// runsWith decodes a run-coded index stream through the run table's
+// kernel first (fast) or through the single-symbol kernel and the
+// in-place expansion alone, whatever multiPays would pick.
+func runsWith(enc []byte, fast bool) ([]int32, error) {
+	r, err := parseRuns(enc[2:], -1)
+	if err != nil {
+		return nil, err
+	}
+	return r.decode(fast)
+}
+
+// TestMultiKernelLayouts: the sharded index sub-format at workers {1, 4},
+// the byte sub-format and the run-coded index sub-format pick their
+// table-driven kernel for a long stream of short codes and decode it, as
+// written and corrupted, as the single-symbol kernel does: the same
+// output and error, and for the run-coded stream, whose other path is the
+// single-symbol kernel and the in-place expansion, the same output or
+// both an error.
 func TestMultiKernelLayouts(t *testing.T) {
 	const n = 1 << 17
 	q := geometricStream(n, 0.25, 5)
@@ -362,13 +376,33 @@ func TestMultiKernelLayouts(t *testing.T) {
 	if !multiPays(n, len(index)) || !multiPays(n, len(bytesEnc)) {
 		t.Fatalf("short-code streams (%d, %d bytes for %d symbols) stay on the single-symbol kernel", len(index), len(bytesEnc), n)
 	}
+	rq := modalStream(3*n, 0.8, 6)
+	runEnc := Encode(rq)
+	if r, err := parseRuns(runEnc[2:], len(rq)); err != nil || !multiPays(int(r.m), len(r.body)) {
+		t.Fatalf("run-coded stream (%d bytes for %d symbols) stays on the single-symbol kernel: %v", len(runEnc), len(rq), err)
+	}
 	rng := rand.New(rand.NewSource(4))
 	for k := 0; k < 12; k++ {
-		idx, byt := index, bytesEnc
+		idx, byt, rc := index, bytesEnc, runEnc
 		if k > 0 {
-			idx, byt = bytes.Clone(index), bytes.Clone(bytesEnc)
+			idx, byt, rc = bytes.Clone(index), bytes.Clone(bytesEnc), bytes.Clone(runEnc)
 			idx[len(idx)-1-rng.Intn(len(idx)/2)] ^= 0x5A
 			byt[len(byt)-1-rng.Intn(len(byt)/2)] ^= 0x5A
+			rc[len(rc)-1-rng.Intn(len(rc)/2)] ^= 0x5A
+		}
+		rgot, rerr := DecodeParallel(rc, len(rq), 2)
+		rsingle, rserr := runsWith(rc, false)
+		rfast, rferr := runsWith(rc, true)
+		// The two paths meet a corruption in another order, so their
+		// errors' messages may differ.
+		if e := sameResult(rgot, rfast, rerr, rferr); e != nil {
+			t.Fatalf("run-coded stream %d, DecodeParallel vs run table: %v", k, e)
+		}
+		if (rserr == nil) != (rferr == nil) || (rserr == nil && sameResult(rsingle, rfast, nil, nil) != nil) {
+			t.Fatalf("run-coded stream %d, single vs run table: %v / %v", k, rserr, rferr)
+		}
+		if k == 0 && sameResult(rgot, rq, rerr, nil) != nil {
+			t.Fatalf("run-coded stream: %v", rerr)
 		}
 		for _, w := range []int{1, 4} {
 			got, err := DecodeParallel(idx, n, w)
@@ -416,7 +450,7 @@ func TestKernelChoice(t *testing.T) {
 		{"~10 bits/symbol", 1 << 17, 0.995, false, [2]float64{9, 11}},
 		{"short stream", 4096, 0.25, false, [2]float64{1, 2}},
 	} {
-		_, _, n, body := splitStream(t, Encode(geometricStream(tc.n, tc.r, 3)))
+		_, _, n, body := splitStream(t, plainStream(geometricStream(tc.n, tc.r, 3)))
 		if bits := float64(8*len(body)) / float64(n); bits < tc.bits[0] || bits > tc.bits[1] {
 			t.Fatalf("%s: stream codes to %.2f bits/symbol", tc.name, bits)
 		}

@@ -3,13 +3,13 @@ package huffman
 import "encoding/binary"
 
 // TableBytes reports the size of the canonical code-table header inside
-// an encoded stream (legacy or sharded layout) without decoding it — the
-// per-stream table overhead surfaced by the telemetry layer. It returns
-// 0 for streams it cannot parse; it never errors, because callers only
-// annotate reports with it.
+// an encoded stream (plain, sharded or run-coded layout) without decoding
+// it — the per-stream table overhead surfaced by the telemetry layer. It
+// returns 0 for streams it cannot parse; it never errors, because callers
+// only annotate reports with it.
 func TableBytes(data []byte) int {
 	if len(data) >= 2 && data[0] == shardedMarker {
-		if data[1] != shardedVersion {
+		if data[1] != shardedVersion && data[1] != runVersion {
 			return 0
 		}
 		data = data[2:]

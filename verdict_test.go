@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"scdc/internal/grid"
@@ -429,8 +431,16 @@ func hostileIndexCounts(t testing.TB) map[string][]byte {
 	sharded = append(binary.AppendUvarint(sharded, huffBody), make([]byte, huffBody)...)
 	huff = append(huff, make([]byte, huffBody)...)
 
+	return sz3IndexStreams(t, points, map[string][]byte{"rice": rice, "huffman": huff, "sharded": sharded})
+}
+
+// sz3IndexStreams seals each index block as the only block of an SZ3
+// stream over a 1D field of the given points: interpolation mode, QP off,
+// bound 1e-3, no literals.
+func sz3IndexStreams(t testing.TB, points uint64, blocks map[string][]byte) map[string][]byte {
+	t.Helper()
 	out := map[string][]byte{}
-	for name, index := range map[string][]byte{"rice": rice, "huffman": huff, "sharded": sharded} {
+	for name, index := range blocks {
 		// interp mode, cubic, 1 dim, order {0}; QP off; radius; bound.
 		p := binary.AppendUvarint([]byte{0, 1, 1, 0, 0, 0, 0}, 32768)
 		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1e-3))
@@ -445,12 +455,56 @@ func hostileIndexCounts(t testing.TB) map[string][]byte {
 	return out
 }
 
+// hostileRunBlocks returns sealed SZ3 streams over the 1700-point field
+// of hostileIndexCounts whose run-coded index block (0x00 0x03) declares
+// the right point count and lies elsewhere: a run that passes it, a run
+// of 64 digits, more codes than points, a table without the digits, and
+// a body cut before its last code. The blocks code the modal symbol 7's
+// runs with the digits 5 (RUNA, code 0) and 6 (RUNB, code 10), and the
+// symbol 8 as 11.
+func hostileRunBlocks(t testing.TB) map[string][]byte {
+	t.Helper()
+	const points = 1700
+	codes := [][2]int64{{5, 1}, {6, 2}, {8, 2}} // (symbol, code length)
+	block := func(m int, table [][2]int64, bits string) []byte {
+		hdr := binary.AppendUvarint(binary.AppendUvarint(nil, points), uint64(m))
+		hdr = binary.AppendVarint(binary.AppendVarint(hdr, 7), 5)
+		hdr = binary.AppendUvarint(hdr, uint64(len(table)))
+		prev := int64(0)
+		for _, e := range table {
+			hdr = binary.AppendUvarint(binary.AppendVarint(hdr, e[0]-prev), uint64(e[1]))
+			prev = e[0]
+		}
+		b := append(binary.AppendUvarint([]byte{0x00, 0x03}, uint64(len(hdr))), hdr...)
+		body := make([]byte, (len(bits)+7)/8)
+		for i, c := range bits {
+			if c == '1' {
+				body[i/8] |= 0x80 >> (i % 8)
+			}
+		}
+		return append(b, body...)
+	}
+	// Every point the symbol 8: 3400 bits, cut short by a byte.
+	whole := block(points, codes, strings.Repeat("11", points))
+	return sz3IndexStreams(t, points, map[string][]byte{
+		"run past the count":     block(12, codes, strings.Repeat("0", 11)+"11"),
+		"64 digits":              block(64, codes, strings.Repeat("0", 64)),
+		"more codes than points": block(points+1, codes, strings.Repeat("0", points+7)),
+		"no digits in table":     block(10, [][2]int64{{8, 1}}, strings.Repeat("0", 10)),
+		"truncated body":         whole[:len(whole)-1],
+	})
+}
+
 // TestHostileIndexCount: the index decoders are told how many symbols the
 // field has, so a block that declares another count is ErrCorrupt before
 // its output is allocated — through every reader, for the price of the
-// plaintext and nothing proportional to the lie.
+// plaintext and nothing proportional to the lie. A run-coded block that
+// declares the right count and lies in its runs, codes, table or body
+// (hostileRunBlocks) is ErrCorrupt for the same price.
 func TestHostileIndexCount(t *testing.T) {
-	for name, stream := range hostileIndexCounts(t) {
+	streams := hostileIndexCounts(t)
+	maps.Copy(streams, hostileRunBlocks(t))
+	for name, stream := range streams {
 		if len(stream) > 1024 {
 			t.Errorf("%s: stream is %d bytes, want a few hundred", name, len(stream))
 		}
