@@ -964,8 +964,9 @@ func (d *decoder) decodeSlow(r *bitstream.Reader) (int32, error) {
 
 // Decode reverses Encode (and decodes sharded streams sequentially). It
 // trusts the declared sample count up to what the body could hold at one
-// bit per symbol, or for a run-coded stream up to 2^24 symbols past that;
-// a caller that knows the count passes it to DecodeParallel.
+// bit per symbol, or for a run-coded stream up to 2^24 symbols past that,
+// so a valid run-coded stream can be refused here; a caller that knows
+// the count passes it to DecodeParallel.
 func Decode(data []byte) ([]int32, error) {
 	return DecodeParallel(data, -1, 1)
 }

@@ -43,8 +43,8 @@ import (
 const runVersion = 0x03
 
 // runChunk is how many digits one entry of runScratch.tab holds: a run
-// r < 2^(runChunk+1)-1 is one table lookup, a longer one is written
-// runChunk digits at a time.
+// r < 2^(runChunk+1)-1 is one table lookup, a longer one is written a
+// digit at a time.
 const runChunk = 8
 
 // maxRunDigits bounds the digits of one run, so the decoder's run
@@ -231,30 +231,13 @@ func encodeRuns(dst []byte, q []int32, mask []uint64, packed []uint64, lo int32,
 	return flushTail(dst, acc, nbit)
 }
 
-// putRun writes the digits of a run of r ≥ 1 through the accumulator.
+// putRun writes the digits of a run of r ≥ 1 through the accumulator,
+// one digit at a time: tab[2] holds RUNA and tab[3] RUNB.
 func putRun(dst []byte, acc uint64, nbit uint, r uint64, tab *[2 << runChunk]uint64) ([]byte, uint64, uint) {
-	x := r + 1
-	for {
-		var e uint64
-		if x < uint64(len(tab)) {
-			e = tab[x]
-		} else {
-			e = tab[1<<runChunk|x&(1<<runChunk-1)]
-		}
-		if e == 0 {
-			// A digit code too long for a packed chunk: one digit at a
-			// time, which tab[2] and tab[3] each hold.
-			for ; x > 1; x >>= 1 {
-				dst, acc, nbit = putCode(dst, acc, nbit, tab[2|x&1])
-			}
-			return dst, acc, nbit
-		}
-		dst, acc, nbit = putCode(dst, acc, nbit, e)
-		if x < uint64(len(tab)) {
-			return dst, acc, nbit
-		}
-		x >>= runChunk
+	for x := r + 1; x > 1; x >>= 1 {
+		dst, acc, nbit = putCode(dst, acc, nbit, tab[2|x&1])
 	}
+	return dst, acc, nbit
 }
 
 // putCode writes one packed code << 8 | length through the accumulator.

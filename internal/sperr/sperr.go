@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 
+	"scdc/internal/entropy"
 	"scdc/internal/grid"
 	"scdc/internal/huffman"
 	"scdc/internal/lossless"
@@ -143,7 +144,10 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 	if nz*5 < len(q)*3 { // < 60% nonzero
 		coder, body = 1, speckEncode(q, pl.px, pl.py, pl.pz)
 	} else {
-		coder, body = 0, huffman.Encode(q)
+		// The plain layout, as in TTHRESH: a dense array's modal symbol
+		// rarely passes ½, and run coding is not measured on wavelet
+		// coefficients.
+		coder, body = 0, huffman.EncodePlain(q, entropy.Analyze(q))
 	}
 	buf := make([]byte, 0, len(body)+len(outIdx)*5+64)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(opts.ErrorBound))
@@ -272,7 +276,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	var q []int32
 	switch coder {
 	case 0:
-		q, err = huffman.Decode(body)
+		q, err = huffman.DecodeParallel(body, pl.px*pl.py*pl.pz, 1)
 	case 1:
 		q, err = speckDecode(body, pl.px, pl.py, pl.pz)
 	default:

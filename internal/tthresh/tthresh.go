@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"scdc/internal/entropy"
 	"scdc/internal/grid"
 	"scdc/internal/huffman"
 	"scdc/internal/lossless"
@@ -90,7 +91,9 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 		q[i] = int32(r)
 	}
 
-	huff := huffman.Encode(q)
+	// The plain layout: the run-coded one is tuned and measured on the
+	// interpolation engines' index arrays, not on DCT coefficients.
+	huff := huffman.EncodePlain(q, entropy.Analyze(q))
 	buf := make([]byte, 0, len(huff)+16)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(opts.ErrorBound))
 	buf = binary.AppendUvarint(buf, uint64(len(huff)))
@@ -120,14 +123,10 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	if k <= 0 || hl > uint64(len(buf)-k) {
 		return nil, fmt.Errorf("%w: tthresh: bad huffman length", verdict.ErrCorrupt)
 	}
-	q, err := huffman.Decode(buf[k : k+int(hl)])
+	pl := makePlan(dims)
+	q, err := huffman.DecodeParallel(buf[k:k+int(hl)], pl.px*pl.py*pl.pz, 1)
 	if err != nil {
 		return nil, err
-	}
-
-	pl := makePlan(dims)
-	if len(q) != pl.px*pl.py*pl.pz {
-		return nil, fmt.Errorf("%w: tthresh: %d coefficients for padded size %d", verdict.ErrCorrupt, len(q), pl.px*pl.py*pl.pz)
 	}
 	q0 := (eb / 2) * math.Sqrt(12)
 	c := make([]float64, len(q))
