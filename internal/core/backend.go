@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"scdc/internal/entropy"
 	"scdc/internal/grid"
 	"scdc/internal/lossless"
 	"scdc/internal/obs"
@@ -130,7 +129,8 @@ type Stream struct {
 
 // Encode ends the sweeps and writes the stream: it publishes the stage,
 // quantize and qp counters, fills Trace, picks and encodes the index
-// array (ChooseEncodingCoder, under the "huffman" span), assembles
+// array (ChooseEncodingCoder's decision over the sweep's one array, under
+// the "huffman" span), assembles
 //
 //	Pre | qp config, radius | Post | [Side] | index block | literals
 //
@@ -152,18 +152,15 @@ func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 		t.Q = append(t.Q[:0], sw.Sym...)
 		t.QP, t.Compensated = t.QP[:0], 0
 		if sw.Pred != nil {
-			t.QP = append(t.QP, sw.QP...)
+			t.QP = append(t.QP, sw.Sym...)
+			sw.restore(t.Q)
 			t.Compensated = sw.Pred.Compensated
 		}
 	}
 
-	q, qp := sw.Sym, sw.QP
-	forced := s.ForceQP && qp != nil
-	if forced {
-		q, qp = qp, nil
-	}
+	forced := s.ForceQP && sw.Pred != nil
 	encSp := b.Obs.Child("huffman")
-	idx, kept := ChooseEncodingCoder(q, qp, entropy.CoderHuffman, b.Shards, b.Workers, encSp)
+	idx, kept := sw.encodeSweep(forced, b.Shards, b.Workers, encSp)
 	encSp.End()
 	cfg := b.QP
 	if !kept && !forced {

@@ -7,30 +7,32 @@ import (
 	"scdc/internal/rice"
 )
 
-// ChooseEncodingCoder is the entropy-stage front door. It picks between
-// the original index array q and its QP-transformed counterpart qp by
-// estimated entropy-coded size, then encodes only the winner. This is the
-// "adaptive" guard that makes QP a strict no-regression option: on data
-// where the prediction does not pay (e.g. HPEZ has already absorbed the
-// cross-direction correlation, Section VI-B), the compressor falls back
-// to the base stream and records QP as disabled. It returns the encoded
-// stream and whether the QP variant was kept.
+// ChooseEncodingCoder is the entropy-stage decision over two index
+// arrays: it picks between the original index array q and its
+// QP-transformed counterpart qp by estimated entropy-coded size, then
+// encodes only the winner. On data where the prediction does not pay
+// (e.g. HPEZ has already absorbed the cross-direction correlation,
+// Section VI-B), the compressor thus falls back to the base stream and
+// records QP as disabled. It returns the encoded stream and whether the
+// QP variant was kept. The compressors take the same decision over one
+// array that QP transformed in place (Backend.Encode); this two-array
+// form is its reference.
 //
-// One entropy.Analyze pass per candidate array feeds the QP-vs-base
-// decision and the encoder's code tables, so nothing histograms an index
-// array twice; the size estimate (entropy.Dist.HuffmanBytes: Shannon
-// entropy plus table overhead) is far cheaper than encoding both and
-// accurate to within a fraction of a percent for these skewed index
-// distributions. Huffman is the one index encoder, so the Coder argument
-// is ignored (entropy.CoderHuffman is the only value left). shards > 1
-// encodes the winner as that many independent sub-streams under one
-// shared code table (huffman.EncodeSharded), built on up to workers
-// goroutines.
+// The fallback guards the estimate, not the stream that is written. The
+// keep/drop estimate (entropy.Dist.HuffmanBytes: Shannon entropy plus
+// table overhead, one entropy.Analyze pass per candidate array, shared
+// with the encoder's code tables) prices the plain Huffman layout. The
+// encoder may then write the winner run-coded (huffman.EncodeDist), which
+// is smaller than that layout whenever it is chosen, and the lossless
+// stage runs after both. QP can therefore lose end to end although the
+// estimate kept it: on the paper's rate-distortion grid QP-on writes a
+// larger stream than QP-off in 13 of 168 cells (ROADMAP, "QP is kept only
+// when it shrinks the stream that is written").
 //
-// The keep/drop estimate prices the plain Huffman layout. The encoder may
-// then write the winner run-coded (huffman.EncodeDist), which is smaller
-// than that layout whenever it is chosen, so on a low-entropy stream the
-// written size falls below the estimate.
+// Huffman is the one index encoder, so the Coder argument is ignored
+// (entropy.CoderHuffman is the only value left). shards > 1 encodes the
+// winner as that many independent sub-streams under one shared code
+// table (huffman.EncodeSharded), built on up to workers goroutines.
 //
 // When sp is non-nil it gains (observation never changes the stream):
 //
@@ -46,8 +48,39 @@ func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, workers int, sp
 	if qp != nil {
 		dqp = entropy.Analyze(qp)
 	}
+	if useQP = keepQP(d, dqp, sp); useQP {
+		q, d = qp, dqp
+	}
+	return encodeIndices(q, d, useQP, shards, workers, sp), useQP
+}
+
+// encodeSweep is ChooseEncodingCoder over the one symbol array of a
+// compression sweep. With QP on, Sym holds the transformed symbols; one
+// Analyze pass counts them, and the original symbols' distribution is
+// derived from it and the sweep's record of moves, equal to counting
+// them. When the estimate drops QP, the inverse sweep restores the
+// original symbols in place before they are encoded. forced keeps the
+// transformed symbols unpriced, as a QP-off call prices its only array.
+func (s *Sweep) encodeSweep(forced bool, shards, workers int, sp *obs.Span) (enc []byte, useQP bool) {
+	d := entropy.Analyze(s.Sym)
+	if s.mv == nil || forced {
+		keepQP(d, nil, sp)
+		return encodeIndices(s.Sym, d, false, shards, workers, sp), false
+	}
+	dq := s.mv.shift(d)
+	if useQP = keepQP(dq, d, sp); !useQP {
+		s.restore(s.Sym)
+		d = dq
+	}
+	return encodeIndices(s.Sym, d, useQP, shards, workers, sp), useQP
+}
+
+// keepQP publishes the candidates' estimates on sp and reports whether
+// the QP-transformed array's distribution dqp (nil when there is none)
+// prices below the original's, d.
+func keepQP(d, dqp *entropy.Dist, sp *obs.Span) bool {
 	if sp != nil {
-		sp.Add("symbols", int64(len(q)))
+		sp.Add("symbols", int64(d.N))
 		sp.Set("entropy_q_bits", d.EntropyBits())
 		sp.Add("est_bytes_q", int64(d.HuffmanBytes()))
 		if dqp != nil {
@@ -55,16 +88,18 @@ func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, workers int, sp
 			sp.Add("est_bytes_qp", int64(dqp.HuffmanBytes()))
 		}
 	}
-	if dqp != nil && dqp.HuffmanBytes() < d.HuffmanBytes() {
-		q, d, useQP = qp, dqp, true
-	}
+	return dqp != nil && dqp.HuffmanBytes() < d.HuffmanBytes()
+}
 
+// encodeIndices encodes the chosen array q with its distribution d and
+// publishes the outcome on sp.
+func encodeIndices(q []int32, d *entropy.Dist, useQP bool, shards, workers int, sp *obs.Span) []byte {
+	var enc []byte
 	if shards <= 1 {
 		enc = huffman.EncodeDist(q, d)
 	} else {
 		enc = huffman.EncodeShardedDist(q, d, shards, workers)
 	}
-
 	if sp != nil {
 		if useQP {
 			sp.Add("qp_kept", 1)
@@ -75,7 +110,7 @@ func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, workers int, sp
 		sp.Add("bytes_out", int64(len(enc)))
 		sp.Add("table_bytes", int64(huffman.TableBytes(enc)))
 	}
-	return enc, useQP
+	return enc
 }
 
 // DecodeIndices decodes the entropy-coded index stream of an n-point

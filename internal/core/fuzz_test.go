@@ -1,13 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
-// FuzzQPKernelDifferential drives the kernelized sweeps and the reference
-// Compensate path with fuzzer-chosen geometry, configuration and symbol
-// content, requiring byte-identical outputs and identical Compensated
-// totals in both directions.
+// FuzzQPKernelDifferential drives the kernelized sweeps, both in place,
+// and the reference Compensate path with fuzzer-chosen geometry,
+// configuration and symbol content, requiring byte-identical outputs and
+// identical Compensated totals in both directions.
 func FuzzQPKernelDifferential(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(2), uint8(4), uint8(5), uint8(6), []byte{1, 9, 0, 8, 7, 7, 16, 3})
 	f.Add(uint8(5), uint8(0), uint8(0), uint8(3), uint8(3), uint8(3), []byte{0, 0, 0})
@@ -49,17 +50,19 @@ func FuzzQPKernelDifferential(f *testing.F) {
 			rg.Back = -1
 		}
 
-		// Both outputs start dirty, as pooled QP buffers do: the forward
-		// must write every point of the region.
-		qpRef, qp := make([]int32, n), make([]int32, n)
-		for i := range qp {
-			qpRef[i], qp[i] = -999, -999
+		// The region covers the whole array, so the reference's second
+		// array starts dirty: it must write every point. The kernel
+		// transforms a copy of q in place, last point first.
+		qpRef := make([]int32, n)
+		for i := range qpRef {
+			qpRef[i] = -999
 		}
 		refPred := &Predictor{Cfg: cfg, Radius: radius}
 		refPred.ForwardRegionRef(q, qpRef, rg)
 
 		pred := &Predictor{Cfg: cfg, Radius: radius}
-		pred.ForwardRegion(q, qp, rg)
+		qp := slices.Clone(q)
+		pred.ForwardRegion(qp, rg)
 		for i := range qp {
 			if qp[i] != qpRef[i] {
 				t.Fatalf("forward mismatch at %d: kernel %d ref %d", i, qp[i], qpRef[i])

@@ -6,19 +6,22 @@ import "scdc/internal/quantizer"
 // (paper §V-A, Algorithm 2): both sides compute the same compensation c
 // from the same already-known neighbors, compression stores Q - c and
 // decompression Q' + c. So each (Mode, Cond) pair has one kernel that
-// runs both directions: it adds c, or -c, to the points where c != 0 (on
-// the near-one-bit streams QP is for, most points are their own inverse).
+// runs both directions, in place: it adds c, or -c, to the points where
+// c != 0 (on the near-one-bit streams QP is for, most points are their
+// own inverse).
 //
-//   - inverse (InverseRegion): recovery in place, where a neighbor read
-//     sees the symbol an earlier step of the same sweep recovered — the
-//     order Algorithm 2 needs. For the default configuration (2D, Case
-//     III) a second, "Carry" form serves regions whose Left neighbor lies
-//     on the run axis: it keeps the symbol it just recovered in a register
-//     as the next point's Left instead of reloading it from the slot it
-//     may just have stored.
-//   - forward (ForwardRegion): the sweep copies each row of the original
-//     symbols q into qp, and the kernel subtracts c there with every
-//     neighbor read from q. Nothing a run writes is read back.
+//   - inverse (InverseRegion): recovery in first-to-last order, where a
+//     neighbor read sees the symbol an earlier step of the same sweep
+//     recovered — the order Algorithm 2 needs. For the default
+//     configuration (2D, Case III) a second, "Carry" form serves regions
+//     whose Left neighbor lies on the run axis: it keeps the symbol it just
+//     recovered in a register as the next point's Left instead of
+//     reloading it from the slot it may just have stored.
+//   - forward (ForwardRegion): the same visit in last-to-first order.
+//     Every neighbor precedes its point (Region.byStride), so a neighbor
+//     read sees a symbol the sweep has not transformed yet: the original
+//     one, as Algorithm 1 reads it. A compression sweep (Sweep.ForwardQP)
+//     also records each move it makes (moves.go).
 //
 // The reference path (Predictor.Compensate) pays, per point, a
 // Neighborhood struct build, a closure-based bounds probe and a Mode/Cond
@@ -35,20 +38,19 @@ import "scdc/internal/quantizer"
 // passes. Boundary handling moves out of the loop too: a kernel run only
 // ever covers points whose needed neighbors all exist, and
 // regionSweep.rows is the one place that decides which points those are.
-// Both directions visit a region in one sequential order, the same on
-// both sides (DESIGN.md §6.1).
+// Both sides visit a region's points in one sequential order, the forward
+// backwards (DESIGN.md §6.1).
 
-// kernel is one run of the transform starting at flat index i0 with
-// stride step over n symbols (cnt points, n = (cnt-1)*step + 1): it adds
-// c^neg - neg (c when neg is 0, -c when it is -1) to dst at every point
-// where c != 0, computing c from src at the neighbor flat offsets
-// offL/offT/offB (only the ones the kernel needs are read). It returns
-// the number of points with nonzero compensation, the only ones it stores.
-// The inverse calls it in place, k(x, x, …, 0): a neighbor read sees a
-// symbol this sweep has already recovered. The forward calls k(qp, q, …,
-// -1) over a row already copied from q to qp, so every neighbor read is an
-// original symbol.
-type kernel func(dst, src []int32, i0 int, n, step uint, offL, offT, offB int, R, U, neg int32) int
+// kernel is one run of the transform in place on x, starting at flat
+// index i0 over n symbols (cnt points at a stride of step, n = (cnt-1)*step
+// + 1). It visits j = first, first+dj, ... while j < n: the inverse passes
+// first = 0, dj = step; the forward first = n-1, dj = -step, and the
+// unsigned wrap below zero ends the loop. At every point where c != 0,
+// computed from x at the neighbor flat offsets offL/offT/offB (only the
+// ones the kernel needs are read), the inverse (mv nil) adds c; the
+// forward subtracts it and records the move in mv. It returns the number
+// of points with nonzero compensation, the only ones it stores.
+type kernel func(x []int32, i0 int, n, first, dj uint, offL, offT, offB int, R, U int32, mv *moves) int
 
 // The neighbor an offset slot of a kernel reads.
 const (
@@ -67,10 +69,10 @@ type kernelOps struct {
 	nb [3]int
 	// k loads the slot-0 neighbor per point and runs either direction.
 	// carry, where there is one, keeps it in a register along the run and
-	// is valid for the inverse only (forward, the symbols it would carry
-	// are transformed ones); the inverse binds it when that neighbor is on
-	// the run axis. Only the default pair has one, the pair whose decode
-	// speed the benchmark measures.
+	// is valid for the inverse only (the forward runs backwards along the
+	// run, away from the neighbor it would carry); the inverse binds it
+	// when that neighbor is on the run axis. Only the default pair has
+	// one, the pair whose decode speed the benchmark measures.
 	k, carry kernel
 	// caseI marks 1D Case I, which runs the Case II kernel with U = R:
 	// a neighbor equal to R compensates by R - R = 0 either way.
@@ -128,24 +130,6 @@ func (rg Region) rowBase(r int) (base, p0, p1, p2 int) {
 	return base, p0, p1, p2
 }
 
-// copyRun writes dst[i] = src[i] over one strided run of cnt >= 1
-// points, through windows of its span like the kernels. A run of one
-// point may have step 0 (a region of extent-1 axes only); its span is 1.
-//
-//scdc:inline
-//scdc:noalloc
-func copyRun(src, dst []int32, i0, step, cnt int) {
-	n := uint((cnt-1)*step + 1)
-	s, d := src[i0:][:n], dst[i0:][:n]
-	if step <= 1 {
-		copy(d, s)
-		return
-	}
-	for j := uint(0); j < n; j += uint(step) {
-		d[j] = s[j]
-	}
-}
-
 // regionSweep is the QP transform over one region in one direction:
 // everything a row needs, resolved once per sweep.
 type regionSweep struct {
@@ -157,7 +141,7 @@ type regionSweep struct {
 	needAx [4]bool // the region axes carrying a needed neighbor
 	off    [3]int  // the kernel's offset slots
 	R, U   int32
-	neg    int32 // -1 forward (store Q - c), 0 inverse (recover Q' + c)
+	mv     *moves // the forward's record (store Q - c); nil on the inverse (recover Q' + c)
 }
 
 // bind resolves which region axes the kernel's neighbors live on and
@@ -177,7 +161,7 @@ func (s *regionSweep) bind(ops kernelOps) {
 		}
 	}
 	s.k = ops.k
-	if s.neg == 0 && ops.carry != nil && axis[ops.nb[0]] == 3 {
+	if s.mv == nil && ops.carry != nil && axis[ops.nb[0]] == 3 {
 		s.k = ops.carry
 	}
 	if ops.caseI {
@@ -185,66 +169,76 @@ func (s *regionSweep) bind(ops kernelOps) {
 	}
 }
 
-// rows sweeps the region's rows in row-major order and returns how many
-// points got a nonzero compensation and how many a kernel visited. The
-// forward first copies every row of src into dst and then compensates it;
-// the inverse works in place (dst is src). It is the one place that
-// decides a point has no neighbor to predict from: every point of a row at
-// position zero along a needed outer axis, and the head point of any row
-// when the run axis itself is needed. Such points are their own transform
-// — copied forward, left alone in place.
-func (s *regionSweep) rows(dst, src []int32) (comp, swept int) {
+// rows sweeps the region's rows with its bound kernel, in place on x, and
+// returns how many points got a nonzero compensation and how many the
+// kernel visited. The inverse visits the rows in row-major order and each
+// row first to last; the forward visits everything in the reverse order,
+// so every neighbor it reads still holds its original symbol. It is the
+// one place that decides a point has no neighbor to predict from: every
+// point of a row at position zero along a needed outer axis, and the head
+// point of any row when the run axis itself is needed. Such points are
+// their own transform and are left alone.
+func (s *regionSweep) rows(x []int32) (comp, swept int) {
 	step, n := s.rg.Strd[3], s.rg.Ext[3]
 	head := 0
 	if s.needAx[3] {
 		head = 1
 	}
+	cnt := n - head
+	if cnt <= 0 {
+		return 0, 0
+	}
+	span := uint((cnt-1)*step + 1)
+	first, dj := uint(0), uint(step)
 	cur := s.rg.RowAt(0)
+	if s.mv != nil {
+		first, dj = span-1, -dj
+		cur = s.rg.RowAt(s.rg.Rows() - 1)
+	}
 	for r := s.rg.Rows(); r > 0; r-- {
-		skip := head
-		if s.k == nil || (s.needAx[0] && cur.P0 == 0) || (s.needAx[1] && cur.P1 == 0) || (s.needAx[2] && cur.P2 == 0) {
-			skip = n
-		}
-		if s.neg != 0 && n > 0 {
-			copyRun(src, dst, cur.Base, step, n)
-		}
-		if i0, cnt := cur.Base+skip*step, n-skip; cnt > 0 {
-			span := uint((cnt-1)*step + 1)
-			comp += s.k(dst, src, i0, span, uint(step), s.off[0], s.off[1], s.off[2], s.R, s.U, s.neg)
+		if !(s.needAx[0] && cur.P0 == 0) && !(s.needAx[1] && cur.P1 == 0) && !(s.needAx[2] && cur.P2 == 0) {
+			comp += s.k(x, cur.Base+head*step, span, first, dj, s.off[0], s.off[1], s.off[2], s.R, s.U, s.mv)
 			swept += cnt
 		}
-		s.rg.NextRow(&cur)
+		if s.mv != nil {
+			s.rg.PrevRow(&cur)
+		} else {
+			s.rg.NextRow(&cur)
+		}
 	}
 	return comp, swept
 }
 
-// sweep runs the transform over one region, visiting its axes in stride
-// order (byStride): forward (neg = -1) from src into dst, or inverse
-// (neg = 0) in place with dst and src the same array, where every neighbor
-// read sees a symbol this sweep has already recovered. It returns the
-// number of points a kernel visited.
-func (p *Predictor) sweep(dst, src []int32, rg Region, neg int32) int {
-	s := regionSweep{rg: rg.byStride(), R: p.Radius, U: quantizer.Unpredictable, neg: neg}
+// sweep runs the transform in place over one region, visiting its axes
+// in stride order (byStride): forward last to first, recording its moves
+// in mv, or, with mv nil, inverse first to last. It returns the number of
+// points a kernel visited.
+func (p *Predictor) sweep(x []int32, rg Region, mv *moves) int {
+	s := regionSweep{rg: rg.byStride(), R: p.Radius, U: quantizer.Unpredictable, mv: mv}
 	if p.Cfg.MaxLevel <= 0 || rg.Level <= p.Cfg.MaxLevel {
 		s.bind(kernelFor(p.Cfg.Mode, p.Cfg.Cond))
 	}
-	if neg == 0 && s.k == nil {
-		return 0 // compensation is identically zero: src already holds Q
+	if s.k == nil {
+		return 0 // compensation is identically zero: every symbol is its own transform
 	}
-	comp, swept := s.rows(dst, src)
+	comp, swept := s.rows(x)
 	p.Compensated += comp
 	return swept
 }
 
-// ForwardRegion applies the compression-side QP transform over one
-// region: qp[i] = q[i] - c, kernelized. It reads only original symbols q
-// and each point writes only its own qp slot, so the output is the
-// reference sweep's (ForwardRegionRef). q and qp must be distinct arrays
-// of the same length. Returns the number of points a kernel visited.
+// ForwardRegion applies the compression-side QP transform in place over
+// one region: q[i] -= c, kernelized. The sweep runs backwards, so every
+// neighbor it reads is an original symbol and the output is the
+// reference sweep's (ForwardRegionRef). The moves it records go to a
+// scratch record that is discarded; a compression records them on its
+// Sweep (ForwardQP). Returns the number of points a kernel visited.
 //
 //scdc:hot
-func (p *Predictor) ForwardRegion(q, qp []int32, rg Region) int {
-	return p.sweep(qp, q, rg, -1)
+func (p *Predictor) ForwardRegion(q []int32, rg Region) int {
+	mv := getMoves(p.Radius)
+	swept := p.sweep(q, rg, mv)
+	putMoves(mv)
+	return swept
 }
 
 // InverseRegion recovers original symbols in place over one region:
@@ -255,18 +249,33 @@ func (p *Predictor) ForwardRegion(q, qp []int32, rg Region) int {
 //
 //scdc:hot
 func (p *Predictor) InverseRegion(enc []int32, rg Region) int {
-	return p.sweep(enc, enc, rg, 0)
+	return p.sweep(enc, rg, nil)
+}
+
+// move applies the compensation c to row[j], a compensated point's
+// symbol: the inverse (mv nil) adds it, the forward subtracts it and
+// records the move.
+//
+//scdc:inline
+//scdc:noalloc
+func move(row []int32, j uint, c int32, mv *moves) {
+	v := row[j]
+	if mv != nil {
+		c = -c
+		mv.add(v, v+c)
+	}
+	row[j] = v + c
 }
 
 // --- 1D kernel (Case II; one neighbor a at flat offset offL) ---
 
 //
 //scdc:noalloc
-func qp1D(dst, src []int32, i0 int, n, step uint, offL, _, _ int, R, U, neg int32) (comp int) {
-	row, left := dst[i0:][:n], src[i0-offL:][:n]
-	for j := uint(0); j < n; j += step {
+func qp1D(x []int32, i0 int, n, first, dj uint, offL, _, _ int, R, U int32, mv *moves) (comp int) {
+	row, left := x[i0:][:n], x[i0-offL:][:n]
+	for j := first; j < n; j += dj {
 		if a := left[j]; a != R && a != U {
-			row[j] += (a - R) ^ neg - neg
+			move(row, j, a-R, mv)
 			comp++
 		}
 	}
@@ -281,11 +290,11 @@ func qp1D(dst, src []int32, i0 int, n, step uint, offL, _, _ int, R, U, neg int3
 
 //
 //scdc:noalloc
-func qp2DAlways(dst, src []int32, i0 int, n, step uint, offL, offT, _ int, R, _, neg int32) (comp int) {
-	row, left, top, tl := dst[i0:][:n], src[i0-offL:][:n], src[i0-offT:][:n], src[i0-offL-offT:][:n]
-	for j := uint(0); j < n; j += step {
+func qp2DAlways(x []int32, i0 int, n, first, dj uint, offL, offT, _ int, R, _ int32, mv *moves) (comp int) {
+	row, left, top, tl := x[i0:][:n], x[i0-offL:][:n], x[i0-offT:][:n], x[i0-offL-offT:][:n]
+	for j := first; j < n; j += dj {
 		if c := left[j] + top[j] - tl[j] - R; c != 0 {
-			row[j] += c ^ neg - neg
+			move(row, j, c, mv)
 			comp++
 		}
 	}
@@ -294,12 +303,12 @@ func qp2DAlways(dst, src []int32, i0 int, n, step uint, offL, offT, _ int, R, _,
 
 //
 //scdc:noalloc
-func qp2DSkipU(dst, src []int32, i0 int, n, step uint, offL, offT, _ int, R, U, neg int32) (comp int) {
-	row, left, top, tl := dst[i0:][:n], src[i0-offL:][:n], src[i0-offT:][:n], src[i0-offL-offT:][:n]
-	for j := uint(0); j < n; j += step {
+func qp2DSkipU(x []int32, i0 int, n, first, dj uint, offL, offT, _ int, R, U int32, mv *moves) (comp int) {
+	row, left, top, tl := x[i0:][:n], x[i0-offL:][:n], x[i0-offT:][:n], x[i0-offL-offT:][:n]
+	for j := first; j < n; j += dj {
 		if a, b, ab := left[j], top[j], tl[j]; a != U && b != U && ab != U {
 			if c := a + b - ab - R; c != 0 {
-				row[j] += c ^ neg - neg
+				move(row, j, c, mv)
 				comp++
 			}
 		}
@@ -309,13 +318,13 @@ func qp2DSkipU(dst, src []int32, i0 int, n, step uint, offL, offT, _ int, R, U, 
 
 //
 //scdc:noalloc
-func qp2DSign2(dst, src []int32, i0 int, n, step uint, offL, offT, _ int, R, U, neg int32) (comp int) {
-	row, left, top, tl := dst[i0:][:n], src[i0-offL:][:n], src[i0-offT:][:n], src[i0-offL-offT:][:n]
-	for j := uint(0); j < n; j += step {
+func qp2DSign2(x []int32, i0 int, n, first, dj uint, offL, offT, _ int, R, U int32, mv *moves) (comp int) {
+	row, left, top, tl := x[i0:][:n], x[i0-offL:][:n], x[i0-offT:][:n], x[i0-offL-offT:][:n]
+	for j := first; j < n; j += dj {
 		if a, b := left[j], top[j]; int64(a-R)*int64(b-R) > 0 {
 			if ab := tl[j]; a != U && b != U && ab != U {
 				if c := a + b - ab - R; c != 0 {
-					row[j] += c ^ neg - neg
+					move(row, j, c, mv)
 					comp++
 				}
 			}
@@ -324,12 +333,12 @@ func qp2DSign2(dst, src []int32, i0 int, n, step uint, offL, offT, _ int, R, U, 
 	return comp
 }
 
-// inv2DSign2Carry is qp2DSign2 for the inverse only (dst is src, neg is
-// 0), with Left on the run axis: the symbol a step recovers is the next
+// inv2DSign2Carry is qp2DSign2 for the inverse only (first is 0, dj is
+// step and there is no record), with Left on the run axis: the symbol a step recovers is the next
 // step's Left.
 //
 //scdc:noalloc
-func inv2DSign2Carry(x, _ []int32, i0 int, n, step uint, offL, offT, _ int, R, U, _ int32) (comp int) {
+func inv2DSign2Carry(x []int32, i0 int, n, _, step uint, offL, offT, _ int, R, U int32, _ *moves) (comp int) {
 	row, top, a, ab := x[i0:][:n], x[i0-offT:][:n], x[i0-offL], x[i0-offL-offT]
 	for j := uint(0); j < n; j += step {
 		v, b := row[j], top[j]
@@ -347,13 +356,13 @@ func inv2DSign2Carry(x, _ []int32, i0 int, n, step uint, offL, offT, _ int, R, U
 
 //
 //scdc:noalloc
-func qp2DSign3(dst, src []int32, i0 int, n, step uint, offL, offT, _ int, R, U, neg int32) (comp int) {
-	row, left, top, tl := dst[i0:][:n], src[i0-offL:][:n], src[i0-offT:][:n], src[i0-offL-offT:][:n]
-	for j := uint(0); j < n; j += step {
+func qp2DSign3(x []int32, i0 int, n, first, dj uint, offL, offT, _ int, R, U int32, mv *moves) (comp int) {
+	row, left, top, tl := x[i0:][:n], x[i0-offL:][:n], x[i0-offT:][:n], x[i0-offL-offT:][:n]
+	for j := first; j < n; j += dj {
 		if a, b := left[j], top[j]; int64(a-R)*int64(b-R) > 0 {
 			if ab := tl[j]; int64(a-R)*int64(ab-R) > 0 && a != U && b != U && ab != U {
 				if c := a + b - ab - R; c != 0 {
-					row[j] += c ^ neg - neg
+					move(row, j, c, mv)
 					comp++
 				}
 			}
@@ -369,12 +378,12 @@ func qp2DSign3(dst, src []int32, i0 int, n, step uint, offL, offT, _ int, R, U, 
 
 //
 //scdc:noalloc
-func qp3DAlways(dst, src []int32, i0 int, n, step uint, offL, offT, offB int, R, _, neg int32) (comp int) {
-	row, left, top, back := dst[i0:][:n], src[i0-offL:][:n], src[i0-offT:][:n], src[i0-offB:][:n]
-	tl, bl, bt, btl := src[i0-offL-offT:][:n], src[i0-offL-offB:][:n], src[i0-offT-offB:][:n], src[i0-offL-offT-offB:][:n]
-	for j := uint(0); j < n; j += step {
+func qp3DAlways(x []int32, i0 int, n, first, dj uint, offL, offT, offB int, R, _ int32, mv *moves) (comp int) {
+	row, left, top, back := x[i0:][:n], x[i0-offL:][:n], x[i0-offT:][:n], x[i0-offB:][:n]
+	tl, bl, bt, btl := x[i0-offL-offT:][:n], x[i0-offL-offB:][:n], x[i0-offT-offB:][:n], x[i0-offL-offT-offB:][:n]
+	for j := first; j < n; j += dj {
 		if c := left[j] + top[j] + back[j] - tl[j] - bl[j] - bt[j] + btl[j] - R; c != 0 {
-			row[j] += c ^ neg - neg
+			move(row, j, c, mv)
 			comp++
 		}
 	}
@@ -383,14 +392,14 @@ func qp3DAlways(dst, src []int32, i0 int, n, step uint, offL, offT, offB int, R,
 
 //
 //scdc:noalloc
-func qp3DSkipU(dst, src []int32, i0 int, n, step uint, offL, offT, offB int, R, U, neg int32) (comp int) {
-	row, left, top, back := dst[i0:][:n], src[i0-offL:][:n], src[i0-offT:][:n], src[i0-offB:][:n]
-	tl, bl, bt, btl := src[i0-offL-offT:][:n], src[i0-offL-offB:][:n], src[i0-offT-offB:][:n], src[i0-offL-offT-offB:][:n]
-	for j := uint(0); j < n; j += step {
+func qp3DSkipU(x []int32, i0 int, n, first, dj uint, offL, offT, offB int, R, U int32, mv *moves) (comp int) {
+	row, left, top, back := x[i0:][:n], x[i0-offL:][:n], x[i0-offT:][:n], x[i0-offB:][:n]
+	tl, bl, bt, btl := x[i0-offL-offT:][:n], x[i0-offL-offB:][:n], x[i0-offT-offB:][:n], x[i0-offL-offT-offB:][:n]
+	for j := first; j < n; j += dj {
 		a, b, d, ab, ad, bd, abd := left[j], top[j], back[j], tl[j], bl[j], bt[j], btl[j]
 		if a != U && b != U && d != U && ab != U && ad != U && bd != U && abd != U {
 			if c := a + b + d - ab - ad - bd + abd - R; c != 0 {
-				row[j] += c ^ neg - neg
+				move(row, j, c, mv)
 				comp++
 			}
 		}
@@ -400,15 +409,15 @@ func qp3DSkipU(dst, src []int32, i0 int, n, step uint, offL, offT, offB int, R, 
 
 //
 //scdc:noalloc
-func qp3DSign2(dst, src []int32, i0 int, n, step uint, offL, offT, offB int, R, U, neg int32) (comp int) {
-	row, left, top, back := dst[i0:][:n], src[i0-offL:][:n], src[i0-offT:][:n], src[i0-offB:][:n]
-	tl, bl, bt, btl := src[i0-offL-offT:][:n], src[i0-offL-offB:][:n], src[i0-offT-offB:][:n], src[i0-offL-offT-offB:][:n]
-	for j := uint(0); j < n; j += step {
+func qp3DSign2(x []int32, i0 int, n, first, dj uint, offL, offT, offB int, R, U int32, mv *moves) (comp int) {
+	row, left, top, back := x[i0:][:n], x[i0-offL:][:n], x[i0-offT:][:n], x[i0-offB:][:n]
+	tl, bl, bt, btl := x[i0-offL-offT:][:n], x[i0-offL-offB:][:n], x[i0-offT-offB:][:n], x[i0-offL-offT-offB:][:n]
+	for j := first; j < n; j += dj {
 		if a, b := left[j], top[j]; int64(a-R)*int64(b-R) > 0 {
 			d, ab, ad, bd, abd := back[j], tl[j], bl[j], bt[j], btl[j]
 			if a != U && b != U && d != U && ab != U && ad != U && bd != U && abd != U {
 				if c := a + b + d - ab - ad - bd + abd - R; c != 0 {
-					row[j] += c ^ neg - neg
+					move(row, j, c, mv)
 					comp++
 				}
 			}
@@ -419,16 +428,16 @@ func qp3DSign2(dst, src []int32, i0 int, n, step uint, offL, offT, offB int, R, 
 
 //
 //scdc:noalloc
-func qp3DSign3(dst, src []int32, i0 int, n, step uint, offL, offT, offB int, R, U, neg int32) (comp int) {
-	row, left, top, back := dst[i0:][:n], src[i0-offL:][:n], src[i0-offT:][:n], src[i0-offB:][:n]
-	tl, bl, bt, btl := src[i0-offL-offT:][:n], src[i0-offL-offB:][:n], src[i0-offT-offB:][:n], src[i0-offL-offT-offB:][:n]
-	for j := uint(0); j < n; j += step {
+func qp3DSign3(x []int32, i0 int, n, first, dj uint, offL, offT, offB int, R, U int32, mv *moves) (comp int) {
+	row, left, top, back := x[i0:][:n], x[i0-offL:][:n], x[i0-offT:][:n], x[i0-offB:][:n]
+	tl, bl, bt, btl := x[i0-offL-offT:][:n], x[i0-offL-offB:][:n], x[i0-offT-offB:][:n], x[i0-offL-offT-offB:][:n]
+	for j := first; j < n; j += dj {
 		if a, b := left[j], top[j]; int64(a-R)*int64(b-R) > 0 {
 			if d := back[j]; int64(a-R)*int64(d-R) > 0 {
 				ab, ad, bd, abd := tl[j], bl[j], bt[j], btl[j]
 				if a != U && b != U && d != U && ab != U && ad != U && bd != U && abd != U {
 					if c := a + b + d - ab - ad - bd + abd - R; c != 0 {
-						row[j] += c ^ neg - neg
+						move(row, j, c, mv)
 						comp++
 					}
 				}

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"scdc/internal/entropy"
 )
 
 // The kernel differential suite pins ForwardRegion/InverseRegion against
@@ -14,7 +16,8 @@ import (
 // every Mode x Cond pair and several region geometries (contiguous scan,
 // strided pass, 2D plane, degenerate axes, MaxLevel cutoff, axes out of
 // stride order) — byte-identical outputs, identical Compensated totals,
-// identical write footprint.
+// identical write footprint. Both directions run in place; the reference
+// forward reads q and writes a second array.
 
 type regionCase struct {
 	name string
@@ -248,32 +251,27 @@ func TestKernelsMatchCompensate(t *testing.T) {
 					refInvPred.InverseRegionRef(invRef, tc.rg)
 
 					name := fmt.Sprintf("%s/%v/%v/ml%d", tc.name, mode, cond, maxLevel)
+					// The in-place forward must leave every slot outside
+					// the region alone: compare the whole array.
+					wantQP := slices.Clone(qpRef)
+					for i := range wantQP {
+						if wantQP[i] == sentinel {
+							wantQP[i] = q[i]
+						}
+					}
 					pred := &Predictor{Cfg: cfg, Radius: radius}
-					qp := make([]int32, tc.arr)
+					qp := slices.Clone(q)
+					pred.ForwardRegion(qp, tc.rg)
 					for i := range qp {
-						qp[i] = sentinel
-					}
-					qIn := slices.Clone(q)
-					pred.ForwardRegion(q, qp, tc.rg)
-					if !slices.Equal(q, qIn) {
-						t.Fatalf("%s: forward wrote to its input q", name)
-					}
-					for i := range qp {
-						if qp[i] != qpRef[i] {
-							t.Fatalf("%s: forward mismatch at %d: kernel %d ref %d", name, i, qp[i], qpRef[i])
+						if qp[i] != wantQP[i] {
+							t.Fatalf("%s: forward mismatch at %d: kernel %d ref %d", name, i, qp[i], wantQP[i])
 						}
 					}
 					if pred.Compensated != refPred.Compensated {
 						t.Fatalf("%s: forward Compensated kernel %d ref %d", name, pred.Compensated, refPred.Compensated)
 					}
 
-					inv := make([]int32, tc.arr)
-					copy(inv, qpRef)
-					for i := range inv {
-						if inv[i] == sentinel {
-							inv[i] = q[i]
-						}
-					}
+					inv := slices.Clone(wantQP)
 					invPred := &Predictor{Cfg: cfg, Radius: radius}
 					invPred.InverseRegion(inv, tc.rg)
 					for i := range inv {
@@ -323,8 +321,8 @@ func TestKernelTableComplete(t *testing.T) {
 // Left lies on the run axis of the stride-ordered region (SZ3's passes put
 // it there), the loading one otherwise — both are correct wherever the
 // other is, and this is the choice the default decode speed rests on. The
-// forward takes the loading one everywhere: the symbols the carrying one
-// keeps would be transformed ones.
+// forward takes the loading one everywhere: it runs backwards along the
+// run, away from the neighbor the carrying one keeps.
 func TestBindCarriesRunNeighbor(t *testing.T) {
 	cases := []struct {
 		region string
@@ -349,7 +347,7 @@ func TestBindCarriesRunNeighbor(t *testing.T) {
 		if inv.k == nil || fn(inv.k) != fn(want) {
 			t.Errorf("%s: bound the wrong inverse, want carrying=%v", tc.region, tc.carry)
 		}
-		fwd := regionSweep{rg: inv.rg, neg: -1}
+		fwd := regionSweep{rg: inv.rg, mv: &moves{}}
 		fwd.bind(ops)
 		if fwd.k == nil || fn(fwd.k) != fn(ops.k) {
 			t.Errorf("%s: the forward must bind the loading kernel", tc.region)
@@ -358,9 +356,10 @@ func TestBindCarriesRunNeighbor(t *testing.T) {
 }
 
 // TestKernelNeedsMatchReads calls each table kernel directly — forward
-// (over a copy of q, neg = -1), inverse in place and, where there is one,
-// carrying inverse — with the offset slots the table leaves unused set to
-// a value that indexes out of range: a kernel that read one would panic.
+// (in place over a copy of q, last to first, recording its moves),
+// inverse in place and, where there is one, carrying inverse —
+// with the offset slots the table leaves unused set to a value that
+// indexes out of range: a kernel that read one would panic.
 // The slot-0 neighbor lies on the run axis, where a carrying inverse is
 // the one a sweep binds. Every inverse must recover the original from the
 // reference's forward output.
@@ -406,18 +405,23 @@ func TestKernelNeedsMatchReads(t *testing.T) {
 				want[idx] = q[idx] - c
 			}
 			qp := slices.Clone(q)
-			if comp := ops.k(qp, q, i0, cnt, 1, off[0], off[1], off[2], radius, u, -1); comp != wantComp {
+			mv := getMoves(radius)
+			if comp := ops.k(qp, i0, cnt, cnt-1, ^uint(0), off[0], off[1], off[2], radius, u, mv); comp != wantComp {
 				t.Errorf("%v/%v forward: compensated %d, reference %d", mode, cond, comp, wantComp)
 			}
 			if !slices.Equal(qp, want) {
 				t.Errorf("%v/%v forward: got %v, reference %v", mode, cond, qp, want)
 			}
+			if got, ref := mv.shift(entropy.Analyze(qp)), entropy.Analyze(q); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%v/%v forward: moves shift the distribution to %+v, the original's is %+v", mode, cond, got, ref)
+			}
+			putMoves(mv)
 			for name, inv := range map[string]kernel{"inverse": ops.k, "carrying inverse": ops.carry} {
 				if inv == nil {
 					continue
 				}
 				x := slices.Clone(want)
-				if comp := inv(x, x, i0, cnt, 1, off[0], off[1], off[2], radius, u, 0); comp != wantComp {
+				if comp := inv(x, i0, cnt, 0, 1, off[0], off[1], off[2], radius, u, nil); comp != wantComp {
 					t.Errorf("%v/%v %s: compensated %d, reference %d", mode, cond, name, comp, wantComp)
 				}
 				if !slices.Equal(x, q) {

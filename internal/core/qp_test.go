@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,8 +104,8 @@ func TestTransformInvertRoundTrip(t *testing.T) {
 	for mode := Mode1DBack; mode <= Mode3D; mode++ {
 		for cond := CondAlways; cond <= CondSameSign3; cond++ {
 			p := mustPredictor(t, Config{Mode: mode, Cond: cond, MaxLevel: 2})
-			dst := make([]int32, len(q))
-			p.ForwardRegion(q, dst, rg)
+			dst := slices.Clone(q)
+			p.ForwardRegion(dst, rg)
 			p2 := mustPredictor(t, Config{Mode: mode, Cond: cond, MaxLevel: 2})
 			rec := append([]int32(nil), dst...)
 			p2.InverseRegion(rec, rg)
@@ -121,8 +122,8 @@ func TestTransformLowersEntropyOnClusters(t *testing.T) {
 	w, h := 64, 64
 	q := clusterPlane(w, h, 2)
 	p := mustPredictor(t, Default())
-	dst := make([]int32, len(q))
-	p.ForwardRegion(q, dst, planeRegion(h, w, w, 1, 1))
+	dst := slices.Clone(q)
+	p.ForwardRegion(dst, planeRegion(h, w, w, 1, 1))
 	h0 := entropy.Shannon(q)
 	h1 := entropy.Shannon(dst)
 	if h1 >= h0 {
@@ -247,8 +248,8 @@ func TestQuickReversibility(t *testing.T) {
 			return false
 		}
 		rg := planeRegion(h, w, w, 1, 1)
-		dst := make([]int32, len(q))
-		p.ForwardRegion(q, dst, rg)
+		dst := slices.Clone(q)
+		p.ForwardRegion(dst, rg)
 		p2, _ := NewPredictor(cfg, radius)
 		rec := append([]int32(nil), dst...)
 		p2.InverseRegion(rec, rg)

@@ -53,9 +53,10 @@ func (rg Region) RowBase(r int) int {
 // RowCursor is the odometer of a row sweep: the outer-axis positions of
 // the current axis-3 row and its flat base index. Row sweeps (QP kernels,
 // lattice row kernels, SZ3's literal passes) step it with NextRow instead
-// of paying rowBase's two divides and two modulos per row; RowAt seeds
-// it. The positions are named fields rather than an array because that
-// is what keeps NextRow inside the inlining budget.
+// of paying rowBase's two divides and two modulos per row (the forward
+// QP sweep steps it back with PrevRow); RowAt seeds it. The positions
+// are named fields rather than an array because that is what keeps
+// NextRow inside the inlining budget.
 type RowCursor struct {
 	P0, P1, P2 int // positions along axes 0..2
 	Base       int // flat index of the row's first point
@@ -93,6 +94,36 @@ func (rg Region) carryRow(c *RowCursor) {
 		c.P1 = 0
 		c.P0++
 		c.Base += rg.Strd[0] - rg.Ext[1]*rg.Strd[1]
+	}
+}
+
+// PrevRow steps c back to the previous row in row-major order, the
+// mirror of NextRow: the forward QP sweep visits a region's rows last to
+// first with it. Stepping before the first row leaves a cursor that must
+// not be dereferenced.
+//
+//scdc:inline
+//scdc:noalloc
+func (rg Region) PrevRow(c *RowCursor) {
+	c.P2--
+	c.Base -= rg.Strd[2]
+	if c.P2 < 0 {
+		rg.borrowRow(c)
+	}
+}
+
+// borrowRow is PrevRow's axis-2 wrap, kept out of line like carryRow.
+//
+//scdc:noalloc
+//go:noinline
+func (rg Region) borrowRow(c *RowCursor) {
+	c.P2 = rg.Ext[2] - 1
+	c.P1--
+	c.Base -= rg.Strd[1] - rg.Ext[2]*rg.Strd[2]
+	if c.P1 < 0 {
+		c.P1 = rg.Ext[1] - 1
+		c.P0--
+		c.Base -= rg.Strd[0] - rg.Ext[1]*rg.Strd[1]
 	}
 }
 

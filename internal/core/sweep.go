@@ -14,25 +14,26 @@ import (
 // direction: the field, its symbol array and the literal stream, the QP
 // stage the paper places inside the level loop (Algorithms 1-2), the
 // pooled scratch behind them and the clock that says which stage the
-// call is in. An engine gets one from Backend.Sweep to compress and from
-// Reader.Sweep to decompress, walks its passes or classes over Data/Sym
-// with its own kernels, calls ForwardQP after (InverseQP before) each
-// region and ends with Backend.Encode or Finish. Who runs QP, which span
-// the time goes to, and how a literal shortfall is reported is decided
-// here, once, for all four engines. The sweeps run on the calling
-// goroutine.
+// call is in. QP transforms Sym in place both ways, so a sweep holds one
+// symbol array in either direction. An engine gets one from
+// Backend.Sweep to compress and from Reader.Sweep to decompress, walks its
+// passes or classes over Data/Sym with its own kernels, calls ForwardQP
+// after (InverseQP before) each region and ends with Backend.Encode or
+// Finish. Who runs QP, which span the time goes to, and how a literal
+// shortfall is reported is decided here, once, for all four engines. The
+// sweeps run on the calling goroutine.
 type Sweep struct {
 	// Data is the field: compression overwrites a working copy with the
 	// decompressed values later predictions read (Algorithm 1 line 6),
 	// decompression reconstructs into it.
 	Data []float64
 	// Sym holds one stored symbol per point (quantizer.Unpredictable marks
-	// a literal). Compression writes it; on decompression it arrives
-	// possibly QP-transformed and InverseQP recovers it in place.
+	// a literal). Compression writes it and ForwardQP transforms it in
+	// place; on decompression it arrives possibly QP-transformed and
+	// InverseQP recovers it in place.
 	Sym []int32
-	// QP receives the QP-transformed copy of Sym on compression. It is nil
-	// on decompression, and Pred too when QP is off.
-	QP   []int32
+	// Pred is nil when QP is off (on decompression: when the stream kept
+	// none).
 	Pred *Predictor
 	// Lits is the literal stream, the unpredictable values in sweep order:
 	// appended by compression, consumed from Lit by decompression.
@@ -40,6 +41,7 @@ type Sweep struct {
 	Lit  int
 
 	field *grid.Field // decompression: the field Data belongs to
+	mv    *moves      // compression with QP: what ForwardQP did to Sym
 	clk   *clock      // nil when unobserved
 }
 
@@ -88,11 +90,11 @@ func NewSweep(data []float64, sym []int32) *Sweep {
 }
 
 // Sweep returns the compression sweep for src, with a predictor and a
-// second index array when useQP is set, and starts its clock. The
+// record of its moves when useQP is set, and starts its clock. The
 // buffers are pooled (internal/quantizer) and come back with unspecified
-// contents: the engine's sweeps must write every slot of Sym (and QP) —
-// each point belongs to exactly one pass or class, or to the coarse
-// lattice. Release it when done.
+// contents: the engine's sweeps must write every slot of Sym — each point
+// belongs to exactly one pass or class, or to the coarse lattice. Release
+// it when done.
 func (b *Backend) Sweep(src []float64, useQP bool, stage Stage) (*Sweep, error) {
 	// Each pooled buffer passes through a local on its way into s: that is
 	// the hand-off shape scdclint's poolreturn recognizes.
@@ -102,8 +104,8 @@ func (b *Backend) Sweep(src []float64, useQP bool, stage Stage) (*Sweep, error) 
 		if s.Pred, err = NewPredictor(b.QP, b.Radius); err != nil {
 			return nil, err
 		}
-		qp := quantizer.GetIndexBuf(len(src))
-		s.QP = qp
+		mv := getMoves(b.Radius)
+		s.mv = mv
 	}
 	data := quantizer.GetFloatBuf(len(src))
 	copy(data, src)
@@ -117,7 +119,7 @@ func (b *Backend) Sweep(src []float64, useQP bool, stage Stage) (*Sweep, error) 
 func (s *Sweep) Release() {
 	quantizer.PutFloatBuf(s.Data)
 	quantizer.PutIndexBuf(s.Sym)
-	quantizer.PutIndexBuf(s.QP)
+	putMoves(s.mv)
 }
 
 // Sweep allocates the output field, returns the decompression sweep that
@@ -168,17 +170,34 @@ func (s *Sweep) Finish() *grid.Field {
 	return s.field
 }
 
-// ForwardQP transforms the symbols of rg once the engine has written
-// them: the QP copy receives Sym minus the compensation predicted from
-// the region's already-written neighbors. A no-op when QP is off.
+// ForwardQP transforms the symbols of rg in place once the engine has
+// written them: each becomes itself minus the compensation predicted from
+// the region's original neighbor symbols, and the sweep records the move
+// and the region. Nothing may read the region's original symbols
+// afterwards: Encode recovers them from the record when it needs them. A
+// no-op when QP is off.
 func (s *Sweep) ForwardQP(rg Region) {
-	if s.QP == nil {
+	if s.mv == nil {
 		return
 	}
 	s.clk.flip()
-	swept := s.Pred.ForwardRegion(s.Sym, s.QP, rg)
+	swept := s.Pred.sweep(s.Sym, rg, s.mv)
 	s.clk.flip()
 	s.clk.count(swept)
+	if swept > 0 {
+		s.mv.regions = append(s.mv.regions, rg)
+	}
+}
+
+// restore recovers the original symbols in sym — Sym or a copy of it —
+// by the inverse sweep over every region ForwardQP transformed. The
+// inverse runs on a copy of the predictor, so Compensated keeps the
+// forward's count.
+func (s *Sweep) restore(sym []int32) {
+	p := *s.Pred
+	for _, rg := range s.mv.regions {
+		p.InverseRegion(sym, rg)
+	}
 }
 
 // InverseQP recovers the original symbols of rg in place, before the
@@ -198,9 +217,6 @@ func (s *Sweep) InverseQP(rg Region) {
 // coarse lattice): it is its own QP transform.
 func (s *Sweep) Stamp(idx int, sym int32) {
 	s.Sym[idx] = sym
-	if s.QP != nil {
-		s.QP[idx] = sym
-	}
 }
 
 // Literal consumes the next literal. ok is false when the stream has none

@@ -59,13 +59,16 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 	defer sw.Release()
 	copy(sw.Sym, q)
 	sw.ForwardQP(rg.rg)
-	want := make([]int32, rg.arr)
-	(&Predictor{Cfg: Default(), Radius: radius}).ForwardRegion(q, want, rg.rg)
-	rg.rg.forEachPoint(func(idx int, _ Neighborhood) {
-		if sw.QP[idx] != want[idx] {
-			t.Fatalf("ForwardQP: qp[%d] = %d, kernel wrote %d", idx, sw.QP[idx], want[idx])
-		}
-	})
+	want := slices.Clone(q)
+	(&Predictor{Cfg: Default(), Radius: radius}).ForwardRegion(want, rg.rg)
+	if !slices.Equal(sw.Sym, want) {
+		t.Fatal("ForwardQP: the symbols differ from the region kernel's output")
+	}
+	restored := slices.Clone(sw.Sym)
+	sw.restore(restored)
+	if !slices.Equal(restored, q) {
+		t.Fatal("restore did not recover the original symbols")
+	}
 	dec := &Sweep{Sym: slices.Clone(want), Pred: sw.Pred}
 	dec.InverseQP(rg.rg)
 	rg.rg.forEachPoint(func(idx int, _ Neighborhood) {
@@ -117,10 +120,11 @@ func TestSweepLiteralAccounting(t *testing.T) {
 }
 
 // TestSweepAllocs: once built, a sweep allocates nothing per QP call in
-// either direction or per literal, observed or not — the clock and the
-// cursor are set up at construction, and the region sweep builds no
-// closure. Unobserved, the clock is nil checks all the way: no allocation
-// at the finish either, and the time is never read.
+// either direction or per literal, observed or not — the clock, the
+// cursor and the record of moves (with room for 64 regions) are set up at
+// construction, and the region sweep builds no closure. Unobserved, the
+// clock is nil checks all the way: no allocation at the finish either,
+// and the time is never read.
 func TestSweepAllocs(t *testing.T) {
 	const radius = int32(8)
 	rg := kernelRegionCases()[2].rg
@@ -131,7 +135,16 @@ func TestSweepAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fillSymbols(rand.New(rand.NewSource(7)), sw.Sym, radius)
+		// Symbols near the radius and the marker: every move lands in
+		// the record's window. A move outside it appends to the overflow
+		// lists (TestSweepMovesShift covers that path).
+		rng := rand.New(rand.NewSource(7))
+		for i := range sw.Sym {
+			sw.Sym[i] = radius + int32(rng.Intn(9)) - 4
+			if rng.Intn(8) == 0 {
+				sw.Sym[i] = 0
+			}
+		}
 		sw.Lits = make([]float64, 64)
 		if a := testing.AllocsPerRun(20, func() { sw.ForwardQP(rg) }); a != 0 {
 			t.Errorf("observed=%v: %v allocations per ForwardQP call", sp != nil, a)

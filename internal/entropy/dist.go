@@ -233,16 +233,68 @@ func Analyze(q []int32) *Dist {
 			distinct++
 		}
 	}
-	d.Lo, d.Hi, d.Dense = base+int32(first), base+int32(last), true
 	d.Syms = make([]SymCount, 0, distinct)
-	n := float64(len(q))
 	for i := first; i <= last; i++ {
 		if c := uint64(h[i][0]); c != 0 {
 			d.Syms = append(d.Syms, SymCount{base + int32(i), c})
-			d.Bits += float64(c) * neglog2(float64(c)/n)
 		}
 	}
+	d.total()
 	return d
+}
+
+// total sets the range, the density and the Shannon total of d from its
+// non-empty Syms, accumulating the information content in ascending
+// symbol order. It is the one accumulation every Dist goes through, so a
+// Dist that Shift derives equals the one Analyze counts, bit for bit.
+func (d *Dist) total() {
+	d.Lo, d.Hi = d.Syms[0].Sym, d.Syms[len(d.Syms)-1].Sym
+	d.Dense = int64(d.Hi)-int64(d.Lo) < MaxDenseRange
+	n := float64(d.N)
+	for _, sc := range d.Syms {
+		d.Bits += float64(sc.Count) * neglog2(float64(sc.Count)/n)
+	}
+}
+
+// SymDelta is a signed change to the count of one symbol.
+type SymDelta struct {
+	Sym   int32
+	Delta int64
+}
+
+// Shift returns the distribution of an array of d.N symbols whose counts
+// are d's plus delta, without touching that array: the counts of the
+// shared symbols are summed in one merge of the two ascending lists, and
+// the rest follows from them as in Analyze. delta must hold distinct
+// symbols in ascending order, and no resulting count may be negative;
+// a symbol whose count reaches zero leaves Syms.
+//
+// The QP compressor histograms the transformed index array once and
+// shifts its Dist by the moves the transform made to recover the
+// original array's (core.Backend.Encode).
+func (d *Dist) Shift(delta []SymDelta) *Dist {
+	out := &Dist{N: d.N, Syms: make([]SymCount, 0, len(d.Syms)+len(delta))}
+	syms := d.Syms
+	for len(syms) > 0 || len(delta) > 0 {
+		var sc SymCount
+		switch {
+		case len(delta) == 0 || len(syms) > 0 && syms[0].Sym < delta[0].Sym:
+			sc, syms = syms[0], syms[1:]
+		case len(syms) == 0 || delta[0].Sym < syms[0].Sym:
+			sc = SymCount{delta[0].Sym, uint64(delta[0].Delta)}
+			delta = delta[1:]
+		default:
+			sc = SymCount{syms[0].Sym, uint64(int64(syms[0].Count) + delta[0].Delta)}
+			syms, delta = syms[1:], delta[1:]
+		}
+		if sc.Count != 0 {
+			out.Syms = append(out.Syms, sc)
+		}
+	}
+	if len(out.Syms) > 0 {
+		out.total()
+	}
+	return out
 }
 
 // analyzeSparse counts q, whose symbol range is too wide for a dense
@@ -259,15 +311,12 @@ func analyzeSparse(d *Dist, q []int32) *Dist {
 		syms = append(syms, s)
 	}
 	slices.Sort(syms)
-	d.Lo, d.Hi = syms[0], syms[len(syms)-1]
-	d.Dense = int64(d.Hi)-int64(d.Lo) < MaxDenseRange
 	d.Syms = make([]SymCount, 0, len(m))
-	n := float64(len(q))
 	for _, s := range syms {
 		c := m[s]
 		d.Syms = append(d.Syms, SymCount{s, c})
-		d.Bits += float64(c) * neglog2(float64(c)/n)
 	}
+	d.total()
 	return d
 }
 

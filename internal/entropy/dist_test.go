@@ -1,7 +1,11 @@
 package entropy
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -79,6 +83,44 @@ func TestZigZag(t *testing.T) {
 	for d, want := range cases {
 		if got := ZigZag(d); got != want {
 			t.Fatalf("ZigZag(%d) = %d, want %d", d, got, want)
+		}
+	}
+}
+
+// TestShiftMatchesAnalyze: shifting the distribution of one array by the
+// count differences to another of the same length yields the other's
+// distribution exactly as Analyze counts it — symbols gained and lost,
+// Bits to the last bit — over narrow and wide (sparse) arrays.
+func TestShiftMatchesAnalyze(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	gen := func(n int, spread int32) []int32 {
+		q := make([]int32, n)
+		for i := range q {
+			q[i] = rng.Int31n(spread) - spread/2
+			if rng.Intn(50) == 0 {
+				q[i] = rng.Int31() - 1<<30 // far outside any dense window
+			}
+		}
+		return q
+	}
+	for _, tc := range []struct {
+		n      int
+		spread int32
+	}{{1, 1}, {500, 3}, {5000, 40}, {3000, 1 << 24}} {
+		a, b := gen(tc.n, tc.spread), gen(tc.n, tc.spread)
+		count := map[int32]int64{}
+		for i := range a {
+			count[a[i]]--
+			count[b[i]]++
+		}
+		var delta []SymDelta
+		for s, c := range count {
+			delta = append(delta, SymDelta{s, c})
+		}
+		slices.SortFunc(delta, func(x, y SymDelta) int { return cmp.Compare(x.Sym, y.Sym) })
+		got, want := Analyze(a).Shift(delta), Analyze(b)
+		if !reflect.DeepEqual(got, want) || math.Float64bits(got.Bits) != math.Float64bits(want.Bits) {
+			t.Errorf("n=%d spread=%d: Shift gives %+v, Analyze %+v", tc.n, tc.spread, got, want)
 		}
 	}
 }

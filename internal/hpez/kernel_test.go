@@ -109,7 +109,10 @@ func compressCoreRef(data []float64, dims []int, pl plan, q, qp []int32,
 	pred *core.Predictor) (anchors, literals []float64) {
 
 	strides := grid.Strides(dims)
-	anchors = (&core.Sweep{Data: data, Sym: q, QP: qp}).GatherCoarse(dims, pl.levels, pl.radius)
+	anchors = core.NewSweep(data, q).GatherCoarse(dims, pl.levels, pl.radius)
+	if qp != nil { // the anchors are their own QP transform
+		core.NewSweep(data, qp).GatherCoarse(dims, pl.levels, pl.radius)
+	}
 	for level := pl.levels; level >= 1; level-- {
 		quant := quantizer.Linear{EB: pl.ebs[level-1], Radius: pl.radius}
 		lattice.WalkClasses(dims, strides, level, func(pt *lattice.Point) {
@@ -302,18 +305,20 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 
 	swK := encSweep(t, f.Data, cfg, pl.radius)
 	anchK := compressCore(swK, dims, pl)
-	dataK, qK, qpK, predK, litsK := swK.Data, swK.Sym, swK.QP, swK.Pred, swK.Lits
+	dataK, stored, predK, litsK := swK.Data, swK.Sym, swK.Pred, swK.Lits
 
 	predR, qpR := newPred()
 	dataR, qR := append([]float64(nil), f.Data...), make([]int32, n)
 	anchR, litsR := compressCoreRef(dataR, dims, pl, qR, qpR, predR)
 
-	for i := range qK {
-		if qK[i] != qR[i] {
-			t.Fatalf("symbol %d: kernel %d ref %d", i, qK[i], qR[i])
-		}
-		if qpK != nil && qpK[i] != qpR[i] {
-			t.Fatalf("qp symbol %d: kernel %d ref %d", i, qpK[i], qpR[i])
+	// With QP on, the sweep has transformed its symbols in place.
+	storedR := qR
+	if qpR != nil {
+		storedR = qpR
+	}
+	for i := range stored {
+		if stored[i] != storedR[i] {
+			t.Fatalf("stored symbol %d: kernel %d ref %d", i, stored[i], storedR[i])
 		}
 	}
 	if i := bitsEqual(anchK, anchR); i >= 0 {
@@ -333,18 +338,14 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 	}
 
 	// The bare sweep of the level-bound trials is this sweep with QP off.
-	if qpK == nil {
+	if predK == nil {
 		bare := core.NewSweep(append([]float64(nil), f.Data...), make([]int32, n))
 		anchB := compressCore(bare, dims, pl)
-		if !slices.Equal(bare.Sym, qK) || bitsEqual(bare.Lits, litsK) >= 0 || bitsEqual(anchB, anchK) >= 0 {
+		if !slices.Equal(bare.Sym, stored) || bitsEqual(bare.Lits, litsK) >= 0 || bitsEqual(anchB, anchK) >= 0 {
 			t.Fatalf("bare trial sweep diverges from the back-end's sweep (%d vs %d literals)", len(bare.Lits), len(litsK))
 		}
 	}
 
-	stored := qK
-	if qpK != nil {
-		stored = qpK
-	}
 	swD := decSweep(t, stored, litsK, cfg, pl.radius)
 	if err := decompressCore(swD, dims, pl, anchK); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
@@ -362,8 +363,8 @@ func runKernelDiff(t *testing.T, dims []int, mut func(*plan, int, *rand.Rand), c
 		t.Fatalf("decode does not invert encode at %d: %v != %v", i, decK[i], dataK[i])
 	}
 	for i := range encK {
-		if encK[i] != qK[i] {
-			t.Fatalf("recovered symbol %d: %d, compressor wrote %d", i, encK[i], qK[i])
+		if encK[i] != qR[i] {
+			t.Fatalf("recovered symbol %d: %d, compressor wrote %d", i, encK[i], qR[i])
 		}
 	}
 

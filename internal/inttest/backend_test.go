@@ -186,12 +186,14 @@ func poolsDropPuts() bool {
 }
 
 // TestSteadyStateScratch: every engine takes its O(n) scratch — the
-// working copy of the field and the two index arrays, 16 bytes a point
-// with QP on — from the pools, so a second same-shape Compress does not
+// working copy of the field and the one index array, 12 bytes a point,
+// QP on or off — from the pools, so a second same-shape Compress does not
 // allocate it again. A call right after the pools were drained pays for
 // the scratch; the steady-state call must be cheaper by at least that
 // much, and both must write the same stream (recycled buffers come back
-// dirty).
+// dirty). QP transforms the index array in place, so with QP on the
+// pooled scratch exceeds the QP-off call's by less than the 4 bytes a
+// point a second index array would take.
 func TestSteadyStateScratch(t *testing.T) {
 	// Pools are per-P and emptied by the collector: one P and no
 	// collection make what a Put leaves for the next Get deterministic.
@@ -202,27 +204,35 @@ func TestSteadyStateScratch(t *testing.T) {
 	}
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{64, 64, 64}, 5)
 	eb := f.Range() * 1e-3
-	scratch := uint64(16 * f.Len())
+	scratch, qpArray := uint64(12*f.Len()), uint64(4*f.Len())
 	for _, eng := range backendEngines {
-		var streams [2][]byte
-		run := func(i int) func() {
-			return func() {
-				var err error
-				if streams[i], err = eng.compress(f, eb, true); err != nil {
-					t.Fatalf("%s: %v", eng.name, err)
+		var pooled [2]uint64 // QP off, on
+		for i, qp := range []bool{false, true} {
+			var streams [2][]byte
+			run := func(k int) func() {
+				return func() {
+					var err error
+					if streams[k], err = eng.compress(f, eb, qp); err != nil {
+						t.Fatalf("%s: %v", eng.name, err)
+					}
 				}
 			}
+			runtime.GC()
+			runtime.GC() // twice: the first only moves pooled buffers to the victim cache
+			cold := allocatedBy(run(0))
+			steady := allocatedBy(run(1))
+			if !bytes.Equal(streams[0], streams[1]) {
+				t.Errorf("%s qp=%v: stream differs between fresh and recycled scratch", eng.name, qp)
+			}
+			if cold < steady+scratch*9/10 {
+				t.Errorf("%s qp=%v: steady-state Compress allocates %d bytes, fresh-pool call %d: the %d-byte scratch is not reused",
+					eng.name, qp, steady, cold, scratch)
+			}
+			pooled[i] = cold - steady
 		}
-		runtime.GC()
-		runtime.GC() // twice: the first only moves pooled buffers to the victim cache
-		cold := allocatedBy(run(0))
-		steady := allocatedBy(run(1))
-		if !bytes.Equal(streams[0], streams[1]) {
-			t.Errorf("%s: stream differs between fresh and recycled scratch", eng.name)
-		}
-		if cold < steady+scratch*9/10 {
-			t.Errorf("%s: steady-state Compress allocates %d bytes, fresh-pool call %d: the %d-byte scratch is not reused",
-				eng.name, steady, cold, scratch)
+		if pooled[1] >= pooled[0]+qpArray/2 {
+			t.Errorf("%s: QP on pools %d bytes of scratch, QP off %d: QP takes a second index array (%d bytes)",
+				eng.name, pooled[1], pooled[0], qpArray)
 		}
 	}
 }

@@ -19,15 +19,16 @@ func compressCore(cs *core.Sweep, dims []int, quant quantizer.Linear, levels int
 		// prediction from the (uncorrected) coarse lattice (kernel.go).
 		classes := lattice.Classes(dims, strides, level)
 		sw.sweepLevel(classes)
+		// Pass 2: add the L2 projection correction, computed from the
+		// quantized details, to the coarse nodal values. It reads the
+		// level's original symbols, so it runs before QP transforms them.
+		applyCorrection(cs.Data, dims, strides, level, quant, cs.Sym, +1)
 		// QP sweep per class: every QP neighbor of a class point is in
 		// the same class, so sweeping after the level's quantization
 		// sweep is byte-identical to the point-fused order.
 		for i := range classes {
 			cs.ForwardQP(classes[i].Region)
 		}
-		// Pass 2: add the L2 projection correction, computed from the
-		// quantized details, to the coarse nodal values.
-		applyCorrection(cs.Data, dims, strides, level, quant, cs.Sym, +1)
 	}
 	return cs.GatherCoarse(dims, levels, quant.CenterSym())
 }

@@ -98,7 +98,10 @@ func compressCoreRef(data []float64, dims []int, opts Options, levels int,
 		}
 		applyCorrectionRef(data, dims, strides, level, quant, q, +1)
 	}
-	return (&core.Sweep{Data: data, Sym: q, QP: qp}).GatherCoarse(dims, levels, quant.CenterSym()), literals
+	if qp != nil { // the coarse lattice is its own QP transform
+		core.NewSweep(data, qp).GatherCoarse(dims, levels, quant.CenterSym())
+	}
+	return core.NewSweep(data, q).GatherCoarse(dims, levels, quant.CenterSym()), literals
 }
 
 // decompressCoreRef is decompressCore over the reference walker. ok is
@@ -234,18 +237,20 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 	quant := quantizer.Linear{EB: levelBound(opts.ErrorBound, levels), Radius: opts.Radius}
 	swK := encSweep(t, orig, cfg, opts.Radius)
 	coarseK := compressCore(swK, dims, quant, levels)
-	dataK, qK, qpK, predK, litsK := swK.Data, swK.Sym, swK.QP, swK.Pred, swK.Lits
+	dataK, stored, predK, litsK := swK.Data, swK.Sym, swK.Pred, swK.Lits
 
 	predR, qpR := newPred()
 	dataR, qR := append([]float64(nil), orig...), make([]int32, n)
 	coarseR, litsR := compressCoreRef(dataR, dims, opts, levels, qR, qpR, predR)
 
-	for i := range qK {
-		if qK[i] != qR[i] {
-			t.Fatalf("symbol %d: kernel %d ref %d", i, qK[i], qR[i])
-		}
-		if qpK != nil && qpK[i] != qpR[i] {
-			t.Fatalf("qp symbol %d: kernel %d ref %d", i, qpK[i], qpR[i])
+	// With QP on, the sweep has transformed its symbols in place.
+	storedR := qR
+	if qpR != nil {
+		storedR = qpR
+	}
+	for i := range stored {
+		if stored[i] != storedR[i] {
+			t.Fatalf("stored symbol %d: kernel %d ref %d", i, stored[i], storedR[i])
 		}
 	}
 	if i := bitsEqual(coarseK, coarseR); i >= 0 {
@@ -264,10 +269,6 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 		t.Fatalf("literal-heavy field produced only %d literals of %d points", len(litsK), n)
 	}
 
-	stored := qK
-	if qpK != nil {
-		stored = qpK
-	}
 	swD := decSweep(t, stored, litsK, cfg, opts.Radius)
 	if err := decompressCore(swD, dims, quant, levels, coarseK); err != nil {
 		t.Fatalf("kernel decompress: %v", err)
@@ -282,8 +283,8 @@ func runKernelDiff(t *testing.T, dims []int, cfg core.Config, fieldKind string, 
 		t.Fatalf("reconstruction diverges at %d: kernel %v ref %v", i, decK[i], decR[i])
 	}
 	for i := range encK {
-		if encK[i] != qK[i] {
-			t.Fatalf("recovered symbol %d: %d, compressor wrote %d", i, encK[i], qK[i])
+		if encK[i] != qR[i] {
+			t.Fatalf("recovered symbol %d: %d, compressor wrote %d", i, encK[i], qR[i])
 		}
 	}
 

@@ -59,10 +59,11 @@ func BenchmarkInterpPass(b *testing.B) {
 // compression at rel 1e-4 (the sz3_smooth shape; the paper's default 2D /
 // Case III / levels 1–2) over the real pass regions, level by level and in
 // both directions, and reports ns/point over every point of the level's
-// regions. Level 3 is the first above MaxLevel, where the forward sweep
-// is a copy; it has no inverse row, because there the inverse returns at
-// once and b.N would grow without bound around the off-clock restore.
-// Each inverse iteration restores the stored symbols off the clock.
+// regions. The forward rows time the compressor's own call,
+// core.Sweep.ForwardQP: the in-place transform plus its record of moves.
+// Both directions work in place, so each iteration restores the symbols
+// off the clock. Levels above MaxLevel have no rows: there both directions
+// return at once, and b.N would grow without bound around the restore.
 func BenchmarkQPSweeps(b *testing.B) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{112, 160, 160}, 1)
 	dims := f.Dims()
@@ -82,11 +83,17 @@ func BenchmarkQPSweeps(b *testing.B) {
 		forEachPass(dims, grid.Strides(dims), level, spec.Order, func(pa *pass) {
 			rg := pa.qpRegion()
 			regions[level] = append(regions[level], rg)
-			pred.ForwardRegion(q, qp, rg)
+			pred.ForwardRegion(qp, rg)
 		})
 	}
+	be := core.Backend{QP: core.Default(), Radius: quant.Radius}
+	sw, err := be.Sweep(f.Data, true, core.StageInterp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sw.Release()
 	enc := make([]int32, len(q))
-	for level := 1; level <= min(levels, pred.Cfg.MaxLevel+1); level++ {
+	for level := 1; level <= min(levels, pred.Cfg.MaxLevel); level++ {
 		points := 0
 		for _, rg := range regions[level] {
 			points += rg.Rows() * rg.Ext[3]
@@ -96,15 +103,15 @@ func BenchmarkQPSweeps(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("forward/level=%d", level), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(sw.Sym, q)
+				b.StartTimer()
 				for _, rg := range regions[level] {
-					pred.ForwardRegion(q, enc, rg)
+					sw.ForwardQP(rg)
 				}
 			}
 			perPoint(b)
 		})
-		if level > pred.Cfg.MaxLevel {
-			continue
-		}
 		b.Run(fmt.Sprintf("inverse/level=%d", level), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
