@@ -4,6 +4,7 @@ import (
 	"scdc/internal/entropy"
 	"scdc/internal/huffman"
 	"scdc/internal/obs"
+	"scdc/internal/quantizer"
 	"scdc/internal/rice"
 )
 
@@ -117,11 +118,13 @@ func encodeIndices(q []int32, d *entropy.Dist, useQP bool, shards, workers int, 
 // field, dispatching on the sub-format marker: rice streams (0x00 0x02,
 // which earlier releases could write and nothing writes now) to
 // rice.DecodeN, everything else — legacy single-body, 0x00 0x01 sharded
-// and 0x00 0x03 run-coded Huffman — to huffman.DecodeParallel. A stream that declares
-// any count but n is corrupt before its n symbols are allocated.
+// and 0x00 0x03 run-coded Huffman — to huffman.DecodeParallelTo, which
+// decodes into a pooled index array (Sweep.Finish returns it). A stream
+// that declares any count but n is corrupt before its n symbols are
+// allocated.
 func DecodeIndices(data []byte, n, workers int) ([]int32, error) {
 	if rice.IsRice(data) {
 		return rice.DecodeN(data, n)
 	}
-	return huffman.DecodeParallel(data, n, workers)
+	return huffman.DecodeParallelTo(data, n, workers, quantizer.GetIndexBuf)
 }

@@ -62,7 +62,7 @@ func FuzzQPKernelDifferential(f *testing.F) {
 
 		pred := &Predictor{Cfg: cfg, Radius: radius}
 		qp := slices.Clone(q)
-		pred.ForwardRegion(qp, rg)
+		forwardRegion(pred, qp, rg)
 		for i := range qp {
 			if qp[i] != qpRef[i] {
 				t.Fatalf("forward mismatch at %d: kernel %d ref %d", i, qp[i], qpRef[i])

@@ -17,11 +17,11 @@ import "scdc/internal/quantizer"
 //     whose Left neighbor lies on the run axis: it keeps the symbol it just
 //     recovered in a register as the next point's Left instead of
 //     reloading it from the slot it may just have stored.
-//   - forward (ForwardRegion): the same visit in last-to-first order.
+//   - forward (Sweep.ForwardQP): the same visit in last-to-first order.
 //     Every neighbor precedes its point (Region.byStride), so a neighbor
 //     read sees a symbol the sweep has not transformed yet: the original
-//     one, as Algorithm 1 reads it. A compression sweep (Sweep.ForwardQP)
-//     also records each move it makes (moves.go).
+//     one, as Algorithm 1 reads it. It also records each move it makes
+//     (moves.go).
 //
 // The reference path (Predictor.Compensate) pays, per point, a
 // Neighborhood struct build, a closure-based bounds probe and a Mode/Cond
@@ -226,21 +226,6 @@ func (p *Predictor) sweep(x []int32, rg Region, mv *moves) int {
 	return swept
 }
 
-// ForwardRegion applies the compression-side QP transform in place over
-// one region: q[i] -= c, kernelized. The sweep runs backwards, so every
-// neighbor it reads is an original symbol and the output is the
-// reference sweep's (ForwardRegionRef). The moves it records go to a
-// scratch record that is discarded; a compression records them on its
-// Sweep (ForwardQP). Returns the number of points a kernel visited.
-//
-//scdc:hot
-func (p *Predictor) ForwardRegion(q []int32, rg Region) int {
-	mv := getMoves(p.Radius)
-	swept := p.sweep(q, rg, mv)
-	putMoves(mv)
-	return swept
-}
-
 // InverseRegion recovers original symbols in place over one region:
 // enc[i] += c with neighbors read from already-recovered points. Every
 // neighbor precedes its point in the stride-ordered visit, so the
@@ -259,12 +244,11 @@ func (p *Predictor) InverseRegion(enc []int32, rg Region) int {
 //scdc:inline
 //scdc:noalloc
 func move(row []int32, j uint, c int32, mv *moves) {
-	v := row[j]
 	if mv != nil {
+		mv.add(row[j], row[j]-c)
 		c = -c
-		mv.add(v, v+c)
 	}
-	row[j] = v + c
+	row[j] += c
 }
 
 // --- 1D kernel (Case II; one neighbor a at flat offset offL) ---

@@ -11,12 +11,13 @@ import (
 	"scdc/internal/entropy"
 )
 
-// The kernel differential suite pins ForwardRegion/InverseRegion against
-// the reference Compensate path (ForwardRegionRef/InverseRegionRef) for
-// every Mode x Cond pair and several region geometries (contiguous scan,
-// strided pass, 2D plane, degenerate axes, MaxLevel cutoff, axes out of
-// stride order) — byte-identical outputs, identical Compensated totals,
-// identical write footprint. Both directions run in place; the reference
+// The kernel differential suite pins the region sweeps
+// (forwardRegion/InverseRegion) against the reference Compensate path
+// (ForwardRegionRef/InverseRegionRef) for every Mode x Cond pair and
+// several region geometries (contiguous scan, strided pass, 2D plane,
+// degenerate axes, MaxLevel cutoff, axes out of stride order) —
+// byte-identical outputs, identical Compensated totals, identical write
+// footprint. Both directions run in place; the reference
 // forward reads q and writes a second array.
 
 type regionCase struct {
@@ -192,6 +193,16 @@ func hostileSymbols(radius int32) [4]int32 {
 	return [4]int32{math.MinInt32, math.MaxInt32, radius + 1<<30, radius - 1<<30}
 }
 
+// forwardRegion runs the compression-side transform in place over one
+// region, as Sweep.ForwardQP does, recording its moves into a scratch
+// record it then discards. It returns the number of points a kernel
+// visited.
+func forwardRegion(p *Predictor, q []int32, rg Region) int {
+	mv := getMoves(p.Radius, len(q))
+	defer putMoves(mv)
+	return p.sweep(q, rg, mv)
+}
+
 // fillSymbols populates the backing array with symbols biased toward the
 // interesting values: the unpredictable marker (0), the centered zero
 // (radius), both signs around it and the hostile extremes.
@@ -261,7 +272,7 @@ func TestKernelsMatchCompensate(t *testing.T) {
 					}
 					pred := &Predictor{Cfg: cfg, Radius: radius}
 					qp := slices.Clone(q)
-					pred.ForwardRegion(qp, tc.rg)
+					forwardRegion(pred, qp, tc.rg)
 					for i := range qp {
 						if qp[i] != wantQP[i] {
 							t.Fatalf("%s: forward mismatch at %d: kernel %d ref %d", name, i, qp[i], wantQP[i])
@@ -405,7 +416,7 @@ func TestKernelNeedsMatchReads(t *testing.T) {
 				want[idx] = q[idx] - c
 			}
 			qp := slices.Clone(q)
-			mv := getMoves(radius)
+			mv := getMoves(radius, len(q))
 			if comp := ops.k(qp, i0, cnt, cnt-1, ^uint(0), off[0], off[1], off[2], radius, u, mv); comp != wantComp {
 				t.Errorf("%v/%v forward: compensated %d, reference %d", mode, cond, comp, wantComp)
 			}

@@ -142,7 +142,7 @@ func TestSweepMovesShift(t *testing.T) {
 							if !slices.Equal(restored, q) || sw.Pred.Compensated != ref.Compensated {
 								t.Fatalf("%s: restore did not recover q, or counted again", name)
 							}
-							far += len(sw.mv.left)
+							far += len(sw.mv.over)
 
 							got, want := sw.mv.shift(entropy.Analyze(sw.Sym)), entropy.Analyze(q)
 							if !reflect.DeepEqual(got, want) || math.Float64bits(got.Bits) != math.Float64bits(want.Bits) {

@@ -105,7 +105,7 @@ func TestTransformInvertRoundTrip(t *testing.T) {
 		for cond := CondAlways; cond <= CondSameSign3; cond++ {
 			p := mustPredictor(t, Config{Mode: mode, Cond: cond, MaxLevel: 2})
 			dst := slices.Clone(q)
-			p.ForwardRegion(dst, rg)
+			forwardRegion(p, dst, rg)
 			p2 := mustPredictor(t, Config{Mode: mode, Cond: cond, MaxLevel: 2})
 			rec := append([]int32(nil), dst...)
 			p2.InverseRegion(rec, rg)
@@ -123,7 +123,7 @@ func TestTransformLowersEntropyOnClusters(t *testing.T) {
 	q := clusterPlane(w, h, 2)
 	p := mustPredictor(t, Default())
 	dst := slices.Clone(q)
-	p.ForwardRegion(dst, planeRegion(h, w, w, 1, 1))
+	forwardRegion(p, dst, planeRegion(h, w, w, 1, 1))
 	h0 := entropy.Shannon(q)
 	h1 := entropy.Shannon(dst)
 	if h1 >= h0 {
@@ -228,7 +228,7 @@ func TestModeOff(t *testing.T) {
 }
 
 // TestQuickReversibility property: for arbitrary symbol planes and any
-// configuration, InverseRegion(ForwardRegion(q)) == q. This is the paper's
+// configuration, InverseRegion(forwardRegion(q)) == q. This is the paper's
 // correctness requirement f^{-1}(f(Q)) = Q (Section V-A).
 func TestQuickReversibility(t *testing.T) {
 	f := func(raw []int32, modeRaw, condRaw uint8, wRaw uint8) bool {
@@ -249,7 +249,7 @@ func TestQuickReversibility(t *testing.T) {
 		}
 		rg := planeRegion(h, w, w, 1, 1)
 		dst := slices.Clone(q)
-		p.ForwardRegion(dst, rg)
+		forwardRegion(p, dst, rg)
 		p2, _ := NewPredictor(cfg, radius)
 		rec := append([]int32(nil), dst...)
 		p2.InverseRegion(rec, rg)

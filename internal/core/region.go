@@ -225,9 +225,9 @@ func (rg Region) forEachPoint(fn func(idx int, nb Neighborhood)) {
 
 // ForwardRegionRef is the reference forward sweep: the per-point
 // Compensate path over the region in row-major order, writing
-// qp[i] = q[i] - Compensate(q, nb). The kernelized ForwardRegion is
-// pinned against it by differential tests and fuzzing; it is not used on
-// hot paths.
+// qp[i] = q[i] - Compensate(q, nb). The kernelized forward
+// (Sweep.ForwardQP) is pinned against it by differential tests and
+// fuzzing; it is not used on hot paths.
 func (p *Predictor) ForwardRegionRef(q, qp []int32, rg Region) {
 	rg.forEachPoint(func(idx int, nb Neighborhood) {
 		qp[idx] = q[idx] - p.Compensate(q, nb)

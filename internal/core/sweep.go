@@ -104,7 +104,7 @@ func (b *Backend) Sweep(src []float64, useQP bool, stage Stage) (*Sweep, error) 
 		if s.Pred, err = NewPredictor(b.QP, b.Radius); err != nil {
 			return nil, err
 		}
-		mv := getMoves(b.Radius)
+		mv := getMoves(b.Radius, len(src))
 		s.mv = mv
 	}
 	data := quantizer.GetFloatBuf(len(src))
@@ -128,7 +128,9 @@ func (s *Sweep) Release() {
 func (r *Reader) Sweep(stage Stage) *Sweep {
 	// DecodeStream has checked the dims, New's only failure.
 	field, _ := grid.New(r.dims...)
+	// The sweep takes the index array over, and Finish releases it.
 	s := &Sweep{Data: field.Data, Sym: r.Indices, Lits: r.Literals, Pred: r.pred, field: field}
+	r.Indices = nil
 	s.start(r.sp, stage)
 	return s
 }
@@ -163,10 +165,13 @@ func (s *Sweep) finish() {
 	}
 }
 
-// Finish ends a decompression whose sweeps succeeded and returns the
-// reconstructed field.
+// Finish ends a decompression whose sweeps succeeded, puts the index
+// array back in the pool DecodeIndices decodes into and returns the
+// reconstructed field. The sweep is spent.
 func (s *Sweep) Finish() *grid.Field {
 	s.finish()
+	quantizer.PutIndexBuf(s.Sym)
+	s.Sym = nil
 	return s.field
 }
 
@@ -176,6 +181,8 @@ func (s *Sweep) Finish() *grid.Field {
 // and the region. Nothing may read the region's original symbols
 // afterwards: Encode recovers them from the record when it needs them. A
 // no-op when QP is off.
+//
+//scdc:hot
 func (s *Sweep) ForwardQP(rg Region) {
 	if s.mv == nil {
 		return

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scdc/internal/obs"
+	"scdc/internal/quantizer"
 	"scdc/internal/verdict"
 )
 
@@ -60,7 +61,7 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 	copy(sw.Sym, q)
 	sw.ForwardQP(rg.rg)
 	want := slices.Clone(q)
-	(&Predictor{Cfg: Default(), Radius: radius}).ForwardRegion(want, rg.rg)
+	forwardRegion(&Predictor{Cfg: Default(), Radius: radius}, want, rg.rg)
 	if !slices.Equal(sw.Sym, want) {
 		t.Fatal("ForwardQP: the symbols differ from the region kernel's output")
 	}
@@ -122,56 +123,65 @@ func TestSweepLiteralAccounting(t *testing.T) {
 // TestSweepAllocs: once built, a sweep allocates nothing per QP call in
 // either direction or per literal, observed or not — the clock, the
 // cursor and the record of moves (with room for 64 regions) are set up at
-// construction, and the region sweep builds no closure. Unobserved, the
-// clock is nil checks all the way: no allocation at the finish either,
-// and the time is never read.
+// construction, and the region sweep builds no closure. A move that
+// leaves the record's window appends to its overflow list, which the
+// pooled record keeps: after the first call has grown it, a call that
+// restarts the list allocates nothing. At radius 8 the hostile symbols
+// leave the window; at the default radius every compensated literal
+// (symbol 0) does. Unobserved, the clock is nil checks all the way: no
+// allocation at the finish either, and the time is never read.
 func TestSweepAllocs(t *testing.T) {
-	const radius = int32(8)
 	rg := kernelRegionCases()[2].rg
 	data := make([]float64, kernelRegionCases()[2].arr)
-	for _, sp := range []*obs.Span{nil, obs.New().Span("compress")} {
-		b := Backend{Radius: radius, QP: Default(), Obs: sp}
-		sw, err := b.Sweep(data, true, StageInterp)
-		if err != nil {
-			t.Fatal(err)
+	for _, radius := range []int32{8, quantizer.DefaultRadius} {
+		for _, sp := range []*obs.Span{nil, obs.New().Span("compress")} {
+			testSweepAllocs(t, rg, data, radius, sp)
 		}
-		// Symbols near the radius and the marker: every move lands in
-		// the record's window. A move outside it appends to the overflow
-		// lists (TestSweepMovesShift covers that path).
-		rng := rand.New(rand.NewSource(7))
-		for i := range sw.Sym {
-			sw.Sym[i] = radius + int32(rng.Intn(9)) - 4
-			if rng.Intn(8) == 0 {
-				sw.Sym[i] = 0
-			}
-		}
-		sw.Lits = make([]float64, 64)
-		if a := testing.AllocsPerRun(20, func() { sw.ForwardQP(rg) }); a != 0 {
-			t.Errorf("observed=%v: %v allocations per ForwardQP call", sp != nil, a)
-		}
-		if a := testing.AllocsPerRun(20, func() {
-			sw.InverseQP(rg)
-			sw.Stamp(0, radius)
-			for sw.Lit = 0; ; {
-				if _, ok := sw.Literal(); !ok {
-					break
-				}
-			}
-		}); a != 0 {
-			t.Errorf("observed=%v: %v allocations per InverseQP call and 64 literals", sp != nil, a)
-		}
-		if sp == nil {
-			if a := testing.AllocsPerRun(20, func() { sw.finish(); sw.Finish() }); a != 0 {
-				t.Errorf("unobserved: %v allocations per finish", a)
-			}
-			if sw.clk != nil {
-				t.Error("unobserved sweep has a clock")
-			}
-		}
-		sw.Release()
 	}
 	bare := NewSweep(data, make([]int32, len(data)))
 	if a := testing.AllocsPerRun(20, func() { bare.ForwardQP(rg); bare.InverseQP(rg); bare.finish() }); a != 0 {
 		t.Errorf("QP off: %v allocations per call", a)
+	}
+}
+
+func testSweepAllocs(t *testing.T, rg Region, data []float64, radius int32, sp *obs.Span) {
+	t.Helper()
+	b := Backend{Radius: radius, QP: Default(), Obs: sp}
+	sw, err := b.Sweep(data, true, StageInterp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Release()
+	fillSymbols(rand.New(rand.NewSource(7)), sw.Sym, radius)
+	q := slices.Clone(sw.Sym)
+	if sw.ForwardQP(rg); len(sw.mv.over) == 0 {
+		t.Fatalf("radius %d: no move left the window; the overflow path is not exercised", radius)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		copy(sw.Sym, q)
+		sw.mv.over, sw.mv.regions = sw.mv.over[:0], sw.mv.regions[:0]
+		sw.ForwardQP(rg)
+	}); a != 0 {
+		t.Errorf("radius %d observed=%v: %v allocations per ForwardQP call", radius, sp != nil, a)
+	}
+	sw.Lits = make([]float64, 64)
+	if a := testing.AllocsPerRun(20, func() {
+		sw.InverseQP(rg)
+		sw.Stamp(0, radius)
+		for sw.Lit = 0; ; {
+			if _, ok := sw.Literal(); !ok {
+				break
+			}
+		}
+	}); a != 0 {
+		t.Errorf("radius %d observed=%v: %v allocations per InverseQP call and 64 literals", radius, sp != nil, a)
+	}
+	if sp == nil {
+		if a := testing.AllocsPerRun(20, func() { sw.finish(); sw.Finish() }); a != 0 {
+			t.Errorf("unobserved: %v allocations per finish", a)
+		}
+		if sw.clk != nil {
+			t.Error("unobserved sweep has a clock")
+		}
 	}
 }

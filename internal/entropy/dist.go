@@ -273,7 +273,14 @@ type SymDelta struct {
 // shifts its Dist by the moves the transform made to recover the
 // original array's (core.Backend.Encode).
 func (d *Dist) Shift(delta []SymDelta) *Dist {
-	out := &Dist{N: d.N, Syms: make([]SymCount, 0, len(d.Syms)+len(delta))}
+	// Only a symbol whose count rises can be new to Syms.
+	rise := 0
+	for _, sd := range delta {
+		if sd.Delta > 0 {
+			rise++
+		}
+	}
+	out := &Dist{N: d.N, Syms: make([]SymCount, 0, len(d.Syms)+rise)}
 	syms := d.Syms
 	for len(syms) > 0 || len(delta) > 0 {
 		var sc SymCount

@@ -978,10 +978,19 @@ func Decode(data []byte) ([]int32, error) {
 // stream must hold: one that declares any other count is corrupt before
 // its output is allocated. n < 0 accepts whatever the body could hold.
 func DecodeParallel(data []byte, n, workers int) ([]int32, error) {
+	return DecodeParallelTo(data, n, workers, newOutput)
+}
+
+// DecodeParallelTo is DecodeParallel with the output array of a nonempty
+// stream taken from out(count) once the header has passed every check
+// that bounds the count, so a caller can hand in a pooled array. out(n)
+// returns at least n symbols of any contents; the decoder uses the first
+// n, and writes every one of them in a stream it accepts.
+func DecodeParallelTo(data []byte, n, workers int, out func(int) []int32) ([]int32, error) {
 	sharded := len(data) > 0 && data[0] == shardedMarker
 	if sharded {
 		if len(data) >= 2 && data[1] == runVersion {
-			return decodeRuns(data[2:], n)
+			return decodeRuns(data[2:], n, out)
 		}
 		if len(data) < 2 || data[1] != shardedVersion {
 			return nil, fmt.Errorf("%w: huffman: unsupported sharded version", verdict.ErrCorrupt)
@@ -1027,14 +1036,19 @@ func DecodeParallel(data []byte, n, workers int) ([]int32, error) {
 
 	d := newDecoder(syms, lengths, multiPays(int(nsamp), len(body)))
 	defer d.release()
-	out := make([]int32, nsamp)
+	q := out(int(nsamp))[:nsamp:nsamp]
 	if !sharded {
-		err = d.decodeBody(body, out)
+		err = d.decodeBody(body, q)
 	} else {
-		err = d.decodeShards(dir, out, workers)
+		err = d.decodeShards(dir, q, workers)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return q, nil
+}
+
+// newOutput allocates a decoder's output array.
+func newOutput(n int) []int32 {
+	return make([]int32, n)
 }

@@ -354,7 +354,7 @@ func runsWith(enc []byte, fast bool) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.decode(fast)
+	return r.decode(fast, make([]int32, r.n))
 }
 
 // TestMultiKernelLayouts: the sharded index sub-format at workers {1, 4},

@@ -293,8 +293,8 @@ func (p *runPlan) encode(q []int32, d *entropy.Dist, s *runScratch) []byte {
 }
 
 // decodeRuns decodes a run-coded stream (after its two marker bytes) of
-// n symbols, or of the count it declares if n < 0.
-func decodeRuns(data []byte, n int) ([]int32, error) {
+// n symbols, or of the count it declares if n < 0, into an array from out.
+func decodeRuns(data []byte, n int, out func(int) []int32) ([]int32, error) {
 	r, err := parseRuns(data, n)
 	if err != nil {
 		return nil, err
@@ -302,7 +302,7 @@ func decodeRuns(data []byte, n int) ([]int32, error) {
 	if r.n == 0 {
 		return []int32{}, nil
 	}
-	return r.decode(multiPays(int(r.m), len(r.body)))
+	return r.decode(multiPays(int(r.m), len(r.body)), out(int(r.n))[:r.n:r.n])
 }
 
 // runStream is a parsed run-coded stream: n points from m codes of the
@@ -382,11 +382,12 @@ func parseRuns(data []byte, n int) (runStream, error) {
 // first. Whatever it leaves — all of the stream without fast — is
 // decoded to the tail of the output by decodeSingle and expanded forward
 // in place by expandRuns: the write cursor starts where expandFast
-// stopped, and a valid stream never passes the read cursor.
-func (r *runStream) decode(fast bool) ([]int32, error) {
+// stopped, and a valid stream never passes the read cursor. out holds
+// r.n symbols of any contents, and its capacity ends there: expandRuns
+// grows its gap up to the capacity.
+func (r *runStream) decode(fast bool, out []int32) ([]int32, error) {
 	d := newDecoder(r.syms, r.lengths, false)
 	defer d.release()
-	out := make([]int32, r.n) //scdclint:ignore alloccap -- parseRuns bounded n
 	cur := runCursor{rest: r.body}
 	if fast {
 		d.tabs.buildRuns(r.runA)

@@ -193,7 +193,9 @@ func poolsDropPuts() bool {
 // much, and both must write the same stream (recycled buffers come back
 // dirty). QP transforms the index array in place, so with QP on the
 // pooled scratch exceeds the QP-off call's by less than the 4 bytes a
-// point a second index array would take.
+// point a second index array would take. Decompression takes its index
+// array (4 bytes a point) from the same pool: a second same-shape call
+// does not allocate it again, and decodes the same field.
 func TestSteadyStateScratch(t *testing.T) {
 	// Pools are per-P and emptied by the collector: one P and no
 	// collection make what a Put leaves for the next Get deterministic.
@@ -204,7 +206,7 @@ func TestSteadyStateScratch(t *testing.T) {
 	}
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{64, 64, 64}, 5)
 	eb := f.Range() * 1e-3
-	scratch, qpArray := uint64(12*f.Len()), uint64(4*f.Len())
+	scratch, indexArray := uint64(12*f.Len()), uint64(4*f.Len())
 	for _, eng := range backendEngines {
 		var pooled [2]uint64 // QP off, on
 		for i, qp := range []bool{false, true} {
@@ -229,10 +231,32 @@ func TestSteadyStateScratch(t *testing.T) {
 					eng.name, qp, steady, cold, scratch)
 			}
 			pooled[i] = cold - steady
+
+			// Decompression decodes its index array into a pooled one and
+			// returns it at Finish.
+			var out [2]*grid.Field
+			decode := func(k int) func() {
+				return func() {
+					var err error
+					if out[k], err = eng.decompress(streams[1], f.Dims()); err != nil {
+						t.Fatalf("%s qp=%v: %v", eng.name, qp, err)
+					}
+				}
+			}
+			runtime.GC()
+			runtime.GC()
+			cold, steady = allocatedBy(decode(0)), allocatedBy(decode(1))
+			if !slices.Equal(out[0].Data, out[1].Data) {
+				t.Errorf("%s qp=%v: decoded field differs between fresh and recycled index arrays", eng.name, qp)
+			}
+			if cold < steady+indexArray*9/10 {
+				t.Errorf("%s qp=%v: steady-state Decompress allocates %d bytes, fresh-pool call %d: the %d-byte index array is not reused",
+					eng.name, qp, steady, cold, indexArray)
+			}
 		}
-		if pooled[1] >= pooled[0]+qpArray/2 {
+		if pooled[1] >= pooled[0]+indexArray/2 {
 			t.Errorf("%s: QP on pools %d bytes of scratch, QP off %d: QP takes a second index array (%d bytes)",
-				eng.name, pooled[1], pooled[0], qpArray)
+				eng.name, pooled[1], pooled[0], indexArray)
 		}
 	}
 }

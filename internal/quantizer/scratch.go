@@ -4,9 +4,10 @@ import "sync"
 
 // Pooled scratch buffers for the compressor hot paths. Every
 // interpolation-based compressor needs one float64 working copy of the
-// field plus one or two full-size quantization index arrays per
-// Compress/Decompress call; recycling them here makes repeated calls on
-// same-shaped fields allocate O(1) instead of O(field).
+// field plus one full-size quantization index array per Compress call,
+// and a decompression decodes its index array into one from here too;
+// recycling them makes repeated calls on same-shaped fields allocate O(1)
+// instead of O(field).
 //
 // Buffers are returned with unspecified contents: callers must write every
 // slot they read (the compression schedules visit every point exactly
@@ -31,8 +32,10 @@ func PutIndexBuf(buf []int32) {
 	if cap(buf) == 0 {
 		return
 	}
-	buf = buf[:cap(buf)]
-	indexPool.Put(&buf)
+	// A fresh variable: the pool keeps its address, so it lives on the
+	// heap, and only a buffer that is put pays for that.
+	p := buf[:cap(buf)]
+	indexPool.Put(&p)
 }
 
 // GetFloatBuf returns a pooled float64 buffer of length n with unspecified
@@ -51,6 +54,6 @@ func PutFloatBuf(buf []float64) {
 	if cap(buf) == 0 {
 		return
 	}
-	buf = buf[:cap(buf)]
-	floatPool.Put(&buf)
+	p := buf[:cap(buf)] // as in PutIndexBuf
+	floatPool.Put(&p)
 }

@@ -77,21 +77,22 @@ func BenchmarkQPSweeps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	regions := make([][]core.Region, levels+1)
-	qp := append([]int32(nil), q...)
-	for level := levels; level >= 1; level-- {
-		forEachPass(dims, grid.Strides(dims), level, spec.Order, func(pa *pass) {
-			rg := pa.qpRegion()
-			regions[level] = append(regions[level], rg)
-			pred.ForwardRegion(qp, rg)
-		})
-	}
 	be := core.Backend{QP: core.Default(), Radius: quant.Radius}
 	sw, err := be.Sweep(f.Data, true, core.StageInterp)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer sw.Release()
+	regions := make([][]core.Region, levels+1)
+	copy(sw.Sym, q)
+	for level := levels; level >= 1; level-- {
+		forEachPass(dims, grid.Strides(dims), level, spec.Order, func(pa *pass) {
+			rg := pa.qpRegion()
+			regions[level] = append(regions[level], rg)
+			sw.ForwardQP(rg)
+		})
+	}
+	qp := append([]int32(nil), sw.Sym...)
 	enc := make([]int32, len(q))
 	for level := 1; level <= min(levels, pred.Cfg.MaxLevel); level++ {
 		points := 0
