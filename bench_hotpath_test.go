@@ -123,10 +123,10 @@ func BenchmarkHotPathShardedHuffman(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					huffman.EncodeSharded(q, shards, workers)
+					huffman.EncodeShardedDist(q, entropy.Analyze(q), shards, workers)
 				}
 			})
-			enc := huffman.EncodeSharded(q, shards, workers)
+			enc := huffman.EncodeShardedDist(q, entropy.Analyze(q), shards, workers)
 			b.Run(fmt.Sprintf("shards=%d/workers=%d/decode", shards, workers), func(b *testing.B) {
 				b.SetBytes(int64(len(q) * 4))
 				b.ReportAllocs()
@@ -145,12 +145,14 @@ func BenchmarkHotPathShardedHuffman(b *testing.B) {
 var stageSink any
 
 // BenchmarkEntropyStage prices the Huffman stage per symbol on the QP
-// index arrays of the bench.IndexCells (SZ3 Miranda ~1 bit/value, MGARD
-// S3D ~10 bits/value): the histogram (entropy.Analyze), the encode from
-// that Dist (code lengths, code tables, body) and the decode. encode and
-// decode write and read the layout EncodeDist picks — run-coded on the
-// SZ3 array, plain on the MGARD one — and, where that is not the plain
-// layout, encode_plain and decode_plain time the plain one next to it.
+// index arrays of the bench.IndexCells (SZ3 Miranda ~1 bit/value, HPEZ
+// SCALE ~3, MGARD S3D ~10): the histogram (entropy.Analyze), the encode
+// from that Dist (code lengths, code tables, body) and the decode. encode
+// and decode write and read the layout EncodeDist picks — run-coded on
+// the SZ3 array, plain on the others, so each decode row times one kernel
+// (expandFast, decodeMulti, decodeSingle) — and, where that is not the
+// plain layout, encode_plain and decode_plain time the plain one next to
+// it.
 // The code lengths alone are timed by internal/huffman's
 // BenchmarkCodeLengths on the same arrays.
 func BenchmarkEntropyStage(b *testing.B) {

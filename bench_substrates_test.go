@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"scdc/internal/entropy"
 	"scdc/internal/huffman"
 	"scdc/internal/lossless"
 	"scdc/internal/transform"
@@ -35,13 +36,13 @@ func BenchmarkSubstrateHuffmanEncode(b *testing.B) {
 	q := indexLike(1<<20, 1)
 	b.SetBytes(int64(len(q) * 4))
 	for i := 0; i < b.N; i++ {
-		huffman.Encode(q)
+		huffman.EncodeDist(q, entropy.Analyze(q))
 	}
 }
 
 func BenchmarkSubstrateHuffmanDecode(b *testing.B) {
 	q := indexLike(1<<20, 1)
-	enc := huffman.Encode(q)
+	enc := huffman.EncodeDist(q, entropy.Analyze(q))
 	b.SetBytes(int64(len(q) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -53,7 +54,7 @@ func BenchmarkSubstrateHuffmanDecode(b *testing.B) {
 
 func BenchmarkSubstrateLossless(b *testing.B) {
 	q := indexLike(1<<19, 2)
-	src := huffman.Encode(q)
+	src := huffman.EncodeDist(q, entropy.Analyze(q))
 	for _, c := range []lossless.Codec{lossless.Flate, lossless.Huffman} {
 		b.Run("codec="+c.String(), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))

@@ -100,7 +100,7 @@ func FuzzDecompress(f *testing.F) {
 	for _, name := range []string{"rice", "huffman", "sharded"} {
 		f.Add(hostileCounts[name])
 	}
-	runLies := hostileRunBlocks(f)
+	runLies := hostileBlockStreams(f)
 	lies := make([]string, 0, len(runLies))
 	for name := range runLies {
 		lies = append(lies, name)

@@ -5,7 +5,9 @@ import (
 
 	"scdc"
 	"scdc/internal/datagen"
+	"scdc/internal/hpez"
 	"scdc/internal/mgard"
+	"scdc/internal/qoz"
 	"scdc/internal/sz3"
 )
 
@@ -15,18 +17,21 @@ import (
 // not a synthetic distribution.
 type IndexCell struct {
 	Name    string
-	Alg     scdc.Algorithm // SZ3 or MGARD
+	Alg     scdc.Algorithm // SZ3, QoZ, HPEZ or MGARD
 	Dataset datagen.Dataset
 	Dims    []int
 	Rel     float64
 }
 
-// IndexCells are shaped like two cells of the repository benchmark: SZ3
-// on a smooth Miranda field (~1 bit/value with QP, a narrow alphabet) and
-// MGARD on S3D at a tight bound (~10 bits/value, ~10^4 distinct symbols,
-// codes up to ~20 bits).
+// IndexCells are shaped like three cells of the repository benchmark, one
+// per Huffman decode kernel: SZ3 on a smooth Miranda field (~1 bit/value
+// with QP, a narrow alphabet, run-coded: expandFast), HPEZ on SCALE (~3
+// bits/value, plain and long: decodeMulti) and MGARD on S3D at a tight
+// bound (~10 bits/value, ~10^4 distinct symbols, codes up to ~20 bits:
+// decodeSingle).
 var IndexCells = []IndexCell{
 	{"sz3_smooth", scdc.SZ3, datagen.Miranda, []int{112, 160, 160}, 1e-4},
+	{"hpez_block", scdc.HPEZ, datagen.Scale, []int{49, 144, 144}, 1e-4},
 	{"mgard_tight", scdc.MGARD, datagen.S3D, []int{88, 88, 88}, 2e-5},
 }
 
@@ -41,6 +46,14 @@ func (c IndexCell) Arrays() (q, qp []int32, err error) {
 		o := sz3.DefaultOptions(eb).WithQP()
 		o.Trace = &tr
 		_, err = sz3.Compress(f, o)
+	case scdc.QoZ:
+		o := qoz.DefaultOptions(eb).WithQP()
+		o.Trace = &tr
+		_, err = qoz.Compress(f, o)
+	case scdc.HPEZ:
+		o := hpez.DefaultOptions(eb).WithQP()
+		o.Trace = &tr
+		_, err = hpez.Compress(f, o)
 	case scdc.MGARD:
 		o := mgard.DefaultOptions(eb).WithQP()
 		o.Trace = &tr

@@ -33,7 +33,7 @@ import (
 // Huffman is the one index encoder, so the Coder argument is ignored
 // (entropy.CoderHuffman is the only value left). shards > 1 encodes the
 // winner as that many independent sub-streams under one shared code
-// table (huffman.EncodeSharded), built on up to workers goroutines.
+// table (huffman.EncodeShardedDist), built on up to workers goroutines.
 //
 // When sp is non-nil it gains (observation never changes the stream):
 //

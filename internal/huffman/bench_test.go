@@ -30,7 +30,7 @@ func geometricStream(n int, r float64, seed int64) []int32 {
 }
 
 // plainStream is q in the plain single-body layout, which splitStream
-// parses, whichever layout Encode picks for it.
+// parses, whichever layout EncodeDist picks for it.
 func plainStream(q []int32) []byte { return EncodePlain(q, entropy.Analyze(q)) }
 
 // splitStream parses a single-body stream into its code table, declared
@@ -90,11 +90,9 @@ func BenchmarkDecodeBody(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/%s", p.name, kernel), func(b *testing.B) {
 				out := make([]int32, n)
+				blk := plainBlock(syms, lengths, body, n)
 				for i := 0; i < b.N; i++ {
-					d := newDecoder(syms, lengths, multi)
-					err := d.decodeBody(body, out)
-					d.release()
-					if err != nil {
+					if err := blk.decode(out, multi, 1); err != nil {
 						b.Fatal(err)
 					}
 				}

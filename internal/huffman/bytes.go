@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"scdc/internal/entropy"
-	"scdc/internal/parallel"
-	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
 
@@ -145,59 +143,59 @@ func parseByteTable(packed []byte) (syms []int32, lengths []uint8, err error) {
 	return syms, lengths, nil
 }
 
+// parseBytes reads the header of a byte-alphabet Huffman stream that
+// must declare n bytes into a block, checked as an index block is
+// (block.check). An empty stream ends at its count: its block has n = 0.
+func parseBytes(data []byte, n int) (block, error) {
+	var b block
+	if len(data) < 2 || data[0] != byteMarker || data[1] != byteVersion {
+		return b, fmt.Errorf("%w: huffman: bad byte-stream header", verdict.ErrCorrupt)
+	}
+	data = data[2:]
+	nsamp, c := binary.Uvarint(data)
+	if c <= 0 {
+		return b, fmt.Errorf("%w: huffman: bad sample count", verdict.ErrCorrupt)
+	}
+	data = data[c:]
+	if nsamp != uint64(n) {
+		return b, fmt.Errorf("%w: huffman: declared count %d, want %d", verdict.ErrCorrupt, nsamp, n)
+	}
+	if nsamp == 0 {
+		if len(data) != 0 {
+			return b, fmt.Errorf("%w: huffman: %d trailing bytes", verdict.ErrCorrupt, len(data))
+		}
+		return b, nil
+	}
+	if len(data) < byteTablePacked {
+		return b, fmt.Errorf("%w: huffman: truncated code table", verdict.ErrCorrupt)
+	}
+	var err error
+	if b.syms, b.lengths, err = parseByteTable(data[:byteTablePacked]); err != nil {
+		return b, err
+	}
+	b.n, b.m, b.body = nsamp, nsamp, data[byteTablePacked:]
+	return b, b.check(true)
+}
+
 // DecodeBytesInto decodes a byte-alphabet Huffman stream into exactly
 // dst, fanning shard bodies across up to workers goroutines. The
 // stream's declared sample count must equal len(dst), and every
 // directory claim is checked against the stream before any decoding
 // (and before any allocation proportional to a claim).
 func DecodeBytesInto(dst, data []byte, workers int) error {
-	if len(data) < 2 || data[0] != byteMarker || data[1] != byteVersion {
-		return fmt.Errorf("%w: huffman: bad byte-stream header", verdict.ErrCorrupt)
-	}
-	data = data[2:]
-	nsamp, c := binary.Uvarint(data)
-	if c <= 0 {
-		return fmt.Errorf("%w: huffman: bad sample count", verdict.ErrCorrupt)
-	}
-	data = data[c:]
-	if nsamp != uint64(len(dst)) {
-		return fmt.Errorf("%w: huffman: declared count %d, want %d", verdict.ErrCorrupt, nsamp, len(dst))
-	}
-	if nsamp == 0 {
-		if len(data) != 0 {
-			return fmt.Errorf("%w: huffman: %d trailing bytes", verdict.ErrCorrupt, len(data))
-		}
-		return nil
-	}
-	if len(data) < byteTablePacked {
-		return fmt.Errorf("%w: huffman: truncated code table", verdict.ErrCorrupt)
-	}
-	syms, lengths, err := parseByteTable(data[:byteTablePacked])
-	if err != nil {
+	b, err := parseBytes(data, len(dst))
+	if err != nil || b.n == 0 {
 		return err
 	}
-	data = data[byteTablePacked:]
-
-	dir, err := shard.ParseDir(data, len(dst), false, len(dst))
-	if err != nil {
+	sp := getByteSyms(len(dst))
+	defer byteSymsPool.Put(sp)
+	if err := b.decode(*sp, multiPays(len(dst), len(b.body)), workers); err != nil {
 		return err
 	}
-
-	d := newDecoder(syms, lengths, multiPays(len(dst), len(data)))
-	defer d.release()
-	return parallel.ForEach(len(dir), workers, func(_, i int) error {
-		sh := dir[i]
-		sp := getByteSyms(sh.N)
-		defer byteSymsPool.Put(sp)
-		if err := d.decodeBody(sh.Body, *sp); err != nil {
-			return err
-		}
-		// Symbols come from the byte-indexed table, so the narrowing
-		// cast cannot truncate.
-		o := dst[sh.Off : sh.Off+sh.N]
-		for j, s := range *sp {
-			o[j] = byte(s)
-		}
-		return nil
-	})
+	// Symbols come from the byte-indexed table, so the narrowing cast
+	// cannot truncate.
+	for i, s := range *sp {
+		dst[i] = byte(s)
+	}
+	return nil
 }

@@ -20,10 +20,10 @@ func TestDecodeParallelToDirtyOutput(t *testing.T) {
 	plain := skewed(50_000, 1)
 	streams := map[string][]byte{
 		"plain":   EncodePlain(plain, entropy.Analyze(plain)),
-		"sharded": EncodeSharded(skewed(200_000, 2), 4, 1),
+		"sharded": encodeSharded(skewed(200_000, 2), 4, 1),
 	}
 	for name, c := range runCases() {
-		streams["runs/"+name] = Encode(c.q)
+		streams["runs/"+name] = encode(c.q)
 	}
 	const spare = 257
 	for name, enc := range streams {

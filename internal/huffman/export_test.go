@@ -9,3 +9,17 @@ func CodeLengths(d *entropy.Dist) (maxLen int) {
 	table, _ := codeLengths(d)
 	return table[len(table)-1].len
 }
+
+// Kernel names the kernel DecodeParallel decodes enc's block through.
+func Kernel(enc []byte) (string, error) {
+	b, err := parseBlock(enc, -1)
+	switch {
+	case err != nil:
+		return "", err
+	case !multiPays(int(b.m), len(b.body)):
+		return "decodeSingle", nil
+	case b.runs:
+		return "expandFast", nil
+	}
+	return "decodeMulti", nil
+}

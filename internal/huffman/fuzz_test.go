@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -23,16 +24,16 @@ func FuzzHuffmanDecode(f *testing.F) {
 			skewed[i] = 0 // unpredictable marker
 		}
 	}
-	f.Add(Encode(skewed))
-	f.Add(Encode(skewed[:1]))
-	f.Add(Encode(nil))
-	f.Add(EncodeSharded(skewed, 4, 2)) // 0x00 sharded sub-format
-	f.Add(EncodeSharded(skewed, 2, 1))
+	f.Add(encode(skewed))
+	f.Add(encode(skewed[:1]))
+	f.Add(encode(nil))
+	f.Add(encodeSharded(skewed, 4, 2)) // 0x00 sharded sub-format
+	f.Add(encodeSharded(skewed, 2, 1))
 	f.Add([]byte{0x00, 0x01})       // truncated sharded header
 	f.Add([]byte{0x00, 0x02, 0x00}) // bad sharded version
 	f.Add(overSubscribedStream())   // three 1-bit codes
 	// A long short-code stream, so the multi-symbol kernel runs.
-	f.Add(Encode(geometricStream(minMultiSymbols, 0.25, 1)))
+	f.Add(encode(geometricStream(minMultiSymbols, 0.25, 1)))
 	// Codes of 1 to 20 bits, the long ones decoded through the
 	// second-level tables: symbol i occurs Fibonacci(i) times.
 	var fib []int32
@@ -41,13 +42,23 @@ func FuzzHuffmanDecode(f *testing.F) {
 			fib = append(fib, i)
 		}
 	}
-	f.Add(Encode(fib))
+	f.Add(encode(fib))
 	// Codes of up to 24 bits, past the second-level tables' reach.
 	f.Add(codedStream(append(ascending(24), 24), []int32{0, 24, 3, 23, 20, 1, 24, 22, 0}))
 	// Run-coded streams (0x00 0x03): a short one, expanded in place, and
 	// one long enough for the run table's kernel.
-	f.Add(Encode(modalStream(5000, 0.9, 1)))
-	f.Add(Encode(modalStream(1<<18, 0.8, 2)))
+	f.Add(encode(modalStream(5000, 0.9, 1)))
+	f.Add(encode(modalStream(1<<18, 0.8, 2)))
+	// A lie per index layout that only the shared checks of the one block
+	// reader turn away: a plain block of 100 samples under an empty table,
+	// a sharded one that declares no samples, and a run-coded one whose
+	// RUNB digit (6+1) is its modal symbol 7.
+	f.Add(tableStream(100, nil, make([]byte, 13)))
+	f.Add(append([]byte{shardedMarker, shardedVersion}, tableStream(0, []int{1, 1}, append([]byte{1, 100, 13}, make([]byte, 13)...))...))
+	rc := binary.AppendVarint(binary.AppendVarint([]byte{100, 10}, 7), 6)
+	rc = binary.AppendVarint(append(rc, 2), 6)
+	rc = append(rc, 1, 2, 1) // 6 and 7, one-bit codes
+	f.Add(append(append([]byte{shardedMarker, runVersion, byte(len(rc))}, rc...), 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, err := Decode(data)
 		par, perr := DecodeParallel(data, -1, 4)
@@ -73,7 +84,7 @@ func FuzzHuffmanDecode(f *testing.F) {
 			}
 		}
 		// Whatever decoded must survive a re-encode round trip.
-		re, err := Decode(Encode(seq))
+		re, err := Decode(encode(seq))
 		if err != nil {
 			t.Fatalf("re-encode round trip failed: %v", err)
 		}
@@ -103,7 +114,7 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 			}
 		}
 		shards := int(shardByte % 8)
-		enc := EncodeSharded(syms, shards, 2)
+		enc := encodeSharded(syms, shards, 2)
 		for _, workers := range []int{1, 4} {
 			dec, err := DecodeParallel(enc, len(syms), workers)
 			if err != nil {

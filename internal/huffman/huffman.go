@@ -14,17 +14,24 @@
 // runs.go): runs of that symbol become two more symbols of the table, so
 // it no longer costs a bit per point. A sharded variant (see sharded.go)
 // splits the body into K independent sub-streams under one shared code
-// table so encode and decode scale with cores.
+// table so encode and decode scale with cores. One reader (parseBlock)
+// parses and checks the header of every index layout — plain, sharded and
+// run-coded — into a block, the byte sub-format's (bytes.go) builds one
+// from its length vector, and one driver (block.decode) decodes every
+// block: it picks the layout's kernel and ends in decodeSingle's tail.
 package huffman
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"scdc/internal/bitstream"
 	"scdc/internal/entropy"
+	"scdc/internal/parallel"
 	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
@@ -345,16 +352,11 @@ func tableLen(table []symLen) int {
 	return n
 }
 
-// Encode compresses q into a self-describing byte stream.
-func Encode(q []int32) []byte {
-	return EncodeDist(q, entropy.Analyze(q))
-}
-
-// EncodeDist is Encode reusing a distribution already computed by
-// entropy.Analyze(q), so callers that estimated sizes before encoding
-// (core.ChooseEncodingCoder) never histogram the array twice. d must
-// describe exactly q. The stream is run-coded (runs.go) when that is
-// smaller, and the plain single-body layout otherwise.
+// EncodeDist compresses q into a self-describing byte stream from its
+// distribution d = entropy.Analyze(q), so callers that estimated sizes
+// before encoding (core.ChooseEncodingCoder) never histogram the array
+// twice. d must describe exactly q. The stream is run-coded (runs.go)
+// when that is smaller, and the plain single-body layout otherwise.
 func EncodeDist(q []int32, d *entropy.Dist) []byte {
 	if modal, ok := runCandidate(d); ok {
 		s := runPool.Get().(*runScratch)
@@ -388,10 +390,10 @@ func EncodePlain(q []int32, d *entropy.Dist) []byte {
 	return encodeBody(out, q, &cs)
 }
 
-// EncodedLen returns len(Encode(q)) without writing the stream: the code
-// lengths fix both the table header, whose varints it sizes, and the
-// body's bit count. An array Encode may run-code is scanned for its runs
-// and priced both ways.
+// EncodedLen returns the length of EncodeDist's stream of q without
+// writing it: the code lengths fix both the table header, whose varints it
+// sizes, and the body's bit count. An array EncodeDist may run-code is
+// scanned for its runs and priced both ways.
 func EncodedLen(q []int32) int {
 	d := entropy.Analyze(q)
 	if modal, ok := runCandidate(d); ok {
@@ -611,14 +613,13 @@ type decoder struct {
 	syms   []int32
 	tables [maxCodeLen + 1]decTable
 	tabs   *decTabs // pooled; release() returns it
-	multi  bool     // tabs.multi is built; decodeBody uses it
 }
 
 // newDecoder builds per-length canonical tables plus the table-driven fast
 // path for codes up to fastBits long, and with multi the multi-symbol
 // table on top of it. The table must have passed checkCanonical.
 func newDecoder(syms []int32, lengths []uint8, multi bool) *decoder {
-	d := &decoder{syms: syms, multi: multi}
+	d := &decoder{syms: syms}
 	t := tabPool.Get().(*decTabs)
 	clear(t.fast[:t.touched])
 	t.touched = 0
@@ -743,16 +744,6 @@ func (d *decoder) release() {
 	t := d.tabs
 	d.tabs = nil
 	tabPool.Put(t)
-}
-
-// decodeBody decodes exactly len(out) symbols from body into out, through
-// the multi-symbol kernel if the decoder was built with it. It is safe to
-// call concurrently on one decoder with distinct bodies/outputs.
-func (d *decoder) decodeBody(body []byte, out []int32) error {
-	if d.multi {
-		return d.decodeMulti(body, out)
-	}
-	return d.decodeSingle(body, body, 0, 0, out)
 }
 
 // decodeMulti is the multi-symbol kernel: while at least 8 body bytes and
@@ -962,18 +953,18 @@ func (d *decoder) decodeSlow(r *bitstream.Reader) (int32, error) {
 	}
 }
 
-// Decode reverses Encode (and decodes sharded streams sequentially). It
-// trusts the declared sample count up to what the body could hold at one
-// bit per symbol, or for a run-coded stream up to 2^24 symbols past that,
-// so a valid run-coded stream can be refused here; a caller that knows
-// the count passes it to DecodeParallel.
+// Decode reverses EncodeDist and EncodeShardedDist, decoding shards one
+// after another. It trusts the declared sample count up to what the body
+// could hold at one bit per symbol, or for a run-coded stream up to 2^24
+// symbols past that, so a valid run-coded stream can be refused here; a
+// caller that knows the count passes it to DecodeParallel.
 func Decode(data []byte) ([]int32, error) {
 	return DecodeParallel(data, -1, 1)
 }
 
 // DecodeParallel decodes a Huffman stream on up to workers goroutines.
 // Single-body streams, plain or run-coded (runs.go), decode sequentially
-// regardless of workers; sharded streams (EncodeSharded, sharded.go)
+// regardless of workers; sharded streams (EncodeShardedDist, sharded.go)
 // decode their shards concurrently. n >= 0 is the number of symbols the
 // stream must hold: one that declares any other count is corrupt before
 // its output is allocated. n < 0 accepts whatever the body could hold.
@@ -987,65 +978,166 @@ func DecodeParallel(data []byte, n, workers int) ([]int32, error) {
 // returns at least n symbols of any contents; the decoder uses the first
 // n, and writes every one of them in a stream it accepts.
 func DecodeParallelTo(data []byte, n, workers int, out func(int) []int32) ([]int32, error) {
-	sharded := len(data) > 0 && data[0] == shardedMarker
-	if sharded {
-		if len(data) >= 2 && data[1] == runVersion {
-			return decodeRuns(data[2:], n, out)
+	b, err := parseBlock(data, n)
+	if err != nil {
+		return nil, err
+	}
+	if b.n == 0 {
+		return []int32{}, nil
+	}
+	q := out(int(b.n))[:b.n:b.n]
+	if err := b.decode(q, multiPays(int(b.m), len(b.body)), workers); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// block is a parsed Huffman block of any layout: n points from m codes
+// (m = n unless run-coded) of the table (syms, lengths) in body, which is
+// one body or, with dir, the shard directory and the bodies it names. A
+// run-coded block writes the runs of modal as the digits runA and runA+1.
+type block struct {
+	n, m        uint64
+	runs        bool
+	modal, runA int32
+	syms        []int32
+	lengths     []uint8
+	body        []byte
+	dir         []shard.Shard
+}
+
+// parseBlock reads the header of an index block — plain, sharded (0x00
+// 0x01) or run-coded (0x00 0x03) — for a caller that expects n symbols,
+// or any count if n < 0, and checks it (check) before anything
+// proportional to a count it declares is allocated.
+func parseBlock(data []byte, n int) (block, error) {
+	var b block
+	sharded := false
+	if len(data) > 0 && data[0] == shardedMarker {
+		if len(data) < 2 || (data[1] != shardedVersion && data[1] != runVersion) {
+			return b, fmt.Errorf("%w: huffman: unsupported sharded version", verdict.ErrCorrupt)
 		}
-		if len(data) < 2 || data[1] != shardedVersion {
-			return nil, fmt.Errorf("%w: huffman: unsupported sharded version", verdict.ErrCorrupt)
-		}
+		sharded, b.runs = data[1] == shardedVersion, data[1] == runVersion
 		data = data[2:]
 	}
 	hdrLen, c := binary.Uvarint(data)
 	if c <= 0 || hdrLen > uint64(len(data)-c) {
-		return nil, fmt.Errorf("%w: huffman: bad header length", verdict.ErrCorrupt)
+		return b, fmt.Errorf("%w: huffman: bad header length", verdict.ErrCorrupt)
 	}
 	hdr := data[c : c+int(hdrLen)]
-	body := data[c+int(hdrLen):]
-
-	nsamp, k := binary.Uvarint(hdr)
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: huffman: bad sample count", verdict.ErrCorrupt)
+	b.body = data[c+int(hdrLen):]
+	var k int
+	if b.n, k = binary.Uvarint(hdr); k <= 0 {
+		return b, fmt.Errorf("%w: huffman: bad sample count", verdict.ErrCorrupt)
 	}
-	if n >= 0 && nsamp != uint64(n) {
-		return nil, fmt.Errorf("%w: huffman: %d samples declared, want %d", verdict.ErrCorrupt, nsamp, n)
-	}
-	syms, lengths, err := parseTableHeader(hdr[k:])
-	if err != nil {
-		return nil, err
-	}
-	if nsamp > 0 && len(syms) == 0 {
-		return nil, fmt.Errorf("%w: huffman: empty table with %d samples", verdict.ErrCorrupt, nsamp)
-	}
-	if nsamp == 0 && !sharded {
-		return []int32{}, nil
-	}
-	// Every code is >= 1 bit, so a body of B bytes can hold at most 8B
-	// symbols; reject hostile sample counts before allocating the shard
-	// directory or the output.
-	if nsamp > 8*uint64(len(body)) {
-		return nil, fmt.Errorf("%w: huffman: %d samples for %d-byte body", verdict.ErrCorrupt, nsamp, len(body))
-	}
-	var dir []shard.Shard
-	if sharded {
-		if dir, err = shard.ParseDir(body, int(nsamp), false, int(nsamp)); err != nil {
-			return nil, err
+	hdr, b.m = hdr[k:], b.n
+	if b.runs {
+		if b.m, k = binary.Uvarint(hdr); k <= 0 {
+			return b, fmt.Errorf("%w: huffman: bad run-coded counts", verdict.ErrCorrupt)
+		}
+		hdr = hdr[k:]
+		for _, sym := range []*int32{&b.modal, &b.runA} {
+			v, k := binary.Varint(hdr)
+			if k <= 0 || v != int64(int32(v)) {
+				return b, fmt.Errorf("%w: huffman: bad run symbols", verdict.ErrCorrupt)
+			}
+			*sym, hdr = int32(v), hdr[k:]
+		}
+		if b.runA == math.MaxInt32 || b.modal == b.runA || b.modal == b.runA+1 {
+			return b, fmt.Errorf("%w: huffman: run digits %d, %d collide with modal symbol %d", verdict.ErrCorrupt, b.runA, int64(b.runA)+1, b.modal)
 		}
 	}
+	if n >= 0 && b.n != uint64(n) {
+		return b, fmt.Errorf("%w: huffman: %d samples declared, want %d", verdict.ErrCorrupt, b.n, n)
+	}
+	if b.runs && n < 0 && b.n > max(8*uint64(len(b.body)), maxUncountedRunSamples) {
+		return b, fmt.Errorf("%w: huffman: %d run-coded samples for a %d-byte body", verdict.ErrCorrupt, b.n, len(b.body))
+	}
+	var err error
+	if b.syms, b.lengths, err = parseTableHeader(hdr); err != nil {
+		return b, err
+	}
+	return b, b.check(sharded)
+}
 
-	d := newDecoder(syms, lengths, multiPays(int(nsamp), len(body)))
+// check applies the checks every layout shares once its counts and table
+// are read, and parses a sharded block's directory (shard.ParseDir). Every
+// code is at least one bit, so a body holds at most 8 codes a byte; no
+// layout codes more symbols than it has points; a nonempty block has
+// codes and a table, and a run-coded one whose codes are fewer than its
+// points has the digits in it. An empty single-body block needs none.
+func (b *block) check(sharded bool) error {
+	if b.m > b.n || b.m > 8*uint64(len(b.body)) {
+		return fmt.Errorf("%w: huffman: %d codes for %d samples in a %d-byte body", verdict.ErrCorrupt, b.m, b.n, len(b.body))
+	}
+	if b.n == 0 && !sharded {
+		return nil
+	}
+	if b.m < b.n && !slices.Contains(b.syms, b.runA) && !slices.Contains(b.syms, b.runA+1) {
+		return fmt.Errorf("%w: huffman: run digits missing from the code table", verdict.ErrCorrupt)
+	}
+	if b.m == 0 || len(b.syms) == 0 {
+		return fmt.Errorf("%w: huffman: %d samples from %d codes of a %d-entry table", verdict.ErrCorrupt, b.n, b.m, len(b.syms))
+	}
+	if sharded {
+		var err error
+		b.dir, err = shard.ParseDir(b.body, int(b.n), false, int(b.n))
+		return err
+	}
+	return nil
+}
+
+// decode decodes the block into out, which holds b.n symbols of any
+// contents and whose capacity ends there, the bodies of a sharded block
+// on up to workers goroutines. fast takes a layout's table-driven kernel:
+// expandFast for a run-coded block, decodeMulti for the others.
+func (b *block) decode(out []int32, fast bool, workers int) error {
+	d := newDecoder(b.syms, b.lengths, fast && !b.runs)
 	defer d.release()
-	q := out(int(nsamp))[:nsamp:nsamp]
-	if !sharded {
-		err = d.decodeBody(body, q)
-	} else {
-		err = d.decodeShards(dir, q, workers)
+	if b.dir == nil {
+		if fast && b.runs {
+			d.tabs.buildRuns(b.runA)
+		}
+		return b.decodeBody(d, b.body, out, fast)
 	}
-	if err != nil {
-		return nil, err
+	// The closure holds a copy, so a single-body block stays on the stack.
+	c := *b
+	return parallel.ForEach(len(c.dir), workers, func(_, i int) error {
+		sh := c.dir[i]
+		return c.decodeBody(d, sh.Body, out[sh.Off:sh.Off+sh.N], fast)
+	})
+}
+
+// decodeBody decodes one body of the block into out. decodeMulti decodes
+// a plain body whole; otherwise decodeSingle decodes the codes that
+// expandFast, run-coded and fast, left — all of them without it — to the
+// tail of out, and for a run-coded block expandRuns expands them forward
+// in place: the write cursor starts where expandFast stopped, a valid
+// stream never passes the read cursor, and the gap grows up to out's
+// capacity.
+func (b *block) decodeBody(d *decoder, body []byte, out []int32, fast bool) error {
+	n, m := len(out), len(out)
+	if b.runs {
+		m = int(b.m)
 	}
-	return q, nil
+	cur := runCursor{rest: body}
+	switch {
+	case fast && b.runs:
+		var err error
+		if cur, err = d.expandFast(body, out, m, b.modal, b.runA); err != nil {
+			return err
+		}
+	case fast:
+		return d.decodeMulti(body, out)
+	}
+	left := m - cur.codes
+	if cur.w+left > n {
+		return fmt.Errorf("%w: huffman: run passes the declared count", verdict.ErrCorrupt)
+	}
+	if err := d.decodeSingle(body, cur.rest, cur.bitBuf, cur.bitCnt, out[n-left:]); err != nil || !b.runs {
+		return err
+	}
+	return expandRuns(out[cur.w:n-left], b.modal, b.runA, cur.run, cur.j)
 }
 
 // newOutput allocates a decoder's output array.

@@ -14,9 +14,17 @@ import (
 	"scdc/internal/entropy"
 )
 
+// encode is EncodeDist of q from its own histogram.
+func encode(q []int32) []byte { return EncodeDist(q, entropy.Analyze(q)) }
+
+// encodeSharded is EncodeShardedDist of q from its own histogram.
+func encodeSharded(q []int32, shards, workers int) []byte {
+	return EncodeShardedDist(q, entropy.Analyze(q), shards, workers)
+}
+
 func roundTrip(t *testing.T, q []int32) {
 	t.Helper()
-	enc := Encode(q)
+	enc := encode(q)
 	dec, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -57,7 +65,7 @@ func TestSkewedDistribution(t *testing.T) {
 		}
 		q[i] = v + 1<<15
 	}
-	enc := Encode(q)
+	enc := encode(q)
 	if len(enc) >= len(q)*4 {
 		t.Fatalf("no compression: %d bytes for %d symbols", len(enc), len(q))
 	}
@@ -83,13 +91,13 @@ func TestCompressedSizeTracksEntropy(t *testing.T) {
 		lo[i] = int32(rng.Intn(4))
 		hi[i] = int32(rng.Intn(1024))
 	}
-	if el, eh := len(Encode(lo)), len(Encode(hi)); el >= eh {
+	if el, eh := len(encode(lo)), len(encode(hi)); el >= eh {
 		t.Fatalf("low entropy %d >= high entropy %d", el, eh)
 	}
 }
 
 func TestCorrupt(t *testing.T) {
-	enc := Encode([]int32{1, 2, 3, 4, 5, 1, 2, 3})
+	enc := encode([]int32{1, 2, 3, 4, 5, 1, 2, 3})
 	if _, err := Decode(nil); err == nil {
 		t.Error("nil accepted")
 	}
@@ -109,7 +117,7 @@ func TestCorrupt(t *testing.T) {
 // TestQuickRoundTrip property: arbitrary int32 streams round-trip.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(q []int32) bool {
-		enc := Encode(q)
+		enc := encode(q)
 		dec, err := Decode(enc)
 		if err != nil || len(dec) != len(q) {
 			return false
@@ -289,10 +297,10 @@ func TestCodeLengthsWideAlphabetScales(t *testing.T) {
 	}
 }
 
-// TestEncodedLen: the size a trial is priced at is the stream Encode
+// TestEncodedLen: the size a trial is priced at is the stream EncodeDist
 // writes, byte for byte, on empty, one- and two-symbol arrays, dense and
 // sparse alphabets (the packed and the map code set) and random draws;
-// and on runCases, which Encode writes in the layout each names and
+// and on runCases, which EncodeDist writes in the layout each names and
 // Decode reads back.
 // Codes past packedMaxLen need ~Fibonacci(58) symbols, more than an array
 // holds, so for Fibonacci counts the sizing is checked against the header
@@ -319,17 +327,17 @@ func TestEncodedLen(t *testing.T) {
 		cases[fmt.Sprint("random ", trial)] = q
 	}
 	for name, q := range cases {
-		if got, want := EncodedLen(q), len(Encode(q)); got != want {
-			t.Errorf("%s (n=%d): EncodedLen = %d, Encode writes %d", name, len(q), got, want)
+		if got, want := EncodedLen(q), len(encode(q)); got != want {
+			t.Errorf("%s (n=%d): EncodedLen = %d, EncodeDist writes %d", name, len(q), got, want)
 		}
 	}
 	if d := entropy.Analyze(sparse); d.Dense {
 		t.Fatal("the sparse case has a dense alphabet")
 	}
 	for name, rc := range runCases() {
-		enc := Encode(rc.q)
+		enc := encode(rc.q)
 		if got := EncodedLen(rc.q); got != len(enc) {
-			t.Errorf("%s (n=%d): EncodedLen = %d, Encode writes %d", name, len(rc.q), got, len(enc))
+			t.Errorf("%s (n=%d): EncodedLen = %d, EncodeDist writes %d", name, len(rc.q), got, len(enc))
 		}
 		if runs := len(enc) > 1 && enc[0] == shardedMarker && enc[1] == runVersion; runs != rc.runs {
 			t.Errorf("%s: run-coded = %v, want %v", name, runs, rc.runs)
@@ -378,7 +386,7 @@ func modalStream(n int, p float64, seed int64) []int32 {
 	return q
 }
 
-// runCase is an array and whether Encode run-codes it.
+// runCase is an array and whether EncodeDist run-codes it.
 type runCase struct {
 	q    []int32
 	runs bool
@@ -471,7 +479,7 @@ func TestTableBytes(t *testing.T) {
 			t.Errorf("%s: TableBytes = %d, which with the body makes %d of %d bytes", c.name, tb, got, len(c.enc))
 		}
 	}
-	sharded := EncodeSharded(q, 4, 1)
+	sharded := encodeSharded(q, 4, 1)
 	if tb, want := TableBytes(sharded), TableBytes(EncodePlain(q, d)); tb != want {
 		t.Errorf("sharded: TableBytes = %d, the shared table takes %d", tb, want)
 	}

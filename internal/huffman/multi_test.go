@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
 
@@ -204,13 +203,17 @@ func diffTables(rng *rand.Rand) []diffTable {
 	return out
 }
 
-// decodeKernels decodes body with each kernel on its own decoder.
+// plainBlock is the single-body block of n symbols coded in body under
+// the table (syms, lengths).
+func plainBlock(syms []int32, lengths []uint8, body []byte, n int) *block {
+	return &block{n: uint64(n), m: uint64(n), syms: syms, lengths: lengths, body: body}
+}
+
+// decodeKernels decodes body with each kernel.
 func decodeKernels(syms []int32, lengths []uint8, body []byte, n int) (single, multi []int32, serr, merr error) {
 	single, multi = make([]int32, n), make([]int32, n)
-	ds, dm := newDecoder(syms, lengths, false), newDecoder(syms, lengths, true)
-	defer ds.release()
-	defer dm.release()
-	return single, multi, ds.decodeBody(body, single), dm.decodeBody(body, multi)
+	b := plainBlock(syms, lengths, body, n)
+	return single, multi, b.decode(single, false, 1), b.decode(multi, true, 1)
 }
 
 // decodeResync decodes body with the single-symbol kernel on a decoder
@@ -223,7 +226,7 @@ func decodeResync(syms []int32, lengths []uint8, body []byte, n int) ([]int32, e
 		d.tabs.fast[i].sub = 0
 	}
 	out := make([]int32, n)
-	return out, d.decodeBody(body, out)
+	return out, d.decodeSingle(body, body, 0, 0, out)
 }
 
 // sameAsResync reports a disagreement between both kernels and
@@ -299,62 +302,17 @@ func TestMultiMatchesSingle(t *testing.T) {
 	}
 }
 
-// shardedWith decodes a sharded index stream with the kernel named by
-// multi, whatever multiPays would pick.
-func shardedWith(t *testing.T, enc []byte, multi bool, workers int) ([]int32, error) {
-	t.Helper()
-	data := enc[2:]
-	hdrLen, c := binary.Uvarint(data)
-	hdr, body := data[c:c+int(hdrLen)], data[c+int(hdrLen):]
-	nsamp, k := binary.Uvarint(hdr)
-	syms, lengths, err := parseTableHeader(hdr[k:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := shard.ParseDir(body, int(nsamp), false, int(nsamp))
+// blockWith decodes a block with its layout's table-driven kernel (fast)
+// or the single-symbol one, whatever multiPays would pick: for a sharded
+// or byte-alphabet block decodeMulti or decodeSingle on every shard, for
+// a run-coded one expandFast first or decodeSingle and the in-place
+// expansion alone.
+func blockWith(b block, err error, fast bool, workers int) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := newDecoder(syms, lengths, multi)
-	defer d.release()
-	out := make([]int32, nsamp)
-	return out, d.decodeShards(dir, out, workers)
-}
-
-// bytesWith decodes a byte-alphabet stream shard by shard with the kernel
-// named by multi.
-func bytesWith(t *testing.T, enc []byte, multi bool) ([]int32, error) {
-	t.Helper()
-	nsamp, c := binary.Uvarint(enc[2:])
-	data := enc[2+c:]
-	syms, lengths, err := parseByteTable(data[:byteTablePacked])
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := shard.ParseDir(data[byteTablePacked:], int(nsamp), false, int(nsamp))
-	if err != nil {
-		return nil, err
-	}
-	d := newDecoder(syms, lengths, multi)
-	defer d.release()
-	out := make([]int32, nsamp)
-	for _, sh := range dir {
-		if err := d.decodeBody(sh.Body, out[sh.Off:sh.Off+sh.N]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// runsWith decodes a run-coded index stream through the run table's
-// kernel first (fast) or through the single-symbol kernel and the
-// in-place expansion alone, whatever multiPays would pick.
-func runsWith(enc []byte, fast bool) ([]int32, error) {
-	r, err := parseRuns(enc[2:], -1)
-	if err != nil {
-		return nil, err
-	}
-	return r.decode(fast, make([]int32, r.n))
+	out := make([]int32, b.n)
+	return out, b.decode(out, fast, workers)
 }
 
 // TestMultiKernelLayouts: the sharded index sub-format at workers {1, 4},
@@ -371,14 +329,14 @@ func TestMultiKernelLayouts(t *testing.T) {
 	for i, v := range q {
 		raw[i] = byte(v)
 	}
-	index := EncodeSharded(q, 4, 2)
+	index := encodeSharded(q, 4, 2)
 	bytesEnc := EncodeBytesTo(nil, raw, 3, 2)
 	if !multiPays(n, len(index)) || !multiPays(n, len(bytesEnc)) {
 		t.Fatalf("short-code streams (%d, %d bytes for %d symbols) stay on the single-symbol kernel", len(index), len(bytesEnc), n)
 	}
 	rq := modalStream(3*n, 0.8, 6)
-	runEnc := Encode(rq)
-	if r, err := parseRuns(runEnc[2:], len(rq)); err != nil || !multiPays(int(r.m), len(r.body)) {
+	runEnc := encode(rq)
+	if r, err := parseBlock(runEnc, len(rq)); err != nil || !r.runs || !multiPays(int(r.m), len(r.body)) {
 		t.Fatalf("run-coded stream (%d bytes for %d symbols) stays on the single-symbol kernel: %v", len(runEnc), len(rq), err)
 	}
 	rng := rand.New(rand.NewSource(4))
@@ -391,8 +349,9 @@ func TestMultiKernelLayouts(t *testing.T) {
 			rc[len(rc)-1-rng.Intn(len(rc)/2)] ^= 0x5A
 		}
 		rgot, rerr := DecodeParallel(rc, len(rq), 2)
-		rsingle, rserr := runsWith(rc, false)
-		rfast, rferr := runsWith(rc, true)
+		rb, rberr := parseBlock(rc, -1)
+		rsingle, rserr := blockWith(rb, rberr, false, 1)
+		rfast, rferr := blockWith(rb, rberr, true, 1)
 		// The two paths meet a corruption in another order, so their
 		// errors' messages may differ.
 		if e := sameResult(rgot, rfast, rerr, rferr); e != nil {
@@ -406,8 +365,9 @@ func TestMultiKernelLayouts(t *testing.T) {
 		}
 		for _, w := range []int{1, 4} {
 			got, err := DecodeParallel(idx, n, w)
-			single, serr := shardedWith(t, idx, false, w)
-			multi, merr := shardedWith(t, idx, true, w)
+			ib, iberr := parseBlock(idx, -1)
+			single, serr := blockWith(ib, iberr, false, w)
+			multi, merr := blockWith(ib, iberr, true, w)
 			if e := sameResult(got, multi, err, merr); e != nil {
 				t.Fatalf("index stream %d, workers %d, DecodeParallel vs multi: %v", k, w, e)
 			}
@@ -420,8 +380,9 @@ func TestMultiKernelLayouts(t *testing.T) {
 		}
 		dst := make([]byte, n)
 		err := DecodeBytesInto(dst, byt, 2)
-		single, serr := bytesWith(t, byt, false)
-		multi, merr := bytesWith(t, byt, true)
+		bb, bberr := parseBytes(byt, n)
+		single, serr := blockWith(bb, bberr, false, 1)
+		multi, merr := blockWith(bb, bberr, true, 1)
 		if e := sameResult(single, multi, serr, merr); e != nil {
 			t.Fatalf("byte stream %d, single vs multi: %v", k, e)
 		}

@@ -39,7 +39,9 @@ import (
 // only on the array. An array whose smallest symbol is within 2 of
 // MinInt32, whose range with the digits reaches entropy.MaxDenseRange, or
 // whose run-coded table would hold a code over packedMaxLen bits stays
-// plain.
+// plain. The header is read by the one index-block reader (parseBlock),
+// and the block decodes through expandFast, or decodeSingle alone, and
+// expandRuns (block.decodeBody).
 const runVersion = 0x03
 
 // runChunk is how many digits one entry of runScratch.tab holds: a run
@@ -290,123 +292,6 @@ func (p *runPlan) encode(q []int32, d *entropy.Dist, s *runScratch) []byte {
 	out = binary.AppendVarint(out, int64(p.runA))
 	out = appendTable(out, p.table)
 	return encodeRuns(out, q, s.mask, cs.packed, cs.lo, &s.tab)
-}
-
-// decodeRuns decodes a run-coded stream (after its two marker bytes) of
-// n symbols, or of the count it declares if n < 0, into an array from out.
-func decodeRuns(data []byte, n int, out func(int) []int32) ([]int32, error) {
-	r, err := parseRuns(data, n)
-	if err != nil {
-		return nil, err
-	}
-	if r.n == 0 {
-		return []int32{}, nil
-	}
-	return r.decode(multiPays(int(r.m), len(r.body)), out(int(r.n))[:r.n:r.n])
-}
-
-// runStream is a parsed run-coded stream: n points from m codes of the
-// table (syms, lengths) in body.
-type runStream struct {
-	n, m        uint64
-	modal, runA int32
-	syms        []int32
-	lengths     []uint8
-	body        []byte
-}
-
-// parseRuns parses and checks the header of a run-coded stream (after
-// its two marker bytes) before anything proportional to a count it
-// declares is allocated.
-func parseRuns(data []byte, n int) (runStream, error) {
-	var r runStream
-	hdrLen, c := binary.Uvarint(data)
-	if c <= 0 || hdrLen > uint64(len(data)-c) {
-		return r, fmt.Errorf("%w: huffman: bad header length", verdict.ErrCorrupt)
-	}
-	hdr := data[c : c+int(hdrLen)]
-	r.body = data[c+int(hdrLen):]
-	var counts [2]uint64
-	for i := range counts {
-		v, k := binary.Uvarint(hdr)
-		if k <= 0 {
-			return r, fmt.Errorf("%w: huffman: bad run-coded counts", verdict.ErrCorrupt)
-		}
-		counts[i], hdr = v, hdr[k:]
-	}
-	r.n, r.m = counts[0], counts[1]
-	var syms [2]int64
-	for i := range syms {
-		v, k := binary.Varint(hdr)
-		if k <= 0 || v < math.MinInt32 || v > math.MaxInt32 {
-			return r, fmt.Errorf("%w: huffman: bad run symbols", verdict.ErrCorrupt)
-		}
-		syms[i], hdr = v, hdr[k:]
-	}
-	modal, runA := syms[0], syms[1]
-	if runA == math.MaxInt32 || modal == runA || modal == runA+1 {
-		return r, fmt.Errorf("%w: huffman: run digits %d, %d collide with modal symbol %d", verdict.ErrCorrupt, runA, runA+1, modal)
-	}
-	r.modal, r.runA = int32(modal), int32(runA)
-	if n >= 0 && r.n != uint64(n) {
-		return r, fmt.Errorf("%w: huffman: %d samples declared, want %d", verdict.ErrCorrupt, r.n, n)
-	}
-	// Every code is >= 1 bit, so the body holds at most 8 codes a byte.
-	if r.m > r.n || r.m > 8*uint64(len(r.body)) {
-		return r, fmt.Errorf("%w: huffman: %d codes for %d samples in a %d-byte body", verdict.ErrCorrupt, r.m, r.n, len(r.body))
-	}
-	if n < 0 && r.n > max(8*uint64(len(r.body)), maxUncountedRunSamples) {
-		return r, fmt.Errorf("%w: huffman: %d run-coded samples for a %d-byte body", verdict.ErrCorrupt, r.n, len(r.body))
-	}
-	var err error
-	if r.syms, r.lengths, err = parseTableHeader(hdr); err != nil {
-		return r, err
-	}
-	if r.n == 0 {
-		return r, nil
-	}
-	digits := false
-	for _, s := range r.syms {
-		digits = digits || s == r.runA || s == r.runA+1
-	}
-	if r.m < r.n && !digits {
-		return r, fmt.Errorf("%w: huffman: run digits missing from the code table", verdict.ErrCorrupt)
-	}
-	if r.m == 0 || len(r.syms) == 0 {
-		return r, fmt.Errorf("%w: huffman: %d samples from %d codes of a %d-entry table", verdict.ErrCorrupt, r.n, r.m, len(r.syms))
-	}
-	return r, nil
-}
-
-// decode decodes and expands the stream, with fast through expandFast
-// first. Whatever it leaves — all of the stream without fast — is
-// decoded to the tail of the output by decodeSingle and expanded forward
-// in place by expandRuns: the write cursor starts where expandFast
-// stopped, and a valid stream never passes the read cursor. out holds
-// r.n symbols of any contents, and its capacity ends there: expandRuns
-// grows its gap up to the capacity.
-func (r *runStream) decode(fast bool, out []int32) ([]int32, error) {
-	d := newDecoder(r.syms, r.lengths, false)
-	defer d.release()
-	cur := runCursor{rest: r.body}
-	if fast {
-		d.tabs.buildRuns(r.runA)
-		var err error
-		if cur, err = d.expandFast(r.body, out, int(r.m), r.modal, r.runA); err != nil {
-			return nil, err
-		}
-	}
-	left := r.m - uint64(cur.codes)
-	if uint64(cur.w)+left > r.n {
-		return nil, fmt.Errorf("%w: huffman: run passes the declared count", verdict.ErrCorrupt)
-	}
-	if err := d.decodeSingle(r.body, cur.rest, cur.bitBuf, cur.bitCnt, out[r.n-left:]); err != nil {
-		return nil, err
-	}
-	if err := expandRuns(out[cur.w:r.n-left], r.modal, r.runA, cur.run, cur.j); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // runCursor is where expandFast stopped: the decode cursor inside the

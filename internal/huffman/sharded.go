@@ -35,18 +35,14 @@ const (
 // directory entry are noise relative to the body.
 const minShardSamples = 4096
 
-// EncodeSharded compresses q as shards independent sub-streams under one
-// shared code table, encoding shard bodies on up to workers goroutines.
-// shards <= 1 (or a stream too small to split) falls back to the legacy
-// single-body format, so the output is always decodable by Decode.
-func EncodeSharded(q []int32, shards, workers int) []byte {
-	return EncodeShardedDist(q, entropy.Analyze(q), shards, workers)
-}
-
-// EncodeShardedDist is EncodeSharded reusing a distribution already
-// computed by entropy.Analyze(q). The shard split depends only on (len(q),
-// shards) and each shard body is encoded independently under the shared
-// table, so the output is byte-identical across worker counts.
+// EncodeShardedDist compresses q as shards independent sub-streams under
+// one shared code table, from its distribution d = entropy.Analyze(q),
+// encoding shard bodies on up to workers goroutines.
+// shards <= 1 (or a stream too small to split) falls back to EncodeDist,
+// so the output is always decodable by Decode. The shard split depends
+// only on (len(q), shards) and each shard body is encoded independently
+// under the shared table, so the output is byte-identical across worker
+// counts.
 func EncodeShardedDist(q []int32, d *entropy.Dist, shards, workers int) []byte {
 	if maxSh := len(q) / minShardSamples; shards > maxSh {
 		shards = maxSh
@@ -86,13 +82,4 @@ func encodeShards(dst []byte, syms []int32, cs *codeSet, k, workers int) []byte 
 		return nil
 	})
 	return shard.AppendDir(dst, dir, false)
-}
-
-// decodeShards decodes the bodies of dir into their ranges of out on up to
-// workers goroutines.
-func (d *decoder) decodeShards(dir []shard.Shard, out []int32, workers int) error {
-	return parallel.ForEach(len(dir), workers, func(_, i int) error {
-		sh := dir[i]
-		return d.decodeBody(sh.Body, out[sh.Off:sh.Off+sh.N])
-	})
 }

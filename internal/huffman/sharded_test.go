@@ -23,7 +23,7 @@ func skewed(n int, seed int64) []int32 {
 
 func shardedRoundTrip(t *testing.T, q []int32, shards, workers int) []byte {
 	t.Helper()
-	enc := EncodeSharded(q, shards, workers)
+	enc := encodeSharded(q, shards, workers)
 	for _, w := range []int{1, 4} {
 		dec, err := DecodeParallel(enc, len(q), w)
 		if err != nil {
@@ -52,14 +52,14 @@ func TestShardedFallsBackToLegacy(t *testing.T) {
 	// Streams too small to split, and shards <= 1, must produce the legacy
 	// format byte for byte.
 	small := skewed(100, 2)
-	legacy := Encode(small)
+	legacy := encode(small)
 	for _, shards := range []int{0, 1, 8} {
-		if got := EncodeSharded(small, shards, 4); !bytes.Equal(got, legacy) {
+		if got := encodeSharded(small, shards, 4); !bytes.Equal(got, legacy) {
 			t.Fatalf("shards=%d on small input: not legacy format", shards)
 		}
 	}
 	big := skewed(50_000, 3)
-	if got := EncodeSharded(big, 1, 4); !bytes.Equal(got, Encode(big)) {
+	if got := encodeSharded(big, 1, 4); !bytes.Equal(got, encode(big)) {
 		t.Fatal("shards=1: not legacy format")
 	}
 }
@@ -68,11 +68,11 @@ func TestShardedMarkerUnambiguous(t *testing.T) {
 	// Legacy streams start with uvarint(hdrLen) where hdrLen >= 2, so the
 	// first byte is never 0x00; sharded streams always start with 0x00.
 	for _, q := range [][]int32{{}, {5}, {1, 2, 3}, skewed(1000, 4)} {
-		if enc := Encode(q); len(enc) > 0 && enc[0] == shardedMarker {
+		if enc := encode(q); len(enc) > 0 && enc[0] == shardedMarker {
 			t.Fatal("legacy stream starts with sharded marker")
 		}
 	}
-	enc := EncodeSharded(skewed(50_000, 5), 4, 2)
+	enc := encodeSharded(skewed(50_000, 5), 4, 2)
 	if enc[0] != shardedMarker || enc[1] != shardedVersion {
 		t.Fatal("sharded stream missing marker/version")
 	}
@@ -80,9 +80,9 @@ func TestShardedMarkerUnambiguous(t *testing.T) {
 
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	q := skewed(80_000, 6)
-	want := EncodeSharded(q, 5, 1)
+	want := encodeSharded(q, 5, 1)
 	for _, workers := range []int{2, 4, 8} {
-		if got := EncodeSharded(q, 5, workers); !bytes.Equal(want, got) {
+		if got := encodeSharded(q, 5, workers); !bytes.Equal(want, got) {
 			t.Fatalf("workers=%d changed the sharded stream", workers)
 		}
 	}
@@ -94,13 +94,13 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 func TestShardedBufferReuse(t *testing.T) {
 	big := skewed(60_000, 3)
 	small := skewed(20_000, 9)
-	wantBig := append([]byte(nil), EncodeSharded(big, 4, 2)...)
-	wantSmall := append([]byte(nil), EncodeSharded(small, 4, 2)...)
+	wantBig := append([]byte(nil), encodeSharded(big, 4, 2)...)
+	wantSmall := append([]byte(nil), encodeSharded(small, 4, 2)...)
 	for i := 0; i < 5; i++ {
-		if !bytes.Equal(EncodeSharded(big, 4, 2), wantBig) {
+		if !bytes.Equal(encodeSharded(big, 4, 2), wantBig) {
 			t.Fatalf("iteration %d: big stream drifted under buffer reuse", i)
 		}
-		if !bytes.Equal(EncodeSharded(small, 4, 2), wantSmall) {
+		if !bytes.Equal(encodeSharded(small, 4, 2), wantSmall) {
 			t.Fatalf("iteration %d: small stream drifted under buffer reuse", i)
 		}
 	}
@@ -108,7 +108,7 @@ func TestShardedBufferReuse(t *testing.T) {
 
 func TestShardedCorrupt(t *testing.T) {
 	q := skewed(60_000, 7)
-	enc := EncodeSharded(q, 4, 2)
+	enc := encodeSharded(q, 4, 2)
 
 	// Truncations at every prefix length must error, never panic.
 	for l := 0; l < len(enc); l += 97 {
@@ -148,7 +148,7 @@ func dirReaders(n int) []dirReader {
 	for i, v := range q {
 		raw[i] = byte(v)
 	}
-	index := EncodeSharded(q, 3, 2)
+	index := encodeSharded(q, 3, 2)
 	hdrLen, k := binary.Uvarint(index[2:])
 	bytesEnc := EncodeBytesTo(nil, raw, 3, 2)
 	_, kb := binary.Uvarint(bytesEnc[2:])
@@ -199,7 +199,7 @@ func TestTableCapTightened(t *testing.T) {
 
 func TestDecodeParallelLegacy(t *testing.T) {
 	q := skewed(10_000, 9)
-	enc := Encode(q)
+	enc := encode(q)
 	dec, err := DecodeParallel(enc, len(q), 8)
 	if err != nil {
 		t.Fatal(err)

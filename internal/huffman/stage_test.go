@@ -1,9 +1,12 @@
 package huffman_test
 
 import (
+	"slices"
 	"testing"
 
+	"scdc"
 	"scdc/internal/bench"
+	"scdc/internal/datagen"
 	"scdc/internal/entropy"
 	"scdc/internal/huffman"
 )
@@ -29,5 +32,32 @@ func BenchmarkCodeLengths(b *testing.B) {
 			b.ReportMetric(float64(d.Distinct()), "symbols")
 			b.ReportMetric(float64(maxLen), "maxlen")
 		})
+	}
+}
+
+// TestWorkloadKernels: the QP index array of each repository-benchmark
+// workload decodes through the kernel measured fastest on its traffic —
+// the run-coded SZ3 and QoZ arrays through expandFast, HPEZ's plain ~3
+// bits/symbol array through decodeMulti and MGARD's ~10 bits/symbol one
+// through decodeSingle — and back to itself.
+func TestWorkloadKernels(t *testing.T) {
+	want := map[string]string{
+		"sz3_smooth": "expandFast", "qoz_tuned": "expandFast",
+		"hpez_block": "decodeMulti", "mgard_tight": "decodeSingle",
+	}
+	cells := append(slices.Clone(bench.IndexCells),
+		bench.IndexCell{Name: "qoz_tuned", Alg: scdc.QoZ, Dataset: datagen.SegSalt, Dims: []int{96, 96, 80}, Rel: 1e-3})
+	for _, c := range cells {
+		_, qp, err := c.Arrays()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := huffman.EncodeDist(qp, entropy.Analyze(qp))
+		if k, err := huffman.Kernel(enc); err != nil || k != want[c.Name] {
+			t.Errorf("%s: kernel %q, %v; want %q", c.Name, k, err, want[c.Name])
+		}
+		if got, err := huffman.DecodeParallel(enc, len(qp), 1); err != nil || !slices.Equal(got, qp) {
+			t.Errorf("%s: decode: %v", c.Name, err)
+		}
 	}
 }

@@ -127,7 +127,7 @@ func buildPlanRef(f *grid.Field, opts Options) plan {
 		q := make([]int32, len(data))
 		sw := core.NewSweep(data, q)
 		compressCore(sw, crop.Dims(), trial)
-		if n := len(huffman.Encode(q)) + 8*len(sw.Lits); n < bestBytes {
+		if n := len(huffman.EncodeDist(q, entropy.Analyze(q))) + 8*len(sw.Lits); n < bestBytes {
 			best, bestBytes = cand, n
 		}
 	}
@@ -283,7 +283,7 @@ func TestEncodedLenPricesTrials(t *testing.T) {
 			trial := pl
 			trial.levels, trial.ebs = len(ebs), ebs
 			compressCore(sw, dims, trial)
-			if got, want := huffman.EncodedLen(sw.Sym), len(huffman.Encode(sw.Sym)); got != want {
+			if got, want := huffman.EncodedLen(sw.Sym), len(huffman.EncodeDist(sw.Sym, entropy.Analyze(sw.Sym))); got != want {
 				t.Errorf("trial %d: EncodedLen = %d, Encode writes %d", trials, got, want)
 			}
 			trials++

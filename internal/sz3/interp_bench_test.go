@@ -61,8 +61,9 @@ func BenchmarkInterpPass(b *testing.B) {
 // both directions, and reports ns/point over every point of the level's
 // regions. The forward rows time the compressor's own call,
 // core.Sweep.ForwardQP: the in-place transform plus its record of moves.
-// Both directions work in place, so each iteration restores the symbols
-// off the clock. Levels above MaxLevel have no rows: there both directions
+// Each forward iteration takes a fresh sweep, whose record is empty as a
+// compression's is, and releases it off the clock; the inverse works in
+// place, so each iteration restores the symbols off the clock. Levels above MaxLevel have no rows: there both directions
 // return at once, and b.N would grow without bound around the restore.
 func BenchmarkQPSweeps(b *testing.B) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{112, 160, 160}, 1)
@@ -105,11 +106,18 @@ func BenchmarkQPSweeps(b *testing.B) {
 		b.Run(fmt.Sprintf("forward/level=%d", level), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				copy(sw.Sym, q)
+				fw, err := be.Sweep(f.Data, true, core.StageInterp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				copy(fw.Sym, q)
 				b.StartTimer()
 				for _, rg := range regions[level] {
-					sw.ForwardQP(rg)
+					fw.ForwardQP(rg)
 				}
+				b.StopTimer()
+				fw.Release()
+				b.StartTimer()
 			}
 			perPoint(b)
 		})

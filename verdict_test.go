@@ -1,6 +1,7 @@
 package scdc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -404,34 +405,67 @@ func TestPayloadDamageVerdict(t *testing.T) {
 	}
 }
 
+// hostilePoints is the size of the field every hostile index block is
+// sealed over.
+const hostilePoints = 1700
+
 // hostileIndexCounts returns three sealed SZ3 streams over a 1700-point
-// field, a few hundred bytes each, whose index block declares far more
-// symbols than the field has points and carries enough zero bytes to make
-// the count plausible to the entropy decoder on its own: a rice block
-// (0x00 0x02) of 2·10⁸ all-center symbols at 1024 per body byte, and a
-// legacy and a one-shard sharded (0x00 0x01) Huffman block of a one-bit
-// code at 8 per body byte. Everything else in them is well-formed.
+// field, a few hundred bytes each, whose index block (hostileCountBlocks)
+// declares far more symbols than the field has points.
 func hostileIndexCounts(t testing.TB) map[string][]byte {
 	t.Helper()
-	const points = 1700
+	return sz3IndexStreams(t, hostilePoints, hostileCountBlocks())
+}
+
+// hostileCountBlocks returns three index blocks that declare far more
+// symbols than the 1700-point field has and carry enough zero bytes to
+// make the count plausible to the entropy decoder on its own: a rice
+// block (0x00 0x02) of 2·10⁸ all-center symbols at 1024 per body byte,
+// and a legacy and a one-shard sharded (0x00 0x01) Huffman block of a
+// one-bit code at 8 per body byte. Everything else in them is well-formed.
+func hostileCountBlocks() map[string][]byte {
 	const riceCount, huffBody = 200_000_000, 400_000
 	rice := binary.AppendUvarint([]byte{0x00, 0x02}, riceCount)
 	rice = append(rice, 0) // center
 	rice = append(rice, make([]byte, riceCount/1024+1)...)
+	return map[string][]byte{
+		"rice":    rice,
+		"huffman": huffBlock(nil, 8*huffBody, twoCodes, make([]byte, huffBody)),
+		"sharded": huffBlock([]byte{0x00, 0x01}, 8*huffBody, twoCodes, oneShard(8*huffBody, huffBody)),
+	}
+}
 
-	// A two-symbol table gives the first symbol the code "0".
-	enc := huffman.Encode([]int32{7, 7, 7, 9})
-	hdrLen, c := binary.Uvarint(enc)
-	hdr := enc[c : c+int(hdrLen)]
-	_, k := binary.Uvarint(hdr)
-	hdr = append(binary.AppendUvarint(nil, 8*huffBody), hdr[k:]...)
-	huff := append(binary.AppendUvarint(nil, uint64(len(hdr))), hdr...)
-	sharded := append([]byte{0x00, 0x01}, huff...)
-	sharded = binary.AppendUvarint(append(sharded, 1), 8*huffBody)
-	sharded = append(binary.AppendUvarint(sharded, huffBody), make([]byte, huffBody)...)
-	huff = append(huff, make([]byte, huffBody)...)
+// twoCodes is a table of two 1-bit codes: 7 is "0", 9 is "1".
+var twoCodes = [][2]int64{{7, 1}, {9, 1}}
 
-	return sz3IndexStreams(t, points, map[string][]byte{"rice": rice, "huffman": huff, "sharded": sharded})
+// huffBlock assembles a Huffman index block: the marker bytes (none for
+// the plain layout), a header that declares n samples and, after the
+// run-coded layout's counts and symbols in pre, the table of (symbol,
+// code length) pairs, then rest.
+func huffBlock(marker []byte, n uint64, table [][2]int64, rest []byte, pre ...int64) []byte {
+	hdr := binary.AppendUvarint(nil, n)
+	for i, v := range pre {
+		if i == 0 {
+			hdr = binary.AppendUvarint(hdr, uint64(v))
+		} else {
+			hdr = binary.AppendVarint(hdr, v)
+		}
+	}
+	hdr = binary.AppendUvarint(hdr, uint64(len(table)))
+	prev := int64(0)
+	for _, e := range table {
+		hdr = binary.AppendUvarint(binary.AppendVarint(hdr, e[0]-prev), uint64(e[1]))
+		prev = e[0]
+	}
+	b := append(binary.AppendUvarint(bytes.Clone(marker), uint64(len(hdr))), hdr...)
+	return append(b, rest...)
+}
+
+// oneShard is a shard directory of one shard of n symbols and its body
+// of zero bytes.
+func oneShard(n, bodyLen uint64) []byte {
+	dir := binary.AppendUvarint(binary.AppendUvarint([]byte{1}, n), bodyLen)
+	return append(dir, make([]byte, bodyLen)...)
 }
 
 // sz3IndexStreams seals each index block as the only block of an SZ3
@@ -455,67 +489,118 @@ func sz3IndexStreams(t testing.TB, points uint64, blocks map[string][]byte) map[
 	return out
 }
 
-// hostileRunBlocks returns sealed SZ3 streams over the 1700-point field
-// of hostileIndexCounts whose run-coded index block (0x00 0x03) declares
-// the right point count and lies elsewhere: a run that passes it, a run
-// of 64 digits, more codes than points, a table without the digits, and
-// a body cut before its last code. The blocks code the modal symbol 7's
-// runs with the digits 5 (RUNA, code 0) and 6 (RUNB, code 10), and the
-// symbol 8 as 11.
-func hostileRunBlocks(t testing.TB) map[string][]byte {
+// hostileBlockStreams seals the blocks of hostileBlocks over the
+// 1700-point field.
+func hostileBlockStreams(t testing.TB) map[string][]byte {
 	t.Helper()
-	const points = 1700
-	codes := [][2]int64{{5, 1}, {6, 2}, {8, 2}} // (symbol, code length)
-	block := func(m int, table [][2]int64, bits string) []byte {
-		hdr := binary.AppendUvarint(binary.AppendUvarint(nil, points), uint64(m))
-		hdr = binary.AppendVarint(binary.AppendVarint(hdr, 7), 5)
-		hdr = binary.AppendUvarint(hdr, uint64(len(table)))
-		prev := int64(0)
-		for _, e := range table {
-			hdr = binary.AppendUvarint(binary.AppendVarint(hdr, e[0]-prev), uint64(e[1]))
-			prev = e[0]
-		}
-		b := append(binary.AppendUvarint([]byte{0x00, 0x03}, uint64(len(hdr))), hdr...)
+	return sz3IndexStreams(t, hostilePoints, hostileBlocks())
+}
+
+// hostileBlocks returns Huffman index blocks that lie to the one block
+// reader whatever count its caller expects, each in a layout that can
+// carry the lie. The run-coded blocks (0x00 0x03) declare the right point
+// count and code the modal symbol 7's runs with the digits 5 (RUNA, code
+// 0) and 6 (RUNB, code 10), and the symbol 8 as 11, unless they lie about
+// that: a run that passes the count, a run of 64 digits, more codes than
+// points, no codes, more codes than the body holds, a table without the
+// digits, an empty table, digits that collide with the modal symbol, and
+// a body cut before its last code. The plain and sharded (0x00 0x01)
+// blocks lie with an empty table or more samples than their bytes hold,
+// and a sharded one declares no samples.
+func hostileBlocks() map[string][]byte {
+	const points = hostilePoints
+	codes := [][2]int64{{5, 1}, {6, 2}, {8, 2}}
+	block := func(m, runA int64, table [][2]int64, bits string) []byte {
 		body := make([]byte, (len(bits)+7)/8)
 		for i, c := range bits {
 			if c == '1' {
 				body[i/8] |= 0x80 >> (i % 8)
 			}
 		}
-		return append(b, body...)
+		return huffBlock([]byte{0x00, 0x03}, points, table, body, m, 7, runA)
 	}
 	// Every point the symbol 8: 3400 bits, cut short by a byte.
-	whole := block(points, codes, strings.Repeat("11", points))
-	return sz3IndexStreams(t, points, map[string][]byte{
-		"run past the count":     block(12, codes, strings.Repeat("0", 11)+"11"),
-		"64 digits":              block(64, codes, strings.Repeat("0", 64)),
-		"more codes than points": block(points+1, codes, strings.Repeat("0", points+7)),
-		"no digits in table":     block(10, [][2]int64{{8, 1}}, strings.Repeat("0", 10)),
+	whole := block(points, 5, codes, strings.Repeat("11", points))
+	// A body with room for one-bit codes of every point.
+	room := make([]byte, (points+7)/8)
+	return map[string][]byte{
+		"run past the count":     block(12, 5, codes, strings.Repeat("0", 11)+"11"),
+		"64 digits":              block(64, 5, codes, strings.Repeat("0", 64)),
+		"more codes than points": block(points+1, 5, codes, strings.Repeat("0", points+7)),
+		"no codes":               block(0, 5, codes, strings.Repeat("0", 80)),
+		"codes past the body":    block(points, 5, codes, strings.Repeat("0", 80)),
+		"no digits in table":     block(10, 5, [][2]int64{{8, 1}}, strings.Repeat("0", 10)),
+		"run-coded empty table":  block(points, 5, nil, strings.Repeat("0", points)),
+		"RUNA is modal":          block(10, 7, codes, strings.Repeat("0", 10)),
+		"RUNB is modal":          block(10, 6, codes, strings.Repeat("0", 10)),
 		"truncated body":         whole[:len(whole)-1],
-	})
+		"plain empty table":      huffBlock(nil, points, nil, room),
+		"plain past the body":    huffBlock(nil, points, twoCodes, make([]byte, 10)),
+		"sharded empty table":    huffBlock([]byte{0x00, 0x01}, points, nil, oneShard(points, uint64(len(room)))),
+		"sharded past the body":  huffBlock([]byte{0x00, 0x01}, points, twoCodes, oneShard(points, 10)),
+		"sharded, no samples":    huffBlock([]byte{0x00, 0x01}, 0, twoCodes, oneShard(points, uint64(len(room)))),
+	}
 }
+
+// decodeTimeLies are the blocks of hostileBlocks whose lie is in their runs
+// or body, which the decoder meets only while decoding.
+var decodeTimeLies = map[string]bool{"run past the count": true, "64 digits": true, "truncated body": true}
 
 // TestHostileIndexCount: the index decoders are told how many symbols the
 // field has, so a block that declares another count is ErrCorrupt before
 // its output is allocated — through every reader, for the price of the
-// plaintext and nothing proportional to the lie. A run-coded block that
-// declares the right count and lies in its runs, codes, table or body
-// (hostileRunBlocks) is ErrCorrupt for the same price.
+// plaintext and nothing proportional to the lie. A block that lies in its
+// counts, runs, codes, table or body whatever count its reader expects
+// (hostileBlocks) is ErrCorrupt for the same price, through the container
+// and through the Huffman readers themselves, with or without the count,
+// and one that lies in its header fails in the header reader.
 func TestHostileIndexCount(t *testing.T) {
+	counts, lies := hostileCountBlocks(), hostileBlocks()
 	streams := hostileIndexCounts(t)
-	maps.Copy(streams, hostileRunBlocks(t))
+	maps.Copy(streams, hostileBlockStreams(t))
 	for name, stream := range streams {
 		if len(stream) > 1024 {
 			t.Errorf("%s: stream is %d bytes, want a few hundred", name, len(stream))
 		}
-		for reader, decode := range map[string]func() (*Result, error){
-			"Decompress":         func() (*Result, error) { return Decompress(stream) },
-			"DecompressParallel": func() (*Result, error) { return DecompressParallel(stream, 2) },
-			"DecompressChunk":    func() (*Result, error) { return DecompressChunk(stream, 0) },
-		} {
+		block, told := lies[name], true
+		if block == nil {
+			block, told = counts[name], false
+		}
+		readers := map[string]func() error{
+			"Decompress":         func() error { _, err := Decompress(stream); return err },
+			"DecompressParallel": func() error { _, err := DecompressParallel(stream, 2); return err },
+			"DecompressChunk":    func() error { _, err := DecompressChunk(stream, 0); return err },
+		}
+		// DecodeParallelTo takes its output only once the header reader
+		// has passed the block, so every lie but those in the runs or the
+		// body must be turned away before out is called.
+		decodeTo := func(n int) func() error {
+			return func() error {
+				_, err := huffman.DecodeParallelTo(block, n, 2, func(n int) []int32 {
+					if !decodeTimeLies[name] {
+						t.Errorf("%s: the header reader passed the block", name)
+					}
+					return make([]int32, n)
+				})
+				return err
+			}
+		}
+		if name != "rice" {
+			readers["huffman.DecodeParallel"] = func() error {
+				_, err := huffman.DecodeParallel(block, hostilePoints, 2)
+				return err
+			}
+			readers["huffman.DecodeParallelTo"] = decodeTo(hostilePoints)
+		}
+		if told {
+			// A count lie is a lie only to a reader told the count.
+			readers["huffman.Decode"] = func() error { _, err := huffman.Decode(block); return err }
+			readers["huffman.DecodeParallelTo, no count"] = decodeTo(-1)
+		}
+		for reader, decode := range readers {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := decode()
+			err := decode()
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%s: %s: got %v, want ErrCorrupt", name, reader, err)
