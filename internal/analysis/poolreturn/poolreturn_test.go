@@ -14,12 +14,12 @@ func TestPoolReturn(t *testing.T) {
 	}
 }
 
-// TestSeededMutation drops the deferred Put of lossless.flateDecompressInto's
-// pooled reader.
+// TestSeededMutation drops the deferred Put of the pooled inflater tables
+// in lossless.flateDecompressInto.
 func TestSeededMutation(t *testing.T) {
 	analysistest.RunMutant(t, poolreturn.Analyzer, "scdc/internal/lossless", "lossless.go",
-		`defer flateReaderPool.Put(st)
+		`defer inflaterPool.Put(f)
 `,
 		``,
-		`pool Get \(lossless\.flateReaderPool\) has no matching Put in flateDecompressInto`)
+		`pool Get \(lossless\.inflaterPool\) has no matching Put in flateDecompressInto`)
 }

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"scdc"
 	"scdc/internal/datagen"
 	"scdc/internal/hpez"
+	"scdc/internal/lossless"
 	"scdc/internal/mgard"
 	"scdc/internal/qoz"
 	"scdc/internal/sz3"
@@ -34,6 +36,11 @@ var IndexCells = []IndexCell{
 	{"hpez_block", scdc.HPEZ, datagen.Scale, []int{49, 144, 144}, 1e-4},
 	{"mgard_tight", scdc.MGARD, datagen.S3D, []int{88, 88, 88}, 2e-5},
 }
+
+// Workloads are the four cells of the repository benchmark: IndexCells
+// and QoZ on layered SegSalt at rel 1e-3.
+var Workloads = append(slices.Clip(IndexCells),
+	IndexCell{"qoz_tuned", scdc.QoZ, datagen.SegSalt, []int{96, 96, 80}, 1e-3})
 
 // Arrays compresses the cell's field (field 0, seed 1) through its engine
 // with QP on and returns the index arrays before (q) and after (qp) QP.
@@ -65,4 +72,25 @@ func (c IndexCell) Arrays() (q, qp []int32, err error) {
 		return nil, nil, fmt.Errorf("index cell %s: %w", c.Name, err)
 	}
 	return tr.Q, tr.QP, nil
+}
+
+// Plaintext compresses the cell's field (field 0, seed 1) through the
+// public API, with QP on or off, and returns the plaintext of the
+// stream's lossless stage: the bytes its flate body inflates to.
+func (c IndexCell) Plaintext(qp bool) ([]byte, error) {
+	f := datagen.MustGenerate(c.Dataset, 0, c.Dims, 1)
+	opts := scdc.Options{Algorithm: c.Alg, ErrorBound: c.Rel * f.Range()}
+	if qp {
+		opts.QP = scdc.DefaultQP()
+	}
+	stream, err := scdc.Compress(f.Data, f.Dims(), opts)
+	if err != nil {
+		return nil, fmt.Errorf("plaintext %s: %w", c.Name, err)
+	}
+	info, err := scdc.Inspect(stream)
+	if err != nil {
+		return nil, fmt.Errorf("plaintext %s: %w", c.Name, err)
+	}
+	end := len(stream) - 4 // the CRC32C footer
+	return lossless.Decompress(stream[end-info.PayloadBytes : end])
 }

@@ -126,8 +126,12 @@ func (s *Sweep) Release() {
 // reconstructs into it from the blocks DecodeBlocks read, and starts its
 // clock.
 func (r *Reader) Sweep(stage Stage) *Sweep {
-	// DecodeStream has checked the dims, New's only failure.
+	// The output field is the decode's largest fresh allocation, and its
+	// page faults are timed on a span of their own rather than the root's
+	// self time. DecodeStream has checked the dims, New's only failure.
+	sp := r.sp.Child("alloc")
 	field, _ := grid.New(r.dims...)
+	sp.End()
 	// The sweep takes the index array over, and Finish releases it.
 	s := &Sweep{Data: field.Data, Sym: r.Indices, Lits: r.Literals, Pred: r.pred, field: field}
 	r.Indices = nil

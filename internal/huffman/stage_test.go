@@ -4,9 +4,7 @@ import (
 	"slices"
 	"testing"
 
-	"scdc"
 	"scdc/internal/bench"
-	"scdc/internal/datagen"
 	"scdc/internal/entropy"
 	"scdc/internal/huffman"
 )
@@ -45,9 +43,7 @@ func TestWorkloadKernels(t *testing.T) {
 		"sz3_smooth": "expandFast", "qoz_tuned": "expandFast",
 		"hpez_block": "decodeMulti", "mgard_tight": "decodeSingle",
 	}
-	cells := append(slices.Clone(bench.IndexCells),
-		bench.IndexCell{Name: "qoz_tuned", Alg: scdc.QoZ, Dataset: datagen.SegSalt, Dims: []int{96, 96, 80}, Rel: 1e-3})
-	for _, c := range cells {
+	for _, c := range bench.Workloads {
 		_, qp, err := c.Arrays()
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,8 @@
 // paper's pipeline applies after entropy coding (ZSTD in the original
 // implementations). Interchangeable codecs are provided:
 //
-//   - Flate: the stdlib DEFLATE implementation, the default back-end.
+//   - Flate: DEFLATE, the default back-end: compress/flate writes it and
+//     the in-package inflater (inflate.go) reads it.
 //   - Huffman: order-0 canonical Huffman coding of the bytes (huff.go).
 //   - Sharded: a container (sharded.go) that splits the plaintext into
 //     size-derived shards compressed and decompressed in parallel.
@@ -33,19 +34,6 @@ var flateWriterPool = sync.Pool{New: func() any {
 	return w
 }}
 
-// flateReaderState pairs a pooled flate reader with the bytes.Reader it
-// resets over, so a decompress call allocates neither.
-type flateReaderState struct {
-	br bytes.Reader
-	r  io.ReadCloser
-}
-
-var flateReaderPool = sync.Pool{New: func() any {
-	st := new(flateReaderState)
-	st.r = flate.NewReader(&st.br)
-	return st
-}}
-
 // flateMaxExpand is DEFLATE's decode expansion per spec (~1032x), the
 // largest of any codec here.
 const flateMaxExpand = 1032
@@ -56,7 +44,7 @@ type Codec byte
 const (
 	// None stores bytes verbatim.
 	None Codec = 0
-	// Flate is stdlib DEFLATE at default compression.
+	// Flate is DEFLATE at compress/flate's default compression.
 	Flate Codec = 1
 	// LZ is the retired built-in LZ77 codec: it decodes, but Compress
 	// and CompressSharded reject it.
@@ -227,23 +215,14 @@ func DecompressLimit(data []byte, maxOut, workers int) ([]byte, error) {
 	}
 }
 
-// flateDecompressInto inflates body into exactly dst, reading directly
-// into the destination with a pooled reader — no intermediate buffer.
+// flateDecompressInto inflates body into exactly dst with the in-package
+// decoder (inflate.go) and its pooled tables. A body that ends short of
+// len(dst) or runs past it is corrupt.
 func flateDecompressInto(dst, body []byte) error {
-	st := flateReaderPool.Get().(*flateReaderState)
-	defer flateReaderPool.Put(st)
-	st.br.Reset(body)
-	if err := st.r.(flate.Resetter).Reset(&st.br, nil); err != nil {
+	f := inflaterPool.Get().(*inflater)
+	defer inflaterPool.Put(f)
+	if err := f.inflate(dst, body); err != nil {
 		return fmt.Errorf("%w: lossless: flate: %w", verdict.ErrCorrupt, err)
-	}
-	if _, err := io.ReadFull(st.r, dst); err != nil {
-		return fmt.Errorf("%w: lossless: flate: %w", verdict.ErrCorrupt, err)
-	}
-	// One byte past the declared length distinguishes "exactly n" from
-	// "stream kept going": both a short and a long body are corruption.
-	var probe [1]byte
-	if _, err := st.r.Read(probe[:]); err != io.EOF {
-		return fmt.Errorf("%w: lossless: flate length mismatch", verdict.ErrCorrupt)
 	}
 	return nil
 }
