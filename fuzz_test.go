@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"scdc/internal/datagen"
+	"scdc/internal/quantizer"
 )
 
 // fuzzSeedStreams compresses a few tiny real fields so the fuzzers start
@@ -145,6 +146,33 @@ func FuzzDecompress(f *testing.F) {
 			a, b := res.Data[i], par.Data[i]
 			if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
 				t.Fatalf("parallel decode differs at %d", i)
+			}
+		}
+		// Nor may it depend on what its pooled output buffer held: a
+		// zero-filled buffer stands in for a drained pool's fresh
+		// allocation, a NaN-filled one for dirty scratch. A decode that did
+		// not take the buffer offered (a chunked stream's fields are
+		// smaller; the goroutine may have moved) compares nothing.
+		var fields [2][]float64
+		for k, fill := range []float64{0, math.NaN()} {
+			buf := make([]float64, len(res.Data))
+			for i := range buf {
+				buf[i] = fill
+			}
+			quantizer.PutFloatBuf(buf)
+			again, err := Decompress(data)
+			if err != nil {
+				t.Fatalf("decoded once, then failed with a pooled output buffer: %v", err)
+			}
+			if &again.Data[0] == &buf[0] {
+				fields[k] = again.Data
+			}
+		}
+		if fields[0] != nil && fields[1] != nil {
+			for i := range fields[0] {
+				if math.Float64bits(fields[0][i]) != math.Float64bits(fields[1][i]) {
+					t.Fatalf("decode into a NaN-filled pooled buffer differs at %d", i)
+				}
 			}
 		}
 	})

@@ -18,9 +18,9 @@
 //     shard.GetBuf is always a handoff into the directory).
 //
 // A Get with no Put in the same function is accepted only when the
-// result escapes (returned to the caller or stored through a field or
-// index) — the handoff pattern of the wrapper functions themselves,
-// where the caller owns the Put. A Get whose Put exists but is not
+// result (the first one, for a Get that returns more) escapes: returned
+// to the caller or stored through a field or index — the handoff pattern
+// of the wrapper functions themselves, where the caller owns the Put. A Get whose Put exists but is not
 // deferred is flagged when a return statement sits between the two.
 package poolreturn
 
@@ -200,7 +200,9 @@ func checkScope(pass *analysis.Pass, sc analysis.Scope, w wrapperInfo) {
 		case *ast.ReturnStmt:
 			returns = append(returns, n.Pos())
 		case *ast.AssignStmt:
-			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+			// The pooled object is the first result: `buf, pooled :=
+			// quantizer.GetFloatField(n)` tracks buf.
+			if len(n.Rhs) == 1 {
 				if call := callIn(n.Rhs[0]); call != nil {
 					if m, k, ok := poolCall(pass, call, w); ok && m == "Get" {
 						var obj types.Object

@@ -84,3 +84,21 @@ func ScratchOK(n int) int32 {
 	}
 	return total
 }
+
+// FieldLeak drops a buffer from a two-result Get.
+func FieldLeak(n int) bool {
+	buf, pooled := quantizer.GetFloatField(n) // want "has no matching Put"
+	buf[0] = 1
+	return pooled
+}
+
+type holder struct{ data []float64 }
+
+// FieldHandoff stores the buffer of a two-result Get where the caller
+// finds it: the caller owns the Put.
+func FieldHandoff(n int) *holder {
+	h := &holder{}
+	buf, _ := quantizer.GetFloatField(n)
+	h.data = buf
+	return h
+}

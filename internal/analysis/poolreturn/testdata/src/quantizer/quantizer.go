@@ -7,3 +7,7 @@ func GetIndexBuf(n int) []int32 { return make([]int32, n) }
 
 // PutIndexBuf returns the buffer to the pool.
 func PutIndexBuf(b []int32) {}
+
+// GetFloatField returns a buffer of length n the caller may keep, and
+// whether it came from the pool.
+func GetFloatField(n int) ([]float64, bool) { return make([]float64, n), false }

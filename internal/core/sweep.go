@@ -107,33 +107,52 @@ func (b *Backend) Sweep(src []float64, useQP bool, stage Stage) (*Sweep, error) 
 		mv := getMoves(b.Radius, len(src))
 		s.mv = mv
 	}
-	data := quantizer.GetFloatBuf(len(src))
-	copy(data, src)
+	data := quantizer.GetFloatCopy(src)
 	sym := quantizer.GetIndexBuf(len(src))
 	s.Data, s.Sym = data, sym
 	s.start(b.Obs, stage)
 	return s, nil
 }
 
-// Release returns a compression sweep's scratch to the pools.
+// Release returns a sweep's scratch to the pools: a compression's when it
+// is done, a decompression's — the output field and the index array —
+// when its sweeps fail.
 func (s *Sweep) Release() {
 	quantizer.PutFloatBuf(s.Data)
 	quantizer.PutIndexBuf(s.Sym)
 	putMoves(s.mv)
 }
 
-// Sweep allocates the output field, returns the decompression sweep that
-// reconstructs into it from the blocks DecodeBlocks read, and starts its
-// clock.
+// Sweep returns the decompression sweep that reconstructs the output
+// field from the blocks DecodeBlocks read, and starts its clock. The
+// field's storage comes from the float pool when a buffer of its size is
+// idle there, as a compress's working copy is after it: every engine's
+// decode sweeps write every point — each belongs to one pass or class, or
+// to the coarse lattice — so the output does not depend on what the
+// buffer held (TestPooledFieldInvariant). Finish hands the field out;
+// a decode whose sweeps fail calls Release instead.
 func (r *Reader) Sweep(stage Stage) *Sweep {
-	// The output field is the decode's largest fresh allocation, and its
-	// page faults are timed on a span of their own rather than the root's
-	// self time. DecodeStream has checked the dims, New's only failure.
+	// The output field is the decode's largest allocation when the pool
+	// has none to offer, and its page faults are timed on a span of their
+	// own rather than the root's self time. DecodeStream has checked the
+	// dims, FromSlice's only failure. The span's counters say where the
+	// field came from: pooled is 1 for a pooled buffer, 0 for a fresh one.
 	sp := r.sp.Child("alloc")
-	field, _ := grid.New(r.dims...)
+	n, _ := grid.CheckDims(r.dims)
+	data, pooled := quantizer.GetFloatField(n)
+	from := int64(0)
+	if pooled {
+		from = 1
+	}
+	sp.Add("pooled", from)
+	sp.Add("bytes", int64(8*n))
 	sp.End()
-	// The sweep takes the index array over, and Finish releases it.
-	s := &Sweep{Data: field.Data, Sym: r.Indices, Lits: r.Literals, Pred: r.pred, field: field}
+	// The sweep takes the field and the index array over; Finish releases
+	// the index array. The field reaches s by a field store, the hand-off
+	// shape poolreturn recognizes.
+	s := &Sweep{Sym: r.Indices, Lits: r.Literals, Pred: r.pred}
+	s.Data = data
+	s.field, _ = grid.FromSlice(data, r.dims...)
 	r.Indices = nil
 	s.start(r.sp, stage)
 	return s

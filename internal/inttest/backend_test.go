@@ -195,7 +195,11 @@ func poolsDropPuts() bool {
 // pooled scratch exceeds the QP-off call's by less than the 4 bytes a
 // point a second index array would take. Decompression takes its index
 // array (4 bytes a point) from the same pool: a second same-shape call
-// does not allocate it again, and decodes the same field.
+// does not allocate it again, and decodes the same field. A decode right
+// after a compress of the same field takes the compress's working copy as
+// its output field (8 bytes a point) and decodes the same field; after a
+// compress of a field four times larger it allocates its field afresh,
+// since a pooled buffer that large is not handed out as a field.
 func TestSteadyStateScratch(t *testing.T) {
 	// Pools are per-P and emptied by the collector: one P and no
 	// collection make what a Put leaves for the next Get deterministic.
@@ -206,7 +210,8 @@ func TestSteadyStateScratch(t *testing.T) {
 	}
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{64, 64, 64}, 5)
 	eb := f.Range() * 1e-3
-	scratch, indexArray := uint64(12*f.Len()), uint64(4*f.Len())
+	scratch, indexArray, field := uint64(12*f.Len()), uint64(4*f.Len()), uint64(8*f.Len())
+	large := datagen.MustGenerate(datagen.Miranda, 1, []int{128, 64, 128}, 5)
 	for _, eng := range backendEngines {
 		var pooled [2]uint64 // QP off, on
 		for i, qp := range []bool{false, true} {
@@ -234,7 +239,7 @@ func TestSteadyStateScratch(t *testing.T) {
 
 			// Decompression decodes its index array into a pooled one and
 			// returns it at Finish.
-			var out [2]*grid.Field
+			var out [4]*grid.Field
 			decode := func(k int) func() {
 				return func() {
 					var err error
@@ -252,6 +257,32 @@ func TestSteadyStateScratch(t *testing.T) {
 			if cold < steady+indexArray*9/10 {
 				t.Errorf("%s qp=%v: steady-state Decompress allocates %d bytes, fresh-pool call %d: the %d-byte index array is not reused",
 					eng.name, qp, steady, cold, indexArray)
+			}
+
+			// The output field takes the float scratch a compress of the
+			// same field left in the pool.
+			run(1)()
+			warm := allocatedBy(decode(2))
+			if !slices.Equal(out[0].Data, out[2].Data) {
+				t.Errorf("%s qp=%v: decoded field differs between a fresh and a recycled output buffer", eng.name, qp)
+			}
+			if cold < warm+field*9/10 {
+				t.Errorf("%s qp=%v: Decompress after Compress allocates %d bytes, fresh-pool call %d: the %d-byte field does not reuse the compress scratch",
+					eng.name, qp, warm, cold, field)
+			}
+			if !qp {
+				continue
+			}
+			// A pooled buffer four times the field's size stays in the pool.
+			if _, err := eng.compress(large, eb, qp); err != nil {
+				t.Fatalf("%s: %v", eng.name, err)
+			}
+			if afterLarge := allocatedBy(decode(3)); afterLarge < warm+field*9/10 {
+				t.Errorf("%s: Decompress after a Compress of a 4x larger field allocates %d bytes, after one of the same field %d: the %d-byte field reuses an oversized buffer",
+					eng.name, afterLarge, warm, field)
+			}
+			if !slices.Equal(out[0].Data, out[3].Data) {
+				t.Errorf("%s: decoded field differs after a larger compress", eng.name)
 			}
 		}
 		if pooled[1] >= pooled[0]+indexArray/2 {

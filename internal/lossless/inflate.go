@@ -138,72 +138,86 @@ func fixedTables() (*[litTableSize]uint32, *[distTableSize]uint32) {
 // other than the empty code and the single one-bit code, which
 // compress/flate accepts too; their holes decode as eBad.
 func build(t []uint32, lengths []uint8, base []uint32, root uint) bool {
-	var count [16]int
+	var count, start [16]uint16
 	for _, l := range lengths {
 		count[l]++
 	}
 	count[0] = 0
-	var next [16]int
-	left, total, code := 1, 0, 0
+	left, total := 1, 0
 	for l := 1; l < 16; l++ {
-		left = left<<1 - count[l]
+		left = left<<1 - int(count[l])
 		if left < 0 {
 			return false
 		}
-		code = (code + count[l-1]) << 1
-		next[l] = code
-		total += count[l]
+		start[l] = start[l-1] + count[l-1]
+		total += int(count[l])
 	}
 	if left != 0 && total > 1 || total == 1 && count[1] != 1 {
 		return false
 	}
-	size := uint32(1) << root
+	// The symbols in canonical order: by code length, then by symbol.
+	var sorted [maxLitCodes + 2]uint16
+	for s, l := range lengths {
+		if l != 0 {
+			sorted[start[l]] = uint16(s)
+			start[l]++
+		}
+	}
+	size := 1 << root
 	if total <= 1 {
 		for i := range size {
 			t[i] = eBad
 		}
 	}
-	// deep holds, per root prefix of a code longer than root, the longest
-	// such code: its second-level table is 2^(deep-root) entries.
-	var rev [288]uint16
-	var deep [1 << litRootBits]uint8
-	mask := size - 1
-	for s, l := range lengths {
-		if l == 0 {
-			continue
+	// The root level, one code length at a time: the table is 2^l
+	// entries wide while the codes of length l are written, one entry
+	// each, and doubles before the next length, so a code's entry repeats
+	// at every index whose low l bits are its reversed code. A complete
+	// code covers every index, so no entry keeps an older table's value.
+	i, code := 0, 0
+	for l, end := 1, 2; ; l, end = l+1, end<<1 {
+		for range count[l] {
+			s := sorted[i]
+			t[bits.Reverse16(uint16(code))>>(16-l)] = base[s] | uint32(l)
+			code++
+			i++
 		}
-		r := uint32(bits.Reverse16(uint16(next[l]))) >> (16 - l)
-		next[l]++
-		rev[s] = uint16(r)
-		if uint(l) > root {
-			deep[r&mask] = max(deep[r&mask], l)
+		if uint(l) == root {
+			break
 		}
+		copy(t[end:2*end], t[:end])
+		code <<= 1
 	}
-	off := size
-	for s, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		r, e := uint32(rev[s]), base[s]|uint32(l)
-		if uint(l) <= root {
-			for i := r; i < size; i += 1 << l {
-				t[i] = e
+	// Longer codes. Canonical codes are in lexicographic order, so the
+	// codes under one root prefix are adjacent, and they fill its subtree
+	// before the next prefix starts: its second-level table is as deep as
+	// the codes still to come need to fill it.
+	off, mask := uint32(size), uint32(size-1)
+	p, sub, k := ^uint32(0), uint32(0), uint(0)
+	for l := root + 1; l < 16; l++ {
+		code <<= 1
+		for ; count[l] > 0; count[l]-- {
+			r := uint32(bits.Reverse16(uint16(code))) >> (16 - l)
+			code++
+			if r&mask != p {
+				p = r & mask
+				k = l - root
+				for left := 1<<k - int(count[l]); left > 0 && root+k < 15; {
+					k++
+					left = left<<1 - int(count[root+k])
+				}
+				if int(off)+1<<k > len(t) {
+					return false
+				}
+				t[p] = eSub | off<<16 | uint32(k)<<8
+				sub = off
+				off += 1 << k
 			}
-			continue
-		}
-		p := r & mask
-		if deep[p] != 0 {
-			k := uint32(deep[p]) - uint32(root)
-			if int(off+1<<k) > len(t) {
-				return false
+			e := base[sorted[i]] | uint32(l)
+			i++
+			for j := r >> root; j < 1<<k; j += 1 << (l - root) {
+				t[sub+j] = e
 			}
-			t[p] = eSub | off<<16 | k<<8
-			off += 1 << k
-			deep[p] = 0
-		}
-		sub, k := t[p]>>16, t[p]>>8&15
-		for i := r >> root; i < 1<<k; i += 1 << (uint(l) - root) {
-			t[sub+i] = e
 		}
 	}
 	return true
@@ -332,8 +346,15 @@ type bitReader struct {
 	n   uint
 }
 
-// refill tops b up to at least 57 bits, or to every bit left in src.
+// refill tops b up to at least 56 bits, or to every bit left in src:
+// with one 8-byte load, as fast does, while 8 bytes remain.
 func (r *bitReader) refill() {
+	if len(r.src)-r.in >= 8 {
+		r.b |= binary.LittleEndian.Uint64(r.src[r.in:]) << (r.n & 63)
+		r.in += int((63 - r.n) >> 3 & 7)
+		r.n |= 56
+		return
+	}
 	for r.n <= 56 && r.in < len(r.src) {
 		r.b |= uint64(r.src[r.in]) << r.n
 		r.in++

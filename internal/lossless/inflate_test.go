@@ -135,12 +135,47 @@ func goldenFlateBodies(tb testing.TB) [][]byte {
 	return bodies
 }
 
-// FuzzInflate checks the in-package decoder against compress/flate over
-// arbitrary bodies: at the length the body inflates to and one byte
-// either side, both accept or both reject, and an accepted body decodes
-// to the same bytes. The seeds are every golden pin's flate body and the
-// workloads' plaintexts written as stored (level 0), Huffman-only (-2),
-// fixed and dynamic blocks.
+// flateLevels are the compress/flate levels the workload bodies are
+// written at: Huffman-only, stored, fixed-leaning fast, default and best.
+var flateLevels = []int{flate.HuffmanOnly, flate.NoCompression, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression}
+
+// seedPrefix is the longest workload plaintext prefix a fuzz seed is
+// deflated from: small enough that the fuzzer mutates rather than spends
+// its time minimizing.
+const seedPrefix = 16 << 10
+
+// maxInflate caps what the differential check inflates.
+const maxInflate = 1 << 22
+
+// agreesWithFlate checks the in-package decoder against compress/flate on
+// one body: at the length the body inflates to and one byte either side,
+// both accept or both reject, and an accepted body decodes to the same
+// bytes.
+func agreesWithFlate(t *testing.T, body []byte) {
+	t.Helper()
+	full, _ := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(body)), maxInflate))
+	for _, n := range []int{len(full), len(full) - 1, len(full) + 1} {
+		if n < 0 {
+			continue
+		}
+		want := make([]byte, n)
+		werr := oracle(want, body)
+		got, err := lossless.DecompressLimit(flateStream(body, n), maxInflate+1, 1)
+		switch {
+		case (err == nil) != (werr == nil):
+			t.Fatalf("n=%d: decoder %v, compress/flate %v", n, err, werr)
+		case err != nil && (!errors.Is(err, verdict.ErrCorrupt) || !strings.Contains(err.Error(), "lossless: flate")):
+			t.Fatalf("n=%d: error %v does not wrap ErrCorrupt under lossless: flate", n, err)
+		case err == nil && !bytes.Equal(got, want):
+			t.Fatalf("n=%d: decoded bytes differ from compress/flate's", n)
+		}
+	}
+}
+
+// FuzzInflate runs agreesWithFlate over arbitrary bodies. The seeds are
+// every golden pin's flate body and the first 16 KB of each workload's
+// plaintext written at every level of flateLevels; the full plaintexts
+// are TestInflateWorkloads' cases.
 func FuzzInflate(f *testing.F) {
 	for _, b := range goldenFlateBodies(f) {
 		f.Add(b)
@@ -150,32 +185,29 @@ func FuzzInflate(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, p := range plains {
-		for _, level := range []int{flate.HuffmanOnly, flate.NoCompression, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression} {
-			f.Add(deflate(f, p.data, level))
+		for _, level := range flateLevels {
+			f.Add(deflate(f, p.data[:min(len(p.data), seedPrefix)], level))
 		}
 	}
 	f.Add(deflate(f, []byte("abcabcabcabcabcabcabc aaaaaaaaaaaaaaaaaaaaaa"), flate.BestSpeed))
 	f.Add([]byte{0x03, 0x00})
-	const maxOut = 1 << 22
-	f.Fuzz(func(t *testing.T, body []byte) {
-		full, _ := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(body)), maxOut))
-		for _, n := range []int{len(full), len(full) - 1, len(full) + 1} {
-			if n < 0 {
-				continue
-			}
-			want := make([]byte, n)
-			werr := oracle(want, body)
-			got, err := lossless.DecompressLimit(flateStream(body, n), maxOut+1, 1)
-			switch {
-			case (err == nil) != (werr == nil):
-				t.Fatalf("n=%d: decoder %v, compress/flate %v", n, err, werr)
-			case err != nil && (!errors.Is(err, verdict.ErrCorrupt) || !strings.Contains(err.Error(), "lossless: flate")):
-				t.Fatalf("n=%d: error %v does not wrap ErrCorrupt under lossless: flate", n, err)
-			case err == nil && !bytes.Equal(got, want):
-				t.Fatalf("n=%d: decoded bytes differ from compress/flate's", n)
-			}
+	f.Fuzz(agreesWithFlate)
+}
+
+// TestInflateWorkloads runs agreesWithFlate over each workload's whole
+// lossless-stage plaintext, QP on and off, at every level of flateLevels.
+func TestInflateWorkloads(t *testing.T) {
+	plains, err := workloadPlaintexts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range plains {
+		for _, level := range flateLevels {
+			t.Run(fmt.Sprintf("%s/level=%d", p.name, level), func(t *testing.T) {
+				agreesWithFlate(t, deflate(t, p.data, level))
+			})
 		}
-	})
+	}
 }
 
 // bitWriter builds DEFLATE bodies LSB first for the hostile-stream table.

@@ -125,6 +125,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	quant := quantizer.Linear{EB: levelBound(eb, int(levels)), Radius: r.Radius}
 	sw := r.Sweep(core.StageInterp)
 	if err := decompressCore(sw, dims, quant, int(levels), r.Side); err != nil {
+		sw.Release()
 		return nil, err
 	}
 	return sw.Finish(), nil

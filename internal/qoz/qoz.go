@@ -167,6 +167,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 	}
 	sw := r.Sweep(core.StageInterp)
 	if err := decompressCore(sw, dims, pl, r.Side); err != nil {
+		sw.Release()
 		return nil, err
 	}
 	return sw.Finish(), nil

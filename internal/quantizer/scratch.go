@@ -12,6 +12,11 @@ import "sync"
 // Buffers are returned with unspecified contents: callers must write every
 // slot they read (the compression schedules visit every point exactly
 // once, so this holds by construction).
+//
+// A float buffer may also leave the pool for good: a decompression takes
+// its output field from it (GetFloatField), so a decode that follows a
+// compress of a same-size field reuses the compress's working copy
+// instead of faulting in fresh pages.
 
 var indexPool = sync.Pool{New: func() any { return new([]int32) }}
 var floatPool = sync.Pool{New: func() any { return new([]float64) }}
@@ -38,18 +43,55 @@ func PutIndexBuf(buf []int32) {
 	indexPool.Put(&p)
 }
 
-// GetFloatBuf returns a pooled float64 buffer of length n with unspecified
-// contents. Release it with PutFloatBuf when no longer referenced.
-func GetFloatBuf(n int) []float64 {
+// GetFloatCopy returns a pooled float64 buffer holding a copy of src.
+// Release it with PutFloatBuf when no longer referenced. When no pooled
+// buffer is large enough the copy is the allocation: the runtime does not
+// zero what append is about to overwrite, as make would.
+func GetFloatCopy(src []float64) []float64 {
 	p := floatPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
+	if cap(*p) < len(src) {
+		*p = nil // dropped, as GetIndexBuf drops a short buffer
 	}
-	return (*p)[:n]
+	*p = append((*p)[:0], src...)
+	return *p
 }
 
-// PutFloatBuf recycles a buffer obtained from GetFloatBuf. The caller must
-// not retain any reference to it.
+// GetFloatField returns a float64 buffer of length and capacity n, with
+// unspecified contents, that the caller may keep: it is a decoded field's
+// storage. It is a pooled buffer when one of the first two the pool
+// offers has a capacity in [n, n+n/8] — reported by pooled — so a field
+// never pins much more memory than it holds, and the clip keeps a caller
+// from reslicing into the rest. Buffers that do not fit go back untouched
+// (two looks, so one that does not fit cannot hide one that does), and
+// the field is allocated only when neither fits. A caller that fails
+// before handing the field out puts it back with PutFloatBuf.
+func GetFloatField(n int) (buf []float64, pooled bool) {
+	var missed [2]*[]float64
+	for i := range missed {
+		p := floatPool.Get().(*[]float64)
+		c := cap(*p)
+		if c >= n && c-n <= n/8 {
+			buf, pooled = (*p)[:n:n], true
+			break
+		}
+		if c == 0 {
+			break // the pool is empty
+		}
+		missed[i] = p
+	}
+	for _, p := range missed {
+		if p != nil {
+			floatPool.Put(p)
+		}
+	}
+	if !pooled {
+		buf = make([]float64, n)
+	}
+	return buf, pooled
+}
+
+// PutFloatBuf recycles a float buffer from GetFloatCopy or GetFloatField.
+// The caller must not retain any reference to it.
 func PutFloatBuf(buf []float64) {
 	if cap(buf) == 0 {
 		return

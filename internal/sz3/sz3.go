@@ -216,6 +216,7 @@ func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid
 		err = decompressLorenzo(sw, dims, quant)
 	}
 	if err != nil {
+		sw.Release()
 		return nil, err
 	}
 	return sw.Finish(), nil
