@@ -13,9 +13,10 @@
 //     Get/Put on a package-level pool (getWriter/putCountBuf,
 //     decoder.release), matched through the pool variable they touch;
 //   - the cross-package scratch APIs of internal/quantizer and
-//     internal/shard, matched by the GetXxx/PutXxx naming convention
-//     (shard's buffers go back in bulk through shard.Release, so a
-//     shard.GetBuf is always a handoff into the directory).
+//     internal/shard, matched by the GetXxx/PutXxx naming convention and
+//     paired by the type of the pooled object (shard's buffers go back in
+//     bulk through shard.Release, so a shard.GetBuf is always a handoff
+//     into the directory).
 //
 // A Get with no Put in the same function is accepted only when the
 // result (the first one, for a Get that returns more) escapes: returned
@@ -161,13 +162,20 @@ func poolCall(pass *analysis.Pass, call *ast.CallExpr, w wrapperInfo) (method, k
 		if k, isPut := w.puts[callee]; isPut {
 			return "Put", k, true
 		}
-		// Cross-package convention: quantizer.GetIndexBuf / PutIndexBuf.
+		// Cross-package convention: a Get* returns the pooled object as
+		// its first result and a Put* takes it as its first parameter, and
+		// the two pair by that type — quantizer.GetIndexBuf with
+		// PutIndexBuf, GetFloatCopy and GetFloatField with PutFloatBuf.
 		if callee.Pkg() != nil && callee.Pkg() != pass.Pkg && pooledPkgs[callee.Pkg().Name()] {
-			if suffix, isGet := strings.CutPrefix(callee.Name(), "Get"); isGet && suffix != "" {
-				return "Get", callee.Pkg().Path() + "." + suffix, true
+			sig := callee.Type().(*types.Signature)
+			key := func(t types.Type) string {
+				return callee.Pkg().Path() + "." + types.TypeString(t, types.RelativeTo(callee.Pkg()))
 			}
-			if suffix, isPut := strings.CutPrefix(callee.Name(), "Put"); isPut && suffix != "" {
-				return "Put", callee.Pkg().Path() + "." + suffix, true
+			if suffix, isGet := strings.CutPrefix(callee.Name(), "Get"); isGet && suffix != "" && sig.Results().Len() > 0 {
+				return "Get", key(sig.Results().At(0).Type()), true
+			}
+			if suffix, isPut := strings.CutPrefix(callee.Name(), "Put"); isPut && suffix != "" && sig.Params().Len() > 0 {
+				return "Put", key(sig.Params().At(0).Type()), true
 			}
 		}
 	}

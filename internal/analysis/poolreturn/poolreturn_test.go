@@ -9,8 +9,8 @@ import (
 
 func TestPoolReturn(t *testing.T) {
 	diags := analysistest.Run(t, "testdata/src", poolreturn.Analyzer, "a")
-	if len(diags) != 5 {
-		t.Errorf("got %d diagnostics, want 5", len(diags))
+	if len(diags) != 6 {
+		t.Errorf("got %d diagnostics, want 6", len(diags))
 	}
 }
 

@@ -102,3 +102,26 @@ func FieldHandoff(n int) *holder {
 	h.data = buf
 	return h
 }
+
+// FloatCopyOK pairs a Get with a differently named Put of the same pool
+// by the type of the buffer.
+func FloatCopyOK(src []float64) float64 {
+	b := quantizer.GetFloatCopy(src)
+	defer quantizer.PutFloatBuf(b)
+	total := 0.0
+	for _, v := range b {
+		total += v
+	}
+	return total
+}
+
+// FieldLeakOnError skips the Put of a two-result Get on the error path.
+func FieldLeakOnError(n int, fail bool) ([]float64, error) {
+	buf, _ := quantizer.GetFloatField(n)
+	if fail {
+		return nil, errFail // want "skips the Put"
+	}
+	out := append([]float64(nil), buf...)
+	quantizer.PutFloatBuf(buf)
+	return out, nil
+}

@@ -145,7 +145,6 @@ func (r *Reader) Sweep(stage Stage) *Sweep {
 		from = 1
 	}
 	sp.Add("pooled", from)
-	sp.Add("bytes", int64(8*n))
 	sp.End()
 	// The sweep takes the field and the index array over; Finish releases
 	// the index array. The field reaches s by a field store, the hand-off

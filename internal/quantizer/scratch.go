@@ -58,36 +58,21 @@ func GetFloatCopy(src []float64) []float64 {
 
 // GetFloatField returns a float64 buffer of length and capacity n, with
 // unspecified contents, that the caller may keep: it is a decoded field's
-// storage. It is a pooled buffer when one of the first two the pool
-// offers has a capacity in [n, n+n/8] — reported by pooled — so a field
-// never pins much more memory than it holds, and the clip keeps a caller
-// from reslicing into the rest. Buffers that do not fit go back untouched
-// (two looks, so one that does not fit cannot hide one that does), and
-// the field is allocated only when neither fits. A caller that fails
-// before handing the field out puts it back with PutFloatBuf.
+// storage. It is the buffer the pool offers when that buffer's capacity
+// lies in [n, n+n/8] — reported by pooled — so a field never pins much
+// more memory than it holds, and the clip keeps a caller from reslicing
+// into the rest. A buffer that does not fit goes back untouched and the
+// field is allocated. A caller that fails before handing the field out
+// puts it back with PutFloatBuf.
 func GetFloatField(n int) (buf []float64, pooled bool) {
-	var missed [2]*[]float64
-	for i := range missed {
-		p := floatPool.Get().(*[]float64)
-		c := cap(*p)
-		if c >= n && c-n <= n/8 {
-			buf, pooled = (*p)[:n:n], true
-			break
+	p := floatPool.Get().(*[]float64)
+	if c := cap(*p); c < n || c-n > n/8 {
+		if c > 0 {
+			floatPool.Put(p) // the misfit goes back untouched
 		}
-		if c == 0 {
-			break // the pool is empty
-		}
-		missed[i] = p
+		return make([]float64, n), false
 	}
-	for _, p := range missed {
-		if p != nil {
-			floatPool.Put(p)
-		}
-	}
-	if !pooled {
-		buf = make([]float64, n)
-	}
-	return buf, pooled
+	return (*p)[:n:n], true
 }
 
 // PutFloatBuf recycles a float buffer from GetFloatCopy or GetFloatField.

@@ -8,7 +8,6 @@ import (
 	"scdc/internal/grid"
 	"scdc/internal/obs"
 	"scdc/internal/parallel"
-	"scdc/internal/quantizer"
 )
 
 // chunkPoints is the smallest number of points a chunk of the default
@@ -221,13 +220,7 @@ func decodeChunks(h header, workers int, sp *obs.Span) (*Result, error) {
 	sp.Add("chunks", int64(len(chunks)))
 	sp.Add("raw_bytes", int64(h.points*8))
 	sp.Add("stream_bytes", int64(h.size))
-	data := slices.Concat(parts...)
-	// The chunk fields are copied out: their storage goes to the float
-	// pool, where the next decode of a same-size chunk takes it.
-	for _, p := range parts {
-		quantizer.PutFloatBuf(p)
-	}
-	return &Result{Data: data, Dims: h.dims, Algorithm: algs[0]}, nil
+	return &Result{Data: slices.Concat(parts...), Dims: h.dims, Algorithm: algs[0]}, nil
 }
 
 // DecompressChunk extracts a single chunk (by index) from a chunked
