@@ -168,7 +168,7 @@ func TestGateHolds(t *testing.T) {
 // carries. Dropping a directive (or a refactor silently renaming a
 // carrier out of the manifest) fails here even when the surviving
 // directives still hold, so coverage can only shrink deliberately. The
-// tree has 79 carriers.
+// tree has 81 carriers.
 func TestRealTreeManifest(t *testing.T) {
 	t.Parallel()
 	set, err := gcgate.Collect(root, modulePackages(t))
@@ -232,8 +232,10 @@ func TestRealTreeManifest(t *testing.T) {
 		"scdc/internal/lossless.lzDecompressInto noalloc",
 		"scdc/internal/lossless.lzHash inline",
 		"scdc/internal/lossless.lzReadLen inline",
+		"scdc/internal/mgard.(*projection).detail inline",
 		"scdc/internal/mgard.(*projection).factor noalloc",
 		"scdc/internal/mgard.(*projection).solve noalloc",
+		"scdc/internal/mgard.(*projection).solveBatch noalloc",
 		"scdc/internal/mgard.(*sweep).row noalloc",
 		"scdc/internal/mgard.(*sweep).run noalloc",
 		"scdc/internal/mgard.(*sweep).sweepLevel noalloc",

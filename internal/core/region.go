@@ -243,8 +243,9 @@ func (p *Predictor) InverseRegionRef(enc []int32, rg Region) {
 }
 
 // RegionCount returns how many region points of a currently hold symbol
-// sym — used by the MGARD decoder to index the literal stream per level
-// after the inverse QP sweep.
+// sym — used by the MGARD decoder, after the inverse QP sweep, to count
+// the literals of each level above the finest; level 1 takes what is
+// left of the literal stream.
 func RegionCount(a []int32, rg Region, sym int32) int {
 	n := 0
 	for p0 := 0; p0 < rg.Ext[0]; p0++ {

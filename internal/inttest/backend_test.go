@@ -397,9 +397,9 @@ func TestHostilePlaintext(t *testing.T) {
 // TestLiteralBlockAccounting: every engine's decode sweeps must consume
 // the literal block exactly. For each engine, QP on and off, a field with
 // unpredictable points is compressed, the literal block at the end of the
-// plaintext is rewritten one value short and one value long, and both
-// must fail with verdict.ErrCorrupt carrying the one message core.Sweep
-// has for each case.
+// plaintext is rewritten one value short, one value long and empty, and
+// each must fail with verdict.ErrCorrupt carrying the one message
+// core.Sweep has for the case.
 func TestLiteralBlockAccounting(t *testing.T) {
 	f := datagen.MustGenerate(datagen.Miranda, 0, []int{20, 24, 28}, 3)
 	dims := f.Dims()
@@ -439,6 +439,7 @@ func TestLiteralBlockAccounting(t *testing.T) {
 			}{
 				{"truncated", nlit - 1, lits[:len(lits)-8], "literal stream exhausted"},
 				{"padded", nlit + 1, append(lits[:len(lits):len(lits)], make([]byte, 8)...), "unused literals"},
+				{"emptied", 0, nil, "literal stream exhausted"},
 			} {
 				text := binary.AppendUvarint(append([]byte(nil), plain[:at]...), tc.count)
 				wrapped, err := lossless.Compress(lossless.Flate, append(text, tc.block...))

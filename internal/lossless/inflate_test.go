@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math/bits"
@@ -139,10 +140,9 @@ func goldenFlateBodies(tb testing.TB) [][]byte {
 // written at: Huffman-only, stored, fixed-leaning fast, default and best.
 var flateLevels = []int{flate.HuffmanOnly, flate.NoCompression, flate.BestSpeed, flate.DefaultCompression, flate.BestCompression}
 
-// seedPrefix is the longest workload plaintext prefix a fuzz seed is
-// deflated from: small enough that the fuzzer mutates rather than spends
-// its time minimizing.
-const seedPrefix = 16 << 10
+// seedPrefix is the longest plaintext prefix a fuzz seed is deflated
+// from, and seedMin the shortest plaintext that gives one.
+const seedPrefix, seedMin = 16 << 10, 4 << 10
 
 // maxInflate caps what the differential check inflates.
 const maxInflate = 1 << 22
@@ -173,26 +173,48 @@ func agreesWithFlate(t *testing.T, body []byte) {
 }
 
 // FuzzInflate runs agreesWithFlate over arbitrary bodies. The seeds are
-// every golden pin's flate body and the first 16 KB of each workload's
-// plaintext written at every level of flateLevels; the full plaintexts
-// are TestInflateWorkloads' cases.
+// every golden pin's flate body, and the first 16 KB of each pin
+// plaintext of at least 4 KB written again at every level of flateLevels;
+// the workloads' whole plaintexts at every level are TestInflateWorkloads'
+// cases. Seeding from the pins spares every fuzz process the ~4 s of
+// synthesizing and compressing the workload fields before its first exec.
+//
+// Minimizing a new input tries O(n²) candidates on the ~1 KB pin bodies at
+// ~0.1 ms each: seconds per input, in which its worker mutates nothing and
+// the fuzzer reports 0 execs/s. Unless the command line sets
+// -fuzzminimizetime, a minimization stops after minimizeExecs candidates.
 func FuzzInflate(f *testing.F) {
+	explicit := false
+	flag.Visit(func(fl *flag.Flag) { explicit = explicit || fl.Name == "test.fuzzminimizetime" })
+	if !explicit {
+		if err := flag.Set("test.fuzzminimizetime", minimizeExecs); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seen := make(map[string]bool)
 	for _, b := range goldenFlateBodies(f) {
+		if seen[string(b)] {
+			continue
+		}
+		seen[string(b)] = true
 		f.Add(b)
-	}
-	plains, err := workloadPlaintexts()
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, p := range plains {
-		for _, level := range flateLevels {
-			f.Add(deflate(f, p.data[:min(len(p.data), seedPrefix)], level))
+		plain, err := io.ReadAll(flate.NewReader(bytes.NewReader(b)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(plain) >= seedMin {
+			for _, level := range flateLevels {
+				f.Add(deflate(f, plain[:min(len(plain), seedPrefix)], level))
+			}
 		}
 	}
 	f.Add(deflate(f, []byte("abcabcabcabcabcabcabc aaaaaaaaaaaaaaaaaaaaaa"), flate.BestSpeed))
 	f.Add([]byte{0x03, 0x00})
 	f.Fuzz(agreesWithFlate)
 }
+
+// minimizeExecs is FuzzInflate's default -fuzzminimizetime.
+const minimizeExecs = "1000x"
 
 // TestInflateWorkloads runs agreesWithFlate over each workload's whole
 // lossless-stage plaintext, QP on and off, at every level of flateLevels.

@@ -40,42 +40,60 @@ func decompressCore(cs *core.Sweep, dims []int, quant quantizer.Linear, levels i
 		return err
 	}
 
-	// The literal stream was appended fine-to-coarse during compression;
-	// levels are decoded coarse-to-fine here, so index literals per level.
-	litOffsets, err := literalOffsets(cs, dims, strides, levels)
+	// The literal stream was appended fine-to-coarse; levels are decoded
+	// coarse-to-fine here, so place each level's literals first.
+	starts, err := literalOffsets(cs, dims, strides, levels)
 	if err != nil {
 		return err
 	}
 
 	sw := sweep{cs: cs, data: cs.Data, sym: cs.Sym, quant: quant}
+	lits := cs.Lits
 	for level := levels; level >= 1; level-- {
 		// Step 1 already happened inside literalOffsets: Sym now holds
 		// recovered original symbols for every point.
 		// Step 2: remove the L2 correction from the coarse nodal values.
 		applyCorrection(cs.Data, dims, strides, level, quant, cs.Sym, -1)
-		// Step 3: reconstruct the level's values.
-		cs.Lit = litOffsets[level-1]
+		// Step 3: reconstruct the level's values from exactly its own
+		// literals, lits[starts[level-1]:starts[level]].
+		cs.Lits, cs.Lit = lits[:starts[level]], starts[level-1]
 		if !sw.sweepLevel(lattice.Classes(dims, strides, level)) {
 			return cs.Exhausted()
 		}
+		if err := cs.Drained(); err != nil {
+			return err
+		}
 	}
+	cs.Lits = lits
 	return nil
 }
 
 // literalOffsets replays the compression-side symbol order (fine-to-coarse
 // class walks) to (a) invert QP on the symbol array with the per-class
 // sweeps — identical to the per-point order because all QP neighbors of a
-// class point lie in the same class — and (b) compute, per level, the
-// starting offset into the literal stream by counting the recovered
-// unpredictable markers, which must add up to the stream's length.
+// class point lie in the same class — and (b) place each level's literals
+// in the stream: starts[l-1] is where level l's begin, starts[levels] the
+// stream's end. Only levels ≥ 2 count their recovered unpredictable
+// markers: level l starts at len(Lits) − Σ_{l' ≥ l} count(l'), level 1 at
+// 0, so level 1's count — most of the field's points — is what is left,
+// and its sweep checks it. Counts that exceed the stream fail with
+// Exhausted.
 func literalOffsets(cs *core.Sweep, dims, strides []int, levels int) ([]int, error) {
-	offsets := make([]int, levels)
+	starts := make([]int, levels+1)
 	for level := 1; level <= levels; level++ {
-		offsets[level-1] = cs.Lit
 		for _, cl := range lattice.Classes(dims, strides, level) {
 			cs.InverseQP(cl.Region)
-			cs.Lit += core.RegionCount(cs.Sym, cl.Region, quantizer.Unpredictable)
+			if level > 1 {
+				starts[level-1] += core.RegionCount(cs.Sym, cl.Region, quantizer.Unpredictable)
+			}
 		}
 	}
-	return offsets, cs.Drained()
+	starts[levels] = len(cs.Lits)
+	for level := levels; level > 1; level-- {
+		starts[level-1] = starts[level] - starts[level-1]
+	}
+	if starts[1] < 0 {
+		return nil, cs.Exhausted()
+	}
+	return starts, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scdc/internal/core"
@@ -310,6 +311,56 @@ func TestLatticeKernelsMatchWalker(t *testing.T) {
 	}
 }
 
+// TestCorruptLiteralCensus: the decoder places the coarse levels'
+// literals from their marker counts alone and leaves level 1 what is left
+// of the block, so a block whose length disagrees with the symbols fails
+// with verdict.ErrCorrupt and core.Sweep's one message for the case,
+// never a panic: level 1 short of literals (the block lost one), level 1
+// with one to spare (the block gained one), and coarse counts that alone
+// exceed the block.
+func TestCorruptLiteralCensus(t *testing.T) {
+	dims := []int{17, 19, 21}
+	n := 17 * 19 * 21
+	strides := grid.Strides(dims)
+	levels := sz3.AnchorLevels(dims)
+	const radius = 64
+	quant := quantizer.Linear{EB: levelBound(1e-3, levels), Radius: radius}
+	orig := diffField(n, "clean", rand.New(rand.NewSource(1))) // a spike every 17 points
+	for _, qm := range qpModes {
+		sw := encSweep(t, orig, qm.cfg, radius)
+		coarse := compressCore(sw, dims, quant, levels)
+		stored, lits := sw.Sym, sw.Lits
+
+		dec := decSweep(t, stored, lits, qm.cfg, radius)
+		if err := decompressCore(dec, dims, quant, levels, coarse); err != nil {
+			t.Fatalf("%s: intact block: %v", qm.name, err)
+		}
+		upper := 0 // the markers of levels ≥ 2, counted on the recovered symbols
+		for level := 2; level <= levels; level++ {
+			for _, cl := range lattice.Classes(dims, strides, level) {
+				upper += core.RegionCount(dec.Sym, cl.Region, quantizer.Unpredictable)
+			}
+		}
+		if upper == 0 || upper == len(lits) {
+			t.Fatalf("%s: %d of %d literals above level 1; the field should put some on both sides", qm.name, upper, len(lits))
+		}
+		for _, tc := range []struct {
+			what string
+			lits []float64
+			want string
+		}{
+			{"level 1 short", lits[1:], "literal stream exhausted"},
+			{"level 1 long", append([]float64{0}, lits...), "1 unused literals"},
+			{"coarse counts exceed the block", lits[len(lits)-upper+1:], "literal stream exhausted"},
+		} {
+			err := decompressCore(decSweep(t, stored, tc.lits, qm.cfg, radius), dims, quant, levels, coarse)
+			if !errors.Is(err, verdict.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s: got %v, want ErrCorrupt: … %s", qm.name, tc.what, err, tc.want)
+			}
+		}
+	}
+}
+
 // FuzzLatticeKernelDifferential drives the row kernels and the reference
 // walker with fuzzer-chosen geometry, QP mode and field kind.
 func FuzzLatticeKernelDifferential(f *testing.F) {
@@ -332,7 +383,8 @@ func FuzzLatticeKernelDifferential(f *testing.F) {
 // TestLevelSweepAllocs: a level sweep allocates nothing that scales with
 // rows — the same count (zero: the class list is the caller's) on 32^3
 // and 64^3, in both directions — and the level-1 projection correction
-// allocates the same count on both, O(1) per level rather than per line.
+// allocates nothing while its lines fit the on-stack scratch, one buffer
+// per level beyond it, never per line or per batch.
 func TestLevelSweepAllocs(t *testing.T) {
 	var counts [2][3]float64
 	for i, n := range []int{32, 64} {
@@ -362,8 +414,20 @@ func TestLevelSweepAllocs(t *testing.T) {
 			applyCorrection(data, dims, strides, 1, quant, q, +1)
 		})
 	}
-	if counts[0] != counts[1] || counts[0][0] != 0 || counts[0][1] != 0 {
-		t.Fatalf("allocs per call (fwd, inv, correction) %v on 32^3, %v on 64^3; "+
-			"want 0 per sweep and the same correction count on both", counts[0], counts[1])
+	if counts[0] != counts[1] || counts[0] != [3]float64{} {
+		t.Fatalf("allocs per call (fwd, inv, correction) %v on 32^3, %v on 64^3; want none", counts[0], counts[1])
+	}
+	// 5 × 2·stackNodes: the long axis outgrows the stack scratch.
+	dims := []int{5, 2 * stackNodes}
+	q := make([]int32, 10*stackNodes)
+	data := make([]float64, len(q))
+	quant := quantizer.Linear{EB: 1e-3, Radius: quantizer.DefaultRadius}
+	for i := range q {
+		q[i] = quant.CenterSym() + int32(i%7-3)
+	}
+	if a := testing.AllocsPerRun(3, func() {
+		applyCorrection(data, dims, grid.Strides(dims), 1, quant, q, +1)
+	}); a != 1 {
+		t.Fatalf("correction with %d-node lines: %v allocs per call, want one scratch buffer", stackNodes+1, a)
 	}
 }

@@ -107,18 +107,22 @@ func correctLine(data []float64, sym []int32, quant quantizer.Linear,
 	}
 }
 
-// TestCorrectionMatchesPerLineSolve: the factored correction leaves the
-// same bits as the per-line reference, on 1D–4D extents including 1, 2
-// and 3, at every level, for both signs, on smooth symbols and on
-// literal-heavy ones (every third an unpredictable marker).
+// TestCorrectionMatchesPerLineSolve: the factored, batched correction
+// leaves the same bits as the per-line reference, on 1D–4D extents
+// including 1, 2 and 3, at every level, for both signs, on smooth symbols
+// and on literal-heavy ones (every third an unpredictable marker). The
+// shapes give some axis every line count modulo lanes, so each tail
+// length meets solve, and batches that take lines from two rows of the
+// collapsed region.
 func TestCorrectionMatchesPerLineSolve(t *testing.T) {
 	shapes := [][]int{
 		{1}, {2}, {3}, {9}, {64}, {1025},
-		{1, 3}, {2, 2}, {3, 17}, {33, 2},
-		{1, 2, 3}, {3, 3, 3}, {17, 9, 33}, {2, 40, 5},
+		{1, 3}, {2, 2}, {3, 17}, {33, 2}, {5, 7}, {13, 5},
+		{1, 2, 3}, {3, 3, 3}, {17, 9, 33}, {2, 40, 5}, {9, 9, 3}, {6, 10, 7},
 		{1, 1, 2, 3}, {2, 3, 1, 5}, {3, 9, 6, 17},
 	}
 	quant := quantizer.Linear{EB: 0.0137, Radius: 1 << 10}
+	tails, straddles := map[int]bool{}, false
 	for _, dims := range shapes {
 		n, maxDim := 1, 0
 		for _, d := range dims {
@@ -126,6 +130,14 @@ func TestCorrectionMatchesPerLineSolve(t *testing.T) {
 			maxDim = max(maxDim, d)
 		}
 		strides := grid.Strides(dims)
+		for level := 1; 1<<(level-1) < maxDim; level++ {
+			for _, c := range lineCounts(dims, level) {
+				tails[c.lines%lanes] = true
+				for i := lanes - 1; i < c.lines-c.lines%lanes; i += lanes {
+					straddles = straddles || i/c.row != (i-lanes+1)/c.row
+				}
+			}
+		}
 		for _, heavy := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(int64(n)))
 			sym := make([]int32, n)
@@ -153,6 +165,37 @@ func TestCorrectionMatchesPerLineSolve(t *testing.T) {
 			}
 		}
 	}
+	if len(tails) != lanes || !straddles {
+		t.Fatalf("line counts modulo %d seen %v, a batch across rows %v; the shapes should give every tail and a straddling batch",
+			lanes, tails, straddles)
+	}
+}
+
+// lineCount is how many coarse lines run along one axis at a level, and
+// how many of them one row of applyCorrection's collapsed region holds.
+type lineCount struct{ lines, row int }
+
+// lineCounts returns the line counts of every axis that has details at
+// level.
+func lineCounts(dims []int, level int) []lineCount {
+	s := 1 << (level - 1)
+	var out []lineCount
+	for d := range dims {
+		if dims[d] <= s {
+			continue
+		}
+		c := lineCount{lines: 1, row: 1}
+		for e, n := range dims {
+			if e != d {
+				c.lines *= (n-1)/(2*s) + 1
+			}
+		}
+		if last := len(dims) - 1; d != last {
+			c.row = (dims[last]-1)/(2*s) + 1
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // naiveSolve solves a tridiagonal system (diag d, off-diagonal o) by
