@@ -417,17 +417,21 @@ func TestLevelSweepAllocs(t *testing.T) {
 	if counts[0] != counts[1] || counts[0] != [3]float64{} {
 		t.Fatalf("allocs per call (fwd, inv, correction) %v on 32^3, %v on 64^3; want none", counts[0], counts[1])
 	}
-	// 5 × 2·stackNodes: the long axis outgrows the stack scratch.
-	dims := []int{5, 2 * stackNodes}
-	q := make([]int32, 10*stackNodes)
-	data := make([]float64, len(q))
+	// Level-1 lines along an axis of 2·stackNodes−1 points have stackNodes
+	// nodes and fit the stack scratch; one more point outgrows it.
 	quant := quantizer.Linear{EB: 1e-3, Radius: quantizer.DefaultRadius}
-	for i := range q {
-		q[i] = quant.CenterSym() + int32(i%7-3)
-	}
-	if a := testing.AllocsPerRun(3, func() {
-		applyCorrection(data, dims, grid.Strides(dims), 1, quant, q, +1)
-	}); a != 1 {
-		t.Fatalf("correction with %d-node lines: %v allocs per call, want one scratch buffer", stackNodes+1, a)
+	for _, c := range []struct{ n, allocs int }{{2*stackNodes - 1, 0}, {2*stackNodes + 1, 1}} {
+		dims := []int{5, c.n}
+		strides := grid.Strides(dims)
+		q := make([]int32, 5*c.n)
+		data := make([]float64, len(q))
+		for i := range q {
+			q[i] = quant.CenterSym() + int32(i%7-3)
+		}
+		if a := testing.AllocsPerRun(3, func() {
+			applyCorrection(data, dims, strides, 1, quant, q, +1)
+		}); a != float64(c.allocs) {
+			t.Errorf("correction on 5×%d: %v allocs per call, want %d", c.n, a, c.allocs)
+		}
 	}
 }
