@@ -142,7 +142,7 @@ var flateLevels = []int{flate.HuffmanOnly, flate.NoCompression, flate.BestSpeed,
 
 // seedPrefix is the longest plaintext prefix a fuzz seed is deflated
 // from, and seedMin the shortest plaintext that gives one.
-const seedPrefix, seedMin = 16 << 10, 4 << 10
+const seedPrefix, seedMin = 16 << 10, 1 << 10
 
 // maxInflate caps what the differential check inflates.
 const maxInflate = 1 << 22
@@ -174,7 +174,7 @@ func agreesWithFlate(t *testing.T, body []byte) {
 
 // FuzzInflate runs agreesWithFlate over arbitrary bodies. The seeds are
 // every golden pin's flate body, and the first 16 KB of each pin
-// plaintext of at least 4 KB written again at every level of flateLevels;
+// plaintext of at least 1 KB written again at every level of flateLevels;
 // the workloads' whole plaintexts at every level are TestInflateWorkloads'
 // cases. Seeding from the pins spares every fuzz process the ~4 s of
 // synthesizing and compressing the workload fields before its first exec.
