@@ -322,6 +322,13 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 	runs.Algorithm = scdc.HPEZ
 	pin("hpez_1d_qpon_runs", line, synthSmooth(line), runs)
 
+	// Tag 1 with a stored stretch: the smallest noisy cube whose MGARD
+	// plaintext passes one 64 KB flate segment. Its first half carries
+	// the code table and pays for DEFLATE; its second half is Huffman
+	// body, which the encoder writes as a stored block.
+	stored := []int{30, 30, 30}
+	pin("mgard_3d_qpoff_noisy", stored, synthNoisy(stored), scdc.Options{Algorithm: scdc.MGARD, ErrorBound: eb})
+
 	return entries, streams, err
 }
 

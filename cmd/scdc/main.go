@@ -116,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 		verify     = fs.Bool("verify", false, "after -z, decompress and report quality metrics, compression ratio and bit rate")
 		workers    = fs.Int("workers", 1, "goroutines for the sharded entropy and lossless stages and for chunks (compress and decompress); output is identical for any value")
 		shards     = fs.Int("shards", 0, "split the entropy stream into this many Huffman shards for parallel decode (0 = single stream)")
-		llArg      = fs.String("lossless", "default", "lossless back-end: default (legacy whole-buffer flate), auto (store, huffman or flate by measurement; sharded parallel container past 64 KB) or store")
+		llArg      = fs.String("lossless", "default", "lossless back-end: default (flate, storing 64 KB segments it cannot shrink), auto (store, huffman or flate by measurement; sharded parallel container past 64 KB) or store")
 		serveAddr  = fs.String("serve", "", "serve /metrics, /metrics.json and /debug/pprof on this address; stays up after the batch until interrupted")
 		stats      = fs.Bool("stats", false, "print a per-stage span tree and write the scdc-stats/1 JSON report")
 		statsOut   = fs.String("statsout", "", "stats JSON path (default <out>.stats.json; with -stats)")

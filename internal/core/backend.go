@@ -27,8 +27,8 @@ type Backend struct {
 	QP Config
 	// Radius is the quantization radius; 0 selects the SZ3 default 2^15.
 	Radius int32
-	// Lossless selects the final lossless back-end. Default Flate, the
-	// legacy whole-buffer format the golden corpus pins. lossless.Auto
+	// Lossless selects the final lossless back-end. Default Flate, DEFLATE
+	// (tag 1) with the segments it cannot shrink stored. lossless.Auto
 	// picks the cheapest of store, Huffman and flate from a sampled size
 	// estimate, per shard of the parallel sharded container once the
 	// buffer is big enough to split (CompressLossless).
@@ -70,7 +70,7 @@ type Trace struct {
 }
 
 // DefaultBackend returns the default shared options: QP off, radius
-// 2^15, whole-buffer flate.
+// 2^15, flate (tag 1).
 func DefaultBackend() Backend {
 	return Backend{Radius: quantizer.DefaultRadius, Lossless: lossless.Flate}
 }

@@ -14,7 +14,7 @@ import (
 // "lossless" child span of parent. lossless.Auto picks store, Huffman or
 // flate from the size estimator and, past the container's size floor,
 // writes the parallel sharded container with a pick per shard; every
-// other codec writes the whole-buffer format. The output depends only on
+// other codec writes its single-body format. The output depends only on
 // (c, buf) — never on workers.
 func CompressLossless(c lossless.Codec, buf []byte, workers int, parent *obs.Span) ([]byte, error) {
 	sp := parent.Child("lossless")

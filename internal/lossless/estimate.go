@@ -35,69 +35,99 @@ type probe struct {
 	matchPerByte float64
 }
 
+// probeWindows returns the [lo, hi) windows the probe samples: all of an
+// n-byte buffer up to three estWindows, else its head, middle and tail.
+func probeWindows(n int) (w [3][2]int, k int) {
+	if n <= 3*estWindow {
+		w[0] = [2]int{0, n}
+		return w, 1
+	}
+	mid := n/2 - estWindow/2
+	w[0] = [2]int{0, estWindow}
+	w[1] = [2]int{mid, mid + estWindow}
+	w[2] = [2]int{n - estWindow, n}
+	return w, 3
+}
+
 // sampleProbe scans up to three estWindow-sized windows of src.
 func sampleProbe(src []byte) probe {
+	p := probe{entropyBits: sampledEntropy(src)}
+	p.walkMatches(src)
+	return p
+}
+
+// walkMatches sets p's match statistics from src's probe windows.
+func (p *probe) walkMatches(src []byte) {
 	if len(src) == 0 {
-		return probe{}
+		return
 	}
-	var hist [256]int
 	var table [1 << estProbeBits]int32
 	covered, matches, total := 0, 0, 0
-
-	window := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hist[src[i]]++
-		}
-		total += hi - lo
-		// Greedy match walk, the shape of an LZ parse: at each hit the
-		// match is extended to its full length and the cursor skips past
-		// it, so covered/matches measure what a match coder would emit
-		// rather than raw seed-collision density (which saturates on
-		// high-entropy data whose short motifs recur constantly but
-		// compress no better than their literals).
-		for i := lo; i+lzMinMatch <= hi; {
-			seed := load32(src, i)
-			h := lzHash(seed) >> (lzHashBits - estProbeBits)
-			prev := int(table[h]) - 1
-			table[h] = int32(i + 1)
-			if prev >= lo && prev < i && load32(src, prev) == seed {
-				l := lzMinMatch
-				for i+l < hi && src[prev+l] == src[i+l] {
-					l++
-				}
-				covered += l
-				matches++
-				i += l
-				continue
-			}
-			i++
-		}
+	w, k := probeWindows(len(src))
+	for _, lh := range w[:k] {
+		c, m := matchWalk(src, lh[0], lh[1], &table)
+		covered += c
+		matches += m
+		total += lh[1] - lh[0]
 	}
+	p.matchCover = float64(covered) / float64(total)
+	p.matchPerByte = float64(matches) / float64(total)
+}
 
-	if len(src) <= 3*estWindow {
-		window(0, len(src))
-	} else {
-		window(0, estWindow)
-		mid := len(src)/2 - estWindow/2
-		window(mid, mid+estWindow)
-		window(len(src)-estWindow, len(src))
+// sampledEntropy is the order-0 entropy, in bits per byte, of the bytes
+// in src's probe windows.
+func sampledEntropy(src []byte) float64 {
+	var hist [256]int
+	total := 0
+	w, k := probeWindows(len(src))
+	for _, lh := range w[:k] {
+		for _, c := range src[lh[0]:lh[1]] {
+			hist[c]++
+		}
+		total += lh[1] - lh[0]
 	}
-
-	var p probe
-	n := float64(total)
+	h, n := 0.0, float64(total)
 	for _, c := range hist {
 		if c == 0 {
 			continue
 		}
 		f := float64(c) / n
-		p.entropyBits -= f * math.Log2(f)
+		h -= f * math.Log2(f)
 	}
-	if total > 0 {
-		p.matchCover = float64(covered) / float64(total)
-		p.matchPerByte = float64(matches) / float64(total)
-	}
-	return p
+	return h
 }
+
+// matchWalk is a greedy match walk over src[lo:hi], the shape of an LZ
+// parse: at each hit the match is extended to its full length and the
+// cursor skips past it, so covered/matches measure what a match coder
+// would emit rather than raw seed-collision density (which saturates on
+// high-entropy data whose short motifs recur constantly but compress no
+// better than their literals). table carries over between the windows of
+// one probe; entries before lo never match.
+func matchWalk(src []byte, lo, hi int, table *[1 << estProbeBits]int32) (covered, matches int) {
+	for i := lo; i+lzMinMatch <= hi; {
+		seed := load32(src, i)
+		h := lzHash(seed) >> (lzHashBits - estProbeBits)
+		prev := int(table[h]) - 1
+		table[h] = int32(i + 1)
+		if prev < lo || load32(src, prev) != seed {
+			i++
+			continue
+		}
+		l := lzMinMatch
+		for i+l < hi && src[prev+l] == src[i+l] {
+			l++
+		}
+		covered += l
+		matches++
+		i += l
+	}
+	return covered, matches
+}
+
+// flateMatchBits is the flate estimate's all-in price of one match, in
+// bits (see estimate).
+const flateMatchBits = 30
 
 // estimate prices one codec from the probe statistics, the way the
 // codec actually spends bytes: flate pays the order-0 entropy for
@@ -120,7 +150,6 @@ func (p probe) estimate(c Codec, n int) int {
 		// estimate below, so the flate-vs-Huffman pick reduces to these
 		// match savings against the 256-byte table — sampling error in the
 		// entropy itself cancels.
-		const flateMatchBits = 30
 		bitsPerByte := (1-p.matchCover)*p.entropyBits + p.matchPerByte*flateMatchBits
 		return int(fn*bitsPerByte/8) + 64
 	case Huffman:
@@ -162,4 +191,27 @@ func (p probe) pick(n int) Codec {
 // sharded container).
 func pickCodec(src []byte) Codec {
 	return sampleProbe(src).pick(len(src))
+}
+
+// flatePaysFrac is the share of a segment's length the flate estimate
+// must come in under for the Flate encoder to run DEFLATE on it.
+const flatePaysFrac = 0.999
+
+// flatePays reports whether the probe prices DEFLATE on seg under
+// flatePaysFrac of its stored length.
+func flatePays(seg []byte) bool {
+	limit := flatePaysFrac * float64(len(seg))
+	p := probe{entropyBits: sampledEntropy(seg)}
+	// A match covers at least lzMinMatch bytes for flateMatchBits, so
+	// matches move the estimate toward flateMatchBits/lzMinMatch bits per
+	// byte and never above max(entropy, that). When even that bound
+	// clears the limit (by a byte, for rounding) the walk cannot change
+	// the answer: the order-0 entropy alone decides every segment that
+	// compresses by its byte statistics.
+	bound := probe{entropyBits: max(p.entropyBits, float64(flateMatchBits)/lzMinMatch)}
+	if float64(bound.estimate(Flate, len(seg))+1) < limit {
+		return true
+	}
+	p.walkMatches(seg)
+	return float64(p.estimate(Flate, len(seg))) < limit
 }

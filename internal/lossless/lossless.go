@@ -3,7 +3,9 @@
 // implementations). Interchangeable codecs are provided:
 //
 //   - Flate: DEFLATE, the default back-end: compress/flate writes it and
-//     the in-package inflater (inflate.go) reads it.
+//     the in-package inflater (inflate.go) reads it. A buffer past 64 KB
+//     is written a segment at a time, and a segment the size probe says
+//     DEFLATE cannot shrink goes out as stored blocks (flatePays).
 //   - Huffman: order-0 canonical Huffman coding of the bytes (huff.go).
 //   - Sharded: a container (sharded.go) that splits the plaintext into
 //     size-derived shards compressed and decompressed in parallel.
@@ -29,6 +31,8 @@ import (
 	"scdc/internal/verdict"
 )
 
+// Flate writers carry large match/window state; recycling them removes
+// the dominant per-call allocation of this stage.
 var flateWriterPool = sync.Pool{New: func() any {
 	w, _ := flate.NewWriter(io.Discard, flate.DefaultCompression)
 	return w
@@ -103,6 +107,92 @@ func flateCompressBody(w io.Writer, src []byte) error {
 	return fw.Close()
 }
 
+// flateSegment is the span the Flate encoder prices at a time. A longer
+// buffer is cut into ⌈n/flateSegment⌉ equal segments.
+const flateSegment = 64 << 10
+
+// maxStoredBlock is the most bytes one DEFLATE stored block holds.
+const maxStoredBlock = 65535
+
+// flateBound is the room flateCompressSegments is given for n bytes, so
+// that a body stored in whole or in part never regrows: compress/flate
+// writes no storable block larger than its stored form, and on
+// incompressible input it closes a block every 16 KB. Each block, the
+// sync marker before a stored run and the closing marker cost at most 5.
+func flateBound(n int) int {
+	return n + 5*(n>>14+n/flateSegment+2)
+}
+
+// flateCompressSegments writes src's DEFLATE body to buf. A buffer of
+// one segment is one pass of the pooled writer. A longer one goes
+// through the writer a segment at a time, and a segment the probe prices
+// as not paying (flatePays) goes out as stored blocks instead: the
+// writer flushes to a byte boundary before the stored run, and the next
+// paying segment starts a Reset writer, so no back-reference crosses
+// bytes the compressor never saw. compress/flate's output does not depend
+// on how its input is split across Writes, so when every segment pays
+// the body is byte-identical to one whole-buffer pass.
+func flateCompressSegments(buf *bytes.Buffer, src []byte) error {
+	if len(src) <= flateSegment {
+		return flateCompressBody(buf, src)
+	}
+	fw := flateWriterPool.Get().(*flate.Writer)
+	defer flateWriterPool.Put(fw)
+	n := len(src)
+	k := (n + flateSegment - 1) / flateSegment
+	// open: fw holds the current flate run; stored: start of the
+	// pending stored run, or -1.
+	open, stored := false, -1
+	for i := range k {
+		lo, hi := i*n/k, (i+1)*n/k
+		if !flatePays(src[lo:hi]) {
+			if open {
+				if err := fw.Flush(); err != nil {
+					return err
+				}
+				open = false
+			}
+			if stored < 0 {
+				stored = lo
+			}
+			continue
+		}
+		if stored >= 0 {
+			writeStored(buf, src[stored:lo], false)
+			stored = -1
+		}
+		if !open {
+			fw.Reset(buf)
+			open = true
+		}
+		if _, err := fw.Write(src[lo:hi]); err != nil {
+			return err
+		}
+	}
+	if stored >= 0 {
+		writeStored(buf, src[stored:], true)
+		return nil
+	}
+	return fw.Close()
+}
+
+// writeStored writes p as DEFLATE stored blocks from a byte boundary,
+// setting BFINAL on the last one when final.
+func writeStored(buf *bytes.Buffer, p []byte, final bool) {
+	for len(p) > 0 {
+		m := min(len(p), maxStoredBlock)
+		var h [5]byte
+		if final && m == len(p) {
+			h[0] = 1
+		}
+		binary.LittleEndian.PutUint16(h[1:], uint16(m))
+		binary.LittleEndian.PutUint16(h[3:], ^uint16(m))
+		buf.Write(h[:])
+		buf.Write(p[:m])
+		p = p[m:]
+	}
+}
+
 // header opens a stream — the codec tag and the uvarint plaintext length —
 // with room for body more bytes.
 func header(c Codec, n, body int) []byte {
@@ -120,22 +210,17 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 	if c == Store {
 		c = None
 	}
-	hdr := header(c, len(src), 0)
 	switch c {
 	case None:
-		return append(hdr, src...), nil
+		return append(header(c, len(src), len(src)), src...), nil
 	case Flate:
-		var buf bytes.Buffer
-		buf.Grow(len(hdr) + len(src)/2 + 64)
-		buf.Write(hdr)
-		// Flate writers carry large internal match/window state; recycling
-		// them removes the dominant per-call allocation of this stage.
-		if err := flateCompressBody(&buf, src); err != nil {
+		buf := bytes.NewBuffer(header(c, len(src), flateBound(len(src))))
+		if err := flateCompressSegments(buf, src); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
 	case Huffman:
-		return huffCompressBody(hdr, src, 1), nil
+		return huffCompressBody(header(c, len(src), 0), src, 1), nil
 	case LZ:
 		return nil, fmt.Errorf("%w: lossless: lz is decode-only", verdict.ErrBadOptions)
 	case Sharded:

@@ -333,3 +333,54 @@ func goldenPayload(tb testing.TB, file string) []byte {
 	}
 	return p
 }
+
+// TestFlatePaysIsTheProbe: the Flate encoder's per-segment decision skips
+// the match walk when the order-0 entropy settles it, and must still
+// answer what the whole probe's estimate answers, on buffers from pure
+// noise to long repeats and across the threshold.
+func TestFlatePaysIsTheProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for i := range 400 {
+		n := flateSegment/2 + rng.Intn(flateSegment)
+		src := make([]byte, n)
+		rng.Read(src)
+		// Skew a share of the bytes onto a few symbols and plant repeats,
+		// so entropy and match cover both sweep their range.
+		skew, rep := rng.Float64()*0.05, rng.Float64()*0.05
+		if i%4 == 0 {
+			skew *= 10
+		}
+		for j := range src {
+			if rng.Float64() < skew {
+				src[j] = byte(rng.Intn(3))
+			}
+		}
+		for j := 64; j < n-64; j += 64 {
+			if rng.Float64() < rep {
+				copy(src[j:j+32], src[j-64:])
+			}
+		}
+		want := float64(sampleProbe(src).estimate(Flate, n)) < flatePaysFrac*float64(n)
+		if got := flatePays(src); got != want {
+			t.Fatalf("case %d: flatePays %v, probe estimate says %v", i, got, want)
+		}
+	}
+}
+
+// TestFlateOutputNeverRegrows: the Flate output is allocated once at
+// its stored bound, so a body the encoder stores, in whole or in part,
+// or that compress/flate itself falls back to storing, never regrows.
+func TestFlateOutputNeverRegrows(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	noise := make([]byte, 3*flateSegment+5)
+	rng.Read(noise)
+	for _, src := range [][]byte{noise[:flateSegment], noise, append(bytes.Repeat([]byte{1, 2, 3}, flateSegment/3), noise...)} {
+		enc, err := Compress(Flate, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cap(header(Flate, len(src), flateBound(len(src)))); cap(enc) != want {
+			t.Errorf("%d B: output capacity %d, want the bound's %d", len(src), cap(enc), want)
+		}
+	}
+}

@@ -151,8 +151,10 @@ func (q QPConfig) toCore() core.Config {
 type LosslessCodec byte
 
 const (
-	// LosslessDefault (the zero value) is the legacy whole-buffer DEFLATE
-	// back-end; streams are byte-identical to earlier releases.
+	// LosslessDefault (the zero value) is the DEFLATE back-end (tag 1),
+	// which every earlier release reads. It runs DEFLATE 64 KB at a time
+	// and stores the segments it cannot shrink; a plaintext whose every
+	// segment compresses gets the same bytes as earlier releases wrote.
 	LosslessDefault LosslessCodec = iota
 	// LosslessStore skips lossless compression (ablation point).
 	LosslessStore
@@ -226,7 +228,7 @@ type Options struct {
 	Shards int
 	// Lossless selects the final lossless back-end for the
 	// interpolation-based algorithms. The zero value (LosslessDefault)
-	// reproduces the legacy whole-buffer DEFLATE streams byte-for-byte;
+	// writes DEFLATE (tag 1), storing the 64 KB segments it cannot shrink;
 	// LosslessAuto picks the codec by measurement and shards the stage
 	// past 64 KB, with bytes identical for any worker count.
 	Lossless LosslessCodec
