@@ -27,29 +27,24 @@ func hotPathField() ([]float64, []int) {
 }
 
 // BenchmarkHotPathCompress measures end-to-end Compress of a sharded
-// stream at several worker counts. Allocations should be O(1) in field
-// size at steady state: the working copy, index arrays, Huffman tables and
-// flate state are pooled.
+// stream. Allocations should be O(1) in field size at steady state: the
+// working copy, index arrays, Huffman tables and flate state are pooled.
 func BenchmarkHotPathCompress(b *testing.B) {
 	data, dims := hotPathField()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := scdc.Options{Algorithm: scdc.SZ3, RelativeBound: 1e-4,
-				QP: scdc.DefaultQP(), Workers: workers, Shards: 4}
-			b.SetBytes(int64(len(data) * 8))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := scdc.Compress(data, dims, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := scdc.Options{Algorithm: scdc.SZ3, RelativeBound: 1e-4,
+		QP: scdc.DefaultQP(), Shards: 4}
+	b.SetBytes(int64(len(data) * 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scdc.Compress(data, dims, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkHotPathDecompress measures end-to-end DecompressParallel on a
-// sharded stream at several worker counts.
+// BenchmarkHotPathDecompress measures end-to-end Decompress of a sharded
+// stream.
 func BenchmarkHotPathDecompress(b *testing.B) {
 	data, dims := hotPathField()
 	stream, err := scdc.Compress(data, dims, scdc.Options{Algorithm: scdc.SZ3,
@@ -57,17 +52,13 @@ func BenchmarkHotPathDecompress(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(data) * 8))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := scdc.DecompressParallel(stream, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(len(data) * 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scdc.Decompress(stream); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -117,27 +108,25 @@ func BenchmarkHotPathShardedHuffman(b *testing.B) {
 	}
 	q := tr.Q
 	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("shards=%d/workers=%d/encode", shards, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(q) * 4))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					huffman.EncodeShardedDist(q, entropy.Analyze(q), shards, workers)
+		b.Run(fmt.Sprintf("shards=%d/encode", shards), func(b *testing.B) {
+			b.SetBytes(int64(len(q) * 4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				huffman.EncodeShardedDist(q, entropy.Analyze(q), shards)
+			}
+		})
+		enc := huffman.EncodeShardedDist(q, entropy.Analyze(q), shards)
+		b.Run(fmt.Sprintf("shards=%d/decode", shards), func(b *testing.B) {
+			b.SetBytes(int64(len(q) * 4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := huffman.Decode(enc); err != nil {
+					b.Fatal(err)
 				}
-			})
-			enc := huffman.EncodeShardedDist(q, entropy.Analyze(q), shards, workers)
-			b.Run(fmt.Sprintf("shards=%d/workers=%d/decode", shards, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(q) * 4))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := huffman.DecodeParallel(enc, -1, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

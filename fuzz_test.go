@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"scdc/internal/core"
 	"scdc/internal/datagen"
 	"scdc/internal/quantizer"
 )
@@ -36,6 +37,18 @@ func fuzzSeedStreams(f *testing.F) [][]byte {
 		}
 		seeds = append(seeds, s)
 	}
+	// Shards split an index array only into shards of at least 4096
+	// indices, so the 960-point field above falls back to the single-body
+	// layout; the sharded one (0x00 0x01) needs a field past 8192 points.
+	big := datagen.MustGenerate(datagen.Miranda, 0, []int{16, 24, 24}, 7)
+	sharded, err := Compress(big.Data, big.Dims(), Options{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP(), Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if block := sz3IndexBlock(f, sharded); len(block) < 2 || block[0] != 0x00 || block[1] != 0x01 {
+		f.Fatalf("the sharded seed's index block opens % x, want 00 01", block[:min(len(block), 2)])
+	}
+	seeds = append(seeds, sharded)
 	// 1D and a legacy v1 stream round out the corpus.
 	line := make([]float64, 256)
 	for i := range line {
@@ -61,6 +74,40 @@ func fuzzSeedStreams(f *testing.F) [][]byte {
 	v1[4] = formatV1
 	seeds = append(seeds, v1)
 	return seeds
+}
+
+// sz3IndexBlock returns the index block of a plain SZ3 stream, read
+// through the same header fields, in the same order, as sz3's decoder.
+func sz3IndexBlock(t testing.TB, stream []byte) []byte {
+	t.Helper()
+	h, err := parseHeader(stream, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.DecodeStream(h.payload, h.dims, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mode, interpolation kind, ndims and the direction order precede the
+	// QP block; the error bound and the index block's length follow it.
+	if _, err := r.Bytes(3+len(h.dims), "sz3 header"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.DecodeQP(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Bound("error bound"); err != nil {
+		t.Fatal(err)
+	}
+	n, err := r.Uvarint(0, math.MaxInt32, "index length")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := r.Bytes(int(n), "index block")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return block
 }
 
 // addWithDamage seeds the corpus with a stream and with its re-sealed
@@ -138,7 +185,8 @@ func FuzzDecompress(f *testing.F) {
 		if n != len(res.Data) {
 			t.Fatalf("dims %v disagree with %d values", res.Dims, len(res.Data))
 		}
-		// A successful decode must also succeed (identically) in parallel.
+		// A successful decode must also succeed identically through
+		// DecompressParallel, which fans out a chunked container's chunks.
 		par, err := DecompressParallel(data, 3)
 		if err != nil {
 			t.Fatalf("sequential decoded but parallel failed: %v", err)

@@ -221,7 +221,7 @@ func sz3Mode(t *testing.T, file string) (sz3.Mode, bool) {
 	if err != nil {
 		t.Fatalf("%s: %v", file, err)
 	}
-	r, err := core.DecodeStream(h.payload, h.dims, 1, nil)
+	r, err := core.DecodeStream(h.payload, h.dims, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", file, err)
 	}

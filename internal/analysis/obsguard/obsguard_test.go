@@ -18,9 +18,9 @@ func TestObsGuard(t *testing.T) {
 // between starting its "lossless" span and ending it.
 func TestSeededMutation(t *testing.T) {
 	analysistest.RunMutant(t, obsguard.Analyzer, "scdc/internal/core", "lossless.go",
-		`buf, err := lossless.DecompressLimit(payload, maxOut, workers)
+		`buf, err := lossless.DecompressLimit(payload, maxOut)
 `,
-		`buf, err := lossless.DecompressLimit(payload, maxOut, workers)
+		`buf, err := lossless.DecompressLimit(payload, maxOut)
 	if err != nil {
 		return nil, err
 	}

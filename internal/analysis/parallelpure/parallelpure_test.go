@@ -26,12 +26,13 @@ func TestStandInClean(t *testing.T) {
 	}
 }
 
-// TestSeededMutation makes huffman.encodeShards append each shard to the
-// captured directory instead of writing its own slot, so workers race on
-// the slice header and shards land in completion order.
+// TestSeededMutation makes the chunk loop (forEachChunk) append each
+// worker's span to the captured slice instead of writing its own slot,
+// so workers race on the slice header and spans land in completion
+// order.
 func TestSeededMutation(t *testing.T) {
-	analysistest.RunMutant(t, parallelpure.Analyzer, "scdc/internal/huffman", "sharded.go",
-		`dir[i] = shard.Shard{N: len(part), Body: b.B, Buf: b}`,
-		`dir = append(dir, shard.Shard{N: len(part), Body: b.B, Buf: b})`,
-		`writes captured variable "dir"`)
+	analysistest.RunMutant(t, parallelpure.Analyzer, "scdc", "parallel.go",
+		`workerSpans[w] = sp.ChildAccum(fmt.Sprintf("worker[%d]", w))`,
+		`workerSpans = append(workerSpans, sp.ChildAccum(fmt.Sprintf("worker[%d]", w)))`,
+		`writes captured variable "workerSpans"`)
 }

@@ -30,18 +30,13 @@ type Backend struct {
 	// Lossless selects the final lossless back-end. Default Flate, DEFLATE
 	// (tag 1) with the segments it cannot shrink stored. lossless.Auto
 	// picks the cheapest of store, Huffman and flate from a sampled size
-	// estimate, per shard of the parallel sharded container once the
-	// buffer is big enough to split (CompressLossless).
+	// estimate, per shard of the sharded container once the buffer is big
+	// enough to split (CompressLossless).
 	Lossless lossless.Codec
-	// Workers caps the number of goroutines used inside one Compress call
-	// by the back end: Huffman shard encoding (Shards > 1) and the shards
-	// of the lossless container Auto writes. The prediction and QP sweeps
-	// always run on the calling goroutine. <= 1 runs sequentially. The
-	// output is byte-identical for any worker count.
-	Workers int
 	// Shards splits the entropy-coded index stream into this many
-	// independently decodable Huffman shards sharing one code table, so
-	// decompression can fan out. <= 1 keeps the legacy single-body stream.
+	// independently decodable Huffman shards sharing one code table (the
+	// 0x00 0x01 layout). <= 1 keeps the legacy single-body stream. Every
+	// stage of a call, sharded or not, runs on the calling goroutine.
 	Shards int
 	// Trace, when non-nil, captures internals for characterization.
 	Trace *Trace
@@ -104,8 +99,6 @@ func (b *Backend) Normalize(eb float64) error {
 	if b.Lossless == 0 {
 		b.Lossless = lossless.Flate
 	}
-	// The pool reads a count <= 0 as GOMAXPROCS; here it means sequential.
-	b.Workers = max(b.Workers, 1)
 	return b.QP.Validate()
 }
 
@@ -160,7 +153,7 @@ func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 
 	forced := s.ForceQP && sw.Pred != nil
 	encSp := b.Obs.Child("huffman")
-	idx, kept := sw.encodeSweep(forced, b.Shards, b.Workers, encSp)
+	idx, kept := sw.encodeSweep(forced, b.Shards, encSp)
 	encSp.End()
 	cfg := b.QP
 	if !kept && !forced {
@@ -179,7 +172,7 @@ func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(idx)))
 	buf = append(buf, idx...)
 	buf = appendFloats(buf, sw.Lits)
-	return CompressLossless(b.Lossless, buf, b.Workers, b.Obs)
+	return CompressLossless(b.Lossless, buf, b.Obs)
 }
 
 // appendFloats writes a float block: uvarint count, then the values as
@@ -207,29 +200,26 @@ type Reader struct {
 	Indices        []int32
 
 	// pred is set by DecodeBlocks when the stream kept QP.
-	pred       *Predictor
-	buf        []byte
-	dims       []int
-	n, workers int
-	sp         *obs.Span
+	pred *Predictor
+	buf  []byte
+	dims []int
+	n    int
+	sp   *obs.Span
 }
 
 // DecodeStream checks dims, peels the lossless layer off payload
 // (bounded by lossless.PayloadLimit of the point count, under a
 // "lossless" child span of sp) and returns a Reader over the plaintext.
-// Sharded index and lossless bodies decode on up to workers goroutines;
-// workers <= 1 decodes sequentially.
-func DecodeStream(payload []byte, dims []int, workers int, sp *obs.Span) (*Reader, error) {
+func DecodeStream(payload []byte, dims []int, sp *obs.Span) (*Reader, error) {
 	n, err := grid.CheckDims(dims)
 	if err != nil {
 		return nil, err
 	}
-	workers = max(workers, 1) // as in Normalize
-	buf, err := DecompressLossless(payload, lossless.PayloadLimit(n), workers, sp)
+	buf, err := DecompressLossless(payload, lossless.PayloadLimit(n), 1, sp)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{buf: buf, dims: dims, n: n, workers: workers, sp: sp}, nil
+	return &Reader{buf: buf, dims: dims, n: n, sp: sp}, nil
 }
 
 // Bytes consumes the next k header bytes.
@@ -304,7 +294,7 @@ func (r *Reader) DecodeBlocks(side string) error {
 		return err
 	}
 	huffSp := r.sp.Child("huffman")
-	r.Indices, err = DecodeIndices(body, r.n, r.workers)
+	r.Indices, err = DecodeIndices(body, r.n)
 	huffSp.Add("bytes_in", int64(hl))
 	huffSp.Add("symbols", int64(len(r.Indices)))
 	huffSp.End()

@@ -31,9 +31,10 @@ import (
 // when it shrinks the stream that is written").
 //
 // Huffman is the one index encoder, so the Coder argument is ignored
-// (entropy.CoderHuffman is the only value left). shards > 1 encodes the
-// winner as that many independent sub-streams under one shared code
-// table (huffman.EncodeShardedDist), built on up to workers goroutines.
+// (entropy.CoderHuffman is the only value left), and so is the worker
+// count: the index block is encoded on the calling goroutine. shards > 1
+// encodes the winner as that many independent sub-streams under one
+// shared code table (huffman.EncodeShardedDist).
 //
 // When sp is non-nil it gains (observation never changes the stream):
 //
@@ -43,7 +44,7 @@ import (
 //	         est_bits_out (the plain-layout estimate the QP decision
 //	         used), act_bits_out (the bits written, in whichever layout),
 //	         bytes_out, table_bytes, symbols
-func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, workers int, sp *obs.Span) (enc []byte, useQP bool) {
+func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, _ int, sp *obs.Span) (enc []byte, useQP bool) {
 	d := entropy.Analyze(q)
 	var dqp *entropy.Dist
 	if qp != nil {
@@ -52,7 +53,7 @@ func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, workers int, sp
 	if useQP = keepQP(d, dqp, sp); useQP {
 		q, d = qp, dqp
 	}
-	return encodeIndices(q, d, useQP, shards, workers, sp), useQP
+	return encodeIndices(q, d, useQP, shards, sp), useQP
 }
 
 // encodeSweep is ChooseEncodingCoder over the one symbol array of a
@@ -62,18 +63,18 @@ func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, workers int, sp
 // them. When the estimate drops QP, the inverse sweep restores the
 // original symbols in place before they are encoded. forced keeps the
 // transformed symbols unpriced, as a QP-off call prices its only array.
-func (s *Sweep) encodeSweep(forced bool, shards, workers int, sp *obs.Span) (enc []byte, useQP bool) {
+func (s *Sweep) encodeSweep(forced bool, shards int, sp *obs.Span) (enc []byte, useQP bool) {
 	d := entropy.Analyze(s.Sym)
 	if s.mv == nil || forced {
 		keepQP(d, nil, sp)
-		return encodeIndices(s.Sym, d, false, shards, workers, sp), false
+		return encodeIndices(s.Sym, d, false, shards, sp), false
 	}
 	dq := s.mv.shift(d)
 	if useQP = keepQP(dq, d, sp); !useQP {
 		s.restore(s.Sym)
 		d = dq
 	}
-	return encodeIndices(s.Sym, d, useQP, shards, workers, sp), useQP
+	return encodeIndices(s.Sym, d, useQP, shards, sp), useQP
 }
 
 // keepQP publishes the candidates' estimates on sp and reports whether
@@ -92,15 +93,11 @@ func keepQP(d, dqp *entropy.Dist, sp *obs.Span) bool {
 	return dqp != nil && dqp.HuffmanBytes() < d.HuffmanBytes()
 }
 
-// encodeIndices encodes the chosen array q with its distribution d and
+// encodeIndices encodes the chosen array q with its distribution d, as
+// shards sharded sub-streams when there are enough symbols for them, and
 // publishes the outcome on sp.
-func encodeIndices(q []int32, d *entropy.Dist, useQP bool, shards, workers int, sp *obs.Span) []byte {
-	var enc []byte
-	if shards <= 1 {
-		enc = huffman.EncodeDist(q, d)
-	} else {
-		enc = huffman.EncodeShardedDist(q, d, shards, workers)
-	}
+func encodeIndices(q []int32, d *entropy.Dist, useQP bool, shards int, sp *obs.Span) []byte {
+	enc := huffman.EncodeShardedDist(q, d, shards)
 	if sp != nil {
 		if useQP {
 			sp.Add("qp_kept", 1)
@@ -118,13 +115,13 @@ func encodeIndices(q []int32, d *entropy.Dist, useQP bool, shards, workers int, 
 // field, dispatching on the sub-format marker: rice streams (0x00 0x02,
 // which earlier releases could write and nothing writes now) to
 // rice.DecodeN, everything else — legacy single-body, 0x00 0x01 sharded
-// and 0x00 0x03 run-coded Huffman — to huffman.DecodeParallelTo, which
+// and 0x00 0x03 run-coded Huffman — to huffman.DecodeTo, which
 // decodes into a pooled index array (Sweep.Finish returns it). A stream
 // that declares any count but n is corrupt before its n symbols are
 // allocated.
-func DecodeIndices(data []byte, n, workers int) ([]int32, error) {
+func DecodeIndices(data []byte, n int) ([]int32, error) {
 	if rice.IsRice(data) {
 		return rice.DecodeN(data, n)
 	}
-	return huffman.DecodeParallelTo(data, n, workers, quantizer.GetIndexBuf)
+	return huffman.DecodeTo(data, n, quantizer.GetIndexBuf)
 }

@@ -88,7 +88,7 @@ func TestSweepQPOffIsNoop(t *testing.T) {
 // error, and each is verdict.ErrCorrupt.
 func TestSweepLiteralAccounting(t *testing.T) {
 	sentinel := verdict.ErrCorrupt
-	r := &Reader{Literals: []float64{1.5, -2, 3}, dims: []int{1}, workers: 1}
+	r := &Reader{Literals: []float64{1.5, -2, 3}, dims: []int{1}}
 	sw := r.Sweep(StageInterp)
 	if err := sw.Drained(); !errors.Is(err, sentinel) || err.Error() != "scdc: corrupt stream: core: 3 unused literals" {
 		t.Errorf("untouched stream: Drained() = %v", err)

@@ -92,7 +92,7 @@ func BenchmarkDecodeBody(b *testing.B) {
 				out := make([]int32, n)
 				blk := plainBlock(syms, lengths, body, n)
 				for i := 0; i < b.N; i++ {
-					if err := blk.decode(out, multi, 1); err != nil {
+					if err := blk.decode(out, multi); err != nil {
 						b.Fatal(err)
 					}
 				}

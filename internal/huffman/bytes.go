@@ -29,9 +29,7 @@ import (
 //	shard directory + bodies  internal/shard
 //
 // Shards share the table, so splitting costs K-1 tail paddings plus the
-// directory and the shard count depends only on the caller's argument —
-// never on the worker count — keeping streams byte-identical across
-// parallelism levels.
+// directory, and the shard count is the caller's argument.
 
 const (
 	byteMarker  = 0xB7
@@ -60,9 +58,8 @@ func getByteSyms(n int) *[]int32 {
 }
 
 // EncodeBytesTo appends src as a byte-alphabet Huffman stream of the
-// given shard count to dst, encoding shard bodies on up to workers
-// goroutines.
-func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
+// given shard count to dst.
+func EncodeBytesTo(dst, src []byte, shards int) []byte {
 	dst = append(dst, byteMarker, byteVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
@@ -97,7 +94,7 @@ func EncodeBytesTo(dst, src []byte, shards, workers int) []byte {
 	}
 
 	shards = max(1, min(shards, len(src)/minShardSamples))
-	dst = encodeShards(dst, syms, &cs, shards, workers)
+	dst = encodeShards(dst, syms, &cs, shards)
 	byteSymsPool.Put(sp)
 	return dst
 }
@@ -178,18 +175,17 @@ func parseBytes(data []byte, n int) (block, error) {
 }
 
 // DecodeBytesInto decodes a byte-alphabet Huffman stream into exactly
-// dst, fanning shard bodies across up to workers goroutines. The
-// stream's declared sample count must equal len(dst), and every
+// dst. The stream's declared sample count must equal len(dst), and every
 // directory claim is checked against the stream before any decoding
 // (and before any allocation proportional to a claim).
-func DecodeBytesInto(dst, data []byte, workers int) error {
+func DecodeBytesInto(dst, data []byte) error {
 	b, err := parseBytes(data, len(dst))
 	if err != nil || b.n == 0 {
 		return err
 	}
 	sp := getByteSyms(len(dst))
 	defer byteSymsPool.Put(sp)
-	if err := b.decode(*sp, multiPays(len(dst), len(b.body)), workers); err != nil {
+	if err := b.decode(*sp, multiPays(len(dst), len(b.body))); err != nil {
 		return err
 	}
 	// Symbols come from the byte-indexed table, so the narrowing cast

@@ -10,24 +10,24 @@ import (
 	"scdc/internal/verdict"
 )
 
-// TestDecodeParallelToDirtyOutput: a caller-supplied output array may
-// hold any symbols and run past the count, as a pooled one does. Every
-// layout — plain, sharded and run-coded, the run table's kernel and the
-// in-place expansion — decodes into it exactly what DecodeParallel
-// returns and writes nothing past the count; a truncated stream fails
+// TestDecodeParallelToDirtyOutput: a caller-supplied output array
+// (DecodeTo) may hold any symbols and run past the count, as a pooled one
+// does. Every layout — plain, sharded and run-coded, the run table's
+// kernel and the in-place expansion — decodes into it exactly what
+// DecodeN returns and writes nothing past the count; a truncated stream fails
 // the same way either path.
 func TestDecodeParallelToDirtyOutput(t *testing.T) {
 	plain := skewed(50_000, 1)
 	streams := map[string][]byte{
 		"plain":   EncodePlain(plain, entropy.Analyze(plain)),
-		"sharded": encodeSharded(skewed(200_000, 2), 4, 1),
+		"sharded": encodeSharded(skewed(200_000, 2), 4),
 	}
 	for name, c := range runCases() {
 		streams["runs/"+name] = encode(c.q)
 	}
 	const spare = 257
 	for name, enc := range streams {
-		want, err := DecodeParallel(enc, -1, 1)
+		want, err := DecodeN(enc, -1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -40,23 +40,21 @@ func TestDecodeParallelToDirtyOutput(t *testing.T) {
 				}
 				return buf[:n]
 			}
-			for _, workers := range []int{1, 4} {
-				got, err := DecodeParallelTo(enc, len(want), workers, out)
-				if err != nil || !slices.Equal(got, want) {
-					t.Fatalf("%s junk %d workers %d: err %v, output equal %v", name, junk, workers, err, slices.Equal(got, want))
-				}
-				for i, s := range buf[len(want):] {
-					if s != junk {
-						t.Fatalf("%s junk %d: wrote slot %d past the count", name, junk, len(want)+i)
-					}
+			got, err := DecodeTo(enc, len(want), out)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s junk %d: err %v, output equal %v", name, junk, err, slices.Equal(got, want))
+			}
+			for i, s := range buf[len(want):] {
+				if s != junk {
+					t.Fatalf("%s junk %d: wrote slot %d past the count", name, junk, len(want)+i)
 				}
 			}
 		}
 		cut := enc[:len(enc)*3/4]
-		_, errRef := DecodeParallel(cut, len(want), 1)
-		_, errTo := DecodeParallelTo(cut, len(want), 1, func(n int) []int32 { return make([]int32, n+spare) })
+		_, errRef := DecodeN(cut, len(want))
+		_, errTo := DecodeTo(cut, len(want), func(n int) []int32 { return make([]int32, n+spare) })
 		if !errors.Is(errRef, verdict.ErrCorrupt) || !errors.Is(errTo, verdict.ErrCorrupt) {
-			t.Fatalf("%s truncated: DecodeParallel %v, DecodeParallelTo %v", name, errRef, errTo)
+			t.Fatalf("%s truncated: DecodeN %v, DecodeTo %v", name, errRef, errTo)
 		}
 	}
 }

@@ -10,7 +10,7 @@ func CodeLengths(d *entropy.Dist) (maxLen int) {
 	return table[len(table)-1].len
 }
 
-// Kernel names the kernel DecodeParallel decodes enc's block through.
+// Kernel names the kernel DecodeN decodes enc's block through.
 func Kernel(enc []byte) (string, error) {
 	b, err := parseBlock(enc, -1)
 	switch {

@@ -11,8 +11,8 @@ import (
 
 // FuzzHuffmanDecode: arbitrary bytes through every container layout (the
 // legacy single-body stream and the 0x00-marker sharded and run-coded
-// sub-formats) must error or decode — never panic — and sequential and parallel decoding of
-// the same bytes must agree exactly.
+// sub-formats) must error or decode — never panic — and decoding with the
+// decoded count must give the same symbols.
 func FuzzHuffmanDecode(f *testing.F) {
 	skewed := make([]int32, 20000)
 	for i := range skewed {
@@ -27,8 +27,8 @@ func FuzzHuffmanDecode(f *testing.F) {
 	f.Add(encode(skewed))
 	f.Add(encode(skewed[:1]))
 	f.Add(encode(nil))
-	f.Add(encodeSharded(skewed, 4, 2)) // 0x00 sharded sub-format
-	f.Add(encodeSharded(skewed, 2, 1))
+	f.Add(encodeSharded(skewed, 4)) // 0x00 sharded sub-format
+	f.Add(encodeSharded(skewed, 2))
 	f.Add([]byte{0x00, 0x01})       // truncated sharded header
 	f.Add([]byte{0x00, 0x02, 0x00}) // bad sharded version
 	f.Add(overSubscribedStream())   // three 1-bit codes
@@ -61,26 +61,24 @@ func FuzzHuffmanDecode(f *testing.F) {
 	f.Add(append(append([]byte{shardedMarker, runVersion, byte(len(rc))}, rc...), 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, err := Decode(data)
-		par, perr := DecodeParallel(data, -1, 4)
-		if (err == nil) != (perr == nil) {
-			t.Fatalf("sequential err=%v, parallel err=%v", err, perr)
-		}
 		if err != nil {
-			if !errors.Is(err, verdict.ErrCorrupt) || !errors.Is(perr, verdict.ErrCorrupt) {
-				t.Fatalf("decode errors are not verdict.ErrCorrupt: %v / %v", err, perr)
+			if !errors.Is(err, verdict.ErrCorrupt) {
+				t.Fatalf("decode error is not verdict.ErrCorrupt: %v", err)
 			}
 			return
 		}
-		if len(seq) != len(par) {
-			t.Fatalf("decode lengths differ: %d vs %d", len(seq), len(par))
+		// A caller expecting the decoded count gets the same symbols; one
+		// expecting another count is refused.
+		counted, err := DecodeN(data, len(seq))
+		if err != nil || len(counted) != len(seq) {
+			t.Fatalf("%d symbols: counted decode gave %d (%v)", len(seq), len(counted), err)
 		}
-		// A caller expecting another count is refused.
-		if _, err := DecodeParallel(data, len(seq)+1, 4); !errors.Is(err, verdict.ErrCorrupt) {
+		if _, err := DecodeN(data, len(seq)+1); !errors.Is(err, verdict.ErrCorrupt) {
 			t.Fatalf("%d symbols accepted as %d: %v", len(seq), len(seq)+1, err)
 		}
 		for i := range seq {
-			if seq[i] != par[i] {
-				t.Fatalf("decode differs at %d: %d vs %d", i, seq[i], par[i])
+			if seq[i] != counted[i] {
+				t.Fatalf("decode differs at %d: %d vs %d", i, seq[i], counted[i])
 			}
 		}
 		// Whatever decoded must survive a re-encode round trip.
@@ -114,19 +112,17 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 			}
 		}
 		shards := int(shardByte % 8)
-		enc := encodeSharded(syms, shards, 2)
-		for _, workers := range []int{1, 4} {
-			dec, err := DecodeParallel(enc, len(syms), workers)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-			}
-			if len(dec) != len(syms) {
-				t.Fatalf("length %d, want %d", len(dec), len(syms))
-			}
-			for i := range syms {
-				if dec[i] != syms[i] {
-					t.Fatalf("symbol %d: %d, want %d", i, dec[i], syms[i])
-				}
+		enc := encodeSharded(syms, shards)
+		dec, err := DecodeN(enc, len(syms))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if len(dec) != len(syms) {
+			t.Fatalf("length %d, want %d", len(dec), len(syms))
+		}
+		for i := range syms {
+			if dec[i] != syms[i] {
+				t.Fatalf("symbol %d: %d, want %d", i, dec[i], syms[i])
 			}
 		}
 	})

@@ -31,7 +31,6 @@ import (
 
 	"scdc/internal/bitstream"
 	"scdc/internal/entropy"
-	"scdc/internal/parallel"
 	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
@@ -608,7 +607,7 @@ func parseTableHeader(hdr []byte) (syms []int32, lengths []uint8, err error) {
 }
 
 // decoder holds the immutable canonical decode tables for one stream; a
-// single decoder can decode multiple shard bodies concurrently.
+// single decoder decodes every shard body of a sharded block.
 type decoder struct {
 	syms   []int32
 	tables [maxCodeLen + 1]decTable
@@ -953,31 +952,30 @@ func (d *decoder) decodeSlow(r *bitstream.Reader) (int32, error) {
 	}
 }
 
-// Decode reverses EncodeDist and EncodeShardedDist, decoding shards one
-// after another. It trusts the declared sample count up to what the body
-// could hold at one bit per symbol, or for a run-coded stream up to 2^24
-// symbols past that, so a valid run-coded stream can be refused here; a
-// caller that knows the count passes it to DecodeParallel.
+// Decode reverses EncodeDist and EncodeShardedDist. It trusts the
+// declared sample count up to what the body could hold at one bit per
+// symbol, or for a run-coded stream up to 2^24 symbols past that, so a
+// valid run-coded stream can be refused here; a caller that knows the
+// count passes it to DecodeN.
 func Decode(data []byte) ([]int32, error) {
-	return DecodeParallel(data, -1, 1)
+	return DecodeN(data, -1)
 }
 
-// DecodeParallel decodes a Huffman stream on up to workers goroutines.
-// Single-body streams, plain or run-coded (runs.go), decode sequentially
-// regardless of workers; sharded streams (EncodeShardedDist, sharded.go)
-// decode their shards concurrently. n >= 0 is the number of symbols the
+// DecodeN decodes a Huffman stream of any layout: single-body, plain or
+// run-coded (runs.go), or sharded (EncodeShardedDist, sharded.go), whose
+// shards decode one after another. n >= 0 is the number of symbols the
 // stream must hold: one that declares any other count is corrupt before
 // its output is allocated. n < 0 accepts whatever the body could hold.
-func DecodeParallel(data []byte, n, workers int) ([]int32, error) {
-	return DecodeParallelTo(data, n, workers, newOutput)
+func DecodeN(data []byte, n int) ([]int32, error) {
+	return DecodeTo(data, n, newOutput)
 }
 
-// DecodeParallelTo is DecodeParallel with the output array of a nonempty
-// stream taken from out(count) once the header has passed every check
-// that bounds the count, so a caller can hand in a pooled array. out(n)
-// returns at least n symbols of any contents; the decoder uses the first
-// n, and writes every one of them in a stream it accepts.
-func DecodeParallelTo(data []byte, n, workers int, out func(int) []int32) ([]int32, error) {
+// DecodeTo is DecodeN with the output array of a nonempty stream taken
+// from out(count) once the header has passed every check that bounds the
+// count, so a caller can hand in a pooled array. out(n) returns at least
+// n symbols of any contents; the decoder uses the first n, and writes
+// every one of them in a stream it accepts.
+func DecodeTo(data []byte, n int, out func(int) []int32) ([]int32, error) {
 	b, err := parseBlock(data, n)
 	if err != nil {
 		return nil, err
@@ -986,7 +984,7 @@ func DecodeParallelTo(data []byte, n, workers int, out func(int) []int32) ([]int
 		return []int32{}, nil
 	}
 	q := out(int(b.n))[:b.n:b.n]
-	if err := b.decode(q, multiPays(int(b.m), len(b.body)), workers); err != nil {
+	if err := b.decode(q, multiPays(int(b.m), len(b.body))); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -1088,10 +1086,10 @@ func (b *block) check(sharded bool) error {
 }
 
 // decode decodes the block into out, which holds b.n symbols of any
-// contents and whose capacity ends there, the bodies of a sharded block
-// on up to workers goroutines. fast takes a layout's table-driven kernel:
-// expandFast for a run-coded block, decodeMulti for the others.
-func (b *block) decode(out []int32, fast bool, workers int) error {
+// contents and whose capacity ends there, a sharded block one body after
+// another. fast takes a layout's table-driven kernel: expandFast for a
+// run-coded block, decodeMulti for the others.
+func (b *block) decode(out []int32, fast bool) error {
 	d := newDecoder(b.syms, b.lengths, fast && !b.runs)
 	defer d.release()
 	if b.dir == nil {
@@ -1100,12 +1098,12 @@ func (b *block) decode(out []int32, fast bool, workers int) error {
 		}
 		return b.decodeBody(d, b.body, out, fast)
 	}
-	// The closure holds a copy, so a single-body block stays on the stack.
-	c := *b
-	return parallel.ForEach(len(c.dir), workers, func(_, i int) error {
-		sh := c.dir[i]
-		return c.decodeBody(d, sh.Body, out[sh.Off:sh.Off+sh.N], fast)
-	})
+	for _, sh := range b.dir {
+		if err := b.decodeBody(d, sh.Body, out[sh.Off:sh.Off+sh.N], fast); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // decodeBody decodes one body of the block into out. decodeMulti decodes

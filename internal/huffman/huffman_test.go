@@ -18,8 +18,8 @@ import (
 func encode(q []int32) []byte { return EncodeDist(q, entropy.Analyze(q)) }
 
 // encodeSharded is EncodeShardedDist of q from its own histogram.
-func encodeSharded(q []int32, shards, workers int) []byte {
-	return EncodeShardedDist(q, entropy.Analyze(q), shards, workers)
+func encodeSharded(q []int32, shards int) []byte {
+	return EncodeShardedDist(q, entropy.Analyze(q), shards)
 }
 
 func roundTrip(t *testing.T, q []int32) {
@@ -479,7 +479,7 @@ func TestTableBytes(t *testing.T) {
 			t.Errorf("%s: TableBytes = %d, which with the body makes %d of %d bytes", c.name, tb, got, len(c.enc))
 		}
 	}
-	sharded := encodeSharded(q, 4, 1)
+	sharded := encodeSharded(q, 4)
 	if tb, want := TableBytes(sharded), TableBytes(EncodePlain(q, d)); tb != want {
 		t.Errorf("sharded: TableBytes = %d, the shared table takes %d", tb, want)
 	}

@@ -25,7 +25,7 @@ func TestOverSubscribedTableRejected(t *testing.T) {
 		"sharded, three 1-bit codes": append([]byte{shardedMarker, shardedVersion}, overSubscribedStream()...),
 	} {
 		for _, n := range []int{-1, 1} {
-			if _, err := DecodeParallel(stream, n, 1); !errors.Is(err, verdict.ErrCorrupt) {
+			if _, err := DecodeN(stream, n); !errors.Is(err, verdict.ErrCorrupt) {
 				t.Errorf("%s, n=%d: got %v, want ErrCorrupt", name, n, err)
 			}
 		}
@@ -42,7 +42,7 @@ func TestOverSubscribedTableRejected(t *testing.T) {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecodeParallel(stream, -1, 1)
+		_, err := DecodeN(stream, -1)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
@@ -213,7 +213,7 @@ func plainBlock(syms []int32, lengths []uint8, body []byte, n int) *block {
 func decodeKernels(syms []int32, lengths []uint8, body []byte, n int) (single, multi []int32, serr, merr error) {
 	single, multi = make([]int32, n), make([]int32, n)
 	b := plainBlock(syms, lengths, body, n)
-	return single, multi, b.decode(single, false, 1), b.decode(multi, true, 1)
+	return single, multi, b.decode(single, false), b.decode(multi, true)
 }
 
 // decodeResync decodes body with the single-symbol kernel on a decoder
@@ -307,16 +307,16 @@ func TestMultiMatchesSingle(t *testing.T) {
 // or byte-alphabet block decodeMulti or decodeSingle on every shard, for
 // a run-coded one expandFast first or decodeSingle and the in-place
 // expansion alone.
-func blockWith(b block, err error, fast bool, workers int) ([]int32, error) {
+func blockWith(b block, err error, fast bool) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int32, b.n)
-	return out, b.decode(out, fast, workers)
+	return out, b.decode(out, fast)
 }
 
-// TestMultiKernelLayouts: the sharded index sub-format at workers {1, 4},
-// the byte sub-format and the run-coded index sub-format pick their
+// TestMultiKernelLayouts: the sharded index sub-format, the byte
+// sub-format and the run-coded index sub-format pick their
 // table-driven kernel for a long stream of short codes and decode it, as
 // written and corrupted, as the single-symbol kernel does: the same
 // output and error, and for the run-coded stream, whose other path is the
@@ -329,8 +329,8 @@ func TestMultiKernelLayouts(t *testing.T) {
 	for i, v := range q {
 		raw[i] = byte(v)
 	}
-	index := encodeSharded(q, 4, 2)
-	bytesEnc := EncodeBytesTo(nil, raw, 3, 2)
+	index := encodeSharded(q, 4)
+	bytesEnc := EncodeBytesTo(nil, raw, 3)
 	if !multiPays(n, len(index)) || !multiPays(n, len(bytesEnc)) {
 		t.Fatalf("short-code streams (%d, %d bytes for %d symbols) stay on the single-symbol kernel", len(index), len(bytesEnc), n)
 	}
@@ -348,14 +348,14 @@ func TestMultiKernelLayouts(t *testing.T) {
 			byt[len(byt)-1-rng.Intn(len(byt)/2)] ^= 0x5A
 			rc[len(rc)-1-rng.Intn(len(rc)/2)] ^= 0x5A
 		}
-		rgot, rerr := DecodeParallel(rc, len(rq), 2)
+		rgot, rerr := DecodeN(rc, len(rq))
 		rb, rberr := parseBlock(rc, -1)
-		rsingle, rserr := blockWith(rb, rberr, false, 1)
-		rfast, rferr := blockWith(rb, rberr, true, 1)
+		rsingle, rserr := blockWith(rb, rberr, false)
+		rfast, rferr := blockWith(rb, rberr, true)
 		// The two paths meet a corruption in another order, so their
 		// errors' messages may differ.
 		if e := sameResult(rgot, rfast, rerr, rferr); e != nil {
-			t.Fatalf("run-coded stream %d, DecodeParallel vs run table: %v", k, e)
+			t.Fatalf("run-coded stream %d, DecodeN vs run table: %v", k, e)
 		}
 		if (rserr == nil) != (rferr == nil) || (rserr == nil && sameResult(rsingle, rfast, nil, nil) != nil) {
 			t.Fatalf("run-coded stream %d, single vs run table: %v / %v", k, rserr, rferr)
@@ -363,26 +363,24 @@ func TestMultiKernelLayouts(t *testing.T) {
 		if k == 0 && sameResult(rgot, rq, rerr, nil) != nil {
 			t.Fatalf("run-coded stream: %v", rerr)
 		}
-		for _, w := range []int{1, 4} {
-			got, err := DecodeParallel(idx, n, w)
-			ib, iberr := parseBlock(idx, -1)
-			single, serr := blockWith(ib, iberr, false, w)
-			multi, merr := blockWith(ib, iberr, true, w)
-			if e := sameResult(got, multi, err, merr); e != nil {
-				t.Fatalf("index stream %d, workers %d, DecodeParallel vs multi: %v", k, w, e)
-			}
-			if e := sameResult(single, multi, serr, merr); e != nil {
-				t.Fatalf("index stream %d, workers %d, single vs multi: %v", k, w, e)
-			}
-			if k == 0 && sameResult(got, q, err, nil) != nil {
-				t.Fatalf("index stream, workers %d: %v", w, err)
-			}
+		got, err := DecodeN(idx, n)
+		ib, iberr := parseBlock(idx, -1)
+		single, serr := blockWith(ib, iberr, false)
+		multi, merr := blockWith(ib, iberr, true)
+		if e := sameResult(got, multi, err, merr); e != nil {
+			t.Fatalf("index stream %d, DecodeN vs multi: %v", k, e)
+		}
+		if e := sameResult(single, multi, serr, merr); e != nil {
+			t.Fatalf("index stream %d, single vs multi: %v", k, e)
+		}
+		if k == 0 && sameResult(got, q, err, nil) != nil {
+			t.Fatalf("index stream: %v", err)
 		}
 		dst := make([]byte, n)
-		err := DecodeBytesInto(dst, byt, 2)
+		err = DecodeBytesInto(dst, byt)
 		bb, bberr := parseBytes(byt, n)
-		single, serr := blockWith(bb, bberr, false, 1)
-		multi, merr := blockWith(bb, bberr, true, 1)
+		single, serr = blockWith(bb, bberr, false)
+		multi, merr = blockWith(bb, bberr, true)
 		if e := sameResult(single, multi, serr, merr); e != nil {
 			t.Fatalf("byte stream %d, single vs multi: %v", k, e)
 		}

@@ -4,14 +4,14 @@ import (
 	"encoding/binary"
 
 	"scdc/internal/entropy"
-	"scdc/internal/parallel"
 	"scdc/internal/shard"
 )
 
 // Sharded Huffman container: the symbol stream is split into K contiguous
-// shards that share one canonical code table, so encoding and decoding
-// parallelize across shards with zero ratio loss beyond K-1 byte paddings
-// and the small shard directory.
+// shards that share one canonical code table, each an independently
+// decodable body, at no ratio loss beyond K-1 byte paddings and the small
+// shard directory. Both directions run the shards one after another on
+// the calling goroutine.
 //
 // Layout:
 //
@@ -36,14 +36,11 @@ const (
 const minShardSamples = 4096
 
 // EncodeShardedDist compresses q as shards independent sub-streams under
-// one shared code table, from its distribution d = entropy.Analyze(q),
-// encoding shard bodies on up to workers goroutines.
+// one shared code table, from its distribution d = entropy.Analyze(q).
 // shards <= 1 (or a stream too small to split) falls back to EncodeDist,
 // so the output is always decodable by Decode. The shard split depends
-// only on (len(q), shards) and each shard body is encoded independently
-// under the shared table, so the output is byte-identical across worker
-// counts.
-func EncodeShardedDist(q []int32, d *entropy.Dist, shards, workers int) []byte {
+// only on (len(q), shards).
+func EncodeShardedDist(q []int32, d *entropy.Dist, shards int) []byte {
 	if maxSh := len(q) / minShardSamples; shards > maxSh {
 		shards = maxSh
 	}
@@ -61,25 +58,22 @@ func EncodeShardedDist(q []int32, d *entropy.Dist, shards, workers int) []byte {
 	out = append(out, shardedMarker, shardedVersion)
 	out = binary.AppendUvarint(out, uint64(len(hdr)))
 	out = append(out, hdr...)
-	return encodeShards(out, q, &cs, shards, workers)
+	return encodeShards(out, q, &cs, shards)
 }
 
-// encodeShards encodes syms as k contiguous shards under one code set, on
-// up to workers goroutines, and appends the shard directory and bodies
-// (shard.AppendDir) that close both sharded sub-formats. Shard i covers
-// samples [i*n/K, (i+1)*n/K): the split depends only on (n, K), never on
-// the worker count, and each body is an independently padded bit stream.
-func encodeShards(dst []byte, syms []int32, cs *codeSet, k, workers int) []byte {
+// encodeShards encodes syms as k contiguous shards under one code set and
+// appends the shard directory and bodies (shard.AppendDir) that close both
+// sharded sub-formats. Shard i covers samples [i*n/K, (i+1)*n/K), and
+// each body is an independently padded bit stream.
+func encodeShards(dst []byte, syms []int32, cs *codeSet, k int) []byte {
 	n := len(syms)
 	dir := make([]shard.Shard, k)
 	defer shard.Release(dir)
-	// Encoding cannot fail, so neither can the loop.
-	_ = parallel.ForEach(k, workers, func(_, i int) error {
+	for i := range dir {
 		part := syms[i*n/k : (i+1)*n/k]
 		b := shard.GetBuf()
 		b.B = encodeBody(b.B, part, cs)
 		dir[i] = shard.Shard{N: len(part), Body: b.B, Buf: b}
-		return nil
-	})
+	}
 	return shard.AppendDir(dst, dir, false)
 }

@@ -21,21 +21,19 @@ func skewed(n int, seed int64) []int32 {
 	return q
 }
 
-func shardedRoundTrip(t *testing.T, q []int32, shards, workers int) []byte {
+func shardedRoundTrip(t *testing.T, q []int32, shards int) []byte {
 	t.Helper()
-	enc := encodeSharded(q, shards, workers)
-	for _, w := range []int{1, 4} {
-		dec, err := DecodeParallel(enc, len(q), w)
-		if err != nil {
-			t.Fatalf("shards=%d workers=%d: %v", shards, w, err)
-		}
-		if len(dec) != len(q) {
-			t.Fatalf("shards=%d: %d symbols, want %d", shards, len(dec), len(q))
-		}
-		for i := range q {
-			if dec[i] != q[i] {
-				t.Fatalf("shards=%d: symbol %d differs", shards, i)
-			}
+	enc := encodeSharded(q, shards)
+	dec, err := DecodeN(enc, len(q))
+	if err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	if len(dec) != len(q) {
+		t.Fatalf("shards=%d: %d symbols, want %d", shards, len(dec), len(q))
+	}
+	for i := range q {
+		if dec[i] != q[i] {
+			t.Fatalf("shards=%d: symbol %d differs", shards, i)
 		}
 	}
 	return enc
@@ -44,7 +42,7 @@ func shardedRoundTrip(t *testing.T, q []int32, shards, workers int) []byte {
 func TestShardedRoundTrip(t *testing.T) {
 	q := skewed(100_000, 1)
 	for _, shards := range []int{2, 4, 7, 16} {
-		shardedRoundTrip(t, q, shards, 4)
+		shardedRoundTrip(t, q, shards)
 	}
 }
 
@@ -54,12 +52,12 @@ func TestShardedFallsBackToLegacy(t *testing.T) {
 	small := skewed(100, 2)
 	legacy := encode(small)
 	for _, shards := range []int{0, 1, 8} {
-		if got := encodeSharded(small, shards, 4); !bytes.Equal(got, legacy) {
+		if got := encodeSharded(small, shards); !bytes.Equal(got, legacy) {
 			t.Fatalf("shards=%d on small input: not legacy format", shards)
 		}
 	}
 	big := skewed(50_000, 3)
-	if got := encodeSharded(big, 1, 4); !bytes.Equal(got, encode(big)) {
+	if got := encodeSharded(big, 1); !bytes.Equal(got, encode(big)) {
 		t.Fatal("shards=1: not legacy format")
 	}
 }
@@ -72,19 +70,9 @@ func TestShardedMarkerUnambiguous(t *testing.T) {
 			t.Fatal("legacy stream starts with sharded marker")
 		}
 	}
-	enc := encodeSharded(skewed(50_000, 5), 4, 2)
+	enc := encodeSharded(skewed(50_000, 5), 4)
 	if enc[0] != shardedMarker || enc[1] != shardedVersion {
 		t.Fatal("sharded stream missing marker/version")
-	}
-}
-
-func TestShardedDeterministicAcrossWorkers(t *testing.T) {
-	q := skewed(80_000, 6)
-	want := encodeSharded(q, 5, 1)
-	for _, workers := range []int{2, 4, 8} {
-		if got := encodeSharded(q, 5, workers); !bytes.Equal(want, got) {
-			t.Fatalf("workers=%d changed the sharded stream", workers)
-		}
 	}
 }
 
@@ -94,13 +82,13 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 func TestShardedBufferReuse(t *testing.T) {
 	big := skewed(60_000, 3)
 	small := skewed(20_000, 9)
-	wantBig := append([]byte(nil), encodeSharded(big, 4, 2)...)
-	wantSmall := append([]byte(nil), encodeSharded(small, 4, 2)...)
+	wantBig := append([]byte(nil), encodeSharded(big, 4)...)
+	wantSmall := append([]byte(nil), encodeSharded(small, 4)...)
 	for i := 0; i < 5; i++ {
-		if !bytes.Equal(encodeSharded(big, 4, 2), wantBig) {
+		if !bytes.Equal(encodeSharded(big, 4), wantBig) {
 			t.Fatalf("iteration %d: big stream drifted under buffer reuse", i)
 		}
-		if !bytes.Equal(encodeSharded(small, 4, 2), wantSmall) {
+		if !bytes.Equal(encodeSharded(small, 4), wantSmall) {
 			t.Fatalf("iteration %d: small stream drifted under buffer reuse", i)
 		}
 	}
@@ -108,11 +96,11 @@ func TestShardedBufferReuse(t *testing.T) {
 
 func TestShardedCorrupt(t *testing.T) {
 	q := skewed(60_000, 7)
-	enc := encodeSharded(q, 4, 2)
+	enc := encodeSharded(q, 4)
 
 	// Truncations at every prefix length must error, never panic.
 	for l := 0; l < len(enc); l += 97 {
-		if _, err := DecodeParallel(enc[:l], -1, 2); err == nil && l < len(enc)-1 {
+		if _, err := DecodeN(enc[:l], -1); err == nil && l < len(enc)-1 {
 			t.Fatalf("truncation to %d bytes accepted", l)
 		}
 	}
@@ -121,12 +109,12 @@ func TestShardedCorrupt(t *testing.T) {
 	for i := 1; i < 64 && i < len(enc); i++ {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0xA5
-		_, _ = DecodeParallel(mut, -1, 2)
+		_, _ = DecodeN(mut, -1)
 	}
 	// Bad version.
 	bad := append([]byte(nil), enc...)
 	bad[1] = 0x7F
-	if _, err := DecodeParallel(bad, -1, 2); err == nil {
+	if _, err := DecodeN(bad, -1); err == nil {
 		t.Error("unknown sharded version accepted")
 	}
 }
@@ -148,14 +136,14 @@ func dirReaders(n int) []dirReader {
 	for i, v := range q {
 		raw[i] = byte(v)
 	}
-	index := encodeSharded(q, 3, 2)
+	index := encodeSharded(q, 3)
 	hdrLen, k := binary.Uvarint(index[2:])
-	bytesEnc := EncodeBytesTo(nil, raw, 3, 2)
+	bytesEnc := EncodeBytesTo(nil, raw, 3)
 	_, kb := binary.Uvarint(bytesEnc[2:])
 	dst := make([]byte, n)
 	return []dirReader{
-		{"index", index, 2 + k + int(hdrLen), n, func(s []byte) error { _, err := DecodeParallel(s, n, 2); return err }},
-		{"bytes", bytesEnc, 2 + kb + byteTablePacked, n, func(s []byte) error { return DecodeBytesInto(dst, s, 2) }},
+		{"index", index, 2 + k + int(hdrLen), n, func(s []byte) error { _, err := DecodeN(s, n); return err }},
+		{"bytes", bytesEnc, 2 + kb + byteTablePacked, n, func(s []byte) error { return DecodeBytesInto(dst, s) }},
 	}
 }
 
@@ -197,10 +185,12 @@ func TestTableCapTightened(t *testing.T) {
 	}
 }
 
+// TestDecodeParallelLegacy: DecodeN reads the legacy single-body layout
+// when told its count.
 func TestDecodeParallelLegacy(t *testing.T) {
 	q := skewed(10_000, 9)
 	enc := encode(q)
-	dec, err := DecodeParallel(enc, len(q), 8)
+	dec, err := DecodeN(enc, len(q))
 	if err != nil {
 		t.Fatal(err)
 	}

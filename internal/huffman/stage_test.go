@@ -52,7 +52,7 @@ func TestWorkloadKernels(t *testing.T) {
 		if k, err := huffman.Kernel(enc); err != nil || k != want[c.Name] {
 			t.Errorf("%s: kernel %q, %v; want %q", c.Name, k, err, want[c.Name])
 		}
-		if got, err := huffman.DecodeParallel(enc, len(qp), 1); err != nil || !slices.Equal(got, qp) {
+		if got, err := huffman.DecodeN(enc, len(qp)); err != nil || !slices.Equal(got, qp) {
 			t.Errorf("%s: decode: %v", c.Name, err)
 		}
 	}

@@ -28,21 +28,18 @@ func benchPayload(n int) []byte {
 }
 
 // BenchmarkLosslessCodecs prices the codecs side by side: one compress and
-// one decompress series per back-end, the sharded Auto container at 4
-// workers.
+// one decompress series per back-end and for the sharded Auto container.
 func BenchmarkLosslessCodecs(b *testing.B) {
 	src := benchPayload(1 << 20)
-	const workers = 4
 
 	type variant struct {
-		name    string
-		enc     func() ([]byte, error)
-		workers int
+		name string
+		enc  func() ([]byte, error)
 	}
 	variants := []variant{
-		{"flate", func() ([]byte, error) { return Compress(Flate, src) }, 1},
-		{"huffman", func() ([]byte, error) { return Compress(Huffman, src) }, 1},
-		{"sharded-auto", func() ([]byte, error) { return CompressSharded(Auto, src, workers) }, workers},
+		{"flate", func() ([]byte, error) { return Compress(Flate, src) }},
+		{"huffman", func() ([]byte, error) { return Compress(Huffman, src) }},
+		{"sharded-auto", func() ([]byte, error) { return CompressSharded(Auto, src, 1) }},
 	}
 
 	for _, v := range variants {
@@ -62,7 +59,7 @@ func BenchmarkLosslessCodecs(b *testing.B) {
 		b.Run(fmt.Sprintf("decompress/codec=%s", v.name), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
-				out, err := DecompressLimit(enc, len(src), v.workers)
+				out, err := DecompressLimit(enc, len(src))
 				if err != nil {
 					b.Fatal(err)
 				}

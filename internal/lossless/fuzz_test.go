@@ -28,7 +28,7 @@ func FuzzLosslessDecompress(f *testing.F) {
 	}
 	f.Add(goldenPayload(f, "sz3_3d_qpon_lossless_lz.scdc"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := DecompressLimit(data, 1<<22, 1)
+		out, err := DecompressLimit(data, 1<<22)
 		if err != nil {
 			if !errors.Is(err, verdict.ErrCorrupt) {
 				t.Fatalf("decode error %v is not verdict.ErrCorrupt", err)

@@ -20,18 +20,16 @@ import (
 //
 // The stream body is the huffman package's byte sub-format: a flat
 // 256-byte code-length table shared by uvarint-directory shards, so one
-// table purchase amortizes across shard bodies that encode and decode
-// in parallel (huffman/bytes.go).
+// table purchase amortizes across the shard bodies (huffman/bytes.go).
 
 // huffCompressBody appends the Huffman byte stream for src to dst. The
-// shard count derives from len(src) alone, so the stream is
-// byte-identical for every worker count.
-func huffCompressBody(dst, src []byte, workers int) []byte {
-	return huffman.EncodeBytesTo(dst, src, ShardCount(len(src)), workers)
+// shard count derives from len(src) alone.
+func huffCompressBody(dst, src []byte) []byte {
+	return huffman.EncodeBytesTo(dst, src, ShardCount(len(src)))
 }
 
 // huffDecompress decodes a Huffman byte stream into exactly n bytes.
-func huffDecompress(body []byte, n, workers int) ([]byte, error) {
+func huffDecompress(body []byte, n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: lossless: negative length", verdict.ErrCorrupt)
 	}
@@ -41,7 +39,7 @@ func huffDecompress(body []byte, n, workers int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: lossless: declared size %d impossible for %d input bytes", verdict.ErrCorrupt, n, len(body))
 	}
 	out := make([]byte, n)
-	if err := huffman.DecodeBytesInto(out, body, workers); err != nil {
+	if err := huffman.DecodeBytesInto(out, body); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -160,7 +160,7 @@ func agreesWithFlate(t *testing.T, body []byte) {
 		}
 		want := make([]byte, n)
 		werr := oracle(want, body)
-		got, err := lossless.DecompressLimit(flateStream(body, n), maxInflate+1, 1)
+		got, err := lossless.DecompressLimit(flateStream(body, n), maxInflate+1)
 		switch {
 		case (err == nil) != (werr == nil):
 			t.Fatalf("n=%d: decoder %v, compress/flate %v", n, err, werr)

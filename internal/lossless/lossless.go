@@ -8,7 +8,7 @@
 //     DEFLATE cannot shrink goes out as stored blocks (flatePays).
 //   - Huffman: order-0 canonical Huffman coding of the bytes (huff.go).
 //   - Sharded: a container (sharded.go) that splits the plaintext into
-//     size-derived shards compressed and decompressed in parallel.
+//     size-derived shards, each compressed by its own codec.
 //   - Auto: per-buffer (or per-shard) selection of store, Huffman or
 //     flate from a sampled size estimate (estimate.go).
 //
@@ -53,7 +53,7 @@ const (
 	// LZ is the retired built-in LZ77 codec: it decodes, but Compress
 	// and CompressSharded reject it.
 	LZ Codec = 2
-	// Sharded is the parallel container format (sharded.go). It appears
+	// Sharded is the sharded container format (sharded.go). It appears
 	// as a stream tag only; use CompressSharded with an inner codec to
 	// produce it. (Tag 3 is reserved: it was a range coder no public
 	// option ever selected, and decodes as an unknown codec.)
@@ -202,7 +202,7 @@ func header(c Codec, n, body int) []byte {
 // Compress encodes src with the chosen codec, prefixing the codec tag and
 // the uncompressed length. Auto resolves to the cheapest estimated codec
 // first; the Sharded container has its own entry point (CompressSharded)
-// because it needs an inner codec and a worker count.
+// because it needs an inner codec.
 func Compress(c Codec, src []byte) ([]byte, error) {
 	if c == Auto {
 		c = pickCodec(src)
@@ -220,7 +220,7 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 		}
 		return buf.Bytes(), nil
 	case Huffman:
-		return huffCompressBody(header(c, len(src), 0), src, 1), nil
+		return huffCompressBody(header(c, len(src), 0), src), nil
 	case LZ:
 		return nil, fmt.Errorf("%w: lossless: lz is decode-only", verdict.ErrBadOptions)
 	case Sharded:
@@ -246,19 +246,16 @@ func PayloadLimit(points int) int {
 
 // Decompress reverses Compress with no bound on the declared output size.
 func Decompress(data []byte) ([]byte, error) {
-	return DecompressLimit(data, -1, 1)
+	return DecompressLimit(data, -1)
 }
 
 // DecompressLimit is Decompress with an upper bound on the header-declared
-// output size and a worker count. A decoder that knows its decoded
-// geometry should pass PayloadLimit(points) so a hostile or damaged length
-// header fails fast instead of driving a giant allocation (the LZ codec
-// otherwise decodes exactly as many bytes as the header claims); maxOut <
-// 0 disables the check. The shards of the sharded container and of the
-// Huffman byte codec decode on up to workers goroutines; the other codecs
-// are single-body and ignore workers. The decoded bytes are identical for
-// every worker count.
-func DecompressLimit(data []byte, maxOut, workers int) ([]byte, error) {
+// output size. A decoder that knows its decoded geometry should pass
+// PayloadLimit(points) so a hostile or damaged length header fails fast
+// instead of driving a giant allocation (the LZ codec otherwise decodes
+// exactly as many bytes as the header claims); maxOut < 0 disables the
+// check.
+func DecompressLimit(data []byte, maxOut int) ([]byte, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("%w: lossless: empty stream", verdict.ErrCorrupt)
 	}
@@ -292,9 +289,9 @@ func DecompressLimit(data []byte, maxOut, workers int) ([]byte, error) {
 	case LZ:
 		return lzDecompress(body, int(n))
 	case Huffman:
-		return huffDecompress(body, int(n), workers)
+		return huffDecompress(body, int(n))
 	case Sharded:
-		return decodeSharded(body, int(n), workers)
+		return decodeSharded(body, int(n))
 	default:
 		return nil, fmt.Errorf("%w: lossless: unknown codec %d", verdict.ErrCorrupt, c)
 	}

@@ -182,7 +182,7 @@ func lzDecodes(t *testing.T, body, want []byte) {
 		streams["tag 4"] = shardedStream(len(want), [][3]uint64{{uint64(LZ), uint64(len(want)), uint64(len(body))}}, body)
 	}
 	for door, stream := range streams {
-		got, err := DecompressLimit(stream, len(want), 2)
+		got, err := DecompressLimit(stream, len(want))
 		if err != nil {
 			t.Fatalf("%s: %v", door, err)
 		}
@@ -291,7 +291,7 @@ func TestLZHostile(t *testing.T) {
 			"tag 4": shardedStream(c.n, [][3]uint64{{uint64(LZ), uint64(c.n), uint64(len(c.body))}}, c.body),
 		}
 		for door, stream := range streams {
-			if _, err := DecompressLimit(stream, 1<<20, 1); !errors.Is(err, verdict.ErrCorrupt) {
+			if _, err := DecompressLimit(stream, 1<<20); !errors.Is(err, verdict.ErrCorrupt) {
 				t.Errorf("%s, %s: got %v, want ErrCorrupt", name, door, err)
 			}
 		}
@@ -305,7 +305,7 @@ func TestLZDecodeOnly(t *testing.T) {
 	if _, err := Compress(LZ, src); !errors.Is(err, verdict.ErrBadOptions) {
 		t.Errorf("Compress(LZ): got %v, want ErrBadOptions", err)
 	}
-	if _, err := CompressSharded(LZ, src, 2); !errors.Is(err, verdict.ErrBadOptions) {
+	if _, err := CompressSharded(LZ, src, 1); !errors.Is(err, verdict.ErrBadOptions) {
 		t.Errorf("CompressSharded(LZ): got %v, want ErrBadOptions", err)
 	}
 	p := goldenPayload(t, "sz3_3d_qpon_lossless_lz.scdc")

@@ -92,8 +92,8 @@ func lzDecompress(src []byte, n int) ([]byte, error) {
 
 // lzDecompressInto decodes src into exactly len(dst) bytes. It is the
 // shard-level decode kernel: the sharded container hands each shard a
-// subslice of the final output so shards decode in place and in
-// parallel with zero copies.
+// subslice of the final output so shards decode in place with zero
+// copies.
 //
 //scdc:hot
 //scdc:noalloc

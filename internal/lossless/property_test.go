@@ -63,15 +63,15 @@ func TestDecompressLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecompressLimit(enc, len(payload), 1); err != nil {
+		if _, err := DecompressLimit(enc, len(payload)); err != nil {
 			t.Errorf("%v: limit == size rejected: %v", c, err)
 		}
-		_, err = DecompressLimit(enc, len(payload)-1, 1)
+		_, err = DecompressLimit(enc, len(payload)-1)
 		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%v: limit-1 gave %v, want ErrCorrupt", c, err)
 		}
 	}
-	if _, err := DecompressLimit(nil, 10, 1); err == nil {
+	if _, err := DecompressLimit(nil, 10); err == nil {
 		t.Error("empty stream accepted")
 	}
 }

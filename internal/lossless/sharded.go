@@ -4,15 +4,13 @@ import (
 	"fmt"
 
 	"scdc/internal/huffman"
-	"scdc/internal/parallel"
 	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
 
 // Sharded lossless container (codec tag 4): the plaintext is split into
 // K contiguous byte ranges that compress and decompress independently,
-// so the back-end stage parallelizes in both directions the way the
-// sharded Huffman sub-format parallelized entropy coding.
+// so Auto can pick a codec per range.
 //
 // Layout (after the shared one-byte codec tag and uvarint plaintext
 // length every lossless stream carries): the tagged shard directory of
@@ -21,10 +19,9 @@ import (
 // bytes — then the K raw codec bodies, with no per-shard tag/length
 // prefix.
 //
-// The shard split depends only on len(src) — never on the worker count
-// — and each shard is compressed independently, so the container is
-// byte-identical across workers. Shards whose compressed body would
-// not beat the plaintext are stored (codec none), bounding expansion.
+// The shard split depends only on len(src), and each shard is
+// compressed independently. Shards whose compressed body would not beat
+// the plaintext are stored (codec none), bounding expansion.
 // Every directory field is validated against the stream before the
 // output is allocated: a lying shard count, length sum or body extent
 // fails with verdict.ErrCorrupt first.
@@ -32,8 +29,8 @@ import (
 const (
 	// shardTargetBytes is the plaintext size one shard aims for: big
 	// enough that per-shard flate reset and directory overhead are
-	// noise (<<1% ratio), small enough that typical streams fan out
-	// across several workers.
+	// noise (<<1% ratio), small enough that Auto's per-shard pick
+	// follows the plaintext's regions.
 	shardTargetBytes = 128 << 10
 	// shardMinBytes is the smallest plaintext worth sharding at all;
 	// below 2x this the container falls back to the plain format.
@@ -60,12 +57,12 @@ func ShardCount(n int) int {
 }
 
 // CompressSharded encodes src as a sharded lossless container when it
-// is big enough to split, compressing shards on up to workers
-// goroutines; smaller inputs fall back to the plain single-body format
-// (both decode through Decompress). c selects the inner codec; Auto
-// picks flate, Huffman or store per shard from a sampled size estimate.
-// The output is byte-identical for every worker count.
-func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
+// is big enough to split; smaller inputs fall back to the plain
+// single-body format (both decode through Decompress). c selects the
+// inner codec; Auto picks flate, Huffman or store per shard from a
+// sampled size estimate. The shards are compressed one after another on
+// the calling goroutine; the third argument, a worker count, is ignored.
+func CompressSharded(c Codec, src []byte, _ int) ([]byte, error) {
 	if c == Sharded {
 		return nil, fmt.Errorf("%w: lossless: sharded container needs an inner codec", verdict.ErrBadOptions)
 	}
@@ -79,18 +76,18 @@ func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
 	}
 	if c == Huffman {
 		// The Huffman byte sub-format shards internally under one shared
-		// code table (huff.go), so it parallelizes both directions on its
-		// own; wrapping it in the container would charge a fresh 256-byte
-		// code-length table per shard for nothing. Auto resolves on the
-		// whole buffer above for the same reason: per-shard picks would
-		// price per-shard tables into an otherwise clear Huffman win.
-		return huffCompressBody(header(Huffman, len(src), len(src)/2+320), src, workers), nil
+		// code table (huff.go); wrapping it in the container would charge
+		// a fresh 256-byte code-length table per shard for nothing. Auto
+		// resolves on the whole buffer above for the same reason:
+		// per-shard picks would price per-shard tables into an otherwise
+		// clear Huffman win.
+		return huffCompressBody(header(Huffman, len(src), len(src)/2+320), src), nil
 	}
 
 	n := len(src)
 	dir := make([]shard.Shard, k)
 	defer shard.Release(dir)
-	err := parallel.ForEach(k, workers, func(_, i int) error {
+	for i := range dir {
 		part := src[i*n/k : (i+1)*n/k]
 		ci := c
 		if ci == Auto {
@@ -102,7 +99,7 @@ func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
 		case Flate:
 			err = flateCompressBody(b, part)
 		case Huffman:
-			b.B = huffCompressBody(b.B, part, 1)
+			b.B = huffCompressBody(b.B, part)
 		}
 		// Store-fallback: a body that cannot beat the plaintext is
 		// stored verbatim, so a shard never expands past its plaintext.
@@ -112,22 +109,18 @@ func CompressSharded(c Codec, src []byte, workers int) ([]byte, error) {
 		}
 		dir[i] = shard.Shard{Tag: byte(ci), N: len(part), Body: body, Buf: b}
 		if err != nil {
-			return fmt.Errorf("lossless: shard %d: %w", i, err)
+			return nil, fmt.Errorf("lossless: shard %d: %w", i, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return shard.AppendDir(header(Sharded, n, n/2+8*k), dir, true), nil
 }
 
 // decodeSharded decodes the sharded container body (everything after
 // the codec tag and the uvarint plaintext length, which the caller has
-// already bounded against maxOut), fanning shard decodes across up to
-// workers goroutines. Every directory claim (shard.ParseDir) and every
-// inner codec tag is checked before the n-byte output is allocated.
-func decodeSharded(data []byte, n int, workers int) ([]byte, error) {
+// already bounded against maxOut), one shard after another. Every
+// directory claim (shard.ParseDir) and every inner codec tag is checked
+// before the n-byte output is allocated.
+func decodeSharded(data []byte, n int) ([]byte, error) {
 	// No inner codec expands further than DEFLATE, so the bytes present
 	// bound the plaintext whatever the directory says.
 	if uint64(n) > flateMaxExpand*uint64(len(data))+64 {
@@ -147,19 +140,17 @@ func decodeSharded(data []byte, n int, workers int) ([]byte, error) {
 		}
 	}
 	out := make([]byte, n)
-	err = parallel.ForEach(len(dir), workers, func(_, i int) error {
-		sh := dir[i]
-		return decodeShardBody(Codec(sh.Tag), sh.Body, out[sh.Off:sh.Off+sh.N])
-	})
-	if err != nil {
-		return nil, err
+	for _, sh := range dir {
+		if err := decodeShardBody(Codec(sh.Tag), sh.Body, out[sh.Off:sh.Off+sh.N]); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
 // decodeShardBody decodes one raw codec body into exactly dst. Shards
 // decode in place — each gets its subslice of the final output — so
-// the parallel fan-out copies nothing.
+// the container copies nothing.
 func decodeShardBody(c Codec, body, dst []byte) error {
 	switch c {
 	case None:
@@ -173,7 +164,7 @@ func decodeShardBody(c Codec, body, dst []byte) error {
 	case LZ:
 		return lzDecompressInto(dst, body)
 	case Huffman:
-		return huffman.DecodeBytesInto(dst, body, 1)
+		return huffman.DecodeBytesInto(dst, body)
 	default:
 		return fmt.Errorf("%w: lossless: invalid shard codec %d", verdict.ErrCorrupt, byte(c))
 	}

@@ -37,37 +37,6 @@ func TestShardCount(t *testing.T) {
 	}
 }
 
-// TestShardedWorkerIdentity: the stream must be byte-identical for every
-// worker count, per codec — the shard split and every per-shard codec
-// decision depend only on the bytes.
-func TestShardedWorkerIdentity(t *testing.T) {
-	src := shardedPayload(21, 5*shardTargetBytes+123)
-	for _, c := range []Codec{Flate, Huffman, Auto} {
-		ref, err := CompressSharded(c, src, 1)
-		if err != nil {
-			t.Fatalf("%v workers=1: %v", c, err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			enc, err := CompressSharded(c, src, w)
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", c, w, err)
-			}
-			if !bytes.Equal(enc, ref) {
-				t.Fatalf("%v: stream differs between workers=1 and workers=%d", c, w)
-			}
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			dec, err := DecompressLimit(ref, len(src), w)
-			if err != nil {
-				t.Fatalf("%v decompress workers=%d: %v", c, w, err)
-			}
-			if !bytes.Equal(dec, src) {
-				t.Fatalf("%v: round trip mismatch at workers=%d", c, w)
-			}
-		}
-	}
-}
-
 // TestShardedRoundTrip sweeps sizes across the fallback boundary and odd
 // tails for every inner codec.
 func TestShardedRoundTrip(t *testing.T) {
@@ -76,11 +45,11 @@ func TestShardedRoundTrip(t *testing.T) {
 	for _, c := range []Codec{None, Flate, Huffman, Auto, Store} {
 		for _, n := range sizes {
 			src := shardedPayload(int64(n)+7, n)
-			enc, err := CompressSharded(c, src, 3)
+			enc, err := CompressSharded(c, src, 1)
 			if err != nil {
 				t.Fatalf("%v n=%d: %v", c, n, err)
 			}
-			dec, err := DecompressLimit(enc, n, 3)
+			dec, err := DecompressLimit(enc, n)
 			if err != nil {
 				t.Fatalf("%v n=%d: %v", c, n, err)
 			}
@@ -131,13 +100,13 @@ func TestShardedHostileHeaders(t *testing.T) {
 		"huge shard count": append(binary.AppendUvarint(binary.AppendUvarint([]byte{byte(Sharded)}, 16), 1<<40), 0, 1, 2),
 	}
 	for name, stream := range cases {
-		if _, err := DecompressLimit(stream, 1<<20, 2); !errors.Is(err, verdict.ErrCorrupt) {
+		if _, err := DecompressLimit(stream, 1<<20); !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
 	// Sanity: a well-formed hand-rolled stream decodes.
 	good := shardedStream(8, [][3]uint64{stored(4), stored(4)}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	dec, err := DecompressLimit(good, 1<<20, 2)
+	dec, err := DecompressLimit(good, 1<<20)
 	if err != nil || !bytes.Equal(dec, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("well-formed stream rejected: %v", err)
 	}
@@ -146,7 +115,7 @@ func TestShardedHostileHeaders(t *testing.T) {
 	// (internal/shardtest), told about a container the encoder wrote:
 	// each is turned away before the plaintext is allocated.
 	src := shardedPayload(3, 8*shardTargetBytes)
-	enc, err := CompressSharded(Flate, src, 2)
+	enc, err := CompressSharded(Flate, src, 1)
 	if err != nil || Codec(enc[0]) != Sharded {
 		t.Fatalf("tag %d, %v", enc[0], err)
 	}
@@ -155,7 +124,7 @@ func TestShardedHostileHeaders(t *testing.T) {
 		stream := append(enc[:1+c:1+c], lie...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecompressLimit(stream, len(src), 2)
+		_, err := DecompressLimit(stream, len(src))
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
@@ -235,11 +204,11 @@ func TestFlateDecompressAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the pools.
-	if _, err := DecompressLimit(enc, len(src), 1); err != nil {
+	if _, err := DecompressLimit(enc, len(src)); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := DecompressLimit(enc, len(src), 1); err != nil {
+		if _, err := DecompressLimit(enc, len(src)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -259,7 +228,7 @@ func FuzzLosslessSharded(f *testing.F) {
 	small := shardedPayload(3, 1000)
 	big := shardedPayload(4, 2*shardMinBytes+17)
 	for _, c := range []Codec{Flate, Huffman, Auto} {
-		enc, err := CompressSharded(c, big, 2)
+		enc, err := CompressSharded(c, big, 1)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -279,7 +248,7 @@ func FuzzLosslessSharded(f *testing.F) {
 	}
 	f.Add(goldenPayload(f, "sz3_3d_qpon_lossless_lz.scdc"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := DecompressLimit(data, 1<<22, 3)
+		out, err := DecompressLimit(data, 1<<22)
 		if err != nil {
 			if !errors.Is(err, verdict.ErrCorrupt) {
 				t.Fatalf("decode error %v is not verdict.ErrCorrupt", err)
@@ -289,11 +258,11 @@ func FuzzLosslessSharded(f *testing.F) {
 		if len(out) > 1<<22 {
 			t.Fatalf("limit breached: %d bytes", len(out))
 		}
-		re, err := CompressSharded(Auto, out, 2)
+		re, err := CompressSharded(Auto, out, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecompressLimit(re, len(out), 2)
+		dec, err := DecompressLimit(re, len(out))
 		if err != nil || !bytes.Equal(dec, out) {
 			t.Fatalf("re-encode round trip broke: %v", err)
 		}

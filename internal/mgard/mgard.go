@@ -34,8 +34,7 @@ import (
 )
 
 // Options configures compression: the shared back-end options plus
-// MGARD's own. Workers covers the sharded back end only; the
-// decomposition and the QP sweeps run on the calling goroutine.
+// MGARD's own.
 type Options struct {
 	core.Backend
 	// ErrorBound is the absolute error bound (required, > 0). The bound is
@@ -94,16 +93,13 @@ func Compress(f *grid.Field, opts Options) ([]byte, error) {
 // Decompress reconstructs a field with the given dims from an MGARD
 // payload.
 func Decompress(payload []byte, dims []int) (*grid.Field, error) {
-	return DecompressObs(payload, dims, 1, nil)
+	return DecompressObs(payload, dims, nil)
 }
 
-// DecompressObs is Decompress with up to workers goroutines applied to
-// the sharded stages of a stream (Huffman shards, the sharded lossless
-// container), and per-stage telemetry recorded on sp (which may be nil).
-// The reconstruction is byte-identical for any worker count, observed or
-// not.
-func DecompressObs(payload []byte, dims []int, workers int, sp *obs.Span) (*grid.Field, error) {
-	r, err := core.DecodeStream(payload, dims, workers, sp)
+// DecompressObs is Decompress with per-stage telemetry recorded on sp
+// (which may be nil). The reconstruction is identical, observed or not.
+func DecompressObs(payload []byte, dims []int, sp *obs.Span) (*grid.Field, error) {
+	r, err := core.DecodeStream(payload, dims, sp)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
-// Package parallel provides the small worker-pool helpers used by the
-// sharded back end, the chunked containers and the end-to-end transfer
-// experiment.
+// Package parallel provides the small worker-pool helpers of the one
+// parallel path: the chunk fan-out of the chunked containers
+// (CompressChunked and its decoder) and the end-to-end transfer
+// experiment's pools. A single field is always coded on its calling
+// goroutine, so no codec package imports this one (TestImporters).
 package parallel
 
 import (
@@ -12,7 +14,7 @@ import (
 // ForEach runs fn(worker, i) for i in [0, n) on up to workers goroutines
 // (workers <= 0 selects GOMAXPROCS), blocks until every started call has
 // returned, and returns the error of the lowest failing index. It is the
-// one pool loop: Map, and every fan-out of the codec, is built on it.
+// one pool loop: Map, and the chunk fan-out, is built on it.
 //
 // worker is the stable index (0 <= worker < min(workers, n)) of the
 // goroutine that claimed the item. Each worker index is owned by exactly

@@ -205,7 +205,7 @@ func planReader(t *testing.T, plan []byte) *core.Reader {
 	}
 	// The dims only bound the plaintext size here; an empty plan still
 	// needs a positive extent.
-	r, err := core.DecodeStream(payload, []int{len(plan) + 1}, 1, nil)
+	r, err := core.DecodeStream(payload, []int{len(plan) + 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n), 1)
+	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n))
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +276,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	var q []int32
 	switch coder {
 	case 0:
-		q, err = huffman.DecodeParallel(body, pl.px*pl.py*pl.pz, 1)
+		q, err = huffman.DecodeN(body, pl.px*pl.py*pl.pz)
 	case 1:
 		q, err = speckDecode(body, pl.px, pl.py, pl.pz)
 	default:

@@ -2,12 +2,14 @@ package sz3
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"scdc/internal/core"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
 	"scdc/internal/lossless"
+	"scdc/internal/obs"
 )
 
 // engineDims covers 1D through 4D.
@@ -18,10 +20,11 @@ var engineDims = [][]int{
 	{8, 12, 20, 24},
 }
 
-// TestParallelCompressBitIdentical verifies end to end that the stages
-// Workers fans out — the sharded Huffman body and lossless.Auto's
-// sharded stage — leave no trace in the stream: for every QP mode and
-// condition, on 1D-4D fields, it is byte-identical for any worker count.
+// TestParallelCompressBitIdentical verifies end to end that the sharded
+// layouts — four independently decodable Huffman shards and
+// lossless.Auto's sharded stage — change the stream's layout only: for
+// every QP mode and condition, on 1D-4D fields, the sharded stream
+// decodes to exactly the field the single-body stream decodes to.
 func TestParallelCompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
@@ -33,28 +36,34 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 				opts := DefaultOptions(1e-3)
 				opts.Choice = ChoiceInterp
 				opts.QP = core.Config{Mode: mode, Cond: cond, MaxLevel: 2}
-				opts.Shards, opts.Lossless = 4, lossless.Auto
-				seq, err := Compress(f, opts)
-				if err != nil {
-					t.Fatalf("dims=%v mode=%v cond=%v: %v", dims, mode, cond, err)
+				var fields [2][]float64
+				for k, shards := range []int{0, 4} {
+					opts.Shards, opts.Lossless = shards, lossless.Flate
+					if shards > 1 {
+						opts.Lossless = lossless.Auto
+					}
+					payload, err := Compress(f, opts)
+					if err != nil {
+						t.Fatalf("dims=%v mode=%v cond=%v shards=%d: %v", dims, mode, cond, shards, err)
+					}
+					out, err := Decompress(payload, dims)
+					if err != nil {
+						t.Fatalf("dims=%v mode=%v cond=%v shards=%d: %v", dims, mode, cond, shards, err)
+					}
+					fields[k] = out.Data
 				}
-				opts.Workers = 4
-				par, err := Compress(f, opts)
-				if err != nil {
-					t.Fatalf("dims=%v mode=%v cond=%v workers=4: %v", dims, mode, cond, err)
-				}
-				if !bytes.Equal(seq, par) {
-					t.Errorf("dims=%v mode=%v cond=%v: parallel stream differs from sequential", dims, mode, cond)
+				if !slices.Equal(fields[0], fields[1]) {
+					t.Errorf("dims=%v mode=%v cond=%v: the sharded stream decodes to another field", dims, mode, cond)
 				}
 			}
 		}
 	}
 }
 
-// TestParallelDecompressBitIdentical verifies that parallel decompression
-// reconstructs exactly the sequential output, for plain and QP streams,
-// with and without the sharded Huffman body and lossless.Auto's sharded
-// stage.
+// TestParallelDecompressBitIdentical verifies that observed decompression
+// (DecompressObs with a span) reconstructs exactly the unobserved output,
+// for plain and QP streams, with and without the sharded Huffman body and
+// lossless.Auto's sharded stage.
 func TestParallelDecompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
@@ -62,7 +71,6 @@ func TestParallelDecompressBitIdentical(t *testing.T) {
 			for _, shards := range []int{0, 4} {
 				opts := DefaultOptions(1e-3)
 				opts.Choice = ChoiceInterp
-				opts.Workers = 4
 				opts.Shards = shards
 				if shards > 1 {
 					opts.Lossless = lossless.Auto
@@ -74,18 +82,16 @@ func TestParallelDecompressBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dims=%v qp=%v shards=%d: %v", dims, qp, shards, err)
 				}
-				seq, err := Decompress(payload, dims)
+				plain, err := Decompress(payload, dims)
 				if err != nil {
 					t.Fatalf("dims=%v qp=%v shards=%d: %v", dims, qp, shards, err)
 				}
-				par, err := DecompressObs(payload, dims, 4, nil)
+				observed, err := DecompressObs(payload, dims, obs.New().Span("decompress"))
 				if err != nil {
-					t.Fatalf("dims=%v qp=%v shards=%d workers=4: %v", dims, qp, shards, err)
+					t.Fatalf("dims=%v qp=%v shards=%d observed: %v", dims, qp, shards, err)
 				}
-				for i := range seq.Data {
-					if seq.Data[i] != par.Data[i] {
-						t.Fatalf("dims=%v qp=%v shards=%d: output differs at %d", dims, qp, shards, i)
-					}
+				if !slices.Equal(plain.Data, observed.Data) {
+					t.Fatalf("dims=%v qp=%v shards=%d: observed output differs", dims, qp, shards)
 				}
 			}
 		}
@@ -98,7 +104,6 @@ func TestShardedStreamRoundTrips(t *testing.T) {
 	f := synth(24, 40, 48)
 	opts := DefaultOptions(1e-3).WithQP()
 	opts.Shards = 8
-	opts.Workers = 4
 	roundTrip(t, f, opts)
 }
 
@@ -135,7 +140,6 @@ func TestEngineDegenerateDims(t *testing.T) {
 		f := synth(dims...)
 		opts := DefaultOptions(1e-3).WithQP()
 		opts.Choice = ChoiceInterp
-		opts.Workers = 4
 		opts.Shards = 4
 		out := roundTrip(t, f, opts)
 		if len(out.Data) != len(f.Data) {

@@ -67,7 +67,7 @@ func TestInterpKindValidated(t *testing.T) {
 		orig := plain[at]
 		for _, kind := range []byte{orig, 2, 7, 255} {
 			plain[at] = kind
-			payload, err := core.CompressLossless(lossless.Flate, plain, 1, nil)
+			payload, err := core.CompressLossless(lossless.Flate, plain, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -107,7 +107,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n), 1)
+	buf, err := lossless.DecompressLimit(payload, lossless.PayloadLimit(n))
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +124,7 @@ func Decompress(payload []byte, dims []int) (*grid.Field, error) {
 		return nil, fmt.Errorf("%w: tthresh: bad huffman length", verdict.ErrCorrupt)
 	}
 	pl := makePlan(dims)
-	q, err := huffman.DecodeParallel(buf[k:k+int(hl)], pl.px*pl.py*pl.pz, 1)
+	q, err := huffman.DecodeN(buf[k:k+int(hl)], pl.px*pl.py*pl.pz)
 	if err != nil {
 		return nil, err
 	}

@@ -82,12 +82,9 @@ func compressChunkedSpan(data []float64, dims []int, opts Options, chunkExtent i
 	if err != nil {
 		return nil, err
 	}
-	// The workers fan out the chunks; within a chunk they would change
-	// nothing but the schedule, as in decodeChunks.
 	chunkOpts := opts
 	chunkOpts.ErrorBound = eb
 	chunkOpts.RelativeBound = 0
-	chunkOpts.Workers = 1
 
 	n0 := dims[0]
 	sliceLen := f.Len() / n0
@@ -187,8 +184,8 @@ func parseChunk(h header, extent int, chunks [][]byte, i int, verify bool) (head
 }
 
 // decodeChunks decodes a chunked container on up to workers goroutines,
-// each chunk by the plain path at one intra-field worker, with telemetry
-// attached to sp (which may be nil) in compressChunkedSpan's layout.
+// each chunk by the plain path on one, with telemetry attached to sp
+// (which may be nil) in compressChunkedSpan's layout.
 func decodeChunks(h header, workers int, sp *obs.Span) (*Result, error) {
 	extent, chunks, err := parseChunkTable(h)
 	if err != nil {
@@ -207,7 +204,7 @@ func decodeChunks(h header, workers int, sp *obs.Span) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		res, err := decodeField(ch, 1, csp)
+		res, err := decodeField(ch, csp)
 		if err != nil {
 			return err
 		}
@@ -246,5 +243,5 @@ func DecompressChunk(stream []byte, chunk int) (*Result, error) {
 			return nil, err
 		}
 	}
-	return decodeField(h, 1, nil)
+	return decodeField(h, nil)
 }

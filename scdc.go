@@ -160,9 +160,9 @@ const (
 	LosslessStore
 	// LosslessAuto picks store, Huffman or flate from a sampled size
 	// estimate, preferring the faster codec when the estimates are within
-	// a couple of percent. Past 64 KB the stage is sharded — the parallel
+	// a couple of percent. Past 64 KB the stage is sharded — the tag-4
 	// container with a pick per shard, or Huffman's own shards under one
-	// table — and runs under Options.Workers in both directions.
+	// table.
 	LosslessAuto
 )
 
@@ -212,25 +212,24 @@ type Options struct {
 	// QP configures quantization index prediction for the
 	// interpolation-based algorithms; the zero value disables it.
 	QP QPConfig
-	// Workers caps the number of goroutines one compress call uses. In a
-	// plain stream of an interpolation-based algorithm they run the sharded
-	// stages: Huffman shard encoding (Shards > 1) and the sharded lossless
-	// container LosslessAuto writes; prediction, quantization and QP run on
-	// the calling goroutine. CompressChunked spreads its chunks over them
-	// instead, each chunk compressed on one. <= 1 runs sequentially. The
-	// produced stream is byte-identical for any worker count.
+	// Workers caps the number of goroutines CompressChunked spreads its
+	// chunks over, each chunk compressed on one. Compress ignores it: a
+	// field is compressed on the calling goroutine. <= 1 runs
+	// sequentially. The produced stream is byte-identical for any worker
+	// count.
 	Workers int
 	// Shards splits the entropy-coded index stream of the
 	// interpolation-based algorithms into this many independently decodable
-	// Huffman shards sharing one code table, letting DecompressParallel fan
-	// out entropy decoding. <= 1 keeps the legacy single-body stream, which
-	// any earlier reader also understands.
+	// Huffman shards sharing one code table. It changes the layout only:
+	// the shards are coded one after another on the calling goroutine, in
+	// both directions. <= 1 keeps the legacy single-body stream, which any
+	// earlier reader also understands.
 	Shards int
 	// Lossless selects the final lossless back-end for the
 	// interpolation-based algorithms. The zero value (LosslessDefault)
 	// writes DEFLATE (tag 1), storing the 64 KB segments it cannot shrink;
 	// LosslessAuto picks the codec by measurement and shards the stage
-	// past 64 KB, with bytes identical for any worker count.
+	// past 64 KB.
 	Lossless LosslessCodec
 }
 
@@ -439,7 +438,7 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 	// are set once here.
 	be := core.DefaultBackend()
 	be.QP = opts.QP.toCore()
-	be.Workers, be.Shards = opts.Workers, opts.Shards
+	be.Shards = opts.Shards
 	be.Lossless = losslessCodecs[opts.Lossless].codec
 	be.Obs = sp
 
@@ -504,10 +503,9 @@ func Decompress(stream []byte) (*Result, error) {
 	return decompress(stream, 1, nil)
 }
 
-// DecompressParallel is Decompress on up to workers goroutines. A plain
-// stream spreads them over its sharded stages — the Huffman shards and the
-// sharded lossless container — and reconstructs on one; a chunked
-// container decodes its chunks on them, each chunk sequentially. The
+// DecompressParallel is Decompress on up to workers goroutines. A chunked
+// container decodes its chunks on them, each chunk on one; a plain stream
+// decodes on the calling goroutine and ignores workers. The
 // reconstruction is byte-identical for any worker count; workers <= 1
 // decompresses sequentially.
 func DecompressParallel(stream []byte, workers int) (*Result, error) {
@@ -524,10 +522,10 @@ func decompress(stream []byte, workers int, rec *obs.Recorder) (*Result, error) 
 	}
 	op, decode := "decompress", decodeField
 	if h.kind == kindChunked {
-		op, decode = "decompress_chunked", decodeChunks
+		op, decode = "decompress_chunked", func(h header, sp *obs.Span) (*Result, error) { return decodeChunks(h, workers, sp) }
 	}
 	sp := rec.Span(op)
-	res, err := decode(h, workers, sp)
+	res, err := decode(h, sp)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -540,19 +538,19 @@ func decompress(stream []byte, workers int, rec *obs.Recorder) (*Result, error) 
 
 // decodeField decodes a plain stream's payload with its engine, telemetry
 // attached to sp (which may be nil).
-func decodeField(h header, workers int, sp *obs.Span) (*Result, error) {
+func decodeField(h header, sp *obs.Span) (*Result, error) {
 	var f *grid.Field
 	var err error
 	alg := Algorithm(h.kind)
 	switch alg {
 	case SZ3:
-		f, err = sz3.DecompressObs(h.payload, h.dims, workers, sp)
+		f, err = sz3.DecompressObs(h.payload, h.dims, sp)
 	case QoZ:
-		f, err = qoz.DecompressObs(h.payload, h.dims, workers, sp)
+		f, err = qoz.DecompressObs(h.payload, h.dims, sp)
 	case HPEZ:
-		f, err = hpez.DecompressObs(h.payload, h.dims, workers, sp)
+		f, err = hpez.DecompressObs(h.payload, h.dims, sp)
 	case MGARD:
-		f, err = mgard.DecompressObs(h.payload, h.dims, workers, sp)
+		f, err = mgard.DecompressObs(h.payload, h.dims, sp)
 	case ZFP:
 		dsp := sp.Child("transform")
 		f, err = zfp.Decompress(h.payload, h.dims)

@@ -266,7 +266,7 @@ func TestStagesDisjoint(t *testing.T) {
 		}
 		rec = obs.New()
 		sp := rec.Span("decompress")
-		_, err = sz3.DecompressObs(payload, dims, 1, sp)
+		_, err = sz3.DecompressObs(payload, dims, sp)
 		sp.End()
 		if err != nil {
 			t.Fatal(err)

@@ -571,12 +571,12 @@ func TestHostileIndexCount(t *testing.T) {
 			"DecompressParallel": func() error { _, err := DecompressParallel(stream, 2); return err },
 			"DecompressChunk":    func() error { _, err := DecompressChunk(stream, 0); return err },
 		}
-		// DecodeParallelTo takes its output only once the header reader
+		// DecodeTo takes its output only once the header reader
 		// has passed the block, so every lie but those in the runs or the
 		// body must be turned away before out is called.
 		decodeTo := func(n int) func() error {
 			return func() error {
-				_, err := huffman.DecodeParallelTo(block, n, 2, func(n int) []int32 {
+				_, err := huffman.DecodeTo(block, n, func(n int) []int32 {
 					if !decodeTimeLies[name] {
 						t.Errorf("%s: the header reader passed the block", name)
 					}
@@ -586,16 +586,16 @@ func TestHostileIndexCount(t *testing.T) {
 			}
 		}
 		if name != "rice" {
-			readers["huffman.DecodeParallel"] = func() error {
-				_, err := huffman.DecodeParallel(block, hostilePoints, 2)
+			readers["huffman.DecodeN"] = func() error {
+				_, err := huffman.DecodeN(block, hostilePoints)
 				return err
 			}
-			readers["huffman.DecodeParallelTo"] = decodeTo(hostilePoints)
+			readers["huffman.DecodeTo"] = decodeTo(hostilePoints)
 		}
 		if told {
 			// A count lie is a lie only to a reader told the count.
 			readers["huffman.Decode"] = func() error { _, err := huffman.Decode(block); return err }
-			readers["huffman.DecodeParallelTo, no count"] = decodeTo(-1)
+			readers["huffman.DecodeTo, no count"] = decodeTo(-1)
 		}
 		for reader, decode := range readers {
 			var before, after runtime.MemStats
