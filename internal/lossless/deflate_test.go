@@ -45,7 +45,8 @@ func flateBody(t *testing.T, src []byte) []byte {
 // TestFlateSegmentsWorkloads: on each workload plaintext, QP on and off,
 // a body whose every segment pays is byte for byte the whole-buffer
 // level-6 stream, and a body with stored stretches is no more than 0.1 %
-// longer than it. Only mgard_tight's Huffman body is stored.
+// longer than it. Only mgard_tight's Huffman body is stored, and no
+// segment the plan sends to DEFLATE comes out of it larger than stored.
 func TestFlateSegmentsWorkloads(t *testing.T) {
 	plains, err := workloadPlaintexts()
 	if err != nil {
@@ -55,7 +56,15 @@ func TestFlateSegmentsWorkloads(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			body := flateBody(t, p.data)
 			whole := deflate(t, p.data, flate.DefaultCompression)
-			allPay := !slices.Contains(lossless.FlatePlan(p.data), false)
+			plan := lossless.FlatePlan(p.data)
+			n, k := len(p.data), len(plan)
+			for i, pays := range plan {
+				seg := p.data[i*n/k : (i+1)*n/k]
+				if d := len(deflate(t, seg, flate.DefaultCompression)); pays && d > len(seg)+5 {
+					t.Errorf("segment %d: DEFLATE writes %d B, stored %d B", i, d, len(seg)+5)
+				}
+			}
+			allPay := !slices.Contains(plan, false)
 			if mgard := strings.HasPrefix(p.name, "mgard_tight/"); allPay == mgard {
 				t.Fatalf("every segment pays = %v, want %v", allPay, !mgard)
 			}

@@ -197,21 +197,54 @@ func pickCodec(src []byte) Codec {
 // must come in under for the Flate encoder to run DEFLATE on it.
 const flatePaysFrac = 0.999
 
-// flatePays reports whether the probe prices DEFLATE on seg under
-// flatePaysFrac of its stored length.
+// flateBlock is how many literals compress/flate codes in one block
+// before it closes it; each block carries its own code tables.
+const flateBlock = 16 << 10
+
+// flateBlockBytes is what a dynamic block costs DEFLATE beyond the
+// order-0 entropy of its own bytes: its header of code lengths and the
+// loss to whole-bit codes. compress/flate coded 12 blocks of
+// mgard_tight's Huffman-body segments dynamically; each cost 112 to 135 B
+// over its bytes' entropy, 125 B on average.
+const flateBlockBytes = 125
+
+// flatePays reports whether DEFLATE on seg is priced under flatePaysFrac
+// of its stored length. Where the probe finds no match, DEFLATE can only
+// entropy-code, and flatePrice prices that exactly; elsewhere the
+// probe's flate estimate decides, since its match pricing falls short of
+// what compress/flate's matches save.
 func flatePays(seg []byte) bool {
 	limit := flatePaysFrac * float64(len(seg))
+	blocksPay := float64(flatePrice(seg)) < limit
 	p := probe{entropyBits: sampledEntropy(seg)}
 	// A match covers at least lzMinMatch bytes for flateMatchBits, so
 	// matches move the estimate toward flateMatchBits/lzMinMatch bits per
 	// byte and never above max(entropy, that). When even that bound
-	// clears the limit (by a byte, for rounding) the walk cannot change
-	// the answer: the order-0 entropy alone decides every segment that
-	// compresses by its byte statistics.
+	// clears the limit (by a byte, for rounding), and so does the price
+	// without matches, the walk cannot change the answer: the order-0
+	// entropy alone decides every segment that compresses by its byte
+	// statistics.
 	bound := probe{entropyBits: max(p.entropyBits, float64(flateMatchBits)/lzMinMatch)}
-	if float64(bound.estimate(Flate, len(seg))+1) < limit {
+	if blocksPay && float64(bound.estimate(Flate, len(seg))+1) < limit {
 		return true
 	}
 	p.walkMatches(seg)
+	if p.matchCover == 0 {
+		return blocksPay
+	}
 	return float64(p.estimate(Flate, len(seg))) < limit
+}
+
+// flatePrice prices DEFLATE on seg, matches aside, the way compress/flate
+// spends bytes: each flateBlock gets its own dynamic code tables, at its
+// bytes' order-0 entropy plus flateBlockBytes, unless storing it (its
+// bytes and a 5-byte header) is smaller. A block is one whole probe
+// window, so sampledEntropy is its entropy.
+func flatePrice(seg []byte) int {
+	price := 0
+	for lo := 0; lo < len(seg); lo += flateBlock {
+		blk := seg[lo:min(lo+flateBlock, len(seg))]
+		price += min(int(float64(len(blk))*sampledEntropy(blk)/8)+flateBlockBytes, len(blk)+5)
+	}
+	return price
 }

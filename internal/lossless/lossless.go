@@ -4,8 +4,8 @@
 //
 //   - Flate: DEFLATE, the default back-end: compress/flate writes it and
 //     the in-package inflater (inflate.go) reads it. A buffer past 64 KB
-//     is written a segment at a time, and a segment the size probe says
-//     DEFLATE cannot shrink goes out as stored blocks (flatePays).
+//     is written a segment at a time, and a segment DEFLATE is priced not
+//     to shrink goes out as stored blocks (flatePays).
 //   - Huffman: order-0 canonical Huffman coding of the bytes (huff.go).
 //   - Sharded: a container (sharded.go) that splits the plaintext into
 //     size-derived shards, each compressed by its own codec.
@@ -125,8 +125,8 @@ func flateBound(n int) int {
 
 // flateCompressSegments writes src's DEFLATE body to buf. A buffer of
 // one segment is one pass of the pooled writer. A longer one goes
-// through the writer a segment at a time, and a segment the probe prices
-// as not paying (flatePays) goes out as stored blocks instead: the
+// through the writer a segment at a time, and a segment flatePays prices
+// as not paying goes out as stored blocks instead: the
 // writer flushes to a byte boundary before the stored run, and the next
 // paying segment starts a Reset writer, so no back-reference crosses
 // bytes the compressor never saw. compress/flate's output does not depend

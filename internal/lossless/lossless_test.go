@@ -336,10 +336,12 @@ func goldenPayload(tb testing.TB, file string) []byte {
 
 // TestFlatePaysIsTheProbe: the Flate encoder's per-segment decision skips
 // the match walk when the order-0 entropy settles it, and must still
-// answer what the whole probe's estimate answers, on buffers from pure
-// noise to long repeats and across the threshold.
+// answer what the whole probe answers — the block price where the walk
+// finds no match, else the flate estimate — on buffers from pure noise
+// to long repeats, across the threshold in both regimes.
 func TestFlatePaysIsTheProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
+	var seen [2][2]int // [match-free][pays]
 	for i := range 400 {
 		n := flateSegment/2 + rng.Intn(flateSegment)
 		src := make([]byte, n)
@@ -360,11 +362,27 @@ func TestFlatePaysIsTheProbe(t *testing.T) {
 				copy(src[j:j+32], src[j-64:])
 			}
 		}
-		want := float64(sampleProbe(src).estimate(Flate, n)) < flatePaysFrac*float64(n)
-		if got := flatePays(src); got != want {
-			t.Fatalf("case %d: flatePays %v, probe estimate says %v", i, got, want)
+		p := sampleProbe(src)
+		price := p.estimate(Flate, n)
+		if p.matchCover == 0 {
+			price = flatePrice(src)
 		}
+		want := float64(price) < flatePaysFrac*float64(n)
+		if got := flatePays(src); got != want {
+			t.Fatalf("case %d: flatePays %v, the probe says %v", i, got, want)
+		}
+		seen[btoi(p.matchCover == 0)][btoi(want)]++
 	}
+	if seen[0][0] == 0 || seen[0][1] == 0 || seen[1][0] == 0 || seen[1][1] == 0 {
+		t.Fatalf("cases by match-free and pays: %v; each regime must cross the threshold", seen)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestFlateOutputNeverRegrows: the Flate output is allocated once at
