@@ -44,9 +44,9 @@ type Entry struct {
 	QP         bool    `json:"qp"`
 	Chunked    bool    `json:"chunked,omitempty"`
 	V1         bool    `json:"v1,omitempty"`
-	// Entropy names the non-default entropy coder of a decode-only pin
-	// ("rice", "auto"); empty for the Huffman streams so their manifest
-	// lines are unchanged.
+	// Entropy names the non-default entropy coder or index layout of a
+	// decode-only pin ("rice", "auto", "sharded"); empty for the Huffman
+	// streams so their manifest lines are unchanged.
 	Entropy string `json:"entropy,omitempty"`
 	// Lossless names a non-default lossless back-end ("auto"; "flate",
 	// "lz" and "huffman" on decode-only pins); empty for the legacy
@@ -221,6 +221,9 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 		if opts.Lossless != scdc.LosslessDefault {
 			e.Lossless = opts.Lossless.String()
 		}
+		if opts.Shards > 1 {
+			e.Entropy = "sharded"
+		}
 		entries = append(entries, e)
 		streams[e.File] = stream
 	}
@@ -328,6 +331,12 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 	// body, which the encoder writes as a stored block.
 	stored := []int{30, 30, 30}
 	pin("mgard_3d_qpoff_noisy", stored, synthNoisy(stored), scdc.Options{Algorithm: scdc.MGARD, ErrorBound: eb})
+
+	// The sharded index sub-format (0x00 0x01): two Huffman shards under
+	// one code table. A shard holds at least 4096 indices, so the field
+	// has more than 8192 points.
+	shardedCube := []int{16, 24, 24}
+	pin("sz3_3d_qpon_sharded", shardedCube, synth(shardedCube), scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: qp, Shards: 2})
 
 	return entries, streams, err
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -104,10 +105,12 @@ func TestGoldenCorpus(t *testing.T) {
 // TestGoldenCoverage asserts the corpus actually spans the matrix the
 // format promises to keep stable: every algorithm in 1D–4D, QP on for
 // every algorithm that supports it, chunked and v1 containers, the
-// decode-only rice and auto-picked index streams, every lossless tag a
-// writer has ever produced (flate, the decode-only LZ, the sharded
-// container and Huffman), a sharded container as Auto writes it, and
-// SZ3's Lorenzo mode: in 3D and 4D, and with a QP block that is on.
+// decode-only rice and auto-picked index streams, every index sub-format
+// a writer has ever produced (the legacy single body, sharded, rice and
+// run-coded), every lossless tag a writer has ever produced (flate, the
+// decode-only LZ, the sharded container and Huffman), a sharded
+// container as Auto writes it, and SZ3's Lorenzo mode: in 3D and 4D, and
+// with a QP block that is on.
 func TestGoldenCoverage(t *testing.T) {
 	entries := loadGoldenManifest(t)
 	type key struct {
@@ -123,6 +126,7 @@ func TestGoldenCoverage(t *testing.T) {
 	tags := make(map[lossless.Codec]bool)
 	var autoSharded, lorenzoQP bool
 	lorenzo := make(map[int]bool) // by ndims
+	layouts := make(map[string]bool)
 	for _, e := range entries {
 		seen[key{e.Algorithm, len(e.Dims), e.QP}] = true
 		chunked = chunked || e.Chunked
@@ -145,6 +149,7 @@ func TestGoldenCoverage(t *testing.T) {
 				lorenzo[len(e.Dims)] = true
 				lorenzoQP = lorenzoQP || qp
 			}
+			layouts[indexLayout(t, e.File)] = true
 		}
 	}
 	for _, alg := range []Algorithm{SZ3, QoZ, HPEZ, MGARD, ZFP, TTHRESH, SPERR} {
@@ -192,6 +197,31 @@ func TestGoldenCoverage(t *testing.T) {
 	if !lorenzoQP {
 		t.Error("no SZ3 golden stream in Lorenzo mode keeps its QP block")
 	}
+	for _, l := range []string{"legacy", "00 01", "00 02", "00 03"} {
+		if !layouts[l] {
+			t.Errorf("no SZ3 golden stream has index sub-format %s", l)
+		}
+	}
+}
+
+// indexLayout names the sub-format of a plain SZ3 golden stream's index
+// block: "legacy" for the single body, which opens with its nonzero
+// header length, else the marker and version bytes ("00 01" sharded,
+// "00 02" rice, "00 03" run-coded).
+func indexLayout(t *testing.T, file string) string {
+	t.Helper()
+	stream, err := os.ReadFile(filepath.Join("testdata", "golden", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := sz3IndexBlock(t, stream)
+	if len(block) < 2 {
+		t.Fatalf("%s: index block of %d bytes", file, len(block))
+	}
+	if block[0] != 0 {
+		return "legacy"
+	}
+	return fmt.Sprintf("% x", block[:2])
 }
 
 // losslessTag reads the lossless codec tag that opens the payload of a
