@@ -1,14 +1,12 @@
 // Hot-path benchmarks: steady-state allocation counts (b.ReportAllocs)
-// for compression, decompression and the interpolation engine, and worker
-// scaling of the sharded entropy coder. The QP kernels are timed over real
-// pass regions by internal/sz3's BenchmarkQPSweeps. These are for
-// measuring while working; the repository benchmark (benchmark/) is the
-// ledger.
+// for compression, decompression and the interpolation engine. The QP
+// kernels are timed over real pass regions by internal/sz3's
+// BenchmarkQPSweeps. These are for measuring while working; the
+// repository benchmark (benchmark/) is the ledger.
 package scdc_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"scdc"
@@ -26,13 +24,13 @@ func hotPathField() ([]float64, []int) {
 	return f.Data, f.Dims()
 }
 
-// BenchmarkHotPathCompress measures end-to-end Compress of a sharded
+// BenchmarkHotPathCompress measures end-to-end Compress of an SZ3+QP
 // stream. Allocations should be O(1) in field size at steady state: the
 // working copy, index arrays, Huffman tables and flate state are pooled.
 func BenchmarkHotPathCompress(b *testing.B) {
 	data, dims := hotPathField()
 	opts := scdc.Options{Algorithm: scdc.SZ3, RelativeBound: 1e-4,
-		QP: scdc.DefaultQP(), Shards: 4}
+		QP: scdc.DefaultQP()}
 	b.SetBytes(int64(len(data) * 8))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -43,12 +41,12 @@ func BenchmarkHotPathCompress(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathDecompress measures end-to-end Decompress of a sharded
+// BenchmarkHotPathDecompress measures end-to-end Decompress of an SZ3+QP
 // stream.
 func BenchmarkHotPathDecompress(b *testing.B) {
 	data, dims := hotPathField()
 	stream, err := scdc.Compress(data, dims, scdc.Options{Algorithm: scdc.SZ3,
-		RelativeBound: 1e-4, QP: scdc.DefaultQP(), Shards: 4})
+		RelativeBound: 1e-4, QP: scdc.DefaultQP()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,40 +91,6 @@ func BenchmarkHotPathQoZPlan(b *testing.B) {
 		if _, err := qoz.Plan(f, opts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkHotPathShardedHuffman isolates the sharded entropy coder.
-func BenchmarkHotPathShardedHuffman(b *testing.B) {
-	f := field(datagen.Miranda, 1)
-	var tr sz3.Trace
-	opts := sz3.DefaultOptions(1e-3)
-	opts.Choice = sz3.ChoiceInterp
-	opts.Trace = &tr
-	if _, err := sz3.Compress(f, opts); err != nil {
-		b.Fatal(err)
-	}
-	q := tr.Q
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d/encode", shards), func(b *testing.B) {
-			b.SetBytes(int64(len(q) * 4))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				huffman.EncodeShardedDist(q, entropy.Analyze(q), shards)
-			}
-		})
-		enc := huffman.EncodeShardedDist(q, entropy.Analyze(q), shards)
-		b.Run(fmt.Sprintf("shards=%d/decode", shards), func(b *testing.B) {
-			b.SetBytes(int64(len(q) * 4))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := huffman.Decode(enc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -138,9 +138,9 @@ func shaHex(b []byte) string {
 }
 
 // decodeOnly names the pins whose encoders are gone: the forced rice and
-// auto-picked entropy coders (index sub-format 0x00 0x02), the forced
-// flate, LZ and Huffman lossless options and the forced sharded-flate
-// container.
+// auto-picked entropy coders (index sub-format 0x00 0x02), the sharded
+// index sub-format (0x00 0x01), the forced flate, LZ and Huffman lossless
+// options and the forced sharded-flate container.
 var decodeOnly = []string{
 	"sz3_3d_qpon_rice",
 	"qoz_3d_qpon_rice",
@@ -151,6 +151,7 @@ var decodeOnly = []string{
 	"sz3_3d_qpon_lossless_lz",
 	"sz3_3d_qpon_lossless_huffman",
 	"sz3_3d_qpon_lossless_sharded",
+	"sz3_3d_qpon_sharded",
 }
 
 // committed returns the decode-only entries of the corpus manifest in dir
@@ -220,9 +221,6 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 		}
 		if opts.Lossless != scdc.LosslessDefault {
 			e.Lossless = opts.Lossless.String()
-		}
-		if opts.Shards > 1 {
-			e.Entropy = "sharded"
 		}
 		entries = append(entries, e)
 		streams[e.File] = stream
@@ -332,11 +330,10 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 	stored := []int{30, 30, 30}
 	pin("mgard_3d_qpoff_noisy", stored, synthNoisy(stored), scdc.Options{Algorithm: scdc.MGARD, ErrorBound: eb})
 
-	// The sharded index sub-format (0x00 0x01): two Huffman shards under
-	// one code table. A shard holds at least 4096 indices, so the field
-	// has more than 8192 points.
-	shardedCube := []int{16, 24, 24}
-	pin("sz3_3d_qpon_sharded", shardedCube, synth(shardedCube), scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: qp, Shards: 2})
+	// The decode-only sharded index sub-format (0x00 0x01): SZ3+QP on the
+	// 16x24x24 synth field, written at Shards 2 as two Huffman shards
+	// under one code table.
+	keep("sz3_3d_qpon_sharded")
 
 	return entries, streams, err
 }

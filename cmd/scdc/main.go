@@ -19,17 +19,15 @@
 // The quantization indices are always Huffman-coded; -x still reads the
 // Golomb-Rice index streams earlier releases could write.
 //
-// -shards K writes the entropy stream as K independently decodable
-// Huffman shards sharing one code table, and -lossless auto picks store,
-// Huffman or flate by measurement, as a sharded container past 64 KB.
-// Both change the stream's layout only: every stage of a field, sharded
-// or not, runs on one goroutine. -workers N decodes the chunks of a
-// chunked container (written by the library's CompressChunked) on N
-// goroutines, each chunk on one; a plain stream ignores it. The output is
-// bit-identical for every N:
+// -lossless auto picks store, Huffman or flate by measurement, as a
+// sharded container past 64 KB; it changes the stream's layout only, and
+// every stage of a field runs on one goroutine. -workers N decodes the
+// chunks of a chunked container (written by the library's
+// CompressChunked) on N goroutines, each chunk on one; a plain stream
+// ignores it. The output is bit-identical for every N:
 //
 //	scdc -z -in data.f32 -out data.scdc -dims 512x512x512 -eb 1e-3 \
-//	     -qp -shards 8 -lossless auto
+//	     -qp -lossless auto
 //	scdc -x -in chunked.scdc -out restored.f32 -workers 8
 //
 // -stats prints a per-stage span tree (interpolation, quantization, QP,
@@ -116,7 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		seed       = fs.Int64("seed", 1, "dataset synthesis seed (with -dataset)")
 		verify     = fs.Bool("verify", false, "after -z, decompress and report quality metrics, compression ratio and bit rate")
 		workers    = fs.Int("workers", 1, "goroutines across which -x decodes the chunks of a chunked container (a plain stream is coded on one); output is identical for any value")
-		shards     = fs.Int("shards", 0, "split the entropy stream into this many independently decodable Huffman shards (0 = single stream)")
 		llArg      = fs.String("lossless", "default", "lossless back-end: default (flate, storing 64 KB segments it cannot shrink), auto (store, huffman or flate by measurement; sharded parallel container past 64 KB) or store")
 		serveAddr  = fs.String("serve", "", "serve /metrics, /metrics.json and /debug/pprof on this address; stays up after the batch until interrupted")
 		stats      = fs.Bool("stats", false, "print a per-stage span tree and write the scdc-stats/1 JSON report")
@@ -196,8 +193,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := scdc.Options{Algorithm: alg, ErrorBound: *eb, RelativeBound: *rel,
-		Shards: *shards, Lossless: llc}
+	opts := scdc.Options{Algorithm: alg, ErrorBound: *eb, RelativeBound: *rel, Lossless: llc}
 	if *qp {
 		opts.QP = scdc.DefaultQP()
 	}

@@ -224,7 +224,7 @@ func TestRunStatsAndProfiles(t *testing.T) {
 
 	var buf strings.Builder
 	err := run([]string{"-z", "-in", in, "-out", out, "-dims", "16x20x24",
-		"-alg", "SZ3", "-qp", "-eb", "0.01", "-workers", "2", "-shards", "2",
+		"-alg", "SZ3", "-qp", "-eb", "0.01", "-workers", "2",
 		"-stats", "-statsout", statsPath, "-verify",
 		"-cpuprofile", cpu, "-memprofile", mem, "-trace", trc}, &buf)
 	if err != nil {

@@ -23,7 +23,7 @@ func fuzzSeedStreams(f *testing.F) [][]byte {
 	var seeds [][]byte
 	for _, opts := range []Options{
 		{Algorithm: SZ3, ErrorBound: 1e-3},
-		{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP(), Shards: 2},
+		{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP()},
 		{Algorithm: QoZ, ErrorBound: 1e-3, QP: DefaultQP()},
 		{Algorithm: HPEZ, ErrorBound: 1e-2},
 		{Algorithm: MGARD, ErrorBound: 1e-2},
@@ -37,18 +37,6 @@ func fuzzSeedStreams(f *testing.F) [][]byte {
 		}
 		seeds = append(seeds, s)
 	}
-	// Shards split an index array only into shards of at least 4096
-	// indices, so the 960-point field above falls back to the single-body
-	// layout; the sharded one (0x00 0x01) needs a field past 8192 points.
-	big := datagen.MustGenerate(datagen.Miranda, 0, []int{16, 24, 24}, 7)
-	sharded, err := Compress(big.Data, big.Dims(), Options{Algorithm: SZ3, ErrorBound: 1e-3, QP: DefaultQP(), Shards: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if block := sz3IndexBlock(f, sharded); len(block) < 2 || block[0] != 0x00 || block[1] != 0x01 {
-		f.Fatalf("the sharded seed's index block opens % x, want 00 01", block[:min(len(block), 2)])
-	}
-	seeds = append(seeds, sharded)
 	// 1D and a legacy v1 stream round out the corpus.
 	line := make([]float64, 256)
 	for i := range line {
@@ -160,8 +148,9 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Add([]byte("SCDC"))
 	f.Add([]byte{})
-	// No encoder writes the rice index sub-format (0x00 0x02) any more, so
-	// its full-stack coverage comes from the committed golden streams.
+	// No encoder writes the rice (0x00 0x02) or sharded (0x00 0x01) index
+	// sub-formats any more, so their full-stack coverage comes from the
+	// committed golden streams.
 	for _, e := range loadGoldenManifest(f) {
 		if e.Entropy == "" {
 			continue

@@ -24,7 +24,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -121,72 +120,6 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 		return nil, fmt.Errorf("load %s: %w", pkgPath, err)
 	}
 	return &Package{PkgPath: pkgPath, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// ModulePath reads the module path from the go.mod in root.
-func ModulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("load: no module line in %s/go.mod", root)
-}
-
-// ModulePackages walks the module rooted at root and loads every package
-// whose import path is accepted by keep (nil keeps all). Directories named
-// testdata, hidden directories, and directories without non-test Go files
-// are skipped.
-func (l *Loader) ModulePackages(root string, keep func(pkgPath string) bool) ([]*Package, error) {
-	modPath, err := ModulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	var dirs []string
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path) {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	var pkgs []*Package
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgPath := modPath
-		if rel != "." {
-			pkgPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		if keep != nil && !keep(pkgPath) {
-			continue
-		}
-		p, err := l.LoadDir(dir, pkgPath)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
 }
 
 // goFileNames lists the non-test Go files of dir in lexical order.

@@ -33,11 +33,6 @@ type Backend struct {
 	// estimate, per shard of the sharded container once the buffer is big
 	// enough to split (CompressLossless).
 	Lossless lossless.Codec
-	// Shards splits the entropy-coded index stream into this many
-	// independently decodable Huffman shards sharing one code table (the
-	// 0x00 0x01 layout). <= 1 keeps the legacy single-body stream. Every
-	// stage of a call, sharded or not, runs on the calling goroutine.
-	Shards int
 	// Trace, when non-nil, captures internals for characterization.
 	Trace *Trace
 	// Obs, when non-nil, receives per-stage telemetry spans (choose,
@@ -153,7 +148,7 @@ func (b *Backend) Encode(sw *Sweep, s Stream) ([]byte, error) {
 
 	forced := s.ForceQP && sw.Pred != nil
 	encSp := b.Obs.Child("huffman")
-	idx, kept := sw.encodeSweep(forced, b.Shards, encSp)
+	idx, kept := sw.encodeSweep(forced, encSp)
 	encSp.End()
 	cfg := b.QP
 	if !kept && !forced {

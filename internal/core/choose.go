@@ -31,10 +31,9 @@ import (
 // when it shrinks the stream that is written").
 //
 // Huffman is the one index encoder, so the Coder argument is ignored
-// (entropy.CoderHuffman is the only value left), and so is the worker
-// count: the index block is encoded on the calling goroutine. shards > 1
-// encodes the winner as that many independent sub-streams under one
-// shared code table (huffman.EncodeShardedDist).
+// (entropy.CoderHuffman is the only value left), and so are the shard and
+// worker counts: the winner is one Huffman block (huffman.EncodeDist),
+// encoded on the calling goroutine.
 //
 // When sp is non-nil it gains (observation never changes the stream):
 //
@@ -44,7 +43,7 @@ import (
 //	         est_bits_out (the plain-layout estimate the QP decision
 //	         used), act_bits_out (the bits written, in whichever layout),
 //	         bytes_out, table_bytes, symbols
-func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, _ int, sp *obs.Span) (enc []byte, useQP bool) {
+func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, _, _ int, sp *obs.Span) (enc []byte, useQP bool) {
 	d := entropy.Analyze(q)
 	var dqp *entropy.Dist
 	if qp != nil {
@@ -53,7 +52,7 @@ func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, _ int, sp *obs.
 	if useQP = keepQP(d, dqp, sp); useQP {
 		q, d = qp, dqp
 	}
-	return encodeIndices(q, d, useQP, shards, sp), useQP
+	return encodeIndices(q, d, useQP, sp), useQP
 }
 
 // encodeSweep is ChooseEncodingCoder over the one symbol array of a
@@ -63,18 +62,18 @@ func ChooseEncodingCoder(q, qp []int32, _ entropy.Coder, shards, _ int, sp *obs.
 // them. When the estimate drops QP, the inverse sweep restores the
 // original symbols in place before they are encoded. forced keeps the
 // transformed symbols unpriced, as a QP-off call prices its only array.
-func (s *Sweep) encodeSweep(forced bool, shards int, sp *obs.Span) (enc []byte, useQP bool) {
+func (s *Sweep) encodeSweep(forced bool, sp *obs.Span) (enc []byte, useQP bool) {
 	d := entropy.Analyze(s.Sym)
 	if s.mv == nil || forced {
 		keepQP(d, nil, sp)
-		return encodeIndices(s.Sym, d, false, shards, sp), false
+		return encodeIndices(s.Sym, d, false, sp), false
 	}
 	dq := s.mv.shift(d)
 	if useQP = keepQP(dq, d, sp); !useQP {
 		s.restore(s.Sym)
 		d = dq
 	}
-	return encodeIndices(s.Sym, d, useQP, shards, sp), useQP
+	return encodeIndices(s.Sym, d, useQP, sp), useQP
 }
 
 // keepQP publishes the candidates' estimates on sp and reports whether
@@ -93,11 +92,10 @@ func keepQP(d, dqp *entropy.Dist, sp *obs.Span) bool {
 	return dqp != nil && dqp.HuffmanBytes() < d.HuffmanBytes()
 }
 
-// encodeIndices encodes the chosen array q with its distribution d, as
-// shards sharded sub-streams when there are enough symbols for them, and
+// encodeIndices encodes the chosen array q with its distribution d and
 // publishes the outcome on sp.
-func encodeIndices(q []int32, d *entropy.Dist, useQP bool, shards int, sp *obs.Span) []byte {
-	enc := huffman.EncodeShardedDist(q, d, shards)
+func encodeIndices(q []int32, d *entropy.Dist, useQP bool, sp *obs.Span) []byte {
+	enc := huffman.EncodeDist(q, d)
 	if sp != nil {
 		if useQP {
 			sp.Add("qp_kept", 1)
@@ -114,11 +112,11 @@ func encodeIndices(q []int32, d *entropy.Dist, useQP bool, shards int, sp *obs.S
 // DecodeIndices decodes the entropy-coded index stream of an n-point
 // field, dispatching on the sub-format marker: rice streams (0x00 0x02,
 // which earlier releases could write and nothing writes now) to
-// rice.DecodeN, everything else — legacy single-body, 0x00 0x01 sharded
-// and 0x00 0x03 run-coded Huffman — to huffman.DecodeTo, which
-// decodes into a pooled index array (Sweep.Finish returns it). A stream
-// that declares any count but n is corrupt before its n symbols are
-// allocated.
+// rice.DecodeN, everything else — legacy single-body, 0x00 0x03
+// run-coded and the decode-only 0x00 0x01 sharded Huffman — to
+// huffman.DecodeTo, which decodes into a pooled index array (Sweep.Finish
+// returns it). A stream that declares any count but n is corrupt before
+// its n symbols are allocated.
 func DecodeIndices(data []byte, n int) ([]int32, error) {
 	if rice.IsRice(data) {
 		return rice.DecodeN(data, n)

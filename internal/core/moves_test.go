@@ -151,7 +151,7 @@ func TestSweepMovesShift(t *testing.T) {
 
 							rec := obs.New()
 							sp := rec.Span("huffman")
-							enc, kept := sw.encodeSweep(false, 1, sp)
+							enc, kept := sw.encodeSweep(false, sp)
 							sp.End()
 							wantEnc, wantKept := ChooseEncodingCoder(q, qp, entropy.CoderHuffman, 1, 1, nil)
 							if kept != wantKept || !bytes.Equal(enc, wantEnc) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"scdc/internal/entropy"
+	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
 
@@ -44,6 +45,10 @@ const (
 	// counts so the encoder is total rather than trusting that bound.
 	byteMaxLen = 63
 )
+
+// minShardSamples keeps shards large enough that the per-shard padding and
+// directory entry are noise relative to the body.
+const minShardSamples = 4096
 
 // byteSymsPool recycles the int32 widening/decode-scratch buffers.
 var byteSymsPool = sync.Pool{New: func() any { return new([]int32) }}
@@ -97,6 +102,23 @@ func EncodeBytesTo(dst, src []byte, shards int) []byte {
 	dst = encodeShards(dst, syms, &cs, shards)
 	byteSymsPool.Put(sp)
 	return dst
+}
+
+// encodeShards encodes syms as k contiguous shards under one code set and
+// appends the shard directory and bodies (shard.AppendDir) that close the
+// byte sub-format. Shard i covers samples [i*n/K, (i+1)*n/K), and each
+// body is an independently padded bit stream.
+func encodeShards(dst []byte, syms []int32, cs *codeSet, k int) []byte {
+	n := len(syms)
+	dir := make([]shard.Shard, k)
+	defer shard.Release(dir)
+	for i := range dir {
+		part := syms[i*n/k : (i+1)*n/k]
+		b := shard.GetBuf()
+		b.B = encodeBody(b.B, part, cs)
+		dir[i] = shard.Shard{N: len(part), Body: b.B, Buf: b}
+	}
+	return shard.AppendDir(dst, dir, false)
 }
 
 // parseByteTable rebuilds the canonical (symbol, length) lists from the

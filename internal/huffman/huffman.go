@@ -952,18 +952,18 @@ func (d *decoder) decodeSlow(r *bitstream.Reader) (int32, error) {
 	}
 }
 
-// Decode reverses EncodeDist and EncodeShardedDist. It trusts the
-// declared sample count up to what the body could hold at one bit per
-// symbol, or for a run-coded stream up to 2^24 symbols past that, so a
-// valid run-coded stream can be refused here; a caller that knows the
-// count passes it to DecodeN.
+// Decode reverses EncodeDist, and reads the sharded layout earlier
+// releases wrote (sharded.go). It trusts the declared sample count up to
+// what the body could hold at one bit per symbol, or for a run-coded
+// stream up to 2^24 symbols past that, so a valid run-coded stream can be
+// refused here; a caller that knows the count passes it to DecodeN.
 func Decode(data []byte) ([]int32, error) {
 	return DecodeN(data, -1)
 }
 
 // DecodeN decodes a Huffman stream of any layout: single-body, plain or
-// run-coded (runs.go), or sharded (EncodeShardedDist, sharded.go), whose
-// shards decode one after another. n >= 0 is the number of symbols the
+// run-coded (runs.go), or sharded (sharded.go), whose shards decode one
+// after another. n >= 0 is the number of symbols the
 // stream must hold: one that declares any other count is corrupt before
 // its output is allocated. n < 0 accepts whatever the body could hold.
 func DecodeN(data []byte, n int) ([]int32, error) {

@@ -17,11 +17,6 @@ import (
 // encode is EncodeDist of q from its own histogram.
 func encode(q []int32) []byte { return EncodeDist(q, entropy.Analyze(q)) }
 
-// encodeSharded is EncodeShardedDist of q from its own histogram.
-func encodeSharded(q []int32, shards int) []byte {
-	return EncodeShardedDist(q, entropy.Analyze(q), shards)
-}
-
 func roundTrip(t *testing.T, q []int32) {
 	t.Helper()
 	enc := encode(q)

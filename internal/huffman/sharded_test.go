@@ -8,9 +8,28 @@ import (
 	"runtime"
 	"testing"
 
+	"scdc/internal/entropy"
 	"scdc/internal/shardtest"
 	"scdc/internal/verdict"
 )
+
+// encodeSharded is the writer of the sharded index sub-format (0x00 0x01)
+// as earlier releases ran it for Options.Shards: q as shards sub-streams
+// under one code table from q's own histogram. shards <= 1, or a stream
+// too small to split, falls back to EncodeDist. It lives here so the
+// decoder's tests and fuzzers can still build the layout.
+func encodeSharded(q []int32, shards int) []byte {
+	d := entropy.Analyze(q)
+	shards = min(shards, len(q)/minShardSamples)
+	if shards <= 1 {
+		return EncodeDist(q, d)
+	}
+	table, _ := codeLengths(d)
+	cs := buildCodes(table, d.Lo, d.Hi, d.Dense)
+	hdr := appendTableHeader(nil, len(q), table)
+	out := append([]byte{shardedMarker, shardedVersion}, binary.AppendUvarint(nil, uint64(len(hdr)))...)
+	return encodeShards(append(out, hdr...), q, &cs, shards)
+}
 
 func skewed(n int, seed int64) []int32 {
 	rng := rand.New(rand.NewSource(seed))

@@ -23,8 +23,8 @@ import (
 // always runs (tune=true in the cell names), with QP on and off, every
 // goroutine's stream must be byte-identical and its decompressed field
 // bit-identical to a lone call's, so no pooled scratch leaks between
-// concurrent calls. The streams carry four Huffman shards and
-// lossless.Auto's sharded stage; the bound is tight enough that Auto
+// concurrent calls. The streams carry lossless.Auto's sharded stage; the
+// bound is tight enough that Auto
 // writes a sharded form past its 64KB plaintext floor — the tag-4
 // container or the Huffman byte codec's tag 7 — which the test checks.
 func TestInterpWorkersBitIdentical(t *testing.T) {
@@ -35,7 +35,7 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 	eb := 1e-5 * f.Range()
 	backend := func(qp bool) core.Backend {
 		b := core.DefaultBackend()
-		b.Shards, b.Lossless = 4, lossless.Auto
+		b.Lossless = lossless.Auto
 		if qp {
 			b.QP = core.Default()
 		}

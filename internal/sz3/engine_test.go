@@ -20,11 +20,10 @@ var engineDims = [][]int{
 	{8, 12, 20, 24},
 }
 
-// TestParallelCompressBitIdentical verifies end to end that the sharded
-// layouts — four independently decodable Huffman shards and
-// lossless.Auto's sharded stage — change the stream's layout only: for
-// every QP mode and condition, on 1D-4D fields, the sharded stream
-// decodes to exactly the field the single-body stream decodes to.
+// TestParallelCompressBitIdentical verifies end to end that
+// lossless.Auto's sharded stage changes the stream's layout only: for
+// every QP mode and condition, on 1D-4D fields, the Auto stream decodes
+// to exactly the field the flate stream decodes to.
 func TestParallelCompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
@@ -37,23 +36,20 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 				opts.Choice = ChoiceInterp
 				opts.QP = core.Config{Mode: mode, Cond: cond, MaxLevel: 2}
 				var fields [2][]float64
-				for k, shards := range []int{0, 4} {
-					opts.Shards, opts.Lossless = shards, lossless.Flate
-					if shards > 1 {
-						opts.Lossless = lossless.Auto
-					}
+				for k, codec := range []lossless.Codec{lossless.Flate, lossless.Auto} {
+					opts.Lossless = codec
 					payload, err := Compress(f, opts)
 					if err != nil {
-						t.Fatalf("dims=%v mode=%v cond=%v shards=%d: %v", dims, mode, cond, shards, err)
+						t.Fatalf("dims=%v mode=%v cond=%v lossless=%v: %v", dims, mode, cond, codec, err)
 					}
 					out, err := Decompress(payload, dims)
 					if err != nil {
-						t.Fatalf("dims=%v mode=%v cond=%v shards=%d: %v", dims, mode, cond, shards, err)
+						t.Fatalf("dims=%v mode=%v cond=%v lossless=%v: %v", dims, mode, cond, codec, err)
 					}
 					fields[k] = out.Data
 				}
 				if !slices.Equal(fields[0], fields[1]) {
-					t.Errorf("dims=%v mode=%v cond=%v: the sharded stream decodes to another field", dims, mode, cond)
+					t.Errorf("dims=%v mode=%v cond=%v: the Auto stream decodes to another field", dims, mode, cond)
 				}
 			}
 		}
@@ -62,49 +58,37 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 
 // TestParallelDecompressBitIdentical verifies that observed decompression
 // (DecompressObs with a span) reconstructs exactly the unobserved output,
-// for plain and QP streams, with and without the sharded Huffman body and
-// lossless.Auto's sharded stage.
+// for plain and QP streams, with and without lossless.Auto's sharded
+// stage.
 func TestParallelDecompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
 		for _, qp := range []bool{false, true} {
-			for _, shards := range []int{0, 4} {
+			for _, codec := range []lossless.Codec{lossless.Flate, lossless.Auto} {
 				opts := DefaultOptions(1e-3)
 				opts.Choice = ChoiceInterp
-				opts.Shards = shards
-				if shards > 1 {
-					opts.Lossless = lossless.Auto
-				}
+				opts.Lossless = codec
 				if qp {
 					opts = opts.WithQP()
 				}
 				payload, err := Compress(f, opts)
 				if err != nil {
-					t.Fatalf("dims=%v qp=%v shards=%d: %v", dims, qp, shards, err)
+					t.Fatalf("dims=%v qp=%v lossless=%v: %v", dims, qp, codec, err)
 				}
 				plain, err := Decompress(payload, dims)
 				if err != nil {
-					t.Fatalf("dims=%v qp=%v shards=%d: %v", dims, qp, shards, err)
+					t.Fatalf("dims=%v qp=%v lossless=%v: %v", dims, qp, codec, err)
 				}
 				observed, err := DecompressObs(payload, dims, obs.New().Span("decompress"))
 				if err != nil {
-					t.Fatalf("dims=%v qp=%v shards=%d observed: %v", dims, qp, shards, err)
+					t.Fatalf("dims=%v qp=%v lossless=%v observed: %v", dims, qp, codec, err)
 				}
 				if !slices.Equal(plain.Data, observed.Data) {
-					t.Fatalf("dims=%v qp=%v shards=%d: observed output differs", dims, qp, shards)
+					t.Fatalf("dims=%v qp=%v lossless=%v: observed output differs", dims, qp, codec)
 				}
 			}
 		}
 	}
-}
-
-// TestShardedStreamRoundTrips checks that a sharded stream decodes with a
-// sequential reader (format compatibility) and respects the error bound.
-func TestShardedStreamRoundTrips(t *testing.T) {
-	f := synth(24, 40, 48)
-	opts := DefaultOptions(1e-3).WithQP()
-	opts.Shards = 8
-	roundTrip(t, f, opts)
 }
 
 // TestEnginePooledScratchReuse runs repeated compressions to shake out
@@ -133,14 +117,13 @@ func TestEnginePooledScratchReuse(t *testing.T) {
 	}
 }
 
-// TestEngineDegenerateDims exercises the pass walker's skip logic, with a
-// sharded back end, on extents of 1 and other degenerate shapes.
+// TestEngineDegenerateDims exercises the pass walker's skip logic on
+// extents of 1 and other degenerate shapes.
 func TestEngineDegenerateDims(t *testing.T) {
 	for _, dims := range [][]int{{1}, {1, 1}, {1, 64}, {64, 1}, {1, 1, 4096}, {2, 1, 2}} {
 		f := synth(dims...)
 		opts := DefaultOptions(1e-3).WithQP()
 		opts.Choice = ChoiceInterp
-		opts.Shards = 4
 		out := roundTrip(t, f, opts)
 		if len(out.Data) != len(f.Data) {
 			t.Fatalf("dims=%v: wrong output size", dims)

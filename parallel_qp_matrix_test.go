@@ -13,12 +13,11 @@ import (
 // — every mode, every condition, every interpolation-based algorithm —
 // and proves that the worker count is invisible in the output: compressed
 // streams are byte-identical and decompressed fields bit-identical to the
-// workers=1 reference. The streams carry sharded Huffman bodies and
-// LosslessAuto's sharded lossless stage, the two stages Workers fans out;
-// the bound and the fields are tight and large enough that Auto writes a
-// sharded form (past its 64KB plaintext floor): the tag-4 container or
-// the Huffman byte codec's tag 7, whose shards share one table. The test
-// checks that it did.
+// workers=1 reference. The streams carry LosslessAuto's sharded lossless
+// stage; the bound and the fields are tight and large enough that Auto
+// writes a sharded form (past its 64KB plaintext floor): the tag-4
+// container or the Huffman byte codec's tag 7, whose shards share one
+// table. The test checks that it did.
 func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 	cases := []struct {
 		alg  Algorithm
@@ -31,8 +30,6 @@ func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 	}
 	modes := []QPMode{QPOff, QP1DBack, QP1DTop, QP1DLeft, QP2D, QP3D}
 	conds := []QPCondition{QPCaseI, QPCaseII, QPCaseIII, QPCaseIV}
-	// Four Huffman shards and a two-shard container: more than four
-	// workers schedule nothing new.
 	workerCounts := []int{1, 2, 4}
 
 	for _, tc := range cases {
@@ -55,7 +52,6 @@ func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 							RelativeBound: 1e-5,
 							QP:            QPConfig{Mode: mode, Condition: cond, MaxLevel: 2},
 							Workers:       w,
-							Shards:        4,
 							Lossless:      LosslessAuto,
 						}
 						stream, err := Compress(data, dims, opts)

@@ -218,12 +218,11 @@ type Options struct {
 	// sequentially. The produced stream is byte-identical for any worker
 	// count.
 	Workers int
-	// Shards splits the entropy-coded index stream of the
-	// interpolation-based algorithms into this many independently decodable
-	// Huffman shards sharing one code table. It changes the layout only:
-	// the shards are coded one after another on the calling goroutine, in
-	// both directions. <= 1 keeps the legacy single-body stream, which any
-	// earlier reader also understands.
+	// Shards is accepted and ignored: no value changes the stream. Earlier
+	// releases split the index stream into this many Huffman shards under
+	// one code table (index sub-format 0x00 0x01); Decompress still reads
+	// such streams, but the layout bought no parallel decode and only grew
+	// the stream, so no value writes it now.
 	Shards int
 	// Lossless selects the final lossless back-end for the
 	// interpolation-based algorithms. The zero value (LosslessDefault)
@@ -438,7 +437,6 @@ func compressSpan(data []float64, dims []int, opts Options, sp *obs.Span) ([]byt
 	// are set once here.
 	be := core.DefaultBackend()
 	be.QP = opts.QP.toCore()
-	be.Shards = opts.Shards
 	be.Lossless = losslessCodecs[opts.Lossless].codec
 	be.Obs = sp
 

@@ -31,7 +31,7 @@ func statsTestField(n0, n1, n2 int) ([]float64, []int) {
 func TestObserverByteIdentity(t *testing.T) {
 	data, dims := statsTestField(16, 20, 24)
 	for alg := SZ3; alg < numAlgorithms; alg++ {
-		opts := Options{Algorithm: alg, ErrorBound: 1e-3, Workers: 3, Shards: 2}
+		opts := Options{Algorithm: alg, ErrorBound: 1e-3, Workers: 3}
 		if alg.SupportsQP() {
 			opts.QP = DefaultQP()
 		}
@@ -70,7 +70,7 @@ func TestCompressWithStatsStages(t *testing.T) {
 	// 1e-2 keeps SZ3 in interpolation mode for this field; smaller bounds
 	// switch to Lorenzo, which has no interp/qp spans.
 	stream, stats, err := CompressWithStats(data, dims, Options{
-		Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP(), Workers: 2, Shards: 2,
+		Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP(), Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestChunkedWorkerSpans(t *testing.T) {
 func TestDecompressObservedStages(t *testing.T) {
 	data, dims := statsTestField(16, 20, 24)
 	// 1e-2 keeps SZ3 in interpolation mode (see TestCompressWithStatsStages).
-	stream, err := Compress(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP(), Shards: 2})
+	stream, err := Compress(data, dims, Options{Algorithm: SZ3, ErrorBound: 1e-2, QP: DefaultQP()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestRegistryByteIdentity(t *testing.T) {
 	data, dims := statsTestField(16, 20, 24)
 	reg := agg.New()
 	for alg := SZ3; alg < numAlgorithms; alg++ {
-		opts := Options{Algorithm: alg, ErrorBound: 1e-3, Workers: 3, Shards: 2}
+		opts := Options{Algorithm: alg, ErrorBound: 1e-3, Workers: 3}
 		if alg.SupportsQP() {
 			opts.QP = DefaultQP()
 		}
