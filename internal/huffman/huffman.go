@@ -963,9 +963,9 @@ func Decode(data []byte) ([]int32, error) {
 
 // DecodeN decodes a Huffman stream of any layout: single-body, plain or
 // run-coded (runs.go), or sharded (sharded.go), whose shards decode one
-// after another. n >= 0 is the number of symbols the
-// stream must hold: one that declares any other count is corrupt before
-// its output is allocated. n < 0 accepts whatever the body could hold.
+// after another. n >= 0 is the number of symbols the stream must hold:
+// one that declares any other count is corrupt before its output is
+// allocated. n < 0 accepts whatever the body could hold.
 func DecodeN(data []byte, n int) ([]int32, error) {
 	return DecodeTo(data, n, newOutput)
 }
