@@ -17,12 +17,16 @@ func genMiranda(f *grid.Field, field int, rng *rand.Rand) {
 	width := 0.03 + 0.02*rng.Float64()
 	amp := 1.5 + 0.5*float64(field%3)
 	wob := spectrum(rng, 6, 1.5, 1, 4)
-	forEach3(f, func(idx int, u, v, w float64) {
-		wobble := 0.0
+	_, ny, nz := dims3of(f)
+	wobble := table2(ny, nz, func(v, w float64) float64 {
+		s := 0.0
 		for _, m := range wob {
-			wobble += 0.02 * m.amp * math.Sin(2*math.Pi*(float64(m.fy)*v+float64(m.fz)*w)+m.phase)
+			s += 0.02 * m.amp * math.Sin(2*math.Pi*(float64(m.fy)*v+float64(m.fz)*w)+m.phase)
 		}
-		f.Data[idx] += amp * math.Tanh((u-layerPos+wobble)/width)
+		return s
+	})
+	forEach3(f, func(idx, _, _, yz int, u, _ float64) {
+		f.Data[idx] += amp * math.Tanh((u-layerPos+wobble[yz])/width)
 	})
 }
 
@@ -32,19 +36,34 @@ func genHurricane(f *grid.Field, field int, rng *rand.Rand) {
 	addSpectral(f, spectrum(rng, 40, 2.0, 1.5, 16), 0.5)
 	cx, cy := 0.45+0.1*rng.Float64(), 0.45+0.1*rng.Float64()
 	core := 0.06 + 0.03*rng.Float64()
-	forEach3(f, func(idx int, u, v, w float64) {
-		dy, dz := v-cx, w-cy
-		r := math.Hypot(dy, dz)
-		// Rankine-like vortex profile with altitude (u) decay.
-		swirl := r / core * math.Exp(1-r/core) * math.Exp(-2*u)
-		switch field % 3 {
-		case 0: // pressure-like: dip at the core
-			f.Data[idx] += -2 * math.Exp(-r*r/(2*core*core)) * math.Exp(-u)
-		case 1: // tangential velocity component
-			f.Data[idx] += swirl * (-dz / (r + 1e-9))
-		default:
-			f.Data[idx] += swirl * (dy / (r + 1e-9))
+	nx, ny, nz := dims3of(f)
+	// plane tabulates a term of the lateral offset from the core.
+	plane := func(fn func(dy, dz, r float64) float64) []float64 {
+		return table2(ny, nz, func(v, w float64) float64 {
+			dy, dz := v-cx, w-cy
+			return fn(dy, dz, math.Hypot(dy, dz))
+		})
+	}
+	if field%3 == 0 { // pressure-like: dip at the core
+		dip := plane(func(_, _, r float64) float64 { return -2 * math.Exp(-r*r/(2*core*core)) })
+		decay := table2(nx, 1, func(u, _ float64) float64 { return math.Exp(-u) })
+		forEach3(f, func(idx, x, _, yz int, _, _ float64) {
+			f.Data[idx] += dip[yz] * decay[x]
+		})
+		return
+	}
+	// Velocity components: a Rankine-like vortex profile with altitude
+	// (u) decay, times the tangential direction's component.
+	profile := plane(func(_, _, r float64) float64 { return r / core * math.Exp(1-r/core) })
+	decay := table2(nx, 1, func(u, _ float64) float64 { return math.Exp(-2 * u) })
+	dir := plane(func(dy, dz, r float64) float64 {
+		if field%3 == 1 {
+			return -dz / (r + 1e-9)
 		}
+		return dy / (r + 1e-9)
+	})
+	forEach3(f, func(idx, x, _, yz int, _, _ float64) {
+		f.Data[idx] += profile[yz] * decay[x] * dir[yz]
 	})
 }
 
@@ -65,16 +84,25 @@ func genSegSalt(f *grid.Field, field int, rng *rand.Rand) {
 	ra, rb, rc := 0.12+0.06*rng.Float64(), 0.12+0.06*rng.Float64(), 0.2+0.1*rng.Float64()
 
 	// The gridded model is band-limited: interfaces ramp over ~1.5 cells.
-	_, _, nz := dims3of(f)
+	nx, ny, nz := dims3of(f)
 	ramp := 1.5 / float64(nz)
 
-	forEach3(f, func(idx int, u, v, w float64) {
-		// Interface undulation depends on the lateral coordinates only.
-		undul := 0.0
+	// Interface undulation and the salt body's lateral offset depend on
+	// the lateral coordinates only.
+	undul := table2(nx, ny, func(u, v float64) float64 {
+		s := 0.0
 		for _, m := range und {
-			undul += 0.02 * m.amp * math.Sin(2*math.Pi*(float64(m.fx)*u+float64(m.fy)*v)+m.phase)
+			s += 0.02 * m.amp * math.Sin(2*math.Pi*(float64(m.fx)*u+float64(m.fy)*v)+m.phase)
 		}
-		depth := w + undul
+		return s
+	})
+	saltLat := table2(nx, ny, func(u, v float64) float64 {
+		du, dv := (u-sx)/ra, (v-sy)/rb
+		return du*du + dv*dv
+	})
+
+	forEach3(f, func(idx, _, row, _ int, _, w float64) {
+		depth := w + undul[row]
 		// Smoothly stacked layers: each interface contributes its velocity
 		// step through a narrow smoothstep.
 		val := vels[0] + 0.3*depth // gentle compaction gradient
@@ -82,8 +110,8 @@ func genSegSalt(f *grid.Field, field int, rng *rand.Rand) {
 			val += (vels[i] - vels[i-1]) * smoothstep((depth-depths[i])/ramp)
 		}
 		// Salt body override, with a smooth rim.
-		du, dv, dw := (u-sx)/ra, (v-sy)/rb, (w-sz)/rc
-		r := math.Sqrt(du*du + dv*dv + dw*dw)
+		dw := (w - sz) / rc
+		r := math.Sqrt(saltLat[row] + dw*dw)
 		val += (4.5 - val) * smoothstep((1-r)/0.08)
 		f.Data[idx] += val
 	})
@@ -111,10 +139,18 @@ func genScale(f *grid.Field, field int, rng *rand.Rand) {
 	addSpectral(f, spectrum(rng, 40, 2.0, 2, 20), 0.4)
 	cellK := 6 + rng.Intn(5)
 	ph1, ph2 := 2*math.Pi*rng.Float64(), 2*math.Pi*rng.Float64()
-	forEach3(f, func(idx int, u, v, w float64) {
-		cell := math.Sin(2*math.Pi*float64(cellK)*v+ph1) * math.Sin(2*math.Pi*float64(cellK)*w+ph2)
-		bl := math.Exp(-3 * u) // boundary layer decays with height
-		f.Data[idx] += 0.8*cell*bl + 2*bl*float64(1+field%2)
+	nx, ny, nz := dims3of(f)
+	cell := table2(ny, nz, func(v, w float64) float64 {
+		c := math.Sin(2*math.Pi*float64(cellK)*v+ph1) * math.Sin(2*math.Pi*float64(cellK)*w+ph2)
+		return 0.8 * c
+	})
+	bl := table2(nx, 1, func(u, _ float64) float64 { return math.Exp(-3 * u) }) // boundary layer decays with height
+	base := make([]float64, nx)
+	for x, b := range bl {
+		base[x] = 2 * b * float64(1+field%2)
+	}
+	forEach3(f, func(idx, x, _, yz int, _, _ float64) {
+		f.Data[idx] += cell[yz]*bl[x] + base[x]
 	})
 }
 
@@ -127,13 +163,17 @@ func genS3D(f *grid.Field, field int, rng *rand.Rand) {
 	width := 0.015 + 0.01*rng.Float64()
 	wrinkle := spectrum(rng, 8, 1.4, 1, 8)
 	hi := 1.0 + 0.5*float64(field%4)
-	forEach3(f, func(idx int, u, v, w float64) {
-		wr := 0.0
+	_, ny, nz := dims3of(f)
+	wr := table2(ny, nz, func(v, w float64) float64 {
+		s := 0.0
 		for _, m := range wrinkle {
-			wr += 0.03 * m.amp * math.Sin(2*math.Pi*(float64(m.fy)*v+float64(m.fz)*w)+m.phase)
+			s += 0.03 * m.amp * math.Sin(2*math.Pi*(float64(m.fy)*v+float64(m.fz)*w)+m.phase)
 		}
+		return s
+	})
+	forEach3(f, func(idx, _, _, yz int, u, _ float64) {
 		// Sigmoid front: burned side at hi, unburned near 0.
-		f.Data[idx] += hi / (1 + math.Exp(-(u-frontPos+wr)/width))
+		f.Data[idx] += hi / (1 + math.Exp(-(u-frontPos+wr[yz])/width))
 	})
 }
 
@@ -143,11 +183,16 @@ func genCESM(f *grid.Field, field int, rng *rand.Rand) {
 	nbands := 3 + rng.Intn(3)
 	ph := 2 * math.Pi * rng.Float64()
 	waves := spectrum(rng, 24, 2.2, 1.5, 12)
-	forEach3(f, func(idx int, u, v, w float64) {
-		// v is latitude: zonal banding; u is the model level: smooth
-		// vertical structure.
-		band := math.Cos(2*math.Pi*float64(nbands)*v + ph)
-		f.Data[idx] += 2*band*(1-0.5*u) + 0.3*math.Sin(2*math.Pi*(2*w+3*v)+ph)*float64(1+field%2)
+	nx, ny, nz := dims3of(f)
+	// v is latitude: zonal banding; u is the model level: smooth
+	// vertical structure.
+	band := table2(ny, nz, func(v, _ float64) float64 { return 2 * math.Cos(2*math.Pi*float64(nbands)*v+ph) })
+	level := table2(nx, 1, func(u, _ float64) float64 { return 1 - 0.5*u })
+	wave := table2(ny, nz, func(v, w float64) float64 {
+		return 0.3 * math.Sin(2*math.Pi*(2*w+3*v)+ph) * float64(1+field%2)
+	})
+	forEach3(f, func(idx, x, _, yz int, _, _ float64) {
+		f.Data[idx] += band[yz]*level[x] + wave[yz]
 	})
 	addSpectral(f, waves, 0.25)
 }
@@ -166,7 +211,14 @@ func genRTM(f *grid.Field, step int, rng *rand.Rand) {
 	}
 	radius := 0.08 + 0.9*float64(step%64)/64
 	width := 0.05
-	forEach3(f, func(idx int, u, v, w float64) {
+	nx, ny, _ := dims3of(f)
+	// The source sits at the surface centre: the lateral part of a
+	// point's squared distance to it depends on (u, v) only.
+	lat := table2(nx, ny, func(u, v float64) float64 {
+		du, dv := u-0.5, v-0.5
+		return du*du + dv*dv
+	})
+	forEach3(f, func(idx, _, row, _ int, _, w float64) {
 		layer := int(w * float64(nLayers))
 		if layer >= nLayers {
 			layer = nLayers - 1
@@ -175,8 +227,7 @@ func genRTM(f *grid.Field, step int, rng *rand.Rand) {
 		// Spherical shell wavefront from a surface source. Real RTM
 		// snapshots are band-limited (source wavelet), so the shell is a
 		// smooth modulated Gaussian.
-		du, dv, dw := u-0.5, v-0.5, w
-		r := math.Sqrt(du*du + dv*dv + dw*dw)
+		r := math.Sqrt(lat[row] + w*w)
 		val += 2 * math.Exp(-(r-radius)*(r-radius)/(2*width*width)) *
 			math.Cos(2*math.Pi*(r-radius)/0.15)
 		f.Data[idx] += val
