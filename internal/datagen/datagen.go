@@ -112,8 +112,9 @@ func (d Dataset) Spec() Spec {
 }
 
 // Generate synthesizes field number field of the dataset at the given
-// dims (nil selects the spec's reduced dims). For RTM, field is the time
-// step and controls the wavefront radius.
+// 1–3 dims (nil selects the spec's reduced dims). For RTM, field is the
+// time step and controls the wavefront radius; RTM's fourth axis is
+// time, so no dataset takes 4D dims.
 func Generate(d Dataset, field int, dims []int, seed int64) (*grid.Field, error) {
 	spec, ok := SpecOf(d)
 	if !ok {
@@ -121,6 +122,9 @@ func Generate(d Dataset, field int, dims []int, seed int64) (*grid.Field, error)
 	}
 	if dims == nil {
 		dims = spec.Dims
+	}
+	if len(dims) > 3 {
+		return nil, fmt.Errorf("datagen: %d-D dims %v: fields have at most 3 axes", len(dims), dims)
 	}
 	f, err := grid.New(dims...)
 	if err != nil {

@@ -135,6 +135,11 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 	if _, err := Generate(Miranda, 0, []int{4, 4, 4, 4, 4}, 1); err == nil {
 		t.Fatal("5D dims accepted")
 	}
+	// A 4D grid is valid, but the generators fill only three axes: the
+	// rest of the field would stay 0.
+	if _, err := Generate(Miranda, 0, []int{3, 4, 5, 6}, 1); err == nil {
+		t.Fatal("4D dims accepted")
+	}
 	if _, ok := SpecOf(Dataset(99)); ok {
 		t.Fatal("SpecOf reported unknown dataset as known")
 	}

@@ -128,7 +128,14 @@ func TestPooledFieldInvariant(t *testing.T) {
 	}
 
 	for _, dims := range [][]int{{301}, {19, 23}, {9, 10, 11}, {5, 6, 7, 8}} {
-		f := datagen.MustGenerate(datagen.Miranda, 0, dims, 3)
+		// datagen fills at most three axes: the 4D field is a 3D one with
+		// its first two axes merged.
+		gen := dims
+		if len(dims) == 4 {
+			gen = []int{dims[0] * dims[1], dims[2], dims[3]}
+		}
+		f := grid.MustNew(dims...)
+		copy(f.Data, datagen.MustGenerate(datagen.Miranda, 0, gen, 3).Data)
 		eb := f.Range() * 1e-3
 		for _, eng := range backendEngines {
 			for _, qp := range []bool{false, true} {
