@@ -46,7 +46,8 @@ func List() []Info {
 
 // Generate synthesizes one field of the named dataset. dims has 1–3
 // axes, or is nil to select the reduced default geometry; field selects
-// the variable (or, for RTM, the time step). The result is row-major with the first dim slowest.
+// the variable (or, for RTM, the time step). The result is row-major
+// with the first dim slowest.
 func Generate(name string, field int, dims []int, seed int64) ([]float64, []int, error) {
 	for _, s := range datagen.Specs() {
 		if s.Name == name {

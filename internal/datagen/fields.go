@@ -145,10 +145,7 @@ func genScale(f *grid.Field, field int, rng *rand.Rand) {
 		return 0.8 * c
 	})
 	bl := table2(nx, 1, func(u, _ float64) float64 { return math.Exp(-3 * u) }) // boundary layer decays with height
-	base := make([]float64, nx)
-	for x, b := range bl {
-		base[x] = 2 * b * float64(1+field%2)
-	}
+	base := table2(nx, 1, func(u, _ float64) float64 { return 2 * math.Exp(-3*u) * float64(1+field%2) })
 	forEach3(f, func(idx, x, _, yz int, _, _ float64) {
 		f.Data[idx] += cell[yz]*bl[x] + base[x]
 	})
