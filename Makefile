@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzLosslessDecompress$$' -fuzztime $(FUZZTIME) ./internal/lossless/
 	$(GO) test -run xxx -fuzz '^FuzzLosslessSharded$$' -fuzztime $(FUZZTIME) ./internal/lossless/
 	$(GO) test -run xxx -fuzz '^FuzzInflate$$' -fuzztime $(FUZZTIME) ./internal/lossless/
+	$(GO) test -run xxx -fuzz '^FuzzDeflate$$' -fuzztime $(FUZZTIME) ./internal/lossless/
 	$(GO) test -run xxx -fuzz '^FuzzBitReader$$' -fuzztime $(FUZZTIME) ./internal/bitstream/
 	$(GO) test -run xxx -fuzz '^FuzzBitWriterReader$$' -fuzztime $(FUZZTIME) ./internal/bitstream/
 	$(GO) test -run xxx -fuzz '^FuzzQuantizerRecover$$' -fuzztime $(FUZZTIME) ./internal/quantizer/

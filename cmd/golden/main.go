@@ -140,8 +140,8 @@ func shaHex(b []byte) string {
 // decodeOnly names the pins whose encoders are gone: the forced rice and
 // auto-picked entropy coders (index sub-format 0x00 0x02), the sharded
 // index sub-format (0x00 0x01), the forced flate, LZ and Huffman lossless
-// options and the forced sharded-flate container.
-var decodeOnly = []string{
+// options, the forced sharded-flate container, and the flate6 copies.
+var decodeOnly = append([]string{
 	"sz3_3d_qpon_rice",
 	"qoz_3d_qpon_rice",
 	"hpez_3d_qpon_rice",
@@ -152,7 +152,33 @@ var decodeOnly = []string{
 	"sz3_3d_qpon_lossless_huffman",
 	"sz3_3d_qpon_lossless_sharded",
 	"sz3_3d_qpon_sharded",
-}
+}, flate6...)
+
+// flate6 names, with the flate6Suffix, the streams of the pins whose tag-1
+// bodies and flate shards compress/flate's level-6 writer wrote, before
+// the in-package DEFLATE writer: every pin with a lossless stage as it
+// stood then. They are the bodies the inflater must keep reading.
+var flate6 = func() []string {
+	var names []string
+	for _, alg := range []string{"sz3", "qoz", "hpez", "mgard", "tthresh", "sperr"} {
+		for nd := 1; nd <= 4; nd++ {
+			names = append(names, fmt.Sprintf("%s_%dd_qpoff", alg, nd))
+			if alg != "tthresh" && alg != "sperr" {
+				names = append(names, fmt.Sprintf("%s_%dd_qpon", alg, nd))
+			}
+		}
+	}
+	names = append(names, "sz3_3d_qpon_lossless_auto", "chunked_sz3_3d_qpon", "v1_sz3_3d_qpoff",
+		"sz3_3d_qpon_lorenzo", "sz3_3d_qpon_lossless_auto_sharded", "sz3_4d_qpoff_lorenzo",
+		"sz3_3d_qpoff_lorenzo_spiky", "sz3_4d_qpon_lorenzo", "sz3_1d_qpon_runs", "hpez_1d_qpon_runs",
+		"mgard_3d_qpoff_noisy")
+	for i := range names {
+		names[i] += flate6Suffix
+	}
+	return names
+}()
+
+const flate6Suffix = "_flate6"
 
 // committed returns the decode-only entries of the corpus manifest in dir
 // and their streams, both by name, after checking that each stream still
@@ -335,6 +361,9 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 	// under one code table.
 	keep("sz3_3d_qpon_sharded")
 
+	for _, name := range flate6 {
+		keep(name)
+	}
 	return entries, streams, err
 }
 

@@ -74,23 +74,28 @@ func (c IndexCell) Arrays() (q, qp []int32, err error) {
 	return tr.Q, tr.QP, nil
 }
 
-// Plaintext compresses the cell's field (field 0, seed 1) through the
-// public API, with QP on or off, and returns the plaintext of the
-// stream's lossless stage: the bytes its flate body inflates to.
-func (c IndexCell) Plaintext(qp bool) ([]byte, error) {
+// Plaintexts compresses the cell's field (field 0, seed 1) through the
+// public API, with QP on and with QP off, and returns the plaintext of
+// each stream's lossless stage: the bytes its flate body inflates to. The
+// field is synthesized once for both.
+func (c IndexCell) Plaintexts() (qp, base []byte, err error) {
 	f := datagen.MustGenerate(c.Dataset, 0, c.Dims, 1)
-	opts := scdc.Options{Algorithm: c.Alg, ErrorBound: c.Rel * f.Range()}
-	if qp {
-		opts.QP = scdc.DefaultQP()
+	plain := func(q scdc.QPConfig) ([]byte, error) {
+		opts := scdc.Options{Algorithm: c.Alg, ErrorBound: c.Rel * f.Range(), QP: q}
+		stream, err := scdc.Compress(f.Data, f.Dims(), opts)
+		if err != nil {
+			return nil, fmt.Errorf("plaintext %s: %w", c.Name, err)
+		}
+		info, err := scdc.Inspect(stream)
+		if err != nil {
+			return nil, fmt.Errorf("plaintext %s: %w", c.Name, err)
+		}
+		end := len(stream) - 4 // the CRC32C footer
+		return lossless.Decompress(stream[end-info.PayloadBytes : end])
 	}
-	stream, err := scdc.Compress(f.Data, f.Dims(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("plaintext %s: %w", c.Name, err)
+	if qp, err = plain(scdc.DefaultQP()); err != nil {
+		return nil, nil, err
 	}
-	info, err := scdc.Inspect(stream)
-	if err != nil {
-		return nil, fmt.Errorf("plaintext %s: %w", c.Name, err)
-	}
-	end := len(stream) - 4 // the CRC32C footer
-	return lossless.Decompress(stream[end-info.PayloadBytes : end])
+	base, err = plain(scdc.QPConfig{})
+	return qp, base, err
 }

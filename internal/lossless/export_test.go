@@ -19,3 +19,12 @@ func FlatePlan(src []byte) []bool {
 
 // FlateSegment is flateSegment for the external test package.
 const FlateSegment = flateSegment
+
+// FlateBound is flateBound for the external test package.
+var FlateBound = flateBound
+
+// FlateBody is one run of DEFLATE blocks over the whole of src, with no
+// segment plan, for the external test package.
+func FlateBody(src []byte) []byte {
+	return flateCompressBody(nil, src)
+}

@@ -110,25 +110,13 @@ func baseEntries() (lit [288]uint32, dist [32]uint32, cl [19]uint32) {
 }
 
 func fixedTables() (*[litTableSize]uint32, *[distTableSize]uint32) {
-	var lens [288]uint8
-	for s := range lens {
-		switch {
-		case s < 144:
-			lens[s] = 8
-		case s < 256:
-			lens[s] = 9
-		case s < 280:
-			lens[s] = 7
-		default:
-			lens[s] = 8
-		}
-	}
 	lit, dist := new([litTableSize]uint32), new([distTableSize]uint32)
-	build(lit[:], lens[:], litBase[:], litRootBits)
-	for s := range 32 {
+	build(lit[:], fixedLitLens[:], litBase[:], litRootBits)
+	var lens [32]uint8
+	for s := range lens {
 		lens[s] = 5
 	}
-	build(dist[:], lens[:32], distBase[:], distRootBits)
+	build(dist[:], lens[:], distBase[:], distRootBits)
 	return lit, dist
 }
 

@@ -51,17 +51,11 @@ func oracle(dst, body []byte) error {
 var workloadPlaintexts = sync.OnceValues(func() ([]plaintext, error) {
 	var out []plaintext
 	for _, c := range bench.Workloads {
-		for _, qp := range []bool{true, false} {
-			p, err := c.Plaintext(qp)
-			if err != nil {
-				return nil, err
-			}
-			name := c.Name + "/qp"
-			if !qp {
-				name = c.Name + "/base"
-			}
-			out = append(out, plaintext{name, p})
+		qp, base, err := c.Plaintexts()
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, plaintext{c.Name + "/qp", qp}, plaintext{c.Name + "/base", base})
 	}
 	return out, nil
 })
@@ -172,40 +166,46 @@ func agreesWithFlate(t *testing.T, body []byte) {
 	}
 }
 
-// FuzzInflate runs agreesWithFlate over arbitrary bodies. The seeds are
-// every golden pin's flate body, and the first 16 KB of each pin
-// plaintext of at least 1 KB written again at every level of flateLevels;
-// the workloads' whole plaintexts at every level are TestInflateWorkloads'
-// cases. Seeding from the pins spares every fuzz process the ~4 s of
-// synthesizing and compressing the workload fields before its first exec.
-//
-// Minimizing a new input tries O(n²) candidates on the ~1 KB pin bodies at
-// ~0.1 ms each: seconds per input, in which its worker mutates nothing and
-// the fuzzer reports 0 execs/s. Unless the command line sets
-// -fuzzminimizetime, a minimization stops after minimizeExecs candidates.
-func FuzzInflate(f *testing.F) {
-	explicit := false
-	flag.Visit(func(fl *flag.Flag) { explicit = explicit || fl.Name == "test.fuzzminimizetime" })
-	if !explicit {
-		if err := flag.Set("test.fuzzminimizetime", minimizeExecs); err != nil {
-			f.Fatal(err)
-		}
-	}
+// goldenSeeds returns the distinct golden flate bodies, and the first
+// seedPrefix bytes of the plaintext of each that inflates to at least
+// seedMin bytes.
+func goldenSeeds(tb testing.TB) (bodies, prefixes [][]byte) {
+	tb.Helper()
 	seen := make(map[string]bool)
-	for _, b := range goldenFlateBodies(f) {
+	for _, b := range goldenFlateBodies(tb) {
 		if seen[string(b)] {
 			continue
 		}
 		seen[string(b)] = true
-		f.Add(b)
+		bodies = append(bodies, b)
 		plain, err := io.ReadAll(flate.NewReader(bytes.NewReader(b)))
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		if len(plain) >= seedMin {
-			for _, level := range flateLevels {
-				f.Add(deflate(f, plain[:min(len(plain), seedPrefix)], level))
-			}
+			prefixes = append(prefixes, plain[:min(len(plain), seedPrefix)])
+		}
+	}
+	return bodies, prefixes
+}
+
+// FuzzInflate runs agreesWithFlate over arbitrary bodies. The seeds are
+// every golden pin's flate body, and each of goldenSeeds' plaintext
+// prefixes written again at every level of flateLevels; the workloads'
+// whole plaintexts at every level are TestInflateWorkloads' cases. Seeding
+// from the pins spares every fuzz process the synthesis and compression of
+// the workload fields before its first exec.
+//
+// Its minimizations are capped (capMinimize).
+func FuzzInflate(f *testing.F) {
+	capMinimize(f)
+	bodies, prefixes := goldenSeeds(f)
+	for _, b := range bodies {
+		f.Add(b)
+	}
+	for _, p := range prefixes {
+		for _, level := range flateLevels {
+			f.Add(deflate(f, p, level))
 		}
 	}
 	f.Add(deflate(f, []byte("abcabcabcabcabcabcabc aaaaaaaaaaaaaaaaaaaaaa"), flate.BestSpeed))
@@ -213,7 +213,22 @@ func FuzzInflate(f *testing.F) {
 	f.Fuzz(agreesWithFlate)
 }
 
-// minimizeExecs is FuzzInflate's default -fuzzminimizetime.
+// capMinimize caps how long the fuzzer minimizes a new input. Minimizing
+// tries O(n²) candidates on the ~1–16 KB seeds at ~0.1 ms each: seconds per
+// input, in which its worker mutates nothing and the fuzzer reports 0
+// execs/s. Unless the command line sets -fuzzminimizetime, a minimization
+// stops after minimizeExecs candidates.
+func capMinimize(f *testing.F) {
+	explicit := false
+	flag.Visit(func(fl *flag.Flag) { explicit = explicit || fl.Name == "test.fuzzminimizetime" })
+	if !explicit {
+		if err := flag.Set("test.fuzzminimizetime", minimizeExecs); err != nil {
+			f.Fatal(err)
+		}
+	}
+}
+
+// minimizeExecs is the default -fuzzminimizetime of capMinimize.
 const minimizeExecs = "1000x"
 
 // TestInflateWorkloads runs agreesWithFlate over each workload's whole

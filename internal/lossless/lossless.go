@@ -2,10 +2,11 @@
 // paper's pipeline applies after entropy coding (ZSTD in the original
 // implementations). Interchangeable codecs are provided:
 //
-//   - Flate: DEFLATE, the default back-end: compress/flate writes it and
-//     the in-package inflater (inflate.go) reads it. A buffer past 64 KB
-//     is written a segment at a time, and a segment DEFLATE is priced not
-//     to shrink goes out as stored blocks (flatePays).
+//   - Flate: DEFLATE, the default back-end: the in-package writer
+//     (deflate.go) writes it and the in-package inflater (inflate.go)
+//     reads it. A buffer past 64 KB is priced a segment at a time, and a
+//     segment DEFLATE is priced not to shrink goes out as stored blocks
+//     (flatePays).
 //   - Huffman: order-0 canonical Huffman coding of the bytes (huff.go).
 //   - Sharded: a container (sharded.go) that splits the plaintext into
 //     size-derived shards, each compressed by its own codec.
@@ -21,22 +22,11 @@
 package lossless
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sync"
 
 	"scdc/internal/verdict"
 )
-
-// Flate writers carry large match/window state; recycling them removes
-// the dominant per-call allocation of this stage.
-var flateWriterPool = sync.Pool{New: func() any {
-	w, _ := flate.NewWriter(io.Discard, flate.DefaultCompression)
-	return w
-}}
 
 // flateMaxExpand is DEFLATE's decode expansion per spec (~1032x), the
 // largest of any codec here.
@@ -48,7 +38,7 @@ type Codec byte
 const (
 	// None stores bytes verbatim.
 	None Codec = 0
-	// Flate is DEFLATE at compress/flate's default compression.
+	// Flate is DEFLATE (RFC 1951), written by the in-package writer.
 	Flate Codec = 1
 	// LZ is the retired built-in LZ77 codec: it decodes, but Compress
 	// and CompressSharded reject it.
@@ -95,18 +85,6 @@ func (c Codec) String() string {
 	}
 }
 
-// flateCompressBody writes the DEFLATE stream for src to w using a
-// pooled writer.
-func flateCompressBody(w io.Writer, src []byte) error {
-	fw := flateWriterPool.Get().(*flate.Writer)
-	defer flateWriterPool.Put(fw)
-	fw.Reset(w)
-	if _, err := fw.Write(src); err != nil {
-		return err
-	}
-	return fw.Close()
-}
-
 // flateSegment is the span the Flate encoder prices at a time. A longer
 // buffer is cut into ⌈n/flateSegment⌉ equal segments.
 const flateSegment = 64 << 10
@@ -115,42 +93,41 @@ const flateSegment = 64 << 10
 const maxStoredBlock = 65535
 
 // flateBound is the room flateCompressSegments is given for n bytes, so
-// that a body stored in whole or in part never regrows: compress/flate
-// writes no storable block larger than its stored form, and on
-// incompressible input it closes a block every 16 KB. Each block, the
-// sync marker before a stored run and the closing marker cost at most 5.
+// that a body stored in whole or in part never regrows. The encoder
+// writes no block larger than its stored form, whose stored blocks cost 5
+// bytes each past their bytes. A block of blockTokens tokens covers at
+// least 16 KB, and so needs no more stored blocks than it has 16 KB
+// pieces; a shorter block covers less than 64 KB, or a fixed block would
+// undercut storing it. So, past n's 16 KB pieces, only the last block of
+// each run of paying segments and each stored run add a stored block,
+// and those are at most one per segment.
 func flateBound(n int) int {
 	return n + 5*(n>>14+n/flateSegment+2)
 }
 
-// flateCompressSegments writes src's DEFLATE body to buf. A buffer of
-// one segment is one pass of the pooled writer. A longer one goes
-// through the writer a segment at a time, and a segment flatePays prices
-// as not paying goes out as stored blocks instead: the
-// writer flushes to a byte boundary before the stored run, and the next
-// paying segment starts a Reset writer, so no back-reference crosses
-// bytes the compressor never saw. compress/flate's output does not depend
-// on how its input is split across Writes, so when every segment pays
-// the body is byte-identical to one whole-buffer pass.
-func flateCompressSegments(buf *bytes.Buffer, src []byte) error {
+// flateCompressSegments appends src's DEFLATE body to dst. A buffer of one
+// segment is one run of blocks. A longer one is priced a segment at a
+// time: each run of segments flatePays prices as paying is one run of
+// blocks, and each run of the others goes out as stored blocks. A run's
+// matches may reach back into the bytes before it, which the inflater has
+// written.
+func flateCompressSegments(dst, src []byte) []byte {
 	if len(src) <= flateSegment {
-		return flateCompressBody(buf, src)
+		return flateCompressBody(dst, src)
 	}
-	fw := flateWriterPool.Get().(*flate.Writer)
-	defer flateWriterPool.Put(fw)
+	d := deflaterPool.Get().(*deflater)
+	defer deflaterPool.Put(d)
+	d.begin(dst)
 	n := len(src)
 	k := (n + flateSegment - 1) / flateSegment
-	// open: fw holds the current flate run; stored: start of the
-	// pending stored run, or -1.
-	open, stored := false, -1
+	// The start of the pending run of paying or of stored segments.
+	paying, stored := -1, -1
 	for i := range k {
 		lo, hi := i*n/k, (i+1)*n/k
 		if !flatePays(src[lo:hi]) {
-			if open {
-				if err := fw.Flush(); err != nil {
-					return err
-				}
-				open = false
+			if paying >= 0 {
+				d.compress(src, paying, lo, false)
+				paying = -1
 			}
 			if stored < 0 {
 				stored = lo
@@ -158,39 +135,19 @@ func flateCompressSegments(buf *bytes.Buffer, src []byte) error {
 			continue
 		}
 		if stored >= 0 {
-			writeStored(buf, src[stored:lo], false)
+			d.w.stored(src[stored:lo], false)
 			stored = -1
 		}
-		if !open {
-			fw.Reset(buf)
-			open = true
-		}
-		if _, err := fw.Write(src[lo:hi]); err != nil {
-			return err
+		if paying < 0 {
+			paying = lo
 		}
 	}
-	if stored >= 0 {
-		writeStored(buf, src[stored:], true)
-		return nil
+	if paying >= 0 {
+		d.compress(src, paying, n, true)
+	} else {
+		d.w.stored(src[stored:], true)
 	}
-	return fw.Close()
-}
-
-// writeStored writes p as DEFLATE stored blocks from a byte boundary,
-// setting BFINAL on the last one when final.
-func writeStored(buf *bytes.Buffer, p []byte, final bool) {
-	for len(p) > 0 {
-		m := min(len(p), maxStoredBlock)
-		var h [5]byte
-		if final && m == len(p) {
-			h[0] = 1
-		}
-		binary.LittleEndian.PutUint16(h[1:], uint16(m))
-		binary.LittleEndian.PutUint16(h[3:], ^uint16(m))
-		buf.Write(h[:])
-		buf.Write(p[:m])
-		p = p[m:]
-	}
+	return d.finish(n)
 }
 
 // header opens a stream — the codec tag and the uvarint plaintext length —
@@ -214,11 +171,7 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 	case None:
 		return append(header(c, len(src), len(src)), src...), nil
 	case Flate:
-		buf := bytes.NewBuffer(header(c, len(src), flateBound(len(src))))
-		if err := flateCompressSegments(buf, src); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return flateCompressSegments(header(c, len(src), flateBound(len(src))), src), nil
 	case Huffman:
 		return huffCompressBody(header(c, len(src), 0), src), nil
 	case LZ:

@@ -386,8 +386,8 @@ func btoi(b bool) int {
 }
 
 // TestFlateOutputNeverRegrows: the Flate output is allocated once at
-// its stored bound, so a body the encoder stores, in whole or in part,
-// or that compress/flate itself falls back to storing, never regrows.
+// its stored bound, so a body stored in whole or in part, by the segment
+// plan or by the writer's choice of block, never regrows.
 func TestFlateOutputNeverRegrows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	noise := make([]byte, 3*flateSegment+5)
@@ -401,4 +401,106 @@ func TestFlateOutputNeverRegrows(t *testing.T) {
 			t.Errorf("%d B: output capacity %d, want the bound's %d", len(src), cap(enc), want)
 		}
 	}
+}
+
+// TestDeflateHistoryFree: a DEFLATE body depends on its input alone, not
+// on what the pooled encoder coded before it nor on where its table offset
+// stands, including when the offset passes tableRebase within the call.
+func TestDeflateHistoryFree(t *testing.T) {
+	src := benchPayload(3 << 20)
+	fresh := func() *deflater { return &deflater{cur: windowSize + 1} }
+	want := fresh().deflate(nil, src)
+	got := make([]byte, len(src))
+	if err := flateDecompressInto(got, want); err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("body does not inflate to its input: %v", err)
+	}
+	d := fresh()
+	d.deflate(nil, src[len(src)/3:])
+	if !bytes.Equal(d.deflate(nil, src), want) {
+		t.Fatal("body differs after an earlier call")
+	}
+	d.cur = tableRebase - 1<<20
+	if !bytes.Equal(d.deflate(nil, src), want) {
+		t.Fatal("body differs across a rebase of the table")
+	}
+	if d.cur > tableRebase {
+		t.Fatalf("table offset %d: no rebase happened", d.cur)
+	}
+}
+
+// TestBuildCode: buildCode's lengths form a complete code no longer than
+// its limit that codes every used symbol, at the optimal cost wherever the
+// limit does not bind.
+func TestBuildCode(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	fib := make([]uint32, maxDistCodes)
+	for i := range fib[:24] {
+		fib[i] = 1
+		if i > 1 {
+			fib[i] = fib[i-1] + fib[i-2]
+		}
+	}
+	random := make([]uint32, maxLitCodes)
+	for s := range random {
+		if rng.Intn(3) > 0 {
+			random[s] = uint32(rng.Intn(2000))
+		}
+	}
+	cases := []struct {
+		name  string
+		freq  []uint32
+		limit int
+		binds bool
+	}{
+		{"no symbol", make([]uint32, maxDistCodes), 15, false},
+		{"one symbol", append(make([]uint32, 7), 9, 0, 0), 15, false},
+		{"two symbols", []uint32{0, 5, 0, 16384}, 15, false},
+		{"random literals", random, 15, false},
+		{"fibonacci at 15 bits", fib, 15, true},
+		{"fibonacci at 7 bits", fib[:19], 7, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lens := make([]uint8, len(c.freq))
+			buildCode(c.freq, lens, make([]uint32, len(c.freq)), c.limit)
+			kraft, codes, maxLen := 0, 0, 0
+			for s, l := range lens {
+				if c.freq[s] > 0 && l == 0 {
+					t.Fatalf("symbol %d of frequency %d has no code", s, c.freq[s])
+				}
+				if l > 0 {
+					kraft += 1 << (c.limit - int(l))
+					codes++
+					maxLen = max(maxLen, int(l))
+				}
+			}
+			if kraft != 1<<c.limit || codes < 2 || maxLen > c.limit {
+				t.Fatalf("%d codes, longest %d bits, Kraft sum %d/%d", codes, maxLen, kraft, 1<<c.limit)
+			}
+			if !c.binds && codeBits(c.freq, lens) != huffmanCost(c.freq) {
+				t.Fatalf("cost %d bits, Huffman's %d", codeBits(c.freq, lens), huffmanCost(c.freq))
+			}
+		})
+	}
+}
+
+// huffmanCost is the cost in bits of an unlimited Huffman code for freq,
+// of two codes at least: the sum of the weights of its merges.
+func huffmanCost(freq []uint32) int {
+	var w []int
+	for _, f := range freq {
+		if f > 0 {
+			w = append(w, int(f))
+		}
+	}
+	for len(w) < 2 {
+		w = append(w, 0)
+	}
+	cost := 0
+	for len(w) > 1 {
+		slices.Sort(w)
+		cost += w[0] + w[1]
+		w = append(w[2:], w[0]+w[1])
+	}
+	return cost
 }

@@ -94,10 +94,9 @@ func CompressSharded(c Codec, src []byte, _ int) ([]byte, error) {
 			ci = pickCodec(part)
 		}
 		b := shard.GetBuf()
-		var err error
 		switch ci {
 		case Flate:
-			err = flateCompressBody(b, part)
+			b.B = flateCompressBody(b.B, part)
 		case Huffman:
 			b.B = huffCompressBody(b.B, part)
 		}
@@ -108,9 +107,6 @@ func CompressSharded(c Codec, src []byte, _ int) ([]byte, error) {
 			ci, body = None, part
 		}
 		dir[i] = shard.Shard{Tag: byte(ci), N: len(part), Body: body, Buf: b}
-		if err != nil {
-			return nil, fmt.Errorf("lossless: shard %d: %w", i, err)
-		}
 	}
 	return shard.AppendDir(header(Sharded, n, n/2+8*k), dir, true), nil
 }
