@@ -10,7 +10,6 @@ import (
 
 	"scdc/internal/entropy"
 	"scdc/internal/huffman"
-	"scdc/internal/lossless"
 	"scdc/internal/transform"
 )
 
@@ -49,25 +48,6 @@ func BenchmarkSubstrateHuffmanDecode(b *testing.B) {
 		if _, err := huffman.Decode(enc); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSubstrateLossless(b *testing.B) {
-	q := indexLike(1<<19, 2)
-	src := huffman.EncodeDist(q, entropy.Analyze(q))
-	for _, c := range []lossless.Codec{lossless.Flate, lossless.Huffman} {
-		b.Run("codec="+c.String(), func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			var enc []byte
-			var err error
-			for i := 0; i < b.N; i++ {
-				enc, err = lossless.Compress(c, src)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(src))/float64(len(enc)), "ratio")
-		})
 	}
 }
 

@@ -320,11 +320,11 @@ func BenchmarkFig18Transfer(b *testing.B) {
 // --- Ablation benches (design choices from DESIGN.md) ---
 
 // BenchmarkAblationLosslessBackend compares the lossless back-ends behind
-// the Huffman stage: the public menu of store, the default flate and Auto.
+// the Huffman stage: the public menu of store and the default flate.
 func BenchmarkAblationLosslessBackend(b *testing.B) {
 	f := field(datagen.Miranda, 1)
 	eb := f.Range() * 1e-4
-	for _, codec := range []lossless.Codec{lossless.Store, lossless.Flate, lossless.Auto} {
+	for _, codec := range []lossless.Codec{lossless.Store, lossless.Flate} {
 		b.Run("codec="+codec.String(), func(b *testing.B) {
 			opts := sz3.DefaultOptions(eb).WithQP()
 			opts.Lossless = codec

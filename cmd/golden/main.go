@@ -48,9 +48,9 @@ type Entry struct {
 	// decode-only pin ("rice", "auto", "sharded"); empty for the Huffman
 	// streams so their manifest lines are unchanged.
 	Entropy string `json:"entropy,omitempty"`
-	// Lossless names a non-default lossless back-end ("auto"; "flate",
-	// "lz" and "huffman" on decode-only pins); empty for the legacy
-	// whole-buffer DEFLATE streams so their manifest lines are unchanged.
+	// Lossless names the non-default lossless back-end of a decode-only
+	// pin ("auto", "flate", "lz", "huffman"); empty for the default
+	// DEFLATE streams so their manifest lines are unchanged.
 	Lossless string `json:"lossless,omitempty"`
 	// StreamSHA256 pins the exact compressed bytes; DecodedSHA256 pins
 	// the float64 little-endian bytes Decompress must reproduce.
@@ -88,7 +88,7 @@ func synth(dims []int) []float64 {
 // field, several quantization bins wide at the corpus error bound, so
 // the quantization indices — and with them the entropy-stage payload —
 // are near-incompressible. A modest 3D geometry then pushes the
-// lossless input past the sharding threshold without a huge corpus
+// lossless input past one 64 KB flate segment without a huge corpus
 // file.
 func synthNoisy(dims []int) []float64 {
 	data := synth(dims)
@@ -140,7 +140,8 @@ func shaHex(b []byte) string {
 // decodeOnly names the pins whose encoders are gone: the forced rice and
 // auto-picked entropy coders (index sub-format 0x00 0x02), the sharded
 // index sub-format (0x00 0x01), the forced flate, LZ and Huffman lossless
-// options, the forced sharded-flate container, and the flate6 copies.
+// options, the forced sharded-flate container, the lossless Auto option
+// (its plain and sharded streams), and the flate6 copies.
 var decodeOnly = append([]string{
 	"sz3_3d_qpon_rice",
 	"qoz_3d_qpon_rice",
@@ -151,6 +152,8 @@ var decodeOnly = append([]string{
 	"sz3_3d_qpon_lossless_lz",
 	"sz3_3d_qpon_lossless_huffman",
 	"sz3_3d_qpon_lossless_sharded",
+	"sz3_3d_qpon_lossless_auto",
+	"sz3_3d_qpon_lossless_auto_sharded",
 	"sz3_3d_qpon_sharded",
 }, flate6...)
 
@@ -245,9 +248,6 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 			StreamSHA256:  shaHex(stream),
 			DecodedSHA256: shaHex(decodedBytes(res.Data)),
 		}
-		if opts.Lossless != scdc.LosslessDefault {
-			e.Lossless = opts.Lossless.String()
-		}
 		entries = append(entries, e)
 		streams[e.File] = stream
 	}
@@ -281,18 +281,17 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 	}
 	keep("sz3_3d_qpon_auto")
 
-	// Lossless back-end streams on the standard 3D field, where small
-	// entropy payloads take the plain single-body format: the decode-only
-	// flate (tag 1), LZ (tag 2) and Huffman (tag 7) pins, and Auto's pick.
-	// Then the decode-only forced sharded-flate container on a noisy field
-	// whose entropy payload crosses the 64KB threshold, pinning tag 4's
-	// shard directory and per-shard bodies byte for byte.
+	// The decode-only lossless back-end streams on the standard 3D field,
+	// where small entropy payloads took the plain single-body format: the
+	// forced flate (tag 1), LZ (tag 2) and Huffman (tag 7) pins, and the
+	// Auto option's pick (tag 1). Then the forced sharded-flate container
+	// on a noisy field whose entropy payload crosses the 64KB threshold,
+	// pinning tag 4's shard directory and per-shard bodies byte for byte.
 	cube := []int{8, 8, 8}
 	keep("sz3_3d_qpon_lossless_flate")
 	keep("sz3_3d_qpon_lossless_lz")
 	keep("sz3_3d_qpon_lossless_huffman")
-	auto := scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: qp, Lossless: scdc.LosslessAuto}
-	pin("sz3_3d_qpon_lossless_auto", cube, synth(cube), auto)
+	keep("sz3_3d_qpon_lossless_auto")
 	keep("sz3_3d_qpon_lossless_sharded")
 
 	// Chunked container: SZ3+QP over a 3D field split into 4-plane chunks.
@@ -321,10 +320,10 @@ func build(dir string) ([]Entry, map[string][]byte, error) {
 	lorenzo := []int{16, 16, 16}
 	pin("sz3_3d_qpon_lorenzo", lorenzo, synth(lorenzo), scdc.Options{Algorithm: scdc.SZ3, ErrorBound: eb, QP: qp})
 
-	// The sharded container as its one remaining encoder writes it: Auto
-	// on the noisy field of the sharded-flate pin.
-	noisy := []int{40, 40, 48}
-	pin("sz3_3d_qpon_lossless_auto_sharded", noisy, synthNoisy(noisy), auto)
+	// The decode-only sharded container as the Auto option wrote it on
+	// the noisy field of the sharded-flate pin: a flate shard and a
+	// stored one.
+	keep("sz3_3d_qpon_lossless_auto_sharded")
 
 	// SZ3's Lorenzo mode with QP off, on the two paths the scan takes
 	// besides a single smooth block: a 4D synth field, which the mode

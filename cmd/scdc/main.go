@@ -19,15 +19,13 @@
 // The quantization indices are always Huffman-coded; -x still reads the
 // Golomb-Rice index streams earlier releases could write.
 //
-// -lossless auto picks store, Huffman or flate by measurement, as a
-// sharded container past 64 KB; it changes the stream's layout only, and
-// every stage of a field runs on one goroutine. -workers N decodes the
-// chunks of a chunked container (written by the library's
-// CompressChunked) on N goroutines, each chunk on one; a plain stream
-// ignores it. The output is bit-identical for every N:
+// -lossless default|store: default writes DEFLATE, storing the 64 KB
+// segments it cannot shrink; store skips the stage. Every stage of a
+// field runs on one goroutine. -workers N decodes the chunks of a chunked
+// container (written by the library's CompressChunked) on N goroutines,
+// each chunk on one; a plain stream ignores it. The output is
+// bit-identical for every N:
 //
-//	scdc -z -in data.f32 -out data.scdc -dims 512x512x512 -eb 1e-3 \
-//	     -qp -lossless auto
 //	scdc -x -in chunked.scdc -out restored.f32 -workers 8
 //
 // -stats prints a per-stage span tree (interpolation, quantization, QP,
@@ -114,7 +112,7 @@ func run(args []string, stdout io.Writer) error {
 		seed       = fs.Int64("seed", 1, "dataset synthesis seed (with -dataset)")
 		verify     = fs.Bool("verify", false, "after -z, decompress and report quality metrics, compression ratio and bit rate")
 		workers    = fs.Int("workers", 1, "goroutines across which -x decodes the chunks of a chunked container (a plain stream is coded on one); output is identical for any value")
-		llArg      = fs.String("lossless", "default", "lossless back-end: default (flate, storing 64 KB segments it cannot shrink), auto (store, huffman or flate by measurement; sharded parallel container past 64 KB) or store")
+		llArg      = fs.String("lossless", "default", "lossless back-end, default|store: default is flate, storing the 64 KB segments it cannot shrink; store skips the stage")
 		serveAddr  = fs.String("serve", "", "serve /metrics, /metrics.json and /debug/pprof on this address; stays up after the batch until interrupted")
 		stats      = fs.Bool("stats", false, "print a per-stage span tree and write the scdc-stats/1 JSON report")
 		statsOut   = fs.String("statsout", "", "stats JSON path (default <out>.stats.json; with -stats)")

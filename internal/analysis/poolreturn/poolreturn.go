@@ -12,11 +12,9 @@
 //   - same-package wrapper functions or methods whose bodies call
 //     Get/Put on a package-level pool (getWriter/putCountBuf,
 //     decoder.release), matched through the pool variable they touch;
-//   - the cross-package scratch APIs of internal/quantizer and
-//     internal/shard, matched by the GetXxx/PutXxx naming convention and
-//     paired by the type of the pooled object (shard's buffers go back in
-//     bulk through shard.Release, so a shard.GetBuf is always a handoff
-//     into the directory).
+//   - the cross-package scratch API of internal/quantizer, matched by the
+//     GetXxx/PutXxx naming convention and paired by the type of the
+//     pooled object.
 //
 // A Get with no Put in the same function is accepted only when the
 // result (the first one, for a Get that returns more) escapes: returned
@@ -44,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 
 // pooledPkgs names the packages whose exported Get*/Put* functions are
 // treated as pool accessors across package boundaries.
-var pooledPkgs = map[string]bool{"quantizer": true, "shard": true}
+var pooledPkgs = map[string]bool{"quantizer": true}
 
 func run(pass *analysis.Pass) error {
 	wrappers := collectWrappers(pass)

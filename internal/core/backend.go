@@ -27,11 +27,9 @@ type Backend struct {
 	QP Config
 	// Radius is the quantization radius; 0 selects the SZ3 default 2^15.
 	Radius int32
-	// Lossless selects the final lossless back-end. Default Flate, DEFLATE
-	// (tag 1) with the segments it cannot shrink stored. lossless.Auto
-	// picks the cheapest of store, Huffman and flate from a sampled size
-	// estimate, per shard of the sharded container once the buffer is big
-	// enough to split (CompressLossless).
+	// Lossless selects the final lossless back-end: Flate (the default),
+	// DEFLATE (tag 1) with the segments it cannot shrink stored, or Store.
+	// Any other codec is an options error (verdict.ErrBadOptions).
 	Lossless lossless.Codec
 	// Trace, when non-nil, captures internals for characterization.
 	Trace *Trace

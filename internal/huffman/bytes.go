@@ -5,18 +5,15 @@ import (
 	"fmt"
 	"sync"
 
-	"scdc/internal/entropy"
-	"scdc/internal/shard"
 	"scdc/internal/verdict"
 )
 
-// Byte-stream sub-format: canonical Huffman over the byte alphabet for
-// the lossless back-end (lossless.Huffman). The generic table header
-// delta-codes (symbol, length) pairs at ~2.3 bytes per distinct symbol —
-// ~600 bytes on a full byte alphabet, a visible fraction of a percent on
-// typical entropy-stage payloads. Here the alphabet is fixed, so the
-// table is a flat 256-byte code-length vector and canonical order
-// (length ascending, then symbol ascending) reconstructs the codes.
+// Byte-stream sub-format: canonical Huffman over the byte alphabet, the
+// body of the decode-only lossless tag 7 (lossless.Huffman). Earlier
+// releases wrote it; no encoder does now, and DecodeBytesInto still reads
+// it. The alphabet is fixed, so the table is a flat 256-entry
+// code-length vector and canonical order (length ascending, then symbol
+// ascending) reconstructs the codes.
 //
 // Layout:
 //
@@ -29,8 +26,7 @@ import (
 //	                          symbol order, 0 = absent
 //	shard directory + bodies  internal/shard
 //
-// Shards share the table, so splitting costs K-1 tail paddings plus the
-// directory, and the shard count is the caller's argument.
+// Shards share the table; the writer chose their count.
 
 const (
 	byteMarker  = 0xB7
@@ -39,18 +35,9 @@ const (
 	// bits per symbol into byteTablePacked stream bytes.
 	byteTableLen    = 256
 	byteTablePacked = byteTableLen * 6 / 8
-	// byteMaxLen is the longest code the 6-bit table can record. A code
-	// of length L needs ~Fibonacci(L+2) samples, so 63 is unreachable
-	// from any real buffer; EncodeBytesTo still depth-limits by halving
-	// counts so the encoder is total rather than trusting that bound.
-	byteMaxLen = 63
 )
 
-// minShardSamples keeps shards large enough that the per-shard padding and
-// directory entry are noise relative to the body.
-const minShardSamples = 4096
-
-// byteSymsPool recycles the int32 widening/decode-scratch buffers.
+// byteSymsPool recycles the int32 decode-scratch buffers.
 var byteSymsPool = sync.Pool{New: func() any { return new([]int32) }}
 
 func getByteSyms(n int) *[]int32 {
@@ -60,65 +47,6 @@ func getByteSyms(n int) *[]int32 {
 	}
 	*sp = (*sp)[:n]
 	return sp
-}
-
-// EncodeBytesTo appends src as a byte-alphabet Huffman stream of the
-// given shard count to dst.
-func EncodeBytesTo(dst, src []byte, shards int) []byte {
-	dst = append(dst, byteMarker, byteVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	if len(src) == 0 {
-		return dst
-	}
-
-	sp := getByteSyms(len(src))
-	syms := *sp
-	for i, b := range src {
-		syms[i] = int32(b)
-	}
-	d := entropy.Analyze(syms)
-	table, _ := codeLengths(d)
-	// codeLengths is canonical-sorted, so the last entry is the deepest.
-	// Halving counts flattens the tree geometrically, so this loop is a
-	// few iterations even in theory and zero in practice (see byteMaxLen).
-	for table[len(table)-1].len > byteMaxLen {
-		for i := range d.Syms {
-			d.Syms[i].Count = (d.Syms[i].Count + 1) >> 1
-		}
-		table, _ = codeLengths(d)
-	}
-	cs := buildCodes(table, d.Lo, d.Hi, d.Dense)
-
-	var lens [byteTableLen]byte
-	for _, sl := range table {
-		lens[sl.sym] = byte(sl.len)
-	}
-	for g := 0; g < byteTableLen/4; g++ {
-		v := uint32(lens[4*g])<<18 | uint32(lens[4*g+1])<<12 | uint32(lens[4*g+2])<<6 | uint32(lens[4*g+3])
-		dst = append(dst, byte(v>>16), byte(v>>8), byte(v))
-	}
-
-	shards = max(1, min(shards, len(src)/minShardSamples))
-	dst = encodeShards(dst, syms, &cs, shards)
-	byteSymsPool.Put(sp)
-	return dst
-}
-
-// encodeShards encodes syms as k contiguous shards under one code set and
-// appends the shard directory and bodies (shard.AppendDir) that close the
-// byte sub-format. Shard i covers samples [i*n/K, (i+1)*n/K), and each
-// body is an independently padded bit stream.
-func encodeShards(dst []byte, syms []int32, cs *codeSet, k int) []byte {
-	n := len(syms)
-	dir := make([]shard.Shard, k)
-	defer shard.Release(dir)
-	for i := range dir {
-		part := syms[i*n/k : (i+1)*n/k]
-		b := shard.GetBuf()
-		b.B = encodeBody(b.B, part, cs)
-		dir[i] = shard.Shard{N: len(part), Body: b.B, Buf: b}
-	}
-	return shard.AppendDir(dst, dir, false)
 }
 
 // parseByteTable rebuilds the canonical (symbol, length) lists from the

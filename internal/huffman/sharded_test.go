@@ -9,9 +9,69 @@ import (
 	"testing"
 
 	"scdc/internal/entropy"
+	"scdc/internal/shard"
 	"scdc/internal/shardtest"
 	"scdc/internal/verdict"
 )
+
+// minShardSamples kept the shards of the writers below large enough that
+// the per-shard padding and directory entry were noise next to the body.
+const minShardSamples = 4096
+
+// byteMaxLen is the longest code the byte sub-format's 6-bit table can
+// record. A code of length L needs ~Fibonacci(L+2) samples, so 63 is
+// unreachable from any real buffer; EncodeBytesTo still depth-limits by
+// halving counts so the encoder is total rather than trusting that bound.
+const byteMaxLen = 63
+
+// EncodeBytesTo is the writer of the byte sub-format (0xB7, the body of
+// lossless tag 7) as earlier releases ran it: src as a byte-alphabet
+// Huffman stream of the given shard count, appended to dst. It lives here
+// so the decoder's tests can still build the layout.
+func EncodeBytesTo(dst, src []byte, shards int) []byte {
+	dst = append(dst, byteMarker, byteVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	if len(src) == 0 {
+		return dst
+	}
+	syms := make([]int32, len(src))
+	for i, b := range src {
+		syms[i] = int32(b)
+	}
+	d := entropy.Analyze(syms)
+	table, _ := codeLengths(d)
+	// codeLengths is canonical-sorted, so the last entry is the deepest.
+	for table[len(table)-1].len > byteMaxLen {
+		for i := range d.Syms {
+			d.Syms[i].Count = (d.Syms[i].Count + 1) >> 1
+		}
+		table, _ = codeLengths(d)
+	}
+	cs := buildCodes(table, d.Lo, d.Hi, d.Dense)
+	var lens [byteTableLen]byte
+	for _, sl := range table {
+		lens[sl.sym] = byte(sl.len)
+	}
+	for g := 0; g < byteTableLen/4; g++ {
+		v := uint32(lens[4*g])<<18 | uint32(lens[4*g+1])<<12 | uint32(lens[4*g+2])<<6 | uint32(lens[4*g+3])
+		dst = append(dst, byte(v>>16), byte(v>>8), byte(v))
+	}
+	return encodeShards(dst, syms, &cs, max(1, min(shards, len(src)/minShardSamples)))
+}
+
+// encodeShards encodes syms as k contiguous shards under one code set and
+// appends the shard directory and bodies (shard.AppendDir) that close
+// both sharded sub-formats. Shard i covers samples [i*n/K, (i+1)*n/K), and
+// each body is an independently padded bit stream.
+func encodeShards(dst []byte, syms []int32, cs *codeSet, k int) []byte {
+	n := len(syms)
+	dir := make([]shard.Shard, k)
+	for i := range dir {
+		part := syms[i*n/k : (i+1)*n/k]
+		dir[i] = shard.Shard{N: len(part), Body: encodeBody(nil, part, cs)}
+	}
+	return shard.AppendDir(dst, dir, false)
+}
 
 // encodeSharded is the writer of the sharded index sub-format (0x00 0x01)
 // as earlier releases ran it for Options.Shards: q as shards sub-streams
@@ -96,8 +156,8 @@ func TestShardedMarkerUnambiguous(t *testing.T) {
 }
 
 // TestShardedBufferReuse drives back-to-back sharded encodes of different
-// arrays: pooled shard buffers must never leak one call's bytes into the
-// next (they are resliced to zero length and fully rewritten).
+// arrays: the pooled code-length scratch must never leak one call's
+// state into the next.
 func TestShardedBufferReuse(t *testing.T) {
 	big := skewed(60_000, 3)
 	small := skewed(20_000, 9)

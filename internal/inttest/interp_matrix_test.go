@@ -11,7 +11,6 @@ import (
 	"scdc/internal/datagen"
 	"scdc/internal/grid"
 	"scdc/internal/interp"
-	"scdc/internal/lossless"
 	"scdc/internal/qoz"
 	"scdc/internal/sz3"
 )
@@ -23,10 +22,7 @@ import (
 // always runs (tune=true in the cell names), with QP on and off, every
 // goroutine's stream must be byte-identical and its decompressed field
 // bit-identical to a lone call's, so no pooled scratch leaks between
-// concurrent calls. The streams carry lossless.Auto's sharded stage; the
-// bound is tight enough that Auto
-// writes a sharded form past its 64KB plaintext floor — the tag-4
-// container or the Huffman byte codec's tag 7 — which the test checks.
+// concurrent calls.
 func TestInterpWorkersBitIdentical(t *testing.T) {
 	f := datagen.MustGenerate(datagen.Miranda, 1, []int{40, 48, 56}, 9)
 	field := grid.MustNew(f.Dims()...)
@@ -35,7 +31,6 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 	eb := 1e-5 * f.Range()
 	backend := func(qp bool) core.Backend {
 		b := core.DefaultBackend()
-		b.Lossless = lossless.Auto
 		if qp {
 			b.QP = core.Default()
 		}
@@ -100,9 +95,6 @@ func TestInterpWorkersBitIdentical(t *testing.T) {
 			ref := run()
 			if ref.err != nil {
 				t.Fatal(ref.err)
-			}
-			if tag := lossless.Codec(ref.stream[0]); tag != lossless.Sharded && tag != lossless.Huffman {
-				t.Fatalf("the sharded lossless stage did not engage (tag %d)", tag)
 			}
 			for _, w := range workerCounts {
 				results := make([]result, w)

@@ -1,9 +1,6 @@
 package lossless
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // benchPayload synthesizes a buffer that mimics the entropy-stage output
 // the lossless back-end really sees: mostly low-byte symbol noise with
@@ -27,46 +24,33 @@ func benchPayload(n int) []byte {
 	return out
 }
 
-// BenchmarkLosslessCodecs prices the codecs side by side: one compress and
-// one decompress series per back-end and for the sharded Auto container.
+// BenchmarkLosslessCodecs prices the Flate codec: one compress and one
+// decompress series.
 func BenchmarkLosslessCodecs(b *testing.B) {
 	src := benchPayload(1 << 20)
-
-	type variant struct {
-		name string
-		enc  func() ([]byte, error)
+	enc, err := Compress(Flate, src)
+	if err != nil {
+		b.Fatal(err)
 	}
-	variants := []variant{
-		{"flate", func() ([]byte, error) { return Compress(Flate, src) }},
-		{"huffman", func() ([]byte, error) { return Compress(Huffman, src) }},
-		{"sharded-auto", func() ([]byte, error) { return CompressSharded(Auto, src, 1) }},
-	}
-
-	for _, v := range variants {
-		enc, err := v.enc()
-		if err != nil {
-			b.Fatal(err)
+	b.Run("compress/codec=flate", func(b *testing.B) {
+		b.SetBytes(int64(len(src)))
+		for i := 0; i < b.N; i++ {
+			if _, err := Compress(Flate, src); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.Run(fmt.Sprintf("compress/codec=%s", v.name), func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				if _, err := v.enc(); err != nil {
-					b.Fatal(err)
-				}
+		b.ReportMetric(float64(len(src))/float64(len(enc)), "ratio")
+	})
+	b.Run("decompress/codec=flate", func(b *testing.B) {
+		b.SetBytes(int64(len(src)))
+		for i := 0; i < b.N; i++ {
+			out, err := DecompressLimit(enc, len(src))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(src))/float64(len(enc)), "ratio")
-		})
-		b.Run(fmt.Sprintf("decompress/codec=%s", v.name), func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				out, err := DecompressLimit(enc, len(src))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(out) != len(src) {
-					b.Fatal("length mismatch")
-				}
+			if len(out) != len(src) {
+				b.Fatal("length mismatch")
 			}
-		})
-	}
+		}
+	})
 }

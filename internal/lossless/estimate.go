@@ -2,14 +2,13 @@ package lossless
 
 import "math"
 
-// Size estimation for the lossless back-ends, in the mold of
-// internal/entropy's Dist estimators: one cheap sampled probe over the
-// buffer yields an order-0 entropy figure and a 4-byte match-coverage
-// figure, from which every codec's output size is priced without
-// running it. The Auto codec resolves to the cheapest estimate, per
-// shard in the sharded container. The probe iterates in buffer order
-// only (no maps), so the estimate — and therefore the codec choice the
-// stream records — is deterministic (DESIGN.md §8 streamdeterminism).
+// Size estimation for the Flate encoder's segment plan, in the mold of
+// internal/entropy's Dist estimators: one cheap sampled probe over a
+// segment yields an order-0 entropy figure and a 4-byte match-coverage
+// figure, from which DEFLATE's output size is priced without running it
+// (flatePays). The probe iterates in buffer order only (no maps), so the
+// estimate — and therefore the segment plan the stream records — is
+// deterministic (DESIGN.md §8 streamdeterminism).
 
 const (
 	// estWindow is one sampled window; up to three (head, middle, tail)
@@ -20,7 +19,7 @@ const (
 	estProbeBits = 12
 )
 
-// probe holds the sampled statistics the codecs are priced from.
+// probe holds the sampled statistics DEFLATE is priced from.
 type probe struct {
 	// entropyBits is the order-0 entropy of the sampled bytes, in bits
 	// per byte (0..8).
@@ -47,13 +46,6 @@ func probeWindows(n int) (w [3][2]int, k int) {
 	w[1] = [2]int{mid, mid + estWindow}
 	w[2] = [2]int{n - estWindow, n}
 	return w, 3
-}
-
-// sampleProbe scans up to three estWindow-sized windows of src.
-func sampleProbe(src []byte) probe {
-	p := probe{entropyBits: sampledEntropy(src)}
-	p.walkMatches(src)
-	return p
 }
 
 // walkMatches sets p's match statistics from src's probe windows.
@@ -126,71 +118,21 @@ func matchWalk(src []byte, lo, hi int, table *[1 << estProbeBits]int32) (covered
 }
 
 // flateMatchBits is the flate estimate's all-in price of one match, in
-// bits (see estimate).
+// bits (see flateEstimate).
 const flateMatchBits = 30
 
-// estimate prices one codec from the probe statistics, the way the
-// codec actually spends bytes: flate pays the order-0 entropy for
-// unmatched bytes and a small per-match residue, Huffman pays the
-// order-0 entropy everywhere plus its code table, and store pays the
-// input verbatim.
-func (p probe) estimate(c Codec, n int) int {
-	fn := float64(n)
-	switch c {
-	case Flate:
-		// Literals pay the order-0 entropy; each match replaces its
-		// covered literals with a length/distance pair. flateMatchBits is
-		// the all-in price of one short match — length and distance codes
-		// plus their extra bits plus the literal-table degradation the
-		// match leaves behind — so the 4-6 byte seed collisions that
-		// saturate entropy-coded input price out near break-even (matching
-		// measured DEFLATE behaviour, which nets well under 1% on such
-		// buffers), while long repeats still register as big savings
-		// through matchCover. The entropy term is shared with the Huffman
-		// estimate below, so the flate-vs-Huffman pick reduces to these
-		// match savings against the 256-byte table — sampling error in the
-		// entropy itself cancels.
-		bitsPerByte := (1-p.matchCover)*p.entropyBits + p.matchPerByte*flateMatchBits
-		return int(fn*bitsPerByte/8) + 64
-	case Huffman:
-		// Flat 256-byte code-length table plus the sub-format header and
-		// shard directory (huffman/bytes.go).
-		return int(fn*p.entropyBits/8) + 232
-	default: // None, Store
-		return n + 6
-	}
-}
-
-// pick resolves the Auto codec for an n-byte buffer: the cheapest of
-// store, Huffman and flate by estimate. The estimates only rank
-// reliably outside a few percent, so within estSlack of the minimum the
-// cheaper-to-run codec wins — candidates are ordered by decreasing
-// codec speed, which is how a match-free entropy-stage buffer routes to
-// the Huffman byte codec instead of a DEFLATE pass that would shave
-// nothing but sampling noise.
-func (p probe) pick(n int) Codec {
-	const estSlack = 1.02
-	cands := [...]Codec{None, Huffman, Flate}
-	var ests [len(cands)]int
-	best := -1
-	for i, c := range cands {
-		ests[i] = p.estimate(c, n)
-		if best < 0 || ests[i] < best {
-			best = ests[i]
-		}
-	}
-	for i, c := range cands {
-		if float64(ests[i]) <= estSlack*float64(best) {
-			return c
-		}
-	}
-	return Flate
-}
-
-// pickCodec is probe-then-pick for one buffer (or one shard of the
-// sharded container).
-func pickCodec(src []byte) Codec {
-	return sampleProbe(src).pick(len(src))
+// flateEstimate prices DEFLATE on n bytes from the probe statistics, the
+// way the codec actually spends bytes: literals pay the order-0 entropy;
+// each match replaces its covered literals with a length/distance pair.
+// flateMatchBits is the all-in price of one short match — length and
+// distance codes plus their extra bits plus the literal-table degradation
+// the match leaves behind — so the 4-6 byte seed collisions that saturate
+// entropy-coded input price out near break-even (matching measured
+// DEFLATE behaviour, which nets well under 1% on such buffers), while
+// long repeats still register as big savings through matchCover.
+func (p probe) flateEstimate(n int) int {
+	bitsPerByte := (1-p.matchCover)*p.entropyBits + p.matchPerByte*flateMatchBits
+	return int(float64(n)*bitsPerByte/8) + 64
 }
 
 // flatePaysFrac is the share of a segment's length the flate estimate
@@ -227,14 +169,14 @@ func flatePays(seg []byte) bool {
 	// entropy alone decides every segment that compresses by its byte
 	// statistics.
 	bound := probe{entropyBits: max(p.entropyBits, float64(flateMatchBits)/lzMinMatch)}
-	if blocksPay && float64(bound.estimate(Flate, len(seg))+1) < limit {
+	if blocksPay && float64(bound.flateEstimate(len(seg))+1) < limit {
 		return true
 	}
 	p.walkMatches(seg)
 	if p.matchCover == 0 {
 		return blocksPay
 	}
-	return float64(p.estimate(Flate, len(seg))) < limit
+	return float64(p.flateEstimate(len(seg))) < limit
 }
 
 // flatePrice prices DEFLATE on seg, matches aside, the way the writer

@@ -22,11 +22,13 @@ func FuzzLosslessDecompress(f *testing.F) {
 	}
 	f.Add([]byte{byte(LZ), 0xff, 0xff, 0xff, 0xff, 0x0f})
 	// The decode-only LZ codec: its hand-built sequences and the tag-2
-	// golden payload.
+	// golden payload; and the decode-only Huffman codec's tag-7 golden
+	// payload.
 	for _, v := range lzVectors() {
 		f.Add(lzStream(v.body, len(v.want)))
 	}
 	f.Add(goldenPayload(f, "sz3_3d_qpon_lossless_lz.scdc"))
+	f.Add(goldenPayload(f, "sz3_3d_qpon_lossless_huffman.scdc"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := DecompressLimit(data, 1<<22)
 		if err != nil {

@@ -7,26 +7,11 @@ import (
 	"scdc/internal/verdict"
 )
 
-// The Huffman byte codec (tag 7) runs the kernelized canonical Huffman
-// coder over the raw bytes — pure order-0 entropy coding, no match
-// search. It exists because the lossless stage's usual input is the
-// entropy-coded index stream, whose byte histogram is heavily skewed
-// (short Huffman runs, small literals) but whose long-range structure
-// is already squeezed out: on such buffers DEFLATE's entire gain is its
-// literal Huffman table, so this codec reaches the same ratio at a
-// fraction of the cost by skipping the match finder altogether. The
-// size estimator prices it from the sampled byte entropy, letting Auto
-// route match-free buffers here and match-rich ones to flate.
-//
-// The stream body is the huffman package's byte sub-format: a flat
-// 256-byte code-length table shared by uvarint-directory shards, so one
-// table purchase amortizes across the shard bodies (huffman/bytes.go).
-
-// huffCompressBody appends the Huffman byte stream for src to dst. The
-// shard count derives from len(src) alone.
-func huffCompressBody(dst, src []byte) []byte {
-	return huffman.EncodeBytesTo(dst, src, ShardCount(len(src)))
-}
+// The Huffman byte codec (tag 7) is decode-only: earlier releases wrote
+// it for match-free buffers, where order-0 entropy coding of the raw
+// bytes reached DEFLATE's ratio without a match search. The stream body
+// is the huffman package's byte sub-format: a flat 256-byte code-length
+// table shared by uvarint-directory shards (huffman/bytes.go).
 
 // huffDecompress decodes a Huffman byte stream into exactly n bytes.
 func huffDecompress(body []byte, n int) ([]byte, error) {

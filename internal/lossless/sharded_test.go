@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"scdc/internal/shard"
 	"scdc/internal/shardtest"
 	"scdc/internal/verdict"
 )
@@ -18,36 +19,43 @@ func shardedPayload(seed int64, n int) []byte {
 	return randomPayload(rand.New(rand.NewSource(seed)), n)
 }
 
-// TestShardCount pins the deterministic split policy the container's
-// worker-independence rests on.
-func TestShardCount(t *testing.T) {
-	cases := []struct{ n, k int }{
-		{0, 1},
-		{shardMinBytes, 1},
-		{2*shardMinBytes - 1, 1},
-		{2 * shardMinBytes, 2},
-		{shardTargetBytes, 2},
-		{10 * shardTargetBytes, 10},
-		{2 * maxShardCount * shardTargetBytes, maxShardCount},
-	}
-	for _, c := range cases {
-		if got := ShardCount(c.n); got != c.k {
-			t.Errorf("ShardCount(%d) = %d, want %d", c.n, got, c.k)
+// shardedContainer is the writer of the tag-4 container as earlier
+// releases ran it for Flate: src cut into k equal shards, each a DEFLATE
+// body, stored where that body does not beat its shard. It lives here so
+// the decoder's tests and fuzzers can still build the layout.
+func shardedContainer(src []byte, k int) []byte {
+	n := len(src)
+	dir := make([]shard.Shard, k)
+	for i := range dir {
+		part := src[i*n/k : (i+1)*n/k]
+		c, body := Flate, flateCompressBody(nil, part)
+		if len(body) >= len(part) {
+			c, body = None, part
 		}
+		dir[i] = shard.Shard{Tag: byte(c), N: len(part), Body: body}
 	}
+	return shard.AppendDir(header(Sharded, n, 0), dir, true)
 }
 
-// TestShardedRoundTrip sweeps sizes across the fallback boundary and odd
-// tails for every inner codec.
+// TestShardedRoundTrip: CompressSharded is Compress with Auto read as
+// Flate, byte for byte, across sizes around the segment size and odd
+// tails; it turns the decode-only codecs away.
 func TestShardedRoundTrip(t *testing.T) {
-	sizes := []int{0, 1, 1000, 2*shardMinBytes - 1, 2 * shardMinBytes,
-		2*shardMinBytes + 7, shardTargetBytes + 1, 3*shardTargetBytes + 13}
-	for _, c := range []Codec{None, Flate, Huffman, Auto, Store} {
+	sizes := []int{0, 1, 1000, flateSegment - 1, flateSegment, flateSegment + 7,
+		2*flateSegment + 1, 6*flateSegment + 13}
+	for _, c := range []Codec{None, Flate, Auto, Store} {
 		for _, n := range sizes {
 			src := shardedPayload(int64(n)+7, n)
 			enc, err := CompressSharded(c, src, 1)
 			if err != nil {
 				t.Fatalf("%v n=%d: %v", c, n, err)
+			}
+			want := c
+			if c == Auto {
+				want = Flate
+			}
+			if ref, _ := Compress(want, src); !bytes.Equal(enc, ref) {
+				t.Fatalf("%v n=%d: not the %v stream", c, n, want)
 			}
 			dec, err := DecompressLimit(enc, n)
 			if err != nil {
@@ -58,8 +66,10 @@ func TestShardedRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := CompressSharded(Sharded, []byte("x"), 1); err == nil {
-		t.Error("Sharded as inner codec accepted")
+	for _, c := range []Codec{LZ, Sharded, Huffman} {
+		if _, err := CompressSharded(c, []byte("x"), 1); !errors.Is(err, verdict.ErrBadOptions) {
+			t.Errorf("%v: got %v, want ErrBadOptions", c, err)
+		}
 	}
 }
 
@@ -112,25 +122,38 @@ func TestShardedHostileHeaders(t *testing.T) {
 	}
 
 	// The table of directory lies the Huffman shard readers are held to
-	// (internal/shardtest), told about a container the encoder wrote:
-	// each is turned away before the plaintext is allocated.
-	src := shardedPayload(3, 8*shardTargetBytes)
-	enc, err := CompressSharded(Flate, src, 1)
-	if err != nil || Codec(enc[0]) != Sharded {
-		t.Fatalf("tag %d, %v", enc[0], err)
+	// (internal/shardtest), told about the container the Auto option wrote
+	// on a golden field — which the test writer rebuilds byte for byte —
+	// and about an 8-shard container the test writer builds: each is
+	// turned away before the plaintext is allocated.
+	golden := goldenPayload(t, "sz3_3d_qpon_lossless_auto_sharded.scdc")
+	plain, err := Decompress(golden)
+	if err != nil || !bytes.Equal(shardedContainer(plain, 2), golden) {
+		t.Fatalf("the test writer does not rebuild the golden container: %v", err)
 	}
-	_, c := binary.Uvarint(enc[1:])
-	for name, lie := range shardtest.Lies(enc[1+c:], len(src), true) {
-		stream := append(enc[:1+c:1+c], lie...)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecompressLimit(stream, len(src))
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, verdict.ErrCorrupt) {
-			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+	for name, good := range map[string][]byte{
+		"golden":  golden,
+		"written": shardedContainer(shardedPayload(3, 1<<20), 8),
+	} {
+		n, c := binary.Uvarint(good[1:])
+		if Codec(good[0]) != Sharded {
+			t.Fatalf("%s: tag %d", name, good[0])
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(src)/2) {
-			t.Errorf("%s: %d bytes allocated before the rejection", name, grew)
+		if _, err := DecompressLimit(good, int(n)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for lieName, lie := range shardtest.Lies(good[1+c:], int(n), true) {
+			stream := append(good[:1+c:1+c], lie...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecompressLimit(stream, int(n))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, verdict.ErrCorrupt) {
+				t.Errorf("%s, %s: got %v, want ErrCorrupt", name, lieName, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > n/2 {
+				t.Errorf("%s, %s: %d bytes allocated before the rejection", name, lieName, grew)
+			}
 		}
 	}
 }
@@ -140,17 +163,20 @@ func TestShardedHostileHeaders(t *testing.T) {
 // shard directory lies about counts or body extents, must fail with
 // ErrCorrupt rather than panic or mis-decode.
 func TestHuffmanHostileHeaders(t *testing.T) {
-	src := shardedPayload(5, 4096)
-	enc, err := Compress(Huffman, src)
-	if err != nil {
+	enc := goldenPayload(t, "sz3_3d_qpon_lossless_huffman.scdc")
+	n, k := binary.Uvarint(enc[1:])
+	if Codec(enc[0]) != Huffman || k != 2 {
+		t.Fatalf("golden payload: tag %d, %d-byte length", enc[0], k)
+	}
+	if _, err := Decompress(enc); err != nil {
 		t.Fatal(err)
 	}
-	body := enc[3:] // strip codec tag + 2-byte uvarint(4096)
+	body := enc[3:] // strip codec tag + 2-byte uvarint(n)
 
 	mutate := func(mut func(b []byte) []byte) []byte {
 		b := mut(append([]byte(nil), body...))
 		out := []byte{byte(Huffman)}
-		out = binary.AppendUvarint(out, 4096)
+		out = binary.AppendUvarint(out, n)
 		return append(out, b...)
 	}
 	cases := map[string][]byte{
@@ -174,7 +200,7 @@ func TestHuffmanHostileHeaders(t *testing.T) {
 		"truncated body":  mutate(func(b []byte) []byte { return b[:len(b)-5] }),
 		"trailing bytes":  mutate(func(b []byte) []byte { return append(b, 0xaa) }),
 		"count mismatch": mutate(func(b []byte) []byte {
-			b[2], b[3] = 0x81, 0x01 // uvarint 129 instead of 4096
+			b[2], b[3] = 0x81, 0x01 // uvarint 129 instead of n
 			return b
 		}),
 	}
@@ -223,19 +249,16 @@ func TestFlateDecompressAllocs(t *testing.T) {
 
 // FuzzLosslessSharded: arbitrary bytes against the sharded container and
 // Huffman byte-stream decoders — must decode within the limit or fail
-// with verdict.ErrCorrupt, never panic; valid decodes must re-encode and round-trip.
+// with verdict.ErrCorrupt, never panic; valid decodes must re-encode and
+// round-trip. The seeds are the tag-4 and tag-7 golden payloads, the test
+// writer's containers and hand-built LZ shards.
 func FuzzLosslessSharded(f *testing.F) {
-	small := shardedPayload(3, 1000)
-	big := shardedPayload(4, 2*shardMinBytes+17)
-	for _, c := range []Codec{Flate, Huffman, Auto} {
-		enc, err := CompressSharded(c, big, 1)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
-	}
-	if enc, err := Compress(Huffman, small); err == nil {
-		f.Add(enc)
+	f.Add(shardedContainer(shardedPayload(4, flateSegment+17), 3))
+	noise := make([]byte, 4096)
+	rand.New(rand.NewSource(4)).Read(noise)
+	f.Add(shardedContainer(append(shardedPayload(5, 4096), noise...), 2)) // a flate and a stored shard
+	for _, file := range []string{"sz3_3d_qpon_lossless_auto_sharded.scdc", "sz3_3d_qpon_lossless_huffman.scdc"} {
+		f.Add(goldenPayload(f, file))
 	}
 	f.Add(shardedStream(8, [][3]uint64{{uint64(None), 4, 4}, {uint64(LZ), 4, 4}}, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
 	// The decode-only LZ codec's hand-built sequences, each as a shard
@@ -258,7 +281,7 @@ func FuzzLosslessSharded(f *testing.F) {
 		if len(out) > 1<<22 {
 			t.Fatalf("limit breached: %d bytes", len(out))
 		}
-		re, err := CompressSharded(Auto, out, 1)
+		re, err := Compress(Flate, out)
 		if err != nil {
 			t.Fatal(err)
 		}

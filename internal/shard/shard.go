@@ -1,7 +1,9 @@
-// Package shard is the one writer and the one reader of the shard
-// directory that closes every sharded format of this repository: the
-// sharded Huffman index sub-format (0x00 0x01), the Huffman byte
-// sub-format (lossless tag 7) and the sharded lossless container (tag 4).
+// Package shard is the one reader of the shard directory that closes
+// every sharded format of this repository: the sharded Huffman index
+// sub-format (0x00 0x01), the Huffman byte sub-format (lossless tag 7) and
+// the sharded lossless container (tag 4). All three are decode-only;
+// AppendDir, the writer earlier releases used, stays so that tests can
+// build the layout (internal/shardtest).
 //
 //	uvarint(K)                shard count, K >= 1
 //	K x { [byte tag,]         per-shard codec, tagged directories only
@@ -16,7 +18,6 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"scdc/internal/verdict"
 )
@@ -26,38 +27,6 @@ type Shard struct {
 	Tag    byte // tagged directories only
 	Off, N int  // first decoded unit (set by ParseDir) and unit count
 	Body   []byte
-	// Buf is the pooled buffer Body was encoded into, if any; Release
-	// returns it.
-	Buf *Buf
-}
-
-// Buf is a pooled shard body under construction. It is an io.Writer so
-// that stream compressors can write into it.
-type Buf struct{ B []byte }
-
-func (b *Buf) Write(p []byte) (int, error) {
-	b.B = append(b.B, p...)
-	return len(p), nil
-}
-
-var bufPool = sync.Pool{New: func() any { return new(Buf) }}
-
-// GetBuf returns an empty pooled buffer. Bodies are append-only, so reuse
-// only reslices to length zero: nothing to clear.
-func GetBuf() *Buf {
-	b := bufPool.Get().(*Buf)
-	b.B = b.B[:0]
-	return b
-}
-
-// Release returns the pooled buffers of dir; the bodies they back must
-// not be used afterwards.
-func Release(dir []Shard) {
-	for _, s := range dir {
-		if s.Buf != nil {
-			bufPool.Put(s.Buf)
-		}
-	}
 }
 
 // AppendDir appends the directory of dir and then its bodies to dst.

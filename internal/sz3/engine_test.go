@@ -20,10 +20,10 @@ var engineDims = [][]int{
 	{8, 12, 20, 24},
 }
 
-// TestParallelCompressBitIdentical verifies end to end that
-// lossless.Auto's sharded stage changes the stream's layout only: for
-// every QP mode and condition, on 1D-4D fields, the Auto stream decodes
-// to exactly the field the flate stream decodes to.
+// TestParallelCompressBitIdentical verifies end to end that the lossless
+// back-end changes the stream's layout only: for every QP mode and
+// condition, on 1D-4D fields, the stored stream decodes to exactly the
+// field the flate stream decodes to.
 func TestParallelCompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
@@ -36,7 +36,7 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 				opts.Choice = ChoiceInterp
 				opts.QP = core.Config{Mode: mode, Cond: cond, MaxLevel: 2}
 				var fields [2][]float64
-				for k, codec := range []lossless.Codec{lossless.Flate, lossless.Auto} {
+				for k, codec := range []lossless.Codec{lossless.Flate, lossless.Store} {
 					opts.Lossless = codec
 					payload, err := Compress(f, opts)
 					if err != nil {
@@ -49,7 +49,7 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 					fields[k] = out.Data
 				}
 				if !slices.Equal(fields[0], fields[1]) {
-					t.Errorf("dims=%v mode=%v cond=%v: the Auto stream decodes to another field", dims, mode, cond)
+					t.Errorf("dims=%v mode=%v cond=%v: the stored stream decodes to another field", dims, mode, cond)
 				}
 			}
 		}
@@ -58,13 +58,12 @@ func TestParallelCompressBitIdentical(t *testing.T) {
 
 // TestParallelDecompressBitIdentical verifies that observed decompression
 // (DecompressObs with a span) reconstructs exactly the unobserved output,
-// for plain and QP streams, with and without lossless.Auto's sharded
-// stage.
+// for plain and QP streams, on the flate and the stored back-end.
 func TestParallelDecompressBitIdentical(t *testing.T) {
 	for _, dims := range engineDims {
 		f := synth(dims...)
 		for _, qp := range []bool{false, true} {
-			for _, codec := range []lossless.Codec{lossless.Flate, lossless.Auto} {
+			for _, codec := range []lossless.Codec{lossless.Flate, lossless.Store} {
 				opts := DefaultOptions(1e-3)
 				opts.Choice = ChoiceInterp
 				opts.Lossless = codec

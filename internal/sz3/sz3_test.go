@@ -153,11 +153,17 @@ func TestRoundTripLinearInterp(t *testing.T) {
 	roundTrip(t, f, opts)
 }
 
+// TestRoundTripAutoBackend: lossless.Auto names no back-end an engine
+// writes, so it is an options error, and the QP stream round-trips on the
+// default back-end.
 func TestRoundTripAutoBackend(t *testing.T) {
 	f := synth(30, 31, 32)
 	opts := DefaultOptions(1e-3).WithQP()
-	opts.Lossless = lossless.Auto
 	roundTrip(t, f, opts)
+	opts.Lossless = lossless.Auto
+	if _, err := Compress(f, opts); !errors.Is(err, verdict.ErrBadOptions) {
+		t.Fatalf("lossless.Auto: got %v, want ErrBadOptions", err)
+	}
 }
 
 func TestQPImprovesCompression(t *testing.T) {

@@ -6,18 +6,13 @@ import (
 	"testing"
 
 	"scdc/datasets"
-	"scdc/internal/lossless"
 )
 
 // TestQPMatrixWorkersBitIdentical sweeps the full QP configuration matrix
 // — every mode, every condition, every interpolation-based algorithm —
 // and proves that the worker count is invisible in the output: compressed
 // streams are byte-identical and decompressed fields bit-identical to the
-// workers=1 reference. The streams carry LosslessAuto's sharded lossless
-// stage; the bound and the fields are tight and large enough that Auto
-// writes a sharded form (past its 64KB plaintext floor): the tag-4
-// container or the Huffman byte codec's tag 7, whose shards share one
-// table. The test checks that it did.
+// workers=1 reference.
 func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 	cases := []struct {
 		alg  Algorithm
@@ -52,7 +47,6 @@ func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 							RelativeBound: 1e-5,
 							QP:            QPConfig{Mode: mode, Condition: cond, MaxLevel: 2},
 							Workers:       w,
-							Lossless:      LosslessAuto,
 						}
 						stream, err := Compress(data, dims, opts)
 						if err != nil {
@@ -63,13 +57,6 @@ func TestQPMatrixWorkersBitIdentical(t *testing.T) {
 							t.Fatalf("workers=%d: decompress: %v", w, err)
 						}
 						if w == workerCounts[0] {
-							h, err := parseHeader(stream, true)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if tag := lossless.Codec(h.payload[0]); tag != lossless.Sharded && tag != lossless.Huffman {
-								t.Fatalf("the sharded lossless stage did not engage (tag %d)", tag)
-							}
 							refStream, refField = stream, res.Data
 							continue
 						}

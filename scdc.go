@@ -146,8 +146,8 @@ func (q QPConfig) toCore() core.Config {
 // LosslessCodec selects the final lossless back-end for the
 // interpolation-based algorithms. Decompression dispatches on the
 // stream's codec tag, so reading needs no option and every earlier
-// stream — including the forced flate, LZ and Huffman forms earlier
-// releases could write — keeps decoding.
+// stream — including the forced flate, LZ and Huffman forms and the
+// sharded container earlier releases could write — keeps decoding.
 type LosslessCodec byte
 
 const (
@@ -158,12 +158,6 @@ const (
 	LosslessDefault LosslessCodec = iota
 	// LosslessStore skips lossless compression (ablation point).
 	LosslessStore
-	// LosslessAuto picks store, Huffman or flate from a sampled size
-	// estimate, preferring the faster codec when the estimates are within
-	// a couple of percent. Past 64 KB the stage is sharded — the tag-4
-	// container with a pick per shard, or Huffman's own shards under one
-	// table.
-	LosslessAuto
 )
 
 // losslessCodecs maps each LosslessCodec to its name and engine-level
@@ -174,7 +168,6 @@ var losslessCodecs = [...]struct {
 }{
 	LosslessDefault: {"default", lossless.Flate},
 	LosslessStore:   {"store", lossless.Store},
-	LosslessAuto:    {"auto", lossless.Auto},
 }
 
 // String implements fmt.Stringer.
@@ -186,7 +179,7 @@ func (c LosslessCodec) String() string {
 }
 
 // ParseLosslessCodec resolves a lower-case codec name ("default",
-// "store", "auto"; "" is "default").
+// "store"; "" is "default").
 func ParseLosslessCodec(name string) (LosslessCodec, error) {
 	if name == "" {
 		return LosslessDefault, nil
@@ -227,8 +220,7 @@ type Options struct {
 	// Lossless selects the final lossless back-end for the
 	// interpolation-based algorithms. The zero value (LosslessDefault)
 	// writes DEFLATE (tag 1), storing the 64 KB segments it cannot shrink;
-	// LosslessAuto picks the codec by measurement and shards the stage
-	// past 64 KB.
+	// LosslessStore stores the stage verbatim.
 	Lossless LosslessCodec
 }
 
